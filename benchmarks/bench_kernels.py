@@ -4,10 +4,11 @@ These measure the real NumPy throughput of the building blocks (the
 analogue of the paper's Halide kernel performance): basis enumeration,
 ``state_info``, ``getManyRows``, ``stateToIndex`` binary search, the
 destination partition, and the mixing hash — plus comparative timings of
-the fused ``state_info`` kernel against the element-by-element reference
-and of plan-cached matvec replay against the cold path, written as JSON
-artifacts to ``benchmarks/results/`` so the speedups can be diffed across
-PRs.
+the fused ``state_info`` kernel against the element-by-element reference,
+of the early-exit representative filter against the ``state_info``
+predicate, and of plan-cached matvec replay against the cold path, written
+as JSON artifacts to ``benchmarks/results/`` so the speedups can be diffed
+across PRs.
 
 Set ``BENCH_SMOKE=1`` to run at a reduced problem size (16 sites instead
 of 24) with relaxed speedup thresholds — used by the CI smoke step, which
@@ -175,6 +176,76 @@ def test_state_info_fused_speedup(group, batch):
         },
     )
     assert speedup >= (1.0 if SMOKE else 3.0)
+
+
+def test_representative_filter_speedup(group):
+    """Early-exit membership kernel vs the full-group-loop predicate.
+
+    ``SymmetricBasis.build`` and ``enumerate_states`` used to derive
+    membership from ``state_info`` — all ``|G|`` elements on every
+    candidate — where ``representatives`` drops a candidate at the first
+    element that maps it below itself.  Both filter every Sz = 0 candidate
+    in the 65536-state batches those callers use, on the chain group
+    (rotation strategies) and on a torus group (mask/shift networks).
+    """
+    from repro.symmetry import (
+        SymmetryGroup,
+        rectangle_translation,
+        spin_inversion,
+    )
+    from repro.symmetry.kernels import STAB_TOL
+
+    nx, ny = (4, 4) if SMOKE else (4, 6)
+    torus = SymmetryGroup.from_generators(
+        [
+            rectangle_translation(nx, ny, 0, 0),
+            rectangle_translation(nx, ny, 1, 0),
+            spin_inversion(nx * ny, 0),
+        ]
+    )
+    candidates = states_with_weight(N_SITES, WEIGHT)
+    batches = [
+        candidates[start : start + (1 << 16)]
+        for start in range(0, candidates.size, 1 << 16)
+    ]
+
+    def full_loop(g):
+        kept = []
+        for chunk in batches:
+            rep, _, stab = g.state_info(chunk)
+            kept.append(chunk[(rep == chunk) & (stab > STAB_TOL)])
+        return np.concatenate(kept)
+
+    def early_exit(g):
+        return np.concatenate([c[g.representatives(c)[0]] for c in batches])
+
+    rows, lines = {}, []
+    for label, g in ((f"chain{N_SITES}", group), (f"square{nx}x{ny}", torus)):
+        kept = early_exit(g)  # also warms the scratch buffers
+        np.testing.assert_array_equal(kept, full_loop(g))
+        t_full = best_of(lambda: full_loop(g), repeats=3)
+        t_early = best_of(lambda: early_exit(g), repeats=5)
+        rows[label] = {
+            "group_order": len(g),
+            "n_candidates": int(candidates.size),
+            "n_kept": int(kept.size),
+            "full_loop_seconds": t_full,
+            "early_exit_seconds": t_early,
+            "speedup": t_full / t_early,
+        }
+        lines.append(
+            f"  {label:<10} |G|={len(g):<3} kept {kept.size:>6} of "
+            f"{candidates.size}: {1e3 * t_full:9.2f} ms -> "
+            f"{1e3 * t_early:8.2f} ms  ({t_full / t_early:5.2f}x)\n"
+        )
+    write_result(
+        "kernels_representative_filter",
+        "representative filter, state_info predicate -> early exit\n"
+        + "".join(lines),
+        data={**rows, "smoke": SMOKE},
+    )
+    for label, row in rows.items():
+        assert row["speedup"] >= (1.5 if SMOKE else 3.0), (label, row)
 
 
 def test_permutation_network_cold_vs_warm(batch):

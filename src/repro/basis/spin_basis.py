@@ -11,10 +11,28 @@ from repro.bits.ops import as_states, bit_mask, popcount, states_with_weight
 from repro.basis.ranking import CombinatorialRanker
 from repro.errors import BasisError
 
-__all__ = ["Basis", "SpinBasis"]
+__all__ = ["Basis", "SpinBasis", "candidate_batches"]
 
 #: Refuse to materialize more than this many states at once.
 _MAX_MATERIALIZED = 1 << 26
+
+#: Candidates meet the membership predicate this many at a time, so the
+#: group loop's working set stays in cache.
+_CANDIDATE_BATCH = 1 << 16
+
+
+def candidate_batches(n_sites: int, hamming_weight: int | None = None):
+    """Yield the states of the U(1) sector (or of the full space), ascending,
+    a batch at a time: the search space of a basis construction."""
+    if hamming_weight is not None:
+        states = states_with_weight(n_sites, hamming_weight)
+        for start in range(0, states.size, _CANDIDATE_BATCH):
+            yield states[start : start + _CANDIDATE_BATCH]
+    else:
+        total = 1 << n_sites
+        for start in range(0, total, _CANDIDATE_BATCH):
+            stop = min(start + _CANDIDATE_BATCH, total)
+            yield np.arange(start, stop, dtype=np.uint64)
 
 
 class Basis(abc.ABC):

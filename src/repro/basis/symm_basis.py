@@ -27,19 +27,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.basis.ranking import SortedRanker
-from repro.basis.spin_basis import Basis
-from repro.bits.ops import as_states, bit_mask, popcount, states_with_weight
+from repro.basis.spin_basis import Basis, candidate_batches
+from repro.bits.ops import as_states, bit_mask, popcount
 from repro.errors import BasisError
 from repro.symmetry.group import SymmetryGroup
+from repro.symmetry.kernels import STAB_TOL as _STAB_TOL
 
 __all__ = ["SymmetricBasis"]
-
-#: Stabilizer sums below this are treated as zero (state absent from sector).
-_STAB_TOL = 1e-6
-
-#: Chunk size used when filtering candidate states during construction.
-_BUILD_CHUNK = 1 << 16
-
 
 class SymmetricBasis(Basis):
     """Basis of surviving orbit representatives of a symmetry group.
@@ -80,18 +74,6 @@ class SymmetricBasis(Basis):
 
     # -- construction -----------------------------------------------------
 
-    def _candidates(self):
-        """Yield chunks of candidate states covering the search space."""
-        if self.hamming_weight is not None:
-            all_states = states_with_weight(self.n_sites, self.hamming_weight)
-            for start in range(0, all_states.size, _BUILD_CHUNK):
-                yield all_states[start : start + _BUILD_CHUNK]
-        else:
-            total = 1 << self.n_sites
-            for start in range(0, total, _BUILD_CHUNK):
-                stop = min(start + _BUILD_CHUNK, total)
-                yield np.arange(start, stop, dtype=np.uint64)
-
     def build(self) -> "SymmetricBasis":
         """Enumerate representatives (serial reference implementation).
 
@@ -103,11 +85,10 @@ class SymmetricBasis(Basis):
             return self
         kept: list[np.ndarray] = []
         stabs: list[np.ndarray] = []
-        for chunk in self._candidates():
-            rep, _, stab = self._group.state_info(chunk)
-            mask = (rep == chunk) & (stab > _STAB_TOL)
-            kept.append(chunk[mask])
-            stabs.append(stab[mask])
+        for chunk in candidate_batches(self.n_sites, self.hamming_weight):
+            positions, stab = self._group.representatives(chunk)
+            kept.append(chunk[positions])
+            stabs.append(stab)
         states = np.concatenate(kept) if kept else np.empty(0, dtype=np.uint64)
         stab = np.concatenate(stabs) if stabs else np.empty(0)
         self._set_representatives(states, stab)
@@ -193,11 +174,8 @@ class SymmetricBasis(Basis):
         if not np.any(mask):
             return mask
         # Only run the group loop on states passing the cheap filters.
-        sub = c[mask]
-        rep, _, stab = self._group.state_info(sub)
-        ok = (rep == sub) & (stab > _STAB_TOL)
         out = np.zeros(c.shape, dtype=bool)
-        out[mask] = ok
+        out[mask] = self._group.is_representative(c[mask])
         return out
 
     def project(self, raw_states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

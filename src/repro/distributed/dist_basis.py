@@ -15,10 +15,9 @@ from repro.basis.spin_basis import Basis
 from repro.distributed.hashing import locale_of
 from repro.errors import DistributionError
 from repro.runtime.cluster import Cluster
+from repro.symmetry.kernels import STAB_TOL as _STAB_TOL
 
 __all__ = ["DistributedBasis"]
-
-_STAB_TOL = 1e-6
 
 
 class DistributedBasis:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.basis.spin_basis import Basis
-from repro.bits.ops import popcount, states_with_weight
+from repro.basis.spin_basis import Basis, candidate_batches
+from repro.bits.ops import popcount
 from repro.distributed.convert import stable_partition
 from repro.distributed.dist_basis import DistributedBasis
 from repro.distributed.hashing import locale_of
@@ -59,68 +59,48 @@ def enumerate_states(
 
     total = 1 << n_sites
     n_chunks = max(n_locales * machine.cores_per_locale * chunks_per_core, 1)
-    n_chunks = min(n_chunks, total)
-    raw_chunk = -(-total // n_chunks)  # ceil division
-
-    shortcut = use_weight_shortcut and template.hamming_weight is not None
-    if shortcut:
-        candidates_sorted = states_with_weight(n_sites, template.hamming_weight)
+    raw_chunk = -(-total // min(n_chunks, total))  # ceil division
+    n_chunks = -(-total // raw_chunk)  # the non-empty ones
+    bounds = np.minimum(
+        np.arange(n_chunks + 1, dtype=np.uint64) * np.uint64(raw_chunk),
+        np.uint64(total),
+    )
 
     # --- filter phase: cyclic deal of chunks to locales -------------------
-    kept_chunks: list[np.ndarray] = []
-    chunk_owners: list[int] = []
+    # The membership predicate runs once over the whole range, a cache-sized
+    # batch at a time; the simulated chunks only slice its result, so each
+    # is still charged the full representative check of the paper.
+    weight = template.hamming_weight
+    weight_passing = np.zeros(n_chunks, dtype=np.int64)
+    kept_batches = []
+    for batch in candidate_batches(n_sites, weight if use_weight_shortcut else None):
+        if weight is not None and not use_weight_shortcut:
+            batch = batch[popcount(batch) == np.uint64(weight)]
+        weight_passing += np.diff(np.searchsorted(batch, bounds))
+        kept_batches.append(batch[template.check(batch)])
+    kept = np.concatenate(kept_batches)
+    dests = locale_of(kept, n_locales)
+    kept_bounds = np.searchsorted(kept, bounds).tolist()
+    spans = [slice(*pair) for pair in zip(kept_bounds[:-1], kept_bounds[1:])]
+
     counts_rows: list[np.ndarray] = []
-    for chunk_index in range(n_chunks):
-        lo = chunk_index * raw_chunk
-        hi = min(lo + raw_chunk, total)
-        if lo >= hi:
-            continue
-        owner = chunk_index % n_locales  # cyclic distribution
-        chunk_owners.append(owner)
-        if shortcut:
-            span = candidates_sorted[
-                np.searchsorted(candidates_sorted, lo) : np.searchsorted(
-                    candidates_sorted, hi
-                )
-            ]
-            weight_passing = span.size
-            kept = span[template.check(span)] if span.size else span
-        else:
-            candidates = np.arange(lo, hi, dtype=np.uint64)
-            if template.hamming_weight is not None:
-                weight_mask = popcount(candidates) == np.uint64(
-                    template.hamming_weight
-                )
-                weight_passing = int(weight_mask.sum())
-            else:
-                weight_passing = candidates.size
-            kept = candidates[template.check(candidates)]
-        kept_chunks.append(kept)
-        counts_rows.append(
-            np.bincount(locale_of(kept, n_locales), minlength=n_locales).astype(
-                np.int64
-            )
-        )
+    for row, span in enumerate(spans):
+        counts_rows.append(np.bincount(dests[span], minlength=n_locales))
         timer.add_compute(
-            owner,
-            machine.compute_time(machine.t_weight_check, hi - lo)
-            + machine.compute_time(machine.t_rep_check, weight_passing)
-            + machine.compute_time(machine.t_hash, kept.size),
+            row % n_locales,  # cyclic distribution
+            machine.compute_time(
+                machine.t_weight_check, int(bounds[row + 1] - bounds[row])
+            )
+            + machine.compute_time(machine.t_rep_check, int(weight_passing[row]))
+            + machine.compute_time(machine.t_hash, span.stop - span.start),
         )
     timer.end_phase("filter")
 
     # --- offsets: column-wise cumulative sum in global chunk order --------
-    counts = (
-        np.stack(counts_rows)
-        if counts_rows
-        else np.zeros((0, n_locales), dtype=np.int64)
-    )
+    counts = np.stack(counts_rows)
     offsets = np.zeros_like(counts)
-    if counts.shape[0]:
-        offsets[1:] = np.cumsum(counts, axis=0)[:-1]
-    totals = (
-        counts.sum(axis=0) if counts.size else np.zeros(n_locales, dtype=np.int64)
-    )
+    offsets[1:] = np.cumsum(counts, axis=0)[:-1]
+    totals = counts.sum(axis=0)
     timer.end_phase("offsets")
 
     # --- distribute: partition each chunk, one remote put per destination -
@@ -128,14 +108,15 @@ def enumerate_states(
         np.empty(int(totals[dest]), dtype=np.uint64) for dest in range(n_locales)
     ]
     put_bytes: list[int] = []
-    for row, kept in enumerate(kept_chunks):
-        owner = chunk_owners[row]
-        if kept.size == 0:
+    for row, span in enumerate(spans):
+        owner = row % n_locales
+        if span.start == span.stop:
             continue
-        dests = locale_of(kept, n_locales)
-        partitioned, chunk_counts = stable_partition(kept, dests, n_locales)
+        partitioned, chunk_counts = stable_partition(
+            kept[span], dests[span], n_locales
+        )
         timer.add_compute(
-            owner, machine.compute_time(machine.t_partition, kept.size)
+            owner, machine.compute_time(machine.t_partition, partitioned.size)
         )
         start = 0
         for dest in range(n_locales):

@@ -293,11 +293,20 @@ class SymmetryGroup:
                 stab[fixed] += chi_conj
         return rep, phase, stab.real
 
+    def representatives(self, states) -> tuple[np.ndarray, np.ndarray]:
+        """Positions (in the flattened batch) of the surviving orbit
+        representatives — orbit minimum and non-zero stabilizer sum — and
+        their stabilizer sums.  This is the one membership predicate; unlike
+        :meth:`state_info` it stops permuting a state once some element
+        maps it below itself (:meth:`GroupKernel.representatives`)."""
+        return self.kernel.representatives(states)
+
     def is_representative(self, states) -> np.ndarray:
         """Boolean mask: which states are surviving orbit representatives."""
         s = as_states(states)
-        rep, _, stab = self.state_info(s)
-        return (rep == s) & (stab > 0.5)
+        mask = np.zeros(s.size, dtype=bool)
+        mask[self.representatives(s)[0]] = True
+        return mask.reshape(s.shape)
 
     def full_orbit(self, state: int) -> np.ndarray:
         """All distinct states in the orbit of a single state (sorted)."""

@@ -42,11 +42,20 @@ from repro.bits.permutations import compile_permutation
 from repro.symmetry.permutation import Permutation
 from repro.telemetry.context import current as current_telemetry
 
-__all__ = ["GroupKernel"]
+__all__ = ["GroupKernel", "STAB_TOL"]
 
 #: Characters with |imag| below this are treated as real (matches
 #: ``repro.symmetry.group.CHARACTER_TOL``).
 _REAL_TOL = 1e-9
+
+#: Stabilizer sums below this are treated as zero (state absent from the
+#: sector); a surviving state's sum is ``|Stab(s)| >= 1``.
+STAB_TOL = 1e-6
+
+#: :meth:`GroupKernel.representatives` drops the dead states from its batch
+#: once they are at least ``1/_CUT_SHARE`` of it, down to ``_CUT_MIN_BATCH``.
+_CUT_SHARE = 4
+_CUT_MIN_BATCH = 256
 
 
 class _Scratch:
@@ -160,7 +169,38 @@ class GroupKernel:
             self._scratch = scratch
         return scratch
 
-    # -- the kernel ---------------------------------------------------------
+    # -- the kernels --------------------------------------------------------
+
+    def _permuted(self, tag, payload, s, rev, y, net) -> np.ndarray:
+        """``p(s)`` for one job's permutation ``p``.
+
+        ``rev`` is the reversed batch (read by the ``revrot`` strategy
+        only); ``y`` and ``net`` are scratch of ``s``'s shape.  The result
+        aliases ``s``, ``rev`` or ``y``.
+        """
+        if tag == "id":
+            return s
+        if tag == "net":
+            return payload.apply_into(s, y, net)
+        src = s if tag == "rot" else rev
+        if payload is None:  # pure reversal
+            return src
+        kk, nk = payload
+        np.left_shift(src, kk, out=y)
+        np.right_shift(src, nk, out=net)
+        np.bitwise_or(y, net, out=y)
+        np.bitwise_and(y, self._flip_mask, out=y)
+        return y
+
+    def _observe(self, metrics, t0: float, n_states: int) -> None:
+        metrics.histogram("kernel.state_info_seconds").observe(
+            perf_counter() - t0
+        )
+        metrics.counter("kernel.state_info_states").inc(n_states)
+        for strategy, count in self.strategy_counts.items():
+            metrics.counter(
+                "kernel.state_info_strategy", strategy=strategy
+            ).inc(count)
 
     def state_info(
         self, states
@@ -181,34 +221,11 @@ class GroupKernel:
         phase_idx = np.zeros(s.shape, dtype=np.uint16)
         stab = np.zeros(s.shape, dtype=dtype)
         sc = self._buffers(s.shape)
+        if self._reversal is not None:
+            self._reversal.apply(s, out=sc.rev, scratch=sc.net)
 
-        rev_ready = False
         for tag, payload, variants in self._jobs:
-            if tag == "id":
-                z0 = s
-            elif tag == "rot":
-                kk, nk = payload
-                np.left_shift(s, kk, out=sc.y)
-                np.right_shift(s, nk, out=sc.net)
-                np.bitwise_or(sc.y, sc.net, out=sc.y)
-                np.bitwise_and(sc.y, self._flip_mask, out=sc.y)
-                z0 = sc.y
-            elif tag == "revrot":
-                if not rev_ready:
-                    self._reversal.apply(s, out=sc.rev, scratch=sc.net)
-                    rev_ready = True
-                if payload is None:  # pure reversal
-                    z0 = sc.rev
-                else:
-                    kk, nk = payload
-                    np.left_shift(sc.rev, kk, out=sc.y)
-                    np.right_shift(sc.rev, nk, out=sc.net)
-                    np.bitwise_or(sc.y, sc.net, out=sc.y)
-                    np.bitwise_and(sc.y, self._flip_mask, out=sc.y)
-                    z0 = sc.y
-            else:
-                payload.apply_into(s, sc.y, sc.net)
-                z0 = sc.y
+            z0 = self._permuted(tag, payload, s, sc.rev, sc.y, sc.net)
             for flip, chi_conj, vidx in variants:
                 if tag == "id" and not flip:
                     # g(s) == s for every state: pure stabilizer credit.
@@ -234,12 +251,70 @@ class GroupKernel:
         if not self.is_real:
             stab = stab.real
         if metrics.enabled:
-            metrics.histogram("kernel.state_info_seconds").observe(
-                perf_counter() - t0
-            )
-            metrics.counter("kernel.state_info_states").inc(s.size)
-            for strategy, count in self.strategy_counts.items():
-                metrics.counter(
-                    "kernel.state_info_strategy", strategy=strategy
-                ).inc(count)
+            self._observe(metrics, t0, s.size)
         return rep, phase, stab
+
+    def representatives(self, states) -> tuple[np.ndarray, np.ndarray]:
+        """The surviving orbit representatives of a batch.
+
+        Returns ``(positions, stab)``: the ascending indices into the
+        flattened batch of the states that are their orbit's minimum and
+        have ``stab > STAB_TOL``, and :meth:`state_info`'s ``stab`` for
+        exactly those states.  A state is dropped as soon as one element
+        maps it below itself, so the batch shrinks roughly like ``1/k``
+        over the first ``k`` elements; the survivors meet every element in
+        :meth:`state_info`'s order, which makes their stabilizer sums
+        bit-identical to it.
+        """
+        s = as_states(states).ravel()
+        metrics = current_telemetry().metrics
+        t0 = perf_counter() if metrics.enabled else 0.0
+
+        sc = self._buffers(s.shape)
+        alive, m = s, s.size
+        positions = None  # of ``alive`` in ``s``; None until the first cut
+        stab = np.zeros(m, dtype=np.float64 if self.is_real else np.complex128)
+        rev = None  # reversed ``alive``, made when the first job needs it
+        # A state with bits beyond the lattice is nobody's representative.
+        dead = np.greater(s, self._flip_mask, out=sc.less)
+
+        for tag, payload, variants in self._jobs:
+            if tag == "revrot" and rev is None:
+                rev = self._reversal.apply(alive, out=sc.rev[:m], scratch=sc.net[:m])
+            z0 = self._permuted(tag, payload, alive, rev, sc.y[:m], sc.net[:m])
+            for flip, chi_conj, _ in variants:
+                if tag == "id" and not flip:
+                    np.add(stab, chi_conj, out=stab)
+                    continue
+                z = (
+                    np.bitwise_xor(z0, self._flip_mask, out=sc.yf[:m])
+                    if flip
+                    else z0
+                )
+                fixed = sc.fixed[:m]
+                np.less(z, alive, out=fixed)
+                np.logical_or(dead, fixed, out=dead)
+                np.equal(z, alive, out=fixed)
+                if np.count_nonzero(fixed):
+                    stab[fixed] += chi_conj
+            # Cutting costs about as much as one more element on the whole
+            # batch: worth it once a fair share has died, never on a batch
+            # so small that the NumPy calls themselves are the cost.
+            if m >= _CUT_MIN_BATCH and _CUT_SHARE * np.count_nonzero(dead) >= m:
+                keep = ~dead
+                alive, stab = alive[keep], stab[keep]
+                if rev is not None:
+                    rev = rev[keep]
+                positions = (
+                    np.flatnonzero(keep) if positions is None else positions[keep]
+                )
+                m = alive.size
+                dead = sc.less[:m]
+                dead.fill(False)
+
+        stab = stab.real
+        keep = ~dead & (stab > STAB_TOL)
+        positions = np.flatnonzero(keep) if positions is None else positions[keep]
+        if metrics.enabled:
+            self._observe(metrics, t0, s.size)
+        return positions, stab[keep]
