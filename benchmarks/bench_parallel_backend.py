@@ -20,6 +20,11 @@ Gate philosophy (see :mod:`repro.bench.compare`):
   the cores (``os.cpu_count() >= 4``); on smaller machines the numbers
   are still recorded, with the host context in the artifact's ``env``
   block, so the trajectory remains interpretable.
+- **The hand-off count is a hard gate on any host**: a warm replay on
+  ``threads`` makes exactly one hand-off per non-empty (chunk,
+  destination) slice.  That count is what the backend's wall clock is
+  made of (``docs/BACKENDS.md``, "Hand-off granularity") and, unlike the
+  speedup, it does not depend on how many cores the runner has.
 """
 
 from __future__ import annotations
@@ -55,7 +60,8 @@ WORKER_COUNTS = [
 
 @pytest.fixture(scope="module")
 def parallel_runs():
-    """worker_count -> (best wall seconds, max |diff| vs serial)."""
+    """worker_count -> (best wall seconds, max |diff| vs serial, warm
+    hand-offs, non-empty (chunk, destination) slices)."""
     group = chain_symmetries(CHAIN, momentum=0, parity=0, inversion=0)
     serial = SymmetricBasis(group, hamming_weight=WEIGHT)
     expr = repro.heisenberg_chain(CHAIN)
@@ -88,18 +94,35 @@ def parallel_runs():
             best = min(best, time.perf_counter() - t0)
             diff = float(np.abs(dy.to_serial(serial) - y_ref).max())
             max_diff = max(max_diff, diff)
-        runs[workers] = (best, max_diff)
+        slices = sum(
+            dop.plan.get((locale, start)).count_for(dest) > 0
+            for locale in range(workers)
+            for start in range(0, int(dbasis.counts[locale]), BATCH_SIZE)
+            for dest in range(workers)
+        )
+        runs[workers] = (best, max_diff, dop.last_report.messages, slices)
     return runs, float(serial.dim)
 
 
 def test_parallel_results_match_serial_exactly(parallel_runs):
     """Hard correctness gate: 1e-12 against the serial operator, always."""
     runs, _ = parallel_runs
-    for workers, (_, max_diff) in runs.items():
+    for workers, (_, max_diff, _, _) in runs.items():
         assert max_diff <= 1e-12, (
             f"threads backend with {workers} workers drifted {max_diff:.3e} "
             "from the serial reference"
         )
+
+
+def test_one_handoff_per_destination_slice(parallel_runs):
+    """Hard gate on any host: the warm replay hands over whole slices."""
+    runs, _ = parallel_runs
+    for workers, (_, _, messages, slices) in runs.items():
+        if workers > 1:  # one worker is the shared-memory path: no hand-offs
+            assert messages == slices, (
+                f"{workers} workers: {messages} hand-offs for {slices} "
+                "non-empty (chunk, destination) slices"
+            )
 
 
 def test_multiworker_speedup_when_cores_available(parallel_runs):
@@ -115,7 +138,7 @@ def test_multiworker_speedup_when_cores_available(parallel_runs):
     if 1 not in runs:
         pytest.skip("no single-worker reference in PARALLEL_BENCH_WORKERS")
     serial_wall = runs[1][0]
-    for workers, (wall, _) in runs.items():
+    for workers, (wall, *_) in runs.items():
         if workers == 4 and cpus >= 4:
             assert serial_wall / wall >= 1.5, (
                 f"4-worker speedup {serial_wall / wall:.2f}x < 1.5x on a "
@@ -125,7 +148,7 @@ def test_multiworker_speedup_when_cores_available(parallel_runs):
 
 def test_write_artifact(parallel_runs):
     runs, dim = parallel_runs
-    serial_wall = runs.get(1, (None, None))[0]
+    serial_wall = runs[1][0] if 1 in runs else None
     data = {"correct": 1.0}
     lines = [
         f"chain-{CHAIN} producer-consumer matvec, threads backend "
@@ -133,7 +156,7 @@ def test_write_artifact(parallel_runs):
         f"{'workers':>8} {'wall seconds':>14} {'speedup':>9}",
     ]
     for workers in sorted(runs):
-        wall, max_diff = runs[workers]
+        wall, max_diff, _, _ = runs[workers]
         entry = {"wall_seconds": wall}
         if serial_wall is not None:
             entry["speedup"] = serial_wall / wall

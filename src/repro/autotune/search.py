@@ -36,6 +36,7 @@ from repro.distributed.matvec_batched import matvec_batched
 from repro.distributed.matvec_naive import matvec_naive
 from repro.distributed.matvec_pc import (
     DEFAULT_CONSUMER_FRACTION,
+    default_buffer_capacity,
     matvec_producer_consumer,
 )
 from repro.distributed.vector import DistributedVector
@@ -47,6 +48,7 @@ __all__ = [
     "coarse_split_candidates",
     "batch_candidates",
     "measure_knobs",
+    "method_kwargs",
     "seed_candidates_from_dir",
     "KNOB_KEYS",
 ]
@@ -182,7 +184,7 @@ def batch_candidates(basis) -> list[int]:
     return sorted(set(out))
 
 
-_IMPLS = {
+IMPLS = {
     "naive": matvec_naive,
     "batched": matvec_batched,
     "producer-consumer": matvec_producer_consumer,
@@ -190,13 +192,21 @@ _IMPLS = {
 }
 
 
-def _filter_knobs(knobs: dict, method: str) -> dict:
-    """Restrict a knob dict to what ``method``'s implementation accepts."""
-    if method in ("pc", "producer-consumer"):
-        keys = KNOB_KEYS
-    else:
-        keys = ("batch_size",)
-    return {k: knobs[k] for k in keys if k in knobs}
+def method_kwargs(knobs: dict, method: str, cluster) -> dict:
+    """The keyword arguments a replay of ``knobs`` passes to ``method``.
+
+    Restricted to what the implementation accepts, plus — for the
+    producer-consumer pipeline — the hand-off unit
+    :class:`~repro.distributed.operator.DistributedOperator` runs on
+    ``cluster``'s backend, so the search times the schedule the operator
+    will execute.
+    """
+    pipeline = method in ("pc", "producer-consumer")
+    keys = KNOB_KEYS if pipeline else ("batch_size",)
+    kwargs = {k: knobs[k] for k in keys if k in knobs}
+    if pipeline:
+        kwargs["buffer_capacity"] = default_buffer_capacity(cluster)
+    return kwargs
 
 
 def measure_knobs(
@@ -214,8 +224,8 @@ def measure_knobs(
     ``threads`` the first run warms caches and the best of ``samples``
     timed runs is reported.
     """
-    impl = _IMPLS[method]
-    kwargs = _filter_knobs(knobs, method)
+    impl = IMPLS[method]
+    kwargs = method_kwargs(knobs, method, basis.cluster)
     wall = getattr(basis.cluster, "backend", "sim") == "threads"
     with telemetry.use(None):
         _, report = impl(compiled, basis, x, None, plan=None, **kwargs)

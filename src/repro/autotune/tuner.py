@@ -26,12 +26,14 @@ from repro import telemetry
 from repro.autotune.cache import TuneCache
 from repro.autotune.fingerprint import workload_fingerprint
 from repro.autotune.search import (
+    IMPLS,
     KNOB_KEYS,
     OperatorWorkload,
     batch_candidates,
     coarse_split_candidates,
     default_knobs,
     measure_knobs,
+    method_kwargs,
     seed_candidates_from_dir,
 )
 from repro.perfmodel.models import MatvecScalingModel
@@ -264,26 +266,14 @@ class Autotuner:
         per-locale ceiling — enough to never evict this workload, never
         more than the memory model allows.
         """
-        from repro.distributed.matvec_batched import matvec_batched
-        from repro.distributed.matvec_naive import matvec_naive
-        from repro.distributed.matvec_pc import matvec_producer_consumer
         from repro.operators.plan import MatvecPlan
         from repro.perfmodel.capacity import plan_cache_budget
 
-        impl = {
-            "naive": matvec_naive,
-            "batched": matvec_batched,
-            "producer-consumer": matvec_producer_consumer,
-            "pc": matvec_producer_consumer,
-        }[method]
         ceiling = plan_cache_budget()
         plan = MatvecPlan(capacity_bytes=ceiling)
-        kwargs = {"batch_size": knobs["batch_size"]}
-        if method in ("pc", "producer-consumer"):
-            kwargs["consumer_fraction"] = knobs["consumer_fraction"]
-            kwargs["work_stealing"] = knobs["work_stealing"]
+        kwargs = method_kwargs(knobs, method, basis.cluster)
         with telemetry.use(None):
-            impl(compiled, basis, x, None, plan=plan, **kwargs)
+            IMPLS[method](compiled, basis, x, None, plan=plan, **kwargs)
         measured = int(plan.nbytes)
         if measured <= 0:
             return ceiling
@@ -345,20 +335,17 @@ class Autotuner:
         )
         sim_basis = DistributedBasis(sim_cluster, basis.template, basis.parts)
         sim_x = DistributedVector(sim_basis, x.parts)
-        kwargs = {
-            "batch_size": knobs["batch_size"],
-            "consumer_fraction": knobs["consumer_fraction"],
-            "work_stealing": knobs["work_stealing"],
-        }
         model_tele = Telemetry.enabled(metrics=False)
         with telemetry.use(model_tele):
             matvec_producer_consumer(
-                compiled, sim_basis, sim_x, None, plan=None, **kwargs
+                compiled, sim_basis, sim_x, None, plan=None,
+                **method_kwargs(knobs, method, sim_cluster),
             )
         measured_tele = Telemetry.enabled(metrics=False)
         with telemetry.use(measured_tele):
             matvec_producer_consumer(
-                compiled, basis, x, None, plan=None, **kwargs
+                compiled, basis, x, None, plan=None,
+                **method_kwargs(knobs, method, basis.cluster),
             )
         report = calibrate_traces(
             model_tele.trace.to_chrome(), measured_tele.trace.to_chrome()

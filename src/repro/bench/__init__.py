@@ -28,6 +28,7 @@ from repro.bench.baselines import (
     flatten_result,
     load_baseline,
     load_dir,
+    oversubscribed,
     record,
     save_baseline,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "flatten_result",
     "load_baseline",
     "load_dir",
+    "oversubscribed",
     "record",
     "save_baseline",
     "Comparison",

@@ -11,7 +11,8 @@ noise-aware threshold (see :mod:`repro.bench.compare`); ``--summary``
 additionally writes a Markdown table, pointed at ``$GITHUB_STEP_SUMMARY``
 by the CI job.  ``record`` refreshes the checked-in baselines from a fresh
 results directory (``--update`` merges into the existing statistics
-instead of replacing them).
+instead of replacing them); a result measured with more workers than the
+host had CPUs is refused with a message and a non-zero exit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.bench.baselines import record
+from repro.bench.baselines import oversubscribed, record
 from repro.bench.compare import compare_dirs, format_markdown, format_table
 
 
@@ -74,7 +75,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"recorded {len(written)} baselines into {args.baselines}:")
         for name in written:
             print(f"  {name}")
-        return 0
+        refused = oversubscribed(args.results)
+        for name, reason in refused.items():
+            print(f"REFUSED {name}: {reason}; baseline left untouched")
+        return 1 if refused else 0
 
     rows, ok = compare_dirs(
         args.results, args.baselines, sigmas=args.sigmas, strict=args.strict

@@ -30,6 +30,7 @@ __all__ = [
     "load_baseline",
     "save_baseline",
     "load_dir",
+    "oversubscribed",
     "record",
 ]
 
@@ -130,6 +131,31 @@ def load_dir(directory: Path, kind: str) -> dict[str, dict]:
     return out
 
 
+def oversubscribed(results_dir: Path) -> dict[str, str]:
+    """name -> reason, for every result :func:`record` refuses.
+
+    A result whose ``env`` block reports more real workers than the host
+    had CPUs measured the host's scheduler, not the code: its wall-clock
+    figures (a "speedup" of 0.04x at 8 workers on one CPU) must not become
+    the reference later runs are compared against.
+    """
+    out: dict[str, str] = {}
+    for path in sorted(Path(results_dir).glob("*.json")):
+        try:
+            data = json.loads(path.read_text())
+        except (OSError, json.JSONDecodeError):
+            continue
+        env = data.get("env") if isinstance(data, dict) else None
+        if not isinstance(env, dict):
+            continue
+        workers, cpus = env.get("worker_count"), env.get("cpu_count")
+        if workers is not None and cpus is not None and workers > cpus:
+            out[data.get("name", path.stem)] = (
+                f"env.worker_count={workers} exceeds env.cpu_count={cpus}"
+            )
+    return out
+
+
 def record(
     results_dir: Path, baselines_dir: Path, update: bool = False
 ) -> list[str]:
@@ -138,12 +164,17 @@ def record(
     With ``update=False`` (the default) existing baselines are replaced by
     single-sample statistics of the fresh run; with ``update=True`` the
     fresh values are merged into the existing statistics, growing ``n``
-    and sharpening ``stddev``.  Returns the names written.
+    and sharpening ``stddev``.  Results named by :func:`oversubscribed`
+    are skipped, leaving their baseline file as it was.  Returns the names
+    written.
     """
     baselines_dir = Path(baselines_dir)
     baselines_dir.mkdir(parents=True, exist_ok=True)
+    refused = oversubscribed(results_dir)
     written = []
     for name, metrics in load_dir(results_dir, "results").items():
+        if name in refused:
+            continue
         path = baselines_dir / f"{name}.json"
         if update and path.exists():
             existing = load_baseline(path)

@@ -107,7 +107,7 @@ def matvec_batched(
 
     ex = get_executor(basis.cluster, trace=trace)
     wall_start = time.perf_counter()
-    apply_diagonal(op, basis, x, y)
+    apply_diagonal(op, basis, x, y, plan)
     compute_busy = np.zeros(n)  # generation + partition + consumption
     nic_out = np.zeros(n)
     nic_in = np.zeros(n)

@@ -98,7 +98,7 @@ def matvec_naive(
 
     ex = get_executor(basis.cluster, trace=trace)
     wall_start = time.perf_counter()
-    n_diag = apply_diagonal(op, basis, x, y)
+    n_diag = apply_diagonal(op, basis, x, y, plan)
     for locale in range(n):
         ledger.add(
             "diagonal",

@@ -8,10 +8,11 @@ selects:
 - ``backend="sim"`` (default): the discrete-event simulation that moves
   real data while charging modelled time — byte-for-byte the original
   protocol with identical simulated timings;
-- ``backend="threads"``: every producer/consumer is a real OS thread,
-  the NumPy kernels between yields release the GIL and genuinely
-  overlap, and the report carries wall-clock seconds instead of
-  simulated ones.
+- ``backend="threads"``: every producer/consumer is a real OS thread
+  and the report carries wall-clock seconds instead of simulated ones.
+  The warm replay's kernels (fancy-index gather, ``np.add.at``) hold the
+  GIL, so what the threads buy is bounded by the hand-offs they pay for
+  — see :func:`default_buffer_capacity` and ``docs/BACKENDS.md``.
 
 The protocol itself is backend-independent:
 
@@ -67,6 +68,7 @@ backend".
 
 from __future__ import annotations
 
+import sys
 import time
 
 import numpy as np
@@ -91,13 +93,38 @@ from repro.runtime.executor import Executor, get_executor
 from repro.telemetry.context import current as current_telemetry
 from repro.telemetry.jobs import attribute_report
 
-__all__ = ["matvec_producer_consumer", "split_cores"]
+__all__ = [
+    "matvec_producer_consumer",
+    "split_cores",
+    "default_buffer_capacity",
+]
 
 #: Default fraction of each locale's cores running consumer tasks
 #: (24 of 128 in the paper's Sec. 6.3 accounting).
 DEFAULT_CONSUMER_FRACTION = 24 / 128
 
+#: Elements per ``RemoteBuffer`` hand-off of the modelled machine: Sec. 5.3
+#: sizes the buffer to amortise *network* latency.
+SIM_BUFFER_CAPACITY = 4096
+
 _SENTINEL = object()
+
+
+def default_buffer_capacity(cluster) -> int:
+    """Elements per hand-off on ``cluster`` when the caller names none.
+
+    The simulator charges the modelled :data:`SIM_BUFFER_CAPACITY`-element
+    network buffer.  On a wall-clock backend a hand-off moves array
+    *references*, so cutting a destination slice saves no copy and costs a
+    blocking flag/queue round trip per piece: the unit is the whole slice.
+    :func:`matvec_producer_consumer` keeps the simulated figure as its
+    signature default; callers that run a cluster's backend as configured
+    (:class:`~repro.distributed.operator.DistributedOperator`, the
+    autotuner) apply this one instead.
+    """
+    if getattr(cluster, "backend", "sim") == "threads":
+        return sys.maxsize
+    return SIM_BUFFER_CAPACITY
 
 
 def split_cores(cores: int, consumer_fraction: float) -> tuple[int, int]:
@@ -152,7 +179,7 @@ def matvec_producer_consumer(
     y: DistributedVector | None = None,
     batch_size: int = 1 << 13,
     consumer_fraction: float = DEFAULT_CONSUMER_FRACTION,
-    buffer_capacity: int = 4096,
+    buffer_capacity: int = SIM_BUFFER_CAPACITY,
     work_stealing: bool = False,
     producers_per_locale: int | None = None,
     consumers_per_locale: int | None = None,
@@ -452,7 +479,7 @@ def matvec_producer_consumer(
     # Diagonal: local streaming work, overlapped here as a separate phase.
     if ex.wall_clock:
         diag_start = time.perf_counter()
-        n_diag = apply_diagonal(op, basis, x, y)
+        n_diag = apply_diagonal(op, basis, x, y, plan)
         diag_elapsed = time.perf_counter() - diag_start
         if trace is not None:
             trace.complete(
@@ -460,7 +487,7 @@ def matvec_producer_consumer(
             )
             trace.advance(elapsed + diag_elapsed)
     else:
-        n_diag = apply_diagonal(op, basis, x, y)
+        n_diag = apply_diagonal(op, basis, x, y, plan)
         diag_elapsed = max(
             machine.compute_time(machine.t_axpy, int(c) * k)
             for c in basis.counts
@@ -1051,7 +1078,7 @@ def _resilient_pipeline(
 
     if ex.wall_clock:
         diag_start = time.perf_counter()
-        n_diag = apply_diagonal(op, basis, x, y)
+        n_diag = apply_diagonal(op, basis, x, y, plan)
         diag_elapsed = time.perf_counter() - diag_start
         if trace is not None:
             trace.complete(
@@ -1059,7 +1086,7 @@ def _resilient_pipeline(
             )
             trace.advance(elapsed + diag_elapsed)
     else:
-        n_diag = apply_diagonal(op, basis, x, y)
+        n_diag = apply_diagonal(op, basis, x, y, plan)
         diag_elapsed = max(
             machine.compute_time(machine.t_axpy, int(c) * k)
             for c in basis.counts
@@ -1119,7 +1146,7 @@ def _shared_memory_matvec(
     metrics.gauge("matvec.block_width").set(float(k))
     trace = tele.trace if tele.trace.enabled else None
     wall_start = time.perf_counter()
-    apply_diagonal(op, basis, x, y)
+    apply_diagonal(op, basis, x, y, plan)
     count = int(basis.counts[0])
     gen_work = 0.0
     search_work = 0.0

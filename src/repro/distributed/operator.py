@@ -13,7 +13,10 @@ import numpy as np
 from repro.distributed.dist_basis import DistributedBasis
 from repro.distributed.matvec_batched import matvec_batched
 from repro.distributed.matvec_naive import matvec_naive
-from repro.distributed.matvec_pc import matvec_producer_consumer
+from repro.distributed.matvec_pc import (
+    default_buffer_capacity,
+    matvec_producer_consumer,
+)
 from repro.distributed.vector import DistributedVector
 from repro.errors import CompilationError, ConfigError, FaultError
 from repro.operators.compile import compile_expression
@@ -40,9 +43,14 @@ class DistributedOperator:
     :class:`~repro.operators.plan.MatvecPlan`: the x-independent output of
     every produced chunk — matrix elements, the destination partition, and
     the consumer-side ``stateToIndex`` results — is cached on the first
-    matvec and replayed on subsequent ones, which is what makes repeated
-    Krylov iterations cheap.  Pass a ``MatvecPlan`` instance to control the
-    memory budget, or ``False`` to recompute everything each call.
+    matvec and replayed on subsequent ones, as are each locale's diagonal
+    matrix elements, which is what makes repeated Krylov iterations cheap.
+    Pass a ``MatvecPlan`` instance to control the memory budget, or
+    ``False`` to recompute everything each call.
+
+    The producer-consumer hand-off unit (``buffer_capacity``) defaults to
+    :func:`~repro.distributed.matvec_pc.default_buffer_capacity` for the
+    cluster's backend; an explicit value in ``method_options`` wins.
 
     ``tune`` selects the autotuning mode (see :mod:`repro.autotune`):
     ``"off"`` (default) runs with the paper-default knobs, ``"auto"``
@@ -114,6 +122,11 @@ class DistributedOperator:
             )
         self.method = method
         self.method_options = dict(method_options)
+        if _METHODS[method] is matvec_producer_consumer:
+            # The hand-off unit follows the backend; an explicit value wins.
+            self.method_options.setdefault(
+                "buffer_capacity", default_buffer_capacity(cluster)
+            )
         self.tuned = None
         if tune != "off":
             from repro.autotune import Autotuner

@@ -22,8 +22,9 @@ Hits, misses, and evictions are reported through the ambient
 ``plan.evictions`` counters and the ``plan.bytes`` gauge.
 
 Keys are caller-chosen tuples: the serial operator uses ``(start,)`` and
-the distributed matvec variants use ``(locale, start)``, so one plan can
-serve a whole distributed operator.
+the distributed matvec variants use ``(locale, start)`` for a produced
+chunk and ``(locale, "diag")`` for a locale's diagonal matrix elements, so
+one plan can serve a whole distributed operator.
 """
 
 from __future__ import annotations
@@ -43,9 +44,11 @@ __all__ = ["MatvecPlan"]
 def _entry_nbytes(entry: object) -> int:
     """Total bytes of the NumPy arrays reachable from a cache entry.
 
-    Entries are either tuples/lists of arrays or objects exposing arrays as
-    attributes (e.g. ``ProducedChunk``); non-array fields are free.
+    Entries are a bare array, tuples/lists of arrays, or objects exposing
+    arrays as attributes (e.g. ``ProducedChunk``); non-array fields are free.
     """
+    if isinstance(entry, np.ndarray):
+        return int(entry.nbytes)
     arrays: list[np.ndarray] = []
     if isinstance(entry, (tuple, list)):
         candidates = entry

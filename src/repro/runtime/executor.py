@@ -18,8 +18,10 @@ generator can be *interpreted* by different executors:
 :class:`ThreadExecutor`
     a real shared-memory parallel backend: every spawned process runs on
     its own OS thread, flags/queues/resources are condition-variable
-    synchronized, and the NumPy kernels between yields (which release
-    the GIL) genuinely overlap.  ``Timeout`` commands do not sleep —
+    synchronized, and those NumPy kernels between yields that release
+    the GIL (element-wise passes, ``searchsorted``; not the fancy-index
+    gather or ``np.add.at`` of a warm replay, see ``docs/BACKENDS.md``)
+    genuinely overlap.  ``Timeout`` commands do not sleep —
     they *stamp* a wall-clock trace span covering the real work done
     since the process last resumed — and ``call_later`` callbacks run
     inline (remote-atomic latency is zero in shared memory).  A worker

@@ -16,6 +16,7 @@ from repro.bench import (
     format_markdown,
     format_table,
     load_baseline,
+    oversubscribed,
     record,
 )
 from repro.bench.compare import classify, compare_metrics
@@ -145,10 +146,11 @@ class TestVerdicts:
         assert verdicts == {"old": "missing", "fresh": "new"}
 
 
-def _write_result(directory, name, data):
-    (directory / f"{name}.json").write_text(
-        json.dumps({"name": name, "data": data})
-    )
+def _write_result(directory, name, data, env=None):
+    payload = {"name": name, "data": data}
+    if env is not None:
+        payload["env"] = env
+    (directory / f"{name}.json").write_text(json.dumps(payload))
 
 
 class TestDirectories:
@@ -174,6 +176,35 @@ class TestDirectories:
         assert stats["cold_seconds"].n == 2
         assert stats["cold_seconds"].mean == pytest.approx(1.5)
         assert stats["cold_seconds"].stddev > 0
+
+    def test_record_refuses_more_workers_than_cpus(self, tmp_path, capsys):
+        """A "speedup" measured with 8 threads on 1 CPU is not a reference:
+        the file is refused with a message and its baseline left alone."""
+        results = tmp_path / "results"
+        baselines = tmp_path / "baselines"
+        results.mkdir()
+        honest = {"worker_count": 2, "cpu_count": 2}
+        _write_result(results, "par", {"workers2": {"speedup": 1.2}}, honest)
+        simulated = {"worker_count": None, "cpu_count": 1}
+        _write_result(results, "sim", {"bytes": 7}, simulated)
+        assert record(results, baselines) == ["par", "sim"]
+        before = (baselines / "par.json").read_text()
+
+        starved = {"worker_count": 8, "cpu_count": 1}
+        _write_result(results, "par", {"workers8": {"speedup": 0.04}}, starved)
+        _write_result(results, "fresh", {"speedup": 0.1}, starved)
+        assert oversubscribed(results) == {
+            "fresh": "env.worker_count=8 exceeds env.cpu_count=1",
+            "par": "env.worker_count=8 exceeds env.cpu_count=1",
+        }
+        assert record(results, baselines, update=True) == ["sim"]
+        assert (baselines / "par.json").read_text() == before
+        assert not (baselines / "fresh.json").exists()
+
+        assert bench_main(["record", str(results), str(baselines)]) == 1
+        out = capsys.readouterr().out
+        assert "REFUSED par: env.worker_count=8 exceeds env.cpu_count=1" in out
+        assert (baselines / "par.json").read_text() == before
 
     def test_regression_fails_directory_compare(self, tmp_path):
         results = tmp_path / "results"

@@ -250,12 +250,21 @@ class TestDistributedBlock:
         """Warm matvecs must not re-run stateToIndex: ProducedChunk.rows
         holds the ranked indices after the first (cold) pass."""
         dbasis = make_distributed(3)
-        dop = DistributedOperator(expr, dbasis, method="batched")
+        batch = 8
+        dop = DistributedOperator(
+            expr, dbasis, method="batched", batch_size=batch
+        )
         dop.matvec(
             DistributedVector.from_serial(
                 dbasis, basis, random_block(basis, rng, 1)[:, 0]
             )
         )
+        chunks = [
+            dop.plan.get((locale, start))
+            for locale in range(dbasis.n_locales)
+            for start in range(0, int(dbasis.counts[locale]), batch)
+        ]
+        assert len(chunks) > dbasis.n_locales
         calls = {"n": 0}
         original = DistributedBasis.index_local
 
@@ -265,7 +274,7 @@ class TestDistributedBlock:
 
         DistributedBasis.index_local = counting
         try:
-            for chunk in dop.plan._entries.values():
+            for chunk in chunks:
                 assert chunk.rows is not None
                 assert np.all(chunk.rows >= 0)  # filled by the cold pass
             dop.matvec(
