@@ -6,9 +6,10 @@ analogue of the paper's Halide kernel performance): basis enumeration,
 destination partition, and the mixing hash — plus comparative timings of
 the fused ``state_info`` kernel against the element-by-element reference,
 of the early-exit representative filter against the ``state_info``
-predicate, and of plan-cached matvec replay against the cold path, written
-as JSON artifacts to ``benchmarks/results/`` so the speedups can be diffed
-across PRs.
+predicate, of the cold serial matvec at the cache-sized default batch
+against 16 Ki-source batches, and of plan-cached matvec replay against the
+cold path, written as JSON artifacts to ``benchmarks/results/`` so the
+speedups can be diffed across PRs.
 
 Set ``BENCH_SMOKE=1`` to run at a reduced problem size (16 sites instead
 of 24) with relaxed speedup thresholds — used by the CI smoke step, which
@@ -32,7 +33,12 @@ from repro.bits import states_with_weight
 from repro.distributed import hash64, locale_of
 from repro.distributed.convert import stable_partition
 from repro.operators import compile_expression
-from repro.symmetry import chain_symmetries
+from repro.symmetry import (
+    SymmetryGroup,
+    chain_symmetries,
+    rectangle_translation,
+    spin_inversion,
+)
 
 SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
 N_SITES = 16 if SMOKE else 24
@@ -58,6 +64,16 @@ def batch():
 @pytest.fixture(scope="module")
 def group():
     return chain_symmetries(N_SITES, momentum=0, parity=0, inversion=0)
+
+
+def torus_with_flip(nx: int, ny: int) -> SymmetryGroup:
+    return SymmetryGroup.from_generators(
+        [
+            rectangle_translation(nx, ny, 0, 0),
+            rectangle_translation(nx, ny, 1, 0),
+            spin_inversion(nx * ny, 0),
+        ]
+    )
 
 
 def test_states_with_weight(benchmark):
@@ -99,20 +115,6 @@ def test_state_to_index_throughput(benchmark, group):
     rng = np.random.default_rng(0)
     queries = basis.states[rng.integers(0, basis.dim, size=100_000)]
     idx = benchmark(basis.index, queries)
-    assert np.array_equal(basis.states[idx], queries)
-
-
-def test_prefix_ranker_throughput(benchmark, group):
-    # The trie/prefix-table ranking alternative (same results, see
-    # tests/test_prefix_ranker.py); throughput compared against the plain
-    # binary search above.
-    from repro.basis import PrefixRanker
-
-    basis = SymmetricBasis(group, hamming_weight=WEIGHT)
-    ranker = PrefixRanker(basis.states, prefix_bits=14)
-    rng = np.random.default_rng(0)
-    queries = basis.states[rng.integers(0, basis.dim, size=100_000)]
-    idx = benchmark(ranker.rank, queries)
     assert np.array_equal(basis.states[idx], queries)
 
 
@@ -188,21 +190,10 @@ def test_representative_filter_speedup(group):
     in the 65536-state batches those callers use, on the chain group
     (rotation strategies) and on a torus group (mask/shift networks).
     """
-    from repro.symmetry import (
-        SymmetryGroup,
-        rectangle_translation,
-        spin_inversion,
-    )
     from repro.symmetry.kernels import STAB_TOL
 
     nx, ny = (4, 4) if SMOKE else (4, 6)
-    torus = SymmetryGroup.from_generators(
-        [
-            rectangle_translation(nx, ny, 0, 0),
-            rectangle_translation(nx, ny, 1, 0),
-            spin_inversion(nx * ny, 0),
-        ]
-    )
+    torus = torus_with_flip(nx, ny)
     candidates = states_with_weight(N_SITES, WEIGHT)
     batches = [
         candidates[start : start + (1 << 16)]
@@ -246,6 +237,67 @@ def test_representative_filter_speedup(group):
     )
     for label, row in rows.items():
         assert row["speedup"] >= (1.5 if SMOKE else 3.0), (label, row)
+
+
+def test_torus_kernel_network_bases():
+    """A 4x6 torus permutes three batches per ``state_info`` call — one per
+    x-shift — and rotates the rest of its 24 permutations out of them; a
+    dihedral chain permutes one (the reflection that fixes site 0)."""
+    assert torus_with_flip(4, 6).kernel.strategy_counts == {
+        "identity": 1,
+        "rotation": 23,
+        "network": 3,
+    }
+    assert chain_symmetries(24, 0, 0, 0).kernel.strategy_counts["network"] == 1
+
+
+def test_cold_matvec_batch_fits_cache(group):
+    """Cold serial matvec: the default batch against 16 Ki-source batches.
+
+    ``Operator(batch_size=None)`` sizes a batch so that the raw states it
+    generates (~34 k) keep one round of apply_off_diag -> state_info ->
+    project -> index -> scatter-add in the second-level cache; 16 Ki
+    sources generate 205-410 k states, and every NumPy pass streams them
+    from DRAM.  The smoke run's 16-site bases fit one batch either way, so
+    it only compares the two results and writes the artifact.
+    """
+    nx, ny = (4, 4) if SMOKE else (4, 6)
+    problems = (
+        (f"chain{N_SITES}", group, repro.heisenberg_chain(N_SITES)),
+        (f"square{nx}x{ny}", torus_with_flip(nx, ny), repro.heisenberg_square(nx, ny)),
+    )
+    rows, lines = {}, []
+    for label, g, expression in problems:
+        basis = SymmetricBasis(g, hamming_weight=WEIGHT)
+        tiled = repro.Operator(expression, basis, plan=False)
+        wide = repro.Operator(expression, basis, batch_size=1 << 14, plan=False)
+        x = np.random.default_rng(1).standard_normal(basis.dim)
+        np.testing.assert_allclose(
+            tiled.matvec(x), wide.matvec(x), rtol=1e-12, atol=1e-12
+        )
+        t_tiled = best_of(lambda: tiled.matvec(x), repeats=5)
+        t_wide = best_of(lambda: wide.matvec(x), repeats=5)
+        rows[label] = {
+            "dim": int(basis.dim),
+            "default_batch": tiled.batch_size,
+            "default_seconds": t_tiled,
+            "batch_16384_seconds": t_wide,
+            "ratio": t_tiled / t_wide,
+        }
+        lines.append(
+            f"  {label:<10} dim {basis.dim:>6}: batch 16384 "
+            f"{1e3 * t_wide:8.2f} ms -> batch {tiled.batch_size:>5} "
+            f"{1e3 * t_tiled:8.2f} ms  ({t_tiled / t_wide:4.2f}x)\n"
+        )
+    write_result(
+        "kernels_cold_batch",
+        "cold serial matvec, 16 Ki-source batches -> cache-sized default\n"
+        + "".join(lines),
+        data={**rows, "smoke": SMOKE},
+    )
+    if not SMOKE:
+        for label, row in rows.items():
+            assert row["ratio"] <= 0.9, (label, row)
 
 
 def test_permutation_network_cold_vs_warm(batch):

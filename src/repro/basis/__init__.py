@@ -9,7 +9,6 @@ binary search the paper calls ``stateToIndex``.
 
 from repro.basis.ranking import (
     CombinatorialRanker,
-    PrefixRanker,
     SortedRanker,
     binomial_table,
 )
@@ -22,6 +21,5 @@ __all__ = [
     "SymmetricBasis",
     "SortedRanker",
     "CombinatorialRanker",
-    "PrefixRanker",
     "binomial_table",
 ]

@@ -22,7 +22,6 @@ from repro.errors import BasisError
 __all__ = [
     "SortedRanker",
     "CombinatorialRanker",
-    "PrefixRanker",
     "binomial_table",
 ]
 
@@ -100,84 +99,6 @@ class SortedRanker:
         else:
             found = (idx < self._states.size) & (self._states[clipped] == q)
         return clipped.astype(np.int64), found
-
-
-class PrefixRanker:
-    """Binary search with a bucket table over the high bits.
-
-    The trie/sublattice-coding family of ranking schemes (Wallerberger &
-    Held; Wietek & Läuchli — both cited by the paper) exploit that sorted
-    basis states sharing a high-bit prefix are contiguous: a dense table of
-    ``2**prefix_bits`` bucket offsets locates any state's bucket in O(1),
-    leaving only a short search within it.  In compiled implementations
-    this is the big ``stateToIndex`` win; in NumPy the inner search is
-    delegated to the same vectorized ``searchsorted`` (so throughput is
-    comparable — measured honestly in ``benchmarks/bench_kernels``), and
-    the bucket table additionally provides O(1) membership pre-filtering.
-    Results are identical to :class:`SortedRanker` (property-tested).
-    """
-
-    def __init__(self, states: np.ndarray, prefix_bits: int = 12) -> None:
-        states = as_states(states)
-        if states.ndim != 1:
-            raise ValueError("states must be one-dimensional")
-        if states.size > 1 and not np.all(states[1:] > states[:-1]):
-            raise ValueError("states must be strictly increasing")
-        if not 1 <= prefix_bits <= 32:
-            raise ValueError("prefix_bits must be in [1, 32]")
-        self._states = states
-        max_state = int(states.max()) if states.size else 0
-        # number of low bits outside the prefix
-        self._shift = np.uint64(max(max_state.bit_length() - prefix_bits, 0))
-        n_buckets = (max_state >> int(self._shift)) + 2 if states.size else 2
-        prefixes = (states >> self._shift).astype(np.int64)
-        # offsets[p] = first index whose prefix is >= p
-        counts = np.bincount(prefixes, minlength=n_buckets)
-        self._offsets = np.concatenate(
-            [[0], np.cumsum(counts)]
-        ).astype(np.int64)
-
-    @property
-    def states(self) -> np.ndarray:
-        return self._states
-
-    @property
-    def size(self) -> int:
-        return self._states.size
-
-    @property
-    def n_buckets(self) -> int:
-        return self._offsets.size - 1
-
-    def rank(self, queries) -> np.ndarray:
-        """Indices of ``queries``; raises on missing states."""
-        q = as_states(queries)
-        if self._states.size == 0:
-            if q.size:
-                raise BasisError("basis is empty")
-            return np.empty(0, dtype=np.int64)
-        prefixes = (q >> self._shift).astype(np.int64)
-        if q.size and int(prefixes.max()) >= self.n_buckets:
-            raise BasisError("query state outside the basis range")
-        lo = self._offsets[prefixes]
-        hi = self._offsets[prefixes + 1]
-        # Vectorized per-bucket binary search: all buckets share the global
-        # sorted array, so searchsorted restricted by (lo, hi) reduces to a
-        # plain global searchsorted whose result must land inside [lo, hi).
-        idx = np.searchsorted(self._states, q)
-        clipped = np.minimum(idx, self._states.size - 1)
-        bad = (
-            (idx < lo)
-            | (idx >= hi)
-            | (self._states[clipped] != q)
-        )
-        if np.any(bad):
-            missing = np.asarray(q)[bad]
-            raise BasisError(
-                f"{missing.size} state(s) not found in the basis "
-                f"(first missing: {int(missing.flat[0])})"
-            )
-        return idx.astype(np.int64)
 
 
 class CombinatorialRanker:

@@ -21,8 +21,10 @@ sublattice-coding literature:
 
 Both are built once per permutation (see
 :class:`repro.symmetry.permutation.Permutation`, which caches them at
-construction time) and apply into caller-provided scratch, so the hot
-``state_info`` loop never allocates or re-derives the decomposition.
+construction time), hold no work arrays of their own — one instance may be
+applied from several threads at once — and apply into caller-provided
+scratch, so the hot ``state_info`` loop never allocates or re-derives the
+decomposition.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
 
 _ONE = np.uint64(1)
 _BYTE = np.uint64(0xFF)
+_INTP_IS_64 = np.dtype(np.intp).itemsize == 8
 
 #: Above this many distinct offsets the byte-gather table is cheaper than
 #: the mask/shift network (gathers cost ~4 vector ops per byte; masks ~3
@@ -88,12 +91,16 @@ class MaskShiftNetwork:
         x: np.ndarray,
         out: np.ndarray | None = None,
         scratch: np.ndarray | None = None,
+        scratch2: np.ndarray | None = None,
     ) -> np.ndarray:
         """Permute the bits of each state in ``x``.
 
-        ``out`` and ``scratch`` must be distinct ``uint64`` arrays of the
-        same shape as ``x`` (freshly allocated when omitted); ``out`` is
-        returned.  ``x`` is never modified.
+        ``out``, ``scratch`` and ``scratch2`` must be distinct ``uint64``
+        arrays of the same shape as ``x`` (freshly allocated when omitted);
+        ``out`` is returned.  ``x`` is never modified.  The network works
+        in ``scratch`` alone; ``scratch2`` is the second work array of
+        :meth:`ByteGatherTable.apply`, accepted so that both appliers are
+        called alike.
         """
         if out is None:
             out = np.zeros(x.shape, dtype=BITS_DTYPE)
@@ -122,7 +129,7 @@ class ByteGatherTable:
     the same trade the sublattice-coding / trie ranking schemes make.
     """
 
-    __slots__ = ("n_bytes", "_tables", "_idx", "_gathered")
+    __slots__ = ("n_bytes", "_tables")
 
     def __init__(self, perm: np.ndarray) -> None:
         perm = np.asarray(perm, dtype=np.int64)
@@ -140,23 +147,13 @@ class ByteGatherTable:
             tables.append((np.uint64(8 * byte), table))
         self._tables = tables
         self.n_bytes = len(tables)
-        # Lazily sized gather scratch (``np.take`` wants platform-int
-        # indices; keeping a dedicated buffer avoids a cast-allocation per
-        # stage).  Re-created only when the batch shape changes.
-        self._idx: np.ndarray | None = None
-        self._gathered: np.ndarray | None = None
-
-    def _gather_buffers(self, shape) -> tuple[np.ndarray, np.ndarray]:
-        if self._idx is None or self._idx.shape != shape:
-            self._idx = np.empty(shape, dtype=np.intp)
-            self._gathered = np.empty(shape, dtype=BITS_DTYPE)
-        return self._idx, self._gathered
 
     def apply(
         self,
         x: np.ndarray,
         out: np.ndarray | None = None,
         scratch: np.ndarray | None = None,
+        scratch2: np.ndarray | None = None,
     ) -> np.ndarray:
         """Permute the bits of each state in ``x`` (see
         :meth:`MaskShiftNetwork.apply` for the buffer contract)."""
@@ -164,19 +161,20 @@ class ByteGatherTable:
             out = np.empty(x.shape, dtype=BITS_DTYPE)
         if scratch is None:
             scratch = np.empty(x.shape, dtype=BITS_DTYPE)
-        idx, gathered = self._gather_buffers(x.shape)
-        first = True
+        if scratch2 is None:
+            scratch2 = np.empty(x.shape, dtype=BITS_DTYPE)
+        gathered = out
         for shift, table in self._tables:
             np.right_shift(x, shift, out=scratch)
             np.bitwise_and(scratch, _BYTE, out=scratch)
-            np.copyto(idx, scratch, casting="unsafe")
-            if first:
-                np.take(table, idx, out=out, mode="clip")
-                first = False
-            else:
-                np.take(table, idx, out=gathered, mode="clip")
-                np.bitwise_or(out, gathered, out=out)
-        if first:  # zero-site permutations cannot occur, but stay safe
+            # ``np.take`` wants platform-int indices; a byte value reads
+            # the same through either 64-bit type, so no cast pass.
+            idx = scratch.view(np.intp) if _INTP_IS_64 else scratch.astype(np.intp)
+            np.take(table, idx, out=gathered, mode="clip")
+            if gathered is scratch2:
+                np.bitwise_or(out, scratch2, out=out)
+            gathered = scratch2
+        if not self._tables:  # zero-site permutations cannot occur, but stay safe
             out.fill(0)
         return out
 

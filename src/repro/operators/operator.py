@@ -26,25 +26,29 @@ from repro.telemetry.context import current as current_telemetry
 
 __all__ = ["Operator", "SerialChunk"]
 
-#: Number of source states processed per batch (the serial analogue of the
-#: paper's getManyRows chunking).
-DEFAULT_BATCH_SIZE = 1 << 14
+#: The default batch holds as many sources as can generate at most this many
+#: raw output states (the serial analogue of the paper's getManyRows
+#: chunking).  A Heisenberg model at zero magnetization emits a quarter of
+#: the bound, ~34 k states or 272 KB per ``uint64`` array, so the half
+#: dozen arrays that one round of apply_off_diag -> state_info -> project
+#: -> index -> scatter-add passes over ~10 times per group element stay in
+#: a second-level cache; 16 Ki sources (205-410 k states) streamed them
+#: from DRAM every pass — see docs/PERFORMANCE.md, "Cold path".
+BATCH_RAW_STATES = 1 << 17
+MIN_BATCH_SIZE = 256
 
 
 class SerialChunk:
     """Plan entry for one serial batch of source states.
 
     Holds the iteration-invariant ``(sources, rows, amplitudes)`` triple
-    recorded by ``getManyRows`` + ``stateToIndex``, plus a lazily built
-    column-compressed scatter layout used by block (multi-RHS) replays.
-    The CSR form shares a single index load per matrix element across all
-    ``k`` columns, which is where the per-column amortization of the block
-    matvec comes from; the 1-D replay keeps the recorded element order
-    (gather → multiply → ``np.add.at``) so warm single-vector results stay
+    recorded by ``getManyRows`` + ``stateToIndex``, ``sources`` as absolute
+    basis positions: the 1-D replay is gather → multiply → ``np.add.at`` in
+    the recorded element order, so warm single-vector results stay
     bit-identical to the cold pass.
     """
 
-    __slots__ = ("sources", "rows", "amplitudes", "_scatter")
+    __slots__ = ("sources", "rows", "amplitudes")
 
     def __init__(
         self,
@@ -55,21 +59,15 @@ class SerialChunk:
         self.sources = sources
         self.rows = rows
         self.amplitudes = amplitudes
-        self._scatter = None
 
-    def scatter_matrix(self, dim: int, count: int):
-        """The ``(dim, count)`` CSR scatter operator for block replay.
-
-        Built on first use (duplicate ``(row, source)`` pairs are summed,
-        matching the scatter-add) and cached for the lifetime of the plan
-        entry, so warm block matvecs reduce to one SpMM per chunk.
-        """
-        if self._scatter is None:
-            self._scatter = sp.csr_matrix(
-                (self.amplitudes, (self.rows, self.sources)),
-                shape=(dim, count),
-            )
-        return self._scatter
+    def scatter_matrix(self, dim: int, start: int, count: int):
+        """The batch ``[start, start + count)`` as a ``(dim, count)`` CSR
+        column block of the operator (duplicate ``(row, source)`` pairs are
+        summed, matching the scatter-add)."""
+        return sp.csr_matrix(
+            (self.amplitudes, (self.rows, self.sources - start)),
+            shape=(dim, count),
+        )
 
 
 class Operator:
@@ -83,7 +81,12 @@ class Operator:
     basis:
         Any :class:`~repro.basis.Basis`.
     batch_size:
-        How many source states to process per kernel call.
+        How many source states to process per kernel call.  ``None`` (the
+        default) sizes the batch so that the raw states it generates fit
+        the second-level cache: ``max(256, (1 << 17) //
+        compiled.max_entries_per_row)`` — 2 674 sources on a 24-site
+        Heisenberg chain, 1 351 on the 4x6 torus, ~34 k raw states either
+        way.  The plan holds one entry per batch.
     plan:
         Cache the iteration-invariant ``(sources, rows, amplitudes)``
         triples produced for each batch and replay them on subsequent
@@ -97,7 +100,7 @@ class Operator:
         self,
         expression: Expression,
         basis: Basis,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int | None = None,
         plan: bool | MatvecPlan = True,
     ) -> None:
         self.basis = basis
@@ -110,6 +113,11 @@ class Operator:
                 "operator does not conserve magnetization but the basis has "
                 "a fixed Hamming weight; use hamming_weight=None"
             )
+        if batch_size is None:
+            batch_size = max(
+                MIN_BATCH_SIZE,
+                BATCH_RAW_STATES // self.compiled.max_entries_per_row,
+            )
         self.batch_size = int(batch_size)
         if plan is True:
             self.plan: MatvecPlan | None = MatvecPlan()
@@ -118,9 +126,14 @@ class Operator:
         else:
             self.plan = plan
         self._diagonal: np.ndarray | None = None
+        # Block replay: the off-diagonal part as one (dim, dim) CSR, put
+        # together from the column blocks of a block pass whose every batch
+        # the plan kept (half the plan's bytes again, outside its budget).
+        self._scatter = None
 
     def invalidate_plan(self) -> None:
         """Drop all cached matvec data (keeps the plan enabled)."""
+        self._scatter = None
         if self.plan is not None:
             self.plan.invalidate()
 
@@ -167,13 +180,14 @@ class Operator:
 
         A block input computes all ``k`` columns in one pass: the
         generation and ranking happen once per batch (or are replayed from
-        the plan), and the per-chunk scatter runs as one CSR SpMM
-        (:meth:`SerialChunk.scatter_matrix`) that shares every index load
-        across the ``k`` columns — the measured per-column cost at ``k=8``
-        is well under half the single-vector path.  A plan recorded under
-        a single vector replays against a block (and vice versa); the
-        result dtype follows NumPy promotion of the operator's dtype with
-        the input's.
+        the plan), and the scatter runs as CSR SpMM, which shares every
+        index load across the ``k`` columns — one column block per batch
+        (:meth:`SerialChunk.scatter_matrix`) on the first block pass, one
+        ``(dim, dim)`` product on every later one when the plan holds all
+        batches; the measured per-column cost at ``k=8`` is well under half
+        the single-vector path.  A plan recorded under a single vector
+        replays against a block (and vice versa); the result dtype follows
+        NumPy promotion of the operator's dtype with the input's.
         """
         x = np.asarray(x)
         if x.ndim not in (1, 2) or x.shape[0] != self.dim:
@@ -187,10 +201,25 @@ class Operator:
         dtype = np.promote_types(self.dtype, x.dtype)
         diag = self.diagonal().astype(dtype)
         y = (diag if x.ndim == 1 else diag[:, None]) * x
+        if x.ndim == 2 and self._scatter is not None:
+            y += self._scatter @ x
+        else:
+            self._generate_and_scatter(x, y)
+        if metrics.enabled:
+            metrics.gauge("matvec.block_width").set(float(k))
+            dt = perf_counter() - t0
+            metrics.histogram("kernel.matvec_seconds").observe(dt)
+            metrics.histogram("kernel.matvec_seconds_per_column").observe(
+                dt / k
+            )
+        return y
+
+    def _generate_and_scatter(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Add the off-diagonal part of ``H x`` to ``y``, batch by batch."""
         states = self.basis.states
         scale = self.basis.source_scale
+        blocks: list | None = [] if x.ndim == 2 and self.plan is not None else None
         for start in range(0, states.size, self.batch_size):
-            count = min(self.batch_size, states.size - start)
             entry = None if self.plan is None else self.plan.get((start,))
             if entry is None:
                 alphas = states[start : start + self.batch_size]
@@ -207,30 +236,25 @@ class Operator:
                     if sources.size
                     else np.empty(0, dtype=np.int64)
                 )
-                entry = SerialChunk(sources, rows, amplitudes)
+                entry = SerialChunk(start + sources, rows, amplitudes)
                 if self.plan is not None:
                     # Empty batches are cached too: replay then skips the
                     # whole getManyRows call, not just the scatter.
                     self.plan.put((start,), entry)
-            if entry.sources.size == 0:
+            if x.ndim == 1:
+                if entry.sources.size:
+                    np.add.at(y, entry.rows, entry.amplitudes * x[entry.sources])
                 continue
-            if x.ndim == 2:
-                scatter = entry.scatter_matrix(self.dim, count)
+            count = min(self.batch_size, states.size - start)
+            scatter = entry.scatter_matrix(self.dim, start, count)
+            if entry.sources.size:
                 y += scatter @ x[start : start + count]
-            else:
-                np.add.at(
-                    y,
-                    entry.rows,
-                    entry.amplitudes * x[start + entry.sources],
-                )
-        if metrics.enabled:
-            metrics.gauge("matvec.block_width").set(float(k))
-            dt = perf_counter() - t0
-            metrics.histogram("kernel.matvec_seconds").observe(dt)
-            metrics.histogram("kernel.matvec_seconds_per_column").observe(
-                dt / k
-            )
-        return y
+            if blocks is not None and (start,) in self.plan:
+                blocks.append(scatter)
+            else:  # a batch the plan's budget turned away ends the collection
+                blocks = None
+        if blocks:
+            self._scatter = sp.hstack(blocks, format="csr")
 
     def __matmul__(self, x):
         if isinstance(x, np.ndarray):

@@ -13,18 +13,21 @@ batch-compiled loop that
 - applies each *distinct permutation* exactly once and derives its
   spin-flipped companion elements with a single in-place XOR (lattice
   groups with spin inversion halve their permutation work this way);
-- classifies each permutation once at kernel build time into a strategy:
-  identity (reuse the input), rotation (four in-place shift/or/and ops),
-  rotation-of-reversal (one shared reversed batch, then a rotation — this
-  covers *every* element of a dihedral chain group, eliminating generic
-  gathers entirely), or a precompiled mask/shift network / byte-gather
-  table for irregular permutations;
+- factors every permutation as ``p = rotate_k ∘ q`` with ``k = p(0)`` and
+  ``q(0) = 0``, groups the permutations by their *base* ``q`` at kernel
+  build time, runs each non-identity base once per call through its
+  precompiled mask/shift network or byte-gather table, and derives every
+  member of the base by a rotation of that batch (four in-place
+  shift/or/and ops) — a dihedral chain has one such base (the reflection
+  that fixes site 0), an ``nx × ny`` torus ``nx - 1`` (the x-shifts);
 - tracks the phase as a ``uint16`` element index (one cheap masked scalar
   write per improving element) and materializes the character array once
   at the end — the loop never touches a wide float/complex phase array,
   and a real-characters sector never materializes complex phases at all;
-- reuses one set of scratch buffers across calls — the steady-state loop
-  performs zero allocations beyond the result arrays.
+- reuses one set of scratch buffers per thread across calls — the
+  steady-state loop performs zero allocations beyond the result arrays,
+  and concurrent callers (the ``threads`` backend's producers share one
+  kernel) never see each other's work arrays.
 
 Results match the reference element-for-element: representatives exactly,
 stabilizer sums up to float summation order, and phases exactly on every
@@ -33,6 +36,8 @@ state that survives the sector (see ``tests/test_state_info_fast.py``).
 
 from __future__ import annotations
 
+import threading
+from collections import Counter
 from time import perf_counter
 
 import numpy as np
@@ -59,18 +64,27 @@ _CUT_MIN_BATCH = 256
 
 
 class _Scratch:
-    """Reusable work arrays for one batch shape."""
+    """Reusable work arrays for batches of up to ``capacity`` states."""
 
-    __slots__ = ("shape", "y", "yf", "net", "rev", "less", "fixed")
+    __slots__ = ("capacity", "y", "net", "base", "less", "fixed")
 
-    def __init__(self, shape) -> None:
-        self.shape = shape
-        self.y = np.empty(shape, dtype=np.uint64)
-        self.yf = np.empty(shape, dtype=np.uint64)
-        self.net = np.empty(shape, dtype=np.uint64)
-        self.rev = np.empty(shape, dtype=np.uint64)
-        self.less = np.empty(shape, dtype=bool)
-        self.fixed = np.empty(shape, dtype=bool)
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.y = np.empty(capacity, dtype=np.uint64)
+        self.net = np.empty(capacity, dtype=np.uint64)
+        self.base = np.empty(capacity, dtype=np.uint64)
+        self.less = np.empty(capacity, dtype=bool)
+        self.fixed = np.empty(capacity, dtype=bool)
+
+    def views(self, m: int):
+        """``(y, net, base, less, fixed)`` cut to ``m`` states."""
+        return (
+            self.y[:m],
+            self.net[:m],
+            self.base[:m],
+            self.less[:m],
+            self.fixed[:m],
+        )
 
 
 class GroupKernel:
@@ -78,8 +92,9 @@ class GroupKernel:
 
     Built lazily by :class:`~repro.symmetry.group.SymmetryGroup` (one per
     group) from its element list; the constructor groups elements by
-    permutation so flip-companions reuse each permuted batch, and assigns
-    each distinct permutation its cheapest application strategy.
+    permutation so flip-companions reuse each permuted batch, and the
+    permutations by base so each base is permuted once and its members are
+    rotations of that batch.
     """
 
     def __init__(
@@ -95,99 +110,82 @@ class GroupKernel:
             np.all(np.abs(np.imag(characters)) < _REAL_TOL)
         )
         self._flip_mask = bit_mask(n_sites)
-        # Group the elements by permutation (Permutation hashes by its site
-        # mapping, so equal-but-distinct instances coalesce here even if the
-        # group did not intern them).  Insertion order is preserved so the
-        # element visit order stays deterministic.
-        grouped: dict[Permutation, list[tuple[bool, complex]]] = {}
+        # Factor each permutation as ``rotate_k ∘ base`` (``k = p(0)``,
+        # ``base(0) = 0``) and group the elements by base, then by ``k``
+        # (which coalesces equal permutations, flip companions included).
+        # Insertion order is preserved so the element visit order stays
+        # deterministic.
+        cosets: dict[bytes, dict[int, list[tuple[bool, complex]]]] = {}
         for perm, flip, char in zip(permutations, flips, characters):
-            chi_conj = np.conj(complex(char))
-            grouped.setdefault(perm, []).append((bool(flip), chi_conj))
+            k = int(perm.sites[0])
+            base = (perm.sites - k) % n_sites
+            cosets.setdefault(base.tobytes(), {}).setdefault(k, []).append(
+                (bool(flip), np.conj(complex(char)))
+            )
 
         # Variant index 0 is reserved for "never improved" — the identity
         # element's unit character — so the phase lookup table has one
         # leading slot.
         phase_chars: list[complex] = [1.0 + 0.0j]
-        needs_reversal = False
-        jobs: list[tuple[str, object, list[tuple[bool, object, np.uint16]]]] = []
-        for perm, variants in grouped.items():
-            if perm.is_identity:
-                tag, payload = "id", None
-            elif perm.rotation_amount is not None:
-                tag, payload = "rot", (
-                    np.uint64(perm.rotation_amount),
-                    np.uint64(n_sites - perm.rotation_amount),
+        # (applier or None for the identity base, members); a member is
+        # (rotation shift pair or None, its flip variants).
+        self._bases: list[tuple[object, list]] = []
+        # What one call does (telemetry: ``kernel.state_info_strategy
+        # {strategy=...}`` adds ``strategy_counts`` per call): ``network``
+        # compiled base applications, ``rotation`` permutations derived by
+        # rotating a base batch, ``identity`` the input read as it is.
+        strategies: list[str] = []
+        identity = np.arange(n_sites).tobytes()
+        for base, rotations in cosets.items():
+            applier = None
+            if base != identity:
+                applier = compile_permutation(
+                    np.frombuffer(base, dtype=np.int64)
                 )
-            elif perm.reversed_rotation_amount is not None:
-                k = perm.reversed_rotation_amount
-                tag = "revrot"
-                payload = (
-                    (np.uint64(k), np.uint64(n_sites - k)) if k else None
-                )
-                needs_reversal = True
-            else:
-                tag, payload = "net", perm
-            tagged = []
-            for flip, chi_conj in variants:
-                phase_chars.append(chi_conj)
-                chi = chi_conj.real if self.is_real else chi_conj
-                tagged.append((flip, chi, np.uint16(len(phase_chars) - 1)))
-            jobs.append((tag, payload, tagged))
-        self._jobs = jobs
-        self.n_distinct_permutations = len(jobs)
-        #: distinct permutations per application strategy (telemetry:
-        #: ``kernel.state_info_strategy{strategy=...}`` counts one per
-        #: strategy per call, so ``repro-inspect`` can show which dispatch
-        #: paths actually run)
-        _names = {
-            "id": "identity",
-            "rot": "rotation",
-            "revrot": "reversed-rotation",
-            "net": "network",
-        }
-        self.strategy_counts: dict[str, int] = {}
-        for tag, _, _ in jobs:
-            label = _names[tag]
-            self.strategy_counts[label] = self.strategy_counts.get(label, 0) + 1
+                strategies.append("network")
+            members = []
+            for k, variants in rotations.items():
+                if k:
+                    strategies.append("rotation")
+                elif applier is None:
+                    strategies.append("identity")
+                tagged = []
+                for flip, chi_conj in variants:
+                    phase_chars.append(chi_conj)
+                    chi = chi_conj.real if self.is_real else chi_conj
+                    tagged.append((flip, chi, np.uint16(len(phase_chars) - 1)))
+                shifts = (np.uint64(k), np.uint64(n_sites - k)) if k else None
+                members.append((shifts, tagged))
+            self._bases.append((applier, members))
+        self.strategy_counts: dict[str, int] = dict(Counter(strategies))
         table = np.asarray(phase_chars, dtype=np.complex128)
         self._phase_table = table.real.copy() if self.is_real else table
-        # The shared reversed batch is produced by the reversal permutation's
-        # own compiled applier (a byte-gather table), once per call.
-        self._reversal = (
-            compile_permutation(np.arange(n_sites - 1, -1, -1))
-            if needs_reversal
-            else None
-        )
-        self._scratch: _Scratch | None = None
+        # One kernel serves every thread of the ``threads`` backend, so the
+        # work arrays are per thread.
+        self._local = threading.local()
 
     # -- scratch management -------------------------------------------------
 
-    def _buffers(self, shape) -> _Scratch:
-        scratch = self._scratch
-        if scratch is None or scratch.shape != shape:
-            scratch = _Scratch(shape)
-            self._scratch = scratch
+    def _buffers(self, m: int) -> _Scratch:
+        """This thread's work arrays, regrown when a batch exceeds them (a
+        matvec's batches differ in length; the longest sizes them once and
+        every call then works in the same, cache-resident, memory)."""
+        scratch = getattr(self._local, "scratch", None)
+        if scratch is None or scratch.capacity < m:
+            scratch = self._local.scratch = _Scratch(m)
         return scratch
 
     # -- the kernels --------------------------------------------------------
 
-    def _permuted(self, tag, payload, s, rev, y, net) -> np.ndarray:
-        """``p(s)`` for one job's permutation ``p``.
-
-        ``rev`` is the reversed batch (read by the ``revrot`` strategy
-        only); ``y`` and ``net`` are scratch of ``s``'s shape.  The result
-        aliases ``s``, ``rev`` or ``y``.
-        """
-        if tag == "id":
-            return s
-        if tag == "net":
-            return payload.apply_into(s, y, net)
-        src = s if tag == "rot" else rev
-        if payload is None:  # pure reversal
-            return src
-        kk, nk = payload
-        np.left_shift(src, kk, out=y)
-        np.right_shift(src, nk, out=net)
+    def _rotated(self, base, shifts, y, net) -> np.ndarray:
+        """One member's batch: ``base`` rotated left by the member's
+        amount, into ``y``; ``base`` itself at zero.  ``net`` is scratch,
+        free again on return (the flipped companion goes there)."""
+        if shifts is None:
+            return base
+        kk, nk = shifts
+        np.left_shift(base, kk, out=y)
+        np.right_shift(base, nk, out=net)
         np.bitwise_or(y, net, out=y)
         np.bitwise_and(y, self._flip_mask, out=y)
         return y
@@ -212,47 +210,54 @@ class GroupKernel:
         comes back ``float64`` instead of ``complex128`` when every
         character is real.
         """
-        s = as_states(states)
+        states = as_states(states)
+        s = states.ravel()
         metrics = current_telemetry().metrics
         t0 = perf_counter() if metrics.enabled else 0.0
 
         dtype = np.float64 if self.is_real else np.complex128
         rep = s.copy()
-        phase_idx = np.zeros(s.shape, dtype=np.uint16)
-        stab = np.zeros(s.shape, dtype=dtype)
-        sc = self._buffers(s.shape)
-        if self._reversal is not None:
-            self._reversal.apply(s, out=sc.rev, scratch=sc.net)
+        phase_idx = np.zeros(s.size, dtype=np.uint16)
+        stab = np.zeros(s.size, dtype=dtype)
+        y, net, base_out, less, fixed = self._buffers(s.size).views(s.size)
 
-        for tag, payload, variants in self._jobs:
-            z0 = self._permuted(tag, payload, s, sc.rev, sc.y, sc.net)
-            for flip, chi_conj, vidx in variants:
-                if tag == "id" and not flip:
-                    # g(s) == s for every state: pure stabilizer credit.
-                    np.add(stab, chi_conj, out=stab)
-                    continue
-                if flip:
-                    np.bitwise_xor(z0, self._flip_mask, out=sc.yf)
-                    z = sc.yf
-                else:
-                    z = z0
-                np.less(z, rep, out=sc.less)
-                if np.count_nonzero(sc.less):
-                    np.copyto(rep, z, where=sc.less)
-                    np.copyto(phase_idx, vidx, where=sc.less)
-                np.equal(z, s, out=sc.fixed)
-                # Non-trivial stabilizer elements are rare (most states sit
-                # in full-size orbits), so a counted guard plus a masked add
-                # on the few hits beats a full-width multiply-accumulate.
-                if np.count_nonzero(sc.fixed):
-                    stab[sc.fixed] += chi_conj
+        for applier, members in self._bases:
+            base = (
+                s
+                if applier is None
+                else applier.apply(s, out=base_out, scratch=y, scratch2=net)
+            )
+            for shifts, variants in members:
+                z0 = self._rotated(base, shifts, y, net)
+                for flip, chi_conj, vidx in variants:
+                    if z0 is s and not flip:
+                        # g(s) == s for every state: pure stabilizer credit.
+                        np.add(stab, chi_conj, out=stab)
+                        continue
+                    z = (
+                        np.bitwise_xor(z0, self._flip_mask, out=net)
+                        if flip
+                        else z0
+                    )
+                    np.less(z, rep, out=less)
+                    if np.count_nonzero(less):
+                        np.copyto(rep, z, where=less)
+                        np.copyto(phase_idx, vidx, where=less)
+                    np.equal(z, s, out=fixed)
+                    # Non-trivial stabilizer elements are rare (most states
+                    # sit in full-size orbits), so a counted guard plus a
+                    # masked add on the few hits beats a full-width
+                    # multiply-accumulate.
+                    if np.count_nonzero(fixed):
+                        stab[fixed] += chi_conj
 
         phase = self._phase_table.take(phase_idx)
         if not self.is_real:
             stab = stab.real
         if metrics.enabled:
             self._observe(metrics, t0, s.size)
-        return rep, phase, stab
+        shape = states.shape
+        return rep.reshape(shape), phase.reshape(shape), stab.reshape(shape)
 
     def representatives(self, states) -> tuple[np.ndarray, np.ndarray]:
         """The surviving orbit representatives of a batch.
@@ -270,47 +275,52 @@ class GroupKernel:
         metrics = current_telemetry().metrics
         t0 = perf_counter() if metrics.enabled else 0.0
 
-        sc = self._buffers(s.shape)
+        sc = self._buffers(s.size)
         alive, m = s, s.size
+        y, net, base_out, dead, fixed = sc.views(m)
         positions = None  # of ``alive`` in ``s``; None until the first cut
         stab = np.zeros(m, dtype=np.float64 if self.is_real else np.complex128)
-        rev = None  # reversed ``alive``, made when the first job needs it
         # A state with bits beyond the lattice is nobody's representative.
-        dead = np.greater(s, self._flip_mask, out=sc.less)
+        np.greater(s, self._flip_mask, out=dead)
 
-        for tag, payload, variants in self._jobs:
-            if tag == "revrot" and rev is None:
-                rev = self._reversal.apply(alive, out=sc.rev[:m], scratch=sc.net[:m])
-            z0 = self._permuted(tag, payload, alive, rev, sc.y[:m], sc.net[:m])
-            for flip, chi_conj, _ in variants:
-                if tag == "id" and not flip:
-                    np.add(stab, chi_conj, out=stab)
-                    continue
-                z = (
-                    np.bitwise_xor(z0, self._flip_mask, out=sc.yf[:m])
-                    if flip
-                    else z0
-                )
-                fixed = sc.fixed[:m]
-                np.less(z, alive, out=fixed)
-                np.logical_or(dead, fixed, out=dead)
-                np.equal(z, alive, out=fixed)
-                if np.count_nonzero(fixed):
-                    stab[fixed] += chi_conj
-            # Cutting costs about as much as one more element on the whole
-            # batch: worth it once a fair share has died, never on a batch
-            # so small that the NumPy calls themselves are the cost.
-            if m >= _CUT_MIN_BATCH and _CUT_SHARE * np.count_nonzero(dead) >= m:
-                keep = ~dead
-                alive, stab = alive[keep], stab[keep]
-                if rev is not None:
-                    rev = rev[keep]
-                positions = (
-                    np.flatnonzero(keep) if positions is None else positions[keep]
-                )
-                m = alive.size
-                dead = sc.less[:m]
-                dead.fill(False)
+        for applier, members in self._bases:
+            # ``None`` stands for ``alive`` itself, which cuts replace.
+            base = (
+                None
+                if applier is None
+                else applier.apply(alive, out=base_out, scratch=y, scratch2=net)
+            )
+            for shifts, variants in members:
+                z0 = self._rotated(alive if base is None else base, shifts, y, net)
+                for flip, chi_conj, _ in variants:
+                    if z0 is alive and not flip:
+                        np.add(stab, chi_conj, out=stab)
+                        continue
+                    z = (
+                        np.bitwise_xor(z0, self._flip_mask, out=net)
+                        if flip
+                        else z0
+                    )
+                    np.less(z, alive, out=fixed)
+                    np.logical_or(dead, fixed, out=dead)
+                    np.equal(z, alive, out=fixed)
+                    if np.count_nonzero(fixed):
+                        stab[fixed] += chi_conj
+                # Cutting costs about as much as one more element on the
+                # whole batch: worth it once a fair share has died, never on
+                # a batch so small that the NumPy calls themselves are the
+                # cost.
+                if m >= _CUT_MIN_BATCH and _CUT_SHARE * np.count_nonzero(dead) >= m:
+                    keep = ~dead
+                    alive, stab = alive[keep], stab[keep]
+                    if base is not None:
+                        base = base[keep]
+                    positions = (
+                        np.flatnonzero(keep) if positions is None else positions[keep]
+                    )
+                    m = alive.size
+                    y, net, base_out, dead, fixed = sc.views(m)
+                    dead.fill(False)
 
         stab = stab.real
         keep = ~dead & (stab > STAB_TOL)

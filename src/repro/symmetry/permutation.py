@@ -59,8 +59,7 @@ class Permutation:
         )
         # Rotation-of-reversal detection: perm == rotate_k ∘ reversal, i.e.
         # perm[i] == (n - 1 - i + k) % n.  Every element of a dihedral chain
-        # group is either a rotation or one of these, so the fused kernel
-        # can reuse a single reversed batch instead of a generic gather.
+        # group is either a rotation or one of these.
         kr = (int(arr[0]) + 1) % n
         self._reversed_rotation_amount = (
             kr if np.array_equal(arr, (n - 1 - np.arange(n) + kr) % n) else None
@@ -178,17 +177,3 @@ class Permutation:
         if self._is_reversal:
             return reverse_bits(states, n)
         return self.network.apply(np.asarray(states, dtype=BITS_DTYPE))
-
-    def apply_into(
-        self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray
-    ) -> np.ndarray:
-        """Allocation-free application into caller-provided buffers.
-
-        ``x``, ``out`` and ``scratch`` must be distinct ``uint64`` arrays of
-        one shape; returns ``out``.  This is the entry point of the fused
-        ``state_info`` kernel, which owns the scratch arrays.
-        """
-        if self._rotation_amount == 0:
-            np.copyto(out, x)
-            return out
-        return self.network.apply(x, out=out, scratch=scratch)

@@ -108,6 +108,83 @@ class TestSerialPlan:
         assert plan.n_entries > 0
 
 
+class TestSerialBatchRule:
+    """``Operator(batch_size=None)`` sizes the batch from the operator's
+    row density; the plan holds one entry per batch."""
+
+    @pytest.fixture(scope="class")
+    def wide_basis(self):
+        # momentum only: dim 9252, three default-sized batches
+        return SymmetricBasis(
+            chain_symmetries(20, 0, None, None), hamming_weight=10
+        )
+
+    @pytest.fixture(scope="class")
+    def wide_expr(self):
+        return repro.heisenberg_chain(20)
+
+    def test_default_follows_row_density_and_explicit_wins(
+        self, wide_basis, wide_expr
+    ):
+        op = repro.Operator(wide_expr, wide_basis)
+        assert op.compiled.max_entries_per_row == 41
+        assert op.batch_size == (1 << 17) // 41 == 3196
+        assert repro.Operator(wide_expr, wide_basis, batch_size=7).batch_size == 7
+        all_pairs = repro.heisenberg(
+            [(i, j) for i in range(24) for j in range(i)]
+        )
+        dense = repro.Operator(all_pairs, SpinBasis(24, hamming_weight=1))
+        assert dense.compiled.max_entries_per_row == 553
+        assert dense.batch_size == 256  # the floor, not 131072 // 553 = 237
+
+    @pytest.mark.parametrize(
+        "n_sites, batch_size", [(14, 1), (14, 7), (20, None), (20, 9252)]
+    )
+    def test_cold_matvec_agrees_with_sparse_matrix(
+        self, wide_basis, rng, n_sites, batch_size
+    ):
+        basis = (
+            wide_basis
+            if n_sites == 20
+            else SymmetricBasis(
+                chain_symmetries(n_sites, 0, None, None),
+                hamming_weight=n_sites // 2,
+            )
+        )
+        op = repro.Operator(
+            repro.heisenberg_chain(n_sites),
+            basis,
+            batch_size=batch_size,
+            plan=False,
+        )
+        matrix = op.to_sparse()
+        for x in (
+            rng.standard_normal(op.dim),
+            rng.standard_normal((op.dim, 8)),
+        ):
+            expected = matrix @ x
+            error = np.abs(op.matvec(x) - expected).max()
+            assert error <= 1e-12 * np.abs(expected).max()
+
+    def test_one_entry_per_batch_and_bitwise_replay(
+        self, wide_basis, wide_expr, rng
+    ):
+        op = repro.Operator(wide_expr, wide_basis)
+        x = rng.standard_normal(op.dim)
+        y_recorded = op.matvec(x)
+        assert op.plan.n_entries == -(-op.dim // op.batch_size) == 3
+        np.testing.assert_array_equal(op.matvec(x), y_recorded)
+        cold = repro.Operator(wide_expr, wide_basis, plan=False)
+        np.testing.assert_array_equal(cold.matvec(x), y_recorded)
+        # a block replays through the one (dim, dim) scatter, twice alike
+        block = rng.standard_normal((op.dim, 4))
+        first, second = op.matvec(block), op.matvec(block)
+        np.testing.assert_allclose(second, first, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(
+            first, cold.to_sparse() @ block, rtol=1e-12, atol=1e-12
+        )
+
+
 class TestPlanCachePolicy:
     def test_lru_eviction_under_tiny_budget(self, basis, expr, rng):
         op = repro.Operator(expr, basis, plan=MatvecPlan(capacity_bytes=1))

@@ -158,6 +158,19 @@ class TestAgainstFullGroupLoop:
             np.testing.assert_array_equal(positions, expected)
             np.testing.assert_array_equal(stab, expected_stab)
 
+    def test_cuts_inside_a_network_base(self):
+        """All weight-8 states of the 4x4 torus with spin flip: three
+        network bases of four rotations each, so the 12870-state batch is
+        compacted while a permuted base batch is still being rotated."""
+        group = square_group(4, 4)
+        assert group.kernel.strategy_counts["network"] == 3
+        states = states_with_weight(16, 8)
+        positions, stab = group.representatives(states)
+        expected, expected_stab = old_predicate(group, states)
+        assert 0 < positions.size < states.size // 8
+        np.testing.assert_array_equal(positions, expected)
+        np.testing.assert_array_equal(stab, expected_stab)
+
 
 def square_group(nx: int, ny: int) -> SymmetryGroup:
     return SymmetryGroup.from_generators(

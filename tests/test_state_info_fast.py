@@ -1,8 +1,8 @@
 """Property tests: the fused ``state_info`` kernel matches the reference.
 
 The fused :class:`~repro.symmetry.kernels.GroupKernel` reorders the group
-loop (elements grouped by permutation, flip companions derived by XOR) and
-uses different application strategies per permutation, so these tests pin
+loop (permutations grouped by base, each a rotation of its base's batch,
+flip companions derived by XOR), so these tests pin the factorization and
 the exact contract against
 :meth:`~repro.symmetry.group.SymmetryGroup.state_info_reference`:
 
@@ -13,16 +13,23 @@ the exact contract against
   element reaching the minimum is a valid witness).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from repro.bits.ops import rotate_left
+from repro.errors import InvalidSectorError
 from repro.symmetry import (
     Permutation,
     Symmetry,
     SymmetryGroup,
     chain_symmetries,
     rectangle_translation,
+    reflection,
+    spin_inversion,
+    translation,
 )
 
 STAB_TOL = 1e-6
@@ -130,6 +137,109 @@ class TestRandomPermutationGroups:
         np.testing.assert_allclose(np.asarray(phase, dtype=np.complex128), 1.0)
 
 
+def mirror_x(nx: int, ny: int, sector: int = 0) -> Symmetry:
+    """The point-group reflection ``x -> nx - 1 - x`` of the rectangle."""
+    x, y = np.meshgrid(np.arange(nx), np.arange(ny))
+    return Symmetry(Permutation((y * nx + nx - 1 - x).ravel()), sector=sector)
+
+
+@st.composite
+def generator_sets(draw) -> list[Symmetry]:
+    """Chains, tori in both axis orders (with and without a mirror line),
+    flip-only and trivial groups; any momentum the other generators allow."""
+    kind = draw(st.sampled_from(["chain", "torus", "mirror torus", "flip", "trivial"]))
+    if kind == "trivial":
+        return []
+    if kind == "flip":
+        return [spin_inversion(draw(st.integers(1, 20)), draw(st.integers(0, 1)))]
+    if kind == "chain":
+        n = draw(st.integers(3, 20))
+        pool = [
+            translation(n, draw(st.integers(0, n - 1))),
+            reflection(n, draw(st.integers(0, 1))),
+            spin_inversion(n, draw(st.integers(0, 1))),
+        ]
+        return draw(st.permutations(pool))[: draw(st.integers(1, 3))]
+    nx, ny = draw(
+        st.tuples(st.integers(2, 5), st.integers(2, 5)).filter(
+            lambda shape: shape[0] != shape[1]
+        )
+    )
+    generators = [
+        rectangle_translation(nx, ny, 0, draw(st.integers(0, nx - 1))),
+        rectangle_translation(nx, ny, 1, draw(st.integers(0, ny - 1))),
+    ]
+    if kind == "mirror torus":
+        generators.append(mirror_x(nx, ny, draw(st.integers(0, 1))))
+    if draw(st.booleans()):
+        generators.append(spin_inversion(nx * ny, draw(st.integers(0, 1))))
+    return draw(st.permutations(generators))
+
+
+class TestBaseRotationFactorization:
+    @settings(max_examples=60, deadline=None)
+    @given(generators=generator_sets(), seed=st.integers(0, 2**32 - 1))
+    def test_random_generator_sets(self, generators, seed):
+        try:
+            group = (
+                SymmetryGroup.from_generators(generators)
+                if generators
+                else SymmetryGroup.trivial(1 + seed % 20)
+            )
+        except InvalidSectorError:
+            assume(False)  # e.g. a reflection at momentum 1
+        n = group.n_sites
+        states = random_states(n, 300, seed)
+        for p in set(group.permutations):
+            k = int(p.sites[0])
+            base = Permutation((p.sites - k) % n)
+            np.testing.assert_array_equal(
+                p(states), rotate_left(base(states), k, n)
+            )
+        bases = {((p.sites - p.sites[0]) % n).tobytes() for p in group.permutations}
+        networks = len(bases - {np.arange(n).tobytes()})
+        assert group.kernel.strategy_counts.get("network", 0) == networks
+        assert_matches_reference(group, states)
+
+    @pytest.mark.parametrize("shape", [(4, 6), (6, 4), (3, 5), (2, 7)])
+    def test_torus_has_one_network_base_per_x_shift(self, shape):
+        nx, ny = shape
+        group = SymmetryGroup.from_generators(
+            [
+                rectangle_translation(nx, ny, 1, 0),
+                rectangle_translation(nx, ny, 0, 0),
+                spin_inversion(nx * ny, 0),
+            ]
+        )
+        assert group.kernel.strategy_counts == {
+            "identity": 1,
+            "rotation": nx * ny - 1,
+            "network": nx - 1,
+        }
+
+    @pytest.mark.parametrize("size", [0, 1, 255, 256, 257, 70_000])
+    @pytest.mark.parametrize(
+        "group",
+        [
+            chain_symmetries(20, 0, 0, 0),
+            chain_symmetries(12, 5, None, None),
+            SymmetryGroup.from_generators(
+                [
+                    rectangle_translation(3, 4, 0, 1),
+                    rectangle_translation(3, 4, 1, 3),
+                    spin_inversion(12, 1),
+                ]
+            ),
+        ],
+        ids=["dihedral chain", "chain momentum 5", "torus momentum (1, 3)"],
+    )
+    def test_batch_sizes_and_shapes(self, group, size):
+        states = random_states(group.n_sites, size, size)
+        assert_matches_reference(group, states)
+        if size % 2 == 0:
+            assert_matches_reference(group, states.reshape(2, -1))
+
+
 class TestStrategyClassification:
     """The kernel's per-permutation strategies must cover the chain group."""
 
@@ -143,7 +253,7 @@ class TestStrategyClassification:
         k = composite.reversed_rotation_amount
         assert k is not None
         states = random_states(n, 64, 0)
-        from repro.bits.ops import reverse_bits, rotate_left
+        from repro.bits.ops import reverse_bits
 
         np.testing.assert_array_equal(
             composite(states), rotate_left(reverse_bits(states, n), k, n)
@@ -151,16 +261,24 @@ class TestStrategyClassification:
 
     def test_chain_group_uses_no_generic_networks(self):
         group = chain_symmetries(16, 0, 0, 0)
-        tags = {tag for tag, _, _ in group.kernel._jobs}
-        assert "net" not in tags, (
-            "every dihedral-chain element should classify as identity, "
-            "rotation, or rotation-of-reversal"
+        assert group.kernel.strategy_counts.get("network", 0) == 1, (
+            "every dihedral-chain element should be the input, the "
+            "reflection that fixes site 0, or a rotation of one of the two"
         )
 
     def test_scratch_reused_across_calls(self):
-        group = chain_symmetries(10, 0, 0, 0)
-        states = random_states(10, 256, 1)
+        """A second call from the same thread allocates its results and
+        nothing else."""
+        group = chain_symmetries(20, 0, 0, 0)
+        states = random_states(20, 20_000, 1)
         group.state_info(states)
-        scratch_first = group.kernel._scratch
-        group.state_info(states)
-        assert group.kernel._scratch is scratch_first
+        tracemalloc.start()
+        try:
+            group.state_info(states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # rep + stab + phase (8 B each), the uint16 element index and its
+        # cast inside the closing ``take``: 34 B per state.  Another set of
+        # work arrays would add 26 B per state.
+        assert peak < 40 * states.size
