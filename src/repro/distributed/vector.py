@@ -17,6 +17,7 @@ import numpy as np
 from repro.basis.spin_basis import Basis
 from repro.distributed.dist_basis import DistributedBasis
 from repro.errors import DistributionError
+from repro.linalg.spaces import VectorSpace
 from repro.runtime.clock import SimReport
 from repro.runtime.mpi import SimMPI
 
@@ -246,7 +247,7 @@ class DistributedVector:
         return f"DistributedVector(dim={self.dim}, dtype={self.dtype})"
 
 
-class DistributedVectorSpace:
+class DistributedVectorSpace(VectorSpace):
     """Inner products and streaming updates over distributed vectors.
 
     All methods do the real arithmetic locally per locale and accumulate
@@ -281,11 +282,14 @@ class DistributedVectorSpace:
         self.report.elapsed += elapsed
         self.report.merge_phase("stream", elapsed)
 
-    def _charge_reduce(self, nbytes: int) -> None:
+    def _charge_reduce(self, count: int = 1) -> None:
+        """One allreduce of ``count`` numbers."""
         if self.wall_clock:
             # The reduction is part of the measured local arithmetic.
             return
-        _, elapsed = self.mpi.allreduce(np.zeros((self.basis.n_locales, 1)))
+        _, elapsed = self.mpi.allreduce(
+            np.zeros((self.basis.n_locales, count))
+        )
         self.report.elapsed += elapsed
         self.report.merge_phase("allreduce", elapsed)
 
@@ -296,7 +300,7 @@ class DistributedVectorSpace:
             np.vdot(px, py) for px, py in zip(x.parts, y.parts)
         )
         self._charge_stream(2, measured=time.perf_counter() - t0)
-        self._charge_reduce(16)
+        self._charge_reduce()
         value = complex(local)
         return value.real if x.dtype.kind != "c" and y.dtype.kind != "c" else value
 
@@ -318,16 +322,29 @@ class DistributedVectorSpace:
             px *= alpha
         self._charge_stream(1, measured=time.perf_counter() - t0)
 
+    # -- the Krylov block: one row-major array per locale ---------------------
+
+    def _parts(self, x: DistributedVector) -> list[np.ndarray]:
+        return x.parts
+
+    def _vector(self, parts: list[np.ndarray]) -> DistributedVector:
+        return DistributedVector(self.basis, parts)
+
+    def project(self, block, w: DistributedVector, start: int = 0) -> np.ndarray:
+        """Charges both streaming products and one allreduce of the overlaps."""
+        t0 = time.perf_counter()
+        overlaps = super().project(block, w, start)
+        self._charge_stream(
+            2 * (overlaps.size + 1), measured=time.perf_counter() - t0
+        )
+        self._charge_reduce(overlaps.size)
+        return overlaps
+
     # -- vector factory methods (complete the VectorSpace protocol, so the
     # -- Krylov solvers drive distributed vectors directly) -----------------
 
     def copy(self, x: DistributedVector) -> DistributedVector:
         return x.copy()
-
-    def zeros_like(self, x: DistributedVector) -> DistributedVector:
-        return DistributedVector.zeros(
-            x.basis, dtype=x.dtype, columns=x.columns
-        )
 
     def random(self, like: DistributedVector, seed: int) -> DistributedVector:
         return DistributedVector.full_random(

@@ -2,10 +2,11 @@
 
 Exact diagonalization reduces to repeated matrix-vector products inside a
 Krylov method (the paper cites Lanczos/Arnoldi, FTLM, PRIMME); this package
-provides a Lanczos eigensolver with selective reorthogonalization and a
-Krylov time-evolution propagator, both generic over a *vector space*
-abstraction so they run unchanged on NumPy vectors or on the simulated
-cluster's :class:`~repro.distributed.vector.DistributedVector`.
+provides a Lanczos eigensolver with full reorthogonalization and a Krylov
+time-evolution propagator, both generic over a *vector space* abstraction
+(which also stores the Krylov basis and projects against it) so they run
+unchanged on NumPy vectors or on the simulated cluster's
+:class:`~repro.distributed.vector.DistributedVector`.
 """
 
 from repro.linalg.spaces import NumpyVectorSpace, VectorSpace, as_matvec

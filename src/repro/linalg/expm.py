@@ -36,29 +36,22 @@ def expm_krylov(
     norm_v = space.norm(v)
     if norm_v == 0.0:
         return space.copy(v)
-    w = space.copy(v)
+    block = space.block([v])
+    w = space.row(block, 0)
     space.scale(1.0 / norm_v, w)
-    basis = [w]
     alphas: list[float] = []
     betas: list[float] = []
     for _ in range(krylov_dim):
-        u = matvec(basis[-1])
-        alpha = space.dot(basis[-1], u)
-        alphas.append(float(np.real(alpha)))
-        space.axpy(-alpha, basis[-1], u)
-        if len(basis) > 1:
-            space.axpy(-betas[-1], basis[-2], u)
-        # One full reorthogonalization pass keeps the small basis clean.
-        for b in basis:
-            overlap = space.dot(b, u)
-            if overlap != 0.0:
-                space.axpy(-overlap, b, u)
+        u = matvec(w)
+        # Full reorthogonalization keeps the small basis clean.
+        alphas.append(float(np.real(space.project(block, u)[-1])))
+        space.project(block, u)  # twice: an exhausted space leaves beta ~ 0
         beta = space.norm(u)
         if beta <= tol:
             break
         betas.append(float(beta))
         space.scale(1.0 / beta, u)
-        basis.append(u)
+        w = space.push(block, u)
 
     m = len(alphas)
     t = np.zeros((m, m), dtype=np.float64)
@@ -69,22 +62,4 @@ def expm_krylov(
         t[np.arange(1, m), np.arange(m - 1)] = off
     coeffs = dense_expm(scale * t)[:, 0] * norm_v
 
-    out = space.zeros_like(v)
-    if np.iscomplexobj(coeffs):
-        out = _promote_complex(out)
-    for coeff, b in zip(coeffs, basis):
-        space.axpy(coeff, b, out)
-    return out
-
-
-def _promote_complex(x):
-    """A complex-dtype zero container of the same shape/type as ``x``."""
-    if isinstance(x, np.ndarray):
-        return x.astype(np.complex128)
-    from repro.distributed.vector import DistributedVector
-
-    if isinstance(x, DistributedVector):
-        return DistributedVector(
-            x.basis, [p.astype(np.complex128) for p in x.parts]
-        )
-    raise TypeError(f"cannot promote {type(x)!r} to complex")
+    return space.combine(block, coeffs)

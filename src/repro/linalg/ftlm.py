@@ -56,31 +56,23 @@ class ThermalEstimate:
 def _lanczos_spectrum(matvec, v0, krylov_dim: int, space: VectorSpace):
     """Ritz values, first-row weights, and the final off-diagonal (the
     truncation residual) of one Lanczos factorization."""
-    v = space.copy(v0)
-    norm0 = space.norm(v)
-    space.scale(1.0 / norm0, v)
-    basis = [v]
+    block = space.block([v0])
+    v = space.row(block, 0)
+    space.scale(1.0 / space.norm(v), v)
     alphas: list[float] = []
     betas: list[float] = []
     final_beta = 0.0
     for _ in range(krylov_dim):
-        w = matvec(basis[-1])
-        alpha = space.dot(basis[-1], w)
-        alphas.append(float(np.real(alpha)))
-        space.axpy(-alpha, basis[-1], w)
-        if len(basis) > 1:
-            space.axpy(-betas[-1], basis[-2], w)
-        for u in basis:
-            overlap = space.dot(u, w)
-            if overlap != 0.0:
-                space.axpy(-overlap, u, w)
+        w = matvec(v)
+        alphas.append(float(np.real(space.project(block, w)[-1])))
+        space.project(block, w)  # twice: an exhausted space leaves beta ~ 0
         beta = space.norm(w)
         final_beta = float(beta)
         if beta <= 1e-14:
             break
         betas.append(float(beta))
         space.scale(1.0 / beta, w)
-        basis.append(w)
+        v = space.push(block, w)
     m = len(alphas)
     evals, evecs = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas[: m - 1]))
     weights = np.abs(evecs[0, :]) ** 2

@@ -112,8 +112,9 @@ def lanczos(
         Convergence threshold on the Ritz residual estimate
         ``|beta_m * s_last|`` for each of the ``k`` lowest Ritz pairs.
     reorthogonalize:
-        Re-orthogonalize each new Krylov vector against all previous ones
-        (classical Gram-Schmidt, twice).  Without it, "ghost" copies of
+        Project each new Krylov vector against all previous ones, twice
+        (classical Gram-Schmidt: ``space.project`` over the Krylov block).
+        Without it only the last two are projected out, and "ghost" copies of
         converged eigenvalues appear — demonstrated in the tests.
     checkpoint_dir:
         When set, a CRC32-manifested snapshot of the full Krylov state
@@ -146,7 +147,7 @@ def lanczos(
 
     v = space.copy(v0)
     space.scale(1.0 / norm0, v)
-    basis = [v]
+    vectors = [v]
     alphas: list[float] = []
     betas: list[float] = []
     eigenvalues = None
@@ -163,23 +164,19 @@ def lanczos(
             )
             alphas = [float(a) for a in state.arrays["alphas"]]
             betas = [float(b) for b in state.arrays["betas"]]
-            basis = list(state.vectors)
+            vectors = state.vectors
             start_iter = state.iteration
 
+    # Iteration n starts with n rows in the block and multiplies the last.
+    block = space.block(vectors)
+    v = space.row(block, start_iter)
     n_iter = start_iter
     for n_iter in range(start_iter + 1, max_iter + 1):
-        w = matvec(basis[-1])
-        alpha = space.dot(basis[-1], w)
-        alphas.append(float(np.real(alpha)))
-        space.axpy(-alpha, basis[-1], w)
-        if len(basis) > 1:
-            space.axpy(-betas[-1], basis[-2], w)
+        w = matvec(v)
+        first = 0 if reorthogonalize else max(n_iter - 2, 0)
+        alphas.append(float(np.real(space.project(block, w, first)[-1])))
         if reorthogonalize:
-            for _ in range(2):
-                for u in basis:
-                    overlap = space.dot(u, w)
-                    if overlap != 0.0:
-                        space.axpy(-overlap, u, w)
+            space.project(block, w)
         beta = space.norm(w)
 
         m = len(alphas)
@@ -207,7 +204,7 @@ def lanczos(
             break
         betas.append(float(beta))
         space.scale(1.0 / beta, w)
-        basis.append(w)
+        v = space.push(block, w)
         if checkpoint_dir is not None and n_iter % checkpoint_every == 0:
             # Snapshot point invariant: after n_iter completed iterations
             # there are n_iter alphas, n_iter betas, and n_iter+1 basis
@@ -220,7 +217,7 @@ def lanczos(
                     "betas": np.asarray(betas),
                 },
                 meta={"solver": "lanczos", "k": k, "tol": tol},
-                vectors=basis,
+                vectors=[space.row(block, j) for j in range(n_iter + 1)],
                 space=space,
                 keep=checkpoint_keep,
             )
@@ -244,12 +241,7 @@ def lanczos(
         evals, evecs = eigh_tridiagonal(
             np.asarray(alphas), np.asarray(betas[: m - 1])
         )
-        eigenvectors = []
-        for j in range(k):
-            vec = space.zeros_like(v0)
-            for coeff, u in zip(evecs[:, j], basis):
-                space.axpy(coeff, u, vec)
-            eigenvectors.append(vec)
+        eigenvectors = [space.combine(block, evecs[:, j]) for j in range(k)]
     return LanczosResult(
         eigenvalues=np.asarray(eigenvalues),
         eigenvectors=eigenvectors,
@@ -271,8 +263,8 @@ def lanczos_distributed(
     """Run Lanczos on a :class:`~repro.distributed.operator.DistributedOperator`.
 
     Returns ``(result, simulated_seconds)`` where the time covers all
-    matvecs plus the dot-product allreduces — i.e. the full simulated cost
-    of the eigensolve on the cluster.
+    matvecs plus the reductions (one allreduce per projection and per
+    norm) — i.e. the full simulated cost of the eigensolve on the cluster.
     """
     from repro.distributed.vector import (
         DistributedVector,

@@ -92,30 +92,23 @@ def spectral_function(
         return SpectralFunction(
             poles=np.empty(0), weights=np.empty(0)
         )
-    v = space.copy(seed)
+    block = space.block([seed])
+    v = space.row(block, 0)
     space.scale(1.0 / norm, v)
-    basis = [v]
     alphas: list[float] = []
     betas: list[float] = []
     for _ in range(krylov_dim):
-        w = matvec(basis[-1])
-        alpha = space.dot(basis[-1], w)
-        alphas.append(float(np.real(alpha)))
-        space.axpy(-alpha, basis[-1], w)
-        if len(basis) > 1:
-            space.axpy(-betas[-1], basis[-2], w)
+        w = matvec(v)
         # Full reorthogonalization: spectral weights are first-row
         # components, which ghost states would corrupt.
-        for u in basis:
-            overlap = space.dot(u, w)
-            if overlap != 0.0:
-                space.axpy(-overlap, u, w)
+        alphas.append(float(np.real(space.project(block, w)[-1])))
+        space.project(block, w)  # twice: an exhausted space leaves beta ~ 0
         beta = space.norm(w)
         if beta <= 1e-14:
             break
         betas.append(float(beta))
         space.scale(1.0 / beta, w)
-        basis.append(w)
+        v = space.push(block, w)
 
     m = len(alphas)
     evals, evecs = eigh_tridiagonal(

@@ -26,6 +26,9 @@ from repro.telemetry.context import current as current_telemetry
 
 __all__ = ["Operator", "SerialChunk"]
 
+#: Plan key of the consolidated matrix (the batches are keyed ``(start,)``).
+MATRIX_KEY = ("matrix",)
+
 #: The default batch holds as many sources as can generate at most this many
 #: raw output states (the serial analogue of the paper's getManyRows
 #: chunking).  A Heisenberg model at zero magnetization emits a quarter of
@@ -43,9 +46,9 @@ class SerialChunk:
 
     Holds the iteration-invariant ``(sources, rows, amplitudes)`` triple
     recorded by ``getManyRows`` + ``stateToIndex``, ``sources`` as absolute
-    basis positions: the 1-D replay is gather → multiply → ``np.add.at`` in
-    the recorded element order, so warm single-vector results stay
-    bit-identical to the cold pass.
+    basis positions: the replay is gather → multiply → ``np.add.at`` in the
+    recorded element order, until :meth:`Operator._consolidate` folds every
+    batch into one matrix with that same order.
     """
 
     __slots__ = ("sources", "rows", "amplitudes")
@@ -59,15 +62,6 @@ class SerialChunk:
         self.sources = sources
         self.rows = rows
         self.amplitudes = amplitudes
-
-    def scatter_matrix(self, dim: int, start: int, count: int):
-        """The batch ``[start, start + count)`` as a ``(dim, count)`` CSR
-        column block of the operator (duplicate ``(row, source)`` pairs are
-        summed, matching the scatter-add)."""
-        return sp.csr_matrix(
-            (self.amplitudes, (self.rows, self.sources - start)),
-            shape=(dim, count),
-        )
 
 
 class Operator:
@@ -93,7 +87,8 @@ class Operator:
         matvecs (see :class:`~repro.operators.plan.MatvecPlan`).  ``True``
         builds a plan with the default memory budget; pass a
         :class:`MatvecPlan` to control (or share) the budget, or ``False``
-        to recompute everything every call.
+        to recompute everything every call.  A replay equals the recording
+        pass bit for bit on real arithmetic, to 1e-14 relative on complex.
     """
 
     def __init__(
@@ -126,14 +121,9 @@ class Operator:
         else:
             self.plan = plan
         self._diagonal: np.ndarray | None = None
-        # Block replay: the off-diagonal part as one (dim, dim) CSR, put
-        # together from the column blocks of a block pass whose every batch
-        # the plan kept (half the plan's bytes again, outside its budget).
-        self._scatter = None
 
     def invalidate_plan(self) -> None:
         """Drop all cached matvec data (keeps the plan enabled)."""
-        self._scatter = None
         if self.plan is not None:
             self.plan.invalidate()
 
@@ -175,19 +165,15 @@ class Operator:
 
         With a :attr:`plan`, the first call over each batch caches the
         ``(sources, rows, amplitudes)`` triple — the output of
-        ``getManyRows`` plus the ``stateToIndex`` searches — and later
-        calls replay it: one gather, one multiply, one scatter-add.
+        ``getManyRows`` plus the ``stateToIndex`` searches — and the next
+        call folds the batches into one CSR matrix (:meth:`_consolidate`):
+        every later product, single vector or block, is ``matrix @ x``.
 
-        A block input computes all ``k`` columns in one pass: the
-        generation and ranking happen once per batch (or are replayed from
-        the plan), and the scatter runs as CSR SpMM, which shares every
-        index load across the ``k`` columns — one column block per batch
-        (:meth:`SerialChunk.scatter_matrix`) on the first block pass, one
-        ``(dim, dim)`` product on every later one when the plan holds all
-        batches; the measured per-column cost at ``k=8`` is well under half
-        the single-vector path.  A plan recorded under a single vector
-        replays against a block (and vice versa); the result dtype follows
-        NumPy promotion of the operator's dtype with the input's.
+        A block input computes all ``k`` columns in one pass, so generation
+        and ranking happen once per batch for the whole block.  A plan
+        recorded under a single vector replays against a block (and vice
+        versa); the result dtype follows NumPy promotion of the operator's
+        dtype with the input's.
         """
         x = np.asarray(x)
         if x.ndim not in (1, 2) or x.shape[0] != self.dim:
@@ -198,12 +184,13 @@ class Operator:
         k = 1 if x.ndim == 1 else int(x.shape[1])
         metrics = current_telemetry().metrics
         t0 = perf_counter() if metrics.enabled else 0.0
-        dtype = np.promote_types(self.dtype, x.dtype)
-        diag = self.diagonal().astype(dtype)
-        y = (diag if x.ndim == 1 else diag[:, None]) * x
-        if x.ndim == 2 and self._scatter is not None:
-            y += self._scatter @ x
+        matrix = self._consolidate()
+        if matrix is not None:
+            y = matrix @ x
         else:
+            dtype = np.promote_types(self.dtype, x.dtype)
+            diag = self.diagonal().astype(dtype)
+            y = (diag if x.ndim == 1 else diag[:, None]) * x
             self._generate_and_scatter(x, y)
         if metrics.enabled:
             metrics.gauge("matvec.block_width").set(float(k))
@@ -214,11 +201,62 @@ class Operator:
             )
         return y
 
+    def _consolidate(self):
+        """The operator as one CSR matrix, once the plan holds every batch (so
+        never during the recording pass) and if its budget admits it, else ``None``.
+
+        Row ``r`` holds the diagonal element, then the off-diagonal ones in the
+        order the batches recorded them, columns unsorted and duplicates kept:
+        SciPy's ``csr_matvec`` adds a row's entries in stored order starting
+        from zero, which is ``diag * x`` followed by the batches' ``np.add.at``.
+        The matrix takes the batches' place in the plan (:data:`MATRIX_KEY`).
+        """
+        plan = self.plan
+        if plan is None:
+            return None
+        if MATRIX_KEY in plan:
+            return plan.get(MATRIX_KEY)
+        keys = [(start,) for start in range(0, self.dim, self.batch_size)]
+        if not keys or not all(key in plan for key in keys):
+            return None
+        dim = self.dim
+        nnz = dim + sum(plan.peek(key).rows.size for key in keys)
+        index = np.dtype(np.int32 if nnz < 2**31 else np.int64)
+        nbytes = nnz * (self.dtype.itemsize + index.itemsize)
+        if nbytes + (dim + 1) * index.itemsize > plan.capacity_bytes:
+            return None  # the plan would turn it away: keep the batches
+        lengths = np.ones(dim, dtype=np.int64)  # the diagonal element
+        for key in keys:
+            lengths += np.bincount(plan.get(key).rows, minlength=dim)
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        indices, data = np.empty(nnz, dtype=index), np.empty(nnz, dtype=self.dtype)
+        indices[indptr[:-1]], data[indptr[:-1]] = np.arange(dim), self.diagonal()
+        cursor = indptr[:-1] + 1
+        for key in keys:
+            # Batch by batch, each leaving the plan as it is placed: the
+            # triples and the matrix are never whole in memory together.
+            chunk = plan.pop(key)
+            coo = sp.coo_matrix(
+                (chunk.amplitudes, (chunk.rows, chunk.sources)), shape=self.shape
+            )
+            # Stops ``tocsr`` after its stable counting pass by row, before
+            # it would sort each row and sum the duplicates.
+            coo.has_canonical_format = True
+            part = coo.tocsr()
+            assert part.nnz == chunk.rows.size, "tocsr summed duplicates"
+            counts = np.diff(part.indptr)
+            to = np.repeat(cursor - part.indptr[:-1], counts) + np.arange(part.nnz)
+            indices[to], data[to] = part.indices, part.data
+            cursor += counts
+        matrix = sp.csr_matrix((data, indices, indptr.astype(index)), shape=self.shape)
+        plan.put(MATRIX_KEY, matrix)
+        return matrix
+
     def _generate_and_scatter(self, x: np.ndarray, y: np.ndarray) -> None:
         """Add the off-diagonal part of ``H x`` to ``y``, batch by batch."""
         states = self.basis.states
         scale = self.basis.source_scale
-        blocks: list | None = [] if x.ndim == 2 and self.plan is not None else None
+        columns, out = np.atleast_2d(x.T).T, np.atleast_2d(y.T).T
         for start in range(0, states.size, self.batch_size):
             entry = None if self.plan is None else self.plan.get((start,))
             if entry is None:
@@ -231,30 +269,20 @@ class Operator:
                 sources, members, amplitudes = get_many_rows(
                     self.compiled, self.basis, alphas, batch_scale
                 )
-                rows = (
-                    self.basis.index(members)
-                    if sources.size
-                    else np.empty(0, dtype=np.int64)
-                )
+                rows = self.basis.index(members) if sources.size else members
                 entry = SerialChunk(start + sources, rows, amplitudes)
                 if self.plan is not None:
-                    # Empty batches are cached too: replay then skips the
-                    # whole getManyRows call, not just the scatter.
-                    self.plan.put((start,), entry)
-            if x.ndim == 1:
-                if entry.sources.size:
-                    np.add.at(y, entry.rows, entry.amplitudes * x[entry.sources])
-                continue
-            count = min(self.batch_size, states.size - start)
-            scatter = entry.scatter_matrix(self.dim, start, count)
-            if entry.sources.size:
-                y += scatter @ x[start : start + count]
-            if blocks is not None and (start,) in self.plan:
-                blocks.append(scatter)
-            else:  # a batch the plan's budget turned away ends the collection
-                blocks = None
-        if blocks:
-            self._scatter = sp.hstack(blocks, format="csr")
+                    # Empty batches are cached too (replay then skips the
+                    # whole getManyRows call), all with 32-bit positions where
+                    # the basis allows: a third off the plan, and the matrix's.
+                    narrow = np.int32 if self.dim < 2**31 else np.int64
+                    kept = entry.sources.astype(narrow), rows.astype(narrow)
+                    self.plan.put((start,), SerialChunk(*kept, amplitudes))
+            # Column by column: a block adds its elements in the order a
+            # single vector does (and the consolidated matrix will).
+            for j, column in enumerate(columns.T):
+                values = entry.amplitudes * column[entry.sources]
+                np.add.at(out[:, j], entry.rows, values)
 
     def __matmul__(self, x):
         if isinstance(x, np.ndarray):

@@ -7,11 +7,13 @@ destination states, the matrix-element amplitudes, the symmetry projection,
 and the ``stateToIndex`` binary searches — is therefore iteration-invariant.
 :class:`MatvecPlan` caches those triples the first time a chunk is
 processed and replays them on every subsequent matvec, reducing the hot
-loop to a gather, a multiply, and a scatter-add.  Replays are width- and
-dtype-agnostic: a chunk recorded under a real single-vector matvec replays
-against a complex input or a ``(dim, k)`` block unchanged (the cached
-amplitudes broadcast across columns and NumPy promotion sets the output
-dtype), so one plan serves an entire mixed single/block Krylov workload.
+loop to a gather, a multiply, and a scatter-add (one CSR product, once the
+serial operator holds every chunk: ``Operator._consolidate``).  Replays
+equal the recording pass bit for bit on real arithmetic and to 1e-14
+relative on complex, and are width- and dtype-agnostic: a chunk recorded
+under a real single-vector matvec replays against a complex input or a
+``(dim, k)`` block unchanged (NumPy promotion sets the output dtype), so
+one plan serves an entire mixed single/block Krylov workload.
 
 The cache is memory-bounded: entries are accounted in bytes and evicted in
 least-recently-used order once the budget (by default
@@ -21,8 +23,9 @@ Hits, misses, and evictions are reported through the ambient
 :mod:`repro.telemetry` registry as ``plan.hits`` / ``plan.misses`` /
 ``plan.evictions`` counters and the ``plan.bytes`` gauge.
 
-Keys are caller-chosen tuples: the serial operator uses ``(start,)`` and
-the distributed matvec variants use ``(locale, start)`` for a produced
+Keys are caller-chosen tuples: the serial operator uses ``(start,)`` for a
+batch and ``("matrix",)`` for the matrix that replaces them, and the
+distributed matvec variants use ``(locale, start)`` for a produced
 chunk and ``(locale, "diag")`` for a locale's diagonal matrix elements, so
 one plan can serve a whole distributed operator.
 """
@@ -45,23 +48,17 @@ def _entry_nbytes(entry: object) -> int:
     """Total bytes of the NumPy arrays reachable from a cache entry.
 
     Entries are a bare array, tuples/lists of arrays, or objects exposing
-    arrays as attributes (e.g. ``ProducedChunk``); non-array fields are free.
+    arrays as attributes (``ProducedChunk``, a CSR matrix); the rest is free.
     """
     if isinstance(entry, np.ndarray):
         return int(entry.nbytes)
-    arrays: list[np.ndarray] = []
     if isinstance(entry, (tuple, list)):
         candidates = entry
     else:
-        slots = getattr(entry, "__slots__", None)
-        if slots is not None:
-            candidates = [getattr(entry, name, None) for name in slots]
-        else:
-            candidates = list(vars(entry).values())
-    for value in candidates:
-        if isinstance(value, np.ndarray):
-            arrays.append(value)
-    return int(sum(a.nbytes for a in arrays))
+        candidates = [
+            getattr(entry, name, None) for name in getattr(entry, "__slots__", ())
+        ] + list(getattr(entry, "__dict__", {}).values())
+    return int(sum(v.nbytes for v in candidates if isinstance(v, np.ndarray)))
 
 
 class MatvecPlan:
@@ -150,6 +147,17 @@ class MatvecPlan:
             self._nbytes_by_key[key] = nbytes
             self._bytes += nbytes
             metrics.gauge("plan.bytes").set(float(self._bytes))
+
+    def peek(self, key: Hashable):
+        """The entry for ``key`` or ``None``: no hit, no miss, no LRU touch."""
+        return self._entries.get(key)
+
+    def pop(self, key: Hashable):
+        """Remove and return the entry for ``key`` (``None`` if absent)."""
+        with self._lock:
+            self._bytes -= self._nbytes_by_key.pop(key, 0)
+            current_telemetry().metrics.gauge("plan.bytes").set(float(self._bytes))
+            return self._entries.pop(key, None)
 
     def invalidate(self) -> None:
         """Drop every cached entry (e.g. after the operator changed)."""

@@ -89,3 +89,11 @@ class TestEdgeCases:
         y = expm_krylov(operator.matvec, x, scale=-0.01j, krylov_dim=8)
         y_ref = sla.expm(-0.01j * h) @ x
         assert np.allclose(y, y_ref, atol=1e-10)
+
+    def test_krylov_dim_beyond_the_sector_dimension(self, rng):
+        # dim 35 < krylov_dim: the basis stops growing at the dimension.
+        basis = SymmetricBasis(chain_symmetries(12, momentum=0), hamming_weight=6)
+        op = repro.Operator(repro.heisenberg_chain(12), basis)
+        x = rng.standard_normal(op.dim)
+        y = expm_krylov(op.matvec, x, scale=-0.9j, krylov_dim=100)
+        assert np.allclose(y, sla.expm(-0.9j * op.to_dense()) @ x, atol=1e-12)

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import repro
-from repro.basis import SpinBasis
+from repro.basis import SpinBasis, SymmetricBasis
 from repro.linalg import ftlm_thermal
+from repro.linalg.ftlm import _lanczos_spectrum
+from repro.linalg.spaces import NumpyVectorSpace
+from repro.symmetry import chain_symmetries
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +89,46 @@ class TestAgainstExactThermal:
             seed=3,
         )
         assert est.energy[0] == pytest.approx(evals[0], abs=1e-3)
+
+
+class TestKrylovSpaceExhausted:
+    """A sector smaller than ``krylov_dim``: ordinary in a loop over momenta.
+    The factorization has to stop at the sector's dimension instead of
+    carrying on with normalized rounding noise."""
+
+    @pytest.fixture(scope="class")
+    def sector(self):
+        basis = SymmetricBasis(chain_symmetries(12, momentum=0), hamming_weight=6)
+        op = repro.Operator(repro.heisenberg_chain(12), basis)
+        return op, np.linalg.eigvalsh(op.to_dense())
+
+    @pytest.mark.parametrize("krylov_dim", [36, 60, 100])
+    def test_ritz_values_are_the_spectrum(self, sector, rng, krylov_dim):
+        op, evals = sector
+        assert op.dim == 35
+        ritz, weights, final_beta = _lanczos_spectrum(
+            op.matvec, rng.standard_normal(op.dim), krylov_dim, NumpyVectorSpace()
+        )
+        assert ritz.size <= op.dim
+        assert ritz.min() == pytest.approx(evals[0], abs=1e-10)
+        assert ritz.max() <= evals[-1] + 1e-10
+        assert weights.sum() == pytest.approx(1.0, abs=1e-10)
+        assert final_beta <= 1e-12
+
+    @pytest.mark.parametrize("krylov_dim", [60, 100])
+    def test_thermal_energy_independent_of_krylov_dim(self, sector, krylov_dim):
+        op, evals = sector
+        temperatures = np.array([0.2, 1.0])
+        kwargs = dict(n_samples=10, seed=0, block_size=1)
+        full = ftlm_thermal(
+            op.matvec, np.zeros(op.dim), temperatures, krylov_dim=op.dim, **kwargs
+        )
+        est = ftlm_thermal(
+            op.matvec, np.zeros(op.dim), temperatures, krylov_dim=krylov_dim, **kwargs
+        )
+        assert np.all(np.isfinite(est.partition_function))
+        assert est.energy == pytest.approx(full.energy, abs=1e-9)
+        assert est.energy[0] == pytest.approx(exact_energy(evals, 0.2), abs=0.05)
 
 
 class TestInterface:

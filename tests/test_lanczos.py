@@ -175,3 +175,159 @@ class TestDistributed:
         dop = repro.DistributedOperator(repro.heisenberg_chain(10), dbasis)
         res, _ = lanczos_distributed(dop, k=1, tol=1e-10)
         assert res.eigenvalues[0] == pytest.approx(ref, abs=1e-8)
+
+
+class Forwarding:
+    """A proxy that forwards every attribute to the space it wraps — what
+    ``benchmarks/e2e/layers.py::TracedSpace`` is — and keeps the blocks the
+    solver asked for."""
+
+    def __init__(self, space) -> None:
+        self._space = space
+        self.blocks: list = []
+
+    def __getattr__(self, name: str):
+        attr = getattr(self._space, name)
+        if not callable(attr):
+            return attr
+
+        def call(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            if name == "block":
+                self.blocks.append(out)
+            return out
+
+        return call
+
+
+def gram_defect(space, block, m: int) -> float:
+    """``max |V†V - I|`` over the first ``m`` rows of a Krylov block."""
+    rows = [space.row(block, j) for j in range(m)]
+    gram = np.array([[space.dot(u, v) for v in rows] for u in rows])
+    return float(np.abs(gram - np.eye(m)).max())
+
+
+def sector(n: int, momentum: int, real: bool):
+    """(expression, basis template) of a real or a complex chain sector."""
+    group = (
+        chain_symmetries(n, momentum=0, parity=0, inversion=0)
+        if real
+        else chain_symmetries(n, momentum, None, None)
+    )
+    return repro.heisenberg_chain(n), group
+
+
+class TestKrylovBlock:
+    @pytest.mark.parametrize(
+        "real_sector, real_v0", [(True, True), (False, False), (False, True)]
+    )
+    def test_numpy_basis_orthonormal_after_convergence(
+        self, rng, real_sector, real_v0
+    ):
+        expr, group = sector(14, 3, real_sector)
+        op = repro.Operator(expr, SymmetricBasis(group, hamming_weight=7))
+        v0 = rng.standard_normal(op.dim)
+        if not real_v0:
+            v0 = v0 + 1j * rng.standard_normal(op.dim)
+        space = Forwarding(repro.linalg.NumpyVectorSpace())
+        res = lanczos(op, v0, k=2, tol=1e-12, space=space)
+        assert res.converged
+        (block,) = space.blocks
+        assert block.arrays[0].dtype == op.dtype
+        assert gram_defect(space, block, res.n_iterations) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "backend, n_locales", [("sim", 1), ("sim", 3), ("sim", 4), ("threads", 2)]
+    )
+    @pytest.mark.parametrize("real_sector", [True, False])
+    def test_distributed_basis_orthonormal_after_convergence(
+        self, backend, n_locales, real_sector
+    ):
+        expr, group = sector(12, 2, real_sector)
+        cluster = repro.Cluster(
+            n_locales, repro.laptop_machine(cores=2), backend=backend
+        )
+        dbasis = repro.DistributedBasis.from_template(
+            cluster, SymmetricBasis(group, hamming_weight=6, build=False)
+        )
+        dop = repro.DistributedOperator(expr, dbasis)
+        space = Forwarding(repro.DistributedVectorSpace(dbasis))
+        # A real start vector: on the complex sector the block turns
+        # complex with the first matvec result.
+        v0 = repro.DistributedVector.full_random(dbasis, seed=5, dtype=float)
+        res = lanczos(dop, v0, k=1, tol=1e-11, space=space)
+        assert res.converged
+        (block,) = space.blocks
+        assert len(block.arrays) == n_locales
+        assert block.arrays[0].dtype == dop.dtype
+        assert gram_defect(space, block, res.n_iterations) <= 1e-12
+
+    def test_forwarding_proxy_runs_the_same_path(self, operator, rng):
+        v0 = rng.standard_normal(operator.dim)
+        direct = lanczos(operator, v0, k=2, tol=1e-12)
+        proxied = lanczos(
+            operator,
+            v0,
+            k=2,
+            tol=1e-12,
+            space=Forwarding(repro.linalg.NumpyVectorSpace()),
+        )
+        assert proxied.n_iterations == direct.n_iterations
+        np.testing.assert_array_equal(proxied.alphas, direct.alphas)
+        np.testing.assert_array_equal(proxied.betas, direct.betas)
+        np.testing.assert_array_equal(proxied.eigenvalues, direct.eigenvalues)
+
+    def test_block_grows_without_changing_the_result(self, monkeypatch):
+        from repro.linalg import spaces
+
+        diag = np.concatenate([[-10.0], np.linspace(0, 1, 399)])
+        v0 = np.random.default_rng(0).standard_normal(400)
+
+        def solve():
+            space = Forwarding(spaces.NumpyVectorSpace())
+            res = lanczos(
+                lambda v: diag * v, v0, k=2, tol=1e-12, max_iter=250,
+                space=space, compute_eigenvectors=True,
+            )
+            return res, space.blocks[0]
+
+        grown, block = solve()
+        assert grown.n_iterations > spaces.BLOCK_ROWS
+        assert len(block.arrays[0]) >= 2 * spaces.BLOCK_ROWS
+        monkeypatch.setattr(spaces, "BLOCK_ROWS", 512)
+        roomy, block = solve()
+        assert len(block.arrays[0]) == 512
+        assert grown.n_iterations == roomy.n_iterations
+        np.testing.assert_array_equal(grown.alphas, roomy.alphas)
+        np.testing.assert_array_equal(grown.betas, roomy.betas)
+        for u, v in zip(grown.eigenvectors, roomy.eigenvectors):
+            np.testing.assert_array_equal(u, v)
+
+
+class TestComplexSectorRealStart:
+    """Both failed before the Krylov block: a real ``v0`` on a complex
+    momentum sector."""
+
+    def test_dot_keeps_the_imaginary_part_of_either_operand(self):
+        space = repro.linalg.NumpyVectorSpace()
+        x, y = np.array([1.0, 2.0]), np.array([1j, 1 + 2j])
+        assert space.dot(x, y) == np.vdot(x, y) == 2 + 5j
+        assert space.dot(y, x) == np.vdot(y, x) == 2 - 5j
+        assert isinstance(space.dot(x, x), float)
+
+    def test_eigenvectors_from_a_real_start_vector(self, rng):
+        basis = SymmetricBasis(
+            chain_symmetries(16, 3, None, None), hamming_weight=8
+        )
+        op = repro.Operator(repro.heisenberg_chain(16), basis)
+        assert op.dtype == np.complex128
+        res = lanczos(
+            op, rng.standard_normal(op.dim), k=1, tol=1e-12,
+            compute_eigenvectors=True,
+        )
+        (vector,) = res.eigenvectors
+        assert vector.dtype == np.complex128
+        residual = op.matvec(vector) - res.eigenvalues[0] * vector
+        assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(vector)
+        reference = spla.eigsh(op.to_sparse(), k=1, which="SA")[0][0]
+        assert res.eigenvalues[0] == pytest.approx(reference, abs=1e-9)

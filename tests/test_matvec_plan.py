@@ -176,13 +176,195 @@ class TestSerialBatchRule:
         np.testing.assert_array_equal(op.matvec(x), y_recorded)
         cold = repro.Operator(wide_expr, wide_basis, plan=False)
         np.testing.assert_array_equal(cold.matvec(x), y_recorded)
-        # a block replays through the one (dim, dim) scatter, twice alike
+        # a block replays through the consolidated matrix, twice alike
         block = rng.standard_normal((op.dim, 4))
         first, second = op.matvec(block), op.matvec(block)
-        np.testing.assert_allclose(second, first, rtol=1e-12, atol=1e-13)
+        np.testing.assert_array_equal(second, first)
         np.testing.assert_allclose(
             first, cold.to_sparse() @ block, rtol=1e-12, atol=1e-12
         )
+
+
+class TestConsolidatedReplay:
+    """The first replay that finds every batch in the plan folds them into
+    one CSR matrix in recorded order: bit-for-bit the recording pass on
+    real arithmetic, 1e-14 relative on complex."""
+
+    @pytest.fixture(scope="class")
+    def sector(self):
+        # Real, no magnetization constraint: the two polarized states emit
+        # nothing (empty batches at batch_size=1) and symmetry-related
+        # images collide on one (row, source) pair (duplicates).
+        basis = SymmetricBasis(
+            chain_symmetries(10, 0, 0, None), hamming_weight=None
+        )
+        return repro.heisenberg_chain(10), basis
+
+    @staticmethod
+    def batch_keys(op):
+        return [(start,) for start in range(0, op.dim, op.batch_size)]
+
+    @pytest.mark.parametrize("batch_size", [1, 7, None, 78])
+    def test_replay_is_the_recording_pass_bit_for_bit(
+        self, sector, rng, batch_size
+    ):
+        expr, basis = sector
+        op = repro.Operator(expr, basis, batch_size=batch_size)
+        cold = repro.Operator(expr, basis, batch_size=batch_size, plan=False)
+        x = rng.standard_normal(op.dim)
+        recorded = op.matvec(x)
+        keys = self.batch_keys(op)
+        chunks = [op.plan.get(key) for key in keys]
+        assert op.plan.n_entries == len(keys) == -(-op.dim // op.batch_size)
+        if batch_size == 1:
+            assert any(chunk.rows.size == 0 for chunk in chunks)
+        pairs = [
+            pair
+            for chunk in chunks
+            for pair in zip(chunk.rows.tolist(), chunk.sources.tolist())
+        ]
+        assert len(set(pairs)) < len(pairs)
+        assert op.plan.nbytes == 16 * len(pairs)  # 32-bit positions
+        for _ in range(2):  # the consolidating replay, then a plain one
+            np.testing.assert_array_equal(op.matvec(x), recorded)
+            assert op.plan.n_entries == 1
+        np.testing.assert_array_equal(cold.matvec(x), recorded)
+        # the matrix is accounted at its real size: duplicates kept, the
+        # diagonal in, 12 B per element plus the row pointers
+        matrix = op.plan.get(("matrix",))
+        assert matrix.nnz == op.dim + len(pairs)
+        assert op.plan.nbytes == 12 * matrix.nnz + 4 * (op.dim + 1)
+        op.invalidate_plan()
+        assert op.plan.n_entries == 0
+        np.testing.assert_array_equal(op.matvec(x), recorded)
+        assert all(key in op.plan for key in keys)
+        assert op.plan.n_entries == len(keys)
+
+    def test_block_passes_agree_bit_for_bit(self, sector, rng):
+        expr, basis = sector
+        op = repro.Operator(expr, basis, batch_size=7)
+        cold = repro.Operator(expr, basis, batch_size=7, plan=False)
+        block = rng.standard_normal((op.dim, 8))
+        recorded = op.matvec(block)
+        np.testing.assert_array_equal(op.matvec(block), recorded)
+        np.testing.assert_array_equal(cold.matvec(block), recorded)
+        for j in range(8):  # a column alone adds in the same order
+            np.testing.assert_array_equal(op.matvec(block[:, j]), recorded[:, j])
+
+    def test_budget_too_small_for_all_batches_never_consolidates(
+        self, sector, rng
+    ):
+        expr, basis = sector
+        full = repro.Operator(expr, basis, batch_size=7)
+        x = rng.standard_normal(full.dim)
+        recorded = full.matvec(x)
+        budget = full.plan.nbytes - 1
+        op = repro.Operator(
+            expr, basis, batch_size=7, plan=MatvecPlan(capacity_bytes=budget)
+        )
+        for _ in range(3):
+            np.testing.assert_array_equal(op.matvec(x), recorded)
+            assert ("matrix",) not in op.plan
+            assert 0 < op.plan.n_entries < len(self.batch_keys(op))
+
+    def test_room_for_the_batches_but_not_for_the_matrix(self, rng):
+        # One bond on 12 sites: 0.27 off-diagonal elements per row, so the
+        # matrix (a diagonal element and a row pointer for every row) is
+        # larger than the batches.  The batches have to stay and replay.
+        basis = SpinBasis(12, hamming_weight=6)
+        expr = repro.spin_plus(0) * repro.spin_minus(1)
+        expr = expr + repro.spin_minus(0) * repro.spin_plus(1)
+        probe = repro.Operator(expr, basis, batch_size=100)
+        x = rng.standard_normal(probe.dim)
+        recorded = probe.matvec(x)
+        budget = probe.plan.nbytes
+        nnz = budget // 16
+        assert 0 < nnz < 4 * probe.dim
+        assert 12 * (nnz + probe.dim) + 4 * (probe.dim + 1) > budget
+        op = repro.Operator(
+            expr, basis, batch_size=100, plan=MatvecPlan(capacity_bytes=budget)
+        )
+        keys = self.batch_keys(op)
+        tele = telemetry.Telemetry.enabled(trace=False)
+        with telemetry.use(tele):
+            for _ in range(4):
+                np.testing.assert_array_equal(op.matvec(x), recorded)
+                assert ("matrix",) not in op.plan
+                assert op.plan.n_entries == len(keys)
+                assert op.plan.nbytes == budget
+        # one recording pass, three per-batch replays, nothing turned away
+        assert tele.metrics.counter_total("plan.misses") == len(keys)
+        assert tele.metrics.counter_total("plan.hits") == 3 * len(keys)
+        assert tele.metrics.counter_total("plan.rejected") == 0
+        assert tele.metrics.counter_total("plan.evictions") == 0
+        # one more byte of room is not enough either; room for the matrix is
+        for capacity, consolidated in [
+            (budget + 1, False),
+            (12 * (nnz + op.dim) + 4 * (op.dim + 1), True),
+        ]:
+            op = repro.Operator(
+                expr, basis, batch_size=100, plan=MatvecPlan(capacity_bytes=capacity)
+            )
+            for _ in range(3):
+                np.testing.assert_array_equal(op.matvec(x), recorded)
+            assert (("matrix",) in op.plan) == consolidated
+
+    def test_pop_keeps_the_bytes_gauge_current(self):
+        plan = MatvecPlan(capacity_bytes=1000)
+        tele = telemetry.Telemetry.enabled(trace=False)
+        with telemetry.use(tele):
+            plan.put(("a",), np.zeros(10))
+            plan.put(("b",), np.zeros(20))
+            assert plan.peek(("a",)) is plan.pop(("a",))
+            assert plan.peek(("a",)) is None and plan.pop(("a",)) is None
+        assert plan.nbytes == 160
+        assert tele.metrics.gauge("plan.bytes").value == 160.0
+        assert tele.metrics.counter_total("plan.hits") == 0
+        assert tele.metrics.counter_total("plan.misses") == 0
+
+    def test_mixed_dtypes_and_blocks_against_the_sparse_matrix(self, sector, rng):
+        expr, real_basis = sector
+        complex_basis = SymmetricBasis(
+            chain_symmetries(10, 3, None, None), hamming_weight=5
+        )
+        for basis, inputs in (
+            # real plan x complex vector, and blocks
+            (real_basis, (np.complex128, np.float64)),
+            # complex sector x real vector, and blocks
+            (complex_basis, (np.float64, np.complex128)),
+        ):
+            op = repro.Operator(expr, basis, batch_size=7)
+            matrix = op.to_sparse()
+            for dtype in inputs:
+                for shape in ((op.dim,), (op.dim, 8)):
+                    x = rng.standard_normal(shape).astype(dtype)
+                    if dtype is np.complex128:
+                        x = x + 1j * rng.standard_normal(shape)
+                    expected = matrix @ x
+                    for _ in range(3):  # record, consolidate, replay
+                        y = op.matvec(x)
+                        assert y.dtype == expected.dtype
+                        assert np.abs(y - expected).max() <= (
+                            1e-12 * np.abs(expected).max()
+                        )
+                    op.invalidate_plan()
+
+    def test_complex_replay_within_one_part_in_1e14(self, rng):
+        # Not bit-identical: NumPy's SIMD complex multiply fuses, SciPy's
+        # does not; the contract on complex arithmetic is 1e-14 relative.
+        basis = SymmetricBasis(
+            chain_symmetries(16, 3, None, None), hamming_weight=8
+        )
+        op = repro.Operator(repro.heisenberg_chain(16), basis)
+        for _ in range(5):
+            x = random_vector(basis, rng)
+            op.invalidate_plan()
+            recorded = op.matvec(x)
+            replayed = op.matvec(x)
+            assert ("matrix",) in op.plan
+            assert np.abs(replayed - recorded).max() <= (
+                1e-14 * np.abs(recorded).max()
+            )
 
 
 class TestPlanCachePolicy:

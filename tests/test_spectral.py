@@ -94,6 +94,22 @@ class TestInSymmetrySector:
         static = float(gs @ probe.to_dense() @ probe.to_dense() @ gs)
         assert sf.total_weight == pytest.approx(static, abs=1e-10)
 
+    def test_krylov_dim_beyond_the_sector_dimension(self, rng):
+        # dim 35 < krylov_dim: the recurrence must stop when the Krylov
+        # space is exhausted, not continue on rounding noise.
+        basis = SymmetricBasis(chain_symmetries(12, momentum=0), hamming_weight=6)
+        op = repro.Operator(repro.heisenberg_chain(12), basis)
+        evals, evecs = np.linalg.eigh(op.to_dense())
+        seed = rng.standard_normal(op.dim)
+        sf = spectral_function(op.matvec, seed, krylov_dim=100)
+        assert sf.poles.size <= op.dim
+        assert sf.poles.min() >= evals[0] - 1e-10
+        assert sf.poles.max() <= evals[-1] + 1e-10
+        assert sf.total_weight == pytest.approx(seed @ seed, rel=1e-12)
+        # First moment: sum_j w_j E_j = <seed|H|seed>.
+        moment = float(sf.weights @ sf.poles)
+        assert moment == pytest.approx(seed @ op.matvec(seed), abs=1e-9)
+
 
 class TestInterface:
     def test_zero_seed(self, system):
