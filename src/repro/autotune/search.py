@@ -32,12 +32,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import telemetry
-from repro.distributed.matvec_batched import matvec_batched
-from repro.distributed.matvec_naive import matvec_naive
 from repro.distributed.matvec_pc import (
     DEFAULT_CONSUMER_FRACTION,
     default_buffer_capacity,
-    matvec_producer_consumer,
+)
+from repro.distributed.operator import (
+    IMPLS,
+    KNOB_KEYS,
+    is_pipeline,
+    knob_keys,
 )
 from repro.distributed.vector import DistributedVector
 from repro.perfmodel.models import MatvecScalingModel
@@ -50,11 +53,7 @@ __all__ = [
     "measure_knobs",
     "method_kwargs",
     "seed_candidates_from_dir",
-    "KNOB_KEYS",
 ]
-
-#: Canonical knob names, in canonical (tie-breaking) order.
-KNOB_KEYS = ("batch_size", "consumer_fraction", "work_stealing")
 
 #: getManyRows batch sizes the measured stage tries (powers of two from
 #: small-message to the paper's default).
@@ -110,7 +109,7 @@ class OperatorWorkload:
 def default_knobs(method: str = "pc") -> dict:
     """The knob assignment an untuned operator runs with."""
     knobs = {"batch_size": 1 << 13}
-    if method in ("pc", "producer-consumer"):
+    if is_pipeline(method):
         knobs["consumer_fraction"] = DEFAULT_CONSUMER_FRACTION
         knobs["work_stealing"] = False
     return knobs
@@ -184,14 +183,6 @@ def batch_candidates(basis) -> list[int]:
     return sorted(set(out))
 
 
-IMPLS = {
-    "naive": matvec_naive,
-    "batched": matvec_batched,
-    "producer-consumer": matvec_producer_consumer,
-    "pc": matvec_producer_consumer,
-}
-
-
 def method_kwargs(knobs: dict, method: str, cluster) -> dict:
     """The keyword arguments a replay of ``knobs`` passes to ``method``.
 
@@ -201,10 +192,8 @@ def method_kwargs(knobs: dict, method: str, cluster) -> dict:
     ``cluster``'s backend, so the search times the schedule the operator
     will execute.
     """
-    pipeline = method in ("pc", "producer-consumer")
-    keys = KNOB_KEYS if pipeline else ("batch_size",)
-    kwargs = {k: knobs[k] for k in keys if k in knobs}
-    if pipeline:
+    kwargs = {k: knobs[k] for k in knob_keys(method) if k in knobs}
+    if is_pipeline(method):
         kwargs["buffer_capacity"] = default_buffer_capacity(cluster)
     return kwargs
 

@@ -26,8 +26,6 @@ from repro import telemetry
 from repro.autotune.cache import TuneCache
 from repro.autotune.fingerprint import workload_fingerprint
 from repro.autotune.search import (
-    IMPLS,
-    KNOB_KEYS,
     OperatorWorkload,
     batch_candidates,
     coarse_split_candidates,
@@ -36,6 +34,7 @@ from repro.autotune.search import (
     method_kwargs,
     seed_candidates_from_dir,
 )
+from repro.distributed.operator import IMPLS, KNOB_KEYS, is_pipeline
 from repro.perfmodel.models import MatvecScalingModel
 from repro.telemetry.context import current as current_telemetry
 
@@ -215,7 +214,7 @@ class Autotuner:
 
         # Stage 2b: model-pruned splits + work stealing at the winning
         # batch (stage 1 ran inside coarse_split_candidates).
-        if method in ("pc", "producer-consumer") and n_locales > 1:
+        if is_pipeline(method) and n_locales > 1:
             for split in coarse_split_candidates(
                 machine, workload, n_locales
             ):
@@ -328,7 +327,7 @@ class Autotuner:
         from repro.telemetry.analysis import calibrate_traces
         from repro.telemetry.context import Telemetry
 
-        if method not in ("pc", "producer-consumer"):
+        if not is_pipeline(method):
             return None
         sim_cluster = Cluster(
             basis.n_locales, machine=basis.cluster.machine, backend="sim"

@@ -17,38 +17,27 @@ consumption share cores, so their busy times add; communication overlaps
 compute (Chapel tasks yield while blocked on comm), so the elapsed time per
 locale is ``max(compute busy, NIC busy)``.
 
-Structure mirrors :mod:`repro.distributed.matvec_naive`: the data phase
-(one task per chunk: generate + partition + scatter-accumulate) runs
-through :meth:`~repro.runtime.executor.Executor.map` — in order on the
-``sim`` backend, concurrently on ``threads`` with a per-destination lock
-around the shared ``y`` accumulate — and the accounting phase replays the
-per-chunk summaries on the calling thread in the original order, keeping
-simulated numbers bit-identical to the pre-executor inline loop.
+Structure mirrors :mod:`repro.distributed.matvec_naive`:
+:class:`~repro.distributed.matvec_common.AnalyticMatvec` moves the real
+data and frames the report; this module is the accounting.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
 from repro.distributed.dist_basis import DistributedBasis
 from repro.distributed.matvec_common import (
-    apply_diagonal,
-    check_vectors,
-    consume,
+    AnalyticMatvec,
+    count_messages,
+    diagonal_seconds,
     extra_column_time,
     produce_chunk,
     wire_bytes,
 )
 from repro.distributed.vector import DistributedVector
-from repro.errors import FaultError
 from repro.operators.compile import CompiledOperator
-from repro.resilience.faults import ResilienceConfig
-from repro.runtime.clock import CostLedger, SimReport
-from repro.runtime.executor import get_executor
-from repro.telemetry.context import current as current_telemetry
-from repro.telemetry.jobs import attribute_report
+from repro.runtime.clock import SimReport
 
 __all__ = ["matvec_batched"]
 
@@ -80,90 +69,28 @@ def matvec_batched(
     raises :class:`~repro.errors.FaultError` (this variant is the
     fallback target of the producer-consumer pipeline, so its recovery
     semantics must be total short of a crash).  The fault model is
-    analytic (defined in simulated time), so on ``threads`` the recovery
-    costs land in ``extras["model_seconds"]`` and crashes are judged
-    against the *model* finish time, while ``report.elapsed`` stays
-    measured wall clock.
+    analytic on both backends, see
+    :class:`~repro.distributed.matvec_common.AnalyticMatvec`.
     """
-    y = check_vectors(basis, x, y)
+    run = AnalyticMatvec(op, basis, x, y, batch_size, plan, faults, resilience)
     machine = basis.cluster.machine
     net = machine.network
     n = basis.n_locales
     k = x.n_columns
-    ledger = CostLedger(n)
-    report = SimReport(ledger=ledger)
-    tele = current_telemetry()
-    metrics = tele.metrics
-    metrics.gauge("matvec.block_width").set(float(k))
-    trace = tele.trace if tele.trace.enabled else None
-
-    resilient = faults is not None or resilience is not None
-    if resilient and resilience is None:
-        resilience = ResilienceConfig()
-    crashes = faults.take_crashes() if faults is not None else {}
-    extra_nic = np.zeros(n)  # injected delays + retransmitted puts
-    extra_compute = np.zeros(n)  # checksums + duplicate-discard spawns
-    retry_wait = np.zeros(n)  # serialized detection-timeout windows
-
-    ex = get_executor(basis.cluster, trace=trace)
-    wall_start = time.perf_counter()
-    apply_diagonal(op, basis, x, y, plan)
-    compute_busy = np.zeros(n)  # generation + partition + consumption
+    report, ledger, metrics = run.report, run.report.ledger, run.metrics
+    trace, ex, resilience = run.trace, run.ex, run.resilience
+    extra_nic, extra_compute, retry_wait = (
+        run.extra_nic, run.extra_compute, run.retry_wait
+    )
+    # diagonal + generation + partition + consumption
+    compute_busy = np.array(diagonal_seconds(basis, k))
     nic_out = np.zeros(n)
     nic_in = np.zeros(n)
     pair_bytes = np.zeros((n, n), dtype=np.int64)
     pair_msgs = np.zeros((n, n), dtype=np.int64)
     pair_time = np.zeros((n, n))
-    for locale in range(n):
-        compute_busy[locale] += machine.compute_time(
-            machine.t_axpy, int(basis.counts[locale]) * k
-        )
 
-    # -- data phase ---------------------------------------------------------
-    # Named per-destination locks key the executor.lock_* contention
-    # histograms on the threads backend (no-op contexts on sim).
-    consume_locks = [ex.lock(f"consume{locale}") for locale in range(n)]
-    chunks = [
-        (locale, start, min(start + batch_size, int(basis.counts[locale])))
-        for locale in range(n)
-        for start in range(0, int(basis.counts[locale]), batch_size)
-    ]
-
-    def run_chunk(locale: int, start: int, stop: int):
-        t0 = time.perf_counter()
-        chunk = produce_chunk(
-            op, basis, locale, start, stop, x.parts[locale], plan
-        )
-        sizes = []
-        for dest in range(n):
-            betas, values = chunk.slice_for(dest)
-            if betas.size:
-                with consume_locks[dest]:
-                    consume(
-                        basis, dest, y.parts[dest], betas, values,
-                        chunk.rows_for(dest),
-                    )
-            sizes.append(int(betas.size))
-        return (
-            locale,
-            chunk.n_emitted,
-            int(chunk.betas.size),
-            sizes,
-            time.perf_counter() - t0,
-        )
-
-    summaries = ex.map(
-        [lambda a=c: run_chunk(*a) for c in chunks],
-        locales=[c[0] for c in chunks],
-    )
-
-    # -- accounting phase ---------------------------------------------------
-    # Original (locale, chunk, dest) order: metric increments and the
-    # seeded RNG draws of ``faults.message_fate`` replay in exactly the
-    # sequence of the pre-executor inline loop.
-    task_wall = np.zeros(n)
-    for locale, n_emitted, total_size, sizes, wall in summaries:
-        task_wall[locale] += wall
+    for locale, n_emitted, total_size, sizes in run.chunks(produce_chunk):
         gen = machine.compute_time(machine.t_generate, n_emitted)
         part = machine.compute_time(
             machine.t_partition + machine.t_hash, total_size
@@ -174,17 +101,12 @@ def matvec_batched(
             if size == 0:
                 continue
             nbytes = wire_bytes(size, k)
-            report.messages += 1
-            report.bytes_sent += nbytes
-            metrics.counter("matvec.messages", src=locale, dst=dest).inc()
-            metrics.counter(
-                "matvec.bytes", src=locale, dst=dest
-            ).inc(nbytes)
+            count_messages(report, metrics, locale, dest, 1, nbytes)
             metrics.histogram("matvec.buffer_elements").observe(size)
             pin = nbytes / PIN_BANDWIDTH  # fresh buffer every time
             pair_bytes[locale, dest] += nbytes
             pair_msgs[locale, dest] += 1
-            if resilient and resilience.checksums:
+            if resilience is not None and resilience.checksums:
                 crc = machine.checksum_time(nbytes)
                 extra_compute[locale] += crc
                 extra_compute[dest] += crc
@@ -197,30 +119,11 @@ def matvec_batched(
                 pair_time[locale, dest] += cost
                 if faults is not None:
                     fate = faults.message_fate(locale, dest)
-                    if fate.drop or fate.corrupt:
-                        # Detection timeout, then pay the put again.
-                        retry_wait[locale] += resilience.ack_timeout
-                        extra_nic[locale] += cost
-                        extra_nic[dest] += cost
-                        report.messages += 1
-                        report.bytes_sent += nbytes
-                        metrics.counter(
-                            "recovery.retransmits", src=locale, dst=dest
-                        ).inc()
-                        if fate.corrupt:
-                            metrics.counter(
-                                "recovery.checksum_rejects",
-                                src=locale, dst=dest,
-                            ).inc()
-                    if fate.duplicate:
-                        extra_compute[dest] += machine.compute_time(
-                            machine.task_spawn_overhead, 1
-                        )
-                        metrics.counter(
-                            "recovery.duplicates_discarded"
-                        ).inc()
-                    extra_nic[locale] += fate.extra_delay
-                    extra_nic[dest] += fate.extra_delay
+                    run.recover(
+                        locale, dest, int(fate.drop or fate.corrupt),
+                        int(fate.corrupt), int(fate.duplicate),
+                        fate.extra_delay, cost, nbytes,
+                    )
             spawn_and_search = (
                 machine.compute_time(machine.t_search_accum, size)
                 + machine.compute_time(machine.task_spawn_overhead, 1)
@@ -228,7 +131,6 @@ def matvec_batched(
             )
             compute_busy[dest] += spawn_and_search
             ledger.add("consume", dest, spawn_and_search)
-    data_wall = time.perf_counter() - wall_start
 
     slow = (
         np.array([faults.slowdown(locale) for locale in range(n)])
@@ -246,85 +148,28 @@ def matvec_batched(
             locale,
             float(max(nic_out[locale], nic_in[locale]) + extra_nic[locale]),
         )
-        if resilient:
+        if resilience is not None:
             ledger.add(
                 "recovery", locale, float(extra_compute[locale] + retry_wait[locale])
             )
         straggler_extra = float(compute_busy[locale] * (slow[locale] - 1.0))
         if straggler_extra > 0.0:
             ledger.add("straggler", locale, straggler_extra)
-    model_elapsed = float(per_locale.max()) if n else 0.0
-    report.elapsed = data_wall if ex.wall_clock else model_elapsed
-    if ex.wall_clock:
-        report.extras["model_seconds"] = model_elapsed
-        # The map-based data phase never goes through ex.run(): merge any
-        # buffered lock wait/hold metrics explicitly.
-        ex.finish()
-    report.merge_phase("matvec", report.elapsed)
-    report.extras["block_width"] = float(k)
-    report.extras["seconds_per_column"] = report.elapsed / k
-    if trace is not None:
-        if ex.wall_clock:
-            trace.mark_wall()
-            for locale in range(n):
-                if task_wall[locale] > 0.0:
-                    trace.complete(
-                        (f"locale{locale}", "worker0"),
-                        "matvec",
-                        0.0,
-                        float(task_wall[locale]),
-                    )
-            trace.advance(report.elapsed)
-        else:
-            # Chapel tasks yield while blocked on communication, so the cost
-            # model lets the NIC time overlap the compute time; the trace
-            # mirrors that with a busy compute span on the worker track and
-            # the per-destination puts serialized on the NIC track alongside
-            # it.
-            for locale in range(n):
-                process = f"locale{locale}"
-                if compute_busy[locale] > 0.0:
-                    trace.complete(
-                        (process, "worker0"), "compute", 0.0,
-                        compute_busy[locale],
-                    )
-                t = 0.0
-                for dest in range(n):
-                    if pair_msgs[locale, dest] == 0:
-                        continue
-                    duration = float(pair_time[locale, dest])
-                    trace.complete(
-                        (process, "net"),
-                        "send",
-                        t,
-                        duration,
-                        {
-                            "src": locale,
-                            "dst": dest,
-                            "bytes": int(pair_bytes[locale, dest]),
-                            "msgs": int(pair_msgs[locale, dest]),
-                        },
-                    )
-                    t += duration
-            trace.advance(report.elapsed)
-    if resilient:
-        report.extras["resilient"] = 1.0
-    if crashes:
-        victim = min(crashes, key=crashes.get)
-        at = crashes[victim]
-        # Judged against the analytic finish time on both backends: tying
-        # a seeded plan's fate to host wall clock would make chaos runs
-        # unreproducible on ``threads``.
-        if at < model_elapsed:
-            faults.record_crash(victim)
-            raise FaultError(
-                f"locale {victim} crashed at t={at:.3g} before the batched "
-                f"matvec finished (t={model_elapsed:.3g})"
+    if trace is not None and not ex.wall_clock:
+        # Chapel tasks yield while blocked on communication, so the cost
+        # model lets the NIC time overlap the compute time; the trace
+        # mirrors that with a busy compute span on the worker track and
+        # the per-destination puts serialized on the NIC track alongside
+        # it.
+        for locale in range(n):
+            process = f"locale{locale}"
+            if compute_busy[locale] > 0.0:
+                trace.complete(
+                    (process, "worker0"), "compute", 0.0,
+                    compute_busy[locale],
+                )
+            run.trace_sends(
+                locale, 0.0, pair_time[locale], pair_bytes[locale],
+                pair_msgs[locale],
             )
-    metrics.counter(
-        "wall.seconds" if ex.wall_clock else "sim.seconds", phase="matvec"
-    ).inc(report.elapsed)
-    attribute_report(report, "matvec.batched", x, y)
-    if metrics.enabled:
-        report.metrics = metrics.snapshot()
-    return y, report
+    return run.finish("batched", float(per_locale.max()))

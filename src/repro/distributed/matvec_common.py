@@ -22,6 +22,7 @@ instead of ``k`` full element payloads.
 
 from __future__ import annotations
 
+import time
 import zlib
 from dataclasses import dataclass
 
@@ -31,9 +32,14 @@ from repro.distributed.convert import counting_sort_order
 from repro.distributed.dist_basis import DistributedBasis
 from repro.distributed.hashing import locale_of
 from repro.distributed.vector import DistributedVector
-from repro.errors import DistributionError
+from repro.errors import ConfigError, DistributionError, FaultError
 from repro.operators.compile import CompiledOperator
 from repro.operators.kernels import get_many_rows
+from repro.resilience.faults import ResilienceConfig
+from repro.runtime.clock import CostLedger, SimReport
+from repro.runtime.executor import get_executor
+from repro.telemetry.context import current as current_telemetry
+from repro.telemetry.jobs import attribute_report
 
 __all__ = [
     "ProducedChunk",
@@ -104,7 +110,7 @@ def corrupted_copy(values: np.ndarray) -> np.ndarray:
     """A copy of ``values`` with one bit flipped (wire corruption).
 
     Used by fault injection: the corrupted copy travels on the wire while
-    the producer keeps the clean payload for the retransmit.
+    the producer keeps the payload as generated for the retransmit.
     """
     wire = np.array(values, copy=True)
     if wire.size:
@@ -302,6 +308,15 @@ def apply_diagonal(
     return total
 
 
+def diagonal_seconds(basis: DistributedBasis, k: int) -> list[float]:
+    """Modelled seconds of the diagonal's streaming multiply-add per locale."""
+    machine = basis.cluster.machine
+    return [
+        machine.compute_time(machine.t_axpy, int(count) * k)
+        for count in basis.counts
+    ]
+
+
 def check_vectors(
     basis: DistributedBasis, x: DistributedVector, y: DistributedVector | None
 ) -> DistributedVector:
@@ -318,6 +333,11 @@ def check_vectors(
             f"output vector has {y.n_columns} column(s), input has "
             f"{x.n_columns}"
         )
+    elif not np.can_cast(result_dtype(basis, x), y.dtype, casting="same_kind"):
+        raise DistributionError(
+            f"output vector of dtype {y.dtype} cannot hold the "
+            f"{result_dtype(basis, x)} result"
+        )
     else:
         y.fill(0)
     return y
@@ -325,3 +345,250 @@ def check_vectors(
 
 def result_dtype(basis: DistributedBasis, x: DistributedVector) -> np.dtype:
     return np.promote_types(basis.scalar_dtype, x.dtype)
+
+
+def require_positive(**knobs) -> None:
+    """Raise :class:`~repro.errors.ConfigError` unless every knob is an
+    integer >= 1 (a zero or negative step would silently skip the
+    off-diagonal work)."""
+    for name, value in knobs.items():
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def chunk_spans(count: int, batch_size: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of every ``batch_size``-row chunk of ``count`` local
+    source states."""
+    count = int(count)
+    return [
+        (start, min(start + batch_size, count))
+        for start in range(0, count, batch_size)
+    ]
+
+
+def count_messages(
+    report, metrics, src: int, dst: int, messages: int, nbytes: int,
+    retransmit: bool = False,
+) -> None:
+    """Book ``messages`` transfers ``src -> dst`` of ``nbytes`` in all;
+    retransmissions count on the wire but not as matvec traffic."""
+    report.messages += messages
+    report.bytes_sent += nbytes
+    if retransmit:
+        metrics.counter("recovery.retransmits", src=src, dst=dst).inc(messages)
+    else:
+        metrics.counter("matvec.messages", src=src, dst=dst).inc(messages)
+        metrics.counter("matvec.bytes", src=src, dst=dst).inc(nbytes)
+
+
+def begin_matvec(
+    basis: DistributedBasis, x: DistributedVector,
+    y: DistributedVector | None, batch_size: int, faults, resilience,
+):
+    """What every variant does first: validate the knob and the vectors,
+    zero ``y``, open the report, resolve the ambient telemetry.
+
+    Returns ``(y, report, metrics, trace, resilience)``; ``trace`` is
+    ``None`` unless tracing is on, and ``resilience`` is ``None`` exactly
+    when the caller asked for neither faults nor resilience (a fault plan
+    alone implies the default ``ResilienceConfig``).
+    """
+    require_positive(batch_size=batch_size)
+    y = check_vectors(basis, x, y)
+    report = SimReport(ledger=CostLedger(basis.n_locales))
+    tele = current_telemetry()
+    tele.metrics.gauge("matvec.block_width").set(float(x.n_columns))
+    trace = tele.trace if tele.trace.enabled else None
+    if faults is not None and resilience is None:
+        resilience = ResilienceConfig()
+    return y, report, tele.metrics, trace, resilience
+
+
+def finish_report(
+    report: SimReport, variant: str, x: DistributedVector,
+    y: DistributedVector, metrics, wall_clock: bool,
+) -> tuple[DistributedVector, SimReport]:
+    """What every variant does last, once ``report.elapsed`` is final."""
+    k = x.n_columns
+    report.extras["block_width"] = float(k)
+    report.extras["seconds_per_column"] = report.elapsed / k
+    metrics.counter(
+        "wall.seconds" if wall_clock else "sim.seconds", phase="matvec"
+    ).inc(report.elapsed)
+    attribute_report(report, f"matvec.{variant}", x, y)
+    if metrics.enabled:
+        report.metrics = metrics.snapshot()
+    return y, report
+
+
+class AnalyticMatvec:
+    """The frame the naive and batched variants share around their cost models.
+
+    Both move the real data the same way — one task per chunk (generate +
+    partition + scatter-accumulate) through
+    :meth:`~repro.runtime.executor.Executor.map`, in order on ``sim`` and
+    concurrently on ``threads`` under a per-destination lock — and differ
+    only in what they *charge* for it.  The variant walks :meth:`chunks`
+    on the calling thread, in (locale, chunk) order, so every metric,
+    ledger entry and seeded fault draw happens in one sequence whatever
+    the backend's completion order, computes its modelled finish time and
+    hands it to :meth:`finish`.
+
+    The fault model is analytic (defined in simulated time): recovery
+    costs accumulate in ``extra_nic`` / ``extra_compute`` / ``retry_wait``;
+    on ``threads`` the model lands in ``extras["model_seconds"]`` beside
+    the measured ``report.elapsed``, and crashes are judged against the
+    *model* finish time on both backends — tying a seeded plan's fate to
+    host load would make chaos runs unreproducible.
+    """
+
+    def __init__(self, op, basis, x, y, batch_size, plan, faults, resilience):
+        self.y, self.report, self.metrics, self.trace, self.resilience = (
+            begin_matvec(basis, x, y, batch_size, faults, resilience)
+        )
+        self.op, self.basis, self.x, self.plan = op, basis, x, plan
+        self.batch_size = batch_size
+        self.faults = faults
+        self.crashes = faults.take_crashes() if faults is not None else {}
+        n = basis.n_locales
+        self.extra_nic = np.zeros(n)  # injected delays + retransmissions
+        self.extra_compute = np.zeros(n)  # checksums + duplicate discards
+        self.retry_wait = np.zeros(n)  # serialized detection timeouts
+        self.task_wall = np.zeros(n)
+        self.ex = get_executor(basis.cluster, trace=self.trace)
+        self.wall_start = time.perf_counter()
+        self.n_diag = apply_diagonal(op, basis, x, self.y, plan)
+
+    def chunks(self, produce):
+        """Run the data phase; yield ``(locale, n_emitted, n_elements,
+        sizes_by_destination)`` per chunk.  ``produce`` is the caller's
+        :func:`produce_chunk` (the variant module owns the name)."""
+        op, basis, x, y, plan = self.op, self.basis, self.x, self.y, self.plan
+        n = basis.n_locales
+        # Named per-destination locks key the executor.lock_* contention
+        # histograms on the threads backend (no-op contexts on sim).
+        consume_locks = [self.ex.lock(f"consume{d}") for d in range(n)]
+        spans = [
+            (locale, *span)
+            for locale, count in enumerate(basis.counts)
+            for span in chunk_spans(count, self.batch_size)
+        ]
+
+        def run_chunk(locale: int, start: int, stop: int):
+            t0 = time.perf_counter()
+            chunk = produce(op, basis, locale, start, stop, x.parts[locale], plan)
+            sizes = []
+            for dest in range(n):
+                betas, values = chunk.slice_for(dest)
+                if betas.size:
+                    with consume_locks[dest]:
+                        consume(
+                            basis, dest, y.parts[dest], betas, values,
+                            chunk.rows_for(dest),
+                        )
+                sizes.append(int(betas.size))
+            return (
+                locale, chunk.n_emitted, int(chunk.betas.size), sizes,
+                time.perf_counter() - t0,
+            )
+
+        summaries = self.ex.map(
+            [lambda a=span: run_chunk(*a) for span in spans],
+            locales=[span[0] for span in spans],
+        )
+        for locale, n_emitted, n_elements, sizes, wall in summaries:
+            self.task_wall[locale] += wall
+            yield locale, n_emitted, n_elements, sizes
+        self.data_wall = time.perf_counter() - self.wall_start
+
+    def recover(
+        self, src: int, dst: int, resent: int, corrupts: int,
+        duplicates: int, delay: float, resend_seconds: float,
+        resend_bytes: int,
+    ) -> None:
+        """Charge the recovery protocol for the fates of one ``src -> dst``
+        transfer: ``resent`` messages lost or rejected (``corrupts`` of
+        them by checksum), ``duplicates`` delivered twice, ``delay``
+        injected seconds."""
+        metrics = self.metrics
+        if resent:
+            # One (overlapped) detection timeout, then the transfer again.
+            self.retry_wait[src] += self.resilience.ack_timeout
+            self.extra_nic[src] += resend_seconds
+            self.extra_nic[dst] += resend_seconds
+            count_messages(
+                self.report, metrics, src, dst, resent, resend_bytes, True
+            )
+            if corrupts:
+                metrics.counter(
+                    "recovery.checksum_rejects", src=src, dst=dst
+                ).inc(corrupts)
+        if duplicates:
+            # The seq check discards them: a wasted task spawn each.
+            machine = self.basis.cluster.machine
+            self.extra_compute[dst] += machine.compute_time(
+                machine.task_spawn_overhead, duplicates
+            )
+            metrics.counter("recovery.duplicates_discarded").inc(duplicates)
+        self.extra_nic[src] += delay
+        self.extra_nic[dst] += delay
+
+    def trace_sends(self, locale: int, start, seconds, nbytes, msgs) -> float:
+        """Serialize ``locale``'s modelled transfers on its NIC track, one
+        ``send`` span per destination it sent to (arrays indexed by
+        destination); returns when the last one ends."""
+        t = start
+        for dest, count in enumerate(msgs):
+            if count:
+                self.trace.complete(
+                    (f"locale{locale}", "net"), "send", t,
+                    float(seconds[dest]),
+                    {
+                        "src": locale,
+                        "dst": dest,
+                        "bytes": int(nbytes[dest]),
+                        "msgs": int(count),
+                    },
+                )
+                t += float(seconds[dest])
+        return t
+
+    def finish(self, variant: str, model_elapsed: float, trace_end=0.0):
+        """Close the report: measured or modelled seconds (the simulated
+        trace runs to ``trace_end`` if that is later), the crash judgement,
+        the common tail.  Returns ``(y, report)``."""
+        ex, report, trace = self.ex, self.report, self.trace
+        if ex.wall_clock:
+            report.elapsed = self.data_wall
+            report.extras["model_seconds"] = model_elapsed
+            # The map-based data phase never goes through ex.run(): merge
+            # any buffered lock wait/hold metrics explicitly.
+            ex.finish()
+            if trace is not None:
+                trace.mark_wall()
+                for locale, seconds in enumerate(self.task_wall):
+                    if seconds > 0.0:
+                        trace.complete(
+                            (f"locale{locale}", "worker0"), "matvec", 0.0,
+                            float(seconds),
+                        )
+                trace.advance(report.elapsed)
+        else:
+            report.elapsed = model_elapsed
+            if trace is not None:
+                trace.advance(max(model_elapsed, trace_end))
+        report.merge_phase("matvec", report.elapsed)
+        if self.resilience is not None:
+            report.extras["resilient"] = 1.0
+        if self.crashes:
+            victim = min(self.crashes, key=self.crashes.get)
+            at = self.crashes[victim]
+            if at < model_elapsed:
+                self.faults.record_crash(victim)
+                raise FaultError(
+                    f"locale {victim} crashed at t={at:.3g} before the "
+                    f"{variant} matvec finished (t={model_elapsed:.3g})"
+                )
+        return finish_report(
+            report, variant, self.x, self.y, self.metrics, ex.wall_clock
+        )

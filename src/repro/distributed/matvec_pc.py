@@ -1,97 +1,87 @@
 """The producer-consumer matrix-vector product (Sec. 5.3, Fig. 5).
 
-This is the paper's headline algorithm, written once as generator
-processes over the executor abstraction of
-:mod:`repro.runtime.executor` and run on whichever backend the cluster
-selects:
+One pipeline, two hand-offs.  The pipeline (:class:`_Pipeline`) is written
+once as generator processes over :mod:`repro.runtime.executor`, so the same
+code is a discrete-event simulation on ``backend="sim"`` (real data,
+modelled seconds) and real OS threads on ``backend="threads"`` (wall-clock
+seconds; see ``docs/BACKENDS.md`` for what the threads buy):
 
-- ``backend="sim"`` (default): the discrete-event simulation that moves
-  real data while charging modelled time — byte-for-byte the original
-  protocol with identical simulated timings;
-- ``backend="threads"``: every producer/consumer is a real OS thread
-  and the report carries wall-clock seconds instead of simulated ones.
-  The warm replay's kernels (fancy-index gather, ``np.add.at``) hold the
-  GIL, so what the threads buy is bounded by the hand-offs they pay for
-  — see :func:`default_buffer_capacity` and ``docs/BACKENDS.md``.
-
-The protocol itself is backend-independent:
-
-- on every locale, the core pool is split into *producers* and *consumers*
-  (the paper uses 104/24 of 128 cores);
-- each producer owns one reusable :class:`RemoteBuffer` per destination
-  locale; it generates chunks of matrix elements (``getManyRows``),
-  partitions them by destination in linear time, and pushes each partition
-  with a remote put — but only after its local ``isFull`` atomic reads
-  false, which is the paper's deadlock-free synchronization protocol
-  (set the local flag first, then the remote one via an active message);
-- consumers pop filled buffers from their locale's ready queue, run
+- every locale's core pool is split into *producers* and *consumers* (the
+  paper uses 104/24 of 128 cores);
+- a producer takes chunks of local source states off a shared cursor,
+  generates their matrix elements (``getManyRows``), partitions them by
+  destination locale in linear time, and hands each partition — in pieces
+  of at most ``buffer_capacity`` elements — to its one reusable buffer for
+  that destination, paying a memcpy at home and the NIC elsewhere;
+- a consumer pops filled buffers from its locale's ready queue, runs
   ``stateToIndex`` (binary search in the local basis slice) and the atomic
-  accumulate, then clear the producer's flag with a remote atomic write.
+  accumulate, and gives the buffer back;
+- a closer releases the consumers once every producer has retired and
+  nothing is in flight; the diagonal is a separate local phase.
 
-Communication therefore overlaps computation, buffers are reused (no
-allocation/pinning in the steady state), and no remote tasks are ever
-spawned — the three structural advantages over the naive/batched variants
-and over the collective-based SPINPACK baseline.
+Communication overlaps computation, buffers are reused (no allocation or
+pinning in the steady state) and no remote tasks are spawned — the three
+structural advantages over the naive/batched variants and the
+collective-based SPINPACK baseline.  ``work_stealing=True`` is the paper's
+proposed refinement: a producer that runs out of chunks re-registers as an
+extra consumer on its locale instead of idling.  On a single locale the
+product runs in shared-memory mode (every core generates and consumes), as
+the paper's single-node reference numbers are obtained.
 
-On a single locale the implementation switches to the shared-memory mode
-(every core both generates and consumes), matching how the paper's
-single-node reference numbers are obtained.
+The *hand-off* is the one thing the pipeline leaves open: a producer asks
+it to ``acquire`` a buffer and ``deliver`` a payload, a consumer to
+``accept`` a delivery (verify, de-duplicate, accumulate) and ``release``
+the buffer.
 
-``work_stealing=True`` enables the paper's proposed future-work
-optimization: a producer that runs out of chunks re-registers as an extra
-consumer on its locale instead of idling.
-
-Passing ``faults=`` (a :class:`~repro.resilience.faults.FaultPlan`) or
-``resilience=`` (a :class:`~repro.resilience.faults.ResilienceConfig`)
-switches to the *self-healing* pipeline: every handoff carries a sequence
-number and a CRC32 over the amplitude batch, producers wait for explicit
-acknowledgements with a timeout + exponential-backoff retransmit, and
-consumers discard corrupt or duplicate deliveries (re-acknowledging the
-latter).  An exhausted retry budget raises a typed
-:class:`~repro.errors.FaultError`; a crash-induced stall surfaces as a
-:class:`~repro.errors.DeadlockError` (also a ``FaultError``) from the
-simulator watchdog — the run never hangs and never returns silently wrong
-amplitudes.  The default (no faults, no resilience) path is byte-for-byte
-the original protocol with identical simulated timings.
-
-The self-healing pipeline runs on *both* backends.  On ``sim`` fates are
-drawn per delivery from the plan's sequential RNG stream and timers are
-simulated — bit-identical replays.  On ``threads`` the same seeded plan
-derives each message's fate from its identity (edge, buffer, attempt) so
-fate assignment is deterministic even though timing is wall-clock;
-injected delays really postpone deliveries, crashes really kill worker
-threads (supervised consumers restart with bounded backoff, an
-unrecovered crash escalates as a typed ``FaultError``), and ack timeouts
-are wall-clock.  See ``docs/RESILIENCE.md``, "Chaos on the threads
-backend".
+- The **flag hand-off** (:class:`_FlagPipeline`) is the paper's
+  deadlock-free protocol: the producer waits until its local ``isFull``
+  atomic reads false, sets it and puts; the consumer clears it with a
+  remote atomic write.  It trusts the transport and runs whenever no
+  injected fault can reach the buffers.
+- The **ARQ hand-off** (:class:`_ArqPipeline`) is stop-and-wait with
+  sequence numbers and a CRC32 per payload: producers wait for an
+  acknowledgement with a timeout and retransmit with exponential back-off,
+  consumers drop corrupt deliveries and re-acknowledge duplicated ones.
+  An exhausted retry budget raises :class:`~repro.errors.FaultError`, a
+  crash-induced stall :class:`~repro.errors.DeadlockError` (also a
+  ``FaultError``): the run never hangs and never returns silently wrong
+  amplitudes.  It runs under any fault plan (``docs/RESILIENCE.md``) and,
+  on the simulator, under a bare ``resilience=`` — there it *is* the
+  measurement, the modelled cost of sequence numbers, checksums and
+  acknowledgements.  In real shared memory a fault-free payload has no
+  wire for bits to flip on, so a bare ``resilience=`` on ``threads`` runs
+  the flag hand-off.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from repro.distributed.dist_basis import DistributedBasis
 from repro.distributed.matvec_common import (
     apply_diagonal,
-    check_vectors,
+    begin_matvec,
+    chunk_spans,
     consume,
+    count_messages,
+    diagonal_seconds,
     corrupted_copy,
+    finish_report,
     payload_checksum,
     produce_chunk,
+    require_positive,
     wire_bytes,
 )
 from repro.distributed.vector import DistributedVector
 from repro.errors import ConfigError, FaultError
 from repro.operators.compile import CompiledOperator
-from repro.resilience.faults import ResilienceConfig
-from repro.runtime.clock import CostLedger, SimReport
+from repro.runtime.clock import SimReport
 from repro.runtime.events import Acquire, Pop, Timeout, WaitFlag
 from repro.runtime.executor import Executor, get_executor
-from repro.telemetry.context import current as current_telemetry
-from repro.telemetry.jobs import attribute_report
 
 __all__ = [
     "matvec_producer_consumer",
@@ -107,6 +97,11 @@ DEFAULT_CONSUMER_FRACTION = 24 / 128
 #: sizes the buffer to amortise *network* latency.
 SIM_BUFFER_CAPACITY = 4096
 
+#: The Python DES cannot afford hundreds of generator processes per locale:
+#: at most this many *representative* producers (and consumers) run, each
+#: standing for real_cores/sim_workers physical cores.
+MAX_SIM_WORKERS = 8
+
 _SENTINEL = object()
 
 
@@ -118,9 +113,7 @@ def default_buffer_capacity(cluster) -> int:
     *references*, so cutting a destination slice saves no copy and costs a
     blocking flag/queue round trip per piece: the unit is the whole slice.
     :func:`matvec_producer_consumer` keeps the simulated figure as its
-    signature default; callers that run a cluster's backend as configured
-    (:class:`~repro.distributed.operator.DistributedOperator`, the
-    autotuner) apply this one instead.
+    signature default; the operator and the autotuner apply this one.
     """
     if getattr(cluster, "backend", "sim") == "threads":
         return sys.maxsize
@@ -130,12 +123,10 @@ def default_buffer_capacity(cluster) -> int:
 def split_cores(cores: int, consumer_fraction: float) -> tuple[int, int]:
     """(producers, consumers) for a locale with ``cores`` cores.
 
-    Both sides of the split are always at least 1.  A single-core locale
-    degenerates to one shared core that both generates and consumes
-    (``(1, 1)``) — the paper's shared-memory mode — instead of the old
-    behaviour where ``min(..., cores - 1)`` produced zero consumers and
-    a pipeline that could never drain.  Invalid inputs (``cores < 1``,
-    ``consumer_fraction`` outside ``(0, 1]``) raise
+    Both sides of the split are always at least 1 (a pipeline without
+    consumers could never drain): a single-core locale degenerates to one
+    shared core that both generates and consumes, ``(1, 1)``.  Invalid
+    inputs (``cores < 1``, ``consumer_fraction`` outside ``(0, 1]``) raise
     :class:`~repro.errors.ConfigError`.
     """
     if cores < 1:
@@ -172,6 +163,548 @@ class RemoteBuffer:
         self.rows: np.ndarray | None = None
 
 
+class ResilientBuffer:
+    """The buffer of the ARQ hand-off: wire fields plus protocol state.
+
+    Stop-and-wait per (producer, destination) pair: the producer counts
+    the payload in ``sent``, keeps it as generated, and transmits — which
+    publishes ``seq``, checksum and wire fields in one step; the consumer
+    verifies the checksum, consumes exactly once (``consumed_seq`` guards
+    against duplicated deliveries), and acknowledges by merging the seq
+    into ``acked_seq`` and raising ``ack_flag``.  The producer reuses the
+    buffer only once ``acked_seq`` catches up with ``sent`` — a timed wait,
+    so a lost payload or lost ack triggers a retransmit, not a hang.
+    """
+
+    __slots__ = (
+        "src", "dest", "sent", "seq", "acked_seq", "consumed_seq", "ack_flag",
+        "betas", "values", "rows", "checksum", "payload",
+        "uid", "fates", "lock",
+    )
+
+    def __init__(self, ex: Executor, src: int, dest: int, uid: int) -> None:
+        self.src = src
+        self.dest = dest
+        self.sent = 0
+        self.acked_seq = 0
+        self.consumed_seq = 0
+        self.ack_flag = ex.flag(False, name=f"ack[{src}->{dest}]")
+        #: wire fields — what the consumer sees (possibly corrupted), and
+        #: the seq they belong to
+        self.betas: np.ndarray | None = None
+        self.values: np.ndarray | None = None
+        self.rows: np.ndarray | None = None
+        self.seq = 0
+        self.checksum = 0
+        #: (betas, values, rows) as generated, kept for retransmits
+        self.payload: tuple | None = None
+        #: deterministic buffer id, the salt of the keyed fate draws on
+        #: threads (two producers on one locale must not share a stream)
+        self.uid = uid
+        #: keyed fates drawn so far per sending locale: payloads from
+        #: ``src``, acks from ``dest``
+        self.fates = {src: 0, dest: 0}
+        #: guards wire-field publication and snapshots, the consumed_seq
+        #: check-and-claim and acked_seq merges on threads (a no-op context
+        #: on the simulator, where atomicity between yields is free)
+        self.lock = ex.lock()
+
+
+class _Pipeline:
+    """The pipeline body; subclasses supply the hand-off (module docstring).
+
+    A hand-off implements ``buffers`` (a producer's buffer per
+    destination), the generators ``acquire`` and ``accept``, ``deliver``
+    (loads the buffer and returns the generator that sends it) and
+    ``release``; it may override ``drain`` (what a producer waits for
+    before it retires) and ``quiescent`` (what the closer waits for after
+    the last one has).  Whatever it sends goes through :meth:`send` and
+    :meth:`post`, so both protocols charge and count alike.
+    """
+
+    def __init__(
+        self, ex, report, metrics, trace, op, basis, x, y,
+        batch_size, consumer_fraction, buffer_capacity, work_stealing,
+        producers_per_locale, consumers_per_locale, plan, faults, resilience,
+    ) -> None:
+        self.op, self.basis, self.x, self.y, self.plan = op, basis, x, y, plan
+        self.ex, self.report = ex, report
+        self.metrics, self.trace = metrics, trace
+        self.faults, self.resilience = faults, resilience
+        self.buffer_capacity = buffer_capacity
+        self.work_stealing = work_stealing
+        machine = self.machine = basis.cluster.machine
+        n = self.n = basis.n_locales
+        k = self.k = x.n_columns
+
+        if producers_per_locale is None:
+            n_prod, n_cons = split_cores(
+                machine.cores_per_locale, consumer_fraction
+            )
+        else:
+            n_prod, n_cons = producers_per_locale, consumers_per_locale
+        if ex.wall_clock:
+            # Real workers, no rate scaling: explicit counts are literal
+            # thread counts, the default is one producer and one consumer
+            # thread per locale.
+            if producers_per_locale is None:
+                n_prod = n_cons = 1
+            sim_prod, sim_cons = n_prod, n_cons
+        else:
+            sim_prod = min(n_prod, MAX_SIM_WORKERS)
+            sim_cons = min(n_cons, MAX_SIM_WORKERS)
+        self.n_prod, self.n_cons = n_prod, n_cons
+        self.sim_prod, self.sim_cons = sim_prod, sim_cons
+        # A simulated producer stands for n_prod/sim_prod physical cores,
+        # so its per-element times shrink accordingly (same for
+        # consumers).  Extra block columns only pay streaming
+        # gather/scatter work (zero for k = 1).
+        self.prod_scale = sim_prod / n_prod
+        self.cons_scale = sim_cons / n_cons
+        self.t_generate = machine.t_generate * sim_prod / n_prod
+        self.t_partition = (
+            (machine.t_partition + machine.t_hash) * sim_prod / n_prod
+            + machine.t_axpy * (k - 1) * sim_prod / n_prod
+        )
+        self.t_consume = (
+            machine.t_search_accum * sim_cons / n_cons
+            + machine.t_axpy * (k - 1) * sim_cons / n_cons
+        )
+        self.latency = machine.network.remote_atomic_latency
+        self.element_bytes = wire_bytes(1, k)
+        self.slow = [
+            faults.slowdown(d) if faults is not None else 1.0 for d in range(n)
+        ]
+
+        self.nic = [ex.resource(1, name=f"nic{d}") for d in range(n)]
+        self.ready = [ex.queue(name=f"ready{d}") for d in range(n)]
+        self.producers_remaining = ex.counter(n * sim_prod)
+        self.producers_done = ex.flag(False, name="producers_done")
+        self.stall_total = ex.counter(0.0)
+        self.consumer_counts = [ex.counter(sim_cons) for _ in range(n)]
+        # Guard the shared scatter-add into y.parts[dest] on threads (no-op
+        # contexts on sim); the name keys the executor.lock_* histograms.
+        self.consume_locks = [ex.lock(f"consume{d}") for d in range(n)]
+        # The cursors hand out chunk indices atomically on both backends.
+        self.chunks = [chunk_spans(c, batch_size) for c in basis.counts]
+        self.cursors = [ex.counter(0) for _ in range(n)]
+
+    # -- what both hand-offs share ------------------------------------------
+
+    def charge(self, acct: dict, locale: int, phase: str, since, dt) -> None:
+        """Book work begun at ``since`` and modelled as ``dt`` seconds:
+        measured on a wall-clock backend, modelled (stretched by the
+        locale's straggler factor) on the simulator."""
+        ex = self.ex
+        acct[phase] += (
+            (ex.now - since) if ex.wall_clock else dt * self.slow[locale]
+        )
+
+    def stalled(self, acct: dict, since: float) -> None:
+        """Book the time a producer spent waiting for a buffer."""
+        waited = self.ex.now - since
+        if waited > 0.0:
+            acct["stall"] += waited
+            with self.ex.mutex:
+                self.metrics.histogram("matvec.stall_seconds").observe(waited)
+
+    def book(self, acct: dict, locale: int) -> None:
+        """A retiring worker's busy seconds by phase go into the ledger."""
+        with self.ex.mutex:
+            for phase, seconds in acct.items():
+                self.report.ledger.add(phase, locale, seconds)
+
+    def accumulate(self, locale: int, betas, values, rows, acct: dict):
+        """``stateToIndex`` + accumulate one delivery into ``y``; books
+        and returns its modelled seconds."""
+        since = self.ex.now
+        with self.consume_locks[locale]:
+            consume(
+                self.basis, locale, self.y.parts[locale], betas, values, rows
+            )
+        dt = self.t_consume * betas.size
+        self.charge(acct, locale, "search+accum", since, dt)
+        return dt
+
+    def send(self, rb, n_elements: int, fate=None, retransmit: bool = False):
+        """Count one hand-off, charge its transfer — a memcpy on the
+        producer's own locale, the NIC towards any other — and let the
+        buffer arrive in the destination's ready queue."""
+        src, dest, metrics = rb.src, rb.dest, self.metrics
+        nbytes = n_elements * self.element_bytes
+        with self.ex.mutex:
+            count_messages(
+                self.report, metrics, src, dest, 1, nbytes, retransmit
+            )
+            if not retransmit:
+                metrics.histogram("matvec.buffer_elements").observe(
+                    n_elements
+                )
+        comm_args = None
+        if self.trace is not None:
+            comm_args = {"src": src, "dst": dest, "bytes": nbytes, "msgs": 1}
+        if dest == src:
+            yield Timeout(
+                self.machine.memcpy_time(nbytes, 1), "memcpy", comm_args
+            )
+        else:
+            nic = self.nic[src]
+            yield Acquire(nic)
+            yield Timeout(
+                self.machine.network.transfer_time(nbytes), "send", comm_args
+            )
+            nic.release()
+        self.post(dest == src, partial(self.ready[dest].push, rb), fate)
+
+    def post(self, local: bool, effect, fate=None) -> None:
+        """Land a message's ``effect`` (a queue push, a flag write): at once
+        on the sender's own locale, else one remote-atomic latency later
+        (an active message; zero in shared memory) — unless an injected
+        ``fate`` drops it, doubles it, or delays it, which must genuinely
+        postpone the arrival on every backend."""
+        ex = self.ex
+        if local:
+            effect()
+        elif fate is None:
+            ex.call_later(self.latency, effect)
+        elif not fate.drop:
+            for _ in range(2 if fate.duplicate else 1):
+                if ex.wall_clock and fate.extra_delay > 0.0:
+                    ex.call_after(fate.extra_delay, effect)
+                else:
+                    ex.call_later(self.latency + fate.extra_delay, effect)
+
+    def drain(self, buffers, acct: dict):
+        return ()
+
+    def quiescent(self):
+        return ()
+
+    # -- the body -----------------------------------------------------------
+
+    def producer(self, locale: int, producer_id: int):
+        ex, metrics, n = self.ex, self.metrics, self.n
+        capacity = self.buffer_capacity
+        x_local = self.x.parts[locale]
+        chunks, cursor = self.chunks[locale], self.cursors[locale]
+        acct = {"generate": 0.0, "stall": 0.0}
+        buffers = self.buffers(locale, producer_id)
+        while True:
+            c = cursor.add(1) - 1
+            if c >= len(chunks):
+                break
+            start, stop = chunks[c]
+            since = ex.now
+            chunk = produce_chunk(
+                self.op, self.basis, locale, start, stop, x_local, self.plan
+            )
+            dt = (
+                self.t_generate * chunk.n_emitted
+                + self.t_partition * chunk.betas.size
+            )
+            self.charge(acct, locale, "generate", since, dt)
+            with ex.mutex:
+                metrics.histogram("matvec.chunk_elements").observe(
+                    chunk.betas.size
+                )
+            yield Timeout(dt, "generate")
+            # Round-robin the destinations starting after ourselves so all
+            # producers do not hammer locale 0 first.
+            for shift in range(n):
+                dest = (locale + 1 + shift) % n
+                betas, values = chunk.slice_for(dest)
+                rows = chunk.rows_for(dest)
+                rb = buffers[dest]
+                for lo in range(0, betas.size, capacity):
+                    piece = slice(lo, lo + capacity)
+                    payload = (
+                        betas[piece],
+                        values[piece],
+                        None if rows is None else rows[piece],
+                    )
+                    yield from self.acquire(rb, acct)
+                    yield from self.deliver(rb, payload, acct)
+        yield from self.drain(buffers, acct)
+        self.book(acct, locale)
+        self.stall_total.add(acct["stall"])
+        if self.work_stealing:
+            self.consumer_counts[locale].add(1)
+        if self.producers_remaining.add(-1) == 0:
+            self.producers_done.set(True)
+        if self.work_stealing:
+            yield from self.consumer(locale)
+
+    def consumer(self, locale: int):
+        queue = self.ready[locale]
+        acct = {"search+accum": 0.0}
+        while True:
+            rb = yield Pop(queue)
+            if rb is _SENTINEL:
+                break
+            accepted = yield from self.accept(rb, acct)
+            if accepted is None:
+                continue
+            seq, dt = accepted
+            if dt is not None:
+                yield Timeout(dt, "search+accum")
+            self.release(rb, seq)
+        self.book(acct, locale)
+
+    def closer(self):
+        yield WaitFlag(self.producers_done, True)
+        yield from self.quiescent()
+        for locale, count in enumerate(self.consumer_counts):
+            for _ in range(int(count.get())):
+                self.ready[locale].push(_SENTINEL)
+
+    def run(self) -> tuple[DistributedVector, SimReport]:
+        ex, report, trace = self.ex, self.report, self.trace
+        basis, x, y, k = self.basis, self.x, self.y, self.k
+        # A consumer killed by an injected crash on threads (only a plan can
+        # crash one) is restarted from its factory: its state lives in the
+        # shared buffers and the ARQ hand-off makes reprocessing idempotent.
+        # A producer's lost chunk cursor would corrupt the result, so
+        # producer loss escalates to the operator's restart/fallback.
+        supervised = self.faults is not None
+        for locale in range(self.n):
+            for p in range(self.sim_prod):
+                ex.spawn(
+                    self.producer(locale, p),
+                    name=f"prod-{locale}-{p}",
+                    track=(f"locale{locale}", f"producer{p}"),
+                    locale=locale,
+                )
+            restart = partial(self.consumer, locale) if supervised else None
+            for c in range(self.sim_cons):
+                ex.spawn(
+                    self.consumer(locale),
+                    name=f"cons-{locale}-{c}",
+                    track=(f"locale{locale}", f"consumer{c}"),
+                    locale=locale,
+                    factory=restart,
+                )
+        ex.spawn(self.closer(), name="closer")
+        elapsed = ex.run()
+
+        # Diagonal: local streaming work as a separate phase — measured on
+        # a wall-clock backend, modelled per locale on the simulator.
+        diag_start = time.perf_counter()
+        n_diag = apply_diagonal(self.op, basis, x, y, self.plan)
+        if ex.wall_clock:
+            spans = {("diagonal", "main"): time.perf_counter() - diag_start}
+        else:
+            spans = {
+                (f"locale{locale}", "diagonal"): seconds
+                for locale, seconds in enumerate(diagonal_seconds(basis, k))
+            }
+        diag_elapsed = max(spans.values())
+        if trace is not None:
+            for track, seconds in spans.items():
+                trace.complete(track, "diagonal", elapsed, seconds)
+            trace.advance(elapsed + diag_elapsed)
+        report.elapsed = elapsed + diag_elapsed
+        report.merge_phase("pipeline", elapsed)
+        report.merge_phase("diagonal", diag_elapsed)
+        report.extras["stall_time"] = float(self.stall_total.get())
+        report.extras["n_diag"] = float(n_diag)
+        report.extras["producers"] = float(self.n_prod)
+        report.extras["consumers"] = float(self.n_cons)
+        if self.resilience is not None:
+            report.extras["resilient"] = 1.0
+        return finish_report(report, "pc", x, y, self.metrics, ex.wall_clock)
+
+
+class _FlagPipeline(_Pipeline):
+    """The flag hand-off: ``is_full_local`` per buffer, and an in-flight
+    count that tells the closer when the last buffer has been consumed."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.inflight = self.ex.counter(0)
+        self.drained = self.ex.flag(False)
+
+    def buffers(self, locale: int, producer_id: int):
+        return [RemoteBuffer(self.ex, locale, d) for d in range(self.n)]
+
+    def acquire(self, rb: RemoteBuffer, acct: dict):
+        since = self.ex.now
+        yield WaitFlag(rb.is_full_local, False)
+        self.stalled(acct, since)
+
+    def deliver(self, rb: RemoteBuffer, payload, acct: dict):
+        # Set the local flag first; the remote side learns of the buffer
+        # when it arrives: the paper's deadlock-free order.
+        rb.is_full_local.set(True)
+        rb.betas, rb.values, rb.rows = payload
+        self.inflight.add(1)
+        return self.send(rb, payload[0].size)
+
+    def accept(self, rb: RemoteBuffer, acct: dict):
+        yield from ()  # nothing to verify: the flag orders writes and reads
+        dt = self.accumulate(rb.dest, rb.betas, rb.values, rb.rows, acct)
+        return None, dt
+
+    def release(self, rb: RemoteBuffer, seq) -> None:
+        self.inflight.add(-1)
+        # Clear the producer's local flag with a remote atomic write.
+        self.post(rb.src == rb.dest, partial(rb.is_full_local.set, False))
+        self.check_drained()
+
+    def check_drained(self) -> None:
+        if self.producers_remaining.get() == 0 and self.inflight.get() == 0:
+            self.drained.set(True)
+
+    def quiescent(self):
+        self.check_drained()
+        yield WaitFlag(self.drained, True)
+
+
+class _ArqPipeline(_Pipeline):
+    """The ARQ hand-off over :class:`ResilientBuffer` (module docstring)."""
+
+    def buffers(self, locale: int, producer_id: int):
+        first = (locale * self.sim_prod + producer_id) * self.n
+        return [
+            ResilientBuffer(self.ex, locale, d, first + d)
+            for d in range(self.n)
+        ]
+
+    def fate(self, rb: ResilientBuffer, src: int, dst: int):
+        """The injected fate of ``rb``'s next message ``src -> dst`` (``None``
+        without a plan): from the plan's sequential stream on the
+        simulator, a pure function of message identity on threads, so any
+        interleaving of real workers sees the same fault assignment."""
+        faults = self.faults
+        if faults is None:
+            return None
+        if not self.ex.wall_clock:
+            return faults.message_fate(src, dst)
+        with rb.lock:
+            attempt = rb.fates[src]
+            rb.fates[src] = attempt + 1
+        return faults.message_fate_keyed(src, dst, attempt, salt=rb.uid)
+
+    def acquire(self, rb: ResilientBuffer, acct: dict):
+        """Wait until the buffer's outstanding payload is acknowledged,
+        retransmitting it on every timeout."""
+        if rb.sent == 0:
+            return
+        ex, resilience = self.ex, self.resilience
+        timeout = resilience.ack_timeout
+        retries = 0
+        since = ex.now
+        while rb.acked_seq < rb.sent:
+            ok = yield WaitFlag(rb.ack_flag, True, timeout=timeout)
+            rb.ack_flag.set(False)
+            if ok:
+                # Either the awaited ack (loop exits) or a stale duplicate
+                # ack for an older seq (loop waits again).
+                continue
+            retries += 1
+            with ex.mutex:
+                self.metrics.counter(
+                    "fault.timeouts", src=rb.src, dst=rb.dest
+                ).inc()
+            if retries > resilience.max_retries:
+                raise FaultError(
+                    f"RemoteBuffer handoff {rb.src}->{rb.dest} seq "
+                    f"{rb.sent} unacknowledged after {retries - 1} "
+                    f"retransmits (retry budget "
+                    f"{resilience.max_retries} exhausted)"
+                )
+            timeout *= resilience.backoff
+            yield from self.transmit(rb, acct, retransmit=True)
+        self.stalled(acct, since)
+
+    def deliver(self, rb: ResilientBuffer, payload, acct: dict):
+        rb.sent += 1
+        rb.payload = payload
+        return self.transmit(rb, acct)
+
+    def transmit(self, rb: ResilientBuffer, acct: dict, retransmit=False):
+        ex = self.ex
+        betas, values, rows = rb.payload
+        local = rb.dest == rb.src
+        fate = None if local else self.fate(rb, rb.src, rb.dest)
+        wire_values = values
+        if fate is not None and fate.corrupt:
+            # The payload as generated stays behind for the retransmit.
+            wire_values = corrupted_copy(values)
+        crc = 0
+        if self.resilience.checksums:
+            since = ex.now
+            crc = payload_checksum(betas, values)
+            dt = (
+                self.machine.checksum_time(betas.size * self.element_bytes)
+                * self.prod_scale
+            )
+            self.charge(acct, rb.src, "generate", since, dt)
+            yield Timeout(dt, "checksum")
+        with rb.lock:
+            rb.seq, rb.checksum = rb.sent, crc
+            rb.betas, rb.values, rb.rows = betas, wire_values, rows
+        yield from self.send(rb, betas.size, fate, retransmit)
+
+    def drain(self, buffers, acct: dict):
+        # A producer retires only with every payload acknowledged, so "all
+        # producers done" implies "all payloads consumed".
+        for rb in buffers:
+            yield from self.acquire(rb, acct)
+
+    def accept(self, rb: ResilientBuffer, acct: dict):
+        # Snapshot the wire fields up front: a retransmit may overwrite
+        # them while this consumer is inside a Timeout (on threads, while
+        # it runs at all — hence the lock).
+        with rb.lock:
+            betas, values, rows = rb.betas, rb.values, rb.rows
+            seq, expected = rb.seq, rb.checksum
+        ex, locale = self.ex, rb.dest
+        if self.resilience.checksums:
+            since = ex.now
+            intact = payload_checksum(betas, values) == expected
+            dt = (
+                self.machine.checksum_time(betas.size * self.element_bytes)
+                * self.cons_scale
+            )
+            self.charge(acct, locale, "search+accum", since, dt)
+            yield Timeout(dt, "verify")
+            if not intact:
+                # Corrupt on the wire: drop without acknowledging; the
+                # producer's timeout will retransmit.
+                with ex.mutex:
+                    self.metrics.counter(
+                        "recovery.checksum_rejects", src=rb.src, dst=locale
+                    ).inc()
+                return None
+        # Check, accumulate and claim under the buffer lock with no yield
+        # in between (a crash can only land on a yield): a second consumer
+        # popping a duplicate of this delivery must see it as consumed, and
+        # a killed-and-restarted one either never claimed the payload (the
+        # retransmit delivers it again) or fully consumed it (the duplicate
+        # is discarded and re-acknowledged).
+        dt = None
+        with rb.lock:
+            if seq > rb.consumed_seq:
+                dt = self.accumulate(locale, betas, values, rows, acct)
+                rb.consumed_seq = seq
+        if dt is None:
+            with ex.mutex:
+                self.metrics.counter("recovery.duplicates_discarded").inc()
+        return seq, dt
+
+    def release(self, rb: ResilientBuffer, seq: int) -> None:
+        # Acknowledge — duplicates too: the original ack may have been the
+        # dropped message.
+        def ack():
+            with rb.lock:
+                rb.acked_seq = max(rb.acked_seq, seq)
+            rb.ack_flag.set(True)
+
+        local = rb.src == rb.dest
+        fate = None if local else self.fate(rb, rb.dest, rb.src)
+        self.post(local, ack, fate)
+
+
 def matvec_producer_consumer(
     op: CompiledOperator,
     basis: DistributedBasis,
@@ -189,936 +722,61 @@ def matvec_producer_consumer(
 ) -> tuple[DistributedVector, SimReport]:
     """``y = H x`` with the producer-consumer pipeline.
 
-    ``producers_per_locale`` / ``consumers_per_locale`` override the
-    ``consumer_fraction`` split (they are capped at sensible values for the
-    Python simulation — what matters for the timing model is the *ratio*
-    and the per-core rates, both of which are preserved).  On the real
-    ``threads`` backend they are literal thread counts (default one
-    producer and one consumer thread per locale).
+    ``producers_per_locale`` / ``consumers_per_locale`` (both or neither)
+    override the ``consumer_fraction`` split (they are capped at sensible
+    values for the Python simulation — what matters for the timing model
+    is the *ratio* and the per-core rates, both of which are preserved).
+    On the real ``threads`` backend they are literal thread counts
+    (default one producer and one consumer thread per locale).
 
-    ``faults`` / ``resilience`` activate the self-healing protocol (see
-    the module docstring); either one alone suffices (a bare
-    ``resilience=ResilienceConfig()`` measures the fault-free overhead of
-    sequence numbers + checksums).  Both backends are supported.
+    ``faults`` / ``resilience`` ask for the self-healing protocol; either
+    one alone suffices and sets ``extras["resilient"]``.  Which hand-off
+    then runs follows from what can go wrong (module docstring); a bare
+    ``resilience=ResilienceConfig()`` on the simulator measures the
+    fault-free cost of sequence numbers + checksums.
     """
-    y = check_vectors(basis, x, y)
-    machine = basis.cluster.machine
-    n = basis.n_locales
-    k = x.n_columns
-    ledger = CostLedger(n)
-    report = SimReport(ledger=ledger)
-    tele = current_telemetry()
-    metrics = tele.metrics
-    metrics.gauge("matvec.block_width").set(float(k))
-    trace = tele.trace if tele.trace.enabled else None
-    backend = getattr(basis.cluster, "backend", "sim")
-    wall_clock = backend == "threads"
-
-    resilient = faults is not None or resilience is not None
-    if resilient and resilience is None:
-        resilience = ResilienceConfig()
-    if (
-        faults is not None
-        and faults.corrupt > 0
-        and resilience is not None
-        and not resilience.checksums
-    ):
-        raise ValueError(
+    require_positive(buffer_capacity=buffer_capacity)
+    if (producers_per_locale, consumers_per_locale) != (None, None):
+        # Both or neither: one alone is not a split.
+        require_positive(
+            producers_per_locale=producers_per_locale,
+            consumers_per_locale=consumers_per_locale,
+        )
+    y, report, metrics, trace, resilience = begin_matvec(
+        basis, x, y, batch_size, faults, resilience
+    )
+    if faults is not None and faults.corrupt > 0 and not resilience.checksums:
+        raise ConfigError(
             "corruption injection with checksums disabled would return "
             "silently wrong amplitudes; enable ResilienceConfig.checksums"
         )
+    wall_clock = getattr(basis.cluster, "backend", "sim") == "threads"
 
-    if n == 1:
-        if faults is not None:
-            crashes = faults.take_crashes()
-            if crashes:
-                locale = min(crashes)
-                faults.record_crash(locale)
-                raise FaultError(
-                    f"locale {locale} crashed at t={crashes[locale]:.3g} "
-                    "during the shared-memory matvec"
-                )
+    if basis.n_locales == 1:
+        crashes = faults.take_crashes() if faults is not None else {}
+        if crashes:
+            locale = min(crashes)
+            faults.record_crash(locale)
+            raise FaultError(
+                f"locale {locale} crashed at t={crashes[locale]:.3g} "
+                "during the shared-memory matvec"
+            )
         return _shared_memory_matvec(
-            op, basis, x, y, batch_size, report, plan, wall_clock=wall_clock
+            op, basis, x, y, batch_size, plan, report, metrics, trace,
+            wall_clock,
         )
 
-    if resilient:
-        return _resilient_pipeline(
-            op, basis, x, y,
-            batch_size=batch_size,
-            consumer_fraction=consumer_fraction,
-            buffer_capacity=buffer_capacity,
-            work_stealing=work_stealing,
-            producers_per_locale=producers_per_locale,
-            consumers_per_locale=consumers_per_locale,
-            plan=plan,
-            faults=faults,
-            resilience=resilience,
-            report=report,
-            ledger=ledger,
-            metrics=metrics,
-            trace=trace,
-        )
-
-    ex = get_executor(basis.cluster, trace=trace)
-    cores = machine.cores_per_locale
-    if producers_per_locale is None or consumers_per_locale is None:
-        n_prod, n_cons = split_cores(cores, consumer_fraction)
-    else:
-        n_prod, n_cons = producers_per_locale, consumers_per_locale
-    if ex.wall_clock:
-        # Real workers: one producer and one consumer thread per locale
-        # unless explicitly overridden.  No representative-worker rate
-        # scaling — each thread is a physical worker and its spans are
-        # stamped from the wall clock, not the machine model.
-        sim_prod = (
-            producers_per_locale if producers_per_locale is not None else 1
-        )
-        sim_cons = (
-            consumers_per_locale if consumers_per_locale is not None else 1
-        )
-        n_prod, n_cons = sim_prod, sim_cons
-    else:
-        # The Python DES cannot afford hundreds of generator processes per
-        # locale; simulate a smaller number of "representative" workers
-        # whose per-element rates are scaled so each stands for
-        # real_cores/sim_workers physical cores.  The pipeline structure
-        # (buffers, flags, stalls) is unchanged.
-        max_workers = 8
-        sim_prod = min(n_prod, max_workers)
-        sim_cons = min(n_cons, max_workers)
-    # Each simulated producer stands for n_prod/sim_prod physical cores, so
-    # its per-element time shrinks accordingly (same for consumers).
-    t_generate = machine.t_generate * sim_prod / n_prod
-    t_partition = (machine.t_partition + machine.t_hash) * sim_prod / n_prod
-    t_search = machine.t_search_accum * sim_cons / n_cons
-    # Extra block columns only pay streaming gather/scatter work, not
-    # generation, partition, or the binary search (zero for k = 1).
-    t_cols_prod = machine.t_axpy * (k - 1) * sim_prod / n_prod
-    t_cols_cons = machine.t_axpy * (k - 1) * sim_cons / n_cons
-
-    net = machine.network
-    nic = [ex.resource(1, name=f"nic{locale}") for locale in range(n)]
-    ready: list = [ex.queue(name=f"ready{locale}") for locale in range(n)]
-    producers_remaining = ex.counter(n * sim_prod)
-    inflight = ex.counter(0)
-    stall_total = ex.counter(0.0)
-    producers_done_flag = ex.flag(False)
-    drained = ex.flag(False)
-    consumer_counts = {locale: ex.counter(sim_cons) for locale in range(n)}
-    # One lock per destination locale guards the shared scatter-add into
-    # y.parts[dest] on the threads backend (no-op contexts on sim); the
-    # name keys the executor.lock_* contention histograms.
-    consume_locks = [ex.lock(f"consume{locale}") for locale in range(n)]
-
-    # Chunk lists per locale; the cursor counters hand out chunk indices
-    # atomically on both backends.
-    chunk_lists: dict[int, list[tuple[int, int]]] = {}
-    chunk_cursor: dict[int, object] = {}
-    for locale in range(n):
-        count = int(basis.counts[locale])
-        chunk_lists[locale] = [
-            (s, min(s + batch_size, count)) for s in range(0, count, batch_size)
-        ]
-        chunk_cursor[locale] = ex.counter(0)
-
-    def check_drained() -> None:
-        if producers_remaining.get() == 0 and inflight.get() == 0:
-            drained.set(True)
-
-    def consumer_body(locale: int):
-        busy = 0.0
-        while True:
-            rb = yield Pop(ready[locale])
-            if rb is _SENTINEL:
-                break
-            betas, values, rows = rb.betas, rb.values, rb.rows
-            dt = (t_search + t_cols_cons) * betas.size
-            before = ex.now
-            with consume_locks[locale]:
-                consume(basis, locale, y.parts[locale], betas, values, rows)
-            busy += (ex.now - before) if ex.wall_clock else dt
-            yield Timeout(dt, "search+accum")
-            inflight.add(-1)
-            # Clear the producer's local flag with a remote atomic write.
-            if rb.src == locale:
-                rb.is_full_local.set(False)
-            else:
-                ex.call_later(
-                    net.remote_atomic_latency,
-                    lambda flag=rb.is_full_local: flag.set(False),
-                )
-            check_drained()
-        with ex.mutex:
-            ledger.add("search+accum", locale, busy)
-
-    def producer_body(locale: int, producer_id: int):
-        buffers = [RemoteBuffer(ex, locale, d) for d in range(n)]
-        gen_busy = 0.0
-        stall = 0.0
-        while True:
-            c = chunk_cursor[locale].add(1) - 1
-            if c >= len(chunk_lists[locale]):
-                break
-            start, stop = chunk_lists[locale][c]
-            gen_start = ex.now
-            chunk = produce_chunk(
-                op, basis, locale, start, stop, x.parts[locale], plan
-            )
-            dt = (
-                t_generate * chunk.n_emitted
-                + (t_partition + t_cols_prod) * chunk.betas.size
-            )
-            gen_busy += (ex.now - gen_start) if ex.wall_clock else dt
-            with ex.mutex:
-                metrics.histogram("matvec.chunk_elements").observe(
-                    chunk.betas.size
-                )
-            yield Timeout(dt, "generate")
-            # Round-robin the destinations starting after ourselves so all
-            # producers do not hammer locale 0 first.
-            for shift in range(n):
-                dest = (locale + 1 + shift) % n
-                betas_all, values_all = chunk.slice_for(dest)
-                rows_all = chunk.rows_for(dest)
-                for lo in range(0, betas_all.size, buffer_capacity):
-                    betas = betas_all[lo : lo + buffer_capacity]
-                    values = values_all[lo : lo + buffer_capacity]
-                    rows = (
-                        None
-                        if rows_all is None
-                        else rows_all[lo : lo + buffer_capacity]
-                    )
-                    rb = buffers[dest]
-                    before = ex.now
-                    yield WaitFlag(rb.is_full_local, False)
-                    now = ex.now
-                    if now > before:
-                        stall += now - before
-                        with ex.mutex:
-                            metrics.histogram("matvec.stall_seconds").observe(
-                                now - before
-                            )
-                    rb.is_full_local.set(True)
-                    rb.betas = betas
-                    rb.values = values
-                    rb.rows = rows
-                    nbytes = wire_bytes(betas.size, k)
-                    with ex.mutex:
-                        report.messages += 1
-                        report.bytes_sent += nbytes
-                        metrics.counter(
-                            "matvec.messages", src=locale, dst=dest
-                        ).inc()
-                        metrics.counter(
-                            "matvec.bytes", src=locale, dst=dest
-                        ).inc(nbytes)
-                        metrics.histogram("matvec.buffer_elements").observe(
-                            betas.size
-                        )
-                    inflight.add(1)
-                    comm_args = (
-                        {"src": locale, "dst": dest, "bytes": nbytes, "msgs": 1}
-                        if trace is not None
-                        else None
-                    )
-                    if dest == locale:
-                        yield Timeout(
-                            machine.memcpy_time(nbytes, 1), "memcpy", comm_args
-                        )
-                        ready[dest].push(rb)
-                    else:
-                        yield Acquire(nic[locale])
-                        yield Timeout(
-                            net.transfer_time(nbytes), "send", comm_args
-                        )
-                        nic[locale].release()
-                        # The "buffer is full" notification is an active
-                        # message handled by the runtime (fastOn).
-                        ex.call_later(
-                            net.remote_atomic_latency,
-                            lambda q=ready[dest], b=rb: q.push(b),
-                        )
-        with ex.mutex:
-            ledger.add("generate", locale, gen_busy)
-            ledger.add("stall", locale, stall)
-        stall_total.add(stall)
-        if work_stealing:
-            consumer_counts[locale].add(1)
-        if producers_remaining.add(-1) == 0:
-            producers_done_flag.set(True)
-            check_drained()
-        if work_stealing:
-            yield from consumer_body(locale)
-
-    def closer():
-        yield WaitFlag(producers_done_flag, True)
-        yield WaitFlag(drained, True)
-        for locale in range(n):
-            for _ in range(int(consumer_counts[locale].get())):
-                ready[locale].push(_SENTINEL)
-
-    for locale in range(n):
-        for p in range(sim_prod):
-            ex.spawn(
-                producer_body(locale, p),
-                name=f"prod-{locale}-{p}",
-                track=(f"locale{locale}", f"producer{p}"),
-                locale=locale,
-            )
-        for c in range(sim_cons):
-            ex.spawn(
-                consumer_body(locale),
-                name=f"cons-{locale}-{c}",
-                track=(f"locale{locale}", f"consumer{c}"),
-                locale=locale,
-            )
-    ex.spawn(closer(), name="closer")
-    elapsed = ex.run()
-
-    # Diagonal: local streaming work, overlapped here as a separate phase.
-    if ex.wall_clock:
-        diag_start = time.perf_counter()
-        n_diag = apply_diagonal(op, basis, x, y, plan)
-        diag_elapsed = time.perf_counter() - diag_start
-        if trace is not None:
-            trace.complete(
-                ("diagonal", "main"), "diagonal", elapsed, diag_elapsed
-            )
-            trace.advance(elapsed + diag_elapsed)
-    else:
-        n_diag = apply_diagonal(op, basis, x, y, plan)
-        diag_elapsed = max(
-            machine.compute_time(machine.t_axpy, int(c) * k)
-            for c in basis.counts
-        )
-        if trace is not None:
-            for locale in range(n):
-                trace.complete(
-                    (f"locale{locale}", "diagonal"),
-                    "diagonal",
-                    elapsed,
-                    machine.compute_time(
-                        machine.t_axpy, int(basis.counts[locale]) * k
-                    ),
-                )
-            trace.advance(elapsed + diag_elapsed)
-    report.elapsed = elapsed + diag_elapsed
-    report.merge_phase("pipeline", elapsed)
-    report.merge_phase("diagonal", diag_elapsed)
-    report.extras["stall_time"] = float(stall_total.get())
-    report.extras["n_diag"] = float(n_diag)
-    report.extras["producers"] = float(n_prod)
-    report.extras["consumers"] = float(n_cons)
-    report.extras["block_width"] = float(k)
-    report.extras["seconds_per_column"] = report.elapsed / k
-    metrics.counter(
-        "wall.seconds" if ex.wall_clock else "sim.seconds", phase="matvec"
-    ).inc(report.elapsed)
-    attribute_report(report, "matvec.pc", x, y)
-    if metrics.enabled:
-        report.metrics = metrics.snapshot()
-    return y, report
-
-
-class ResilientBuffer:
-    """A :class:`RemoteBuffer` plus the ARQ state of the resilient protocol.
-
-    Stop-and-wait per (producer, destination) pair: the producer bumps
-    ``seq``, stores the clean payload, and transmits; the consumer
-    verifies the checksum, consumes exactly once (``consumed_seq`` guards
-    against duplicated deliveries), and acknowledges by merging the seq
-    into ``acked_seq`` and raising ``ack_flag``.  The producer reuses the
-    buffer only once ``acked_seq`` catches up with ``seq`` — a timed wait,
-    so a lost payload or lost ack triggers a retransmit instead of the
-    silent hang of the unprotected protocol.
-    """
-
-    __slots__ = (
-        "src", "dest", "seq", "acked_seq", "consumed_seq", "ack_flag",
-        "betas", "values", "rows", "checksum", "payload",
-        "uid", "xmit_fates", "ack_fates", "lock",
-    )
-
-    def __init__(self, ex: Executor, src: int, dest: int) -> None:
-        self.src = src
-        self.dest = dest
-        self.seq = 0
-        self.acked_seq = 0
-        self.consumed_seq = 0
-        self.ack_flag = ex.flag(False, name=f"ack[{src}->{dest}]")
-        #: wire fields — what the consumer sees (possibly corrupted)
-        self.betas: np.ndarray | None = None
-        self.values: np.ndarray | None = None
-        self.rows: np.ndarray | None = None
-        self.checksum = 0
-        #: clean (betas, values, rows) kept for retransmits
-        self.payload: tuple | None = None
-        #: deterministic buffer id — the salt of the keyed fate draws on
-        #: the threads backend (set by the owning producer)
-        self.uid = 0
-        #: per-direction fate-draw counters (threads backend: every
-        #: transmit attempt / ack gets its own keyed fate)
-        self.xmit_fates = 0
-        self.ack_fates = 0
-        #: guards wire-field snapshots, consumed_seq check-and-claim and
-        #: acked_seq merges on threads (a no-op context on the simulator,
-        #: where atomicity between yields is free)
-        self.lock = ex.lock()
-
-
-def _resilient_pipeline(
-    op: CompiledOperator,
-    basis: DistributedBasis,
-    x: DistributedVector,
-    y: DistributedVector,
-    *,
-    batch_size: int,
-    consumer_fraction: float,
-    buffer_capacity: int,
-    work_stealing: bool,
-    producers_per_locale: int | None,
-    consumers_per_locale: int | None,
-    plan,
-    faults,
-    resilience: ResilienceConfig,
-    report: SimReport,
-    ledger: CostLedger,
-    metrics,
-    trace,
-) -> tuple[DistributedVector, SimReport]:
-    """The self-healing producer-consumer pipeline (see module docstring).
-
-    Backend-generic: on ``sim`` the injected fates come from the plan's
-    sequential RNG stream and timers are simulated (bit-identical
-    replays, hard-gated by the chaos baselines); on ``threads`` fates
-    are derived per message identity
-    (:meth:`~repro.resilience.faults.FaultPlan.message_fate_keyed`), ack
-    timeouts and injected delays are wall-clock, and the executor itself
-    injects crashes/stragglers and supervises worker restarts.
-    """
-    machine = basis.cluster.machine
-    n = basis.n_locales
-    k = x.n_columns
-    metrics.gauge("matvec.block_width").set(float(k))
     ex = get_executor(
         basis.cluster, trace=trace, faults=faults, resilience=resilience
     )
-    cores = machine.cores_per_locale
-    if producers_per_locale is None or consumers_per_locale is None:
-        n_prod, n_cons = split_cores(cores, consumer_fraction)
-    else:
-        n_prod, n_cons = producers_per_locale, consumers_per_locale
-    if ex.wall_clock:
-        # Real workers: one producer and one consumer thread per locale
-        # unless explicitly overridden (same policy as the plain
-        # pipeline) — no representative-worker rate scaling.
-        sim_prod = (
-            producers_per_locale if producers_per_locale is not None else 1
-        )
-        sim_cons = (
-            consumers_per_locale if consumers_per_locale is not None else 1
-        )
-        n_prod, n_cons = sim_prod, sim_cons
-    else:
-        max_workers = 8
-        sim_prod = min(n_prod, max_workers)
-        sim_cons = min(n_cons, max_workers)
-    t_generate = machine.t_generate * sim_prod / n_prod
-    t_partition = (machine.t_partition + machine.t_hash) * sim_prod / n_prod
-    t_search = machine.t_search_accum * sim_cons / n_cons
-    t_cols_prod = machine.t_axpy * (k - 1) * sim_prod / n_prod
-    t_cols_cons = machine.t_axpy * (k - 1) * sim_cons / n_cons
-    # Representative-worker scaling applies to the checksum kernel too.
-    crc_prod_scale = sim_prod / n_prod
-    crc_cons_scale = sim_cons / n_cons
-    use_checksums = resilience.checksums
-    # On the real backend a fault-free payload moves through coherent
-    # shared memory — there is no wire for bits to flip on, corruption
-    # only ever enters through the fault layer — so the CRC pass is pure
-    # overhead and is elided (the shared-memory-transport analogue of
-    # checksum offload).  The simulator always charges the modelled
-    # checksum time: its timings are baseline-gated bit-identical.
-    wire_checksums = use_checksums and (
-        not ex.wall_clock or faults is not None
-    )
-    # Fault-free on the real backend, the ARQ machinery is semantically
-    # inert: nothing drops (no retransmits), nothing duplicates (no
-    # idempotence guard), nothing crashes (no restart races on the
-    # buffer fields).  The `lean` branches below degenerate it to the
-    # plain pipeline's flag handshake — same yields, no per-handoff
-    # generator delegation, locking, or timeout bookkeeping — which is
-    # what keeps the fault-free wall overhead inside the chaos bench's
-    # 5% budget.  Armed plans (and always the simulator) take the full
-    # protocol.
-    lean = ex.wall_clock and faults is None
-    #: threads: fates are a pure function of message identity, so any
-    #: interleaving of real workers sees the same fault assignment
-    keyed_fates = ex.wall_clock
-
-    net = machine.network
-    nic = [ex.resource(1, name=f"nic{locale}") for locale in range(n)]
-    ready: list = [ex.queue(name=f"ready{locale}") for locale in range(n)]
-    producers_remaining = ex.counter(n * sim_prod)
-    stall_total = ex.counter(0.0)
-    producers_done_flag = ex.flag(False, name="producers_done")
-    consumer_counts = {locale: ex.counter(sim_cons) for locale in range(n)}
-    # One lock per destination locale guards the shared scatter-add into
-    # y.parts[dest] on the threads backend (no-op contexts on sim).
-    consume_locks = [ex.lock(f"consume{locale}") for locale in range(n)]
-
-    def deliver(extra: float, fn) -> None:
-        # The base remote-atomic latency is modelled (zero wall-clock on
-        # threads), but an *injected* delay fate must genuinely postpone
-        # the delivery on every backend.
-        if ex.wall_clock and extra > 0.0:
-            ex.call_after(extra, fn)
-        else:
-            ex.call_later(net.remote_atomic_latency + extra, fn)
-
-    def ack_fate(rb: ResilientBuffer, locale: int):
-        if faults is None:
-            return None
-        if keyed_fates:
-            with rb.lock:
-                attempt = rb.ack_fates
-                rb.ack_fates += 1
-            return faults.message_fate_keyed(
-                locale, rb.src, attempt, salt=rb.uid
-            )
-        return faults.message_fate(locale, rb.src)
-
-    def data_fate(rb: ResilientBuffer):
-        # Producer-side; the owning producer is the only writer of
-        # xmit_fates, so no lock is needed.
-        if keyed_fates:
-            attempt = rb.xmit_fates
-            rb.xmit_fates += 1
-            return faults.message_fate_keyed(
-                rb.src, rb.dest, attempt, salt=rb.uid
-            )
-        return faults.message_fate(rb.src, rb.dest)
-
-    chunk_lists: dict[int, list[tuple[int, int]]] = {}
-    chunk_cursor: dict[int, object] = {}
-    for locale in range(n):
-        count = int(basis.counts[locale])
-        chunk_lists[locale] = [
-            (s, min(s + batch_size, count)) for s in range(0, count, batch_size)
-        ]
-        chunk_cursor[locale] = ex.counter(0)
-
-    def slowdown(locale: int) -> float:
-        return faults.slowdown(locale) if faults is not None else 1.0
-
-    def consumer_body(locale: int):
-        slow = slowdown(locale)
-        busy = 0.0
-        while True:
-            rb = yield Pop(ready[locale])
-            if rb is _SENTINEL:
-                break
-            if lean:
-                # No retransmits, duplicates, or crashes possible: the
-                # ack handshake alone orders producer writes against
-                # this read, exactly as in the plain pipeline.
-                betas, values, rows = rb.betas, rb.values, rb.rows
-                seq = rb.seq
-                before = ex.now
-                with consume_locks[locale]:
-                    consume(
-                        basis, locale, y.parts[locale], betas, values, rows
-                    )
-                busy += ex.now - before
-                yield Timeout(
-                    (t_search + t_cols_cons) * betas.size, "search+accum"
-                )
-                rb.consumed_seq = seq
-                rb.acked_seq = seq
-                rb.ack_flag.set(True)
-                continue
-            # Snapshot the wire fields up front: a retransmit may
-            # overwrite them while this consumer is inside a Timeout
-            # (on threads, while it runs at all — hence the lock).
-            with rb.lock:
-                betas, values, rows = rb.betas, rb.values, rb.rows
-                seq, expected_crc = rb.seq, rb.checksum
-            nbytes = wire_bytes(betas.size, k)
-            if wire_checksums:
-                dt = machine.checksum_time(nbytes) * crc_cons_scale
-                if ex.wall_clock:
-                    before = ex.now
-                    crc_ok = payload_checksum(betas, values) == expected_crc
-                    busy += ex.now - before
-                    yield Timeout(dt, "verify")
-                else:
-                    busy += dt * slow
-                    yield Timeout(dt, "verify")
-                    crc_ok = payload_checksum(betas, values) == expected_crc
-                if not crc_ok:
-                    # Corrupt on the wire: drop without acknowledging;
-                    # the producer's timeout will retransmit.
-                    with ex.mutex:
-                        metrics.counter(
-                            "recovery.checksum_rejects", src=rb.src, dst=locale
-                        ).inc()
-                    continue
-            if ex.wall_clock:
-                # Threads: consume and claim atomically under the buffer
-                # lock, so an injected crash (which can only land on a
-                # yield) never separates them — a killed-and-restarted
-                # consumer either never claimed the payload (retransmit
-                # delivers it again) or fully consumed it (the duplicate
-                # is discarded and re-acknowledged).
-                before = ex.now
-                with rb.lock:
-                    duplicate = seq <= rb.consumed_seq
-                    if not duplicate:
-                        with consume_locks[locale]:
-                            consume(
-                                basis, locale, y.parts[locale],
-                                betas, values, rows,
-                            )
-                        rb.consumed_seq = seq
-                busy += ex.now - before
-                if duplicate:
-                    with ex.mutex:
-                        metrics.counter("recovery.duplicates_discarded").inc()
-                else:
-                    dt = (t_search + t_cols_cons) * betas.size
-                    yield Timeout(dt, "search+accum")
-            elif seq <= rb.consumed_seq:
-                metrics.counter("recovery.duplicates_discarded").inc()
-            else:
-                # Claim the seq BEFORE yielding: a second consumer popping
-                # a duplicated delivery of the same payload mid-Timeout
-                # must see it as already consumed (the check-and-claim is
-                # atomic between yields in the discrete-event simulation).
-                rb.consumed_seq = seq
-                dt = (t_search + t_cols_cons) * betas.size
-                busy += dt * slow
-                yield Timeout(dt, "search+accum")
-                consume(basis, locale, y.parts[locale], betas, values, rows)
-            # Acknowledge (re-acknowledge duplicates: the original ack may
-            # have been the dropped message).
-            if rb.src == locale:
-                with rb.lock:
-                    rb.acked_seq = max(rb.acked_seq, seq)
-                rb.ack_flag.set(True)
-            else:
-                fate = ack_fate(rb, locale)
-                if fate is None or not fate.drop:
-                    extra = fate.extra_delay if fate is not None else 0.0
-
-                    def ack(b=rb, s=seq):
-                        with b.lock:
-                            b.acked_seq = max(b.acked_seq, s)
-                        b.ack_flag.set(True)
-
-                    deliver(extra, ack)
-                    if fate is not None and fate.duplicate:
-                        deliver(extra, ack)
-        with ex.mutex:
-            ledger.add("search+accum", locale, busy)
-
-    def producer_body(locale: int, producer_id: int):
-        slow = slowdown(locale)
-        buffers = [ResilientBuffer(ex, locale, d) for d in range(n)]
-        for d, rb in enumerate(buffers):
-            # Deterministic per-buffer id: the salt of the keyed fate
-            # draws on threads (two producers on one locale must not
-            # share a fate stream).
-            rb.uid = (locale * sim_prod + producer_id) * n + d
-        acct = {"generate": 0.0, "stall": 0.0}
-
-        def transmit(rb: ResilientBuffer, retransmit: bool = False):
-            betas, values, rows = rb.payload
-            nbytes = wire_bytes(betas.size, k)
-            wire_values = values
-            fate = None
-            if faults is not None and rb.dest != locale:
-                fate = data_fate(rb)
-                if fate.corrupt:
-                    wire_values = corrupted_copy(values)
-            crc = 0
-            if wire_checksums:
-                dt = machine.checksum_time(nbytes) * crc_prod_scale
-                if ex.wall_clock:
-                    crc_start = ex.now
-                    crc = payload_checksum(betas, values)
-                    acct["generate"] += ex.now - crc_start
-                else:
-                    crc = payload_checksum(betas, values)
-                    rb.checksum = crc
-                    acct["generate"] += dt * slow
-                yield Timeout(dt, "checksum")
-            with rb.lock:
-                if wire_checksums and ex.wall_clock:
-                    rb.checksum = crc
-                rb.betas = betas
-                rb.values = wire_values
-                rb.rows = rows
-            with ex.mutex:
-                report.messages += 1
-                report.bytes_sent += nbytes
-                if retransmit:
-                    metrics.counter(
-                        "recovery.retransmits", src=locale, dst=rb.dest
-                    ).inc()
-                else:
-                    metrics.counter(
-                        "matvec.messages", src=locale, dst=rb.dest
-                    ).inc()
-                    metrics.counter(
-                        "matvec.bytes", src=locale, dst=rb.dest
-                    ).inc(nbytes)
-                    metrics.histogram("matvec.buffer_elements").observe(
-                        betas.size
-                    )
-            comm_args = (
-                {"src": locale, "dst": rb.dest, "bytes": nbytes, "msgs": 1}
-                if trace is not None
-                else None
-            )
-            if rb.dest == locale:
-                yield Timeout(
-                    machine.memcpy_time(nbytes, 1), "memcpy", comm_args
-                )
-                ready[rb.dest].push(rb)
-            else:
-                yield Acquire(nic[locale])
-                yield Timeout(net.transfer_time(nbytes), "send", comm_args)
-                nic[locale].release()
-                if fate is None or not fate.drop:
-                    extra = fate.extra_delay if fate is not None else 0.0
-                    deliver(extra, lambda q=ready[rb.dest], b=rb: q.push(b))
-                    if fate is not None and fate.duplicate:
-                        deliver(
-                            extra, lambda q=ready[rb.dest], b=rb: q.push(b)
-                        )
-
-        def wait_acked(rb: ResilientBuffer):
-            if rb.seq == 0:
-                return
-            timeout = resilience.ack_timeout
-            retries = 0
-            before = ex.now
-            while rb.acked_seq < rb.seq:
-                ok = yield WaitFlag(rb.ack_flag, True, timeout=timeout)
-                rb.ack_flag.set(False)
-                if ok:
-                    # Either the awaited ack (loop exits) or a stale
-                    # duplicate ack for an older seq (loop waits again).
-                    continue
-                retries += 1
-                with ex.mutex:
-                    metrics.counter(
-                        "fault.timeouts", src=locale, dst=rb.dest
-                    ).inc()
-                if retries > resilience.max_retries:
-                    raise FaultError(
-                        f"RemoteBuffer handoff {locale}->{rb.dest} seq "
-                        f"{rb.seq} unacknowledged after {retries - 1} "
-                        f"retransmits (retry budget "
-                        f"{resilience.max_retries} exhausted)"
-                    )
-                timeout *= resilience.backoff
-                yield from transmit(rb, retransmit=True)
-            if ex.now > before:
-                stalled = ex.now - before
-                acct["stall"] += stalled
-                with ex.mutex:
-                    metrics.histogram("matvec.stall_seconds").observe(stalled)
-
-        while True:
-            c = chunk_cursor[locale].add(1) - 1
-            if c >= len(chunk_lists[locale]):
-                break
-            start, stop = chunk_lists[locale][c]
-            gen_start = ex.now
-            chunk = produce_chunk(
-                op, basis, locale, start, stop, x.parts[locale], plan
-            )
-            dt = (
-                t_generate * chunk.n_emitted
-                + (t_partition + t_cols_prod) * chunk.betas.size
-            )
-            acct["generate"] += (
-                (ex.now - gen_start) if ex.wall_clock else dt * slow
-            )
-            with ex.mutex:
-                metrics.histogram("matvec.chunk_elements").observe(
-                    chunk.betas.size
-                )
-            yield Timeout(dt, "generate")
-            for shift in range(n):
-                dest = (locale + 1 + shift) % n
-                betas_all, values_all = chunk.slice_for(dest)
-                rows_all = chunk.rows_for(dest)
-                for lo in range(0, betas_all.size, buffer_capacity):
-                    betas = betas_all[lo : lo + buffer_capacity]
-                    values = values_all[lo : lo + buffer_capacity]
-                    rows = (
-                        None
-                        if rows_all is None
-                        else rows_all[lo : lo + buffer_capacity]
-                    )
-                    rb = buffers[dest]
-                    if lean:
-                        # Degenerate stop-and-wait: the ack flag is the
-                        # plain pipeline's is_full handshake, delivery
-                        # is a direct push (remote-atomic latency is
-                        # zero in shared memory), and no payload copy
-                        # is kept (nothing can ask for a retransmit).
-                        if rb.seq:
-                            before = ex.now
-                            yield WaitFlag(rb.ack_flag, True)
-                            rb.ack_flag.set(False)
-                            now = ex.now
-                            if now > before:
-                                acct["stall"] += now - before
-                                with ex.mutex:
-                                    metrics.histogram(
-                                        "matvec.stall_seconds"
-                                    ).observe(now - before)
-                        rb.seq += 1
-                        rb.betas, rb.values, rb.rows = betas, values, rows
-                        nbytes = wire_bytes(betas.size, k)
-                        with ex.mutex:
-                            report.messages += 1
-                            report.bytes_sent += nbytes
-                            metrics.counter(
-                                "matvec.messages", src=locale, dst=dest
-                            ).inc()
-                            metrics.counter(
-                                "matvec.bytes", src=locale, dst=dest
-                            ).inc(nbytes)
-                            metrics.histogram(
-                                "matvec.buffer_elements"
-                            ).observe(betas.size)
-                        comm_args = (
-                            {
-                                "src": locale,
-                                "dst": dest,
-                                "bytes": nbytes,
-                                "msgs": 1,
-                            }
-                            if trace is not None
-                            else None
-                        )
-                        if dest == locale:
-                            yield Timeout(
-                                machine.memcpy_time(nbytes, 1),
-                                "memcpy",
-                                comm_args,
-                            )
-                        else:
-                            yield Acquire(nic[locale])
-                            yield Timeout(
-                                net.transfer_time(nbytes), "send", comm_args
-                            )
-                            nic[locale].release()
-                        ready[dest].push(rb)
-                        continue
-                    yield from wait_acked(rb)
-                    with rb.lock:
-                        rb.seq += 1
-                    rb.payload = (betas, values, rows)
-                    yield from transmit(rb)
-        # Drain: every outstanding payload must be acknowledged before
-        # this producer retires (so "all producers done" implies "all
-        # payloads consumed" and the closer can release the consumers).
-        for rb in buffers:
-            if lean:
-                if rb.seq and rb.acked_seq < rb.seq:
-                    yield WaitFlag(rb.ack_flag, True)
-            else:
-                yield from wait_acked(rb)
-        with ex.mutex:
-            ledger.add("generate", locale, acct["generate"])
-            ledger.add("stall", locale, acct["stall"])
-        stall_total.add(acct["stall"])
-        if work_stealing:
-            consumer_counts[locale].add(1)
-        if producers_remaining.add(-1) == 0:
-            producers_done_flag.set(True)
-        if work_stealing:
-            yield from consumer_body(locale)
-
-    def closer():
-        yield WaitFlag(producers_done_flag, True)
-        for locale in range(n):
-            for _ in range(int(consumer_counts[locale].get())):
-                ready[locale].push(_SENTINEL)
-
-    for locale in range(n):
-        for p in range(sim_prod):
-            ex.spawn(
-                producer_body(locale, p),
-                name=f"prod-{locale}-{p}",
-                track=(f"locale{locale}", f"producer{p}"),
-                locale=locale,
-            )
-        for c in range(sim_cons):
-            ex.spawn(
-                consumer_body(locale),
-                name=f"cons-{locale}-{c}",
-                track=(f"locale{locale}", f"consumer{c}"),
-                locale=locale,
-                # Consumers are safely restartable after an injected
-                # crash on threads: consumption state lives in the shared
-                # buffers and consumed_seq makes reprocessing idempotent.
-                # Producers are NOT restartable — a lost in-flight chunk
-                # cursor would corrupt the result, so producer loss
-                # escalates to the operator-level restart/fallback.
-                factory=(lambda locale=locale: consumer_body(locale)),
-            )
-    ex.spawn(closer(), name="closer")
-    elapsed = ex.run()
-
-    if ex.wall_clock:
-        diag_start = time.perf_counter()
-        n_diag = apply_diagonal(op, basis, x, y, plan)
-        diag_elapsed = time.perf_counter() - diag_start
-        if trace is not None:
-            trace.complete(
-                ("diagonal", "main"), "diagonal", elapsed, diag_elapsed
-            )
-            trace.advance(elapsed + diag_elapsed)
-    else:
-        n_diag = apply_diagonal(op, basis, x, y, plan)
-        diag_elapsed = max(
-            machine.compute_time(machine.t_axpy, int(c) * k)
-            for c in basis.counts
-        )
-        if trace is not None:
-            for locale in range(n):
-                trace.complete(
-                    (f"locale{locale}", "diagonal"),
-                    "diagonal",
-                    elapsed,
-                    machine.compute_time(
-                        machine.t_axpy, int(basis.counts[locale]) * k
-                    ),
-                )
-            trace.advance(elapsed + diag_elapsed)
-    report.elapsed = elapsed + diag_elapsed
-    report.merge_phase("pipeline", elapsed)
-    report.merge_phase("diagonal", diag_elapsed)
-    report.extras["stall_time"] = float(stall_total.get())
-    report.extras["n_diag"] = float(n_diag)
-    report.extras["producers"] = float(n_prod)
-    report.extras["consumers"] = float(n_cons)
-    report.extras["block_width"] = float(k)
-    report.extras["seconds_per_column"] = report.elapsed / k
-    report.extras["resilient"] = 1.0
-    metrics.counter(
-        "wall.seconds" if ex.wall_clock else "sim.seconds", phase="matvec"
-    ).inc(report.elapsed)
-    attribute_report(report, "matvec.pc", x, y)
-    if metrics.enabled:
-        report.metrics = metrics.snapshot()
-    return y, report
+    # No injected fault can reach the buffers without a plan, and in real
+    # shared memory nothing else can either: the flag hand-off suffices.
+    flag = faults is None and (resilience is None or ex.wall_clock)
+    return (_FlagPipeline if flag else _ArqPipeline)(
+        ex, report, metrics, trace, op, basis, x, y,
+        batch_size, consumer_fraction, buffer_capacity, work_stealing,
+        producers_per_locale, consumers_per_locale, plan, faults, resilience,
+    ).run()
 
 
 def _shared_memory_matvec(
@@ -1127,31 +785,27 @@ def _shared_memory_matvec(
     x: DistributedVector,
     y: DistributedVector,
     batch_size: int,
+    plan,
     report: SimReport,
-    plan=None,
-    wall_clock: bool = False,
+    metrics,
+    trace,
+    wall_clock: bool,
 ) -> tuple[DistributedVector, SimReport]:
     """Single-locale mode: all cores generate and consume (no pipeline).
 
     ``wall_clock=True`` (the ``threads`` backend) reports the measured
-    wall-clock seconds of this — genuinely serial — execution instead of
-    the machine model's estimate; the model figure is kept under
-    ``extras["model_seconds"]``.  This is the serial reference the
-    multi-worker speedup bench compares against.
+    seconds of this — genuinely serial — execution and keeps the machine
+    model's estimate under ``extras["model_seconds"]``: the serial
+    reference the multi-worker speedup bench compares against.
     """
     machine = basis.cluster.machine
     k = x.n_columns
-    tele = current_telemetry()
-    metrics = tele.metrics
-    metrics.gauge("matvec.block_width").set(float(k))
-    trace = tele.trace if tele.trace.enabled else None
     wall_start = time.perf_counter()
     apply_diagonal(op, basis, x, y, plan)
     count = int(basis.counts[0])
     gen_work = 0.0
     search_work = 0.0
-    for start in range(0, count, batch_size):
-        stop = min(start + batch_size, count)
+    for start, stop in chunk_spans(count, batch_size):
         chunk = produce_chunk(op, basis, 0, start, stop, x.parts[0], plan)
         betas, values = chunk.slice_for(0)
         consume(basis, 0, y.parts[0], betas, values, chunk.rows_for(0))
@@ -1163,47 +817,34 @@ def _shared_memory_matvec(
     cores = machine.cores_per_locale
     diag_work = machine.t_axpy * count * k
     model_elapsed = (gen_work + search_work + diag_work) / cores
+    track = ("locale0", "worker0")
     if wall_clock:
-        elapsed = time.perf_counter() - wall_start
-        report.elapsed = elapsed
-        report.merge_phase("matvec", elapsed)
+        report.elapsed = time.perf_counter() - wall_start
+        report.merge_phase("matvec", report.elapsed)
         report.extras["model_seconds"] = model_elapsed
         if trace is not None:
             trace.mark_wall()
-            trace.complete(("locale0", "worker0"), "matvec", 0.0, elapsed)
-            trace.advance(elapsed)
+            trace.complete(track, "matvec", 0.0, report.elapsed)
     else:
-        elapsed = model_elapsed
-        report.elapsed = elapsed
-        report.merge_phase("generate", gen_work / cores)
-        report.merge_phase("search+accum", search_work / cores)
-        report.merge_phase("diagonal", diag_work / cores)
-        if trace is not None:
-            # Sequential shared-memory phases on one worker track; the
-            # offset still advances by the full elapsed time so successive
-            # operations (e.g. warm plan replays that record few events)
-            # stay monotone on the global timeline.
-            track = ("locale0", "worker0")
-            t = 0.0
-            for name, work in (
-                ("generate", gen_work),
-                ("search+accum", search_work),
-                ("diagonal", diag_work),
-            ):
-                if work > 0.0:
-                    trace.complete(track, name, t, work / cores)
-                    t += work / cores
-            trace.advance(elapsed)
+        report.elapsed = model_elapsed
+        # Sequential phases on one worker track.
+        t = 0.0
+        for name, work in (
+            ("generate", gen_work),
+            ("search+accum", search_work),
+            ("diagonal", diag_work),
+        ):
+            report.merge_phase(name, work / cores)
+            if trace is not None and work > 0.0:
+                trace.complete(track, name, t, work / cores)
+                t += work / cores
+    if trace is not None:
+        # The offset advances by the full elapsed time so successive
+        # operations (e.g. warm plan replays that record few events) stay
+        # monotone on the global timeline.
+        trace.advance(report.elapsed)
     report.ledger.add("generate", 0, gen_work)
     report.ledger.add("search+accum", 0, search_work)
     report.extras["producers"] = float(cores)
     report.extras["consumers"] = float(cores)
-    report.extras["block_width"] = float(k)
-    report.extras["seconds_per_column"] = elapsed / k
-    metrics.counter(
-        "wall.seconds" if wall_clock else "sim.seconds", phase="matvec"
-    ).inc(report.elapsed)
-    attribute_report(report, "matvec.pc", x, y)
-    if metrics.enabled:
-        report.metrics = metrics.snapshot()
-    return y, report
+    return finish_report(report, "pc", x, y, metrics, wall_clock)

@@ -28,12 +28,29 @@ from repro.telemetry.context import current as current_telemetry
 
 __all__ = ["DistributedOperator"]
 
-_METHODS = {
+_PIPELINE_NAMES = ("pc", "producer-consumer")
+
+#: ``method=`` name -> implementation: the one table the operator and the
+#: autotuner dispatch on.
+IMPLS = {
     "naive": matvec_naive,
     "batched": matvec_batched,
-    "producer-consumer": matvec_producer_consumer,
-    "pc": matvec_producer_consumer,
+    **dict.fromkeys(_PIPELINE_NAMES, matvec_producer_consumer),
 }
+
+#: Tunable knob names, in canonical (tie-breaking) order.  Every method
+#: takes the first; the rest are the pipeline's.
+KNOB_KEYS = ("batch_size", "consumer_fraction", "work_stealing")
+
+
+def is_pipeline(method: str) -> bool:
+    """Whether ``method`` names the producer-consumer pipeline."""
+    return method in _PIPELINE_NAMES
+
+
+def knob_keys(method: str) -> tuple[str, ...]:
+    """The tunable knobs ``method`` accepts."""
+    return KNOB_KEYS if is_pipeline(method) else KNOB_KEYS[:1]
 
 
 class DistributedOperator:
@@ -90,9 +107,9 @@ class DistributedOperator:
         tune_cache=None,
         **method_options,
     ) -> None:
-        if method not in _METHODS:
-            raise ValueError(
-                f"unknown matvec method {method!r}; choose from {sorted(_METHODS)}"
+        if method not in IMPLS:
+            raise ConfigError(
+                f"unknown matvec method {method!r}; choose from {sorted(IMPLS)}"
             )
         if tune not in ("off", "auto", "force"):
             raise ConfigError(
@@ -122,7 +139,7 @@ class DistributedOperator:
             )
         self.method = method
         self.method_options = dict(method_options)
-        if _METHODS[method] is matvec_producer_consumer:
+        if is_pipeline(method):
             # The hand-off unit follows the backend; an explicit value wins.
             self.method_options.setdefault(
                 "buffer_capacity", default_buffer_capacity(cluster)
@@ -136,12 +153,7 @@ class DistributedOperator:
                 self.compiled, basis, method=method, force=tune == "force"
             )
             knobs = self.tuned.knobs
-            applicable = (
-                ("batch_size", "consumer_fraction", "work_stealing")
-                if method in ("pc", "producer-consumer")
-                else ("batch_size",)
-            )
-            for key in applicable:
+            for key in knob_keys(method):
                 if key in knobs:
                     # Tuned knobs are defaults; explicit kwargs win.
                     self.method_options.setdefault(key, knobs[key])
@@ -191,7 +203,7 @@ class DistributedOperator:
         restarting the matvec within the configured budgets; raises the
         fault when the budgets are exhausted.
         """
-        impl = _METHODS[self.method]
+        impl = IMPLS[self.method]
         resilient = self.faults is not None or self.resilience is not None
         kwargs = dict(self.method_options)
         if resilient:

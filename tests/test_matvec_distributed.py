@@ -19,7 +19,7 @@ from repro.distributed import (
     enumerate_states,
 )
 from repro.distributed.matvec_pc import split_cores
-from repro.errors import CompilationError
+from repro.errors import CompilationError, ConfigError
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
 
@@ -223,13 +223,66 @@ class TestValidation:
     def test_unknown_method(self):
         args = build(8, 4, None, 2)
         _, _, dbasis, expr = args
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             DistributedOperator(expr, dbasis, method="warp")
 
     def test_non_conserving_rejected(self):
         _, _, dbasis, _ = build(8, 4, None, 2)
         with pytest.raises(CompilationError):
             DistributedOperator(repro.transverse_field_ising(8), dbasis)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("batch_size", [-3, 0, 2.5])
+    def test_batch_size_below_one_rejected(self, method, batch_size):
+        # A negative step used to skip every chunk: y came back as the
+        # diagonal only, with no error.
+        serial, _, dbasis, expr = build(12, 6, None, 2)
+        x = DistributedVector.full_random(dbasis, seed=3)
+        dop = DistributedOperator(
+            expr, dbasis, method=method, batch_size=batch_size
+        )
+        with pytest.raises(ConfigError, match="batch_size"):
+            dop.matvec(x)
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            dict(buffer_capacity=-1),
+            dict(buffer_capacity=0),
+            dict(producers_per_locale=0, consumers_per_locale=1),
+            dict(producers_per_locale=2, consumers_per_locale=0),
+            dict(producers_per_locale=2),
+            dict(consumers_per_locale=1),
+        ],
+    )
+    @pytest.mark.parametrize("n_locales", [1, 2])
+    def test_pipeline_knobs_below_one_rejected(self, knob, n_locales):
+        _, _, dbasis, expr = build(12, 6, None, n_locales)
+        x = DistributedVector.full_random(dbasis, seed=3)
+        dop = DistributedOperator(expr, dbasis, method="pc", **knob)
+        with pytest.raises(ConfigError, match="buffer_capacity|_per_locale"):
+            dop.matvec(x)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_output_that_cannot_hold_the_result_rejected(self, method):
+        from repro.errors import DistributionError
+
+        _, _, dbasis, expr = build(12, 6, None, 2)
+        dop = DistributedOperator(expr, dbasis, method=method)
+        x = DistributedVector.full_random(dbasis, seed=3, dtype=np.complex128)
+        y = DistributedVector.full_random(dbasis, seed=4)
+        before = [part.copy() for part in y.parts]
+        with pytest.raises(DistributionError, match="cannot hold"):
+            dop.matvec(x, y)
+        # ... and up front: y is not half-written.
+        for part, kept in zip(y.parts, before):
+            np.testing.assert_array_equal(part, kept)
+        # A wider output than the result needs is fine.
+        real = DistributedVector.full_random(dbasis, seed=3)
+        wide = DistributedVector.zeros(dbasis, dtype=np.complex128)
+        dop.matvec(real, wide)
+        for got, want in zip(wide.parts, dop.matvec(real).parts):
+            np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_vector_from_wrong_basis_rejected(self):
         from repro.errors import DistributionError

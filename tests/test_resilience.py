@@ -25,7 +25,12 @@ from repro.distributed import (
     enumerate_states,
 )
 from repro.distributed.vector import DistributedVectorSpace
-from repro.errors import CheckpointError, ConvergenceError, FaultError
+from repro.errors import (
+    CheckpointError,
+    ConfigError,
+    ConvergenceError,
+    FaultError,
+)
 from repro.linalg.davidson import davidson
 from repro.linalg.lanczos import lanczos, lanczos_distributed
 from repro.resilience import (
@@ -179,7 +184,7 @@ class TestChaosSweep:
             faults=FaultPlan(seed=1, corrupt=0.1),
             resilience=ResilienceConfig(checksums=False),
         )
-        with pytest.raises(ValueError, match="checksum"):
+        with pytest.raises(ConfigError, match="checksum"):
             op.matvec(x)
 
     def test_pc_crash_falls_back_to_batched(self, setup):
