@@ -2,28 +2,21 @@
 
 Runs the exact-diagonalization simulation described by a JSON input file
 (see :mod:`repro.config` for the schema) and prints the result as JSON.
-
-Observability flags (see ``docs/OBSERVABILITY.md``):
-
-- ``--seed INT`` — seed for the random starting vector (default 0);
-- ``--trace PATH`` — export a Perfetto-compatible Chrome trace of the
-  simulated run (one track per locale/worker);
-- ``--metrics PATH`` — export the metrics snapshot (bytes per locale
-  pair, stall/batch distributions, Lanczos residuals) as JSON;
-- ``--metrics-export PATH`` — export the metrics (global and per-job
-  series) as OpenMetrics v1 text; with
-  ``--metrics-export-interval SECONDS`` the file is refreshed
-  periodically (atomic replace) while the run is live;
-- ``--log-json PATH`` — structured JSON-lines progress log (``-`` for
-  stderr), each record correlated with the active job and the
-  simulated-time offset;
-- ``--job ID`` / ``--tenant T`` / ``--workload W`` — run under a job
-  scope for cost attribution (defaults to the input file's stem); the
-  output JSON gains a ``job_costs`` ledger snapshot and the trace can
-  be aggregated per job with ``repro-inspect cost``.
+``python -m repro --help`` lists the flags (generated from the same rows
+as the input-file keys; ``docs/OBSERVABILITY.md`` describes what the
+observability ones write).  Bad input — an unreadable file, an unknown or
+out-of-range key, a flag that does not apply — exits 2 with a one-line
+``repro: error: ...`` on stderr.
 """
 
+import sys
+
 from repro.config import main
+from repro.errors import ReproError
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ReproError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        sys.exit(2)

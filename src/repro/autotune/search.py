@@ -38,6 +38,7 @@ from repro.distributed.matvec_pc import (
 )
 from repro.distributed.operator import (
     IMPLS,
+    KNOB_DEFAULTS,
     KNOB_KEYS,
     is_pipeline,
     knob_keys,
@@ -108,11 +109,7 @@ class OperatorWorkload:
 
 def default_knobs(method: str = "pc") -> dict:
     """The knob assignment an untuned operator runs with."""
-    knobs = {"batch_size": 1 << 13}
-    if is_pipeline(method):
-        knobs["consumer_fraction"] = DEFAULT_CONSUMER_FRACTION
-        knobs["work_stealing"] = False
-    return knobs
+    return {key: KNOB_DEFAULTS[key] for key in knob_keys(method)}
 
 
 def coarse_split_candidates(

@@ -22,107 +22,280 @@ eigensolve (serially, or on the simulated cluster when a ``cluster``
 section is present).  ``python -m repro input.json`` runs it from the
 command line (sample files in ``examples/inputs/``).
 
-Command-line flags:
-
-``--seed INT``
-    Seed for the random starting vector of the eigensolve (default 0).
-    Different seeds exercise different Krylov trajectories; eigenvalues
-    must agree to solver tolerance regardless.
-``--trace PATH``
-    Record every simulated-runtime event (producer/consumer spans, stalls,
-    NIC usage, queue depths) and write a Chrome trace-event JSON to
-    ``PATH`` — open it in Perfetto (https://ui.perfetto.dev) to see the
-    pipeline timeline, one track per (locale, worker).
-``--metrics PATH``
-    Collect counters/gauges/histograms (bytes per locale pair, batch-size
-    and stall distributions, Lanczos residuals) and write the snapshot as
-    JSON to ``PATH``; a text table is also printed to stderr.
-``--faults PATH``
-    Inject a seeded fault plan (JSON with ``seed``, ``drop``,
-    ``duplicate``, ``corrupt``, ``delay``/``max_delay``, ``stragglers``,
-    ``crashes`` keys — see :class:`repro.resilience.FaultPlan`) into the
-    cluster (either backend); the matvec recovery protocol and its
-    ``fault.*``/``recovery.*`` metrics activate automatically.
-``--watchdog-timeout SECONDS`` / ``--max-worker-restarts N``
-    Threads-backend supervision knobs: the stall watchdog window and the
-    per-worker restart budget (merged into the cluster ``resilience``
-    section; see ``docs/RESILIENCE.md``).
-``--checkpoint DIR`` / ``--resume``
-    Periodically snapshot the Krylov solver state under ``DIR`` and
-    restart from the newest checkpoint (``docs/RESILIENCE.md``).
-
-The ``cluster`` section accepts ``faults`` and ``resilience``
-sub-sections with the same keys, a ``backend`` key (``"sim"`` or
-``"threads"``, overridable with ``--backend``; see ``docs/BACKENDS.md``),
-a ``matvec`` sub-section with the pipeline knobs of Sec. 5.3/6.3 —
-``{"batch_size": 8192, "consumer_fraction": 0.1875, "work_stealing":
-false, "block_width": 1}`` (``block_width`` is advisory: the executed
-width comes from the vector's column count) — plus ``tune`` (``"off"`` /
-``"auto"`` / ``"force"``) and ``tune_cache`` keys driving the autotuner
-(see ``docs/PERFORMANCE.md``).  The matching command-line flags
-``--batch-size`` / ``--consumer-fraction`` / ``--work-stealing`` and
-``--tune`` / ``--tune-cache`` override the file.  The ``solver`` section
-accepts
-``checkpoint: {"dir": ..., "every": 10, "keep": 2, "resume": false}``.
-
-See ``docs/OBSERVABILITY.md`` for the trace schema and metric names.
+Every key a file may carry is one row of :data:`ROWS` (a
+:class:`repro.schema.Key`: dotted path, type, default, range, and — where a
+command-line flag overrides the file — the flag and its help text).  Both
+functions check each section against the rows with
+:func:`repro.schema.validate` (unknown key, wrong type, out of range,
+missing → :class:`~repro.errors.ConfigError` naming the dotted path),
+``main`` generates its flags from them (``python -m repro --help`` lists
+them) and ``README.md`` its key table (:func:`input_reference`).  See
+``docs/OBSERVABILITY.md`` for the trace schema and metric names.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from repro.basis.spin_basis import Basis, SpinBasis
 from repro.basis.symm_basis import SymmetricBasis
-from repro.errors import ReproError
+from repro.distributed.operator import (
+    MATVEC_ROWS,
+    TUNE_MODES,
+    DistributedOperator,
+)
+from repro.errors import ConfigError
 from repro.operators import hamiltonians
-from repro.operators.expression import Expression
+from repro.operators.expression import Expression, spin_z
 from repro.operators.operator import Operator
+from repro.resilience.faults import (
+    FAULT_ROWS,
+    RESILIENCE_ROWS,
+    FaultPlan,
+    ResilienceConfig,
+)
+from repro.runtime.executor import BACKENDS
+from repro.runtime.machine import laptop_machine, snellius_machine
+from repro.schema import Key, key_table, validate
 from repro.symmetry.symmetries import chain_symmetries
 
-__all__ = ["SimulationSpec", "load_simulation", "run_simulation"]
+__all__ = [
+    "ROWS",
+    "SimulationSpec",
+    "input_reference",
+    "load_simulation",
+    "run_simulation",
+]
 
-#: model name -> (builder, accepted keyword arguments)
+
+def _grid(n_sites: int, nx: int, ny: int) -> None:
+    if nx * ny != n_sites:
+        raise ConfigError(
+            f"hamiltonian.nx * hamiltonian.ny = {nx * ny} but n_sites = "
+            f"{n_sites}"
+        )
+
+
+def _square(n_sites, nx, ny, coupling=1.0, periodic=True) -> Expression:
+    _grid(n_sites, nx, ny)
+    return hamiltonians.heisenberg_square(nx, ny, coupling, periodic)
+
+
+def _triangular(n_sites, nx, ny, coupling=1.0) -> Expression:
+    _grid(n_sites, nx, ny)
+    return hamiltonians.heisenberg(
+        hamiltonians.triangular_lattice_edges(nx, ny), coupling
+    )
+
+
+def _kagome12(n_sites, coupling=1.0) -> Expression:
+    if n_sites != 12:
+        raise ConfigError(
+            f"hamiltonian.model heisenberg_kagome12 has exactly 12 sites, "
+            f"but n_sites = {n_sites}"
+        )
+    return hamiltonians.heisenberg(hamiltonians.kagome_12_edges(), coupling)
+
+
+def _graph(n_sites, edges, coupling=1.0) -> Expression:
+    try:
+        pairs = [(int(i), int(j)) for i, j in edges]
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"hamiltonian.edges must be a list of [site, site] pairs, got "
+            f"{edges!r}"
+        ) from None
+    return hamiltonians.heisenberg(pairs, coupling)
+
+
+def _spin_correlation(n_sites, distance, name=None):
+    name = f"S0.S{distance}" if name is None else name
+    return name, hamiltonians.heisenberg([(0, distance % n_sites)])
+
+
+def _magnetization(n_sites, name="Sz_total"):
+    return name, sum(spin_z(i) for i in range(n_sites))
+
+
+def _staggered_magnetization(n_sites, name="Sz_staggered"):
+    return name, sum(
+        ((-1) ** i / n_sites) * spin_z(i) for i in range(n_sites)
+    )
+
+
+# Sections whose keys depend on one of them: the value of that key ->
+# (builder, the other keys it takes; all of them rows of ROWS below).
 _MODELS = {
-    "heisenberg_chain": (hamiltonians.heisenberg_chain, {"coupling", "periodic"}),
-    "xxz_chain": (hamiltonians.xxz_chain, {"jz", "jxy", "periodic"}),
+    "heisenberg_chain": (hamiltonians.heisenberg_chain, ("coupling", "periodic")),
+    "xxz_chain": (hamiltonians.xxz_chain, ("jz", "jxy", "periodic")),
     "transverse_field_ising": (
         hamiltonians.transverse_field_ising,
-        {"coupling", "field", "periodic"},
+        ("coupling", "field", "periodic"),
     ),
-    "j1j2_chain": (hamiltonians.j1j2_chain, {"j1", "j2", "periodic"}),
+    "j1j2_chain": (hamiltonians.j1j2_chain, ("j1", "j2", "periodic")),
+    "heisenberg_graph": (_graph, ("edges", "coupling")),
+    "heisenberg_square": (_square, ("nx", "ny", "coupling", "periodic")),
+    "heisenberg_triangular": (_triangular, ("nx", "ny", "coupling")),
+    "heisenberg_kagome12": (_kagome12, ("coupling",)),
+}
+_OBSERVABLES = {
+    "spin_correlation": (_spin_correlation, ("distance", "name")),
+    "magnetization": (_magnetization, ("name",)),
+    "staggered_magnetization": (_staggered_magnetization, ("name",)),
+}
+_MACHINES = {
+    "snellius": (snellius_machine, ()),
+    "laptop": (laptop_machine, ("cores",)),
 }
 
+#: Every key of an input file, one row each (the matvec, fault-plan and
+#: resilience rows live beside what they configure).
+ROWS = (
+    Key("n_sites", int, required=True, min=1, max=64, help="number of spins"),
+    Key("hamiltonian", dict, required=True,
+        help="the model and its parameters"),
+    Key("hamiltonian.model", str, required=True, choices=tuple(_MODELS),
+        help="the Hamiltonian; each model takes the keys listed below the "
+        "table"),
+    Key("hamiltonian.coupling", float, help="exchange coupling J (1.0)"),
+    Key("hamiltonian.periodic", bool,
+        help="periodic boundary conditions (true)"),
+    Key("hamiltonian.jz", float, required=True, help="XXZ: Ising coupling"),
+    Key("hamiltonian.jxy", float, help="XXZ: exchange coupling (1.0)"),
+    Key("hamiltonian.field", float, help="transverse field h (1.0)"),
+    Key("hamiltonian.j1", float, help="nearest-neighbour coupling (1.0)"),
+    Key("hamiltonian.j2", float, help="next-nearest-neighbour coupling (0.5)"),
+    Key("hamiltonian.nx", int, required=True, min=1,
+        help="lattice width; nx * ny must equal n_sites"),
+    Key("hamiltonian.ny", int, required=True, min=1, help="lattice height"),
+    Key("hamiltonian.edges", list, required=True,
+        help="[[i, j], ...] bonds of the interaction graph"),
+    Key("basis", dict, help="the symmetry sector (the full space if absent)"),
+    Key("basis.hamming_weight", int, min=0,
+        help="number of up spins (U(1) sector); at most n_sites"),
+    Key("basis.momentum", int,
+        help="translation sector of a closed chain (absent: not imposed)"),
+    Key("basis.parity", int, help="reflection sector (0 even, 1 odd)"),
+    Key("basis.inversion", int, help="spin-inversion sector (0 even, 1 odd)"),
+    Key("solver", dict, help="Lanczos eigensolver options"),
+    Key("solver.k", int, 1, min=1, help="number of lowest eigenvalues"),
+    Key("solver.tol", float, 1e-10, above=0,
+        help="Ritz-residual convergence threshold"),
+    Key("solver.max_iter", int, 500, min=1, help="iteration budget"),
+    Key("solver.checkpoint", dict, help="periodic solver snapshots"),
+    Key("solver.checkpoint.dir", str, required=True, flag="--checkpoint",
+        metavar="DIR", help="write periodic solver checkpoints under DIR"),
+    Key("solver.checkpoint.every", int, 10, min=1,
+        help="iterations between checkpoints"),
+    Key("solver.checkpoint.keep", int, 2, min=1,
+        help="newest checkpoints kept"),
+    Key("solver.checkpoint.resume", bool, False, flag="--resume",
+        help="resume the eigensolve from the newest checkpoint under the "
+        "checkpoint directory (bit-for-bit continuation)"),
+    Key("observables", list,
+        help="ground-state expectation values to report, one object each"),
+    Key("observables.type", str, required=True, choices=tuple(_OBSERVABLES),
+        help="the observable"),
+    Key("observables.name", str, help="key in the result's observables"),
+    Key("observables.distance", int, required=True,
+        help="spin_correlation: r of S_0 . S_r"),
+    Key("cluster", dict, help="run distributed (serially if absent)"),
+    Key("cluster.n_locales", int, 1, min=1, help="number of locales"),
+    Key("cluster.machine", str, "snellius", choices=tuple(_MACHINES),
+        help="machine model of the simulated cluster"),
+    Key("cluster.cores", int, min=1,
+        help="cores per locale (8); machine 'laptop' only"),
+    Key("cluster.backend", str, "sim", choices=BACKENDS, flag="--backend",
+        help="execution backend for the distributed run: 'sim' "
+        "(discrete-event simulator, modelled timings) or 'threads' (real "
+        "parallel workers, wall-clock timings; see docs/BACKENDS.md)"),
+    Key("cluster.tune", str, "off", choices=TUNE_MODES, flag="--tune",
+        help="autotune the matvec pipeline knobs for this workload: "
+        "'auto' applies cached tuned knobs (searching once on a miss), "
+        "'force' always re-searches, 'off' keeps the paper defaults "
+        "(see docs/PERFORMANCE.md)"),
+    Key("cluster.tune_cache", str, flag="--tune-cache", metavar="PATH",
+        help="autotuner cache file (default "
+        "benchmarks/baselines/autotune_cache.json or $REPRO_TUNE_CACHE)"),
+    Key("cluster.matvec", dict,
+        help="pipeline knobs of Sec. 5.3/6.3, echoed in the result"),
+    *MATVEC_ROWS,
+    Key("cluster.faults", dict, flag="--faults", metavar="PATH",
+        help="seeded fault plan injected into the cluster (on the command "
+        "line: a JSON file holding it); the matvec recovery protocol "
+        "activates automatically (docs/RESILIENCE.md)"),
+    *FAULT_ROWS,
+    Key("cluster.resilience", dict, help="recovery policy"),
+    *RESILIENCE_ROWS,
+)
 
-def _build_lattice_model(n_sites: int, section: dict) -> Expression:
-    """2-D lattice models that need their own geometry parameters."""
-    model = section["model"]
-    coupling = section.get("coupling", 1.0)
-    if model == "heisenberg_square":
-        nx, ny = int(section["nx"]), int(section["ny"])
-        if nx * ny != n_sites:
-            raise ReproError(f"nx*ny = {nx * ny} but n_sites = {n_sites}")
-        return hamiltonians.heisenberg_square(
-            nx, ny, coupling, section.get("periodic", True)
-        )
-    if model == "heisenberg_kagome12":
-        if n_sites != 12:
-            raise ReproError("the kagome-12 cluster has exactly 12 sites")
-        return hamiltonians.heisenberg(
-            hamiltonians.kagome_12_edges(), coupling
-        )
-    if model == "heisenberg_triangular":
-        nx, ny = int(section["nx"]), int(section["ny"])
-        if nx * ny != n_sites:
-            raise ReproError(f"nx*ny = {nx * ny} but n_sites = {n_sites}")
-        return hamiltonians.heisenberg(
-            hamiltonians.triangular_lattice_edges(nx, ny), coupling
-        )
-    raise ReproError(f"unknown lattice model {model!r}")
+#: Command-line options that are not input-file keys (``path`` = dest).
+_CLI_ROWS = (
+    Key("seed", int, 0, flag="--seed",
+        help="seed for the random starting vector (default: 0)"),
+    Key("trace", str, flag="--trace", metavar="PATH",
+        help="write a Perfetto-compatible Chrome trace-event JSON of the "
+        "simulated run to PATH"),
+    Key("metrics", str, flag="--metrics", metavar="PATH",
+        help="write the metrics snapshot (counters/gauges/histograms) as "
+        "JSON to PATH; the text table goes to stderr"),
+    Key("log_json", str, flag="--log-json", metavar="PATH",
+        help="append structured JSON-lines log records (correlated with "
+        "job ids and simulated time) to PATH; '-' for stderr"),
+    Key("metrics_export", str, flag="--metrics-export", metavar="PATH",
+        help="write an OpenMetrics v1 text exposition of the metrics "
+        "registry (global and per-job series) to PATH"),
+    Key("job", str, flag="--job", metavar="ID",
+        help="job id to attribute this run's spans/metrics/costs to "
+        "(default: derived from the input file name)"),
+    Key("tenant", str, "", flag="--tenant",
+        help="tenant tag recorded on the job (cost attribution)"),
+    Key("workload", str, "", flag="--workload",
+        help="workload tag recorded on the job (cost attribution)"),
+)
+_NEEDS_CLUSTER = "requires a 'cluster' section in the input file"
+
+
+def input_reference() -> str:
+    """The input-file reference ``README.md`` embeds: the rows as a table,
+    then which keys each model / observable / machine takes."""
+    lines = [key_table(ROWS), ""]
+    for what, table in (
+        ("hamiltonian.model", _MODELS),
+        ("observables.type", _OBSERVABLES),
+        ("cluster.machine", _MACHINES),
+    ):
+        lines += [
+            f"- `{what}` `{name}` takes " + (", ".join(keys) or "no keys")
+            for name, (_, keys) in table.items()
+        ]
+    return "\n".join(lines)
+
+
+def _select(
+    section, prefix: str, selector: str, table: dict, fill: bool = False
+):
+    """Check a section whose keys depend on its ``selector`` key.
+
+    ``table`` maps each value of that key to ``(builder, keys)``.  Returns
+    the builder bound to those of ``keys`` the section gives, and the
+    checked section.
+    """
+    rows = [row for row in ROWS if row.section == prefix]
+    given = section.get(selector) if isinstance(section, dict) else None
+    head = [row for row in rows if row.key == selector]
+    builder, keys = table[validate({selector: given}, head, prefix)[selector]]
+    others = {key for _, ks in table.values() for key in ks} - set(keys)
+    checked = validate(
+        section, [row for row in rows if row.key not in others], prefix, fill
+    )
+    params = {k: checked[k] for k in keys if checked.get(k) is not None}
+    return partial(builder, **params), checked
 
 
 @dataclass
@@ -141,150 +314,108 @@ class SimulationSpec:
         return self.cluster_options is not None
 
 
-def _build_observable(n_sites: int, section: dict) -> tuple[str, Expression]:
-    """One entry of the ``observables`` list -> (name, expression)."""
-    kind = section.get("type")
-    if kind == "spin_correlation":
-        distance = int(section["distance"])
-        name = section.get("name", f"S0.S{distance}")
-        expr = hamiltonians.heisenberg([(0, distance % n_sites)])
-        return name, expr
-    if kind == "magnetization":
-        from repro.operators.expression import spin_z
-
-        name = section.get("name", "Sz_total")
-        return name, sum(spin_z(i) for i in range(n_sites))
-    if kind == "staggered_magnetization":
-        from repro.operators.expression import spin_z
-
-        name = section.get("name", "Sz_staggered")
-        return name, sum(
-            ((-1) ** i / n_sites) * spin_z(i) for i in range(n_sites)
-        )
-    raise ReproError(
-        f"unknown observable type {section.get('type')!r}; available: "
-        "spin_correlation, magnetization, staggered_magnetization"
-    )
-
-
-def _build_hamiltonian(n_sites: int, section: dict) -> Expression:
-    if "model" not in section:
-        raise ReproError("hamiltonian section needs a 'model' key")
-    model = section["model"]
-    if model == "heisenberg_graph":
-        edges = [tuple(edge) for edge in section["edges"]]
-        return hamiltonians.heisenberg(edges, section.get("coupling", 1.0))
-    if model.startswith(("heisenberg_square", "heisenberg_kagome",
-                         "heisenberg_triangular")):
-        return _build_lattice_model(n_sites, section)
-    if model not in _MODELS:
-        raise ReproError(
-            f"unknown model {model!r}; available: "
-            f"{sorted(_MODELS) + ['heisenberg_graph', 'heisenberg_square', 'heisenberg_kagome12', 'heisenberg_triangular']}"
-        )
-    builder, allowed = _MODELS[model]
-    kwargs = {k: v for k, v in section.items() if k != "model"}
-    unknown = set(kwargs) - allowed
-    if unknown:
-        raise ReproError(f"unknown parameters for {model}: {sorted(unknown)}")
-    return builder(n_sites, **kwargs)
-
-
 def _build_basis(n_sites: int, section: dict) -> Basis:
-    weight = section.get("hamming_weight")
-    symmetry_keys = {"momentum", "parity", "inversion"}
-    if symmetry_keys & set(section):
-        group = chain_symmetries(
-            n_sites,
-            momentum=section.get("momentum"),
-            parity=section.get("parity"),
-            inversion=section.get("inversion"),
+    sector = validate(section, ROWS, "basis")
+    weight = sector.pop("hamming_weight")
+    if weight is not None and weight > n_sites:
+        raise ConfigError(
+            f"basis.hamming_weight must be at most n_sites = {n_sites}, "
+            f"got {weight}"
         )
+    if any(value is not None for value in sector.values()):
+        group = chain_symmetries(n_sites, **sector)
         return SymmetricBasis(group, hamming_weight=weight, build=False)
     return SpinBasis(n_sites, hamming_weight=weight)
 
 
-def load_simulation(source) -> SimulationSpec:
-    """Parse a specification from a path, JSON string, or dict."""
-    if isinstance(source, dict):
-        data = source
-    else:
-        text = (
-            Path(source).read_text()
-            if Path(str(source)).exists()
-            else str(source)
-        )
-        data = json.loads(text)
-    if "n_sites" not in data:
-        raise ReproError("input file needs 'n_sites'")
-    n_sites = int(data["n_sites"])
-    expression = _build_hamiltonian(n_sites, data.get("hamiltonian", {}))
-    basis = _build_basis(n_sites, data.get("basis", {}))
-    observables = [
-        _build_observable(n_sites, section)
-        for section in data.get("observables", [])
-    ]
-    return SimulationSpec(
-        n_sites=n_sites,
-        expression=expression,
-        basis=basis,
-        solver_options=dict(data.get("solver", {})),
-        cluster_options=data.get("cluster"),
-        observables=[
-            {"name": name, "expression": expr} for name, expr in observables
-        ],
-    )
-
-
-#: cluster.matvec knob -> (validator, human-readable constraint)
-_MATVEC_KNOBS = {
-    "batch_size": (
-        lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-        "an integer >= 1",
-    ),
-    "consumer_fraction": (
-        lambda v: isinstance(v, (int, float))
-        and not isinstance(v, bool)
-        and 0.0 < float(v) <= 1.0,
-        "a number in (0, 1]",
-    ),
-    "work_stealing": (lambda v: isinstance(v, bool), "a boolean"),
-    "block_width": (
-        lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-        "an integer >= 1",
-    ),
-}
-
-
-def _parse_matvec_section(section) -> dict:
-    """Validate ``cluster.matvec`` and return it as a plain knob dict.
-
-    ``block_width`` is accepted (and echoed in the output) but is not a
-    matvec keyword — the executed block width is the vector's column
-    count; the knob informs the performance model and the autotuner.
-    """
-    from repro.errors import ConfigError
-
-    if section is None:
-        return {}
-    if not isinstance(section, dict):
-        raise ConfigError("cluster 'matvec' section must be an object")
-    unknown = set(section) - set(_MATVEC_KNOBS)
-    if unknown:
+def _read_json(source, inline: bool = False):
+    """The JSON document in the file ``source`` — or, with ``inline``, in the
+    string itself when it names no file."""
+    try:
+        text = str(source)
+        if not inline or Path(text).exists():
+            text = Path(text).read_text()
+        return json.loads(text)
+    except (OSError, ValueError) as exc:
         raise ConfigError(
-            f"unknown cluster.matvec keys: {sorted(unknown)}; "
-            f"available: {sorted(_MATVEC_KNOBS)}"
-        )
-    for key, (check, requirement) in _MATVEC_KNOBS.items():
-        if key in section and not check(section[key]):
-            raise ConfigError(
-                f"cluster.matvec.{key} must be {requirement}, "
-                f"got {section[key]!r}"
-            )
-    knobs = dict(section)
-    if "consumer_fraction" in knobs:
-        knobs["consumer_fraction"] = float(knobs["consumer_fraction"])
-    return knobs
+            f"cannot read {str(source)!r} (no such file, or not JSON): {exc}"
+        ) from None
+
+
+def load_simulation(source) -> SimulationSpec:
+    """Parse a specification from a path, JSON string, or dict.
+
+    Checks what the file alone decides (top level, ``hamiltonian``,
+    ``basis``, ``observables``); ``solver`` and ``cluster``, which flags
+    and callers may still edit, are checked by :func:`run_simulation`.
+    """
+    data = source if isinstance(source, dict) else _read_json(source, True)
+    top = validate(data, ROWS)
+    n_sites = top["n_sites"]
+    build, _ = _select(top["hamiltonian"], "hamiltonian", "model", _MODELS)
+    spec = SimulationSpec(
+        n_sites=n_sites,
+        expression=build(n_sites),
+        basis=_build_basis(n_sites, top["basis"] or {}),
+        solver_options=dict(top["solver"] or {}),
+        cluster_options=top["cluster"],
+    )
+    for section in top["observables"] or []:
+        build, _ = _select(section, "observables", "type", _OBSERVABLES)
+        name, expression = build(n_sites)
+        spec.observables.append({"name": name, "expression": expression})
+    return spec
+
+
+def _build_distributed(spec: SimulationSpec):
+    """The ``cluster`` section -> ``(operator, output)``: the distributed
+    operator on the enumerated basis and what the set-up reports."""
+    from repro.distributed.enumeration import enumerate_states
+    from repro.runtime.cluster import Cluster
+
+    make_machine, options = _select(
+        spec.cluster_options, "cluster", "machine", _MACHINES, fill=True
+    )
+    faults, resilience, knobs = (
+        options[key] for key in ("faults", "resilience", "matvec")
+    )
+    if knobs is not None:
+        knobs = validate(knobs, ROWS, "cluster.matvec", fill=False)
+    cluster = Cluster(
+        options["n_locales"],
+        make_machine(),
+        faults=None if faults is None else FaultPlan.from_config(faults),
+        resilience=(
+            None
+            if resilience is None
+            else ResilienceConfig.from_config(resilience)
+        ),
+        backend=options["backend"],
+    )
+    dbasis, enum_report = enumerate_states(
+        cluster, spec.basis, use_weight_shortcut=True
+    )
+    operator = DistributedOperator(
+        spec.expression,
+        dbasis,
+        tune=options["tune"],
+        tune_cache=options["tune_cache"],
+        **(knobs or {}),
+    )
+    output = {
+        "n_locales": options["n_locales"],
+        "simulated_seconds": None,  # the solve's; its place in the output
+        "enumeration_seconds": enum_report.elapsed,
+    }
+    if knobs:
+        output["matvec"] = knobs
+    if operator.tuned is not None:
+        output["tuned"] = {
+            "fingerprint": operator.tuned.fingerprint,
+            "knobs": dict(operator.tuned.knobs),
+            "from_cache": operator.tuned.from_cache,
+        }
+    return operator, output
 
 
 def run_simulation(spec: SimulationSpec, seed: int = 0) -> dict:
@@ -293,167 +424,85 @@ def run_simulation(spec: SimulationSpec, seed: int = 0) -> dict:
     Returns a JSON-serializable result dictionary (eigenvalues, dimension,
     iteration count, and — for distributed runs — simulated time).
     """
+    from repro.distributed.vector import DistributedVectorSpace
     from repro.linalg.lanczos import lanczos, lanczos_distributed
+    from repro.linalg.spaces import NumpyVectorSpace
+    from repro.operators.observables import symmetrize_expression
 
-    options = dict(spec.solver_options)
-    k = int(options.pop("k", 1))
-    tol = float(options.pop("tol", 1e-10))
-    max_iter = int(options.pop("max_iter", 500))
-    checkpoint = options.pop("checkpoint", None)
-    checkpoint_kwargs = {}
-    if checkpoint:
-        if "dir" not in checkpoint:
-            raise ReproError("solver checkpoint section needs a 'dir' key")
-        checkpoint_kwargs = {
-            "checkpoint_dir": checkpoint["dir"],
-            "checkpoint_every": int(checkpoint.get("every", 10)),
-            "checkpoint_keep": int(checkpoint.get("keep", 2)),
-            "resume": bool(checkpoint.get("resume", False)),
-        }
+    solver = validate(spec.solver_options, ROWS, "solver")
+    solve = {
+        "k": solver["k"],
+        "tol": solver["tol"],
+        "max_iter": solver["max_iter"],
+        "compute_eigenvectors": bool(spec.observables),
+    }
+    if solver["checkpoint"]:
+        checkpoint = validate(solver["checkpoint"], ROWS, "solver.checkpoint")
+        solve["resume"] = checkpoint.pop("resume")
+        solve.update({f"checkpoint_{k}": v for k, v in checkpoint.items()})
 
     if spec.distributed:
-        from repro.distributed.enumeration import enumerate_states
-        from repro.distributed.operator import DistributedOperator
-        from repro.runtime.cluster import Cluster
-        from repro.runtime.machine import laptop_machine, snellius_machine
+        operator, extra = _build_distributed(spec)
+        result, sim_time = lanczos_distributed(operator, seed=seed, **solve)
+        extra["simulated_seconds"] = sim_time
+        space = DistributedVectorSpace(operator.basis)
+        observe = partial(DistributedOperator, basis=operator.basis)
+    else:
+        basis = spec.basis
+        if isinstance(basis, SymmetricBasis):
+            basis.build()
+        operator, extra = Operator(spec.expression, basis), {}
+        rng = np.random.default_rng(seed)
+        v0 = rng.standard_normal(basis.dim).astype(operator.dtype)
+        if operator.dtype == np.complex128:
+            v0 = v0 + 1j * rng.standard_normal(basis.dim)
+        result = lanczos(operator.matvec, v0, **solve)
+        space = NumpyVectorSpace()
+        observe = partial(Operator, basis=basis)
 
-        from repro.resilience.faults import FaultPlan, ResilienceConfig
-
-        cluster_options = dict(spec.cluster_options)
-        n_locales = int(cluster_options.pop("n_locales", 1))
-        faults_section = cluster_options.pop("faults", None)
-        resilience_section = cluster_options.pop("resilience", None)
-        machine_name = cluster_options.pop("machine", "snellius")
-        backend = cluster_options.pop("backend", "sim")
-        matvec_knobs = _parse_matvec_section(
-            cluster_options.pop("matvec", None)
-        )
-        tune = cluster_options.pop("tune", "off")
-        tune_cache = cluster_options.pop("tune_cache", None)
-        machine = (
-            laptop_machine(**cluster_options)
-            if machine_name == "laptop"
-            else snellius_machine()
-        )
-        faults = (
-            FaultPlan.from_config(faults_section)
-            if faults_section is not None
-            else None
-        )
-        resilience = (
-            ResilienceConfig.from_config(resilience_section)
-            if resilience_section is not None
-            else None
-        )
-        cluster = Cluster(
-            n_locales,
-            machine,
-            faults=faults,
-            resilience=resilience,
-            backend=backend,
-        )
-        dbasis, enum_report = enumerate_states(
-            cluster, spec.basis, use_weight_shortcut=True
-        )
-        method_options = {
-            key: value
-            for key, value in matvec_knobs.items()
-            if key != "block_width"
-        }
-        operator = DistributedOperator(
-            spec.expression,
-            dbasis,
-            tune=tune,
-            tune_cache=tune_cache,
-            **method_options,
-        )
-        result, sim_time = lanczos_distributed(
-            operator,
-            k=k,
-            seed=seed,
-            tol=tol,
-            max_iter=max_iter,
-            compute_eigenvectors=bool(spec.observables),
-            **checkpoint_kwargs,
-        )
-        output = {
-            "eigenvalues": result.eigenvalues.tolist(),
-            "dimension": dbasis.dim,
-            "iterations": result.n_iterations,
-            "converged": result.converged,
-            "n_locales": n_locales,
-            "simulated_seconds": sim_time,
-            "enumeration_seconds": enum_report.elapsed,
-        }
-        if matvec_knobs:
-            output["matvec"] = dict(matvec_knobs)
-        if operator.tuned is not None:
-            output["tuned"] = {
-                "fingerprint": operator.tuned.fingerprint,
-                "knobs": dict(operator.tuned.knobs),
-                "from_cache": operator.tuned.from_cache,
-            }
-        if spec.observables:
-            output["observables"] = _measure_distributed(
-                spec, dbasis, result.eigenvectors[0]
-            )
-        return output
-
-    basis = spec.basis
-    if isinstance(basis, SymmetricBasis):
-        basis.build()
-    operator = Operator(spec.expression, basis)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(basis.dim).astype(operator.dtype)
-    if operator.dtype == np.complex128:
-        v0 = v0 + 1j * rng.standard_normal(basis.dim)
-    result = lanczos(
-        operator.matvec,
-        v0,
-        k=k,
-        tol=tol,
-        max_iter=max_iter,
-        compute_eigenvectors=bool(spec.observables),
-        **checkpoint_kwargs,
-    )
     output = {
         "eigenvalues": result.eigenvalues.tolist(),
-        "dimension": basis.dim,
+        "dimension": operator.dim,
         "iterations": result.n_iterations,
         "converged": result.converged,
+        **extra,
     }
     if spec.observables:
-        from repro.operators.observables import expectation
-
+        # <A> = <g|A g> / <g|g>, A symmetrized into the sector first.
         ground = result.eigenvectors[0]
-        output["observables"] = {
-            entry["name"]: float(
-                np.real(expectation(entry["expression"], basis, ground))
+        norm_sq = np.real(space.dot(ground, ground))
+        group = getattr(spec.basis, "group", None)
+        output["observables"] = {}
+        for entry in spec.observables:
+            expr = entry["expression"]
+            if group is not None and group.size > 1:
+                expr = symmetrize_expression(expr, group)
+            image = observe(expr).matvec(ground)
+            output["observables"][entry["name"]] = float(
+                np.real(space.dot(ground, image)) / norm_sq
             )
-            for entry in spec.observables
-        }
     return output
 
 
-def _measure_distributed(spec: SimulationSpec, dbasis, ground) -> dict:
-    """Ground-state observables on the simulated cluster."""
-    from repro.distributed.operator import DistributedOperator
-    from repro.distributed.vector import DistributedVectorSpace
-    from repro.operators.observables import symmetrize_expression
-
-    space = DistributedVectorSpace(dbasis)
-    norm_sq = np.real(space.dot(ground, ground))
-    group = getattr(spec.basis, "group", None)
-    values = {}
-    for entry in spec.observables:
-        expr = entry["expression"]
-        if group is not None and group.size > 1:
-            expr = symmetrize_expression(expr, group)
-        obs_op = DistributedOperator(expr, dbasis)
-        values[entry["name"]] = float(
-            np.real(space.dot(ground, obs_op.matvec(ground))) / norm_sq
+def _merge_flags(spec: SimulationSpec, args) -> None:
+    """Put every input-file key a flag set where the file would have."""
+    for row in ROWS:
+        value = row.flag and getattr(args, row.flag[2:].replace("-", "_"))
+        if value is None or value is False:  # not given (0 is a value)
+            continue
+        root, *inner = row.section.split(".")
+        if root == "cluster" and not spec.distributed:
+            raise ConfigError(f"{row.flag} {_NEEDS_CLUSTER}")
+        if row.type is dict:
+            value = _read_json(value)
+        target = (
+            spec.cluster_options if root == "cluster" else spec.solver_options
         )
-    return values
+        for name in inner:
+            child = dict(target.get(name) or {})
+            target[name] = child
+            target = child
+        target[row.key] = value
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -461,243 +510,33 @@ def main(argv: list[str] | None = None) -> None:
     import sys
 
     from repro import telemetry
+    from repro.telemetry import jobs as telemetry_jobs
+    from repro.telemetry import log as telemetry_log
 
     parser = argparse.ArgumentParser(
         description="Run an exact-diagonalization simulation from a JSON file"
     )
     parser.add_argument("input", help="path to the JSON input file")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for the random starting vector (default: 0)",
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="write a Perfetto-compatible Chrome trace-event JSON of the "
-        "simulated run to PATH",
-    )
-    parser.add_argument(
-        "--metrics",
-        metavar="PATH",
-        default=None,
-        help="write the metrics snapshot (counters/gauges/histograms) as "
-        "JSON to PATH; the text table goes to stderr",
-    )
-    parser.add_argument(
-        "--faults",
-        metavar="PATH",
-        default=None,
-        help="JSON file with a seeded fault plan (drop/duplicate/corrupt/"
-        "delay rates, stragglers, crashes) injected into the simulated "
-        "cluster; requires a 'cluster' section in the input",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("sim", "threads"),
-        default=None,
-        help="execution backend for the distributed run: 'sim' "
-        "(discrete-event simulator, modelled timings; the default) or "
-        "'threads' (real parallel workers, wall-clock timings; see "
-        "docs/BACKENDS.md); requires a 'cluster' section in the input",
-    )
-    parser.add_argument(
-        "--batch-size",
-        metavar="N",
-        type=int,
-        default=None,
-        help="getManyRows batch size for the distributed matvec (merged "
-        "into the cluster 'matvec' section); requires a 'cluster' section "
-        "in the input",
-    )
-    parser.add_argument(
-        "--consumer-fraction",
-        metavar="F",
-        type=float,
-        default=None,
-        help="fraction of each locale's cores dedicated to consumers in "
-        "the producer-consumer pipeline, in (0, 1] (merged into the "
-        "cluster 'matvec' section); requires a 'cluster' section",
-    )
-    parser.add_argument(
-        "--work-stealing",
-        action="store_true",
-        help="let idle producers steal consumer work instead of a static "
-        "core split (merged into the cluster 'matvec' section); requires "
-        "a 'cluster' section",
-    )
-    parser.add_argument(
-        "--tune",
-        choices=("off", "auto", "force"),
-        default=None,
-        help="autotune the matvec pipeline knobs for this workload: "
-        "'auto' applies cached tuned knobs (searching once on a miss), "
-        "'force' always re-searches, 'off' keeps the paper defaults "
-        "(see docs/PERFORMANCE.md); requires a 'cluster' section",
-    )
-    parser.add_argument(
-        "--tune-cache",
-        metavar="PATH",
-        default=None,
-        help="autotuner cache file (default "
-        "benchmarks/baselines/autotune_cache.json or $REPRO_TUNE_CACHE); "
-        "requires a 'cluster' section",
-    )
-    parser.add_argument(
-        "--watchdog-timeout",
-        metavar="SECONDS",
-        type=float,
-        default=None,
-        help="threads-backend stall watchdog: escalate a typed error when "
-        "every live worker has been blocked this long (overrides the "
-        "cluster 'resilience' section's watchdog_timeout)",
-    )
-    parser.add_argument(
-        "--max-worker-restarts",
-        metavar="N",
-        type=int,
-        default=None,
-        help="restart budget per supervised worker on the threads backend "
-        "before the crash escalates as a FaultError (overrides the "
-        "cluster 'resilience' section's max_worker_restarts)",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        metavar="DIR",
-        default=None,
-        help="write periodic solver checkpoints under DIR "
-        "(overrides/creates the solver 'checkpoint' section)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume the eigensolve from the newest checkpoint under the "
-        "--checkpoint directory (bit-for-bit continuation)",
-    )
-    parser.add_argument(
-        "--log-json",
-        metavar="PATH",
-        default=None,
-        help="append structured JSON-lines log records (correlated with "
-        "job ids and simulated time) to PATH; '-' for stderr",
-    )
-    parser.add_argument(
-        "--metrics-export",
-        metavar="PATH",
-        default=None,
-        help="write an OpenMetrics v1 text exposition of the metrics "
-        "registry (global and per-job series) to PATH",
-    )
-    parser.add_argument(
-        "--metrics-export-interval",
-        metavar="SECONDS",
-        type=float,
-        default=None,
-        help="with --metrics-export: also rewrite PATH every SECONDS of "
-        "wall time while the run is in progress",
-    )
-    parser.add_argument(
-        "--job",
-        metavar="ID",
-        default=None,
-        help="job id to attribute this run's spans/metrics/costs to "
-        "(default: derived from the input file name)",
-    )
-    parser.add_argument(
-        "--tenant",
-        default="",
-        help="tenant tag recorded on the job (cost attribution)",
-    )
-    parser.add_argument(
-        "--workload",
-        default="",
-        help="workload tag recorded on the job (cost attribution)",
-    )
+    for row in (*_CLI_ROWS, *(row for row in ROWS if row.flag)):
+        text = row.help
+        if row.path.startswith("cluster."):
+            text += f"; {_NEEDS_CLUSTER}"
+        if row.type is bool:
+            parser.add_argument(row.flag, action="store_true", help=text)
+            continue
+        parser.add_argument(
+            row.flag,
+            type=row.type if row.type in (int, float) else str,
+            choices=row.choices or None,
+            metavar=row.metavar,
+            default=row.default if row in _CLI_ROWS else None,
+            help=text,
+        )
     args = parser.parse_args(argv)
     spec = load_simulation(args.input)
-    if args.faults is not None:
-        if not spec.distributed:
-            raise ReproError(
-                "--faults requires a 'cluster' section in the input file"
-            )
-        spec.cluster_options["faults"] = json.loads(
-            Path(args.faults).read_text()
-        )
-    if args.backend is not None:
-        if not spec.distributed:
-            raise ReproError(
-                "--backend requires a 'cluster' section in the input file"
-            )
-        spec.cluster_options["backend"] = args.backend
-    for flag, key, value in (
-        ("--watchdog-timeout", "watchdog_timeout", args.watchdog_timeout),
-        (
-            "--max-worker-restarts",
-            "max_worker_restarts",
-            args.max_worker_restarts,
-        ),
-    ):
-        if value is None:
-            continue
-        if not spec.distributed:
-            raise ReproError(
-                f"{flag} requires a 'cluster' section in the input file"
-            )
-        section = dict(spec.cluster_options.get("resilience") or {})
-        section[key] = value
-        spec.cluster_options["resilience"] = section
-    for flag, key, value in (
-        ("--batch-size", "batch_size", args.batch_size),
-        (
-            "--consumer-fraction",
-            "consumer_fraction",
-            args.consumer_fraction,
-        ),
-        (
-            "--work-stealing",
-            "work_stealing",
-            True if args.work_stealing else None,
-        ),
-    ):
-        if value is None:
-            continue
-        if not spec.distributed:
-            raise ReproError(
-                f"{flag} requires a 'cluster' section in the input file"
-            )
-        section = dict(spec.cluster_options.get("matvec") or {})
-        section[key] = value
-        spec.cluster_options["matvec"] = section
-    for flag, key, value in (
-        ("--tune", "tune", args.tune),
-        ("--tune-cache", "tune_cache", args.tune_cache),
-    ):
-        if value is None:
-            continue
-        if not spec.distributed:
-            raise ReproError(
-                f"{flag} requires a 'cluster' section in the input file"
-            )
-        spec.cluster_options[key] = value
-    if args.resume and args.checkpoint is None and not (
-        spec.solver_options.get("checkpoint") or {}
-    ).get("dir"):
+    _merge_flags(spec, args)
+    if args.resume and not spec.solver_options["checkpoint"].get("dir"):
         parser.error("--resume requires --checkpoint DIR")
-    if args.checkpoint is not None:
-        section = dict(spec.solver_options.get("checkpoint") or {})
-        section["dir"] = args.checkpoint
-        if args.resume:
-            section["resume"] = True
-        spec.solver_options["checkpoint"] = section
-    elif args.resume:
-        section = dict(spec.solver_options["checkpoint"])
-        section["resume"] = True
-        spec.solver_options["checkpoint"] = section
-
-    from repro.telemetry import jobs as telemetry_jobs
-    from repro.telemetry import log as telemetry_log
 
     if args.log_json is not None:
         telemetry_log.configure(path=args.log_json, level="debug")
@@ -713,66 +552,40 @@ def main(argv: list[str] | None = None) -> None:
         print(json.dumps(output, indent=2))
         return
 
+    def written(event: str, path: str, message: str) -> None:
+        if telemetry_log.enabled():
+            telemetry_log.info(event, path=path)
+        else:
+            print(message, file=sys.stderr)
+
     job_id = args.job or Path(args.input).stem
     tele = telemetry.Telemetry.enabled(trace=args.trace is not None)
-    exporter = None
     with telemetry.use(tele):
-        if (
-            args.metrics_export is not None
-            and args.metrics_export_interval is not None
-        ):
-            from repro.telemetry.export import PeriodicExporter
-
-            exporter = PeriodicExporter(
-                tele.metrics,
-                args.metrics_export,
-                interval=args.metrics_export_interval,
-                jobs=tele.jobs,
-            ).start()
-        telemetry_log.info(
-            "simulation.start", input=args.input, job=job_id
-        )
-        try:
-            with telemetry_jobs.job(
-                job_id, tenant=args.tenant, workload=args.workload
-            ) as job_ctx:
-                output = run_simulation(spec, seed=args.seed)
-        finally:
-            if exporter is not None:
-                exporter.stop()
+        telemetry_log.info("simulation.start", input=args.input, job=job_id)
+        with telemetry_jobs.job(
+            job_id, tenant=args.tenant, workload=args.workload
+        ) as job_ctx:
+            output = run_simulation(spec, seed=args.seed)
         telemetry_log.info("simulation.finish", input=args.input)
     if args.trace is not None:
         tele.trace.save(args.trace)
-        if telemetry_log.enabled():
-            telemetry_log.info("trace.written", path=args.trace)
-        else:
-            print(f"trace written to {args.trace}", file=sys.stderr)
+        written("trace.written", args.trace, f"trace written to {args.trace}")
     snapshot = tele.metrics.snapshot()
     if args.metrics is not None:
         Path(args.metrics).write_text(
             json.dumps(snapshot.to_json(), indent=2)
         )
-        if telemetry_log.enabled():
-            telemetry_log.info("metrics.written", path=args.metrics)
-        else:
-            print(snapshot.table(), file=sys.stderr)
-    if args.metrics_export is not None and exporter is None:
+        written("metrics.written", args.metrics, snapshot.table())
+    if args.metrics_export is not None:
         from repro.telemetry.export import write_openmetrics
 
         write_openmetrics(args.metrics_export, snapshot, jobs=tele.jobs)
-        if telemetry_log.enabled():
-            telemetry_log.info(
-                "metrics.exported", path=args.metrics_export
-            )
-        else:
-            print(
-                f"OpenMetrics exposition written to {args.metrics_export}",
-                file=sys.stderr,
-            )
+        written(
+            "metrics.exported",
+            args.metrics_export,
+            f"OpenMetrics exposition written to {args.metrics_export}",
+        )
     output["job_costs"] = {job_ctx.job_id: job_ctx.ledger.snapshot()}
     telemetry_log.disable()
     print(json.dumps(output, indent=2))
 
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -113,28 +113,18 @@ def _alloc_rows(count: int, like: np.ndarray) -> np.ndarray:
     return np.empty(shape, dtype=like.dtype)
 
 
-def block_to_hashed(
-    array: BlockArray,
-    masks: BlockArray,
-    chunks_per_locale: int | None = None,
-) -> tuple[list[np.ndarray], SimReport]:
-    """Convert a block-distributed array to the hashed distribution.
+def _transfer_plan(
+    masks: BlockArray, chunks_per_locale: int, timer: BSPTimer
+) -> tuple[list[int], list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """Steps (a)-(c), shared by both directions (Fig. 3 is Fig. 2 reversed).
 
-    ``masks[i]`` names the destination locale of element ``i``.  Returns the
-    per-locale parts (elements in global order within each locale — the
-    order-preservation property the basis relies on) and the simulation
-    report.
+    Returns ``(chunk_owner, chunk_slices, counts, offsets)``: per chunk, in
+    global order, its locale and local ``(start, stop)``; ``counts[c, l]``
+    elements of chunk ``c`` live on (go to / come from) locale ``l``, at
+    ``offsets[c, l]`` in that locale's hashed part.
     """
-    cluster = array.cluster
-    n = cluster.n_locales
-    if masks.cluster is not cluster or masks.global_length != array.global_length:
-        raise DistributionError("array and masks must share cluster and length")
-    _check_masks(masks, n)
-    machine = cluster.machine
-    if chunks_per_locale is None:
-        chunks_per_locale = machine.cores_per_locale
-    timer = BSPTimer(machine, n, name="convert.block_to_hashed")
-
+    n = masks.cluster.n_locales
+    machine = masks.cluster.machine
     # (a)+(b) per-chunk histograms of the destination masks.
     chunk_owner: list[int] = []
     chunk_slices: list[tuple[int, int]] = []  # local (start, stop) per chunk
@@ -164,13 +154,41 @@ def block_to_hashed(
     offsets = np.zeros_like(counts)
     if counts.shape[0]:
         offsets[1:] = np.cumsum(counts, axis=0)[:-1]
-    totals = counts.sum(axis=0) if counts.size else np.zeros(n, dtype=np.int64)
     # The offsets exchange is tiny; charge one small message per locale pair.
     for src in range(n):
         for dst in range(n):
             if src != dst:
                 timer.add_message(src, dst, 8 * chunks_per_locale)
     timer.end_phase("offsets")
+    return chunk_owner, chunk_slices, counts, offsets
+
+
+def block_to_hashed(
+    array: BlockArray,
+    masks: BlockArray,
+    chunks_per_locale: int | None = None,
+) -> tuple[list[np.ndarray], SimReport]:
+    """Convert a block-distributed array to the hashed distribution.
+
+    ``masks[i]`` names the destination locale of element ``i``.  Returns the
+    per-locale parts (elements in global order within each locale — the
+    order-preservation property the basis relies on) and the simulation
+    report.
+    """
+    cluster = array.cluster
+    n = cluster.n_locales
+    if masks.cluster is not cluster or masks.global_length != array.global_length:
+        raise DistributionError("array and masks must share cluster and length")
+    _check_masks(masks, n)
+    machine = cluster.machine
+    if chunks_per_locale is None:
+        chunks_per_locale = machine.cores_per_locale
+    timer = BSPTimer(machine, n, name="convert.block_to_hashed")
+
+    chunk_owner, chunk_slices, counts, offsets = _transfer_plan(
+        masks, chunks_per_locale, timer
+    )
+    totals = counts.sum(axis=0) if counts.size else np.zeros(n, dtype=np.int64)
 
     # (d)+(e) partition each chunk locally, then one remote put per
     # (chunk, destination).
@@ -225,40 +243,9 @@ def hashed_to_block(
     timer = BSPTimer(machine, n, name="convert.hashed_to_block")
     prototype = parts[0] if parts else np.empty(0)
 
-    # (a) per-chunk histograms: how many elements come from each source.
-    chunk_owner: list[int] = []
-    chunk_slices: list[tuple[int, int]] = []
-    counts_rows: list[np.ndarray] = []
-    for locale in range(n):
-        local_masks = masks.blocks[locale]
-        splits = _chunk_splits(local_masks.size, chunks_per_locale)
-        for c in range(splits.size - 1):
-            lo, hi = int(splits[c]), int(splits[c + 1])
-            counts_rows.append(
-                np.bincount(local_masks[lo:hi], minlength=n).astype(np.int64)
-            )
-            chunk_owner.append(locale)
-            chunk_slices.append((lo, hi))
-        timer.add_compute(
-            locale,
-            machine.compute_time(machine.t_partition, local_masks.size),
-        )
-    counts = (
-        np.stack(counts_rows)
-        if counts_rows
-        else np.zeros((0, n), dtype=np.int64)
+    chunk_owner, chunk_slices, counts, offsets = _transfer_plan(
+        masks, chunks_per_locale, timer
     )
-    timer.end_phase("histogram")
-
-    # (b) offsets into each source part, cumulative over global chunk order.
-    offsets = np.zeros_like(counts)
-    if counts.shape[0]:
-        offsets[1:] = np.cumsum(counts, axis=0)[:-1]
-    for src in range(n):
-        for dst in range(n):
-            if src != dst:
-                timer.add_message(src, dst, 8 * chunks_per_locale)
-    timer.end_phase("offsets")
 
     # (c)+(d) independent remote gets, then the local order-restoring merge.
     blocks = [

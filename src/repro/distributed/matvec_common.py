@@ -347,6 +347,11 @@ def result_dtype(basis: DistributedBasis, x: DistributedVector) -> np.dtype:
     return np.promote_types(basis.scalar_dtype, x.dtype)
 
 
+#: Source rows per produced chunk (the ``getManyRows`` batch) when the
+#: caller names none.
+DEFAULT_BATCH_SIZE = 1 << 13
+
+
 def require_positive(**knobs) -> None:
     """Raise :class:`~repro.errors.ConfigError` unless every knob is an
     integer >= 1 (a zero or negative step would silently skip the

@@ -63,6 +63,7 @@ import numpy as np
 
 from repro.distributed.dist_basis import DistributedBasis
 from repro.distributed.matvec_common import (
+    DEFAULT_BATCH_SIZE,
     apply_diagonal,
     begin_matvec,
     chunk_spans,
@@ -710,7 +711,7 @@ def matvec_producer_consumer(
     basis: DistributedBasis,
     x: DistributedVector,
     y: DistributedVector | None = None,
-    batch_size: int = 1 << 13,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     consumer_fraction: float = DEFAULT_CONSUMER_FRACTION,
     buffer_capacity: int = SIM_BUFFER_CAPACITY,
     work_stealing: bool = False,

@@ -12,8 +12,10 @@ import numpy as np
 
 from repro.distributed.dist_basis import DistributedBasis
 from repro.distributed.matvec_batched import matvec_batched
+from repro.distributed.matvec_common import DEFAULT_BATCH_SIZE
 from repro.distributed.matvec_naive import matvec_naive
 from repro.distributed.matvec_pc import (
+    DEFAULT_CONSUMER_FRACTION,
     default_buffer_capacity,
     matvec_producer_consumer,
 )
@@ -24,6 +26,7 @@ from repro.operators.expression import Expression
 from repro.operators.plan import MatvecPlan
 from repro.resilience.faults import ResilienceConfig
 from repro.runtime.clock import SimReport
+from repro.schema import Key
 from repro.telemetry.context import current as current_telemetry
 
 __all__ = ["DistributedOperator"]
@@ -38,9 +41,34 @@ IMPLS = {
     **dict.fromkeys(_PIPELINE_NAMES, matvec_producer_consumer),
 }
 
-#: Tunable knob names, in canonical (tie-breaking) order.  Every method
-#: takes the first; the rest are the pipeline's.
-KNOB_KEYS = ("batch_size", "consumer_fraction", "work_stealing")
+#: The tunable knobs, in canonical (tie-breaking) order, each stated once:
+#: name, range and default as the ``cluster.matvec`` input section, the
+#: command-line flags, the batched fallback below and the autotuner's
+#: ``default_knobs`` read them.  Every method takes the first; the rest are
+#: the pipeline's.
+MATVEC_ROWS = (
+    Key(
+        "cluster.matvec.batch_size", int, DEFAULT_BATCH_SIZE, min=1,
+        flag="--batch-size", metavar="N",
+        help="getManyRows batch size of the distributed matvec",
+    ),
+    Key(
+        "cluster.matvec.consumer_fraction", float, DEFAULT_CONSUMER_FRACTION,
+        above=0, max=1, flag="--consumer-fraction", metavar="F",
+        help="fraction of each locale's cores dedicated to consumers in "
+        "the producer-consumer pipeline",
+    ),
+    Key(
+        "cluster.matvec.work_stealing", bool, False, flag="--work-stealing",
+        help="let idle producers steal consumer work instead of a static "
+        "core split",
+    ),
+)
+KNOB_KEYS = tuple(row.key for row in MATVEC_ROWS)
+KNOB_DEFAULTS = {row.key: row.default for row in MATVEC_ROWS}
+
+#: Accepted ``tune=`` modes (:class:`DistributedOperator`).
+TUNE_MODES = ("off", "auto", "force")
 
 
 def is_pipeline(method: str) -> bool:
@@ -111,10 +139,8 @@ class DistributedOperator:
             raise ConfigError(
                 f"unknown matvec method {method!r}; choose from {sorted(IMPLS)}"
             )
-        if tune not in ("off", "auto", "force"):
-            raise ConfigError(
-                f"tune must be 'off', 'auto', or 'force', got {tune!r}"
-            )
+        if tune not in TUNE_MODES:
+            raise ConfigError(f"tune must be one of {TUNE_MODES}, got {tune!r}")
         self.basis = basis
         cluster = basis.cluster
         self.faults = faults if faults is not None else getattr(
@@ -236,7 +262,7 @@ class DistributedOperator:
                     impl = matvec_batched
                     kwargs = {
                         "batch_size": self.method_options.get(
-                            "batch_size", 1 << 13
+                            "batch_size", KNOB_DEFAULTS["batch_size"]
                         ),
                         "faults": self.faults,
                         "resilience": self.resilience,

@@ -22,13 +22,17 @@ class ReproError(Exception):
 
 
 class ConfigError(ReproError):
-    """Raised for invalid configuration values (knobs, splits, tune modes).
+    """Raised for invalid configuration values (input files, knobs, flags).
 
-    Covers out-of-range pipeline knobs (``batch_size < 1``, a
-    ``consumer_fraction`` outside ``(0, 1]``, ``cores < 1`` handed to
-    :func:`~repro.distributed.matvec_pc.split_cores`), unknown
-    ``cluster.matvec`` keys in an input file, and invalid ``tune=``
-    modes on :class:`~repro.distributed.operator.DistributedOperator`.
+    Covers everything :func:`repro.schema.validate` rejects in an input
+    file or a ``from_config`` mapping (unknown key, wrong type, out of
+    range, missing required key — the message names the dotted path), an
+    unreadable input or ``--faults`` file, a flag that needs a ``cluster``
+    section, out-of-range pipeline knobs passed directly (``batch_size <
+    1``, a ``consumer_fraction`` outside ``(0, 1]``, ``cores < 1`` handed
+    to :func:`~repro.distributed.matvec_pc.split_cores`), and invalid
+    ``tune=`` modes on
+    :class:`~repro.distributed.operator.DistributedOperator`.
     """
 
 

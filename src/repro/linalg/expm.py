@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm as dense_expm
 
+from repro.linalg.lanczos import tridiagonalize
 from repro.linalg.spaces import NumpyVectorSpace, VectorSpace, as_matvec
 
 __all__ = ["expm_krylov"]
@@ -36,30 +37,11 @@ def expm_krylov(
     norm_v = space.norm(v)
     if norm_v == 0.0:
         return space.copy(v)
-    block = space.block([v])
-    w = space.row(block, 0)
-    space.scale(1.0 / norm_v, w)
-    alphas: list[float] = []
-    betas: list[float] = []
-    for _ in range(krylov_dim):
-        u = matvec(w)
-        # Full reorthogonalization keeps the small basis clean.
-        alphas.append(float(np.real(space.project(block, u)[-1])))
-        space.project(block, u)  # twice: an exhausted space leaves beta ~ 0
-        beta = space.norm(u)
-        if beta <= tol:
-            break
-        betas.append(float(beta))
-        space.scale(1.0 / beta, u)
-        w = space.push(block, u)
-
-    m = len(alphas)
-    t = np.zeros((m, m), dtype=np.float64)
-    t[np.arange(m), np.arange(m)] = alphas
-    if m > 1:
-        off = np.asarray(betas[: m - 1])
-        t[np.arange(m - 1), np.arange(1, m)] = off
-        t[np.arange(1, m), np.arange(m - 1)] = off
+    # Full reorthogonalization keeps the small basis clean.
+    alphas, betas, block = tridiagonalize(
+        matvec, space, v, norm_v, krylov_dim, breakdown=tol
+    )
+    t = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
     coeffs = dense_expm(scale * t)[:, 0] * norm_v
 
     return space.combine(block, coeffs)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from repro.linalg.lanczos import tridiagonalize
 from repro.linalg.spaces import (
     NumpyVectorSpace,
     VectorSpace,
@@ -56,27 +57,12 @@ class ThermalEstimate:
 def _lanczos_spectrum(matvec, v0, krylov_dim: int, space: VectorSpace):
     """Ritz values, first-row weights, and the final off-diagonal (the
     truncation residual) of one Lanczos factorization."""
-    block = space.block([v0])
-    v = space.row(block, 0)
-    space.scale(1.0 / space.norm(v), v)
-    alphas: list[float] = []
-    betas: list[float] = []
-    final_beta = 0.0
-    for _ in range(krylov_dim):
-        w = matvec(v)
-        alphas.append(float(np.real(space.project(block, w)[-1])))
-        space.project(block, w)  # twice: an exhausted space leaves beta ~ 0
-        beta = space.norm(w)
-        final_beta = float(beta)
-        if beta <= 1e-14:
-            break
-        betas.append(float(beta))
-        space.scale(1.0 / beta, w)
-        v = space.push(block, w)
-    m = len(alphas)
-    evals, evecs = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas[: m - 1]))
+    alphas, betas, _ = tridiagonalize(
+        matvec, space, v0, space.norm(v0), krylov_dim
+    )
+    evals, evecs = eigh_tridiagonal(alphas, betas[:-1])
     weights = np.abs(evecs[0, :]) ** 2
-    return evals, weights, final_beta
+    return evals, weights, float(betas[-1])
 
 
 def _lanczos_spectra_block(matvec, v0_block: np.ndarray, krylov_dim: int):

@@ -78,6 +78,67 @@ def _record_iteration(tele, entry: dict, solver: str = "lanczos") -> None:
         telemetry_log.debug(f"{solver}.iteration", **entry)
 
 
+#: ``beta`` at or below which the Krylov space counts as exhausted.
+BREAKDOWN = 1e-14
+
+
+def lanczos_steps(
+    matvec,
+    space: VectorSpace,
+    block,
+    n_steps: int,
+    reorthogonalize: bool = True,
+    breakdown: float = BREAKDOWN,
+):
+    """The three-term recurrence every Krylov driver here runs.
+
+    Each step multiplies the last row of ``block`` (the orthonormal Krylov
+    vectors so far), projects the product against the block — twice over
+    all rows, so that an exhausted space leaves ``beta`` ~ 0, or without
+    ``reorthogonalize`` once over the last two — and yields ``(alpha, beta,
+    block)`` *before* the normalised product becomes the next row: a
+    consumer that stops there pays nothing more, and ``beta <= breakdown``
+    ends the recurrence.  The checkpoint writer, which needs control between
+    the push and the next product, resumes with ``send(True)`` and gets one
+    more pause right after the push.
+    """
+    v = space.row(block, block.m - 1)
+    for _ in range(n_steps):
+        w = matvec(v)
+        first = 0 if reorthogonalize else max(block.m - 2, 0)
+        alpha = float(np.real(space.project(block, w, first)[-1]))
+        if reorthogonalize:
+            space.project(block, w)
+        beta = space.norm(w)
+        pause = yield alpha, beta, block
+        if beta <= breakdown:
+            return
+        space.scale(1.0 / beta, w)
+        v = space.push(block, w)
+        if pause:
+            yield
+
+
+def tridiagonalize(
+    matvec, space: VectorSpace, seed, norm, krylov_dim: int, breakdown=BREAKDOWN
+):
+    """Tridiagonal projection on the Krylov space of ``seed`` (of norm
+    ``norm``; not modified), by :func:`lanczos_steps` run to the end.
+
+    Returns ``(alphas, betas, block)``: ``betas[:-1]`` is the off-diagonal,
+    ``betas[-1]`` the truncation residual, ``block`` the Krylov vectors.
+    """
+    block = space.block([seed])
+    space.scale(1.0 / norm, space.row(block, 0))
+    alphas, betas = [], []
+    for alpha, beta, _ in lanczos_steps(
+        matvec, space, block, krylov_dim, breakdown=breakdown
+    ):
+        alphas.append(alpha)
+        betas.append(float(beta))
+    return np.asarray(alphas), np.asarray(betas), block
+
+
 def lanczos(
     matvec,
     v0,
@@ -167,23 +228,15 @@ def lanczos(
             vectors = state.vectors
             start_iter = state.iteration
 
-    # Iteration n starts with n rows in the block and multiplies the last.
     block = space.block(vectors)
-    v = space.row(block, start_iter)
     n_iter = start_iter
-    for n_iter in range(start_iter + 1, max_iter + 1):
-        w = matvec(v)
-        first = 0 if reorthogonalize else max(n_iter - 2, 0)
-        alphas.append(float(np.real(space.project(block, w, first)[-1])))
-        if reorthogonalize:
-            space.project(block, w)
-        beta = space.norm(w)
-
-        m = len(alphas)
-        if m >= k:
-            evals, evecs = eigh_tridiagonal(
-                np.asarray(alphas), np.asarray(betas[: m - 1])
-            )
+    steps = lanczos_steps(
+        matvec, space, block, max_iter - start_iter, reorthogonalize
+    )
+    for n_iter, (alpha, beta, _) in enumerate(steps, start_iter + 1):
+        alphas.append(alpha)  # the n_iter-th, on n_iter - 1 betas
+        if n_iter >= k:
+            evals, evecs = eigh_tridiagonal(alphas, betas)
             eigenvalues = evals[:k]
             residuals = np.abs(beta * evecs[-1, :k])
             entry = {
@@ -198,17 +251,16 @@ def lanczos(
             if np.all(residuals <= tol * max(1.0, float(np.abs(evals).max()))):
                 converged = True
                 break
-        if beta <= 1e-14:
+        if beta <= BREAKDOWN:
             # Invariant subspace found: everything representable converged.
-            converged = eigenvalues is not None and len(alphas) >= k
+            converged = eigenvalues is not None
             break
         betas.append(float(beta))
-        space.scale(1.0 / beta, w)
-        v = space.push(block, w)
         if checkpoint_dir is not None and n_iter % checkpoint_every == 0:
             # Snapshot point invariant: after n_iter completed iterations
             # there are n_iter alphas, n_iter betas, and n_iter+1 basis
             # vectors — exactly the state the resumed loop continues from.
+            steps.send(True)  # push row n_iter, pause before the next product
             write_checkpoint(
                 checkpoint_dir,
                 n_iter,
@@ -236,11 +288,7 @@ def lanczos(
         )
 
     eigenvectors = None
-    if compute_eigenvectors:
-        m = len(alphas)
-        evals, evecs = eigh_tridiagonal(
-            np.asarray(alphas), np.asarray(betas[: m - 1])
-        )
+    if compute_eigenvectors:  # evecs: the last iteration's, of the same T
         eigenvectors = [space.combine(block, evecs[:, j]) for j in range(k)]
     return LanczosResult(
         eigenvalues=np.asarray(eigenvalues),

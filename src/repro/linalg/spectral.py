@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from repro.linalg.lanczos import tridiagonalize
 from repro.linalg.spaces import NumpyVectorSpace, VectorSpace, as_matvec
 
 __all__ = ["SpectralFunction", "spectral_function"]
@@ -92,28 +93,10 @@ def spectral_function(
         return SpectralFunction(
             poles=np.empty(0), weights=np.empty(0)
         )
-    block = space.block([seed])
-    v = space.row(block, 0)
-    space.scale(1.0 / norm, v)
-    alphas: list[float] = []
-    betas: list[float] = []
-    for _ in range(krylov_dim):
-        w = matvec(v)
-        # Full reorthogonalization: spectral weights are first-row
-        # components, which ghost states would corrupt.
-        alphas.append(float(np.real(space.project(block, w)[-1])))
-        space.project(block, w)  # twice: an exhausted space leaves beta ~ 0
-        beta = space.norm(w)
-        if beta <= 1e-14:
-            break
-        betas.append(float(beta))
-        space.scale(1.0 / beta, w)
-        v = space.push(block, w)
-
-    m = len(alphas)
-    evals, evecs = eigh_tridiagonal(
-        np.asarray(alphas), np.asarray(betas[: m - 1])
-    )
+    # Full reorthogonalization: spectral weights are first-row components,
+    # which ghost states would corrupt.
+    alphas, betas, _ = tridiagonalize(matvec, space, seed, norm, krylov_dim)
+    evals, evecs = eigh_tridiagonal(alphas, betas[:-1])
     weights = norm**2 * np.abs(evecs[0, :]) ** 2
     keep = weights > weight_cutoff * max(norm**2, 1.0)
     poles = evals[keep]

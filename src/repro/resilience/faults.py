@@ -34,8 +34,39 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro import telemetry
+from repro.errors import ConfigError
+from repro.schema import Key, validate
 
-__all__ = ["FaultPlan", "MessageFate", "ResilienceConfig"]
+__all__ = [
+    "FaultPlan",
+    "MessageFate",
+    "ResilienceConfig",
+    "FAULT_ROWS",
+    "RESILIENCE_ROWS",
+]
+
+_PROBABILITY = {"min": 0, "max": 1}
+
+#: The keys of a fault plan in a ``cluster.faults`` section / ``--faults``
+#: file (:meth:`FaultPlan.from_config`; the constructor documents them).
+FAULT_ROWS = (
+    Key("cluster.faults.seed", int, min=0,
+        help="seed of the plan's private RNG"),
+    Key("cluster.faults.drop", float, **_PROBABILITY,
+        help="probability that a remote message is dropped"),
+    Key("cluster.faults.duplicate", float, **_PROBABILITY,
+        help="probability that a remote message is delivered twice"),
+    Key("cluster.faults.delay", float, **_PROBABILITY,
+        help="probability that a remote message is delayed"),
+    Key("cluster.faults.max_delay", float, min=0,
+        help="upper bound of the injected delay, simulated seconds"),
+    Key("cluster.faults.corrupt", float, **_PROBABILITY,
+        help="probability that a payload is corrupted on the wire"),
+    Key("cluster.faults.stragglers", dict,
+        help="{locale: slowdown factor} of every busy period there"),
+    Key("cluster.faults.crashes", dict,
+        help="{locale: simulated time at which it dies}"),
+)
 
 
 @dataclass(frozen=True)
@@ -257,26 +288,22 @@ class FaultPlan:
 
     @classmethod
     def from_config(cls, cfg: Mapping[str, Any]) -> "FaultPlan":
-        """Build a plan from a JSON-style mapping (config files / CLI)."""
-        known = {
-            "seed", "drop", "duplicate", "delay", "max_delay", "corrupt",
-            "stragglers", "crashes",
-        }
-        unknown = set(cfg) - known
-        if unknown:
-            raise ValueError(
-                f"unknown fault-plan keys {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        kwargs = dict(cfg)
-        seed = kwargs.pop("seed", 0)
+        """Build a plan from a JSON-style mapping (config files / CLI);
+        anything :data:`FAULT_ROWS` does not allow is a
+        :class:`~repro.errors.ConfigError`."""
+        kwargs = validate(cfg, FAULT_ROWS, "cluster.faults", fill=False)
         for key in ("stragglers", "crashes"):
-            if key in kwargs:
+            try:
                 kwargs[key] = {
                     int(locale): float(value)
-                    for locale, value in kwargs[key].items()
+                    for locale, value in kwargs.get(key, {}).items()
                 }
-        return cls(seed, **kwargs)
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"cluster.faults.{key} must map locale numbers to "
+                    f"numbers, got {kwargs[key]!r}"
+                ) from None
+        return cls(**kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FaultPlan({self.to_config()!r})"
@@ -333,18 +360,48 @@ class ResilienceConfig:
 
     def to_config(self) -> dict[str, Any]:
         """JSON-style mapping that round-trips through :meth:`from_config`."""
-        default = type(self)()
         return {
-            name: getattr(self, name)
-            for name in (
-                "ack_timeout", "backoff", "max_retries", "checksums",
-                "fallback_to_batched", "matvec_restarts",
-                "straggler_threshold", "watchdog_timeout",
-                "max_worker_restarts",
-            )
-            if getattr(self, name) != getattr(default, name)
+            row.key: getattr(self, row.key)
+            for row in RESILIENCE_ROWS
+            if getattr(self, row.key) != row.default
         }
 
     @classmethod
     def from_config(cls, cfg: Mapping[str, Any]) -> "ResilienceConfig":
-        return cls(**dict(cfg))
+        """Anything :data:`RESILIENCE_ROWS` does not allow is a
+        :class:`~repro.errors.ConfigError`."""
+        return cls(
+            **validate(cfg, RESILIENCE_ROWS, "cluster.resilience", fill=False)
+        )
+
+
+#: The keys of a ``cluster.resilience`` section, one per field above (the
+#: field comments are the long form; the defaults are the fields').
+RESILIENCE_ROWS = tuple(
+    row._replace(default=getattr(ResilienceConfig, row.key)) for row in (
+        Key("cluster.resilience.ack_timeout", float, above=0,
+            help="simulated seconds to wait for a hand-off ack before "
+            "retransmitting"),
+        Key("cluster.resilience.backoff", float, min=1,
+            help="timeout multiplier after every failed attempt"),
+        Key("cluster.resilience.max_retries", int, min=0,
+            help="retransmits per payload before the producer raises FaultError"),
+        Key("cluster.resilience.checksums", bool,
+            help="CRC32-checksum every transferred amplitude batch"),
+        Key("cluster.resilience.fallback_to_batched", bool,
+            help="on FaultError from the pipeline, rerun the matvec as batched"),
+        Key("cluster.resilience.matvec_restarts", int, min=0,
+            help="full matvec restarts allowed for the other variants"),
+        Key("cluster.resilience.straggler_threshold", float, above=1,
+            help="flag a locale whose busy time exceeds this multiple of the "
+            "median"),
+        Key("cluster.resilience.watchdog_timeout", float, above=0,
+            flag="--watchdog-timeout", metavar="SECONDS",
+            help="threads-backend stall watchdog: escalate a typed error when "
+            "every live worker has been blocked this long"),
+        Key("cluster.resilience.max_worker_restarts", int, min=0,
+            flag="--max-worker-restarts", metavar="N",
+            help="restart budget per supervised worker on the threads backend "
+            "before the crash escalates as a FaultError"),
+    )
+)

@@ -93,7 +93,6 @@ __all__ = [
     "write_openmetrics",
     "parse_openmetrics",
     "OpenMetricsError",
-    "PeriodicExporter",
 ]
 
 _ANALYSIS_EXPORTS = {
@@ -109,7 +108,6 @@ _EXPORT_EXPORTS = {
     "write_openmetrics",
     "parse_openmetrics",
     "OpenMetricsError",
-    "PeriodicExporter",
 }
 
 

@@ -37,27 +37,21 @@ Use it as a library (:func:`analyze_trace`) or from the command line::
     python -m repro.telemetry.analysis calibrate sim_trace.json wall_trace.json
     python -m repro.telemetry.analysis tune trace.json
 
-(also installed as the ``repro-inspect`` console script).  The ``diff``
-subcommand compares two traces or two metrics snapshots and prints the
-deltas — the manual half of the regression gating that
-:mod:`repro.bench.compare` automates for benchmark artifacts.  The
-``cost`` subcommand groups every span by the ``job`` id stamped into its
-args (see :mod:`repro.telemetry.jobs`) and prints the per-job cost
-attribution table; ``jobs`` lists the jobs a trace recorded, with their
-tenant/workload tags and activity window.
+(also installed as the ``repro-inspect`` console script; ``repro-inspect
+COMMAND --help`` says what each sub-command of the ``_COMMANDS`` table
+reports).  ``diff`` is the manual half of the regression gating that
+:mod:`repro.bench.compare` automates for benchmark artifacts; ``cost`` and
+``jobs`` read the ``job`` id stamped into span args (see
+:mod:`repro.telemetry.jobs`).
 
 Every report works on both clock domains — the simulator's simulated
 seconds and the threads backend's measured wall seconds — and labels
 which one it read (``clock: sim|wall`` in JSON, "simulated seconds" /
 "wall seconds" in text).  ``diff`` refuses to compare traces from
 different domains; the deliberate cross-domain comparison is
-``calibrate``, which aligns a sim-clock *model* trace against a
-wall-clock *measured* trace of the same workload and reports per-phase
-model-vs-measured time ratios (the calibration data the performance
-model and the autotuner consume).  The ``tune`` subcommand feeds a
-recorded trace to :func:`repro.autotune.recommend_from_trace` and
-prints knob-directed recommendations — stall-dominated splits, poorly
-hidden communication, load imbalance (see ``docs/PERFORMANCE.md``,
+``calibrate`` (the calibration data the performance model and the
+autotuner consume), and ``tune`` feeds a recorded trace to
+:func:`repro.autotune.recommend_from_trace` (see ``docs/PERFORMANCE.md``,
 "Autotuning").
 """
 
@@ -141,31 +135,30 @@ class Span:
         return _category(self.name)
 
 
-def _load_chrome(source) -> dict:
-    """A Chrome trace dict from a path, JSON string, dict, or recorder.
+def _read_json(path):
+    """The JSON document in ``path``; unreadable, empty or truncated files
+    raise :class:`TraceFormatError` (never a bare traceback)."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise TraceFormatError(f"cannot read {path}: {exc}") from exc
+    if not text.strip():
+        raise TraceFormatError(f"{path} is empty — not a trace/metrics file")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(
+            f"{path} is not valid JSON (truncated or corrupt?): {exc}"
+        ) from exc
 
-    Raises :class:`TraceFormatError` (never a bare traceback) when the
-    file is unreadable, empty, truncated, or parses to something that is
-    not a Chrome trace (no ``traceEvents`` list).
-    """
+
+def _load_chrome(source) -> dict:
+    """A Chrome trace dict from a path, dict, or recorder; anything that
+    parses to something else (no ``traceEvents`` list) raises
+    :class:`TraceFormatError`."""
     if hasattr(source, "to_chrome"):  # TraceRecorder
         return source.to_chrome()
-    if isinstance(source, dict):
-        data = source
-    else:
-        try:
-            text = Path(source).read_text()
-        except OSError as exc:
-            raise TraceFormatError(f"cannot read {source}: {exc}") from exc
-        if not text.strip():
-            raise TraceFormatError(f"{source} is empty — not a trace file")
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(
-                f"{source} is not valid JSON (truncated or corrupt?): "
-                f"{exc}"
-            ) from exc
+    data = source if isinstance(source, dict) else _read_json(source)
     if not isinstance(data, dict) or not isinstance(
         data.get("traceEvents"), list
     ):
@@ -495,16 +488,12 @@ class TraceAnalysis:
         return "\n".join(lines)
 
 
-def _counters_of_interest(snapshot) -> dict[str, float]:
-    """plan.* / kernel.* counters rendered flat, labels inlined."""
+def _flat(snapshot, prefixes: tuple[str, ...] = ("",)) -> dict[str, float]:
+    """Counters and gauges whose name starts with one of ``prefixes``,
+    rendered flat: ``name{label=value,...}`` -> value."""
     out: dict[str, float] = {}
-    for (name, labels), value in snapshot.counters.items():
-        if not name.startswith(("plan.", "kernel.")):
-            continue
-        label = ",".join(f"{k}={v}" for k, v in labels)
-        out[f"{name}{{{label}}}" if label else name] = value
-    for (name, labels), value in snapshot.gauges.items():
-        if name.startswith(("plan.", "kernel.")):
+    for (name, labels), value in {**snapshot.counters, **snapshot.gauges}.items():
+        if name.startswith(prefixes):
             label = ",".join(f"{k}={v}" for k, v in labels)
             out[f"{name}{{{label}}}" if label else name] = value
     return out
@@ -579,7 +568,7 @@ def analyze_trace(source, metrics=None) -> TraceAnalysis:
     counters: dict[str, float] = {}
     if metrics is not None:
         snapshot = _as_snapshot(metrics)
-        counters = _counters_of_interest(snapshot)
+        counters = _flat(snapshot, ("plan.", "kernel."))
         if not comm:
             comm = communication_matrix_from_metrics(snapshot)
 
@@ -609,7 +598,7 @@ def _as_snapshot(metrics):
         return metrics.snapshot()
     if isinstance(metrics, dict):
         return MetricsSnapshot.from_json(metrics)
-    return MetricsSnapshot.from_json(json.loads(Path(metrics).read_text()))
+    return MetricsSnapshot.from_json(_read_json(metrics))
 
 
 # -- diff -------------------------------------------------------------------
@@ -664,18 +653,7 @@ def _render_diff(rows: list[dict[str, float]]) -> str:
 
 
 def _looks_like_metrics(path: str) -> bool:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise TraceFormatError(f"cannot read {path}: {exc}") from exc
-    if not text.strip():
-        raise TraceFormatError(f"{path} is empty — not a trace/metrics file")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(
-            f"{path} is not valid JSON (truncated or corrupt?): {exc}"
-        ) from exc
+    data = _read_json(path)
     return isinstance(data, dict) and "traceEvents" not in data and (
         "counters" in data or "gauges" in data or "histograms" in data
     )
@@ -683,16 +661,7 @@ def _looks_like_metrics(path: str) -> bool:
 
 def _diff_metrics(path_a: str, path_b: str) -> str:
     """Diff two metrics-snapshot JSON files counter by counter."""
-    a, b = _as_snapshot(path_a), _as_snapshot(path_b)
-
-    def flat(snapshot) -> dict[str, float]:
-        out = {}
-        for (name, labels), value in {**snapshot.counters, **snapshot.gauges}.items():
-            label = ",".join(f"{k}={v}" for k, v in labels)
-            out[f"{name}{{{label}}}" if label else name] = value
-        return out
-
-    fa, fb = flat(a), flat(b)
+    fa, fb = _flat(_as_snapshot(path_a)), _flat(_as_snapshot(path_b))
     lines = [f"{'instrument':<52} {'a':>13} {'b':>13} {'delta':>13}"]
     for key in sorted(set(fa) | set(fb)):
         va, vb = fa.get(key, 0.0), fb.get(key, 0.0)
@@ -913,241 +882,183 @@ def aggregate_job_costs(source) -> dict[str, dict]:
     )
 
 
-def _row_clock(rows: dict[str, dict]) -> str:
-    for row in rows.values():
-        return row.get("clock", "sim")
-    return "sim"
+def _job_table(rows: dict[str, dict], header: str, line, empty: str) -> str:
+    """The clock the rows were read on, ``header``, then ``line(row)`` per
+    job (or the ``empty`` note)."""
+    clock = next((row.get("clock", "sim") for row in rows.values()), "sim")
+    body = [line(row) for row in rows.values()] or [empty]
+    return "\n".join([f"clock: {_clock_label(clock)}", header, *body])
 
 
 def _render_cost(rows: dict[str, dict]) -> str:
-    lines = [
-        f"clock: {_clock_label(_row_clock(rows))}",
+    return _job_table(
+        rows,
         f"{'job':<24} {'spans':>7} {'compute[s]':>12} {'send[s]':>10} "
         f"{'stall[s]':>10} {'busy[s]':>10} {'share':>7} "
-        f"{'bytes':>12} {'msgs':>8}"
-    ]
-    for row in rows.values():
-        lines.append(
+        f"{'bytes':>12} {'msgs':>8}",
+        lambda row: (
             f"{row['job']:<24} {row['spans']:>7} "
             f"{row['compute_seconds']:>12.6g} {row['send_seconds']:>10.4g} "
             f"{row['stall_seconds']:>10.4g} {row['busy_seconds']:>10.6g} "
             f"{row['busy_share']:>7.1%} "
             f"{row['wire_bytes']:>12.6g} {row['messages']:>8.6g}"
-        )
-    if len(lines) == 2:
-        lines.append("(no spans)")
-    return "\n".join(lines)
+        ),
+        "(no spans)",
+    )
 
 
 def _render_jobs(rows: dict[str, dict]) -> str:
-    lines = [
-        f"clock: {_clock_label(_row_clock(rows))}",
+    return _job_table(
+        rows,
         f"{'job':<24} {'tenant':<12} {'workload':<16} {'spans':>7} "
-        f"{'first[s]':>10} {'last[s]':>10} {'busy[s]':>10}"
-    ]
-    for row in rows.values():
-        first = row["first_event"]
-        last = row["last_event"]
-        lines.append(
+        f"{'first[s]':>10} {'last[s]':>10} {'busy[s]':>10}",
+        lambda row: (
             f"{row['job']:<24} {row['tenant']:<12} {row['workload']:<16} "
             f"{row['spans']:>7} "
-            f"{first if first is not None else 0.0:>10.6g} "
-            f"{last if last is not None else 0.0:>10.6g} "
+            f"{row['first_event'] or 0.0:>10.6g} "
+            f"{row['last_event'] or 0.0:>10.6g} "
             f"{row['busy_seconds']:>10.6g}"
-        )
-    if len(lines) == 2:
-        lines.append("(no jobs recorded)")
-    return "\n".join(lines)
+        ),
+        "(no jobs recorded)",
+    )
 
 
 # -- CLI --------------------------------------------------------------------
+#
+# One function per sub-command: parsed arguments -> (JSON payload, text
+# renderer); a ``None`` payload means the report has a text form only.
+
+
+def _run_analyze(args):
+    analysis = analyze_trace(args.trace, metrics=args.metrics)
+    return analysis.to_json(), analysis.render
+
+
+def _run_diff(args):
+    if _looks_like_metrics(args.a) and _looks_like_metrics(args.b):
+        return None, lambda: _diff_metrics(args.a, args.b)
+    rows = diff_analyses(analyze_trace(args.a), analyze_trace(args.b))
+    return rows, lambda: _render_diff(rows)
+
+
+def _run_cost(args):
+    rows = aggregate_job_costs(args.trace)
+    return list(rows.values()), lambda: _render_cost(rows)
+
+
+def _run_jobs(args):
+    rows = aggregate_job_costs(args.trace)
+    rows.pop(UNATTRIBUTED, None)
+    return list(rows.values()), lambda: _render_jobs(rows)
+
+
+def _run_calibrate(args):
+    report = calibrate_traces(args.model, args.measured)
+    return report, lambda: _render_calibrate(report)
+
+
+def _run_tune(args):
+    # Imported lazily: repro.autotune depends on the distributed and
+    # perfmodel layers, which the pure-analysis subcommands never load.
+    from repro.autotune.recommend import (
+        recommend_from_trace,
+        render_recommendations,
+    )
+
+    report = recommend_from_trace(args.trace)
+    return report, lambda: render_recommendations(report)
+
+
+_TRACE = ("trace", "path to a Chrome trace-event JSON file")
+
+#: sub-command ("" = the bare ``repro-inspect TRACE`` form) ->
+#: (description, positional arguments, the function above)
+_COMMANDS = {
+    "": (
+        "Analyze a repro telemetry trace: overlap efficiency, stalls, load "
+        "imbalance, critical path, communication matrix. Use 'repro-inspect "
+        "diff A B' to compare two traces or two metrics snapshots.",
+        (_TRACE,),
+        _run_analyze,
+    ),
+    "diff": (
+        "Compare two traces or two metrics snapshots",
+        (("a", "baseline trace/metrics JSON"),
+         ("b", "candidate trace/metrics JSON")),
+        _run_diff,
+    ),
+    "cost": (
+        "Aggregate a recorded trace by job and print the per-job cost "
+        "attribution table",
+        (_TRACE,),
+        _run_cost,
+    ),
+    "jobs": (
+        "List the jobs recorded in a trace (tenant, workload, activity "
+        "window)",
+        (_TRACE,),
+        _run_jobs,
+    ),
+    "calibrate": (
+        "Align a simulated (model) trace with a wall-clock (measured) trace "
+        "of the same workload and report per-phase model-vs-measured time "
+        "ratios",
+        (("model", "sim-clock trace JSON (SimExecutor run)"),
+         ("measured", "wall-clock trace JSON (threads backend run)")),
+        _run_calibrate,
+    ),
+    "tune": (
+        "Read the pipeline diagnostics of a recorded trace and print knob "
+        "recommendations (batch size, producer:consumer split, work "
+        "stealing)",
+        (_TRACE,),
+        _run_tune,
+    ),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    import sys
-
-    try:
-        return _main(argv)
-    except TraceFormatError as exc:
-        print(f"repro-inspect: error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _main(argv: list[str] | None = None) -> int:
     import argparse
     import sys
 
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in ("cost", "jobs"):
-        command = argv[0]
-        parser = argparse.ArgumentParser(
-            prog=f"repro-inspect {command}",
-            description=(
-                "Aggregate a recorded trace by job and print the "
-                "per-job cost attribution table"
-                if command == "cost"
-                else "List the jobs recorded in a trace (tenant, "
-                "workload, activity window)"
-            ),
-        )
-        parser.add_argument(
-            "trace", help="path to a Chrome trace-event JSON file"
-        )
-        parser.add_argument(
-            "--json", action="store_true", help="emit machine-readable JSON"
-        )
-        parser.add_argument(
-            "--out",
-            metavar="PATH",
-            default=None,
-            help="also write the JSON report to PATH",
-        )
-        args = parser.parse_args(argv[1:])
-        rows = aggregate_job_costs(args.trace)
-        if command == "jobs":
-            rows = {
-                job_id: row
-                for job_id, row in rows.items()
-                if job_id != UNATTRIBUTED
-            }
-        payload = list(rows.values())
-        if args.out is not None:
-            Path(args.out).write_text(json.dumps(payload, indent=2))
-        if args.json:
-            print(json.dumps(payload, indent=2))
-        else:
-            print(
-                _render_cost(rows)
-                if command == "cost"
-                else _render_jobs(rows)
-            )
-        return 0
-    if argv and argv[0] == "tune":
-        parser = argparse.ArgumentParser(
-            prog="repro-inspect tune",
-            description=(
-                "Read the pipeline diagnostics of a recorded trace and "
-                "print knob recommendations (batch size, producer:"
-                "consumer split, work stealing)"
-            ),
-        )
-        parser.add_argument(
-            "trace", help="path to a Chrome trace-event JSON file"
-        )
-        parser.add_argument(
-            "--json", action="store_true", help="emit machine-readable JSON"
-        )
-        parser.add_argument(
-            "--out",
-            metavar="PATH",
-            default=None,
-            help="also write the JSON report to PATH",
-        )
-        args = parser.parse_args(argv[1:])
-        # Imported lazily: repro.autotune depends on the distributed and
-        # perfmodel layers, which the pure-analysis subcommands never load.
-        from repro.autotune.recommend import (
-            recommend_from_trace,
-            render_recommendations,
-        )
-
-        report = recommend_from_trace(args.trace)
-        if args.out is not None:
-            Path(args.out).write_text(json.dumps(report, indent=2))
-        print(
-            json.dumps(report, indent=2)
-            if args.json
-            else render_recommendations(report)
-        )
-        return 0
-    if argv and argv[0] == "calibrate":
-        parser = argparse.ArgumentParser(
-            prog="repro-inspect calibrate",
-            description=(
-                "Align a simulated (model) trace with a wall-clock "
-                "(measured) trace of the same workload and report "
-                "per-phase model-vs-measured time ratios"
-            ),
-        )
-        parser.add_argument(
-            "model", help="sim-clock trace JSON (SimExecutor run)"
-        )
-        parser.add_argument(
-            "measured",
-            help="wall-clock trace JSON (threads backend run)",
-        )
-        parser.add_argument(
-            "--json", action="store_true", help="emit machine-readable JSON"
-        )
-        parser.add_argument(
-            "--out",
-            metavar="PATH",
-            default=None,
-            help="also write the JSON report to PATH",
-        )
-        args = parser.parse_args(argv[1:])
-        report = calibrate_traces(args.model, args.measured)
-        if args.out is not None:
-            Path(args.out).write_text(json.dumps(report, indent=2))
-        print(
-            json.dumps(report, indent=2)
-            if args.json
-            else _render_calibrate(report)
-        )
-        return 0
-    if argv and argv[0] == "diff":
-        parser = argparse.ArgumentParser(
-            prog="repro-inspect diff",
-            description="Compare two traces or two metrics snapshots",
-        )
-        parser.add_argument("a", help="baseline trace/metrics JSON")
-        parser.add_argument("b", help="candidate trace/metrics JSON")
-        parser.add_argument(
-            "--json", action="store_true", help="emit machine-readable JSON"
-        )
-        args = parser.parse_args(argv[1:])
-        if _looks_like_metrics(args.a) and _looks_like_metrics(args.b):
-            print(_diff_metrics(args.a, args.b))
-            return 0
-        rows = diff_analyses(analyze_trace(args.a), analyze_trace(args.b))
-        print(json.dumps(rows, indent=2) if args.json else _render_diff(rows))
-        return 0
-
+    command = argv[0] if argv and argv[0] in _COMMANDS else ""
+    description, positionals, run = _COMMANDS[command]
     parser = argparse.ArgumentParser(
-        prog="repro-inspect",
-        description="Analyze a repro telemetry trace: overlap efficiency, "
-        "stalls, load imbalance, critical path, communication matrix. "
-        "Use 'repro-inspect diff A B' to compare two traces or two metrics "
-        "snapshots.",
+        prog=f"repro-inspect {command}".rstrip(), description=description
     )
-    parser.add_argument("trace", help="path to a Chrome trace-event JSON file")
-    parser.add_argument(
-        "--metrics",
-        metavar="PATH",
-        default=None,
-        help="metrics snapshot JSON to fold in (plan/kernel counters, "
-        "fallback communication matrix)",
-    )
+    for name, text in positionals:
+        parser.add_argument(name, help=text)
     parser.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
     )
-    parser.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="also write the JSON report to PATH",
-    )
-    args = parser.parse_args(argv)
-    analysis = analyze_trace(args.trace, metrics=args.metrics)
-    if args.out is not None:
-        Path(args.out).write_text(json.dumps(analysis.to_json(), indent=2))
-    print(
-        json.dumps(analysis.to_json(), indent=2)
-        if args.json
-        else analysis.render()
-    )
+    if command != "diff":
+        parser.add_argument(
+            "--out", metavar="PATH", help="also write the JSON report to PATH"
+        )
+    if not command:
+        parser.add_argument(
+            "--metrics",
+            metavar="PATH",
+            help="metrics snapshot JSON to fold in (plan/kernel counters, "
+            "fallback communication matrix)",
+        )
+    args = parser.parse_args(argv[1:] if command else argv)
+    try:
+        payload, render = run(args)
+    except TraceFormatError as exc:
+        print(f"repro-inspect: error: {exc}", file=sys.stderr)
+        return 2
+    if getattr(args, "out", None) is not None:
+        Path(args.out).write_text(json.dumps(payload, indent=2))
+    as_json = args.json and payload is not None
+    print(json.dumps(payload, indent=2) if as_json else render())
     return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    raise SystemExit(main())
+    # Run the *importable* module's main: the other layers raise its
+    # TraceFormatError, which this ``__main__`` copy's handler cannot match.
+    from repro.telemetry.analysis import main as _module_main
+
+    raise SystemExit(_module_main())

@@ -1,10 +1,9 @@
 """OpenMetrics v1 text export of a :class:`MetricsRegistry`.
 
 One-shot rendering (:func:`render_openmetrics`, :func:`write_openmetrics`)
-and a periodic snapshot-to-file exporter (:class:`PeriodicExporter`) for
-long runs, plus a deliberately strict line parser
-(:func:`parse_openmetrics`) used by CI to validate that what we export is
-what a Prometheus-compatible scraper would actually accept.
+plus a deliberately strict line parser (:func:`parse_openmetrics`) used by
+CI to validate that what we export is what a Prometheus-compatible scraper
+would actually accept.
 
 Mapping from our instruments to OpenMetrics families:
 
@@ -25,7 +24,6 @@ the global totals and the per-tenant breakdown from one file.
 from __future__ import annotations
 
 import re
-import threading
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -34,7 +32,6 @@ __all__ = [
     "write_openmetrics",
     "parse_openmetrics",
     "OpenMetricsError",
-    "PeriodicExporter",
 ]
 
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -158,59 +155,6 @@ def write_openmetrics(path, registry, jobs: dict | None = None) -> Path:
     tmp.write_text(text)
     tmp.replace(path)
     return path
-
-
-class PeriodicExporter:
-    """Snapshots a registry to an OpenMetrics file every ``interval`` s.
-
-    Wall-clock periodic (daemon thread); :meth:`stop` always writes one
-    final snapshot, so short runs still produce a complete file even if
-    the interval never elapsed.  Usable as a context manager.
-    """
-
-    def __init__(
-        self,
-        registry,
-        path,
-        interval: float = 5.0,
-        jobs: dict | None = None,
-    ) -> None:
-        self.registry = registry
-        self.path = Path(path)
-        self.interval = float(interval)
-        self.jobs = jobs
-        self.writes = 0
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def _write(self) -> None:
-        write_openmetrics(self.path, self.registry, jobs=self.jobs)
-        self.writes += 1
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self._write()
-
-    def start(self) -> "PeriodicExporter":
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._run, name="repro-metrics-export", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        self._write()
-
-    def __enter__(self) -> "PeriodicExporter":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
 
 class OpenMetricsError(ValueError):

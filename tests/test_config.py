@@ -1,14 +1,20 @@
 """Tests for the declarative JSON input-file interface."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.basis import SpinBasis, SymmetricBasis
-from repro.config import load_simulation, run_simulation
-from repro.errors import ReproError
+from repro.config import input_reference, load_simulation, run_simulation
+from repro.errors import ConfigError, ReproError
 
 
 BASE_SPEC = {
@@ -281,7 +287,6 @@ class TestMatvecKnobs:
             "batch_size": 64,
             "consumer_fraction": 0.25,
             "work_stealing": True,
-            "block_width": 1,
         }
         plain = run_simulation(load_simulation(self.CLUSTER_SPEC))
         tuned = run_simulation(
@@ -303,7 +308,6 @@ class TestMatvecKnobs:
             {"consumer_fraction": 0.0},
             {"consumer_fraction": 1.5},
             {"work_stealing": 1},
-            {"block_width": 0},
             {"granularity": 4},
         ]
         for section in bad_sections:
@@ -444,3 +448,202 @@ class TestObservables:
         spec["observables"] = [{"type": "wilson_loop"}]
         with pytest.raises(ReproError):
             load_simulation(spec)
+
+
+def _probe(**sections):
+    """A valid serial chain-8 input with ``sections`` replaced."""
+    spec = {
+        "n_sites": 8,
+        "hamiltonian": {"model": "heisenberg_chain"},
+        "basis": {"hamming_weight": 4},
+        "solver": {"k": 1},
+    }
+    spec.update(sections)
+    return spec
+
+
+#: (dotted path the ConfigError must name, input): the first six were
+#: silently accepted before the schema, the other ten escaped untyped
+#: (JSONDecodeError, ValueError, KeyError, TypeError, ZeroDivisionError).
+PROBES = [
+    ("basis.hamming_wieght", _probe(basis={"hamming_wieght": 4})),
+    ("solver.tolerance", _probe(solver={"tolerance": 1e-3})),
+    ("clutser", _probe(clutser={"n_locales": 2})),
+    ("cluster.machine", _probe(cluster={"machine": "lapotp"})),
+    ("cluster.cores", _probe(cluster={"cores": 2})),
+    (
+        "hamiltonian.tilt",
+        _probe(
+            n_sites=12,
+            hamiltonian={"model": "heisenberg_kagome12", "tilt": 3},
+        ),
+    ),
+    ("no-such-input.json", "no-such-input.json"),
+    ("n_sites", _probe(n_sites="eight")),
+    ("basis.hamming_weight", _probe(basis={"hamming_weight": 12})),
+    ("solver.k", _probe(solver={"k": 0})),
+    ("cluster.n_locales", _probe(cluster={"n_locales": 0})),
+    (
+        "hamiltonian.nx",
+        _probe(hamiltonian={"model": "heisenberg_square", "ny": 2}),
+    ),
+    ("hamiltonian.edges", _probe(hamiltonian={"model": "heisenberg_graph"})),
+    (
+        "observables.distance",
+        _probe(observables=[{"type": "spin_correlation"}]),
+    ),
+    ("cluster.bogus", _probe(cluster={"machine": "laptop", "bogus": 1})),
+    (
+        "solver.checkpoint.every",
+        _probe(solver={"checkpoint": {"dir": "unused", "every": 0}}),
+    ),
+]
+
+
+class TestTypedRejection:
+    """Bad input at the file boundary is a ``ConfigError`` naming the
+    dotted path — never silently accepted, never another exception."""
+
+    @pytest.mark.parametrize(
+        "path, source", PROBES, ids=[path for path, _ in PROBES]
+    )
+    def test_probe_is_rejected_by_path(self, path, source):
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            run_simulation(load_simulation(source))
+
+    def test_from_config_goes_through_the_same_walker(self):
+        from repro.resilience import FaultPlan, ResilienceConfig
+
+        with pytest.raises(ConfigError, match="cluster.resilience.ack_timout"):
+            ResilienceConfig.from_config({"ack_timout": 1.0})
+        with pytest.raises(ConfigError, match="cluster.resilience.backoff"):
+            ResilienceConfig.from_config({"backoff": "2"})
+        with pytest.raises(ConfigError, match="cluster.faults.drop"):
+            FaultPlan.from_config({"drop": 2.0})
+        with pytest.raises(ConfigError, match="cluster.faults.crashes"):
+            FaultPlan.from_config({"crashes": {"first": 0.5}})
+
+    def test_process_boundary_prints_one_line_and_exits_2(self, tmp_path):
+        """``python -m repro`` turns every ``ReproError`` — and an
+        unreadable ``--faults`` file — into ``repro: error: ...``."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_probe(bassis={})))
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(_probe(cluster={"n_locales": 2})))
+        src = str(Path(repro.__file__).parents[1])
+        for argv, named in (
+            ([str(bad)], "bassis"),
+            ([str(good), "--faults", str(tmp_path / "nope.json")], "nope.json"),
+            ([str(good), "--batch-size", "0"], "cluster.matvec.batch_size"),
+        ):
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            assert done.returncode == 2
+            assert done.stderr.startswith("repro: error:")
+            assert named in done.stderr
+            assert "Traceback" not in done.stderr and not done.stdout
+
+
+def test_readme_key_table_is_generated_from_the_rows():
+    """README.md embeds ``repro.config.input_reference()`` verbatim."""
+    readme = Path(__file__).parents[1] / "README.md"
+    assert input_reference() in readme.read_text()
+
+
+def test_flags_come_from_the_rows(capsys):
+    """Every flag is one row's: no flag without a row, and a cluster-only
+    flag says so."""
+    from repro.config import ROWS, main
+
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    flags = [row for row in ROWS if row.flag]
+    assert len(flags) == 11
+    for row in flags:
+        assert row.flag in text
+    assert text.count("requires a 'cluster' section") == sum(
+        row.path.startswith("cluster.") for row in flags
+    )
+    assert "--metrics-export-interval" not in text
+
+
+# -- fuzz: one random mutation of a valid input ------------------------------
+
+FUZZ_SERIAL = {
+    "n_sites": 6,
+    "hamiltonian": {
+        "model": "heisenberg_chain", "coupling": 1.0, "periodic": True,
+    },
+    "basis": {"hamming_weight": 3, "momentum": 0, "parity": 0, "inversion": 0},
+    "solver": {"k": 1, "tol": 1e-8, "max_iter": 200},
+    "observables": [{"type": "spin_correlation", "distance": 1, "name": "nn"}],
+}
+FUZZ_CLUSTER = {
+    "n_locales": 2,
+    "machine": "laptop",
+    "cores": 2,
+    "backend": "sim",
+    "tune": "off",
+    "matvec": {
+        "batch_size": 16, "consumer_fraction": 0.5, "work_stealing": False,
+    },
+    "faults": {"seed": 1, "max_delay": 1e-4},
+    "resilience": {"max_retries": 3, "ack_timeout": 0.05, "checksums": True},
+}
+
+
+def _key_paths(node, prefix=()):
+    """Paths (tuples of keys / list indices) of every dict key below."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(node, dict):
+            yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _mutated(spec, path, how):
+    spec = json.loads(json.dumps(spec))
+    *parents, key = path
+    node = spec
+    for step in parents:
+        node = node[step]
+    value = node[key]
+    if how == "rename":
+        node[key + "_"] = node.pop(key)
+    elif how == "drop":
+        del node[key]
+    elif how == "retype":
+        node[key] = [value] if isinstance(value, str) else str(value)
+    elif how == "negate":
+        node[key] = -value if isinstance(value, (int, float)) else None
+    else:
+        node[key] = 0
+    return spec
+
+
+_FUZZ_PATHS = sorted(
+    _key_paths({**FUZZ_SERIAL, "cluster": FUZZ_CLUSTER}), key=repr
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    path=st.sampled_from(_FUZZ_PATHS),
+    how=st.sampled_from(["rename", "drop", "retype", "negate", "zero"]),
+    distributed=st.booleans(),
+)
+def test_one_mutation_runs_or_raises_repro_error(path, how, distributed):
+    spec = dict(FUZZ_SERIAL)
+    if distributed or path[0] == "cluster":
+        spec["cluster"] = FUZZ_CLUSTER
+    try:
+        result = run_simulation(load_simulation(_mutated(spec, path, how)))
+    except ReproError:
+        return
+    assert how != "rename", f"renamed key {path} was accepted"
+    assert result["converged"]

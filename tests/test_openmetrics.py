@@ -11,7 +11,6 @@ tokens) end to end.
 from __future__ import annotations
 
 import json
-import time
 
 import pytest
 
@@ -19,7 +18,6 @@ from repro import telemetry
 from repro.telemetry import MetricsRegistry, Telemetry
 from repro.telemetry.export import (
     OpenMetricsError,
-    PeriodicExporter,
     parse_openmetrics,
     render_openmetrics,
     write_openmetrics,
@@ -138,31 +136,7 @@ class TestParserRejects:
             parse_openmetrics("# TYPE x counter\nx_total banana\n# EOF\n")
 
 
-class TestPeriodicExporter:
-    def test_stop_always_writes_final_snapshot(self, tmp_path):
-        reg = MetricsRegistry(fanout=False)
-        reg.counter("events").inc(7)
-        path = tmp_path / "metrics.om"
-        exporter = PeriodicExporter(reg, path, interval=3600.0)
-        exporter.start()
-        reg.counter("events").inc(3)
-        exporter.stop()
-        assert exporter.writes >= 1
-        families = parse_openmetrics(path.read_text())
-        ((_, _, value),) = families["events"]["samples"]
-        assert value == 10.0
-
-    def test_periodic_writes_happen(self, tmp_path):
-        reg = MetricsRegistry(fanout=False)
-        reg.counter("events").inc()
-        path = tmp_path / "metrics.om"
-        with PeriodicExporter(reg, path, interval=0.02) as exporter:
-            deadline = time.monotonic() + 5.0
-            while exporter.writes < 2 and time.monotonic() < deadline:
-                time.sleep(0.01)
-        assert exporter.writes >= 2
-        parse_openmetrics(path.read_text())
-
+class TestWriteOpenmetrics:
     def test_write_openmetrics_accepts_registry_and_snapshot(self, tmp_path):
         reg = _registry()
         a = write_openmetrics(tmp_path / "a.om", reg)

@@ -109,7 +109,7 @@ class TestFaultPlan:
         assert clone.take_crashes() == {0: 0.25}
 
     def test_unknown_config_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
+        with pytest.raises(ConfigError, match="unknown"):
             FaultPlan.from_config({"seed": 1, "droop": 0.5})
 
     def test_resilience_config_validation(self):

@@ -14,6 +14,10 @@ regression the ``advance`` guard protects against).
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,6 +375,21 @@ class TestGracefulFailures:
     def test_missing_file(self, tmp_path, capsys):
         assert inspect_main([str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_module_entry_fails_cleanly(self, tmp_path):
+        """``python -m repro.telemetry.analysis`` (the form CI uses) runs
+        as ``__main__``, while ``tune`` raises the imported module's
+        ``TraceFormatError``: the handler must be that module's too."""
+        src = str(Path(repro.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.telemetry.analysis", "tune",
+             str(tmp_path / "missing.json")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("repro-inspect: error: cannot read")
+        assert "Traceback" not in done.stderr
 
     def test_empty_trace_events_is_still_valid(self, tmp_path, capsys):
         path = tmp_path / "empty_events.json"
