@@ -2,8 +2,8 @@
 
 Two entry points:
 
-- :func:`recommend_split` works on the *model*: it reconstructs the
-  pipeline stage times of :class:`~repro.perfmodel.models.MatvecScalingModel`
+- :func:`recommend_split` works on the *model*: it reads the pipeline
+  stage times of :class:`~repro.perfmodel.models.MatvecScalingModel`
   under the default producer:consumer split, flags the split as
   stall-dominated when the stages are materially unbalanced (one side's
   cores idle waiting on the other — the paper's Sec. 6.3 observation
@@ -27,7 +27,6 @@ from repro.distributed.matvec_pc import (
     DEFAULT_CONSUMER_FRACTION,
     split_cores,
 )
-from repro.distributed.matvec_common import wire_bytes
 from repro.perfmodel.models import MatvecScalingModel
 
 __all__ = [
@@ -42,30 +41,6 @@ STALL_SHARE_THRESHOLD = 0.05
 
 _PRODUCER_RE = re.compile(r"^producer\d+$")
 _CONSUMER_RE = re.compile(r"^consumer\d+$")
-
-
-def _stage_times(model: MatvecScalingModel, n_locales: int) -> dict:
-    """The per-stage seconds behind ``model.pipeline_time`` at a split."""
-    m = model.machine
-    k = model.block_width
-    elements = model.workload.total_elements / n_locales
-    producers, consumers = split_cores(
-        m.cores_per_locale, model.consumer_fraction
-    )
-    t_generate = elements * (
-        m.t_generate + m.t_partition + m.t_hash + m.t_axpy * (k - 1)
-    )
-    t_consume = elements * (m.t_search_accum + m.t_axpy * (k - 1))
-    remote_fraction = (n_locales - 1) / n_locales
-    out_bytes = elements * wire_bytes(1, k) * remote_fraction
-    t_nic = m.network.bulk_time(out_bytes, model.message_bytes(n_locales))
-    return {
-        "producers": producers,
-        "consumers": consumers,
-        "producer_stage_seconds": t_generate / producers,
-        "consumer_stage_seconds": t_consume / consumers,
-        "nic_seconds": t_nic,
-    }
 
 
 def recommend_split(
@@ -93,7 +68,14 @@ def recommend_split(
 
     base = model(consumer_fraction)
     base_seconds = base.pipeline_time(n_locales)
-    stages = _stage_times(base, n_locales)
+    producers, consumers = split_cores(
+        machine.cores_per_locale, consumer_fraction
+    )
+    stages = {
+        "producers": producers,
+        "consumers": consumers,
+        **base.stage_times(n_locales),
+    }
     slow = max(
         stages["producer_stage_seconds"], stages["consumer_stage_seconds"]
     )

@@ -212,10 +212,9 @@ def measure_knobs(
     """
     impl = IMPLS[method]
     kwargs = method_kwargs(knobs, method, basis.cluster)
-    wall = getattr(basis.cluster, "backend", "sim") == "threads"
     with telemetry.use(None):
         _, report = impl(compiled, basis, x, None, plan=None, **kwargs)
-        if not wall:
+        if not basis.cluster.wall_clock:
             return float(report.elapsed)
         best = float(report.elapsed)
         for _ in range(max(samples - 1, 0)):

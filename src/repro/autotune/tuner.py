@@ -35,17 +35,9 @@ from repro.autotune.search import (
     seed_candidates_from_dir,
 )
 from repro.distributed.operator import IMPLS, KNOB_KEYS, is_pipeline
-from repro.perfmodel.models import MatvecScalingModel
 from repro.telemetry.context import current as current_telemetry
 
-__all__ = ["Autotuner", "TuneResult", "BLOCK_WIDTH_GRID"]
-
-#: Block widths the advisory block-width recommendation considers.
-BLOCK_WIDTH_GRID = (1, 2, 4, 8)
-
-#: Stop widening blocks when the next width improves per-column time by
-#: less than this (diminishing returns vs the extra resident vectors).
-BLOCK_WIDTH_MIN_GAIN = 0.05
+__all__ = ["Autotuner", "TuneResult"]
 
 #: Safety factor on the measured plan size when deriving the plan-cache
 #: budget knob (leave room for the allocator's slack).
@@ -175,8 +167,7 @@ class Autotuner:
             tele.trace.instant(
                 _TRACK, "autotune.search", 0.0, {"fingerprint": fingerprint}
             )
-        backend = getattr(basis.cluster, "backend", "sim")
-        clock = "wall" if backend == "threads" else "sim"
+        wall_clock = basis.cluster.wall_clock
         machine = basis.cluster.machine
         n_locales = basis.n_locales
         workload = OperatorWorkload.from_operator(compiled, basis)
@@ -238,18 +229,15 @@ class Autotuner:
         knobs["plan_cache_bytes"] = self._plan_budget(
             compiled, basis, x, knobs, method
         )
-        knobs["block_width"] = self._recommend_block_width(
-            machine, workload, n_locales, knobs
-        )
         calibration = None
-        if backend == "threads":
+        if wall_clock:
             calibration = self._calibrate(compiled, basis, x, knobs, method)
         return TuneResult(
             fingerprint=fingerprint,
             knobs=knobs,
             default_seconds=default_seconds,
             tuned_seconds=best_seconds,
-            clock=clock,
+            clock="wall" if wall_clock else "sim",
             method=method,
             from_cache=False,
             n_measured=n_measured,
@@ -277,38 +265,6 @@ class Autotuner:
         if measured <= 0:
             return ceiling
         return min(int(ceil(measured * PLAN_BUDGET_MARGIN)), ceiling)
-
-    def _recommend_block_width(
-        self, machine, workload, n_locales, knobs
-    ) -> int:
-        """Advisory block width from the model's amortization curve.
-
-        Per-column time strictly decreases with block width (the
-        x-independent work is shared), so the recommendation stops at
-        diminishing returns rather than chasing the asymptote — wider
-        blocks cost proportionally more resident vector memory.
-        """
-        from repro.distributed.matvec_pc import DEFAULT_CONSUMER_FRACTION
-
-        fraction = knobs.get("consumer_fraction", DEFAULT_CONSUMER_FRACTION)
-        stealing = knobs.get("work_stealing", False)
-
-        def per_column(width: int) -> float:
-            return MatvecScalingModel(
-                machine, workload,
-                batch_size=knobs["batch_size"],
-                consumer_fraction=fraction,
-                block_width=width,
-            ).per_column_time(n_locales, stealing)
-
-        best = BLOCK_WIDTH_GRID[0]
-        best_time = per_column(best)
-        for width in BLOCK_WIDTH_GRID[1:]:
-            time = per_column(width)
-            if time >= best_time * (1.0 - BLOCK_WIDTH_MIN_GAIN):
-                break
-            best, best_time = width, time
-        return best
 
     def _calibrate(self, compiled, basis, x, knobs, method) -> dict | None:
         """Model-vs-measured sanity check on the threads backend.

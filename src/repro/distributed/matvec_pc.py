@@ -116,7 +116,7 @@ def default_buffer_capacity(cluster) -> int:
     :func:`matvec_producer_consumer` keeps the simulated figure as its
     signature default; the operator and the autotuner apply this one.
     """
-    if getattr(cluster, "backend", "sim") == "threads":
+    if cluster.wall_clock:
         return sys.maxsize
     return SIM_BUFFER_CAPACITY
 
@@ -751,7 +751,7 @@ def matvec_producer_consumer(
             "corruption injection with checksums disabled would return "
             "silently wrong amplitudes; enable ResilienceConfig.checksums"
         )
-    wall_clock = getattr(basis.cluster, "backend", "sim") == "threads"
+    wall_clock = basis.cluster.wall_clock
 
     if basis.n_locales == 1:
         crashes = faults.take_crashes() if faults is not None else {}

@@ -263,9 +263,7 @@ class DistributedVectorSpace(VectorSpace):
         self.basis = basis
         self.mpi = SimMPI(basis.cluster, ranks_per_locale=1)
         self.report = SimReport()
-        self.wall_clock = (
-            getattr(basis.cluster, "backend", "sim") == "threads"
-        )
+        self.wall_clock = basis.cluster.wall_clock
 
     def _charge_stream(
         self, n_vectors: int = 1, measured: float | None = None

@@ -77,46 +77,51 @@ class MatvecScalingModel:
         per_chunk = self.batch_size * self.workload.offdiag_per_row
         return per_chunk / n_locales * wire_bytes(1, self.block_width)
 
-    def pipeline_time(self, n_locales: int, work_stealing: bool = False) -> float:
-        if n_locales == 1:
-            return self.single_node_time()
+    def stage_times(
+        self, n_locales: int, work_stealing: bool = False
+    ) -> dict[str, float]:
+        """Seconds each pipeline stage needs for one locale's elements."""
         m = self.machine
         k = self.block_width
         elements = self._per_locale_elements(n_locales)
-        producers, consumers = split_cores(
-            m.cores_per_locale, self.consumer_fraction
-        )
         t_generate = elements * (
             m.t_generate + m.t_partition + m.t_hash + m.t_axpy * (k - 1)
         )
         t_consume = elements * (m.t_search_accum + m.t_axpy * (k - 1))
         if work_stealing:
             # All cores drain the union of both work pools.
-            t_compute = (t_generate + t_consume) / m.cores_per_locale
-            stage_times = [t_compute]
+            stages = {
+                "compute_stage_seconds": (t_generate + t_consume)
+                / m.cores_per_locale
+            }
         else:
-            stage_times = [t_generate / producers, t_consume / consumers]
+            producers, consumers = split_cores(
+                m.cores_per_locale, self.consumer_fraction
+            )
+            stages = {
+                "producer_stage_seconds": t_generate / producers,
+                "consumer_stage_seconds": t_consume / consumers,
+            }
         remote_fraction = (n_locales - 1) / n_locales
         out_bytes = elements * wire_bytes(1, k) * remote_fraction
-        t_nic = m.network.bulk_time(out_bytes, self.message_bytes(n_locales))
-        stage_times.append(t_nic)
-        stage_times.sort(reverse=True)
-        elapsed = stage_times[0]
-        if len(stage_times) > 1:
-            elapsed += self.pipeline_coupling * stage_times[1]
-        elapsed += (
-            self.workload.dimension / n_locales * m.t_axpy * k
-            / m.cores_per_locale
+        stages["nic_seconds"] = m.network.bulk_time(
+            out_bytes, self.message_bytes(n_locales)
         )
-        return elapsed
+        return stages
 
-    def per_column_time(
-        self, n_locales: int, work_stealing: bool = False
-    ) -> float:
-        """Elapsed time per right-hand side — the block-amortization curve:
-        strictly decreasing in :attr:`block_width` because the x-independent
-        work is shared by all columns."""
-        return self.pipeline_time(n_locales, work_stealing) / self.block_width
+    def pipeline_time(self, n_locales: int, work_stealing: bool = False) -> float:
+        if n_locales == 1:
+            return self.single_node_time()
+        m = self.machine
+        slowest, second, *_ = sorted(
+            self.stage_times(n_locales, work_stealing).values(), reverse=True
+        )
+        return (
+            slowest
+            + self.pipeline_coupling * second
+            + self.workload.dimension / n_locales * m.t_axpy
+            * self.block_width / m.cores_per_locale
+        )
 
     def speedup(self, n_locales: int, baseline_locales: int = 1,
                 work_stealing: bool = False) -> float:

@@ -11,13 +11,15 @@ algorithms are correctness-testable), while time is accounted by
   Sec. 6 measurements),
 - a :class:`~repro.runtime.clock.BSPTimer` for phase-structured algorithms
   (conversions, enumeration), and
-- a :class:`~repro.runtime.events.Simulator` — a discrete-event simulator
-  with tasks, flags, queues and resources — for the asynchronous
+- the command language of :mod:`repro.runtime.events` — generator
+  processes yielding ``Timeout`` / ``WaitFlag`` / ``Pop`` / ``Acquire``
+  over one set of flags, queues and resources — for the asynchronous
   producer-consumer matvec (Sec. 5.3).
 
-The simulator is one of two conforming *execution backends* behind the
-executor abstraction of :mod:`repro.runtime.executor`; the other
-(:class:`~repro.runtime.executor.ThreadExecutor`) runs the same protocol
+Two conforming *execution backends* interpret that language
+(:mod:`repro.runtime.executor`): the discrete-event
+:class:`~repro.runtime.events.Simulator` with modelled timings, and
+:class:`~repro.runtime.executor.ThreadExecutor`, which runs the same
 generators on real worker threads with wall-clock timings.  Select with
 ``Cluster(..., backend="sim"|"threads")`` — see ``docs/BACKENDS.md``.
 """

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import BackendError
-from repro.runtime.executor import BACKENDS
+from repro.runtime.executor import executor_class
 from repro.runtime.machine import MachineModel, snellius_machine
 
 __all__ = ["Cluster", "Locale"]
@@ -57,11 +56,7 @@ class Cluster:
     ) -> None:
         if n_locales < 1:
             raise ValueError(f"need at least one locale, got {n_locales}")
-        if backend not in BACKENDS:
-            raise BackendError(
-                f"unknown execution backend {backend!r}; choose from "
-                f"{BACKENDS}"
-            )
+        executor_class(backend)  # raises BackendError for an unknown name
         self.machine = machine if machine is not None else snellius_machine()
         self.locales = [
             Locale(i, self.machine.cores_per_locale) for i in range(n_locales)
@@ -73,6 +68,12 @@ class Cluster:
     @property
     def n_locales(self) -> int:
         return len(self.locales)
+
+    @property
+    def wall_clock(self) -> bool:
+        """Whether this cluster's backend reports measured wall seconds
+        (modelled seconds otherwise)."""
+        return executor_class(self.backend).wall_clock
 
     @property
     def total_cores(self) -> int:

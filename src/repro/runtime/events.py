@@ -1,14 +1,18 @@
-"""A small discrete-event simulator with tasks, flags, queues and resources.
+"""The command language of the distributed protocols and what interprets it.
 
-This is the substrate on which the producer-consumer matrix-vector product
-(Sec. 5.3 of the paper) runs.  Chapel tasks become Python generators; the
-atomics used for the ``RemoteBuffer`` protocol become :class:`SimFlag`
-objects; the per-locale NIC becomes a :class:`SimResource` of capacity 1.
-
-A process is a generator that yields *commands*:
+The producer-consumer matrix-vector product (Sec. 5.3 of the paper) and
+everything else that runs on a :class:`~repro.runtime.cluster.Cluster`
+is written as generator *processes*: Chapel tasks become Python
+generators, the atomics of the ``RemoteBuffer`` protocol become
+:class:`SimFlag` objects, the per-locale NIC a :class:`SimResource` of
+capacity 1.  A process yields *commands*:
 
 ``Timeout(dt)``
-    advance this process's local time by ``dt`` simulated seconds;
+    ``dt`` seconds of modelled work (protocol code is *charge-after-work*:
+    it does the real work first, then yields the labelled ``Timeout``
+    that models it — timing-identical on the simulator, where work
+    between yields takes no simulated time, and what lets a wall-clock
+    backend stamp a span over the work just done);
 ``WaitFlag(flag, value)``
     block until ``flag`` holds ``value`` (resumes immediately if it does);
     with ``timeout=`` set, the wait resumes with ``True`` when the flag
@@ -22,43 +26,31 @@ A process is a generator that yields *commands*:
     ``resource.release()`` later.
 
 Between yields, processes run ordinary Python — this is where the *real*
-data movement of the simulated algorithms happens, so the simulation
-produces both correct results and simulated timings in one pass.
-Protocol code follows a *charge-after-work* convention: do the real work
-first, then yield the labelled ``Timeout`` that models it.  The order is
-timing-identical here (work between yields is instantaneous in simulated
-time) and it is what lets the same generator run on the real parallel
-backend, where the Timeout stamps a wall-clock span over the work.
+data movement happens, so one pass produces correct results and timings.
 
-The command dataclasses below are the shared protocol language of the
-executor abstraction (:mod:`repro.runtime.executor`): the matvec
-pipelines yield them once, and either this simulator or the real
-shared-memory :class:`~repro.runtime.executor.ThreadExecutor` interprets
-them.  This class remains the timing-fidelity backend — nothing about
-its event loop, clock, or fault machinery changed with that abstraction.
+One implementation of each primitive and of the :class:`Process` record
+serves every backend.  A primitive keeps its waiters in arrival order
+and hands a flag write, a queue item or a resource unit *directly* to
+the first of them, so wake-ups are first come, first served and a flag
+wait is edge-triggered: a flag pulsed ``True`` then ``False`` resumes
+whoever was waiting for ``True``.  :class:`Executor` documents the
+surface protocol code uses and holds the interpreter core the backends
+share; :class:`Simulator`, the backend in modelled time, is defined
+here, the one on real threads in :mod:`repro.runtime.executor`.
 
-The simulator optionally feeds a
-:class:`~repro.telemetry.trace.TraceRecorder` (pass it as
-``Simulator(trace=...)``): labelled ``Timeout`` commands become busy
-spans, blocking waits (``WaitFlag`` / ``Pop`` / ``Acquire``) become stall
-spans on the blocked process's track, named queues emit depth counters,
-and named resources emit in-use counters — everything stamped with
-*simulated* time, so the exported trace shows the pipeline of Fig. 5 as
-the paper describes it.
+Observation (optional, nothing on the unobserved path): labelled
+``Timeout`` commands become busy spans, blocking waits become ``stall`` /
+``idle`` / ``wait:<resource>`` spans on the blocked process's track and
+``executor.*_wait_seconds`` observations, named queues emit depth
+samples and named resources in-use samples.
 
-Fault injection (``Simulator(faults=FaultPlan(...))``, see
+Fault injection (``faults=FaultPlan(...)``, see
 :mod:`repro.resilience.faults`): processes spawned with ``locale=`` are
-subject to per-locale straggler slowdowns (every ``Timeout`` stretched by
-the plan's factor) and crash-at-time-T events (the process is killed the
-next time it would run at or after the crash time — its pending work is
-lost, exactly like a node dying mid-computation).  Message-level faults
-(drops, duplicates, delays, corruption) are applied by the *protocols*
-built on top of the simulator, which consult the same plan.
-
-When the heap drains with processes still blocked, :meth:`Simulator.run`
-raises :class:`~repro.errors.DeadlockError` naming every blocked process
-and the flag/queue/resource it waits on — an orphaned wait is a loud,
-typed failure, never a silent partial result.
+subject to per-locale straggler slowdowns and crash-at-time-T events
+(the process dies the next time it would run at or after the crash time —
+its pending work is lost, like a node dying mid-computation).
+Message-level faults (drops, duplicates, delays, corruption) are applied
+by the *protocols* on top, which consult the same plan.
 """
 
 from __future__ import annotations
@@ -68,14 +60,17 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterator
 
-from repro.errors import DeadlockError
+from repro.errors import BackendError, DeadlockError, FaultError
 from repro.telemetry import log as telemetry_log
+from repro.telemetry.profile import NULL_PROFILER, ExecutorProfiler
 
 __all__ = [
+    "Executor",
     "Simulator",
     "SimFlag",
     "SimQueue",
     "SimResource",
+    "Barrier",
     "Timeout",
     "WaitFlag",
     "Pop",
@@ -101,36 +96,55 @@ class Timeout:
 class WaitFlag:
     flag: "SimFlag"
     value: bool
-    #: give up after this many simulated seconds; the wait then resumes
-    #: with ``False`` instead of ``True`` (the retransmit timer of the
-    #: resilient RemoteBuffer protocol)
+    #: give up after this many seconds of the backend's clock; the wait
+    #: then resumes with ``False`` instead of ``True`` (the retransmit
+    #: timer of the resilient RemoteBuffer protocol)
     timeout: float | None = None
+    #: what the wait is observed as (see :attr:`SimFlag.wait_label`)
+    wait_label = property(lambda self: self.flag.wait_label)
 
 
 @dataclass(frozen=True)
 class Pop:
     queue: "SimQueue"
+    wait_label = property(lambda self: self.queue.wait_label)
 
 
 @dataclass(frozen=True)
 class Acquire:
     resource: "SimResource"
+    wait_label = property(lambda self: self.resource.wait_label)
 
 
 class Process:
-    """Bookkeeping for one running generator."""
+    """Bookkeeping for one running generator, on either backend.
+
+    The constructor sets what every backend reads.  The slots from
+    ``thread`` on are how a process lives on a thread and only
+    ``ThreadExecutor.spawn`` fills them in (the simulator creates a
+    process per remote flag write, so the constructor stays minimal):
+    its ``thread``; ``park``, the lock it sleeps on (held while it runs,
+    released by whoever resumes it); ``parked`` and the ``value`` it is
+    resumed with; ``timer``, the pending ``(delay, waiter)`` of a timed
+    wait; ``buffer``, its span buffer when tracing; and supervision —
+    ``factory`` (a zero-argument callable producing a fresh generator
+    marks the worker restartable after an injected crash), ``restarts``
+    consumed so far, ``crash_handled`` (one-shot: a restarted incarnation
+    runs on the rebooted locale).
+    """
 
     __slots__ = (
-        "gen", "name", "finished", "track", "block_name", "block_start",
-        "block_primitive", "block_target", "busy_seconds", "blocked_seconds",
-        "locale", "slowdown", "waiting_on",
+        "gen", "name", "finished", "track", "block", "block_start",
+        "busy_seconds", "blocked_seconds", "locale", "slowdown", "waiting_on",
+        "thread", "park", "parked", "value", "timer", "buffer",
+        "factory", "restarts", "crash_handled",
     )
 
     def __init__(
         self,
         gen: ProcessGen,
         name: str,
-        track: tuple[str, str] | None = None,
+        track: tuple[str, str],
         locale: int | None = None,
         slowdown: float = 1.0,
     ) -> None:
@@ -138,23 +152,20 @@ class Process:
         self.name = name
         self.finished = False
         #: (process_label, thread_label) naming this process's trace track
-        self.track = track if track is not None else ("sim", name)
-        #: while blocked: the stall-span name and its start time
-        self.block_name: str | None = None
+        self.track = track
+        #: while blocked and observed: the wait's ``wait_label`` and when
+        #: it started
+        self.block: tuple[str, str, str] | None = None
         self.block_start = 0.0
-        #: while blocked: the executor primitive ("flag"/"queue"/"resource")
-        #: and its target name, for the profiler's wait histograms
-        self.block_primitive: str | None = None
-        self.block_target: str | None = None
-        #: accumulated modelled Timeout seconds / blocking-wait seconds
-        #: (observed as executor.worker_{busy,blocked}_seconds at exit)
+        #: accumulated Timeout seconds / blocking-wait seconds (observed
+        #: as executor.worker_{busy,blocked}_seconds when it retires)
         self.busy_seconds = 0.0
         self.blocked_seconds = 0.0
-        #: simulated locale this process runs on (None = not locale-bound)
+        #: locale this process runs on (None = not locale-bound)
         self.locale = locale
         #: straggler factor: every Timeout is stretched by this much
         self.slowdown = slowdown
-        #: human-readable wait target while blocked (watchdog diagnostics)
+        #: human-readable wait target while blocked (deadlock report)
         self.waiting_on: str | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -162,9 +173,9 @@ class Process:
 
 
 class _Waiter:
-    """One parked flag wait, cancellable by its timeout timer (and vice
-    versa): whichever of ``flag.set`` / timer expiry fires first flips
-    ``done`` and the loser becomes a no-op."""
+    """One parked flag wait, cancellable by its timeout (and vice
+    versa): whichever of ``flag.set`` / expiry fires first flips ``done``
+    and the loser becomes a no-op."""
 
     __slots__ = ("process", "done")
 
@@ -174,20 +185,22 @@ class _Waiter:
 
 
 class SimFlag:
-    """A simulated atomic boolean with waiters (Chapel ``atomic bool``)."""
+    """An atomic boolean with waiters (Chapel ``atomic bool``)."""
 
-    __slots__ = ("_sim", "value", "_waiters", "name")
+    __slots__ = ("_ex", "value", "_waiters", "name", "wait_label")
 
     def __init__(
-        self, sim: "Simulator", value: bool = False, name: str | None = None
+        self, ex: "Executor", value: bool = False, name: str | None = None
     ) -> None:
-        self._sim = sim
+        self._ex = ex
         self.value = value
         self.name = name
+        #: (stall-span name, primitive, target name) of a wait on this
+        self.wait_label = ("stall", "flag", name or "flag")
         self._waiters: dict[bool, list[_Waiter]] = {False: [], True: []}
 
     def set(self, value: bool) -> None:
-        """Write the flag and wake processes waiting for this value."""
+        """Write the flag and resume the processes waiting for this value."""
         self.value = value
         waiters = self._waiters[value]
         if waiters:
@@ -196,41 +209,41 @@ class SimFlag:
                 if waiter.done:
                     continue
                 waiter.done = True
-                self._sim._schedule(0.0, waiter.process, True)
+                self._ex._resume(waiter.process, True)
 
     def _wait(
         self, process: Process, value: bool, timeout: float | None = None
     ) -> None:
         if self.value == value:
-            self._sim._schedule(0.0, process, True)
+            self._ex._resume(process, True)
             return
-        self._sim._mark_blocked(
+        self._ex._mark_blocked(
             process,
-            "stall",
             f"flag {self.name}={value}" if self.name else f"flag={value}",
-            primitive="flag",
-            target=self.name or "flag",
+            self.wait_label,
         )
         waiter = _Waiter(process)
         self._waiters[value].append(waiter)
         if timeout is not None:
-            self._sim._schedule_timer(timeout, waiter)
+            self._ex._schedule_timer(timeout, waiter)
 
 
 class SimQueue:
     """An unbounded FIFO queue with blocking pop.
 
-    A named queue on a tracing simulator emits a depth counter sample
-    whenever its backlog changes.
+    A named queue on an observing executor emits a depth sample whenever
+    its backlog changes (an item handed straight to a waiting process
+    never enters the backlog).
     """
 
-    __slots__ = ("_sim", "_items", "_waiters", "name")
+    __slots__ = ("_ex", "_items", "_waiters", "name", "wait_label")
 
-    def __init__(self, sim: "Simulator", name: str | None = None) -> None:
-        self._sim = sim
+    def __init__(self, ex: "Executor", name: str | None = None) -> None:
+        self._ex = ex
         self._items: deque = deque()
         self._waiters: deque[Process] = deque()
         self.name = name
+        self.wait_label = ("idle", "queue", name or "queue")
 
     def __len__(self) -> int:
         return len(self._items)
@@ -238,35 +251,30 @@ class SimQueue:
     def _sample_depth(self) -> None:
         if self.name is None:
             return
-        trace = self._sim._trace
-        if trace is not None:
-            trace.counter(
-                ("queues", self.name), self.name, self._sim.now,
-                len(self._items),
+        ex = self._ex
+        if ex._sample is not None:
+            ex._sample(
+                ("queues", self.name), self.name, ex.now, len(self._items)
             )
-        profile = self._sim._profile
-        if profile is not None:
-            profile.queue_depth(self.name, len(self._items))
+        if ex._profile is not None:
+            ex._profile.queue_depth(self.name, len(self._items))
 
     def push(self, item: Any) -> None:
         if self._waiters:
-            process = self._waiters.popleft()
-            self._sim._schedule(0.0, process, item)
+            self._ex._resume(self._waiters.popleft(), item)
         else:
             self._items.append(item)
             self._sample_depth()
 
     def _pop(self, process: Process) -> None:
         if self._items:
-            self._sim._schedule(0.0, process, self._items.popleft())
+            self._ex._resume(process, self._items.popleft())
             self._sample_depth()
         else:
-            self._sim._mark_blocked(
+            self._ex._mark_blocked(
                 process,
-                "idle",
                 f"queue {self.name or '<anonymous>'}",
-                primitive="queue",
-                target=self.name or "queue",
+                self.wait_label,
             )
             self._waiters.append(process)
 
@@ -274,72 +282,299 @@ class SimQueue:
 class SimResource:
     """A counted resource with FIFO waiters (e.g. a NIC port).
 
-    A named resource on a tracing simulator emits an in-use counter
-    sample at every acquire/release transition.  On a metering simulator
-    the grant timestamps feed ``executor.resource_hold_seconds`` (FIFO
-    matching of grants to releases — exact for the capacity-1 NIC ports,
-    an approximation for wider resources).
+    A named resource on a tracing executor emits an in-use sample at
+    every acquire/release transition.  On a metering one the grant
+    timestamps feed ``executor.resource_hold_seconds`` (FIFO matching of
+    grants to releases — exact for the capacity-1 NIC ports, an
+    approximation for wider resources).
     """
 
-    __slots__ = ("_sim", "capacity", "in_use", "_waiters", "name", "_grants")
+    __slots__ = (
+        "_ex", "capacity", "in_use", "_waiters", "name", "wait_label",
+        "_grants",
+    )
 
     def __init__(
-        self, sim: "Simulator", capacity: int = 1, name: str | None = None
+        self, ex: "Executor", capacity: int = 1, name: str | None = None
     ) -> None:
-        self._sim = sim
+        self._ex = ex
         self.capacity = capacity
         self.in_use = 0
         self._waiters: deque[Process] = deque()
         self.name = name
-        #: simulated grant timestamps, FIFO-matched to releases
+        self.wait_label = (
+            "wait:" + (name if name is not None else "resource"),
+            "resource",
+            name or "resource",
+        )
+        #: grant timestamps, FIFO-matched to releases
         self._grants: deque = deque()
 
     def _sample_in_use(self) -> None:
-        trace = self._sim._trace
-        if trace is not None and self.name is not None:
-            trace.counter(
-                ("resources", self.name), self.name, self._sim.now,
-                self.in_use,
+        ex = self._ex
+        if ex._sample is not None and self.name is not None:
+            ex._sample(
+                ("resources", self.name), self.name, ex.now, self.in_use
             )
 
     def _acquire(self, process: Process) -> None:
+        ex = self._ex
         if self.in_use < self.capacity:
             self.in_use += 1
-            if self._sim._profile is not None:
-                self._grants.append(self._sim.now)
-            self._sim._schedule(0.0, process, None)
+            if ex._profile is not None:
+                self._grants.append(ex.now)
+            ex._resume(process, None)
             self._sample_in_use()
         else:
-            self._sim._mark_blocked(
+            ex._mark_blocked(
                 process,
-                "wait:" + self.name if self.name is not None else "wait:resource",
                 f"resource {self.name or '<anonymous>'}",
-                primitive="resource",
-                target=self.name or "resource",
+                self.wait_label,
             )
             self._waiters.append(process)
 
     def release(self) -> None:
-        profile = self._sim._profile
+        ex = self._ex
+        profile = ex._profile
         if profile is not None and self._grants:
-            profile.hold(
-                "resource",
-                self.name or "resource",
-                self._sim.now - self._grants.popleft(),
-            )
+            _, primitive, target = self.wait_label
+            profile.hold(primitive, target, ex.now - self._grants.popleft())
         if self._waiters:
             process = self._waiters.popleft()
             if profile is not None:
                 # Direct hand-off: the next holder's grant starts now.
-                self._grants.append(self._sim.now)
-            self._sim._schedule(0.0, process, None)
+                self._grants.append(ex.now)
+            ex._resume(process, None)
         else:
             self.in_use -= 1
             self._sample_in_use()
 
 
-class Simulator:
-    """The event loop.
+class Barrier:
+    """A reusable-once arrival barrier in the shared command language.
+
+    ``yield from barrier.arrive()`` blocks until all ``parties``
+    processes have arrived.  Built purely from an executor counter and
+    flag, so it behaves identically on every backend.  One instance
+    serves one rendezvous; create a fresh barrier per generation.
+    """
+
+    __slots__ = ("_count", "_flag", "parties")
+
+    def __init__(self, executor: "Executor", parties: int) -> None:
+        if parties < 1:
+            raise ValueError(f"barrier needs at least one party, got {parties}")
+        self.parties = parties
+        self._count = executor.counter(0)
+        self._flag = executor.flag(False, name="barrier")
+
+    def arrive(self):
+        if self._count.add(1) >= self.parties:
+            self._flag.set(True)
+        else:
+            yield WaitFlag(self._flag, True)
+
+
+class Executor:
+    """What protocol code may ask of a backend, and the interpreter core.
+
+    The protocol surface (every backend, same semantics):
+
+    - ``flag(value, name)`` / ``queue(name)`` / ``resource(capacity,
+      name)``: the primitives the yielded ``WaitFlag`` / ``Pop`` /
+      ``Acquire`` commands block on; ``flag.set``, ``queue.push`` and
+      ``resource.release`` may be called from any process or callback;
+    - ``counter(value)``: an atomic shared counter (``add`` returns the
+      new value) — what cross-process counts go through;
+    - ``barrier(parties)``: an arrival barrier (see :class:`Barrier`);
+    - ``spawn(gen, name, track, locale, factory)``: start a generator
+      process (``factory`` rebuilds it after an injected crash, threads
+      only — the simulator recovers at the operator level);
+    - ``call_later(delay, fn)``: fire-and-forget callback after a
+      *modelled* latency (delayed on the simulator, inline on threads);
+      ``call_after(delay, fn)``: after a *genuine* delay on every backend
+      (injected message delays);
+    - ``run()``: drive everything to completion, returning elapsed
+      seconds of this backend's clock; ``now``: the current reading;
+    - ``mutex``: a context manager to wrap telemetry/ledger mutations in
+      (never held while setting a flag or pushing to a queue);
+      ``lock(name)``: a fresh one per shared NumPy accumulation target
+      (``np.add.at``); both are no-ops on the simulator;
+    - ``map(thunks, locales)``: run plain callables (no yields) to
+      completion, in order on the simulator and concurrently on threads;
+    - ``finish()``: see below; ``crashed_locales``: locales whose injected
+      crash has fired.
+
+    Class attributes ``name`` ("sim"/"threads") and ``wall_clock``
+    (whether timings are wall seconds) let callers label reports without
+    isinstance checks.
+
+    Every executor carries an
+    :class:`~repro.telemetry.profile.ExecutorProfiler` (``self.profile``)
+    and both backends feed it the *same* span and metric vocabulary —
+    the simulator with modelled durations, the threads backend with
+    measured ones.
+
+    A backend supplies ``now``, ``_resume(process, value)`` (make a
+    process that a primitive just served run again with ``value``),
+    ``_schedule_timer(delay, waiter)`` (expire a timed flag wait),
+    ``_span(process, name, start, duration)`` (where a stall span goes)
+    and ``_sample`` (where queue-depth / in-use samples go, or ``None``).
+    """
+
+    name: str = "abstract"
+    wall_clock: bool = False
+    profile: ExecutorProfiler = NULL_PROFILER
+    #: The primitive classes; a backend whose processes run concurrently
+    #: substitutes subclasses that lock the methods protocol code calls.
+    _Flag, _Queue, _Resource = SimFlag, SimQueue, SimResource
+
+    def __init__(self, faults, profile, tracing: bool) -> None:
+        if profile is not None:
+            self.profile = profile
+        # The metering profiler (executor.* wait/hold histograms, worker
+        # seconds, queue depth gauges) only observes: simulated timings
+        # are bit-identical with or without it.
+        self._profile = (
+            profile if profile is not None and profile.metering else None
+        )
+        self._observing = tracing or self._profile is not None
+        self._faults = faults
+        self._crashes: dict[int, float] = (
+            faults.take_crashes() if faults is not None else {}
+        )
+        self.crashed_locales: set[int] = set()
+        self._processes: list[Process] = []
+
+    # -- the protocol surface -------------------------------------------------
+
+    def flag(self, value: bool = False, name: str | None = None) -> SimFlag:
+        return self._Flag(self, value, name)
+
+    def queue(self, name: str | None = None) -> SimQueue:
+        return self._Queue(self, name)
+
+    def resource(
+        self, capacity: int = 1, name: str | None = None
+    ) -> SimResource:
+        return self._Resource(self, capacity, name)
+
+    def barrier(self, parties: int) -> Barrier:
+        return Barrier(self, parties)
+
+    def finish(self) -> None:
+        """Merge buffered profiling data into the trace/metrics sinks.
+
+        Idempotent; a no-op when profiling is disabled.  ``run()`` calls
+        it on both backends, also when the run failed or deadlocked (the
+        partial figures are the post-mortem evidence); callers that never
+        reach ``run()`` (the ``map``-based analytic variants) call it once
+        at the end.
+        """
+        if self.profile.enabled:
+            self.profile.flush()
+
+    # -- the interpreter core -------------------------------------------------
+
+    def _dispatch(self, process: Process, command: Any) -> None:
+        """Hand a blocking command to its primitive, which resumes
+        ``process`` at once or marks it blocked and queues it."""
+        if isinstance(command, WaitFlag):
+            command.flag._wait(process, command.value, command.timeout)
+        elif isinstance(command, Pop):
+            command.queue._pop(process)
+        elif isinstance(command, Acquire):
+            command.resource._acquire(process)
+        else:
+            raise TypeError(
+                f"process {process.name!r} yielded {command!r}; expected "
+                "Timeout, WaitFlag, Pop, or Acquire"
+            )
+
+    def _mark_blocked(
+        self, process: Process, detail: str, label: tuple[str, str, str]
+    ) -> None:
+        """Remember that a process just blocked: what it waits on for the
+        deadlock report and, when observed, which wait started when."""
+        process.waiting_on = detail
+        if self._observing:
+            process.block = label
+            process.block_start = self.now
+
+    def _observe_wait(self, process: Process, now: float) -> None:
+        """A marked process resumes: emit its stall span (zero-length ones
+        are dropped to keep traces small) and its wait observation."""
+        span, primitive, target = process.block
+        process.block = None
+        waited = now - process.block_start
+        if waited > 0.0:
+            self._span(process, span, process.block_start, waited)
+        if self._profile is not None:
+            process.blocked_seconds += waited
+            self._profile.wait(primitive, target, waited)
+
+    def _retire(self, process: Process) -> None:
+        """Book a finished worker's lifetime busy/blocked seconds.
+
+        ``call_later`` helpers are simulator plumbing (the threads backend
+        runs the callback inline) — skipping them keeps the worker-seconds
+        families symmetric across backends.
+        """
+        if self._profile is not None and process.name != "call_later":
+            self._profile.worker(
+                process.name,
+                process.locale,
+                process.busy_seconds,
+                process.blocked_seconds,
+            )
+
+    def _crash_due(self, process: Process) -> bool:
+        """Whether the crash scheduled for the process's locale has come."""
+        deadline = self._crashes.get(process.locale)
+        return deadline is not None and self.now >= deadline
+
+    def _record_crash(self, locale: int) -> bool:
+        """Note a locale's crash; True the first time it is seen."""
+        if locale in self.crashed_locales:
+            return False
+        self.crashed_locales.add(locale)
+        if self._faults is not None:
+            self._faults.record_crash(locale)
+        return True
+
+    @staticmethod
+    def _worker_error(exc: BaseException, who: str, locale: int | None):
+        """What a run raises for the exception of worker / task ``who``:
+        a :class:`~repro.errors.BackendError` naming it and its locale,
+        the original chained as ``__cause__``."""
+        if isinstance(exc, (BackendError, FaultError)):
+            # Typed errors pass through unchanged: FaultError in
+            # particular must stay catchable by the operator-level
+            # recovery loop (restart / pc->batched fallback).
+            return exc
+        if locale is not None:
+            who += f" (locale {locale})"
+        err = BackendError(
+            f"{who} failed mid-run: {type(exc).__name__}: {exc}", locale=locale
+        )
+        err.__cause__ = exc
+        return err
+
+    @staticmethod
+    def _blocked_report(processes) -> tuple[list[tuple[str, str]], str]:
+        """(name, wait target) of each blocked process, and the sentence
+        naming the first few."""
+        blocked = [(p.name, p.waiting_on or "<unknown>") for p in processes]
+        text = f"{len(blocked)} process(es) blocked: " + "; ".join(
+            f"{name} waiting on {target}" for name, target in blocked[:8]
+        )
+        if len(blocked) > 8:
+            text += f"; ... and {len(blocked) - 8} more"
+        return blocked, text
+
+
+class Simulator(Executor):
+    """The discrete-event backend: one thread, a heap of timed events.
 
     Typical use::
 
@@ -349,44 +584,24 @@ class Simulator:
         sim.spawn(consumer(flag), name="consumer")
         elapsed = sim.run()
 
-    ``faults`` (a :class:`~repro.resilience.faults.FaultPlan`) activates
-    locale-level fault injection: straggler slowdowns stretch the
-    ``Timeout`` commands of locale-bound processes, and crash-at-time-T
-    specs kill those processes once the clock passes the crash time.
+    Commands advance a simulated clock, so timings are a pure function of
+    the machine model.  ``trace`` (a
+    :class:`~repro.telemetry.trace.TraceRecorder`) receives spans and
+    counter samples directly, stamped with simulated time.
     """
 
+    name = "sim"
+
     def __init__(self, trace=None, faults=None, profile=None) -> None:
+        # Only keep an enabled recorder; every tracing site then guards on
+        # a single `is not None` check, so untraced runs stay fast.
+        self._trace = trace if trace is not None and trace.enabled else None
+        super().__init__(faults, profile, self._trace is not None)
+        self._sample = self._trace.counter if self._trace is not None else None
         self.now = 0.0
         self._heap: list[tuple[float, int, Any, Any]] = []
         self._sequence = 0
         self._active = 0
-        # Only keep an enabled recorder; every tracing site then guards on
-        # a single `is not None` check, so untraced runs stay fast.
-        self._trace = trace if trace is not None and trace.enabled else None
-        # Metering profiler (executor.* wait/hold histograms, worker
-        # seconds, queue depth gauges): observation only — it never
-        # schedules events or reads the heap, so simulated timings stay
-        # bit-identical with or without it.
-        self._profile = (
-            profile if profile is not None and profile.metering else None
-        )
-        self._faults = faults
-        self._crashes: dict[int, float] = (
-            faults.take_crashes() if faults is not None else {}
-        )
-        self.crashed_locales: set[int] = set()
-        self._processes: list[Process] = []
-
-    # -- primitives -----------------------------------------------------------
-
-    def flag(self, value: bool = False, name: str | None = None) -> SimFlag:
-        return SimFlag(self, value, name)
-
-    def queue(self, name: str | None = None) -> SimQueue:
-        return SimQueue(self, name)
-
-    def resource(self, capacity: int = 1, name: str | None = None) -> SimResource:
-        return SimResource(self, capacity, name)
 
     # -- processes ----------------------------------------------------------
 
@@ -396,33 +611,24 @@ class Simulator:
         name: str = "task",
         track: tuple[str, str] | None = None,
         locale: int | None = None,
+        factory: Callable[[], ProcessGen] | None = None,
     ) -> Process:
+        # ``factory`` (the threads backend's restart hook) is ignored:
+        # crashes are modelled in simulated time and the protocols recover
+        # at the operator level instead of restarting processes.
         slowdown = (
             self._faults.slowdown(locale)
             if self._faults is not None and locale is not None
             else 1.0
         )
-        process = Process(gen, name, track, locale=locale, slowdown=slowdown)
+        process = Process(
+            gen, name, track if track is not None else ("sim", name),
+            locale, slowdown,
+        )
         self._active += 1
         self._processes.append(process)
-        self._schedule(0.0, process, None)
+        self._resume(process, None)
         return process
-
-    def _mark_blocked(
-        self,
-        process: Process,
-        kind: str,
-        detail: str | None = None,
-        primitive: str | None = None,
-        target: str | None = None,
-    ) -> None:
-        """Remember that a process just blocked (stall span + watchdog)."""
-        process.waiting_on = detail if detail is not None else kind
-        if self._trace is not None or self._profile is not None:
-            process.block_name = kind
-            process.block_start = self.now
-            process.block_primitive = primitive
-            process.block_target = target
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` after ``delay`` simulated seconds (fire-and-forget,
@@ -434,17 +640,15 @@ class Simulator:
 
         self.spawn(_caller(), name="call_later")
 
-    def _schedule(self, delay: float, process: Process, value: Any) -> None:
+    def _resume(self, process: Process, value: Any) -> None:
         self._sequence += 1
-        heapq.heappush(
-            self._heap, (self.now + delay, self._sequence, process, value)
-        )
+        heapq.heappush(self._heap, (self.now, self._sequence, process, value))
 
     def _schedule_timer(self, delay: float, waiter: _Waiter) -> None:
         """Park a cancellable timeout for a flag wait.
 
         Timer entries carry ``None`` in the process slot; a cancelled
-        timer (its waiter already woken by ``flag.set``) is skipped
+        timer (its waiter already resumed by ``flag.set``) is skipped
         *without* advancing the clock, so unfired retransmit timers never
         stretch the simulated elapsed time.
         """
@@ -453,23 +657,20 @@ class Simulator:
             self._heap, (self.now + delay, self._sequence, None, waiter)
         )
 
+    def _span(
+        self, process: Process, name: str, start: float, duration: float
+    ) -> None:
+        if self._trace is not None:
+            self._trace.complete(process.track, name, start, duration)
+
     def _kill(self, process: Process) -> None:
         """Crash delivery: the process dies where it stands."""
         process.finished = True
         self._active -= 1
         process.gen.close()
-        if self._profile is not None and process.name != "call_later":
-            self._profile.worker(
-                process.name,
-                process.locale,
-                process.busy_seconds,
-                process.blocked_seconds,
-            )
+        self._retire(process)
         locale = process.locale
-        if locale is not None and locale not in self.crashed_locales:
-            self.crashed_locales.add(locale)
-            if self._faults is not None:
-                self._faults.record_crash(locale)
+        if self._record_crash(locale):
             if self._trace is not None:
                 self._trace.instant(
                     process.track, f"crash locale {locale}", self.now
@@ -488,118 +689,78 @@ class Simulator:
         if process.finished:
             # A stale wakeup for a crashed/killed process: drop it.
             return
-        if process.locale is not None and self._crashes:
-            deadline = self._crashes.get(process.locale)
-            if deadline is not None and self.now >= deadline:
-                self._kill(process)
-                return
-        trace = self._trace
-        profile = self._profile
-        if process.block_name is not None:
-            # The process was blocked and is resuming now: emit its stall
-            # span (zero-length stalls are dropped to keep traces small).
-            waited = self.now - process.block_start
-            if trace is not None and waited > 0.0:
-                trace.complete(
-                    process.track,
-                    process.block_name,
-                    process.block_start,
-                    waited,
-                )
-            if profile is not None and process.block_primitive is not None:
-                process.blocked_seconds += waited
-                profile.wait(
-                    process.block_primitive,
-                    process.block_target or process.block_primitive,
-                    waited,
-                )
-            process.block_name = None
-            process.block_primitive = None
-            process.block_target = None
+        if (
+            process.locale is not None
+            and self._crashes
+            and self._crash_due(process)
+        ):
+            self._kill(process)
+            return
+        if process.block is not None:
+            self._observe_wait(process, self.now)
         process.waiting_on = None
         try:
             command = process.gen.send(value)
         except StopIteration:
             process.finished = True
             self._active -= 1
-            if profile is not None and process.name != "call_later":
-                # call_later helpers are sim-internal plumbing (the
-                # threads backend runs them inline) — skipping them keeps
-                # the worker-seconds families symmetric across backends.
-                profile.worker(
-                    process.name,
-                    process.locale,
-                    process.busy_seconds,
-                    process.blocked_seconds,
-                )
+            if self._profile is not None:
+                self._retire(process)
             return
+        except Exception as exc:
+            raise self._worker_error(
+                exc, f"worker {process.name!r}", process.locale
+            )
         if isinstance(command, Timeout):
             delay = max(command.delay, 0.0) * process.slowdown
-            if trace is not None and command.label is not None:
-                trace.complete(
+            if self._trace is not None and command.label is not None:
+                self._trace.complete(
                     process.track,
                     command.label,
                     self.now,
                     delay,
                     command.args,
                 )
-            if profile is not None:
+            if self._profile is not None:
                 process.busy_seconds += delay
-            self._schedule(delay, process, None)
-        elif isinstance(command, WaitFlag):
-            command.flag._wait(process, command.value, command.timeout)
-        elif isinstance(command, Pop):
-            command.queue._pop(process)
-        elif isinstance(command, Acquire):
-            command.resource._acquire(process)
+            self._sequence += 1
+            heapq.heappush(
+                self._heap, (self.now + delay, self._sequence, process, None)
+            )
         else:
-            raise TypeError(
-                f"process {process.name!r} yielded {command!r}; expected "
-                "Timeout, WaitFlag, Pop, or Acquire"
-            )
+            self._dispatch(process, command)
 
-    def run(self, until: float | None = None) -> float:
-        """Run until no events remain (or ``until`` is reached).
+    def run(self) -> float:
+        """Run until no events remain; returns the final simulated time.
 
-        Returns the final simulated time.  Raises
-        :class:`~repro.errors.DeadlockError` (a ``RuntimeError`` subclass)
-        if processes remain blocked with an empty event heap, naming every
-        blocked process and the flag/queue/resource it waits on.
+        Raises :class:`~repro.errors.DeadlockError` (a ``RuntimeError``
+        subclass) if processes remain blocked with an empty event heap,
+        naming every blocked process and the flag/queue/resource it waits
+        on — an orphaned wait is a loud, typed failure, never a silent
+        partial result.
         """
-        while self._heap:
-            time, _, process, value = heapq.heappop(self._heap)
-            if process is None:
-                # A flag-wait timeout timer.  Cancelled timers are
-                # discarded without touching the clock.
-                if value.done:
+        try:
+            while self._heap:
+                time, _, process, value = heapq.heappop(self._heap)
+                if process is None:
+                    # A flag-wait timeout timer.  Cancelled timers are
+                    # discarded without touching the clock.
+                    if value.done:
+                        continue
+                    self.now = time
+                    value.done = True
+                    self._resume(value.process, False)
                     continue
-                if until is not None and time > until:
-                    self.now = until
-                    return self.now
                 self.now = time
-                value.done = True
-                self._schedule(0.0, value.process, False)
-                continue
-            if until is not None and time > until:
-                self.now = until
-                return self.now
-            self.now = time
-            self._step(process, value)
+                self._step(process, value)
+        finally:
+            self.finish()
         if self._active:
-            blocked = [
-                (p.name, p.waiting_on or "<unknown>")
-                for p in self._processes
-                if not p.finished
-            ]
-            details = "; ".join(
-                f"{name} waiting on {target}" for name, target in blocked[:8]
+            blocked, text = self._blocked_report(
+                p for p in self._processes if not p.finished
             )
-            if len(blocked) > 8:
-                details += f"; ... and {len(blocked) - 8} more"
             crashed = sorted(self.crashed_locales)
-            suffix = (
-                f" (crashed locales: {crashed})" if crashed else ""
-            )
+            suffix = f" (crashed locales: {crashed})" if crashed else ""
             if telemetry_log.enabled("error"):
                 telemetry_log.error(
                     "simulator.deadlock",
@@ -608,8 +769,7 @@ class Simulator:
                     sim_now=self.now,
                 )
             raise DeadlockError(
-                f"simulation deadlock: {len(blocked)} process(es) still "
-                f"blocked with no pending events: {details}{suffix}",
+                f"simulation deadlock, no pending events: {text}{suffix}",
                 blocked=blocked,
                 crashed_locales=crashed,
             )

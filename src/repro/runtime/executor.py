@@ -1,60 +1,17 @@
-"""Execution backends behind one protocol surface.
+"""The two execution backends, and how a cluster's is chosen.
 
-The distributed matvec pipelines are written as generator *processes*
-that yield the command objects of :mod:`repro.runtime.events` —
-``Timeout`` / ``WaitFlag`` / ``Pop`` / ``Acquire`` — and otherwise run
-ordinary Python between yields.  That command language is the whole
-protocol surface the algorithms need (spawn a process, wait on a flag,
-hand off a buffer, arrive at a barrier, read a clock), so the same
-generator can be *interpreted* by different executors:
-
-:class:`SimExecutor`
-    the existing discrete-event :class:`~repro.runtime.events.Simulator`.
-    Commands advance a simulated clock; timings are a pure function of
-    the machine model and bit-identical to the pre-abstraction code.
-    Fault injection is applied in simulated time (per-delivery fates
-    drawn from the plan's sequential RNG stream).
-
-:class:`ThreadExecutor`
-    a real shared-memory parallel backend: every spawned process runs on
-    its own OS thread, flags/queues/resources are condition-variable
-    synchronized, and those NumPy kernels between yields that release
-    the GIL (element-wise passes, ``searchsorted``; not the fancy-index
-    gather or ``np.add.at`` of a warm replay, see ``docs/BACKENDS.md``)
-    genuinely overlap.  ``Timeout`` commands do not sleep —
-    they *stamp* a wall-clock trace span covering the real work done
-    since the process last resumed — and ``call_later`` callbacks run
-    inline (remote-atomic latency is zero in shared memory).  A worker
-    that raises is converted into a :class:`~repro.errors.BackendError`
-    carrying its locale; every other blocked worker is cancelled, so a
-    mid-matvec failure propagates instead of hanging.  A watchdog turns
-    a genuine protocol deadlock (all live workers blocked, no wakeups)
-    into the same typed error.
-
-    Fault injection runs here too (same ``FaultPlan`` contract, wall
-    clock instead of simulated time): locale crash schedules kill the
-    locale's workers at their next yield once the wall clock passes the
-    crash time, straggler factors stretch each worker's real busy spans
-    with a matching sleep, and supervised workers (spawned with a
-    ``factory=``) are restarted with exponential backoff up to
-    ``ResilienceConfig.max_worker_restarts``.  An unrecovered crash
-    surfaces as a typed :class:`~repro.errors.FaultError` /
-    :class:`~repro.errors.DeadlockError` — never as a silent partial
-    result or an indefinite hang.
-
-Backend selection is a :class:`~repro.runtime.cluster.Cluster` /config/
-CLI concern: algorithms call :func:`get_executor(cluster, ...)` and never
-mention a backend by name.
-
-Shared-state rules for backend-generic protocol code:
-
-- use :meth:`Executor.counter` for cross-process counters (atomic
-  ``add``/``get`` on both backends);
-- wrap telemetry/ledger mutations in ``with ex.mutex:`` (a no-op context
-  on the simulator, an ``RLock`` on threads);
-- guard shared NumPy accumulation (``np.add.at``) with a per-target
-  ``ex.lock()``;
-- never hold ``ex.mutex`` while setting a flag or pushing to a queue.
+The distributed algorithms are generator *processes* yielding the
+commands of :mod:`repro.runtime.events`.  That module holds the one
+implementation of the primitives, the documented :class:`Executor`
+surface and the interpreter core; this one holds the backends as
+protocol code meets them — :class:`SimExecutor` (the discrete-event
+simulator: modelled, bit-reproducible seconds) and
+:class:`ThreadExecutor` (one OS thread per process: measured wall
+seconds) — and :func:`get_executor`.  Backend selection is a
+:class:`~repro.runtime.cluster.Cluster` / config / CLI concern:
+algorithms call ``get_executor(cluster, ...)`` and never mention a
+backend by name; the shared-state rules they follow are part of the
+:class:`Executor` docstring.
 """
 
 from __future__ import annotations
@@ -63,24 +20,22 @@ import contextvars
 import os
 import threading
 import time
-from collections import deque
 from contextlib import nullcontext
 from typing import Any, Callable, Generator, Iterator, Sequence
 
 from repro.errors import BackendError, DeadlockError, FaultError
 from repro.runtime.events import (
-    Acquire,
-    Pop,
+    Barrier,
+    Executor,
+    Process,
+    SimFlag,
+    SimQueue,
+    SimResource,
     Simulator,
     Timeout,
-    WaitFlag,
 )
 from repro.telemetry.context import current as _current_telemetry
-from repro.telemetry.profile import (
-    NULL_PROFILER,
-    ExecutorProfiler,
-    ProfiledLock,
-)
+from repro.telemetry.profile import ExecutorProfiler, ProfiledLock
 
 __all__ = [
     "BACKENDS",
@@ -88,16 +43,14 @@ __all__ = [
     "SimExecutor",
     "ThreadExecutor",
     "Barrier",
+    "executor_class",
     "get_executor",
 ]
-
-#: Names accepted by ``Cluster(backend=...)`` / ``--backend``.
-BACKENDS = ("sim", "threads")
 
 _NULL_CONTEXT = nullcontext()
 
 
-class _SimCounter:
+class _Counter:
     """A shared counter on the simulator: plain Python is already atomic
     between yields, so this is just an int with the executor-counter API.
 
@@ -120,151 +73,52 @@ class _SimCounter:
         return self.value
 
 
-class _ThreadCounter:
-    """A lock-guarded counter (threads mutate it concurrently)."""
+class _LockedCounter(_Counter):
+    """The same counter under a lock (threads mutate it concurrently)."""
 
-    __slots__ = ("value", "ops", "_lock")
+    __slots__ = ("_lock",)
 
     def __init__(self, value: float = 0) -> None:
-        self.value = value
-        self.ops = 0
+        super().__init__(value)
         self._lock = threading.Lock()
 
     def add(self, amount: float = 1):
         with self._lock:
-            self.value += amount
-            self.ops += 1
-            return self.value
+            return super().add(amount)
 
     def get(self):
         with self._lock:
             return self.value
 
 
-class Barrier:
-    """A reusable-once arrival barrier in the shared command language.
+class SimExecutor(Simulator):
+    """The discrete-event backend as protocol code meets it.
 
-    ``yield from barrier.arrive()`` blocks until all ``parties``
-    processes have arrived.  Built purely from an executor counter and
-    flag, so it behaves identically on every backend.  One instance
-    serves one rendezvous; create a fresh barrier per generation.
+    The simulator already interprets the commands; this adds the part of
+    the surface that is trivial on one thread (no-op ``mutex`` /
+    ``lock()``, in-order ``map``, an unguarded counter), so protocol code
+    produces the same event sequence — and bit-identical simulated
+    timings — as code written directly against :class:`Simulator`.
+    Faults are injected in simulated time (per-delivery fates from the
+    plan's sequential RNG stream).
     """
 
-    __slots__ = ("_count", "_flag", "parties")
-
-    def __init__(self, executor: "Executor", parties: int) -> None:
-        if parties < 1:
-            raise ValueError(f"barrier needs at least one party, got {parties}")
-        self.parties = parties
-        self._count = executor.counter(0)
-        self._flag = executor.flag(False, name="barrier")
-
-    def arrive(self):
-        if self._count.add(1) >= self.parties:
-            self._flag.set(True)
-        else:
-            yield WaitFlag(self._flag, True)
-
-
-class Executor:
-    """The protocol surface shared by all backends (documentation base).
-
-    Concrete backends provide:
-
-    - ``flag(value, name)`` / ``queue(name)`` / ``resource(capacity,
-      name)``: synchronization primitives consumed by the yielded
-      ``WaitFlag`` / ``Pop`` / ``Acquire`` commands;
-    - ``counter(value)``: an atomic shared counter (``add`` returns the
-      new value);
-    - ``barrier(parties)``: an arrival barrier (see :class:`Barrier`);
-    - ``spawn(gen, name, track, locale)``: register a generator process;
-    - ``call_later(delay, fn)``: fire-and-forget callback (delayed on
-      the simulator, inline on threads);
-    - ``run(until)``: drive everything to completion, returning elapsed
-      time in this backend's clock;
-    - ``now``: the current clock reading (simulated or wall seconds);
-    - ``mutex``: a context manager guarding telemetry/ledger mutations
-      (no-op on the simulator);
-    - ``lock()``: a fresh context manager for guarding one shared NumPy
-      target (no-op on the simulator);
-    - ``map(thunks, locales)``: run plain callables (no yields) to
-      completion, in order on the simulator and concurrently on threads.
-
-    Class attributes ``name`` ("sim"/"threads") and ``wall_clock``
-    (whether timings are wall seconds) let callers label reports without
-    isinstance checks.
-
-    Every executor carries an
-    :class:`~repro.telemetry.profile.ExecutorProfiler` (``self.profile``,
-    built from the ambient telemetry bundle unless one is passed in) and
-    both backends feed it the *same* span and metric vocabulary — the
-    simulator with modelled durations, the threads backend with measured
-    ones.  Callers that do not drive everything through ``run()`` (the
-    ``map``-based analytic variants) should call :meth:`finish` once at
-    the end to merge the buffered telemetry.
-    """
-
-    name: str = "abstract"
-    wall_clock: bool = False
-    profile: ExecutorProfiler = NULL_PROFILER
-
-    def barrier(self, parties: int) -> Barrier:
-        return Barrier(self, parties)
-
-    def finish(self) -> None:
-        """Merge buffered profiling data into the trace/metrics sinks.
-
-        Idempotent; a no-op when profiling is disabled.  ``run()`` calls
-        it on both backends — on the threads backend even when the run
-        failed, so partial traces stay inspectable.
-        """
-        if self.profile.enabled:
-            self.profile.flush()
-
-
-class SimExecutor(Executor):
-    """The discrete-event backend: a thin shell over :class:`Simulator`.
-
-    Every method delegates 1:1, so protocol code running through this
-    executor produces the *same event sequence* — and therefore
-    bit-identical simulated timings — as code written directly against
-    the simulator.
-    """
-
-    name = "sim"
-    wall_clock = False
+    mutex = _NULL_CONTEXT
 
     def __init__(self, trace=None, faults=None, profile=None) -> None:
+        # The simulator writes trace spans directly (single thread,
+        # monotone simulated time); the profiler only carries the metric
+        # side here.
         if profile is None:
             profile = ExecutorProfiler(
                 trace=None, metrics=_current_telemetry().metrics
             )
-        self.profile = profile
-        # The simulator writes trace spans directly (single thread,
-        # monotone simulated time); the profiler only carries the metric
-        # side here, so traces of untouched sim runs are byte-identical.
-        self.sim = Simulator(
-            trace=trace,
-            faults=faults,
-            profile=profile if profile.metering else None,
-        )
-        self.mutex = _NULL_CONTEXT
+        super().__init__(trace=trace, faults=faults, profile=profile)
 
-    # -- primitives ---------------------------------------------------------
-
-    def flag(self, value: bool = False, name: str | None = None):
-        return self.sim.flag(value, name)
-
-    def queue(self, name: str | None = None):
-        return self.sim.queue(name)
-
-    def resource(self, capacity: int = 1, name: str | None = None):
-        return self.sim.resource(capacity, name)
-
-    def counter(self, value: float = 0) -> _SimCounter:
-        counter = _SimCounter(value)
-        if self.profile.metering:
-            self.profile.register_counter(counter)
+    def counter(self, value: float = 0) -> _Counter:
+        counter = _Counter(value)
+        if self._profile is not None:
+            self._profile.register_counter(counter)
         return counter
 
     def lock(self, name: str | None = None):
@@ -272,53 +126,14 @@ class SimExecutor(Executor):
         # executor.lock_* metric families are threads-only by design.
         return _NULL_CONTEXT
 
-    # -- processes ----------------------------------------------------------
-
-    def spawn(
-        self,
-        gen: Generator | Iterator,
-        name: str = "task",
-        track: tuple[str, str] | None = None,
-        locale: int | None = None,
-        factory: Callable[[], Generator | Iterator] | None = None,
-    ):
-        # ``factory`` (the threads-backend restart hook) is ignored: the
-        # simulator models crashes in simulated time and the protocols
-        # recover at the operator level instead of restarting processes.
-        return self.sim.spawn(gen, name=name, track=track, locale=locale)
-
-    def call_later(self, delay: float, fn: Callable[[], None]) -> None:
-        self.sim.call_later(delay, fn)
-
-    def call_after(self, delay: float, fn: Callable[[], None]) -> None:
-        """Run ``fn`` after a *genuine* delay (simulated here, wall on
-        threads).  Used by the fault layer for injected message delays,
-        which must actually postpone a delivery on every backend."""
-        self.sim.call_later(delay, fn)
-
-    def run(self, until: float | None = None) -> float:
-        try:
-            return self.sim.run(until)
-        finally:
-            # Merge profiling data even when the simulation deadlocked —
-            # the partial figures are the post-mortem evidence.
-            self.finish()
-
-    @property
-    def now(self) -> float:
-        return self.sim.now
-
-    @property
-    def crashed_locales(self) -> set[int]:
-        return self.sim.crashed_locales
+    #: A genuine delay is a simulated one here.
+    call_after = Simulator.call_later
 
     def map(
         self,
         thunks: Sequence[Callable[[], Any]],
         locales: Sequence[int] | None = None,
     ) -> list:
-        # Sequential, in submission order: exactly what the inline loops
-        # of the analytic variants did before the abstraction.
         return [fn() for fn in thunks]
 
 
@@ -330,173 +145,85 @@ class _CrashInjected(BaseException):
     """Internal signal: an injected locale crash killed this worker."""
 
 
-class _ThreadFlag:
-    """An atomic bool whose waiters park on the executor's condition."""
+#: What a parked worker is resumed with when another worker failed.
+_CANCEL = object()
 
-    __slots__ = ("_ex", "value", "name")
 
-    def __init__(
-        self, ex: "ThreadExecutor", value: bool = False, name: str | None = None
-    ) -> None:
-        self._ex = ex
-        self.value = value
-        self.name = name
+# The primitives' waiter lists are plain Python state, so everything that
+# touches them runs under the executor's one lock: the interpreter takes
+# it around dispatch, these subclasses around the three methods protocol
+# code (and ``call_after`` timers) may call from any thread.
+
+
+class _LockedFlag(SimFlag):
+    __slots__ = ()
 
     def set(self, value: bool) -> None:
-        with self._ex._cv:
-            self.value = value
-            self._ex._wake()
+        with self._ex._lock:
+            super().set(value)
 
 
-class _ThreadQueue:
-    """An unbounded FIFO with blocking pop on the executor's condition.
-
-    A named queue on a profiling executor records depth on every push/pop
-    transition — a gauge pair for the contention metrics and, when
-    tracing, counter samples on the same ``("queues", name)`` track the
-    simulator uses.  All pushes/pops run under the executor's condition
-    variable, which serializes the profiler updates.
-    """
-
-    __slots__ = ("_ex", "_items", "name")
-
-    def __init__(self, ex: "ThreadExecutor", name: str | None = None) -> None:
-        self._ex = ex
-        self._items: deque = deque()
-        self.name = name
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def _sample_depth(self) -> None:
-        # Callers hold self._ex._cv.
-        if self.name is None:
-            return
-        ex = self._ex
-        depth = len(self._items)
-        if ex._metering:
-            ex.profile.queue_depth(self.name, depth)
-        if ex._tracing:
-            ex.profile.sample(
-                ("queues", self.name), self.name, ex.now, depth
-            )
+class _LockedQueue(SimQueue):
+    __slots__ = ()
 
     def push(self, item: Any) -> None:
-        with self._ex._cv:
-            self._items.append(item)
-            if self._ex.profile.enabled:
-                self._sample_depth()
-            self._ex._wake()
+        with self._ex._lock:
+            super().push(item)
 
 
-class _ThreadResource:
-    """A counted resource; acquisition parks on the executor's condition.
-
-    On a profiling executor, grant times queue up in ``_grants`` (FIFO —
-    exact for the capacity-1 NIC resources, an approximation for wider
-    capacities) and every release observes an
-    ``executor.resource_hold_seconds`` figure; named resources also emit
-    in-use counter samples on the ``("resources", name)`` trace track.
-    Grant and release both run under the executor's condition variable.
-    """
-
-    __slots__ = ("_ex", "capacity", "in_use", "name", "_grants")
-
-    def __init__(
-        self, ex: "ThreadExecutor", capacity: int = 1, name: str | None = None
-    ) -> None:
-        self._ex = ex
-        self.capacity = capacity
-        self.in_use = 0
-        self.name = name
-        self._grants: deque = deque()
-
-    def _sample_in_use(self) -> None:
-        # Callers hold self._ex._cv.
-        if self.name is not None and self._ex._tracing:
-            self._ex.profile.sample(
-                ("resources", self.name), self.name, self._ex.now, self.in_use
-            )
-
-    def _granted(self) -> None:
-        # Callers hold self._ex._cv; the acquiring worker just got a unit.
-        if self._ex._metering:
-            self._grants.append(time.perf_counter())
-        self._sample_in_use()
+class _LockedResource(SimResource):
+    __slots__ = ()
 
     def release(self) -> None:
-        ex = self._ex
-        with ex._cv:
-            self.in_use -= 1
-            if ex._metering and self._grants:
-                ex.profile.hold(
-                    "resource",
-                    self.name or "resource",
-                    time.perf_counter() - self._grants.popleft(),
-                )
-            self._sample_in_use()
-            ex._wake()
-
-
-class _ThreadProcess:
-    """Bookkeeping for one generator driven on its own thread."""
-
-    __slots__ = (
-        "gen", "name", "track", "locale", "thread", "waiting_on", "buffer",
-        "factory", "restarts", "crash_handled",
-    )
-
-    def __init__(self, gen, name, track, locale, factory=None) -> None:
-        self.gen = gen
-        self.name = name
-        self.track = track if track is not None else ("threads", name)
-        self.locale = locale
-        self.thread: threading.Thread | None = None
-        #: description of the blocking wait, or None while running
-        self.waiting_on: str | None = None
-        #: per-process span buffer when tracing, else None
-        self.buffer = None
-        #: zero-arg callable producing a fresh generator — marks this
-        #: worker as supervised/restartable after an injected crash
-        self.factory = factory
-        #: restarts consumed so far (bounded by max_worker_restarts)
-        self.restarts = 0
-        #: True once this process was killed by its locale's crash fate
-        #: (one-shot: a restarted incarnation does not re-crash)
-        self.crash_handled = False
+        with self._ex._lock:
+            super().release()
 
 
 class ThreadExecutor(Executor):
-    """The real shared-memory parallel backend.
+    """The real shared-memory parallel backend: one OS thread per process.
 
-    One OS thread per spawned process interprets the yielded commands:
-    ``WaitFlag`` / ``Pop`` / ``Acquire`` become condition-variable waits,
-    ``Timeout`` becomes a wall-clock trace span covering the real work
-    executed since the last resume (protocol code does its real work
-    *before* yielding the Timeout that models it), and ``call_later``
-    runs its callback inline.  ``run()`` joins all workers and returns
-    the wall-clock elapsed seconds.
+    A blocking command is dispatched to its primitive under the
+    executor's lock; the worker then sleeps on its *own* park lock until
+    whoever writes the flag, pushes the item or releases the unit resumes
+    exactly the process it serves (:meth:`_resume`).  Those NumPy
+    kernels between yields that release the GIL (element-wise passes,
+    ``searchsorted``; not the fancy-index gather or ``np.add.at`` of a
+    warm replay, see ``docs/BACKENDS.md``) genuinely overlap.
+    ``Timeout`` does not sleep: it *stamps* a wall-clock span over the
+    real work done since the last resume (protocol code works first,
+    then yields the Timeout that models it), and ``call_later`` runs its
+    callback inline (remote-atomic latency is zero in shared memory).
+    ``contextvars`` (the ambient job scope) are copied into every worker,
+    so job-scoped metrics attribute as on the simulator.
 
-    ``contextvars`` (the ambient job scope) are copied into every worker
-    thread, so job-scoped metric fan-out attributes identically to the
-    simulator backend.
+    Failure: a worker that raises becomes a
+    :class:`~repro.errors.BackendError` carrying its locale and every
+    parked worker is resumed with a cancel value; a watchdog turns "all
+    live workers parked, nobody resumed" into the same typed error.  The
+    ``FaultPlan`` contract applies in wall-clock time: crash schedules
+    kill the locale's workers at their next yield, straggler factors
+    stretch each busy span with a matching sleep, supervised workers
+    (``spawn(factory=)``) restart with exponential backoff up to
+    ``ResilienceConfig.max_worker_restarts``, and an unrecovered crash
+    is a typed :class:`~repro.errors.FaultError` /
+    :class:`~repro.errors.DeadlockError` — never a silent partial result
+    or a hang.
 
-    With profiling enabled (an enabled trace and/or metrics registry),
-    every primitive is observed: blocking waits become per-thread
-    ``stall`` / ``idle`` / ``wait:*`` spans *and* wait-duration
-    histograms, resources and locks additionally record hold durations,
-    named queues record depth, and each worker's lifetime busy/blocked
-    seconds land in the ``executor.worker_*_seconds`` counters.  Workers
-    write spans into bounded per-thread buffers
-    (:class:`~repro.telemetry.profile.SpanBuffer`) — no shared-lock
-    traffic on the hot path — merged into the recorder by ``run()``
-    after the threads join, on success *and* on failure.
+    With profiling enabled, *every* blocking command is observed — one
+    granted at once too, so an uncontended primitive still reads in its
+    wait histogram (the simulator observes only real blocks: an
+    immediate grant takes no simulated time).  Workers write spans into
+    bounded per-thread buffers
+    (:class:`~repro.telemetry.profile.SpanBuffer`, no shared lock on the
+    hot path), merged by ``run()`` after the threads join, on success
+    *and* on failure.
     """
 
     name = "threads"
     wall_clock = True
+    _Flag, _Queue, _Resource = _LockedFlag, _LockedQueue, _LockedResource
 
-    #: seconds of "all live workers blocked, zero wakeups" before the
+    #: seconds of "all live workers parked, nobody resumed" before the
     #: watchdog declares a deadlock (overridden per-instance by
     #: ``ResilienceConfig.watchdog_timeout`` when resilience is attached)
     watchdog_seconds = 20.0
@@ -506,6 +233,10 @@ class ThreadExecutor(Executor):
     #: quickly, not after the full deadlock window
     crash_watchdog_seconds = 1.0
 
+    #: restarts a supervised worker may consume
+    #: (``ResilienceConfig.max_worker_restarts`` when attached)
+    _max_worker_restarts = 2
+
     def __init__(
         self,
         trace=None,
@@ -514,61 +245,42 @@ class ThreadExecutor(Executor):
         faults=None,
         resilience=None,
     ) -> None:
-        self._cv = threading.Condition()
         if profile is None:
             profile = ExecutorProfiler(
                 trace=trace, metrics=_current_telemetry().metrics, wall=True
             )
-        self.profile = profile
-        self._tracing = profile.tracing
-        self._metering = profile.metering
+        super().__init__(faults, profile, profile.tracing)
+        self._sample = profile.sample if profile.tracing else None
+        #: guards every primitive's state, ``parked`` / ``value`` of every
+        #: process, ``_failure``, ``_resumes`` and ``crashed_locales``
+        self._lock = threading.Lock()
         self.mutex = (
             ProfiledLock(threading.RLock(), profile, "mutex")
-            if self._metering
+            if profile.metering
             else threading.RLock()
         )
         self.n_workers = (
             n_workers if n_workers is not None else (os.cpu_count() or 1)
         )
-        self._processes: list[_ThreadProcess] = []
         self._failure: BackendError | FaultError | None = None
-        self._wake_seq = 0  # bumped on every notify (watchdog heartbeat)
-        self._waiting = 0  # threads currently parked in a blocking wait
+        self._resumes = 0  # parked workers resumed (watchdog heartbeat)
         self._t0: float | None = None
-        self._faults = faults
-        self._crashes: dict[int, float] = (
-            faults.take_crashes() if faults is not None else {}
-        )
-        self._crashed: set[int] = set()
         self._crash_deaths: list[str] = []  # killed and not restarted
         if resilience is not None:
             self.watchdog_seconds = float(resilience.watchdog_timeout)
             self._max_worker_restarts = int(resilience.max_worker_restarts)
-        else:
-            self._max_worker_restarts = 2
         self._timers: list[threading.Timer] = []
 
-    # -- primitives ---------------------------------------------------------
+    # -- the protocol surface -----------------------------------------------
 
-    def flag(self, value: bool = False, name: str | None = None) -> _ThreadFlag:
-        return _ThreadFlag(self, value, name)
-
-    def queue(self, name: str | None = None) -> _ThreadQueue:
-        return _ThreadQueue(self, name)
-
-    def resource(
-        self, capacity: int = 1, name: str | None = None
-    ) -> _ThreadResource:
-        return _ThreadResource(self, capacity, name)
-
-    def counter(self, value: float = 0) -> _ThreadCounter:
-        counter = _ThreadCounter(value)
-        if self._metering:
-            self.profile.register_counter(counter)
+    def counter(self, value: float = 0) -> _LockedCounter:
+        counter = _LockedCounter(value)
+        if self._profile is not None:
+            self._profile.register_counter(counter)
         return counter
 
     def lock(self, name: str | None = None):
-        if self._metering:
+        if self._profile is not None:
             return ProfiledLock(
                 threading.Lock(), self.profile, name or "lock"
             )
@@ -580,93 +292,6 @@ class ThreadExecutor(Executor):
             return 0.0
         return time.perf_counter() - self._t0
 
-    @property
-    def crashed_locales(self) -> set[int]:
-        with self._cv:
-            return set(self._crashed)
-
-    # -- fault injection ----------------------------------------------------
-
-    def _check_crash(self, proc: _ThreadProcess) -> None:
-        """Kill ``proc`` (raise :class:`_CrashInjected`) when its locale's
-        crash time has passed.  Mirrors the simulator: a process dies the
-        next time it would run at or after the crash time; each process
-        dies at most once per crash event (a restarted incarnation runs
-        on the rebooted locale)."""
-        if proc.crash_handled or proc.locale is None or not self._crashes:
-            return
-        deadline = self._crashes.get(proc.locale)
-        if deadline is None or self.now < deadline:
-            return
-        proc.crash_handled = True
-        record = False
-        with self._cv:
-            if proc.locale not in self._crashed:
-                self._crashed.add(proc.locale)
-                record = True
-        if record and self._faults is not None:
-            self._faults.record_crash(proc.locale)
-        raise _CrashInjected
-
-    # -- condition-variable plumbing ----------------------------------------
-
-    def _wake(self) -> None:
-        # Callers hold self._cv.
-        self._wake_seq += 1
-        self._cv.notify_all()
-
-    def _fail(self, exc: BaseException, proc: _ThreadProcess | None) -> None:
-        if isinstance(exc, (BackendError, FaultError)):
-            # Typed errors pass through unchanged: FaultError in
-            # particular must stay catchable by the operator-level
-            # recovery loop (restart / pc->batched fallback).
-            err = exc
-        else:
-            where = (
-                f"worker {proc.name!r}"
-                + (f" (locale {proc.locale})" if proc.locale is not None else "")
-                if proc is not None
-                else "worker"
-            )
-            err = BackendError(
-                f"{where} failed mid-run: {type(exc).__name__}: {exc}",
-                locale=proc.locale if proc is not None else None,
-            )
-            err.__cause__ = exc
-        with self._cv:
-            if self._failure is None:
-                self._failure = err
-            self._wake()
-
-    def _wait(self, proc: _ThreadProcess, ready, detail: str, deadline=None):
-        """Park on the condition until ``ready()`` is truthy.
-
-        Returns True when ready, False when ``deadline`` (a perf_counter
-        time) passed first.  Raises :class:`_Cancelled` when another
-        worker failed.  Callers hold ``self._cv``.
-        """
-        proc.waiting_on = detail
-        try:
-            while True:
-                if self._failure is not None:
-                    raise _Cancelled
-                if ready():
-                    return True
-                timeout = None
-                if deadline is not None:
-                    timeout = deadline - time.perf_counter()
-                    if timeout <= 0:
-                        return False
-                self._waiting += 1
-                try:
-                    self._cv.wait(timeout)
-                finally:
-                    self._waiting -= 1
-        finally:
-            proc.waiting_on = None
-
-    # -- processes ----------------------------------------------------------
-
     def spawn(
         self,
         gen: Generator | Iterator,
@@ -674,23 +299,33 @@ class ThreadExecutor(Executor):
         track: tuple[str, str] | None = None,
         locale: int | None = None,
         factory: Callable[[], Generator | Iterator] | None = None,
-    ) -> _ThreadProcess:
-        proc = _ThreadProcess(gen, name, track, locale, factory=factory)
-        if self._tracing:
-            proc.buffer = self.profile.buffer(proc.track)
-        self._processes.append(proc)
+    ) -> Process:
+        process = Process(
+            gen, name, track if track is not None else ("threads", name),
+            locale,
+            self._faults.slowdown(locale) if self._faults is not None else 1.0,
+        )
+        process.factory = factory
+        process.restarts = 0
+        process.crash_handled = False
+        process.park = threading.Lock()
+        process.park.acquire()
+        process.parked = False
+        process.value = process.timer = process.buffer = None
+        if self.profile.tracing:
+            process.buffer = self.profile.buffer(process.track)
+        self._processes.append(process)
         if self._t0 is None:
             self._t0 = time.perf_counter()
         ctx = contextvars.copy_context()
-        thread = threading.Thread(
+        process.thread = threading.Thread(
             target=ctx.run,
-            args=(self._drive, proc),
+            args=(self._drive, process),
             name=f"repro-{name}",
             daemon=True,
         )
-        proc.thread = thread
-        thread.start()
-        return proc
+        process.thread.start()
+        return process
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
         # Remote-atomic latency collapses to zero in shared memory: the
@@ -712,83 +347,159 @@ class ThreadExecutor(Executor):
         ctx = contextvars.copy_context()
         timer = threading.Timer(delay, ctx.run, args=(fn,))
         timer.daemon = True
-        with self._cv:
+        with self._lock:
             self._timers.append(timer)
         timer.start()
 
-    def _drive(self, proc: _ThreadProcess) -> None:
+    # -- what the interpreter core asks of a backend ------------------------
+
+    def _resume(self, process: Process, value: Any) -> None:
+        # Callers hold self._lock.  A process that is not parked any more
+        # (its timed wait expired, or a failure cancelled it) can still
+        # sit in a waiter list: that wake-up is stale and dropped, as the
+        # simulator drops one for a finished process.
+        if process.parked:
+            process.parked = False
+            process.value = value
+            self._resumes += 1
+            process.park.release()
+
+    def _schedule_timer(self, delay: float, waiter) -> None:
+        # The waiting worker times its own sleep (see _park).
+        waiter.process.timer = (delay, waiter)
+
+    def _span(
+        self, process: Process, name: str, start: float, duration: float
+    ) -> None:
+        if process.buffer is not None:
+            process.buffer.span(name, start, duration)
+
+    def _park(self, process: Process, command: Any, blocked_at: float) -> Any:
+        """Execute one blocking command on the calling worker's thread:
+        dispatch it, sleep until resumed, observe the wait, and return
+        the value to send into the generator."""
+        with self._lock:
+            if self._failure is not None:
+                raise _Cancelled
+            process.parked = True
+            self._dispatch(process, command)
+        timer, process.timer = process.timer, None
+        if timer is None:
+            process.park.acquire()
+        elif not process.park.acquire(timeout=max(timer[0], 0.0)):
+            with self._lock:
+                if process.parked:
+                    # Expired first: a later set() finds the waiter done.
+                    process.parked = False
+                    process.value = False
+                    timer[1].done = True
+                else:
+                    # Resumed between the expiry and the lock.
+                    process.park.acquire()
+        process.waiting_on = None
+        if self._observing:
+            if process.block is None:
+                process.block = command.wait_label
+                process.block_start = blocked_at
+            self._observe_wait(process, self.now)
+        if process.value is _CANCEL:
+            raise _Cancelled
+        return process.value
+
+    # -- failures and fault injection ---------------------------------------
+
+    def _check_crash(self, process: Process) -> None:
+        """Kill ``process`` (raise :class:`_CrashInjected`) when its
+        locale's crash time has passed.  Mirrors the simulator: a process
+        dies the next time it would run at or after the crash time; each
+        process dies at most once per crash event."""
+        if (
+            process.crash_handled
+            or process.locale is None
+            or not self._crashes
+            or not self._crash_due(process)
+        ):
+            return
+        process.crash_handled = True
+        with self._lock:
+            self._record_crash(process.locale)
+        raise _CrashInjected
+
+    def _fail(self, err: BackendError | FaultError) -> None:
+        """Record the run's (first) failure and cancel every parked worker."""
+        with self._lock:
+            if self._failure is None:
+                self._failure = err
+            for parked in self._processes:
+                self._resume(parked, _CANCEL)
+
+    def _drive(self, process: Process) -> None:
         """Thread main: interpret the generator, supervise restarts.
 
-        An injected locale crash raises :class:`_CrashInjected` out of
-        :meth:`_interpret`; a supervised worker (spawned with
-        ``factory=``) is then restarted with exponential backoff up to
-        the ``max_worker_restarts`` budget, and an exhausted budget
-        escalates as a typed :class:`~repro.errors.FaultError`.  An
-        unsupervised worker simply dies — the crash watchdog in
-        :meth:`run` turns the resulting stall (or the incomplete result)
-        into a typed error.
+        An injected crash raises :class:`_CrashInjected` out of
+        :meth:`_interpret`.  A supervised worker restarts with backoff
+        until its budget is exhausted (then a typed ``FaultError``); an
+        unsupervised one simply dies, and :meth:`run` turns the stall or
+        the incomplete result that follows into a typed error.
         """
         while True:
             try:
-                self._interpret(proc)
+                self._interpret(process)
                 return
             except _Cancelled:
                 return
             except _CrashInjected:
                 if (
-                    proc.factory is None
-                    or proc.restarts >= self._max_worker_restarts
+                    process.factory is None
+                    or process.restarts >= self._max_worker_restarts
                 ):
-                    with self._cv:
-                        self._crash_deaths.append(proc.name)
-                        self._wake()
-                    if proc.factory is not None:
+                    with self._lock:
+                        self._crash_deaths.append(process.name)
+                    if process.factory is not None:
                         self._fail(
                             FaultError(
-                                f"supervised worker {proc.name!r} (locale "
-                                f"{proc.locale}) crashed and its restart "
+                                f"supervised worker {process.name!r} (locale "
+                                f"{process.locale}) crashed and its restart "
                                 f"budget ({self._max_worker_restarts}) is "
                                 "exhausted"
-                            ),
-                            proc,
+                            )
                         )
                     return
-                proc.restarts += 1
+                process.restarts += 1
                 metrics = _current_telemetry().metrics
                 if metrics.enabled:
                     with self.mutex:
                         metrics.counter(
-                            "recovery.worker_restarts", locale=proc.locale
+                            "recovery.worker_restarts", locale=process.locale
                         ).inc()
-                time.sleep(min(0.01 * (2 ** (proc.restarts - 1)), 1.0))
-                proc.gen = proc.factory()
+                time.sleep(min(0.01 * (2 ** (process.restarts - 1)), 1.0))
+                process.gen = process.factory()
             except BaseException as exc:  # noqa: BLE001 -> BackendError
-                self._fail(exc, proc)
+                self._fail(
+                    self._worker_error(
+                        exc, f"worker {process.name!r}", process.locale
+                    )
+                )
                 return
 
-    def _interpret(self, proc: _ThreadProcess) -> None:
-        gen = proc.gen
+    def _interpret(self, process: Process) -> None:
+        gen = process.gen
         value: Any = None
-        prof = self.profile
-        metering = self._metering
-        buf = proc.buffer
+        buf = process.buffer
         t0 = self._t0
-        busy = 0.0
-        blocked = 0.0
-        slow = (
-            self._faults.slowdown(proc.locale)
-            if self._faults is not None
-            else 1.0
-        )
+        slow = process.slowdown
+        # Per-incarnation accounting: the worker-seconds counters add up
+        # across supervised restarts of the same worker.
+        process.busy_seconds = process.blocked_seconds = 0.0
         last_resume = time.perf_counter()
         try:
             while True:
-                self._check_crash(proc)
+                self._check_crash(process)
                 command = gen.send(value)
-                value = None
                 blocked_at = time.perf_counter()
-                busy += blocked_at - last_resume
+                process.busy_seconds += blocked_at - last_resume
                 if isinstance(command, Timeout):
+                    value = None
                     # Charge-after-work: the span covers the real work
                     # done since the last yield; nothing sleeps.
                     if buf is not None and command.label is not None:
@@ -805,99 +516,27 @@ class ThreadExecutor(Executor):
                         extra = (blocked_at - last_resume) * (slow - 1.0)
                         if extra > 0.0:
                             time.sleep(min(extra, 1.0))
-                            busy += extra
-                elif isinstance(command, WaitFlag):
-                    flag = command.flag
-                    deadline = (
-                        None
-                        if command.timeout is None
-                        else blocked_at + command.timeout
-                    )
-                    with self._cv:
-                        ok = self._wait(
-                            proc,
-                            lambda: flag.value == command.value,
-                            f"flag {flag.name}={command.value}"
-                            if flag.name
-                            else f"flag={command.value}",
-                            deadline,
-                        )
-                    value = ok
-                    waited = time.perf_counter() - blocked_at
-                    blocked += waited
-                    if buf is not None and waited > 0.0:
-                        buf.span("stall", blocked_at - t0, waited)
-                    if metering:
-                        prof.wait("flag", flag.name or "flag", waited)
-                elif isinstance(command, Pop):
-                    queue = command.queue
-                    with self._cv:
-                        self._wait(
-                            proc,
-                            lambda: len(queue._items) > 0,
-                            f"queue {queue.name or '<anonymous>'}",
-                        )
-                        value = queue._items.popleft()
-                        if prof.enabled:
-                            queue._sample_depth()
-                    waited = time.perf_counter() - blocked_at
-                    blocked += waited
-                    if buf is not None and waited > 0.0:
-                        buf.span("idle", blocked_at - t0, waited)
-                    if metering:
-                        prof.wait("queue", queue.name or "queue", waited)
-                elif isinstance(command, Acquire):
-                    resource = command.resource
-                    with self._cv:
-                        self._wait(
-                            proc,
-                            lambda: resource.in_use < resource.capacity,
-                            f"resource {resource.name or '<anonymous>'}",
-                        )
-                        resource.in_use += 1
-                        if prof.enabled:
-                            resource._granted()
-                    waited = time.perf_counter() - blocked_at
-                    blocked += waited
-                    if buf is not None and waited > 0.0:
-                        buf.span(
-                            "wait:" + resource.name
-                            if resource.name is not None
-                            else "wait:resource",
-                            blocked_at - t0,
-                            waited,
-                        )
-                    if metering:
-                        prof.wait(
-                            "resource", resource.name or "resource", waited
-                        )
+                            process.busy_seconds += extra
                 else:
-                    raise TypeError(
-                        f"process {proc.name!r} yielded {command!r}; "
-                        "expected Timeout, WaitFlag, Pop, or Acquire"
-                    )
+                    value = self._park(process, command, blocked_at - t0)
                 last_resume = time.perf_counter()
         except StopIteration:
             pass
         finally:
-            # Per-incarnation accounting: counters add up across
-            # supervised restarts of the same worker.
-            if metering:
-                prof.worker(proc.name, proc.locale, busy, blocked)
+            self._retire(process)
 
-    def run(self, until: float | None = None) -> float:
+    def run(self) -> float:
         """Join all workers; returns wall-clock seconds since first spawn.
 
-        Raises :class:`~repro.errors.BackendError` when any worker
-        failed, or when the watchdog finds every live worker blocked
-        with no wakeups for :attr:`watchdog_seconds`.  Once an injected
-        crash has killed a worker, the watchdog window shrinks to
-        :attr:`crash_watchdog_seconds` and the stall escalates as a
-        typed :class:`~repro.errors.DeadlockError` (a ``FaultError``) —
-        the hook the operator-level recovery (restart / pc->batched
-        fallback) heals.  A crash that leaves the run incomplete without
-        a stall (the dead worker's output simply missing) raises the
-        same typed error instead of returning silently wrong data.
+        Raises the first worker's failure, or a
+        :class:`~repro.errors.BackendError` when the watchdog finds every
+        live worker parked and nobody resumed for
+        :attr:`watchdog_seconds`.  Once an injected crash has killed a
+        worker the window is :attr:`crash_watchdog_seconds` and the stall
+        escalates as a :class:`~repro.errors.DeadlockError` (a
+        ``FaultError``) — what the operator-level recovery (restart /
+        pc->batched fallback) heals; so does a crash that leaves the run
+        incomplete without a stall.
         """
         if self._t0 is None:
             return 0.0
@@ -909,20 +548,13 @@ class ThreadExecutor(Executor):
                 break
             alive[0].thread.join(timeout=0.05)
             if self._failure is not None:
-                stuck_since = None
                 continue
-            with self._cv:
-                seq = self._wake_seq
-                blocked_count = sum(
-                    1 for p in alive if p.waiting_on is not None
-                )
-                all_blocked = (
-                    blocked_count == len(alive)
-                    and self._waiting >= len(alive)
-                )
-                crashed = sorted(self._crashed)
+            with self._lock:
+                seq = self._resumes
+                all_parked = all(p.parked for p in alive)
+                crashed = sorted(self.crashed_locales)
                 casualties = bool(self._crash_deaths)
-            if not all_blocked or seq != stuck_seq:
+            if not all_parked or seq != stuck_seq:
                 stuck_since, stuck_seq = None, seq
                 continue
             window = (
@@ -933,37 +565,25 @@ class ThreadExecutor(Executor):
             if stuck_since is None:
                 stuck_since = time.perf_counter()
             elif time.perf_counter() - stuck_since > window:
-                blocked = [
-                    f"{p.name} waiting on {p.waiting_on or '<unknown>'}"
-                    for p in alive
-                ]
+                blocked, text = self._blocked_report(alive)
                 if casualties:
                     self._fail(
                         DeadlockError(
                             "parallel backend stalled after injected "
-                            f"crash: {len(alive)} worker(s) blocked with "
-                            f"no wakeups for {window:.1f}s "
-                            f"(crashed locales: {crashed}): "
-                            + "; ".join(blocked[:8]),
-                            blocked=[
-                                (p.name, p.waiting_on or "<unknown>")
-                                for p in alive
-                            ],
+                            f"crash, nobody resumed for {window:.1f}s "
+                            f"(crashed locales: {crashed}): {text}",
+                            blocked=blocked,
                             crashed_locales=crashed,
-                        ),
-                        None,
+                        )
                     )
                 else:
                     self._fail(
                         BackendError(
-                            "parallel backend deadlock: "
-                            f"{len(alive)} worker(s) blocked with no "
-                            f"wakeups for {window:.0f}s: "
-                            + "; ".join(blocked[:8])
-                        ),
-                        None,
+                            "parallel backend deadlock, nobody resumed "
+                            f"for {window:.0f}s: {text}"
+                        )
                     )
-        with self._cv:
+        with self._lock:
             timers, self._timers = self._timers, []
         for timer in timers:
             timer.cancel()
@@ -978,11 +598,12 @@ class ThreadExecutor(Executor):
             # Every worker retired, but some died to an injected crash
             # without a restart: their share of the work is missing.
             # Fail loudly — never return a silently incomplete result.
+            crashed = sorted(self.crashed_locales)
             raise DeadlockError(
                 f"worker(s) {sorted(set(self._crash_deaths))} killed by "
-                f"injected crash (locales {sorted(self._crashed)}) and "
-                "not restarted; the run's output is incomplete",
-                crashed_locales=sorted(self._crashed),
+                f"injected crash (locales {crashed}) and not restarted; "
+                "the run's output is incomplete",
+                crashed_locales=crashed,
             )
         return elapsed
 
@@ -995,7 +616,8 @@ class ThreadExecutor(Executor):
 
         The first exception cancels the not-yet-started rest and is
         raised as a :class:`~repro.errors.BackendError` naming the
-        failing task's locale (when ``locales`` is given).
+        failing task's locale (when ``locales`` is given); a typed
+        ``BackendError`` / ``FaultError`` is raised as it is.
         """
         from concurrent.futures import ThreadPoolExecutor
 
@@ -1010,7 +632,7 @@ class ThreadExecutor(Executor):
             futures = [
                 pool.submit(ctx.copy().run, fn) for fn in thunks
             ]
-            error: BackendError | None = None
+            error: BackendError | FaultError | None = None
             for i, future in enumerate(futures):
                 try:
                     results[i] = future.result()
@@ -1021,22 +643,30 @@ class ThreadExecutor(Executor):
                             if locales is not None and i < len(locales)
                             else None
                         )
-                        where = (
-                            f"task {i} (locale {locale})"
-                            if locale is not None
-                            else f"task {i}"
-                        )
-                        error = BackendError(
-                            f"{where} failed mid-matvec: "
-                            f"{type(exc).__name__}: {exc}",
-                            locale=locale,
-                        )
-                        error.__cause__ = exc
+                        error = self._worker_error(exc, f"task {i}", locale)
                         for pending in futures[i + 1 :]:
                             pending.cancel()
             if error is not None:
                 raise error
         return results
+
+
+#: Backend name -> executor class: the one table ``Cluster(backend=...)``,
+#: ``--backend`` and :func:`get_executor` go by.
+_EXECUTORS = {cls.name: cls for cls in (SimExecutor, ThreadExecutor)}
+
+#: Names accepted by ``Cluster(backend=...)`` / ``--backend``.
+BACKENDS = tuple(_EXECUTORS)
+
+
+def executor_class(backend: str) -> type[Executor]:
+    """The executor class behind a backend name."""
+    try:
+        return _EXECUTORS[backend]
+    except KeyError:
+        raise BackendError(
+            f"unknown execution backend {backend!r}; choose from {BACKENDS}"
+        ) from None
 
 
 def get_executor(cluster, trace=None, faults=None, resilience=None) -> Executor:
@@ -1052,13 +682,9 @@ def get_executor(cluster, trace=None, faults=None, resilience=None) -> Executor:
     threads backend's supervision knobs — watchdog timeout and worker
     restart budget; when omitted, ``cluster.resilience`` applies.
     """
-    backend = getattr(cluster, "backend", "sim")
+    cls = executor_class(cluster.backend)
+    if cls is SimExecutor:
+        return cls(trace=trace, faults=faults)
     if resilience is None:
-        resilience = getattr(cluster, "resilience", None)
-    if backend == "sim":
-        return SimExecutor(trace=trace, faults=faults)
-    if backend == "threads":
-        return ThreadExecutor(trace=trace, faults=faults, resilience=resilience)
-    raise BackendError(
-        f"unknown execution backend {backend!r}; choose from {BACKENDS}"
-    )
+        resilience = cluster.resilience
+    return cls(trace=trace, faults=faults, resilience=resilience)

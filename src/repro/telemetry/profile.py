@@ -149,8 +149,8 @@ class ExecutorProfiler:
       appended to a per-thread list (``threading.local``), registered
       once per thread under a small lock;
     - queue-depth stats and trace counter samples: callers must already
-      be serialized (the thread executor updates them under its global
-      condition variable; the simulator is single-threaded).
+      be serialized (the thread executor updates them under its lock;
+      the simulator is single-threaded).
 
     :meth:`flush` drains everything; it must only run when no writer
     thread is live (after ``run()`` joined the workers).  It is

@@ -124,7 +124,6 @@ class TestAutotunerSim:
         assert result.tuned_seconds <= result.default_seconds
         assert result.n_measured >= 2
         assert result.knobs["plan_cache_bytes"] > 0
-        assert result.knobs["block_width"] >= 1
 
     def test_cache_hit_skips_search(self, tmp_path):
         compiled, dbasis, _ = build()
@@ -192,6 +191,31 @@ class TestOperatorWiring:
         for key in ("batch_size", "consumer_fraction", "work_stealing"):
             assert dop.method_options[key] == result.knobs[key]
         assert dop.plan.capacity_bytes == result.knobs["plan_cache_bytes"]
+
+    def test_entry_still_carrying_block_width_is_a_pure_hit(self, tmp_path):
+        """Caches written before the advisory ``block_width`` was dropped
+        keep working: same fingerprint, no search, same applied knobs."""
+        compiled, dbasis, expr = build()
+        path = tmp_path / "cache.json"
+        fresh = Autotuner(cache=str(path)).tune(compiled, dbasis)
+        data = json.loads(path.read_text())
+        for entry in data["entries"].values():
+            assert "block_width" not in entry["knobs"]
+            entry["knobs"]["block_width"] = 4
+        path.write_text(json.dumps(data))
+        tele = telemetry.Telemetry.enabled()
+        with telemetry.use(tele):
+            dop = DistributedOperator(
+                expr, dbasis, tune="auto", tune_cache=str(path)
+            )
+        snap = tele.metrics.snapshot()
+        assert snap.counter_total("autotune.cache_hits") == 1
+        assert snap.counter_total("autotune.searches") == 0
+        assert dop.tuned.from_cache
+        assert "block_width" not in dop.method_options
+        for key in ("batch_size", "consumer_fraction", "work_stealing"):
+            assert dop.method_options[key] == fresh.knobs[key]
+        assert dop.plan.capacity_bytes == fresh.knobs["plan_cache_bytes"]
 
     def test_explicit_kwargs_beat_tuned_knobs(self, tmp_path):
         _, dbasis, expr = build()

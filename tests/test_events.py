@@ -63,15 +63,6 @@ class TestTimeouts:
         sim.spawn(proc())
         assert sim.run() == 0.0
 
-    def test_run_until(self):
-        sim = Simulator()
-
-        def proc():
-            yield Timeout(10.0)
-
-        sim.spawn(proc())
-        assert sim.run(until=3.0) == pytest.approx(3.0)
-
 
 class TestFlags:
     def test_wait_already_satisfied(self):

@@ -16,6 +16,8 @@ fan-out error handling — is covered separately.
 from __future__ import annotations
 
 import os
+import random
+import sys
 import time
 
 import pytest
@@ -224,6 +226,221 @@ class TestConformance:
         ex.call_later(1e-4, lambda: flag.set(True))
         ex.run()
         assert results == [True]
+
+
+    def test_pulsed_flag_resumes_the_waiter_with_true(self, ex):
+        """A flag wait is edge-triggered on every backend: a write of the
+        awaited value resumes whoever is parked, even if the flag is
+        written back before that process runs again."""
+        flag = ex.flag(False, name="pulse")
+        results = []
+
+        def waiter():
+            ok = yield WaitFlag(flag, True, timeout=2.0)
+            results.append(ok)
+
+        def pulser():
+            if ex.wall_clock:
+                time.sleep(0.05)  # let the waiter park first
+            yield Timeout(1e-3)
+            flag.set(True)
+            flag.set(False)
+
+        ex.spawn(waiter(), name="waiter")
+        ex.spawn(pulser(), name="pulser")
+        ex.run()
+        assert results == [True]
+        assert flag.value is False
+
+    @pytest.mark.parametrize("primitive", ["resource", "queue"])
+    def test_waiters_are_served_in_arrival_order(self, ex, primitive):
+        """Three processes parked in a known order on a capacity-1
+        resource / on a queue get the unit / the items in that order."""
+        port = ex.resource(1, name="port")
+        queue = ex.queue(name="work")
+        served = []
+
+        def waiter(i):
+            if ex.wall_clock:
+                time.sleep(0.04 * (i + 1))  # park in index order
+            yield Timeout(1e-3 * (i + 1))
+            if primitive == "resource":
+                yield Acquire(port)
+                served.append(i)
+                yield Timeout(1e-3)
+                port.release()
+            else:
+                item = yield Pop(queue)
+                served.append((i, item))
+
+        def server():
+            if primitive == "resource":
+                yield Acquire(port)
+            if ex.wall_clock:
+                time.sleep(0.2)
+            yield Timeout(1.0)
+            if primitive == "resource":
+                port.release()
+            else:
+                for item in range(3):
+                    queue.push(item)
+
+        ex.spawn(server(), name="server")
+        for i in range(3):
+            ex.spawn(waiter(i), name=f"waiter-{i}")
+        ex.run()
+        if primitive == "resource":
+            # Appended while holding the unit: the order of service.
+            assert served == [0, 1, 2]
+        else:
+            # Who got which item (the appends themselves may interleave).
+            assert sorted(served) == [(0, 0), (1, 1), (2, 2)]
+
+    def test_timed_wait_racing_set_resumes_exactly_once(self, ex):
+        """``set`` and the expiry of a timed wait race; whichever wins,
+        the waiter resumes once, with one of True / False, and the loser
+        never leaks into the waiter's next wait."""
+        reps = 200
+        flags = [ex.flag(False) for _ in range(reps)]
+        gates = [ex.flag(False) for _ in range(reps)]
+        results = []
+
+        def waiter():
+            for flag, gate in zip(flags, gates):
+                ok = yield WaitFlag(flag, True, timeout=1e-3)
+                results.append(ok)
+                # A stale second wake-up would land here, early.
+                yield WaitFlag(gate, True)
+                assert gate.value is True
+
+        def setter():
+            for i, (flag, gate) in enumerate(zip(flags, gates)):
+                delay = 1e-3 * (0.5 + (i % 11) / 10)  # straddles the expiry
+                if ex.wall_clock:
+                    time.sleep(delay)
+                yield Timeout(delay)
+                flag.set(True)
+                if ex.wall_clock:
+                    time.sleep(2e-4)
+                yield Timeout(2e-3)
+                gate.set(True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            ex.spawn(waiter(), name="waiter")
+            ex.spawn(setter(), name="setter")
+            ex.run()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == reps
+        assert all(ok is True or ok is False for ok in results)
+
+    def test_raising_worker_fails_the_run_with_others_parked(self, ex):
+        """A worker that raises while others are parked on a flag, a
+        queue and a resource: a typed error naming its locale, promptly,
+        with what was traced so far flushed."""
+        from repro.telemetry import MetricsRegistry, TraceRecorder
+        from repro.telemetry.profile import ExecutorProfiler
+
+        trace = TraceRecorder()
+        if ex.wall_clock:
+            ex = ThreadExecutor(
+                profile=ExecutorProfiler(
+                    trace=trace, metrics=MetricsRegistry(), wall=True
+                )
+            )
+        else:
+            ex = SimExecutor(trace=trace)
+        never = ex.flag(False, name="never")
+        empty = ex.queue(name="empty")
+        port = ex.resource(1, name="port")
+
+        def on_flag():
+            yield WaitFlag(never, True)
+
+        def on_queue():
+            yield Pop(empty)
+
+        def on_resource():
+            yield Acquire(port)
+
+        def failing():
+            yield Acquire(port)  # held, so on_resource parks
+            if ex.wall_clock:
+                time.sleep(0.1)
+            yield Timeout(1e-3, label="before-kaboom")
+            raise RuntimeError("injected kaboom")
+
+        ex.spawn(failing(), name="failing", track=("locale3", "w"), locale=3)
+        ex.spawn(on_flag(), name="on-flag", locale=0)
+        ex.spawn(on_queue(), name="on-queue", locale=1)
+        ex.spawn(on_resource(), name="on-resource", locale=2)
+        t0 = time.perf_counter()
+        with pytest.raises(BackendError, match="injected kaboom") as excinfo:
+            ex.run()
+        assert time.perf_counter() - t0 < 5.0, "failure should not hang"
+        assert excinfo.value.locale == 3
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+        names = {
+            event["name"]
+            for event in trace.to_chrome()["traceEvents"]
+            if event.get("ph") == "X"
+        }
+        assert "before-kaboom" in names
+
+
+class TestThreadHandoffStress:
+    """Race hunting: many more workers than cores trading hand-offs through
+    all three primitives under a shortened, randomized switch interval.  A
+    lost wake-up trips the watchdog; a misdirected one breaks the order."""
+
+    WORKERS = 8  # 4x the 2-vCPU runner
+    HANDOFFS = 500
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ring_of_handoffs_keeps_order_and_finishes(self, seed):
+        rng = random.Random(seed)
+        n = self.WORKERS
+        ex = ThreadExecutor()
+        ex.watchdog_seconds = 5.0
+        queues = [ex.queue(name=f"ring{w}") for w in range(n)]
+        credit = [ex.flag(True, name=f"credit{w}") for w in range(n)]
+        nic = ex.resource(2, name="nic")
+        received = [[] for _ in range(n)]
+        yields = [
+            [rng.random() < 0.05 for _ in range(self.HANDOFFS)]
+            for _ in range(n)
+        ]
+
+        def worker(w):
+            left, right = (w - 1) % n, (w + 1) % n
+            for i in range(self.HANDOFFS):
+                # One credit per item in flight to the right neighbour.
+                yield WaitFlag(credit[w], True)
+                credit[w].set(False)
+                yield Acquire(nic)
+                queues[right].push((w, i))
+                nic.release()
+                if yields[w][i]:
+                    time.sleep(0)
+                item = yield Pop(queues[w])
+                received[w].append(item)
+                credit[left].set(True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(10 ** rng.uniform(-6, -4))
+        try:
+            for w in range(n):
+                ex.spawn(worker(w), name=f"ring-{w}")
+            ex.run()
+        finally:
+            sys.setswitchinterval(interval)
+        for w in range(n):
+            assert received[w] == [
+                ((w - 1) % n, i) for i in range(self.HANDOFFS)
+            ]
+        assert nic.in_use == 0
 
 
 class TestThreadFailureSemantics:
