@@ -4,10 +4,9 @@ Runs one traced producer-consumer matvec on the real-parallel backend and
 checks the whole observability chain end to end:
 
 - the saved trace is a Perfetto-loadable wall-clock timeline with
-  per-thread tracks and job tags (``clock: "wall"`` at the top level);
-- the OpenMetrics export carries the contention families — lock wait/hold
-  histograms, queue depth gauges, per-worker busy/blocked seconds — and
-  passes the strict :func:`repro.telemetry.parse_openmetrics` validator;
+  per-thread tracks (``clock: "wall"`` at the top level);
+- the metrics snapshot carries the contention families — lock wait/hold
+  histograms, queue depth gauges, per-worker busy/blocked seconds;
 - every ``repro-inspect`` report runs on the wall trace, and
   ``calibrate`` aligns it against a matching :class:`SimExecutor` trace
   (model vs measured, per phase);
@@ -21,7 +20,8 @@ The produced artifacts land in ``benchmarks/results/`` so CI can replay
 the ``repro-inspect`` subcommands against them:
 ``parallel_observability_wall_trace.json`` (threads, wall clock),
 ``parallel_observability_sim_trace.json`` (sim reference, sim clock), and
-``parallel_observability.om`` (OpenMetrics exposition).
+``parallel_observability_metrics.json`` (the threads run's metrics
+snapshot).
 
 The full run uses the paper-style 24-site chain sector; ``BENCH_SMOKE=1``
 drops to 16 sites so CI stays fast.  Worker count comes from the first
@@ -47,15 +47,8 @@ from repro.distributed import (
 )
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
-from repro.telemetry import (
-    Telemetry,
-    analyze_trace,
-    parse_openmetrics,
-    render_openmetrics,
-    use,
-)
+from repro.telemetry import Telemetry, analyze_trace, use
 from repro.telemetry.analysis import calibrate_traces
-from repro.telemetry.jobs import job
 
 SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 CHAIN = 16 if SMOKE else 24
@@ -68,21 +61,19 @@ WORKERS = int(
 
 WALL_TRACE = RESULTS_DIR / "parallel_observability_wall_trace.json"
 SIM_TRACE = RESULTS_DIR / "parallel_observability_sim_trace.json"
-OPENMETRICS = RESULTS_DIR / "parallel_observability.om"
+METRICS = RESULTS_DIR / "parallel_observability_metrics.json"
 
-#: Contention families the threads backend must export (OpenMetrics
-#: sanitizes the dots in registry names to underscores; registry
-#: histograms render as ``summary`` families with ``_count``/``_sum``).
+#: Contention families the threads backend must record, by snapshot section.
 REQUIRED_FAMILIES = {
-    "executor_lock_wait_seconds": "summary",
-    "executor_lock_hold_seconds": "summary",
-    "executor_queue_wait_seconds": "summary",
-    "executor_resource_wait_seconds": "summary",
-    "executor_resource_hold_seconds": "summary",
-    "executor_queue_depth": "gauge",
-    "executor_queue_depth_max": "gauge",
-    "executor_worker_busy_seconds": "counter",
-    "executor_worker_blocked_seconds": "counter",
+    "executor.lock_wait_seconds": "histograms",
+    "executor.lock_hold_seconds": "histograms",
+    "executor.queue_wait_seconds": "histograms",
+    "executor.resource_wait_seconds": "histograms",
+    "executor.resource_hold_seconds": "histograms",
+    "executor.queue_depth": "gauges",
+    "executor.queue_depth_max": "gauges",
+    "executor.worker_busy_seconds": "counters",
+    "executor.worker_blocked_seconds": "counters",
 }
 
 
@@ -109,26 +100,24 @@ def traced_runs():
     dop.matvec(dx)  # warm the plan so the trace shows the replay path
     tele = Telemetry.enabled()
     with use(tele):
-        with job("observability-bench", tenant="bench", workload="pc"):
-            t0 = time.perf_counter()
-            dop.matvec(dx)
-            wall_elapsed = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        dop.matvec(dx)
+        wall_elapsed = time.perf_counter() - t0
     tele.trace.save(WALL_TRACE)
-    exposition = render_openmetrics(tele.metrics.snapshot(), tele.jobs)
-    OPENMETRICS.write_text(exposition)
+    snapshot = tele.metrics.snapshot()
+    METRICS.write_text(json.dumps(snapshot.to_json(), indent=2))
 
     sim_dop, sim_dx = _distributed_setup("sim")
     sim_tele = Telemetry.enabled()
     with use(sim_tele):
-        with job("observability-bench", tenant="bench", workload="pc"):
-            sim_dop.matvec(sim_dx)
+        sim_dop.matvec(sim_dx)
     sim_tele.trace.save(SIM_TRACE)
 
-    return wall_elapsed, exposition
+    return wall_elapsed, snapshot
 
 
 def test_wall_trace_has_per_thread_timeline(traced_runs):
-    """The saved threads trace is a job-tagged wall-clock timeline."""
+    """The saved threads trace is a per-thread wall-clock timeline."""
     chrome = json.loads(WALL_TRACE.read_text())
     assert chrome["clock"] == "wall"
     spans = [e for e in chrome["traceEvents"] if e.get("ph") == "X"]
@@ -137,30 +126,22 @@ def test_wall_trace_has_per_thread_timeline(traced_runs):
     assert len(tracks) >= WORKERS, (
         f"expected >= {WORKERS} per-thread tracks, got {sorted(tracks)}"
     )
-    tagged = [
-        e
-        for e in spans
-        if (e.get("args") or {}).get("job") == "observability-bench"
-    ]
-    assert tagged, "no spans carry the job tag"
 
 
-def test_contention_families_in_openmetrics(traced_runs):
-    """Strict OpenMetrics parse + the full contention family contract."""
-    _, exposition = traced_runs
-    families = parse_openmetrics(exposition)
-    for name, kind in REQUIRED_FAMILIES.items():
-        assert name in families, f"missing metric family {name}"
-        assert families[name]["type"] == kind, name
-        assert families[name]["samples"], f"family {name} has no samples"
-    lock_sum = sum(
-        value
-        for sample, _, value in families["executor_lock_hold_seconds"][
-            "samples"
+def test_contention_families_in_metrics_snapshot(traced_runs):
+    """The full contention family contract, read from the snapshot."""
+    _, snapshot = traced_runs
+    for family, section in REQUIRED_FAMILIES.items():
+        series = [
+            key for key in getattr(snapshot, section) if key[0] == family
         ]
-        if sample.endswith("_count")
+        assert series, f"no {family} series among the {section}"
+    lock_holds = sum(
+        stats["count"]
+        for (name, _), stats in snapshot.histograms.items()
+        if name == "executor.lock_hold_seconds"
     )
-    assert lock_sum > 0, "no lock hold observations recorded"
+    assert lock_holds > 0, "no lock hold observations recorded"
 
 
 def test_inspect_reports_run_on_wall_trace(traced_runs):
@@ -180,10 +161,10 @@ def test_calibrate_aligns_model_and_measured(traced_runs):
 def test_disabled_tracing_overhead_within_two_percent():
     """Hard gate: tracing off must cost <= 2% over tracing on.
 
-    Same plan, same vectors; the instrumented run records spans, metrics,
-    and job attribution, so it does strictly more work than the disabled
-    run — any systematic slowdown of the disabled path would mean the
-    dormant hooks themselves regressed.
+    Same plan, same vectors; the instrumented run records spans and
+    metrics, so it does strictly more work than the disabled run — any
+    systematic slowdown of the disabled path would mean the dormant hooks
+    themselves regressed.
     """
     dop, dx = _distributed_setup("threads")
     dop.matvec(dx)  # warm the plan cache
@@ -196,10 +177,9 @@ def test_disabled_tracing_overhead_within_two_percent():
     def timed_on() -> float:
         tele = Telemetry.enabled()
         with use(tele):
-            with job("overhead-gate"):
-                start = time.perf_counter()
-                dop.matvec(dx)
-                return time.perf_counter() - start
+            start = time.perf_counter()
+            dop.matvec(dx)
+            return time.perf_counter() - start
 
     t_off = min(timed_off() for _ in range(REPEATS))
     t_on = min(timed_on() for _ in range(REPEATS))
@@ -210,10 +190,14 @@ def test_disabled_tracing_overhead_within_two_percent():
 
 
 def test_write_artifact(traced_runs):
-    wall_elapsed, exposition = traced_runs
+    wall_elapsed, snapshot = traced_runs
     analysis = analyze_trace(str(WALL_TRACE))
     report = calibrate_traces(str(SIM_TRACE), str(WALL_TRACE))
-    families = parse_openmetrics(exposition)
+    families = {
+        name
+        for section in (snapshot.counters, snapshot.gauges, snapshot.histograms)
+        for name, _ in section
+    }
     data = {
         "wall_seconds": wall_elapsed,
         "makespan_ratio": report["makespan_ratio"],

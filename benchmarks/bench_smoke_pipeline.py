@@ -26,18 +26,18 @@ import repro
 from conftest import write_result
 from repro import telemetry
 from repro.distributed import DistributedOperator, DistributedVector
-from repro.telemetry import Telemetry, analyze_trace, job
+from repro.telemetry import Telemetry, analyze_trace
 
 VARIANTS = ("naive", "batched", "pc")
 
 
 @pytest.fixture(scope="module")
 def pipeline_analyses(chain16_setup):
-    """method -> (TraceAnalysis, SimReport, CostLedger) per matvec variant.
+    """method -> (TraceAnalysis, SimReport, memory figures) per matvec variant.
 
-    Each variant runs inside a job scope with tracemalloc active, so its
-    ledger carries the peak-memory figures the artifact records (satellite:
-    memory regressions soft-warn through the baseline gate).
+    Each variant runs with tracemalloc active, for the peak-memory figures
+    the artifact records (memory regressions soft-warn through the baseline
+    gate).
     """
     serial, dbasis, _ = chain16_setup
     expr = repro.heisenberg_chain(16)
@@ -60,8 +60,11 @@ def pipeline_analyses(chain16_setup):
             tele = Telemetry.enabled()
             tracemalloc.reset_peak()
             with telemetry.use(tele):
-                with job(f"smoke-{method}", workload="chain16") as ctx:
-                    y = dop.matvec(x)
+                y = dop.matvec(x)
+            memory = {
+                "peak_array_bytes": x.nbytes + y.nbytes,
+                "peak_tracemalloc_bytes": tracemalloc.get_traced_memory()[1],
+            }
             if reference is None:
                 reference = y.to_serial(serial)
             else:
@@ -71,7 +74,7 @@ def pipeline_analyses(chain16_setup):
             out[method] = (
                 analyze_trace(tele.trace, metrics=tele.metrics),
                 dop.last_report,
-                ctx.ledger,
+                memory,
             )
     finally:
         if not was_tracing:
@@ -95,13 +98,17 @@ def test_variants_move_identical_payloads(pipeline_analyses):
     assert totals["naive"] == totals["batched"] == totals["pc"] > 0
 
 
-def test_job_attribution_conserves_traffic(pipeline_analyses):
-    """Each variant ran as its own job; the job ledgers must carry the
-    exact traffic the trace analysis measured globally."""
-    for method, (analysis, _, ledger) in pipeline_analyses.items():
+def test_sinks_conserve_traffic(pipeline_analyses):
+    """The metrics registry, the report and the trace's span args must
+    carry the same bytes: three sinks, one count."""
+    for method, (analysis, report, _) in pipeline_analyses.items():
         total_bytes = sum(entry[0] for entry in analysis.comm.values())
-        assert ledger.wire_bytes == total_bytes, method
-        assert ledger.peak_array_bytes > 0, method
+        assert (
+            report.metrics.counter_total("matvec.bytes")
+            == report.bytes_sent
+            == total_bytes
+            > 0
+        ), method
 
 
 def test_smoke_pipeline_artifact(pipeline_analyses):
@@ -110,7 +117,7 @@ def test_smoke_pipeline_artifact(pipeline_analyses):
         f"{'variant':<10} {'sim[s]':>12} {'overlap':>8} {'stall':>8} "
         f"{'imbal':>8} {'bytes':>10} {'msgs':>8} {'peakMB':>8}"
     ]
-    for method, (analysis, report, ledger) in pipeline_analyses.items():
+    for method, (analysis, report, memory) in pipeline_analyses.items():
         total_bytes = sum(entry[0] for entry in analysis.comm.values())
         total_msgs = sum(entry[1] for entry in analysis.comm.values())
         data[method] = {
@@ -123,8 +130,7 @@ def test_smoke_pipeline_artifact(pipeline_analyses):
             "messages": total_msgs,
             # soft-gated (allocator/version dependent) — see the memory
             # rule in repro.bench.compare
-            "peak_array_bytes": ledger.peak_array_bytes,
-            "peak_tracemalloc_bytes": ledger.tracemalloc_peak_bytes,
+            **memory,
         }
         lines.append(
             f"{method:<10} {report.elapsed:>12.6g} "
@@ -132,7 +138,7 @@ def test_smoke_pipeline_artifact(pipeline_analyses):
             f"{analysis.stall_fraction:>8.4f} "
             f"{analysis.imbalance_index:>8.4f} "
             f"{total_bytes:>10.0f} {total_msgs:>8.0f} "
-            f"{ledger.tracemalloc_peak_bytes / 1e6:>8.2f}"
+            f"{memory['peak_tracemalloc_bytes'] / 1e6:>8.2f}"
         )
     write_result("smoke_pipeline", "\n".join(lines), data)
 
@@ -141,13 +147,12 @@ def test_disabled_telemetry_overhead_within_two_percent(chain16_setup):
     """Hard gate: running with telemetry *disabled* must cost no more
     than 2% over the fully-instrumented run.
 
-    The instrumentation sites stay in the code when telemetry is off —
-    null registry/recorder plus the job-contextvar checks.  Comparing the
-    disabled path against the enabled (metrics + job attribution) path
-    bounds what those dormant hooks can cost: the enabled path does
-    strictly more work, so disabled must never come out slower beyond
-    timer noise.  Warm plan replays only, best-of-N to damp scheduler
-    jitter.
+    The instrumentation sites stay in the code when telemetry is off,
+    writing to the null registry/recorder.  Comparing the disabled path
+    against the enabled (metrics) path bounds what those dormant hooks can
+    cost: the enabled path does strictly more work, so disabled must never
+    come out slower beyond timer noise.  Warm plan replays only, best-of-N
+    to damp scheduler jitter.
     """
     serial, dbasis, _ = chain16_setup
     expr = repro.heisenberg_chain(16)
@@ -163,10 +168,9 @@ def test_disabled_telemetry_overhead_within_two_percent(chain16_setup):
     def timed_on() -> float:
         tele = Telemetry.enabled(trace=False, metrics=True)
         with telemetry.use(tele):
-            with job("overhead-gate"):
-                start = time.perf_counter()
-                dop.matvec(x)
-                return time.perf_counter() - start
+            start = time.perf_counter()
+            dop.matvec(x)
+            return time.perf_counter() - start
 
     repeats = 7
     t_off = min(timed_off() for _ in range(repeats))

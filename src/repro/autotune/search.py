@@ -21,8 +21,8 @@ hygiene of the parallel benches.
 
 Every candidate runs with telemetry quarantined
 (``telemetry.use(None)``) and without a plan, so the search never
-pollutes ambient traces, metrics, or job cost ledgers — a warm
-``tune="auto"`` operator build must leave no search footprint.
+pollutes ambient traces or metrics — a warm ``tune="auto"`` operator
+build must leave no search footprint.
 """
 
 from __future__ import annotations

@@ -244,19 +244,6 @@ _CLI_ROWS = (
     Key("metrics", str, flag="--metrics", metavar="PATH",
         help="write the metrics snapshot (counters/gauges/histograms) as "
         "JSON to PATH; the text table goes to stderr"),
-    Key("log_json", str, flag="--log-json", metavar="PATH",
-        help="append structured JSON-lines log records (correlated with "
-        "job ids and simulated time) to PATH; '-' for stderr"),
-    Key("metrics_export", str, flag="--metrics-export", metavar="PATH",
-        help="write an OpenMetrics v1 text exposition of the metrics "
-        "registry (global and per-job series) to PATH"),
-    Key("job", str, flag="--job", metavar="ID",
-        help="job id to attribute this run's spans/metrics/costs to "
-        "(default: derived from the input file name)"),
-    Key("tenant", str, "", flag="--tenant",
-        help="tenant tag recorded on the job (cost attribution)"),
-    Key("workload", str, "", flag="--workload",
-        help="workload tag recorded on the job (cost attribution)"),
 )
 _NEEDS_CLUSTER = "requires a 'cluster' section in the input file"
 
@@ -510,8 +497,6 @@ def main(argv: list[str] | None = None) -> None:
     import sys
 
     from repro import telemetry
-    from repro.telemetry import jobs as telemetry_jobs
-    from repro.telemetry import log as telemetry_log
 
     parser = argparse.ArgumentParser(
         description="Run an exact-diagonalization simulation from a JSON file"
@@ -538,54 +523,21 @@ def main(argv: list[str] | None = None) -> None:
     if args.resume and not spec.solver_options["checkpoint"].get("dir"):
         parser.error("--resume requires --checkpoint DIR")
 
-    if args.log_json is not None:
-        telemetry_log.configure(path=args.log_json, level="debug")
-    want_telemetry = (
-        args.trace is not None
-        or args.metrics is not None
-        or args.metrics_export is not None
-    )
-    if not want_telemetry:
-        telemetry_log.info("simulation.start", input=args.input)
-        output = run_simulation(spec, seed=args.seed)
-        telemetry_log.info("simulation.finish", input=args.input)
-        print(json.dumps(output, indent=2))
+    if args.trace is None and args.metrics is None:
+        print(json.dumps(run_simulation(spec, seed=args.seed), indent=2))
         return
 
-    def written(event: str, path: str, message: str) -> None:
-        if telemetry_log.enabled():
-            telemetry_log.info(event, path=path)
-        else:
-            print(message, file=sys.stderr)
-
-    job_id = args.job or Path(args.input).stem
     tele = telemetry.Telemetry.enabled(trace=args.trace is not None)
     with telemetry.use(tele):
-        telemetry_log.info("simulation.start", input=args.input, job=job_id)
-        with telemetry_jobs.job(
-            job_id, tenant=args.tenant, workload=args.workload
-        ) as job_ctx:
-            output = run_simulation(spec, seed=args.seed)
-        telemetry_log.info("simulation.finish", input=args.input)
+        output = run_simulation(spec, seed=args.seed)
     if args.trace is not None:
         tele.trace.save(args.trace)
-        written("trace.written", args.trace, f"trace written to {args.trace}")
-    snapshot = tele.metrics.snapshot()
+        print(f"trace written to {args.trace}", file=sys.stderr)
     if args.metrics is not None:
+        snapshot = tele.metrics.snapshot()
         Path(args.metrics).write_text(
             json.dumps(snapshot.to_json(), indent=2)
         )
-        written("metrics.written", args.metrics, snapshot.table())
-    if args.metrics_export is not None:
-        from repro.telemetry.export import write_openmetrics
-
-        write_openmetrics(args.metrics_export, snapshot, jobs=tele.jobs)
-        written(
-            "metrics.exported",
-            args.metrics_export,
-            f"OpenMetrics exposition written to {args.metrics_export}",
-        )
-    output["job_costs"] = {job_ctx.job_id: job_ctx.ledger.snapshot()}
-    telemetry_log.disable()
+        print(snapshot.table(), file=sys.stderr)
     print(json.dumps(output, indent=2))
 

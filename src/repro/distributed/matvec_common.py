@@ -39,7 +39,6 @@ from repro.resilience.faults import ResilienceConfig
 from repro.runtime.clock import CostLedger, SimReport
 from repro.runtime.executor import get_executor
 from repro.telemetry.context import current as current_telemetry
-from repro.telemetry.jobs import attribute_report
 
 __all__ = [
     "ProducedChunk",
@@ -410,8 +409,8 @@ def begin_matvec(
 
 
 def finish_report(
-    report: SimReport, variant: str, x: DistributedVector,
-    y: DistributedVector, metrics, wall_clock: bool,
+    report: SimReport, x: DistributedVector, y: DistributedVector,
+    metrics, wall_clock: bool,
 ) -> tuple[DistributedVector, SimReport]:
     """What every variant does last, once ``report.elapsed`` is final."""
     k = x.n_columns
@@ -420,7 +419,6 @@ def finish_report(
     metrics.counter(
         "wall.seconds" if wall_clock else "sim.seconds", phase="matvec"
     ).inc(report.elapsed)
-    attribute_report(report, f"matvec.{variant}", x, y)
     if metrics.enabled:
         report.metrics = metrics.snapshot()
     return y, report
@@ -595,5 +593,5 @@ class AnalyticMatvec:
                     f"{variant} matvec finished (t={model_elapsed:.3g})"
                 )
         return finish_report(
-            report, variant, self.x, self.y, self.metrics, ex.wall_clock
+            report, self.x, self.y, self.metrics, ex.wall_clock
         )

@@ -512,7 +512,7 @@ class _Pipeline:
         report.extras["consumers"] = float(self.n_cons)
         if self.resilience is not None:
             report.extras["resilient"] = 1.0
-        return finish_report(report, "pc", x, y, self.metrics, ex.wall_clock)
+        return finish_report(report, x, y, self.metrics, ex.wall_clock)
 
 
 class _FlagPipeline(_Pipeline):
@@ -848,4 +848,4 @@ def _shared_memory_matvec(
     report.ledger.add("search+accum", 0, search_work)
     report.extras["producers"] = float(cores)
     report.extras["consumers"] = float(cores)
-    return finish_report(report, "pc", x, y, metrics, wall_clock)
+    return finish_report(report, x, y, metrics, wall_clock)

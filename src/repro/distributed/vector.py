@@ -232,8 +232,7 @@ class DistributedVector:
 
     @property
     def nbytes(self) -> int:
-        """Total buffer bytes across all locale-local parts (memory
-        accounting for the per-job cost ledger)."""
+        """Total buffer bytes across all locale-local parts."""
         return sum(int(part.nbytes) for part in self.parts)
 
     def copy(self) -> "DistributedVector":

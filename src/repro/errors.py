@@ -14,6 +14,7 @@ __all__ = [
     "DeadlockError",
     "BackendError",
     "CheckpointError",
+    "TraceFormatError",
 ]
 
 
@@ -164,4 +165,16 @@ class CheckpointError(ReproError):
     Covers CRC32 mismatches against the checkpoint manifest, missing or
     truncated chunk files, dtype/length disagreements, and ``resume=``
     requests pointed at a directory with no loadable checkpoint.
+    """
+
+
+class TraceFormatError(ReproError, ValueError):
+    """Raised when a file handed to ``repro-inspect`` (or to
+    :func:`~repro.telemetry.analysis.analyze_trace` /
+    :meth:`~repro.telemetry.metrics.MetricsSnapshot.from_json`) is not a
+    readable trace or metrics snapshot: unreadable or truncated JSON, no
+    ``traceEvents`` list, an event or metrics row with a missing or
+    mistyped field (the message names its index and the field), or two
+    traces from the wrong clock domains.  The CLI prints it as one line
+    and exits 2.
     """

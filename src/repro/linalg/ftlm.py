@@ -32,7 +32,6 @@ from repro.linalg.spaces import (
     apply_block,
     as_matvec,
 )
-from repro.telemetry import log as telemetry_log
 from repro.telemetry.context import current as current_telemetry
 
 __all__ = ["ThermalEstimate", "ftlm_thermal"]
@@ -212,8 +211,6 @@ def ftlm_thermal(
             tele.metrics.counter("ftlm.samples").inc()
             tele.metrics.gauge("ftlm.ritz_min").set(entry["ritz_min"])
             tele.metrics.gauge("ftlm.ritz_max").set(entry["ritz_max"])
-            if telemetry_log.enabled("debug"):
-                telemetry_log.debug("ftlm.sample", **entry)
         sample += width
     e_min = min(spec[0].min() for spec in all_spectra)
     for evals, weights, _ in all_spectra:

@@ -30,9 +30,7 @@ from repro.resilience.checkpoint import (
     load_latest_checkpoint,
     write_checkpoint,
 )
-from repro.telemetry import log as telemetry_log
 from repro.telemetry.context import current as current_telemetry
-from repro.telemetry.jobs import current_job
 
 __all__ = ["LanczosResult", "lanczos", "lanczos_distributed"]
 
@@ -61,8 +59,7 @@ def _record_iteration(tele, entry: dict, solver: str = "lanczos") -> None:
     distribution over iterations), and — when tracing — a counter sample
     at the current end of the simulated timeline, so Perfetto shows the
     residual decaying against the pipeline activity below it.  The Ritz
-    extremes land in gauges, and the whole entry goes to the structured
-    log when one is configured.
+    extremes land in gauges.
     """
     residual = entry["residual"]
     tele.metrics.counter(f"{solver}.iterations").inc()
@@ -74,8 +71,6 @@ def _record_iteration(tele, entry: dict, solver: str = "lanczos") -> None:
     tele.metrics.gauge(f"{solver}.ritz_max").set(entry["ritz_max"])
     if tele.trace.enabled:
         tele.trace.counter(("solver", solver), "residual", 0.0, residual)
-    if telemetry_log.enabled("debug"):
-        telemetry_log.debug(f"{solver}.iteration", **entry)
 
 
 #: ``beta`` at or below which the Krylov space counts as exhausted.
@@ -361,9 +356,4 @@ def lanczos_distributed(
     current_telemetry().metrics.counter(
         "sim.seconds", phase="reductions"
     ).inc(reduce_time)
-    job = current_job()
-    if job is not None:
-        # The matvec phases were charged by the matvec implementations;
-        # the solver charges only its reduction time on top.
-        job.ledger.charge("lanczos.reductions", reduce_time)
     return result, sim_time

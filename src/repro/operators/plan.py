@@ -38,7 +38,6 @@ from typing import Hashable
 
 import numpy as np
 
-from repro.telemetry import log as telemetry_log
 from repro.telemetry.context import current as current_telemetry
 
 __all__ = ["MatvecPlan"]
@@ -139,10 +138,6 @@ class MatvecPlan:
                 evicted = self._nbytes_by_key.pop(old_key)
                 self._bytes -= evicted
                 metrics.counter("plan.evictions").inc()
-                if telemetry_log.enabled("debug"):
-                    telemetry_log.debug(
-                        "plan.evict", key=str(old_key), nbytes=evicted
-                    )
             self._entries[key] = entry
             self._nbytes_by_key[key] = nbytes
             self._bytes += nbytes

@@ -10,7 +10,6 @@ import numpy as np
 
 from repro.runtime.machine import MachineModel
 from repro.telemetry.context import current as current_telemetry
-from repro.telemetry.jobs import current_job
 from repro.telemetry.metrics import MetricsSnapshot
 
 __all__ = ["CostLedger", "BSPTimer", "SimReport"]
@@ -96,10 +95,6 @@ class SimReport:
     bytes_sent: int = 0
     extras: dict[str, float] = field(default_factory=dict)
     metrics: MetricsSnapshot | None = None
-    #: Job attribution (set when a :mod:`repro.telemetry.jobs` scope was
-    #: active): the job id and a frozen per-job cost-ledger snapshot.
-    job_id: str | None = None
-    job_costs: dict | None = None
 
     @property
     def mean_message_bytes(self) -> float:
@@ -110,8 +105,6 @@ class SimReport:
 
     def summary(self) -> str:
         parts = [f"elapsed = {self.elapsed:.4f} s"]
-        if self.job_id is not None:
-            parts.append(f"  job = {self.job_id}")
         for name, seconds in self.phase_elapsed.items():
             parts.append(f"  {name:<20} {seconds:.4f} s")
         if self.messages:
@@ -198,10 +191,6 @@ class BSPTimer:
             f"{self.name}.phase_seconds", phase=name
         ).observe(elapsed)
         self._metrics.counter("sim.seconds", phase=self.name).inc(elapsed)
-        job = current_job()
-        if job is not None:
-            job.ledger.charge(f"{self.name}.{name}", elapsed)
-            self.report.job_id = job.job_id
         if self._trace is not None:
             for locale in range(self.n_locales):
                 busy = float(per_locale[locale])

@@ -61,7 +61,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterator
 
 from repro.errors import BackendError, DeadlockError, FaultError
-from repro.telemetry import log as telemetry_log
 from repro.telemetry.profile import NULL_PROFILER, ExecutorProfiler
 
 __all__ = [
@@ -670,18 +669,10 @@ class Simulator(Executor):
         process.gen.close()
         self._retire(process)
         locale = process.locale
-        if self._record_crash(locale):
-            if self._trace is not None:
-                self._trace.instant(
-                    process.track, f"crash locale {locale}", self.now
-                )
-            if telemetry_log.enabled("warning"):
-                telemetry_log.warning(
-                    "simulator.crash",
-                    locale=locale,
-                    process=process.name,
-                    sim_now=self.now,
-                )
+        if self._record_crash(locale) and self._trace is not None:
+            self._trace.instant(
+                process.track, f"crash locale {locale}", self.now
+            )
 
     # -- event loop -----------------------------------------------------------
 
@@ -761,13 +752,6 @@ class Simulator(Executor):
             )
             crashed = sorted(self.crashed_locales)
             suffix = f" (crashed locales: {crashed})" if crashed else ""
-            if telemetry_log.enabled("error"):
-                telemetry_log.error(
-                    "simulator.deadlock",
-                    blocked=len(blocked),
-                    crashed_locales=crashed,
-                    sim_now=self.now,
-                )
             raise DeadlockError(
                 f"simulation deadlock, no pending events: {text}{suffix}",
                 blocked=blocked,

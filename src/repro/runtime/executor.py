@@ -16,7 +16,6 @@ backend by name; the shared-state rules they follow are part of the
 
 from __future__ import annotations
 
-import contextvars
 import os
 import threading
 import time
@@ -193,8 +192,8 @@ class ThreadExecutor(Executor):
     real work done since the last resume (protocol code works first,
     then yields the Timeout that models it), and ``call_later`` runs its
     callback inline (remote-atomic latency is zero in shared memory).
-    ``contextvars`` (the ambient job scope) are copied into every worker,
-    so job-scoped metrics attribute as on the simulator.
+    Workers read the one process-wide ambient telemetry bundle, so their
+    metrics land in the registry the spawning thread installed.
 
     Failure: a worker that raises becomes a
     :class:`~repro.errors.BackendError` carrying its locale and every
@@ -317,10 +316,9 @@ class ThreadExecutor(Executor):
         self._processes.append(process)
         if self._t0 is None:
             self._t0 = time.perf_counter()
-        ctx = contextvars.copy_context()
         process.thread = threading.Thread(
-            target=ctx.run,
-            args=(self._drive, process),
+            target=self._drive,
+            args=(process,),
             name=f"repro-{name}",
             daemon=True,
         )
@@ -344,8 +342,7 @@ class ThreadExecutor(Executor):
         if delay <= 0.0:
             fn()
             return
-        ctx = contextvars.copy_context()
-        timer = threading.Timer(delay, ctx.run, args=(fn,))
+        timer = threading.Timer(delay, fn)
         timer.daemon = True
         with self._lock:
             self._timers.append(timer)
@@ -624,14 +621,11 @@ class ThreadExecutor(Executor):
         if not thunks:
             return []
         results: list = [None] * len(thunks)
-        ctx = contextvars.copy_context()
         with ThreadPoolExecutor(
             max_workers=min(self.n_workers, len(thunks)),
             thread_name_prefix="repro-map",
         ) as pool:
-            futures = [
-                pool.submit(ctx.copy().run, fn) for fn in thunks
-            ]
+            futures = [pool.submit(fn) for fn in thunks]
             error: BackendError | FaultError | None = None
             for i, future in enumerate(futures):
                 try:

@@ -38,14 +38,6 @@ from repro.telemetry.context import (
     install,
     use,
 )
-from repro.telemetry.jobs import (
-    CostLedger,
-    JobContext,
-    attribute_report,
-    current_job,
-    job,
-    ndarray_bytes,
-)
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
@@ -75,12 +67,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "JobContext",
-    "CostLedger",
-    "current_job",
-    "job",
-    "ndarray_bytes",
-    "attribute_report",
     "ExecutorProfiler",
     "SpanBuffer",
     "ProfiledLock",
@@ -89,10 +75,6 @@ __all__ = [
     "calibrate_traces",
     "communication_matrix_from_metrics",
     "load_spans",
-    "render_openmetrics",
-    "write_openmetrics",
-    "parse_openmetrics",
-    "OpenMetricsError",
 ]
 
 _ANALYSIS_EXPORTS = {
@@ -103,30 +85,18 @@ _ANALYSIS_EXPORTS = {
     "load_spans",
 }
 
-_EXPORT_EXPORTS = {
-    "render_openmetrics",
-    "write_openmetrics",
-    "parse_openmetrics",
-    "OpenMetricsError",
-}
-
 
 def __getattr__(name: str):
     # Lazy so that `python -m repro.telemetry.analysis` does not import
     # the module twice (runpy would warn), and plain telemetry users
-    # don't pay for the analysis/export machinery.  importlib (not a
-    # from-import) because a from-import would bounce back through this
-    # very __getattr__ and recurse.
+    # don't pay for the analysis machinery.  importlib (not a from-import)
+    # because a from-import would bounce back through this very
+    # __getattr__ and recurse.
     import importlib
 
     if name in _ANALYSIS_EXPORTS:
         analysis = importlib.import_module("repro.telemetry.analysis")
         return getattr(analysis, name)
-    if name in _EXPORT_EXPORTS:
-        export = importlib.import_module("repro.telemetry.export")
-        return getattr(export, name)
-    if name == "log":
-        return importlib.import_module("repro.telemetry.log")
     raise AttributeError(
         f"module {__name__!r} has no attribute {name!r}"
     )

@@ -32,17 +32,13 @@ Use it as a library (:func:`analyze_trace`) or from the command line::
     python -m repro.telemetry.analysis trace.json
     python -m repro.telemetry.analysis trace.json --metrics metrics.json --json
     python -m repro.telemetry.analysis diff before.json after.json
-    python -m repro.telemetry.analysis cost trace.json
-    python -m repro.telemetry.analysis jobs trace.json
     python -m repro.telemetry.analysis calibrate sim_trace.json wall_trace.json
     python -m repro.telemetry.analysis tune trace.json
 
 (also installed as the ``repro-inspect`` console script; ``repro-inspect
 COMMAND --help`` says what each sub-command of the ``_COMMANDS`` table
 reports).  ``diff`` is the manual half of the regression gating that
-:mod:`repro.bench.compare` automates for benchmark artifacts; ``cost`` and
-``jobs`` read the ``job`` id stamped into span args (see
-:mod:`repro.telemetry.jobs`).
+:mod:`repro.bench.compare` automates for benchmark artifacts.
 
 Every report works on both clock domains — the simulator's simulated
 seconds and the threads backend's measured wall seconds — and labels
@@ -62,7 +58,10 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Iterable
+
+from repro.errors import ReproError, TraceFormatError
+from repro.telemetry.metrics import MetricsSnapshot, series_name
 
 __all__ = [
     "Span",
@@ -73,17 +72,9 @@ __all__ = [
     "communication_matrix_from_metrics",
     "diff_analyses",
     "calibrate_traces",
-    "aggregate_job_costs",
     "main",
 ]
 
-
-class TraceFormatError(ValueError):
-    """Raised when an input file is not a readable trace/metrics JSON.
-
-    The CLI turns this into a one-line error message and exit code 2
-    instead of a traceback.
-    """
 
 _US = 1e6
 _LOCALE_RE = re.compile(r"^locale(\d+)$")
@@ -119,7 +110,8 @@ class Span:
     name: str
     start: float
     duration: float
-    args: dict = field(default_factory=dict)
+    #: traffic the span carried, ``(src, dst, bytes, msgs)`` per entry
+    comm: tuple = ()
 
     @property
     def end(self) -> float:
@@ -159,9 +151,8 @@ def _load_chrome(source) -> dict:
     if hasattr(source, "to_chrome"):  # TraceRecorder
         return source.to_chrome()
     data = source if isinstance(source, dict) else _read_json(source)
-    if not isinstance(data, dict) or not isinstance(
-        data.get("traceEvents"), list
-    ):
+    events = data.get("traceEvents") if isinstance(data, dict) else None
+    if not isinstance(events, list):
         raise TraceFormatError(
             f"{source if not isinstance(source, dict) else 'input'} is "
             "valid JSON but not a Chrome trace (no 'traceEvents' list); "
@@ -170,40 +161,77 @@ def _load_chrome(source) -> dict:
     return data
 
 
+def _field(holder: dict, key: str, types, where: str, *default):
+    """``holder[key]`` (``default`` when absent), which must be of ``types``."""
+    if default and key not in holder:
+        return default[0]
+    value = holder.get(key)
+    if not isinstance(value, types):
+        raise TraceFormatError(
+            f"{where}: field {key!r} is missing or mistyped: {value!r}"
+        )
+    return value
+
+
+def _comm_entry(entry, where: str):
+    """``[src, dst, bytes, msgs]`` as a span's args carry it, checked."""
+    if (
+        not isinstance(entry, list) or len(entry) != 4
+        or not all(isinstance(v, int) and v >= 0 for v in entry[:2])
+        or not all(isinstance(v, (int, float)) for v in entry[2:])
+    ):
+        raise TraceFormatError(
+            f"{where}: {entry!r} is not [src, dst, bytes, msgs] with "
+            "locale numbers first"
+        )
+    return entry
+
+
 def load_spans(source) -> list[Span]:
     """Parse the complete (``ph: "X"``) spans of a trace.
 
     ``source`` may be a :class:`~repro.telemetry.trace.TraceRecorder`, a
     Chrome trace dict, or a path to a trace JSON file.  Track labels are
     resolved through the ``process_name`` / ``thread_name`` metadata
-    events; timestamps come back in seconds.
+    events; timestamps come back in seconds.  Fields are checked here,
+    once (every later stage reads spans): a missing or mistyped one raises
+    :class:`TraceFormatError` naming the event's index.
     """
-    chrome = _load_chrome(source)
-    events = chrome.get("traceEvents", [])
     processes: dict[int, str] = {}
     threads: dict[tuple[int, int], str] = {}
-    for event in events:
-        if event.get("ph") != "M":
+    parsed = []
+    for index, event in enumerate(_load_chrome(source)["traceEvents"]):
+        where = f"trace event {index}"
+        if not isinstance(event, dict):
+            raise TraceFormatError(f"{where} is not an object: {event!r}")
+        if event.get("ph") not in ("M", "X"):
             continue
-        if event["name"] == "process_name":
-            processes[event["pid"]] = event["args"]["name"]
-        elif event["name"] == "thread_name":
-            threads[(event["pid"], event["tid"])] = event["args"]["name"]
-    spans: list[Span] = []
-    for event in events:
-        if event.get("ph") != "X":
+        name = _field(event, "name", str, where)
+        track = tuple(_field(event, key, (int, str), where) for key in ("pid", "tid"))
+        args = _field(event, "args", dict, where, {})
+        if event["ph"] == "M":
+            if name == "process_name":
+                processes[track[0]] = _field(args, "name", str, where)
+            elif name == "thread_name":
+                threads[track] = _field(args, "name", str, where)
             continue
-        pid, tid = event["pid"], event["tid"]
-        spans.append(
-            Span(
-                process=processes.get(pid, f"pid{pid}"),
-                thread=threads.get((pid, tid), f"tid{tid}"),
-                name=event["name"],
-                start=event["ts"] / _US,
-                duration=event.get("dur", 0.0) / _US,
-                args=event.get("args") or {},
-            )
+        # The two shapes traffic takes in span args (see module docstring).
+        comm = list(_field(args, "comm", list, where, ()))
+        if "src" in args and "dst" in args:
+            comm.insert(0, [args["src"], args["dst"], args.get("bytes", 0),
+                            args.get("msgs", 1)])
+        comm = tuple(_comm_entry(entry, where) for entry in comm)
+        start = _field(event, "ts", (int, float), where) / _US
+        duration = _field(event, "dur", (int, float), where, 0.0) / _US
+        parsed.append((track, name, start, duration, comm))
+    spans = [
+        Span(
+            process=processes.get(pid, f"pid{pid}"),
+            thread=threads.get((pid, tid), f"tid{tid}"),
+            name=name, start=start, duration=duration, comm=comm,
         )
+        for (pid, tid), name, start, duration, comm in parsed
+    ]
     spans.sort(key=lambda s: (s.start, s.end))
     return spans
 
@@ -298,19 +326,11 @@ def _critical_path(spans: list[Span]) -> list[Span]:
 def _harvest_comm(spans: list[Span]) -> dict[tuple[int, int], list[float]]:
     """(src, dst) -> [bytes, msgs] from instrumented span args."""
     comm: dict[tuple[int, int], list[float]] = {}
-
-    def add(src, dst, nbytes, msgs):
-        entry = comm.setdefault((int(src), int(dst)), [0.0, 0.0])
-        entry[0] += float(nbytes)
-        entry[1] += float(msgs)
-
     for span in spans:
-        args = span.args
-        if "src" in args and "dst" in args:
-            add(args["src"], args["dst"], args.get("bytes", 0), args.get("msgs", 1))
-        for entry in args.get("comm", ()):
-            src, dst, nbytes, msgs = entry
-            add(src, dst, nbytes, msgs)
+        for src, dst, nbytes, msgs in span.comm:
+            entry = comm.setdefault((src, dst), [0.0, 0.0])
+            entry[0] += float(nbytes)
+            entry[1] += float(msgs)
     return comm
 
 
@@ -330,7 +350,13 @@ def communication_matrix_from_metrics(
             continue
         if kind not in ("bytes", "messages"):
             continue
-        key = (int(label_map["src"]), int(label_map["dst"]))
+        try:
+            key = (int(label_map["src"]), int(label_map["dst"]))
+        except ValueError as exc:
+            raise TraceFormatError(
+                f"counter {name!r}: src/dst labels must be locale numbers, "
+                f"got {label_map!r}"
+            ) from exc
         entry = comm.setdefault(key, [0.0, 0.0])
         entry[0 if kind == "bytes" else 1] += value
     return comm
@@ -494,8 +520,7 @@ def _flat(snapshot, prefixes: tuple[str, ...] = ("",)) -> dict[str, float]:
     out: dict[str, float] = {}
     for (name, labels), value in {**snapshot.counters, **snapshot.gauges}.items():
         if name.startswith(prefixes):
-            label = ",".join(f"{k}={v}" for k, v in labels)
-            out[f"{name}{{{label}}}" if label else name] = value
+            out[series_name(name, labels)] = value
     return out
 
 
@@ -590,8 +615,6 @@ def analyze_trace(source, metrics=None) -> TraceAnalysis:
 
 
 def _as_snapshot(metrics):
-    from repro.telemetry.metrics import MetricsSnapshot
-
     if isinstance(metrics, MetricsSnapshot):
         return metrics
     if hasattr(metrics, "snapshot"):  # a live registry
@@ -792,137 +815,6 @@ def _render_calibrate(report: dict) -> str:
     return "\n".join(lines)
 
 
-# -- job attribution ---------------------------------------------------------
-
-UNATTRIBUTED = "(unattributed)"
-
-
-def _job_metadata(source) -> dict[str, dict]:
-    """job id -> tenant/workload/start from ``job.start`` instant events."""
-    chrome = _load_chrome(source)
-    jobs: dict[str, dict] = {}
-    for event in chrome.get("traceEvents", []):
-        if event.get("ph") != "i" or event.get("name") != "job.start":
-            continue
-        args = event.get("args") or {}
-        job = args.get("job")
-        if job:
-            jobs[str(job)] = {
-                "tenant": args.get("tenant", ""),
-                "workload": args.get("workload", ""),
-                "started": event.get("ts", 0.0) / _US,
-            }
-    return jobs
-
-
-def aggregate_job_costs(source) -> dict[str, dict]:
-    """Per-job cost attribution from a recorded trace.
-
-    Groups every complete span by its ``args["job"]`` stamp (spans
-    recorded outside any job scope land under ``"(unattributed)"``) and
-    sums busy time by category plus the wire traffic carried in span
-    args — the table the service layer bills from and the autotuner
-    reads.
-    """
-    chrome = _load_chrome(source)
-    clock = str(chrome.get("clock", "sim"))
-    spans = load_spans(chrome)
-    meta = _job_metadata(chrome)
-
-    def new_row(job_id: str) -> dict:
-        info = meta.get(job_id, {})
-        return {
-            "job": job_id,
-            "clock": clock,
-            "tenant": info.get("tenant", ""),
-            "workload": info.get("workload", ""),
-            "spans": 0,
-            "compute_seconds": 0.0,
-            "send_seconds": 0.0,
-            "stall_seconds": 0.0,
-            "idle_seconds": 0.0,
-            "wire_bytes": 0.0,
-            "messages": 0.0,
-            "first_event": None,
-            "last_event": None,
-        }
-
-    rows: dict[str, dict] = {}
-    for job_id in meta:
-        rows[job_id] = new_row(job_id)
-    for span in spans:
-        job_id = str(span.args.get("job", UNATTRIBUTED))
-        row = rows.get(job_id)
-        if row is None:
-            row = rows[job_id] = new_row(job_id)
-        row["spans"] += 1
-        row[f"{span.category}_seconds"] += span.duration
-        if row["first_event"] is None or span.start < row["first_event"]:
-            row["first_event"] = span.start
-        if row["last_event"] is None or span.end > row["last_event"]:
-            row["last_event"] = span.end
-        args = span.args
-        if "src" in args and "dst" in args:
-            row["wire_bytes"] += float(args.get("bytes", 0))
-            row["messages"] += float(args.get("msgs", 1))
-        for entry in args.get("comm", ()):
-            row["wire_bytes"] += float(entry[2])
-            row["messages"] += float(entry[3])
-    for row in rows.values():
-        row["busy_seconds"] = (
-            row["compute_seconds"] + row["send_seconds"]
-        )
-    total_busy = sum(r["busy_seconds"] for r in rows.values())
-    for row in rows.values():
-        row["busy_share"] = (
-            row["busy_seconds"] / total_busy if total_busy > 0.0 else 0.0
-        )
-    return dict(
-        sorted(rows.items(), key=lambda kv: -kv[1]["busy_seconds"])
-    )
-
-
-def _job_table(rows: dict[str, dict], header: str, line, empty: str) -> str:
-    """The clock the rows were read on, ``header``, then ``line(row)`` per
-    job (or the ``empty`` note)."""
-    clock = next((row.get("clock", "sim") for row in rows.values()), "sim")
-    body = [line(row) for row in rows.values()] or [empty]
-    return "\n".join([f"clock: {_clock_label(clock)}", header, *body])
-
-
-def _render_cost(rows: dict[str, dict]) -> str:
-    return _job_table(
-        rows,
-        f"{'job':<24} {'spans':>7} {'compute[s]':>12} {'send[s]':>10} "
-        f"{'stall[s]':>10} {'busy[s]':>10} {'share':>7} "
-        f"{'bytes':>12} {'msgs':>8}",
-        lambda row: (
-            f"{row['job']:<24} {row['spans']:>7} "
-            f"{row['compute_seconds']:>12.6g} {row['send_seconds']:>10.4g} "
-            f"{row['stall_seconds']:>10.4g} {row['busy_seconds']:>10.6g} "
-            f"{row['busy_share']:>7.1%} "
-            f"{row['wire_bytes']:>12.6g} {row['messages']:>8.6g}"
-        ),
-        "(no spans)",
-    )
-
-
-def _render_jobs(rows: dict[str, dict]) -> str:
-    return _job_table(
-        rows,
-        f"{'job':<24} {'tenant':<12} {'workload':<16} {'spans':>7} "
-        f"{'first[s]':>10} {'last[s]':>10} {'busy[s]':>10}",
-        lambda row: (
-            f"{row['job']:<24} {row['tenant']:<12} {row['workload']:<16} "
-            f"{row['spans']:>7} "
-            f"{row['first_event'] or 0.0:>10.6g} "
-            f"{row['last_event'] or 0.0:>10.6g} "
-            f"{row['busy_seconds']:>10.6g}"
-        ),
-        "(no jobs recorded)",
-    )
-
-
 # -- CLI --------------------------------------------------------------------
 #
 # One function per sub-command: parsed arguments -> (JSON payload, text
@@ -936,20 +828,10 @@ def _run_analyze(args):
 
 def _run_diff(args):
     if _looks_like_metrics(args.a) and _looks_like_metrics(args.b):
-        return None, lambda: _diff_metrics(args.a, args.b)
+        text = _diff_metrics(args.a, args.b)  # reads the files: not lazily
+        return None, lambda: text
     rows = diff_analyses(analyze_trace(args.a), analyze_trace(args.b))
     return rows, lambda: _render_diff(rows)
-
-
-def _run_cost(args):
-    rows = aggregate_job_costs(args.trace)
-    return list(rows.values()), lambda: _render_cost(rows)
-
-
-def _run_jobs(args):
-    rows = aggregate_job_costs(args.trace)
-    rows.pop(UNATTRIBUTED, None)
-    return list(rows.values()), lambda: _render_jobs(rows)
 
 
 def _run_calibrate(args):
@@ -986,18 +868,6 @@ _COMMANDS = {
         (("a", "baseline trace/metrics JSON"),
          ("b", "candidate trace/metrics JSON")),
         _run_diff,
-    ),
-    "cost": (
-        "Aggregate a recorded trace by job and print the per-job cost "
-        "attribution table",
-        (_TRACE,),
-        _run_cost,
-    ),
-    "jobs": (
-        "List the jobs recorded in a trace (tenant, workload, activity "
-        "window)",
-        (_TRACE,),
-        _run_jobs,
     ),
     "calibrate": (
         "Align a simulated (model) trace with a wall-clock (measured) trace "
@@ -1046,7 +916,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv[1:] if command else argv)
     try:
         payload, render = run(args)
-    except TraceFormatError as exc:
+    except ReproError as exc:
         print(f"repro-inspect: error: {exc}", file=sys.stderr)
         return 2
     if getattr(args, "out", None) is not None:
@@ -1057,8 +927,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    # Run the *importable* module's main: the other layers raise its
-    # TraceFormatError, which this ``__main__`` copy's handler cannot match.
-    from repro.telemetry.analysis import main as _module_main
-
-    raise SystemExit(_module_main())
+    raise SystemExit(main())

@@ -21,7 +21,7 @@ Enable telemetry for a block of code with::
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.telemetry.metrics import MetricsRegistry, NullMetricsRegistry
 from repro.telemetry.trace import NullTraceRecorder, TraceRecorder
@@ -35,9 +35,6 @@ class Telemetry:
 
     trace: TraceRecorder
     metrics: MetricsRegistry
-    #: Jobs registered by :func:`repro.telemetry.jobs.job` scopes while
-    #: this bundle was ambient — job id -> JobContext (insertion order).
-    jobs: dict = field(default_factory=dict)
 
     @classmethod
     def enabled(

@@ -19,7 +19,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.telemetry.jobs import current_job
+from repro.errors import TraceFormatError
 
 __all__ = [
     "Counter",
@@ -28,6 +28,7 @@ __all__ = [
     "MetricsRegistry",
     "NullMetricsRegistry",
     "MetricsSnapshot",
+    "series_name",
 ]
 
 LabelKey = "tuple[tuple[str, Any], ...]"
@@ -108,83 +109,19 @@ _NULL_GAUGE = _NullGauge()
 _NULL_HISTOGRAM = _NullHistogram()
 
 
-class _FanoutCounter(Counter):
-    """Applies each increment to the global and the job instrument.
-
-    Both sides see the identical sequence of amounts, which is what
-    makes per-job sums conserve exactly against the global totals.
-    """
-
-    __slots__ = ("_parts",)
-
-    def __init__(self, *parts: Counter) -> None:
-        self._parts = parts
-
-    @property
-    def value(self) -> float:  # the global instrument's view
-        return self._parts[0].value
-
-    def inc(self, amount: float = 1.0) -> None:
-        for part in self._parts:
-            part.inc(amount)
-
-
-class _FanoutGauge(Gauge):
-    __slots__ = ("_parts",)
-
-    def __init__(self, *parts: Gauge) -> None:
-        self._parts = parts
-
-    @property
-    def value(self) -> float:
-        return self._parts[0].value
-
-    def set(self, value: float) -> None:
-        for part in self._parts:
-            part.set(value)
-
-
-class _FanoutHistogram(Histogram):
-    __slots__ = ("_parts",)
-
-    def __init__(self, *parts: Histogram) -> None:
-        self._parts = parts
-
-    def observe(self, value: float) -> None:
-        for part in self._parts:
-            part.observe(value)
-
-    # Reads delegate to the global instrument.
-    count = property(lambda self: self._parts[0].count)
-    total = property(lambda self: self._parts[0].total)
-    min = property(lambda self: self._parts[0].min)
-    max = property(lambda self: self._parts[0].max)
-
-
 def _label_key(labels: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
     return tuple(sorted(labels.items()))
 
 
 class MetricsRegistry:
-    """Creates and interns labelled instruments.
-
-    When a :mod:`repro.telemetry.jobs` scope is active, lookups return a
-    fan-out instrument that writes both the interned global instrument
-    and a mirror in the job's private registry, so every event is
-    attributed without the call sites changing.  Mirror registries are
-    created with ``fanout=False`` and never consult the job context.
-    """
+    """Creates and interns labelled instruments."""
 
     enabled = True
 
-    def __init__(self, fanout: bool = True) -> None:
+    def __init__(self) -> None:
         self._counters: dict[tuple[str, LabelKey], Counter] = {}
         self._gauges: dict[tuple[str, LabelKey], Gauge] = {}
         self._histograms: dict[tuple[str, LabelKey], Histogram] = {}
-        self._fanout = fanout
-        # (job_id, key) -> fan-out instrument, so repeated lookups under
-        # the same job stay a single dict hit.
-        self._job_instruments: dict = {}
         # Guards instrument creation only: on the threads execution
         # backend, concurrent first lookups of the same (name, labels)
         # must intern exactly one instrument (a lost write would fork a
@@ -201,53 +138,18 @@ class MetricsRegistry:
                     instrument = table[key] = factory()
         return instrument
 
-    def _fanout_entry(self, kind: str, key, instrument, fan_cls, mirror):
-        ctx = current_job()
-        if ctx is None or ctx.metrics is self:
-            return instrument
-        jkey = (ctx.job_id, kind, key)
-        entry = self._job_instruments.get(jkey)
-        # A fresh JobContext may reuse a job id; the mirror identity
-        # check keeps the cache from writing into the previous context's
-        # registry.
-        if entry is not None and entry[0] is ctx.metrics:
-            return entry[1]
-        with self._intern_lock:
-            entry = self._job_instruments.get(jkey)
-            if entry is None or entry[0] is not ctx.metrics:
-                entry = (ctx.metrics, fan_cls(instrument, mirror(ctx)))
-                self._job_instruments[jkey] = entry
-        return entry[1]
-
     def counter(self, name: str, **labels) -> Counter:
-        key = (name, _label_key(labels))
-        instrument = self._intern(self._counters, key, Counter)
-        if self._fanout:
-            return self._fanout_entry(
-                "c", key, instrument, _FanoutCounter,
-                lambda ctx: ctx.metrics.counter(name, **labels),
-            )
-        return instrument
+        return self._intern(
+            self._counters, (name, _label_key(labels)), Counter
+        )
 
     def gauge(self, name: str, **labels) -> Gauge:
-        key = (name, _label_key(labels))
-        instrument = self._intern(self._gauges, key, Gauge)
-        if self._fanout:
-            return self._fanout_entry(
-                "g", key, instrument, _FanoutGauge,
-                lambda ctx: ctx.metrics.gauge(name, **labels),
-            )
-        return instrument
+        return self._intern(self._gauges, (name, _label_key(labels)), Gauge)
 
     def histogram(self, name: str, **labels) -> Histogram:
-        key = (name, _label_key(labels))
-        instrument = self._intern(self._histograms, key, Histogram)
-        if self._fanout:
-            return self._fanout_entry(
-                "h", key, instrument, _FanoutHistogram,
-                lambda ctx: ctx.metrics.histogram(name, **labels),
-            )
-        return instrument
+        return self._intern(
+            self._histograms, (name, _label_key(labels)), Histogram
+        )
 
     def counter_total(self, name: str) -> float:
         """Sum of one counter family over all label combinations."""
@@ -293,8 +195,10 @@ class NullMetricsRegistry(MetricsRegistry):
         return _NULL_HISTOGRAM
 
 
-def _format_labels(key: LabelKey) -> str:
-    return ",".join(f"{k}={v}" for k, v in key)
+def series_name(name: str, labels: LabelKey) -> str:
+    """``name{label=value,...}``, or the bare name of an unlabelled series."""
+    text = ",".join(f"{k}={v}" for k, v in labels)
+    return f"{name}{{{text}}}" if text else name
 
 
 @dataclass(frozen=True)
@@ -315,23 +219,20 @@ class MetricsSnapshot:
     def table(self) -> str:
         """A human-readable metrics table."""
         lines: list[str] = []
-        if self.counters:
-            lines.append(f"{'counter':<44} {'value':>14}")
-            for (name, labels), value in self.counters.items():
-                label = f"{name}{{{_format_labels(labels)}}}" if labels else name
-                lines.append(f"{label:<44} {value:>14.0f}")
-        if self.gauges:
-            lines.append(f"{'gauge':<44} {'value':>14}")
-            for (name, labels), value in self.gauges.items():
-                label = f"{name}{{{_format_labels(labels)}}}" if labels else name
-                lines.append(f"{label:<44} {value:>14.6g}")
+        for kind, series, fmt in (
+            ("counter", self.counters, ".0f"), ("gauge", self.gauges, ".6g")
+        ):
+            if series:
+                lines.append(f"{kind:<44} {'value':>14}")
+            for (name, labels), value in series.items():
+                lines.append(f"{series_name(name, labels):<44} {value:>14{fmt}}")
         if self.histograms:
             lines.append(
                 f"{'histogram':<32} {'count':>8} {'mean':>12} "
                 f"{'min':>12} {'max':>12}"
             )
             for (name, labels), stats in self.histograms.items():
-                label = f"{name}{{{_format_labels(labels)}}}" if labels else name
+                label = series_name(name, labels)
                 lo = stats["min"] if stats["min"] is not None else "-"
                 hi = stats["max"] if stats["max"] is not None else "-"
                 lo = f"{lo:.4g}" if isinstance(lo, (int, float)) else str(lo)
@@ -358,17 +259,40 @@ class MetricsSnapshot:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "MetricsSnapshot":
-        """Inverse of :meth:`to_json` (label order is normalized)."""
+    def from_json(cls, data) -> "MetricsSnapshot":
+        """Inverse of :meth:`to_json` (label order is normalized).
 
-        def mapping(rows):
-            return {
-                (row["name"], _label_key(row["labels"])): row["value"]
-                for row in rows
-            }
+        ``data`` usually comes from a file, so it is checked here, once: a
+        row that is not ``{"name": str, "labels": {str: scalar}, "value":
+        number or stats}`` raises :class:`~repro.errors.TraceFormatError`
+        naming the row and the field.
+        """
+
+        def mapping(kind, value_types):
+            rows = data.get(kind, []) if isinstance(data, dict) else None
+            if not isinstance(rows, list):
+                raise TraceFormatError(f"metrics {kind!r} is not a list of rows")
+            out = {}
+            for index, row in enumerate(rows):
+                row = row if isinstance(row, dict) else {}
+                labels = row.get("labels")
+                for key, ok in (
+                    ("name", isinstance(row.get("name"), str)),
+                    ("value", isinstance(row.get("value"), value_types)),
+                    ("labels", isinstance(labels, dict) and all(
+                        isinstance(v, (str, int, float)) for v in labels.values()
+                    )),
+                ):
+                    if not ok:
+                        raise TraceFormatError(
+                            f"metrics {kind}[{index}]: field {key!r} is "
+                            f"missing or mistyped: {row.get(key)!r}"
+                        )
+                out[row["name"], _label_key(labels)] = row["value"]
+            return out
 
         return cls(
-            counters=mapping(data.get("counters", [])),
-            gauges=mapping(data.get("gauges", [])),
-            histograms=mapping(data.get("histograms", [])),
+            counters=mapping("counters", (int, float)),
+            gauges=mapping("gauges", (int, float)),
+            histograms=mapping("histograms", dict),
         )

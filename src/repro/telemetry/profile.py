@@ -8,9 +8,7 @@ the thread-safe wall-clock recording mode:
 
 - :class:`SpanBuffer` — a bounded, single-writer span buffer.  Each
   executor process appends to its own buffer with no locking (list
-  appends under the GIL; only the owning thread writes), capturing the
-  ambient job id at append time so spans stay attributable even though
-  they are merged later on a different thread.
+  appends under the GIL; only the owning thread writes).
 - :class:`ExecutorProfiler` — owns the buffers plus per-thread metric
   observation lists, and merges everything into the shared
   :class:`~repro.telemetry.trace.TraceRecorder` /
@@ -60,8 +58,6 @@ from __future__ import annotations
 import threading
 import time
 from typing import Any
-
-from repro.telemetry.jobs import current_job
 
 __all__ = [
     "SpanBuffer",
@@ -117,19 +113,10 @@ class SpanBuffer:
         duration: float,
         args: dict | None = None,
     ) -> None:
-        """Record one complete span (seconds relative to the run start).
-
-        The ambient job id is stamped *now*, on the worker's own context
-        (workers run under a copy of the spawner's ``contextvars``), so
-        attribution survives the merge happening on another thread.
-        """
+        """Record one complete span (seconds relative to the run start)."""
         if len(self.spans) >= self.capacity:
             self.dropped += 1
             return
-        ctx = current_job()
-        if ctx is not None:
-            args = dict(args) if args else {}
-            args.setdefault("job", ctx.job_id)
         self.spans.append((name, start, duration, args))
 
 

@@ -41,8 +41,6 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.telemetry.jobs import current_job
-
 __all__ = ["TraceRecorder", "NullTraceRecorder"]
 
 #: Chrome trace-event timestamps are microseconds.
@@ -121,12 +119,7 @@ class TraceRecorder:
         duration: float,
         args: dict | None = None,
     ) -> None:
-        """One complete span ``[start, start + duration]`` (phase ``X``).
-
-        When a :mod:`repro.telemetry.jobs` scope is active, the span's
-        args gain a ``"job"`` key so post-mortem tools (``repro-inspect
-        cost`` / ``jobs``) can attribute the time.
-        """
+        """One complete span ``[start, start + duration]`` (phase ``X``)."""
         pid, tid = self._ids(track)
         event = {
             "ph": "X",
@@ -136,10 +129,6 @@ class TraceRecorder:
             "ts": self._ts(start),
             "dur": duration * _US_PER_SECOND,
         }
-        ctx = current_job()
-        if ctx is not None:
-            args = dict(args) if args else {}
-            args.setdefault("job", ctx.job_id)
         if args:
             event["args"] = args
         self.events.append(event)
@@ -191,10 +180,6 @@ class TraceRecorder:
             "tid": tid,
             "ts": self._ts(when),
         }
-        ctx = current_job()
-        if ctx is not None:
-            args = dict(args) if args else {}
-            args.setdefault("job", ctx.job_id)
         if args:
             event["args"] = args
         self.events.append(event)

@@ -2,8 +2,8 @@
 
 Covers the concurrent-writer span-buffer machinery that gives the
 ``threads`` backend a thread-safe wall-clock trace mode, and runs a real
-threads-backend trace through every ``repro-inspect`` subcommand —
-analyze, cost, jobs, diff, calibrate — plus the clock-domain guard rails.
+threads-backend trace through the ``repro-inspect`` subcommands —
+analyze, diff, calibrate — plus the clock-domain guard rails.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.telemetry.analysis import (
     calibrate_traces,
     main,
 )
-from repro.telemetry.jobs import job
 from repro.telemetry.profile import (
     NULL_PROFILER,
     ExecutorProfiler,
@@ -46,14 +45,6 @@ class TestSpanBuffer:
             buf.span(f"s{i}", float(i), 0.5)
         assert len(buf.spans) == 3
         assert buf.dropped == 2
-
-    def test_job_id_stamped_at_append_time(self):
-        buf = SpanBuffer(("locale0", "w0"))
-        with job("alpha", tenant="t"):
-            buf.span("work", 0.0, 1.0)
-        buf.span("untagged", 1.0, 1.0)
-        assert buf.spans[0][3]["job"] == "alpha"
-        assert buf.spans[1][3] is None
 
     def test_concurrent_writers_merge_monotone_per_track(self):
         """N worker threads × M spans each, merged through one recorder.
@@ -189,8 +180,7 @@ def _traced_matvec(backend, workers=4):
     dx = DistributedVector.from_serial(dbasis, serial, x)
     dop = DistributedOperator(expr, dbasis, method="pc", batch_size=BATCH)
     with use(tele):
-        with job("fixture", tenant="tests", workload="chain"):
-            dop.matvec(dx)
+        dop.matvec(dx)
     return tele
 
 
@@ -233,21 +223,6 @@ class TestInspectOnThreadsTrace:
         data = json.loads(capsys.readouterr().out)
         assert data["clock"] == "wall"
         assert data["makespan_seconds"] > 0.0
-
-    def test_cost_attributes_jobs_on_threads(self, wall_trace_path, capsys):
-        assert main(["cost", wall_trace_path, "--json"]) == 0
-        rows = {
-            r["job"]: r for r in json.loads(capsys.readouterr().out)
-        }
-        assert rows["fixture"]["clock"] == "wall"
-        assert rows["fixture"]["busy_seconds"] > 0.0
-        assert rows["fixture"]["spans"] > 0
-
-    def test_jobs(self, wall_trace_path, capsys):
-        assert main(["jobs", wall_trace_path]) == 0
-        out = capsys.readouterr().out
-        assert "clock: wall seconds" in out
-        assert "fixture" in out
 
     def test_diff_same_clock_succeeds(self, wall_trace_path, capsys):
         assert main(["diff", wall_trace_path, wall_trace_path]) == 0

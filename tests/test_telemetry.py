@@ -226,6 +226,43 @@ class TestMetricsRegistry:
         assert snap.counters == {} and snap.gauges == {}
 
 
+class TestStrictSnapshotJson:
+    """Snapshot JSON must never contain Infinity (moved here from
+    ``test_openmetrics.py`` when the exporter went)."""
+
+    def _strict_loads(self, text: str):
+        def reject(token):
+            raise AssertionError(f"non-strict JSON token: {token}")
+
+        return json.loads(text, parse_constant=reject)
+
+    def test_empty_histogram_snapshot_is_strict_json(self):
+        reg = MetricsRegistry()
+        reg.histogram("never.observed")
+        reg.counter("events").inc()
+        data = self._strict_loads(json.dumps(reg.snapshot().to_json()))
+        restored = MetricsSnapshot.from_json(data)
+        hist = next(iter(restored.histograms.values()))
+        assert hist["count"] == 0
+        assert hist["min"] is None and hist["max"] is None
+
+    def test_populated_histogram_roundtrips(self):
+        reg = MetricsRegistry()
+        reg.histogram("batch.size").observe(32)
+        reg.histogram("batch.size").observe(64)
+        data = self._strict_loads(json.dumps(reg.snapshot().to_json()))
+        restored = MetricsSnapshot.from_json(data)
+        hist = next(iter(restored.histograms.values()))
+        assert hist["min"] == 32 and hist["max"] == 64
+
+    def test_empty_histogram_table_renders(self):
+        reg = MetricsRegistry()
+        reg.histogram("never.observed")
+        table = reg.snapshot().table()
+        assert "never.observed" in table
+        assert "inf" not in table
+
+
 class TestTelemetryContext:
     def test_default_is_noop(self):
         tele = telemetry.current()
@@ -440,6 +477,27 @@ class TestTraceIntegrity:
         assert "matvec.bytes" in text
 
 
+def test_sim_seconds_family_covers_the_whole_distributed_solve():
+    """``sim.seconds`` by phase (``matvec`` from every product,
+    ``reductions`` from the solver) adds up to the simulated seconds
+    ``lanczos_distributed`` returns."""
+    group = chain_symmetries(12, momentum=0, parity=0, inversion=0)
+    template = SymmetricBasis(group, hamming_weight=6, build=False)
+    dbasis, _ = enumerate_states(Cluster(3, laptop_machine(cores=4)), template)
+    dop = DistributedOperator(repro.heisenberg_chain(12), dbasis, method="batched")
+    tele = Telemetry.enabled(trace=False)
+    with telemetry.use(tele):
+        _, sim_seconds = repro.lanczos_distributed(
+            dop, k=1, max_iter=12, raise_on_no_convergence=False
+        )
+    snapshot = tele.metrics.snapshot()
+    assert {dict(labels)["phase"] for (name, labels) in snapshot.counters
+            if name == "sim.seconds"} == {"matvec", "reductions"}
+    assert snapshot.counter_total("sim.seconds") == pytest.approx(
+        sim_seconds, rel=1e-9
+    )
+
+
 class TestCommandLine:
     def test_trace_and_metrics_flags(self, tmp_path, capsys):
         from repro.config import main
@@ -493,3 +551,46 @@ class TestCommandLine:
         assert result["converged"]
         # No telemetry bundle leaked into the ambient context.
         assert telemetry.current() is telemetry.NULL_TELEMETRY
+
+
+def test_catalogue_lists_exactly_the_emitted_families():
+    """``docs/OBSERVABILITY.md`` "Metric catalogue" names every family some
+    ``counter(`` / ``gauge(`` / ``histogram(`` call in ``src/`` emits, and
+    no other."""
+    import re
+
+    from repro.telemetry.profile import HOLD_FAMILIES, WAIT_FAMILIES
+
+    root = Path(__file__).parents[1]
+    # the two name prefixes that are not literals at the call site
+    prefixes = {
+        "{self.name}": (  # BSPTimer(name=...)
+            "enumeration", "convert.block_to_hashed", "convert.hashed_to_block",
+        ),
+        "{solver}": ("lanczos", "davidson"),  # _record_iteration(solver=...)
+    }
+    call = re.compile(r'\.(?:counter|gauge|histogram)\(\s*f?"([^"]+)"')
+    emitted = {family for family, _ in (*WAIT_FAMILIES.values(),
+                                        *HOLD_FAMILIES.values())}
+    emitted.add("sim.seconds")  # the else-branch beside "wall.seconds"
+    for path in (root / "src").rglob("*.py"):
+        for literal in call.findall(path.read_text()):
+            field = re.match(r"\{[^}]+\}", literal)
+            if field is None:
+                emitted.add(literal)
+            else:  # KeyError: a new templated family, name its values above
+                emitted.update(
+                    literal.replace(field.group(), value)
+                    for value in prefixes[field.group()]
+                )
+
+    doc = (root / "docs" / "OBSERVABILITY.md").read_text()
+    section = doc[doc.index("## Metric catalogue"):]
+    section = section[: section.index("\n## ", 1)]
+    listed = {
+        name
+        for line in section.splitlines()
+        if line.startswith("| `")
+        for name in re.findall(r"`([a-z_.]+)`", line.split("|")[1])
+    }
+    assert sorted(listed) == sorted(emitted)

@@ -13,6 +13,8 @@ regression the ``advance`` guard protects against).
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro import telemetry
@@ -360,7 +363,7 @@ class TestGracefulFailures:
         assert str(path) in err
 
     @pytest.mark.parametrize(
-        "command", [[], ["cost"], ["jobs"], "diff", "calibrate"]
+        "command", [[], ["tune"], "diff", "calibrate"]
     )
     def test_all_commands_fail_cleanly(self, command, tmp_path, capsys):
         path = tmp_path / "trunc.json"
@@ -395,75 +398,6 @@ class TestGracefulFailures:
         path = tmp_path / "empty_events.json"
         path.write_text('{"traceEvents": []}')
         assert inspect_main([str(path)]) == 0
-
-
-class TestJobCostCommands:
-    """``repro-inspect cost`` / ``repro-inspect jobs``."""
-
-    @pytest.fixture(scope="class")
-    def job_trace(self, tmp_path_factory):
-        from repro.telemetry.jobs import job
-
-        group = chain_symmetries(12, momentum=0, parity=0, inversion=0)
-        template = SymmetricBasis(group, hamming_weight=6, build=False)
-        cluster = Cluster(3, laptop_machine(cores=4))
-        dbasis, _ = enumerate_states(cluster, template)
-        dop = DistributedOperator(
-            repro.heisenberg_chain(12), dbasis, method="pc", batch_size=32
-        )
-        tele = Telemetry.enabled()
-        with telemetry.use(tele):
-            x = DistributedVector.full_random(dbasis, seed=0)
-            with job("gs-a", tenant="alice", workload="chain"):
-                dop.matvec(x)
-            with job("gs-b", tenant="bob", workload="chain"):
-                dop.matvec(x)
-                dop.matvec(x)
-        path = tmp_path_factory.mktemp("jobs") / "trace.json"
-        tele.trace.save(path)
-        return path
-
-    def test_cost_table(self, job_trace, capsys):
-        assert inspect_main(["cost", str(job_trace)]) == 0
-        out = capsys.readouterr().out
-        assert "gs-a" in out and "gs-b" in out
-        assert "busy[s]" in out
-
-    def test_cost_json_attribution(self, job_trace, capsys):
-        assert inspect_main(["cost", str(job_trace), "--json"]) == 0
-        rows = {
-            r["job"]: r for r in json.loads(capsys.readouterr().out)
-        }
-        assert rows["gs-a"]["tenant"] == "alice"
-        assert rows["gs-b"]["spans"] > rows["gs-a"]["spans"]
-        assert rows["gs-b"]["wire_bytes"] == 2 * rows["gs-a"]["wire_bytes"]
-        shares = [r["busy_share"] for r in rows.values()]
-        assert sum(shares) == pytest.approx(1.0)
-
-    def test_jobs_listing(self, job_trace, capsys):
-        assert inspect_main(["jobs", str(job_trace)]) == 0
-        out = capsys.readouterr().out
-        assert "alice" in out and "bob" in out
-        assert "(unattributed)" not in out
-
-    def test_cost_out_file(self, job_trace, capsys, tmp_path):
-        report = tmp_path / "cost.json"
-        assert (
-            inspect_main(["cost", str(job_trace), "--out", str(report)]) == 0
-        )
-        rows = json.loads(report.read_text())
-        assert {r["job"] for r in rows} >= {"gs-a", "gs-b"}
-
-    def test_unattributed_bucket(self, tmp_path, capsys):
-        trace = TraceRecorder()
-        _span(trace, 0, "w", "generate", 0.0, 1.0, args={"job": "tagged"})
-        _span(trace, 0, "w", "generate", 1.0, 2.0)
-        path = tmp_path / "mixed.json"
-        trace.save(path)
-        assert inspect_main(["cost", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "tagged" in out
-        assert "(unattributed)" in out
 
 
 class TestClockDomains:
@@ -526,8 +460,171 @@ class TestClockDomains:
         assert "clock domain" in err
         assert "calibrate" in err
 
-    def test_cost_rows_carry_clock(self, tmp_path, capsys):
-        path = self._save(tmp_path, "wall.json", wall=True)
-        assert inspect_main(["cost", path, "--json"]) == 0
-        rows = json.loads(capsys.readouterr().out)
-        assert rows and all(r["clock"] == "wall" for r in rows)
+
+
+# -- the trace/metrics file boundary ------------------------------------------
+
+
+def _inspect(argv):
+    """``repro-inspect ARGV`` -> (exit code, stderr); stdout discarded."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = inspect_main([str(arg) for arg in argv])
+    return code, err.getvalue()
+
+
+def _assert_one_line_error(code, err, *mentions):
+    assert code == 2, err
+    assert err.startswith("repro-inspect: error:") and err.count("\n") == 1
+    for text in mentions:
+        assert text in err
+
+
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    """A recorded sim run on disk — enumeration (BSP spans carrying
+    ``comm`` lists) then one pipeline matvec (``src``/``dst`` spans) —
+    with its metrics snapshot and a wall-clock twin of the trace."""
+    group = chain_symmetries(10, momentum=0, parity=0, inversion=0)
+    template = SymmetricBasis(group, hamming_weight=5, build=False)
+    tele = Telemetry.enabled()
+    with telemetry.use(tele):
+        dbasis, _ = enumerate_states(Cluster(2, laptop_machine(cores=2)), template)
+        dop = DistributedOperator(
+            repro.heisenberg_chain(10), dbasis, method="pc", batch_size=16
+        )
+        dop.matvec(DistributedVector.full_random(dbasis, seed=0))
+    folder = tmp_path_factory.mktemp("boundary")
+    docs = {
+        "trace": tele.trace.to_chrome(),
+        "metrics": tele.metrics.snapshot().to_json(),
+    }
+    docs["wall"] = {**docs["trace"], "clock": "wall"}
+    for name, doc in docs.items():
+        (folder / f"{name}.json").write_text(json.dumps(doc))
+    return folder, docs
+
+
+def _commands(folder, trace="trace.json", metrics="metrics.json"):
+    """The four sub-commands (``diff`` and ``calibrate`` in both of their
+    forms / orders) over the named trace and metrics files."""
+    trace, metrics = folder / trace, folder / metrics
+    good, wall = folder / "trace.json", folder / "wall.json"
+    return [
+        [trace, "--metrics", metrics],
+        ["diff", trace, good],
+        ["diff", metrics, folder / "metrics.json"],
+        ["calibrate", trace, wall],
+        ["calibrate", good, trace],
+        ["tune", trace],
+    ]
+
+
+class TestMalformedFields:
+    """A file that parses as JSON but carries a wrong field: one line
+    naming where, exit 2 — from every sub-command that reads it."""
+
+    @pytest.mark.parametrize(
+        "metrics, mention",
+        [
+            ({"counters": [{"name": "x"}]}, "counters[0]"),
+            ([1, 2], "'counters'"),
+            ({"gauges": [{"name": "g", "labels": {}, "value": "1"}]}, "'value'"),
+        ],
+        ids=["no-labels", "not-an-object", "value-type"],
+    )
+    def test_metrics_rows(self, recorded, metrics, mention):
+        folder, _ = recorded
+        (folder / "bad_metrics.json").write_text(json.dumps(metrics))
+        bare, _, diff, *_ = _commands(folder, metrics="bad_metrics.json")
+        _assert_one_line_error(*_inspect(bare), mention)
+        if isinstance(metrics, dict):  # a list does not look like metrics
+            _assert_one_line_error(*_inspect(diff), mention)
+
+    def test_traffic_label_that_is_no_locale(self, recorded):
+        """Read only when the trace itself carries no traffic."""
+        folder, _ = recorded
+        (folder / "empty_trace.json").write_text('{"traceEvents": []}')
+        row = {"name": "matvec.bytes", "value": 1,
+               "labels": {"src": "a", "dst": 0}}
+        (folder / "bad_metrics.json").write_text(json.dumps({"counters": [row]}))
+        bare, *_ = _commands(folder, "empty_trace.json", "bad_metrics.json")
+        _assert_one_line_error(*_inspect(bare), "matvec.bytes", "locale")
+
+    @pytest.mark.parametrize(
+        "fields, mention",
+        [
+            ({"ts": "x"}, "'ts'"),
+            ({"args": [1]}, "'args'"),
+            ({"args": {"src": "a", "dst": 0, "bytes": "q"}}, "['a', 0, 'q', 1]"),
+            ({"args": {"comm": [[0, 1, 8]]}}, "[0, 1, 8]"),
+            ({"name": None}, "'name'"),
+        ],
+        ids=["ts", "args", "src-dst-bytes", "comm", "name"],
+    )
+    def test_span_fields(self, recorded, fields, mention):
+        folder, docs = recorded
+        events = list(docs["trace"]["traceEvents"])
+        index = next(i for i, e in enumerate(events) if e["ph"] == "X")
+        events[index] = {**events[index], **fields}
+        (folder / "bad_trace.json").write_text(
+            json.dumps({**docs["trace"], "traceEvents": events})
+        )
+        for argv in _commands(folder, trace="bad_trace.json"):
+            if argv[1] == folder / "metrics.json":
+                continue  # the metrics diff reads no trace
+            _assert_one_line_error(
+                *_inspect(argv), f"trace event {index}", mention
+            )
+
+    def test_format_error_is_a_repro_error_and_a_value_error(self):
+        from repro.errors import ReproError, TraceFormatError
+
+        assert issubclass(TraceFormatError, (ReproError,))
+        assert issubclass(TraceFormatError, ValueError)
+        with pytest.raises(TraceFormatError, match=r"histograms\[0\]"):
+            telemetry.MetricsSnapshot.from_json({"histograms": [3]})
+
+
+def _paths(node, prefix=()):
+    """Paths (tuples of keys / list indices) to everything below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _mutated_text(doc, path, how, cut):
+    """``doc`` as JSON text after one mutation at ``path``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    if how == "delete":
+        del node[key]
+    elif how == "retype":
+        value = node[key]
+        node[key] = (
+            str(value) if isinstance(value, (int, float))
+            else {"was": value} if isinstance(value, list)
+            else [value]
+        )
+    text = json.dumps(doc)
+    return text[: int(cut * len(text))] if how == "truncate" else text
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_mutation_exits_0_or_2_never_a_traceback(recorded, data):
+    folder, docs = recorded
+    which = data.draw(st.sampled_from(["trace", "metrics"]))
+    path = data.draw(st.sampled_from(sorted(_paths(docs[which]), key=repr)))
+    how = data.draw(st.sampled_from(["delete", "retype", "truncate"]))
+    cut = data.draw(st.floats(0.0, 1.0))
+    (folder / "fuzzed.json").write_text(_mutated_text(docs[which], path, how, cut))
+    for argv in _commands(folder, **{which: "fuzzed.json"}):
+        code, err = _inspect(argv)  # raising here is the failure
+        if code != 0:
+            _assert_one_line_error(code, err)

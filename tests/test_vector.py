@@ -61,6 +61,11 @@ class TestDistributedVector:
         v.fill(2.5)
         assert all(np.all(p == 2.5) for p in v.parts)
 
+    def test_nbytes_sums_the_parts(self, setup):
+        _, dbasis = setup
+        v = DistributedVector.full_random(dbasis, seed=0, columns=3)
+        assert v.nbytes == 8 * 3 * dbasis.dim
+
     def test_shape_validation(self, setup):
         _, dbasis = setup
         parts = [np.zeros(int(c) + 1) for c in dbasis.counts]
