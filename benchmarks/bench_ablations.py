@@ -28,9 +28,8 @@ def _knobs(batch_size=1 << 13, consumer_fraction=DEFAULT_CONSUMER_FRACTION,
            work_stealing=False) -> dict:
     """A fully-specified knob dict for the machine-readable artifacts.
 
-    The autotuner seeds its measured stage from these rows
-    (:func:`repro.autotune.seed_candidates_from_dir`), so every sweep row
-    records the complete assignment it ran with, not just the swept knob.
+    Every sweep row records the complete assignment it ran with, not just
+    the swept knob.
     """
     return {
         "batch_size": batch_size,

@@ -17,10 +17,8 @@ Hard gates (all deterministic on the sim clock, so they fail loudly):
 
 The regenerated ``autotune_smoke`` artifact records the default/tuned
 seconds and winning knobs per workload (diffed by the bench-regress
-gate), and ``autotune_trace.json`` holds a traced tuned matvec for the
-``repro-inspect tune`` CLI smoke.  Both workloads run at the same size
-regardless of ``BENCH_SMOKE`` so the artifact is comparable across CI
-and local runs.
+gate).  Both workloads run at the same size regardless of ``BENCH_SMOKE``
+so the artifact is comparable across CI and local runs.
 """
 
 from __future__ import annotations
@@ -78,10 +76,10 @@ def test_autotune_beats_defaults(benchmark, workloads, tmp_path):
         )
         x = DistributedVector.full_random(dbasis, seed=0)
         y_ref = repro.Operator(expr, serial).matvec(x.to_serial(serial))
-        dop = DistributedOperator(
-            expr, dbasis, tune="auto", tune_cache=str(cache_path)
-        )
-        assert dop.tuned.from_cache
+        compiled = compile_expression(expr, dbasis.n_sites)
+        hit = Autotuner(cache=str(cache_path)).tune(compiled, dbasis)
+        assert hit.from_cache and hit.knobs == result.knobs
+        dop = DistributedOperator(expr, dbasis, **hit.knobs)
         np.testing.assert_allclose(
             dop.matvec(x).to_serial(serial), y_ref, atol=1e-12
         )
@@ -182,25 +180,3 @@ def test_autotune_cache_round_trip_and_warm_hit(
     assert "autotune.cache_hit" in names
     assert "autotune.search" not in names
     assert not names & {"produce", "consume", "matvec"}, names
-
-
-def test_autotune_trace_artifact(workloads, tmp_path):
-    """A traced tuned matvec for the ``repro-inspect tune`` CLI smoke."""
-    from conftest import RESULTS_DIR
-
-    name, serial, dbasis, expr = workloads[1]
-    cache_path = tmp_path / "cache.json"
-    tele = telemetry.Telemetry.enabled()
-    dop = DistributedOperator(
-        expr, dbasis, tune="auto", tune_cache=str(cache_path)
-    )
-    with telemetry.use(tele):
-        dop.matvec(DistributedVector.full_random(dbasis, seed=0))
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "autotune_trace.json"
-    tele.trace.save(path)
-    from repro.autotune import recommend_from_trace
-
-    report = recommend_from_trace(str(path))
-    assert report["pools"]["producer_tracks"] > 0
-    assert report["recommendations"]

@@ -6,6 +6,7 @@ many-body physics"* (SC 2023): the distributed `lattice-symmetries` package.
 
 Quick start::
 
+    import numpy as np
     import repro
 
     basis = repro.SymmetricBasis(
@@ -13,7 +14,9 @@ Quick start::
         hamming_weight=8,
     )
     h = repro.Operator(repro.heisenberg_chain(16), basis)
-    energies, vectors = repro.lanczos(h.matvec, basis.dim, k=1)
+    v0 = np.random.default_rng(0).standard_normal(basis.dim)
+    result = repro.lanczos(h.matvec, v0, k=1)
+    result.eigenvalues[0]   # -7.1422963606
 
 See ``examples/`` for runnable scripts and ``DESIGN.md`` for the full
 system inventory.

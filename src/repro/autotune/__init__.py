@@ -1,10 +1,9 @@
-"""Telemetry-driven autotuning of the matvec pipeline knobs.
+"""Autotuning of the matvec pipeline knobs.
 
 The paper's performance story (Sec. 6.3/7) is about configuration:
 getManyRows batch size, the producer:consumer core split (the 104/24
-discussion), and work stealing.  This package closes the loop the
-ROADMAP asks for — the analytics layer already *measures* stalls,
-overlap, and imbalance; the autotuner *acts* on them:
+discussion), and work stealing.  Tuning is a function from a workload to
+values of those knobs — nothing the operator has to know about:
 
 - :func:`~repro.autotune.fingerprint.workload_fingerprint` keys tuning
   results per (Hamiltonian, sector, cluster, backend, method);
@@ -12,29 +11,20 @@ overlap, and imbalance; the autotuner *acts* on them:
   JSON next to the benchmark baselines;
 - :class:`~repro.autotune.tuner.Autotuner` runs the two-stage search —
   analytic coarse pruning over the scaling model, then measured
-  refinement replaying the real workload;
-- :func:`~repro.autotune.recommend.recommend_from_trace` turns a
-  recorded trace into knob advice (``repro-inspect tune TRACE``), and
-  :func:`~repro.autotune.recommend.recommend_split` rediscovers the
+  refinement replaying the real workload, varying only the knobs the
+  cluster's backend reads;
+- :func:`~repro.autotune.recommend.recommend_split` rediscovers the
   paper's static-split inefficiency from the model alone.
 
-Operators opt in with ``DistributedOperator(..., tune="auto")`` (apply
-cached knobs, search on a miss), ``tune="force"`` (always re-search), or
-the default ``tune="off"``.
+``Autotuner(cache).tune(compiled, basis).knobs`` are keyword arguments of
+:class:`~repro.distributed.operator.DistributedOperator`; ``python -m
+repro --tune auto|force`` (``cluster.tune``) does exactly that.
 """
 
 from repro.autotune.cache import CACHE_VERSION, TuneCache, default_cache_path
 from repro.autotune.fingerprint import workload_fingerprint
-from repro.autotune.recommend import (
-    recommend_from_trace,
-    recommend_split,
-    render_recommendations,
-)
-from repro.autotune.search import (
-    OperatorWorkload,
-    default_knobs,
-    seed_candidates_from_dir,
-)
+from repro.autotune.recommend import rank_splits, recommend_split
+from repro.autotune.search import default_knobs
 from repro.autotune.tuner import Autotuner, TuneResult
 
 __all__ = [
@@ -44,10 +34,7 @@ __all__ = [
     "CACHE_VERSION",
     "default_cache_path",
     "workload_fingerprint",
-    "OperatorWorkload",
     "default_knobs",
-    "seed_candidates_from_dir",
-    "recommend_from_trace",
+    "rank_splits",
     "recommend_split",
-    "render_recommendations",
 ]

@@ -9,9 +9,15 @@ byte-identical files (the determinism the CI smoke gate checks).
 
 The default location is ``benchmarks/baselines/autotune_cache.json``
 next to the benchmark baselines (both are "known good numbers for this
-repo" artifacts); override it per call with ``tune_cache=`` / the
-``--tune-cache`` flag, or process-wide with the ``REPRO_TUNE_CACHE``
+repo" artifacts); override it per tuner with ``Autotuner(cache=...)`` /
+the ``--tune-cache`` flag, or process-wide with the ``REPRO_TUNE_CACHE``
 environment variable.
+
+The file comes from outside the program, so every entry is checked where
+it is read: the knobs against the rows that declare them
+(:data:`repro.distributed.operator.MATVEC_ROWS`), the measurements as
+numbers.  A malformed entry is a :class:`~repro.errors.ConfigError`
+naming the file, the fingerprint and the key.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ import os
 import tempfile
 from pathlib import Path
 
+from repro.distributed.operator import MATVEC_ROWS
 from repro.errors import ConfigError
+from repro.schema import Key, validate
 
 __all__ = ["TuneCache", "CACHE_VERSION", "default_cache_path"]
 
@@ -31,6 +39,28 @@ CACHE_VERSION = 1
 #: harness's ``benchmarks/results`` — the repo checkout is the unit of
 #: "known good" here.
 DEFAULT_CACHE_RELPATH = Path("benchmarks") / "baselines" / "autotune_cache.json"
+
+
+#: What an entry holds besides its knobs (``TuneResult.to_entry`` writes
+#: them, ``from_entry`` reads them back).
+ENTRY_ROWS = (
+    Key("knobs", dict),
+    Key("default_seconds", float, min=0),
+    Key("tuned_seconds", float, min=0),
+    Key("clock", str, choices=("sim", "wall")),
+    Key("method", str),
+    Key("n_measured", int, min=0),
+)
+
+
+def _checked(section, rows, prefix: str = "") -> dict:
+    """The keys of ``section`` that ``rows`` declare, validated.  Keys only
+    an older recipe wrote (knobs since dropped) are left out, not applied."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"must be an object, got {section!r}")
+    known = {row.key for row in rows}
+    section = {k: v for k, v in section.items() if k in known}
+    return validate(section, rows, prefix, fill=False)
 
 
 def default_cache_path() -> Path:
@@ -74,8 +104,23 @@ class TuneCache:
             # Older (or newer) recipe: start fresh rather than misapply.
             return
         entries = data.get("entries", {})
-        if isinstance(entries, dict):
-            self.entries = entries
+        if not isinstance(entries, dict):
+            raise ConfigError(
+                f"tune cache {self.path}: 'entries' must be an object, got "
+                f"{type(entries).__name__}"
+            )
+        for fingerprint, entry in entries.items():
+            try:
+                entry = _checked(entry, ENTRY_ROWS)
+                if "knobs" in entry:
+                    entry["knobs"] = _checked(
+                        entry["knobs"], MATVEC_ROWS, "cluster.matvec"
+                    )
+            except ConfigError as exc:
+                raise ConfigError(
+                    f"tune cache {self.path}, entry {fingerprint}: {exc}"
+                ) from None
+            self.entries[fingerprint] = entry
 
     def get(self, fingerprint: str) -> dict | None:
         return self.entries.get(fingerprint)

@@ -1,12 +1,10 @@
 """The two-stage knob search.
 
-Stage 1 (*coarse*, analytic): evaluate
-:class:`~repro.perfmodel.models.MatvecScalingModel` over the
-producer:consumer split grid and the work-stealing switch, and keep only
-the few configurations whose modelled pipeline time is competitive.
-This is cheap (microseconds per point) and prunes the part of the knob
-space the model understands well — the stage-balance trade-off of
-Sec. 6.3.
+Stage 1 (*coarse*, analytic): rank the producer:consumer split grid with
+:func:`~repro.autotune.recommend.rank_splits` and keep only the few
+configurations whose modelled pipeline time is competitive.  This is
+cheap (microseconds per point) and prunes the part of the knob space the
+model understands well — the stage-balance trade-off of Sec. 6.3.
 
 Stage 2 (*measured*, greedy): replay the real workload with each
 surviving configuration and trust only measurements.  The batch-size
@@ -21,90 +19,38 @@ hygiene of the parallel benches.
 
 Every candidate runs with telemetry quarantined
 (``telemetry.use(None)``) and without a plan, so the search never
-pollutes ambient traces or metrics — a warm ``tune="auto"`` operator
-build must leave no search footprint.
+pollutes ambient traces or metrics — a cache hit must leave no search
+footprint.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
-
 from repro import telemetry
-from repro.distributed.matvec_pc import (
-    DEFAULT_CONSUMER_FRACTION,
-    default_buffer_capacity,
-)
+from repro.autotune.recommend import rank_splits
+from repro.distributed.matvec_pc import default_buffer_capacity
 from repro.distributed.operator import (
     IMPLS,
     KNOB_DEFAULTS,
-    KNOB_KEYS,
     is_pipeline,
     knob_keys,
 )
 from repro.distributed.vector import DistributedVector
-from repro.perfmodel.models import MatvecScalingModel
 
 __all__ = [
-    "OperatorWorkload",
     "default_knobs",
     "coarse_split_candidates",
     "batch_candidates",
     "measure_knobs",
     "method_kwargs",
-    "seed_candidates_from_dir",
 ]
 
 #: getManyRows batch sizes the measured stage tries (powers of two from
 #: small-message to the paper's default).
 BATCH_GRID = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384)
 
-#: consumer-core fractions the coarse stage scans — the Sec. 6.3
-#: ablation grid (8/16/24/32/48/64 of 128 cores) expressed as fractions
-#: so the same grid scales down to small simulated nodes.
-FRACTION_GRID = (1 / 16, 1 / 8, 24 / 128, 1 / 4, 3 / 8, 1 / 2)
-
-#: How many split configurations survive the coarse pass (plus the
-#: default and work stealing, which always survive for comparison).
+#: How many static splits survive the coarse pass (work stealing always
+#: does, for comparison).
 COARSE_KEEP = 2
-
-
-@dataclass(frozen=True)
-class OperatorWorkload:
-    """Duck-typed :class:`~repro.perfmodel.workloads.ChainWorkload` built
-    from a compiled operator + distributed basis, so the scaling model
-    can price workloads that are not paper chains.
-
-    ``offdiag_per_row`` uses the half-filling match rate: a spin-exchange
-    primitive fires on about a quarter of the rows (the anti-aligned
-    fraction), which reproduces the chain's ``n/2`` per-row emission
-    from its ``2n`` off-diagonal primitives.
-    """
-
-    n_sites: int
-    dimension: int
-    n_off_primitives: int
-
-    @classmethod
-    def from_operator(cls, compiled, basis) -> "OperatorWorkload":
-        return cls(
-            n_sites=basis.n_sites,
-            dimension=basis.dim,
-            n_off_primitives=int(compiled.n_off_diag_primitives),
-        )
-
-    @property
-    def offdiag_per_row(self) -> float:
-        return max(self.n_off_primitives * 0.25, 1.0)
-
-    @property
-    def total_elements(self) -> float:
-        return self.dimension * self.offdiag_per_row
-
-    @property
-    def vector_bytes(self) -> float:
-        return 8.0 * self.dimension
 
 
 def default_knobs(method: str = "pc") -> dict:
@@ -112,53 +58,24 @@ def default_knobs(method: str = "pc") -> dict:
     return {key: KNOB_DEFAULTS[key] for key in knob_keys(method)}
 
 
-def coarse_split_candidates(
-    machine, workload, n_locales: int, block_width: int = 1
-) -> list[dict]:
-    """Stage 1: model-pruned (consumer_fraction, work_stealing) settings.
+def coarse_split_candidates(cluster, workload) -> list[dict]:
+    """Stage 1: the split settings worth measuring on ``cluster``.
 
-    Always includes the paper default and the work-stealing mode; static
-    splits from :data:`FRACTION_GRID` (deduplicated after rounding to
-    whole cores) are ranked by modelled pipeline time and only the best
-    :data:`COARSE_KEEP` survive to measurement.
+    Work stealing always; the static splits only where the backend reads
+    them — a wall-clock pipeline runs one producer and one consumer
+    thread per locale whatever ``consumer_fraction`` says, so measuring
+    two fractions there would time one schedule twice and store noise.
+    On the simulator the best :data:`COARSE_KEEP` of
+    :func:`~repro.autotune.recommend.rank_splits` survive.
     """
-    from repro.distributed.matvec_pc import split_cores
-
-    cores = machine.cores_per_locale
-
-    def model(fraction):
-        return MatvecScalingModel(
-            machine, workload,
-            consumer_fraction=fraction, block_width=block_width,
-        )
-
-    survivors = [
-        {"consumer_fraction": DEFAULT_CONSUMER_FRACTION,
-         "work_stealing": False},
-        {"consumer_fraction": DEFAULT_CONSUMER_FRACTION,
-         "work_stealing": True},
-    ]
-    default_split = split_cores(cores, DEFAULT_CONSUMER_FRACTION)
-    seen_splits = {default_split}
-    scored = []
-    for raw in FRACTION_GRID:
-        consumers = max(int(round(cores * raw)), 1)
-        if consumers >= cores:
-            continue
-        fraction = consumers / cores
-        split = split_cores(cores, fraction)
-        if split in seen_splits:
-            continue
-        seen_splits.add(split)
-        scored.append(
-            (model(fraction).pipeline_time(n_locales), fraction)
-        )
-    scored.sort()
-    for _, fraction in scored[:COARSE_KEEP]:
-        candidate = {"consumer_fraction": fraction, "work_stealing": False}
-        if candidate not in survivors:
-            survivors.append(candidate)
-    return survivors
+    candidates = [{"work_stealing": True}]
+    if not cluster.wall_clock:
+        ranked = rank_splits(cluster.machine, workload, cluster.n_locales)
+        candidates += [
+            {"consumer_fraction": fraction, "work_stealing": False}
+            for _, fraction in ranked[:COARSE_KEEP]
+        ]
+    return candidates
 
 
 def batch_candidates(basis) -> list[int]:
@@ -221,43 +138,3 @@ def measure_knobs(
             _, report = impl(compiled, basis, x, None, plan=None, **kwargs)
             best = min(best, float(report.elapsed))
         return best
-
-
-def seed_candidates_from_dir(results_dir: str | Path) -> list[dict]:
-    """Harvest knob assignments from prior sweep artifacts.
-
-    Scans the machine-readable JSON artifacts the benchmark harness
-    writes (``benchmarks/results/*.json``) for rows carrying a
-    ``"knobs"`` dict (the ablation sweeps emit them) and returns the
-    distinct assignments, in a deterministic order.  Unreadable or
-    knob-free files are skipped — seeding is best-effort.
-    """
-    results_dir = Path(results_dir)
-    if not results_dir.is_dir():
-        return []
-    seen: set[tuple] = set()
-    out: list[dict] = []
-
-    def visit(node) -> None:
-        if isinstance(node, dict):
-            knobs = node.get("knobs")
-            if isinstance(knobs, dict) and "batch_size" in knobs:
-                clean = {
-                    key: knobs[key] for key in KNOB_KEYS if key in knobs
-                }
-                key = tuple(clean.get(k) for k in KNOB_KEYS)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(clean)
-            for value in node.values():
-                visit(value)
-        elif isinstance(node, list):
-            for value in node:
-                visit(value)
-
-    for path in sorted(results_dir.glob("*.json")):
-        try:
-            visit(json.loads(path.read_text()))
-        except (OSError, json.JSONDecodeError):
-            continue
-    return out

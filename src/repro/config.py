@@ -44,11 +44,7 @@ import numpy as np
 
 from repro.basis.spin_basis import Basis, SpinBasis
 from repro.basis.symm_basis import SymmetricBasis
-from repro.distributed.operator import (
-    MATVEC_ROWS,
-    TUNE_MODES,
-    DistributedOperator,
-)
+from repro.distributed.operator import MATVEC_ROWS, DistributedOperator
 from repro.errors import ConfigError
 from repro.operators import hamiltonians
 from repro.operators.expression import Expression, spin_z
@@ -214,7 +210,8 @@ ROWS = (
         help="execution backend for the distributed run: 'sim' "
         "(discrete-event simulator, modelled timings) or 'threads' (real "
         "parallel workers, wall-clock timings; see docs/BACKENDS.md)"),
-    Key("cluster.tune", str, "off", choices=TUNE_MODES, flag="--tune",
+    Key("cluster.tune", str, "off", choices=("off", "auto", "force"),
+        flag="--tune",
         help="autotune the matvec pipeline knobs for this workload: "
         "'auto' applies cached tuned knobs (searching once on a miss), "
         "'force' always re-searches, 'off' keeps the paper defaults "
@@ -382,12 +379,21 @@ def _build_distributed(spec: SimulationSpec):
     dbasis, enum_report = enumerate_states(
         cluster, spec.basis, use_weight_shortcut=True
     )
+    tuned = None
+    if options["tune"] != "off":
+        from repro.autotune import Autotuner
+        from repro.operators.compile import compile_expression
+
+        tuned = Autotuner(cache=options["tune_cache"]).tune(
+            compile_expression(spec.expression, spec.n_sites),
+            dbasis,
+            force=options["tune"] == "force",
+        )
+    # Tuned values are knob values like any other; the file's win.
     operator = DistributedOperator(
         spec.expression,
         dbasis,
-        tune=options["tune"],
-        tune_cache=options["tune_cache"],
-        **(knobs or {}),
+        **{**(tuned.knobs if tuned else {}), **(knobs or {})},
     )
     output = {
         "n_locales": options["n_locales"],
@@ -396,11 +402,11 @@ def _build_distributed(spec: SimulationSpec):
     }
     if knobs:
         output["matvec"] = knobs
-    if operator.tuned is not None:
+    if tuned is not None:
         output["tuned"] = {
-            "fingerprint": operator.tuned.fingerprint,
-            "knobs": dict(operator.tuned.knobs),
-            "from_cache": operator.tuned.from_cache,
+            "fingerprint": tuned.fingerprint,
+            "knobs": tuned.knobs,
+            "from_cache": tuned.from_cache,
         }
     return operator, output
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -144,20 +144,23 @@ class ProducedChunk:
     partition).  ``n_emitted`` counts raw off-diagonal elements before
     symmetry filtering (the quantity that costs ``t_generate`` each).
 
-    When produced under a :class:`~repro.operators.plan.MatvecPlan`, the
-    chunk additionally carries the destination-sorted ``sources`` offsets
-    and ``amplitudes`` (the x-independent half of ``values``) so replays
-    reduce to one gather + multiply, and a lazily filled ``rows`` cache of
-    the consumer-side ``stateToIndex`` results (``-1`` marks slices not yet
-    searched).
+    ``sources`` (destination-sorted offsets of the source states) and
+    ``amplitudes`` are the x-independent half of ``values``, so a replay
+    reduces to one gather + multiply.  Under a
+    :class:`~repro.operators.plan.MatvecPlan` the chunk also carries a
+    lazily filled ``rows`` cache of the consumer-side ``stateToIndex``
+    results (``-1`` marks slices not yet searched), and the plan holds the
+    record with ``values`` set to ``None``: nothing in it depends on the
+    input vector, so its size is fixed when it is accounted, and every
+    chunk handed out shares its arrays.
     """
 
     betas: np.ndarray
-    values: np.ndarray
+    values: np.ndarray | None
     starts: np.ndarray
     n_emitted: int
-    sources: np.ndarray | None = None
-    amplitudes: np.ndarray | None = None
+    sources: np.ndarray
+    amplitudes: np.ndarray
     rows: np.ndarray | None = None
 
     def slice_for(self, dest: int) -> tuple[np.ndarray, np.ndarray]:
@@ -171,21 +174,20 @@ class ProducedChunk:
         lo, hi = int(self.starts[dest]), int(self.starts[dest + 1])
         return self.rows[lo:hi]
 
-    def count_for(self, dest: int) -> int:
-        return int(self.starts[dest + 1] - self.starts[dest])
-
     def replay(self, start: int, x_local: np.ndarray) -> "ProducedChunk":
-        """Refresh :attr:`values` for a new input vector (plan cache hit).
+        """A chunk of this record with :attr:`values` for ``x_local``.
 
         Works for any block width: a chunk recorded under a single-column
         matvec replays against a ``(count, k)`` block (and vice versa), and
         the result dtype follows NumPy promotion of the cached amplitudes
         with the new input.
         """
-        self.values = _scaled_gather(
-            self.amplitudes, x_local, start + self.sources
+        return replace(
+            self,
+            values=_scaled_gather(
+                self.amplitudes, x_local, start + self.sources
+            ),
         )
-        return self
 
 
 def produce_chunk(
@@ -224,24 +226,18 @@ def produce_chunk(
     )
     dests = locale_of(members, basis.n_locales)
     order, starts = counting_sort_order(dests, basis.n_locales)
-    betas_sorted = members[order]
-    amplitudes_sorted = amplitudes[order]
-    sources_sorted = sources[order]
-    values_sorted = _scaled_gather(
-        amplitudes_sorted, x_local, start + sources_sorted
-    )
     chunk = ProducedChunk(
-        betas=betas_sorted,
-        values=values_sorted,
+        betas=members[order],
+        values=None,
         starts=starts,
         n_emitted=int(sources.size),
+        sources=sources[order],
+        amplitudes=amplitudes[order],
     )
     if plan is not None:
-        chunk.sources = sources_sorted
-        chunk.amplitudes = amplitudes_sorted
-        chunk.rows = np.full(betas_sorted.size, -1, dtype=np.int64)
+        chunk.rows = np.full(chunk.betas.size, -1, dtype=np.int64)
         plan.put((locale, start), chunk)
-    return chunk
+    return chunk.replay(start, x_local)
 
 
 def consume(

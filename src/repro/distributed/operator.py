@@ -31,14 +31,12 @@ from repro.telemetry.context import current as current_telemetry
 
 __all__ = ["DistributedOperator"]
 
-_PIPELINE_NAMES = ("pc", "producer-consumer")
-
 #: ``method=`` name -> implementation: the one table the operator and the
 #: autotuner dispatch on.
 IMPLS = {
     "naive": matvec_naive,
     "batched": matvec_batched,
-    **dict.fromkeys(_PIPELINE_NAMES, matvec_producer_consumer),
+    "pc": matvec_producer_consumer,
 }
 
 #: The tunable knobs, in canonical (tie-breaking) order, each stated once:
@@ -67,13 +65,10 @@ MATVEC_ROWS = (
 KNOB_KEYS = tuple(row.key for row in MATVEC_ROWS)
 KNOB_DEFAULTS = {row.key: row.default for row in MATVEC_ROWS}
 
-#: Accepted ``tune=`` modes (:class:`DistributedOperator`).
-TUNE_MODES = ("off", "auto", "force")
-
 
 def is_pipeline(method: str) -> bool:
     """Whether ``method`` names the producer-consumer pipeline."""
-    return method in _PIPELINE_NAMES
+    return method == "pc"
 
 
 def knob_keys(method: str) -> tuple[str, ...]:
@@ -95,20 +90,10 @@ class DistributedOperator:
 
     The producer-consumer hand-off unit (``buffer_capacity``) defaults to
     :func:`~repro.distributed.matvec_pc.default_buffer_capacity` for the
-    cluster's backend; an explicit value in ``method_options`` wins.
-
-    ``tune`` selects the autotuning mode (see :mod:`repro.autotune`):
-    ``"off"`` (default) runs with the paper-default knobs, ``"auto"``
-    applies the cached tuned knobs for this workload's fingerprint —
-    searching once and persisting on a cache miss — and ``"force"``
-    always re-searches.  Tuned knobs are applied as *defaults*: any
-    knob passed explicitly in ``method_options`` wins.  ``tune_cache``
-    overrides the cache file location (default
-    ``benchmarks/baselines/autotune_cache.json``, or the
-    ``REPRO_TUNE_CACHE`` environment variable).  A tuned plan-cache
-    budget also sizes the auto-created :class:`MatvecPlan` (an explicit
-    ``plan=`` instance is left untouched).  The applied result is kept
-    in :attr:`tuned`.
+    cluster's backend; an explicit value in ``method_options`` wins.  The
+    knobs of :data:`MATVEC_ROWS` are ``method_options`` too: pass the
+    values :class:`repro.autotune.Autotuner` found for this workload like
+    any others.
 
     ``faults`` / ``resilience`` activate the self-healing layer (they
     default to whatever is attached to the basis's cluster).  On a
@@ -131,16 +116,12 @@ class DistributedOperator:
         plan: bool | MatvecPlan = True,
         faults=None,
         resilience=None,
-        tune: str = "off",
-        tune_cache=None,
         **method_options,
     ) -> None:
         if method not in IMPLS:
             raise ConfigError(
                 f"unknown matvec method {method!r}; choose from {sorted(IMPLS)}"
             )
-        if tune not in TUNE_MODES:
-            raise ConfigError(f"tune must be one of {TUNE_MODES}, got {tune!r}")
         self.basis = basis
         cluster = basis.cluster
         self.faults = faults if faults is not None else getattr(
@@ -170,26 +151,8 @@ class DistributedOperator:
             self.method_options.setdefault(
                 "buffer_capacity", default_buffer_capacity(cluster)
             )
-        self.tuned = None
-        if tune != "off":
-            from repro.autotune import Autotuner
-
-            tuner = Autotuner(cache=tune_cache)
-            self.tuned = tuner.tune(
-                self.compiled, basis, method=method, force=tune == "force"
-            )
-            knobs = self.tuned.knobs
-            for key in knob_keys(method):
-                if key in knobs:
-                    # Tuned knobs are defaults; explicit kwargs win.
-                    self.method_options.setdefault(key, knobs[key])
         if plan is True:
-            budget = (
-                self.tuned.knobs.get("plan_cache_bytes")
-                if self.tuned is not None
-                else None
-            )
-            self.plan: MatvecPlan | None = MatvecPlan(capacity_bytes=budget)
+            self.plan: MatvecPlan | None = MatvecPlan()
         elif plan is False or plan is None:
             self.plan = None
         else:

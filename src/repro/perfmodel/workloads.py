@@ -19,20 +19,22 @@ __all__ = ["ChainWorkload", "paper_workload"]
 
 @dataclass(frozen=True)
 class ChainWorkload:
-    """A Heisenberg-chain matvec workload in the paper's sector."""
+    """A Heisenberg-chain matvec workload in the paper's sector.
+
+    ``offdiag_per_row`` is the average number of off-diagonal elements a
+    row emits.  The Heisenberg chain has one exchange term per bond; a
+    term emits an element iff the bond is anti-aligned, which at half
+    filling happens for about half the ``n`` bonds — the default.  Pass it
+    to price an operator that is not a paper chain.
+    """
 
     n_sites: int
     dimension: int
+    offdiag_per_row: float | None = None
 
-    @property
-    def offdiag_per_row(self) -> float:
-        """Average off-diagonal elements emitted per row.
-
-        The Heisenberg chain has one exchange term per bond; a term emits
-        an element iff the bond is anti-aligned, which at half filling
-        happens for about half the ``n`` bonds.
-        """
-        return self.n_sites / 2.0
+    def __post_init__(self) -> None:
+        if self.offdiag_per_row is None:
+            object.__setattr__(self, "offdiag_per_row", self.n_sites / 2.0)
 
     @property
     def total_elements(self) -> float:

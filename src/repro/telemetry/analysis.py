@@ -33,7 +33,6 @@ Use it as a library (:func:`analyze_trace`) or from the command line::
     python -m repro.telemetry.analysis trace.json --metrics metrics.json --json
     python -m repro.telemetry.analysis diff before.json after.json
     python -m repro.telemetry.analysis calibrate sim_trace.json wall_trace.json
-    python -m repro.telemetry.analysis tune trace.json
 
 (also installed as the ``repro-inspect`` console script; ``repro-inspect
 COMMAND --help`` says what each sub-command of the ``_COMMANDS`` table
@@ -45,10 +44,7 @@ seconds and the threads backend's measured wall seconds — and labels
 which one it read (``clock: sim|wall`` in JSON, "simulated seconds" /
 "wall seconds" in text).  ``diff`` refuses to compare traces from
 different domains; the deliberate cross-domain comparison is
-``calibrate`` (the calibration data the performance model and the
-autotuner consume), and ``tune`` feeds a recorded trace to
-:func:`repro.autotune.recommend_from_trace` (see ``docs/PERFORMANCE.md``,
-"Autotuning").
+``calibrate`` (the table the performance model is tuned against).
 """
 
 from __future__ import annotations
@@ -709,8 +705,7 @@ def calibrate_traces(model_source, measured_source) -> dict:
     name over the locale tracks — plus the headline scalars of both
     analyses.  A ratio above 1 means that phase runs slower in real life
     than the machine model predicts; this is the table the performance
-    model is tuned against and the autotuner's threads-backend sanity
-    check records (``TuneResult.calibration``).
+    model is tuned against.
     """
     model = analyze_trace(model_source)
     measured = analyze_trace(measured_source)
@@ -839,20 +834,6 @@ def _run_calibrate(args):
     return report, lambda: _render_calibrate(report)
 
 
-def _run_tune(args):
-    # Imported lazily: repro.autotune depends on the distributed and
-    # perfmodel layers, which the pure-analysis subcommands never load.
-    from repro.autotune.recommend import (
-        recommend_from_trace,
-        render_recommendations,
-    )
-
-    report = recommend_from_trace(args.trace)
-    return report, lambda: render_recommendations(report)
-
-
-_TRACE = ("trace", "path to a Chrome trace-event JSON file")
-
 #: sub-command ("" = the bare ``repro-inspect TRACE`` form) ->
 #: (description, positional arguments, the function above)
 _COMMANDS = {
@@ -860,7 +841,7 @@ _COMMANDS = {
         "Analyze a repro telemetry trace: overlap efficiency, stalls, load "
         "imbalance, critical path, communication matrix. Use 'repro-inspect "
         "diff A B' to compare two traces or two metrics snapshots.",
-        (_TRACE,),
+        (("trace", "path to a Chrome trace-event JSON file"),),
         _run_analyze,
     ),
     "diff": (
@@ -876,13 +857,6 @@ _COMMANDS = {
         (("model", "sim-clock trace JSON (SimExecutor run)"),
          ("measured", "wall-clock trace JSON (threads backend run)")),
         _run_calibrate,
-    ),
-    "tune": (
-        "Read the pipeline diagnostics of a recorded trace and print knob "
-        "recommendations (batch size, producer:consumer split, work "
-        "stealing)",
-        (_TRACE,),
-        _run_tune,
     ),
 }
 

@@ -1,16 +1,24 @@
-"""Tests for the telemetry-driven autotuner (``repro.autotune``).
+"""Tests for the autotuner (``repro.autotune``).
 
-Covers the workload fingerprint, the versioned JSON cache, the two-stage
-search (determinism on the sim clock, cache hits with zero search
-footprint), the operator wiring (``tune=`` modes, explicit-kwarg
-precedence, the tuned plan budget), and the recommendation layer that
-rediscovers the paper's Sec. 6.3 static-split inefficiency.
+Covers the workload fingerprint, the versioned JSON cache and what it
+rejects, the two-stage search (determinism on the sim clock, cache hits
+with zero search footprint, only the knobs the backend reads), how tuned
+knobs reach an operator (ordinary keyword arguments; ``--tune`` modes),
+and the model side that rediscovers the paper's Sec. 6.3 static-split
+inefficiency.
 """
 
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro import telemetry
@@ -19,21 +27,22 @@ from repro.autotune import (
     Autotuner,
     TuneCache,
     default_knobs,
-    recommend_from_trace,
+    rank_splits,
     recommend_split,
-    render_recommendations,
-    seed_candidates_from_dir,
+    tuner as tuner_module,
     workload_fingerprint,
 )
+from repro.autotune.search import batch_candidates
+from repro.config import main as repro_main
 from repro.basis import SpinBasis
 from repro.distributed import (
     DistributedOperator,
     DistributedVector,
     enumerate_states,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.operators.compile import compile_expression
-from repro.perfmodel import paper_workload
+from repro.perfmodel import MatvecScalingModel, paper_workload
 from repro.runtime import Cluster, laptop_machine, snellius_machine
 
 
@@ -104,6 +113,128 @@ class TestTuneCache:
         assert len(TuneCache(tmp_path / "nope.json")) == 0
 
 
+#: ``python -m repro INPUT --tune auto --tune-cache F``, the boundary the
+#: cache file crosses.
+INPUT = str(
+    Path(__file__).parents[1]
+    / "examples/inputs/heisenberg_14_distributed.json"
+)
+
+
+def run_cli(cache_path, mode="auto") -> dict:
+    """The result of the tuned example run (in process: what ``python -m
+    repro`` prints; a :class:`ReproError` is its exit 2)."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        repro_main([INPUT, "--tune", mode, "--tune-cache", str(cache_path)])
+    return json.loads(out.getvalue())
+
+
+@pytest.fixture(scope="module")
+def recorded_cache(tmp_path_factory) -> dict:
+    """The cache document a cold tuned run of :data:`INPUT` writes."""
+    path = tmp_path_factory.mktemp("recorded") / "cache.json"
+    assert not run_cli(path)["tuned"]["from_cache"]
+    return json.loads(path.read_text())
+
+
+class TestMalformedCacheFile:
+    """The cache file comes from outside the program: a malformed entry is
+    one ``ConfigError`` naming the file, the fingerprint and the key."""
+
+    @pytest.mark.parametrize(
+        "entry, named",
+        [
+            ({"knobs": 5}, "knobs must be an object"),
+            ({"knobs": {}, "tuned_seconds": "x"}, "tuned_seconds"),
+            (7, "must be an object"),
+            ({"knobs": {"batch_size": 0}}, "cluster.matvec.batch_size"),
+        ],
+        ids=["knobs-type", "seconds-type", "entry-type", "knob-range"],
+    )
+    def test_entry_rejected_where_the_file_is_read(
+        self, entry, named, recorded_cache, tmp_path
+    ):
+        (fingerprint,) = recorded_cache["entries"]
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps(
+            {**recorded_cache, "entries": {fingerprint: entry}}
+        ))
+        with pytest.raises(ConfigError) as caught:
+            run_cli(path)
+        message = str(caught.value)
+        assert "\n" not in message
+        for part in (str(path), fingerprint, named):
+            assert part in message
+
+    def test_command_line_exits_2_with_one_line(
+        self, recorded_cache, tmp_path
+    ):
+        (fingerprint,) = recorded_cache["entries"]
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({
+            **recorded_cache,
+            "entries": {fingerprint: {"knobs": {"batch_size": 0}}},
+        }))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", INPUT, "--tune", "auto",
+             "--tune-cache", str(path)],
+            capture_output=True, text=True, timeout=120,
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(repro.__file__).parents[1]),
+            },
+        )
+        assert done.returncode == 2 and not done.stdout
+        assert done.stderr.startswith("repro: error: tune cache")
+        assert done.stderr.count("\n") == 1 and str(path) in done.stderr
+
+
+def _paths(node, prefix=()):
+    """The path (tuple of keys) of every value below ``node``."""
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_one_mutation_of_the_cache_runs_or_raises_repro_error(
+    data, recorded_cache, tmp_path_factory
+):
+    """Delete a key, swap a type or truncate the file: the tuned run
+    finishes or stops with one line — any other exception is a
+    traceback and fails here."""
+    document = json.loads(json.dumps(recorded_cache))
+    how = data.draw(st.sampled_from(["delete", "retype", "truncate"]))
+    if how == "truncate":
+        text = json.dumps(document)
+        text = text[: data.draw(st.integers(0, len(text) - 1))]
+    else:
+        *parents, key = data.draw(
+            st.sampled_from(sorted(_paths(document), key=repr))
+        )
+        node = document
+        for step in parents:
+            node = node[step]
+        if how == "delete":
+            del node[key]
+        else:
+            node[key] = data.draw(
+                st.sampled_from([None, True, 0, -1, 1.5, "x", [], {}, [1]])
+            )
+        text = json.dumps(document)
+    path = tmp_path_factory.mktemp("fuzz") / "cache.json"
+    path.write_text(text)
+    try:
+        result = run_cli(path)
+    except ReproError as exc:
+        assert "\n" not in str(exc) and str(path) in str(exc)
+    else:
+        assert result["converged"]
+
+
 class TestAutotunerSim:
     def test_search_is_deterministic(self, tmp_path):
         compiled, dbasis, _ = build()
@@ -123,7 +254,7 @@ class TestAutotunerSim:
         assert result.clock == "sim"
         assert result.tuned_seconds <= result.default_seconds
         assert result.n_measured >= 2
-        assert result.knobs["plan_cache_bytes"] > 0
+        assert set(result.knobs) == set(default_knobs())
 
     def test_cache_hit_skips_search(self, tmp_path):
         compiled, dbasis, _ = build()
@@ -150,101 +281,83 @@ class TestAutotunerSim:
         assert "autotune.search" in names
         assert "produce" not in names and "consume" not in names
 
-    def test_seed_dir_candidates_compete(self, tmp_path):
-        compiled, dbasis, _ = build()
-        seed_dir = tmp_path / "results"
-        seed_dir.mkdir()
-        (seed_dir / "sweep.json").write_text(json.dumps({
-            "data": {"rows": [
-                {"knobs": {"batch_size": 48, "consumer_fraction": 0.5,
-                           "work_stealing": False}},
-            ]},
-        }))
-        assert seed_candidates_from_dir(seed_dir) == [
-            {"batch_size": 48, "consumer_fraction": 0.5,
-             "work_stealing": False}
-        ]
-        seeded = Autotuner(
-            cache=str(tmp_path / "a.json"), seed_dir=seed_dir
-        ).tune(compiled, dbasis)
-        plain = Autotuner(cache=str(tmp_path / "b.json")).tune(
-            compiled, dbasis
-        )
-        assert seeded.n_measured == plain.n_measured + 1
-        assert seeded.tuned_seconds <= plain.tuned_seconds
-
 
 class TestOperatorWiring:
+    """Tuned knobs are values of knobs the operator already takes."""
+
     def test_invalid_mode_rejected(self):
-        _, dbasis, expr = build()
-        with pytest.raises(ConfigError):
-            DistributedOperator(expr, dbasis, tune="sometimes")
+        spec = json.loads(Path(INPUT).read_text())
+        spec["cluster"]["tune"] = "sometimes"
+        with pytest.raises(ConfigError, match="cluster.tune"):
+            repro.run_simulation(repro.load_simulation(spec))
 
     def test_auto_applies_tuned_knobs(self, tmp_path):
         compiled, dbasis, expr = build()
-        cache = str(tmp_path / "cache.json")
-        result = Autotuner(cache=cache).tune(compiled, dbasis)
-        dop = DistributedOperator(
-            expr, dbasis, tune="auto", tune_cache=cache
+        result = Autotuner(cache=str(tmp_path / "cache.json")).tune(
+            compiled, dbasis
         )
-        assert dop.tuned is not None and dop.tuned.from_cache
+        dop = DistributedOperator(expr, dbasis, **result.knobs)
         for key in ("batch_size", "consumer_fraction", "work_stealing"):
             assert dop.method_options[key] == result.knobs[key]
-        assert dop.plan.capacity_bytes == result.knobs["plan_cache_bytes"]
 
     def test_entry_still_carrying_block_width_is_a_pure_hit(self, tmp_path):
-        """Caches written before the advisory ``block_width`` was dropped
-        keep working: same fingerprint, no search, same applied knobs."""
+        """Caches written before a knob was dropped (the advisory
+        ``block_width``, the ``plan_cache_bytes`` budget) keep working:
+        same fingerprint, no search, the same knobs and only those."""
         compiled, dbasis, expr = build()
         path = tmp_path / "cache.json"
         fresh = Autotuner(cache=str(path)).tune(compiled, dbasis)
         data = json.loads(path.read_text())
         for entry in data["entries"].values():
             assert "block_width" not in entry["knobs"]
-            entry["knobs"]["block_width"] = 4
+            entry["knobs"].update(block_width=4, plan_cache_bytes=1 << 20)
+            entry["calibration"] = None
         path.write_text(json.dumps(data))
         tele = telemetry.Telemetry.enabled()
         with telemetry.use(tele):
-            dop = DistributedOperator(
-                expr, dbasis, tune="auto", tune_cache=str(path)
-            )
+            hit = Autotuner(cache=str(path)).tune(compiled, dbasis)
         snap = tele.metrics.snapshot()
         assert snap.counter_total("autotune.cache_hits") == 1
         assert snap.counter_total("autotune.searches") == 0
-        assert dop.tuned.from_cache
-        assert "block_width" not in dop.method_options
-        for key in ("batch_size", "consumer_fraction", "work_stealing"):
-            assert dop.method_options[key] == fresh.knobs[key]
-        assert dop.plan.capacity_bytes == fresh.knobs["plan_cache_bytes"]
+        assert hit.from_cache
+        assert hit.knobs == fresh.knobs
+        DistributedOperator(expr, dbasis, **hit.knobs)
 
     def test_explicit_kwargs_beat_tuned_knobs(self, tmp_path):
-        _, dbasis, expr = build()
-        cache = str(tmp_path / "cache.json")
-        dop = DistributedOperator(
-            expr, dbasis, tune="auto", tune_cache=cache, batch_size=99
+        """``--tune`` fills in only the knobs the file leaves open."""
+        spec = json.loads(Path(INPUT).read_text())
+        spec["cluster"].update(
+            tune="auto", tune_cache=str(tmp_path / "cache.json"),
+            matvec={"batch_size": 99},
         )
-        assert dop.method_options["batch_size"] == 99
+        operator, output = repro.config._build_distributed(
+            repro.load_simulation(spec)
+        )
+        assert operator.method_options["batch_size"] == 99
+        for key in ("consumer_fraction", "work_stealing"):
+            assert (
+                operator.method_options[key] == output["tuned"]["knobs"][key]
+            )
 
     def test_tuned_matvec_matches_serial(self, tmp_path):
-        _, dbasis, expr = build()
+        compiled, dbasis, expr = build()
         serial = SpinBasis(12, hamming_weight=6)
         y_ref = repro.Operator(expr, serial).matvec(
             DistributedVector.full_random(dbasis, seed=0).to_serial(serial)
         )
-        dop = DistributedOperator(
-            expr, dbasis, tune="auto",
-            tune_cache=str(tmp_path / "cache.json"),
-        )
+        knobs = Autotuner(cache=str(tmp_path / "cache.json")).tune(
+            compiled, dbasis
+        ).knobs
+        dop = DistributedOperator(expr, dbasis, **knobs)
         y = dop.matvec(DistributedVector.full_random(dbasis, seed=0))
         np.testing.assert_allclose(y.to_serial(serial), y_ref, atol=1e-12)
 
     def test_warm_auto_has_no_search_footprint(self, tmp_path):
-        _, dbasis, expr = build()
-        cache = str(tmp_path / "cache.json")
-        DistributedOperator(expr, dbasis, tune="auto", tune_cache=cache)
+        cache = tmp_path / "cache.json"
+        run_cli(cache)
         tele = telemetry.Telemetry.enabled()
         with telemetry.use(tele):
-            DistributedOperator(expr, dbasis, tune="auto", tune_cache=cache)
+            assert run_cli(cache)["tuned"]["from_cache"]
         names = [
             ev.get("name") for ev in tele.trace.to_chrome()["traceEvents"]
         ]
@@ -256,33 +369,43 @@ class TestOperatorWiring:
         assert "autotune.measured_runs" not in counters
 
     def test_force_researches(self, tmp_path):
-        _, dbasis, expr = build()
-        cache = str(tmp_path / "cache.json")
-        DistributedOperator(expr, dbasis, tune="auto", tune_cache=cache)
-        dop = DistributedOperator(
-            expr, dbasis, tune="force", tune_cache=cache
-        )
-        assert not dop.tuned.from_cache
+        cache = tmp_path / "cache.json"
+        run_cli(cache)
+        assert run_cli(cache, "auto")["tuned"]["from_cache"]
+        assert not run_cli(cache, "force")["tuned"]["from_cache"]
 
 
 class TestAutotunerThreads:
-    def test_wall_clock_tune_with_calibration(self, tmp_path):
+    def test_wall_clock_search_varies_only_knobs_threads_reads(
+        self, tmp_path, monkeypatch
+    ):
+        """The ``threads`` pipeline runs one producer and one consumer
+        thread per locale whatever ``consumer_fraction`` says: no two
+        measured candidates may share a schedule, so noise cannot store a
+        non-default value of a knob nothing reads."""
         compiled, dbasis, _ = build(backend="threads")
+        measured = []
+        measure = tuner_module.measure_knobs
+
+        def recording(compiled, basis, x, knobs, **kwargs):
+            measured.append(dict(knobs))
+            return measure(compiled, basis, x, knobs, **kwargs)
+
+        monkeypatch.setattr(tuner_module, "measure_knobs", recording)
         result = Autotuner(
             cache=str(tmp_path / "cache.json"), samples=2
         ).tune(compiled, dbasis)
         assert result.clock == "wall"
         assert result.tuned_seconds <= result.default_seconds
-        # the model-vs-measured sanity check ran and produced a finite,
-        # positive makespan ratio
-        assert result.calibration is not None
-        ratio = result.calibration["makespan_ratio"]
-        assert np.isfinite(ratio) and ratio > 0.0
-        # the cache entry round-trips the calibration block
-        entry = TuneCache(str(tmp_path / "cache.json")).get(
-            result.fingerprint
-        )
-        assert entry["calibration"]["makespan_ratio"] == ratio
+        defaults = default_knobs()
+        schedules = [(k["batch_size"], k["work_stealing"]) for k in measured]
+        assert len(set(schedules)) == len(schedules)
+        fractions = {
+            k["consumer_fraction"] for k in measured + [result.knobs]
+        }
+        assert fractions == {defaults["consumer_fraction"]}
+        batches = set(batch_candidates(dbasis)) - {defaults["batch_size"]}
+        assert result.n_measured == len(measured) == 1 + len(batches) + 1
 
 
 class TestRecommendSplit:
@@ -300,52 +423,42 @@ class TestRecommendSplit:
         )
         assert proposal["improvement"] > 0.0
         assert proposal["work_stealing"]
+        # ... and beats every static split of the grid
+        ranked = rank_splits(snellius_machine(), paper_workload(42), 64)
+        assert proposal["pipeline_seconds"] < ranked[0][0]
 
     def test_no_proposal_when_default_is_optimal(self):
-        """With a single consumer grid point equal to the default and
-        stealing disabled by construction the proposal may be None —
-        here just assert the report is self-consistent."""
-        report = recommend_split(
-            snellius_machine(), paper_workload(42), 64,
-            consumer_grid=(),
-        )
-        # only work stealing competes; it wins on this workload
-        assert report["proposal"]["work_stealing"]
+        """One locale runs in shared memory whatever the split: every
+        candidate ties with the default, and only a strictly faster one
+        is proposed."""
+        report = recommend_split(snellius_machine(), paper_workload(42), 1)
+        assert report["proposal"] is None
 
-
-class TestRecommendFromTrace:
-    def _traced_matvec(self, **options):
-        _, dbasis, expr = build()
-        tele = telemetry.Telemetry.enabled()
-        with telemetry.use(tele):
-            dop = DistributedOperator(expr, dbasis, plan=False, **options)
-            dop.matvec(DistributedVector.full_random(dbasis, seed=0))
-        return tele.trace.to_chrome()
-
-    def test_report_shape(self):
-        report = recommend_from_trace(self._traced_matvec(batch_size=32))
-        assert report["clock"] == "sim"
-        assert report["pools"]["producer_tracks"] > 0
-        assert report["pools"]["consumer_tracks"] > 0
-        assert report["phases"]
-        assert report["recommendations"]
-        for rec in report["recommendations"]:
-            assert rec["severity"] in ("none", "medium", "high")
-        text = render_recommendations(report)
-        assert "recommendations:" in text
-
-    def test_cli_subcommand(self, tmp_path, capsys):
-        from repro.telemetry.analysis import main
-
-        trace_path = tmp_path / "trace.json"
-        trace_path.write_text(json.dumps(self._traced_matvec(batch_size=32)))
-        assert main(["tune", str(trace_path)]) == 0
-        assert "recommendations:" in capsys.readouterr().out
-        out_path = tmp_path / "report.json"
-        assert main([
-            "tune", str(trace_path), "--json", "--out", str(out_path)
-        ]) == 0
-        assert json.loads(out_path.read_text())["recommendations"]
+    @pytest.mark.parametrize(
+        "machine, consumers",
+        [
+            # Sec. 6.3's grid of 128 cores, without the default 24
+            (snellius_machine(), {8, 16, 32, 48, 64}),
+            (laptop_machine(cores=8), {1, 3, 4}),  # 2 is the default's
+            (laptop_machine(cores=4), {2}),
+            (laptop_machine(cores=2), set()),  # every fraction rounds to 1:1
+            (laptop_machine(cores=1), set()),
+        ],
+        ids=["snellius-128", "laptop-8", "laptop-4", "laptop-2", "laptop-1"],
+    )
+    def test_rank_splits(self, machine, consumers):
+        """One grid, rounded to whole cores, each split once, fastest
+        first, priced by the scaling model."""
+        workload, cores = paper_workload(42), machine.cores_per_locale
+        ranked = rank_splits(machine, workload, 64)
+        assert {round(f * cores) for _, f in ranked} == consumers
+        assert len(ranked) == len(consumers)
+        assert ranked == sorted(ranked)
+        for seconds, fraction in ranked:
+            model = MatvecScalingModel(
+                machine, workload, consumer_fraction=fraction
+            )
+            assert seconds == model.pipeline_time(64)
 
 
 class TestWorkStealingCalibration:

@@ -1,5 +1,9 @@
 """End-to-end integration tests across the whole stack."""
 
+import re
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -186,12 +190,17 @@ class TestPublicApi:
         assert repro.__version__ == "1.0.0"
 
     def test_readme_quickstart_snippet_runs(self):
-        basis = repro.SymmetricBasis(
-            repro.chain_symmetries(12, momentum=0, parity=0, inversion=0),
-            hamming_weight=6,
-        )
-        h = repro.Operator(repro.heisenberg_chain(12), basis)
-        result = repro.lanczos(
-            h.matvec, np.random.default_rng(0).standard_normal(basis.dim), k=1
-        )
-        assert result.converged
+        """The quick-start code of ``repro/__init__.py`` and of README.md's
+        "Quickstart" section, executed as written."""
+        literal = repro.__doc__.split("Quick start::\n", 1)[1]
+        package = textwrap.dedent(literal.split("\nSee ``examples/``")[0])
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Quickstart", 1)[1].split("\n## ", 1)[0]
+        blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+        assert len(blocks) == 2
+        for source in (package, "".join(blocks)):
+            names = {}
+            exec(compile(source, "<quick start>", "exec"), names)
+            energy = names["result"].eigenvalues[0]
+            assert names["result"].converged
+            assert energy == pytest.approx(-7.1422963606, abs=1e-9)

@@ -362,9 +362,7 @@ class TestGracefulFailures:
         assert err.startswith("repro-inspect: error:")
         assert str(path) in err
 
-    @pytest.mark.parametrize(
-        "command", [[], ["tune"], "diff", "calibrate"]
-    )
+    @pytest.mark.parametrize("command", [[], "diff", "calibrate"])
     def test_all_commands_fail_cleanly(self, command, tmp_path, capsys):
         path = tmp_path / "trunc.json"
         path.write_text('{"traceEvents": [')
@@ -381,11 +379,11 @@ class TestGracefulFailures:
 
     def test_module_entry_fails_cleanly(self, tmp_path):
         """``python -m repro.telemetry.analysis`` (the form CI uses) runs
-        as ``__main__``, while ``tune`` raises the imported module's
-        ``TraceFormatError``: the handler must be that module's too."""
+        as ``__main__`` beside the copy the package imported: the handler
+        must catch the error whichever of the two raises it."""
         src = str(Path(repro.__file__).parents[1])
         done = subprocess.run(
-            [sys.executable, "-m", "repro.telemetry.analysis", "tune",
+            [sys.executable, "-m", "repro.telemetry.analysis",
              str(tmp_path / "missing.json")],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": src},
@@ -506,7 +504,7 @@ def recorded(tmp_path_factory):
 
 
 def _commands(folder, trace="trace.json", metrics="metrics.json"):
-    """The four sub-commands (``diff`` and ``calibrate`` in both of their
+    """The three sub-commands (``diff`` and ``calibrate`` in both of their
     forms / orders) over the named trace and metrics files."""
     trace, metrics = folder / trace, folder / metrics
     good, wall = folder / "trace.json", folder / "wall.json"
@@ -516,7 +514,6 @@ def _commands(folder, trace="trace.json", metrics="metrics.json"):
         ["diff", metrics, folder / "metrics.json"],
         ["calibrate", trace, wall],
         ["calibrate", good, trace],
-        ["tune", trace],
     ]
 
 

@@ -1,6 +1,6 @@
 """A warm distributed matvec pays for x-dependent work only.
 
-Two contracts:
+Three contracts:
 
 1. **The diagonal is part of the plan.**  ``diagonal_values`` runs once per
    locale per plan on every variant, backend and path; ``plan=False``
@@ -11,6 +11,9 @@ Two contracts:
    modelled 4096-element buffer on ``sim`` (whose messages, bytes and
    simulated seconds are pinned here as literals); an explicit
    ``buffer_capacity`` wins on both.
+3. **The plan holds nothing that depends on x.**  A replay hands out a
+   fresh chunk that shares the cached record's arrays, so the bytes the
+   plan accounts are the bytes it holds whatever block width replays.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.distributed import (
 from repro.distributed.matvec_common import apply_diagonal, produce_chunk
 from repro.distributed.matvec_pc import default_buffer_capacity
 from repro.operators.compile import CompiledOperator
-from repro.operators.plan import MatvecPlan
+from repro.operators.plan import MatvecPlan, _entry_nbytes
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
 
@@ -185,11 +188,7 @@ def slice_sizes(compiled, dbasis, batch_size):
                 compiled, dbasis, locale, start,
                 min(start + batch_size, count), zeros.parts[locale],
             )
-            sizes += [
-                chunk.count_for(dest)
-                for dest in range(dbasis.n_locales)
-                if chunk.count_for(dest)
-            ]
+            sizes += [int(n) for n in np.diff(chunk.starts) if n]
     return sizes
 
 
@@ -305,7 +304,7 @@ class TestAutotunerTimesWhatTheOperatorRuns:
     def test_method_kwargs(self):
         sim = Cluster(2, laptop_machine(cores=2))
         threads = Cluster(2, laptop_machine(cores=2), backend="threads")
-        knobs = {**search.default_knobs("pc"), "plan_cache_bytes": 1 << 20}
+        knobs = search.default_knobs("pc")
         assert search.method_kwargs(knobs, "batched", threads) == {
             "batch_size": 8192
         }
@@ -316,3 +315,28 @@ class TestAutotunerTimesWhatTheOperatorRuns:
             **search.default_knobs("pc"),
             "buffer_capacity": default_buffer_capacity(threads),
         }
+
+
+class TestPlanHoldsNoInputDependentData:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_bytes_held_are_bytes_accounted_after_a_block_replay(
+        self, method, rng
+    ):
+        serial, dbasis, expr = build("sim", n=16, n_locales=2)
+        dop = DistributedOperator(expr, dbasis, method=method)
+        single = DistributedVector.from_serial(
+            dbasis, serial, random_serial(rng, serial)
+        )
+        block = DistributedVector.from_serial(
+            dbasis, serial, random_serial(rng, serial, k=8)
+        )
+        results = []
+        for x in (single, block, single):  # record, then two replays
+            results.append(dop.matvec(x))
+            entries = list(dop.plan._entries.values())
+            held = sum(_entry_nbytes(entry) for entry in entries)
+            assert dop.plan.nbytes == held <= dop.plan.capacity_bytes
+            chunks = [e for e in entries if not isinstance(e, np.ndarray)]
+            assert chunks and all(chunk.values is None for chunk in chunks)
+        for recorded, replayed in zip(results[0].parts, results[2].parts):
+            np.testing.assert_array_equal(replayed, recorded)
