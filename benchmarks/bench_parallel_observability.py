@@ -1,7 +1,10 @@
 """Wall-clock observability smoke for the ``threads`` execution backend.
 
-Runs one traced producer-consumer matvec on the real-parallel backend and
-checks the whole observability chain end to end:
+Runs one traced producer-consumer matvec on the real-parallel backend —
+the first matvec of a fresh operator, the pass that generates the elements
+and so the one the pipeline runs on (a replay is one SpMV per locale on
+the calling thread: nothing to watch) — and checks the whole observability
+chain end to end:
 
 - the saved trace is a Perfetto-loadable wall-clock timeline with
   per-thread tracks (``clock: "wall"`` at the top level);
@@ -9,12 +12,12 @@ checks the whole observability chain end to end:
   histograms, queue depth gauges, per-worker busy/blocked seconds;
 - every ``repro-inspect`` report runs on the wall trace, and
   ``calibrate`` aligns it against a matching :class:`SimExecutor` trace
-  (model vs measured, per phase);
+  of the same generating pass (model vs measured, per phase);
 - **hard gate**: with tracing disabled the dormant instrumentation hooks
-  cost at most 2% over the fully-instrumented run (same warm plan,
-  best-of-N, mirroring ``bench_smoke_pipeline``'s overhead gate — the
-  instrumented run does strictly more work, so "disabled" may never come
-  out slower beyond timer noise).
+  cost at most 2% over the fully-instrumented run (a fresh operator's
+  first matvec each time, best-of-N, mirroring ``bench_smoke_pipeline``'s
+  overhead gate — the instrumented run does strictly more work, so
+  "disabled" may never come out slower beyond timer noise).
 
 The produced artifacts land in ``benchmarks/results/`` so CI can replay
 the ``repro-inspect`` subcommands against them:
@@ -87,8 +90,13 @@ def _distributed_setup(backend):
     template = SymmetricBasis(group, hamming_weight=WEIGHT, build=False)
     dbasis, _ = enumerate_states(cluster, template, use_weight_shortcut=True)
     dx = DistributedVector.from_serial(dbasis, serial, x)
-    dop = DistributedOperator(expr, dbasis, method="pc", batch_size=BATCH_SIZE)
-    return dop, dx
+
+    def fresh_operator():
+        return DistributedOperator(
+            expr, dbasis, method="pc", batch_size=BATCH_SIZE
+        )
+
+    return fresh_operator, dx
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +104,8 @@ def traced_runs():
     """Traced threads + sim runs; saves the trace/metrics artifacts."""
     RESULTS_DIR.mkdir(exist_ok=True)
 
-    dop, dx = _distributed_setup("threads")
-    dop.matvec(dx)  # warm the plan so the trace shows the replay path
+    fresh_operator, dx = _distributed_setup("threads")
+    dop = fresh_operator()
     tele = Telemetry.enabled()
     with use(tele):
         t0 = time.perf_counter()
@@ -107,10 +115,10 @@ def traced_runs():
     snapshot = tele.metrics.snapshot()
     METRICS.write_text(json.dumps(snapshot.to_json(), indent=2))
 
-    sim_dop, sim_dx = _distributed_setup("sim")
+    sim_operator, sim_dx = _distributed_setup("sim")
     sim_tele = Telemetry.enabled()
     with use(sim_tele):
-        sim_dop.matvec(sim_dx)
+        sim_operator().matvec(sim_dx)
     sim_tele.trace.save(SIM_TRACE)
 
     return wall_elapsed, snapshot
@@ -161,20 +169,23 @@ def test_calibrate_aligns_model_and_measured(traced_runs):
 def test_disabled_tracing_overhead_within_two_percent():
     """Hard gate: tracing off must cost <= 2% over tracing on.
 
-    Same plan, same vectors; the instrumented run records spans and
-    metrics, so it does strictly more work than the disabled run — any
-    systematic slowdown of the disabled path would mean the dormant hooks
-    themselves regressed.
+    Same basis, same vectors, the first (generating) matvec of a fresh
+    operator each time; the instrumented run records spans and metrics, so
+    it does strictly more work than the disabled run — any systematic
+    slowdown of the disabled path would mean the dormant hooks themselves
+    regressed.
     """
-    dop, dx = _distributed_setup("threads")
-    dop.matvec(dx)  # warm the plan cache
+    fresh_operator, dx = _distributed_setup("threads")
+    fresh_operator().matvec(dx)  # first-call costs (imports, caches)
 
     def timed_off() -> float:
+        dop = fresh_operator()
         start = time.perf_counter()
         dop.matvec(dx)
         return time.perf_counter() - start
 
     def timed_on() -> float:
+        dop = fresh_operator()
         tele = Telemetry.enabled()
         with use(tele):
             start = time.perf_counter()

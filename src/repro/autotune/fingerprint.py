@@ -48,12 +48,7 @@ def workload_fingerprint(compiled, basis, method: str = "pc") -> str:
     _feed(h, "recipe", FINGERPRINT_RECIPE)
     _feed(h, "method", method)
     # -- Hamiltonian ----------------------------------------------------
-    _feed(h, "n_sites", compiled.n_sites)
-    for name in (
-        "diag_masks", "diag_patterns", "diag_coeffs",
-        "off_masks", "off_patterns", "off_flips", "off_coeffs",
-    ):
-        _feed(h, name, getattr(compiled, name))
+    compiled.feed(h)
     # -- sector / distribution ------------------------------------------
     _feed(h, "dim", basis.dim)
     _feed(h, "hamming_weight", basis.template.hamming_weight)

@@ -323,6 +323,12 @@ def check_vectors(
         )
     elif y.basis is not basis:
         raise DistributionError("output vector belongs to a different basis")
+    elif y is x or any(map(np.may_share_memory, y.parts, x.parts)):
+        # y is zeroed before anything reads x.
+        raise DistributionError(
+            "output vector shares memory with the input vector: a matvec "
+            "cannot run in place"
+        )
     elif y.columns != x.columns:
         raise DistributionError(
             f"output vector has {y.n_columns} column(s), input has "

@@ -8,11 +8,19 @@ solver drives.
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import numpy as np
 
 from repro.distributed.dist_basis import DistributedBasis
 from repro.distributed.matvec_batched import matvec_batched
-from repro.distributed.matvec_common import DEFAULT_BATCH_SIZE
+from repro.distributed.matvec_common import (
+    DEFAULT_BATCH_SIZE,
+    begin_matvec,
+    chunk_spans,
+    finish_report,
+    require_positive,
+)
 from repro.distributed.matvec_naive import matvec_naive
 from repro.distributed.matvec_pc import (
     DEFAULT_CONSUMER_FRACTION,
@@ -23,7 +31,11 @@ from repro.distributed.vector import DistributedVector
 from repro.errors import CompilationError, ConfigError, FaultError
 from repro.operators.compile import compile_expression
 from repro.operators.expression import Expression
-from repro.operators.plan import MatvecPlan
+from repro.operators.plan import (
+    MatvecPlan,
+    csr_footprint,
+    csr_in_recorded_order,
+)
 from repro.resilience.faults import ResilienceConfig
 from repro.runtime.clock import SimReport
 from repro.schema import Key
@@ -82,11 +94,28 @@ class DistributedOperator:
     ``plan=True`` (default) attaches a
     :class:`~repro.operators.plan.MatvecPlan`: the x-independent output of
     every produced chunk — matrix elements, the destination partition, and
-    the consumer-side ``stateToIndex`` results — is cached on the first
-    matvec and replayed on subsequent ones, as are each locale's diagonal
-    matrix elements, which is what makes repeated Krylov iterations cheap.
-    Pass a ``MatvecPlan`` instance to control the memory budget, or
-    ``False`` to recompute everything each call.
+    the consumer-side ``stateToIndex`` results — is recorded under
+    ``(locale, start)`` on the first matvec, as are each locale's diagonal
+    matrix elements under ``(locale, "diag")``, which is what makes
+    repeated Krylov iterations cheap.  Pass a ``MatvecPlan`` instance to
+    control the memory budget, or ``False`` to recompute everything each
+    call.  The plan belongs to operators with these primitive tables, this
+    basis object and this batch size (:meth:`MatvecPlan.claim`): another
+    such operator may share it, any other raises
+    :class:`~repro.errors.ConfigError`.
+
+    What a replay is depends on the backend.  On ``sim`` the product *is*
+    the schedule — every message is an event with a modelled cost — so a
+    warm matvec runs ``method``'s schedule over the recorded chunks.  On a
+    wall-clock backend nothing is left to schedule once every element is
+    recorded: the second matvec folds the chunks into one CSR matrix per
+    destination locale (``(locale, "matrix")``, :meth:`_consolidate`) and
+    every later product is ``y.parts[d] = M_d @ concat(x.parts)`` on the
+    calling thread, whatever the ``method`` — no executor, no worker, no
+    hand-off (``messages == bytes_sent == 0``), two replays bit-identical.
+    ``method`` says how elements are scheduled when they must be
+    generated: the recording pass, ``plan=False``, a plan whose budget
+    does not admit the matrices, any run under a fault plan.
 
     The producer-consumer hand-off unit (``buffer_capacity``) defaults to
     :func:`~repro.distributed.matvec_pc.default_buffer_capacity` for the
@@ -151,12 +180,17 @@ class DistributedOperator:
             self.method_options.setdefault(
                 "buffer_capacity", default_buffer_capacity(cluster)
             )
+        self.batch_size = self.method_options.get(
+            "batch_size", KNOB_DEFAULTS["batch_size"]
+        )
         if plan is True:
             self.plan: MatvecPlan | None = MatvecPlan()
         elif plan is False or plan is None:
             self.plan = None
         else:
             self.plan = plan
+        if self.plan is not None:
+            self.plan.claim(self.compiled.digest(), basis, self.batch_size)
         self.total_sim_time = 0.0
         self.last_report: SimReport | None = None
 
@@ -192,6 +226,107 @@ class DistributedOperator:
         restarting the matvec within the configured budgets; raises the
         fault when the budgets are exhausted.
         """
+        matrices = self._consolidate()
+        if matrices is None:
+            y, report = self._scheduled(x, y)
+        else:
+            y, report = self._replay(matrices, x, y)
+        self.last_report = report
+        self.total_sim_time += report.elapsed
+        return y
+
+    def _consolidate(self):
+        """One CSR matrix per destination locale, or ``None`` while elements
+        must still be scheduled: on ``sim`` (the event sequence is the
+        product), under a fault plan, and until the plan holds every chunk
+        with its row searches done plus every diagonal (so never during the
+        recording pass) and its budget admits the matrices beside them.
+
+        ``M_d`` has shape ``(counts[d], dim)`` over the locale-order
+        concatenation of ``x.parts``.  Row ``r`` holds the diagonal element,
+        then the off-diagonal ones ordered by (source locale, chunk start,
+        position in the chunk's slice for ``d``) — on one locale, the order
+        in which the recording pass added them.  The chunk records stay in
+        the plan next to the matrices: ``benchmarks/e2e/layers.py`` replays
+        them.
+        """
+        plan, basis = self.plan, self.basis
+        if plan is None or self.faults is not None or not basis.cluster.wall_clock:
+            return None
+        locales = range(basis.n_locales)
+        folded = [(d, "matrix") for d in locales]
+        if all(key in plan for key in folded):
+            return [plan.get(key) for key in folded]
+        require_positive(batch_size=self.batch_size)
+        counts = [int(count) for count in basis.counts]
+        keys = [
+            (locale, start)
+            for locale in locales
+            for start, _ in chunk_spans(counts[locale], self.batch_size)
+        ]
+        if not all(key in plan for key in keys) or not all(
+            (d, "diag") in plan for d in locales if counts[d]
+        ):
+            return None
+        records = [plan.peek(key) for key in keys]
+        shapes = [(count, basis.dim) for count in counts]
+        nnz = basis.counts + sum(np.diff(r.starts) for r in records)
+        nbytes = sum(csr_footprint(s, n, self.dtype)[1] for s, n in zip(shapes, nnz))
+        if plan.nbytes + nbytes > plan.capacity_bytes:
+            return None  # they would push the records out: keep replaying those
+        if any(r.rows.size and r.rows.min() < 0 for r in records):
+            return None  # an interrupted pass left searches undone
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        for d in locales:
+            slices = [
+                (offsets[locale] + start, r, slice(r.starts[d], r.starts[d + 1]))
+                for (locale, start), r in zip(keys, records)
+            ]
+            diagonal = plan.peek((d, "diag")) if counts[d] else np.empty(0)
+            matrix = csr_in_recorded_order(
+                shapes[d], self.dtype,
+                (offsets[d] + np.arange(counts[d]), diagonal),
+                (r.rows[s] for _, r, s in slices),
+                (
+                    (r.rows[s], first + r.sources[s], r.amplitudes[s])
+                    for first, r, s in slices
+                ),
+            )
+            plan.put(folded[d], matrix)
+        return [plan.get(key) for key in folded]
+
+    def _replay(
+        self, matrices, x: DistributedVector, y: DistributedVector | None
+    ) -> tuple[DistributedVector, SimReport]:
+        """``y.parts[d] = M_d @ concat(x.parts)``, one SpMV after the other
+        on the calling thread (handing one to a worker costs more than it
+        takes, ``docs/BACKENDS.md``).  Nothing is handed over, so the
+        report counts no message; the trace gets one span per locale."""
+        wall_start = perf_counter()
+        y, report, metrics, trace, _ = begin_matvec(
+            self.basis, x, y, self.batch_size, None, None
+        )
+        columns = np.concatenate(x.parts)
+        for d, matrix in enumerate(matrices):
+            since = perf_counter()
+            y.parts[d][...] = matrix @ columns
+            if trace is not None:
+                trace.complete(
+                    (f"locale{d}", "worker0"), "matvec", since - wall_start,
+                    perf_counter() - since,
+                )
+        report.elapsed = perf_counter() - wall_start
+        report.merge_phase("matvec", report.elapsed)
+        if trace is not None:
+            trace.mark_wall()
+            trace.advance(report.elapsed)
+        return finish_report(report, x, y, metrics, True)
+
+    def _scheduled(
+        self, x: DistributedVector, y: DistributedVector | None
+    ) -> tuple[DistributedVector, SimReport]:
+        """Generate (or replay chunk by chunk) under ``method``'s schedule,
+        healing as :meth:`matvec` describes."""
         impl = IMPLS[self.method]
         resilient = self.faults is not None or self.resilience is not None
         kwargs = dict(self.method_options)
@@ -224,9 +359,7 @@ class DistributedOperator:
                     # which has no handoff protocol left to break.
                     impl = matvec_batched
                     kwargs = {
-                        "batch_size": self.method_options.get(
-                            "batch_size", KNOB_DEFAULTS["batch_size"]
-                        ),
+                        "batch_size": self.batch_size,
                         "faults": self.faults,
                         "resilience": self.resilience,
                     }
@@ -241,9 +374,7 @@ class DistributedOperator:
             report.extras["fallback"] = 1.0
         if resilient:
             self._detect_stragglers(report)
-        self.last_report = report
-        self.total_sim_time += report.elapsed
-        return y
+        return y, report
 
     def _detect_stragglers(self, report: SimReport) -> None:
         """Flag locales whose busy time dwarfs the median (telemetry feed).

@@ -12,7 +12,6 @@ from __future__ import annotations
 from time import perf_counter
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.basis.spin_basis import Basis
@@ -21,7 +20,11 @@ from repro.operators.compile import compile_expression
 from repro.operators.expression import Expression
 from repro.operators.kernels import get_many_rows
 from repro.operators.matrix import operator_to_dense, operator_to_sparse
-from repro.operators.plan import MatvecPlan
+from repro.operators.plan import (
+    MatvecPlan,
+    csr_footprint,
+    csr_in_recorded_order,
+)
 from repro.telemetry.context import current as current_telemetry
 
 __all__ = ["Operator", "SerialChunk"]
@@ -86,9 +89,13 @@ class Operator:
         triples produced for each batch and replay them on subsequent
         matvecs (see :class:`~repro.operators.plan.MatvecPlan`).  ``True``
         builds a plan with the default memory budget; pass a
-        :class:`MatvecPlan` to control (or share) the budget, or ``False``
-        to recompute everything every call.  A replay equals the recording
-        pass bit for bit on real arithmetic, to 1e-14 relative on complex.
+        :class:`MatvecPlan` to control the budget, or ``False`` to
+        recompute everything every call.  The plan belongs to operators
+        with these primitive tables, this basis object and this batch
+        size (:meth:`MatvecPlan.claim`): another such operator may share
+        it, any other raises :class:`~repro.errors.ConfigError`.  A replay
+        equals the recording pass bit for bit on real arithmetic, to 1e-14
+        relative on complex.
     """
 
     def __init__(
@@ -120,6 +127,8 @@ class Operator:
             self.plan = None
         else:
             self.plan = plan
+        if self.plan is not None:
+            self.plan.claim(self.compiled.digest(), basis, self.batch_size)
         self._diagonal: np.ndarray | None = None
 
     def invalidate_plan(self) -> None:
@@ -221,34 +230,17 @@ class Operator:
             return None
         dim = self.dim
         nnz = dim + sum(plan.peek(key).rows.size for key in keys)
-        index = np.dtype(np.int32 if nnz < 2**31 else np.int64)
-        nbytes = nnz * (self.dtype.itemsize + index.itemsize)
-        if nbytes + (dim + 1) * index.itemsize > plan.capacity_bytes:
+        if csr_footprint(self.shape, nnz, self.dtype)[1] > plan.capacity_bytes:
             return None  # the plan would turn it away: keep the batches
-        lengths = np.ones(dim, dtype=np.int64)  # the diagonal element
-        for key in keys:
-            lengths += np.bincount(plan.get(key).rows, minlength=dim)
-        indptr = np.concatenate([[0], np.cumsum(lengths)])
-        indices, data = np.empty(nnz, dtype=index), np.empty(nnz, dtype=self.dtype)
-        indices[indptr[:-1]], data[indptr[:-1]] = np.arange(dim), self.diagonal()
-        cursor = indptr[:-1] + 1
-        for key in keys:
-            # Batch by batch, each leaving the plan as it is placed: the
-            # triples and the matrix are never whole in memory together.
-            chunk = plan.pop(key)
-            coo = sp.coo_matrix(
-                (chunk.amplitudes, (chunk.rows, chunk.sources)), shape=self.shape
-            )
-            # Stops ``tocsr`` after its stable counting pass by row, before
-            # it would sort each row and sum the duplicates.
-            coo.has_canonical_format = True
-            part = coo.tocsr()
-            assert part.nnz == chunk.rows.size, "tocsr summed duplicates"
-            counts = np.diff(part.indptr)
-            to = np.repeat(cursor - part.indptr[:-1], counts) + np.arange(part.nnz)
-            indices[to], data[to] = part.indices, part.data
-            cursor += counts
-        matrix = sp.csr_matrix((data, indices, indptr.astype(index)), shape=self.shape)
+        # Batch by batch, each leaving the plan as it is placed: the
+        # triples and the matrix are never whole in memory together.
+        batches = map(plan.pop, keys)
+        matrix = csr_in_recorded_order(
+            self.shape, self.dtype,
+            (np.arange(dim), self.diagonal()),
+            (plan.get(key).rows for key in keys),
+            ((b.rows, b.sources, b.amplitudes) for b in batches),
+        )
         plan.put(MATRIX_KEY, matrix)
         return matrix
 

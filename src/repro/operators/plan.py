@@ -7,8 +7,11 @@ destination states, the matrix-element amplitudes, the symmetry projection,
 and the ``stateToIndex`` binary searches — is therefore iteration-invariant.
 :class:`MatvecPlan` caches those triples the first time a chunk is
 processed and replays them on every subsequent matvec, reducing the hot
-loop to a gather, a multiply, and a scatter-add (one CSR product, once the
-serial operator holds every chunk: ``Operator._consolidate``).  Replays
+loop to a gather, a multiply, and a scatter-add — and, once an operator
+holds every chunk, to CSR products (:func:`csr_in_recorded_order`): one
+``matrix @ x`` for the serial operator, one per destination locale for
+the distributed operator on a wall-clock backend (on ``sim`` a replay
+stays the per-chunk schedule, whose events are what is measured).  Replays
 equal the recording pass bit for bit on real arithmetic and to 1e-14
 relative on complex, and are width- and dtype-agnostic: a chunk recorded
 under a real single-vector matvec replays against a complex input or a
@@ -24,10 +27,15 @@ Hits, misses, and evictions are reported through the ambient
 ``plan.evictions`` counters and the ``plan.bytes`` gauge.
 
 Keys are caller-chosen tuples: the serial operator uses ``(start,)`` for a
-batch and ``("matrix",)`` for the matrix that replaces them, and the
-distributed matvec variants use ``(locale, start)`` for a produced
-chunk and ``(locale, "diag")`` for a locale's diagonal matrix elements, so
-one plan can serve a whole distributed operator.
+batch and ``("matrix",)`` for the matrix that replaces them; the
+distributed matvec variants use ``(locale, start)`` for a produced chunk
+and ``(locale, "diag")`` for a locale's diagonal matrix elements, and the
+distributed operator ``(locale, "matrix")`` for the matrix of everything
+that lands on ``locale`` (``DistributedOperator._consolidate``), so one
+plan serves a whole distributed operator.  The keys do not say *whose*
+they are: an operator claims its plan when it attaches
+(:meth:`MatvecPlan.claim`), and only an operator with the same claim —
+the same primitive tables, basis object and batch size — may share it.
 """
 
 from __future__ import annotations
@@ -37,10 +45,12 @@ from collections import OrderedDict
 from typing import Hashable
 
 import numpy as np
+import scipy.sparse as sp
 
+from repro.errors import ConfigError
 from repro.telemetry.context import current as current_telemetry
 
-__all__ = ["MatvecPlan"]
+__all__ = ["MatvecPlan", "csr_footprint", "csr_in_recorded_order"]
 
 
 def _entry_nbytes(entry: object) -> int:
@@ -58,6 +68,54 @@ def _entry_nbytes(entry: object) -> int:
             getattr(entry, name, None) for name in getattr(entry, "__slots__", ())
         ] + list(getattr(entry, "__dict__", {}).values())
     return int(sum(v.nbytes for v in candidates if isinstance(v, np.ndarray)))
+
+
+def csr_footprint(shape: tuple[int, int], nnz: int, dtype) -> tuple[np.dtype, int]:
+    """Index dtype (32-bit where ``shape`` and ``nnz`` allow) and byte size
+    of a CSR matrix holding ``nnz`` elements of ``dtype``."""
+    index = np.dtype(np.int32 if max(nnz, shape[1]) < 2**31 else np.int64)
+    data = nnz * (np.dtype(dtype).itemsize + index.itemsize)
+    return index, data + (shape[0] + 1) * index.itemsize
+
+
+def csr_in_recorded_order(shape, dtype, first, row_arrays, triples):
+    """A CSR matrix whose rows hold their elements in the order given.
+
+    Row ``r`` starts with ``first = (columns, data)``'s element ``r`` (the
+    diagonal) and continues with the ``(rows, columns, data)`` ``triples``'
+    elements for ``r``, chunk after chunk and in each chunk's own order —
+    columns unsorted, duplicates kept.  SciPy's ``csr_matvec`` adds a row's
+    entries in stored order starting from zero, so ``matrix @ x`` performs
+    the additions of ``first * x`` followed by one ``np.add.at`` per chunk.
+
+    ``row_arrays`` yields each chunk's ``rows`` (read through once, to size
+    the rows) and ``triples`` the same chunks again (read through once, to
+    place them): both may be generators, so a caller can hand chunks over
+    — or drop them — one at a time and the chunks and the matrix are never
+    whole in memory together.
+    """
+    n_rows = shape[0]
+    lengths = np.ones(n_rows, dtype=np.int64)  # the first element
+    for rows in row_arrays:
+        lengths += np.bincount(rows, minlength=n_rows)
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    nnz = int(indptr[-1])
+    index, _ = csr_footprint(shape, nnz, dtype)
+    indices, data = np.empty(nnz, dtype=index), np.empty(nnz, dtype=dtype)
+    indices[indptr[:-1]], data[indptr[:-1]] = first
+    cursor = indptr[:-1] + 1
+    for rows, columns, values in triples:
+        coo = sp.coo_matrix((values, (rows, columns)), shape=shape)
+        # Stops ``tocsr`` after its stable counting pass by row, before
+        # it would sort each row and sum the duplicates.
+        coo.has_canonical_format = True
+        part = coo.tocsr()
+        assert part.nnz == rows.size, "tocsr summed duplicates"
+        counts = np.diff(part.indptr)
+        to = np.repeat(cursor - part.indptr[:-1], counts) + np.arange(part.nnz)
+        indices[to], data[to] = part.indices, part.data
+        cursor += counts
+    return sp.csr_matrix((data, indices, indptr.astype(index)), shape=shape)
 
 
 class MatvecPlan:
@@ -80,6 +138,7 @@ class MatvecPlan:
         self._entries: OrderedDict[Hashable, object] = OrderedDict()
         self._nbytes_by_key: dict[Hashable, int] = {}
         self._bytes = 0
+        self._claim: tuple | None = None
         # One plan serves every chunk task of a matvec, and on the
         # ``threads`` execution backend those tasks run concurrently; the
         # LRU reordering and the eviction bookkeeping are multi-step and
@@ -105,6 +164,28 @@ class MatvecPlan:
             f"MatvecPlan(entries={self.n_entries}, "
             f"bytes={self._bytes}/{self.capacity_bytes})"
         )
+
+    def claim(self, tables: str, basis, batch_size) -> None:
+        """Attach an operator: what the keys silently assume about it.
+
+        ``tables`` is the digest of its compiled primitive tables
+        (:meth:`~repro.operators.compile.CompiledOperator.digest`), ``basis``
+        its basis *object*, ``batch_size`` its chunking.  The first
+        operator to attach claims the plan; an operator with an equal
+        claim shares it (every entry means to it what it meant to the
+        first), any other raises :class:`~repro.errors.ConfigError` —
+        replaying a stranger's entries returns wrong amplitudes silently.
+        """
+        with self._lock:
+            held = self._claim = self._claim or (tables, basis, batch_size)
+        if held[0] != tables or held[1] is not basis or held[2] != batch_size:
+            describe = "tables {:.12}, basis {!r}, batch_size {!r}".format
+            raise ConfigError(
+                f"this MatvecPlan holds the entries of an operator with "
+                f"{describe(*held)} and cannot serve one with "
+                f"{describe(tables, basis, batch_size)}: give each its own "
+                f"plan (a capacity_bytes each, to split a budget)"
+            )
 
     # -- cache protocol ------------------------------------------------------
 

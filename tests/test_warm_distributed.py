@@ -14,14 +14,28 @@ Three contracts:
 3. **The plan holds nothing that depends on x.**  A replay hands out a
    fresh chunk that shares the cached record's arrays, so the bytes the
    plan accounts are the bytes it holds whatever block width replays.
+4. **On a wall-clock backend a warm matvec is one SpMV per locale.**  Once
+   the plan holds every chunk, ``DistributedOperator`` folds them into one
+   CSR matrix per destination (``(d, "matrix")``) and replays on the
+   calling thread, whatever the method, block width or dtype: equal to the
+   serial operator and to the recording pass to ``1e-12``, bit-identical
+   from replay to replay, and bit-identical to the recording pass on one
+   locale in real arithmetic.  ``sim``, fault plans and budgets too small
+   for the matrices keep the per-chunk schedule.
+5. **A plan belongs to one kind of operator.**  Attaching an operator with
+   other primitive tables, another basis object or another batch size
+   raises ``ConfigError``; an equal one shares.  And ``y`` may not alias
+   ``x``.
 """
 
 from __future__ import annotations
 
 import inspect
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 from repro.autotune import search
@@ -34,8 +48,10 @@ from repro.distributed import (
 )
 from repro.distributed.matvec_common import apply_diagonal, produce_chunk
 from repro.distributed.matvec_pc import default_buffer_capacity
+from repro.errors import ConfigError, DistributionError
 from repro.operators.compile import CompiledOperator
 from repro.operators.plan import MatvecPlan, _entry_nbytes
+from repro.resilience import FaultPlan
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
 
@@ -220,13 +236,17 @@ class TestHandOffUnit:
         )
         sizes = slice_sizes(dop.compiled, dbasis, 8192)
         assert max(sizes) > 4096
-        for _ in range(2):  # cold, then (with a plan) warm
+        for replay in (False, plan):  # a pass that generates, then a second
             y = dop.matvec(dx)
             y_cut = cut.matvec(dx)
-            assert dop.last_report.messages == len(sizes)
-            assert cut.last_report.messages == sum(
-                -(-size // 4096) for size in sizes
-            )
+            if replay:  # one SpMV per locale: nothing is handed over
+                assert dop.last_report.messages == 0
+                assert cut.last_report.messages == 0
+            else:
+                assert dop.last_report.messages == len(sizes)
+                assert cut.last_report.messages == sum(
+                    -(-size // 4096) for size in sizes
+                )
             assert dop.last_report.bytes_sent == cut.last_report.bytes_sent
             np.testing.assert_allclose(
                 y.to_serial(serial), y_cut.to_serial(serial), atol=1e-12
@@ -340,3 +360,238 @@ class TestPlanHoldsNoInputDependentData:
             assert chunks and all(chunk.values is None for chunk in chunks)
         for recorded, replayed in zip(results[0].parts, results[2].parts):
             np.testing.assert_array_equal(replayed, recorded)
+
+
+def matrix_keys(plan):
+    return [key for key in plan._entries if key[-1] == "matrix"]
+
+
+def assert_parts_equal(a, b):
+    for part_a, part_b in zip(a.parts, b.parts):
+        np.testing.assert_array_equal(part_a, part_b)
+
+
+cached_build = lru_cache(maxsize=None)(
+    lambda n, n_locales, complex_sector: build(
+        "threads", n=n, n_locales=n_locales,
+        sector=COMPLEX_SECTOR if complex_sector else REAL_SECTOR,
+    )
+)
+
+
+class TestOneSpmvPerLocale:
+    @given(
+        n=st.sampled_from([8, 10, 12]),
+        complex_sector=st.booleans(),
+        n_locales=st.integers(min_value=1, max_value=4),
+        method=st.sampled_from(METHODS),
+        k=st.sampled_from([1, 3]),
+        complex_x=st.booleans(),
+        batch_size=st.sampled_from([7, 64, None]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_record_replay_replay(
+        self, n, complex_sector, n_locales, method, k, complex_x, batch_size,
+        seed,
+    ):
+        serial, dbasis, expr = cached_build(n, n_locales, complex_sector)
+        knobs = {} if batch_size is None else {"batch_size": batch_size}
+        dop = DistributedOperator(expr, dbasis, method=method, **knobs)
+        x = random_serial(np.random.default_rng(seed), serial, k, complex_x)
+        dx = DistributedVector.from_serial(dbasis, serial, x)
+        expected = repro.Operator(expr, serial, plan=False).matvec(x)
+
+        recorded = dop.matvec(dx)
+        assert not matrix_keys(dop.plan)  # never during the recording pass
+        handed_over = dop.last_report.messages
+        first, second = dop.matvec(dx), dop.matvec(dx)
+        assert sorted(matrix_keys(dop.plan)) == [
+            (d, "matrix") for d in range(n_locales)
+        ]
+        assert dop.last_report.messages == dop.last_report.bytes_sent == 0
+        assert dop.last_report.phase_elapsed["matvec"] == dop.last_report.elapsed
+        assert n_locales == 1 or method == "naive" or handed_over > 0
+
+        assert first.dtype == recorded.dtype and first.columns == recorded.columns
+        np.testing.assert_allclose(first.to_serial(serial), expected, atol=1e-12)
+        np.testing.assert_allclose(
+            first.to_serial(serial), recorded.to_serial(serial), atol=1e-12
+        )
+        assert_parts_equal(first, second)
+        if (
+            n_locales == 1 and method == "pc"
+            and not complex_sector and not complex_x
+        ):
+            # The shared-memory pass adds the diagonal, then the chunks in
+            # order (naive/batched scatter in thread-completion order).
+            assert_parts_equal(first, recorded)
+
+    def test_budget_for_the_records_but_not_the_matrices(self, rng):
+        serial, dbasis, expr = build("threads", n_locales=2)
+        probe = DistributedOperator(expr, dbasis, batch_size=16)
+        dx = DistributedVector.from_serial(
+            dbasis, serial, random_serial(rng, serial)
+        )
+        probe.matvec(dx)
+        records = probe.plan.nbytes
+        probe.matvec(dx)
+        matrices = probe.plan.nbytes - records
+        assert matrix_keys(probe.plan) and matrices > 64
+
+        plan = MatvecPlan(capacity_bytes=records + matrices - 8)
+        dop = DistributedOperator(expr, dbasis, batch_size=16, plan=plan)
+        expected = repro.Operator(expr, serial, plan=False).matvec(
+            dx.to_serial(serial)
+        )
+        for _ in range(3):
+            y = dop.matvec(dx)
+            assert not matrix_keys(plan) and plan.nbytes == records
+            assert dop.last_report.messages > 0  # still chunk by chunk
+            np.testing.assert_allclose(y.to_serial(serial), expected, atol=1e-12)
+
+    def test_invalidate_drops_the_matrices(self, rng):
+        serial, dbasis, expr = build("threads", n_locales=2)
+        dop = DistributedOperator(expr, dbasis, batch_size=16)
+        dx = DistributedVector.from_serial(
+            dbasis, serial, random_serial(rng, serial)
+        )
+        for _ in range(2):
+            dop.matvec(dx)
+            assert dop.last_report.messages > 0 and not matrix_keys(dop.plan)
+            dop.matvec(dx)
+            assert dop.last_report.messages == 0 and matrix_keys(dop.plan)
+            dop.invalidate_plan()
+            assert dop.plan.n_entries == 0
+
+    def test_a_fault_plan_keeps_the_pipeline(self, rng):
+        serial, dbasis, expr = build("threads", n_locales=2)
+        dop = DistributedOperator(
+            expr, dbasis, batch_size=16, faults=FaultPlan(seed=5)
+        )
+        dx = DistributedVector.from_serial(
+            dbasis, serial, random_serial(rng, serial)
+        )
+        for _ in range(3):
+            dop.matvec(dx)
+            assert dop.last_report.messages > 0 and not matrix_keys(dop.plan)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_sim_never_consolidates(self, method, rng):
+        serial, dbasis, expr = build("sim", n_locales=2)
+        dop = DistributedOperator(expr, dbasis, method=method, batch_size=16)
+        dx = DistributedVector.from_serial(
+            dbasis, serial, random_serial(rng, serial)
+        )
+        for _ in range(3):
+            dop.matvec(dx)
+            assert not matrix_keys(dop.plan)
+
+    def test_callers_output_is_overwritten_and_returned(self, rng):
+        serial, dbasis, expr = build("threads", n_locales=2)
+        dop = DistributedOperator(expr, dbasis, batch_size=16)
+        dx = DistributedVector.from_serial(
+            dbasis, serial, random_serial(rng, serial)
+        )
+        results = []
+        for _ in range(3):  # record, fold, replay
+            y = DistributedVector.full_random(dbasis, seed=9)
+            assert dop.matvec(dx, y) is y
+            results.append(y)
+        assert matrix_keys(dop.plan)
+        assert_parts_equal(results[1], results[2])
+        np.testing.assert_allclose(
+            results[2].to_serial(serial), results[0].to_serial(serial),
+            atol=1e-12,
+        )
+
+
+class TestOutputMayNotAliasInput:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_in_place_matvec_is_refused(self, backend, method, rng):
+        # check_vectors zeroes y before anything reads x: y = x used to
+        # come back as the zero vector, with x destroyed.
+        serial, dbasis, expr = build(backend, n_locales=2)
+        dop = DistributedOperator(expr, dbasis, method=method)
+        x = random_serial(rng, serial)
+        dx = DistributedVector.from_serial(dbasis, serial, x)
+        views = DistributedVector(dbasis, [part[:] for part in dx.parts])
+        for _ in range(3):  # while generating and while replaying
+            for y in (dx, views):
+                with pytest.raises(DistributionError, match="shares memory"):
+                    dop.matvec(dx, y)
+            np.testing.assert_array_equal(dx.to_serial(serial), x)
+            dop.matvec(dx)
+
+
+class TestPlanClaim:
+    def test_other_tables_on_a_serial_plan(self, chain12_basis, rng):
+        # 2H used to replay its own diagonal over H's off-diagonal batches.
+        expr = repro.heisenberg_chain(12)
+        plan = MatvecPlan()
+        op = repro.Operator(expr, chain12_basis, plan=plan)
+        x = rng.standard_normal(chain12_basis.dim)
+        y = op.matvec(x)
+        with pytest.raises(ConfigError, match="tables .* tables"):
+            repro.Operator(2.0 * expr, chain12_basis, plan=plan)
+        with pytest.raises(ConfigError, match="batch_size 7"):
+            repro.Operator(expr, chain12_basis, plan=plan, batch_size=7)
+        np.testing.assert_array_equal(op.matvec(x), y)
+
+    def test_other_batch_size_on_a_distributed_plan(self, rng):
+        # Chunks keyed (locale, 0), (locale, 8), ... of one operator used
+        # to serve as (locale, 0), (locale, 16), ... of the other.
+        serial, dbasis, expr = build("sim", n_locales=2)
+        plan = MatvecPlan()
+        DistributedOperator(expr, dbasis, batch_size=8, plan=plan)
+        with pytest.raises(ConfigError, match="batch_size 8.*batch_size 16"):
+            DistributedOperator(expr, dbasis, batch_size=16, plan=plan)
+        _, other_basis, _ = build("sim", n_locales=2)
+        with pytest.raises(ConfigError, match="basis"):
+            DistributedOperator(expr, other_basis, batch_size=8, plan=plan)
+        with pytest.raises(ConfigError, match="basis"):
+            repro.Operator(expr, serial, batch_size=8, plan=plan)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_equal_operators_share(self, backend, rng):
+        serial, dbasis, expr = build(backend, n_locales=2)
+        plan = MatvecPlan()
+        first = DistributedOperator(expr, dbasis, method="pc", plan=plan)
+        second = DistributedOperator(
+            repro.heisenberg_chain(12), dbasis, method="batched", plan=plan
+        )
+        x = random_serial(rng, serial)
+        dx = DistributedVector.from_serial(dbasis, serial, x)
+        expected = repro.Operator(expr, serial, plan=False).matvec(x)
+        first.matvec(dx)
+        entries = plan.n_entries
+        y = second.matvec(dx)  # warm from the first one's recording
+        np.testing.assert_allclose(y.to_serial(serial), expected, atol=1e-12)
+        assert plan.n_entries >= entries
+
+        shared = MatvecPlan()
+        ops = [repro.Operator(expr, serial, plan=shared) for _ in range(2)]
+        np.testing.assert_array_equal(ops[0].matvec(x), ops[1].matvec(x))
+        assert ("matrix",) in shared
+
+    def test_fallback_to_batched_keeps_the_operators_plan(self, rng):
+        serial, dbasis, expr = build("sim", n_locales=3)
+        plan = MatvecPlan()
+        dop = DistributedOperator(
+            expr, dbasis, method="pc", plan=plan,
+            faults=FaultPlan(seed=2, crashes={1: 1e-6}),
+        )
+        x = random_serial(rng, serial)
+        dx = DistributedVector.from_serial(dbasis, serial, x)
+        expected = repro.Operator(expr, serial, plan=False).matvec(x)
+        for fell_back in (1.0, None):  # crash specs are one-shot
+            y = dop.matvec(dx)
+            assert dop.last_report.extras.get("fallback") == fell_back
+            np.testing.assert_allclose(
+                y.to_serial(serial), expected, atol=1e-12
+            )
