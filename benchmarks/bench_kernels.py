@@ -2,11 +2,12 @@
 
 These measure the real NumPy throughput of the building blocks (the
 analogue of the paper's Halide kernel performance): basis enumeration,
-``state_info``, ``getManyRows``, ``stateToIndex`` binary search, the
+``state_info``, ``getManyRows``, the ``stateToIndex`` lookup, the
 destination partition, and the mixing hash — plus comparative timings of
 the fused ``state_info`` kernel against the element-by-element reference,
 of the early-exit representative filter against the ``state_info``
-predicate, of the cold serial matvec at the cache-sized default batch
+predicate, of the ranker's slot probe against the binary search under it,
+of the cold serial matvec at the cache-sized default batch
 against 16 Ki-source batches, and of plan-cached matvec replay against the
 cold path, written as JSON artifacts to ``benchmarks/results/`` so the
 speedups can be diffed across PRs.
@@ -298,6 +299,60 @@ def test_cold_matvec_batch_fits_cache(group):
     if not SMOKE:
         for label, row in rows.items():
             assert row["ratio"] <= 0.9, (label, row)
+
+
+def test_state_to_index_vs_searchsorted(group):
+    """``SortedRanker``'s slot probe against the binary search under it.
+
+    100 k queries drawn uniformly from the basis, every one present: the
+    baseline is ``np.searchsorted`` plus the membership test every lookup
+    needs (an absent state must raise), which is what ``basis.index`` ran
+    before the table.  Random queries mispredict most of the search's
+    16 levels; the ~17 % of them that collide in the table still pay it.
+    """
+    nx, ny = (4, 4) if SMOKE else (4, 6)
+    problems = (
+        (f"chain{N_SITES}", group),
+        (f"square{nx}x{ny}", torus_with_flip(nx, ny)),
+    )
+    rows, lines = {}, []
+    for label, g in problems:
+        basis = SymmetricBasis(g, hamming_weight=WEIGHT)
+        states = basis.states
+        rng = np.random.default_rng(0)
+        queries = states[rng.integers(0, basis.dim, size=100_000)]
+
+        def searched():
+            idx = np.searchsorted(states, queries)
+            absent = (idx >= states.size) | (
+                states[np.minimum(idx, states.size - 1)] != queries
+            )
+            assert not np.any(absent)
+            return idx
+
+        np.testing.assert_array_equal(basis.index(queries), searched())
+        t_search = best_of(searched)
+        t_probe = best_of(lambda: basis.index(queries))
+        rows[label] = {
+            "dim": int(basis.dim),
+            "n_queries": int(queries.size),
+            "searchsorted_ns_per_query": 1e9 * t_search / queries.size,
+            "ranker_ns_per_query": 1e9 * t_probe / queries.size,
+            "speedup": t_search / t_probe,
+        }
+        lines.append(
+            f"  {label:<10} dim {basis.dim:>6}: searchsorted "
+            f"{rows[label]['searchsorted_ns_per_query']:6.1f} ns/query -> "
+            f"slot probe {rows[label]['ranker_ns_per_query']:6.1f} ns/query  "
+            f"({t_search / t_probe:4.2f}x)\n"
+        )
+    write_result(
+        "kernels_state_to_index",
+        f"stateToIndex, {queries.size} random present queries\n" + "".join(lines),
+        data={**rows, "smoke": SMOKE},
+    )
+    for label, row in rows.items():
+        assert row["speedup"] >= (1.0 if SMOKE else 1.5), (label, row)
 
 
 def test_permutation_network_cold_vs_warm(batch):

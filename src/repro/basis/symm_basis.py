@@ -3,8 +3,9 @@
 This implements the machinery sketched in Sec. 2.1 and Fig. 1 of the paper:
 after fixing a symmetry sector, one basis state is kept per surviving group
 orbit (the *representative*, chosen as the orbit minimum), and the mapping
-between representatives and dense indices is a binary search
-(``stateToIndex``).
+between representatives and dense indices (``stateToIndex``) is a
+:class:`~repro.basis.ranking.SortedRanker`: a slot probe, then a binary
+search.
 
 Matrix-element convention (derived from the projector
 :math:`P = |G|^{-1}\\sum_g \\chi(g)^* U_g`): if the matrix-free kernel
@@ -112,12 +113,27 @@ class SymmetricBasis(Basis):
         states: np.ndarray,
         hamming_weight: int | None = None,
     ) -> "SymmetricBasis":
-        """Build a basis from an externally enumerated representative list."""
+        """Build a basis from an externally enumerated representative list:
+        strictly increasing, each state its orbit's minimum and present in
+        the sector (:class:`~repro.errors.BasisError` names the first that
+        is not)."""
         basis = cls(group, hamming_weight=hamming_weight, build=False)
         states = as_states(states)
-        _, _, stab = group.state_info(states)
-        if np.any(stab <= _STAB_TOL):
-            raise BasisError("some provided states are not in this sector")
+        if states.ndim != 1:
+            raise BasisError("representatives must be a one-dimensional list")
+        rep, _, stab = group.state_info(states)
+        unordered = np.zeros(states.size, dtype=bool)
+        unordered[1:] = states[1:] <= states[:-1]
+        for fault, why in (
+            (unordered, "is not above the state before it"),
+            (rep != states, "is not the minimum of its orbit"),
+            (stab <= _STAB_TOL, "is not in this sector"),
+        ):
+            if np.any(fault):
+                at = int(np.argmax(fault))
+                raise BasisError(
+                    f"provided state {int(states[at])} (position {at}) {why}"
+                )
         basis._set_representatives(states, stab)
         return basis
 

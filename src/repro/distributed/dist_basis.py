@@ -3,7 +3,9 @@
 Each locale holds the (sorted) slice of basis states that
 ``localeIdxOf`` assigns to it, together with the per-state symmetry data
 (stabilizer sums / norm scales) the matrix-vector product needs.  The
-``stateToIndex`` of the paper becomes a binary search in the local slice.
+``stateToIndex`` of the paper becomes a lookup in the local slice
+(:class:`~repro.basis.ranking.SortedRanker`: a slot probe, then a binary
+search for what it does not settle).
 """
 
 from __future__ import annotations
@@ -34,10 +36,18 @@ class DistributedBasis:
     parts:
         Per-locale sorted arrays of basis states, as produced by
         :func:`~repro.distributed.enumeration.enumerate_states`.
+    stabilizers:
+        Per-locale stabilizer sums of ``parts``' states, from a caller that
+        has them already (the enumeration's filter computes them); ``None``
+        computes them here for a template with a symmetry group.
     """
 
     def __init__(
-        self, cluster: Cluster, template: Basis, parts: list[np.ndarray]
+        self,
+        cluster: Cluster,
+        template: Basis,
+        parts: list[np.ndarray],
+        stabilizers: list[np.ndarray] | None = None,
     ) -> None:
         if len(parts) != cluster.n_locales:
             raise DistributionError(
@@ -54,16 +64,21 @@ class DistributedBasis:
         self.parts = parts
         self.rankers = [SortedRanker(p) for p in parts]
         self.counts = np.array([p.size for p in parts], dtype=np.int64)
-        self._scales = self._compute_scales()
+        self._scales = self._compute_scales(stabilizers)
 
-    def _compute_scales(self) -> list[np.ndarray] | None:
+    def _compute_scales(self, stabilizers) -> list[np.ndarray] | None:
         """Per-locale ``1/sqrt(N_r)`` source scales for symmetric bases."""
         group = getattr(self.template, "group", None)
         if group is None:
             return None
+        if stabilizers is None:
+            stabilizers = [group.state_info(part)[2] for part in self.parts]
+        elif [s.shape for s in stabilizers] != [p.shape for p in self.parts]:
+            raise DistributionError(
+                "stabilizers must hold one sum per state of every part"
+            )
         scales = []
-        for part in self.parts:
-            _, _, stab = group.state_info(part)
+        for stab in stabilizers:
             if np.any(stab <= _STAB_TOL):
                 raise DistributionError(
                     "a distributed part contains states outside the sector"
@@ -118,7 +133,8 @@ class DistributedBasis:
 
     def index_local(self, locale: int, states) -> np.ndarray:
         """Local indices of ``states`` in locale ``locale``'s slice — the
-        distributed ``stateToIndex`` (binary search in the local part)."""
+        distributed ``stateToIndex`` (the local part's
+        :class:`~repro.basis.ranking.SortedRanker`)."""
         return self.rankers[locale].rank(states)
 
     def global_states(self) -> np.ndarray:

@@ -70,14 +70,22 @@ def enumerate_states(
     # The membership predicate runs once over the whole range, a cache-sized
     # batch at a time; the simulated chunks only slice its result, so each
     # is still charged the full representative check of the paper.
+    # A symmetric template's filter also yields each kept state's stabilizer
+    # sum, which the basis needs for its scales: kept here, not recomputed.
     weight = template.hamming_weight
+    group = getattr(template, "group", None)
     weight_passing = np.zeros(n_chunks, dtype=np.int64)
-    kept_batches = []
+    kept_batches, stab_batches = [], []
     for batch in candidate_batches(n_sites, weight if use_weight_shortcut else None):
         if weight is not None and not use_weight_shortcut:
             batch = batch[popcount(batch) == np.uint64(weight)]
         weight_passing += np.diff(np.searchsorted(batch, bounds))
-        kept_batches.append(batch[template.check(batch)])
+        if group is None:
+            kept_batches.append(batch[template.check(batch)])
+        else:  # the batch has passed ``check``'s range and weight filters
+            positions, stab = group.representatives(batch)
+            kept_batches.append(batch[positions])
+            stab_batches.append(stab)
     kept = np.concatenate(kept_batches)
     dests = locale_of(kept, n_locales)
     kept_bounds = np.searchsorted(kept, bounds).tolist()
@@ -131,10 +139,14 @@ def enumerate_states(
             start += count
     timer.end_phase("distribute")
 
-    basis = DistributedBasis(cluster, template, parts)
+    # The puts preserve global order, so a part's sums are ``kept``'s, masked.
+    stabilizers = None
+    if group is not None:
+        stab = np.concatenate(stab_batches)
+        stabilizers = [stab[dests == dest] for dest in range(n_locales)]
+    basis = DistributedBasis(cluster, template, parts, stabilizers=stabilizers)
 
     # --- norms: each locale computes its states' stabilizer data ----------
-    group = getattr(template, "group", None)
     if group is not None:
         for locale in range(n_locales):
             timer.add_compute(

@@ -64,6 +64,4 @@ def get_many_rows(
         sources = sources[valid]
         members = members[valid]
         amplitudes = amplitudes[valid]
-    if basis.is_real and np.iscomplexobj(amplitudes):
-        amplitudes = amplitudes.real
     return sources, members, amplitudes

@@ -17,21 +17,33 @@ batch-compiled loop that
   ``q(0) = 0``, groups the permutations by their *base* ``q`` at kernel
   build time, runs each non-identity base once per call through its
   precompiled mask/shift network or byte-gather table, and derives every
-  member of the base by a rotation of that batch (four in-place
-  shift/or/and ops) — a dihedral chain has one such base (the reflection
-  that fixes site 0), an ``nx × ny`` torus ``nx - 1`` (the x-shifts);
-- tracks the phase as a ``uint16`` element index (one cheap masked scalar
-  write per improving element) and materializes the character array once
-  at the end — the loop never touches a wide float/complex phase array,
-  and a real-characters sector never materializes complex phases at all;
+  member of the base by a rotation of that batch — a dihedral chain has
+  one such base (the reflection that fixes site 0), an ``nx × ny`` torus
+  ``nx - 1`` (the x-shifts);
+- keeps the running representative *and* the element that first reached
+  it in one packed word, ``key = state << idx_bits | tag`` (the tag is the
+  element's index in the character table, ascending in visit order), so an
+  element is folded in with one ``np.minimum`` — no compare, no masked
+  copies — and the phase is one table ``take`` of the tags at the end: the
+  loop never touches a float/complex phase array, and a real-characters
+  sector never materializes complex phases at all;
+- rotates in key space: where ``2 n_sites + idx_bits <= 64`` (every
+  lattice up to 28 sites) out of the base's doubled word ``d = (b | b <<
+  n) << idx_bits`` as ``(d >> (n - k)) & field``, two passes; wider
+  lattices with two shifts, an or and an and; a lattice whose states leave
+  no room for a tag (``n_sites + idx_bits > 64``, 57 sites and up) keeps
+  the compare-and-copy loop, the one remaining branch, chosen at kernel
+  build.  Per permutation with a flip companion that is 8 passes over
+  words and 2 ``count_nonzero`` over bools;
 - reuses one set of scratch buffers per thread across calls — the
   steady-state loop performs zero allocations beyond the result arrays,
   and concurrent callers (the ``threads`` backend's producers share one
   kernel) never see each other's work arrays.
 
 Results match the reference element-for-element: representatives exactly,
-stabilizer sums up to float summation order, and phases exactly on every
-state that survives the sector (see ``tests/test_state_info_fast.py``).
+stabilizer sums up to float summation order, and phases on every state
+that survives the sector (see ``tests/test_state_info_fast.py``); states
+must lie within the lattice's ``n_sites`` bits.
 """
 
 from __future__ import annotations
@@ -63,30 +75,6 @@ _CUT_SHARE = 4
 _CUT_MIN_BATCH = 256
 
 
-class _Scratch:
-    """Reusable work arrays for batches of up to ``capacity`` states."""
-
-    __slots__ = ("capacity", "y", "net", "base", "less", "fixed")
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self.y = np.empty(capacity, dtype=np.uint64)
-        self.net = np.empty(capacity, dtype=np.uint64)
-        self.base = np.empty(capacity, dtype=np.uint64)
-        self.less = np.empty(capacity, dtype=bool)
-        self.fixed = np.empty(capacity, dtype=bool)
-
-    def views(self, m: int):
-        """``(y, net, base, less, fixed)`` cut to ``m`` states."""
-        return (
-            self.y[:m],
-            self.net[:m],
-            self.base[:m],
-            self.less[:m],
-            self.fixed[:m],
-        )
-
-
 class GroupKernel:
     """Batch-compiled group action for one symmetry group.
 
@@ -110,6 +98,18 @@ class GroupKernel:
             np.all(np.abs(np.imag(characters)) < _REAL_TOL)
         )
         self._flip_mask = bit_mask(n_sites)
+        # The packed loop works on ``key = state << idx_bits | tag``: the
+        # tag is the element's ``phase_chars`` index (at most |G|), the
+        # field the state's bits in key space.  A lattice too wide for its
+        # keys (``packed`` false) keeps the compare-and-copy loop.
+        idx_bits = self.size.bit_length()
+        self._packed = n_sites + idx_bits <= 64
+        self._doubled = 2 * n_sites + idx_bits <= 64
+        self._idx_bits = np.uint64(idx_bits)
+        self._tag_mask = np.uint64((1 << idx_bits) - 1)
+        self._field = self._flip_mask << self._idx_bits  # where packed
+        self._n_sites = np.uint64(n_sites)
+        self._has_flips = bool(np.any(flips))
         # Factor each permutation as ``rotate_k ∘ base`` (``k = p(0)``,
         # ``base(0) = 0``) and group the elements by base, then by ``k``
         # (which coalesces equal permutations, flip companions included).
@@ -128,7 +128,10 @@ class GroupKernel:
         # leading slot.
         phase_chars: list[complex] = [1.0 + 0.0j]
         # (applier or None for the identity base, members); a member is
-        # (rotation shift pair or None, its flip variants).
+        # (rotation shift pair or None, its flip variants); a variant is
+        # (flip, conjugate character, mark) with ``mark`` what one XOR puts
+        # on a rotated key: the tag, and for a flip the whole field too
+        # (the bare tag where keys are not packed).
         self._bases: list[tuple[object, list]] = []
         # What one call does (telemetry: ``kernel.state_info_strategy
         # {strategy=...}`` adds ``strategy_counts`` per call): ``network``
@@ -153,7 +156,10 @@ class GroupKernel:
                 for flip, chi_conj in variants:
                     phase_chars.append(chi_conj)
                     chi = chi_conj.real if self.is_real else chi_conj
-                    tagged.append((flip, chi, np.uint16(len(phase_chars) - 1)))
+                    mark = np.uint64(len(phase_chars) - 1)
+                    if flip and self._packed:
+                        mark |= self._field
+                    tagged.append((flip, chi, mark))
                 shifts = (np.uint64(k), np.uint64(n_sites - k)) if k else None
                 members.append((shifts, tagged))
             self._bases.append((applier, members))
@@ -166,28 +172,38 @@ class GroupKernel:
 
     # -- scratch management -------------------------------------------------
 
-    def _buffers(self, m: int) -> _Scratch:
-        """This thread's work arrays, regrown when a batch exceeds them (a
-        matvec's batches differ in length; the longest sizes them once and
-        every call then works in the same, cache-resident, memory)."""
-        scratch = getattr(self._local, "scratch", None)
-        if scratch is None or scratch.capacity < m:
-            scratch = self._local.scratch = _Scratch(m)
-        return scratch
+    def _buffers(self, m: int, *names: str) -> list[np.ndarray]:
+        """This thread's work arrays of those names, cut to ``m`` states:
+        ``less`` and ``fixed`` are ``bool``, every other one ``uint64``.
+        Each is allocated when first asked for (``state_info`` and
+        ``representatives`` share the three permutation buffers and differ
+        in the rest) and regrown when a batch exceeds it: a matvec's
+        batches differ in length, the longest sizes the arrays once and
+        every call then works in the same, cache-resident, memory."""
+        arrays = vars(self._local)
+        views = []
+        for name in names:
+            array = arrays.get(name)
+            if array is None or array.size < m:
+                dtype = bool if name in ("less", "fixed") else np.uint64
+                array = arrays[name] = np.empty(m, dtype)
+            views.append(array[:m])
+        return views
 
     # -- the kernels --------------------------------------------------------
 
-    def _rotated(self, base, shifts, y, net) -> np.ndarray:
+    def _rotated(self, base, shifts, y, net, mask) -> np.ndarray:
         """One member's batch: ``base`` rotated left by the member's
-        amount, into ``y``; ``base`` itself at zero.  ``net`` is scratch,
-        free again on return (the flipped companion goes there)."""
+        amount within the bits of ``mask`` (the lattice's, or the field
+        for keys), into ``y``; ``base`` itself at zero.  ``net`` is
+        scratch, free again on return (the flipped companion goes there)."""
         if shifts is None:
             return base
         kk, nk = shifts
         np.left_shift(base, kk, out=y)
         np.right_shift(base, nk, out=net)
         np.bitwise_or(y, net, out=y)
-        np.bitwise_and(y, self._flip_mask, out=y)
+        np.bitwise_and(y, mask, out=y)
         return y
 
     def _observe(self, metrics, t0: float, n_states: int) -> None:
@@ -216,40 +232,9 @@ class GroupKernel:
         t0 = perf_counter() if metrics.enabled else 0.0
 
         dtype = np.float64 if self.is_real else np.complex128
-        rep = s.copy()
-        phase_idx = np.zeros(s.size, dtype=np.uint16)
         stab = np.zeros(s.size, dtype=dtype)
-        y, net, base_out, less, fixed = self._buffers(s.size).views(s.size)
-
-        for applier, members in self._bases:
-            base = (
-                s
-                if applier is None
-                else applier.apply(s, out=base_out, scratch=y, scratch2=net)
-            )
-            for shifts, variants in members:
-                z0 = self._rotated(base, shifts, y, net)
-                for flip, chi_conj, vidx in variants:
-                    if z0 is s and not flip:
-                        # g(s) == s for every state: pure stabilizer credit.
-                        np.add(stab, chi_conj, out=stab)
-                        continue
-                    z = (
-                        np.bitwise_xor(z0, self._flip_mask, out=net)
-                        if flip
-                        else z0
-                    )
-                    np.less(z, rep, out=less)
-                    if np.count_nonzero(less):
-                        np.copyto(rep, z, where=less)
-                        np.copyto(phase_idx, vidx, where=less)
-                    np.equal(z, s, out=fixed)
-                    # Non-trivial stabilizer elements are rare (most states
-                    # sit in full-size orbits), so a counted guard plus a
-                    # masked add on the few hits beats a full-width
-                    # multiply-accumulate.
-                    if np.count_nonzero(fixed):
-                        stab[fixed] += chi_conj
+        loop = self._packed_loop if self._packed else self._compare_and_copy
+        rep, phase_idx = loop(s, stab)
 
         phase = self._phase_table.take(phase_idx)
         if not self.is_real:
@@ -258,6 +243,100 @@ class GroupKernel:
             self._observe(metrics, t0, s.size)
         shape = states.shape
         return rep.reshape(shape), phase.reshape(shape), stab.reshape(shape)
+
+    def _packed_loop(self, s, stab) -> tuple[np.ndarray, np.ndarray]:
+        """``(rep, phase_idx)`` of the flat batch ``s`` and its stabilizer
+        sums added to ``stab``, on packed keys.
+
+        The running minimum and the first element that reached it are one
+        word, ``state << idx_bits | tag``: tags ascend in visit order and
+        the input itself carries tag 0, so ``np.minimum`` breaks a tie the
+        way a strict ``<`` against the running representative does.  A
+        rotated key has zero tag bits, which makes either variant one XOR
+        with its mark and lets the fixed-point test compare it with the
+        shifted input (or its flipped copy) as it is.  Per variant: xor,
+        minimum, equal and a counted guard; per permutation two passes of
+        rotation, ``(d >> (n - k)) & field``, out of the base's doubled
+        word ``d = (b | b << n) << idx_bits`` where that fits 64 bits, four
+        in key space where it does not.
+        """
+        m, n, bits, field = s.size, self._n_sites, self._idx_bits, self._field
+        doubled = self._doubled
+        y, net, base_out, shifted, fixed = self._buffers(
+            m, "y", "net", "base", "shifted", "fixed"
+        )
+        np.left_shift(s, bits, out=shifted)
+        if self._has_flips:
+            (flipped,) = self._buffers(m, "flipped")
+            np.bitwise_xor(shifted, field, out=flipped)
+        best = shifted.copy()
+
+        for applier, members in self._bases:
+            # The base in key space; doubled, ``base | base << n``.
+            if applier is None:
+                base = shifted
+            else:
+                b = applier.apply(s, out=base_out, scratch=y, scratch2=net)
+                base = np.left_shift(b, bits, out=y if doubled else base_out)
+            if doubled:
+                np.left_shift(base, n, out=base_out)
+                base = np.bitwise_or(base_out, base, out=base_out)
+            for shifts, variants in members:
+                if applier is None and shifts is None:
+                    z0 = shifted
+                elif doubled:
+                    np.right_shift(base, shifts[1] if shifts else n, out=y)
+                    z0 = np.bitwise_and(y, field, out=y)
+                else:
+                    z0 = self._rotated(base, shifts, y, net, field)
+                for flip, chi_conj, mark in variants:
+                    if z0 is shifted and not flip:
+                        # g(s) == s for every state: pure stabilizer credit.
+                        np.add(stab, chi_conj, out=stab)
+                        continue
+                    np.bitwise_xor(z0, mark, out=net)
+                    np.minimum(best, net, out=best)
+                    np.equal(z0, flipped if flip else shifted, out=fixed)
+                    # Non-trivial stabilizer elements are rare (most states
+                    # sit in full-size orbits), so a counted guard plus a
+                    # masked add on the few hits beats a full-width
+                    # multiply-accumulate.
+                    if np.count_nonzero(fixed):
+                        stab[fixed] += chi_conj
+
+        # A tag reads the same through either 64-bit type: no cast pass.
+        phase_idx = np.bitwise_and(best, self._tag_mask, out=y).view(np.int64)
+        return np.right_shift(best, bits, out=best), phase_idx
+
+    def _compare_and_copy(self, s, stab) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_packed_loop` for lattices whose states leave no room for
+        a tag (``n_sites + idx_bits > 64``): representative and element
+        index in two arrays, updated under a mask where an element
+        improves."""
+        rep, mask = s.copy(), self._flip_mask
+        phase_idx = np.zeros(s.size, dtype=np.uint16)
+        y, net, base_out, less, fixed = self._buffers(
+            s.size, "y", "net", "base", "less", "fixed"
+        )
+        for applier, members in self._bases:
+            base = s
+            if applier is not None:
+                base = applier.apply(s, out=base_out, scratch=y, scratch2=net)
+            for shifts, variants in members:
+                z0 = self._rotated(base, shifts, y, net, mask)
+                for flip, chi_conj, tag in variants:
+                    if z0 is s and not flip:
+                        np.add(stab, chi_conj, out=stab)
+                        continue
+                    z = np.bitwise_xor(z0, mask, out=net) if flip else z0
+                    np.less(z, rep, out=less)
+                    if np.count_nonzero(less):
+                        np.copyto(rep, z, where=less)
+                        np.copyto(phase_idx, tag, where=less)
+                    np.equal(z, s, out=fixed)
+                    if np.count_nonzero(fixed):
+                        stab[fixed] += chi_conj
+        return rep, phase_idx
 
     def representatives(self, states) -> tuple[np.ndarray, np.ndarray]:
         """The surviving orbit representatives of a batch.
@@ -275,9 +354,9 @@ class GroupKernel:
         metrics = current_telemetry().metrics
         t0 = perf_counter() if metrics.enabled else 0.0
 
-        sc = self._buffers(s.size)
         alive, m = s, s.size
-        y, net, base_out, dead, fixed = sc.views(m)
+        names = ("y", "net", "base", "less", "fixed")
+        y, net, base_out, dead, fixed = self._buffers(m, *names)
         positions = None  # of ``alive`` in ``s``; None until the first cut
         stab = np.zeros(m, dtype=np.float64 if self.is_real else np.complex128)
         # A state with bits beyond the lattice is nobody's representative.
@@ -291,7 +370,10 @@ class GroupKernel:
                 else applier.apply(alive, out=base_out, scratch=y, scratch2=net)
             )
             for shifts, variants in members:
-                z0 = self._rotated(alive if base is None else base, shifts, y, net)
+                z0 = self._rotated(
+                    alive if base is None else base, shifts, y, net,
+                    self._flip_mask,
+                )
                 for flip, chi_conj, _ in variants:
                     if z0 is alive and not flip:
                         np.add(stab, chi_conj, out=stab)
@@ -319,7 +401,7 @@ class GroupKernel:
                         np.flatnonzero(keep) if positions is None else positions[keep]
                     )
                     m = alive.size
-                    y, net, base_out, dead, fixed = sc.views(m)
+                    y, net, base_out, dead, fixed = self._buffers(m, *names)
                     dead.fill(False)
 
         stab = stab.real

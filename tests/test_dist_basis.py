@@ -120,6 +120,46 @@ class TestDistributedBasis:
             idx = serial.index(part)
             assert np.allclose(scale, serial.source_scale[idx])
 
+    @pytest.mark.parametrize("sector", SECTORS)
+    def test_enumerated_scales_equal_direct_construction(self, sector):
+        """The enumeration hands the filter's stabilizer sums to the basis;
+        building the basis from the parts alone recomputes them — to the
+        same bits, without a second ``state_info`` over the parts."""
+        group = chain_symmetries(12, **sector)
+        template = SymmetricBasis(group, hamming_weight=6, build=False)
+        cluster = make_cluster(3)
+        calls = []
+        kernel = group.kernel
+        original = kernel.state_info
+        kernel.state_info = lambda states: calls.append(1) or original(states)
+        try:
+            enumerated, _ = enumerate_states(cluster, template, chunks_per_core=3)
+            assert not calls
+            direct = DistributedBasis(cluster, template, enumerated.parts)
+            assert len(calls) == 3
+        finally:
+            del kernel.state_info
+        for ours, theirs in zip(enumerated.scales, direct.scales):
+            assert ours.tobytes() == theirs.tobytes()
+
+    def test_rejects_mismatched_stabilizers(self, dbasis):
+        parts = dbasis.parts
+        sums = [1.0 / scale**2 for scale in dbasis.scales]
+        with pytest.raises(DistributionError, match="one sum per state"):
+            DistributedBasis(
+                dbasis.cluster, dbasis.template, parts, stabilizers=sums[:2]
+            )
+        with pytest.raises(DistributionError, match="one sum per state"):
+            DistributedBasis(
+                dbasis.cluster, dbasis.template, parts,
+                stabilizers=[sums[0][:-1], *sums[1:]],
+            )
+        sums[1][0] = 0.0
+        with pytest.raises(DistributionError, match="outside the sector"):
+            DistributedBasis(
+                dbasis.cluster, dbasis.template, parts, stabilizers=sums
+            )
+
     def test_plain_basis_has_no_scales(self):
         cluster = make_cluster(2)
         dbasis, _ = enumerate_states(cluster, SpinBasis(10, hamming_weight=5))

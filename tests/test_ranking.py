@@ -1,8 +1,10 @@
 """Tests for the stateToIndex ranking strategies."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.basis import CombinatorialRanker, SortedRanker, binomial_table
 from repro.bits import states_with_weight
@@ -74,6 +76,110 @@ class TestSortedRanker:
         ranker = SortedRanker(np.empty(0, dtype=np.uint64))
         _, found = ranker.try_rank(np.array([1], dtype=np.uint64))
         assert not found[0]
+
+
+def sorted_set(rng: np.random.Generator, size: int, span_bits: int) -> np.ndarray:
+    """``size`` distinct states below ``2**span_bits``, ascending."""
+    states = np.unique(rng.integers(0, 2**span_bits, size=size, dtype=np.uint64))
+    while states.size < size:
+        more = rng.integers(0, 2**span_bits, size=size, dtype=np.uint64)
+        states = np.unique(np.concatenate([states, more]))
+    return states[:size]
+
+
+def assert_ranks_like_searchsorted(states: np.ndarray, queries) -> None:
+    """``try_rank`` against the binary search it sits on, for any query
+    shape; ``rank`` returns the same or raises on the first absent state."""
+    ranker = SortedRanker(states)
+    queries = np.asarray(queries, dtype=np.uint64)
+    at = np.searchsorted(states, queries.ravel())
+    present = at < states.size
+    present[present] = states[at[present]] == queries.ravel()[present]
+    at, present = at.reshape(queries.shape), present.reshape(queries.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a scalar uint64 product overflows
+        idx, found = ranker.try_rank(queries)
+        assert idx.dtype == np.int64 and idx.shape == found.shape == queries.shape
+        np.testing.assert_array_equal(found, present)
+        np.testing.assert_array_equal(idx[found], at[present])
+        if present.all():
+            ranked = ranker.rank(queries)
+            assert ranked.dtype == np.int64 and ranked.shape == queries.shape
+            np.testing.assert_array_equal(ranked, at)
+        else:
+            absent = queries[~present]
+            detail = (
+                f"first missing: {int(absent.flat[0])}"
+                if states.size
+                else "the basis is empty"
+            )
+            with pytest.raises(BasisError) as raised:
+                ranker.rank(queries)
+            assert str(raised.value) == (
+                f"{absent.size} state(s) not found in the basis ({detail})"
+            )
+
+
+class TestSlotTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.one_of(
+            st.sampled_from([0, 1, 2, 3]),
+            st.integers(1, 11).flatmap(
+                lambda k: st.sampled_from([2**k - 1, 2**k, 2**k + 1])
+            ),
+        ),
+        span_bits=st.sampled_from([12, 24, 40, 64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_searchsorted(self, size, span_bits, seed):
+        rng = np.random.default_rng(seed)
+        states = sorted_set(rng, size, span_bits)
+        everywhere = rng.integers(0, 2**span_bits, size=64, dtype=np.uint64)
+        some = states[rng.integers(0, size, size=48)] if size else states
+        edges = np.array([0, 2**64 - 1], dtype=np.uint64)
+        if size:
+            # just below the first and above the last, where there is room
+            edges = np.concatenate(
+                [edges, states[:1] - (states[0] > 0), states[-1:] + (states[-1] < 2**64 - 1)]
+            )
+        assert_ranks_like_searchsorted(states, states)
+        assert_ranks_like_searchsorted(states, some)
+        assert_ranks_like_searchsorted(states, some.reshape(-1, 4))
+        assert_ranks_like_searchsorted(states, everywhere)
+        assert_ranks_like_searchsorted(states, np.concatenate([some, edges]))
+        assert_ranks_like_searchsorted(states, np.concatenate([some, everywhere]).reshape(2, -1))
+        assert_ranks_like_searchsorted(states, everywhere[0])  # 0-d, absent or not
+        if size:
+            assert_ranks_like_searchsorted(states, states[size // 2])
+        assert_ranks_like_searchsorted(states, states[:0])
+
+    @pytest.mark.parametrize("sharing", [2, 17, 300])
+    def test_many_states_in_one_slot(self, sharing):
+        """States built to hash to one slot: the slot keeps the lowest, the
+        others are found by the search behind it."""
+        from repro.basis.ranking import _SLOT_MULTIPLIER
+
+        rng = np.random.default_rng(sharing)
+        background = sorted_set(rng, 700, 40)
+        bits = (background.size + sharing - 1).bit_length() + 1
+        inverse = np.uint64(pow(int(_SLOT_MULTIPLIER), -1, 2**64))
+        slot = np.uint64(5) << np.uint64(64 - bits)
+        crowd = (slot + np.arange(sharing, dtype=np.uint64)) * inverse
+        states = np.unique(np.concatenate([background, crowd]))
+        assert states.size == background.size + sharing
+        ranker = SortedRanker(states)
+        assert np.all(ranker._slot_of(crowd) == 5)
+        assert states[ranker._slots[5]] == crowd.min()
+        assert_ranks_like_searchsorted(states, crowd)
+        assert_ranks_like_searchsorted(states, states[::-1])
+        assert_ranks_like_searchsorted(states, np.concatenate([crowd, crowd + np.uint64(1)]))
+
+    def test_table_is_two_to_four_slots_of_int32_per_state(self):
+        for size in (1, 2, 3, 1000, 1024, 1025, 28968):
+            ranker = SortedRanker(np.arange(size, dtype=np.uint64))
+            assert ranker._slots.dtype == np.int32
+            assert 2 * size <= ranker._slots.size < max(4 * size, 3)
 
 
 class TestCombinatorialRanker:

@@ -282,3 +282,121 @@ class TestStrategyClassification:
         # cast inside the closing ``take``: 34 B per state.  Another set of
         # work arrays would add 26 B per state.
         assert peak < 40 * states.size
+
+
+# -- the packed-key loop ---------------------------------------------------------
+
+
+def input_shapes(n_sites: int, seed: int) -> list[np.ndarray]:
+    """Random, all-equal, empty and 2-D batches of ``n_sites``-bit states."""
+    states = random_states(n_sites, 240, seed)
+    return [
+        states,
+        np.full(50, states[0]),
+        states[:0],
+        states.reshape(6, 40),
+        states[::-1][::3],  # a strided view
+    ]
+
+
+def assert_matches_in_shape(group: SymmetryGroup, states: np.ndarray) -> None:
+    """:func:`assert_matches_reference` (``rep`` exact; ``stab`` and the
+    survivors' ``phase`` to 1e-12: the elements that tie on a survivor have
+    one character, which the reference, walking them in another order, may
+    read off another element — an ulp), and the input's shape on all three
+    outputs.  Bit for bit against the previous kernel is
+    ``tests/kernel_snapshot.py``."""
+    assert_matches_reference(group, states)
+    assert all(out.shape == np.shape(states) for out in group.state_info(states))
+
+
+def chain_sectors(n: int):
+    """Every (momentum, parity, inversion) a closed ``n``-chain admits."""
+    for momentum in range(n):
+        yield momentum, None, None
+        yield momentum, None, 0
+        if momentum in (0, n / 2):
+            for parity in (0, 1):
+                for inversion in (None, 0, 1):
+                    yield momentum, parity, inversion
+
+
+class TestPackedKeys:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(4, 28), seed=st.integers(0, 2**32 - 1))
+    def test_chain_sectors(self, data, n, seed):
+        sector = data.draw(st.sampled_from(list(chain_sectors(n))))
+        group = chain_symmetries(n, *sector)
+        for states in input_shapes(n, seed):
+            assert_matches_in_shape(group, states)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(2, 5), st.integers(2, 5)),
+        data=st.data(),
+        inversion=st.one_of(st.none(), st.integers(0, 1)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_torus_sectors(self, shape, data, inversion, seed):
+        nx, ny = shape
+        generators = [
+            rectangle_translation(nx, ny, 0, data.draw(st.integers(0, nx - 1))),
+            rectangle_translation(nx, ny, 1, data.draw(st.integers(0, ny - 1))),
+        ]
+        if inversion is not None:
+            generators.append(spin_inversion(nx * ny, inversion))
+        group = SymmetryGroup.from_generators(generators)
+        for states in input_shapes(nx * ny, seed):
+            assert_matches_in_shape(group, states)
+
+    @pytest.mark.parametrize("momentum", [3, 6, 9])
+    def test_tie_break_in_a_complex_momentum_sector(self, momentum):
+        """A period-4 state of the 12-chain is fixed by t^4 and t^8, so three
+        elements tie on its representative; at momenta 3, 6 and 9 the
+        state survives (their characters agree) and its twelve translates
+        read every value the character takes."""
+        group = chain_symmetries(12, momentum, None, None)
+        assert group.is_real == (momentum == 6)
+        periodic = np.uint64(0b000100010001)
+        states = np.array([rotate_left(periodic, k, 12) for k in range(12)])
+        rep, phase, stab = group.state_info(states)
+        assert np.all(rep == periodic) and np.allclose(stab, 3.0)
+        values = set(np.asarray(phase, dtype=np.complex128).round(12))
+        assert len(values) == 12 // np.gcd(12, momentum)
+        assert_matches_in_shape(group, states)
+        # Every other period too, survivors or not.
+        for period in (1, 2, 3, 6):
+            pattern = np.uint64(sum(1 << i for i in range(0, 12, period)))
+            assert_matches_in_shape(group, np.array([pattern, rotate_left(pattern, 1, 12)]))
+
+    @pytest.mark.parametrize(
+        "n_sites, doubled, packed",
+        [(28, True, True), (30, False, True), (60, False, False)],
+        ids=["doubled word", "two shifts in key space", "compare and copy"],
+    )
+    def test_each_side_of_the_width_boundaries(self, n_sites, doubled, packed):
+        """|G| = 2n here, so ``idx_bits`` is 6, 6 and 7: 62 and 66 bits of
+        doubled word, 36 and 67 of key."""
+        group = chain_symmetries(n_sites, 0, 0, None)
+        kernel = group.kernel
+        assert (kernel._doubled, kernel._packed) == (doubled, packed)
+        rng = np.random.default_rng(n_sites)
+        bits = rng.integers(0, n_sites, size=(300, 2)).astype(np.uint64)
+        weight_two = (np.uint64(1) << bits[:, 0]) | (np.uint64(1) << bits[:, 1])
+        top = np.uint64(1) << np.uint64(n_sites - 1)
+        assert np.any(weight_two >= top), "the widest states must be in"
+        assert_matches_in_shape(group, weight_two)
+        assert_matches_in_shape(group, weight_two.reshape(3, 100))
+
+    def test_work_arrays_come_with_the_first_state_info_call(self):
+        """``representatives`` (basis set-up) allocates its five arrays and
+        not the two that only ``state_info`` reads."""
+        group = chain_symmetries(16, 0, 0, 0)
+        states = random_states(16, 1000, 3)
+        group.representatives(states)
+        arrays = vars(group.kernel._local)  # this thread's, by name
+        assert sorted(arrays) == ["base", "fixed", "less", "net", "y"]
+        group.state_info(states)
+        assert sorted(set(arrays) - {"less"}) == [
+            "base", "fixed", "flipped", "net", "shifted", "y"
+        ]

@@ -159,6 +159,47 @@ class TestConstruction:
                 group, np.array([0b0101], dtype=np.uint64), hamming_weight=2
             )
 
+    def test_from_representatives_rejects_another_orbit_member(self):
+        """A sorted list with one state replaced by a non-minimal member of
+        its orbit used to be accepted and fail at the first matvec with
+        "state(s) not found in the basis"."""
+        group = chain_symmetries(8, momentum=0, parity=0, inversion=0)
+        states = SymmetricBasis(group, hamming_weight=4).states.copy()
+        at = states.size - 1
+        orbit = [
+            group.apply_element(i, states[at:])[0] for i in range(len(group))
+        ]
+        states[at] = max(orbit)  # still sorted: nothing comes after it
+        assert states[at] != min(orbit)
+        with pytest.raises(BasisError, match=rf"state {states[at]} \(position {at}\).*minimum"):
+            SymmetricBasis.from_representatives(group, states, hamming_weight=4)
+
+    def test_from_representatives_rejects_unsorted_and_repeated(self):
+        group = chain_symmetries(8, momentum=0, parity=0, inversion=0)
+        states = SymmetricBasis(group, hamming_weight=4).states
+        swapped = states.copy()
+        swapped[[2, 3]] = swapped[[3, 2]]
+        with pytest.raises(BasisError, match=rf"state {swapped[3]} \(position 3\)"):
+            SymmetricBasis.from_representatives(group, swapped, hamming_weight=4)
+        with pytest.raises(BasisError, match=r"position 1\)"):
+            SymmetricBasis.from_representatives(
+                group, states[[0, 0, 1]], hamming_weight=4
+            )
+        with pytest.raises(BasisError):
+            SymmetricBasis.from_representatives(
+                group, states[:4].reshape(2, 2), hamming_weight=4
+            )
+
+    def test_from_representatives_accepts_empty_and_partial_lists(self):
+        group = chain_symmetries(8, momentum=0, parity=0, inversion=0)
+        states = SymmetricBasis(group, hamming_weight=4).states
+        empty = SymmetricBasis.from_representatives(
+            group, np.empty(0, dtype=np.uint64), hamming_weight=4
+        )
+        assert empty.dim == 0
+        some = SymmetricBasis.from_representatives(group, states[::2], hamming_weight=4)
+        assert np.array_equal(some.index(states[::2]), np.arange(some.dim))
+
     def test_inversion_requires_half_filling(self):
         group = chain_symmetries(8, momentum=0, parity=0, inversion=0)
         with pytest.raises(InvalidSectorError):
