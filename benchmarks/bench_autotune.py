@@ -16,8 +16,7 @@ Hard gates (all deterministic on the sim clock, so they fail loudly):
   candidate matvec replays).
 
 The regenerated ``autotune_smoke`` artifact records the default/tuned
-seconds and winning knobs per workload (diffed by the bench-regress
-gate).  Both workloads run at the same size regardless of ``BENCH_SMOKE``
+seconds and winning knobs per workload.  Both workloads run at the same size regardless of ``BENCH_SMOKE``
 so the artifact is comparable across CI and local runs.
 """
 

@@ -1,6 +1,6 @@
 """Block (multi-RHS) matvec amortization benchmarks.
 
-Two artifacts, both gated against ``benchmarks/baselines/``:
+Two artifacts:
 
 - ``block_matvec``: the measured serial per-column amortization curve for
   k = 1, 2, 4, 8 on the warm-plan path, where single vectors and blocks
@@ -15,8 +15,9 @@ Two artifacts, both gated against ``benchmarks/baselines/``:
   block matvec must put strictly fewer bytes on the wire than k single
   matvecs (betas travel once per element, ``wire_bytes(n, k)`` vs
   ``k * wire_bytes(n, 1)``) and cost less simulated time per column.
-  These are pure functions of the machine model, so the regression gate
-  holds them byte-exact.
+  These are pure functions of the machine model; the sim snapshot
+  (``tests/sim_snapshot.py``, ``block/c16-l4``) runs the same sequence
+  and holds every report byte-exact.
 
 Set ``BENCH_SMOKE=1`` for the reduced problem size used by CI.
 """
@@ -63,6 +64,7 @@ def test_block_amortization_curve():
     """Warm-plan serial matvec: per-column wall-clock vs block width."""
     group = chain_symmetries(N_SITES, momentum=0, parity=0, inversion=0)
     basis = SymmetricBasis(group, hamming_weight=WEIGHT)
+    assert basis.dim == (257 if SMOKE else 28_968)
     op = repro.Operator(repro.heisenberg_chain(N_SITES), basis)
     rng = np.random.default_rng(1)
     x1 = rng.standard_normal(basis.dim)
@@ -135,7 +137,8 @@ def test_block_distributed_wire_bytes(chain16_setup):
     """Simulated wire traffic and time of block vs repeated single matvecs.
 
     Everything asserted here is a deterministic output of the simulated
-    machine, so the baseline comparison is byte-exact.  The ``k`` singles
+    machine (held exactly by the sim snapshot's ``block/c16-l4``).  The
+    ``k`` singles
     re-send the betas with every vector (``k * 16`` bytes per element);
     the block sends them once (``8 + 8k``), hence strictly fewer bytes.
     """

@@ -13,10 +13,10 @@ the resilience contract of ``docs/RESILIENCE.md``:
   plain pipeline's time.
 
 Both the plain and the resilient fault-free simulated seconds are pure
-functions of the code and the machine model, so the checked-in baseline
-(``benchmarks/baselines/chaos_smoke.json``) gates them hard: drifting
-either one beyond the relative floor fails CI, which bounds the overhead
-ratio as a side effect of bounding its numerator and denominator.
+functions of the code and the machine model: the sim snapshot
+(``tests/sim_snapshot.py``) holds them exactly, as the first product of
+``<variant>/c16-l4/plan/k1/plain`` and ``.../resilience`` — the same
+basis, batch, buffer and input vector as here.
 
 ``CHAOS_BACKEND=threads`` reruns the same harness on the real-parallel
 backend: the identical seeded plans are injected at the executor
@@ -24,7 +24,7 @@ primitives (keyed per-message fates, wall-clock delay timers, real worker
 crashes + supervision), the recover-or-typed-error gate is unchanged, and
 the 5% fault-free overhead gate applies to *wall* seconds — measured
 best-of-N to damp scheduler noise — with the artifact written to
-``chaos_smoke_threads`` so the sim baseline stays untouched.
+``chaos_smoke_threads`` so the sim artifact stays untouched.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from repro.telemetry import Telemetry
 
 VARIANTS = ("naive", "batched", "pc")
 
-#: Execution backend under chaos: "sim" (default, baseline-gated) or
-#: "threads" (real workers, wall-clock gates).
+#: Execution backend under chaos: "sim" (default, exact simulated
+#: seconds) or "threads" (real workers, wall-clock gates).
 BACKEND = os.environ.get("CHAOS_BACKEND", "sim")
 SIM = BACKEND == "sim"
 #: threads mode: fault-free timings are adaptive best-of-N (scheduler

@@ -14,7 +14,7 @@ speedups can be diffed across PRs.
 
 Set ``BENCH_SMOKE=1`` to run at a reduced problem size (16 sites instead
 of 24) with relaxed speedup thresholds — used by the CI smoke step, which
-still fails hard if the matvec plan records zero cache hits.
+still holds the input sizes and the plan's hit and miss counts exactly.
 """
 
 from __future__ import annotations
@@ -44,6 +44,11 @@ from repro.symmetry import (
 SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
 N_SITES = 16 if SMOKE else 24
 WEIGHT = N_SITES // 2
+#: Input sizes, held exactly: the states of the ``batch`` fixture (every
+#: 13th of the 24-site sector, all of the 16-site one) and the dimensions
+#: of the symmetric sectors measured below.
+BATCH_STATES = 12_870 if SMOKE else 208_012
+DIMS = {"chain16": 257, "chain24": 28_968, "square4x4": 441, "square4x6": 56_664}
 
 
 def best_of(fn, repeats: int = 5) -> float:
@@ -59,7 +64,9 @@ def best_of(fn, repeats: int = 5) -> float:
 @pytest.fixture(scope="module")
 def batch():
     states = states_with_weight(N_SITES, WEIGHT)
-    return states[:: max(states.size // 200_000, 1)]
+    batch = states[:: max(states.size // 200_000, 1)]
+    assert batch.size == BATCH_STATES
+    return batch
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +277,7 @@ def test_cold_matvec_batch_fits_cache(group):
     rows, lines = {}, []
     for label, g, expression in problems:
         basis = SymmetricBasis(g, hamming_weight=WEIGHT)
+        assert basis.dim == DIMS[label]
         tiled = repro.Operator(expression, basis, plan=False)
         wide = repro.Operator(expression, basis, batch_size=1 << 14, plan=False)
         x = np.random.default_rng(1).standard_normal(basis.dim)
@@ -443,10 +451,12 @@ def test_radix_partition_vs_argsort(batch):
 def test_plan_replay_speedup(group):
     """Warm (plan-replay) matvec vs cold, and the plan hit-rate.
 
-    The hit-rate assertion is the hard CI gate: a warm matvec that records
-    zero ``plan.hits`` means the cache wiring silently broke.
+    The hit and miss counts are the hard CI gate, exactly: one miss per
+    batch on the recording pass; the first warm matvec reads every batch
+    once to fold them into one matrix, the next three read the matrix.
     """
     basis = SymmetricBasis(group, hamming_weight=WEIGHT)
+    assert basis.dim == DIMS[f"chain{N_SITES}"]
     op = repro.Operator(repro.heisenberg_chain(N_SITES), basis)
     x = np.random.default_rng(1).standard_normal(basis.dim)
 
@@ -482,5 +492,6 @@ def test_plan_replay_speedup(group):
             "smoke": SMOKE,
         },
     )
-    assert hits > 0, "plan cache recorded zero hits on a warm matvec"
+    n_batches = -(-basis.dim // op.batch_size)
+    assert (misses, hits) == (n_batches, n_batches + 3), (misses, hits)
     assert speedup >= (1.0 if SMOKE else 2.0)

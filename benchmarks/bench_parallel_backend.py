@@ -9,16 +9,16 @@ sector so CI stays fast.  The first matvec of each operator generates its
 elements through the pipeline (that is where the hand-offs are counted);
 the timed ones replay the plan, one SpMV per locale on the calling thread.
 
-Gate philosophy (see :mod:`repro.bench.compare`):
+Gate philosophy:
 
 - **Correctness is a hard gate, in-test**: every parallel result must
   match the serial reference operator to ``1e-12``, always, on any
   machine.  A backend that returns fast wrong answers must fail here, not
   in a soft wall-clock comparison.
-- **Speedup is a soft gate**: the ``workersN.speedup`` /
-  ``workersN.wall_seconds`` keys warn through the baseline comparison but
-  cannot fail CI — wall clocks belong to the host.  The in-test speedup
-  assertion (>= 1.5x at 4 workers) only arms when the host actually has
+- **Speedup is recorded, not compared**: the ``workersN.speedup`` /
+  ``workersN.wall_seconds`` keys go into the artifact and fail nothing —
+  wall clocks belong to the host; wall time is gated end to end by the
+  ``benchmarks/e2e`` ladder.  The in-test speedup assertion (>= 1.5x at 4 workers) only arms when the host actually has
   the cores (``os.cpu_count() >= 4``); on smaller machines the numbers
   are still recorded, with the host context in the artifact's ``env``
   block, so the trajectory remains interpretable.

@@ -50,8 +50,8 @@ def bench_env(worker_count: int | None = None) -> dict:
     ``worker_count`` (real parallel workers used, ``None`` for simulated
     runs), the host's ``cpu_count``, and the BLAS thread pinning in
     effect.  Stored at the *top level* of the artifact payload — outside
-    ``data`` — so the regression gate never judges environment facts as
-    metrics.
+    ``data`` — so nothing reading the numbers mistakes environment facts
+    for metrics.
     """
     return {
         "worker_count": worker_count,

@@ -8,7 +8,7 @@ values of those knobs — nothing the operator has to know about:
 - :func:`~repro.autotune.fingerprint.workload_fingerprint` keys tuning
   results per (Hamiltonian, sector, cluster, backend, method);
 - :class:`~repro.autotune.cache.TuneCache` persists them in versioned
-  JSON next to the benchmark baselines;
+  JSON;
 - :class:`~repro.autotune.tuner.Autotuner` runs the two-stage search —
   analytic coarse pruning over the scaling model, then measured
   refinement replaying the real workload, varying only the knobs the

@@ -7,11 +7,10 @@ discards stale entries instead of misapplying them — and contains no
 timestamps or host names, so tuning the same workload twice writes
 byte-identical files (the determinism the CI smoke gate checks).
 
-The default location is ``benchmarks/baselines/autotune_cache.json``
-next to the benchmark baselines (both are "known good numbers for this
-repo" artifacts); override it per tuner with ``Autotuner(cache=...)`` /
-the ``--tune-cache`` flag, or process-wide with the ``REPRO_TUNE_CACHE``
-environment variable.
+The default location is ``benchmarks/baselines/autotune_cache.json``,
+relative to the working directory and created on the first write;
+override it per tuner with ``Autotuner(cache=...)`` / the ``--tune-cache``
+flag, or process-wide with the ``REPRO_TUNE_CACHE`` environment variable.
 
 The file comes from outside the program, so every entry is checked where
 it is read: the knobs against the rows that declare them

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.distributed.dist_basis import DistributedBasis
 from repro.distributed.matvec_common import (
+    DEFAULT_BATCH_SIZE,
     AnalyticMatvec,
     count_messages,
     diagonal_seconds,
@@ -38,7 +39,7 @@ def matvec_naive(
     basis: DistributedBasis,
     x: DistributedVector,
     y: DistributedVector | None = None,
-    batch_size: int = 1 << 14,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     plan=None,
     faults=None,
     resilience=None,

@@ -76,6 +76,11 @@ MATVEC_ROWS = (
 )
 KNOB_KEYS = tuple(row.key for row in MATVEC_ROWS)
 KNOB_DEFAULTS = {row.key: row.default for row in MATVEC_ROWS}
+#: What the pipeline takes besides its knobs: the hand-off unit and an
+#: explicit producer/consumer split.
+PIPELINE_OPTIONS = (
+    "buffer_capacity", "producers_per_locale", "consumers_per_locale"
+)
 
 
 def is_pipeline(method: str) -> bool:
@@ -86,6 +91,17 @@ def is_pipeline(method: str) -> bool:
 def knob_keys(method: str) -> tuple[str, ...]:
     """The tunable knobs ``method`` accepts."""
     return KNOB_KEYS if is_pipeline(method) else KNOB_KEYS[:1]
+
+
+def _check_options(method: str, options: dict) -> None:
+    """Refuse an option ``method`` does not take, where it is given."""
+    takes = knob_keys(method) + (PIPELINE_OPTIONS if is_pipeline(method) else ())
+    for key in options:
+        if key not in takes:
+            raise ConfigError(
+                f"matvec method {method!r} takes no option {key!r}; "
+                f"it takes {', '.join(takes)}"
+            )
 
 
 class DistributedOperator:
@@ -122,7 +138,9 @@ class DistributedOperator:
     cluster's backend; an explicit value in ``method_options`` wins.  The
     knobs of :data:`MATVEC_ROWS` are ``method_options`` too: pass the
     values :class:`repro.autotune.Autotuner` found for this workload like
-    any others.
+    any others.  An option ``method`` does not take (:func:`knob_keys`,
+    plus :data:`PIPELINE_OPTIONS` for the pipeline) is a
+    :class:`~repro.errors.ConfigError` here, not at the first product.
 
     ``faults`` / ``resilience`` activate the self-healing layer (they
     default to whatever is attached to the basis's cluster).  On a
@@ -151,6 +169,7 @@ class DistributedOperator:
             raise ConfigError(
                 f"unknown matvec method {method!r}; choose from {sorted(IMPLS)}"
             )
+        _check_options(method, method_options)
         self.basis = basis
         cluster = basis.cluster
         self.faults = faults if faults is not None else getattr(
@@ -174,15 +193,17 @@ class DistributedOperator:
                 "a fixed Hamming weight"
             )
         self.method = method
-        self.method_options = dict(method_options)
+        # One batch size: the one the plan is claimed for, chunked by, and
+        # passed to whichever method runs.
+        self.method_options = {
+            "batch_size": KNOB_DEFAULTS["batch_size"], **method_options
+        }
         if is_pipeline(method):
             # The hand-off unit follows the backend; an explicit value wins.
             self.method_options.setdefault(
                 "buffer_capacity", default_buffer_capacity(cluster)
             )
-        self.batch_size = self.method_options.get(
-            "batch_size", KNOB_DEFAULTS["batch_size"]
-        )
+        self.batch_size = self.method_options["batch_size"]
         if plan is True:
             self.plan: MatvecPlan | None = MatvecPlan()
         elif plan is False or plan is None:

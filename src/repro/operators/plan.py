@@ -18,13 +18,18 @@ under a real single-vector matvec replays against a complex input or a
 ``(dim, k)`` block unchanged (NumPy promotion sets the output dtype), so
 one plan serves an entire mixed single/block Krylov workload.
 
-The cache is memory-bounded: entries are accounted in bytes and evicted in
-least-recently-used order once the budget (by default
-:func:`repro.perfmodel.capacity.plan_cache_budget`) is exceeded, so large
-bases degrade gracefully to partial caching instead of exhausting memory.
-Hits, misses, and evictions are reported through the ambient
-:mod:`repro.telemetry` registry as ``plan.hits`` / ``plan.misses`` /
-``plan.evictions`` counters and the ``plan.bytes`` gauge.
+The cache is memory-bounded: entries are accounted in bytes and admitted
+while they fit the budget (by default
+:func:`repro.perfmodel.capacity.plan_cache_budget`); an entry that does not
+fit is turned away and the ones already held stay.  Every matvec visits
+its chunks in the same order, so evicting the least recently used entry
+would throw out exactly the one needed next and a plan smaller than its
+operator would never hit; admission keeps the first K chunks that fit and
+replays those K on every matvec, so large bases degrade gracefully to
+partial caching instead of exhausting memory.  Hits, misses and turned-away
+entries are reported through the ambient :mod:`repro.telemetry` registry
+as ``plan.hits`` / ``plan.misses`` / ``plan.rejected`` counters and the
+``plan.bytes`` gauge.
 
 Keys are caller-chosen tuples: the serial operator uses ``(start,)`` for a
 batch and ``("matrix",)`` for the matrix that replaces them; the
@@ -41,7 +46,6 @@ the same primitive tables, basis object and batch size — may share it.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Hashable
 
 import numpy as np
@@ -119,14 +123,14 @@ def csr_in_recorded_order(shape, dtype, first, row_arrays, triples):
 
 
 class MatvecPlan:
-    """A byte-budgeted LRU cache of iteration-invariant matvec data.
+    """A byte-budgeted cache of iteration-invariant matvec data.
 
     Parameters
     ----------
     capacity_bytes:
         Maximum total size of cached entries.  ``None`` uses
-        :func:`repro.perfmodel.capacity.plan_cache_budget`.  An entry larger
-        than the whole budget is never cached (counted as a miss each time).
+        :func:`repro.perfmodel.capacity.plan_cache_budget`.  An entry that
+        does not fit beside the ones held is not cached (a miss each time).
     """
 
     def __init__(self, capacity_bytes: int | None = None) -> None:
@@ -135,14 +139,14 @@ class MatvecPlan:
 
             capacity_bytes = plan_cache_budget()
         self.capacity_bytes = int(capacity_bytes)
-        self._entries: OrderedDict[Hashable, object] = OrderedDict()
+        self._entries: dict[Hashable, object] = {}
         self._nbytes_by_key: dict[Hashable, int] = {}
         self._bytes = 0
         self._claim: tuple | None = None
         # One plan serves every chunk task of a matvec, and on the
         # ``threads`` execution backend those tasks run concurrently; the
-        # LRU reordering and the eviction bookkeeping are multi-step and
-        # need a lock (uncontended on the sim backend).
+        # admission bookkeeping and the hit/miss counts are read-modify-write
+        # and need a lock (uncontended on the sim backend).
         self._lock = threading.RLock()
 
     # -- inspection ----------------------------------------------------------
@@ -196,36 +200,28 @@ class MatvecPlan:
             entry = self._entries.get(key)
             if entry is None:
                 metrics.counter("plan.misses").inc()
-                return None
-            self._entries.move_to_end(key)
-            metrics.counter("plan.hits").inc()
-            return entry
+            else:
+                metrics.counter("plan.hits").inc()
+        return entry
 
     def put(self, key: Hashable, entry: object) -> None:
-        """Insert ``entry`` under ``key``, evicting LRU entries to fit."""
+        """Hold ``entry`` under ``key`` (in place of what ``key`` held) if it
+        fits beside the other entries; else turn it away."""
         metrics = current_telemetry().metrics
         nbytes = _entry_nbytes(entry)
-        if nbytes > self.capacity_bytes:
-            # Would evict everything and still not fit; skip caching.
-            metrics.counter("plan.rejected").inc()
-            return
         with self._lock:
-            old = self._nbytes_by_key.pop(key, None)
-            if old is not None:
-                del self._entries[key]
-                self._bytes -= old
-            while self._bytes + nbytes > self.capacity_bytes and self._entries:
-                old_key, _ = self._entries.popitem(last=False)
-                evicted = self._nbytes_by_key.pop(old_key)
-                self._bytes -= evicted
-                metrics.counter("plan.evictions").inc()
+            if key in self._entries:
+                self.pop(key)
+            if self._bytes + nbytes > self.capacity_bytes:
+                metrics.counter("plan.rejected").inc()
+                return
             self._entries[key] = entry
             self._nbytes_by_key[key] = nbytes
             self._bytes += nbytes
             metrics.gauge("plan.bytes").set(float(self._bytes))
 
     def peek(self, key: Hashable):
-        """The entry for ``key`` or ``None``: no hit, no miss, no LRU touch."""
+        """The entry for ``key`` or ``None``: no hit, no miss."""
         return self._entries.get(key)
 
     def pop(self, key: Hashable):

@@ -76,7 +76,9 @@ def plan_cache_budget(
     fraction: float = PLAN_CACHE_FRACTION,
     ceiling: int = PLAN_CACHE_CEILING_BYTES,
 ) -> int:
-    """Byte budget for one locale's :class:`~repro.operators.plan.MatvecPlan`."""
+    """Byte budget of one :class:`~repro.operators.plan.MatvecPlan`, sized
+    as one node's share.  A ``DistributedOperator`` holds one plan for all
+    its locales, so in-process the whole cluster shares this budget."""
     return min(int(node_memory * headroom * fraction), ceiling)
 
 

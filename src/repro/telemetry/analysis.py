@@ -36,8 +36,9 @@ Use it as a library (:func:`analyze_trace`) or from the command line::
 
 (also installed as the ``repro-inspect`` console script; ``repro-inspect
 COMMAND --help`` says what each sub-command of the ``_COMMANDS`` table
-reports).  ``diff`` is the manual half of the regression gating that
-:mod:`repro.bench.compare` automates for benchmark artifacts.
+reports).  ``diff`` compares two runs by hand; the exact regression gates
+are the sim snapshot (simulated numbers) and the ``benchmarks/e2e`` ladder
+(wall time).
 
 Every report works on both clock domains — the simulator's simulated
 seconds and the threads backend's measured wall seconds — and labels

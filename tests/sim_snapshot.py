@@ -8,12 +8,14 @@ distributed matvec over
     x  block width 1 / 3  x  {plain, resilience, drops, corruption, crash}
 
 (240 runs, two products each, so a plan records and then replays), plus a
-basis enumeration and a short Lanczos solve per shape.  Per run it hashes
-the ``repr`` of the report (elapsed, messages, bytes, extras, phases, the
-per-locale ledger, the result's amplitudes), of every metric series and of
-the Chrome trace; simulated time is a pure function of code, seeds and
-machine model, so the three digests are exact.  Only the measured
-``kernel.*_seconds`` histograms are reduced to their counts.
+basis enumeration and a short Lanczos solve per shape, plus the simulated
+runs two benches report that the grid does not cover (:data:`BENCH_NAMES`).
+Per run it hashes the ``repr`` of the report (elapsed, messages, bytes,
+extras, phases, the per-locale ledger, the result's amplitudes), of every
+metric series and of the Chrome trace; simulated time is a pure function
+of code, seeds and machine model, so the three digests are exact.  Only
+the measured ``kernel.*_seconds`` histograms are reduced to their counts.
+This is the regression gate of every simulated number the benches write.
 
     PYTHONPATH=src python tests/sim_snapshot.py --check    # full grid
     PYTHONPATH=src python tests/sim_snapshot.py --record   # at a named commit
@@ -45,13 +47,15 @@ from repro.distributed import (
     DistributedOperator,
     DistributedVector,
     enumerate_states,
+    matvec_batched,
 )
 from repro.errors import FaultError
 from repro.linalg.lanczos import lanczos_distributed
+from repro.operators import MatvecPlan, compile_expression
 from repro.resilience import FaultPlan, ResilienceConfig
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, analyze_trace
 
 RECORDING = Path(__file__).parent / "data" / "sim_snapshot.json"
 
@@ -99,7 +103,16 @@ def _names():
     for shape in SHAPES:
         yield f"enumerate/{shape}"
         yield f"lanczos/{shape}"
+    yield from BENCH_NAMES
 
+
+#: ``bench_smoke_pipeline``'s three variants (one traced product each, and
+#: the trace analysis it reports) and ``bench_block_matvec``'s distributed
+#: sequence (eight single vectors on one plan, a warm single, an 8-wide
+#: block) at the batched variant's default batch size
+BENCH_NAMES = (
+    *(f"smoke/c16-l4/{method}" for method in METHODS), "block/c16-l4"
+)
 
 NAMES = tuple(_names())
 
@@ -182,6 +195,36 @@ def _matvec(method, basis, shape, plan, k, protection) -> list[str]:
     return lines
 
 
+def _smoke(method, basis, tele) -> list[str]:
+    options = dict(batch_size=256)
+    if method == "pc":
+        options.update(
+            buffer_capacity=64, producers_per_locale=3, consumers_per_locale=1
+        )
+    op = DistributedOperator(
+        repro.heisenberg_chain(16), basis, method=method, **options
+    )
+    y = op.matvec(DistributedVector.full_random(basis, seed=7))
+    scalars = analyze_trace(tele.trace, metrics=tele.metrics).scalars()
+    return _report_lines(op.last_report, y) + [
+        f"analysis {key} {float(value)!r}"
+        for key, value in sorted(scalars.items())
+    ]
+
+
+def _block(basis) -> list[str]:
+    compiled = compile_expression(repro.heisenberg_chain(16), 16)
+    plan = MatvecPlan()
+    singles = [DistributedVector.full_random(basis, seed=s) for s in range(8)]
+    per_locale = zip(*(x.parts for x in singles))
+    block = DistributedVector(basis, [np.stack(p, axis=1) for p in per_locale])
+    lines = []
+    for x in [*singles, singles[0], block]:
+        y, report = matvec_batched(compiled, basis, x, plan=plan)
+        lines += _report_lines(report, y)
+    return lines
+
+
 def run(name: str) -> dict[str, list[str]]:
     """What run ``name`` leaves behind, as text: report, metrics, trace."""
     kind, shape, *rest = name.split("/")
@@ -202,6 +245,10 @@ def run(name: str) -> dict[str, list[str]]:
                 f"seconds {seconds!r}",
                 f"eigenvalues {np.asarray(result.eigenvalues).tolist()!r}",
             ]
+        elif kind == "smoke":
+            report = _smoke(rest[0], basis, tele)
+        elif kind == "block":
+            report = _block(basis)
         else:
             plan, k, protection = rest
             report = _matvec(kind, basis, shape, plan, int(k[1:]), protection)

@@ -226,6 +226,23 @@ class TestValidation:
         with pytest.raises(ConfigError):
             DistributedOperator(expr, dbasis, method="warp")
 
+    @pytest.mark.parametrize(
+        "method, option",
+        [
+            ("batched", dict(batchsize=64)),
+            ("naive", dict(consumer_fraction=0.5)),
+            ("batched", dict(buffer_capacity=64)),
+            ("pc", dict(tune="auto")),
+        ],
+    )
+    def test_option_the_method_does_not_take(self, method, option):
+        # These used to construct and fail at the first matvec with a bare
+        # TypeError.
+        _, _, dbasis, expr = build(8, 4, None, 2)
+        (key,) = option
+        with pytest.raises(ConfigError, match=f"{method!r} takes no option {key!r}"):
+            DistributedOperator(expr, dbasis, method=method, **option)
+
     def test_non_conserving_rejected(self):
         _, _, dbasis, _ = build(8, 4, None, 2)
         with pytest.raises(CompilationError):

@@ -296,7 +296,6 @@ class TestConsolidatedReplay:
         assert tele.metrics.counter_total("plan.misses") == len(keys)
         assert tele.metrics.counter_total("plan.hits") == 3 * len(keys)
         assert tele.metrics.counter_total("plan.rejected") == 0
-        assert tele.metrics.counter_total("plan.evictions") == 0
         # one more byte of room is not enough either; room for the matrix is
         for capacity, consolidated in [
             (budget + 1, False),
@@ -372,19 +371,62 @@ class TestPlanCachePolicy:
         op = repro.Operator(expr, basis, plan=MatvecPlan(capacity_bytes=1))
         x = random_vector(basis, rng)
         y_first = op.matvec(x)
-        # Every batch is rejected or evicted, yet results stay correct.
+        # Every batch is turned away, yet results stay correct.
         np.testing.assert_array_equal(op.matvec(x), y_first)
         assert op.plan.nbytes <= 1
 
-    def test_eviction_order_is_lru(self):
-        plan = MatvecPlan(capacity_bytes=3 * 240)  # room for three entries
-        a = (np.zeros(10), np.zeros(10, dtype=np.int64), np.zeros(10))
-        for key in ("a", "b", "c"):
-            plan.put(key, a)
-        assert plan.get("a") is not None  # refresh "a"
-        plan.put("d", a)  # evicts "b", the least recently used
-        assert "b" not in plan
-        assert "a" in plan and "c" in plan and "d" in plan
+    @staticmethod
+    def partial(make_op, x, share, warm=5):
+        """A plan of ``share`` of the recording's bytes: what it admits on
+        the first matvec it keeps, and each warm matvec hits exactly that.
+        (Evicting the least recently used entry threw out, on a cyclic
+        scan, the very entry needed next: no hit at all.)"""
+        cold = make_op(plan=False).matvec(x)
+        probe = make_op(plan=True)
+        probe.matvec(x)
+        keys, recorded = probe.plan.n_entries, probe.plan.nbytes
+        op = make_op(plan=MatvecPlan(capacity_bytes=int(share * recorded)))
+        tele = telemetry.Telemetry.enabled(trace=False)
+        with telemetry.use(tele):
+            results = [op.matvec(x) for _ in range(1 + warm)]
+        held = op.plan.n_entries
+        assert 0 < held < keys and op.plan.nbytes <= share * recorded
+        metrics = tele.metrics
+        assert metrics.counter_total("plan.hits") == held * warm
+        assert metrics.counter_total("plan.misses") == keys + (keys - held) * warm
+        assert metrics.counter_total("plan.rejected") == (keys - held) * (1 + warm)
+        return cold, results
+
+    @pytest.mark.parametrize("share", [0.9, 0.5, 0.25])
+    def test_partial_budget_admits_and_hits_serial(self, share, rng):
+        # chain-20: dim 2518, ten batches of 256
+        basis = SymmetricBasis(chain_symmetries(20, 0, 0, 0), hamming_weight=10)
+        expr = repro.heisenberg_chain(20)
+        x = rng.standard_normal(basis.dim)
+        cold, results = self.partial(
+            lambda plan: repro.Operator(expr, basis, batch_size=256, plan=plan),
+            x, share,
+        )
+        for y in results:
+            np.testing.assert_array_equal(y, cold)
+
+    @pytest.mark.parametrize("share", [0.9, 0.5])
+    def test_partial_budget_admits_and_hits_pc_on_sim(self, share):
+        group = chain_symmetries(16, momentum=0, parity=0, inversion=0)
+        template = SymmetricBasis(group, hamming_weight=8, build=False)
+        cluster = Cluster(4, laptop_machine(cores=4))
+        dbasis, _ = enumerate_states(cluster, template, use_weight_shortcut=True)
+        expr = repro.heisenberg_chain(16)
+        x = DistributedVector.full_random(dbasis, seed=7)
+        cold, results = self.partial(
+            lambda plan: DistributedOperator(
+                expr, dbasis, method="pc", batch_size=16, plan=plan
+            ),
+            x, share,
+        )
+        for y in results:
+            for part, cold_part in zip(y.parts, cold.parts):
+                np.testing.assert_array_equal(part, cold_part)
 
     def test_oversized_entry_rejected(self):
         plan = MatvecPlan(capacity_bytes=8)

@@ -579,6 +579,31 @@ class TestPlanClaim:
         np.testing.assert_array_equal(ops[0].matvec(x), ops[1].matvec(x))
         assert ("matrix",) in shared
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_naive_runs_the_batch_it_claims(self, backend, rng):
+        # One locale of 9 252 states, more than the default batch of 8 192:
+        # a naive pass chunked by another number recorded one 9 252-row
+        # chunk under (0, 0), never consolidated, and a pc operator sharing
+        # the plan replayed it as its first 8 192 rows.
+        serial, dbasis, expr = build(
+            backend, n=20, n_locales=1,
+            sector=dict(momentum=0, parity=None, inversion=None),
+        )
+        assert int(dbasis.counts[0]) > 8192
+        x = random_serial(rng, serial)
+        dx = DistributedVector.from_serial(dbasis, serial, x)
+        expected = repro.Operator(expr, serial, plan=False).matvec(x)
+        naive = DistributedOperator(expr, dbasis, method="naive")
+        for _ in range(2):
+            naive.matvec(dx)
+        assert ((0, "matrix") in naive.plan) == (backend == "threads")
+        plan = MatvecPlan()
+        for method in ("naive", "pc"):
+            op = DistributedOperator(expr, dbasis, method=method, plan=plan)
+            np.testing.assert_allclose(
+                op.matvec(dx).to_serial(serial), expected, atol=1e-12
+            )
+
     def test_fallback_to_batched_keeps_the_operators_plan(self, rng):
         serial, dbasis, expr = build("sim", n_locales=3)
         plan = MatvecPlan()
