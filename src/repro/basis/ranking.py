@@ -29,7 +29,7 @@ __all__ = [
 
 
 def binomial_table(n: int) -> np.ndarray:
-    """Pascal's triangle as an ``(n+1, n+1)`` ``int64`` table.
+    """The binomial coefficients as an ``(n+1, n+1)`` ``int64`` table.
 
     ``table[m, k] == C(m, k)``; entries with ``k > m`` are zero.  ``n`` must
     be at most 63 so that every entry fits into a signed 64-bit integer

@@ -11,28 +11,10 @@ from repro.bits.ops import as_states, bit_mask, popcount, states_with_weight
 from repro.basis.ranking import CombinatorialRanker
 from repro.errors import BasisError
 
-__all__ = ["Basis", "SpinBasis", "candidate_batches"]
+__all__ = ["Basis", "SpinBasis"]
 
 #: Refuse to materialize more than this many states at once.
 _MAX_MATERIALIZED = 1 << 26
-
-#: Candidates meet the membership predicate this many at a time, so the
-#: group loop's working set stays in cache.
-_CANDIDATE_BATCH = 1 << 16
-
-
-def candidate_batches(n_sites: int, hamming_weight: int | None = None):
-    """Yield the states of the U(1) sector (or of the full space), ascending,
-    a batch at a time: the search space of a basis construction."""
-    if hamming_weight is not None:
-        states = states_with_weight(n_sites, hamming_weight)
-        for start in range(0, states.size, _CANDIDATE_BATCH):
-            yield states[start : start + _CANDIDATE_BATCH]
-    else:
-        total = 1 << n_sites
-        for start in range(0, total, _CANDIDATE_BATCH):
-            stop = min(start + _CANDIDATE_BATCH, total)
-            yield np.arange(start, stop, dtype=np.uint64)
 
 
 class Basis(abc.ABC):
@@ -142,19 +124,14 @@ class SpinBasis(Basis):
                     f"refusing to materialize {self.dim} states; "
                     "use the distributed enumeration instead"
                 )
-            if self.hamming_weight is None:
-                self._states = np.arange(self.dim, dtype=np.uint64)
-            else:
-                self._states = states_with_weight(
-                    self.n_sites, self.hamming_weight
-                )
+            self._states = states_with_weight(self.n_sites, self.hamming_weight)
         return self._states
 
     def index(self, queries) -> np.ndarray:
         q = as_states(queries)
+        if q.size and int(q.max()) > bit_mask(self.n_sites):
+            raise BasisError("state outside the Hilbert space")
         if self._ranker is None:
-            if q.size and int(q.max()) >= self.dim:
-                raise BasisError("state outside the Hilbert space")
             return q.astype(np.int64)
         return self._ranker.rank(q)
 

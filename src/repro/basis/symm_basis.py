@@ -28,8 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.basis.ranking import SortedRanker
-from repro.basis.spin_basis import Basis, candidate_batches
-from repro.bits.ops import as_states, bit_mask, popcount
+from repro.basis.spin_basis import Basis
+from repro.bits.ops import as_states, bit_mask, candidate_batches, popcount
 from repro.errors import BasisError
 from repro.symmetry.group import SymmetryGroup
 from repro.symmetry.kernels import STAB_TOL as _STAB_TOL

@@ -19,9 +19,8 @@ from repro.bits.ops import (
     rotate_right,
     reverse_bits,
     flip_all,
-    gosper_next,
+    candidate_batches,
     states_with_weight,
-    interleave,
 )
 from repro.bits.permutations import (
     ByteGatherTable,
@@ -44,9 +43,8 @@ __all__ = [
     "rotate_right",
     "reverse_bits",
     "flip_all",
-    "gosper_next",
+    "candidate_batches",
     "states_with_weight",
-    "interleave",
     "apply_permutation_to_states",
     "permutation_masks",
     "MaskShiftNetwork",

@@ -24,9 +24,8 @@ __all__ = [
     "rotate_right",
     "reverse_bits",
     "flip_all",
-    "gosper_next",
+    "candidate_batches",
     "states_with_weight",
-    "interleave",
 ]
 
 BITS_DTYPE = np.uint64
@@ -156,68 +155,58 @@ def flip_all(x, n: int) -> np.ndarray:
     return x ^ bit_mask(n)
 
 
-def gosper_next(v):
-    """Next integer with the same popcount (Gosper's hack).
+#: Candidates are yielded this many at a time, so a caller's working set
+#: stays in cache and a sector is never held whole.
+_CANDIDATE_BATCH = 1 << 16
 
-    Works element-wise on arrays; the all-ones-at-the-top sentinel behaviour
-    of the classic trick is preserved (callers must bound iteration).
+
+def candidate_batches(n: int, w: int | None = None):
+    """Yield every ``n``-bit state (``w=None``) or every one with popcount
+    ``w``, ascending, in batches of exactly ``_CANDIDATE_BATCH`` states (the
+    last one shorter): the search space of a basis construction.
+
+    The low ``m = min(n, 16)`` bits come from one table of all ``m``-bit
+    words split by popcount; a state is a high-bit prefix ``p`` followed by
+    a word of weight ``w - popcount(p)``.  Prefixes are walked in order,
+    skipping runs too heavy or too light to complete, so memory is
+    O(batch) whatever the sector's size.
     """
-    v = as_states(v)
-    c = v & (~v + _ONE)  # lowest set bit (two's complement without signed ops)
-    r = v + c
-    # ((r ^ v) >> 2) / c  -- division is exact because c is a power of two.
-    return (((r ^ v) >> np.uint64(2)) // np.maximum(c, _ONE)) | r
+    if not 0 <= n <= 64:
+        raise ValueError(f"bit count must be in [0, 64], got {n}")
+    if w is not None and w < 0:
+        raise ValueError(f"weight must be non-negative, got {w}")
+    m = min(n, 16)
+    low = np.arange(1 << m, dtype=BITS_DTYPE)
+    weights = popcount(low)
+    tables = [low[weights == k] for k in range(m + 1)]
+    batch, filled = np.empty(_CANDIDATE_BATCH, dtype=BITS_DTYPE), 0
+    p = 0
+    while p < 1 << (n - m):
+        k = p.bit_count()
+        if w is not None and k > w:  # as is every prefix below p's next carry
+            p += p & -p
+            continue
+        if w is not None and k < w - m:  # as is every one below p | (p + 1)
+            p |= p + 1
+            continue
+        piece = np.uint64(p << m) | (low if w is None else tables[w - k])
+        while piece.size:
+            take = min(piece.size, _CANDIDATE_BATCH - filled)
+            batch[filled : filled + take] = piece[:take]
+            filled += take
+            piece = piece[take:]
+            if filled == _CANDIDATE_BATCH:
+                yield batch
+                batch, filled = np.empty(_CANDIDATE_BATCH, dtype=BITS_DTYPE), 0
+        p += 1
+    if filled:
+        yield batch[:filled]
 
 
-def states_with_weight(n: int, w: int) -> np.ndarray:
-    """All ``n``-bit states with popcount ``w``, in increasing order.
-
-    Built by the recursion ``S(n, w) = S(n-1, w) ++ (S(n-1, w-1) | 1<<(n-1))``
-    which is fully vectorized and yields the states already sorted.  This is
-    the U(1)-symmetric (fixed magnetization) basis of a spin chain.
-
-    Computed bottom-up over a Pascal-triangle table of subproblems: the
-    naive recursion re-derives each ``S(n', w')`` once per path from the
-    root, which is exponentially wasteful (profiling showed ~8 s for
-    ``n=24``; the table brings it to tens of milliseconds).
-    """
-    if n < 0 or w < 0:
-        raise ValueError("n and w must be non-negative")
-    if w > n:
-        return np.empty(0, dtype=BITS_DTYPE)
-    if w == 0:
-        return np.zeros(1, dtype=BITS_DTYPE)
-    if w == n:
-        return np.array([bit_mask(n)], dtype=BITS_DTYPE)
-    # row[k] holds S(m, k) for the current m, for max(0, w-(n-m)) <= k <= w.
-    row: dict[int, np.ndarray] = {0: np.zeros(1, dtype=BITS_DTYPE)}
-    for m in range(1, n + 1):
-        new_row: dict[int, np.ndarray] = {}
-        low_k = max(0, w - (n - m))
-        for k in range(low_k, min(w, m) + 1):
-            if k == 0:
-                new_row[k] = np.zeros(1, dtype=BITS_DTYPE)
-            elif k == m:
-                new_row[k] = np.array([bit_mask(m)], dtype=BITS_DTYPE)
-            else:
-                high_bit = _ONE << np.uint64(m - 1)
-                new_row[k] = np.concatenate(
-                    [row[k], row[k - 1] | high_bit]
-                )
-        row = new_row
-    return row[w]
-
-
-def interleave(x, y, n: int) -> np.ndarray:
-    """Interleave the low ``n`` bits of ``x`` (even positions) and ``y`` (odd).
-
-    Used to build two-sublattice states; the result has ``2n`` significant
-    bits with ``x``'s bit ``i`` at position ``2i`` and ``y``'s at ``2i+1``.
-    """
-    x = as_states(x) & bit_mask(n)
-    y = as_states(y) & bit_mask(n)
-    out = np.zeros_like(x + y, dtype=BITS_DTYPE)
-    for i in range(n):
-        out |= ((x >> np.uint64(i)) & _ONE) << np.uint64(2 * i)
-        out |= ((y >> np.uint64(i)) & _ONE) << np.uint64(2 * i + 1)
-    return out
+def states_with_weight(n: int, w: int | None) -> np.ndarray:
+    """All ``n``-bit states with popcount ``w`` (every one for ``w=None``),
+    in increasing order: the U(1)-symmetric (fixed magnetization) basis of
+    a spin chain, i.e. :func:`candidate_batches` concatenated."""
+    return np.concatenate(
+        [np.empty(0, dtype=BITS_DTYPE), *candidate_batches(n, w)]
+    )

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.basis.spin_basis import Basis, candidate_batches
-from repro.bits.ops import popcount
+from repro.basis.spin_basis import Basis
+from repro.bits.ops import candidate_batches, popcount
 from repro.distributed.convert import stable_partition
 from repro.distributed.dist_basis import DistributedBasis
 from repro.distributed.hashing import locale_of
+from repro.distributed.matvec_common import require_positive
 from repro.runtime.clock import BSPTimer, SimReport
 from repro.runtime.cluster import Cluster
 from repro.telemetry.context import current as current_telemetry
@@ -44,13 +45,15 @@ def enumerate_states(
     use_weight_shortcut:
         Iterate only over states of the correct Hamming weight instead of
         the raw ``2**n`` range.  Faithful to the paper when False (default);
-        True makes large laptop-scale runs cheaper.  Simulated costs always
-        follow the faithful raw-range iteration.
+        True makes large laptop-scale runs cheaper.  It changes wall time
+        only: the parts and the simulated costs, which always follow the
+        faithful raw-range iteration, are the same either way.
 
     Returns the :class:`DistributedBasis` and the timing report (whose
     ``extras['mean_put_bytes']`` is the average remote-put payload — the
     quantity behind the paper's Fig. 7 saturation analysis).
     """
+    require_positive(chunks_per_core=chunks_per_core)
     machine = cluster.machine
     n_locales = cluster.n_locales
     n_sites = template.n_sites

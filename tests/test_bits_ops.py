@@ -1,5 +1,7 @@
 """Unit and property tests for the bit-manipulation kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,10 +10,9 @@ from repro.bits import (
     as_states,
     bit_mask,
     clear_bit,
+    candidate_batches,
     flip_all,
     get_bit,
-    gosper_next,
-    interleave,
     parity,
     popcount,
     reverse_bits,
@@ -156,29 +157,6 @@ class TestFlipAll:
         assert int(popcount(flip_all(x, n))) == n - int(popcount(x))
 
 
-class TestGosper:
-    def test_sequence(self):
-        # weight-2 states of 4 bits: 0011 -> 0101 -> 0110 -> 1001 -> 1010 -> 1100
-        seq = [0b0011]
-        for _ in range(5):
-            seq.append(int(gosper_next(np.uint64(seq[-1]))))
-        assert seq == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
-
-    @given(st.integers(min_value=1, max_value=(1 << 32) - 1))
-    def test_preserves_popcount_and_increases(self, x):
-        y = int(gosper_next(np.uint64(x)))
-        assert y > x
-        assert y.bit_count() == x.bit_count()
-
-    def test_enumerates_same_set_as_recursion(self):
-        n, w = 8, 3
-        expected = states_with_weight(n, w)
-        got = [int(expected[0])]
-        for _ in range(expected.size - 1):
-            got.append(int(gosper_next(np.uint64(got[-1]))))
-        assert got == expected.tolist()
-
-
 class TestStatesWithWeight:
     @pytest.mark.parametrize(
         "n,w,count",
@@ -209,27 +187,36 @@ class TestStatesWithWeight:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             states_with_weight(-1, 0)
+        with pytest.raises(ValueError):
+            states_with_weight(4, -1)
+
+    def test_rejects_more_than_64_bits(self):
+        with pytest.raises(ValueError, match="64"):
+            states_with_weight(70, 3)
+
+    def test_sparse_sector_of_a_wide_word(self):
+        assert states_with_weight(63, 1).tolist() == [1 << i for i in range(63)]
+        assert states_with_weight(64, 64).tolist() == [(1 << 64) - 1]
 
 
-class TestInterleave:
-    def test_simple(self):
-        out = interleave(np.uint64(0b11), np.uint64(0b00), 2)
-        assert int(out) == 0b0101
+class TestCandidateBatches:
+    @given(st.integers(min_value=0, max_value=20), st.data())
+    def test_matches_brute_force_in_full_batches(self, n, data):
+        w = data.draw(st.one_of(st.none(), st.integers(0, n + 1)))
+        batches = list(candidate_batches(n, w))
+        everything = np.arange(1 << n, dtype=np.uint64)
+        brute = everything if w is None else everything[popcount(everything) == w]
+        got = np.concatenate([np.empty(0, dtype=np.uint64), *batches])
+        assert got.dtype == np.uint64 and np.array_equal(got, brute)
+        assert all(batch.size == 1 << 16 for batch in batches[:-1])
 
-    @given(
-        st.integers(min_value=0, max_value=255),
-        st.integers(min_value=0, max_value=255),
-    )
-    def test_popcount_adds(self, a, b):
-        out = interleave(np.uint64(a), np.uint64(b), 8)
-        assert int(popcount(out)) == a.bit_count() + b.bit_count()
-
-    @given(
-        st.integers(min_value=0, max_value=255),
-        st.integers(min_value=0, max_value=255),
-    )
-    def test_bits_land_in_even_odd_positions(self, a, b):
-        out = int(interleave(np.uint64(a), np.uint64(b), 8))
-        for i in range(8):
-            assert (out >> (2 * i)) & 1 == (a >> i) & 1
-            assert (out >> (2 * i + 1)) & 1 == (b >> i) & 1
+    def test_streams_in_batch_sized_memory(self):
+        # C(26, 13) = 10 400 600 states, 83 MB if held at once.
+        tracemalloc.start()
+        try:
+            count = sum(batch.size for batch in candidate_batches(26, 13))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 10_400_600
+        assert peak < 8 << 20

@@ -6,7 +6,7 @@ import pytest
 import repro
 from repro.basis import SpinBasis, SymmetricBasis
 from repro.distributed import DistributedBasis, enumerate_states, locale_of
-from repro.errors import BasisError, DistributionError
+from repro.errors import BasisError, ConfigError, DistributionError
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
 
@@ -92,6 +92,13 @@ class TestEnumeration:
             results.append(dbasis.global_states())
         assert np.array_equal(results[0], results[1])
         assert np.array_equal(results[1], results[2])
+
+    @pytest.mark.parametrize("cpc", [0, -3, 2.5, "4"])
+    def test_chunks_per_core_must_be_a_positive_integer(self, cpc):
+        with pytest.raises(ConfigError, match="chunks_per_core"):
+            enumerate_states(
+                make_cluster(2), SpinBasis(10, hamming_weight=5), chunks_per_core=cpc
+            )
 
 
 class TestDistributedBasis:

@@ -66,6 +66,12 @@ class TestU1Basis:
             basis.index(basis.states), np.arange(basis.dim, dtype=np.int64)
         )
 
+    def test_index_rejects_bits_above_n_sites(self):
+        # The ranker reads only the low bits: 0b110011 would rank as 0b0011.
+        basis = SpinBasis(4, hamming_weight=2)
+        with pytest.raises(BasisError, match="outside the Hilbert space"):
+            basis.index([0b110011])
+
     def test_check_filters_weight(self):
         basis = SpinBasis(6, hamming_weight=2)
         cand = np.array([0b000011, 0b000111, 0b100001, 0b111111], dtype=np.uint64)
