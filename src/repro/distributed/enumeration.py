@@ -138,7 +138,6 @@ def enumerate_states(
             parts[dest][off : off + count] = partitioned[start : start + count]
             timer.add_message(owner, dest, count * 8)
             put_bytes.append(count * 8)
-            metrics.histogram("enumeration.put_bytes").observe(count * 8)
             start += count
     timer.end_phase("distribute")
 
@@ -165,10 +164,5 @@ def enumerate_states(
         report.extras["mean_put_bytes"] = float(np.mean(put_bytes))
     report.extras["load_imbalance"] = basis.load_imbalance
     if metrics.enabled:
-        for locale in range(n_locales):
-            metrics.counter(
-                "enumeration.states_kept", locale=locale
-            ).inc(int(basis.counts[locale]))
-        metrics.gauge("enumeration.load_imbalance").set(basis.load_imbalance)
         report.metrics = metrics.snapshot()
     return basis, report

@@ -103,7 +103,6 @@ def matvec_batched(
                 continue
             nbytes = wire_bytes(size, k)
             count_messages(report, metrics, locale, dest, 1, nbytes)
-            metrics.histogram("matvec.buffer_elements").observe(size)
             pin = nbytes / PIN_BANDWIDTH  # fresh buffer every time
             pair_bytes[locale, dest] += nbytes
             pair_msgs[locale, dest] += 1

@@ -306,8 +306,6 @@ class _Pipeline:
         waited = self.ex.now - since
         if waited > 0.0:
             acct["stall"] += waited
-            with self.ex.mutex:
-                self.metrics.histogram("matvec.stall_seconds").observe(waited)
 
     def book(self, acct: dict, locale: int) -> None:
         """A retiring worker's busy seconds by phase go into the ledger."""
@@ -337,10 +335,6 @@ class _Pipeline:
             count_messages(
                 self.report, metrics, src, dest, 1, nbytes, retransmit
             )
-            if not retransmit:
-                metrics.histogram("matvec.buffer_elements").observe(
-                    n_elements
-                )
         comm_args = None
         if self.trace is not None:
             comm_args = {"src": src, "dst": dest, "bytes": nbytes, "msgs": 1}
@@ -384,7 +378,7 @@ class _Pipeline:
     # -- the body -----------------------------------------------------------
 
     def producer(self, locale: int, producer_id: int):
-        ex, metrics, n = self.ex, self.metrics, self.n
+        ex, n = self.ex, self.n
         capacity = self.buffer_capacity
         x_local = self.x.parts[locale]
         chunks, cursor = self.chunks[locale], self.cursors[locale]
@@ -404,10 +398,6 @@ class _Pipeline:
                 + self.t_partition * chunk.betas.size
             )
             self.charge(acct, locale, "generate", since, dt)
-            with ex.mutex:
-                metrics.histogram("matvec.chunk_elements").observe(
-                    chunk.betas.size
-                )
             yield Timeout(dt, "generate")
             # Round-robin the destinations starting after ourselves so all
             # producers do not hammer locale 0 first.
@@ -810,7 +800,6 @@ def _shared_memory_matvec(
         chunk = produce_chunk(op, basis, 0, start, stop, x.parts[0], plan)
         betas, values = chunk.slice_for(0)
         consume(basis, 0, y.parts[0], betas, values, chunk.rows_for(0))
-        metrics.histogram("matvec.chunk_elements").observe(chunk.betas.size)
         gen_work += machine.t_generate * chunk.n_emitted
         search_work += (
             machine.t_search_accum + machine.t_axpy * (k - 1)

@@ -349,7 +349,7 @@ class DistributedOperator:
         """Generate (or replay chunk by chunk) under ``method``'s schedule,
         healing as :meth:`matvec` describes."""
         impl = IMPLS[self.method]
-        resilient = self.faults is not None or self.resilience is not None
+        resilient = self.resilience is not None  # a fault plan implies one
         kwargs = dict(self.method_options)
         if resilient:
             kwargs.update(faults=self.faults, resilience=self.resilience)
@@ -411,11 +411,7 @@ class DistributedOperator:
         median = float(np.median(busy))
         if median <= 0.0:
             return
-        threshold = (
-            self.resilience.straggler_threshold
-            if self.resilience is not None
-            else ResilienceConfig().straggler_threshold
-        )
+        threshold = self.resilience.straggler_threshold
         stragglers = np.flatnonzero(busy > threshold * median)
         if stragglers.size:
             metrics = current_telemetry().metrics

@@ -32,7 +32,6 @@ from repro.linalg.spaces import (
     apply_block,
     as_matvec,
 )
-from repro.telemetry.context import current as current_telemetry
 
 __all__ = ["ThermalEstimate", "ftlm_thermal"]
 
@@ -173,7 +172,6 @@ def ftlm_thermal(
     e2_sum = np.zeros_like(betas)
     # Shift by the lowest Ritz value across samples to keep exponentials
     # finite at low temperature.
-    tele = current_telemetry()
     t_start = time.perf_counter()
     progress: list = []
     all_spectra = []
@@ -208,9 +206,6 @@ def ftlm_thermal(
                 "elapsed": elapsed,
             }
             progress.append(entry)
-            tele.metrics.counter("ftlm.samples").inc()
-            tele.metrics.gauge("ftlm.ritz_min").set(entry["ritz_min"])
-            tele.metrics.gauge("ftlm.ritz_max").set(entry["ritz_max"])
         sample += width
     e_min = min(spec[0].min() for spec in all_spectra)
     for evals, weights, _ in all_spectra:

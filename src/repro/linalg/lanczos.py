@@ -53,24 +53,18 @@ class LanczosResult:
 
 
 def _record_iteration(tele, entry: dict, solver: str = "lanczos") -> None:
-    """Feed one iteration's convergence state to the ambient telemetry.
+    """Count one iteration in the ambient telemetry.
 
-    The residual lands in a gauge (current value), a histogram (the
-    distribution over iterations), and — when tracing — a counter sample
-    at the current end of the simulated timeline, so Perfetto shows the
-    residual decaying against the pipeline activity below it.  The Ritz
-    extremes land in gauges.
+    The result's ``progress`` is the record of residual and Ritz values;
+    when tracing, the residual also lands as a counter sample at the
+    current end of the simulated timeline, so Perfetto shows it decaying
+    against the pipeline activity below it.
     """
-    residual = entry["residual"]
     tele.metrics.counter(f"{solver}.iterations").inc()
-    tele.metrics.gauge(f"{solver}.residual").set(residual)
-    tele.metrics.histogram(f"{solver}.residual_per_iteration").observe(
-        residual
-    )
-    tele.metrics.gauge(f"{solver}.ritz_min").set(entry["ritz_min"])
-    tele.metrics.gauge(f"{solver}.ritz_max").set(entry["ritz_max"])
     if tele.trace.enabled:
-        tele.trace.counter(("solver", solver), "residual", 0.0, residual)
+        tele.trace.counter(
+            ("solver", solver), "residual", 0.0, entry["residual"]
+        )
 
 
 #: ``beta`` at or below which the Krylov space counts as exhausted.

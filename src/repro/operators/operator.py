@@ -203,11 +203,8 @@ class Operator:
             self._generate_and_scatter(x, y)
         if metrics.enabled:
             metrics.gauge("matvec.block_width").set(float(k))
-            dt = perf_counter() - t0
-            metrics.histogram("kernel.matvec_seconds").observe(dt)
-            metrics.histogram("kernel.matvec_seconds_per_column").observe(
-                dt / k
-            )
+            seconds = perf_counter() - t0
+            metrics.histogram("kernel.matvec_seconds").observe(seconds)
         return y
 
     def _consolidate(self):

@@ -156,11 +156,6 @@ def write_checkpoint(
         if final.exists():
             shutil.rmtree(final)
         os.replace(tmp, final)
-        metrics = telemetry.current().metrics
-        metrics.counter("checkpoint.saves").inc()
-        metrics.counter("checkpoint.bytes").inc(
-            sum(entry["nbytes"] for entry in files.values())
-        )
         if keep > 0:
             for stale in list_checkpoints(directory)[:-keep]:
                 shutil.rmtree(stale, ignore_errors=True)
@@ -248,7 +243,6 @@ def load_checkpoint(path, *, space=None, like=None) -> CheckpointState:
             f"checkpoint {path} vanished while loading "
             "(pruned by a concurrent writer?)"
         ) from exc
-    telemetry.current().metrics.counter("checkpoint.loads").inc()
     return CheckpointState(
         iteration=int(manifest["iteration"]),
         arrays=arrays,

@@ -131,10 +131,10 @@ class BSPTimer:
     injection/reception port) — and accumulates it into the report.
 
     When a live telemetry bundle is installed (``repro.telemetry.use``),
-    the timer also feeds it: per-locale-pair message/byte counters and a
-    per-phase duration histogram under the ``name`` prefix, plus one trace
-    span per (locale, phase) laid out sequentially on the global simulated
-    timeline.
+    the timer also feeds it: per-locale-pair message/byte counters under
+    the ``name`` prefix, every phase's seconds into ``sim.seconds{phase=
+    name}``, plus one trace span per (locale, phase) laid out sequentially
+    on the global simulated timeline.
     """
 
     def __init__(
@@ -187,9 +187,6 @@ class BSPTimer:
             self.report.ledger.add(name, locale, float(per_locale[locale]))
         self.report.merge_phase(name, elapsed)
         self.report.elapsed += elapsed
-        self._metrics.histogram(
-            f"{self.name}.phase_seconds", phase=name
-        ).observe(elapsed)
         self._metrics.counter("sim.seconds", phase=self.name).inc(elapsed)
         if self._trace is not None:
             for locale in range(self.n_locales):

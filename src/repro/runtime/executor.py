@@ -52,20 +52,15 @@ _NULL_CONTEXT = nullcontext()
 class _Counter:
     """A shared counter on the simulator: plain Python is already atomic
     between yields, so this is just an int with the executor-counter API.
-
-    ``ops`` counts ``add`` calls; a profiling executor drains it into the
-    ``executor.counter_adds`` metric at :meth:`Executor.finish`.
     """
 
-    __slots__ = ("value", "ops")
+    __slots__ = ("value",)
 
     def __init__(self, value: float = 0) -> None:
         self.value = value
-        self.ops = 0
 
     def add(self, amount: float = 1):
         self.value += amount
-        self.ops += 1
         return self.value
 
     def get(self):
@@ -115,10 +110,7 @@ class SimExecutor(Simulator):
         super().__init__(trace=trace, faults=faults, profile=profile)
 
     def counter(self, value: float = 0) -> _Counter:
-        counter = _Counter(value)
-        if self._profile is not None:
-            self._profile.register_counter(counter)
-        return counter
+        return _Counter(value)
 
     def lock(self, name: str | None = None):
         # Locks cannot contend on the single-threaded simulator; the
@@ -273,10 +265,7 @@ class ThreadExecutor(Executor):
     # -- the protocol surface -----------------------------------------------
 
     def counter(self, value: float = 0) -> _LockedCounter:
-        counter = _LockedCounter(value)
-        if self._profile is not None:
-            self._profile.register_counter(counter)
-        return counter
+        return _LockedCounter(value)
 
     def lock(self, name: str | None = None):
         if self._profile is not None:

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from time import perf_counter
 
 import numpy as np
 
@@ -206,10 +205,10 @@ class GroupKernel:
         np.bitwise_and(y, mask, out=y)
         return y
 
-    def _observe(self, metrics, t0: float, n_states: int) -> None:
-        metrics.histogram("kernel.state_info_seconds").observe(
-            perf_counter() - t0
-        )
+    def _observe(self, n_states: int) -> None:
+        metrics = current_telemetry().metrics
+        if not metrics.enabled:
+            return
         metrics.counter("kernel.state_info_states").inc(n_states)
         for strategy, count in self.strategy_counts.items():
             metrics.counter(
@@ -228,8 +227,6 @@ class GroupKernel:
         """
         states = as_states(states)
         s = states.ravel()
-        metrics = current_telemetry().metrics
-        t0 = perf_counter() if metrics.enabled else 0.0
 
         dtype = np.float64 if self.is_real else np.complex128
         stab = np.zeros(s.size, dtype=dtype)
@@ -239,8 +236,7 @@ class GroupKernel:
         phase = self._phase_table.take(phase_idx)
         if not self.is_real:
             stab = stab.real
-        if metrics.enabled:
-            self._observe(metrics, t0, s.size)
+        self._observe(s.size)
         shape = states.shape
         return rep.reshape(shape), phase.reshape(shape), stab.reshape(shape)
 
@@ -351,9 +347,6 @@ class GroupKernel:
         bit-identical to it.
         """
         s = as_states(states).ravel()
-        metrics = current_telemetry().metrics
-        t0 = perf_counter() if metrics.enabled else 0.0
-
         alive, m = s, s.size
         names = ("y", "net", "base", "less", "fixed")
         y, net, base_out, dead, fixed = self._buffers(m, *names)
@@ -407,6 +400,5 @@ class GroupKernel:
         stab = stab.real
         keep = ~dead & (stab > STAB_TOL)
         positions = np.flatnonzero(keep) if positions is None else positions[keep]
-        if metrics.enabled:
-            self._observe(metrics, t0, s.size)
+        self._observe(s.size)
         return positions, stab[keep]

@@ -379,6 +379,9 @@ class TraceAnalysis:
     #: clock domain of the trace: "sim" (simulated seconds) or "wall"
     #: (measured wall seconds from the threads backend)
     clock: str = "sim"
+    #: span name -> [category, seconds summed over the locale tracks]
+    #: (what ``calibrate`` compares phase by phase)
+    phases: dict[str, list] = field(default_factory=dict)
 
     # -- derived -----------------------------------------------------------
 
@@ -536,6 +539,9 @@ def analyze_trace(source, metrics=None) -> TraceAnalysis:
     spans = load_spans(chrome)
     locale_spans = [s for s in spans if s.locale is not None]
     locales = sorted({s.locale for s in locale_spans})
+    phases: dict[str, list] = {}
+    for span in locale_spans:
+        phases.setdefault(span.name, [span.category, 0.0])[1] += span.duration
 
     if locale_spans:
         t0 = min(s.start for s in locale_spans)
@@ -608,6 +614,7 @@ def analyze_trace(source, metrics=None) -> TraceAnalysis:
         comm=comm,
         counters=counters,
         clock=clock,
+        phases=phases,
     )
 
 
@@ -723,19 +730,7 @@ def calibrate_traces(model_source, measured_source) -> dict:
             "record it with '--backend threads --trace'"
         )
 
-    def phase_totals(source) -> dict[str, list]:
-        totals: dict[str, list] = {}
-        for span in load_spans(source):
-            if span.locale is None:
-                continue
-            entry = totals.setdefault(
-                span.name, [span.category, 0.0]
-            )
-            entry[1] += span.duration
-        return totals
-
-    model_phases = phase_totals(model_source)
-    measured_phases = phase_totals(measured_source)
+    model_phases, measured_phases = model.phases, measured.phases
     phases = []
     for name in sorted(
         set(model_phases) | set(measured_phases),

@@ -21,31 +21,13 @@ the thread-safe wall-clock recording mode:
   ``executor.lock_wait_seconds`` / ``executor.lock_hold_seconds``
   histograms).
 
-Both executors feed the same metric families, so a simulator run and a
-threads run of one workload expose comparable contention figures — the
-simulator observes *modelled* durations, the threads backend *measured*
-ones (the model-vs-measured data ``repro-inspect calibrate`` reports):
-
-========================================  =========  ======================
-family                                    kind       labels
-========================================  =========  ======================
-``executor.flag_wait_seconds``            histogram  ``flag``
-``executor.queue_wait_seconds``           histogram  ``queue``
-``executor.resource_wait_seconds``        histogram  ``resource``
-``executor.resource_hold_seconds``        histogram  ``resource``
-``executor.lock_wait_seconds``            histogram  ``lock`` (threads)
-``executor.lock_hold_seconds``            histogram  ``lock`` (threads)
-``executor.queue_depth``                  gauge      ``queue``
-``executor.queue_depth_max``              gauge      ``queue``
-``executor.worker_busy_seconds``          counter    ``worker``, ``locale``
-``executor.worker_blocked_seconds``       counter    ``worker``, ``locale``
-``executor.counter_adds``                 counter    —
-``executor.trace_spans_dropped``          counter    —
-========================================  =========  ======================
-
-The lock families are threads-only by construction: the simulator is a
-single-threaded interpreter, its ``mutex``/``lock()`` are no-op contexts
-that can never contend.
+Both executors feed the same ``executor.*`` metric families, so a
+simulator run and a threads run of one workload expose comparable
+contention figures — the simulator observes *modelled* durations, the
+threads backend *measured* ones.  The families, their labels and their
+readers are catalogued once, in ``docs/OBSERVABILITY.md`` ("Metric
+catalogue"); :data:`WAIT_FAMILIES` and :data:`HOLD_FAMILIES` below map
+each primitive to its histogram.
 
 Everything here is opt-in: with tracing and metrics disabled the
 profiler's ``enabled``/``tracing``/``metering`` flags are all False and
@@ -57,7 +39,6 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any
 
 __all__ = [
     "SpanBuffer",
@@ -167,8 +148,6 @@ class ExecutorProfiler:
         self._samples: list[tuple[tuple[str, str], str, float, float]] = []
         #: queue name -> [last depth, peak depth] (caller-serialized)
         self._queue_stats: dict[str, list[float]] = {}
-        #: executor counters whose ``ops`` totals feed executor.counter_adds
-        self._counters: list[Any] = []
 
     # -- recording ----------------------------------------------------------
 
@@ -220,11 +199,6 @@ class ExecutorProfiler:
     ) -> None:
         """Buffer one trace counter sample (caller-serialized)."""
         self._samples.append((track, name, when, value))
-
-    def register_counter(self, counter: Any) -> None:
-        """Track an executor counter; its ``ops`` feed executor.counter_adds."""
-        with self._reg_lock:
-            self._counters.append(counter)
 
     # -- merge --------------------------------------------------------------
 
@@ -289,14 +263,6 @@ class ExecutorProfiler:
         for name, (depth, peak) in queue_stats:
             metrics.gauge("executor.queue_depth", queue=name).set(depth)
             metrics.gauge("executor.queue_depth_max", queue=name).set(peak)
-        with self._reg_lock:
-            counters = list(self._counters)
-        adds = 0
-        for counter in counters:
-            adds += counter.ops
-            counter.ops = 0
-        if adds:
-            metrics.counter("executor.counter_adds").inc(adds)
 
 
 #: A shared disabled profiler (all flags False, every hook skipped).

@@ -13,9 +13,9 @@ runs two benches report that the grid does not cover (:data:`BENCH_NAMES`).
 Per run it hashes the ``repr`` of the report (elapsed, messages, bytes,
 extras, phases, the per-locale ledger, the result's amplitudes), of every
 metric series and of the Chrome trace; simulated time is a pure function
-of code, seeds and machine model, so the three digests are exact.  Only
-the measured ``kernel.*_seconds`` histograms are reduced to their counts.
-This is the regression gate of every simulated number the benches write.
+of code, seeds and machine model, so the three digests are exact (no run
+here emits a measured series).  This is the regression gate of every
+simulated number the benches write.
 
     PYTHONPATH=src python tests/sim_snapshot.py --check    # full grid
     PYTHONPATH=src python tests/sim_snapshot.py --record   # at a named commit
@@ -91,10 +91,6 @@ PROTECTIONS = {
     ),
 }
 
-#: measured wall seconds: the only series that differ run to run
-WALL_FAMILIES = ("kernel.",)
-
-
 def _names():
     for method, shape, plan, k, protection in itertools.product(
         METHODS, SHAPES, ("plan", "noplan"), (1, 3), PROTECTIONS
@@ -166,8 +162,6 @@ def _metric_lines(snapshot) -> list[str]:
     lines = []
     for kind in ("counters", "gauges", "histograms"):
         for (name, labels), value in getattr(snapshot, kind).items():
-            if kind == "histograms" and name.startswith(WALL_FAMILIES):
-                value = value["count"]
             lines.append(f"{kind} {name} {labels!r} {value!r}")
     return lines
 

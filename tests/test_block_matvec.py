@@ -160,10 +160,7 @@ class TestSerialBlock:
         with telemetry.use(tele):
             op.matvec(random_block(basis, rng, 5))
         assert tele.metrics.gauge("matvec.block_width").value == 5.0
-        per_column = tele.metrics.histogram("kernel.matvec_seconds_per_column")
-        total = tele.metrics.histogram("kernel.matvec_seconds")
-        assert per_column.count == 1
-        assert per_column.total == pytest.approx(total.total / 5)
+        assert tele.metrics.histogram("kernel.matvec_seconds").count == 1
 
 
 class TestDistributedBlock:

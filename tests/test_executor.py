@@ -555,7 +555,6 @@ class TestProfilingConformance:
         "executor.queue_depth_max",
         "executor.worker_busy_seconds",
         "executor.worker_blocked_seconds",
-        "executor.counter_adds",
     }
     #: span names both backends must stamp on the locale tracks
     SPAN_NAMES = {

@@ -103,6 +103,17 @@ class TestSpanBuffer:
         ]
         assert len(spans) == 1
 
+    def test_flush_counts_dropped_spans(self):
+        metrics = MetricsRegistry()
+        profile = ExecutorProfiler(trace=TraceRecorder(), metrics=metrics)
+        buf = profile.buffer(("locale0", "w0"), capacity=2)
+        for i in range(5):
+            buf.span("s", float(i), 0.5)
+        profile.flush()
+        profile.flush()  # drained: the second flush adds nothing
+        snapshot = metrics.snapshot()
+        assert snapshot.counter_total("executor.trace_spans_dropped") == 3
+
 
 class TestExecutorProfiler:
     def test_null_profiler_is_fully_disabled(self):
@@ -253,6 +264,20 @@ class TestInspectOnThreadsTrace:
         assert "generate" in by_phase
         assert by_phase["generate"]["model_seconds"] > 0.0
         assert by_phase["generate"]["measured_seconds"] > 0.0
+
+    def test_calibrate_reads_each_trace_once(
+        self, wall_trace_path, sim_trace_path, monkeypatch
+    ):
+        from repro.telemetry import analysis
+
+        reads = []
+        read_json = analysis._read_json
+        monkeypatch.setattr(
+            analysis, "_read_json",
+            lambda path: reads.append(path) or read_json(path),
+        )
+        calibrate_traces(sim_trace_path, wall_trace_path)
+        assert sorted(reads) == sorted([sim_trace_path, wall_trace_path])
 
     def test_calibrate_rejects_swapped_inputs(
         self, wall_trace_path, sim_trace_path

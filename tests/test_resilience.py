@@ -222,6 +222,37 @@ class TestChaosSweep:
         assert op.resilience is not None
 
 
+class TestStragglerDetection:
+    @staticmethod
+    def _run(setup, **protection):
+        dbasis, expr, x = setup
+        tele = Telemetry.enabled(trace=False)
+        with telemetry.use(tele):
+            op = DistributedOperator(expr, dbasis, method="pc", **protection)
+            op.matvec(x)
+        return op.last_report.extras, tele.metrics.snapshot().counters
+
+    def test_slowed_locale_is_flagged(self, setup):
+        extras, counters = self._run(
+            setup, faults=FaultPlan(seed=0, stragglers={1: 5.0})
+        )
+        assert extras["stragglers"] == 1.0
+        detected = {
+            labels: value for (name, labels), value in counters.items()
+            if name == "fault.stragglers_detected"
+        }
+        assert detected == {(("locale", 1),): 1}
+
+    @pytest.mark.parametrize(
+        "protection", [{}, {"resilience": ResilienceConfig()}],
+        ids=["plain", "resilient"],
+    )
+    def test_nothing_flagged_without_a_plan(self, setup, protection):
+        extras, counters = self._run(setup, **protection)
+        assert "stragglers" not in extras
+        assert all(name != "fault.stragglers_detected" for name, _ in counters)
+
+
 class _KillSwitch:
     """Wraps an operator; raises after a set number of matvecs (SIGKILL
     stand-in for 'the job died mid-iteration')."""

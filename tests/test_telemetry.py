@@ -498,6 +498,39 @@ def test_sim_seconds_family_covers_the_whole_distributed_solve():
     )
 
 
+def test_wall_seconds_family_counts_a_threads_matvec():
+    """On ``threads`` the matvec's measured seconds go to ``wall.seconds``
+    in place of ``sim.seconds``."""
+    group = chain_symmetries(12, momentum=0, parity=0, inversion=0)
+    template = SymmetricBasis(group, hamming_weight=6, build=False)
+    cluster = Cluster(2, laptop_machine(cores=2), backend="threads")
+    dbasis, _ = enumerate_states(cluster, template)
+    dop = DistributedOperator(repro.heisenberg_chain(12), dbasis)
+    tele = Telemetry.enabled(trace=False)
+    with telemetry.use(tele):
+        dop.matvec(DistributedVector.full_random(dbasis, seed=1))
+    counters = tele.metrics.snapshot().counters
+    assert counters[("wall.seconds", (("phase", "matvec"),))] == (
+        dop.last_report.elapsed
+    )
+    assert all(name != "sim.seconds" for name, _ in counters)
+
+
+@pytest.mark.parametrize("solver", ["lanczos", "davidson"])
+def test_iterations_counter_matches_the_result(solver):
+    basis = repro.SpinBasis(10, hamming_weight=5)
+    op = repro.Operator(repro.heisenberg_chain(10), basis)
+    tele = Telemetry.enabled(trace=False)
+    with telemetry.use(tele):
+        if solver == "lanczos":
+            x = np.random.default_rng(0).standard_normal(basis.dim)
+            result = repro.lanczos(op.matvec, x, k=1)
+        else:
+            result = repro.davidson(op.matvec, op.diagonal(), k=1)
+    iterations = tele.metrics.snapshot().counter_total(f"{solver}.iterations")
+    assert iterations == result.n_iterations
+
+
 class TestCommandLine:
     def test_trace_and_metrics_flags(self, tmp_path, capsys):
         from repro.config import main
@@ -556,7 +589,7 @@ class TestCommandLine:
 def test_catalogue_lists_exactly_the_emitted_families():
     """``docs/OBSERVABILITY.md`` "Metric catalogue" names every family some
     ``counter(`` / ``gauge(`` / ``histogram(`` call in ``src/`` emits, and
-    no other."""
+    no other, each in a row whose last ("read by") cell names a reader."""
     import re
 
     from repro.telemetry.profile import HOLD_FAMILIES, WAIT_FAMILIES
@@ -587,10 +620,12 @@ def test_catalogue_lists_exactly_the_emitted_families():
     doc = (root / "docs" / "OBSERVABILITY.md").read_text()
     section = doc[doc.index("## Metric catalogue"):]
     section = section[: section.index("\n## ", 1)]
+    rows = [line.split("|") for line in section.splitlines()
+            if line.startswith("| `")]
     listed = {
-        name
-        for line in section.splitlines()
-        if line.startswith("| `")
-        for name in re.findall(r"`([a-z_.]+)`", line.split("|")[1])
+        name for row in rows for name in re.findall(r"`([a-z_.]+)`", row[1])
     }
     assert sorted(listed) == sorted(emitted)
+    unread = [row[1].strip() for row in rows
+              if len(row) != 6 or not row[4].strip()]
+    assert not unread, f"catalogue rows without a 'read by' cell: {unread}"
