@@ -51,7 +51,6 @@ __all__ = [
     "corrupted_copy",
     "wire_bytes",
     "extra_column_time",
-    "ELEMENT_BYTES",
 ]
 
 #: Wire size of the per-element key: the uint64 destination basis state.
@@ -60,18 +59,13 @@ BETA_BYTES = 8
 #: Wire size of one float64 amplitude (one column's contribution).
 AMPLITUDE_BYTES = 8
 
-#: Wire size of one single-vector (basis state, amplitude) pair —
-#: ``wire_bytes(1, 1)``.  Kept for the closed-form models and external
-#: consumers; new code should call :func:`wire_bytes`.
-ELEMENT_BYTES = BETA_BYTES + AMPLITUDE_BYTES
-
 
 def wire_bytes(n_elements: int, k: int = 1) -> int:
     """Simulated wire size of ``n_elements`` matrix elements for ``k`` columns.
 
     Each element ships its uint64 destination state once plus one float64
     amplitude per block column: ``n * (8 + 8 k)`` bytes.  ``k = 1``
-    reproduces the classic 16-byte pair (:data:`ELEMENT_BYTES`); wider
+    reproduces the classic 16-byte (state, amplitude) pair; wider
     blocks amortize the key bytes, which is the bandwidth half of the block
     matvec's advantage (the other half is skipping ``getManyRows``).
     """

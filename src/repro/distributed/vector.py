@@ -51,10 +51,6 @@ class DistributedVector:
                 )
         self.basis = basis
         self.parts = parts
-        #: ``multiprocessing.shared_memory`` segments backing ``parts``
-        #: (empty for ordinary heap-allocated vectors); see
-        #: :meth:`zeros_shared`.
-        self._segments: list = []
 
     # -- constructors -------------------------------------------------------
 
@@ -69,92 +65,6 @@ class DistributedVector:
             basis,
             [np.zeros(shape(int(c)), dtype=dtype) for c in basis.counts],
         )
-
-    @classmethod
-    def zeros_shared(
-        cls, basis: DistributedBasis, dtype=None, columns: int | None = None
-    ) -> "DistributedVector":
-        """An all-zero vector whose parts live in named shared memory.
-
-        Each locale part is backed by one
-        :class:`multiprocessing.shared_memory.SharedMemory` segment, so a
-        process-pool execution backend can attach the same physical pages
-        from worker processes (:meth:`shared_names` + :meth:`attach_shared`)
-        instead of pickling vector data through queues.  Inside one process
-        the vector behaves exactly like :meth:`zeros` — the thread backend
-        uses plain heap vectors and shares them for free.
-
-        The owner must call :meth:`close_shared` (optionally with
-        ``unlink=True`` to free the segments) when done; attached views
-        call it with ``unlink=False``.
-        """
-        from multiprocessing import shared_memory
-
-        dtype = np.dtype(basis.scalar_dtype if dtype is None else dtype)
-        parts = []
-        segments = []
-        for count in basis.counts:
-            shape = (
-                (int(count),) if columns is None else (int(count), columns)
-            )
-            nbytes = max(int(np.prod(shape)) * dtype.itemsize, 1)
-            seg = shared_memory.SharedMemory(create=True, size=nbytes)
-            part = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
-            part[...] = 0
-            parts.append(part)
-            segments.append(seg)
-        vector = cls(basis, parts)
-        vector._segments = segments
-        return vector
-
-    @classmethod
-    def attach_shared(
-        cls,
-        basis: DistributedBasis,
-        names: list[str],
-        dtype,
-        columns: int | None = None,
-    ) -> "DistributedVector":
-        """Attach to the segments of a :meth:`zeros_shared` vector by name
-        (the cross-process half of the shared-memory protocol)."""
-        from multiprocessing import shared_memory
-
-        dtype = np.dtype(dtype)
-        parts = []
-        segments = []
-        for count, name in zip(basis.counts, names):
-            shape = (
-                (int(count),) if columns is None else (int(count), columns)
-            )
-            seg = shared_memory.SharedMemory(name=name)
-            parts.append(np.ndarray(shape, dtype=dtype, buffer=seg.buf))
-            segments.append(seg)
-        vector = cls(basis, parts)
-        vector._segments = segments
-        return vector
-
-    @property
-    def is_shared(self) -> bool:
-        """Whether the parts are backed by shared-memory segments."""
-        return bool(self._segments)
-
-    def shared_names(self) -> list[str]:
-        """The segment names to pass to :meth:`attach_shared` (empty for
-        ordinary vectors)."""
-        return [seg.name for seg in self._segments]
-
-    def close_shared(self, unlink: bool = False) -> None:
-        """Detach from (and with ``unlink=True`` destroy) the backing
-        shared-memory segments.  No-op for ordinary vectors."""
-        segments, self._segments = self._segments, []
-        # Replace the views with private copies first so the vector stays
-        # usable after the mapping goes away.
-        if segments:
-            self.parts = [np.array(part, copy=True) for part in self.parts]
-        for seg in segments:
-            seg.close()
-            if unlink:
-                seg.unlink()
 
     @classmethod
     def full_random(

@@ -9,10 +9,8 @@ Writes are crash-safe and reads are self-validating:
 - the manifest stores a CRC32, byte count, dtype, and length for every
   chunk, and loading verifies all four — a truncated, corrupted, or
   swapped ``.npy`` chunk raises :class:`~repro.errors.CheckpointError`
-  instead of silently feeding garbage into a solver.
-
-Manifests written before checksumming existed (no ``"chunks"`` entry)
-still load, just without integrity verification.
+  instead of silently feeding garbage into a solver; so does a manifest
+  with a missing or mistyped field.
 """
 
 from __future__ import annotations
@@ -44,6 +42,11 @@ __all__ = [
 
 _MANIFEST = "manifest.json"
 
+#: The fields loading reads, with their JSON types: of the manifest, and
+#: of each of its ``chunks`` entries.
+_MANIFEST_FIELDS = dict(name=str, n_locales=int, global_length=int, chunks=list)
+_CHUNK_FIELDS = dict(crc32=int, nbytes=int, dtype=str, length=int)
+
 
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
     """Write ``data`` to ``path`` via temp-file + :func:`os.replace`."""
@@ -70,37 +73,43 @@ def _save_chunk(path: Path, array: np.ndarray) -> dict:
     }
 
 
-def _load_chunk(path: Path, entry: dict | None) -> np.ndarray:
-    """Load one chunk, verifying it against its manifest entry if present."""
+def _load_chunk(path: Path, entry: dict) -> np.ndarray:
+    """Load one chunk, verifying it against its manifest entry."""
     try:
         data = path.read_bytes()
     except FileNotFoundError as exc:
         raise CheckpointError(f"missing chunk file {path}") from exc
-    if entry is not None:
-        if len(data) != entry["nbytes"]:
-            raise CheckpointError(
-                f"chunk {path} is {len(data)} bytes, manifest says "
-                f"{entry['nbytes']} (truncated or overwritten?)"
-            )
-        crc = zlib.crc32(data) & 0xFFFFFFFF
-        if crc != entry["crc32"]:
-            raise CheckpointError(
-                f"chunk {path} failed its CRC32 check "
-                f"(got {crc:#010x}, manifest says {entry['crc32']:#010x})"
-            )
+    if len(data) != entry["nbytes"]:
+        raise CheckpointError(
+            f"chunk {path} is {len(data)} bytes, manifest says "
+            f"{entry['nbytes']} (truncated or overwritten?)"
+        )
+    crc = zlib.crc32(data) & 0xFFFFFFFF
+    if crc != entry["crc32"]:
+        raise CheckpointError(
+            f"chunk {path} failed its CRC32 check "
+            f"(got {crc:#010x}, manifest says {entry['crc32']:#010x})"
+        )
     array = np.load(io.BytesIO(data))
-    if entry is not None:
-        if str(array.dtype) != entry["dtype"]:
-            raise CheckpointError(
-                f"chunk {path} has dtype {array.dtype}, manifest says "
-                f"{entry['dtype']}"
-            )
-        if array.shape[0] != entry["length"]:
-            raise CheckpointError(
-                f"chunk {path} has length {array.shape[0]}, manifest says "
-                f"{entry['length']}"
-            )
+    if str(array.dtype) != entry["dtype"]:
+        raise CheckpointError(
+            f"chunk {path} has dtype {array.dtype}, manifest says "
+            f"{entry['dtype']}"
+        )
+    if array.shape[0] != entry["length"]:
+        raise CheckpointError(
+            f"chunk {path} has length {array.shape[0]}, manifest says "
+            f"{entry['length']}"
+        )
     return array
+
+
+def _check_fields(record, fields: dict, where: str) -> None:
+    """Raise :class:`CheckpointError` unless ``record`` is a JSON object
+    holding every key of ``fields`` with exactly that type."""
+    for key, kind in fields.items():
+        if not isinstance(record, dict) or type(record.get(key)) is not kind:
+            raise CheckpointError(f"{where} has no {kind.__name__} {key!r}")
 
 
 def _read_manifest(directory: Path, name: str) -> dict:
@@ -110,19 +119,27 @@ def _read_manifest(directory: Path, name: str) -> dict:
     except FileNotFoundError as exc:
         raise CheckpointError(f"missing manifest {path}") from exc
     try:
-        return json.loads(text)
+        manifest = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"manifest {path} is not valid JSON") from exc
+    _check_fields(manifest, _MANIFEST_FIELDS, f"manifest {path}")
+    chunks, n_locales = manifest["chunks"], manifest["n_locales"]
+    if n_locales < 1 or len(chunks) != n_locales:
+        raise CheckpointError(
+            f"manifest {path} lists {len(chunks)} chunks for "
+            f"{n_locales} locales"
+        )
+    for locale, entry in enumerate(chunks):
+        _check_fields(entry, _CHUNK_FIELDS, f"manifest {path} chunk {locale}")
+    return manifest
 
 
 def _load_chunks(directory: Path, manifest: dict) -> list[np.ndarray]:
     name = manifest["name"]
-    entries = manifest.get("chunks")
-    chunks = []
-    for locale in range(manifest["n_locales"]):
-        entry = entries[locale] if entries is not None else None
-        chunks.append(_load_chunk(directory / f"{name}.{locale}.npy", entry))
-    return chunks
+    return [
+        _load_chunk(directory / f"{name}.{locale}.npy", entry)
+        for locale, entry in enumerate(manifest["chunks"])
+    ]
 
 
 def save_block_array(directory, array: BlockArray, name: str = "vector") -> Path:

@@ -28,6 +28,7 @@ independent replay.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -104,10 +105,10 @@ class FaultPlan:
         to delayed messages.
     stragglers:
         ``{locale: slowdown_factor}`` — every busy period on that locale
-        takes ``factor`` times longer.
+        takes ``factor`` (finite, >= 1) times longer.
     crashes:
         ``{locale: time}`` — the locale dies at the given simulated time
-        (its processes are killed; its memory contents are lost).
+        (finite, >= 0; its processes are killed, its memory is lost).
     """
 
     def __init__(
@@ -128,14 +129,25 @@ class FaultPlan:
         ):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} probability {p} outside [0, 1]")
+        stragglers = dict(stragglers) if stragglers else {}
+        crashes = dict(crashes) if crashes else {}
+        for key, values, lowest in (
+            ("stragglers", stragglers, 1.0), ("crashes", crashes, 0.0)
+        ):
+            for locale, value in values.items():
+                if not (math.isfinite(value) and value >= lowest):
+                    raise ValueError(
+                        f"{key}.{locale} must be a finite number >= "
+                        f"{lowest:g}, got {value!r}"
+                    )
         self.seed = int(seed)
         self.drop = float(drop)
         self.duplicate = float(duplicate)
         self.delay = float(delay)
         self.max_delay = float(max_delay)
         self.corrupt = float(corrupt)
-        self.stragglers = dict(stragglers) if stragglers else {}
-        self.crashes = dict(crashes) if crashes else {}
+        self.stragglers = stragglers
+        self.crashes = crashes
         self._rng = np.random.default_rng(self.seed)
         self._crashes_taken = False
 
@@ -157,21 +169,7 @@ class FaultPlan:
         """
         if not self.injects_message_faults:
             return _CLEAN_FATE
-        u = self._rng.random(4)
-        drop = bool(u[0] < self.drop)
-        duplicate = bool(u[1] < self.duplicate)
-        corrupt = bool(u[2] < self.corrupt)
-        extra = float(u[3] * self.max_delay) if u[3] < self.delay else 0.0
-        metrics = telemetry.current().metrics
-        if drop:
-            metrics.counter("fault.drops", src=src, dst=dst).inc()
-        if duplicate:
-            metrics.counter("fault.duplicates").inc()
-        if corrupt:
-            metrics.counter("fault.corruptions").inc()
-        if extra > 0.0:
-            metrics.counter("fault.delays").inc()
-        return MessageFate(drop, duplicate, corrupt, extra)
+        return self._fate(self._rng.random(4), src, dst)
 
     def message_fate_keyed(
         self, src: int, dst: int, seq: int, salt: int = 0
@@ -194,20 +192,19 @@ class FaultPlan:
         u = np.random.default_rng(
             (self.seed, int(src), int(dst), int(seq), int(salt))
         ).random(4)
-        drop = bool(u[0] < self.drop)
-        duplicate = bool(u[1] < self.duplicate)
-        corrupt = bool(u[2] < self.corrupt)
+        return self._fate(u, src, dst)
+
+    def _fate(self, u: np.ndarray, src: int, dst: int) -> MessageFate:
+        """The fate four uniforms ``u`` give one ``src -> dst`` message."""
         extra = float(u[3] * self.max_delay) if u[3] < self.delay else 0.0
-        metrics = telemetry.current().metrics
-        if drop:
-            metrics.counter("fault.drops", src=src, dst=dst).inc()
-        if duplicate:
-            metrics.counter("fault.duplicates").inc()
-        if corrupt:
-            metrics.counter("fault.corruptions").inc()
-        if extra > 0.0:
-            metrics.counter("fault.delays").inc()
-        return MessageFate(drop, duplicate, corrupt, extra)
+        fate = MessageFate(
+            bool(u[0] < self.drop), bool(u[1] < self.duplicate),
+            bool(u[2] < self.corrupt), extra,
+        )
+        _count_faults(
+            src, dst, fate.drop, fate.duplicate, fate.corrupt, extra > 0.0
+        )
+        return fate
 
     def message_fates(self, src: int, dst: int, n: int) -> FateCounts:
         """Vectorized fate draw for ``n`` messages (analytic cost models)."""
@@ -222,15 +219,7 @@ class FaultPlan:
             float(rng.random(delayed).sum() * self.max_delay)
             if delayed else 0.0
         )
-        metrics = telemetry.current().metrics
-        if drops:
-            metrics.counter("fault.drops", src=src, dst=dst).inc(drops)
-        if dups:
-            metrics.counter("fault.duplicates").inc(dups)
-        if corrupts:
-            metrics.counter("fault.corruptions").inc(corrupts)
-        if delayed:
-            metrics.counter("fault.delays").inc(delayed)
+        _count_faults(src, dst, drops, dups, corrupts, delayed)
         return FateCounts(drops, dups, corrupts, extra)
 
     # -- locale-level faults ------------------------------------------------
@@ -263,16 +252,7 @@ class FaultPlan:
 
     def fresh(self) -> "FaultPlan":
         """A rewound copy: same parameters and seed, untouched RNG."""
-        return FaultPlan(
-            self.seed,
-            drop=self.drop,
-            duplicate=self.duplicate,
-            delay=self.delay,
-            max_delay=self.max_delay,
-            corrupt=self.corrupt,
-            stragglers=self.stragglers,
-            crashes=self.crashes,
-        )
+        return FaultPlan.from_config(self.to_config())
 
     def to_config(self) -> dict[str, Any]:
         cfg: dict[str, Any] = {"seed": self.seed}
@@ -303,7 +283,10 @@ class FaultPlan:
                     f"cluster.faults.{key} must map locale numbers to "
                     f"numbers, got {kwargs[key]!r}"
                 ) from None
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"cluster.faults.{exc}") from None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FaultPlan({self.to_config()!r})"
@@ -311,6 +294,19 @@ class FaultPlan:
 
 _CLEAN_FATE = MessageFate()
 _CLEAN_COUNTS = FateCounts()
+
+
+def _count_faults(src, dst, drops, duplicates, corruptions, delays) -> None:
+    """Add one draw's injected message faults to the ``fault.*`` counters."""
+    metrics = telemetry.current().metrics
+    if drops:
+        metrics.counter("fault.drops", src=src, dst=dst).inc(drops)
+    if duplicates:
+        metrics.counter("fault.duplicates").inc(duplicates)
+    if corruptions:
+        metrics.counter("fault.corruptions").inc(corruptions)
+    if delays:
+        metrics.counter("fault.delays").inc(delays)
 
 
 @dataclass(frozen=True)

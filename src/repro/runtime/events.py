@@ -79,6 +79,9 @@ __all__ = [
 
 ProcessGen = Generator[Any, Any, None]
 
+#: What a simulator heap entry of ``call_later`` holds in its process slot.
+_CALLBACK = object()
+
 
 @dataclass(frozen=True)
 class Timeout:
@@ -120,11 +123,9 @@ class Process:
 
     The constructor sets what every backend reads.  The slots from
     ``thread`` on are how a process lives on a thread and only
-    ``ThreadExecutor.spawn`` fills them in (the simulator creates a
-    process per remote flag write, so the constructor stays minimal):
-    its ``thread``; ``park``, the lock it sleeps on (held while it runs,
-    released by whoever resumes it); ``parked`` and the ``value`` it is
-    resumed with; ``timer``, the pending ``(delay, waiter)`` of a timed
+    ``ThreadExecutor.spawn`` fills them in: its ``thread``; ``park``, the
+    lock it sleeps on (held while it runs, released by whoever resumes
+    it); ``parked`` and the ``value`` it is resumed with; ``timer``, the pending ``(delay, waiter)`` of a timed
     wait; ``buffer``, its span buffer when tracing; and supervision —
     ``factory`` (a zero-argument callable producing a fresh generator
     marks the worker restartable after an injected crash), ``restarts``
@@ -513,13 +514,8 @@ class Executor:
             self._profile.wait(primitive, target, waited)
 
     def _retire(self, process: Process) -> None:
-        """Book a finished worker's lifetime busy/blocked seconds.
-
-        ``call_later`` helpers are simulator plumbing (the threads backend
-        runs the callback inline) — skipping them keeps the worker-seconds
-        families symmetric across backends.
-        """
-        if self._profile is not None and process.name != "call_later":
+        """Book a finished worker's lifetime busy/blocked seconds."""
+        if self._profile is not None:
             self._profile.worker(
                 process.name,
                 process.locale,
@@ -631,13 +627,10 @@ class Simulator(Executor):
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` after ``delay`` simulated seconds (fire-and-forget,
-        e.g. the arrival of a remote atomic write)."""
-
-        def _caller():
-            yield Timeout(delay)
-            fn()
-
-        self.spawn(_caller(), name="call_later")
+        e.g. the arrival of a remote atomic write): one timed event."""
+        self._sequence += 1
+        event = (self.now + max(delay, 0.0), self._sequence, _CALLBACK, fn)
+        heapq.heappush(self._heap, event)
 
     def _resume(self, process: Process, value: Any) -> None:
         self._sequence += 1
@@ -743,7 +736,10 @@ class Simulator(Executor):
                     self._resume(value.process, False)
                     continue
                 self.now = time
-                self._step(process, value)
+                if process is _CALLBACK:
+                    value()
+                else:
+                    self._step(process, value)
         finally:
             self.finish()
         if self._active:

@@ -23,7 +23,7 @@ from repro.distributed import (
 )
 from repro.distributed.convert import counting_sort_order
 from repro.distributed.dist_basis import DistributedBasis
-from repro.distributed.matvec_common import ELEMENT_BYTES, wire_bytes
+from repro.distributed.matvec_common import wire_bytes
 from repro.errors import DistributionError
 from repro.linalg import davidson, ftlm_thermal, lanczos
 from repro.linalg.spaces import apply_block
@@ -85,7 +85,7 @@ class TestCountingSortOrder:
 
 class TestWireBytes:
     def test_single_vector_is_the_classic_pair(self):
-        assert wire_bytes(1, 1) == ELEMENT_BYTES == 16
+        assert wire_bytes(1, 1) == wire_bytes(1) == 16
         assert wire_bytes(100) == 1600
 
     def test_block_amortizes_the_key_bytes(self):

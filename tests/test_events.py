@@ -262,6 +262,48 @@ class TestErrorHandling:
         assert fired == [pytest.approx(3.0)]
 
 
+class TestCallLater:
+    """A simulated remote write is one timed event, not a process."""
+
+    def test_fires_at_now_plus_delay_and_a_negative_delay_at_now(self):
+        sim = Simulator()
+        fired = []
+
+        def proc():
+            yield Timeout(1.0)
+            sim.call_later(0.5, lambda: fired.append(("later", sim.now)))
+            sim.call_later(-2.0, lambda: fired.append(("negative", sim.now)))
+
+        sim.spawn(proc())
+        sim.run()
+        assert fired == [("negative", 1.0), ("later", 1.5)]
+
+    def test_callbacks_due_together_fire_in_scheduling_order(self):
+        sim = Simulator()
+        fired = []
+        for i in range(5):
+            sim.call_later(1.0, lambda i=i: fired.append(i))
+        sim.call_later(0.0, lambda: fired.append("zero"))
+        sim.call_later(-1.0, lambda: fired.append("negative"))
+        sim.run()
+        assert fired == ["zero", "negative", 0, 1, 2, 3, 4]
+
+    def test_run_returns_the_time_of_the_last_callback(self):
+        sim = Simulator()
+        for delay in (2.0, 7.25, 3.0):
+            sim.call_later(delay, lambda: None)
+        assert sim.run() == 7.25
+
+    def test_no_process_is_spawned(self):
+        sim = Simulator()
+        flag = sim.flag(False)
+        sim.call_later(1.0, lambda: flag.set(True))
+        assert sim._processes == []
+        sim.run()
+        assert flag.value
+        assert sim._processes == []
+
+
 class TestTimedWaits:
     def test_waitflag_timeout_returns_false(self):
         sim = Simulator()

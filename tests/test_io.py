@@ -1,5 +1,7 @@
 """Tests for vector I/O through the block distribution."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.distributed import (
     DistributedVector,
     enumerate_states,
 )
-from repro.errors import DistributionError
+from repro.errors import CheckpointError, DistributionError
 from repro.io import (
     load_block_array,
     load_distributed_vector,
@@ -119,6 +121,62 @@ class TestDistributedVectorIO:
         hx = dop.matvec(loaded)
         energy = space.dot(loaded, hx) / space.dot(loaded, loaded)
         assert energy == pytest.approx(result.eigenvalues[0], abs=1e-8)
+
+
+class TestManifestValidation:
+    """Only a complete, well-typed manifest loads, and every chunk is
+    checked against it: a bad one is a CheckpointError, never a silently
+    wrong vector or another exception."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        group = chain_symmetries(12, momentum=0, parity=0, inversion=0)
+        template = SymmetricBasis(group, hamming_weight=6, build=False)
+        dbasis, _ = enumerate_states(
+            Cluster(2, laptop_machine(cores=2)), template
+        )
+        x = DistributedVector.full_random(dbasis, seed=1)
+        save_distributed_vector(tmp_path, x, name="v")
+        return dbasis, tmp_path / "v.manifest.json"
+
+    @staticmethod
+    def _edit(path, key, value):
+        manifest = json.loads(path.read_text())
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+        path.write_text(json.dumps(manifest))
+
+    def test_flipped_chunk_under_a_manifest_without_chunks(self, saved):
+        dbasis, path = saved
+        self._edit(path, "chunks", None)
+        chunk = path.parent / "v.0.npy"
+        blob = bytearray(chunk.read_bytes())
+        blob[-1] ^= 0x40
+        chunk.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="'chunks'"):
+            load_distributed_vector(path.parent, dbasis, name="v")
+
+    def test_manifest_that_is_not_an_object(self, saved):
+        dbasis, path = saved
+        path.write_text("[]")
+        with pytest.raises(CheckpointError, match="manifest"):
+            load_distributed_vector(path.parent, dbasis, name="v")
+
+    @pytest.mark.parametrize("key, value", [
+        ("name", None), ("name", 7),
+        ("n_locales", None), ("n_locales", "2"), ("n_locales", True),
+        ("n_locales", 3), ("n_locales", 0),
+        ("global_length", None), ("global_length", 1.5),
+        ("chunks", None), ("chunks", {}), ("chunks", []),
+        ("chunks", [{}, {}]), ("chunks", [1, 2]),
+    ])
+    def test_missing_or_mistyped_field(self, saved, key, value):
+        dbasis, path = saved
+        self._edit(path, key, value)
+        with pytest.raises(CheckpointError, match="manifest"):
+            load_distributed_vector(path.parent, dbasis, name="v")
 
 
 class TestBasisStatesIO:

@@ -10,7 +10,7 @@ from repro.distributed import (
     DistributedVector,
     enumerate_states,
 )
-from repro.distributed.matvec_common import ELEMENT_BYTES
+from repro.distributed.matvec_common import wire_bytes
 from repro.runtime import Cluster, laptop_machine
 
 
@@ -35,7 +35,7 @@ class TestNaiveAccounting:
         dbasis, x = setup
         report = run(dbasis, x, "naive", batch_size=32)
         assert report.messages == report.extras["elements"]
-        assert report.bytes_sent == report.messages * ELEMENT_BYTES
+        assert report.bytes_sent == report.messages * wire_bytes(1)
 
     def test_ledger_phases(self, setup):
         dbasis, x = setup

@@ -98,38 +98,6 @@ class TestExactnessOnBothBackends:
         assert dop.last_report.elapsed > 0.0
 
 
-class TestSharedMemoryVectors:
-    """The process-pool-ready vector backing: named segments, attach by
-    name, detach-with-copy."""
-
-    def test_roundtrip_through_named_segments(self, rng):
-        serial, _, dbasis, _ = build("threads")
-        owner = DistributedVector.zeros_shared(dbasis)
-        assert owner.is_shared
-        names = owner.shared_names()
-        assert len(names) == dbasis.n_locales
-        for part in owner.parts:
-            part[:] = rng.standard_normal(part.shape)
-        view = DistributedVector.attach_shared(dbasis, names, owner.dtype)
-        for mine, theirs in zip(owner.parts, view.parts):
-            np.testing.assert_array_equal(mine, theirs)
-        # Writes through the attached view land in the owner's pages.
-        view.parts[0][:] = 42.0
-        assert float(owner.parts[0][0]) == 42.0
-        view.close_shared(unlink=False)
-        owner.close_shared(unlink=True)
-        assert not owner.is_shared
-        # The detach copy keeps the vector usable after unmapping.
-        assert float(owner.parts[0][0]) == 42.0
-
-    def test_plain_vectors_are_not_shared(self):
-        serial, _, dbasis, _ = build("sim")
-        x = DistributedVector.zeros(dbasis)
-        assert not x.is_shared
-        assert x.shared_names() == []
-        x.close_shared()  # no-op
-
-
 class TestWorkerFailurePropagation:
     """A raising worker mid-matvec: typed error with the locale, no hang."""
 

@@ -122,9 +122,9 @@ class TestLedgerAccounting:
         machine = laptop_machine(cores=8)
         dbasis = make_setup(machine)
         capped = run_pc(dbasis, buffer_capacity=4)
-        from repro.distributed.matvec_common import ELEMENT_BYTES
+        from repro.distributed.matvec_common import wire_bytes
 
-        assert capped.mean_message_bytes <= 4 * ELEMENT_BYTES
+        assert capped.mean_message_bytes <= 4 * wire_bytes(1)
 
     def test_elapsed_at_least_critical_path(self):
         # elapsed can never undercut the busiest single consumer core.

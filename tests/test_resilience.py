@@ -112,6 +112,23 @@ class TestFaultPlan:
         with pytest.raises(ConfigError, match="unknown"):
             FaultPlan.from_config({"seed": 1, "droop": 0.5})
 
+    @pytest.mark.parametrize("key, value", [
+        ("stragglers", -3.0), ("stragglers", 0.5), ("stragglers", 1e-300),
+        ("stragglers", float("inf")), ("stragglers", float("nan")),
+        ("crashes", -1e-6), ("crashes", float("nan")),
+        ("crashes", float("inf")),
+    ])
+    def test_bad_straggler_factor_or_crash_time_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key}.1 must be"):
+            FaultPlan(seed=0, **{key: {1: value}})
+        with pytest.raises(ConfigError, match=f"cluster.faults.{key}.1 "):
+            FaultPlan.from_config({"seed": 0, key: {"1": value}})
+
+    def test_boundary_straggler_factor_and_crash_time_accepted(self):
+        plan = FaultPlan(seed=0, stragglers={1: 1.0}, crashes={0: 0.0})
+        assert plan.slowdown(1) == 1.0
+        assert plan.take_crashes() == {0: 0.0}
+
     def test_resilience_config_validation(self):
         with pytest.raises(ValueError):
             ResilienceConfig(ack_timeout=0.0)
