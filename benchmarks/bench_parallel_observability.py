@@ -11,7 +11,7 @@ chain end to end:
 - the metrics snapshot carries the contention families — lock wait/hold
   histograms, queue depth gauges, per-worker busy/blocked seconds;
 - every ``repro-inspect`` report runs on the wall trace, and
-  ``calibrate`` aligns it against a matching :class:`SimExecutor` trace
+  ``calibrate`` aligns it against a matching sim backend trace
   of the same generating pass (model vs measured, per phase);
 - **hard gate**: with tracing disabled the dormant instrumentation hooks
   cost at most 2% over the fully-instrumented run (a fresh operator's

@@ -277,7 +277,7 @@ class _Pipeline:
             faults.slowdown(d) if faults is not None else 1.0 for d in range(n)
         ]
 
-        self.nic = [ex.resource(1, name=f"nic{d}") for d in range(n)]
+        self.nic = [ex.resource(name=f"nic{d}") for d in range(n)]
         self.ready = [ex.queue(name=f"ready{d}") for d in range(n)]
         self.producers_remaining = ex.counter(n * sim_prod)
         self.producers_done = ex.flag(False, name="producers_done")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from repro.linalg.lanczos import tridiagonalize
+from repro.linalg.lanczos import BREAKDOWN, lanczos_step, tridiagonalize
 from repro.linalg.spaces import (
     NumpyVectorSpace,
     VectorSpace,
@@ -52,71 +52,51 @@ class ThermalEstimate:
     progress: list = field(repr=False, default_factory=list)
 
 
-def _lanczos_spectrum(matvec, v0, krylov_dim: int, space: VectorSpace):
+def _spectrum(alphas, betas):
     """Ritz values, first-row weights, and the final off-diagonal (the
     truncation residual) of one Lanczos factorization."""
-    alphas, betas, _ = tridiagonalize(
-        matvec, space, v0, space.norm(v0), krylov_dim
-    )
-    evals, evecs = eigh_tridiagonal(alphas, betas[:-1])
-    weights = np.abs(evecs[0, :]) ** 2
-    return evals, weights, float(betas[-1])
+    evals, evecs = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas[:-1]))
+    return evals, np.abs(evecs[0, :]) ** 2, float(betas[-1])
 
 
-def _lanczos_spectra_block(matvec, v0_block: np.ndarray, krylov_dim: int):
-    """Lock-step block Lanczos: one spectrum per column of ``v0_block``.
+def _lanczos_spectrum(matvec, v0, krylov_dim: int, space: VectorSpace):
+    """The spectrum of one sequential Lanczos factorization."""
+    coeffs = tridiagonalize(matvec, space, v0, space.norm(v0), krylov_dim)
+    return _spectrum(*coeffs[:2])
 
-    All columns advance through the same sequence of (block) matrix-vector
-    products, so the operator's generation/partition/ranking work is paid
-    once per step for the whole block instead of once per sample.  The
-    recurrence per column is identical to :func:`_lanczos_spectrum`
-    (including the full reorthogonalization sweep); a column whose residual
-    norm underflows is deactivated — zeroed so it rides the remaining block
-    matvecs as dead weight without polluting anything — and keeps the
-    tridiagonal it accumulated up to that point.
+
+def _lanczos_spectra_block(matvec, space, v0s, krylov_dim: int):
+    """Lock-step Lanczos: one spectrum per starting vector in ``v0s``.
+
+    Each sample keeps its own Krylov block and runs the one recurrence
+    (:func:`~repro.linalg.lanczos.lanczos_step`), so its spectrum is the
+    sequential one bit for bit.  What is shared is the product: each step
+    makes one block matvec over the samples still running, so the
+    operator's generation/partition/ranking work is paid once per step
+    instead of once per sample.  A sample stops at breakdown.
     """
-    norms = np.linalg.norm(v0_block, axis=0)
-    block = v0_block / norms
-    blocks = [block]
-    k = block.shape[1]
-    alphas: list[list[float]] = [[] for _ in range(k)]
-    offdiag: list[list[float]] = [[] for _ in range(k)]
-    active = np.ones(k, dtype=bool)
-    final_beta = np.zeros(k)
-    for step in range(krylov_dim):
-        w = apply_block(matvec, blocks[-1])
-        alpha = np.einsum("ij,ij->j", blocks[-1].conj(), w)
-        for j in np.flatnonzero(active):
-            alphas[j].append(float(np.real(alpha[j])))
-        w = w - blocks[-1] * alpha
-        if len(blocks) > 1:
-            prev_beta = np.array(
-                [col[-1] if col else 0.0 for col in offdiag]
-            )
-            w = w - blocks[-2] * prev_beta
-        for u in blocks:
-            overlap = np.einsum("ij,ij->j", u.conj(), w)
-            w = w - u * overlap
-        beta = np.linalg.norm(w, axis=0)
-        final_beta = beta
-        active &= beta > 1e-14
-        if not active.any():
+    blocks, coeffs = [], []
+    for v0 in v0s:
+        blocks.append(space.block([v0]))
+        space.scale(1.0 / space.norm(v0), space.row(blocks[-1], 0))
+        coeffs.append(([], []))
+    running = list(range(len(v0s)))
+    for _ in range(krylov_dim):
+        if not running:
             break
-        for j in np.flatnonzero(active):
-            offdiag[j].append(float(beta[j]))
-        w[:, ~active] = 0.0
-        w[:, active] /= beta[active]
-        blocks.append(w)
-    spectra = []
-    for j in range(k):
-        m = len(alphas[j])
-        evals, evecs = eigh_tridiagonal(
-            np.asarray(alphas[j]), np.asarray(offdiag[j][: m - 1])
-        )
-        spectra.append(
-            (evals, np.abs(evecs[0, :]) ** 2, float(final_beta[j]))
-        )
-    return spectra
+        last = [space.row(blocks[j], blocks[j].m - 1) for j in running]
+        products = apply_block(matvec, np.stack(last, axis=1)).T.copy()
+        still = []
+        for j, w in zip(running, products):
+            alpha, beta = lanczos_step(space, blocks[j], w)
+            coeffs[j][0].append(alpha)
+            coeffs[j][1].append(beta)
+            if beta > BREAKDOWN:
+                space.scale(1.0 / beta, w)
+                space.push(blocks[j], w)
+                still.append(j)
+        running = still
+    return [_spectrum(alphas, betas) for alphas, betas in coeffs]
 
 
 def ftlm_thermal(
@@ -147,14 +127,18 @@ def ftlm_thermal(
     block_size:
         How many random samples advance together through block matvecs
         (NumPy vectors only).  Defaults to ``min(n_samples, 8)`` on the
-        NumPy path and 1 (sequential) elsewhere; the random vectors drawn
-        are identical either way, so the estimate is independent of the
-        blocking up to roundoff.
+        NumPy path and 1 (sequential) elsewhere.  The random vectors drawn
+        and the recurrence run on each are the same either way, so the
+        estimate does not depend on the blocking.
     """
     matvec = as_matvec(matvec)
     temperatures = np.asarray(temperatures, dtype=np.float64)
-    if np.any(temperatures <= 0):
-        raise ValueError("temperatures must be positive")
+    if not np.all(temperatures > 0):
+        raise ValueError(f"temperatures must be > 0, got {temperatures}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
+    if krylov_dim < 1:
+        raise ValueError(f"krylov_dim must be >= 1, got {krylov_dim!r}")
     if space is None:
         space = NumpyVectorSpace()
     if dim is None:
@@ -178,21 +162,17 @@ def ftlm_thermal(
     sample = 0
     while sample < n_samples:
         width = min(block_size, n_samples - sample)
+        v0s = [
+            space.random(prototype, seed=seed + sample + j)
+            for j in range(width)
+        ]
         if width > 1:
-            v0_block = np.stack(
-                [
-                    space.random(prototype, seed=seed + sample + j)
-                    for j in range(width)
-                ],
-                axis=1,
-            )
             all_spectra.extend(
-                _lanczos_spectra_block(matvec, v0_block, krylov_dim)
+                _lanczos_spectra_block(matvec, space, v0s, krylov_dim)
             )
         else:
-            v0 = space.random(prototype, seed=seed + sample)
             all_spectra.append(
-                _lanczos_spectrum(matvec, v0, krylov_dim, space)
+                _lanczos_spectrum(matvec, v0s[0], krylov_dim, space)
             )
         elapsed = time.perf_counter() - t_start
         for j, (evals, _, residual) in enumerate(

@@ -71,6 +71,24 @@ def _record_iteration(tele, entry: dict, solver: str = "lanczos") -> None:
 BREAKDOWN = 1e-14
 
 
+def lanczos_step(
+    space: VectorSpace, block, w, reorthogonalize: bool = True
+) -> tuple[float, float]:
+    """One step of the recurrence on ``w``, the product of the last row of
+    ``block`` (the orthonormal Krylov vectors so far).
+
+    Projects ``w`` against the block in place — twice over all rows, so
+    that an exhausted space leaves ``beta`` ~ 0, or without
+    ``reorthogonalize`` once over the last two — and returns ``(alpha,
+    beta)``: the diagonal entry and the norm of what is left.
+    """
+    first = 0 if reorthogonalize else max(block.m - 2, 0)
+    alpha = float(np.real(space.project(block, w, first)[-1]))
+    if reorthogonalize:
+        space.project(block, w)
+    return alpha, space.norm(w)
+
+
 def lanczos_steps(
     matvec,
     space: VectorSpace,
@@ -81,24 +99,18 @@ def lanczos_steps(
 ):
     """The three-term recurrence every Krylov driver here runs.
 
-    Each step multiplies the last row of ``block`` (the orthonormal Krylov
-    vectors so far), projects the product against the block — twice over
-    all rows, so that an exhausted space leaves ``beta`` ~ 0, or without
-    ``reorthogonalize`` once over the last two — and yields ``(alpha, beta,
-    block)`` *before* the normalised product becomes the next row: a
-    consumer that stops there pays nothing more, and ``beta <= breakdown``
-    ends the recurrence.  The checkpoint writer, which needs control between
-    the push and the next product, resumes with ``send(True)`` and gets one
+    Each step multiplies the last row of ``block``, runs
+    :func:`lanczos_step` on the product and yields ``(alpha, beta, block)``
+    *before* the normalised product becomes the next row: a consumer that
+    stops there pays nothing more, and ``beta <= breakdown`` ends the
+    recurrence.  The checkpoint writer, which needs control between the
+    push and the next product, resumes with ``send(True)`` and gets one
     more pause right after the push.
     """
     v = space.row(block, block.m - 1)
     for _ in range(n_steps):
         w = matvec(v)
-        first = 0 if reorthogonalize else max(block.m - 2, 0)
-        alpha = float(np.real(space.project(block, w, first)[-1]))
-        if reorthogonalize:
-            space.project(block, w)
-        beta = space.norm(w)
+        alpha, beta = lanczos_step(space, block, w, reorthogonalize)
         pause = yield alpha, beta, block
         if beta <= breakdown:
             return
@@ -117,6 +129,8 @@ def tridiagonalize(
     Returns ``(alphas, betas, block)``: ``betas[:-1]`` is the off-diagonal,
     ``betas[-1]`` the truncation residual, ``block`` the Krylov vectors.
     """
+    if krylov_dim < 1:
+        raise ValueError(f"krylov_dim must be >= 1, got {krylov_dim!r}")
     block = space.block([seed])
     space.scale(1.0 / norm, space.row(block, 0))
     alphas, betas = [], []
@@ -183,6 +197,8 @@ def lanczos(
         wall-clock time since the solver started.
         :func:`lanczos_distributed` passes the simulated cluster time.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k!r}")
     matvec = as_matvec(matvec)
     if space is None:
         space = NumpyVectorSpace()

@@ -16,12 +16,13 @@ algorithms are correctness-testable), while time is accounted by
   over one set of flags, queues and resources — for the asynchronous
   producer-consumer matvec (Sec. 5.3).
 
-Two conforming *execution backends* interpret that language
-(:mod:`repro.runtime.executor`): the discrete-event
+Two conforming *execution backends*, one class each, interpret that
+language: ``sim``, the discrete-event
 :class:`~repro.runtime.events.Simulator` with modelled timings, and
-:class:`~repro.runtime.executor.ThreadExecutor`, which runs the same
-generators on real worker threads with wall-clock timings.  Select with
-``Cluster(..., backend="sim"|"threads")`` — see ``docs/BACKENDS.md``.
+``threads``, :class:`~repro.runtime.executor.ThreadExecutor`, which runs
+the same generators on real worker threads with wall-clock timings.
+Select with ``Cluster(..., backend="sim"|"threads")`` — see
+``docs/BACKENDS.md``.
 """
 
 from repro.runtime.machine import MachineModel, NetworkModel, snellius_machine, laptop_machine
@@ -36,9 +37,7 @@ from repro.runtime.events import (
 )
 from repro.runtime.executor import (
     BACKENDS,
-    Barrier,
     Executor,
-    SimExecutor,
     ThreadExecutor,
     get_executor,
 )
@@ -60,9 +59,7 @@ __all__ = [
     "Pop",
     "Acquire",
     "BACKENDS",
-    "Barrier",
     "Executor",
-    "SimExecutor",
     "ThreadExecutor",
     "get_executor",
     "SimMPI",

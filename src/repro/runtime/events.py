@@ -4,8 +4,8 @@ The producer-consumer matrix-vector product (Sec. 5.3 of the paper) and
 everything else that runs on a :class:`~repro.runtime.cluster.Cluster`
 is written as generator *processes*: Chapel tasks become Python
 generators, the atomics of the ``RemoteBuffer`` protocol become
-:class:`SimFlag` objects, the per-locale NIC a :class:`SimResource` of
-capacity 1.  A process yields *commands*:
+:class:`SimFlag` objects, the per-locale NIC port a :class:`SimResource`.
+A process yields *commands*:
 
 ``Timeout(dt)``
     ``dt`` seconds of modelled work (protocol code is *charge-after-work*:
@@ -22,7 +22,7 @@ capacity 1.  A process yields *commands*:
     block until an item is available; the item is sent back into the
     generator (``item = yield Pop(q)``);
 ``Acquire(resource)``
-    block until one unit of the resource is available; the holder must call
+    block until the resource is free; the holder must call
     ``resource.release()`` later.
 
 Between yields, processes run ordinary Python — this is where the *real*
@@ -35,8 +35,9 @@ the first of them, so wake-ups are first come, first served and a flag
 wait is edge-triggered: a flag pulsed ``True`` then ``False`` resumes
 whoever was waiting for ``True``.  :class:`Executor` documents the
 surface protocol code uses and holds the interpreter core the backends
-share; :class:`Simulator`, the backend in modelled time, is defined
-here, the one on real threads in :mod:`repro.runtime.executor`.
+share.  Each backend is one class: :class:`Simulator`, the ``sim``
+backend in modelled time, is defined here, the ``threads`` backend in
+:mod:`repro.runtime.executor`.
 
 Observation (optional, nothing on the unobserved path): labelled
 ``Timeout`` commands become busy spans, blocking waits become ``stall`` /
@@ -57,11 +58,13 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterator
+from typing import Any, Callable, Generator, Iterator, Sequence
 
 from repro.errors import BackendError, DeadlockError, FaultError
-from repro.telemetry.profile import NULL_PROFILER, ExecutorProfiler
+from repro.telemetry.context import current as _current_telemetry
+from repro.telemetry.profile import ExecutorProfiler
 
 __all__ = [
     "Executor",
@@ -69,7 +72,6 @@ __all__ = [
     "SimFlag",
     "SimQueue",
     "SimResource",
-    "Barrier",
     "Timeout",
     "WaitFlag",
     "Pop",
@@ -280,25 +282,19 @@ class SimQueue:
 
 
 class SimResource:
-    """A counted resource with FIFO waiters (e.g. a NIC port).
+    """A unit resource with FIFO waiters (a NIC port).
 
-    A named resource on a tracing executor emits an in-use sample at
-    every acquire/release transition.  On a metering one the grant
-    timestamps feed ``executor.resource_hold_seconds`` (FIFO matching of
-    grants to releases — exact for the capacity-1 NIC ports, an
-    approximation for wider resources).
+    A named resource on a tracing executor emits an in-use sample (0 or
+    1) at every acquire/release transition.  On a metering one the grant
+    time feeds ``executor.resource_hold_seconds``.
     """
 
     __slots__ = (
-        "_ex", "capacity", "in_use", "_waiters", "name", "wait_label",
-        "_grants",
+        "_ex", "in_use", "_waiters", "name", "wait_label", "_granted",
     )
 
-    def __init__(
-        self, ex: "Executor", capacity: int = 1, name: str | None = None
-    ) -> None:
+    def __init__(self, ex: "Executor", name: str | None = None) -> None:
         self._ex = ex
-        self.capacity = capacity
         self.in_use = 0
         self._waiters: deque[Process] = deque()
         self.name = name
@@ -307,8 +303,8 @@ class SimResource:
             "resource",
             name or "resource",
         )
-        #: grant timestamps, FIFO-matched to releases
-        self._grants: deque = deque()
+        #: when the current holder was granted the resource
+        self._granted = 0.0
 
     def _sample_in_use(self) -> None:
         ex = self._ex
@@ -319,10 +315,9 @@ class SimResource:
 
     def _acquire(self, process: Process) -> None:
         ex = self._ex
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            if ex._profile is not None:
-                self._grants.append(ex.now)
+        if not self.in_use:
+            self.in_use = 1
+            self._granted = ex.now
             ex._resume(process, None)
             self._sample_in_use()
         else:
@@ -335,58 +330,49 @@ class SimResource:
 
     def release(self) -> None:
         ex = self._ex
-        profile = ex._profile
-        if profile is not None and self._grants:
+        if ex._profile is not None:
             _, primitive, target = self.wait_label
-            profile.hold(primitive, target, ex.now - self._grants.popleft())
+            ex._profile.hold(primitive, target, ex.now - self._granted)
         if self._waiters:
-            process = self._waiters.popleft()
-            if profile is not None:
-                # Direct hand-off: the next holder's grant starts now.
-                self._grants.append(ex.now)
-            ex._resume(process, None)
+            # Direct hand-off: the next holder's grant starts now.
+            self._granted = ex.now
+            ex._resume(self._waiters.popleft(), None)
         else:
-            self.in_use -= 1
+            self.in_use = 0
             self._sample_in_use()
 
 
-class Barrier:
-    """A reusable-once arrival barrier in the shared command language.
-
-    ``yield from barrier.arrive()`` blocks until all ``parties``
-    processes have arrived.  Built purely from an executor counter and
-    flag, so it behaves identically on every backend.  One instance
-    serves one rendezvous; create a fresh barrier per generation.
+class _Counter:
+    """A shared counter on the simulator: plain Python is already atomic
+    between yields, so this is just a number with the executor-counter API.
     """
 
-    __slots__ = ("_count", "_flag", "parties")
+    __slots__ = ("value",)
 
-    def __init__(self, executor: "Executor", parties: int) -> None:
-        if parties < 1:
-            raise ValueError(f"barrier needs at least one party, got {parties}")
-        self.parties = parties
-        self._count = executor.counter(0)
-        self._flag = executor.flag(False, name="barrier")
+    def __init__(self, value: float = 0) -> None:
+        self.value = value
 
-    def arrive(self):
-        if self._count.add(1) >= self.parties:
-            self._flag.set(True)
-        else:
-            yield WaitFlag(self._flag, True)
+    def add(self, amount: float = 1):
+        self.value += amount
+        return self.value
+
+    def get(self):
+        return self.value
 
 
 class Executor:
     """What protocol code may ask of a backend, and the interpreter core.
 
-    The protocol surface (every backend, same semantics):
+    The protocol surface (every backend, same semantics) is exactly what
+    :mod:`repro.distributed` calls:
 
-    - ``flag(value, name)`` / ``queue(name)`` / ``resource(capacity,
-      name)``: the primitives the yielded ``WaitFlag`` / ``Pop`` /
-      ``Acquire`` commands block on; ``flag.set``, ``queue.push`` and
-      ``resource.release`` may be called from any process or callback;
+    - ``flag(value, name)`` / ``queue(name)`` / ``resource(name)``: the
+      primitives the yielded ``WaitFlag`` / ``Pop`` / ``Acquire`` commands
+      block on (a resource is one unit, a NIC port); ``flag.set``,
+      ``queue.push`` and ``resource.release`` may be called from any
+      process or callback;
     - ``counter(value)``: an atomic shared counter (``add`` returns the
       new value) — what cross-process counts go through;
-    - ``barrier(parties)``: an arrival barrier (see :class:`Barrier`);
     - ``spawn(gen, name, track, locale, factory)``: start a generator
       process (``factory`` rebuilds it after an injected crash, threads
       only — the simulator recovers at the operator level);
@@ -415,8 +401,12 @@ class Executor:
     the simulator with modelled durations, the threads backend with
     measured ones.
 
-    A backend supplies ``now``, ``_resume(process, value)`` (make a
-    process that a primitive just served run again with ``value``),
+    A backend is one subclass, registered in
+    ``repro.runtime.executor._EXECUTORS``.  It supplies ``spawn``,
+    ``run``, ``now``, ``call_later`` / ``call_after``, ``mutex``,
+    ``lock``, ``counter`` and ``map`` from the list above, and for the
+    interpreter core ``_resume(process, value)`` (make a process that a
+    primitive just served run again with ``value``),
     ``_schedule_timer(delay, waiter)`` (expire a timed flag wait),
     ``_span(process, name, start, duration)`` (where a stall span goes)
     and ``_sample`` (where queue-depth / in-use samples go, or ``None``).
@@ -424,20 +414,16 @@ class Executor:
 
     name: str = "abstract"
     wall_clock: bool = False
-    profile: ExecutorProfiler = NULL_PROFILER
     #: The primitive classes; a backend whose processes run concurrently
     #: substitutes subclasses that lock the methods protocol code calls.
     _Flag, _Queue, _Resource = SimFlag, SimQueue, SimResource
 
     def __init__(self, faults, profile, tracing: bool) -> None:
-        if profile is not None:
-            self.profile = profile
+        self.profile = profile
         # The metering profiler (executor.* wait/hold histograms, worker
         # seconds, queue depth gauges) only observes: simulated timings
         # are bit-identical with or without it.
-        self._profile = (
-            profile if profile is not None and profile.metering else None
-        )
+        self._profile = profile if profile.metering else None
         self._observing = tracing or self._profile is not None
         self._faults = faults
         self._crashes: dict[int, float] = (
@@ -454,13 +440,8 @@ class Executor:
     def queue(self, name: str | None = None) -> SimQueue:
         return self._Queue(self, name)
 
-    def resource(
-        self, capacity: int = 1, name: str | None = None
-    ) -> SimResource:
-        return self._Resource(self, capacity, name)
-
-    def barrier(self, parties: int) -> Barrier:
-        return Barrier(self, parties)
+    def resource(self, name: str | None = None) -> SimResource:
+        return self._Resource(self, name)
 
     def finish(self) -> None:
         """Merge buffered profiling data into the trace/metrics sinks.
@@ -569,7 +550,7 @@ class Executor:
 
 
 class Simulator(Executor):
-    """The discrete-event backend: one thread, a heap of timed events.
+    """The ``sim`` backend: one thread, a heap of timed events.
 
     Typical use::
 
@@ -582,15 +563,23 @@ class Simulator(Executor):
     Commands advance a simulated clock, so timings are a pure function of
     the machine model.  ``trace`` (a
     :class:`~repro.telemetry.trace.TraceRecorder`) receives spans and
-    counter samples directly, stamped with simulated time.
+    counter samples directly, stamped with simulated time; the profiler
+    (by default one over the ambient metrics registry) carries only the
+    metric side.  What is trivial on one thread is trivial here: no-op
+    ``mutex`` / ``lock()``, an unguarded counter, an in-order ``map``.
+    Faults are injected in simulated time (per-delivery fates from the
+    plan's sequential RNG stream).
     """
 
     name = "sim"
+    mutex = nullcontext()
 
     def __init__(self, trace=None, faults=None, profile=None) -> None:
         # Only keep an enabled recorder; every tracing site then guards on
         # a single `is not None` check, so untraced runs stay fast.
         self._trace = trace if trace is not None and trace.enabled else None
+        if profile is None:
+            profile = ExecutorProfiler(metrics=_current_telemetry().metrics)
         super().__init__(faults, profile, self._trace is not None)
         self._sample = self._trace.counter if self._trace is not None else None
         self.now = 0.0
@@ -631,6 +620,24 @@ class Simulator(Executor):
         self._sequence += 1
         event = (self.now + max(delay, 0.0), self._sequence, _CALLBACK, fn)
         heapq.heappush(self._heap, event)
+
+    #: A genuine delay is a simulated one here.
+    call_after = call_later
+
+    def counter(self, value: float = 0) -> _Counter:
+        return _Counter(value)
+
+    def lock(self, name: str | None = None):
+        # Locks cannot contend on one thread; the executor.lock_* metric
+        # families are threads-only by design.
+        return self.mutex
+
+    def map(
+        self,
+        thunks: Sequence[Callable[[], Any]],
+        locales: Sequence[int] | None = None,
+    ) -> list:
+        return [fn() for fn in thunks]
 
     def _resume(self, process: Process, value: Any) -> None:
         self._sequence += 1

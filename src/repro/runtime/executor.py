@@ -1,13 +1,14 @@
-"""The two execution backends, and how a cluster's is chosen.
+"""The backend table, the threads backend, and how a cluster's is chosen.
 
 The distributed algorithms are generator *processes* yielding the
 commands of :mod:`repro.runtime.events`.  That module holds the one
 implementation of the primitives, the documented :class:`Executor`
-surface and the interpreter core; this one holds the backends as
-protocol code meets them — :class:`SimExecutor` (the discrete-event
-simulator: modelled, bit-reproducible seconds) and
-:class:`ThreadExecutor` (one OS thread per process: measured wall
-seconds) — and :func:`get_executor`.  Backend selection is a
+surface, the interpreter core and the ``sim`` backend
+(:class:`~repro.runtime.events.Simulator`: modelled, bit-reproducible
+seconds).  This one holds the ``threads`` backend
+(:class:`ThreadExecutor`: one OS thread per process, measured wall
+seconds), the table of backends and :func:`get_executor`.  Each backend
+is one class.  Backend selection is a
 :class:`~repro.runtime.cluster.Cluster` / config / CLI concern:
 algorithms call ``get_executor(cluster, ...)`` and never mention a
 backend by name; the shared-state rules they follow are part of the
@@ -19,12 +20,10 @@ from __future__ import annotations
 import os
 import threading
 import time
-from contextlib import nullcontext
 from typing import Any, Callable, Generator, Iterator, Sequence
 
 from repro.errors import BackendError, DeadlockError, FaultError
 from repro.runtime.events import (
-    Barrier,
     Executor,
     Process,
     SimFlag,
@@ -32,6 +31,7 @@ from repro.runtime.events import (
     SimResource,
     Simulator,
     Timeout,
+    _Counter,
 )
 from repro.telemetry.context import current as _current_telemetry
 from repro.telemetry.profile import ExecutorProfiler, ProfiledLock
@@ -39,32 +39,10 @@ from repro.telemetry.profile import ExecutorProfiler, ProfiledLock
 __all__ = [
     "BACKENDS",
     "Executor",
-    "SimExecutor",
     "ThreadExecutor",
-    "Barrier",
     "executor_class",
     "get_executor",
 ]
-
-_NULL_CONTEXT = nullcontext()
-
-
-class _Counter:
-    """A shared counter on the simulator: plain Python is already atomic
-    between yields, so this is just an int with the executor-counter API.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: float = 0) -> None:
-        self.value = value
-
-    def add(self, amount: float = 1):
-        self.value += amount
-        return self.value
-
-    def get(self):
-        return self.value
 
 
 class _LockedCounter(_Counter):
@@ -83,49 +61,6 @@ class _LockedCounter(_Counter):
     def get(self):
         with self._lock:
             return self.value
-
-
-class SimExecutor(Simulator):
-    """The discrete-event backend as protocol code meets it.
-
-    The simulator already interprets the commands; this adds the part of
-    the surface that is trivial on one thread (no-op ``mutex`` /
-    ``lock()``, in-order ``map``, an unguarded counter), so protocol code
-    produces the same event sequence — and bit-identical simulated
-    timings — as code written directly against :class:`Simulator`.
-    Faults are injected in simulated time (per-delivery fates from the
-    plan's sequential RNG stream).
-    """
-
-    mutex = _NULL_CONTEXT
-
-    def __init__(self, trace=None, faults=None, profile=None) -> None:
-        # The simulator writes trace spans directly (single thread,
-        # monotone simulated time); the profiler only carries the metric
-        # side here.
-        if profile is None:
-            profile = ExecutorProfiler(
-                trace=None, metrics=_current_telemetry().metrics
-            )
-        super().__init__(trace=trace, faults=faults, profile=profile)
-
-    def counter(self, value: float = 0) -> _Counter:
-        return _Counter(value)
-
-    def lock(self, name: str | None = None):
-        # Locks cannot contend on the single-threaded simulator; the
-        # executor.lock_* metric families are threads-only by design.
-        return _NULL_CONTEXT
-
-    #: A genuine delay is a simulated one here.
-    call_after = Simulator.call_later
-
-    def map(
-        self,
-        thunks: Sequence[Callable[[], Any]],
-        locales: Sequence[int] | None = None,
-    ) -> list:
-        return [fn() for fn in thunks]
 
 
 class _Cancelled(BaseException):
@@ -229,12 +164,7 @@ class ThreadExecutor(Executor):
     _max_worker_restarts = 2
 
     def __init__(
-        self,
-        trace=None,
-        n_workers: int | None = None,
-        profile=None,
-        faults=None,
-        resilience=None,
+        self, trace=None, profile=None, faults=None, resilience=None
     ) -> None:
         if profile is None:
             profile = ExecutorProfiler(
@@ -249,9 +179,6 @@ class ThreadExecutor(Executor):
             ProfiledLock(threading.RLock(), profile, "mutex")
             if profile.metering
             else threading.RLock()
-        )
-        self.n_workers = (
-            n_workers if n_workers is not None else (os.cpu_count() or 1)
         )
         self._failure: BackendError | FaultError | None = None
         self._resumes = 0  # parked workers resumed (watchdog heartbeat)
@@ -611,7 +538,7 @@ class ThreadExecutor(Executor):
             return []
         results: list = [None] * len(thunks)
         with ThreadPoolExecutor(
-            max_workers=min(self.n_workers, len(thunks)),
+            max_workers=min(os.cpu_count() or 1, len(thunks)),
             thread_name_prefix="repro-map",
         ) as pool:
             futures = [pool.submit(fn) for fn in thunks]
@@ -636,7 +563,7 @@ class ThreadExecutor(Executor):
 
 #: Backend name -> executor class: the one table ``Cluster(backend=...)``,
 #: ``--backend`` and :func:`get_executor` go by.
-_EXECUTORS = {cls.name: cls for cls in (SimExecutor, ThreadExecutor)}
+_EXECUTORS = {cls.name: cls for cls in (Simulator, ThreadExecutor)}
 
 #: Names accepted by ``Cluster(backend=...)`` / ``--backend``.
 BACKENDS = tuple(_EXECUTORS)
@@ -666,7 +593,7 @@ def get_executor(cluster, trace=None, faults=None, resilience=None) -> Executor:
     restart budget; when omitted, ``cluster.resilience`` applies.
     """
     cls = executor_class(cluster.backend)
-    if cls is SimExecutor:
+    if cls is Simulator:
         return cls(trace=trace, faults=faults)
     if resilience is None:
         resilience = cluster.resilience

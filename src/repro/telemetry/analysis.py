@@ -706,7 +706,7 @@ def _diff_metrics(path_a: str, path_b: str) -> str:
 def calibrate_traces(model_source, measured_source) -> dict:
     """Align a simulated trace with a wall-clock trace of the same workload.
 
-    ``model_source`` must be a sim-clock trace (a SimExecutor run) and
+    ``model_source`` must be a sim-clock trace (a sim backend run) and
     ``measured_source`` a wall-clock one (the same workload on the
     threads backend); anything else raises :class:`TraceFormatError`.
     Returns the per-phase model-vs-measured ratios — grouped by span
@@ -721,7 +721,7 @@ def calibrate_traces(model_source, measured_source) -> dict:
         raise TraceFormatError(
             "calibrate expects a sim-clock model trace first, but the "
             f"model input is {_clock_label(model.clock)} — pass the "
-            "SimExecutor trace as MODEL and the threads trace as MEASURED"
+            "sim backend trace as MODEL and the threads trace as MEASURED"
         )
     if measured.clock != "wall":
         raise TraceFormatError(
@@ -850,7 +850,7 @@ _COMMANDS = {
         "Align a simulated (model) trace with a wall-clock (measured) trace "
         "of the same workload and report per-phase model-vs-measured time "
         "ratios",
-        (("model", "sim-clock trace JSON (SimExecutor run)"),
+        (("model", "sim-clock trace JSON (sim backend run)"),
          ("measured", "wall-clock trace JSON (threads backend run)")),
         _run_calibrate,
     ),

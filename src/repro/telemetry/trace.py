@@ -64,7 +64,6 @@ class TraceRecorder:
         self.clock = "sim"
         self._pids: dict[str, int] = {}
         self._tids: dict[tuple[str, str], int] = {}
-        self._open: dict[tuple[str, str], list[tuple[str, float, dict | None]]] = {}
 
     # -- track bookkeeping -------------------------------------------------
 
@@ -145,24 +144,6 @@ class TraceRecorder:
         (already includes any offset)."""
         self.complete(track, name, abs_start - self.offset, duration, args)
 
-    def begin(
-        self,
-        track: tuple[str, str],
-        name: str,
-        start: float,
-        args: dict | None = None,
-    ) -> None:
-        """Open a span on a track; close it with :meth:`end` (LIFO)."""
-        self._open.setdefault(track, []).append((name, start, args))
-
-    def end(self, track: tuple[str, str], stop: float) -> None:
-        """Close the innermost open span on ``track``."""
-        stack = self._open.get(track)
-        if not stack:
-            raise ValueError(f"no open span on track {track!r}")
-        name, start, args = stack.pop()
-        self.complete(track, name, start, stop - start, args)
-
     def instant(
         self,
         track: tuple[str, str],
@@ -200,16 +181,7 @@ class TraceRecorder:
             }
         )
 
-    # -- introspection / export --------------------------------------------
-
-    def open_spans(self) -> list[tuple[tuple[str, str], str]]:
-        """Tracks and names of spans opened with :meth:`begin` but never
-        closed — must be empty for a well-formed trace."""
-        return [
-            (track, name)
-            for track, stack in self._open.items()
-            for (name, _, _) in stack
-        ]
+    # -- export -------------------------------------------------------------
 
     def _metadata_events(self) -> list[dict[str, Any]]:
         events: list[dict[str, Any]] = []
@@ -246,10 +218,6 @@ class TraceRecorder:
 
     def to_chrome(self) -> dict[str, Any]:
         """The trace as a Chrome trace-event JSON object."""
-        if self.open_spans():
-            raise ValueError(
-                f"trace has unclosed spans: {self.open_spans()!r}"
-            )
         return {
             "displayTimeUnit": "ms",
             "clock": self.clock,
@@ -281,12 +249,6 @@ class NullTraceRecorder(TraceRecorder):
         pass
 
     def complete_abs(self, track, name, abs_start, duration, args=None) -> None:
-        pass
-
-    def begin(self, track, name, start, args=None) -> None:
-        pass
-
-    def end(self, track, stop) -> None:
         pass
 
     def instant(self, track, name, when, args=None) -> None:

@@ -207,7 +207,7 @@ class TestQueues:
 class TestResources:
     def test_capacity_one_serializes(self):
         sim = Simulator()
-        r = sim.resource(1)
+        r = sim.resource()
 
         def worker():
             yield Acquire(r)
@@ -217,19 +217,6 @@ class TestResources:
         for _ in range(3):
             sim.spawn(worker())
         assert sim.run() == pytest.approx(6.0)
-
-    def test_capacity_two_halves_time(self):
-        sim = Simulator()
-        r = sim.resource(2)
-
-        def worker():
-            yield Acquire(r)
-            yield Timeout(2.0)
-            r.release()
-
-        for _ in range(4):
-            sim.spawn(worker())
-        assert sim.run() == pytest.approx(4.0)
 
 
 class TestErrorHandling:

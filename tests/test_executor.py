@@ -1,13 +1,13 @@
 """Backend-conformance suite for the executor abstraction.
 
 Every test in :class:`TestConformance` drives the *same* generator
-protocol code through both executors — the discrete-event simulator and
-the real thread backend — and asserts the same observable behaviour:
-FIFO queue ordering, flag handshake semantics (including timed waits
-resuming with ``False``), barrier rendezvous, atomic counters, resource
-capacity limits, and RemoteBuffer-style buffer-reuse handoff.  The
-protocol code never mentions a backend; that is the point of the
-abstraction.
+protocol code through every registered backend (``BACKENDS``: the
+discrete-event simulator and the real thread backend today) and asserts
+the same observable behaviour: FIFO queue ordering, flag handshake
+semantics (including timed waits resuming with ``False``), atomic
+counters, arrival-order service, and RemoteBuffer-style buffer-reuse
+handoff.  The protocol code never mentions a backend; that is the point
+of the abstraction.
 
 Thread-only behaviour — prompt typed failure instead of a hang, map
 fan-out error handling — is covered separately.
@@ -24,20 +24,18 @@ import pytest
 
 from repro.errors import BackendError
 from repro.runtime import Cluster, laptop_machine
-from repro.runtime.events import Acquire, Pop, Timeout, WaitFlag
+from repro.runtime.events import Acquire, Pop, Simulator, Timeout, WaitFlag
 from repro.runtime.executor import (
     BACKENDS,
-    SimExecutor,
     ThreadExecutor,
+    executor_class,
     get_executor,
 )
 
 
-@pytest.fixture(params=["sim", "threads"])
+@pytest.fixture(params=BACKENDS)
 def ex(request):
-    if request.param == "sim":
-        return SimExecutor()
-    return ThreadExecutor()
+    return executor_class(request.param)()
 
 
 class TestConformance:
@@ -123,25 +121,6 @@ class TestConformance:
         ex.run()
         assert results == [True]
 
-    def test_barrier_holds_back_every_party(self, ex):
-        parties = 4
-        barrier = ex.barrier(parties)
-        arrived = ex.counter(0)
-        after = []
-
-        def worker(i):
-            arrived.add(1)
-            yield from barrier.arrive()
-            # No party may pass the barrier before all have arrived.
-            with ex.mutex:
-                after.append((i, arrived.get()))
-
-        for i in range(parties):
-            ex.spawn(worker(i), name=f"worker-{i}")
-        ex.run()
-        assert sorted(i for i, _ in after) == list(range(parties))
-        assert all(count == parties for _, count in after)
-
     def test_counter_add_is_atomic_and_returns_new_value(self, ex):
         counter = ex.counter(0)
         claimed = []
@@ -160,27 +139,6 @@ class TestConformance:
         # 800 adds -> 800 distinct claimed slots, no lost updates.
         assert counter.get() == 800
         assert sorted(claimed) == list(range(800))
-
-    def test_resource_capacity_is_enforced(self, ex):
-        resource = ex.resource(capacity=2, name="nic")
-        holders = ex.counter(0)
-        high_water = []
-
-        def worker():
-            for _ in range(5):
-                yield Acquire(resource)
-                depth = holders.add(1)
-                with ex.mutex:
-                    high_water.append(depth)
-                yield Timeout(1e-5)
-                holders.add(-1)
-                resource.release()
-
-        for i in range(6):
-            ex.spawn(worker(), name=f"user-{i}")
-        ex.run()
-        assert len(high_water) == 30
-        assert max(high_water) <= 2
 
     def test_buffer_reuse_handoff(self, ex):
         """The RemoteBuffer protocol shape: one reusable slot, a ``full``
@@ -254,9 +212,9 @@ class TestConformance:
 
     @pytest.mark.parametrize("primitive", ["resource", "queue"])
     def test_waiters_are_served_in_arrival_order(self, ex, primitive):
-        """Three processes parked in a known order on a capacity-1
-        resource / on a queue get the unit / the items in that order."""
-        port = ex.resource(1, name="port")
+        """Three processes parked in a known order on a resource / on a
+        queue get the unit / the items in that order."""
+        port = ex.resource(name="port")
         queue = ex.queue(name="work")
         served = []
 
@@ -351,10 +309,10 @@ class TestConformance:
                 )
             )
         else:
-            ex = SimExecutor(trace=trace)
+            ex = Simulator(trace=trace)
         never = ex.flag(False, name="never")
         empty = ex.queue(name="empty")
-        port = ex.resource(1, name="port")
+        port = ex.resource(name="port")
 
         def on_flag():
             yield WaitFlag(never, True)
@@ -406,7 +364,7 @@ class TestThreadHandoffStress:
         ex.watchdog_seconds = 5.0
         queues = [ex.queue(name=f"ring{w}") for w in range(n)]
         credit = [ex.flag(True, name=f"credit{w}") for w in range(n)]
-        nic = ex.resource(2, name="nic")
+        nic = ex.resource(name="nic")
         received = [[] for _ in range(n)]
         yields = [
             [rng.random() < 0.05 for _ in range(self.HANDOFFS)]
@@ -469,7 +427,7 @@ class TestThreadFailureSemantics:
         assert isinstance(excinfo.value.__cause__, RuntimeError)
 
     def test_map_failure_names_locale_and_cancels_rest(self):
-        ex = ThreadExecutor(n_workers=2)
+        ex = ThreadExecutor()
 
         def boom():
             raise ValueError("bad chunk")
@@ -498,7 +456,7 @@ class TestBackendSelection:
     def test_cluster_default_backend_is_sim(self):
         cluster = Cluster(2, laptop_machine())
         assert cluster.backend == "sim"
-        assert isinstance(get_executor(cluster), SimExecutor)
+        assert isinstance(get_executor(cluster), Simulator)
 
     def test_cluster_threads_backend(self):
         cluster = Cluster(2, laptop_machine(), backend="threads")
@@ -529,7 +487,7 @@ class TestBackendSelection:
 
     def test_backends_tuple_is_the_contract(self):
         assert BACKENDS == ("sim", "threads")
-        assert SimExecutor.name == "sim" and not SimExecutor.wall_clock
+        assert Simulator.name == "sim" and not Simulator.wall_clock
         assert ThreadExecutor.name == "threads" and ThreadExecutor.wall_clock
 
 
@@ -565,7 +523,7 @@ class TestProfilingConformance:
     def _drive(ex):
         queue = ex.queue(name="work")
         flag = ex.flag(False, name="go")
-        port = ex.resource(1, name="port")
+        port = ex.resource(name="port")
         count = ex.counter(0)
 
         def holder():
@@ -612,7 +570,7 @@ class TestProfilingConformance:
         metrics = MetricsRegistry()
         if backend == "sim":
             profile = ExecutorProfiler(trace=None, metrics=metrics)
-            ex = SimExecutor(trace=trace, profile=profile)
+            ex = Simulator(trace=trace, profile=profile)
         else:
             profile = ExecutorProfiler(trace=trace, metrics=metrics, wall=True)
             ex = ThreadExecutor(profile=profile)

@@ -159,3 +159,26 @@ class TestInterface:
         )
         assert est.krylov_dim == 15
         assert est.n_samples == 3
+
+
+@pytest.mark.parametrize("n", [12, 14])
+@pytest.mark.parametrize("krylov_dim", [20, 60])
+def test_ftlm_blocked_matches_sequential(n, krylov_dim):
+    """Lock-step samples run the one recurrence, so blocking is invisible:
+    the same bits as one sample at a time, breakdown included (chain-12's
+    sector has dimension 35 < 60)."""
+    basis = SymmetricBasis(chain_symmetries(n, 0), hamming_weight=n // 2)
+    op = repro.Operator(repro.heisenberg_chain(n), basis)
+    temperatures = np.array([0.1, 0.5, 2.0])
+    kwargs = dict(krylov_dim=krylov_dim, n_samples=7, seed=4)
+    sequential, blocked = [
+        ftlm_thermal(op, np.zeros(op.dim), temperatures, block_size=b, **kwargs)
+        for b in (1, 3)
+    ]
+    np.testing.assert_array_equal(blocked.energy, sequential.energy)
+    np.testing.assert_array_equal(
+        blocked.specific_heat, sequential.specific_heat
+    )
+    np.testing.assert_array_equal(
+        blocked.partition_function, sequential.partition_function
+    )

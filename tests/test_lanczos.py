@@ -145,6 +145,47 @@ class TestRobustness:
         with pytest.raises(ConvergenceError):
             lanczos(lambda v: diag * v, np.array([1.0, 0.0]), k=2, max_iter=50)
 
+    @pytest.mark.parametrize(
+        "driver, argument, value",
+        [
+            ("lanczos", "k", 0),
+            ("ftlm_thermal", "n_samples", 0),
+            ("ftlm_thermal", "krylov_dim", 0),
+            ("ftlm_thermal", "temperatures", np.nan),
+            ("spectral_function", "krylov_dim", 0),
+            ("expm_krylov", "krylov_dim", 0),
+        ],
+    )
+    def test_krylov_drivers_reject_what_they_cannot_use(
+        self, driver, argument, value
+    ):
+        diag = np.linspace(-1.0, 1.0, 8)
+        matvec = lambda v: diag * v  # noqa: E731
+        v0 = np.ones(8)
+        kwargs = {argument: value}
+        call = {
+            "lanczos": lambda: lanczos(matvec, v0, **kwargs),
+            "ftlm_thermal": lambda: repro.linalg.ftlm_thermal(
+                matvec, v0, **{"temperatures": [1.0], **kwargs}
+            ),
+            "spectral_function": lambda: repro.linalg.spectral_function(
+                matvec, v0, **kwargs
+            ),
+            "expm_krylov": lambda: repro.linalg.expm_krylov(
+                matvec, v0, -0.1, **kwargs
+            ),
+        }[driver]
+        with pytest.raises(ValueError, match=rf"^{argument} must be"):
+            call()
+
+    def test_infinite_temperature_stays_allowed(self):
+        diag = np.linspace(-1.0, 1.0, 8)
+        est = repro.linalg.ftlm_thermal(
+            lambda v: diag * v, np.ones(8), [np.inf], krylov_dim=8, n_samples=2
+        )
+        assert est.energy[0] == pytest.approx(0.0, abs=0.5)
+        assert np.isfinite(est.partition_function[0])
+
 
 class TestDistributed:
     def test_distributed_matches_serial(self, rng):

@@ -61,29 +61,6 @@ class TestTraceRecorder:
         trace.complete_abs(("a", "b"), "span", 7.0, 1.0)
         assert trace.events[0]["ts"] == pytest.approx(7.0 * US)
 
-    def test_begin_end_nesting_is_lifo(self):
-        trace = TraceRecorder()
-        trace.begin(("a", "b"), "outer", 0.0)
-        trace.begin(("a", "b"), "inner", 1.0)
-        trace.end(("a", "b"), 2.0)
-        trace.end(("a", "b"), 3.0)
-        names = [e["name"] for e in trace.events]
-        assert names == ["inner", "outer"]
-        assert trace.events[0]["dur"] == pytest.approx(1.0 * US)
-        assert trace.events[1]["dur"] == pytest.approx(3.0 * US)
-        assert trace.open_spans() == []
-
-    def test_end_without_begin_raises(self):
-        with pytest.raises(ValueError, match="no open span"):
-            TraceRecorder().end(("a", "b"), 1.0)
-
-    def test_unclosed_span_fails_export(self):
-        trace = TraceRecorder()
-        trace.begin(("a", "b"), "leaked", 0.0)
-        assert trace.open_spans() == [(("a", "b"), "leaked")]
-        with pytest.raises(ValueError, match="unclosed"):
-            trace.to_chrome()
-
     def test_tracks_map_to_pid_tid_metadata(self):
         trace = TraceRecorder()
         trace.complete(("locale0", "producer0"), "x", 0.0, 1.0)
@@ -134,13 +111,11 @@ class TestTraceRecorder:
         trace = NullTraceRecorder()
         assert trace.enabled is False
         trace.complete(("a", "b"), "x", 0.0, 1.0)
-        trace.begin(("a", "b"), "x", 0.0)
         trace.instant(("a", "b"), "x", 0.0)
         trace.counter(("a", "b"), "x", 0.0, 1)
         trace.advance(5.0)
         assert trace.events == []
         assert trace.offset == 0.0
-        assert trace.open_spans() == []
 
 
 class TestMetricsRegistry:
@@ -400,7 +375,6 @@ def _track_names(chrome):
 class TestTraceIntegrity:
     def test_every_span_closes_and_trace_is_valid_json(self, traced_matvec):
         tele, _ = traced_matvec
-        assert tele.trace.open_spans() == []
         chrome = json.loads(tele.trace.to_json())
         assert chrome["traceEvents"]
         assert {e["ph"] for e in chrome["traceEvents"]} >= {"X", "M"}
