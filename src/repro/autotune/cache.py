@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 
 from repro.distributed.operator import MATVEC_ROWS
 from repro.errors import ConfigError
+from repro.resilience.checkpoint import atomic_write
 from repro.schema import Key, validate
 
 __all__ = ["TuneCache", "CACHE_VERSION", "default_cache_path"]
@@ -139,19 +139,7 @@ class TuneCache:
     def save(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.path.parent), prefix=self.path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.path, payload.encode())
 
     def __len__(self) -> int:
         return len(self.entries)

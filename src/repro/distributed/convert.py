@@ -35,6 +35,7 @@ from repro.runtime.clock import BSPTimer, SimReport
 __all__ = [
     "block_to_hashed",
     "hashed_to_block",
+    "put_chunks",
     "stable_partition",
     "counting_sort_order",
 ]
@@ -189,32 +190,47 @@ def block_to_hashed(
         masks, chunks_per_locale, timer
     )
     totals = counts.sum(axis=0) if counts.size else np.zeros(n, dtype=np.int64)
-
-    # (d)+(e) partition each chunk locally, then one remote put per
-    # (chunk, destination).
     parts = [
         _alloc_rows(int(totals[dest]), array.blocks[0]) for dest in range(n)
     ]
-    itemsize = array.row_bytes
-    for chunk_index, locale in enumerate(chunk_owner):
-        lo, hi = chunk_slices[chunk_index]
-        values = array.blocks[locale][lo:hi]
-        keys = masks.blocks[locale][lo:hi]
+    put_chunks(
+        timer, parts, offsets,
+        ((locale, array.blocks[locale][lo:hi], masks.blocks[locale][lo:hi])
+         for locale, (lo, hi) in zip(chunk_owner, chunk_slices)),
+        array.row_bytes,
+    )
+    timer.end_phase("put")
+    return parts, timer.report
+
+
+def put_chunks(timer: BSPTimer, parts, offsets, chunks, row_bytes) -> list[int]:
+    """Steps (d)+(e): partition each chunk locally by destination, then one
+    remote put per (chunk, destination) into ``parts`` at ``offsets``.
+
+    ``chunks`` yields ``(owner, values, keys)`` in global chunk order (row
+    ``c`` of ``offsets`` is chunk ``c``); ``keys`` are the destination
+    locales of ``values``.  Returns the payload bytes of every put.
+    """
+    machine, n = timer.machine, len(parts)
+    put_bytes = []
+    for row, (owner, values, keys) in enumerate(chunks):
+        if len(values) == 0:
+            continue
         partitioned, chunk_counts = stable_partition(values, keys, n)
         timer.add_compute(
-            locale, machine.compute_time(machine.t_partition, values.size)
+            owner, machine.compute_time(machine.t_partition, values.size)
         )
         start = 0
         for dest in range(n):
             count = int(chunk_counts[dest])
             if count == 0:
                 continue
-            off = int(offsets[chunk_index, dest])
+            off = int(offsets[row, dest])
             parts[dest][off : off + count] = partitioned[start : start + count]
-            timer.add_message(locale, dest, count * itemsize)
+            timer.add_message(owner, dest, count * row_bytes)
+            put_bytes.append(count * row_bytes)
             start += count
-    timer.end_phase("put")
-    return parts, timer.report
+    return put_bytes
 
 
 def hashed_to_block(

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.basis.spin_basis import Basis
 from repro.bits.ops import candidate_batches, popcount
-from repro.distributed.convert import stable_partition
+from repro.distributed.convert import put_chunks
 from repro.distributed.dist_basis import DistributedBasis
 from repro.distributed.hashing import locale_of
 from repro.distributed.matvec_common import require_positive
@@ -118,27 +118,12 @@ def enumerate_states(
     parts = [
         np.empty(int(totals[dest]), dtype=np.uint64) for dest in range(n_locales)
     ]
-    put_bytes: list[int] = []
-    for row, span in enumerate(spans):
-        owner = row % n_locales
-        if span.start == span.stop:
-            continue
-        partitioned, chunk_counts = stable_partition(
-            kept[span], dests[span], n_locales
-        )
-        timer.add_compute(
-            owner, machine.compute_time(machine.t_partition, partitioned.size)
-        )
-        start = 0
-        for dest in range(n_locales):
-            count = int(chunk_counts[dest])
-            if count == 0:
-                continue
-            off = int(offsets[row, dest])
-            parts[dest][off : off + count] = partitioned[start : start + count]
-            timer.add_message(owner, dest, count * 8)
-            put_bytes.append(count * 8)
-            start += count
+    put_bytes = put_chunks(
+        timer, parts, offsets,
+        ((row % n_locales, kept[span], dests[span])
+         for row, span in enumerate(spans)),
+        8,
+    )
     timer.end_phase("distribute")
 
     # The puts preserve global order, so a part's sums are ``kept``'s, masked.

@@ -2,10 +2,10 @@
 
 Writes are crash-safe and reads are self-validating:
 
-- every chunk and every manifest is written to a temporary file in the
-  same directory and moved into place with :func:`os.replace`, so a
-  writer killed mid-save never leaves a half-written file under the final
-  name (the manifest is written *last*, making it the commit record);
+- every chunk and every manifest is written with
+  :func:`~repro.resilience.checkpoint.atomic_write`, so a writer killed
+  mid-save never leaves a half-written file under the final name (the
+  manifest is written *last*, making it the commit record);
 - the manifest stores a CRC32, byte count, dtype, and length for every
   chunk, and loading verifies all four — a truncated, corrupted, or
   swapped ``.npy`` chunk raises :class:`~repro.errors.CheckpointError`
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import zlib
 from pathlib import Path
 
@@ -29,6 +28,7 @@ from repro.distributed.dist_basis import DistributedBasis
 from repro.distributed.hashing import locale_of
 from repro.distributed.vector import DistributedVector
 from repro.errors import CheckpointError, DistributionError
+from repro.resilience.checkpoint import atomic_write
 from repro.runtime.cluster import Cluster
 
 __all__ = [
@@ -48,22 +48,12 @@ _MANIFEST_FIELDS = dict(name=str, n_locales=int, global_length=int, chunks=list)
 _CHUNK_FIELDS = dict(crc32=int, nbytes=int, dtype=str, length=int)
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via temp-file + :func:`os.replace`."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
 def _save_chunk(path: Path, array: np.ndarray) -> dict:
     """Atomically save one chunk; return its manifest entry."""
     buffer = io.BytesIO()
     np.save(buffer, array)
     data = buffer.getvalue()
-    _atomic_write_bytes(path, data)
+    atomic_write(path, data)
     return {
         "file": path.name,
         "crc32": zlib.crc32(data) & 0xFFFFFFFF,
@@ -147,7 +137,7 @@ def save_block_array(directory, array: BlockArray, name: str = "vector") -> Path
     path.  In a real deployment each locale writes its own chunk in
     parallel — which is exactly why the block distribution is used.
 
-    Every chunk goes through temp-file + ``os.replace``, and the manifest
+    Every chunk goes through ``atomic_write``, and the manifest
     (with per-chunk CRC32s) lands last, so readers never observe a
     half-written save under the final names.
     """
@@ -165,7 +155,7 @@ def save_block_array(directory, array: BlockArray, name: str = "vector") -> Path
         "chunks": entries,
     }
     path = directory / f"{name}.{_MANIFEST}"
-    _atomic_write_bytes(path, json.dumps(manifest, indent=2).encode())
+    atomic_write(path, json.dumps(manifest, indent=2).encode())
     return path
 
 

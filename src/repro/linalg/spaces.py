@@ -11,12 +11,14 @@ reduction carries a simulated allreduce.
 
 from __future__ import annotations
 
-import os
+import io
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Protocol, runtime_checkable
 
 import numpy as np
+
+from repro.resilience.checkpoint import atomic_write
 
 __all__ = ["VectorSpace", "NumpyVectorSpace", "as_matvec", "apply_block"]
 
@@ -177,12 +179,10 @@ class NumpyVectorSpace(VectorSpace):
         return out.astype(like.dtype)
 
     def save_vector(self, directory, name: str, vector: np.ndarray) -> None:
-        """Atomic single-file save (temp file + ``os.replace``)."""
-        path = Path(directory) / f"{name}.npy"
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            np.save(handle, vector)
-        os.replace(tmp, path)
+        """Atomic single-file save (:func:`atomic_write`)."""
+        buffer = io.BytesIO()
+        np.save(buffer, vector)
+        atomic_write(Path(directory) / f"{name}.npy", buffer.getvalue())
 
     def load_vector(self, directory, name: str, like=None) -> np.ndarray:
         return np.load(Path(directory) / f"{name}.npy")

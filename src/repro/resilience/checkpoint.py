@@ -10,9 +10,9 @@ Checkpoint layout (one directory per snapshot)::
         manifest.json    # written LAST: CRC32 + byte count of every file
 
 Write protocol: everything is written into ``ckpt-NNNNNN.tmp``, the
-top-level ``manifest.json`` (the commit record) is written last via
-temp-file + :func:`os.replace`, and the whole directory is then renamed to
-its final name with :func:`os.replace`.  A writer killed at *any* point
+top-level ``manifest.json`` (the commit record) is written last with
+:func:`atomic_write`, and the whole directory is then renamed to its final
+name with :func:`os.replace`.  A writer killed at *any* point
 leaves either the previous checkpoint intact or a ``.tmp`` directory that
 readers ignore — never a half-written ``ckpt-NNNNNN``.
 
@@ -35,6 +35,7 @@ import contextlib
 import json
 import os
 import shutil
+import tempfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,6 +52,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
 __all__ = [
+    "atomic_write",
     "CheckpointState",
     "write_checkpoint",
     "load_checkpoint",
@@ -73,6 +75,26 @@ class CheckpointState:
     meta: dict[str, Any] = field(default_factory=dict)
     vectors: list[Any] = field(default_factory=list)
     path: Path | None = None
+
+
+def atomic_write(path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` so that a crash at any point leaves
+    the old file or the whole new one, never a torn or empty one: the
+    bytes go to a fresh temporary file in the same directory, which is
+    fsynced before :func:`os.replace` moves it over ``path`` (and unlinked
+    if anything fails)."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _crc_entry(path: Path) -> dict:
@@ -150,9 +172,7 @@ def write_checkpoint(
             "n_vectors": len(vectors),
             "files": files,
         }
-        manifest_tmp = tmp / (_MANIFEST + ".tmp")
-        manifest_tmp.write_text(json.dumps(manifest, indent=2))
-        os.replace(manifest_tmp, tmp / _MANIFEST)
+        atomic_write(tmp / _MANIFEST, json.dumps(manifest, indent=2).encode())
         if final.exists():
             shutil.rmtree(final)
         os.replace(tmp, final)

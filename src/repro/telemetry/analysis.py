@@ -1,13 +1,11 @@
 """Post-mortem analysis of simulated-cluster traces (``repro-inspect``).
 
-PR 1 taught the runtime to *record* what the simulated cluster does —
-spans, counters, per-locale-pair traffic — but raw events do not answer
-the questions the paper's Sec. 5.3 and Figs. 5/8/9 raise: does the
-producer-consumer pipeline actually *overlap* communication with
-computation, how much time is lost to stalls, how evenly is the work
-spread, and who talks to whom.  This module turns a recorded trace (and
-optionally a metrics snapshot) into those verdicts, in the spirit of
-HPCToolkit-style post-mortem analysis:
+Raw trace events do not answer the questions the paper's Sec. 5.3 and
+Figs. 5/8/9 raise: does the producer-consumer pipeline actually *overlap*
+communication with computation, how much time is lost to stalls, how
+evenly is the work spread, and who talks to whom.  This module turns a
+recorded trace (and optionally a metrics snapshot) into those verdicts,
+in the spirit of HPCToolkit-style post-mortem analysis:
 
 - **per-locale span accounting** — busy time split into compute / send /
   stall / idle per locale, from the span names the instrumented runtime
@@ -36,21 +34,23 @@ Use it as a library (:func:`analyze_trace`) or from the command line::
 
 (also installed as the ``repro-inspect`` console script; ``repro-inspect
 COMMAND --help`` says what each sub-command of the ``_COMMANDS`` table
-reports).  ``diff`` compares two runs by hand; the exact regression gates
-are the sim snapshot (simulated numbers) and the ``benchmarks/e2e`` ladder
-(wall time).
+reports).  Each sub-command computes one JSON payload: ``--json`` prints
+it as it is, and :func:`report_text` prints the same keys for a reader.
+``diff`` compares two runs by hand; the exact regression gates are the sim
+snapshot (simulated numbers) and the ``benchmarks/e2e`` ladder (wall
+time).
 
 Every report works on both clock domains — the simulator's simulated
 seconds and the threads backend's measured wall seconds — and labels
-which one it read (``clock: sim|wall`` in JSON, "simulated seconds" /
-"wall seconds" in text).  ``diff`` refuses to compare traces from
-different domains; the deliberate cross-domain comparison is
+which one it read (``clock: sim|wall``).  ``diff`` refuses to compare
+traces from different domains; the deliberate cross-domain comparison is
 ``calibrate`` (the table the performance model is tuned against).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -67,8 +67,8 @@ __all__ = [
     "analyze_trace",
     "load_spans",
     "communication_matrix_from_metrics",
-    "diff_analyses",
     "calibrate_traces",
+    "report_text",
     "main",
 ]
 
@@ -170,17 +170,31 @@ def _field(holder: dict, key: str, types, where: str, *default):
     return value
 
 
+def _finite(value, where: str, key: str, low: float = -math.inf):
+    """``value`` if it is a finite number ``>= low`` (a bool is not one)."""
+    if (
+        isinstance(value, bool) or not isinstance(value, (int, float))
+        or not math.isfinite(value) or value < low
+    ):
+        bound = " >= 0" if low == 0 else ""
+        raise TraceFormatError(
+            f"{where}: field {key!r} must be a finite number{bound}: {value!r}"
+        )
+    return value
+
+
 def _comm_entry(entry, where: str):
     """``[src, dst, bytes, msgs]`` as a span's args carry it, checked."""
     if (
         not isinstance(entry, list) or len(entry) != 4
-        or not all(isinstance(v, int) and v >= 0 for v in entry[:2])
-        or not all(isinstance(v, (int, float)) for v in entry[2:])
+        or not all(type(v) is int and v >= 0 for v in entry[:2])
     ):
         raise TraceFormatError(
             f"{where}: {entry!r} is not [src, dst, bytes, msgs] with "
             "locale numbers first"
         )
+    for key, value in zip(("bytes", "msgs"), entry[2:]):
+        _finite(value, f"{where}, traffic {entry!r}", key, 0)
     return entry
 
 
@@ -191,8 +205,10 @@ def load_spans(source) -> list[Span]:
     Chrome trace dict, or a path to a trace JSON file.  Track labels are
     resolved through the ``process_name`` / ``thread_name`` metadata
     events; timestamps come back in seconds.  Fields are checked here,
-    once (every later stage reads spans): a missing or mistyped one raises
-    :class:`TraceFormatError` naming the event's index.
+    once (every later stage reads spans): a missing or mistyped one, a
+    ``ts`` that is not finite, or a ``dur`` / traffic byte or message count
+    that is not finite and ``>= 0`` raises :class:`TraceFormatError` naming
+    the event's index and the field.
     """
     processes: dict[int, str] = {}
     threads: dict[tuple[int, int], str] = {}
@@ -218,8 +234,8 @@ def load_spans(source) -> list[Span]:
             comm.insert(0, [args["src"], args["dst"], args.get("bytes", 0),
                             args.get("msgs", 1)])
         comm = tuple(_comm_entry(entry, where) for entry in comm)
-        start = _field(event, "ts", (int, float), where) / _US
-        duration = _field(event, "dur", (int, float), where, 0.0) / _US
+        start = _finite(event.get("ts"), where, "ts") / _US
+        duration = _finite(event.get("dur", 0.0), where, "dur", 0) / _US
         parsed.append((track, name, start, duration, comm))
     spans = [
         Span(
@@ -395,9 +411,6 @@ class TraceAnalysis:
             self.critical_path_seconds / self.makespan if self.makespan else 0.0
         )
 
-    def total(self, category: str) -> float:
-        return sum(acct[category] for acct in self.per_locale.values())
-
     def comm_matrix(self, kind: str = "bytes") -> list[list[float]]:
         """The dense locale×locale matrix (``kind``: "bytes" or "msgs")."""
         idx = 0 if kind == "bytes" else 1
@@ -459,59 +472,6 @@ class TraceAnalysis:
             "total_bytes": sum(e[0] for e in self.comm.values()),
             "total_messages": sum(e[1] for e in self.comm.values()),
         }
-
-    def render(self) -> str:
-        """The human-readable report."""
-        lines: list[str] = []
-        lines.append(
-            f"makespan {self.makespan:.6g} s | locales {self.n_locales} | "
-            f"spans {self.n_spans} | clock: {_clock_label(self.clock)}"
-        )
-        lines.append("")
-        lines.append("per-locale accounting [s]:")
-        header = (
-            f"{'locale':<8} {'compute':>12} {'send':>12} {'stall':>12} "
-            f"{'idle':>12} {'busy':>12} {'overlap':>8}"
-        )
-        lines.append(header)
-        for locale, acct in sorted(self.per_locale.items()):
-            lines.append(
-                f"{locale:<8} {acct['compute']:>12.6g} {acct['send']:>12.6g} "
-                f"{acct['stall']:>12.6g} {acct['idle']:>12.6g} "
-                f"{acct['busy']:>12.6g} {acct['overlap_efficiency']:>8.3f}"
-            )
-        lines.append("")
-        lines.append("pipeline verdicts:")
-        lines.append(f"  overlap efficiency       {self.overlap_efficiency:.4f}")
-        lines.append(f"  stall fraction           {self.stall_fraction:.4f}")
-        lines.append(f"  load-imbalance index     {self.imbalance_index:.4f}")
-        lines.append(
-            f"  critical path            {self.critical_path_seconds:.6g} s "
-            f"over {len(self.critical_path)} spans "
-            f"(utilization {self.critical_path_utilization:.3f})"
-        )
-        if self.comm:
-            for kind, title in (("bytes", "bytes"), ("msgs", "messages")):
-                matrix = self.comm_matrix(kind)
-                n = len(matrix)
-                lines.append("")
-                lines.append(
-                    f"communication matrix ({title}, rows src -> cols dst):"
-                )
-                lines.append(
-                    "        " + "".join(f"{f'dst{d}':>12}" for d in range(n))
-                )
-                for src in range(n):
-                    lines.append(
-                        f"  src{src:<4}"
-                        + "".join(f"{matrix[src][dst]:>12.6g}" for dst in range(n))
-                    )
-        if self.counters:
-            lines.append("")
-            lines.append("cache & kernel counters:")
-            for name, value in sorted(self.counters.items()):
-                lines.append(f"  {name:<44} {value:>14.6g}")
-        return "\n".join(lines)
 
 
 def _flat(snapshot, prefixes: tuple[str, ...] = ("",)) -> dict[str, float]:
@@ -628,76 +588,6 @@ def _as_snapshot(metrics):
     return MetricsSnapshot.from_json(_read_json(metrics))
 
 
-# -- diff -------------------------------------------------------------------
-
-
-def diff_analyses(a: TraceAnalysis, b: TraceAnalysis) -> list[dict[str, float]]:
-    """Rows comparing the headline scalars of two analyses (b vs a).
-
-    Both analyses must come from the same clock domain: a simulated
-    makespan against a measured wall-clock one yields nonsense ratios,
-    so a mixed pair raises :class:`TraceFormatError` (exit 2 on the
-    CLI).  ``repro-inspect calibrate`` is the cross-domain comparison.
-    """
-    if a.clock != b.clock:
-        raise TraceFormatError(
-            f"cannot diff traces from different clock domains: a is "
-            f"{_clock_label(a.clock)}, b is {_clock_label(b.clock)} — use "
-            "'repro-inspect calibrate MODEL MEASURED' to compare a "
-            "simulated run against a wall-clock one"
-        )
-    rows = []
-    left, right = a.scalars(), b.scalars()
-    for key in left:
-        old, new = left[key], right.get(key, 0.0)
-        delta = new - old
-        # ratio is None (renders as "inf", serializes as null) when the
-        # baseline is zero and the candidate is not: strict JSON has no
-        # Infinity token.
-        rows.append(
-            {
-                "metric": key,
-                "a": old,
-                "b": new,
-                "delta": delta,
-                "ratio": new / old if old else None if new else 1.0,
-            }
-        )
-    return rows
-
-
-def _render_diff(rows: list[dict[str, float]]) -> str:
-    lines = [
-        f"{'metric':<28} {'a':>14} {'b':>14} {'delta':>14} {'ratio':>8}"
-    ]
-    for row in rows:
-        ratio = "inf" if row["ratio"] is None else f"{row['ratio']:.3f}"
-        lines.append(
-            f"{row['metric']:<28} {row['a']:>14.6g} {row['b']:>14.6g} "
-            f"{row['delta']:>+14.6g} {ratio:>8}"
-        )
-    return "\n".join(lines)
-
-
-def _looks_like_metrics(path: str) -> bool:
-    data = _read_json(path)
-    return isinstance(data, dict) and "traceEvents" not in data and (
-        "counters" in data or "gauges" in data or "histograms" in data
-    )
-
-
-def _diff_metrics(path_a: str, path_b: str) -> str:
-    """Diff two metrics-snapshot JSON files counter by counter."""
-    fa, fb = _flat(_as_snapshot(path_a)), _flat(_as_snapshot(path_b))
-    lines = [f"{'instrument':<52} {'a':>13} {'b':>13} {'delta':>13}"]
-    for key in sorted(set(fa) | set(fb)):
-        va, vb = fa.get(key, 0.0), fb.get(key, 0.0)
-        if va == vb:
-            continue
-        lines.append(f"{key:<52} {va:>13.6g} {vb:>13.6g} {vb - va:>+13.6g}")
-    if len(lines) == 1:
-        lines.append("(no differences)")
-    return "\n".join(lines)
 
 
 # -- model-vs-measured calibration -------------------------------------------
@@ -764,84 +654,100 @@ def calibrate_traces(model_source, measured_source) -> dict:
     }
 
 
-def _render_calibrate(report: dict) -> str:
-    lines = [
-        "model (simulated seconds) vs measured (wall seconds)",
-        f"locales: model {report['n_locales']['model']}, "
-        f"measured {report['n_locales']['measured']}",
-    ]
-    ratio = report["makespan_ratio"]
-    lines.append(
-        f"makespan: model {report['model']['makespan_seconds']:.6g} s, "
-        f"measured {report['measured']['makespan_seconds']:.6g} s "
-        f"(ratio {'inf' if ratio is None else f'{ratio:.3f}'})"
-    )
-    lines.append("")
-    lines.append(
-        f"{'phase':<24} {'category':<9} {'model[s]':>12} "
-        f"{'measured[s]':>12} {'ratio':>8}"
-    )
-    for row in report["phases"]:
-        r = row["ratio"]
-        lines.append(
-            f"{row['phase']:<24} {row['category'] or '-':<9} "
-            f"{row['model_seconds']:>12.6g} "
-            f"{row['measured_seconds']:>12.6g} "
-            f"{'inf' if r is None else f'{r:.3f}':>8}"
+# -- CLI --------------------------------------------------------------------
+
+
+def _changed(left: dict, right: dict) -> list[dict]:
+    """One ``{metric, a, b, delta, ratio}`` row per key whose value differs
+    between ``left`` and ``right`` (a missing key reads 0); ``ratio`` is
+    None when ``a`` is 0 (strict JSON has no Infinity)."""
+    rows = []
+    for key in sorted(left.keys() | right.keys()):
+        old, new = left.get(key, 0.0), right.get(key, 0.0)
+        if old != new:
+            rows.append({"metric": key, "a": old, "b": new,
+                         "delta": new - old, "ratio": new / old if old else None})
+    return rows
+
+
+def _run_diff(args) -> dict:
+    """Two metrics snapshots compare series by series, two traces their
+    headline scalars; traces from different clock domains are refused."""
+    docs = [_read_json(args.a), _read_json(args.b)]
+    if all(
+        isinstance(d, dict) and "traceEvents" not in d
+        and {"counters", "gauges", "histograms"} & d.keys() for d in docs
+    ):
+        return {"changed": _changed(*(_flat(_as_snapshot(d)) for d in docs))}
+    a, b = analyze_trace(args.a), analyze_trace(args.b)
+    if a.clock != b.clock:
+        raise TraceFormatError(
+            f"cannot diff traces from different clock domains: a is "
+            f"{_clock_label(a.clock)}, b is {_clock_label(b.clock)} — use "
+            "'repro-inspect calibrate MODEL MEASURED' to compare a "
+            "simulated run against a wall-clock one"
         )
-    if not report["phases"]:
-        lines.append("(no locale-track phases in either trace)")
-    lines.append("")
-    lines.append(
-        "headline scalars (model vs measured): "
-        + ", ".join(
-            f"{key} {report['model'][key]:.4g}/{report['measured'][key]:.4g}"
-            for key in (
-                "overlap_efficiency",
-                "stall_fraction",
-                "imbalance_index",
-            )
-        )
+    return {"clock": a.clock, "changed": _changed(a.scalars(), b.scalars())}
+
+
+def _cell(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, float):  # whole numbers (byte counts) in full
+        return f"{value:.{15 if value.is_integer() else 6}g}"
+    return str(value)
+
+
+def _table(value: list, indent: str) -> str:
+    """Row objects under their keys, or a grid under its column numbers
+    with each row's number first; every column as wide as its widest cell,
+    text left-aligned and numbers right-aligned."""
+    if isinstance(value[0], dict):
+        header, rows = list(value[0]), [list(row.values()) for row in value]
+    else:
+        header = ["", *map(str, range(len(value[0])))]
+        rows = [[i, *row] for i, row in enumerate(value)]
+    cells = [header] + [[_cell(v) for v in row] for row in rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "\n".join(
+        indent + "  ".join(
+            c.ljust(w) if isinstance(v, str) else c.rjust(w)
+            for c, w, v in zip(row, widths, rows[0])
+        ).rstrip()
+        for row in cells
     )
+
+
+def report_text(payload: dict, indent: str = "") -> str:
+    """A JSON payload as text: a scalar is one ``key: value`` line, a list
+    of row objects a table, a list of lists a grid, a nested object an
+    indented section; an empty list or object reads ``(none)``."""
+    lines = []
+    for key, value in payload.items():
+        if isinstance(value, (dict, list)) and not value:
+            lines.append(f"{indent}{key}: (none)")
+        elif isinstance(value, dict):
+            lines += [f"{indent}{key}:", report_text(value, indent + "  ")]
+        elif isinstance(value, list) and isinstance(value[0], (dict, list)):
+            lines += [f"{indent}{key}:", _table(value, indent + "  ")]
+        else:
+            lines.append(f"{indent}{key}: {_cell(value)}")
     return "\n".join(lines)
 
 
-# -- CLI --------------------------------------------------------------------
-#
-# One function per sub-command: parsed arguments -> (JSON payload, text
-# renderer); a ``None`` payload means the report has a text form only.
-
-
-def _run_analyze(args):
-    analysis = analyze_trace(args.trace, metrics=args.metrics)
-    return analysis.to_json(), analysis.render
-
-
-def _run_diff(args):
-    if _looks_like_metrics(args.a) and _looks_like_metrics(args.b):
-        text = _diff_metrics(args.a, args.b)  # reads the files: not lazily
-        return None, lambda: text
-    rows = diff_analyses(analyze_trace(args.a), analyze_trace(args.b))
-    return rows, lambda: _render_diff(rows)
-
-
-def _run_calibrate(args):
-    report = calibrate_traces(args.model, args.measured)
-    return report, lambda: _render_calibrate(report)
-
-
 #: sub-command ("" = the bare ``repro-inspect TRACE`` form) ->
-#: (description, positional arguments, the function above)
+#: (description, positional arguments, parsed arguments -> JSON payload)
 _COMMANDS = {
     "": (
         "Analyze a repro telemetry trace: overlap efficiency, stalls, load "
         "imbalance, critical path, communication matrix. Use 'repro-inspect "
         "diff A B' to compare two traces or two metrics snapshots.",
         (("trace", "path to a Chrome trace-event JSON file"),),
-        _run_analyze,
+        lambda args: analyze_trace(args.trace, metrics=args.metrics).to_json(),
     ),
     "diff": (
-        "Compare two traces or two metrics snapshots",
+        "Compare two traces or two metrics snapshots: one row per headline "
+        "scalar or series whose value differs",
         (("a", "baseline trace/metrics JSON"),
          ("b", "candidate trace/metrics JSON")),
         _run_diff,
@@ -852,7 +758,7 @@ _COMMANDS = {
         "ratios",
         (("model", "sim-clock trace JSON (sim backend run)"),
          ("measured", "wall-clock trace JSON (threads backend run)")),
-        _run_calibrate,
+        lambda args: calibrate_traces(args.model, args.measured),
     ),
 }
 
@@ -872,10 +778,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
     )
-    if command != "diff":
-        parser.add_argument(
-            "--out", metavar="PATH", help="also write the JSON report to PATH"
-        )
     if not command:
         parser.add_argument(
             "--metrics",
@@ -885,14 +787,11 @@ def main(argv: list[str] | None = None) -> int:
         )
     args = parser.parse_args(argv[1:] if command else argv)
     try:
-        payload, render = run(args)
+        payload = run(args)
     except ReproError as exc:
         print(f"repro-inspect: error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "out", None) is not None:
-        Path(args.out).write_text(json.dumps(payload, indent=2))
-    as_json = args.json and payload is not None
-    print(json.dumps(payload, indent=2) if as_json else render())
+    print(json.dumps(payload, indent=2) if args.json else report_text(payload))
     return 0
 
 

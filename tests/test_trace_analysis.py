@@ -17,6 +17,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,7 +43,7 @@ from repro.telemetry import (
     analyze_trace,
     communication_matrix_from_metrics,
 )
-from repro.telemetry.analysis import load_spans, main as inspect_main
+from repro.telemetry.analysis import load_spans, main as inspect_main, report_text
 
 
 def _span(trace, locale, thread, name, start, duration, args=None):
@@ -313,9 +314,9 @@ class TestInspectCLI:
         path, metrics_path = trace_path
         assert inspect_main([str(path), "--metrics", str(metrics_path)]) == 0
         out = capsys.readouterr().out
-        assert "overlap efficiency" in out
-        assert "load-imbalance index" in out
-        assert "communication matrix (bytes" in out
+        assert "overlap_efficiency" in out
+        assert "imbalance_index" in out
+        assert "communication:" in out
         assert "plan.misses" in out
 
     def test_json_report(self, trace_path, capsys):
@@ -340,7 +341,7 @@ class TestInspectCLI:
         assert (
             inspect_main(["diff", str(metrics_path), str(metrics_path)]) == 0
         )
-        assert "no differences" in capsys.readouterr().out
+        assert "(none)" in capsys.readouterr().out
 
 
 class TestGracefulFailures:
@@ -416,13 +417,13 @@ class TestClockDomains:
         analysis = analyze_trace(path)
         assert analysis.clock == "sim"
         assert analysis.to_json()["clock"] == "sim"
-        assert "clock: simulated seconds" in analysis.render()
+        assert "clock: sim" in report_text(analysis.to_json())
 
     def test_wall_clock_propagates_to_reports(self, tmp_path):
         path = self._save(tmp_path, "wall.json", wall=True)
         analysis = analyze_trace(path)
         assert analysis.clock == "wall"
-        assert "clock: wall seconds" in analysis.render()
+        assert "clock: wall" in report_text(analysis.to_json())
 
     def test_traces_without_clock_key_read_as_sim(self, tmp_path):
         path = tmp_path / "legacy.json"
@@ -517,6 +518,57 @@ def _commands(folder, trace="trace.json", metrics="metrics.json"):
     ]
 
 
+def _assert_every_command_rejects(recorded, name, fields, mention):
+    """Overwrite ``fields`` of the first span (named ``name``, if given)
+    of the recorded trace: every sub-command that reads the trace exits 2
+    with one line naming the event and ``mention``."""
+    folder, docs = recorded
+    events = list(docs["trace"]["traceEvents"])
+    index = next(
+        i for i, e in enumerate(events)
+        if e["ph"] == "X" and name in (None, e["name"])
+    )
+    events[index] = {**events[index], **fields}
+    (folder / "bad_trace.json").write_text(
+        json.dumps({**docs["trace"], "traceEvents": events})
+    )
+    for argv in _commands(folder, trace="bad_trace.json"):
+        if argv[1] == folder / "metrics.json":
+            continue  # the metrics diff reads no trace
+        _assert_one_line_error(*_inspect(argv), f"trace event {index}", mention)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace.json", "--metrics", "metrics.json"],
+        ["diff", "trace.json", "slower.json"],
+        ["diff", "metrics.json", "metrics.json"],
+        ["calibrate", "trace.json", "wall.json"],
+    ],
+    ids=["bare", "diff-traces", "diff-metrics", "calibrate"],
+)
+def test_text_names_every_json_key(recorded, argv, capsys):
+    """``--json`` prints a JSON document, and the text form of the same
+    report has a line for each of its top-level keys."""
+    folder, docs = recorded
+    slower = [
+        {**e, "dur": 2 * e["dur"]} if e["ph"] == "X" else e
+        for e in docs["trace"]["traceEvents"]
+    ]
+    (folder / "slower.json").write_text(
+        json.dumps({**docs["trace"], "traceEvents": slower})
+    )
+    argv = [str(folder / a) if a.endswith(".json") else a for a in argv]
+    assert inspect_main(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert isinstance(payload, dict) and payload
+    assert inspect_main(argv) == 0
+    text = capsys.readouterr().out
+    for key in payload:
+        assert re.search(rf"^{re.escape(key)}:", text, re.M), key
+
+
 class TestMalformedFields:
     """A file that parses as JSON but carries a wrong field: one line
     naming where, exit 2 — from every sub-command that reads it."""
@@ -560,19 +612,25 @@ class TestMalformedFields:
         ids=["ts", "args", "src-dst-bytes", "comm", "name"],
     )
     def test_span_fields(self, recorded, fields, mention):
-        folder, docs = recorded
-        events = list(docs["trace"]["traceEvents"])
-        index = next(i for i, e in enumerate(events) if e["ph"] == "X")
-        events[index] = {**events[index], **fields}
-        (folder / "bad_trace.json").write_text(
-            json.dumps({**docs["trace"], "traceEvents": events})
-        )
-        for argv in _commands(folder, trace="bad_trace.json"):
-            if argv[1] == folder / "metrics.json":
-                continue  # the metrics diff reads no trace
-            _assert_one_line_error(
-                *_inspect(argv), f"trace event {index}", mention
-            )
+        _assert_every_command_rejects(recorded, None, fields, mention)
+
+    @pytest.mark.parametrize(
+        "name, fields, mention",
+        [
+            (None, {"dur": -1e9}, "'dur'"),
+            (None, {"ts": float("nan")}, "'ts'"),
+            (None, {"dur": float("inf")}, "'dur'"),
+            (None, {"dur": True}, "'dur'"),
+            ("send", {"args": {"src": 0, "dst": 1, "bytes": -1e9, "msgs": 1}},
+             "'bytes'"),
+        ],
+        ids=["dur-negative", "ts-nan", "dur-infinite", "dur-bool",
+             "send-bytes-negative"],
+    )
+    def test_span_numbers(self, recorded, name, fields, mention):
+        """A number of the right type but a wrong value (negative,
+        not finite, a bool) is as malformed as a missing one."""
+        _assert_every_command_rejects(recorded, name, fields, mention)
 
     def test_format_error_is_a_repro_error_and_a_value_error(self):
         from repro.errors import ReproError, TraceFormatError
