@@ -1,10 +1,10 @@
 """Seeded chaos harness for the self-healing distributed matvec.
 
-Runs every matvec variant (naive / batched / producer-consumer) on the
-16-site chain sector under several deterministic fault plans and checks
-the resilience contract of ``docs/RESILIENCE.md``:
+Runs the producer-consumer matvec — the one variant that takes faults —
+on the 16-site chain sector under several deterministic fault plans and
+checks the resilience contract of ``docs/RESILIENCE.md``:
 
-- every (plan, variant) run either *recovers* — the result matches the
+- every plan's run either *recovers* — the result matches the
   fault-free reference to 1e-10 — or raises a typed
   :class:`~repro.errors.FaultError`; it never hangs and never returns
   silently wrong amplitudes;
@@ -15,7 +15,7 @@ the resilience contract of ``docs/RESILIENCE.md``:
 Both the plain and the resilient fault-free simulated seconds are pure
 functions of the code and the machine model: the sim snapshot
 (``tests/sim_snapshot.py``) holds them exactly, as the first product of
-``<variant>/c16-l4/plan/k1/plain`` and ``.../resilience`` — the same
+``pc/c16-l4/plan/k1/plain`` and ``.../resilience`` — the same
 basis, batch, buffer and input vector as here.
 
 ``CHAOS_BACKEND=threads`` reruns the same harness on the real-parallel
@@ -42,7 +42,7 @@ from repro.errors import FaultError
 from repro.resilience import FaultPlan, ResilienceConfig
 from repro.telemetry import Telemetry
 
-VARIANTS = ("naive", "batched", "pc")
+VARIANTS = ("pc",)
 
 #: Execution backend under chaos: "sim" (default, exact simulated
 #: seconds) or "threads" (real workers, wall-clock gates).
@@ -59,8 +59,8 @@ _RESILIENT_KEY = (
 )
 
 #: Seeded chaos menu: drops + delays, corruption + duplication, and a
-#: straggler + mid-flight crash (recovered via restart or pc->batched
-#: fallback because crash specs are one-shot).
+#: straggler + mid-flight crash (recovered by a matvec restart because
+#: crash specs are one-shot).
 FAULT_PLANS = {
     "drops": dict(seed=11, drop=0.05, delay=0.2, max_delay=1e-4),
     "corruption": dict(seed=12, duplicate=0.05, corrupt=0.03),
@@ -68,11 +68,8 @@ FAULT_PLANS = {
 }
 
 
-def _variant_kwargs(method: str) -> dict:
-    kwargs = {"batch_size": 256}
-    if method == "pc":
-        kwargs.update(buffer_capacity=64)
-    return kwargs
+#: The pipeline's chunk and hand-off sizes (the sim snapshot's c16-l4).
+PC_OPTIONS = {"batch_size": 256, "buffer_capacity": 64}
 
 
 @pytest.fixture(scope="module")
@@ -134,14 +131,15 @@ def chaos_results(chaos_setup):
     x = DistributedVector.full_random(dbasis, seed=7)
     out = {}
     for method in VARIANTS:
-        kwargs = _variant_kwargs(method)
-        plain_op = DistributedOperator(expr, dbasis, method=method, **kwargs)
+        plain_op = DistributedOperator(
+            expr, dbasis, method=method, **PC_OPTIONS
+        )
         reference = plain_op.matvec(x).to_serial(serial)
 
         # Fault-free overhead of the protocol itself (checksums, seqs, acks).
         resilient_op = DistributedOperator(
             expr, dbasis, method=method,
-            resilience=ResilienceConfig(), **kwargs,
+            resilience=ResilienceConfig(), **PC_OPTIONS,
         )
         y = resilient_op.matvec(x).to_serial(serial)
         np.testing.assert_allclose(y, reference, atol=1e-12)
@@ -158,7 +156,7 @@ def chaos_results(chaos_setup):
             with telemetry.use(tele):
                 op = DistributedOperator(
                     expr, dbasis, method=method,
-                    faults=FaultPlan(**spec), **kwargs,
+                    faults=FaultPlan(**spec), **PC_OPTIONS,
                 )
                 try:
                     result = op.matvec(x).to_serial(serial)
@@ -190,7 +188,7 @@ def test_every_plan_recovers_or_faults(chaos_results):
     for method, row in chaos_results.items():
         assert row["recovered"] + row["failed"] == n_plans
         # The chaos menu is recoverable by design: drops/corruption heal
-        # via retransmits, the crash heals via restart or fallback.
+        # via retransmits, the crash heals via a matvec restart.
         assert row["recovered"] == n_plans, (
             f"{method} failed {row['failed']} of {n_plans} recoverable plans"
         )
@@ -215,10 +213,8 @@ def test_exhausted_budgets_raise_typed_faults(chaos_setup):
         op = DistributedOperator(
             expr, dbasis, method=method,
             faults=FaultPlan(seed=5, crashes={0: 1e-6}),
-            resilience=ResilienceConfig(
-                fallback_to_batched=False, matvec_restarts=0
-            ),
-            **_variant_kwargs(method),
+            resilience=ResilienceConfig(matvec_restarts=0),
+            **PC_OPTIONS,
         )
         with pytest.raises(FaultError):
             op.matvec(x)

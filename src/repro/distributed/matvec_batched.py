@@ -53,36 +53,19 @@ def matvec_batched(
     y: DistributedVector | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     plan=None,
-    faults=None,
-    resilience=None,
 ) -> tuple[DistributedVector, SimReport]:
     """``y = H x`` with chunked generation and per-chunk remote tasks.
 
     ``plan`` (a :class:`~repro.operators.plan.MatvecPlan`) caches each
     chunk's x-independent data across calls.
-
-    With ``faults`` / ``resilience``, the analytic cost model charges the
-    recovery protocol per remote put: a dropped or checksum-rejected put
-    waits out a detection timeout and pays the transfer (plus pinning)
-    again; a duplicated put pays a discarded task spawn at the
-    destination; checksums cost CRC32 time on both ends; stragglers
-    stretch per-locale compute; a crash before the simulated finish
-    raises :class:`~repro.errors.FaultError` (this variant is the
-    fallback target of the producer-consumer pipeline, so its recovery
-    semantics must be total short of a crash).  The fault model is
-    analytic on both backends, see
-    :class:`~repro.distributed.matvec_common.AnalyticMatvec`.
     """
-    run = AnalyticMatvec(op, basis, x, y, batch_size, plan, faults, resilience)
+    run = AnalyticMatvec(op, basis, x, y, batch_size, plan)
     machine = basis.cluster.machine
     net = machine.network
     n = basis.n_locales
     k = x.n_columns
     report, ledger, metrics = run.report, run.report.ledger, run.metrics
-    trace, ex, resilience = run.trace, run.ex, run.resilience
-    extra_nic, extra_compute, retry_wait = (
-        run.extra_nic, run.extra_compute, run.retry_wait
-    )
+    trace, ex = run.trace, run.ex
     # diagonal + generation + partition + consumption
     compute_busy = np.array(diagonal_seconds(basis, k))
     nic_out = np.zeros(n)
@@ -106,10 +89,6 @@ def matvec_batched(
             pin = nbytes / PIN_BANDWIDTH  # fresh buffer every time
             pair_bytes[locale, dest] += nbytes
             pair_msgs[locale, dest] += 1
-            if resilience is not None and resilience.checksums:
-                crc = machine.checksum_time(nbytes)
-                extra_compute[locale] += crc
-                extra_compute[dest] += crc
             if dest == locale:
                 compute_busy[locale] += machine.memcpy_time(nbytes) + pin
             else:
@@ -117,13 +96,6 @@ def matvec_batched(
                 nic_out[locale] += cost
                 nic_in[dest] += cost
                 pair_time[locale, dest] += cost
-                if faults is not None:
-                    fate = faults.message_fate(locale, dest)
-                    run.recover(
-                        locale, dest, int(fate.drop or fate.corrupt),
-                        int(fate.corrupt), int(fate.duplicate),
-                        fate.extra_delay, cost, nbytes,
-                    )
             spawn_and_search = (
                 machine.compute_time(machine.t_search_accum, size)
                 + machine.compute_time(machine.task_spawn_overhead, 1)
@@ -132,29 +104,10 @@ def matvec_batched(
             compute_busy[dest] += spawn_and_search
             ledger.add("consume", dest, spawn_and_search)
 
-    slow = (
-        np.array([faults.slowdown(locale) for locale in range(n)])
-        if faults is not None
-        else np.ones(n)
-    )
-    total_compute = (compute_busy + extra_compute) * slow
-    per_locale = (
-        np.maximum(total_compute, np.maximum(nic_out, nic_in) + extra_nic)
-        + retry_wait
-    )
+    nic_busy = np.maximum(nic_out, nic_in)
+    per_locale = np.maximum(compute_busy, nic_busy)
     for locale in range(n):
-        ledger.add(
-            "nic",
-            locale,
-            float(max(nic_out[locale], nic_in[locale]) + extra_nic[locale]),
-        )
-        if resilience is not None:
-            ledger.add(
-                "recovery", locale, float(extra_compute[locale] + retry_wait[locale])
-            )
-        straggler_extra = float(compute_busy[locale] * (slow[locale] - 1.0))
-        if straggler_extra > 0.0:
-            ledger.add("straggler", locale, straggler_extra)
+        ledger.add("nic", locale, float(nic_busy[locale]))
     if trace is not None and not ex.wall_clock:
         # Chapel tasks yield while blocked on communication, so the cost
         # model lets the NIC time overlap the compute time; the trace
@@ -172,4 +125,4 @@ def matvec_batched(
                 locale, 0.0, pair_time[locale], pair_bytes[locale],
                 pair_msgs[locale],
             )
-    return run.finish("batched", float(per_locale.max()))
+    return run.finish(float(per_locale.max()))

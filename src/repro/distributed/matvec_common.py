@@ -32,10 +32,9 @@ from repro.distributed.convert import counting_sort_order
 from repro.distributed.dist_basis import DistributedBasis
 from repro.distributed.hashing import locale_of
 from repro.distributed.vector import DistributedVector
-from repro.errors import ConfigError, DistributionError, FaultError
+from repro.errors import ConfigError, DistributionError
 from repro.operators.compile import CompiledOperator
 from repro.operators.kernels import get_many_rows
-from repro.resilience.faults import ResilienceConfig
 from repro.runtime.clock import CostLedger, SimReport
 from repro.runtime.executor import get_executor
 from repro.telemetry.context import current as current_telemetry
@@ -383,15 +382,13 @@ def count_messages(
 
 def begin_matvec(
     basis: DistributedBasis, x: DistributedVector,
-    y: DistributedVector | None, batch_size: int, faults, resilience,
+    y: DistributedVector | None, batch_size: int,
 ):
     """What every variant does first: validate the knob and the vectors,
     zero ``y``, open the report, resolve the ambient telemetry.
 
-    Returns ``(y, report, metrics, trace, resilience)``; ``trace`` is
-    ``None`` unless tracing is on, and ``resilience`` is ``None`` exactly
-    when the caller asked for neither faults nor resilience (a fault plan
-    alone implies the default ``ResilienceConfig``).
+    Returns ``(y, report, metrics, trace)``; ``trace`` is ``None`` unless
+    tracing is on.
     """
     require_positive(batch_size=batch_size)
     y = check_vectors(basis, x, y)
@@ -399,9 +396,7 @@ def begin_matvec(
     tele = current_telemetry()
     tele.metrics.gauge("matvec.block_width").set(float(x.n_columns))
     trace = tele.trace if tele.trace.enabled else None
-    if faults is not None and resilience is None:
-        resilience = ResilienceConfig()
-    return y, report, tele.metrics, trace, resilience
+    return y, report, tele.metrics, trace
 
 
 def finish_report(
@@ -428,32 +423,21 @@ class AnalyticMatvec:
     :meth:`~repro.runtime.executor.Executor.map`, in order on ``sim`` and
     concurrently on ``threads`` under a per-destination lock — and differ
     only in what they *charge* for it.  The variant walks :meth:`chunks`
-    on the calling thread, in (locale, chunk) order, so every metric,
-    ledger entry and seeded fault draw happens in one sequence whatever
-    the backend's completion order, computes its modelled finish time and
-    hands it to :meth:`finish`.
-
-    The fault model is analytic (defined in simulated time): recovery
-    costs accumulate in ``extra_nic`` / ``extra_compute`` / ``retry_wait``;
-    on ``threads`` the model lands in ``extras["model_seconds"]`` beside
-    the measured ``report.elapsed``, and crashes are judged against the
-    *model* finish time on both backends — tying a seeded plan's fate to
-    host load would make chaos runs unreproducible.
+    on the calling thread, in (locale, chunk) order, so every metric and
+    ledger entry happens in one sequence whatever the backend's completion
+    order, computes its modelled finish time and hands it to
+    :meth:`finish`; on ``threads`` the model lands in
+    ``extras["model_seconds"]`` beside the measured ``report.elapsed``.
+    Neither takes faults: recovery is the pipeline's.
     """
 
-    def __init__(self, op, basis, x, y, batch_size, plan, faults, resilience):
-        self.y, self.report, self.metrics, self.trace, self.resilience = (
-            begin_matvec(basis, x, y, batch_size, faults, resilience)
+    def __init__(self, op, basis, x, y, batch_size, plan):
+        self.y, self.report, self.metrics, self.trace = begin_matvec(
+            basis, x, y, batch_size
         )
         self.op, self.basis, self.x, self.plan = op, basis, x, plan
         self.batch_size = batch_size
-        self.faults = faults
-        self.crashes = faults.take_crashes() if faults is not None else {}
-        n = basis.n_locales
-        self.extra_nic = np.zeros(n)  # injected delays + retransmissions
-        self.extra_compute = np.zeros(n)  # checksums + duplicate discards
-        self.retry_wait = np.zeros(n)  # serialized detection timeouts
-        self.task_wall = np.zeros(n)
+        self.task_wall = np.zeros(basis.n_locales)
         self.ex = get_executor(basis.cluster, trace=self.trace)
         self.wall_start = time.perf_counter()
         self.n_diag = apply_diagonal(op, basis, x, self.y, plan)
@@ -500,38 +484,6 @@ class AnalyticMatvec:
             yield locale, n_emitted, n_elements, sizes
         self.data_wall = time.perf_counter() - self.wall_start
 
-    def recover(
-        self, src: int, dst: int, resent: int, corrupts: int,
-        duplicates: int, delay: float, resend_seconds: float,
-        resend_bytes: int,
-    ) -> None:
-        """Charge the recovery protocol for the fates of one ``src -> dst``
-        transfer: ``resent`` messages lost or rejected (``corrupts`` of
-        them by checksum), ``duplicates`` delivered twice, ``delay``
-        injected seconds."""
-        metrics = self.metrics
-        if resent:
-            # One (overlapped) detection timeout, then the transfer again.
-            self.retry_wait[src] += self.resilience.ack_timeout
-            self.extra_nic[src] += resend_seconds
-            self.extra_nic[dst] += resend_seconds
-            count_messages(
-                self.report, metrics, src, dst, resent, resend_bytes, True
-            )
-            if corrupts:
-                metrics.counter(
-                    "recovery.checksum_rejects", src=src, dst=dst
-                ).inc(corrupts)
-        if duplicates:
-            # The seq check discards them: a wasted task spawn each.
-            machine = self.basis.cluster.machine
-            self.extra_compute[dst] += machine.compute_time(
-                machine.task_spawn_overhead, duplicates
-            )
-            metrics.counter("recovery.duplicates_discarded").inc(duplicates)
-        self.extra_nic[src] += delay
-        self.extra_nic[dst] += delay
-
     def trace_sends(self, locale: int, start, seconds, nbytes, msgs) -> float:
         """Serialize ``locale``'s modelled transfers on its NIC track, one
         ``send`` span per destination it sent to (arrays indexed by
@@ -552,10 +504,10 @@ class AnalyticMatvec:
                 t += float(seconds[dest])
         return t
 
-    def finish(self, variant: str, model_elapsed: float, trace_end=0.0):
+    def finish(self, model_elapsed: float, trace_end=0.0):
         """Close the report: measured or modelled seconds (the simulated
-        trace runs to ``trace_end`` if that is later), the crash judgement,
-        the common tail.  Returns ``(y, report)``."""
+        trace runs to ``trace_end`` if that is later), the common tail.
+        Returns ``(y, report)``."""
         ex, report, trace = self.ex, self.report, self.trace
         if ex.wall_clock:
             report.elapsed = self.data_wall
@@ -577,17 +529,6 @@ class AnalyticMatvec:
             if trace is not None:
                 trace.advance(max(model_elapsed, trace_end))
         report.merge_phase("matvec", report.elapsed)
-        if self.resilience is not None:
-            report.extras["resilient"] = 1.0
-        if self.crashes:
-            victim = min(self.crashes, key=self.crashes.get)
-            at = self.crashes[victim]
-            if at < model_elapsed:
-                self.faults.record_crash(victim)
-                raise FaultError(
-                    f"locale {victim} crashed at t={at:.3g} before the "
-                    f"{variant} matvec finished (t={model_elapsed:.3g})"
-                )
         return finish_report(
             report, self.x, self.y, self.metrics, ex.wall_clock
         )

@@ -41,8 +41,6 @@ def matvec_naive(
     y: DistributedVector | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     plan=None,
-    faults=None,
-    resilience=None,
 ) -> tuple[DistributedVector, SimReport]:
     """``y = H x`` with one simulated remote task per matrix element.
 
@@ -50,28 +48,14 @@ def matvec_naive(
     implementation; the *simulated* execution is strictly per-element.
     ``plan`` (a :class:`~repro.operators.plan.MatvecPlan`) caches each
     chunk's x-independent data across calls.
-
-    With ``faults`` / ``resilience``, the analytic cost model charges the
-    recovery protocol: dropped or corrupt element messages pay a
-    detection-timeout window plus a retransmit, duplicated deliveries pay
-    an extra task spawn at the destination (the seq check discards them),
-    checksums pay CRC32 time on both ends, stragglers stretch the slow
-    locale's compute, and a crash before the simulated finish raises
-    :class:`~repro.errors.FaultError`.  The *data* path is unaffected —
-    recovery always converges here, so the result stays exact (the fault
-    model is analytic on both backends, see
-    :class:`~repro.distributed.matvec_common.AnalyticMatvec`).
     """
-    run = AnalyticMatvec(op, basis, x, y, batch_size, plan, faults, resilience)
+    run = AnalyticMatvec(op, basis, x, y, batch_size, plan)
     machine = basis.cluster.machine
     n = basis.n_locales
     k = x.n_columns
     element_bytes = wire_bytes(1, k)
     report, ledger = run.report, run.report.ledger
-    trace, ex, resilience = run.trace, run.ex, run.resilience
-    extra_nic, extra_compute, retry_wait = (
-        run.extra_nic, run.extra_compute, run.retry_wait
-    )
+    trace, ex = run.trace, run.ex
     for locale, seconds in enumerate(diagonal_seconds(basis, k)):
         ledger.add("diagonal", locale, seconds)
 
@@ -94,21 +78,6 @@ def matvec_naive(
             count_messages(
                 report, run.metrics, locale, dest, size, wire_bytes(size, k)
             )
-            if resilience is not None and resilience.checksums:
-                crc = machine.compute_time(
-                    machine.checksum_time(element_bytes), size
-                )
-                extra_compute[locale] += crc
-                extra_compute[dest] += crc
-            if faults is not None and dest != locale:
-                fates = faults.message_fates(locale, dest, size)
-                retrans = fates.drops + fates.corrupts
-                run.recover(
-                    locale, dest, retrans, fates.corrupts, fates.duplicates,
-                    fates.extra_delay,
-                    retrans * net.transfer_time(element_bytes),
-                    wire_bytes(retrans, k),
-                )
 
     # Simulated cost: producers generate in parallel over cores; every
     # element then pays a remote task spawn plus a 16-byte message; the
@@ -117,31 +86,18 @@ def matvec_naive(
     per_locale = np.zeros(n)
     trace_end = 0.0
     for locale in range(n):
-        slow = faults.slowdown(locale) if faults is not None else 1.0
         nic_in = incoming_elements[locale] * net.transfer_time(element_bytes)
         task_time = machine.compute_time(
             machine.task_spawn_overhead + machine.t_search_accum,
             int(incoming_elements[locale]),
         ) + extra_column_time(machine, int(incoming_elements[locale]), k)
         nic_out = outgoing_elements[locale] * net.transfer_time(element_bytes)
-        compute = (generate_time[locale] + extra_compute[locale]) * slow
-        straggler_extra = (
-            (generate_time[locale] + extra_compute[locale] + task_time)
-            * (slow - 1.0)
-        )
-        consume_time = max(nic_in + extra_nic[locale], task_time * slow)
-        per_locale[locale] = (
-            compute
-            + max(consume_time, nic_out + extra_nic[locale])
-            + retry_wait[locale]
+        per_locale[locale] = generate_time[locale] + max(
+            nic_in, task_time, nic_out
         )
         ledger.add("generate", locale, generate_time[locale])
         ledger.add("remote-tasks", locale, task_time)
-        ledger.add("nic", locale, max(nic_in, nic_out) + extra_nic[locale])
-        if resilience is not None:
-            ledger.add("recovery", locale, extra_compute[locale] + retry_wait[locale])
-        if straggler_extra > 0.0:
-            ledger.add("straggler", locale, straggler_extra)
+        ledger.add("nic", locale, max(nic_in, nic_out))
         if trace is not None and not ex.wall_clock:
             # The naive variant is effectively serialized per locale:
             # generate everything, then drain the per-element sends through
@@ -165,4 +121,4 @@ def matvec_naive(
             trace_end = max(trace_end, t + task_time)
     report.extras["n_diag"] = float(run.n_diag)
     report.extras["elements"] = float(outgoing_elements.sum())
-    return run.finish("naive", float(per_locale.max()), trace_end)
+    return run.finish(float(per_locale.max()), trace_end)

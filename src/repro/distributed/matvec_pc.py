@@ -80,6 +80,7 @@ from repro.distributed.matvec_common import (
 from repro.distributed.vector import DistributedVector
 from repro.errors import ConfigError, FaultError
 from repro.operators.compile import CompiledOperator
+from repro.resilience.faults import ResilienceConfig
 from repro.runtime.clock import SimReport
 from repro.runtime.events import Acquire, Pop, Timeout, WaitFlag
 from repro.runtime.executor import Executor, get_executor
@@ -455,7 +456,7 @@ class _Pipeline:
         # crash one) is restarted from its factory: its state lives in the
         # shared buffers and the ARQ hand-off makes reprocessing idempotent.
         # A producer's lost chunk cursor would corrupt the result, so
-        # producer loss escalates to the operator's restart/fallback.
+        # producer loss escalates to the operator's restart.
         supervised = self.faults is not None
         for locale in range(self.n):
             for p in range(self.sim_prod):
@@ -733,9 +734,9 @@ def matvec_producer_consumer(
             producers_per_locale=producers_per_locale,
             consumers_per_locale=consumers_per_locale,
         )
-    y, report, metrics, trace, resilience = begin_matvec(
-        basis, x, y, batch_size, faults, resilience
-    )
+    y, report, metrics, trace = begin_matvec(basis, x, y, batch_size)
+    if faults is not None and resilience is None:
+        resilience = ResilienceConfig()  # a plan implies the default policy
     if faults is not None and faults.corrupt > 0 and not resilience.checksums:
         raise ConfigError(
             "corruption injection with checksums disabled would return "

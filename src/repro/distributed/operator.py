@@ -53,7 +53,7 @@ IMPLS = {
 
 #: The tunable knobs, in canonical (tie-breaking) order, each stated once:
 #: name, range and default as the ``cluster.matvec`` input section, the
-#: command-line flags, the batched fallback below and the autotuner's
+#: command-line flags and the autotuner's
 #: ``default_knobs`` read them.  Every method takes the first; the rest are
 #: the pipeline's.
 MATVEC_ROWS = (
@@ -143,11 +143,10 @@ class DistributedOperator:
     :class:`~repro.errors.ConfigError` here, not at the first product.
 
     ``faults`` / ``resilience`` activate the self-healing layer (they
-    default to whatever is attached to the basis's cluster).  On a
-    :class:`~repro.errors.FaultError` from the producer-consumer pipeline
-    the operator falls back to the batched variant
-    (``resilience.fallback_to_batched``, counted as
-    ``recovery.fallbacks``); other variants are restarted up to
+    default to whatever is attached to the basis's cluster); only the
+    pipeline (``method="pc"``) takes them, the naive and batched baselines
+    raise :class:`~repro.errors.ConfigError`.  On a
+    :class:`~repro.errors.FaultError` the pipeline is restarted up to
     ``resilience.matvec_restarts`` times (``recovery.matvec_restarts``) —
     crash specs are one-shot, so a restart models the rebooted cluster.
     After every matvec the per-locale busy ledger is scanned for
@@ -183,6 +182,11 @@ class DistributedOperator:
         if resilience is None and self.faults is not None:
             resilience = ResilienceConfig()
         self.resilience = resilience
+        if resilience is not None and not is_pipeline(method):
+            raise ConfigError(
+                f"matvec method {method!r} takes no fault plan or resilience "
+                "policy; only 'pc' recovers from faults"
+            )
         self.compiled = compile_expression(expression, basis.n_sites)
         if (
             basis.template.hamming_weight is not None
@@ -242,10 +246,9 @@ class DistributedOperator:
         accumulates into :attr:`total_sim_time`.
 
         Under an active resilience policy, recovers from
-        :class:`~repro.errors.FaultError` by falling back from the
-        producer-consumer pipeline to the batched variant and/or
-        restarting the matvec within the configured budgets; raises the
-        fault when the budgets are exhausted.
+        :class:`~repro.errors.FaultError` by restarting the pipeline up to
+        ``resilience.matvec_restarts`` times; raises the fault when that
+        budget is exhausted.
         """
         matrices = self._consolidate()
         if matrices is None:
@@ -324,8 +327,8 @@ class DistributedOperator:
         takes, ``docs/BACKENDS.md``).  Nothing is handed over, so the
         report counts no message; the trace gets one span per locale."""
         wall_start = perf_counter()
-        y, report, metrics, trace, _ = begin_matvec(
-            self.basis, x, y, self.batch_size, None, None
+        y, report, metrics, trace = begin_matvec(
+            self.basis, x, y, self.batch_size
         )
         columns = np.concatenate(x.parts)
         for d, matrix in enumerate(matrices):
@@ -354,7 +357,6 @@ class DistributedOperator:
         if resilient:
             kwargs.update(faults=self.faults, resilience=self.resilience)
         restarts = 0
-        fell_back = False
         while True:
             try:
                 y, report = impl(
@@ -367,32 +369,12 @@ class DistributedOperator:
                 )
                 break
             except FaultError:
-                if not resilient:
-                    raise
-                metrics = current_telemetry().metrics
-                if (
-                    impl is matvec_producer_consumer
-                    and self.resilience.fallback_to_batched
-                ):
-                    # The pipeline could not be healed in place (retry
-                    # budget exhausted or crash-induced deadlock): rerun
-                    # the whole product with the simpler batched schedule,
-                    # which has no handoff protocol left to break.
-                    impl = matvec_batched
-                    kwargs = {
-                        "batch_size": self.batch_size,
-                        "faults": self.faults,
-                        "resilience": self.resilience,
-                    }
-                    fell_back = True
-                    metrics.counter("recovery.fallbacks").inc()
-                    continue
                 restarts += 1
-                if restarts > self.resilience.matvec_restarts:
+                if not resilient or restarts > self.resilience.matvec_restarts:
                     raise
-                metrics.counter("recovery.matvec_restarts").inc()
-        if fell_back:
-            report.extras["fallback"] = 1.0
+                current_telemetry().metrics.counter(
+                    "recovery.matvec_restarts"
+                ).inc()
         if resilient:
             self._detect_stragglers(report)
         return y, report

@@ -90,11 +90,11 @@ class FaultError(ReproError):
     """Raised when an injected (or detected) fault defeats the recovery layer.
 
     The resilient distributed matvec raises this when a retry budget is
-    exhausted (unacknowledged ``RemoteBuffer`` handoffs), when a locale
-    crash makes a run unrecoverable, or when the fallback chain
-    (producer-consumer -> batched -> restart) runs out of options.  A run
-    that raises :class:`FaultError` has failed *loudly*: no silently wrong
-    vectors are ever returned.
+    exhausted (unacknowledged ``RemoteBuffer`` handoffs) or a locale crash
+    makes a run unrecoverable; the operator restarts the matvec and
+    re-raises once ``ResilienceConfig.matvec_restarts`` are used up.  A
+    run that raises :class:`FaultError` has failed *loudly*: no silently
+    wrong vectors are ever returned.
     """
 
 

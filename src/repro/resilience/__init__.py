@@ -5,16 +5,17 @@ Three pieces (see ``docs/RESILIENCE.md``):
 - :class:`FaultPlan` — a *seeded, deterministic* schedule of injected
   faults (message drops, duplicated deliveries, bounded send delays,
   per-locale straggler slowdowns, locale crash-at-time-T) consulted by the
-  discrete-event :class:`~repro.runtime.events.Simulator`, the analytic
-  matvec cost models, and — via keyed per-message fates — the real
-  ``threads`` backend's executor primitives.  The same plan + seed always
+  discrete-event :class:`~repro.runtime.events.Simulator` and — via keyed
+  per-message fates — the real ``threads`` backend's executor primitives,
+  on behalf of the producer-consumer pipeline (the one matvec that takes
+  faults).  The same plan + seed always
   produces the same fault schedule on the simulator (same event order,
   ``fault.*`` metric counts, and final vectors) and the same per-message
   fates on ``threads`` regardless of thread interleaving.
 - :class:`ResilienceConfig` — the recovery policy: ack timeouts and
   exponential backoff for unacknowledged ``RemoteBuffer`` handoffs,
-  retry/restart budgets, checksum toggles, straggler thresholds, and the
-  automatic producer-consumer -> batched fallback.
+  retry budgets, checksum toggles, straggler thresholds, and the number
+  of matvec restarts.
 - :mod:`repro.resilience.checkpoint` — CRC32-manifested, atomically
   renamed snapshots of Krylov solver state, used by
   :func:`repro.linalg.lanczos` / :func:`repro.linalg.davidson` for

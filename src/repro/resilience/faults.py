@@ -2,9 +2,8 @@
 
 A :class:`FaultPlan` is the single source of randomness for everything the
 fault layer does.  It owns one ``numpy`` generator seeded at construction;
-every consultation (:meth:`FaultPlan.message_fate` per remote message in
-the discrete-event pipeline, :meth:`FaultPlan.message_fates` vectorized for
-the analytic naive/batched cost models) draws from that generator in a
+every consultation (:meth:`FaultPlan.message_fate`, once per remote
+message of the discrete-event pipeline) draws from that generator in a
 fixed order.  Because the discrete-event simulator itself is deterministic
 (heap ties broken by sequence number), the combination *plan seed ->
 identical fault schedule -> identical simulation* holds exactly, which is
@@ -21,22 +20,22 @@ sequential draws the simulator's baselines are pinned to.
 
 Crash faults are *one-shot*: :meth:`FaultPlan.take_crashes` hands the
 pending crash schedule to the first consumer and marks it consumed, so a
-retried or fallback matvec models the post-reboot cluster rather than
-crashing forever.  Use :meth:`FaultPlan.fresh` to rewind a plan for an
+restarted matvec models the post-reboot cluster rather than crashing
+forever.  Use :meth:`FaultPlan.fresh` to rewind a plan for an
 independent replay.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
 
 from repro import telemetry
 from repro.errors import ConfigError
-from repro.schema import Key, validate
+from repro.schema import Key, check, validate
 
 __all__ = [
     "FaultPlan",
@@ -77,15 +76,6 @@ class MessageFate:
     drop: bool = False
     duplicate: bool = False
     corrupt: bool = False
-    extra_delay: float = 0.0
-
-
-#: Fate of ``n`` messages at once (analytic variants): counts + total delay.
-@dataclass(frozen=True)
-class FateCounts:
-    drops: int = 0
-    duplicates: int = 0
-    corrupts: int = 0
     extra_delay: float = 0.0
 
 
@@ -201,26 +191,16 @@ class FaultPlan:
             bool(u[0] < self.drop), bool(u[1] < self.duplicate),
             bool(u[2] < self.corrupt), extra,
         )
-        _count_faults(
-            src, dst, fate.drop, fate.duplicate, fate.corrupt, extra > 0.0
-        )
+        metrics = telemetry.current().metrics
+        if fate.drop:
+            metrics.counter("fault.drops", src=src, dst=dst).inc()
+        if fate.duplicate:
+            metrics.counter("fault.duplicates").inc()
+        if fate.corrupt:
+            metrics.counter("fault.corruptions").inc()
+        if extra > 0.0:
+            metrics.counter("fault.delays").inc()
         return fate
-
-    def message_fates(self, src: int, dst: int, n: int) -> FateCounts:
-        """Vectorized fate draw for ``n`` messages (analytic cost models)."""
-        if n <= 0 or not self.injects_message_faults:
-            return _CLEAN_COUNTS
-        rng = self._rng
-        drops = int(rng.binomial(n, self.drop)) if self.drop else 0
-        dups = int(rng.binomial(n, self.duplicate)) if self.duplicate else 0
-        corrupts = int(rng.binomial(n, self.corrupt)) if self.corrupt else 0
-        delayed = int(rng.binomial(n, self.delay)) if self.delay else 0
-        extra = (
-            float(rng.random(delayed).sum() * self.max_delay)
-            if delayed else 0.0
-        )
-        _count_faults(src, dst, drops, dups, corrupts, delayed)
-        return FateCounts(drops, dups, corrupts, extra)
 
     # -- locale-level faults ------------------------------------------------
 
@@ -234,7 +214,7 @@ class FaultPlan:
         """Consume the crash schedule (one-shot: a crashed node reboots).
 
         The first caller gets ``{locale: crash_time}``; later callers get
-        an empty dict, so a fallback/retried matvec runs on the rebooted
+        an empty dict, so a restarted matvec runs on the rebooted
         cluster instead of re-crashing deterministically forever.
         """
         if self._crashes_taken:
@@ -293,20 +273,6 @@ class FaultPlan:
 
 
 _CLEAN_FATE = MessageFate()
-_CLEAN_COUNTS = FateCounts()
-
-
-def _count_faults(src, dst, drops, duplicates, corruptions, delays) -> None:
-    """Add one draw's injected message faults to the ``fault.*`` counters."""
-    metrics = telemetry.current().metrics
-    if drops:
-        metrics.counter("fault.drops", src=src, dst=dst).inc(drops)
-    if duplicates:
-        metrics.counter("fault.duplicates").inc(duplicates)
-    if corruptions:
-        metrics.counter("fault.corruptions").inc(corruptions)
-    if delays:
-        metrics.counter("fault.delays").inc(delays)
 
 
 @dataclass(frozen=True)
@@ -327,9 +293,7 @@ class ResilienceConfig:
     max_retries: int = 8
     #: CRC32-checksum every transferred amplitude batch (detects corruption)
     checksums: bool = True
-    #: on FaultError from the producer-consumer variant, rerun as batched
-    fallback_to_batched: bool = True
-    #: full matvec restarts allowed for non-pc variants (crash recovery)
+    #: full restarts of the pipeline after a FaultError (crash recovery)
     matvec_restarts: int = 1
     #: flag a locale as straggler when busy > threshold * median busy
     straggler_threshold: float = 3.0
@@ -341,18 +305,11 @@ class ResilienceConfig:
     max_worker_restarts: int = 2
 
     def __post_init__(self) -> None:
-        if self.ack_timeout <= 0:
-            raise ValueError("ack_timeout must be positive")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.straggler_threshold <= 1.0:
-            raise ValueError("straggler_threshold must exceed 1")
-        if self.watchdog_timeout <= 0:
-            raise ValueError("watchdog_timeout must be positive")
-        if self.max_worker_restarts < 0:
-            raise ValueError("max_worker_restarts must be >= 0")
+        """Every field as :data:`RESILIENCE_ROWS` declares it, or
+        :class:`~repro.errors.ConfigError` (the rules ``from_config``
+        applies)."""
+        for row in RESILIENCE_ROWS:
+            check(getattr(self, row.key), row)
 
     def to_config(self) -> dict[str, Any]:
         """JSON-style mapping that round-trips through :meth:`from_config`."""
@@ -384,10 +341,8 @@ RESILIENCE_ROWS = tuple(
             help="retransmits per payload before the producer raises FaultError"),
         Key("cluster.resilience.checksums", bool,
             help="CRC32-checksum every transferred amplitude batch"),
-        Key("cluster.resilience.fallback_to_batched", bool,
-            help="on FaultError from the pipeline, rerun the matvec as batched"),
         Key("cluster.resilience.matvec_restarts", int, min=0,
-            help="full matvec restarts allowed for the other variants"),
+            help="full restarts of the pipeline after a FaultError"),
         Key("cluster.resilience.straggler_threshold", float, above=1,
             help="flag a locale whose busy time exceeds this multiple of the "
             "median"),

@@ -33,7 +33,9 @@ class Cluster:
     :class:`~repro.resilience.faults.ResilienceConfig` cluster-wide: a
     :class:`~repro.distributed.operator.DistributedOperator` built on this
     cluster picks them up automatically (this is how config files inject
-    faults without threading arguments through every call site).
+    faults without threading arguments through every call site); only the
+    pipeline (``method="pc"``) takes them, a naive or batched operator
+    here raises :class:`~repro.errors.ConfigError`.
 
     ``backend`` selects the execution backend every distributed algorithm
     on this cluster runs on (see :mod:`repro.runtime.executor` and

@@ -525,8 +525,8 @@ class Executor:
         the original chained as ``__cause__``."""
         if isinstance(exc, (BackendError, FaultError)):
             # Typed errors pass through unchanged: FaultError in
-            # particular must stay catchable by the operator-level
-            # recovery loop (restart / pc->batched fallback).
+            # particular must stay catchable by the operator's restart
+            # loop.
             return exc
         if locale is not None:
             who += f" (locale {locale})"

@@ -447,9 +447,8 @@ class ThreadExecutor(Executor):
         :attr:`watchdog_seconds`.  Once an injected crash has killed a
         worker the window is :attr:`crash_watchdog_seconds` and the stall
         escalates as a :class:`~repro.errors.DeadlockError` (a
-        ``FaultError``) — what the operator-level recovery (restart /
-        pc->batched fallback) heals; so does a crash that leaves the run
-        incomplete without a stall.
+        ``FaultError``) — what the operator's matvec restart heals; so
+        does a crash that leaves the run incomplete without a stall.
         """
         if self._t0 is None:
             return 0.0

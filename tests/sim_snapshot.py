@@ -7,7 +7,8 @@ distributed matvec over
     naive / batched / pc  x  four cluster-and-worker shapes  x  plan on / off
     x  block width 1 / 3  x  {plain, resilience, drops, corruption, crash}
 
-(240 runs, two products each, so a plan records and then replays), plus a
+where only pc takes the four protections beyond ``plain`` (112 runs, two
+products each, so a plan records and then replays), plus a
 basis enumeration and a short Lanczos solve per shape, plus the simulated
 runs two benches report that the grid does not cover (:data:`BENCH_NAMES`).
 Per run it hashes the ``repr`` of the report (elapsed, messages, bytes,
@@ -95,7 +96,8 @@ def _names():
     for method, shape, plan, k, protection in itertools.product(
         METHODS, SHAPES, ("plan", "noplan"), (1, 3), PROTECTIONS
     ):
-        yield f"{method}/{shape}/{plan}/k{k}/{protection}"
+        if method == "pc" or protection == "plain":
+            yield f"{method}/{shape}/{plan}/k{k}/{protection}"
     for shape in SHAPES:
         yield f"enumerate/{shape}"
         yield f"lanczos/{shape}"
@@ -114,10 +116,10 @@ NAMES = tuple(_names())
 
 #: what tier-1 runs: everything on the 12-site shapes (every method, plan,
 #: block width and protection; the BSP timer; the solver) and the pipeline
-#: with work stealing at full size
+#: at full size, with and without work stealing
 TIER1 = tuple(
     name for name in NAMES
-    if "/c12-" in name or name.startswith("pc/c16-l4-steal/")
+    if "/c12-" in name or name.startswith(("pc/c16-l4/", "pc/c16-l4-steal/"))
 )
 
 

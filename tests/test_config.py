@@ -212,9 +212,9 @@ class TestResilienceKnobs:
     def test_knob_validation(self):
         from repro.resilience import ResilienceConfig
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="watchdog_timeout"):
             ResilienceConfig(watchdog_timeout=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="max_worker_restarts"):
             ResilienceConfig(max_worker_restarts=-1)
 
     def test_cluster_section_reaches_executor(self):

@@ -191,11 +191,7 @@ class TestResilienceOnThreads:
         assert snap.counter_total("fault.crashes") >= 1
         recovered = sum(
             snap.counter_total(name)
-            for name in (
-                "recovery.matvec_restarts",
-                "recovery.fallbacks",
-                "recovery.worker_restarts",
-            )
+            for name in ("recovery.matvec_restarts", "recovery.worker_restarts")
         )
         assert recovered >= 1
 
@@ -211,9 +207,7 @@ class TestResilienceOnThreads:
             method="pc",
             batch_size=64,
             faults=FaultPlan(seed=3, crashes={0: 1e-6}),
-            resilience=ResilienceConfig(
-                matvec_restarts=0, fallback_to_batched=False
-            ),
+            resilience=ResilienceConfig(matvec_restarts=0),
         )
         t0 = time.perf_counter()
         with pytest.raises(FaultError):

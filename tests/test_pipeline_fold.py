@@ -204,9 +204,7 @@ class TestStaleDuplicateNeverPassesForTheNextPayload:
         y = DistributedVector.zeros(dbasis)
         faults = FaultPlan(seed=1)
         resilience = ResilienceConfig(checksums=checksums)
-        y, report, metrics, trace, resilience = begin_matvec(
-            dbasis, x, y, 64, faults, resilience
-        )
+        y, report, metrics, trace = begin_matvec(dbasis, x, y, 64)
         ex = get_executor(dbasis.cluster, faults=faults, resilience=resilience)
         pipe = matvec_pc._ArqPipeline(
             ex, report, metrics, trace, compile_expression(expr, 12), dbasis,

@@ -38,6 +38,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
+from repro import telemetry
 from repro.autotune import search
 from repro.basis import SymmetricBasis
 from repro.distributed import (
@@ -54,6 +55,7 @@ from repro.operators.plan import MatvecPlan, _entry_nbytes
 from repro.resilience import FaultPlan
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
+from repro.telemetry import Telemetry
 
 METHODS = ["naive", "batched", "pc"]
 BACKENDS = ["sim", "threads"]
@@ -604,7 +606,9 @@ class TestPlanClaim:
                 op.matvec(dx).to_serial(serial), expected, atol=1e-12
             )
 
-    def test_fallback_to_batched_keeps_the_operators_plan(self, rng):
+    def test_restart_keeps_the_operators_plan(self, rng):
+        """The crashed pass's partial records stay in the plan; the restart
+        completes it and the next product replays it without restarting."""
         serial, dbasis, expr = build("sim", n_locales=3)
         plan = MatvecPlan()
         dop = DistributedOperator(
@@ -614,9 +618,13 @@ class TestPlanClaim:
         x = random_serial(rng, serial)
         dx = DistributedVector.from_serial(dbasis, serial, x)
         expected = repro.Operator(expr, serial, plan=False).matvec(x)
-        for fell_back in (1.0, None):  # crash specs are one-shot
-            y = dop.matvec(dx)
-            assert dop.last_report.extras.get("fallback") == fell_back
-            np.testing.assert_allclose(
-                y.to_serial(serial), expected, atol=1e-12
-            )
+        tele = Telemetry.enabled(trace=False)
+        with telemetry.use(tele):
+            first = dop.matvec(dx)  # crashes, restarts, records the plan
+            recorded = plan.n_entries
+            second = dop.matvec(dx)  # crash specs are one-shot: a replay
+        snapshot = tele.metrics.snapshot()
+        assert snapshot.counter_total("recovery.matvec_restarts") == 1
+        assert dop.plan is plan and plan.n_entries == recorded
+        for y in (first, second):
+            np.testing.assert_allclose(y.to_serial(serial), expected, atol=1e-12)
