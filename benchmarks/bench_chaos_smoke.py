@@ -20,8 +20,9 @@ basis, batch, buffer and input vector as here.
 
 ``CHAOS_BACKEND=threads`` reruns the same harness on the real-parallel
 backend: the identical seeded plans are injected at the executor
-primitives (keyed per-message fates, wall-clock delay timers, real worker
-crashes + supervision), the recover-or-typed-error gate is unchanged, and
+primitives (keyed per-message fates, wall-clock delay timers, a crash
+that fails the run at once and is healed by the matvec restart), the
+recover-or-typed-error gate is unchanged, and
 the 5% fault-free overhead gate applies to *wall* seconds — measured
 best-of-N to damp scheduler noise — with the artifact written to
 ``chaos_smoke_threads`` so the sim artifact stays untouched.

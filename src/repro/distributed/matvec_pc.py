@@ -42,10 +42,11 @@ the buffer.
   sequence numbers and a CRC32 per payload: producers wait for an
   acknowledgement with a timeout and retransmit with exponential back-off,
   consumers drop corrupt deliveries and re-acknowledge duplicated ones.
-  An exhausted retry budget raises :class:`~repro.errors.FaultError`, a
-  crash-induced stall :class:`~repro.errors.DeadlockError` (also a
-  ``FaultError``): the run never hangs and never returns silently wrong
-  amplitudes.  It runs under any fault plan (``docs/RESILIENCE.md``) and,
+  An exhausted retry budget raises :class:`~repro.errors.FaultError`, and
+  so does an injected crash (on the simulator as the
+  :class:`~repro.errors.DeadlockError` its stall becomes, on threads at
+  once): the run never hangs and never returns silently wrong amplitudes,
+  and the operator's matvec restart is what heals it.  It runs under any fault plan (``docs/RESILIENCE.md``) and,
   on the simulator, under a bare ``resilience=`` — there it *is* the
   measurement, the modelled cost of sequence numbers, checksums and
   acknowledgements.  In real shared memory a fault-free payload has no
@@ -452,12 +453,6 @@ class _Pipeline:
     def run(self) -> tuple[DistributedVector, SimReport]:
         ex, report, trace = self.ex, self.report, self.trace
         basis, x, y, k = self.basis, self.x, self.y, self.k
-        # A consumer killed by an injected crash on threads (only a plan can
-        # crash one) is restarted from its factory: its state lives in the
-        # shared buffers and the ARQ hand-off makes reprocessing idempotent.
-        # A producer's lost chunk cursor would corrupt the result, so
-        # producer loss escalates to the operator's restart.
-        supervised = self.faults is not None
         for locale in range(self.n):
             for p in range(self.sim_prod):
                 ex.spawn(
@@ -466,14 +461,12 @@ class _Pipeline:
                     track=(f"locale{locale}", f"producer{p}"),
                     locale=locale,
                 )
-            restart = partial(self.consumer, locale) if supervised else None
             for c in range(self.sim_cons):
                 ex.spawn(
                     self.consumer(locale),
                     name=f"cons-{locale}-{c}",
                     track=(f"locale{locale}", f"consumer{c}"),
                     locale=locale,
-                    factory=restart,
                 )
         ex.spawn(self.closer(), name="closer")
         elapsed = ex.run()
@@ -668,12 +661,9 @@ class _ArqPipeline(_Pipeline):
                         "recovery.checksum_rejects", src=rb.src, dst=locale
                     ).inc()
                 return None
-        # Check, accumulate and claim under the buffer lock with no yield
-        # in between (a crash can only land on a yield): a second consumer
-        # popping a duplicate of this delivery must see it as consumed, and
-        # a killed-and-restarted one either never claimed the payload (the
-        # retransmit delivers it again) or fully consumed it (the duplicate
-        # is discarded and re-acknowledged).
+        # Check, accumulate and claim under the buffer lock: a second
+        # consumer popping a duplicate of this delivery must see it as
+        # consumed.
         dt = None
         with rb.lock:
             if seq > rb.consumed_seq:

@@ -90,8 +90,9 @@ class FaultError(ReproError):
     """Raised when an injected (or detected) fault defeats the recovery layer.
 
     The resilient distributed matvec raises this when a retry budget is
-    exhausted (unacknowledged ``RemoteBuffer`` handoffs) or a locale crash
-    makes a run unrecoverable; the operator restarts the matvec and
+    exhausted (unacknowledged ``RemoteBuffer`` handoffs) or an injected
+    locale crash ends the run (on ``threads`` the moment a worker of the
+    crashed locale would run again); the operator restarts the matvec and
     re-raises once ``ResilienceConfig.matvec_restarts`` are used up.  A
     run that raises :class:`FaultError` has failed *loudly*: no silently
     wrong vectors are ever returned.
@@ -102,8 +103,7 @@ class DeadlockError(FaultError, RuntimeError):
     """Raised when no process can make progress after injected crashes.
 
     Comes from the simulator watchdog (empty event heap with blocked
-    processes) or the threads backend's crash watchdog (every live worker
-    blocked after an injected crash killed its peer).  Inherits
+    processes, e.g. after an injected crash killed their peers).  Inherits
     :class:`RuntimeError` for backwards compatibility with callers that
     caught the old untyped deadlock error, and :class:`FaultError` because
     under fault injection a deadlock *is* an unrecovered fault (e.g. every

@@ -300,9 +300,6 @@ class ResilienceConfig:
     #: wall seconds the ThreadExecutor deadlock watchdog waits before
     #: declaring all-blocked workers deadlocked (threads backend only)
     watchdog_timeout: float = 20.0
-    #: restarts allowed per supervised worker on the threads backend
-    #: before an injected crash escalates to a typed FaultError
-    max_worker_restarts: int = 2
 
     def __post_init__(self) -> None:
         """Every field as :data:`RESILIENCE_ROWS` declares it, or
@@ -350,9 +347,5 @@ RESILIENCE_ROWS = tuple(
             flag="--watchdog-timeout", metavar="SECONDS",
             help="threads-backend stall watchdog: escalate a typed error when "
             "every live worker has been blocked this long"),
-        Key("cluster.resilience.max_worker_restarts", int, min=0,
-            flag="--max-worker-restarts", metavar="N",
-            help="restart budget per supervised worker on the threads backend "
-            "before the crash escalates as a FaultError"),
     )
 )

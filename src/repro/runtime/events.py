@@ -49,7 +49,10 @@ Fault injection (``faults=FaultPlan(...)``, see
 :mod:`repro.resilience.faults`): processes spawned with ``locale=`` are
 subject to per-locale straggler slowdowns and crash-at-time-T events
 (the process dies the next time it would run at or after the crash time —
-its pending work is lost, like a node dying mid-computation).
+its pending work is lost, like a node dying mid-computation).  On threads
+that fails the run at once with a typed ``FaultError``; the simulator lets
+the other processes run on and raises ``DeadlockError`` (a ``FaultError``)
+if they then cannot progress.
 Message-level faults (drops, duplicates, delays, corruption) are applied
 by the *protocols* on top, which consult the same plan.
 """
@@ -127,19 +130,15 @@ class Process:
     ``thread`` on are how a process lives on a thread and only
     ``ThreadExecutor.spawn`` fills them in: its ``thread``; ``park``, the
     lock it sleeps on (held while it runs, released by whoever resumes
-    it); ``parked`` and the ``value`` it is resumed with; ``timer``, the pending ``(delay, waiter)`` of a timed
-    wait; ``buffer``, its span buffer when tracing; and supervision —
-    ``factory`` (a zero-argument callable producing a fresh generator
-    marks the worker restartable after an injected crash), ``restarts``
-    consumed so far, ``crash_handled`` (one-shot: a restarted incarnation
-    runs on the rebooted locale).
+    it); ``parked`` and the ``value`` it is resumed with; ``timer``, the
+    pending ``(delay, waiter)`` of a timed wait; and ``buffer``, its span
+    buffer when tracing.
     """
 
     __slots__ = (
         "gen", "name", "finished", "track", "block", "block_start",
         "busy_seconds", "blocked_seconds", "locale", "slowdown", "waiting_on",
         "thread", "park", "parked", "value", "timer", "buffer",
-        "factory", "restarts", "crash_handled",
     )
 
     def __init__(
@@ -373,9 +372,8 @@ class Executor:
       process or callback;
     - ``counter(value)``: an atomic shared counter (``add`` returns the
       new value) — what cross-process counts go through;
-    - ``spawn(gen, name, track, locale, factory)``: start a generator
-      process (``factory`` rebuilds it after an injected crash, threads
-      only — the simulator recovers at the operator level);
+    - ``spawn(gen, name, track, locale)``: start a generator process
+      (``locale`` makes it subject to that locale's injected faults);
     - ``call_later(delay, fn)``: fire-and-forget callback after a
       *modelled* latency (delayed on the simulator, inline on threads);
       ``call_after(delay, fn)``: after a *genuine* delay on every backend
@@ -595,11 +593,7 @@ class Simulator(Executor):
         name: str = "task",
         track: tuple[str, str] | None = None,
         locale: int | None = None,
-        factory: Callable[[], ProcessGen] | None = None,
     ) -> Process:
-        # ``factory`` (the threads backend's restart hook) is ignored:
-        # crashes are modelled in simulated time and the protocols recover
-        # at the operator level instead of restarting processes.
         slowdown = (
             self._faults.slowdown(locale)
             if self._faults is not None and locale is not None

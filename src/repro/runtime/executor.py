@@ -22,7 +22,7 @@ import threading
 import time
 from typing import Any, Callable, Generator, Iterator, Sequence
 
-from repro.errors import BackendError, DeadlockError, FaultError
+from repro.errors import BackendError, FaultError
 from repro.runtime.events import (
     Executor,
     Process,
@@ -64,11 +64,7 @@ class _LockedCounter(_Counter):
 
 
 class _Cancelled(BaseException):
-    """Internal unwind signal: another worker failed, stop quietly."""
-
-
-class _CrashInjected(BaseException):
-    """Internal signal: an injected locale crash killed this worker."""
+    """Internal unwind signal: the run failed, stop quietly."""
 
 
 #: What a parked worker is resumed with when another worker failed.
@@ -126,14 +122,13 @@ class ThreadExecutor(Executor):
     :class:`~repro.errors.BackendError` carrying its locale and every
     parked worker is resumed with a cancel value; a watchdog turns "all
     live workers parked, nobody resumed" into the same typed error.  The
-    ``FaultPlan`` contract applies in wall-clock time: crash schedules
-    kill the locale's workers at their next yield, straggler factors
-    stretch each busy span with a matching sleep, supervised workers
-    (``spawn(factory=)``) restart with exponential backoff up to
-    ``ResilienceConfig.max_worker_restarts``, and an unrecovered crash
-    is a typed :class:`~repro.errors.FaultError` /
-    :class:`~repro.errors.DeadlockError` — never a silent partial result
-    or a hang.
+    ``FaultPlan`` contract applies in wall-clock time: straggler factors
+    stretch each busy span with a matching sleep, and a locale's crash
+    fails the run at once — the first of its workers to run at or past
+    the crash time raises a :class:`~repro.errors.FaultError` naming the
+    locale, and the others are cancelled as after any failure.  The
+    operator's matvec restart is what heals it; a crash never leaves a
+    silent partial result or a hang.
 
     With profiling enabled, *every* blocking command is observed — one
     granted at once too, so an uncontended primitive still reads in its
@@ -153,15 +148,6 @@ class ThreadExecutor(Executor):
     #: watchdog declares a deadlock (overridden per-instance by
     #: ``ResilienceConfig.watchdog_timeout`` when resilience is attached)
     watchdog_seconds = 20.0
-
-    #: watchdog window used once an injected crash has fired: a stall
-    #: caused by a killed worker should escalate to a typed FaultError
-    #: quickly, not after the full deadlock window
-    crash_watchdog_seconds = 1.0
-
-    #: restarts a supervised worker may consume
-    #: (``ResilienceConfig.max_worker_restarts`` when attached)
-    _max_worker_restarts = 2
 
     def __init__(
         self, trace=None, profile=None, faults=None, resilience=None
@@ -183,10 +169,8 @@ class ThreadExecutor(Executor):
         self._failure: BackendError | FaultError | None = None
         self._resumes = 0  # parked workers resumed (watchdog heartbeat)
         self._t0: float | None = None
-        self._crash_deaths: list[str] = []  # killed and not restarted
         if resilience is not None:
             self.watchdog_seconds = float(resilience.watchdog_timeout)
-            self._max_worker_restarts = int(resilience.max_worker_restarts)
         self._timers: list[threading.Timer] = []
 
     # -- the protocol surface -----------------------------------------------
@@ -213,16 +197,12 @@ class ThreadExecutor(Executor):
         name: str = "task",
         track: tuple[str, str] | None = None,
         locale: int | None = None,
-        factory: Callable[[], Generator | Iterator] | None = None,
     ) -> Process:
         process = Process(
             gen, name, track if track is not None else ("threads", name),
             locale,
             self._faults.slowdown(locale) if self._faults is not None else 1.0,
         )
-        process.factory = factory
-        process.restarts = 0
-        process.crash_handled = False
         process.park = threading.Lock()
         process.park.acquire()
         process.parked = False
@@ -321,22 +301,20 @@ class ThreadExecutor(Executor):
 
     # -- failures and fault injection ---------------------------------------
 
-    def _check_crash(self, process: Process) -> None:
-        """Kill ``process`` (raise :class:`_CrashInjected`) when its
-        locale's crash time has passed.  Mirrors the simulator: a process
-        dies the next time it would run at or after the crash time; each
-        process dies at most once per crash event."""
-        if (
-            process.crash_handled
-            or process.locale is None
-            or not self._crashes
-            or not self._crash_due(process)
-        ):
-            return
-        process.crash_handled = True
+    def _crash(self, process: Process) -> None:
+        """``process``'s locale crash time has passed: as on the simulator
+        the process dies where it would run next, and the run fails with
+        it (one crash, one typed error, no stall to wait out)."""
         with self._lock:
             self._record_crash(process.locale)
-        raise _CrashInjected
+        self._fail(
+            FaultError(
+                f"locale {process.locale} crashed at t={self.now:.3g} s "
+                f"(injected) under worker {process.name!r}; the run is "
+                "abandoned"
+            )
+        )
+        raise _Cancelled
 
     def _fail(self, err: BackendError | FaultError) -> None:
         """Record the run's (first) failure and cancel every parked worker."""
@@ -347,53 +325,18 @@ class ThreadExecutor(Executor):
                 self._resume(parked, _CANCEL)
 
     def _drive(self, process: Process) -> None:
-        """Thread main: interpret the generator, supervise restarts.
-
-        An injected crash raises :class:`_CrashInjected` out of
-        :meth:`_interpret`.  A supervised worker restarts with backoff
-        until its budget is exhausted (then a typed ``FaultError``); an
-        unsupervised one simply dies, and :meth:`run` turns the stall or
-        the incomplete result that follows into a typed error.
-        """
-        while True:
-            try:
-                self._interpret(process)
-                return
-            except _Cancelled:
-                return
-            except _CrashInjected:
-                if (
-                    process.factory is None
-                    or process.restarts >= self._max_worker_restarts
-                ):
-                    with self._lock:
-                        self._crash_deaths.append(process.name)
-                    if process.factory is not None:
-                        self._fail(
-                            FaultError(
-                                f"supervised worker {process.name!r} (locale "
-                                f"{process.locale}) crashed and its restart "
-                                f"budget ({self._max_worker_restarts}) is "
-                                "exhausted"
-                            )
-                        )
-                    return
-                process.restarts += 1
-                metrics = _current_telemetry().metrics
-                if metrics.enabled:
-                    with self.mutex:
-                        metrics.counter(
-                            "recovery.worker_restarts", locale=process.locale
-                        ).inc()
-                time.sleep(min(0.01 * (2 ** (process.restarts - 1)), 1.0))
-                process.gen = process.factory()
-            except BaseException as exc:  # noqa: BLE001 -> BackendError
-                self._fail(
-                    self._worker_error(
-                        exc, f"worker {process.name!r}", process.locale
-                    )
+        """Thread main: interpret the generator; whatever it raises fails
+        the run (an injected crash has already, see :meth:`_crash`)."""
+        try:
+            self._interpret(process)
+        except _Cancelled:
+            pass
+        except BaseException as exc:  # noqa: BLE001 -> BackendError
+            self._fail(
+                self._worker_error(
+                    exc, f"worker {process.name!r}", process.locale
                 )
-                return
+            )
 
     def _interpret(self, process: Process) -> None:
         gen = process.gen
@@ -401,13 +344,12 @@ class ThreadExecutor(Executor):
         buf = process.buffer
         t0 = self._t0
         slow = process.slowdown
-        # Per-incarnation accounting: the worker-seconds counters add up
-        # across supervised restarts of the same worker.
-        process.busy_seconds = process.blocked_seconds = 0.0
+        crashes = self._crashes
         last_resume = time.perf_counter()
         try:
             while True:
-                self._check_crash(process)
+                if crashes and self._crash_due(process):
+                    self._crash(process)
                 command = gen.send(value)
                 blocked_at = time.perf_counter()
                 process.busy_seconds += blocked_at - last_resume
@@ -441,14 +383,11 @@ class ThreadExecutor(Executor):
     def run(self) -> float:
         """Join all workers; returns wall-clock seconds since first spawn.
 
-        Raises the first worker's failure, or a
+        Raises the first worker's failure — an injected crash's
+        :class:`~repro.errors.FaultError` among them — or a
         :class:`~repro.errors.BackendError` when the watchdog finds every
         live worker parked and nobody resumed for
-        :attr:`watchdog_seconds`.  Once an injected crash has killed a
-        worker the window is :attr:`crash_watchdog_seconds` and the stall
-        escalates as a :class:`~repro.errors.DeadlockError` (a
-        ``FaultError``) — what the operator's matvec restart heals; so
-        does a crash that leaves the run incomplete without a stall.
+        :attr:`watchdog_seconds`.
         """
         if self._t0 is None:
             return 0.0
@@ -464,37 +403,19 @@ class ThreadExecutor(Executor):
             with self._lock:
                 seq = self._resumes
                 all_parked = all(p.parked for p in alive)
-                crashed = sorted(self.crashed_locales)
-                casualties = bool(self._crash_deaths)
             if not all_parked or seq != stuck_seq:
                 stuck_since, stuck_seq = None, seq
                 continue
-            window = (
-                self.crash_watchdog_seconds
-                if casualties
-                else self.watchdog_seconds
-            )
             if stuck_since is None:
                 stuck_since = time.perf_counter()
-            elif time.perf_counter() - stuck_since > window:
-                blocked, text = self._blocked_report(alive)
-                if casualties:
-                    self._fail(
-                        DeadlockError(
-                            "parallel backend stalled after injected "
-                            f"crash, nobody resumed for {window:.1f}s "
-                            f"(crashed locales: {crashed}): {text}",
-                            blocked=blocked,
-                            crashed_locales=crashed,
-                        )
+            elif time.perf_counter() - stuck_since > self.watchdog_seconds:
+                _, text = self._blocked_report(alive)
+                self._fail(
+                    BackendError(
+                        "parallel backend deadlock, nobody resumed "
+                        f"for {self.watchdog_seconds:.0f}s: {text}"
                     )
-                else:
-                    self._fail(
-                        BackendError(
-                            "parallel backend deadlock, nobody resumed "
-                            f"for {window:.0f}s: {text}"
-                        )
-                    )
+                )
         with self._lock:
             timers, self._timers = self._timers, []
         for timer in timers:
@@ -506,17 +427,6 @@ class ThreadExecutor(Executor):
         self.finish()
         if self._failure is not None:
             raise self._failure
-        if self._crash_deaths:
-            # Every worker retired, but some died to an injected crash
-            # without a restart: their share of the work is missing.
-            # Fail loudly — never return a silently incomplete result.
-            crashed = sorted(self.crashed_locales)
-            raise DeadlockError(
-                f"worker(s) {sorted(set(self._crash_deaths))} killed by "
-                f"injected crash (locales {crashed}) and not restarted; "
-                "the run's output is incomplete",
-                crashed_locales=crashed,
-            )
         return elapsed
 
     def map(
@@ -585,11 +495,11 @@ def get_executor(cluster, trace=None, faults=None, resilience=None) -> Executor:
     ``faults`` (a :class:`~repro.resilience.faults.FaultPlan`) is
     supported by both backends — the simulator injects fates in
     simulated time, the threads backend at its primitives in wall-clock
-    time (crash kills, straggler sleeps, real delivery delays; see
-    ``docs/RESILIENCE.md``).  ``resilience`` (a
-    :class:`~repro.resilience.faults.ResilienceConfig`) configures the
-    threads backend's supervision knobs — watchdog timeout and worker
-    restart budget; when omitted, ``cluster.resilience`` applies.
+    time (a crash fails the run, straggler sleeps, real delivery delays;
+    see ``docs/RESILIENCE.md``).  ``resilience`` (a
+    :class:`~repro.resilience.faults.ResilienceConfig`) sets the threads
+    backend's watchdog timeout; when omitted, ``cluster.resilience``
+    applies.
     """
     cls = executor_class(cluster.backend)
     if cls is Simulator:

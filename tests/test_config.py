@@ -186,53 +186,51 @@ class TestRunning:
 
 
 class TestResilienceKnobs:
-    """Round-trips for the threads-backend supervision knobs
-    (``watchdog_timeout`` / ``max_worker_restarts``) through
-    ``ResilienceConfig`` configs, the cluster section, and the CLI."""
+    """Round-trips for the threads-backend watchdog knob
+    (``watchdog_timeout``) through ``ResilienceConfig`` configs, the
+    cluster section, and the CLI."""
 
     def test_resilience_config_round_trip(self):
         from repro.resilience import ResilienceConfig
 
-        cfg = ResilienceConfig(watchdog_timeout=7.5, max_worker_restarts=5)
+        cfg = ResilienceConfig(watchdog_timeout=7.5, matvec_restarts=3)
         assert cfg.to_config() == {
             "watchdog_timeout": 7.5,
-            "max_worker_restarts": 5,
+            "matvec_restarts": 3,
         }
         clone = ResilienceConfig.from_config(cfg.to_config())
         assert clone.watchdog_timeout == 7.5
-        assert clone.max_worker_restarts == 5
+        assert clone.matvec_restarts == 3
         assert clone.to_config() == cfg.to_config()
 
     def test_default_knobs_omitted_from_config(self):
         from repro.resilience import ResilienceConfig
 
-        assert "watchdog_timeout" not in ResilienceConfig().to_config()
-        assert "max_worker_restarts" not in ResilienceConfig().to_config()
+        assert ResilienceConfig().to_config() == {}
 
     def test_knob_validation(self):
         from repro.resilience import ResilienceConfig
 
         with pytest.raises(ConfigError, match="watchdog_timeout"):
             ResilienceConfig(watchdog_timeout=0.0)
+        # A crash is healed by a matvec restart only: there is no
+        # per-worker restart budget to set.
         with pytest.raises(ConfigError, match="max_worker_restarts"):
-            ResilienceConfig(max_worker_restarts=-1)
+            ResilienceConfig.from_config({"max_worker_restarts": 2})
 
     def test_cluster_section_reaches_executor(self):
         """The resilience section of a threads cluster spec configures
-        the executor's watchdog and restart budget."""
+        the executor's watchdog."""
         from repro.resilience import ResilienceConfig
         from repro.runtime import Cluster, laptop_machine
         from repro.runtime.executor import get_executor
 
-        cfg = ResilienceConfig.from_config(
-            {"watchdog_timeout": 9.0, "max_worker_restarts": 4}
-        )
+        cfg = ResilienceConfig.from_config({"watchdog_timeout": 9.0})
         cluster = Cluster(
             2, laptop_machine(), resilience=cfg, backend="threads"
         )
         ex = get_executor(cluster)
         assert ex.watchdog_seconds == 9.0
-        assert ex._max_worker_restarts == 4
 
     def test_cli_flags_inject_resilience_section(self, tmp_path, capsys):
         from repro.config import main
@@ -245,11 +243,7 @@ class TestResilienceKnobs:
             "solver": {"k": 1, "tol": 1e-10},
             "cluster": {"n_locales": 2, "machine": "laptop"},
         }))
-        main([
-            str(input_path),
-            "--watchdog-timeout", "30",
-            "--max-worker-restarts", "4",
-        ])
+        main([str(input_path), "--watchdog-timeout", "30"])
         out = json.loads(capsys.readouterr().out)
         assert out["converged"]
 
@@ -260,8 +254,6 @@ class TestResilienceKnobs:
         input_path.write_text(json.dumps(BASE_SPEC))
         with pytest.raises(ReproError, match="watchdog-timeout"):
             main([str(input_path), "--watchdog-timeout", "30"])
-        with pytest.raises(ReproError, match="max-worker-restarts"):
-            main([str(input_path), "--max-worker-restarts", "1"])
 
 
 class TestMatvecKnobs:
@@ -562,13 +554,14 @@ def test_flags_come_from_the_rows(capsys):
         main(["--help"])
     text = " ".join(capsys.readouterr().out.split())
     flags = [row for row in ROWS if row.flag]
-    assert len(flags) == 11
+    assert len(flags) == 10
     for row in flags:
         assert row.flag in text
     assert text.count("requires a 'cluster' section") == sum(
         row.path.startswith("cluster.") for row in flags
     )
     assert "--metrics-export-interval" not in text
+    assert "--max-worker-restarts" not in text
 
 
 # -- fuzz: one random mutation of a valid input ------------------------------

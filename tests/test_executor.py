@@ -474,16 +474,13 @@ class TestBackendSelection:
             2,
             laptop_machine(),
             faults=FaultPlan(seed=1, drop=0.5),
-            resilience=ResilienceConfig(
-                watchdog_timeout=7.5, max_worker_restarts=3
-            ),
+            resilience=ResilienceConfig(watchdog_timeout=7.5),
             backend="threads",
         )
         ex = get_executor(cluster, faults=cluster.faults)
         assert isinstance(ex, ThreadExecutor)
-        # Supervision knobs flow from cluster.resilience into the executor.
+        # The watchdog knob flows from cluster.resilience into the executor.
         assert ex.watchdog_seconds == 7.5
-        assert ex._max_worker_restarts == 3
 
     def test_backends_tuple_is_the_contract(self):
         assert BACKENDS == ("sim", "threads")
