@@ -20,9 +20,9 @@ from repro.bits.ops import candidate_batches, popcount
 from repro.distributed.convert import put_chunks
 from repro.distributed.dist_basis import DistributedBasis
 from repro.distributed.hashing import locale_of
-from repro.distributed.matvec_common import require_positive
 from repro.runtime.clock import BSPTimer, SimReport
 from repro.runtime.cluster import Cluster
+from repro.schema import require_positive
 from repro.telemetry.context import current as current_telemetry
 
 __all__ = ["enumerate_states"]

@@ -56,16 +56,18 @@ def matvec_batched(
 ) -> tuple[DistributedVector, SimReport]:
     """``y = H x`` with chunked generation and per-chunk remote tasks.
 
-    ``plan`` (a :class:`~repro.operators.plan.MatvecPlan`) caches each
-    chunk's x-independent data across calls.
+    ``sim`` only: a wall-clock cluster raises
+    :class:`~repro.errors.ConfigError` before any work.  ``plan`` (a
+    :class:`~repro.operators.plan.MatvecPlan`) caches each chunk's
+    x-independent data across calls.
     """
-    run = AnalyticMatvec(op, basis, x, y, batch_size, plan)
+    run = AnalyticMatvec("batched", op, basis, x, y, batch_size, plan)
     machine = basis.cluster.machine
     net = machine.network
     n = basis.n_locales
     k = x.n_columns
     report, ledger, metrics = run.report, run.report.ledger, run.metrics
-    trace, ex = run.trace, run.ex
+    trace = run.trace
     # diagonal + generation + partition + consumption
     compute_busy = np.array(diagonal_seconds(basis, k))
     nic_out = np.zeros(n)
@@ -108,7 +110,7 @@ def matvec_batched(
     per_locale = np.maximum(compute_busy, nic_busy)
     for locale in range(n):
         ledger.add("nic", locale, float(nic_busy[locale]))
-    if trace is not None and not ex.wall_clock:
+    if trace is not None:
         # Chapel tasks yield while blocked on communication, so the cost
         # model lets the NIC time overlap the compute time; the trace
         # mirrors that with a busy compute span on the worker track and

@@ -22,7 +22,6 @@ instead of ``k`` full element payloads.
 
 from __future__ import annotations
 
-import time
 import zlib
 from dataclasses import dataclass, replace
 
@@ -36,7 +35,7 @@ from repro.errors import ConfigError, DistributionError
 from repro.operators.compile import CompiledOperator
 from repro.operators.kernels import get_many_rows
 from repro.runtime.clock import CostLedger, SimReport
-from repro.runtime.executor import get_executor
+from repro.schema import require_positive
 from repro.telemetry.context import current as current_telemetry
 
 __all__ = [
@@ -346,13 +345,18 @@ def result_dtype(basis: DistributedBasis, x: DistributedVector) -> np.dtype:
 DEFAULT_BATCH_SIZE = 1 << 13
 
 
-def require_positive(**knobs) -> None:
-    """Raise :class:`~repro.errors.ConfigError` unless every knob is an
-    integer >= 1 (a zero or negative step would silently skip the
-    off-diagonal work)."""
-    for name, value in knobs.items():
-        if not isinstance(value, (int, np.integer)) or value < 1:
-            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+def require_simulator(method: str, cluster) -> None:
+    """Raise :class:`~repro.errors.ConfigError` unless ``cluster`` simulates.
+
+    The naive and batched variants are cost models of the paper's first
+    two schedules: on a wall-clock backend they would run none of their
+    own algorithm, so only ``sim`` takes them.
+    """
+    if cluster.wall_clock:
+        raise ConfigError(
+            f"matvec method {method!r} is a cost model and runs on the "
+            f"'sim' backend only, not on {cluster.backend!r}; use 'pc'"
+        )
 
 
 def chunk_spans(count: int, batch_size: int) -> list[tuple[int, int]]:
@@ -403,10 +407,11 @@ def finish_report(
     report: SimReport, x: DistributedVector, y: DistributedVector,
     metrics, wall_clock: bool,
 ) -> tuple[DistributedVector, SimReport]:
-    """What every variant does last, once ``report.elapsed`` is final."""
+    """What every variant does last, once ``report.elapsed`` is final.  A
+    zero-column block comes back as the empty ``(count, 0)`` parts."""
     k = x.n_columns
     report.extras["block_width"] = float(k)
-    report.extras["seconds_per_column"] = report.elapsed / k
+    report.extras["seconds_per_column"] = report.elapsed / k if k else 0.0
     metrics.counter(
         "wall.seconds" if wall_clock else "sim.seconds", phase="matvec"
     ).inc(report.elapsed)
@@ -418,28 +423,22 @@ def finish_report(
 class AnalyticMatvec:
     """The frame the naive and batched variants share around their cost models.
 
-    Both move the real data the same way — one task per chunk (generate +
-    partition + scatter-accumulate) through
-    :meth:`~repro.runtime.executor.Executor.map`, in order on ``sim`` and
-    concurrently on ``threads`` under a per-destination lock — and differ
-    only in what they *charge* for it.  The variant walks :meth:`chunks`
-    on the calling thread, in (locale, chunk) order, so every metric and
-    ledger entry happens in one sequence whatever the backend's completion
-    order, computes its modelled finish time and hands it to
-    :meth:`finish`; on ``threads`` the model lands in
-    ``extras["model_seconds"]`` beside the measured ``report.elapsed``.
-    Neither takes faults: recovery is the pipeline's.
+    Both are models of the paper's first two schedules, run on ``sim``
+    only (:func:`require_simulator`).  They move the real data the same
+    way — chunk after chunk, in (locale, chunk) order, generate +
+    partition + scatter-accumulate — and differ only in what they
+    *charge* for it: the variant walks :meth:`chunks`, computes its
+    modelled finish time and hands it to :meth:`finish`.  Neither takes
+    faults: recovery is the pipeline's.
     """
 
-    def __init__(self, op, basis, x, y, batch_size, plan):
+    def __init__(self, method, op, basis, x, y, batch_size, plan):
+        require_simulator(method, basis.cluster)
         self.y, self.report, self.metrics, self.trace = begin_matvec(
             basis, x, y, batch_size
         )
         self.op, self.basis, self.x, self.plan = op, basis, x, plan
         self.batch_size = batch_size
-        self.task_wall = np.zeros(basis.n_locales)
-        self.ex = get_executor(basis.cluster, trace=self.trace)
-        self.wall_start = time.perf_counter()
         self.n_diag = apply_diagonal(op, basis, x, self.y, plan)
 
     def chunks(self, produce):
@@ -447,42 +446,20 @@ class AnalyticMatvec:
         sizes_by_destination)`` per chunk.  ``produce`` is the caller's
         :func:`produce_chunk` (the variant module owns the name)."""
         op, basis, x, y, plan = self.op, self.basis, self.x, self.y, self.plan
-        n = basis.n_locales
-        # Named per-destination locks key the executor.lock_* contention
-        # histograms on the threads backend (no-op contexts on sim).
-        consume_locks = [self.ex.lock(f"consume{d}") for d in range(n)]
-        spans = [
-            (locale, *span)
-            for locale, count in enumerate(basis.counts)
-            for span in chunk_spans(count, self.batch_size)
-        ]
-
-        def run_chunk(locale: int, start: int, stop: int):
-            t0 = time.perf_counter()
-            chunk = produce(op, basis, locale, start, stop, x.parts[locale], plan)
-            sizes = []
-            for dest in range(n):
-                betas, values = chunk.slice_for(dest)
-                if betas.size:
-                    with consume_locks[dest]:
-                        consume(
-                            basis, dest, y.parts[dest], betas, values,
-                            chunk.rows_for(dest),
-                        )
-                sizes.append(int(betas.size))
-            return (
-                locale, chunk.n_emitted, int(chunk.betas.size), sizes,
-                time.perf_counter() - t0,
-            )
-
-        summaries = self.ex.map(
-            [lambda a=span: run_chunk(*a) for span in spans],
-            locales=[span[0] for span in spans],
-        )
-        for locale, n_emitted, n_elements, sizes, wall in summaries:
-            self.task_wall[locale] += wall
-            yield locale, n_emitted, n_elements, sizes
-        self.data_wall = time.perf_counter() - self.wall_start
+        for locale, count in enumerate(basis.counts):
+            for start, stop in chunk_spans(count, self.batch_size):
+                chunk = produce(
+                    op, basis, locale, start, stop, x.parts[locale], plan
+                )
+                sizes = []
+                for dest in range(basis.n_locales):
+                    betas, values = chunk.slice_for(dest)
+                    consume(
+                        basis, dest, y.parts[dest], betas, values,
+                        chunk.rows_for(dest),
+                    )
+                    sizes.append(int(betas.size))
+                yield locale, chunk.n_emitted, int(chunk.betas.size), sizes
 
     def trace_sends(self, locale: int, start, seconds, nbytes, msgs) -> float:
         """Serialize ``locale``'s modelled transfers on its NIC track, one
@@ -505,30 +482,12 @@ class AnalyticMatvec:
         return t
 
     def finish(self, model_elapsed: float, trace_end=0.0):
-        """Close the report: measured or modelled seconds (the simulated
-        trace runs to ``trace_end`` if that is later), the common tail.
-        Returns ``(y, report)``."""
-        ex, report, trace = self.ex, self.report, self.trace
-        if ex.wall_clock:
-            report.elapsed = self.data_wall
-            report.extras["model_seconds"] = model_elapsed
-            # The map-based data phase never goes through ex.run(): merge
-            # any buffered lock wait/hold metrics explicitly.
-            ex.finish()
-            if trace is not None:
-                trace.mark_wall()
-                for locale, seconds in enumerate(self.task_wall):
-                    if seconds > 0.0:
-                        trace.complete(
-                            (f"locale{locale}", "worker0"), "matvec", 0.0,
-                            float(seconds),
-                        )
-                trace.advance(report.elapsed)
-        else:
-            report.elapsed = model_elapsed
-            if trace is not None:
-                trace.advance(max(model_elapsed, trace_end))
-        report.merge_phase("matvec", report.elapsed)
-        return finish_report(
-            report, self.x, self.y, self.metrics, ex.wall_clock
-        )
+        """Close the report at the modelled seconds (the trace runs to
+        ``trace_end`` if that is later), the common tail.  Returns
+        ``(y, report)``."""
+        report = self.report
+        report.elapsed = model_elapsed
+        if self.trace is not None:
+            self.trace.advance(max(model_elapsed, trace_end))
+        report.merge_phase("matvec", model_elapsed)
+        return finish_report(report, self.x, self.y, self.metrics, False)

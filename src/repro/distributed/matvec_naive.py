@@ -46,16 +46,17 @@ def matvec_naive(
 
     ``batch_size`` only controls the internal vectorization of the Python
     implementation; the *simulated* execution is strictly per-element.
-    ``plan`` (a :class:`~repro.operators.plan.MatvecPlan`) caches each
-    chunk's x-independent data across calls.
+    ``sim`` only: a wall-clock cluster raises
+    :class:`~repro.errors.ConfigError` before any work.  ``plan`` (a
+    :class:`~repro.operators.plan.MatvecPlan`) caches each chunk's
+    x-independent data across calls.
     """
-    run = AnalyticMatvec(op, basis, x, y, batch_size, plan)
+    run = AnalyticMatvec("naive", op, basis, x, y, batch_size, plan)
     machine = basis.cluster.machine
     n = basis.n_locales
     k = x.n_columns
     element_bytes = wire_bytes(1, k)
-    report, ledger = run.report, run.report.ledger
-    trace, ex = run.trace, run.ex
+    report, ledger, trace = run.report, run.report.ledger, run.trace
     for locale, seconds in enumerate(diagonal_seconds(basis, k)):
         ledger.add("diagonal", locale, seconds)
 
@@ -98,7 +99,7 @@ def matvec_naive(
         ledger.add("generate", locale, generate_time[locale])
         ledger.add("remote-tasks", locale, task_time)
         ledger.add("nic", locale, max(nic_in, nic_out))
-        if trace is not None and not ex.wall_clock:
+        if trace is not None:
             # The naive variant is effectively serialized per locale:
             # generate everything, then drain the per-element sends through
             # the NIC, then run the spawned remote tasks.  Spans mirror that

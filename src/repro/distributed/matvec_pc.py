@@ -75,7 +75,6 @@ from repro.distributed.matvec_common import (
     finish_report,
     payload_checksum,
     produce_chunk,
-    require_positive,
     wire_bytes,
 )
 from repro.distributed.vector import DistributedVector
@@ -85,6 +84,7 @@ from repro.resilience.faults import ResilienceConfig
 from repro.runtime.clock import SimReport
 from repro.runtime.events import Acquire, Pop, Timeout, WaitFlag
 from repro.runtime.executor import Executor, get_executor
+from repro.schema import require_positive
 
 __all__ = [
     "matvec_producer_consumer",

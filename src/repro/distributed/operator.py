@@ -19,7 +19,7 @@ from repro.distributed.matvec_common import (
     begin_matvec,
     chunk_spans,
     finish_report,
-    require_positive,
+    require_simulator,
 )
 from repro.distributed.matvec_naive import matvec_naive
 from repro.distributed.matvec_pc import (
@@ -38,7 +38,7 @@ from repro.operators.plan import (
 )
 from repro.resilience.faults import ResilienceConfig
 from repro.runtime.clock import SimReport
-from repro.schema import Key
+from repro.schema import Key, check
 from repro.telemetry.context import current as current_telemetry
 
 __all__ = ["DistributedOperator"]
@@ -94,7 +94,9 @@ def knob_keys(method: str) -> tuple[str, ...]:
 
 
 def _check_options(method: str, options: dict) -> None:
-    """Refuse an option ``method`` does not take, where it is given."""
+    """Refuse an option ``method`` does not take, or a knob value its row
+    does not admit, where it is given; knob values come back as their
+    row declares them."""
     takes = knob_keys(method) + (PIPELINE_OPTIONS if is_pipeline(method) else ())
     for key in options:
         if key not in takes:
@@ -102,6 +104,9 @@ def _check_options(method: str, options: dict) -> None:
                 f"matvec method {method!r} takes no option {key!r}; "
                 f"it takes {', '.join(takes)}"
             )
+    for row in MATVEC_ROWS:
+        if row.key in options:
+            options[row.key] = check(options[row.key], row)
 
 
 class DistributedOperator:
@@ -127,11 +132,15 @@ class DistributedOperator:
     recorded: the second matvec folds the chunks into one CSR matrix per
     destination locale (``(locale, "matrix")``, :meth:`_consolidate`) and
     every later product is ``y.parts[d] = M_d @ concat(x.parts)`` on the
-    calling thread, whatever the ``method`` — no executor, no worker, no
-    hand-off (``messages == bytes_sent == 0``), two replays bit-identical.
-    ``method`` says how elements are scheduled when they must be
-    generated: the recording pass, ``plan=False``, a plan whose budget
-    does not admit the matrices, any run under a fault plan.
+    calling thread — no executor, no worker, no hand-off
+    (``messages == bytes_sent == 0``), two replays bit-identical.  The
+    pipeline schedules the elements that must be generated there: the
+    recording pass, ``plan=False``, a plan whose budget does not admit
+    the matrices, any run under a fault plan.  The naive and batched
+    variants are cost models and run on ``sim`` only
+    (:func:`~repro.distributed.matvec_common.require_simulator`): on a
+    wall-clock cluster they are a :class:`~repro.errors.ConfigError`
+    here.
 
     The producer-consumer hand-off unit (``buffer_capacity``) defaults to
     :func:`~repro.distributed.matvec_pc.default_buffer_capacity` for the
@@ -139,8 +148,9 @@ class DistributedOperator:
     knobs of :data:`MATVEC_ROWS` are ``method_options`` too: pass the
     values :class:`repro.autotune.Autotuner` found for this workload like
     any others.  An option ``method`` does not take (:func:`knob_keys`,
-    plus :data:`PIPELINE_OPTIONS` for the pipeline) is a
-    :class:`~repro.errors.ConfigError` here, not at the first product.
+    plus :data:`PIPELINE_OPTIONS` for the pipeline), or a knob value
+    outside its row, is a :class:`~repro.errors.ConfigError` here, not at
+    the first product.
 
     ``faults`` / ``resilience`` activate the self-healing layer (they
     default to whatever is attached to the basis's cluster); only the
@@ -171,6 +181,8 @@ class DistributedOperator:
         _check_options(method, method_options)
         self.basis = basis
         cluster = basis.cluster
+        if not is_pipeline(method):
+            require_simulator(method, cluster)
         self.faults = faults if faults is not None else getattr(
             cluster, "faults", None
         )
@@ -281,7 +293,6 @@ class DistributedOperator:
         folded = [(d, "matrix") for d in locales]
         if all(key in plan for key in folded):
             return [plan.get(key) for key in folded]
-        require_positive(batch_size=self.batch_size)
         counts = [int(count) for count in basis.counts]
         keys = [
             (locale, start)

@@ -25,6 +25,7 @@ from repro.operators.plan import (
     csr_footprint,
     csr_in_recorded_order,
 )
+from repro.schema import require_positive
 from repro.telemetry.context import current as current_telemetry
 
 __all__ = ["Operator", "SerialChunk"]
@@ -83,7 +84,8 @@ class Operator:
         the second-level cache: ``max(256, (1 << 17) //
         compiled.max_entries_per_row)`` — 2 674 sources on a 24-site
         Heisenberg chain, 1 351 on the 4x6 torus, ~34 k raw states either
-        way.  The plan holds one entry per batch.
+        way.  The plan holds one entry per batch.  Anything but an integer
+        >= 1 raises :class:`~repro.errors.ConfigError`.
     plan:
         Cache the iteration-invariant ``(sources, rows, amplitudes)``
         triples produced for each batch and replay them on subsequent
@@ -120,6 +122,7 @@ class Operator:
                 MIN_BATCH_SIZE,
                 BATCH_RAW_STATES // self.compiled.max_entries_per_row,
             )
+        require_positive(batch_size=batch_size)
         self.batch_size = int(batch_size)
         if plan is True:
             self.plan: MatvecPlan | None = MatvecPlan()

@@ -63,7 +63,7 @@ import heapq
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterator, Sequence
+from typing import Any, Callable, Generator, Iterator
 
 from repro.errors import BackendError, DeadlockError, FaultError
 from repro.telemetry.context import current as _current_telemetry
@@ -384,10 +384,7 @@ class Executor:
       (never held while setting a flag or pushing to a queue);
       ``lock(name)``: a fresh one per shared NumPy accumulation target
       (``np.add.at``); both are no-ops on the simulator;
-    - ``map(thunks, locales)``: run plain callables (no yields) to
-      completion, in order on the simulator and concurrently on threads;
-    - ``finish()``: see below; ``crashed_locales``: locales whose injected
-      crash has fired.
+    - ``crashed_locales``: locales whose injected crash has fired.
 
     Class attributes ``name`` ("sim"/"threads") and ``wall_clock``
     (whether timings are wall seconds) let callers label reports without
@@ -402,7 +399,7 @@ class Executor:
     A backend is one subclass, registered in
     ``repro.runtime.executor._EXECUTORS``.  It supplies ``spawn``,
     ``run``, ``now``, ``call_later`` / ``call_after``, ``mutex``,
-    ``lock``, ``counter`` and ``map`` from the list above, and for the
+    ``lock`` and ``counter`` from the list above, and for the
     interpreter core ``_resume(process, value)`` (make a process that a
     primitive just served run again with ``value``),
     ``_schedule_timer(delay, waiter)`` (expire a timed flag wait),
@@ -441,14 +438,12 @@ class Executor:
     def resource(self, name: str | None = None) -> SimResource:
         return self._Resource(self, name)
 
-    def finish(self) -> None:
+    def _finish(self) -> None:
         """Merge buffered profiling data into the trace/metrics sinks.
 
         Idempotent; a no-op when profiling is disabled.  ``run()`` calls
         it on both backends, also when the run failed or deadlocked (the
-        partial figures are the post-mortem evidence); callers that never
-        reach ``run()`` (the ``map``-based analytic variants) call it once
-        at the end.
+        partial figures are the post-mortem evidence).
         """
         if self.profile.enabled:
             self.profile.flush()
@@ -564,8 +559,7 @@ class Simulator(Executor):
     counter samples directly, stamped with simulated time; the profiler
     (by default one over the ambient metrics registry) carries only the
     metric side.  What is trivial on one thread is trivial here: no-op
-    ``mutex`` / ``lock()``, an unguarded counter, an in-order ``map``.
-    Faults are injected in simulated time (per-delivery fates from the
+    ``mutex`` / ``lock()``, an unguarded counter.  Faults are injected in simulated time (per-delivery fates from the
     plan's sequential RNG stream).
     """
 
@@ -625,13 +619,6 @@ class Simulator(Executor):
         # Locks cannot contend on one thread; the executor.lock_* metric
         # families are threads-only by design.
         return self.mutex
-
-    def map(
-        self,
-        thunks: Sequence[Callable[[], Any]],
-        locales: Sequence[int] | None = None,
-    ) -> list:
-        return [fn() for fn in thunks]
 
     def _resume(self, process: Process, value: Any) -> None:
         self._sequence += 1
@@ -742,7 +729,7 @@ class Simulator(Executor):
                 else:
                     self._step(process, value)
         finally:
-            self.finish()
+            self._finish()
         if self._active:
             blocked, text = self._blocked_report(
                 p for p in self._processes if not p.finished

@@ -17,10 +17,9 @@ backend by name; the shared-state rules they follow are part of the
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from typing import Any, Callable, Generator, Iterator, Sequence
+from typing import Any, Callable, Generator, Iterator
 
 from repro.errors import BackendError, FaultError
 from repro.runtime.events import (
@@ -424,50 +423,10 @@ class ThreadExecutor(Executor):
         # All workers have joined: merge the per-thread span buffers and
         # contention metrics *before* propagating any failure, so the
         # partial trace of a failed or deadlocked run stays inspectable.
-        self.finish()
+        self._finish()
         if self._failure is not None:
             raise self._failure
         return elapsed
-
-    def map(
-        self,
-        thunks: Sequence[Callable[[], Any]],
-        locales: Sequence[int] | None = None,
-    ) -> list:
-        """Run plain callables concurrently; results in submission order.
-
-        The first exception cancels the not-yet-started rest and is
-        raised as a :class:`~repro.errors.BackendError` naming the
-        failing task's locale (when ``locales`` is given); a typed
-        ``BackendError`` / ``FaultError`` is raised as it is.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        if not thunks:
-            return []
-        results: list = [None] * len(thunks)
-        with ThreadPoolExecutor(
-            max_workers=min(os.cpu_count() or 1, len(thunks)),
-            thread_name_prefix="repro-map",
-        ) as pool:
-            futures = [pool.submit(fn) for fn in thunks]
-            error: BackendError | FaultError | None = None
-            for i, future in enumerate(futures):
-                try:
-                    results[i] = future.result()
-                except BaseException as exc:  # noqa: BLE001
-                    if error is None:
-                        locale = (
-                            locales[i]
-                            if locales is not None and i < len(locales)
-                            else None
-                        )
-                        error = self._worker_error(exc, f"task {i}", locale)
-                        for pending in futures[i + 1 :]:
-                            pending.cancel()
-            if error is not None:
-                raise error
-        return results
 
 
 #: Backend name -> executor class: the one table ``Cluster(backend=...)``,

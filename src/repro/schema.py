@@ -16,9 +16,11 @@ import json
 import sys
 from typing import Any, Iterable, NamedTuple
 
+import numpy as np
+
 from repro.errors import ConfigError
 
-__all__ = ["Key", "validate", "key_table"]
+__all__ = ["Key", "require_positive", "validate", "key_table"]
 
 _TYPE_NAMES = {
     int: "an integer",
@@ -65,11 +67,14 @@ class Key(NamedTuple):
 
 def check(value, row: Key):
     """``value`` as ``row`` declares it (numbers widened to ``float`` where
-    the row says so), or :class:`ConfigError` naming the dotted path."""
-    kind = (int, float) if row.type is float else row.type
+    the row says so, NumPy integers to ``int``), or :class:`ConfigError`
+    naming the dotted path."""
+    kind = {float: (int, float), int: (int, np.integer)}.get(row.type, row.type)
     ok = isinstance(value, kind) and (
         row.type is bool or not isinstance(value, bool)
     )
+    if ok and row.type is int:
+        value = int(value)
     if ok and row.type is float:
         # finite (NaN and the infinities fail) and, if an integer, not too
         # large to widen
@@ -84,6 +89,19 @@ def check(value, row: Key):
     ):
         raise ConfigError(f"{row.path} must be {row.constraint}, got {value!r}")
     return value
+
+
+def require_positive(**knobs) -> None:
+    """Raise :class:`ConfigError` unless every knob is an integer >= 1 (a
+    zero or negative step would silently skip work, a boolean is no
+    count)."""
+    for name, value in knobs.items():
+        if (
+            not isinstance(value, (int, np.integer))
+            or isinstance(value, bool)
+            or value < 1
+        ):
+            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def validate(

@@ -268,7 +268,7 @@ class MetricsSnapshot:
         naming the row and the field.
         """
 
-        def mapping(kind, value_types):
+        def rows_of(kind, value_types):
             rows = data.get(kind, []) if isinstance(data, dict) else None
             if not isinstance(rows, list):
                 raise TraceFormatError(f"metrics {kind!r} is not a list of rows")
@@ -292,7 +292,7 @@ class MetricsSnapshot:
             return out
 
         return cls(
-            counters=mapping("counters", (int, float)),
-            gauges=mapping("gauges", (int, float)),
-            histograms=mapping("histograms", dict),
+            counters=rows_of("counters", (int, float)),
+            gauges=rows_of("gauges", (int, float)),
+            histograms=rows_of("histograms", dict),
         )

@@ -13,9 +13,9 @@ the thread-safe wall-clock recording mode:
   observation lists, and merges everything into the shared
   :class:`~repro.telemetry.trace.TraceRecorder` /
   :class:`~repro.telemetry.metrics.MetricsRegistry` at :meth:`flush`
-  (called by ``Executor.finish()`` / ``ThreadExecutor.run`` once the
-  workers have joined — including on failure, so partial traces of
-  crashed or deadlocked runs remain inspectable).
+  (called by ``run()`` on either backend once the workers have joined —
+  including on failure, so partial traces of crashed or deadlocked runs
+  remain inspectable).
 - :class:`ProfiledLock` — a ``threading.Lock``/``RLock`` wrapper that
   measures wait and hold durations into the profiler (the
   ``executor.lock_wait_seconds`` / ``executor.lock_hold_seconds``

@@ -44,12 +44,12 @@ def expr():
     return repro.heisenberg_chain(N_SITES)
 
 
-def make_distributed(n_locales):
+def make_distributed(n_locales, backend="sim"):
     group = chain_symmetries(N_SITES, momentum=0, parity=0, inversion=0)
     template = SymmetricBasis(
         group, hamming_weight=N_SITES // 2, build=False
     )
-    cluster = Cluster(n_locales, laptop_machine(cores=4))
+    cluster = Cluster(n_locales, laptop_machine(cores=4), backend=backend)
     dbasis, _ = enumerate_states(cluster, template, chunks_per_core=3)
     return dbasis
 
@@ -164,6 +164,26 @@ class TestSerialBlock:
 
 
 class TestDistributedBlock:
+    @pytest.mark.parametrize(
+        "method, backend",
+        [("naive", "sim"), ("batched", "sim"), ("pc", "sim"), ("pc", "threads")],
+    )
+    def test_zero_columns_give_the_empty_block(
+        self, basis, expr, method, backend
+    ):
+        # Used to run the whole product, then divide by k = 0.
+        assert repro.Operator(expr, basis).matvec(
+            np.zeros((basis.dim, 0))
+        ).shape == (basis.dim, 0)
+        dbasis = make_distributed(3, backend)
+        dop = DistributedOperator(expr, dbasis, method=method)
+        dx = DistributedVector.full_random(dbasis, columns=0)
+        for _ in range(3):  # record, fold on threads, replay
+            y = dop.matvec(dx)
+            assert y.columns == 0
+            assert y.to_serial(basis).shape == (basis.dim, 0)
+        assert dop.last_report.extras["block_width"] == 0.0
+
     @pytest.mark.parametrize("method", ["naive", "batched", "pc"])
     @pytest.mark.parametrize("n_locales", [1, 3])
     @pytest.mark.parametrize("k", [1, 3, 8])

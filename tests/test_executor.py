@@ -9,8 +9,8 @@ counters, arrival-order service, and RemoteBuffer-style buffer-reuse
 handoff.  The protocol code never mentions a backend; that is the point
 of the abstraction.
 
-Thread-only behaviour — prompt typed failure instead of a hang, map
-fan-out error handling — is covered separately.
+Thread-only behaviour — prompt typed failure instead of a hang — is
+covered separately.
 """
 
 from __future__ import annotations
@@ -165,12 +165,6 @@ class TestConformance:
         ex.spawn(consumer(), name="consumer")
         ex.run()
         assert received == list(range(25))
-
-    def test_map_preserves_submission_order(self, ex):
-        thunks = [lambda i=i: i * i for i in range(20)]
-        assert ex.map(thunks, locales=[i % 4 for i in range(20)]) == [
-            i * i for i in range(20)
-        ]
 
     def test_call_later_effect_is_visible_after_run(self, ex):
         flag = ex.flag(False, name="late")
@@ -425,19 +419,6 @@ class TestThreadFailureSemantics:
         assert "locale 3" in str(excinfo.value)
         assert excinfo.value.locale == 3
         assert isinstance(excinfo.value.__cause__, RuntimeError)
-
-    def test_map_failure_names_locale_and_cancels_rest(self):
-        ex = ThreadExecutor()
-
-        def boom():
-            raise ValueError("bad chunk")
-
-        thunks = [lambda: 1, boom] + [lambda: 2] * 20
-        with pytest.raises(BackendError) as excinfo:
-            ex.map(thunks, locales=[0, 1] + [2] * 20)
-        assert "locale 1" in str(excinfo.value)
-        assert excinfo.value.locale == 1
-        assert isinstance(excinfo.value.__cause__, ValueError)
 
     def test_watchdog_turns_deadlock_into_typed_error(self):
         ex = ThreadExecutor()

@@ -253,13 +253,39 @@ class TestValidation:
     def test_batch_size_below_one_rejected(self, method, batch_size):
         # A negative step used to skip every chunk: y came back as the
         # diagonal only, with no error.
-        serial, _, dbasis, expr = build(12, 6, None, 2)
-        x = DistributedVector.full_random(dbasis, seed=3)
-        dop = DistributedOperator(
-            expr, dbasis, method=method, batch_size=batch_size
-        )
+        _, _, dbasis, expr = build(12, 6, None, 2)
         with pytest.raises(ConfigError, match="batch_size"):
-            dop.matvec(x)
+            DistributedOperator(
+                expr, dbasis, method=method, batch_size=batch_size
+            )
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            dict(work_stealing="no"),
+            dict(work_stealing=1),
+            dict(consumer_fraction="0.5"),
+            dict(consumer_fraction=0),
+            dict(consumer_fraction=1.5),
+            dict(batch_size=True),
+        ],
+    )
+    def test_knob_values_checked_at_construction(self, knob):
+        # These used to construct: "no" turned stealing on, "0.5" raised
+        # a bare TypeError at the first product, True ran batches of 1.
+        _, _, dbasis, expr = build(8, 4, None, 2)
+        (key,) = knob
+        with pytest.raises(ConfigError, match=f"cluster.matvec.{key} must be"):
+            DistributedOperator(expr, dbasis, method="pc", **knob)
+
+    def test_knob_values_kept_as_their_rows_declare(self):
+        _, _, dbasis, expr = build(8, 4, None, 2)
+        dop = DistributedOperator(
+            expr, dbasis, method="pc", batch_size=np.int64(64),
+            consumer_fraction=1, work_stealing=False,
+        )
+        assert dop.batch_size == 64 and type(dop.batch_size) is int
+        assert dop.method_options["consumer_fraction"] == 1.0
 
     @pytest.mark.parametrize(
         "knob",

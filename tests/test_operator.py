@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 
 import repro
 from repro.basis import SpinBasis, SymmetricBasis
-from repro.errors import CompilationError
+from repro.errors import CompilationError, ConfigError
 from repro.operators.matrix import expression_to_dense
 from repro.symmetry import chain_symmetries
 
@@ -156,6 +156,15 @@ class TestInterfaces:
     def test_wrong_shape_rejected(self, chain12_operator):
         with pytest.raises(ValueError):
             chain12_operator.matvec(np.zeros(3))
+
+    @pytest.mark.parametrize("batch_size", [-1, 0, 2.5, True])
+    def test_batch_size_below_one_rejected(self, chain12_basis, batch_size):
+        # -1 used to skip every batch (H x came back as its diagonal part),
+        # 0 raised a bare ValueError at the first product.
+        with pytest.raises(ConfigError, match="batch_size"):
+            repro.Operator(
+                repro.heisenberg_chain(12), chain12_basis, batch_size=batch_size
+            )
 
     def test_shape_and_dtype(self, chain12_operator):
         assert chain12_operator.shape == (chain12_operator.dim,) * 2

@@ -2,11 +2,12 @@
 
 Three properties anchor the executor refactor:
 
-1. **Exactness on both backends.** Every matvec variant (naive, batched,
-   producer-consumer), for single vectors and ``k``-column blocks, must
-   match the serial reference operator to ``1e-12`` whether the protocol
-   code is interpreted by the discrete-event simulator or run on real
-   threads.
+1. **Exactness on both backends.** Every matvec variant a backend runs
+   — naive, batched and producer-consumer on the discrete-event
+   simulator, the producer-consumer pipeline on real threads — must
+   match the serial reference operator to ``1e-12``, for single vectors
+   and ``k``-column blocks.  The naive and batched cost models are
+   refused on threads before any work.
 2. **Clear failure, not a hang.** A worker that raises mid-matvec on the
    threads backend must surface as a typed
    :class:`~repro.errors.BackendError` naming the locale, promptly.
@@ -30,11 +31,18 @@ from repro.distributed import (
     DistributedVector,
     enumerate_states,
 )
-from repro.errors import BackendError
+from repro.errors import BackendError, ConfigError
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
 
 METHODS = ["naive", "batched", "pc"]
+#: What a wall-clock backend runs: the naive and batched cost models are
+#: the simulator's.
+WALL_CLOCK_METHODS = ["pc"]
+#: Every (method, backend) pair that runs.
+RUNS = [(m, "sim") for m in METHODS] + [
+    (m, "threads") for m in WALL_CLOCK_METHODS
+]
 
 
 def build(backend, n=12, w=6, n_locales=3, cores=4):
@@ -48,8 +56,7 @@ def build(backend, n=12, w=6, n_locales=3, cores=4):
 
 
 class TestExactnessOnBothBackends:
-    @pytest.mark.parametrize("backend", ["sim", "threads"])
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method, backend", RUNS)
     @pytest.mark.parametrize("k", [1, 8])
     def test_matches_serial(self, backend, method, k, rng):
         serial, serial_op, dbasis, expr = build(backend)
@@ -63,7 +70,7 @@ class TestExactnessOnBothBackends:
         dy = dop.matvec(dx)
         np.testing.assert_allclose(dy.to_serial(serial), y_ref, atol=1e-12)
 
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method", WALL_CLOCK_METHODS)
     def test_threads_single_locale(self, method, rng):
         """One worker on the threads backend is the serial shared-memory
         path; it must agree too."""
@@ -75,20 +82,6 @@ class TestExactnessOnBothBackends:
         np.testing.assert_allclose(
             dop.matvec(dx).to_serial(serial), y_ref, atol=1e-12
         )
-
-    @pytest.mark.parametrize("method", ["naive", "batched"])
-    def test_threads_report_is_wall_clock_with_model_estimate(
-        self, method, rng
-    ):
-        """Analytic variants on threads report measured wall seconds and
-        keep the simulator's estimate alongside in ``model_seconds``."""
-        serial, _, dbasis, expr = build("threads")
-        dx = DistributedVector.full_random(dbasis, seed=3)
-        dop = DistributedOperator(expr, dbasis, method=method, batch_size=64)
-        dop.matvec(dx)
-        report = dop.last_report
-        assert report.elapsed > 0.0
-        assert report.extras["model_seconds"] > 0.0
 
     def test_threads_pc_report_is_wall_clock(self, rng):
         serial, _, dbasis, expr = build("threads")
@@ -122,27 +115,36 @@ class TestWorkerFailurePropagation:
         assert "locale 1" in str(excinfo.value)
         assert excinfo.value.locale == 1
 
-    @pytest.mark.parametrize("method", ["naive", "batched"])
-    def test_analytic_variant_failure(self, method, monkeypatch, rng):
-        import repro.distributed.matvec_common as common
 
+class TestCostModelsRunOnSimOnly:
+    """The naive and batched variants model the paper's first two
+    schedules; a wall-clock cluster refuses them before any work."""
+
+    @pytest.mark.parametrize("method", ["naive", "batched"])
+    def test_operator_refuses_them_at_construction(self, method):
+        _, _, dbasis, expr = build("threads")
+        with pytest.raises(ConfigError, match=f"{method!r} .* 'sim' backend only"):
+            DistributedOperator(expr, dbasis, method=method)
+
+    @pytest.mark.parametrize("method", ["naive", "batched"])
+    def test_direct_call_refuses_them_before_a_chunk(self, method, monkeypatch):
         module = __import__(
             f"repro.distributed.matvec_{method}", fromlist=["produce_chunk"]
         )
-        serial, _, dbasis, expr = build("threads")
-        real_produce = common.produce_chunk
-
-        def exploding(op, basis, locale, start, stop, x_part, plan):
-            if locale == 1:
-                raise RuntimeError("injected kaboom")
-            return real_produce(op, basis, locale, start, stop, x_part, plan)
-
-        monkeypatch.setattr(module, "produce_chunk", exploding)
+        produced = []
+        monkeypatch.setattr(
+            module, "produce_chunk", lambda *args: produced.append(args)
+        )
+        _, _, dbasis, expr = build("threads")
+        compiled = DistributedOperator(expr, dbasis, plan=False).compiled
         dx = DistributedVector.full_random(dbasis, seed=5)
-        dop = DistributedOperator(expr, dbasis, method=method, batch_size=64)
-        with pytest.raises(BackendError) as excinfo:
-            dop.matvec(dx)
-        assert excinfo.value.locale == 1
+        y = DistributedVector.full_random(dbasis, seed=6)
+        before = [part.copy() for part in y.parts]
+        with pytest.raises(ConfigError, match="'sim' backend only"):
+            getattr(module, f"matvec_{method}")(compiled, dbasis, dx, y)
+        assert produced == []
+        for part, kept in zip(y.parts, before):
+            np.testing.assert_array_equal(part, kept)
 
 
 class TestResilienceOnThreads:

@@ -3,9 +3,9 @@
 Three contracts:
 
 1. **The diagonal is part of the plan.**  ``diagonal_values`` runs once per
-   locale per plan on every variant, backend and path; ``plan=False``
-   recomputes it, ``invalidate_plan()`` drops it, and results stay within
-   ``1e-12`` of the serial operator.
+   locale per plan on every variant, on each backend that runs it, and
+   on every path; ``plan=False`` recomputes it, ``invalidate_plan()``
+   drops it, and results stay within ``1e-12`` of the serial operator.
 2. **The hand-off unit follows the backend.**  ``DistributedOperator`` and
    the autotuner hand over whole destination slices on ``threads`` and the
    modelled 4096-element buffer on ``sim`` (whose messages, bytes and
@@ -17,7 +17,7 @@ Three contracts:
 4. **On a wall-clock backend a warm matvec is one SpMV per locale.**  Once
    the plan holds every chunk, ``DistributedOperator`` folds them into one
    CSR matrix per destination (``(d, "matrix")``) and replays on the
-   calling thread, whatever the method, block width or dtype: equal to the
+   calling thread, whatever the block width or dtype: equal to the
    serial operator and to the recording pass to ``1e-12``, bit-identical
    from replay to replay, and bit-identical to the recording pass on one
    locale in real arithmetic.  ``sim``, fault plans and budgets too small
@@ -59,6 +59,9 @@ from repro.telemetry import Telemetry
 
 METHODS = ["naive", "batched", "pc"]
 BACKENDS = ["sim", "threads"]
+#: Every (method, backend) pair that runs: the naive and batched cost
+#: models are the simulator's.
+RUNS = [(m, "sim") for m in METHODS] + [("pc", "threads")]
 REAL_SECTOR = dict(momentum=0, parity=0, inversion=0)
 COMPLEX_SECTOR = dict(momentum=2, parity=None, inversion=None)
 
@@ -95,8 +98,7 @@ def diagonal_calls(monkeypatch):
 
 
 class TestDiagonalJoinsThePlan:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method, backend", RUNS)
     @pytest.mark.parametrize("n_locales", [1, 3])
     def test_computed_once_per_locale(
         self, backend, method, n_locales, rng, diagonal_calls
@@ -122,8 +124,7 @@ class TestDiagonalJoinsThePlan:
             dop.matvec(dx)
         assert len(diagonal_calls) == 2 * n_locales
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method, backend", RUNS)
     def test_plan_false_recomputes(self, backend, method, rng, diagonal_calls):
         serial, dbasis, expr = build(backend)
         dop = DistributedOperator(expr, dbasis, method=method, plan=False)
@@ -156,8 +157,7 @@ class TestDiagonalJoinsThePlan:
         assert plan.n_entries == dbasis.n_locales
         assert plan.nbytes == 8 * serial.dim
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method, backend", RUNS)
     @pytest.mark.parametrize("n_locales", [1, 3])
     @pytest.mark.parametrize("k", [1, 8])
     @pytest.mark.parametrize("sector", [REAL_SECTOR, COMPLEX_SECTOR])
@@ -177,8 +177,7 @@ class TestDiagonalJoinsThePlan:
                 dy.to_serial(serial), reference.matvec(x), atol=1e-12
             )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method, backend", RUNS)
     def test_recorded_real_replayed_complex(self, backend, method, rng):
         serial, dbasis, expr = build(backend)
         reference = repro.Operator(expr, serial, plan=False)
@@ -386,7 +385,6 @@ class TestOneSpmvPerLocale:
         n=st.sampled_from([8, 10, 12]),
         complex_sector=st.booleans(),
         n_locales=st.integers(min_value=1, max_value=4),
-        method=st.sampled_from(METHODS),
         k=st.sampled_from([1, 3]),
         complex_x=st.booleans(),
         batch_size=st.sampled_from([7, 64, None]),
@@ -398,12 +396,11 @@ class TestOneSpmvPerLocale:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_record_replay_replay(
-        self, n, complex_sector, n_locales, method, k, complex_x, batch_size,
-        seed,
+        self, n, complex_sector, n_locales, k, complex_x, batch_size, seed,
     ):
         serial, dbasis, expr = cached_build(n, n_locales, complex_sector)
         knobs = {} if batch_size is None else {"batch_size": batch_size}
-        dop = DistributedOperator(expr, dbasis, method=method, **knobs)
+        dop = DistributedOperator(expr, dbasis, **knobs)
         x = random_serial(np.random.default_rng(seed), serial, k, complex_x)
         dx = DistributedVector.from_serial(dbasis, serial, x)
         expected = repro.Operator(expr, serial, plan=False).matvec(x)
@@ -417,7 +414,7 @@ class TestOneSpmvPerLocale:
         ]
         assert dop.last_report.messages == dop.last_report.bytes_sent == 0
         assert dop.last_report.phase_elapsed["matvec"] == dop.last_report.elapsed
-        assert n_locales == 1 or method == "naive" or handed_over > 0
+        assert n_locales == 1 or handed_over > 0
 
         assert first.dtype == recorded.dtype and first.columns == recorded.columns
         np.testing.assert_allclose(first.to_serial(serial), expected, atol=1e-12)
@@ -425,12 +422,9 @@ class TestOneSpmvPerLocale:
             first.to_serial(serial), recorded.to_serial(serial), atol=1e-12
         )
         assert_parts_equal(first, second)
-        if (
-            n_locales == 1 and method == "pc"
-            and not complex_sector and not complex_x
-        ):
+        if n_locales == 1 and not complex_sector and not complex_x:
             # The shared-memory pass adds the diagonal, then the chunks in
-            # order (naive/batched scatter in thread-completion order).
+            # order.
             assert_parts_equal(first, recorded)
 
     def test_budget_for_the_records_but_not_the_matrices(self, rng):
@@ -513,8 +507,7 @@ class TestOneSpmvPerLocale:
 
 
 class TestOutputMayNotAliasInput:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method, backend", RUNS)
     def test_in_place_matvec_is_refused(self, backend, method, rng):
         # check_vectors zeroes y before anything reads x: y = x used to
         # come back as the zero vector, with x destroyed.
@@ -565,7 +558,8 @@ class TestPlanClaim:
         plan = MatvecPlan()
         first = DistributedOperator(expr, dbasis, method="pc", plan=plan)
         second = DistributedOperator(
-            repro.heisenberg_chain(12), dbasis, method="batched", plan=plan
+            repro.heisenberg_chain(12), dbasis, plan=plan,
+            method="batched" if backend == "sim" else "pc",
         )
         x = random_serial(rng, serial)
         dx = DistributedVector.from_serial(dbasis, serial, x)
@@ -581,24 +575,19 @@ class TestPlanClaim:
         np.testing.assert_array_equal(ops[0].matvec(x), ops[1].matvec(x))
         assert ("matrix",) in shared
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_naive_runs_the_batch_it_claims(self, backend, rng):
+    def test_naive_runs_the_batch_it_claims(self, rng):
         # One locale of 9 252 states, more than the default batch of 8 192:
         # a naive pass chunked by another number recorded one 9 252-row
         # chunk under (0, 0), never consolidated, and a pc operator sharing
         # the plan replayed it as its first 8 192 rows.
         serial, dbasis, expr = build(
-            backend, n=20, n_locales=1,
+            "sim", n=20, n_locales=1,
             sector=dict(momentum=0, parity=None, inversion=None),
         )
         assert int(dbasis.counts[0]) > 8192
         x = random_serial(rng, serial)
         dx = DistributedVector.from_serial(dbasis, serial, x)
         expected = repro.Operator(expr, serial, plan=False).matvec(x)
-        naive = DistributedOperator(expr, dbasis, method="naive")
-        for _ in range(2):
-            naive.matvec(dx)
-        assert ((0, "matrix") in naive.plan) == (backend == "threads")
         plan = MatvecPlan()
         for method in ("naive", "pc"):
             op = DistributedOperator(expr, dbasis, method=method, plan=plan)
