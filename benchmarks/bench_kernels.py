@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 import os
+import sys
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -40,6 +42,10 @@ from repro.symmetry import (
     rectangle_translation,
     spin_inversion,
 )
+
+# The element-by-element reference kernel is the tests' oracle.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from reference_kernels import state_info_reference  # noqa: E402
 
 SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
 N_SITES = 16 if SMOKE else 24
@@ -165,7 +171,7 @@ def test_state_info_fused_speedup(group, batch):
     """
     sample = batch[: 5_000 if SMOKE else 20_000]
     group.state_info(sample)  # warm scratch buffers before timing
-    t_ref = best_of(lambda: group.state_info_reference(sample), repeats=3)
+    t_ref = best_of(lambda: state_info_reference(group, sample), repeats=3)
     t_fused = best_of(lambda: group.state_info(sample), repeats=5)
     speedup = t_ref / t_fused
     write_result(

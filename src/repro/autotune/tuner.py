@@ -25,7 +25,7 @@ from repro.autotune.search import (
     default_knobs,
     measure_knobs,
 )
-from repro.distributed.operator import is_pipeline
+from repro.distributed.operator import check_method, is_pipeline
 from repro.distributed.vector import DistributedVector
 from repro.perfmodel.workloads import ChainWorkload
 from repro.telemetry.context import current as current_telemetry
@@ -111,8 +111,11 @@ class Autotuner:
         Returns the cached result when the fingerprint is known (unless
         ``force``), otherwise runs the two-stage search and persists the
         winner.  Cache hits cost one dict lookup — no matvec replays, no
-        search spans in the ambient trace.
+        search spans in the ambient trace.  A ``method`` the operator
+        refuses on this cluster raises its
+        :class:`~repro.errors.ConfigError` here, before anything else.
         """
+        check_method(method, basis.cluster)
         fingerprint = workload_fingerprint(compiled, basis, method)
         tele = current_telemetry()
         if not force:

@@ -8,6 +8,7 @@ solver drives.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from time import perf_counter
 
 import numpy as np
@@ -17,8 +18,10 @@ from repro.distributed.matvec_batched import matvec_batched
 from repro.distributed.matvec_common import (
     DEFAULT_BATCH_SIZE,
     begin_matvec,
+    check_vectors,
     chunk_spans,
     finish_report,
+    logged_additions,
     require_simulator,
 )
 from repro.distributed.matvec_naive import matvec_naive
@@ -34,12 +37,14 @@ from repro.operators.expression import Expression
 from repro.operators.plan import (
     MatvecPlan,
     csr_footprint,
-    csr_in_recorded_order,
+    csr_in_order,
 )
 from repro.resilience.faults import ResilienceConfig
 from repro.runtime.clock import SimReport
 from repro.schema import Key, check
+from repro.telemetry.context import Recording
 from repro.telemetry.context import current as current_telemetry
+from repro.telemetry.context import use as use_telemetry
 
 __all__ = ["DistributedOperator"]
 
@@ -88,6 +93,17 @@ def is_pipeline(method: str) -> bool:
     return method == "pc"
 
 
+def check_method(method: str, cluster) -> None:
+    """Refuse a ``method`` name there is no implementation of, or a cost
+    model on a wall-clock ``cluster``: :class:`~repro.errors.ConfigError`."""
+    if method not in IMPLS:
+        raise ConfigError(
+            f"unknown matvec method {method!r}; choose from {sorted(IMPLS)}"
+        )
+    if not is_pipeline(method):
+        require_simulator(method, cluster)
+
+
 def knob_keys(method: str) -> tuple[str, ...]:
     """The tunable knobs ``method`` accepts."""
     return KNOB_KEYS if is_pipeline(method) else KNOB_KEYS[:1]
@@ -125,19 +141,25 @@ class DistributedOperator:
     such operator may share it, any other raises
     :class:`~repro.errors.ConfigError`.
 
-    What a replay is depends on the backend.  On ``sim`` the product *is*
-    the schedule — every message is an event with a modelled cost — so a
-    warm matvec runs ``method``'s schedule over the recorded chunks.  On a
-    wall-clock backend nothing is left to schedule once every element is
-    recorded: the second matvec folds the chunks into one CSR matrix per
-    destination locale (``(locale, "matrix")``, :meth:`_consolidate`) and
-    every later product is ``y.parts[d] = M_d @ concat(x.parts)`` on the
-    calling thread — no executor, no worker, no hand-off
-    (``messages == bytes_sent == 0``), two replays bit-identical.  The
-    pipeline schedules the elements that must be generated there: the
-    recording pass, ``plan=False``, a plan whose budget does not admit
-    the matrices, any run under a fault plan.  The naive and batched
-    variants are cost models and run on ``sim`` only
+    Once the plan holds every element, a warm matvec is one SpMV per
+    destination locale on both backends, ``y.parts[d] = M_d @
+    concat(x.parts)`` on the calling thread — no executor, no worker, no
+    hand-off — and two replays are bit-identical.  What differs is what
+    the product reports.  On a wall-clock backend the second matvec folds
+    the chunks into the matrices (``(locale, "matrix")``,
+    :meth:`_consolidate`) and a replay measures itself
+    (``messages == bytes_sent == 0``).  On ``sim`` the product is the
+    schedule: the matvec that leaves the plan complete runs ``method``'s
+    schedule once more, out of sight, and keeps a record of it
+    (:meth:`_simulated`) — the report, every metric update and trace call,
+    and the matrices built in the order its consumers added into ``y`` —
+    so every later product of that width and dtype reports, traces and counts
+    exactly what that simulation did, with the same ``y`` to the last bit
+    on real arithmetic (the paper's Sec. 5.3 accumulation order).  The
+    schedule runs whenever elements must be generated or the plan cannot
+    hold the matrices: the recording pass, ``plan=False``, a plan whose
+    budget does not admit the matrices, any run under a fault plan.  The
+    naive and batched variants are cost models and run on ``sim`` only
     (:func:`~repro.distributed.matvec_common.require_simulator`): on a
     wall-clock cluster they are a :class:`~repro.errors.ConfigError`
     here.
@@ -174,15 +196,10 @@ class DistributedOperator:
         resilience=None,
         **method_options,
     ) -> None:
-        if method not in IMPLS:
-            raise ConfigError(
-                f"unknown matvec method {method!r}; choose from {sorted(IMPLS)}"
-            )
+        check_method(method, basis.cluster)
         _check_options(method, method_options)
         self.basis = basis
         cluster = basis.cluster
-        if not is_pipeline(method):
-            require_simulator(method, cluster)
         self.faults = faults if faults is not None else getattr(
             cluster, "faults", None
         )
@@ -262,73 +279,159 @@ class DistributedOperator:
         ``resilience.matvec_restarts`` times; raises the fault when that
         budget is exhausted.
         """
-        matrices = self._consolidate()
-        if matrices is None:
-            y, report = self._scheduled(x, y)
-        else:
+        replays = self.plan is not None and self.faults is None
+        if replays and not self.basis.cluster.wall_clock:
+            y, report = self._simulated(x, y)
+        elif replays and (matrices := self._consolidate()) is not None:
             y, report = self._replay(matrices, x, y)
+        else:
+            y, report = self._scheduled(x, y)
         self.last_report = report
         self.total_sim_time += report.elapsed
         return y
 
-    def _consolidate(self):
-        """One CSR matrix per destination locale, or ``None`` while elements
-        must still be scheduled: on ``sim`` (the event sequence is the
-        product), under a fault plan, and until the plan holds every chunk
-        with its row searches done plus every diagonal (so never during the
-        recording pass) and its budget admits the matrices beside them.
-
-        ``M_d`` has shape ``(counts[d], dim)`` over the locale-order
-        concatenation of ``x.parts``.  Row ``r`` holds the diagonal element,
-        then the off-diagonal ones ordered by (source locale, chunk start,
-        position in the chunk's slice for ``d``) — on one locale, the order
-        in which the recording pass added them.  The chunk records stay in
-        the plan next to the matrices: ``benchmarks/e2e/layers.py`` replays
-        them.
-        """
+    def _complete(self):
+        """The chunk keys ``(locale, start)``, in order, once the plan holds
+        every chunk with its row searches done plus every diagonal (so
+        never during the recording pass) and its budget admits the
+        matrices beside them; else ``None``."""
         plan, basis = self.plan, self.basis
-        if plan is None or self.faults is not None or not basis.cluster.wall_clock:
-            return None
-        locales = range(basis.n_locales)
-        folded = [(d, "matrix") for d in locales]
-        if all(key in plan for key in folded):
-            return [plan.get(key) for key in folded]
         counts = [int(count) for count in basis.counts]
         keys = [
             (locale, start)
-            for locale in locales
-            for start, _ in chunk_spans(counts[locale], self.batch_size)
+            for locale, count in enumerate(counts)
+            for start, _ in chunk_spans(count, self.batch_size)
         ]
         if not all(key in plan for key in keys) or not all(
-            (d, "diag") in plan for d in locales if counts[d]
+            (d, "diag") in plan for d, count in enumerate(counts) if count
         ):
             return None
         records = [plan.peek(key) for key in keys]
-        shapes = [(count, basis.dim) for count in counts]
         nnz = basis.counts + sum(np.diff(r.starts) for r in records)
-        nbytes = sum(csr_footprint(s, n, self.dtype)[1] for s, n in zip(shapes, nnz))
+        nbytes = sum(
+            csr_footprint((c, basis.dim), n, self.dtype)[1] for c, n in zip(counts, nnz)
+        )
         if plan.nbytes + nbytes > plan.capacity_bytes:
             return None  # they would push the records out: keep replaying those
         if any(r.rows.size and r.rows.min() < 0 for r in records):
             return None  # an interrupted pass left searches undone
+        return keys
+
+    def _logged(self, keys, additions):
+        """The piece (see :meth:`_fold`) of each addition
+        :func:`~repro.distributed.matvec_common.logged_additions` logged: a
+        locale's diagonal, or a view into the search cache of one of the
+        chunks ``keys``, found by its address among the caches."""
+        caches = sorted(
+            (self.plan.peek(key).rows.ctypes.data, key)
+            for key in keys if self.plan.peek(key).rows.size
+        )
+        bases = np.array([base for base, _ in caches])
+        for d, rows in additions:
+            if rows is None:
+                yield d, None, None
+                continue
+            base, key = caches[np.searchsorted(bases, rows.ctypes.data, "right") - 1]
+            lo = (rows.ctypes.data - base) // rows.itemsize
+            yield d, key, slice(lo, lo + rows.size)
+
+    def _fold(self, pieces):
+        """One CSR matrix per destination locale ``d``, of shape
+        ``(counts[d], dim)`` over the locale-order concatenation of
+        ``x.parts``, from ``(d, key, span)`` pieces: the elements ``span``
+        of the chunk ``key`` (``None``: locale ``d``'s diagonal).  Row ``r``
+        holds its elements piece after piece, so ``M_d @ x`` adds them in
+        the order the pieces are given.  Each destination's pieces are
+        joined into one triple first: one counting pass, not one per
+        piece."""
+        plan, counts, dim = self.plan, self.basis.counts, self.basis.dim
         offsets = np.concatenate([[0], np.cumsum(counts)])
-        for d in locales:
-            slices = [
-                (offsets[locale] + start, r, slice(r.starts[d], r.starts[d + 1]))
-                for (locale, start), r in zip(keys, records)
-            ]
-            diagonal = plan.peek((d, "diag")) if counts[d] else np.empty(0)
-            matrix = csr_in_recorded_order(
-                shapes[d], self.dtype,
-                (offsets[d] + np.arange(counts[d]), diagonal),
-                (r.rows[s] for _, r, s in slices),
-                (
-                    (r.rows[s], first + r.sources[s], r.amplitudes[s])
-                    for first, r, s in slices
-                ),
-            )
-            plan.put(folded[d], matrix)
+        parts = [[(np.empty(0, dtype=np.int64),) * 3] for _ in counts]
+        for d, key, span in pieces:
+            if key is None:
+                rows = np.arange(counts[d])
+                parts[d].append((rows, offsets[d] + rows, plan.peek((d, "diag"))))
+                continue
+            r, first = plan.peek(key), offsets[key[0]] + key[1]
+            parts[d].append((r.rows[span], first + r.sources[span], r.amplitudes[span]))
+        return [
+            csr_in_order((int(n), dim), self.dtype, *map(np.concatenate, zip(*joined)))
+            for n, joined in zip(counts, parts)
+        ]
+
+    def _consolidate(self):
+        """On a wall-clock backend: one CSR matrix per destination locale
+        (``(locale, "matrix")``), or ``None`` while elements must still be
+        scheduled (:meth:`_complete`).
+
+        Row ``r`` holds the diagonal element, then the off-diagonal ones
+        ordered by (source locale, chunk start, position in the chunk's
+        slice for ``d``) — on one locale, the order in which the recording
+        pass added them.  The chunk records stay in the plan next to the
+        matrices: ``benchmarks/e2e/layers.py`` replays them.
+        """
+        plan, locales = self.plan, range(self.basis.n_locales)
+        folded = [(d, "matrix") for d in locales]
+        if all(key in plan for key in folded):
+            return [plan.get(key) for key in folded]
+        if (keys := self._complete()) is None:
+            return None
+        pieces = [(d, None, None) for d in locales if (d, "diag") in plan]
+        for key in keys:
+            starts = plan.peek(key).starts
+            pieces += [(d, key, slice(starts[d], starts[d + 1])) for d in locales]
+        for key, matrix in zip(folded, self._fold(pieces)):
+            plan.put(key, matrix)
         return [plan.get(key) for key in folded]
+
+    def _record_key(self, x: DistributedVector) -> tuple:
+        """What a simulated product depends on besides the plan: the
+        method with its options and policy, and ``x``'s width and dtype.
+        Operators sharing a plan share the records of equal keys."""
+        options = tuple(sorted(self.method_options.items()))
+        return ("replay", self.method, options, self.resilience, x.n_columns, x.dtype)
+
+    def _simulated(
+        self, x: DistributedVector, y: DistributedVector | None
+    ) -> tuple[DistributedVector, SimReport]:
+        """On ``sim``: replay the record of a product like this one, or run
+        the schedule and, if that left the plan complete
+        (:meth:`_complete`), make one: run the product once more under a
+        private :class:`~repro.telemetry.context.Recording`, with its
+        additions into ``y`` logged, and :meth:`_fold` the matrices in the
+        logged order.  ``(report, recording, matrices)`` goes into the plan
+        if the matrices give that product's ``y`` (to the last bit on real
+        arithmetic, to rounding on complex); else — an addition
+        :meth:`_logged` placed wrongly — the operator keeps simulating.  A
+        replay is one SpMV per locale, the record's
+        telemetry log written to the ambient telemetry (skipped where that
+        is disabled; no ``plan.get``, the recorded ``plan.hits`` are in the
+        log) and a copy of its report."""
+        plan, key = self.plan, self._record_key(x)
+        if key not in plan:
+            y, report = self._scheduled(x, y)
+            if (keys := self._complete()) is not None:
+                with use_telemetry(recording := Recording()):
+                    (z, simulated), additions = logged_additions(self._scheduled, x, None)
+                matrices = self._fold(self._logged(keys, additions))
+                if all(map(np.allclose, self._spmv(matrices, x).parts, z.parts)):
+                    plan.put(key, (simulated, recording, matrices))
+            return y, report
+        report, log, matrices = plan.peek(key)
+        y = self._spmv(matrices, x, y)
+        log.replay(tele := current_telemetry())
+        # A copy whose dicts are its own (the ledger is the record's).
+        extras, phases = dict(report.extras), dict(report.phase_elapsed)
+        metrics = tele.metrics.snapshot() if tele.metrics.enabled else None
+        return y, replace(report, extras=extras, phase_elapsed=phases, metrics=metrics)
+
+    def _spmv(self, matrices, x: DistributedVector, y=None) -> DistributedVector:
+        """``y.parts[d] = M_d @ concat(x.parts)`` on the calling thread."""
+        y = check_vectors(self.basis, x, y)
+        columns = np.concatenate(x.parts)
+        for part, matrix in zip(y.parts, matrices):
+            part[...] = matrix @ columns
+        return y
 
     def _replay(
         self, matrices, x: DistributedVector, y: DistributedVector | None

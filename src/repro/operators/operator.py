@@ -9,6 +9,7 @@ and scatter-add into the destination vector.
 
 from __future__ import annotations
 
+from itertools import chain
 from time import perf_counter
 
 import numpy as np
@@ -234,12 +235,12 @@ class Operator:
             return None  # the plan would turn it away: keep the batches
         # Batch by batch, each leaving the plan as it is placed: the
         # triples and the matrix are never whole in memory together.
-        batches = map(plan.pop, keys)
+        triples = ((b.rows, b.sources, b.amplitudes) for b in map(plan.pop, keys))
+        diagonal = (np.arange(dim), np.arange(dim), self.diagonal())
         matrix = csr_in_recorded_order(
             self.shape, self.dtype,
-            (np.arange(dim), self.diagonal()),
-            (plan.get(key).rows for key in keys),
-            ((b.rows, b.sources, b.amplitudes) for b in batches),
+            chain([diagonal[0]], (plan.get(key).rows for key in keys)),
+            chain([diagonal], triples),
         )
         plan.put(MATRIX_KEY, matrix)
         return matrix

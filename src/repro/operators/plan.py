@@ -8,10 +8,11 @@ and the ``stateToIndex`` binary searches — is therefore iteration-invariant.
 :class:`MatvecPlan` caches those triples the first time a chunk is
 processed and replays them on every subsequent matvec, reducing the hot
 loop to a gather, a multiply, and a scatter-add — and, once an operator
-holds every chunk, to CSR products (:func:`csr_in_recorded_order`): one
-``matrix @ x`` for the serial operator, one per destination locale for
-the distributed operator on a wall-clock backend (on ``sim`` a replay
-stays the per-chunk schedule, whose events are what is measured).  Replays
+holds every chunk, to CSR products (:func:`csr_in_recorded_order`,
+:func:`csr_in_order`): one ``matrix @ x`` for the serial operator, one per
+destination locale for the distributed operator (on ``sim`` part of the
+record of a simulated product whose report, telemetry and accumulation
+order every replay repeats).  Replays
 equal the recording pass bit for bit on real arithmetic and to 1e-14
 relative on complex, and are width- and dtype-agnostic: a chunk recorded
 under a real single-vector matvec replays against a complex input or a
@@ -36,8 +37,11 @@ batch and ``("matrix",)`` for the matrix that replaces them; the
 distributed matvec variants use ``(locale, start)`` for a produced chunk
 and ``(locale, "diag")`` for a locale's diagonal matrix elements, and the
 distributed operator ``(locale, "matrix")`` for the matrix of everything
-that lands on ``locale`` (``DistributedOperator._consolidate``), so one
-plan serves a whole distributed operator.  The keys do not say *whose*
+that lands on ``locale`` (``DistributedOperator._consolidate``) and, on
+``sim``, ``("replay", method, options, policy, width, dtype)`` for the
+record of a simulated product with its matrices
+(``DistributedOperator._simulated``), so one plan serves a whole distributed
+operator.  The keys do not say *whose*
 they are: an operator claims its plan when it attaches
 (:meth:`MatvecPlan.claim`), and only an operator with the same claim —
 the same primitive tables, basis object and batch size — may share it.
@@ -54,24 +58,27 @@ import scipy.sparse as sp
 from repro.errors import ConfigError
 from repro.telemetry.context import current as current_telemetry
 
-__all__ = ["MatvecPlan", "csr_footprint", "csr_in_recorded_order"]
+__all__ = ["MatvecPlan", "csr_footprint", "csr_in_order", "csr_in_recorded_order"]
 
 
 def _entry_nbytes(entry: object) -> int:
     """Total bytes of the NumPy arrays reachable from a cache entry.
 
-    Entries are a bare array, tuples/lists of arrays, or objects exposing
-    arrays as attributes (``ProducedChunk``, a CSR matrix); the rest is free.
+    Entries are a bare array, tuples/lists of entries, or objects holding
+    entries as attributes (``ProducedChunk``, a CSR matrix, a replay record
+    with its matrices); the rest is free.
     """
     if isinstance(entry, np.ndarray):
         return int(entry.nbytes)
     if isinstance(entry, (tuple, list)):
-        candidates = entry
-    else:
-        candidates = [
-            getattr(entry, name, None) for name in getattr(entry, "__slots__", ())
-        ] + list(getattr(entry, "__dict__", {}).values())
-    return int(sum(v.nbytes for v in candidates if isinstance(v, np.ndarray)))
+        return sum(map(_entry_nbytes, entry))
+    candidates = [
+        getattr(entry, name, None) for name in getattr(entry, "__slots__", ())
+    ] + list(getattr(entry, "__dict__", {}).values())
+    return sum(
+        _entry_nbytes(v) for v in candidates
+        if isinstance(v, (np.ndarray, tuple, list)) or sp.issparse(v)
+    )
 
 
 def csr_footprint(shape: tuple[int, int], nnz: int, dtype) -> tuple[np.dtype, int]:
@@ -82,39 +89,47 @@ def csr_footprint(shape: tuple[int, int], nnz: int, dtype) -> tuple[np.dtype, in
     return index, data + (shape[0] + 1) * index.itemsize
 
 
-def csr_in_recorded_order(shape, dtype, first, row_arrays, triples):
+def csr_in_order(shape, dtype, rows, columns, data):
+    """The CSR matrix of one ``(rows, columns, data)`` triple whose rows
+    hold their elements in the triple's order — columns unsorted,
+    duplicates kept.  SciPy's ``csr_matvec`` adds a row's entries in
+    stored order starting from zero, so ``matrix @ x`` performs the
+    additions of ``np.add.at(y, rows, data * x[columns])``."""
+    coo = sp.coo_matrix((np.asarray(data, dtype=dtype), (rows, columns)), shape=shape)
+    # Stops ``tocsr`` after its stable counting pass by row, before it
+    # would sort each row and sum the duplicates.
+    coo.has_canonical_format = True
+    matrix = coo.tocsr()
+    assert matrix.nnz == len(rows), "tocsr summed duplicates"
+    return matrix
+
+
+def csr_in_recorded_order(shape, dtype, row_arrays, triples):
     """A CSR matrix whose rows hold their elements in the order given.
 
-    Row ``r`` starts with ``first = (columns, data)``'s element ``r`` (the
-    diagonal) and continues with the ``(rows, columns, data)`` ``triples``'
-    elements for ``r``, chunk after chunk and in each chunk's own order —
-    columns unsorted, duplicates kept.  SciPy's ``csr_matvec`` adds a row's
-    entries in stored order starting from zero, so ``matrix @ x`` performs
-    the additions of ``first * x`` followed by one ``np.add.at`` per chunk.
+    Row ``r`` holds the ``(rows, columns, data)`` ``triples``' elements for
+    ``r``, triple after triple and in each triple's own order
+    (:func:`csr_in_order`), so ``matrix @ x`` performs the additions of one
+    ``np.add.at`` per triple, in turn (a diagonal is one more triple,
+    placed where its addition happened).
 
-    ``row_arrays`` yields each chunk's ``rows`` (read through once, to size
-    the rows) and ``triples`` the same chunks again (read through once, to
-    place them): both may be generators, so a caller can hand chunks over
-    — or drop them — one at a time and the chunks and the matrix are never
-    whole in memory together.
+    ``row_arrays`` yields each triple's ``rows`` (read through once, to
+    size the rows) and ``triples`` the same triples again (read through
+    once, to place them): both may be generators, so a caller can hand
+    chunks over — or drop them — one at a time and the chunks and the
+    matrix are never whole in memory together.
     """
     n_rows = shape[0]
-    lengths = np.ones(n_rows, dtype=np.int64)  # the first element
+    lengths = np.zeros(n_rows, dtype=np.int64)
     for rows in row_arrays:
         lengths += np.bincount(rows, minlength=n_rows)
     indptr = np.concatenate([[0], np.cumsum(lengths)])
     nnz = int(indptr[-1])
     index, _ = csr_footprint(shape, nnz, dtype)
     indices, data = np.empty(nnz, dtype=index), np.empty(nnz, dtype=dtype)
-    indices[indptr[:-1]], data[indptr[:-1]] = first
-    cursor = indptr[:-1] + 1
-    for rows, columns, values in triples:
-        coo = sp.coo_matrix((values, (rows, columns)), shape=shape)
-        # Stops ``tocsr`` after its stable counting pass by row, before
-        # it would sort each row and sum the duplicates.
-        coo.has_canonical_format = True
-        part = coo.tocsr()
-        assert part.nnz == rows.size, "tocsr summed duplicates"
+    cursor = indptr[:-1].copy()
+    for triple in triples:
+        part = csr_in_order(shape, dtype, *triple)
         counts = np.diff(part.indptr)
         to = np.repeat(cursor - part.indptr[:-1], counts) + np.arange(part.nnz)
         indices[to], data[to] = part.indices, part.data

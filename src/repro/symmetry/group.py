@@ -21,12 +21,12 @@ which vanishes unless :math:`\\chi` is trivial on the stabilizer of ``r``
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 import numpy as np
 
-from repro.bits.ops import as_states, flip_all, reverse_bits, rotate_left
-from repro.bits.permutations import apply_permutation_to_states
+from repro.bits.ops import as_states, flip_all
 from repro.errors import InvalidSectorError
 from repro.symmetry.kernels import GroupKernel
 from repro.symmetry.permutation import Permutation
@@ -186,7 +186,7 @@ class SymmetryGroup:
     def characters(self) -> np.ndarray:
         return self._characters
 
-    @property
+    @cached_property
     def is_real(self) -> bool:
         """True when every character is real (the sector supports a real
         Hamiltonian matrix and real vectors)."""
@@ -244,54 +244,10 @@ class SymmetryGroup:
         (precompiled permutations, reused scratch, real-characters fast
         path).  When every character is real, ``phase`` comes back as
         ``float64`` instead of ``complex128``.  The straightforward
-        per-element implementation is kept as :meth:`state_info_reference`
-        and the two are property-tested against each other.
+        per-element implementation (``tests/reference_kernels.py``) is
+        property-tested against it.
         """
         return self.kernel.state_info(states)
-
-    def _apply_element_reference(self, index: int, s: np.ndarray) -> np.ndarray:
-        """Pre-compilation element application: rotation/reversal fast paths,
-        and the uncached mask re-deriving path for generic permutations."""
-        perm = self._permutations[index]
-        k = perm.rotation_amount
-        if k is not None:
-            y = rotate_left(s, k, self._n_sites)
-        elif perm.is_reversal:
-            y = reverse_bits(s, self._n_sites)
-        else:
-            y = apply_permutation_to_states(perm.sites, s)
-        if self._flips[index]:
-            y = flip_all(y, self._n_sites)
-        return y
-
-    def state_info_reference(
-        self, states
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Reference ``state_info``: one allocating pass per group element.
-
-        Semantics documented on :meth:`state_info`.  Kept (and exercised in
-        the tests and benchmarks) as the correctness oracle for the fused
-        kernel and as the honest baseline for its speedup measurements:
-        permutations are applied through the uncached
-        :func:`~repro.bits.permutations.apply_permutation_to_states` path
-        that re-derives the mask decomposition on every call, exactly as the
-        code did before the compiled-network kernels existed.
-        """
-        s = as_states(states)
-        rep = s.copy()
-        phase = np.ones(s.shape, dtype=np.complex128)
-        stab = np.zeros(s.shape, dtype=np.complex128)
-        for i in range(self.size):
-            y = self._apply_element_reference(i, s)
-            chi_conj = np.conj(self._characters[i])
-            smaller = y < rep
-            if np.any(smaller):
-                rep[smaller] = y[smaller]
-                phase[smaller] = chi_conj
-            fixed = y == s
-            if np.any(fixed):
-                stab[fixed] += chi_conj
-        return rep, phase, stab.real
 
     def representatives(self, states) -> tuple[np.ndarray, np.ndarray]:
         """Positions (in the flattened batch) of the surviving orbit
@@ -307,10 +263,3 @@ class SymmetryGroup:
         mask = np.zeros(s.size, dtype=bool)
         mask[self.representatives(s)[0]] = True
         return mask.reshape(s.shape)
-
-    def full_orbit(self, state: int) -> np.ndarray:
-        """All distinct states in the orbit of a single state (sorted)."""
-        orbit = np.empty(self.size, dtype=np.uint64)
-        for i in range(self.size):
-            orbit[i] = self.apply_element(i, np.asarray(state, dtype=np.uint64))
-        return np.unique(orbit)

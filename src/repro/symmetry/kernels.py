@@ -5,7 +5,7 @@ states — is one of the two kernels the paper's matvec spends its time in
 (Sec. 2.1, 5.3), and the one every layer above calls: basis construction,
 the symmetry projection inside ``getManyRows``, the distributed
 enumeration's membership filter.  The straightforward implementation (kept
-as :meth:`~repro.symmetry.group.SymmetryGroup.state_info_reference`) loops
+as the tests' oracle, ``tests/reference_kernels.py``) loops
 over all |G| elements re-deriving each permutation's mask decomposition and
 allocating fresh temporaries; this module replaces it with a
 batch-compiled loop that

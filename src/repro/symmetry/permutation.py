@@ -31,7 +31,6 @@ class Permutation:
     __slots__ = (
         "_perm",
         "_rotation_amount",
-        "_is_reversal",
         "_reversed_rotation_amount",
         "__dict__",
     )
@@ -54,12 +53,10 @@ class Permutation:
         self._rotation_amount = (
             k if np.array_equal(arr, (np.arange(n) + k) % n) else None
         )
-        self._is_reversal = bool(
-            np.array_equal(arr, np.arange(n - 1, -1, -1))
-        )
         # Rotation-of-reversal detection: perm == rotate_k ∘ reversal, i.e.
-        # perm[i] == (n - 1 - i + k) % n.  Every element of a dihedral chain
-        # group is either a rotation or one of these.
+        # perm[i] == (n - 1 - i + k) % n (k = 0: the reversal itself).  Every
+        # element of a dihedral chain group is either a rotation or one of
+        # these.
         kr = (int(arr[0]) + 1) % n
         self._reversed_rotation_amount = (
             kr if np.array_equal(arr, (n - 1 - np.arange(n) + kr) % n) else None
@@ -148,11 +145,6 @@ class Permutation:
         return self._rotation_amount
 
     @property
-    def is_reversal(self) -> bool:
-        """Whether this permutation is the full reversal ``i -> n-1-i``."""
-        return self._is_reversal
-
-    @property
     def reversed_rotation_amount(self) -> int | None:
         """``k`` if this permutation equals ``rotate_k ∘ reversal`` — i.e.
         ``perm(x) == rotate_left(reverse_bits(x, n), k, n)`` — else ``None``."""
@@ -174,6 +166,6 @@ class Permutation:
         k = self._rotation_amount
         if k is not None:
             return rotate_left(states, k, n)
-        if self._is_reversal:
+        if self._reversed_rotation_amount == 0:
             return reverse_bits(states, n)
         return self.network.apply(np.asarray(states, dtype=BITS_DTYPE))

@@ -285,6 +285,29 @@ class TestAutotunerSim:
 class TestOperatorWiring:
     """Tuned knobs are values of knobs the operator already takes."""
 
+    @pytest.mark.parametrize(
+        "method, backend, match",
+        [
+            ("foo", "sim", "unknown matvec method 'foo'"),
+            ("foo", "threads", "unknown matvec method 'foo'"),
+            ("naive", "threads", "'sim' backend only"),
+            ("batched", "threads", "'sim' backend only"),
+        ],
+    )
+    def test_method_refused_before_anything_else(
+        self, tmp_path, method, backend, match
+    ):
+        """The operator's rules, before the fingerprint and the cache: no
+        search counted, no span traced, no cache file written."""
+        compiled, dbasis, _ = build(backend=backend)
+        cache = tmp_path / "c.json"
+        tele = telemetry.Telemetry.enabled()
+        with telemetry.use(tele), pytest.raises(ConfigError, match=match):
+            Autotuner(cache=str(cache)).tune(compiled, dbasis, method=method)
+        assert tele.metrics.snapshot().counters == {}
+        assert tele.trace.to_chrome()["traceEvents"] == []
+        assert not cache.exists()
+
     def test_invalid_mode_rejected(self):
         spec = json.loads(Path(INPUT).read_text())
         spec["cluster"]["tune"] = "sometimes"

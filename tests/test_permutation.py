@@ -95,7 +95,7 @@ class TestActionFastPaths:
 
     def test_reversal_detected(self):
         p = Permutation(np.arange(9)[::-1])
-        assert p._is_reversal
+        assert p.reversed_rotation_amount == 0
 
     @given(perm_st, st.integers(min_value=0, max_value=4095))
     def test_fast_and_generic_paths_agree(self, sites, x):

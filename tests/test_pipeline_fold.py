@@ -142,7 +142,8 @@ class TestHandoffSelection:
         tele = Telemetry.enabled()
         with telemetry.use(tele):
             dop = DistributedOperator(
-                expr, dbasis, method="pc", batch_size=64, **protection
+                expr, dbasis, method="pc", batch_size=64, plan=False,
+                **protection,
             )
             dop.matvec(x)
         assert ran == [expected]

@@ -2,12 +2,26 @@
 
 The subset tier-1 affords; ``python tests/sim_snapshot.py --check`` runs
 the whole grid (see that module for what is recorded and how to diff a
-mismatch).
+mismatch).  A warm product replays the record of a simulation the
+product that completed the plan ran out of sight
+(``DistributedOperator._record``): the grid's second products and the
+``lanczos/*`` runs replay it, and
+:func:`test_a_replay_is_the_product_it_replays` holds a replay equal to
+the product it recorded.
 """
 
 import json
 
+import pytest
+
+import repro
+import repro.distributed.operator as operator_module
 import sim_snapshot
+from repro import telemetry
+from repro.distributed import DistributedOperator, DistributedVector
+from repro.operators.plan import MatvecPlan
+from repro.runtime.events import Simulator
+from repro.telemetry import Telemetry
 
 
 def test_recording_covers_the_grid():
@@ -18,3 +32,78 @@ def test_recording_covers_the_grid():
 def test_tier1_subset_equals_the_recording():
     assert len(sim_snapshot.TIER1) >= 100
     assert sim_snapshot.mismatches(sim_snapshot.TIER1) == []
+
+
+#: every method, shape and block width of the tier-1 grid with a plan,
+#: unprotected and (the pipeline) under a bare resilience policy
+REPLAYED = [
+    name for name in sim_snapshot.TIER1
+    if name.split("/")[0] in sim_snapshot.METHODS
+    and name.split("/")[2] == "plan"
+    and name.split("/")[-1] in ("plain", "resilience")
+]
+
+
+def _products(op, x, count):
+    """``count`` products of ``op``, each under fresh telemetry whose trace
+    starts at a nonzero offset: report and ``y``, metric lines, trace."""
+    products = []
+    for _ in range(count):
+        tele = Telemetry.enabled()
+        tele.trace.offset = 0.125  # the events land relative to it
+        with telemetry.use(tele):
+            y = op.matvec(x)
+        products.append(
+            (
+                sim_snapshot._report_lines(op.last_report, y),
+                sim_snapshot._metric_lines(tele.metrics.snapshot()),
+                tele.trace.to_chrome(),
+                tele.trace.offset,
+            )
+        )
+    return products
+
+
+@pytest.mark.parametrize("name", REPLAYED)
+def test_a_replay_is_the_product_it_replays(name, monkeypatch):
+    """The first product records, out of sight, a simulation of the second;
+    products 2 and 3 replay it.  Each equals product 2 of an operator whose
+    plan cannot hold the matrices, so that simulates: the same report and
+    ``y`` to the last bit, the same metric updates and the same trace
+    events from the same offset — and neither replay ran a schedule or
+    spawned a process."""
+    method, shape, _, k, protection = name.split("/")
+    n_sites, _, batch_size, pipeline_options = sim_snapshot.SHAPES[shape]
+    options = dict(batch_size=batch_size)
+    if method == "pc":
+        options.update(pipeline_options)
+    options.update(sim_snapshot.PROTECTIONS[protection]())
+    basis = sim_snapshot._basis(shape)
+    expression = repro.heisenberg_chain(n_sites)
+    op = DistributedOperator(expression, basis, method=method, **options)
+    x = DistributedVector.full_random(
+        basis, seed=7, columns=None if k == "k1" else int(k[1:])
+    )
+    spawned, scheduled = [], []
+    spawn, impl = Simulator.spawn, operator_module.IMPLS[method]
+    monkeypatch.setattr(
+        Simulator, "spawn",
+        lambda *args, **kwargs: spawned.append(1) or spawn(*args, **kwargs),
+    )
+    monkeypatch.setitem(
+        operator_module.IMPLS, method,
+        lambda *args, **kwargs: scheduled.append(1) or impl(*args, **kwargs),
+    )
+    op.matvec(x)
+    counts = (len(scheduled), len(spawned))
+    replayed = _products(op, x, 2)
+    assert counts[0] == 2 and (len(scheduled), len(spawned)) == counts
+
+    budget = MatvecPlan(capacity_bytes=op.plan.nbytes - 8)  # no matrices
+    simulating = DistributedOperator(
+        expression, basis, method=method, plan=budget, **options
+    )
+    simulated = _products(simulating, x, 2)[1]
+    assert len(scheduled) == 4
+    assert replayed == [simulated, simulated]
+    assert simulated[1] and len(simulated[2]["traceEvents"]) > 1

@@ -14,14 +14,18 @@ Three contracts:
 3. **The plan holds nothing that depends on x.**  A replay hands out a
    fresh chunk that shares the cached record's arrays, so the bytes the
    plan accounts are the bytes it holds whatever block width replays.
-4. **On a wall-clock backend a warm matvec is one SpMV per locale.**  Once
-   the plan holds every chunk, ``DistributedOperator`` folds them into one
-   CSR matrix per destination (``(d, "matrix")``) and replays on the
+4. **A warm matvec is one SpMV per locale.**  Once the plan holds every
+   chunk, ``DistributedOperator`` on a wall-clock backend folds them into
+   one CSR matrix per destination (``(d, "matrix")``) and replays on the
    calling thread, whatever the block width or dtype: equal to the
    serial operator and to the recording pass to ``1e-12``, bit-identical
    from replay to replay, and bit-identical to the recording pass on one
-   locale in real arithmetic.  ``sim``, fault plans and budgets too small
-   for the matrices keep the per-chunk schedule.
+   locale in real arithmetic.  On ``sim`` the second product simulates
+   the schedule once more and every later one replays that product's
+   record (``(operator, columns)``): no schedule runs, ``y`` and the
+   report are the simulated ones to the last bit.  Fault plans and
+   budgets too small for the matrices keep the per-chunk schedule on
+   both backends, and ``invalidate_plan()`` drops the record.
 5. **A plan belongs to one kind of operator.**  Attaching an operator with
    other primitive tables, another basis object or another batch size
    raises ``ConfigError``; an equal one shares.  And ``y`` may not alias
@@ -30,7 +34,9 @@ Three contracts:
 
 from __future__ import annotations
 
+import gc
 import inspect
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -38,6 +44,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
+import repro.distributed.operator as operator_module
 from repro import telemetry
 from repro.autotune import search
 from repro.basis import SymmetricBasis
@@ -47,7 +54,11 @@ from repro.distributed import (
     enumerate_states,
     matvec_producer_consumer,
 )
-from repro.distributed.matvec_common import apply_diagonal, produce_chunk
+from repro.distributed.matvec_common import (
+    ProducedChunk,
+    apply_diagonal,
+    produce_chunk,
+)
 from repro.distributed.matvec_pc import default_buffer_capacity
 from repro.errors import ConfigError, DistributionError
 from repro.operators.compile import CompiledOperator
@@ -357,7 +368,7 @@ class TestPlanHoldsNoInputDependentData:
             entries = list(dop.plan._entries.values())
             held = sum(_entry_nbytes(entry) for entry in entries)
             assert dop.plan.nbytes == held <= dop.plan.capacity_bytes
-            chunks = [e for e in entries if not isinstance(e, np.ndarray)]
+            chunks = [e for e in entries if isinstance(e, ProducedChunk)]
             assert chunks and all(chunk.values is None for chunk in chunks)
         for recorded, replayed in zip(results[0].parts, results[2].parts):
             np.testing.assert_array_equal(replayed, recorded)
@@ -365,6 +376,24 @@ class TestPlanHoldsNoInputDependentData:
 
 def matrix_keys(plan):
     return [key for key in plan._entries if key[-1] == "matrix"]
+
+
+def count_schedules(monkeypatch, method):
+    """The list every product that runs ``method``'s schedule appends to."""
+    calls, impl = [], operator_module.IMPLS[method]
+    monkeypatch.setitem(
+        operator_module.IMPLS, method,
+        lambda *args, **kwargs: calls.append(1) or impl(*args, **kwargs),
+    )
+    return calls
+
+
+def records_only_plan(dop, x):
+    """A fresh plan whose budget admits the chunk records and diagonals of
+    ``dop``'s plan, but not the matrices of its record of ``x`` beside
+    them (``dop``'s plan holds those and nothing else)."""
+    assert dop._record_key(x) in dop.plan
+    return MatvecPlan(capacity_bytes=dop.plan.nbytes - 8)
 
 
 def assert_parts_equal(a, b):
@@ -477,15 +506,151 @@ class TestOneSpmvPerLocale:
             assert dop.last_report.messages > 0 and not matrix_keys(dop.plan)
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_sim_never_consolidates(self, method, rng):
+    def test_sim_replays_what_it_simulated(self, method, rng, monkeypatch):
         serial, dbasis, expr = build("sim", n_locales=2)
-        dop = DistributedOperator(expr, dbasis, method=method, batch_size=16)
         dx = DistributedVector.from_serial(
             dbasis, serial, random_serial(rng, serial)
         )
+        scheduled = count_schedules(monkeypatch, method)
+        dop = DistributedOperator(expr, dbasis, method=method, batch_size=16)
+        ys, reports = [], []
+        for _ in range(4):  # record and simulate once more, replay x3
+            ys.append(dop.matvec(dx))
+            reports.append(dop.last_report)
+            assert len(scheduled) == 2
+        assert dop._record_key(dx) in dop.plan and not matrix_keys(dop.plan)
+        # A plan that cannot hold the matrices simulates every product.
+        ref = DistributedOperator(
+            expr, dbasis, method=method, batch_size=16,
+            plan=records_only_plan(dop, dx),
+        )
+        ref.matvec(dx)
+        simulated = ref.matvec(dx)
+        assert len(scheduled) == 4
+        for y, report in zip(ys[1:], reports[1:]):
+            assert_parts_equal(y, simulated)
+            assert report is not ref.last_report
+            assert report.messages == ref.last_report.messages > 0
+            assert report.elapsed == ref.last_report.elapsed
+
+    def test_sim_fault_plan_never_replays(self, rng, monkeypatch):
+        serial, dbasis, expr = build("sim", n_locales=2)
+        dop = DistributedOperator(
+            expr, dbasis, batch_size=16, faults=FaultPlan(seed=5)
+        )
+        dx = DistributedVector.from_serial(
+            dbasis, serial, random_serial(rng, serial)
+        )
+        scheduled = count_schedules(monkeypatch, "pc")
         for _ in range(3):
             dop.matvec(dx)
-            assert not matrix_keys(dop.plan)
+        assert len(scheduled) == 3 and dop._record_key(dx) not in dop.plan
+
+    def test_sim_budget_for_the_records_but_not_the_matrices(
+        self, rng, monkeypatch
+    ):
+        serial, dbasis, expr = build("sim", n_locales=2)
+        probe = DistributedOperator(expr, dbasis, batch_size=16)
+        dx = DistributedVector.from_serial(
+            dbasis, serial, random_serial(rng, serial)
+        )
+        probe.matvec(dx)
+        _, _, held = probe.plan.peek(probe._record_key(dx))
+        matrices = sum(
+            m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in held
+        )
+        assert matrices > 64
+        plan = records_only_plan(probe, dx)
+        records = probe.plan.nbytes - matrices
+
+        dop = DistributedOperator(expr, dbasis, batch_size=16, plan=plan)
+        scheduled = count_schedules(monkeypatch, "pc")
+        for _ in range(3):
+            dop.matvec(dx)
+            assert plan.nbytes == records
+        assert len(scheduled) == 3 and dop._record_key(dx) not in plan
+
+    def test_sim_invalidate_simulates_afresh(self, rng, monkeypatch):
+        serial, dbasis, expr = build("sim", n_locales=2)
+        dop = DistributedOperator(expr, dbasis, batch_size=16)
+        dx = DistributedVector.from_serial(
+            dbasis, serial, random_serial(rng, serial)
+        )
+        scheduled = count_schedules(monkeypatch, "pc")
+        for journey in (1, 2):
+            for _ in range(3):
+                dop.matvec(dx)
+            assert len(scheduled) == 2 * journey
+            assert dop._record_key(dx) in dop.plan
+            dop.invalidate_plan()
+            assert dop.plan.n_entries == 0
+
+    def test_sim_keeps_no_record_that_misses_its_product(self, rng, monkeypatch):
+        """Matrices that do not give the recorded product's ``y`` (here:
+        twice it) are turned away; the operator keeps simulating, right."""
+        serial, dbasis, expr = build("sim", n_locales=2)
+        dop = DistributedOperator(expr, dbasis, batch_size=16)
+        dx = DistributedVector.from_serial(
+            dbasis, serial, random_serial(rng, serial)
+        )
+        fold = DistributedOperator._fold
+        monkeypatch.setattr(
+            DistributedOperator, "_fold",
+            lambda self, pieces: [2 * m for m in fold(self, pieces)],
+        )
+        scheduled = count_schedules(monkeypatch, "pc")
+        expected = repro.Operator(expr, serial, plan=False).matvec(
+            dx.to_serial(serial)
+        )
+        for product in (1, 2):
+            y = dop.matvec(dx)
+            np.testing.assert_allclose(y.to_serial(serial), expected, atol=1e-12)
+            assert len(scheduled) == 2 * product
+        assert dop._record_key(dx) not in dop.plan
+
+    def test_sim_bytes_gauge_counts_the_record(self, rng):
+        serial, dbasis, expr = build("sim", n_locales=2)
+        dop = DistributedOperator(expr, dbasis, batch_size=16)
+        dx = DistributedVector.from_serial(
+            dbasis, serial, random_serial(rng, serial)
+        )
+        tele = Telemetry.enabled()
+        with telemetry.use(tele):
+            for _ in range(3):
+                dop.matvec(dx)
+        gauge = tele.metrics.snapshot().gauges[("plan.bytes", ())]
+        held = sum(_entry_nbytes(entry) for entry in dop.plan._entries.values())
+        assert gauge == dop.plan.nbytes == held
+        assert dop._record_key(dx) in dop.plan
+
+    def test_sim_equal_operators_share_one_record(self, rng, monkeypatch):
+        """The record belongs to what the schedule depends on, not to the
+        operator that made it: an equal operator replays it, a ``(n, 1)``
+        block replays the plain vector's, and the plan keeps no operator
+        alive."""
+        serial, dbasis, expr = build("sim", n_locales=2)
+        plan = MatvecPlan()
+        dop = DistributedOperator(expr, dbasis, batch_size=16, plan=plan)
+        dx = DistributedVector.from_serial(
+            dbasis, serial, random_serial(rng, serial)
+        )
+        first = dop.matvec(dx)
+        gone = weakref.ref(dop)
+        del dop
+        gc.collect()
+        assert gone() is None
+        scheduled = count_schedules(monkeypatch, "pc")
+        other = DistributedOperator(expr, dbasis, batch_size=16, plan=plan)
+        assert_parts_equal(other.matvec(dx), other.matvec(dx))
+        block = DistributedVector(dbasis, [part[:, None] for part in dx.parts])
+        y = other.matvec(block)
+        assert not scheduled and other.last_report.messages > 0
+        replayed = other.matvec(dx)
+        for column, part in zip(y.parts, replayed.parts):
+            np.testing.assert_array_equal(column[:, 0], part)
+        np.testing.assert_allclose(
+            replayed.to_serial(serial), first.to_serial(serial), atol=1e-12
+        )
 
     def test_callers_output_is_overwritten_and_returned(self, rng):
         serial, dbasis, expr = build("threads", n_locales=2)
