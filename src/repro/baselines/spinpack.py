@@ -31,9 +31,10 @@ from repro.basis.spin_basis import Basis
 from repro.distributed.block import BlockArray, block_boundaries
 from repro.distributed.matvec_common import wire_bytes
 from repro.errors import DistributionError
-from repro.operators.compile import CompiledOperator, compile_expression
+from repro.operators.compile import result_dtype
 from repro.operators.expression import Expression
 from repro.operators.kernels import get_many_rows
+from repro.operators.operator import BasisOperator
 from repro.runtime.clock import CostLedger, SimReport
 from repro.runtime.cluster import Cluster
 from repro.runtime.mpi import SimMPI
@@ -104,8 +105,9 @@ class SpinpackBasis:
         return out
 
 
-class SpinpackOperator:
-    """Bulk-synchronous matvec over a :class:`SpinpackBasis`."""
+class SpinpackOperator(BasisOperator):
+    """Bulk-synchronous matvec over a :class:`SpinpackBasis`, compiled and
+    checked against its sector like every other operator (no plan)."""
 
     def __init__(
         self,
@@ -115,19 +117,11 @@ class SpinpackOperator:
         batch_size: int = 1 << 13,
         ranks_per_locale: int | None = None,
     ) -> None:
-        self.basis = basis
-        self.compiled: CompiledOperator = compile_expression(
-            expression, basis.template.n_sites
-        )
+        super().__init__(expression, basis, basis.template, batch_size, False)
         self.kernel_slowdown = float(kernel_slowdown)
-        self.batch_size = int(batch_size)
         self.mpi = SimMPI(basis.cluster, ranks_per_locale=ranks_per_locale)
         self.total_sim_time = 0.0
         self.last_report: SimReport | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
 
     def matvec(self, x: BlockArray) -> tuple[BlockArray, SimReport]:
         """``y = H x`` in synchronized generate / alltoallv / accumulate
@@ -137,9 +131,10 @@ class SpinpackOperator:
         n = basis.n_locales
         ledger = CostLedger(n)
         report = SimReport(ledger=ledger)
+        dtype = result_dtype(self.compiled, basis.template, x.dtype)
         y = BlockArray(
             basis.cluster,
-            [np.zeros_like(block) for block in x.blocks],
+            [np.zeros_like(block, dtype=dtype) for block in x.blocks],
         )
 
         # Diagonal (local, but still synchronized like everything else).
@@ -149,8 +144,6 @@ class SpinpackOperator:
             if states.size == 0:
                 continue
             diag = self.compiled.diagonal_values(states)
-            if y.blocks[locale].dtype.kind != "c":
-                diag = diag.real
             y.blocks[locale] += diag * x.blocks[locale]
             cost = machine.compute_time(
                 machine.t_axpy * self.kernel_slowdown, states.size

@@ -366,15 +366,7 @@ def _build_distributed(spec: SimulationSpec):
     if knobs is not None:
         knobs = validate(knobs, ROWS, "cluster.matvec", fill=False)
     cluster = Cluster(
-        options["n_locales"],
-        make_machine(),
-        faults=None if faults is None else FaultPlan.from_config(faults),
-        resilience=(
-            None
-            if resilience is None
-            else ResilienceConfig.from_config(resilience)
-        ),
-        backend=options["backend"],
+        options["n_locales"], make_machine(), backend=options["backend"]
     )
     dbasis, enum_report = enumerate_states(
         cluster, spec.basis, use_weight_shortcut=True
@@ -393,6 +385,12 @@ def _build_distributed(spec: SimulationSpec):
     operator = DistributedOperator(
         spec.expression,
         dbasis,
+        faults=None if faults is None else FaultPlan.from_config(faults),
+        resilience=(
+            None
+            if resilience is None
+            else ResilienceConfig.from_config(resilience)
+        ),
         **{**(tuned.knobs if tuned else {}), **(knobs or {})},
     )
     output = {
@@ -439,7 +437,10 @@ def run_simulation(spec: SimulationSpec, seed: int = 0) -> dict:
         result, sim_time = lanczos_distributed(operator, seed=seed, **solve)
         extra["simulated_seconds"] = sim_time
         space = DistributedVectorSpace(operator.basis)
-        observe = partial(DistributedOperator, basis=operator.basis)
+        observe = partial(
+            DistributedOperator, basis=operator.basis,
+            faults=operator.faults, resilience=operator.resilience,
+        )
     else:
         basis = spec.basis
         if isinstance(basis, SymmetricBasis):

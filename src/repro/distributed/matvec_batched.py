@@ -34,6 +34,7 @@ from repro.distributed.matvec_common import (
     diagonal_seconds,
     extra_column_time,
     produce_chunk,
+    require_simulator,
     wire_bytes,
 )
 from repro.distributed.vector import DistributedVector
@@ -61,7 +62,8 @@ def matvec_batched(
     :class:`~repro.operators.plan.MatvecPlan`) caches each chunk's
     x-independent data across calls.
     """
-    run = AnalyticMatvec("batched", op, basis, x, y, batch_size, plan)
+    require_simulator("batched", basis.cluster)
+    run = AnalyticMatvec(op, basis, x, y, batch_size, plan)
     machine = basis.cluster.machine
     net = machine.network
     n = basis.n_locales

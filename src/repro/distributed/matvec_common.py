@@ -33,7 +33,7 @@ from repro.distributed.dist_basis import DistributedBasis
 from repro.distributed.hashing import locale_of
 from repro.distributed.vector import DistributedVector
 from repro.errors import ConfigError, DistributionError
-from repro.operators.compile import CompiledOperator
+from repro.operators.compile import CompiledOperator, result_dtype
 from repro.operators.kernels import get_many_rows
 from repro.runtime.clock import CostLedger, SimReport
 from repro.schema import require_positive
@@ -45,7 +45,6 @@ __all__ = [
     "consume",
     "apply_diagonal",
     "check_vectors",
-    "result_dtype",
     "payload_checksum",
     "corrupted_copy",
     "wire_bytes",
@@ -306,8 +305,6 @@ def apply_diagonal(
             diag = op.diagonal_values(states)
             if plan is not None:
                 plan.put((locale, "diag"), diag)
-        if y.dtype.kind != "c":
-            diag = diag.real
         if x.parts[locale].ndim == 2:
             diag = diag[:, None]
         y.parts[locale] += diag * x.parts[locale]
@@ -327,14 +324,18 @@ def diagonal_seconds(basis: DistributedBasis, k: int) -> list[float]:
 
 
 def check_vectors(
-    basis: DistributedBasis, x: DistributedVector, y: DistributedVector | None
+    op: CompiledOperator, basis: DistributedBasis, x: DistributedVector,
+    y: DistributedVector | None,
 ) -> DistributedVector:
+    """``y`` zeroed, or a new zero vector of ``H x``'s
+    :func:`~repro.operators.compile.result_dtype`; a ``y`` that belongs to
+    another basis, overlaps ``x``, has other columns or cannot hold that
+    dtype is a :class:`~repro.errors.DistributionError`."""
+    dtype = result_dtype(op, basis, x.dtype)
     if x.basis is not basis:
         raise DistributionError("input vector belongs to a different basis")
     if y is None:
-        y = DistributedVector.zeros(
-            basis, dtype=result_dtype(basis, x), columns=x.columns
-        )
+        y = DistributedVector.zeros(basis, dtype=dtype, columns=x.columns)
     elif y.basis is not basis:
         raise DistributionError("output vector belongs to a different basis")
     elif y is x or any(map(np.may_share_memory, y.parts, x.parts)):
@@ -348,18 +349,13 @@ def check_vectors(
             f"output vector has {y.n_columns} column(s), input has "
             f"{x.n_columns}"
         )
-    elif not np.can_cast(result_dtype(basis, x), y.dtype, casting="same_kind"):
+    elif not np.can_cast(dtype, y.dtype, casting="same_kind"):
         raise DistributionError(
-            f"output vector of dtype {y.dtype} cannot hold the "
-            f"{result_dtype(basis, x)} result"
+            f"output vector of dtype {y.dtype} cannot hold the {dtype} result"
         )
     else:
         y.fill(0)
     return y
-
-
-def result_dtype(basis: DistributedBasis, x: DistributedVector) -> np.dtype:
-    return np.promote_types(basis.scalar_dtype, x.dtype)
 
 
 #: Source rows per produced chunk (the ``getManyRows`` batch) when the
@@ -407,17 +403,17 @@ def count_messages(
 
 
 def begin_matvec(
-    basis: DistributedBasis, x: DistributedVector,
+    op: CompiledOperator, basis: DistributedBasis, x: DistributedVector,
     y: DistributedVector | None, batch_size: int,
 ):
-    """What every variant does first: validate the knob and the vectors,
+    """What every product does first: validate the knob and the vectors,
     zero ``y``, open the report, resolve the ambient telemetry.
 
     Returns ``(y, report, metrics, trace)``; ``trace`` is ``None`` unless
     tracing is on.
     """
     require_positive(batch_size=batch_size)
-    y = check_vectors(basis, x, y)
+    y = check_vectors(op, basis, x, y)
     report = SimReport(ledger=CostLedger(basis.n_locales))
     tele = current_telemetry()
     tele.metrics.gauge("matvec.block_width").set(float(x.n_columns))
@@ -443,31 +439,33 @@ def finish_report(
 
 
 class AnalyticMatvec:
-    """The frame the naive and batched variants share around their cost models.
+    """The frame a distributed product opens (:func:`begin_matvec`: ``y``,
+    ``report``, ``metrics``, ``trace``) and the in-order chunk walk.
 
-    Both are models of the paper's first two schedules, run on ``sim``
-    only (:func:`require_simulator`).  They move the real data the same
-    way — chunk after chunk, in (locale, chunk) order, generate +
-    partition + scatter-accumulate — and differ only in what they
-    *charge* for it: the variant walks :meth:`chunks`, computes its
-    modelled finish time and hands it to :meth:`finish`.  Neither takes
-    faults: recovery is the pipeline's.
+    The naive and batched variants (models of the paper's first two
+    schedules, ``sim`` only) and the pipeline on one locale move the real
+    data the same way — the diagonal, then chunk after chunk in (locale,
+    chunk) order, generate + partition + scatter-accumulate — and differ
+    only in what they *charge* for it: each walks :meth:`chunks` and
+    accounts every chunk; the cost models hand their modelled finish time
+    to :meth:`finish`.  The pipeline on several locales takes the frame
+    only.  The walk takes no faults: recovery is the pipeline's.
     """
 
-    def __init__(self, method, op, basis, x, y, batch_size, plan):
-        require_simulator(method, basis.cluster)
+    def __init__(self, op, basis, x, y, batch_size, plan):
         self.y, self.report, self.metrics, self.trace = begin_matvec(
-            basis, x, y, batch_size
+            op, basis, x, y, batch_size
         )
         self.op, self.basis, self.x, self.plan = op, basis, x, plan
         self.batch_size = batch_size
-        self.n_diag = apply_diagonal(op, basis, x, self.y, plan)
 
     def chunks(self, produce):
-        """Run the data phase; yield ``(locale, n_emitted, n_elements,
+        """Add the diagonal (:attr:`n_diag` its element count), then run
+        the data phase; yield ``(locale, n_emitted, n_elements,
         sizes_by_destination)`` per chunk.  ``produce`` is the caller's
         :func:`produce_chunk` (the variant module owns the name)."""
         op, basis, x, y, plan = self.op, self.basis, self.x, self.y, self.plan
+        self.n_diag = apply_diagonal(op, basis, x, y, plan)
         for locale, count in enumerate(basis.counts):
             for start, stop in chunk_spans(count, self.batch_size):
                 chunk = produce(

@@ -25,6 +25,7 @@ from repro.distributed.matvec_common import (
     diagonal_seconds,
     extra_column_time,
     produce_chunk,
+    require_simulator,
     wire_bytes,
 )
 from repro.distributed.vector import DistributedVector
@@ -51,7 +52,8 @@ def matvec_naive(
     :class:`~repro.operators.plan.MatvecPlan`) caches each chunk's
     x-independent data across calls.
     """
-    run = AnalyticMatvec("naive", op, basis, x, y, batch_size, plan)
+    require_simulator("naive", basis.cluster)
+    run = AnalyticMatvec(op, basis, x, y, batch_size, plan)
     machine = basis.cluster.machine
     n = basis.n_locales
     k = x.n_columns

@@ -65,8 +65,8 @@ import numpy as np
 from repro.distributed.dist_basis import DistributedBasis
 from repro.distributed.matvec_common import (
     DEFAULT_BATCH_SIZE,
+    AnalyticMatvec,
     apply_diagonal,
-    begin_matvec,
     chunk_spans,
     consume,
     count_messages,
@@ -80,7 +80,6 @@ from repro.distributed.matvec_common import (
 from repro.distributed.vector import DistributedVector
 from repro.errors import ConfigError, FaultError
 from repro.operators.compile import CompiledOperator
-from repro.resilience.faults import ResilienceConfig
 from repro.runtime.clock import SimReport
 from repro.runtime.events import Acquire, Pop, Timeout, WaitFlag
 from repro.runtime.executor import Executor, get_executor
@@ -711,11 +710,13 @@ def matvec_producer_consumer(
     On the real ``threads`` backend they are literal thread counts
     (default one producer and one consumer thread per locale).
 
-    ``faults`` / ``resilience`` ask for the self-healing protocol; either
-    one alone suffices and sets ``extras["resilient"]``.  Which hand-off
-    then runs follows from what can go wrong (module docstring); a bare
-    ``resilience=ResilienceConfig()`` on the simulator measures the
-    fault-free cost of sequence numbers + checksums.
+    ``faults`` / ``resilience`` ask for the self-healing protocol and set
+    ``extras["resilient"]``; a fault plan runs under the policy beside it
+    (the :class:`~repro.distributed.operator.DistributedOperator` supplies
+    the default one).  Which hand-off then runs follows from what can go
+    wrong (module docstring); a bare ``resilience=ResilienceConfig()`` on
+    the simulator measures the fault-free cost of sequence numbers +
+    checksums.
     """
     require_positive(buffer_capacity=buffer_capacity)
     if (producers_per_locale, consumers_per_locale) != (None, None):
@@ -724,15 +725,14 @@ def matvec_producer_consumer(
             producers_per_locale=producers_per_locale,
             consumers_per_locale=consumers_per_locale,
         )
-    y, report, metrics, trace = begin_matvec(basis, x, y, batch_size)
+    run = AnalyticMatvec(op, basis, x, y, batch_size, plan)
     if faults is not None and resilience is None:
-        resilience = ResilienceConfig()  # a plan implies the default policy
+        raise ConfigError("a fault plan needs a resilience policy beside it")
     if faults is not None and faults.corrupt > 0 and not resilience.checksums:
         raise ConfigError(
             "corruption injection with checksums disabled would return "
             "silently wrong amplitudes; enable ResilienceConfig.checksums"
         )
-    wall_clock = basis.cluster.wall_clock
 
     if basis.n_locales == 1:
         crashes = faults.take_crashes() if faults is not None else {}
@@ -743,58 +743,45 @@ def matvec_producer_consumer(
                 f"locale {locale} crashed at t={crashes[locale]:.3g} "
                 "during the shared-memory matvec"
             )
-        return _shared_memory_matvec(
-            op, basis, x, y, batch_size, plan, report, metrics, trace,
-            wall_clock,
-        )
+        return _shared_memory_matvec(run)
 
     ex = get_executor(
-        basis.cluster, trace=trace, faults=faults, resilience=resilience
+        basis.cluster, trace=run.trace, faults=faults, resilience=resilience
     )
     # No injected fault can reach the buffers without a plan, and in real
     # shared memory nothing else can either: the flag hand-off suffices.
     flag = faults is None and (resilience is None or ex.wall_clock)
     return (_FlagPipeline if flag else _ArqPipeline)(
-        ex, report, metrics, trace, op, basis, x, y,
+        ex, run.report, run.metrics, run.trace, op, basis, x, run.y,
         batch_size, consumer_fraction, buffer_capacity, work_stealing,
         producers_per_locale, consumers_per_locale, plan, faults, resilience,
     ).run()
 
 
 def _shared_memory_matvec(
-    op: CompiledOperator,
-    basis: DistributedBasis,
-    x: DistributedVector,
-    y: DistributedVector,
-    batch_size: int,
-    plan,
-    report: SimReport,
-    metrics,
-    trace,
-    wall_clock: bool,
+    run: AnalyticMatvec,
 ) -> tuple[DistributedVector, SimReport]:
-    """Single-locale mode: all cores generate and consume (no pipeline).
+    """Single-locale mode: all cores generate and consume (no pipeline),
+    walking the chunks in order.
 
-    ``wall_clock=True`` (the ``threads`` backend) reports the measured
+    On a wall-clock backend (``threads``) the report holds the measured
     seconds of this — genuinely serial — execution and keeps the machine
     model's estimate under ``extras["model_seconds"]``: the serial
     reference the multi-worker speedup bench compares against.
     """
+    basis, report, trace = run.basis, run.report, run.trace
+    wall_clock = basis.cluster.wall_clock
     machine = basis.cluster.machine
-    k = x.n_columns
+    k = run.x.n_columns
     wall_start = time.perf_counter()
-    apply_diagonal(op, basis, x, y, plan)
-    count = int(basis.counts[0])
     gen_work = 0.0
     search_work = 0.0
-    for start, stop in chunk_spans(count, batch_size):
-        chunk = produce_chunk(op, basis, 0, start, stop, x.parts[0], plan)
-        betas, values = chunk.slice_for(0)
-        consume(basis, 0, y.parts[0], betas, values, chunk.rows_for(0))
-        gen_work += machine.t_generate * chunk.n_emitted
+    for _, n_emitted, n_elements, _ in run.chunks(produce_chunk):
+        gen_work += machine.t_generate * n_emitted
         search_work += (
             machine.t_search_accum + machine.t_axpy * (k - 1)
-        ) * chunk.betas.size
+        ) * n_elements
+    count = int(basis.counts[0])
     cores = machine.cores_per_locale
     diag_work = machine.t_axpy * count * k
     model_elapsed = (gen_work + search_work + diag_work) / cores
@@ -828,4 +815,4 @@ def _shared_memory_matvec(
     report.ledger.add("search+accum", 0, search_work)
     report.extras["producers"] = float(cores)
     report.extras["consumers"] = float(cores)
-    return finish_report(report, x, y, metrics, wall_clock)
+    return finish_report(report, run.x, run.y, run.metrics, wall_clock)

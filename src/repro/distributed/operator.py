@@ -31,9 +31,9 @@ from repro.distributed.matvec_pc import (
     matvec_producer_consumer,
 )
 from repro.distributed.vector import DistributedVector
-from repro.errors import CompilationError, ConfigError, FaultError
-from repro.operators.compile import compile_expression
+from repro.errors import ConfigError, FaultError
 from repro.operators.expression import Expression
+from repro.operators.operator import BasisOperator
 from repro.operators.plan import (
     MatvecPlan,
     csr_footprint,
@@ -125,7 +125,7 @@ def _check_options(method: str, options: dict) -> None:
             options[row.key] = check(options[row.key], row)
 
 
-class DistributedOperator:
+class DistributedOperator(BasisOperator):
     """A Hermitian operator over a hash-distributed basis.
 
     ``plan=True`` (default) attaches a
@@ -174,10 +174,12 @@ class DistributedOperator:
     outside its row, is a :class:`~repro.errors.ConfigError` here, not at
     the first product.
 
-    ``faults`` / ``resilience`` activate the self-healing layer (they
-    default to whatever is attached to the basis's cluster); only the
-    pipeline (``method="pc"``) takes them, the naive and batched baselines
-    raise :class:`~repro.errors.ConfigError`.  On a
+    ``faults`` (a :class:`~repro.resilience.faults.FaultPlan`) and
+    ``resilience`` (a :class:`~repro.resilience.faults.ResilienceConfig`)
+    activate the self-healing layer; this is the one way they reach a
+    product, and a fault plan alone runs under the default policy.  Only
+    the pipeline (``method="pc"``) takes them, the naive and batched
+    baselines raise :class:`~repro.errors.ConfigError`.  On a
     :class:`~repro.errors.FaultError` the pipeline is restarted up to
     ``resilience.matvec_restarts`` times (``recovery.matvec_restarts``) —
     crash specs are one-shot, so a restart models the rebooted cluster.
@@ -198,33 +200,14 @@ class DistributedOperator:
     ) -> None:
         check_method(method, basis.cluster)
         _check_options(method, method_options)
-        self.basis = basis
-        cluster = basis.cluster
-        self.faults = faults if faults is not None else getattr(
-            cluster, "faults", None
-        )
-        resilience = resilience if resilience is not None else getattr(
-            cluster, "resilience", None
-        )
-        if resilience is True:
-            resilience = ResilienceConfig()
-        if resilience is None and self.faults is not None:
-            resilience = ResilienceConfig()
-        self.resilience = resilience
+        if resilience is None and faults is not None:
+            resilience = ResilienceConfig()  # a fault plan implies the default policy
         if resilience is not None and not is_pipeline(method):
             raise ConfigError(
                 f"matvec method {method!r} takes no fault plan or resilience "
                 "policy; only 'pc' recovers from faults"
             )
-        self.compiled = compile_expression(expression, basis.n_sites)
-        if (
-            basis.template.hamming_weight is not None
-            and not self.compiled.conserves_magnetization
-        ):
-            raise CompilationError(
-                "operator does not conserve magnetization but the basis has "
-                "a fixed Hamming weight"
-            )
+        self.faults, self.resilience = faults, resilience
         self.method = method
         # One batch size: the one the plan is claimed for, chunked by, and
         # passed to whichever method runs.
@@ -234,33 +217,14 @@ class DistributedOperator:
         if is_pipeline(method):
             # The hand-off unit follows the backend; an explicit value wins.
             self.method_options.setdefault(
-                "buffer_capacity", default_buffer_capacity(cluster)
+                "buffer_capacity", default_buffer_capacity(basis.cluster)
             )
-        self.batch_size = self.method_options["batch_size"]
-        if plan is True:
-            self.plan: MatvecPlan | None = MatvecPlan()
-        elif plan is False or plan is None:
-            self.plan = None
-        else:
-            self.plan = plan
-        if self.plan is not None:
-            self.plan.claim(self.compiled.digest(), basis, self.batch_size)
+        super().__init__(
+            expression, basis, basis.template,
+            self.method_options["batch_size"], plan,
+        )
         self.total_sim_time = 0.0
         self.last_report: SimReport | None = None
-
-    def invalidate_plan(self) -> None:
-        """Drop all cached matvec data (keeps the plan enabled)."""
-        if self.plan is not None:
-            self.plan.invalidate()
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    @property
-    def dtype(self) -> np.dtype:
-        real = self.basis.is_real and self.compiled.is_real
-        return np.dtype(np.float64 if real else np.complex128)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -427,7 +391,7 @@ class DistributedOperator:
 
     def _spmv(self, matrices, x: DistributedVector, y=None) -> DistributedVector:
         """``y.parts[d] = M_d @ concat(x.parts)`` on the calling thread."""
-        y = check_vectors(self.basis, x, y)
+        y = check_vectors(self.compiled, self.basis, x, y)
         columns = np.concatenate(x.parts)
         for part, matrix in zip(y.parts, matrices):
             part[...] = matrix @ columns
@@ -442,7 +406,7 @@ class DistributedOperator:
         report counts no message; the trace gets one span per locale."""
         wall_start = perf_counter()
         y, report, metrics, trace = begin_matvec(
-            self.basis, x, y, self.batch_size
+            self.compiled, self.basis, x, y, self.batch_size
         )
         columns = np.concatenate(x.parts)
         for d, matrix in enumerate(matrices):
@@ -466,7 +430,7 @@ class DistributedOperator:
         """Generate (or replay chunk by chunk) under ``method``'s schedule,
         healing as :meth:`matvec` describes."""
         impl = IMPLS[self.method]
-        resilient = self.resilience is not None  # a fault plan implies one
+        resilient = self.resilience is not None
         kwargs = dict(self.method_options)
         if resilient:
             kwargs.update(faults=self.faults, resilience=self.resilience)

@@ -17,6 +17,7 @@ batch of basis states (``getManyRows``).
 from __future__ import annotations
 
 import hashlib
+from functools import cached_property
 
 import numpy as np
 
@@ -24,9 +25,18 @@ from repro.bits.ops import as_states, popcount
 from repro.errors import CompilationError
 from repro.operators.expression import DN, N, UP, Expression
 
-__all__ = ["CompiledOperator", "compile_expression"]
+__all__ = ["CompiledOperator", "compile_expression", "result_dtype"]
 
 _COEFF_TOL = 1e-12
+
+
+def result_dtype(op: CompiledOperator, basis, x_dtype=np.float64) -> np.dtype:
+    """The scalar type of ``H x`` on ``basis``, the one rule every product
+    sizes and checks ``y`` by: the operator's own type — real only where
+    both the primitive tables and the basis characters are — promoted with
+    the input's ``x_dtype``."""
+    real = basis.is_real and op.is_real
+    return np.promote_types(np.float64 if real else np.complex128, x_dtype)
 
 
 class CompiledOperator:
@@ -77,8 +87,9 @@ class CompiledOperator:
         diagonal) — used to size communication buffers."""
         return self.n_off_diag_primitives + 1
 
-    @property
+    @cached_property
     def is_real(self) -> bool:
+        """Whether every coefficient is real (the tables never change)."""
         return bool(
             np.all(np.abs(self.diag_coeffs.imag) <= _COEFF_TOL)
             and np.all(np.abs(self.off_coeffs.imag) <= _COEFF_TOL)

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.basis.spin_basis import Basis
-from repro.operators.compile import CompiledOperator
+from repro.operators.compile import CompiledOperator, result_dtype
 from repro.operators.kernels import get_many_rows
 
 __all__ = ["operator_to_dense", "operator_to_sparse", "expression_to_dense"]
@@ -40,7 +40,7 @@ def _column_entries(op: CompiledOperator, basis: Basis):
 
 def operator_to_dense(op: CompiledOperator, basis: Basis) -> np.ndarray:
     """Materialize the operator as a dense matrix in the given basis."""
-    dtype = np.float64 if (basis.is_real and op.is_real) else np.complex128
+    dtype = result_dtype(op, basis)
     h = np.zeros((basis.dim, basis.dim), dtype=dtype)
     for rows, cols, values in _column_entries(op, basis):
         np.add.at(h, (rows, cols), values.astype(dtype))
@@ -49,7 +49,7 @@ def operator_to_dense(op: CompiledOperator, basis: Basis) -> np.ndarray:
 
 def operator_to_sparse(op: CompiledOperator, basis: Basis) -> sp.csr_matrix:
     """Materialize the operator as a SciPy CSR matrix in the given basis."""
-    dtype = np.float64 if (basis.is_real and op.is_real) else np.complex128
+    dtype = result_dtype(op, basis)
     rows_all: list[np.ndarray] = []
     cols_all: list[np.ndarray] = []
     vals_all: list[np.ndarray] = []

@@ -1,10 +1,17 @@
-"""The single-node matrix-free operator (basis + compiled kernels).
+"""The single-node matrix-free operator (basis + compiled kernels), and the
+rules every operator shares.
 
-This is the serial reference implementation of the matrix-vector product:
-its distributed counterparts live in :mod:`repro.distributed` and are all
-validated against it.  The structure mirrors the paper's Sec. 5.3: iterate
-over source states (columns), generate matrix elements with ``getManyRows``,
-and scatter-add into the destination vector.
+This is the serial reference implementation of the matrix-vector product;
+it and its distributed counterparts in :mod:`repro.distributed` are checked
+against the dense matrices — :meth:`Operator.to_dense` and, as the
+independent oracle that never goes through ``getManyRows``,
+:func:`~repro.operators.matrix.expression_to_dense`.  The structure mirrors
+the paper's Sec. 5.3: iterate over source states (columns), generate matrix
+elements with ``getManyRows``, and scatter-add into the destination vector.
+
+:class:`BasisOperator` is what the serial, the distributed and the SpinPack
+operators decide the same way: the compile-and-check against the basis
+sector, the result dtype and the plan they attach.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import scipy.sparse.linalg as spla
 
 from repro.basis.spin_basis import Basis
 from repro.errors import CompilationError
-from repro.operators.compile import compile_expression
+from repro.operators.compile import compile_expression, result_dtype
 from repro.operators.expression import Expression
 from repro.operators.kernels import get_many_rows
 from repro.operators.matrix import operator_to_dense, operator_to_sparse
@@ -29,7 +36,7 @@ from repro.operators.plan import (
 from repro.schema import require_positive
 from repro.telemetry.context import current as current_telemetry
 
-__all__ = ["Operator", "SerialChunk"]
+__all__ = ["BasisOperator", "Operator", "SerialChunk"]
 
 #: Plan key of the consolidated matrix (the batches are keyed ``(start,)``).
 MATRIX_KEY = ("matrix",)
@@ -44,6 +51,59 @@ MATRIX_KEY = ("matrix",)
 #: from DRAM every pass — see docs/PERFORMANCE.md, "Cold path".
 BATCH_RAW_STATES = 1 << 17
 MIN_BATCH_SIZE = 256
+
+
+class BasisOperator:
+    """An expression compiled for a basis, with its batch size and plan.
+
+    ``sector`` is the serial basis that names the sector: ``basis`` itself,
+    or the template of a distributed one.  The expression must conserve
+    magnetization if the sector fixes a Hamming weight
+    (:class:`~repro.errors.CompilationError`); ``batch_size`` must be an
+    integer >= 1 (:class:`~repro.errors.ConfigError`), and ``None`` sizes
+    it so that the raw states a batch generates fit the second-level
+    cache, ``max(256, (1 << 17) // compiled.max_entries_per_row)``.
+    ``dtype`` is the operator's scalar type
+    (:func:`~repro.operators.compile.result_dtype`), what every product
+    promotes with its input's.  ``plan=True`` attaches a fresh
+    :class:`~repro.operators.plan.MatvecPlan`, an instance attaches that
+    one, ``False`` none; the operator claims it (:meth:`MatvecPlan.claim`).
+    """
+
+    def __init__(
+        self, expression: Expression, basis, sector: Basis,
+        batch_size: int | None, plan: bool | MatvecPlan,
+    ) -> None:
+        self.basis = basis
+        self.compiled = compile_expression(expression, sector.n_sites)
+        if (
+            sector.hamming_weight is not None
+            and not self.compiled.conserves_magnetization
+        ):
+            raise CompilationError(
+                "operator does not conserve magnetization but the basis has "
+                "a fixed Hamming weight; use hamming_weight=None"
+            )
+        if batch_size is None:
+            batch_size = max(
+                MIN_BATCH_SIZE,
+                BATCH_RAW_STATES // self.compiled.max_entries_per_row,
+            )
+        require_positive(batch_size=batch_size)
+        self.batch_size = int(batch_size)
+        self.dtype = result_dtype(self.compiled, sector)
+        self.plan: MatvecPlan | None = MatvecPlan() if plan is True else plan or None
+        if self.plan is not None:
+            self.plan.claim(self.compiled.digest(), basis, self.batch_size)
+
+    def invalidate_plan(self) -> None:
+        """Drop all cached matvec data (keeps the plan enabled)."""
+        if self.plan is not None:
+            self.plan.invalidate()
+
+    @property
+    def dim(self) -> int:
+        return self.basis.dim
 
 
 class SerialChunk:
@@ -69,7 +129,7 @@ class SerialChunk:
         self.amplitudes = amplitudes
 
 
-class Operator:
+class Operator(BasisOperator):
     """A Hermitian operator acting on vectors in a given basis.
 
     Parameters
@@ -108,37 +168,8 @@ class Operator:
         batch_size: int | None = None,
         plan: bool | MatvecPlan = True,
     ) -> None:
-        self.basis = basis
-        self.compiled = compile_expression(expression, basis.n_sites)
-        if (
-            basis.hamming_weight is not None
-            and not self.compiled.conserves_magnetization
-        ):
-            raise CompilationError(
-                "operator does not conserve magnetization but the basis has "
-                "a fixed Hamming weight; use hamming_weight=None"
-            )
-        if batch_size is None:
-            batch_size = max(
-                MIN_BATCH_SIZE,
-                BATCH_RAW_STATES // self.compiled.max_entries_per_row,
-            )
-        require_positive(batch_size=batch_size)
-        self.batch_size = int(batch_size)
-        if plan is True:
-            self.plan: MatvecPlan | None = MatvecPlan()
-        elif plan is False or plan is None:
-            self.plan = None
-        else:
-            self.plan = plan
-        if self.plan is not None:
-            self.plan.claim(self.compiled.digest(), basis, self.batch_size)
+        super().__init__(expression, basis, basis, batch_size, plan)
         self._diagonal: np.ndarray | None = None
-
-    def invalidate_plan(self) -> None:
-        """Drop all cached matvec data (keeps the plan enabled)."""
-        if self.plan is not None:
-            self.plan.invalidate()
 
     # -- inspection -----------------------------------------------------------
 
@@ -147,17 +178,8 @@ class Operator:
         return self.compiled.expression
 
     @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    @property
     def shape(self) -> tuple[int, int]:
         return (self.dim, self.dim)
-
-    @property
-    def dtype(self) -> np.dtype:
-        real = self.basis.is_real and self.compiled.is_real
-        return np.dtype(np.float64 if real else np.complex128)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Operator(dim={self.dim}, dtype={self.dtype})"
@@ -201,7 +223,7 @@ class Operator:
         if matrix is not None:
             y = matrix @ x
         else:
-            dtype = np.promote_types(self.dtype, x.dtype)
+            dtype = result_dtype(self.compiled, self.basis, x.dtype)
             diag = self.diagonal().astype(dtype)
             y = (diag if x.ndim == 1 else diag[:, None]) * x
             self._generate_and_scatter(x, y)

@@ -28,32 +28,20 @@ class Cluster:
     off; it plays the role of Chapel's ``Locales`` array.  Data placement is
     real (per-locale NumPy arrays); time is simulated.
 
-    ``faults`` / ``resilience`` attach a
-    :class:`~repro.resilience.faults.FaultPlan` and a
-    :class:`~repro.resilience.faults.ResilienceConfig` cluster-wide: a
-    :class:`~repro.distributed.operator.DistributedOperator` built on this
-    cluster picks them up automatically (this is how config files inject
-    faults without threading arguments through every call site); only the
-    pipeline (``method="pc"``) takes them, a naive or batched operator
-    here raises :class:`~repro.errors.ConfigError`.
-
     ``backend`` selects the execution backend every distributed algorithm
     on this cluster runs on (see :mod:`repro.runtime.executor` and
     ``docs/BACKENDS.md``): ``"sim"`` (default) is the discrete-event
     simulator with modelled timings; ``"threads"`` runs each locale as a
-    real worker thread and reports wall-clock timings.  Both backends
-    accept ``faults`` / ``resilience``: the simulator injects fates in
-    simulated time, the threads backend injects the same seeded plan at
-    the executor primitives in wall-clock time (see
-    ``docs/RESILIENCE.md``, "Chaos on the threads backend").
+    real worker thread and reports wall-clock timings.  A fault plan and a
+    recovery policy are not the cluster's: they reach a product as
+    :class:`~repro.distributed.operator.DistributedOperator` arguments,
+    and both backends inject the same seeded plan (``docs/RESILIENCE.md``).
     """
 
     def __init__(
         self,
         n_locales: int,
         machine: MachineModel | None = None,
-        faults=None,
-        resilience=None,
         backend: str = "sim",
     ) -> None:
         if n_locales < 1:
@@ -63,8 +51,6 @@ class Cluster:
         self.locales = [
             Locale(i, self.machine.cores_per_locale) for i in range(n_locales)
         ]
-        self.faults = faults
-        self.resilience = resilience
         self.backend = backend
 
     @property

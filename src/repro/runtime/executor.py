@@ -145,7 +145,7 @@ class ThreadExecutor(Executor):
 
     #: seconds of "all live workers parked, nobody resumed" before the
     #: watchdog declares a deadlock (overridden per-instance by
-    #: ``ResilienceConfig.watchdog_timeout`` when resilience is attached)
+    #: ``ResilienceConfig.watchdog_timeout`` when a policy is given)
     watchdog_seconds = 20.0
 
     def __init__(
@@ -457,12 +457,11 @@ def get_executor(cluster, trace=None, faults=None, resilience=None) -> Executor:
     time (a crash fails the run, straggler sleeps, real delivery delays;
     see ``docs/RESILIENCE.md``).  ``resilience`` (a
     :class:`~repro.resilience.faults.ResilienceConfig`) sets the threads
-    backend's watchdog timeout; when omitted, ``cluster.resilience``
-    applies.
+    backend's watchdog timeout.  Both come from the product that runs
+    (:class:`~repro.distributed.operator.DistributedOperator`), never from
+    ``cluster``.
     """
     cls = executor_class(cluster.backend)
     if cls is Simulator:
         return cls(trace=trace, faults=faults)
-    if resilience is None:
-        resilience = cluster.resilience
     return cls(trace=trace, faults=faults, resilience=resilience)

@@ -219,17 +219,19 @@ class TestResilienceKnobs:
             ResilienceConfig.from_config({"max_worker_restarts": 2})
 
     def test_cluster_section_reaches_executor(self):
-        """The resilience section of a threads cluster spec configures
-        the executor's watchdog."""
-        from repro.resilience import ResilienceConfig
-        from repro.runtime import Cluster, laptop_machine
+        """The resilience section of a threads cluster spec reaches the
+        operator, which hands it to the executor's watchdog."""
+        from repro.config import _build_distributed
         from repro.runtime.executor import get_executor
 
-        cfg = ResilienceConfig.from_config({"watchdog_timeout": 9.0})
-        cluster = Cluster(
-            2, laptop_machine(), resilience=cfg, backend="threads"
-        )
-        ex = get_executor(cluster)
+        spec_dict = dict(BASE_SPEC)
+        spec_dict["cluster"] = {
+            "n_locales": 2, "backend": "threads", "machine": "laptop",
+            "resilience": {"watchdog_timeout": 9.0},
+        }
+        operator, _ = _build_distributed(load_simulation(spec_dict))
+        assert operator.faults is None
+        ex = get_executor(operator.basis.cluster, resilience=operator.resilience)
         assert ex.watchdog_seconds == 9.0
 
     def test_cli_flags_inject_resilience_section(self, tmp_path, capsys):

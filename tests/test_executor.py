@@ -451,16 +451,14 @@ class TestBackendSelection:
     def test_faults_accepted_on_threads(self):
         from repro.resilience import FaultPlan, ResilienceConfig
 
-        cluster = Cluster(
-            2,
-            laptop_machine(),
+        cluster = Cluster(2, laptop_machine(), backend="threads")
+        ex = get_executor(
+            cluster,
             faults=FaultPlan(seed=1, drop=0.5),
             resilience=ResilienceConfig(watchdog_timeout=7.5),
-            backend="threads",
         )
-        ex = get_executor(cluster, faults=cluster.faults)
         assert isinstance(ex, ThreadExecutor)
-        # The watchdog knob flows from cluster.resilience into the executor.
+        # The watchdog knob flows from the policy into the executor.
         assert ex.watchdog_seconds == 7.5
 
     def test_backends_tuple_is_the_contract(self):

@@ -8,18 +8,28 @@ its imaginary half in the ``k = 0`` sector.  Every path is checked against
 a dense oracle that never goes through ``get_many_rows``.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from numpy.exceptions import ComplexWarning
 
 import repro
+from repro.baselines import SpinpackBasis, SpinpackOperator
 from repro.basis import SpinBasis, SymmetricBasis
 from repro.distributed import (
     DistributedOperator,
     DistributedVector,
     enumerate_states,
 )
-from repro.linalg.lanczos import lanczos
-from repro.operators.expression import Expression, spin_minus, spin_plus
+from repro.errors import CompilationError, ConfigError, DistributionError
+from repro.linalg.lanczos import lanczos, lanczos_distributed
+from repro.operators.expression import (
+    Expression,
+    sigma_x,
+    spin_minus,
+    spin_plus,
+)
 from repro.operators.matrix import expression_to_dense
 from repro.operators.operator import MATRIX_KEY
 from repro.operators.plan import MatvecPlan
@@ -144,3 +154,114 @@ class TestRealCharacterSector:
         for _ in range(2):  # generating pass, replay
             y = op.matvec(dx).to_serial(k0_basis)
             np.testing.assert_allclose(y, oracle @ x, atol=1e-14)
+
+
+def fixed_weight_oracle(expression, basis: SpinBasis) -> np.ndarray:
+    rows = basis.states.astype(np.int64)
+    return expression_to_dense(expression, basis.n_sites)[np.ix_(rows, rows)]
+
+
+def distributed(backend: str, n_locales: int):
+    """``SpinBasis(N, N // 2)`` on ``n_locales`` locales, and its serial
+    twin: a real basis, so only the operator makes ``H x`` complex."""
+    cluster = Cluster(n_locales, laptop_machine(cores=2), backend=backend)
+    dbasis, _ = enumerate_states(cluster, SpinBasis(N, hamming_weight=N // 2))
+    return SpinBasis(N, hamming_weight=N // 2), dbasis
+
+
+PATHS = [
+    ("naive", "sim", 3),
+    ("batched", "sim", 3),
+    ("pc", "sim", 3),
+    ("pc", "sim", 1),
+    ("pc", "threads", 3),
+    ("pc", "threads", 1),
+]
+
+
+class TestRealInputToAComplexOperator:
+    """A real ``x`` through a complex operator on a real basis: ``y`` is
+    complex on every path (the result dtype is the operator's promoted
+    with the input's, not the basis's), and a real ``y`` cannot hold it."""
+
+    @pytest.mark.parametrize("method, backend, n_locales", PATHS)
+    def test_every_distributed_path_matches_the_oracle(
+        self, method, backend, n_locales
+    ):
+        serial, dbasis = distributed(backend, n_locales)
+        oracle = fixed_weight_oracle(current_chain(), serial)
+        op = DistributedOperator(
+            current_chain(), dbasis, method=method, batch_size=8
+        )
+        assert op.dtype == np.complex128
+        rng = np.random.default_rng(3)
+        single, block = rng.standard_normal(serial.dim), rng.standard_normal(
+            (serial.dim, 3)
+        )
+        # Cold, then the replay; the first block on the complete plan
+        # replays its chunks (on sim), the second one the record.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ComplexWarning)
+            for x in (single, single, block, block):
+                y = op.matvec(DistributedVector.from_serial(dbasis, serial, x))
+                assert y.dtype == np.complex128
+                np.testing.assert_allclose(
+                    y.to_serial(serial), oracle @ x, atol=1e-13
+                )
+
+    @pytest.mark.parametrize("method, backend, n_locales", PATHS)
+    def test_a_real_output_vector_is_refused(self, method, backend, n_locales):
+        serial, dbasis = distributed(backend, n_locales)
+        op = DistributedOperator(
+            current_chain(), dbasis, method=method, batch_size=8
+        )
+        dx = DistributedVector.full_random(dbasis, seed=2)
+        for _ in range(3):  # cold, then each kind of replay
+            with pytest.raises(DistributionError, match="cannot hold"):
+                op.matvec(dx, DistributedVector.zeros(dbasis, dtype=np.float64))
+            op.matvec(dx)
+
+    @pytest.mark.parametrize("backend", ["sim", "threads"])
+    def test_lanczos_distributed_finds_the_dense_ground_state(self, backend):
+        serial, dbasis = distributed(backend, 3)
+        oracle = fixed_weight_oracle(current_chain(), serial)
+        op = DistributedOperator(current_chain(), dbasis, batch_size=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ComplexWarning)
+            result, _ = lanczos_distributed(op, k=1, tol=1e-12)
+        assert result.eigenvalues[0] == pytest.approx(
+            np.linalg.eigvalsh(oracle)[0], abs=1e-10
+        )
+
+
+class TestSpinpackTakesTheSameRules:
+    @staticmethod
+    def spinpack_basis():
+        serial = SpinBasis(N, hamming_weight=N // 2)
+        return serial, SpinpackBasis.from_serial(
+            Cluster(3, laptop_machine(cores=2)), serial
+        )
+
+    def test_real_input_gives_the_complex_product(self):
+        serial, basis = self.spinpack_basis()
+        oracle = fixed_weight_oracle(current_chain(), serial)
+        op = SpinpackOperator(current_chain(), basis, batch_size=8)
+        x = np.random.default_rng(4).standard_normal(serial.dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ComplexWarning)
+            y, _ = op.matvec(basis.vector_from_serial(serial, x))
+        assert y.dtype == np.complex128
+        np.testing.assert_allclose(
+            basis.vector_to_serial(serial, y), oracle @ x, atol=1e-13
+        )
+
+    def test_an_operator_outside_the_sector_is_refused(self):
+        _, basis = self.spinpack_basis()
+        with pytest.raises(CompilationError, match="magnetization"):
+            SpinpackOperator(sigma_x(0), basis)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_refused(self, batch_size):
+        _, basis = self.spinpack_basis()
+        with pytest.raises(ConfigError, match="batch_size"):
+            SpinpackOperator(current_chain(), basis, batch_size=batch_size)

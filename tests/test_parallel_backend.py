@@ -155,11 +155,13 @@ class TestResilienceOnThreads:
         from repro.resilience import ResilienceConfig
 
         serial, serial_op, dbasis, expr = build("threads")
-        dbasis.cluster.resilience = ResilienceConfig()
         x = rng.standard_normal(serial.dim).astype(serial.scalar_dtype)
         y_ref = serial_op.matvec(x)
         dx = DistributedVector.from_serial(dbasis, serial, x)
-        dop = DistributedOperator(expr, dbasis, method="pc", batch_size=64)
+        dop = DistributedOperator(
+            expr, dbasis, method="pc", batch_size=64,
+            resilience=ResilienceConfig(),
+        )
         dy = dop.matvec(dx)
         np.testing.assert_allclose(dy.to_serial(serial), y_ref, atol=1e-12)
         assert dop.last_report.extras.get("resilient") == 1.0

@@ -205,11 +205,12 @@ class TestStaleDuplicateNeverPassesForTheNextPayload:
         y = DistributedVector.zeros(dbasis)
         faults = FaultPlan(seed=1)
         resilience = ResilienceConfig(checksums=checksums)
-        y, report, metrics, trace = begin_matvec(dbasis, x, y, 64)
+        compiled = compile_expression(expr, 12)
+        y, report, metrics, trace = begin_matvec(compiled, dbasis, x, y, 64)
         ex = get_executor(dbasis.cluster, faults=faults, resilience=resilience)
         pipe = matvec_pc._ArqPipeline(
-            ex, report, metrics, trace, compile_expression(expr, 12), dbasis,
-            x, y, 64, 0.25, 16, False, None, None, None, faults, resilience,
+            ex, report, metrics, trace, compiled, dbasis, x, y, 64, 0.25, 16,
+            False, None, None, None, faults, resilience,
         )
 
         def drive(gen):

@@ -24,6 +24,7 @@ from repro.distributed import (
     DistributedVector,
     enumerate_states,
 )
+from repro.distributed.matvec_pc import matvec_producer_consumer
 from repro.distributed.vector import DistributedVectorSpace
 from repro.errors import (
     CheckpointError,
@@ -33,6 +34,7 @@ from repro.errors import (
 )
 from repro.linalg.davidson import davidson
 from repro.linalg.lanczos import lanczos, lanczos_distributed
+from repro.operators import compile_expression
 from repro.resilience import (
     FaultPlan,
     ResilienceConfig,
@@ -53,12 +55,8 @@ CHAOS_PLANS = [
 ]
 
 
-def make_dbasis(n_locales=4, cores=8, n=10, weight=5, faults=None,
-                resilience=None):
-    cluster = Cluster(
-        n_locales, laptop_machine(cores=cores), faults=faults,
-        resilience=resilience,
-    )
+def make_dbasis(n_locales=4, cores=8, n=10, weight=5):
+    cluster = Cluster(n_locales, laptop_machine(cores=cores))
     dbasis, _ = enumerate_states(
         cluster, SpinBasis(n, hamming_weight=weight),
         use_weight_shortcut=True,
@@ -200,21 +198,19 @@ class TestChaosSweep:
         assert op.last_report.extras.get("resilient") == 1.0
 
     @pytest.mark.parametrize("method", ["naive", "batched"])
-    @pytest.mark.parametrize("where", ["faults", "resilience", "cluster"])
+    @pytest.mark.parametrize("where", ["faults", "resilience"])
     def test_baselines_reject_a_fault_plan(self, method, where):
         """Only the pipeline recovers from faults; the baselines refuse a
-        plan or a policy however it reaches them."""
-        expr = repro.heisenberg_chain(10)
-        if where == "cluster":
-            dbasis, kwargs = make_dbasis(faults=FaultPlan(seed=1)), {}
-        else:
-            dbasis = make_dbasis()
-            kwargs = {
-                "faults": dict(faults=FaultPlan(seed=1)),
-                "resilience": dict(resilience=ResilienceConfig()),
-            }[where]
+        plan or a policy."""
+        kwargs = {
+            "faults": dict(faults=FaultPlan(seed=1)),
+            "resilience": dict(resilience=ResilienceConfig()),
+        }[where]
         with pytest.raises(ConfigError, match=f"{method!r} takes no fault"):
-            DistributedOperator(expr, dbasis, method=method, **kwargs)
+            DistributedOperator(
+                repro.heisenberg_chain(10), make_dbasis(), method=method,
+                **kwargs,
+            )
 
     def test_corruption_without_checksums_rejected(self, setup):
         dbasis, expr, x = setup
@@ -225,6 +221,13 @@ class TestChaosSweep:
         )
         with pytest.raises(ConfigError, match="checksum"):
             op.matvec(x)
+
+    def test_a_direct_pipeline_call_needs_a_policy_beside_the_plan(self, setup):
+        dbasis, expr, x = setup
+        with pytest.raises(ConfigError, match="resilience policy"):
+            matvec_producer_consumer(
+                compile_expression(expr, 10), dbasis, x, faults=FaultPlan(seed=1)
+            )
 
     def test_pc_crash_restarts(self, setup):
         dbasis, expr, x = setup
@@ -253,12 +256,16 @@ class TestChaosSweep:
         with pytest.raises(FaultError):
             op.matvec(x)
 
-    def test_cluster_attaches_faults_to_operator(self):
+    def test_a_fault_plan_implies_the_default_policy(self):
         plan = FaultPlan(seed=4, drop=0.02)
-        dbasis = make_dbasis(faults=plan)
-        op = DistributedOperator(repro.heisenberg_chain(10), dbasis)
+        op = DistributedOperator(
+            repro.heisenberg_chain(10), make_dbasis(), faults=plan
+        )
         assert op.faults is plan
-        assert op.resilience is not None
+        assert op.resilience == ResilienceConfig()
+        # The cluster holds neither: a product gets them one way.
+        with pytest.raises(TypeError):
+            Cluster(2, laptop_machine(), faults=plan)
 
 
 class TestStragglerDetection:

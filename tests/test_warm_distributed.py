@@ -63,7 +63,7 @@ from repro.distributed.matvec_pc import default_buffer_capacity
 from repro.errors import ConfigError, DistributionError
 from repro.operators.compile import CompiledOperator
 from repro.operators.plan import MatvecPlan, _entry_nbytes
-from repro.resilience import FaultPlan
+from repro.resilience import FaultPlan, ResilienceConfig
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
 from repro.telemetry import Telemetry
@@ -148,7 +148,9 @@ class TestDiagonalJoinsThePlan:
 
     def test_resilient_pipeline_caches_it_too(self, rng, diagonal_calls):
         serial, dbasis, expr = build("sim")
-        dop = DistributedOperator(expr, dbasis, method="pc", resilience=True)
+        dop = DistributedOperator(
+            expr, dbasis, method="pc", resilience=ResilienceConfig()
+        )
         dx = DistributedVector.from_serial(
             dbasis, serial, random_serial(rng, serial)
         )
@@ -265,12 +267,12 @@ class TestHandOffUnit:
             )
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("resilience", [None, True])
-    def test_explicit_capacity_is_honoured(self, backend, resilience, rng):
+    @pytest.mark.parametrize("resilient", [None, True])
+    def test_explicit_capacity_is_honoured(self, backend, resilient, rng):
         serial, dbasis, expr = build(backend, n=14)
         dop = DistributedOperator(
             expr, dbasis, method="pc", buffer_capacity=64, batch_size=64,
-            resilience=resilience,
+            resilience=ResilienceConfig() if resilient else None,
         )
         dop.matvec(
             DistributedVector.from_serial(
