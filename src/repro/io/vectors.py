@@ -28,7 +28,7 @@ from repro.distributed.dist_basis import DistributedBasis
 from repro.distributed.hashing import locale_of
 from repro.distributed.vector import DistributedVector
 from repro.errors import CheckpointError, DistributionError
-from repro.resilience.checkpoint import atomic_write
+from repro.resilience.checkpoint import atomic_write, check_fields
 from repro.runtime.cluster import Cluster
 
 __all__ = [
@@ -94,14 +94,6 @@ def _load_chunk(path: Path, entry: dict) -> np.ndarray:
     return array
 
 
-def _check_fields(record, fields: dict, where: str) -> None:
-    """Raise :class:`CheckpointError` unless ``record`` is a JSON object
-    holding every key of ``fields`` with exactly that type."""
-    for key, kind in fields.items():
-        if not isinstance(record, dict) or type(record.get(key)) is not kind:
-            raise CheckpointError(f"{where} has no {kind.__name__} {key!r}")
-
-
 def _read_manifest(directory: Path, name: str) -> dict:
     path = directory / f"{name}.{_MANIFEST}"
     try:
@@ -112,7 +104,7 @@ def _read_manifest(directory: Path, name: str) -> dict:
         manifest = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"manifest {path} is not valid JSON") from exc
-    _check_fields(manifest, _MANIFEST_FIELDS, f"manifest {path}")
+    check_fields(manifest, _MANIFEST_FIELDS, f"manifest {path}")
     chunks, n_locales = manifest["chunks"], manifest["n_locales"]
     if n_locales < 1 or len(chunks) != n_locales:
         raise CheckpointError(
@@ -120,7 +112,7 @@ def _read_manifest(directory: Path, name: str) -> dict:
             f"{n_locales} locales"
         )
     for locale, entry in enumerate(chunks):
-        _check_fields(entry, _CHUNK_FIELDS, f"manifest {path} chunk {locale}")
+        check_fields(entry, _CHUNK_FIELDS, f"manifest {path} chunk {locale}")
     return manifest
 
 

@@ -36,9 +36,11 @@ from repro.operators.plan import (
 from repro.schema import require_positive
 from repro.telemetry.context import current as current_telemetry
 
-__all__ = ["BasisOperator", "Operator", "SerialChunk"]
+__all__ = ["BasisOperator", "Operator"]
 
-#: Plan key of the consolidated matrix (the batches are keyed ``(start,)``).
+#: Plan key of the consolidated matrix.  A batch is keyed ``(start,)`` and
+#: held as the ``(rows, sources, amplitudes)`` triple that ``getManyRows``
+#: and ``stateToIndex`` give it, ``sources`` as absolute basis positions.
 MATRIX_KEY = ("matrix",)
 
 #: The default batch holds as many sources as can generate at most this many
@@ -106,29 +108,6 @@ class BasisOperator:
         return self.basis.dim
 
 
-class SerialChunk:
-    """Plan entry for one serial batch of source states.
-
-    Holds the iteration-invariant ``(sources, rows, amplitudes)`` triple
-    recorded by ``getManyRows`` + ``stateToIndex``, ``sources`` as absolute
-    basis positions: the replay is gather → multiply → ``np.add.at`` in the
-    recorded element order, until :meth:`Operator._consolidate` folds every
-    batch into one matrix with that same order.
-    """
-
-    __slots__ = ("sources", "rows", "amplitudes")
-
-    def __init__(
-        self,
-        sources: np.ndarray,
-        rows: np.ndarray,
-        amplitudes: np.ndarray,
-    ) -> None:
-        self.sources = sources
-        self.rows = rows
-        self.amplitudes = amplitudes
-
-
 class Operator(BasisOperator):
     """A Hermitian operator acting on vectors in a given basis.
 
@@ -148,7 +127,7 @@ class Operator(BasisOperator):
         way.  The plan holds one entry per batch.  Anything but an integer
         >= 1 raises :class:`~repro.errors.ConfigError`.
     plan:
-        Cache the iteration-invariant ``(sources, rows, amplitudes)``
+        Cache the iteration-invariant ``(rows, sources, amplitudes)``
         triples produced for each batch and replay them on subsequent
         matvecs (see :class:`~repro.operators.plan.MatvecPlan`).  ``True``
         builds a plan with the default memory budget; pass a
@@ -199,7 +178,7 @@ class Operator(BasisOperator):
         """Serial ``y = H x``, or ``Y = H X`` for a ``(dim, k)`` block.
 
         With a :attr:`plan`, the first call over each batch caches the
-        ``(sources, rows, amplitudes)`` triple — the output of
+        ``(rows, sources, amplitudes)`` triple — the output of
         ``getManyRows`` plus the ``stateToIndex`` searches — and the next
         call folds the batches into one CSR matrix (:meth:`_consolidate`):
         every later product, single vector or block, is ``matrix @ x``.
@@ -252,17 +231,16 @@ class Operator(BasisOperator):
         if not keys or not all(key in plan for key in keys):
             return None
         dim = self.dim
-        nnz = dim + sum(plan.peek(key).rows.size for key in keys)
+        nnz = dim + sum(plan.peek(key)[0].size for key in keys)
         if csr_footprint(self.shape, nnz, self.dtype)[1] > plan.capacity_bytes:
             return None  # the plan would turn it away: keep the batches
-        # Batch by batch, each leaving the plan as it is placed: the
+        # Run by run, each batch leaving the plan as it is placed: the
         # triples and the matrix are never whole in memory together.
-        triples = ((b.rows, b.sources, b.amplitudes) for b in map(plan.pop, keys))
         diagonal = (np.arange(dim), np.arange(dim), self.diagonal())
         matrix = csr_in_recorded_order(
             self.shape, self.dtype,
-            chain([diagonal[0]], (plan.get(key).rows for key in keys)),
-            chain([diagonal], triples),
+            chain([diagonal[0]], (plan.get(key)[0] for key in keys)),
+            chain([diagonal], map(plan.pop, keys)),
         )
         plan.put(MATRIX_KEY, matrix)
         return matrix
@@ -285,19 +263,19 @@ class Operator(BasisOperator):
                     self.compiled, self.basis, alphas, batch_scale
                 )
                 rows = self.basis.index(members) if sources.size else members
-                entry = SerialChunk(start + sources, rows, amplitudes)
+                entry = rows, start + sources, amplitudes
                 if self.plan is not None:
                     # Empty batches are cached too (replay then skips the
                     # whole getManyRows call), all with 32-bit positions where
                     # the basis allows: a third off the plan, and the matrix's.
                     narrow = np.int32 if self.dim < 2**31 else np.int64
-                    kept = entry.sources.astype(narrow), rows.astype(narrow)
-                    self.plan.put((start,), SerialChunk(*kept, amplitudes))
+                    kept = (part.astype(narrow) for part in entry[:2])
+                    self.plan.put((start,), (*kept, amplitudes))
+            rows, sources, amplitudes = entry
             # Column by column: a block adds its elements in the order a
             # single vector does (and the consolidated matrix will).
             for j, column in enumerate(columns.T):
-                values = entry.amplitudes * column[entry.sources]
-                np.add.at(out[:, j], entry.rows, values)
+                np.add.at(out[:, j], rows, amplitudes * column[sources])
 
     def __matmul__(self, x):
         if isinstance(x, np.ndarray):

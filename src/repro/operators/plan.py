@@ -8,13 +8,13 @@ and the ``stateToIndex`` binary searches — is therefore iteration-invariant.
 :class:`MatvecPlan` caches those triples the first time a chunk is
 processed and replays them on every subsequent matvec, reducing the hot
 loop to a gather, a multiply, and a scatter-add — and, once an operator
-holds every chunk, to CSR products (:func:`csr_in_recorded_order`,
-:func:`csr_in_order`): one ``matrix @ x`` for the serial operator, one per
-destination locale for the distributed operator (on ``sim`` part of the
-record of a simulated product whose report, telemetry and accumulation
-order every replay repeats).  Replays
-equal the recording pass bit for bit on real arithmetic and to 1e-14
-relative on complex, and are width- and dtype-agnostic: a chunk recorded
+holds every chunk, to CSR products, each folded from the recorded
+triples by the one builder :func:`csr_in_recorded_order`: one ``matrix @
+x`` for the serial operator, one per destination locale for the
+distributed operator (on ``sim`` part of the record of a simulated product
+whose report, telemetry and accumulation order every replay repeats).
+Replays equal the recording pass bit for bit on real arithmetic and to
+1e-14 relative on complex, and are width- and dtype-agnostic: a chunk recorded
 under a real single-vector matvec replays against a complex input or a
 ``(dim, k)`` block unchanged (NumPy promotion sets the output dtype), so
 one plan serves an entire mixed single/block Krylov workload.
@@ -33,15 +33,15 @@ as ``plan.hits`` / ``plan.misses`` / ``plan.rejected`` counters and the
 ``plan.bytes`` gauge.
 
 Keys are caller-chosen tuples: the serial operator uses ``(start,)`` for a
-batch and ``("matrix",)`` for the matrix that replaces them; the
-distributed matvec variants use ``(locale, start)`` for a produced chunk
-and ``(locale, "diag")`` for a locale's diagonal matrix elements, and the
-distributed operator ``(locale, "matrix")`` for the matrix of everything
-that lands on ``locale`` (``DistributedOperator._consolidate``) and, on
-``sim``, ``("replay", method, options, policy, width, dtype)`` for the
-record of a simulated product with its matrices
-(``DistributedOperator._simulated``), so one plan serves a whole distributed
-operator.  The keys do not say *whose*
+batch's ``(rows, sources, amplitudes)`` triple and ``("matrix",)`` for the
+matrix that replaces them; the distributed matvec variants use ``(locale,
+start)`` for a produced chunk and ``(locale, "diag")`` for a locale's
+diagonal matrix elements, and the distributed operator records what its
+warm products replay (``DistributedOperator._record``): on a wall-clock
+backend ``(locale, "matrix")``, the matrix of everything that lands on
+``locale``, and on ``sim`` ``("replay", method, options, policy, width,
+dtype)``, a simulated product with its matrices, so one plan serves a
+whole distributed operator.  The keys do not say *whose*
 they are: an operator claims its plan when it attaches
 (:meth:`MatvecPlan.claim`), and only an operator with the same claim —
 the same primitive tables, basis object and batch size — may share it.
@@ -50,6 +50,7 @@ the same primitive tables, basis object and batch size — may share it.
 from __future__ import annotations
 
 import threading
+from itertools import chain
 from typing import Hashable
 
 import numpy as np
@@ -58,25 +59,22 @@ import scipy.sparse as sp
 from repro.errors import ConfigError
 from repro.telemetry.context import current as current_telemetry
 
-__all__ = ["MatvecPlan", "csr_footprint", "csr_in_order", "csr_in_recorded_order"]
+__all__ = ["MatvecPlan", "csr_footprint", "csr_in_recorded_order"]
 
 
 def _entry_nbytes(entry: object) -> int:
     """Total bytes of the NumPy arrays reachable from a cache entry.
 
-    Entries are a bare array, tuples/lists of entries, or objects holding
-    entries as attributes (``ProducedChunk``, a CSR matrix, a replay record
-    with its matrices); the rest is free.
+    Entries are a bare array, tuples/lists of entries (a serial batch's
+    triple, a replay record with its matrices), or objects holding entries
+    as attributes (``ProducedChunk``, a CSR matrix); the rest is free.
     """
     if isinstance(entry, np.ndarray):
         return int(entry.nbytes)
     if isinstance(entry, (tuple, list)):
         return sum(map(_entry_nbytes, entry))
-    candidates = [
-        getattr(entry, name, None) for name in getattr(entry, "__slots__", ())
-    ] + list(getattr(entry, "__dict__", {}).values())
     return sum(
-        _entry_nbytes(v) for v in candidates
+        _entry_nbytes(v) for v in getattr(entry, "__dict__", {}).values()
         if isinstance(v, (np.ndarray, tuple, list)) or sp.issparse(v)
     )
 
@@ -89,50 +87,61 @@ def csr_footprint(shape: tuple[int, int], nnz: int, dtype) -> tuple[np.dtype, in
     return index, data + (shape[0] + 1) * index.itemsize
 
 
-def csr_in_order(shape, dtype, rows, columns, data):
-    """The CSR matrix of one ``(rows, columns, data)`` triple whose rows
-    hold their elements in the triple's order — columns unsorted,
-    duplicates kept.  SciPy's ``csr_matvec`` adds a row's entries in
-    stored order starting from zero, so ``matrix @ x`` performs the
-    additions of ``np.add.at(y, rows, data * x[columns])``."""
-    coo = sp.coo_matrix((np.asarray(data, dtype=dtype), (rows, columns)), shape=shape)
-    # Stops ``tocsr`` after its stable counting pass by row, before it
-    # would sort each row and sum the duplicates.
-    coo.has_canonical_format = True
-    matrix = coo.tocsr()
-    assert matrix.nnz == len(rows), "tocsr summed duplicates"
-    return matrix
+def _runs(triples, n_rows):
+    """The ``(rows, columns, data)`` ``triples``, consecutive ones joined
+    until a run holds at least ``n_rows`` elements (the last may hold
+    fewer): placing a run costs one pass over the rows, so ``n_rows`` is
+    paid once per ``n_rows`` elements at most, and a run holds no more
+    than ``n_rows`` elements plus one triple's."""
+    run, size = [], 0
+    for triple in chain(triples, [None]):
+        if triple is not None:
+            run.append(triple)
+            size += len(triple[0])
+        if run and (triple is None or size >= n_rows):
+            # A run of one triple is that triple, uncopied.
+            yield run[0] if len(run) == 1 else tuple(map(np.concatenate, zip(*run)))
+            run, size = [], 0
 
 
 def csr_in_recorded_order(shape, dtype, row_arrays, triples):
     """A CSR matrix whose rows hold their elements in the order given.
 
     Row ``r`` holds the ``(rows, columns, data)`` ``triples``' elements for
-    ``r``, triple after triple and in each triple's own order
-    (:func:`csr_in_order`), so ``matrix @ x`` performs the additions of one
-    ``np.add.at`` per triple, in turn (a diagonal is one more triple,
-    placed where its addition happened).
+    ``r``, triple after triple and in each triple's own order, columns
+    unsorted and duplicates kept.  SciPy's ``csr_matvec`` adds a row's
+    entries in stored order starting from zero, so ``matrix @ x`` performs
+    the additions of one ``np.add.at(y, rows, data * x[columns])`` per
+    triple, in turn (a diagonal is one more triple, placed where its
+    addition happened).
 
     ``row_arrays`` yields each triple's ``rows`` (read through once, to
     size the rows) and ``triples`` the same triples again (read through
     once, to place them): both may be generators, so a caller can hand
     chunks over — or drop them — one at a time and the chunks and the
-    matrix are never whole in memory together.
+    matrix are never whole in memory together.  Either pass joins
+    consecutive triples into runs of at least ``shape[0]`` elements
+    (:func:`_runs`): a run, not each small triple, pays the pass over every
+    row, and one run is all that is ever copied at a time.
     """
     n_rows = shape[0]
     lengths = np.zeros(n_rows, dtype=np.int64)
-    for rows in row_arrays:
+    for (rows,) in _runs(((rows,) for rows in row_arrays), n_rows):
         lengths += np.bincount(rows, minlength=n_rows)
     indptr = np.concatenate([[0], np.cumsum(lengths)])
     nnz = int(indptr[-1])
     index, _ = csr_footprint(shape, nnz, dtype)
     indices, data = np.empty(nnz, dtype=index), np.empty(nnz, dtype=dtype)
     cursor = indptr[:-1].copy()
-    for triple in triples:
-        part = csr_in_order(shape, dtype, *triple)
-        counts = np.diff(part.indptr)
-        to = np.repeat(cursor - part.indptr[:-1], counts) + np.arange(part.nnz)
-        indices[to], data[to] = part.indices, part.data
+    for rows, columns, values in _runs(triples, n_rows):
+        run = sp.coo_matrix((np.asarray(values, dtype), (rows, columns)), shape=shape)
+        # Stops ``tocsr`` after its stable counting pass by row, before it
+        # would sort each row and sum the duplicates.
+        run.has_canonical_format = True
+        run = run.tocsr()
+        counts = np.diff(run.indptr)
+        to = np.repeat(cursor - run.indptr[:-1], counts) + np.arange(run.nnz)
+        indices[to], data[to] = run.indices, run.data
         cursor += counts
     return sp.csr_matrix((data, indices, indptr.astype(index)), shape=shape)
 

@@ -53,6 +53,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 __all__ = [
     "atomic_write",
+    "check_fields",
     "CheckpointState",
     "write_checkpoint",
     "load_checkpoint",
@@ -64,6 +65,11 @@ __all__ = [
 _PREFIX = "ckpt-"
 _MANIFEST = "manifest.json"
 _FORMAT = 1
+
+#: The manifest fields loading reads, with their JSON types (an entry of
+#: ``files`` that is not its file's ``{crc32, nbytes}`` fails the
+#: integrity check).
+_MANIFEST_FIELDS = dict(format=int, iteration=int, files=dict, meta=dict, n_vectors=int)
 
 
 @dataclass
@@ -95,6 +101,18 @@ def atomic_write(path, data: bytes) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def check_fields(record, fields: dict, where: str) -> None:
+    """Raise :class:`CheckpointError` unless ``record`` is a JSON object
+    holding every key of ``fields`` with exactly that type, an ``int``
+    not below zero (every integer a manifest holds is a count, a size, an
+    index or a checksum)."""
+    for key, kind in fields.items():
+        value = record.get(key) if isinstance(record, dict) else None
+        if type(value) is not kind or (kind is int and value < 0):
+            bound = " >= 0" if kind is int else ""
+            raise CheckpointError(f"{where} has no {kind.__name__} {key!r}{bound}")
 
 
 def _crc_entry(path: Path) -> dict:
@@ -208,7 +226,8 @@ def load_checkpoint(path, *, space=None, like=None) -> CheckpointState:
 
     Every file is re-hashed against the manifest before anything is
     deserialised; any mismatch (missing file, truncation, bit flip,
-    unexpected extra state) raises :class:`CheckpointError`.
+    unexpected extra state), or a manifest field missing, mistyped or out
+    of range, raises :class:`CheckpointError`.
     """
     path = Path(path)
     manifest_path = path / _MANIFEST
@@ -220,13 +239,15 @@ def load_checkpoint(path, *, space=None, like=None) -> CheckpointState:
         raise CheckpointError(
             f"checkpoint manifest {manifest_path} is not valid JSON"
         ) from exc
-    if manifest.get("format") != _FORMAT:
+    check_fields(manifest, _MANIFEST_FIELDS, f"checkpoint manifest {manifest_path}")
+    if manifest["format"] != _FORMAT:
         raise CheckpointError(
-            f"checkpoint {path} has format {manifest.get('format')!r}, "
+            f"checkpoint {path} has format {manifest['format']!r}, "
             f"this build reads format {_FORMAT}"
         )
     files = manifest["files"]
     try:
+        # Only names of files inside ``path`` pass: nothing else is read.
         on_disk = {str(p.relative_to(path)) for p in _checkpoint_files(path)}
         missing = sorted(set(files) - on_disk)
         if missing:
@@ -245,7 +266,7 @@ def load_checkpoint(path, *, space=None, like=None) -> CheckpointState:
         if "state.npz" in files:
             with np.load(path / "state.npz") as bundle:
                 arrays = {key: bundle[key] for key in bundle.files}
-        n_vectors = manifest.get("n_vectors", 0)
+        n_vectors = manifest["n_vectors"]
         if n_vectors and space is None:
             raise CheckpointError(
                 f"checkpoint {path} holds {n_vectors} vectors; pass the "
@@ -264,9 +285,9 @@ def load_checkpoint(path, *, space=None, like=None) -> CheckpointState:
             "(pruned by a concurrent writer?)"
         ) from exc
     return CheckpointState(
-        iteration=int(manifest["iteration"]),
+        iteration=manifest["iteration"],
         arrays=arrays,
-        meta=dict(manifest.get("meta", {})),
+        meta=manifest["meta"],
         vectors=vectors,
         path=path,
     )

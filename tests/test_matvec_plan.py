@@ -10,6 +10,8 @@ for the serial operator and all three distributed variants.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 
 import repro
 from repro import telemetry
@@ -21,6 +23,7 @@ from repro.distributed import (
 )
 from repro.linalg import as_matvec, lanczos
 from repro.operators import MatvecPlan
+from repro.operators.plan import csr_in_recorded_order
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
 
@@ -217,11 +220,11 @@ class TestConsolidatedReplay:
         chunks = [op.plan.get(key) for key in keys]
         assert op.plan.n_entries == len(keys) == -(-op.dim // op.batch_size)
         if batch_size == 1:
-            assert any(chunk.rows.size == 0 for chunk in chunks)
+            assert any(chunk[0].size == 0 for chunk in chunks)
         pairs = [
             pair
             for chunk in chunks
-            for pair in zip(chunk.rows.tolist(), chunk.sources.tolist())
+            for pair in zip(chunk[0].tolist(), chunk[1].tolist())
         ]
         assert len(set(pairs)) < len(pairs)
         assert op.plan.nbytes == 16 * len(pairs)  # 32-bit positions
@@ -366,6 +369,59 @@ class TestConsolidatedReplay:
             )
 
 
+class TestOneBuilder:
+    @given(
+        n_rows=st.integers(min_value=0, max_value=40),
+        n_columns=st.integers(min_value=1, max_value=40),
+        sizes=st.lists(st.integers(min_value=0, max_value=90), max_size=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n_rows=30, n_columns=7, sizes=[], seed=0)
+    @example(n_rows=30, n_columns=7, sizes=[1], seed=0)
+    @example(n_rows=30, n_columns=7, sizes=[1] * 12, seed=1)
+    @example(n_rows=30, n_columns=7, sizes=[5, 0, 80, 3, 3, 31], seed=2)
+    @settings(max_examples=60, deadline=None)
+    def test_csr_of_the_concatenated_triples(self, n_rows, n_columns, sizes, seed):
+        """The matrix is the stable CSR of the triples one after the other,
+        ``M @ x`` adds what one ``np.add.at`` per triple adds, and the
+        triples are joined into runs of at least ``n_rows`` elements: no
+        triple shorter than that pays a counting pass over every row."""
+        rng = np.random.default_rng(seed)
+        sizes = sizes if n_rows else [0] * len(sizes)
+        triples = [
+            (
+                rng.integers(0, max(n_rows, 1), size),
+                rng.integers(0, n_columns, size),
+                rng.standard_normal(size),
+            )
+            for size in sizes
+        ]
+        passes, tocsr = [], sp.coo_matrix.tocsr
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                sp.coo_matrix, "tocsr",
+                lambda *args, **kwargs: passes.append(1) or tocsr(*args, **kwargs),
+            )
+            matrix = csr_in_recorded_order(
+                (n_rows, n_columns), np.float64,
+                (rows for rows, _, _ in triples), iter(triples),
+            )
+        rows, columns, data = (
+            np.concatenate([np.empty(0, dtype=kind)] + [t[i] for t in triples])
+            for i, kind in enumerate((np.int64, np.int64, np.float64))
+        )
+        order = np.argsort(rows, kind="stable")
+        counts = np.bincount(rows, minlength=n_rows)
+        np.testing.assert_array_equal(matrix.indptr, np.r_[0, np.cumsum(counts)])
+        np.testing.assert_array_equal(matrix.indices, columns[order])
+        np.testing.assert_array_equal(matrix.data, data[order])
+        x, y = rng.standard_normal(n_columns), np.zeros(n_rows)
+        for triple_rows, triple_columns, values in triples:
+            np.add.at(y, triple_rows, values * x[triple_columns])
+        np.testing.assert_array_equal(matrix @ x, y)
+        assert not n_rows or len(passes) <= sum(sizes) // n_rows + 1
+
+
 class TestPlanCachePolicy:
     def test_lru_eviction_under_tiny_budget(self, basis, expr, rng):
         op = repro.Operator(expr, basis, plan=MatvecPlan(capacity_bytes=1))
@@ -384,8 +440,6 @@ class TestPlanCachePolicy:
         cold = make_op(plan=False).matvec(x)
         probe = make_op(plan=True)
         probe.matvec(x)
-        for key in [key for key in probe.plan._entries if key[0] == "replay"]:
-            probe.plan.pop(key)  # on ``sim``: the record of the warm product
         keys, recorded = probe.plan.n_entries, probe.plan.nbytes
         op = make_op(plan=MatvecPlan(capacity_bytes=int(share * recorded)))
         tele = telemetry.Telemetry.enabled(trace=False)

@@ -40,6 +40,7 @@ from repro.resilience import (
     ResilienceConfig,
     latest_checkpoint,
     list_checkpoints,
+    load_checkpoint,
     load_latest_checkpoint,
     write_checkpoint,
 )
@@ -433,6 +434,35 @@ class TestCheckpointRestart:
             )
             state = load_latest_checkpoint(tmp_path)
         assert state.iteration == 1
+        snap = tele.metrics.snapshot()
+        assert snap.counter_total("checkpoint.skipped_corrupt") == 1
+
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            lambda manifest: {k: v for k, v in manifest.items() if k != "files"},
+            lambda manifest: [manifest],
+            lambda manifest: {**manifest, "iteration": "x"},
+            lambda manifest: {**manifest, "iteration": -1},
+            lambda manifest: {**manifest, "meta": [["seed", 3]]},
+        ],
+        ids=["no-files", "a-list", "iteration-not-int", "iteration-negative",
+             "meta-not-object"],
+    )
+    def test_malformed_newest_manifest_falls_back_to_previous(
+        self, tmp_path, malformed
+    ):
+        tele = Telemetry.enabled()
+        with telemetry.use(tele):
+            write_checkpoint(tmp_path, 1, arrays={"x": np.arange(4.0)})
+            write_checkpoint(tmp_path, 2, arrays={"x": np.arange(4.0) * 2})
+            path = latest_checkpoint(tmp_path) / "manifest.json"
+            path.write_text(json.dumps(malformed(json.loads(path.read_text()))))
+            with pytest.raises(CheckpointError, match="manifest"):
+                load_checkpoint(path.parent)
+            state = load_latest_checkpoint(tmp_path)
+        assert state.iteration == 1
+        np.testing.assert_array_equal(state.arrays["x"], np.arange(4.0))
         snap = tele.metrics.snapshot()
         assert snap.counter_total("checkpoint.skipped_corrupt") == 1
 
