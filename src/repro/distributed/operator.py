@@ -125,18 +125,6 @@ def _check_options(method: str, options: dict) -> None:
             options[row.key] = check(options[row.key], row)
 
 
-def _replayed(report: SimReport, log: Recording) -> SimReport:
-    """What a simulated product that ran under ``log`` and returned
-    ``report`` leaves: the log written to the ambient telemetry
-    (skipped where that is disabled) and a copy of ``report`` whose
-    dicts are its own (the ledger is the record's) and whose metrics
-    are the ambient ones."""
-    log.replay(tele := current_telemetry())
-    extras, phases = dict(report.extras), dict(report.phase_elapsed)
-    metrics = tele.metrics.snapshot() if tele.metrics.enabled else None
-    return replace(report, extras=extras, phase_elapsed=phases, metrics=metrics)
-
-
 class DistributedOperator(BasisOperator):
     """A Hermitian operator over a hash-distributed basis.
 
@@ -156,24 +144,21 @@ class DistributedOperator(BasisOperator):
     Once the plan holds every element, a warm matvec is one SpMV per
     destination locale on both backends, ``y.parts[d] = M_d @
     concat(x.parts)`` on the calling thread — no executor, no worker, no
-    hand-off — and two replays are bit-identical.  Every product with a
-    plan and no fault plan asks one question (:meth:`matvec`): replay the
-    record held for it, else, once the plan holds every element, make
-    that record and be the product it records (:meth:`_record`), else run
-    ``method``'s schedule.  What differs between the backends is what the
-    record holds.  On a wall-clock backend it is the matrices (``(locale,
-    "matrix")``, folded from the chunks), and every product from the one
-    that folds them on measures itself (``messages == bytes_sent == 0``).
-    On ``sim`` the product is the schedule: the product that finds the
-    plan complete runs it under a private recording and keeps the report,
-    every metric update and trace call, and the matrices built in the
-    order its consumers added into ``y`` — so every later product of that
-    width and dtype reports, traces and counts exactly what that
-    simulation did, with the same ``y`` to the last bit on real arithmetic
-    (the paper's Sec. 5.3 accumulation order).  The schedule runs whenever
-    elements must be generated or the plan cannot hold the matrices: the
-    recording pass, ``plan=False``, a plan whose budget does not admit the
-    matrices, any run under a fault plan.  The
+    hand-off — and two replays are bit-identical.  What differs is what
+    the product reports.  On a wall-clock backend the second matvec folds
+    the chunks into the matrices (``(locale, "matrix")``,
+    :meth:`_consolidate`) and a replay measures itself
+    (``messages == bytes_sent == 0``).  On ``sim`` the product is the
+    schedule: the matvec that leaves the plan complete runs ``method``'s
+    schedule once more, out of sight, and keeps a record of it
+    (:meth:`_simulated`) — the report, every metric update and trace call,
+    and the matrices built in the order its consumers added into ``y`` —
+    so every later product of that width and dtype reports, traces and counts
+    exactly what that simulation did, with the same ``y`` to the last bit
+    on real arithmetic (the paper's Sec. 5.3 accumulation order).  The
+    schedule runs whenever elements must be generated or the plan cannot
+    hold the matrices: the recording pass, ``plan=False``, a plan whose
+    budget does not admit the matrices, any run under a fault plan.  The
     naive and batched variants are cost models and run on ``sim`` only
     (:func:`~repro.distributed.matvec_common.require_simulator`): on a
     wall-clock cluster they are a :class:`~repro.errors.ConfigError`
@@ -253,20 +238,16 @@ class DistributedOperator(BasisOperator):
         """``y = H x``; the timing report lands in :attr:`last_report` and
         accumulates into :attr:`total_sim_time`.
 
-        With a plan and no fault plan: :meth:`_replay` the record
-        :meth:`_held` for ``x``; else, if the plan is :meth:`_complete`,
-        :meth:`_record` it; else run the schedule.
-
         Under an active resilience policy, recovers from
         :class:`~repro.errors.FaultError` by restarting the pipeline up to
         ``resilience.matvec_restarts`` times; raises the fault when that
         budget is exhausted.
         """
-        warm = self.plan is not None and self.faults is None
-        if warm and (record := self._held(x)) is not None:
-            y, report = self._replay(record, x, y)
-        elif warm and (keys := self._complete()) is not None:
-            y, report = self._record(keys, x, y)
+        replays = self.plan is not None and self.faults is None
+        if replays and not self.basis.cluster.wall_clock:
+            y, report = self._simulated(x, y)
+        elif replays and (matrices := self._consolidate()) is not None:
+            y, report = self._replay(matrices, x, y)
         else:
             y, report = self._scheduled(x, y)
         self.last_report = report
@@ -327,24 +308,49 @@ class DistributedOperator(BasisOperator):
         the order the pieces are given (:func:`csr_in_recorded_order`)."""
         plan, counts, dim = self.plan, self.basis.counts, self.basis.dim
         offsets = np.concatenate([[0], np.cumsum(counts)])
-        pieces = list(pieces)
-
-        def triples(d):
-            # Made as they are read: one piece's columns at a time.
-            for to, key, span in pieces:
-                if to == d and key is None:
-                    rows = np.arange(counts[d])
-                    yield rows, offsets[d] + rows, plan.peek((d, "diag"))
-                elif to == d:
-                    r, first = plan.peek(key), offsets[key[0]] + key[1]
-                    yield r.rows[span], first + r.sources[span], r.amplitudes[span]
-
+        views = []  # (d, rows, sources, values, first column): no copies
+        for d, key, span in pieces:
+            if key is None:
+                diagonal = np.arange(counts[d])
+                views.append((d, diagonal, diagonal, plan.peek((d, "diag")), offsets[d]))
+            else:
+                r, first = plan.peek(key), offsets[key[0]] + key[1]
+                views.append((d, r.rows[span], r.sources[span], r.amplitudes[span], first))
         return [
             csr_in_recorded_order(
-                (int(n), dim), self.dtype, (t[0] for t in triples(d)), triples(d)
+                (int(n), dim), self.dtype,
+                (rows for to, rows, *_ in views if to == d),
+                # A piece's columns are made as the builder places it.
+                ((rows, first + sources, values)
+                 for to, rows, sources, values, first in views if to == d),
             )
             for d, n in enumerate(counts)
         ]
+
+    def _consolidate(self):
+        """On a wall-clock backend: one CSR matrix per destination locale
+        (``(locale, "matrix")``), or ``None`` while elements must still be
+        scheduled (:meth:`_complete`).
+
+        Row ``r`` holds the diagonal element, then the off-diagonal ones
+        ordered by (source locale, chunk start, position in the chunk's
+        slice for ``d``) — on one locale, the order in which the recording
+        pass added them.  The chunk records stay in the plan next to the
+        matrices: ``benchmarks/e2e/layers.py`` replays them.
+        """
+        plan, locales = self.plan, range(self.basis.n_locales)
+        folded = [(d, "matrix") for d in locales]
+        if all(key in plan for key in folded):
+            return [plan.get(key) for key in folded]
+        if (keys := self._complete()) is None:
+            return None
+        pieces = [(d, None, None) for d in locales if (d, "diag") in plan]
+        for key in keys:
+            starts = plan.peek(key).starts
+            pieces += [(d, key, slice(starts[d], starts[d + 1])) for d in locales]
+        for key, matrix in zip(folded, self._fold(pieces)):
+            plan.put(key, matrix)
+        return [plan.get(key) for key in folded]
 
     def _record_key(self, x: DistributedVector) -> tuple:
         """What a simulated product depends on besides the plan: the
@@ -353,57 +359,39 @@ class DistributedOperator(BasisOperator):
         options = tuple(sorted(self.method_options.items()))
         return ("replay", self.method, options, self.resilience, x.n_columns, x.dtype)
 
-    def _held(self, x: DistributedVector):
-        """The record a product of ``x`` replays, or ``None``: on a
-        wall-clock backend the matrices ``(locale, "matrix")``, one
-        ``plan.get`` each; on ``sim`` ``(report, log, matrices)`` under
-        :meth:`_record_key` (no ``plan.get``: the recorded ``plan.hits``
-        are in the log)."""
-        if not self.basis.cluster.wall_clock:
-            return self.plan.peek(self._record_key(x))
-        folded = [(d, "matrix") for d in range(self.basis.n_locales)]
-        if all(key in self.plan for key in folded):
-            return [self.plan.get(key) for key in folded]
-        return None
-
-    def _record(
-        self, keys, x: DistributedVector, y: DistributedVector | None
+    def _simulated(
+        self, x: DistributedVector, y: DistributedVector | None
     ) -> tuple[DistributedVector, SimReport]:
-        """The product of ``x`` that makes the record later ones replay,
-        from the plan's complete chunk records ``keys`` (:meth:`_complete`).
-
-        On a wall-clock backend: :meth:`_fold` one matrix per destination
-        locale (``(locale, "matrix")``), row ``r`` holding the diagonal
-        element, then the off-diagonal ones ordered by (source locale,
-        chunk start, position in the chunk's slice for ``d``) — on one
-        locale, the order in which the recording pass added them — and
-        :meth:`_replay` them, measured.  The chunk records stay in the plan
-        next to the matrices: ``benchmarks/e2e/layers.py`` replays them.
-
-        On ``sim``: run the schedule under a private
-        :class:`~repro.telemetry.context.Recording`, with its additions
-        into ``y`` logged, and :meth:`_fold` the matrices in the logged
-        order.  ``(report, recording, matrices)`` goes into the plan if
-        the matrices give the product's ``y`` (to the last bit on real
+        """On ``sim``: replay the record of a product like this one, or run
+        the schedule and, if that left the plan complete
+        (:meth:`_complete`), make one: run the product once more under a
+        private :class:`~repro.telemetry.context.Recording`, with its
+        additions into ``y`` logged, and :meth:`_fold` the matrices in the
+        logged order.  ``(report, recording, matrices)`` goes into the plan
+        if the matrices give that product's ``y`` (to the last bit on real
         arithmetic, to rounding on complex); else — an addition
-        :meth:`_logged` placed wrongly — the next product records again.
-        Either way the product returns its own ``y``, reported as its
-        replays will be (:func:`_replayed`)."""
-        plan, locales = self.plan, range(self.basis.n_locales)
-        if self.basis.cluster.wall_clock:
-            pieces = [(d, None, None) for d in locales if (d, "diag") in plan] + [
-                (d, key, slice(*plan.peek(key).starts[d : d + 2]))
-                for key in keys for d in locales
-            ]
-            for d, matrix in zip(locales, self._fold(pieces)):
-                plan.put((d, "matrix"), matrix)
-            return self._replay(self._held(x), x, y)
-        with use_telemetry(recording := Recording()):
-            (y, report), additions = logged_additions(self._scheduled, x, y)
-        matrices = self._fold(self._logged(keys, additions))
-        if all(map(np.allclose, self._spmv(matrices, x).parts, y.parts)):
-            plan.put(self._record_key(x), (report, recording, matrices))
-        return y, _replayed(report, recording)
+        :meth:`_logged` placed wrongly — the operator keeps simulating.  A
+        replay is one SpMV per locale, the record's
+        telemetry log written to the ambient telemetry (skipped where that
+        is disabled; no ``plan.get``, the recorded ``plan.hits`` are in the
+        log) and a copy of its report."""
+        plan, key = self.plan, self._record_key(x)
+        if key not in plan:
+            y, report = self._scheduled(x, y)
+            if (keys := self._complete()) is not None:
+                with use_telemetry(recording := Recording()):
+                    (z, simulated), additions = logged_additions(self._scheduled, x, None)
+                matrices = self._fold(self._logged(keys, additions))
+                if all(map(np.allclose, self._spmv(matrices, x).parts, z.parts)):
+                    plan.put(key, (simulated, recording, matrices))
+            return y, report
+        report, log, matrices = plan.peek(key)
+        y = self._spmv(matrices, x, y)
+        log.replay(tele := current_telemetry())
+        # A copy whose dicts are its own (the ledger is the record's).
+        extras, phases = dict(report.extras), dict(report.phase_elapsed)
+        metrics = tele.metrics.snapshot() if tele.metrics.enabled else None
+        return y, replace(report, extras=extras, phase_elapsed=phases, metrics=metrics)
 
     def _spmv(self, matrices, x: DistributedVector, y=None) -> DistributedVector:
         """``y.parts[d] = M_d @ concat(x.parts)`` on the calling thread."""
@@ -414,24 +402,18 @@ class DistributedOperator(BasisOperator):
         return y
 
     def _replay(
-        self, record, x: DistributedVector, y: DistributedVector | None
+        self, matrices, x: DistributedVector, y: DistributedVector | None
     ) -> tuple[DistributedVector, SimReport]:
-        """``y.parts[d] = M_d @ concat(x.parts)`` for the matrices of the
-        :meth:`_held` ``record``, one SpMV after the other on the calling
-        thread (handing one to a worker costs more than it takes,
-        ``docs/BACKENDS.md``).  On ``sim`` the record's report, metrics and
-        trace come with it (:func:`_replayed`).  On a wall-clock backend
-        the product measures itself: nothing is handed over, so the report
-        counts no message, and the trace gets one span per locale."""
-        if not self.basis.cluster.wall_clock:
-            report, log, matrices = record
-            return self._spmv(matrices, x, y), _replayed(report, log)
+        """``y.parts[d] = M_d @ concat(x.parts)``, one SpMV after the other
+        on the calling thread (handing one to a worker costs more than it
+        takes, ``docs/BACKENDS.md``).  Nothing is handed over, so the
+        report counts no message; the trace gets one span per locale."""
         wall_start = perf_counter()
         y, report, metrics, trace = begin_matvec(
             self.compiled, self.basis, x, y, self.batch_size
         )
         columns = np.concatenate(x.parts)
-        for d, matrix in enumerate(record):
+        for d, matrix in enumerate(matrices):
             since = perf_counter()
             y.parts[d][...] = matrix @ columns
             if trace is not None:

@@ -49,25 +49,12 @@ def operator_to_dense(op: CompiledOperator, basis: Basis) -> np.ndarray:
 
 def operator_to_sparse(op: CompiledOperator, basis: Basis) -> sp.csr_matrix:
     """Materialize the operator as a SciPy CSR matrix in the given basis."""
-    dtype = result_dtype(op, basis)
-    rows_all: list[np.ndarray] = []
-    cols_all: list[np.ndarray] = []
-    vals_all: list[np.ndarray] = []
-    for rows, cols, values in _column_entries(op, basis):
-        rows_all.append(rows)
-        cols_all.append(cols)
-        vals_all.append(values.astype(dtype))
-    if not rows_all:
-        return sp.csr_matrix((basis.dim, basis.dim), dtype=dtype)
-    matrix = sp.coo_matrix(
-        (
-            np.concatenate(vals_all),
-            (np.concatenate(rows_all), np.concatenate(cols_all)),
-        ),
-        shape=(basis.dim, basis.dim),
-        dtype=dtype,
-    )
-    return matrix.tocsr()
+    dtype, shape = result_dtype(op, basis), (basis.dim, basis.dim)
+    entries = list(_column_entries(op, basis))
+    if not entries:
+        return sp.csr_matrix(shape, dtype=dtype)
+    rows, cols, values = map(np.concatenate, zip(*entries))
+    return sp.coo_matrix((values.astype(dtype), (rows, cols)), shape=shape).tocsr()
 
 
 def expression_to_dense(expression, n_sites: int) -> np.ndarray:

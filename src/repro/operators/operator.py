@@ -230,17 +230,17 @@ class Operator(BasisOperator):
         keys = [(start,) for start in range(0, self.dim, self.batch_size)]
         if not keys or not all(key in plan for key in keys):
             return None
-        dim = self.dim
-        nnz = dim + sum(plan.peek(key)[0].size for key in keys)
+        nnz = self.dim + sum(plan.peek(key)[0].size for key in keys)
         if csr_footprint(self.shape, nnz, self.dtype)[1] > plan.capacity_bytes:
             return None  # the plan would turn it away: keep the batches
-        # Run by run, each batch leaving the plan as it is placed: the
-        # triples and the matrix are never whole in memory together.
-        diagonal = (np.arange(dim), np.arange(dim), self.diagonal())
+        # Each batch leaves the plan as the builder takes it: above
+        # ``RUN_ELEMENTS`` run by run, so the batches and the matrix are
+        # never whole in memory together.
+        positions = np.arange(self.dim)
         matrix = csr_in_recorded_order(
             self.shape, self.dtype,
-            chain([diagonal[0]], (plan.get(key)[0] for key in keys)),
-            chain([diagonal], map(plan.pop, keys)),
+            chain([positions], (plan.get(key)[0] for key in keys)),
+            chain([(positions, positions, self.diagonal())], map(plan.pop, keys)),
         )
         plan.put(MATRIX_KEY, matrix)
         return matrix

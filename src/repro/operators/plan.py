@@ -36,12 +36,13 @@ Keys are caller-chosen tuples: the serial operator uses ``(start,)`` for a
 batch's ``(rows, sources, amplitudes)`` triple and ``("matrix",)`` for the
 matrix that replaces them; the distributed matvec variants use ``(locale,
 start)`` for a produced chunk and ``(locale, "diag")`` for a locale's
-diagonal matrix elements, and the distributed operator records what its
-warm products replay (``DistributedOperator._record``): on a wall-clock
-backend ``(locale, "matrix")``, the matrix of everything that lands on
-``locale``, and on ``sim`` ``("replay", method, options, policy, width,
-dtype)``, a simulated product with its matrices, so one plan serves a
-whole distributed operator.  The keys do not say *whose*
+diagonal matrix elements, and the distributed operator keeps what its
+warm products replay: on a wall-clock backend ``(locale, "matrix")``, the
+matrix of everything that lands on ``locale``
+(``DistributedOperator._consolidate``), and on ``sim`` ``("replay",
+method, options, policy, width, dtype)``, the record of a simulated
+product with its matrices (``DistributedOperator._simulated``), so one
+plan serves a whole distributed operator.  The keys do not say *whose*
 they are: an operator claims its plan when it attaches
 (:meth:`MatvecPlan.claim`), and only an operator with the same claim —
 the same primitive tables, basis object and batch size — may share it.
@@ -50,7 +51,6 @@ the same primitive tables, basis object and batch size — may share it.
 from __future__ import annotations
 
 import threading
-from itertools import chain
 from typing import Hashable
 
 import numpy as np
@@ -87,21 +87,39 @@ def csr_footprint(shape: tuple[int, int], nnz: int, dtype) -> tuple[np.dtype, in
     return index, data + (shape[0] + 1) * index.itemsize
 
 
-def _runs(triples, n_rows):
-    """The ``(rows, columns, data)`` ``triples``, consecutive ones joined
-    until a run holds at least ``n_rows`` elements (the last may hold
-    fewer): placing a run costs one pass over the rows, so ``n_rows`` is
-    paid once per ``n_rows`` elements at most, and a run holds no more
-    than ``n_rows`` elements plus one triple's."""
-    run, size = [], 0
-    for triple in chain(triples, [None]):
-        if triple is not None:
-            run.append(triple)
-            size += len(triple[0])
-        if run and (triple is None or size >= n_rows):
-            # A run of one triple is that triple, uncopied.
-            yield run[0] if len(run) == 1 else tuple(map(np.concatenate, zip(*run)))
-            run, size = [], 0
+#: Triples of fewer elements than this (about 12 MB of 64-bit triples),
+#: or than the matrix's rows, are joined whole into one run of
+#: :func:`csr_in_recorded_order`: no sizing pass, no placing scatter.
+RUN_ELEMENTS = 2**19
+
+
+def _runs(items, bound, size=len):
+    """Consecutive ``items`` grouped until a group's ``size`` reaches
+    ``bound`` (the last group may fall short)."""
+    group, total = [], 0
+    for item in items:
+        group.append(item)
+        total += size(item)
+        if total >= bound:
+            yield group
+            group, total = [], 0
+    if group:
+        yield group
+
+
+def _csr(shape, dtype, run):
+    """The CSR matrix of a ``run`` of ``(rows, columns, data)`` triples,
+    each row's elements in the run's order; the run is emptied, so its
+    triples live no longer than their joined copy."""
+    rows, columns, values = run[0] if len(run) == 1 else map(np.concatenate, zip(*run))
+    run.clear()
+    coo = sp.coo_matrix((np.asarray(values, dtype), (rows, columns)), shape=shape)
+    # Stops ``tocsr`` after its stable counting pass by row, before it
+    # would sort each row and sum the duplicates.
+    coo.has_canonical_format = True
+    matrix = coo.tocsr()
+    assert matrix.nnz == len(rows), "tocsr summed duplicates"
+    return matrix
 
 
 def csr_in_recorded_order(shape, dtype, row_arrays, triples):
@@ -119,29 +137,35 @@ def csr_in_recorded_order(shape, dtype, row_arrays, triples):
     size the rows) and ``triples`` the same triples again (read through
     once, to place them): both may be generators, so a caller can hand
     chunks over — or drop them — one at a time and the chunks and the
-    matrix are never whole in memory together.  Either pass joins
-    consecutive triples into runs of at least ``shape[0]`` elements
-    (:func:`_runs`): a run, not each small triple, pays the pass over every
-    row, and one run is all that is ever copied at a time.
+    matrix are never whole in memory together.  Fewer than
+    ``max(shape[0],`` :data:`RUN_ELEMENTS` ``)`` elements in all are
+    joined into one run, whose CSR is the matrix.  More are sized, then
+    placed, in runs of consecutive triples joined until a run holds at
+    least ``shape[0]`` elements (:func:`_runs`): a run, not each small
+    triple, pays SciPy's fixed cost and the pass over every row, and one
+    run is all that is ever copied at a time.
     """
     n_rows = shape[0]
-    lengths = np.zeros(n_rows, dtype=np.int64)
-    for (rows,) in _runs(((rows,) for rows in row_arrays), n_rows):
-        lengths += np.bincount(rows, minlength=n_rows)
+    row_arrays = list(row_arrays)  # the triples' own arrays, uncopied
+    if 0 < sum(map(len, row_arrays)) < max(n_rows, RUN_ELEMENTS):
+        return _csr(shape, dtype, list(triples))
+    lengths = sum(
+        (np.bincount(np.concatenate(run), minlength=n_rows)
+         for run in _runs(row_arrays, n_rows)),
+        np.zeros(n_rows, dtype=np.int64),
+    )
+    del row_arrays
     indptr = np.concatenate([[0], np.cumsum(lengths)])
     nnz = int(indptr[-1])
     index, _ = csr_footprint(shape, nnz, dtype)
     indices, data = np.empty(nnz, dtype=index), np.empty(nnz, dtype=dtype)
     cursor = indptr[:-1].copy()
-    for rows, columns, values in _runs(triples, n_rows):
-        run = sp.coo_matrix((np.asarray(values, dtype), (rows, columns)), shape=shape)
-        # Stops ``tocsr`` after its stable counting pass by row, before it
-        # would sort each row and sum the duplicates.
-        run.has_canonical_format = True
-        run = run.tocsr()
-        counts = np.diff(run.indptr)
-        to = np.repeat(cursor - run.indptr[:-1], counts) + np.arange(run.nnz)
-        indices[to], data[to] = run.indices, run.data
+    for run in _runs(triples, n_rows, lambda triple: len(triple[0])):
+        part = _csr(shape, dtype, run)
+        counts = np.diff(part.indptr)
+        to = np.repeat(cursor - part.indptr[:-1], counts)
+        to += np.arange(part.nnz)
+        indices[to], data[to] = part.indices, part.data
         cursor += counts
     return sp.csr_matrix((data, indices, indptr.astype(index)), shape=shape)
 

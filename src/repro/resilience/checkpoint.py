@@ -111,8 +111,7 @@ def check_fields(record, fields: dict, where: str) -> None:
     for key, kind in fields.items():
         value = record.get(key) if isinstance(record, dict) else None
         if type(value) is not kind or (kind is int and value < 0):
-            bound = " >= 0" if kind is int else ""
-            raise CheckpointError(f"{where} has no {kind.__name__} {key!r}{bound}")
+            raise CheckpointError(f"{where} has no valid {kind.__name__} {key!r}")
 
 
 def _crc_entry(path: Path) -> dict:
@@ -266,8 +265,7 @@ def load_checkpoint(path, *, space=None, like=None) -> CheckpointState:
         if "state.npz" in files:
             with np.load(path / "state.npz") as bundle:
                 arrays = {key: bundle[key] for key in bundle.files}
-        n_vectors = manifest["n_vectors"]
-        if n_vectors and space is None:
+        if (n_vectors := manifest["n_vectors"]) and space is None:
             raise CheckpointError(
                 f"checkpoint {path} holds {n_vectors} vectors; pass the "
                 "solver's vector space to load them"

@@ -14,6 +14,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 import repro
+import repro.operators.plan as plan_module
 from repro import telemetry
 from repro.basis import SpinBasis, SymmetricBasis
 from repro.distributed import (
@@ -374,18 +375,24 @@ class TestOneBuilder:
         n_rows=st.integers(min_value=0, max_value=40),
         n_columns=st.integers(min_value=1, max_value=40),
         sizes=st.lists(st.integers(min_value=0, max_value=90), max_size=12),
+        run_elements=st.sampled_from([0, 50, 2**19]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    @example(n_rows=30, n_columns=7, sizes=[], seed=0)
-    @example(n_rows=30, n_columns=7, sizes=[1], seed=0)
-    @example(n_rows=30, n_columns=7, sizes=[1] * 12, seed=1)
-    @example(n_rows=30, n_columns=7, sizes=[5, 0, 80, 3, 3, 31], seed=2)
+    @example(n_rows=30, n_columns=7, sizes=[], run_elements=0, seed=0)
+    @example(n_rows=30, n_columns=7, sizes=[1], run_elements=0, seed=0)
+    @example(n_rows=30, n_columns=7, sizes=[1] * 12, run_elements=0, seed=1)
+    @example(n_rows=30, n_columns=7, sizes=[5, 0, 80, 3, 3, 31], run_elements=0, seed=2)
+    @example(n_rows=30, n_columns=7, sizes=[5, 0, 80, 3, 3, 31], run_elements=2**19, seed=2)
     @settings(max_examples=60, deadline=None)
-    def test_csr_of_the_concatenated_triples(self, n_rows, n_columns, sizes, seed):
+    def test_csr_of_the_concatenated_triples(
+        self, n_rows, n_columns, sizes, run_elements, seed
+    ):
         """The matrix is the stable CSR of the triples one after the other,
-        ``M @ x`` adds what one ``np.add.at`` per triple adds, and the
-        triples are joined into runs of at least ``n_rows`` elements: no
-        triple shorter than that pays a counting pass over every row."""
+        and ``M @ x`` adds what one ``np.add.at`` per triple adds.  Fewer
+        than ``max(n_rows, RUN_ELEMENTS)`` elements are one COO -> CSR
+        pass; more are joined into runs of at least ``n_rows`` elements,
+        so no triple shorter than that pays a counting pass over every
+        row."""
         rng = np.random.default_rng(seed)
         sizes = sizes if n_rows else [0] * len(sizes)
         triples = [
@@ -398,6 +405,7 @@ class TestOneBuilder:
         ]
         passes, tocsr = [], sp.coo_matrix.tocsr
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(plan_module, "RUN_ELEMENTS", run_elements)
             patch.setattr(
                 sp.coo_matrix, "tocsr",
                 lambda *args, **kwargs: passes.append(1) or tocsr(*args, **kwargs),
@@ -419,7 +427,10 @@ class TestOneBuilder:
         for triple_rows, triple_columns, values in triples:
             np.add.at(y, triple_rows, values * x[triple_columns])
         np.testing.assert_array_equal(matrix @ x, y)
-        assert not n_rows or len(passes) <= sum(sizes) // n_rows + 1
+        if 0 < sum(sizes) < max(n_rows, run_elements):
+            assert len(passes) == 1
+        else:
+            assert not n_rows or len(passes) <= sum(sizes) // n_rows + 1
 
 
 class TestPlanCachePolicy:
@@ -440,6 +451,8 @@ class TestPlanCachePolicy:
         cold = make_op(plan=False).matvec(x)
         probe = make_op(plan=True)
         probe.matvec(x)
+        for key in [key for key in probe.plan._entries if key[0] == "replay"]:
+            probe.plan.pop(key)  # on ``sim``: the record the first product made
         keys, recorded = probe.plan.n_entries, probe.plan.nbytes
         op = make_op(plan=MatvecPlan(capacity_bytes=int(share * recorded)))
         tele = telemetry.Telemetry.enabled(trace=False)

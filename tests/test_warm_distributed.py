@@ -20,10 +20,9 @@ Three contracts:
    calling thread, whatever the block width or dtype: equal to the
    serial operator and to the recording pass to ``1e-12``, bit-identical
    from replay to replay, and bit-identical to the recording pass on one
-   locale in real arithmetic.  On ``sim`` the second product, finding
-   the plan complete, runs its schedule once under a private recording
-   and is the record every later product of its width and dtype replays
-   (``("replay", ..., width, dtype)``): no schedule runs, ``y`` and the
+   locale in real arithmetic.  On ``sim`` the second product simulates
+   the schedule once more and every later one replays that product's
+   record (``(operator, columns)``): no schedule runs, ``y`` and the
    report are the simulated ones to the last bit.  Fault plans and
    budgets too small for the matrices keep the per-chunk schedule on
    both backends, and ``invalidate_plan()`` drops the record.
@@ -47,6 +46,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 import repro.distributed.operator as operator_module
+import repro.operators.plan as plan_module
 from repro import telemetry
 from repro.autotune import search
 from repro.basis import SymmetricBasis
@@ -518,10 +518,10 @@ class TestOneSpmvPerLocale:
         scheduled = count_schedules(monkeypatch, method)
         dop = DistributedOperator(expr, dbasis, method=method, batch_size=16)
         ys, reports = [], []
-        for product in (1, 2, 3, 4):  # generate, record, replay x2
+        for _ in range(4):  # record and simulate once more, replay x3
             ys.append(dop.matvec(dx))
             reports.append(dop.last_report)
-            assert len(scheduled) == min(product, 2)
+            assert len(scheduled) == 2
         assert dop._record_key(dx) in dop.plan and not matrix_keys(dop.plan)
         # A plan that cannot hold the matrices simulates every product.
         ref = DistributedOperator(
@@ -537,24 +537,13 @@ class TestOneSpmvPerLocale:
             assert report.messages == ref.last_report.messages > 0
             assert report.elapsed == ref.last_report.elapsed
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_sim_one_shot_product_simulates_once(self, method, rng, monkeypatch):
-        """A planned product that leaves the plan complete runs its
-        schedule once and keeps no record: the next product makes it."""
-        serial, dbasis, expr = build("sim", n_locales=2)
-        dx = DistributedVector.from_serial(
-            dbasis, serial, random_serial(rng, serial)
-        )
-        scheduled = count_schedules(monkeypatch, method)
-        dop = DistributedOperator(expr, dbasis, method=method, batch_size=16)
-        dop.matvec(dx)
-        assert len(scheduled) == 1 and dop._record_key(dx) not in dop.plan
-
     def test_fold_holds_the_matrices_and_one_run(self, rng, monkeypatch):
-        """The wall-clock fold places a destination's pieces run by run,
-        never joined whole: its tracemalloc peak is the matrices plus one
-        run's working set, sixteen 8-byte words per element of the longest
-        run there can be (a destination's rows plus the longest piece)."""
+        """The wall-clock fold of a destination with more elements than
+        ``RUN_ELEMENTS`` places its pieces run by run, never joined whole:
+        its tracemalloc peak is the matrices plus one run's working set,
+        sixteen 8-byte words per element of the longest run there can be
+        (a destination's rows plus the longest piece)."""
+        monkeypatch.setattr(plan_module, "RUN_ELEMENTS", 0)
         serial, dbasis, expr = build("threads", n=20, n_locales=2)
         dop = DistributedOperator(expr, dbasis, batch_size=128)
         dx = DistributedVector.from_serial(
@@ -608,7 +597,6 @@ class TestOneSpmvPerLocale:
             dbasis, serial, random_serial(rng, serial)
         )
         probe.matvec(dx)
-        probe.matvec(dx)  # the product that records
         _, _, held = probe.plan.peek(probe._record_key(dx))
         matrices = sum(
             m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in held
@@ -656,10 +644,10 @@ class TestOneSpmvPerLocale:
         expected = repro.Operator(expr, serial, plan=False).matvec(
             dx.to_serial(serial)
         )
-        for product in (1, 2, 3):  # generate, then try to record each time
+        for product in (1, 2):
             y = dop.matvec(dx)
             np.testing.assert_allclose(y.to_serial(serial), expected, atol=1e-12)
-            assert len(scheduled) == product
+            assert len(scheduled) == 2 * product
         assert dop._record_key(dx) not in dop.plan
 
     def test_sim_bytes_gauge_counts_the_record(self, rng):
@@ -689,7 +677,6 @@ class TestOneSpmvPerLocale:
             dbasis, serial, random_serial(rng, serial)
         )
         first = dop.matvec(dx)
-        dop.matvec(dx)  # the product that records
         gone = weakref.ref(dop)
         del dop
         gc.collect()
