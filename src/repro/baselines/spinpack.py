@@ -27,10 +27,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.basis.ranking import SortedRanker
 from repro.basis.spin_basis import Basis
+from repro.basis.symm_basis import sector_sums, source_scales
+from repro.bits.ops import as_states
 from repro.distributed.block import BlockArray, block_boundaries
+from repro.distributed.convert import counting_sort_order
 from repro.distributed.matvec_common import wire_bytes
-from repro.errors import DistributionError
 from repro.operators.compile import result_dtype
 from repro.operators.expression import Expression
 from repro.operators.kernels import get_many_rows
@@ -43,43 +46,43 @@ __all__ = ["SpinpackBasis", "SpinpackOperator"]
 
 
 class SpinpackBasis:
-    """A basis distributed in sorted blocks over the cluster."""
+    """A basis distributed in sorted blocks over the cluster.
+
+    ``global_states`` are checked against ``template`` by
+    :func:`~repro.basis.symm_basis.sector_sums` (one
+    :class:`~repro.errors.BasisError` for the first state that does not
+    belong to the sector); :meth:`from_serial` hands the serial basis's
+    own stabilizer sums over instead of a second group pass.
+    """
 
     def __init__(
         self, cluster: Cluster, template: Basis, global_states: np.ndarray
     ) -> None:
-        global_states = np.asarray(global_states, dtype=np.uint64)
-        if global_states.size > 1 and not np.all(np.diff(global_states.astype(np.int64)) > 0):
-            raise DistributionError("global states must be strictly increasing")
+        self._place(cluster, template, global_states, None)
+
+    @classmethod
+    def from_serial(cls, cluster: Cluster, serial_basis: Basis) -> "SpinpackBasis":
+        basis = cls.__new__(cls)
+        sums = getattr(serial_basis, "stabilizer_sums", None)
+        basis._place(cluster, serial_basis, serial_basis.states, sums)
+        return basis
+
+    def _place(self, cluster, template, global_states, sums) -> None:
+        global_states = as_states(global_states)
+        sums = sector_sums(template, global_states, sums)
         self.cluster = cluster
         self.template = template
         bounds = block_boundaries(global_states.size, cluster.n_locales)
         self.boundaries = bounds
-        self.parts = [
-            global_states[bounds[i] : bounds[i + 1]]
-            for i in range(cluster.n_locales)
-        ]
-        # First state of each block; the owner of a state is found by
-        # bisection (ordered partition instead of hashing).
-        self.first_states = np.array(
-            [
-                part[0] if part.size else np.uint64(0xFFFFFFFFFFFFFFFF)
-                for part in self.parts
-            ],
-            dtype=np.uint64,
+        self.parts = np.split(global_states, bounds[1:-1])
+        self.rankers = [SortedRanker(part) for part in self.parts]
+        # First state of each block (all ones for the empty blocks, which
+        # come last); the owner of a state is found by bisection (ordered
+        # partition instead of hashing).
+        self.first_states = np.append(global_states, np.uint64(2**64 - 1))[bounds[:-1]]
+        self.scales = (
+            None if sums is None else np.split(source_scales(sums), bounds[1:-1])
         )
-        group = getattr(template, "group", None)
-        if group is not None:
-            self.scales = []
-            for part in self.parts:
-                _, _, stab = group.state_info(part)
-                self.scales.append(1.0 / np.sqrt(np.maximum(stab, 1e-12)))
-        else:
-            self.scales = None
-
-    @classmethod
-    def from_serial(cls, cluster: Cluster, serial_basis: Basis) -> "SpinpackBasis":
-        return cls(cluster, serial_basis, serial_basis.states)
 
     @property
     def dim(self) -> int:
@@ -184,12 +187,9 @@ class SpinpackOperator(BasisOperator):
                     self.compiled, basis.template, states, scale
                 )
                 values = amps * x.blocks[locale][start + sources]
-                dests = basis.rank_of(members)
-                order = np.argsort(dests, kind="stable")
+                order, offsets = counting_sort_order(basis.rank_of(members), n)
                 members = members[order]
                 values = values[order]
-                counts = np.bincount(dests, minlength=n)
-                offsets = np.concatenate([[0], np.cumsum(counts)])
                 for dest in range(n):
                     lo, hi = int(offsets[dest]), int(offsets[dest + 1])
                     send_betas[locale][dest] = members[lo:hi]
@@ -231,9 +231,7 @@ class SpinpackOperator(BasisOperator):
                 incoming_b = np.concatenate(recv_betas[locale])
                 incoming_v = np.concatenate(recv_values[locale])
                 if incoming_b.size:
-                    local_idx = np.searchsorted(
-                        basis.parts[locale], incoming_b
-                    )
+                    local_idx = basis.rankers[locale].rank(incoming_b)
                     np.add.at(y.blocks[locale], local_idx, incoming_v)
                 cost = machine.compute_time(
                     machine.t_search_accum * self.kernel_slowdown,

@@ -55,6 +55,16 @@ class Basis(abc.ABC):
         representative.
         """
 
+    def in_space(self, candidates) -> np.ndarray:
+        """:meth:`check`'s cheap part: which candidates lie within the
+        ``n_sites`` and, with a weight constraint, have that Hamming
+        weight."""
+        c = as_states(candidates)
+        mask = c <= bit_mask(self.n_sites)
+        if self.hamming_weight is not None:
+            mask &= popcount(c) == np.uint64(self.hamming_weight)
+        return mask
+
     @abc.abstractmethod
     def project(self, raw_states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Project raw states onto basis members.
@@ -136,11 +146,7 @@ class SpinBasis(Basis):
         return self._ranker.rank(q)
 
     def check(self, candidates) -> np.ndarray:
-        c = as_states(candidates)
-        in_range = c <= bit_mask(self.n_sites)
-        if self.hamming_weight is None:
-            return in_range
-        return in_range & (popcount(c) == np.uint64(self.hamming_weight))
+        return self.in_space(candidates)
 
     def project(self, raw_states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raw = as_states(raw_states)

@@ -29,12 +29,57 @@ import numpy as np
 
 from repro.basis.ranking import SortedRanker
 from repro.basis.spin_basis import Basis
-from repro.bits.ops import as_states, bit_mask, candidate_batches, popcount
+from repro.bits.ops import as_states, candidate_batches
 from repro.errors import BasisError
 from repro.symmetry.group import SymmetryGroup
 from repro.symmetry.kernels import STAB_TOL as _STAB_TOL
 
-__all__ = ["SymmetricBasis"]
+__all__ = ["SymmetricBasis", "sector_sums", "source_scales"]
+
+
+def sector_sums(template: Basis, states, sums=None) -> np.ndarray | None:
+    """The rule for a basis built from given states; their stabilizer sums.
+
+    ``states`` must be a one-dimensional, strictly increasing list of
+    states that pass ``template``'s range and weight filters
+    (:meth:`Basis.in_space`) and, if the template has a symmetry group,
+    are each their orbit's minimum with stabilizer sum ``> STAB_TOL`` —
+    one :meth:`~repro.symmetry.group.SymmetryGroup.state_info` pass, or
+    none when the caller ran the predicate already and hands its ``sums``
+    over.  Returns the sums (``None`` for a template without a group);
+    :func:`source_scales` turns them into the norms.  Anything else raises
+    one :class:`~repro.errors.BasisError` naming the first bad state and
+    why.
+    """
+    states = as_states(states)
+    if states.ndim != 1:
+        raise BasisError("the given states must be a one-dimensional list")
+    unordered = np.zeros(states.size, dtype=bool)
+    unordered[1:] = states[1:] <= states[:-1]
+    faults = {
+        "is not above the state before it": unordered,
+        f"is outside n_sites={template.n_sites}, "
+        f"hamming_weight={template.hamming_weight}": ~template.in_space(states),
+    }
+    group = getattr(template, "group", None)
+    if group is not None:
+        if sums is None:
+            rep, _, sums = group.state_info(states)
+            faults["is not the minimum of its orbit"] = rep != states
+        faults["is not in this sector"] = sums <= _STAB_TOL
+    bad = np.array(list(faults.values()))
+    if bad.any():
+        at = int(np.argmax(bad.any(axis=0)))
+        why = list(faults)[int(np.argmax(bad[:, at]))]
+        raise BasisError(f"given state {int(states[at])} (position {at}) {why}")
+    return None if group is None else sums
+
+
+def source_scales(sums: np.ndarray) -> np.ndarray:
+    """The source norms ``1/sqrt(N_r)`` of the stabilizer sums
+    :func:`sector_sums` returned."""
+    return 1.0 / np.sqrt(sums)
+
 
 class SymmetricBasis(Basis):
     """Basis of surviving orbit representatives of a symmetry group.
@@ -95,16 +140,14 @@ class SymmetricBasis(Basis):
         self._set_representatives(states, stab)
         return self
 
-    def _set_representatives(self, states: np.ndarray, stab: np.ndarray) -> None:
-        """Install a pre-computed representative list (used by the
-        distributed enumeration and by :meth:`build`)."""
+    def _set_representatives(self, states, stab=None) -> None:
+        """Install a representative list that passes :func:`sector_sums`
+        (``stab``: its sums, from a caller that ran the predicate)."""
+        states = as_states(states)
+        self._stab = sector_sums(self, states, stab)
         self._states = states
         self._ranker = SortedRanker(states)
-        self._stab = stab
-        with np.errstate(divide="ignore"):
-            self._inv_sqrt_stab = np.where(
-                stab > _STAB_TOL, 1.0 / np.sqrt(np.maximum(stab, _STAB_TOL)), 0.0
-            )
+        self._inv_sqrt_stab = source_scales(self._stab)
 
     @classmethod
     def from_representatives(
@@ -113,28 +156,11 @@ class SymmetricBasis(Basis):
         states: np.ndarray,
         hamming_weight: int | None = None,
     ) -> "SymmetricBasis":
-        """Build a basis from an externally enumerated representative list:
-        strictly increasing, each state its orbit's minimum and present in
-        the sector (:class:`~repro.errors.BasisError` names the first that
-        is not)."""
+        """Build a basis from an externally enumerated representative list,
+        which :func:`sector_sums` checks (any subset of the sector's
+        representatives, in increasing order, is one)."""
         basis = cls(group, hamming_weight=hamming_weight, build=False)
-        states = as_states(states)
-        if states.ndim != 1:
-            raise BasisError("representatives must be a one-dimensional list")
-        rep, _, stab = group.state_info(states)
-        unordered = np.zeros(states.size, dtype=bool)
-        unordered[1:] = states[1:] <= states[:-1]
-        for fault, why in (
-            (unordered, "is not above the state before it"),
-            (rep != states, "is not the minimum of its orbit"),
-            (stab <= _STAB_TOL, "is not in this sector"),
-        ):
-            if np.any(fault):
-                at = int(np.argmax(fault))
-                raise BasisError(
-                    f"provided state {int(states[at])} (position {at}) {why}"
-                )
-        basis._set_representatives(states, stab)
+        basis._set_representatives(states)
         return basis
 
     def _require_built(self) -> None:
@@ -184,9 +210,7 @@ class SymmetricBasis(Basis):
 
     def check(self, candidates) -> np.ndarray:
         c = as_states(candidates)
-        mask = c <= bit_mask(self.n_sites)
-        if self.hamming_weight is not None:
-            mask &= popcount(c) == np.uint64(self.hamming_weight)
+        mask = self.in_space(c)
         if not np.any(mask):
             return mask
         # Only run the group loop on states passing the cheap filters.

@@ -14,10 +14,10 @@ import numpy as np
 
 from repro.basis.ranking import SortedRanker
 from repro.basis.spin_basis import Basis
+from repro.basis.symm_basis import sector_sums, source_scales
 from repro.distributed.hashing import locale_of
 from repro.errors import DistributionError
 from repro.runtime.cluster import Cluster
-from repro.symmetry.kernels import STAB_TOL as _STAB_TOL
 
 __all__ = ["DistributedBasis"]
 
@@ -35,11 +35,18 @@ class DistributedBasis:
         global state lives in ``parts``.
     parts:
         Per-locale sorted arrays of basis states, as produced by
-        :func:`~repro.distributed.enumeration.enumerate_states`.
+        :func:`~repro.distributed.enumeration.enumerate_states`.  Each part
+        is checked against ``template`` by
+        :func:`~repro.basis.symm_basis.sector_sums`, one
+        :class:`~repro.errors.BasisError` for the first state that does not
+        belong to the sector; a wrong part count, a state on a locale its
+        hash does not name and stabilizer arrays of the wrong shapes raise
+        :class:`~repro.errors.DistributionError`.
     stabilizers:
-        Per-locale stabilizer sums of ``parts``' states, from a caller that
-        has them already (the enumeration's filter computes them); ``None``
-        computes them here for a template with a symmetry group.
+        Per-locale stabilizer sums of ``parts``' states, for a caller that
+        ran the membership predicate and has them (the enumeration's
+        filter); ``None`` computes them here, one ``state_info`` pass per
+        part, for a template with a symmetry group.
     """
 
     def __init__(
@@ -53,38 +60,26 @@ class DistributedBasis:
             raise DistributionError(
                 f"expected {cluster.n_locales} parts, got {len(parts)}"
             )
+        if stabilizers is not None and (
+            [np.shape(s) for s in stabilizers] != [np.shape(p) for p in parts]
+        ):
+            raise DistributionError(
+                "stabilizers must hold one sum per state of every part"
+            )
         for locale, part in enumerate(parts):
             owners = locale_of(part, cluster.n_locales)
             if part.size and not np.all(owners == locale):
                 raise DistributionError(
                     f"part {locale} contains states hashed to other locales"
                 )
+        given = zip(parts, stabilizers or [None] * len(parts))
+        sums = [sector_sums(template, part, stab) for part, stab in given]
         self.cluster = cluster
         self.template = template
         self.parts = parts
         self.rankers = [SortedRanker(p) for p in parts]
         self.counts = np.array([p.size for p in parts], dtype=np.int64)
-        self._scales = self._compute_scales(stabilizers)
-
-    def _compute_scales(self, stabilizers) -> list[np.ndarray] | None:
-        """Per-locale ``1/sqrt(N_r)`` source scales for symmetric bases."""
-        group = getattr(self.template, "group", None)
-        if group is None:
-            return None
-        if stabilizers is None:
-            stabilizers = [group.state_info(part)[2] for part in self.parts]
-        elif [s.shape for s in stabilizers] != [p.shape for p in self.parts]:
-            raise DistributionError(
-                "stabilizers must hold one sum per state of every part"
-            )
-        scales = []
-        for stab in stabilizers:
-            if np.any(stab <= _STAB_TOL):
-                raise DistributionError(
-                    "a distributed part contains states outside the sector"
-                )
-            scales.append(1.0 / np.sqrt(stab))
-        return scales
+        self._scales = None if sums[0] is None else list(map(source_scales, sums))
 
     # -- inspection -----------------------------------------------------------
 

@@ -213,7 +213,9 @@ def load_basis_states(
 
     ``template`` is the physics description (the same object passed to
     :func:`~repro.distributed.enumeration.enumerate_states`); the target
-    cluster may differ from the writer's.
+    cluster may differ from the writer's.  The states are checked against
+    it (:class:`~repro.distributed.DistributedBasis`): a list saved under
+    another sector raises :class:`~repro.errors.BasisError`.
     """
     directory = Path(directory)
     manifest = _read_manifest(directory, name)

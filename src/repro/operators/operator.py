@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from repro.basis.spin_basis import Basis
-from repro.errors import CompilationError
+from repro.errors import CompilationError, ConfigError
 from repro.operators.compile import compile_expression, result_dtype
 from repro.operators.expression import Expression
 from repro.operators.kernels import get_many_rows
@@ -69,7 +69,9 @@ class BasisOperator:
     (:func:`~repro.operators.compile.result_dtype`), what every product
     promotes with its input's.  ``plan=True`` attaches a fresh
     :class:`~repro.operators.plan.MatvecPlan`, an instance attaches that
-    one, ``False`` none; the operator claims it (:meth:`MatvecPlan.claim`).
+    one, ``False`` none (anything else is a
+    :class:`~repro.errors.ConfigError`); the operator claims it
+    (:meth:`MatvecPlan.claim`).
     """
 
     def __init__(
@@ -94,6 +96,8 @@ class BasisOperator:
         require_positive(batch_size=batch_size)
         self.batch_size = int(batch_size)
         self.dtype = result_dtype(self.compiled, sector)
+        if not isinstance(plan, (bool, MatvecPlan)):
+            raise ConfigError(f"plan must be True, False or a MatvecPlan, got {plan!r}")
         self.plan: MatvecPlan | None = MatvecPlan() if plan is True else plan or None
         if self.plan is not None:
             self.plan.claim(self.compiled.digest(), basis, self.batch_size)

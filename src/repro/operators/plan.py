@@ -57,9 +57,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import ConfigError
+from repro.schema import Key, check
 from repro.telemetry.context import current as current_telemetry
 
 __all__ = ["MatvecPlan", "csr_footprint", "csr_in_recorded_order"]
+
+_CAPACITY = Key("capacity_bytes", int, min=0)
 
 
 def _entry_nbytes(entry: object) -> int:
@@ -176,7 +179,8 @@ class MatvecPlan:
     Parameters
     ----------
     capacity_bytes:
-        Maximum total size of cached entries.  ``None`` uses
+        Maximum total size of cached entries, an integer >= 0
+        (:class:`~repro.errors.ConfigError` otherwise).  ``None`` uses
         :func:`repro.perfmodel.capacity.plan_cache_budget`.  An entry that
         does not fit beside the ones held is not cached (a miss each time).
     """
@@ -186,7 +190,7 @@ class MatvecPlan:
             from repro.perfmodel.capacity import plan_cache_budget
 
             capacity_bytes = plan_cache_budget()
-        self.capacity_bytes = int(capacity_bytes)
+        self.capacity_bytes = check(capacity_bytes, _CAPACITY)
         self._entries: dict[Hashable, object] = {}
         self._nbytes_by_key: dict[Hashable, int] = {}
         self._bytes = 0

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.schema import require_positive
+
 __all__ = ["NetworkModel", "MachineModel", "snellius_machine", "laptop_machine"]
 
 
@@ -78,6 +80,8 @@ class MachineModel:
 
     The ``t_*`` fields are seconds per element for the vectorized kernels;
     they play the role of the paper's Halide kernel throughputs.
+    ``cores_per_locale`` is an integer >= 1
+    (:class:`~repro.errors.ConfigError` otherwise).
     """
 
     cores_per_locale: int = 128
@@ -109,6 +113,9 @@ class MachineModel:
     #: runs at tens of GB/s; charged on each side of a checksummed
     #: RemoteBuffer handoff when the resilience layer is active)
     checksum_bandwidth: float = 4.0e10
+
+    def __post_init__(self) -> None:
+        require_positive(cores_per_locale=self.cores_per_locale)
 
     def compute_time(self, seconds_per_element: float, n_elements: float,
                      n_cores: int | None = None) -> float:

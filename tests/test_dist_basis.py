@@ -162,7 +162,7 @@ class TestDistributedBasis:
                 stabilizers=[sums[0][:-1], *sums[1:]],
             )
         sums[1][0] = 0.0
-        with pytest.raises(DistributionError, match="outside the sector"):
+        with pytest.raises(BasisError, match="position 0.*not in this sector"):
             DistributedBasis(
                 dbasis.cluster, dbasis.template, parts, stabilizers=sums
             )

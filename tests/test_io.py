@@ -12,7 +12,7 @@ from repro.distributed import (
     DistributedVector,
     enumerate_states,
 )
-from repro.errors import CheckpointError, DistributionError
+from repro.errors import BasisError, CheckpointError, DistributionError
 from repro.io import (
     load_block_array,
     load_distributed_vector,
@@ -214,6 +214,32 @@ class TestBasisStatesIO:
         dx = DistributedVector.from_serial(loaded, serial, x)
         ref = repro.Operator(repro.heisenberg_chain(12), serial).matvec(x)
         assert np.allclose(dop.matvec(dx).to_serial(serial), ref)
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            SymmetricBasis(
+                chain_symmetries(12, momentum=0, parity=0, inversion=None),
+                hamming_weight=5,
+                build=False,
+            ),
+            SpinBasis(12, hamming_weight=5),
+        ],
+        ids=["symmetric", "plain"],
+    )
+    def test_rejects_states_of_another_sector(self, tmp_path, template):
+        """Weight-6 states loaded under a weight-5 template used to make a
+        basis of the wrong dimension, and a solver on it a wrong energy."""
+        from repro.io import load_basis_states, save_basis_states
+
+        group = chain_symmetries(12, momentum=0, parity=0, inversion=0)
+        cluster = Cluster(3, laptop_machine(cores=2))
+        dbasis, _ = enumerate_states(
+            cluster, SymmetricBasis(group, hamming_weight=6, build=False)
+        )
+        save_basis_states(tmp_path, dbasis, name="b")
+        with pytest.raises(BasisError, match="hamming_weight=5"):
+            load_basis_states(tmp_path, cluster, template, name="b")
 
     def test_plain_basis_roundtrip(self, tmp_path):
         from repro.io import load_basis_states, save_basis_states

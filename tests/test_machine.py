@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.errors import ConfigError
 from repro.runtime import MachineModel, NetworkModel, laptop_machine, snellius_machine
 
 
@@ -76,6 +77,19 @@ class TestMachineModel:
     def test_laptop_machine(self):
         m = laptop_machine(cores=4)
         assert m.cores_per_locale == 4
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: MachineModel(cores_per_locale=0),
+            lambda: laptop_machine(cores=0),
+            lambda: MachineModel().with_cores(-1),
+        ],
+    )
+    def test_rejects_fewer_than_one_core(self, make):
+        """Used to be accepted, and the enumeration then divided by zero."""
+        with pytest.raises(ConfigError, match="cores_per_locale"):
+            make()
 
     def test_calibration_single_node_42_spins(self):
         # The calibration anchor from Sec. 6.3: per-core getManyRows time

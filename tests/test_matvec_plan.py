@@ -22,6 +22,7 @@ from repro.distributed import (
     DistributedVector,
     enumerate_states,
 )
+from repro.errors import ConfigError
 from repro.linalg import as_matvec, lanczos
 from repro.operators import MatvecPlan
 from repro.operators.plan import csr_in_recorded_order
@@ -508,6 +509,31 @@ class TestPlanCachePolicy:
 
         assert MatvecPlan().capacity_bytes == plan_cache_budget()
         assert plan_cache_budget() > 0
+
+    @pytest.mark.parametrize(
+        "arguments",
+        [
+            {"capacity_bytes": float("nan")},
+            {"capacity_bytes": "10"},
+            {"capacity_bytes": -1},
+            {"capacity_bytes": 2.5},
+            {"capacity_bytes": True},
+            {"plan": 1},
+            {"plan": "yes"},
+            {"plan": None},
+        ],
+        ids=repr,
+    )
+    def test_typed_arguments(self, basis, expr, arguments):
+        """A plan argument of the wrong type or range is a ConfigError (a
+        NaN budget was a raw ValueError, ``"10"`` and ``-1`` were accepted,
+        ``plan=1`` an AttributeError from ``claim``)."""
+        with pytest.raises(ConfigError, match=next(iter(arguments))):
+            if "plan" in arguments:
+                repro.Operator(expr, basis, **arguments)
+            else:
+                MatvecPlan(**arguments)
+        assert MatvecPlan(capacity_bytes=np.int64(0)).capacity_bytes == 0
 
 
 class TestDistributedPlan:

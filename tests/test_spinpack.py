@@ -6,7 +6,7 @@ import pytest
 import repro
 from repro.baselines import SpinpackBasis, SpinpackOperator
 from repro.basis import SpinBasis, SymmetricBasis
-from repro.errors import DistributionError
+from repro.errors import BasisError
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
 
@@ -40,7 +40,7 @@ class TestSpinpackBasis:
         serial, _ = make(n=8, w=4)
         cluster = Cluster(2, laptop_machine())
         states = serial.states[::-1].copy()
-        with pytest.raises(DistributionError):
+        with pytest.raises(BasisError, match="not above the state before it"):
             SpinpackBasis(cluster, serial, states)
 
     def test_scales_present_for_symmetric_basis(self):
@@ -113,6 +113,26 @@ class TestSpinpackMatvec:
         t1 = op.total_sim_time
         op.matvec(x)
         assert op.total_sim_time > t1
+
+    def test_partial_basis_raises_like_the_serial_product(self):
+        """A partial representative list is a valid basis whose products
+        meet states outside it: a BasisError, as from the serial product
+        (SpinPack's bare ``searchsorted`` used to run off its block or add
+        into a neighbour's row)."""
+        group = chain_symmetries(12, momentum=0, parity=0, inversion=0)
+        full = SymmetricBasis(group, hamming_weight=6).states
+        partial = SymmetricBasis.from_representatives(group, full[::2], 6)
+        expr = repro.heisenberg_chain(12)
+        x = np.ones(partial.dim)
+        with pytest.raises(BasisError, match="not found in the basis"):
+            repro.Operator(expr, partial).matvec(x)
+        basis = SpinpackBasis.from_serial(
+            Cluster(3, laptop_machine(cores=4)), partial
+        )
+        with pytest.raises(BasisError, match="not found in the basis"):
+            SpinpackOperator(expr, basis).matvec(
+                basis.vector_from_serial(partial, x)
+            )
 
     def test_batch_size_does_not_change_result(self, rng):
         serial, basis = make()
