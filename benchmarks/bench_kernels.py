@@ -4,7 +4,8 @@ These measure the real NumPy throughput of the building blocks (the
 analogue of the paper's Halide kernel performance): basis enumeration,
 ``state_info``, ``getManyRows``, the ``stateToIndex`` lookup, the
 destination partition, and the mixing hash — plus comparative timings of
-the fused ``state_info`` kernel against the element-by-element reference,
+the fused ``state_info`` kernel against the element-by-element reference
+and against its stabilizer-free mode,
 of the early-exit representative filter against the ``state_info``
 predicate, of the ranker's slot probe against the binary search under it,
 of the cold serial matvec at the cache-sized default batch
@@ -192,6 +193,47 @@ def test_state_info_fused_speedup(group, batch):
         },
     )
     assert speedup >= (1.0 if SMOKE else 3.0)
+
+
+def test_stabilizer_free_kernel_speedup(group):
+    """``orbit_info`` against ``state_info`` on the raw states of one
+    default batch of the cold serial matvec.
+
+    The serial product reads each destination's norm from the basis, so
+    its kernel finds representative and phase only and tests a fixed
+    point on the elements whose character is not 1: none in this sector,
+    6 passes per permutation with a flip instead of 10.  Both return the
+    same representatives and phases, and ``valid`` is ``stab > STAB_TOL``.
+    """
+    from repro.symmetry.kernels import STAB_TOL
+
+    basis = SymmetricBasis(group, hamming_weight=WEIGHT)
+    op = repro.Operator(repro.heisenberg_chain(N_SITES), basis, plan=False)
+    _, raw, _ = op.compiled.apply_off_diag(basis.states[: op.batch_size])
+    kernel = group.kernel
+    rep, phase, stab = kernel.state_info(raw)  # also warms the buffers
+    for got, expected in zip(kernel.orbit_info(raw), (rep, phase, stab > STAB_TOL)):
+        np.testing.assert_array_equal(got, expected)
+    t_info = best_of(lambda: kernel.state_info(raw))
+    t_free = best_of(lambda: kernel.orbit_info(raw))
+    speedup = t_info / t_free
+    write_result(
+        "kernels_stabilizer_free",
+        f"chain {N_SITES} sites, |G|={len(group)}, {raw.size} raw states\n"
+        f"  state_info:  {1e3 * t_info:8.3f} ms\n"
+        f"  orbit_info:  {1e3 * t_free:8.3f} ms\n"
+        f"  speedup:     {speedup:8.2f}x\n",
+        data={
+            "n_sites": N_SITES,
+            "group_order": len(group),
+            "n_states": int(raw.size),
+            "state_info_seconds": t_info,
+            "orbit_info_seconds": t_free,
+            "speedup": speedup,
+            "smoke": SMOKE,
+        },
+    )
+    assert speedup >= 1.3
 
 
 def test_representative_filter_speedup(group):

@@ -177,14 +177,9 @@ class SpinpackOperator(BasisOperator):
                 stop = min(start + self.batch_size, count)
                 if start >= stop:
                     continue
-                states = basis.parts[locale][start:stop]
-                scale = (
-                    None
-                    if basis.scales is None
-                    else basis.scales[locale][start:stop]
-                )
                 sources, members, amps = get_many_rows(
-                    self.compiled, basis.template, states, scale
+                    self.compiled, basis.template, basis.parts[locale][start:stop],
+                    None if basis.scales is None else basis.scales[locale][start:stop],
                 )
                 values = amps * x.blocks[locale][start + sources]
                 order, offsets = counting_sort_order(basis.rank_of(members), n)
@@ -210,12 +205,9 @@ class SpinpackOperator(BasisOperator):
             # and the packed payload is charged once.
             recv_betas, _ = self.mpi.alltoallv(send_betas, charge=False)
             recv_values, _ = self.mpi.alltoallv(send_values, charge=False)
-            packed = np.zeros((n, n))
-            for src in range(n):
-                for dest in range(n):
-                    packed[src, dest] = (
-                        wire_bytes(send_betas[src][dest].size)
-                    )
+            packed = np.array(
+                [[wire_bytes(b.size) for b in row] for row in send_betas], float
+            )
             t_exchange = self.mpi.exchange_cost(packed)
             report.elapsed += t_exchange
             report.merge_phase("alltoallv", t_exchange)

@@ -76,6 +76,21 @@ class Basis(abc.ABC):
         bases the projection is the identity with factor 1.
         """
 
+    def surviving(self, raw_states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`project` with ``members`` and ``factors`` cut to the
+        ``valid`` raw states (``getManyRows``' projection)."""
+        members, factors, valid = self.project(raw_states)
+        if np.all(valid):
+            return members, factors, valid
+        return members[valid], factors[valid], valid
+
+    def locate(self, raw_states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`surviving` with the members' indices (:meth:`index`) in
+        their place: the serial product's projection, which a basis that
+        stores its norms may read instead of recomputing them."""
+        members, factors, valid = self.surviving(raw_states)
+        return self.index(members), factors, valid
+
     @property
     def source_scale(self) -> np.ndarray | None:
         """Optional per-index multiplier applied to matrix-element columns

@@ -18,9 +18,15 @@ representative :math:`r_c = h_c \\cdot s_c`,
 
 where :math:`N_r` is the stabilizer character sum returned by
 :meth:`~repro.symmetry.group.SymmetryGroup.state_info`.  The two factors are
-split between :meth:`SymmetricBasis.project` (destination part,
-:math:`\\chi^* \\sqrt{N_{r_c}}`) and :attr:`SymmetricBasis.source_scale`
-(source part, :math:`1/\\sqrt{N_\\alpha}`).
+split between the destination part, :math:`\\chi^* \\sqrt{N_{r_c}}`, and
+:attr:`SymmetricBasis.source_scale` (source part, :math:`1/\\sqrt{N_\\alpha}`).
+The destination part comes from one of two places.
+:meth:`SymmetricBasis.project` (``getManyRows``, the distributed
+producers, the dense and sparse export) sums :math:`N_{r_c}` over each
+raw state's stabilizer.  :meth:`SymmetricBasis.locate` (the serial
+product) finds the representative and its row first and reads
+:math:`N_{r_c}` from :attr:`SymmetricBasis.stabilizer_sums` at that row.
+Both give the same factor, bit for bit.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ def sector_sums(template: Basis, states, sums=None) -> np.ndarray | None:
     group = getattr(template, "group", None)
     if group is not None:
         if sums is None:
-            rep, _, sums = group.state_info(states)
+            rep, _, sums = group.kernel.state_info(states)
             faults["is not the minimum of its orbit"] = rep != states
         faults["is not in this sector"] = sums <= _STAB_TOL
     bad = np.array(list(faults.values()))
@@ -219,10 +225,18 @@ class SymmetricBasis(Basis):
         return out
 
     def project(self, raw_states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        raw = as_states(raw_states)
-        rep, phase, stab = self._group.state_info(raw)
-        valid = stab > _STAB_TOL
-        factors = phase * np.sqrt(np.maximum(stab, 0.0))
-        if self.is_real:
-            factors = factors.real
-        return rep, factors, valid
+        rep, phase, stab = self._group.state_info(raw_states)
+        return rep, phase * np.sqrt(np.maximum(stab, 0.0)), stab > _STAB_TOL
+
+    def locate(self, raw_states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`Basis.locate` with each destination's :math:`N_r` read
+        from :attr:`stabilizer_sums` at its row, where :meth:`project` sums
+        it over the raw state's stabilizer
+        (:meth:`~repro.symmetry.kernels.GroupKernel.orbit_info`): the same
+        numbers, bit for bit, for fewer kernel passes."""
+        self._require_built()
+        rep, phase, valid = self._group.kernel.orbit_info(raw_states)
+        if not np.all(valid):
+            rep, phase = rep[valid], phase[valid]
+        rows = self._ranker.rank(rep)
+        return rows, phase * np.sqrt(self._stab[rows]), valid

@@ -30,6 +30,7 @@ from repro.resilience.checkpoint import (
     load_latest_checkpoint,
     write_checkpoint,
 )
+from repro.schema import Key, check, require_positive
 from repro.telemetry.context import current as current_telemetry
 
 __all__ = ["LanczosResult", "lanczos", "lanczos_distributed"]
@@ -172,9 +173,13 @@ def lanczos(
         sought eigenvectors — a random vector is the usual choice.
     k:
         Number of lowest eigenvalues to converge.
+    max_iter:
+        Iteration budget, an integer >= 1.
     tol:
         Convergence threshold on the Ritz residual estimate
-        ``|beta_m * s_last|`` for each of the ``k`` lowest Ritz pairs.
+        ``|beta_m * s_last|`` for each of the ``k`` lowest Ritz pairs, a
+        finite number >= 0.  A bad ``max_iter`` or ``tol`` raises
+        :class:`~repro.errors.ConfigError`.
     reorthogonalize:
         Project each new Krylov vector against all previous ones, twice
         (classical Gram-Schmidt: ``space.project`` over the Krylov block).
@@ -199,6 +204,8 @@ def lanczos(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
+    require_positive(max_iter=max_iter)
+    check(tol, Key("tol", float, min=0.0))
     matvec = as_matvec(matvec)
     if space is None:
         space = NumpyVectorSpace()

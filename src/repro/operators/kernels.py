@@ -20,7 +20,7 @@ from repro.basis.spin_basis import Basis
 from repro.bits.ops import as_states
 from repro.operators.compile import CompiledOperator
 
-__all__ = ["get_many_rows"]
+__all__ = ["get_many_rows", "many_rows"]
 
 
 def get_many_rows(
@@ -52,16 +52,23 @@ def get_many_rows(
         elements :math:`\\langle\\tilde\\beta|H|\\tilde\\alpha\\rangle`.
         Entries whose projection vanishes are already removed.
     """
-    alphas = as_states(alphas)
-    sources, raw_betas, coeffs = op.apply_off_diag(alphas)
+    return many_rows(op, basis.surviving, alphas, source_scale)
+
+
+def many_rows(
+    op: CompiledOperator, project, alphas, source_scale: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`get_many_rows` through ``project``, which returns
+    ``(destinations, factors, valid)`` with the first two cut to the
+    ``valid`` raw states: a basis' :meth:`~repro.basis.Basis.surviving`,
+    or :meth:`~repro.basis.Basis.locate` for destination indices in place
+    of the members (the serial product's)."""
+    sources, raw_betas, coeffs = op.apply_off_diag(as_states(alphas))
     if sources.size == 0:
         return sources, raw_betas, coeffs
-    members, factors, valid = basis.project(raw_betas)
+    destinations, factors, valid = project(raw_betas)
+    if destinations.size < sources.size:  # cut to the valid raw states
+        sources, coeffs = sources[valid], coeffs[valid]
     if source_scale is not None:
         factors = factors * source_scale[sources]
-    amplitudes = coeffs * factors
-    if not np.all(valid):
-        sources = sources[valid]
-        members = members[valid]
-        amplitudes = amplitudes[valid]
-    return sources, members, amplitudes
+    return sources, destinations, coeffs * factors

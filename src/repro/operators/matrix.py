@@ -29,13 +29,11 @@ def _column_entries(op: CompiledOperator, basis: Basis):
         cols = np.arange(start, start + alphas.size, dtype=np.int64)
         diag = op.diagonal_values(alphas)
         yield cols, cols, diag
-        chunk_scale = None if scale is None else scale[cols]
         sources, members, amplitudes = get_many_rows(
-            op, basis, alphas, chunk_scale
+            op, basis, alphas, None if scale is None else scale[cols]
         )
         if sources.size:
-            rows = basis.index(members)
-            yield rows, cols[sources], amplitudes
+            yield basis.index(members), cols[sources], amplitudes
 
 
 def operator_to_dense(op: CompiledOperator, basis: Basis) -> np.ndarray:

@@ -26,7 +26,7 @@ from repro.basis.spin_basis import Basis
 from repro.errors import CompilationError, ConfigError
 from repro.operators.compile import compile_expression, result_dtype
 from repro.operators.expression import Expression
-from repro.operators.kernels import get_many_rows
+from repro.operators.kernels import many_rows
 from repro.operators.matrix import operator_to_dense, operator_to_sparse
 from repro.operators.plan import (
     MatvecPlan,
@@ -257,16 +257,11 @@ class Operator(BasisOperator):
         for start in range(0, states.size, self.batch_size):
             entry = None if self.plan is None else self.plan.get((start,))
             if entry is None:
-                alphas = states[start : start + self.batch_size]
-                batch_scale = (
-                    None
-                    if scale is None
-                    else scale[start : start + alphas.size]
+                cut = slice(start, start + self.batch_size)
+                sources, rows, amplitudes = many_rows(
+                    self.compiled, self.basis.locate, states[cut],
+                    None if scale is None else scale[cut],
                 )
-                sources, members, amplitudes = get_many_rows(
-                    self.compiled, self.basis, alphas, batch_scale
-                )
-                rows = self.basis.index(members) if sources.size else members
                 entry = rows, start + sources, amplitudes
                 if self.plan is not None:
                     # Empty batches are cached too (replay then skips the

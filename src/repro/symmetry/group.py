@@ -26,8 +26,8 @@ from math import lcm
 
 import numpy as np
 
-from repro.bits.ops import as_states, flip_all
-from repro.errors import InvalidSectorError
+from repro.bits.ops import as_states, bit_mask, flip_all
+from repro.errors import BasisError, InvalidSectorError
 from repro.symmetry.kernels import GroupKernel
 from repro.symmetry.permutation import Permutation
 
@@ -125,12 +125,10 @@ class SymmetryGroup:
         if any(g.n_sites != n for g in generators):
             raise ValueError("all generators must act on the same number of sites")
 
-        def key(perm: Permutation, flip: bool):
-            return (perm, flip)
-
+        # Elements are keyed ``(permutation, flip)``.
         identity = Permutation.identity(n)
         elements: dict[tuple, tuple[Permutation, bool, complex]] = {
-            key(identity, False): (identity, False, 1.0 + 0.0j)
+            (identity, False): (identity, False, 1.0 + 0.0j)
         }
         gens = [(g.permutation, g.flip, g.character) for g in generators]
         frontier = list(elements.values())
@@ -140,14 +138,11 @@ class SymmetryGroup:
                 for gp, gf, gc in gens:
                     # apply generator after the current element:
                     # (gp, gf) o (perm, flip)
-                    nperm = gp @ perm
-                    nflip = gf ^ flip
-                    nchar = gc * char
-                    k = key(nperm, nflip)
-                    existing = elements.get(k)
+                    nperm, nflip, nchar = gp @ perm, gf ^ flip, gc * char
+                    existing = elements.get((nperm, nflip))
                     if existing is None:
-                        elements[k] = (nperm, nflip, nchar)
-                        new_frontier.append(elements[k])
+                        elements[nperm, nflip] = (nperm, nflip, nchar)
+                        new_frontier.append(elements[nperm, nflip])
                     elif abs(existing[2] - nchar) > CHARACTER_TOL:
                         raise InvalidSectorError(
                             "inconsistent characters for the same group element: "
@@ -234,11 +229,14 @@ class SymmetryGroup:
           (numerically) zero otherwise.  ``N_s`` is invariant along the orbit,
           so ``stab`` also equals :math:`N_{rep}`.
 
-        The norm of the symmetrized vector is
-        ``sqrt(stab * (orbit size) / |G|) = sqrt(stab**2 / |G| ... )`` — the
-        quantity needed for matrix elements is only the ratio
-        ``sqrt(stab[rep'] / stab[rep])`` (see
-        :meth:`repro.basis.SymmetricBasis`), so ``stab`` is returned raw.
+        The projection of ``s`` onto the sector, ``P|s>`` with
+        ``P = |G|^-1 sum_g chi(g)^* U_g``, has norm ``sqrt(stab / |G|)``
+        (:attr:`repro.basis.SymmetricBasis.norms`); matrix elements only
+        need the ratio ``sqrt(stab[rep'] / stab[rep])`` (see
+        :class:`repro.basis.SymmetricBasis`), so ``stab`` is returned raw.
+
+        A state with bits beyond ``n_sites`` raises
+        :class:`~repro.errors.BasisError` naming the first one.
 
         This dispatches to the fused :class:`~repro.symmetry.kernels.GroupKernel`
         (precompiled permutations, reused scratch, real-characters fast
@@ -247,7 +245,11 @@ class SymmetryGroup:
         per-element implementation (``tests/reference_kernels.py``) is
         property-tested against it.
         """
-        return self.kernel.state_info(states)
+        s, top = as_states(states), bit_mask(self._n_sites)
+        if s.size and s.max() > top:
+            beyond = s.flat[np.argmax(s.ravel() > top)]
+            raise BasisError(f"state {beyond} has bits beyond n_sites={self.n_sites}")
+        return self.kernel.state_info(s)
 
     def representatives(self, states) -> tuple[np.ndarray, np.ndarray]:
         """Positions (in the flattened batch) of the surviving orbit

@@ -35,6 +35,11 @@ batch-compiled loop that
   the compare-and-copy loop, the one remaining branch, chosen at kernel
   build.  Per permutation with a flip companion that is 8 passes over
   words and 2 ``count_nonzero`` over bools;
+- leaves the stabilizer sums out where the caller stores its
+  representatives' norms (:meth:`GroupKernel.orbit_info`, the serial
+  product's projection): the same loop then tests a fixed point only on
+  elements whose character is not 1, 6 passes per permutation with a flip
+  in a sector whose characters are all 1;
 - reuses one set of scratch buffers per thread across calls — the
   steady-state loop performs zero allocations beyond the result arrays,
   and concurrent callers (the ``threads`` backend's producers share one
@@ -128,9 +133,10 @@ class GroupKernel:
         phase_chars: list[complex] = [1.0 + 0.0j]
         # (applier or None for the identity base, members); a member is
         # (rotation shift pair or None, its flip variants); a variant is
-        # (flip, conjugate character, mark) with ``mark`` what one XOR puts
-        # on a rotated key: the tag, and for a flip the whole field too
-        # (the bare tag where keys are not packed).
+        # (flip, conjugate character, mark, unit) with ``mark`` what one
+        # XOR puts on a rotated key: the tag, and for a flip the whole field
+        # too (the bare tag where keys are not packed); ``unit`` whether
+        # the character is 1.
         self._bases: list[tuple[object, list]] = []
         # What one call does (telemetry: ``kernel.state_info_strategy
         # {strategy=...}`` adds ``strategy_counts`` per call): ``network``
@@ -158,7 +164,8 @@ class GroupKernel:
                     mark = np.uint64(len(phase_chars) - 1)
                     if flip and self._packed:
                         mark |= self._field
-                    tagged.append((flip, chi, mark))
+                    unit = abs(chi_conj - 1) < _REAL_TOL
+                    tagged.append((flip, chi, mark, unit))
                 shifts = (np.uint64(k), np.uint64(n_sites - k)) if k else None
                 members.append((shifts, tagged))
             self._bases.append((applier, members))
@@ -215,9 +222,7 @@ class GroupKernel:
                 "kernel.state_info_strategy", strategy=strategy
             ).inc(count)
 
-    def state_info(
-        self, states
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def state_info(self, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fused representative / phase / stabilizer-sum computation.
 
         Semantics are those of
@@ -225,24 +230,40 @@ class GroupKernel:
         comes back ``float64`` instead of ``complex128`` when every
         character is real.
         """
+        return self._run(states, units=True)
+
+    def orbit_info(self, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`state_info` without the stabilizer sums: ``(rep, phase,
+        valid)``, ``valid`` where ``stab > STAB_TOL`` would be.
+
+        A one-dimensional character sums over a stabilizer to its order,
+        or to zero exactly when one of its elements has a character other
+        than 1.  So the elements whose character is 1, bar the identity,
+        are not tested for a fixed point: ``stab`` then ends at 1 on a
+        state that survives and at ``1 - |Stab ∩ ker χ| <= 0`` on one that
+        vanishes.  On a sector whose characters are all 1 that leaves 6
+        passes per permutation with a flip instead of 10.
+        """
+        rep, phase, stab = self._run(states, units=False)
+        return rep, phase, stab > STAB_TOL
+
+    def _run(self, states, units: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rep, phase, stab)`` of a batch, in its shape; ``units`` says
+        whether the elements whose character is 1 count towards ``stab``."""
         states = as_states(states)
         s = states.ravel()
-
-        dtype = np.float64 if self.is_real else np.complex128
-        stab = np.zeros(s.size, dtype=dtype)
+        stab = np.zeros(s.size, dtype=np.float64 if self.is_real else np.complex128)
         loop = self._packed_loop if self._packed else self._compare_and_copy
-        rep, phase_idx = loop(s, stab)
-
+        rep, phase_idx = loop(s, stab, units)
         phase = self._phase_table.take(phase_idx)
-        if not self.is_real:
-            stab = stab.real
         self._observe(s.size)
         shape = states.shape
-        return rep.reshape(shape), phase.reshape(shape), stab.reshape(shape)
+        return rep.reshape(shape), phase.reshape(shape), stab.real.reshape(shape)
 
-    def _packed_loop(self, s, stab) -> tuple[np.ndarray, np.ndarray]:
+    def _packed_loop(self, s, stab, units) -> tuple[np.ndarray, np.ndarray]:
         """``(rep, phase_idx)`` of the flat batch ``s`` and its stabilizer
-        sums added to ``stab``, on packed keys.
+        sums added to ``stab`` (without ``units``, the characters of the
+        elements other than 1 and the identity's), on packed keys.
 
         The running minimum and the first element that reached it are one
         word, ``state << idx_bits | tag``: tags ascend in visit order and
@@ -285,13 +306,15 @@ class GroupKernel:
                     z0 = np.bitwise_and(y, field, out=y)
                 else:
                     z0 = self._rotated(base, shifts, y, net, field)
-                for flip, chi_conj, mark in variants:
+                for flip, chi_conj, mark, unit in variants:
                     if z0 is shifted and not flip:
                         # g(s) == s for every state: pure stabilizer credit.
                         np.add(stab, chi_conj, out=stab)
                         continue
                     np.bitwise_xor(z0, mark, out=net)
                     np.minimum(best, net, out=best)
+                    if unit and not units:
+                        continue
                     np.equal(z0, flipped if flip else shifted, out=fixed)
                     # Non-trivial stabilizer elements are rare (most states
                     # sit in full-size orbits), so a counted guard plus a
@@ -304,7 +327,7 @@ class GroupKernel:
         phase_idx = np.bitwise_and(best, self._tag_mask, out=y).view(np.int64)
         return np.right_shift(best, bits, out=best), phase_idx
 
-    def _compare_and_copy(self, s, stab) -> tuple[np.ndarray, np.ndarray]:
+    def _compare_and_copy(self, s, stab, units) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`_packed_loop` for lattices whose states leave no room for
         a tag (``n_sites + idx_bits > 64``): representative and element
         index in two arrays, updated under a mask where an element
@@ -320,7 +343,7 @@ class GroupKernel:
                 base = applier.apply(s, out=base_out, scratch=y, scratch2=net)
             for shifts, variants in members:
                 z0 = self._rotated(base, shifts, y, net, mask)
-                for flip, chi_conj, tag in variants:
+                for flip, chi_conj, tag, unit in variants:
                     if z0 is s and not flip:
                         np.add(stab, chi_conj, out=stab)
                         continue
@@ -329,6 +352,8 @@ class GroupKernel:
                     if np.count_nonzero(less):
                         np.copyto(rep, z, where=less)
                         np.copyto(phase_idx, tag, where=less)
+                    if unit and not units:
+                        continue
                     np.equal(z, s, out=fixed)
                     if np.count_nonzero(fixed):
                         stab[fixed] += chi_conj
@@ -367,7 +392,7 @@ class GroupKernel:
                     alive if base is None else base, shifts, y, net,
                     self._flip_mask,
                 )
-                for flip, chi_conj, _ in variants:
+                for flip, chi_conj, *_ in variants:
                     if z0 is alive and not flip:
                         np.add(stab, chi_conj, out=stab)
                         continue

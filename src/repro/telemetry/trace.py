@@ -184,36 +184,15 @@ class TraceRecorder:
     # -- export -------------------------------------------------------------
 
     def _metadata_events(self) -> list[dict[str, Any]]:
-        events: list[dict[str, Any]] = []
+        def meta(kind: str, pid: int, tid: int, /, **args) -> dict[str, Any]:
+            return {"ph": "M", "name": kind, "pid": pid, "tid": tid, "args": args}
+
+        events = []
         for process, pid in self._pids.items():
-            events.append(
-                {
-                    "ph": "M",
-                    "name": "process_name",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"name": process},
-                }
-            )
-            events.append(
-                {
-                    "ph": "M",
-                    "name": "process_sort_index",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"sort_index": pid},
-                }
-            )
+            events.append(meta("process_name", pid, 0, name=process))
+            events.append(meta("process_sort_index", pid, 0, sort_index=pid))
         for (process, thread), tid in self._tids.items():
-            events.append(
-                {
-                    "ph": "M",
-                    "name": "thread_name",
-                    "pid": self._pids[process],
-                    "tid": tid,
-                    "args": {"name": thread},
-                }
-            )
+            events.append(meta("thread_name", self._pids[process], tid, name=thread))
         return events
 
     def to_chrome(self) -> dict[str, Any]:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import InvalidSectorError
+from repro.errors import BasisError, InvalidSectorError
 from repro.symmetry import (
     Permutation,
     Symmetry,
@@ -162,6 +162,23 @@ class TestStateInfo:
         states = np.arange(1 << 6, dtype=np.uint64)
         _, phase, _ = g.state_info(states)
         assert np.allclose(np.abs(phase), 1.0)
+
+    @pytest.mark.parametrize(
+        "states, first",
+        [
+            ([1 << 12], 1 << 12),
+            ([3, 1 << 11, 1 << 12], 1 << 11),
+            ([[5], [1 << 10]], 1 << 10),
+        ],
+    )
+    def test_states_beyond_the_lattice_raise(self, states, first):
+        """A 10-site state has no bit 10 or above: ``state_info`` names the
+        first state that does instead of answering for its low bits."""
+        group = chain_symmetries(10, momentum=0, parity=0, inversion=0)
+        message = rf"^state {first} has bits beyond n_sites=10$"
+        with pytest.raises(BasisError, match=message):
+            group.state_info(np.array(states, dtype=np.uint64))
+        assert not group.is_representative(np.array([first], dtype=np.uint64))[0]
 
     def test_zero_norm_states_detected(self):
         # At momentum pi, the all-up state (orbit of size 1) has

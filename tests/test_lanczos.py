@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 
 import repro
 from repro.basis import SpinBasis, SymmetricBasis
-from repro.errors import ConvergenceError
+from repro.errors import ConfigError, ConvergenceError
 from repro.linalg import lanczos, lanczos_distributed
 from repro.symmetry import chain_symmetries
 
@@ -178,6 +178,32 @@ class TestRobustness:
         with pytest.raises(ValueError, match=rf"^{argument} must be"):
             call()
 
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            ("tol", -1.0),
+            ("tol", np.nan),
+            ("tol", np.inf),
+            ("max_iter", 0),
+            ("max_iter", -3),
+        ],
+    )
+    def test_rejects_a_bad_budget_or_tolerance(self, argument, value):
+        """Before the first product: a negative or NaN ``tol`` would run to
+        Krylov exhaustion, ``max_iter < 1`` end in a misleading
+        ``ConvergenceError``."""
+        calls = []
+        diag = np.linspace(-1.0, 1.0, 8)
+        matvec = lambda v: calls.append(v) or diag * v  # noqa: E731
+        with pytest.raises(ConfigError, match=rf"^{argument} must be"):
+            lanczos(matvec, np.ones(8), **{argument: value})
+        assert not calls
+
+    def test_zero_tolerance_stays_allowed(self):
+        diag = np.linspace(-1.0, 1.0, 8)
+        res = lanczos(lambda v: diag * v, np.ones(8), tol=0.0, max_iter=8)
+        assert res.eigenvalues[0] == pytest.approx(-1.0)
+
     def test_infinite_temperature_stays_allowed(self):
         diag = np.linspace(-1.0, 1.0, 8)
         est = repro.linalg.ftlm_thermal(
@@ -216,6 +242,17 @@ class TestDistributed:
         dop = repro.DistributedOperator(repro.heisenberg_chain(10), dbasis)
         res, _ = lanczos_distributed(dop, k=1, tol=1e-10)
         assert res.eigenvalues[0] == pytest.approx(ref, abs=1e-8)
+
+    @pytest.mark.parametrize("kwargs", [{"tol": np.nan}, {"max_iter": 0}])
+    def test_forwards_the_argument_checks(self, kwargs):
+        cluster = repro.Cluster(2, repro.laptop_machine(cores=2))
+        dbasis = repro.DistributedBasis.from_template(
+            cluster, SpinBasis(8, hamming_weight=4)
+        )
+        dop = repro.DistributedOperator(repro.heisenberg_chain(8), dbasis)
+        with pytest.raises(ConfigError):
+            lanczos_distributed(dop, k=1, **kwargs)
+        assert dop.total_sim_time == 0
 
 
 class Forwarding:

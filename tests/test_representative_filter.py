@@ -51,8 +51,9 @@ def assert_filter_matches(group: SymmetryGroup, states) -> None:
     np.testing.assert_array_equal(positions, ref_positions)
     # the reference sums the characters in another order
     np.testing.assert_allclose(stab, ref_stab, rtol=0, atol=1e-12)
-    # ... and the fused kernel in this one: bit for bit
-    fused_stab = group.state_info(np.ravel(states))[2]
+    # ... and the fused kernel in this one: bit for bit (the kernel itself:
+    # the group's ``state_info`` refuses the ``above_mask`` states)
+    fused_stab = group.kernel.state_info(np.ravel(states))[2]
     np.testing.assert_array_equal(stab, fused_stab[positions])
     mask = np.zeros(np.size(states), dtype=bool)
     mask[positions] = True

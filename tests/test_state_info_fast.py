@@ -306,9 +306,14 @@ def assert_matches_in_shape(group: SymmetryGroup, states: np.ndarray) -> None:
     one character, which the reference, walking them in another order, may
     read off another element — an ulp), and the input's shape on all three
     outputs.  Bit for bit against the previous kernel is
-    ``tests/kernel_snapshot.py``."""
+    ``tests/kernel_snapshot.py``; bit for bit against ``state_info``, with
+    ``valid`` its ``stab > STAB_TOL``, the stabilizer-free ``orbit_info``."""
     assert_matches_reference(group, states)
-    assert all(out.shape == np.shape(states) for out in group.state_info(states))
+    rep, phase, stab = group.state_info(states)
+    assert all(out.shape == np.shape(states) for out in (rep, phase, stab))
+    free = group.kernel.orbit_info(states)
+    for got, expected in zip(free, (rep, phase, stab > STAB_TOL)):
+        np.testing.assert_array_equal(got, expected)
 
 
 def chain_sectors(n: int):
