@@ -3,7 +3,8 @@
 - the Sec. 5.3 progression: naive -> batched -> producer-consumer matvec;
 - getManyRows batch-size sweep (the message-size effect behind Fig. 7);
 - producer:consumer split sweep and work stealing (the Sec. 6.3 / Sec. 7
-  discussion of the 104/24 split);
+  discussion of the 104/24 split), and the split model's gate: it must
+  flag that split as stall-dominated and propose a faster one;
 - hashed vs block distribution load balance (the Sec. 5.1 rationale).
 
 All ablations run with real data on the simulated machine; simulated times
@@ -18,7 +19,7 @@ import pytest
 import repro
 from repro.distributed import DistributedOperator, DistributedVector
 from repro.distributed.matvec_pc import DEFAULT_CONSUMER_FRACTION
-from repro.perfmodel import MatvecScalingModel, paper_workload
+from repro.perfmodel import MatvecScalingModel, paper_workload, recommend_split
 from repro.runtime import snellius_machine
 
 from conftest import write_result
@@ -185,6 +186,19 @@ def test_ablation_producer_consumer_split(benchmark):
                 "model": "MatvecScalingModel",
             },
         },
+    )
+
+
+def test_split_rediscovery_gate():
+    """Sec. 6.3 from the model alone: the default split is flagged as
+    stall-dominated on the 42-spin / 64-node workload, and a strictly
+    faster configuration is proposed (Sec. 7's work stealing)."""
+    report = recommend_split(snellius_machine(), paper_workload(42), 64)
+    assert report["stall_dominated"], report
+    proposal = report["proposal"]
+    assert proposal is not None
+    assert proposal["pipeline_seconds"] < (
+        report["default"]["pipeline_seconds"]
     )
 
 

@@ -210,15 +210,6 @@ ROWS = (
         help="execution backend for the distributed run: 'sim' "
         "(discrete-event simulator, modelled timings) or 'threads' (real "
         "parallel workers, wall-clock timings; see docs/BACKENDS.md)"),
-    Key("cluster.tune", str, "off", choices=("off", "auto", "force"),
-        flag="--tune",
-        help="autotune the matvec pipeline knobs for this workload: "
-        "'auto' applies cached tuned knobs (searching once on a miss), "
-        "'force' always re-searches, 'off' keeps the paper defaults "
-        "(see docs/PERFORMANCE.md)"),
-    Key("cluster.tune_cache", str, flag="--tune-cache", metavar="PATH",
-        help="autotuner cache file (default "
-        "benchmarks/baselines/autotune_cache.json or $REPRO_TUNE_CACHE)"),
     Key("cluster.matvec", dict,
         help="pipeline knobs of Sec. 5.3/6.3, echoed in the result"),
     *MATVEC_ROWS,
@@ -371,17 +362,6 @@ def _build_distributed(spec: SimulationSpec):
     dbasis, enum_report = enumerate_states(
         cluster, spec.basis, use_weight_shortcut=True
     )
-    tuned = None
-    if options["tune"] != "off":
-        from repro.autotune import Autotuner
-        from repro.operators.compile import compile_expression
-
-        tuned = Autotuner(cache=options["tune_cache"]).tune(
-            compile_expression(spec.expression, spec.n_sites),
-            dbasis,
-            force=options["tune"] == "force",
-        )
-    # Tuned values are knob values like any other; the file's win.
     operator = DistributedOperator(
         spec.expression,
         dbasis,
@@ -391,7 +371,7 @@ def _build_distributed(spec: SimulationSpec):
             if resilience is None
             else ResilienceConfig.from_config(resilience)
         ),
-        **{**(tuned.knobs if tuned else {}), **(knobs or {})},
+        **(knobs or {}),
     )
     output = {
         "n_locales": options["n_locales"],
@@ -400,12 +380,6 @@ def _build_distributed(spec: SimulationSpec):
     }
     if knobs:
         output["matvec"] = knobs
-    if tuned is not None:
-        output["tuned"] = {
-            "fingerprint": tuned.fingerprint,
-            "knobs": tuned.knobs,
-            "from_cache": tuned.from_cache,
-        }
     return operator, output
 
 

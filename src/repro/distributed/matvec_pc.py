@@ -115,7 +115,7 @@ def default_buffer_capacity(cluster) -> int:
     *references*, so cutting a destination slice saves no copy and costs a
     blocking flag/queue round trip per piece: the unit is the whole slice.
     :func:`matvec_producer_consumer` keeps the simulated figure as its
-    signature default; the operator and the autotuner apply this one.
+    signature default; the operator applies this one.
     """
     if cluster.wall_clock:
         return sys.maxsize

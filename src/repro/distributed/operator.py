@@ -48,18 +48,17 @@ from repro.telemetry.context import use as use_telemetry
 
 __all__ = ["DistributedOperator"]
 
-#: ``method=`` name -> implementation: the one table the operator and the
-#: autotuner dispatch on.
+#: ``method=`` name -> implementation: the one table the operator
+#: dispatches on.
 IMPLS = {
     "naive": matvec_naive,
     "batched": matvec_batched,
     "pc": matvec_producer_consumer,
 }
 
-#: The tunable knobs, in canonical (tie-breaking) order, each stated once:
-#: name, range and default as the ``cluster.matvec`` input section, the
-#: command-line flags and the autotuner's
-#: ``default_knobs`` read them.  Every method takes the first; the rest are
+#: The pipeline knobs of Sec. 5.3/6.3, each stated once: name, range and
+#: default as the ``cluster.matvec`` input section, the command-line flags
+#: and the operator read them.  Every method takes the first; the rest are
 #: the pipeline's.
 MATVEC_ROWS = (
     Key(
@@ -80,7 +79,6 @@ MATVEC_ROWS = (
     ),
 )
 KNOB_KEYS = tuple(row.key for row in MATVEC_ROWS)
-KNOB_DEFAULTS = {row.key: row.default for row in MATVEC_ROWS}
 #: What the pipeline takes besides its knobs: the hand-off unit and an
 #: explicit producer/consumer split.
 PIPELINE_OPTIONS = (
@@ -93,27 +91,20 @@ def is_pipeline(method: str) -> bool:
     return method == "pc"
 
 
-def check_method(method: str, cluster) -> None:
-    """Refuse a ``method`` name there is no implementation of, or a cost
-    model on a wall-clock ``cluster``: :class:`~repro.errors.ConfigError`."""
+def _check_options(method: str, cluster, options: dict) -> None:
+    """Refuse a ``method`` name there is no implementation of, a cost model
+    on a wall-clock ``cluster``, an option ``method`` does not take, or a
+    knob value its row does not admit, where it is given; knob values come
+    back as their row declares them."""
     if method not in IMPLS:
         raise ConfigError(
             f"unknown matvec method {method!r}; choose from {sorted(IMPLS)}"
         )
-    if not is_pipeline(method):
+    if is_pipeline(method):
+        takes = KNOB_KEYS + PIPELINE_OPTIONS
+    else:
         require_simulator(method, cluster)
-
-
-def knob_keys(method: str) -> tuple[str, ...]:
-    """The tunable knobs ``method`` accepts."""
-    return KNOB_KEYS if is_pipeline(method) else KNOB_KEYS[:1]
-
-
-def _check_options(method: str, options: dict) -> None:
-    """Refuse an option ``method`` does not take, or a knob value its row
-    does not admit, where it is given; knob values come back as their
-    row declares them."""
-    takes = knob_keys(method) + (PIPELINE_OPTIONS if is_pipeline(method) else ())
+        takes = KNOB_KEYS[:1]
     for key in options:
         if key not in takes:
             raise ConfigError(
@@ -167,12 +158,12 @@ class DistributedOperator(BasisOperator):
     The producer-consumer hand-off unit (``buffer_capacity``) defaults to
     :func:`~repro.distributed.matvec_pc.default_buffer_capacity` for the
     cluster's backend; an explicit value in ``method_options`` wins.  The
-    knobs of :data:`MATVEC_ROWS` are ``method_options`` too: pass the
-    values :class:`repro.autotune.Autotuner` found for this workload like
-    any others.  An option ``method`` does not take (:func:`knob_keys`,
-    plus :data:`PIPELINE_OPTIONS` for the pipeline), or a knob value
-    outside its row, is a :class:`~repro.errors.ConfigError` here, not at
-    the first product.
+    knobs of :data:`MATVEC_ROWS` are ``method_options`` too, set by hand
+    (:func:`~repro.perfmodel.models.recommend_split` gives the model's
+    reading of the split).  An unknown ``method``, an option it does not
+    take (every method takes ``batch_size``, the pipeline the other knobs
+    and :data:`PIPELINE_OPTIONS`), or a knob value outside its row, is a
+    :class:`~repro.errors.ConfigError` here, not at the first product.
 
     ``faults`` (a :class:`~repro.resilience.faults.FaultPlan`) and
     ``resilience`` (a :class:`~repro.resilience.faults.ResilienceConfig`)
@@ -198,8 +189,7 @@ class DistributedOperator(BasisOperator):
         resilience=None,
         **method_options,
     ) -> None:
-        check_method(method, basis.cluster)
-        _check_options(method, method_options)
+        _check_options(method, basis.cluster, method_options)
         if resilience is None and faults is not None:
             resilience = ResilienceConfig()  # a fault plan implies the default policy
         if resilience is not None and not is_pipeline(method):
@@ -212,7 +202,7 @@ class DistributedOperator(BasisOperator):
         # One batch size: the one the plan is claimed for, chunked by, and
         # passed to whichever method runs.
         self.method_options = {
-            "batch_size": KNOB_DEFAULTS["batch_size"], **method_options
+            "batch_size": DEFAULT_BATCH_SIZE, **method_options
         }
         if is_pipeline(method):
             # The hand-off unit follows the backend; an explicit value wins.

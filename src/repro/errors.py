@@ -31,9 +31,9 @@ class ConfigError(ReproError):
     unreadable input or ``--faults`` file, a flag that needs a ``cluster``
     section, out-of-range pipeline knobs passed directly (``batch_size <
     1``, a ``consumer_fraction`` outside ``(0, 1]``, ``cores < 1`` handed
-    to :func:`~repro.distributed.matvec_pc.split_cores`), and a malformed
-    entry of the autotuner's cache file
-    (:class:`~repro.autotune.cache.TuneCache`).
+    to :func:`~repro.distributed.matvec_pc.split_cores`), and a bad
+    argument of a Krylov solver (a count below 1, a ``tol`` that is
+    negative or not finite) before its first product.
     """
 
 

@@ -22,13 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import CheckpointError, ConvergenceError
+from repro.errors import CheckpointError, ConfigError, ConvergenceError
 from repro.linalg.spaces import apply_block, as_matvec
 from repro.resilience.checkpoint import (
     list_checkpoints,
     load_latest_checkpoint,
     write_checkpoint,
 )
+from repro.schema import Key, check, require_positive
 from repro.telemetry.context import current as current_telemetry
 
 __all__ = ["DavidsonResult", "davidson"]
@@ -102,12 +103,22 @@ def davidson(
         Restart from the newest loadable checkpoint under
         ``checkpoint_dir`` (bit-for-bit identical continuation; the RNG
         state is restored too).  An empty directory means a cold start.
+
+    A ``k`` outside ``[1, dim]``, a ``max_iter``, ``checkpoint_every`` or
+    ``checkpoint_keep`` below 1, or a ``tol`` that is negative or not
+    finite raises :class:`~repro.errors.ConfigError` before the first
+    product.
     """
     matvec = as_matvec(matvec)
     diagonal = np.asarray(diagonal)
     dim = diagonal.shape[0]
-    if k < 1 or k > dim:
-        raise ValueError(f"k must be in [1, {dim}]")
+    require_positive(
+        k=k, max_iter=max_iter,
+        checkpoint_every=checkpoint_every, checkpoint_keep=checkpoint_keep,
+    )
+    check(tol, Key("tol", float, min=0.0))
+    if k > dim:
+        raise ConfigError(f"k must be at most the dimension {dim}, got {k}")
     if max_subspace is None:
         max_subspace = min(8 * k + 8, dim)
     rng = np.random.default_rng(seed)

@@ -32,6 +32,7 @@ from repro.linalg.spaces import (
     apply_block,
     as_matvec,
 )
+from repro.schema import require_positive
 
 __all__ = ["ThermalEstimate", "ftlm_thermal"]
 
@@ -130,15 +131,18 @@ def ftlm_thermal(
         NumPy path and 1 (sequential) elsewhere.  The random vectors drawn
         and the recurrence run on each are the same either way, so the
         estimate does not depend on the blocking.
+
+    A ``krylov_dim``, ``n_samples`` or ``block_size`` that is not an
+    integer >= 1 raises :class:`~repro.errors.ConfigError` before the
+    first product.
     """
     matvec = as_matvec(matvec)
     temperatures = np.asarray(temperatures, dtype=np.float64)
     if not np.all(temperatures > 0):
         raise ValueError(f"temperatures must be > 0, got {temperatures}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
-    if krylov_dim < 1:
-        raise ValueError(f"krylov_dim must be >= 1, got {krylov_dim!r}")
+    require_positive(krylov_dim=krylov_dim, n_samples=n_samples)
+    if block_size is not None:
+        require_positive(block_size=block_size)
     if space is None:
         space = NumpyVectorSpace()
     if dim is None:
@@ -148,7 +152,6 @@ def ftlm_thermal(
             prototype, np.ndarray
         )
         block_size = min(n_samples, 8) if numpy_path else 1
-    block_size = max(int(block_size), 1)
 
     betas = 1.0 / temperatures
     z_sum = np.zeros_like(betas)

@@ -130,8 +130,7 @@ def tridiagonalize(
     Returns ``(alphas, betas, block)``: ``betas[:-1]`` is the off-diagonal,
     ``betas[-1]`` the truncation residual, ``block`` the Krylov vectors.
     """
-    if krylov_dim < 1:
-        raise ValueError(f"krylov_dim must be >= 1, got {krylov_dim!r}")
+    require_positive(krylov_dim=krylov_dim)
     block = space.block([seed])
     space.scale(1.0 / norm, space.row(block, 0))
     alphas, betas = [], []
@@ -178,8 +177,9 @@ def lanczos(
     tol:
         Convergence threshold on the Ritz residual estimate
         ``|beta_m * s_last|`` for each of the ``k`` lowest Ritz pairs, a
-        finite number >= 0.  A bad ``max_iter`` or ``tol`` raises
-        :class:`~repro.errors.ConfigError`.
+        finite number >= 0.  A bad ``k``, ``max_iter``, ``tol``,
+        ``checkpoint_every`` or ``checkpoint_keep`` raises
+        :class:`~repro.errors.ConfigError` before the first product.
     reorthogonalize:
         Project each new Krylov vector against all previous ones, twice
         (classical Gram-Schmidt: ``space.project`` over the Krylov block).
@@ -189,7 +189,8 @@ def lanczos(
         When set, a CRC32-manifested snapshot of the full Krylov state
         (basis vectors via ``space.save_vector``, tridiagonal
         coefficients) is written atomically every ``checkpoint_every``
-        completed iterations (see :mod:`repro.resilience.checkpoint`).
+        completed iterations, and the newest ``checkpoint_keep`` are kept
+        (see :mod:`repro.resilience.checkpoint`).
     resume:
         Restart from the newest loadable checkpoint under
         ``checkpoint_dir`` instead of from ``v0``.  Because the snapshot
@@ -202,9 +203,10 @@ def lanczos(
         wall-clock time since the solver started.
         :func:`lanczos_distributed` passes the simulated cluster time.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k!r}")
-    require_positive(max_iter=max_iter)
+    require_positive(
+        k=k, max_iter=max_iter,
+        checkpoint_every=checkpoint_every, checkpoint_keep=checkpoint_keep,
+    )
     check(tol, Key("tol", float, min=0.0))
     matvec = as_matvec(matvec)
     if space is None:

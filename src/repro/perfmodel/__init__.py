@@ -8,6 +8,8 @@ closed-form models of the same algorithms on the same
 
 - :class:`~repro.perfmodel.models.MatvecScalingModel` — the
   producer-consumer matvec (Fig. 8) and its single-node reference;
+  :func:`~repro.perfmodel.models.recommend_split` reads its stage times
+  to judge the static producer:consumer split (Sec. 6.3);
 - :class:`~repro.perfmodel.models.SpinpackModel` — the bulk-synchronous
   baseline (Fig. 9);
 - :class:`~repro.perfmodel.models.EnumerationScalingModel` — basis
@@ -27,6 +29,8 @@ from repro.perfmodel.models import (
     EnumerationScalingModel,
     MatvecScalingModel,
     SpinpackModel,
+    rank_splits,
+    recommend_split,
 )
 
 __all__ = [
@@ -35,6 +39,8 @@ __all__ = [
     "plan_capacity",
     "paper_workload",
     "MatvecScalingModel",
+    "rank_splits",
+    "recommend_split",
     "SpinpackModel",
     "EnumerationScalingModel",
     "ConversionScalingModel",

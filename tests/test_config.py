@@ -261,7 +261,7 @@ class TestResilienceKnobs:
 class TestMatvecKnobs:
     """Round-trips for the pipeline knobs (``cluster.matvec`` section and
     the ``--batch-size`` / ``--consumer-fraction`` / ``--work-stealing``
-    flags) and the autotuner modes (``tune`` / ``--tune``)."""
+    flags)."""
 
     CLUSTER_SPEC = {
         "n_sites": 10,
@@ -349,42 +349,9 @@ class TestMatvecKnobs:
             ["--batch-size", "64"],
             ["--consumer-fraction", "0.25"],
             ["--work-stealing"],
-            ["--tune", "auto"],
-            ["--tune-cache", "cache.json"],
         ):
             with pytest.raises(ReproError, match=flags[0]):
                 main([str(input_path)] + flags)
-
-    def test_tune_auto_round_trip(self, tmp_path, capsys):
-        from repro.config import main
-
-        input_path = tmp_path / "input.json"
-        cache_path = tmp_path / "cache.json"
-        input_path.write_text(json.dumps(self.CLUSTER_SPEC))
-        args = [
-            str(input_path),
-            "--tune", "auto",
-            "--tune-cache", str(cache_path),
-        ]
-        main(args)
-        cold = json.loads(capsys.readouterr().out)
-        assert not cold["tuned"]["from_cache"]
-        assert cache_path.exists()
-        main(args)
-        warm = json.loads(capsys.readouterr().out)
-        assert warm["tuned"]["from_cache"]
-        assert warm["tuned"]["knobs"] == cold["tuned"]["knobs"]
-        np.testing.assert_allclose(
-            warm["eigenvalues"], cold["eigenvalues"], atol=1e-10
-        )
-
-    def test_invalid_tune_mode_rejected(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            run_simulation(
-                load_simulation(self._with_cluster(tune="always"))
-            )
 
 
 class TestObservables:
@@ -487,6 +454,7 @@ PROBES = [
         _probe(observables=[{"type": "spin_correlation"}]),
     ),
     ("cluster.bogus", _probe(cluster={"machine": "laptop", "bogus": 1})),
+    ("unknown key cluster.tune", _probe(cluster={"tune": "auto"})),
     (
         "solver.checkpoint.every",
         _probe(solver={"checkpoint": {"dir": "unused", "every": 0}}),
@@ -524,11 +492,14 @@ class TestTypedRejection:
         bad.write_text(json.dumps(_probe(bassis={})))
         good = tmp_path / "good.json"
         good.write_text(json.dumps(_probe(cluster={"n_locales": 2})))
+        tuned = tmp_path / "tuned.json"
+        tuned.write_text(json.dumps(_probe(cluster={"tune": "auto"})))
         src = str(Path(repro.__file__).parents[1])
         for argv, named in (
             ([str(bad)], "bassis"),
             ([str(good), "--faults", str(tmp_path / "nope.json")], "nope.json"),
             ([str(good), "--batch-size", "0"], "cluster.matvec.batch_size"),
+            ([str(tuned)], "unknown key cluster.tune"),
         ):
             done = subprocess.run(
                 [sys.executable, "-m", "repro", *argv],
@@ -537,6 +508,7 @@ class TestTypedRejection:
             )
             assert done.returncode == 2
             assert done.stderr.startswith("repro: error:")
+            assert done.stderr.count("\n") == 1
             assert named in done.stderr
             assert "Traceback" not in done.stderr and not done.stdout
 
@@ -556,7 +528,7 @@ def test_flags_come_from_the_rows(capsys):
         main(["--help"])
     text = " ".join(capsys.readouterr().out.split())
     flags = [row for row in ROWS if row.flag]
-    assert len(flags) == 10
+    assert len(flags) == 8
     for row in flags:
         assert row.flag in text
     assert text.count("requires a 'cluster' section") == sum(
@@ -582,7 +554,6 @@ FUZZ_CLUSTER = {
     "machine": "laptop",
     "cores": 2,
     "backend": "sim",
-    "tune": "off",
     "matvec": {
         "batch_size": 16, "consumer_fraction": 0.5, "work_stealing": False,
     },

@@ -5,7 +5,7 @@ import pytest
 
 import repro
 from repro.basis import SpinBasis, SymmetricBasis
-from repro.errors import ConvergenceError
+from repro.errors import ConfigError, ConvergenceError
 from repro.linalg import davidson, lanczos
 from repro.symmetry import chain_symmetries
 
@@ -103,8 +103,36 @@ class TestInterface:
             davidson(operator.matvec, operator.diagonal(), k=2, v0=v0)
 
     def test_bad_k_rejected(self, operator):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             davidson(operator.matvec, operator.diagonal(), k=0)
+
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            ("k", 2.5),
+            ("k", 9),
+            ("max_iter", 0),
+            ("tol", np.nan),
+            ("tol", -1.0),
+            ("checkpoint_every", 0),
+            ("checkpoint_every", -1),
+            ("checkpoint_keep", 0),
+        ],
+    )
+    def test_rejects_a_bad_argument_before_the_first_product(
+        self, argument, value, tmp_path
+    ):
+        """``max_iter=0`` ended in a misleading ``ConvergenceError``, a NaN
+        ``tol`` ran the whole budget, ``checkpoint_every=0`` divided by
+        zero mid-solve."""
+        calls = []
+        diag = np.linspace(-1.0, 1.0, 8)
+        matvec = lambda v: calls.append(v) or diag * v  # noqa: E731
+        with pytest.raises(ConfigError, match=rf"^{argument} must be"):
+            davidson(
+                matvec, diag, checkpoint_dir=tmp_path, **{argument: value}
+            )
+        assert not calls and not list(tmp_path.iterdir())
 
     def test_convergence_error(self, operator):
         with pytest.raises(ConvergenceError):

@@ -5,6 +5,7 @@ import pytest
 
 import repro
 from repro.basis import SpinBasis, SymmetricBasis
+from repro.errors import ConfigError
 from repro.linalg import ftlm_thermal
 from repro.linalg.ftlm import _lanczos_spectrum
 from repro.linalg.spaces import NumpyVectorSpace
@@ -132,6 +133,28 @@ class TestKrylovSpaceExhausted:
 
 
 class TestInterface:
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            ("block_size", 0),
+            ("block_size", -3),
+            ("block_size", 2.5),
+            ("n_samples", 2.5),
+            ("krylov_dim", 2.5),
+        ],
+    )
+    def test_rejects_a_bad_count_before_the_first_product(
+        self, argument, value
+    ):
+        """``block_size`` 0 or -3 ran as 1, ``n_samples=2.5`` raised
+        ``TypeError``."""
+        calls = []
+        diag = np.linspace(-1.0, 1.0, 8)
+        matvec = lambda v: calls.append(v) or diag * v  # noqa: E731
+        with pytest.raises(ConfigError, match=rf"^{argument} must be"):
+            ftlm_thermal(matvec, np.ones(8), [1.0], **{argument: value})
+        assert not calls
+
     def test_rejects_nonpositive_temperature(self, small_system):
         basis, op, _ = small_system
         with pytest.raises(ValueError):

@@ -175,7 +175,8 @@ class TestRobustness:
                 matvec, v0, -0.1, **kwargs
             ),
         }[driver]
-        with pytest.raises(ValueError, match=rf"^{argument} must be"):
+        error = ValueError if argument == "temperatures" else ConfigError
+        with pytest.raises(error, match=rf"^{argument} must be"):
             call()
 
     @pytest.mark.parametrize(
@@ -186,12 +187,18 @@ class TestRobustness:
             ("tol", np.inf),
             ("max_iter", 0),
             ("max_iter", -3),
+            ("k", 2.5),
+            ("checkpoint_every", 0),
+            ("checkpoint_every", -1),
+            ("checkpoint_keep", 0),
         ],
     )
     def test_rejects_a_bad_budget_or_tolerance(self, argument, value):
         """Before the first product: a negative or NaN ``tol`` would run to
         Krylov exhaustion, ``max_iter < 1`` end in a misleading
-        ``ConvergenceError``."""
+        ``ConvergenceError``, ``checkpoint_every=0`` divide by zero
+        mid-solve, ``-1`` checkpoint every iteration, ``keep=0`` keep every
+        checkpoint, and ``k=2.5`` raise ``TypeError``."""
         calls = []
         diag = np.linspace(-1.0, 1.0, 8)
         matvec = lambda v: calls.append(v) or diag * v  # noqa: E731

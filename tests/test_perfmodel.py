@@ -1,19 +1,23 @@
 """Tests for the paper-scale analytic performance models.
 
-These pin the quantitative anchors from the paper's Sec. 6 and
+These pin the quantitative anchors from the paper's Sec. 6,
 cross-validate the closed-form models against the event-driven
-implementations at laptop scale.
+implementations at laptop scale, and check the split model's reading of
+the Sec. 6.3 producer:consumer split.
 """
 
+import numpy as np
 import pytest
 
 import repro
-from repro.basis import SymmetricBasis
+from repro import telemetry
+from repro.basis import SpinBasis, SymmetricBasis
 from repro.distributed import (
     DistributedOperator,
     DistributedVector,
     enumerate_states,
 )
+from repro.operators.compile import compile_expression
 from repro.perfmodel import (
     ChainWorkload,
     ConversionScalingModel,
@@ -21,6 +25,8 @@ from repro.perfmodel import (
     MatvecScalingModel,
     SpinpackModel,
     paper_workload,
+    rank_splits,
+    recommend_split,
 )
 from repro.runtime import Cluster, laptop_machine, snellius_machine
 from repro.symmetry import chain_symmetries
@@ -234,3 +240,108 @@ class TestCrossValidationAgainstSimulation:
         )
         predicted = model.single_node_time() * (per_row / (n / 2))
         assert predicted == pytest.approx(des_time, rel=0.3)
+
+
+def build(n=12, w=6, n_locales=3, cores=4, backend="sim"):
+    """A small distributed workload: (compiled, dbasis, expr)."""
+    template = SpinBasis(n, hamming_weight=w)
+    cluster = Cluster(
+        n_locales, laptop_machine(cores=cores), backend=backend
+    )
+    dbasis, _ = enumerate_states(cluster, template, use_weight_shortcut=True)
+    expr = repro.heisenberg_chain(n)
+    return compile_expression(expr, n), dbasis, expr
+
+
+class TestRecommendSplit:
+    def test_flags_paper_default_as_stall_dominated(self):
+        """Sec. 6.3: on the 42-spin workload at 64 nodes the 104/24 split
+        leaves one pool idling; the model must flag it and propose a
+        strictly better configuration (Sec. 7's work stealing)."""
+        report = recommend_split(snellius_machine(), paper_workload(42), 64)
+        assert report["stall_dominated"]
+        assert report["default"]["stall_share"] > 0.05
+        proposal = report["proposal"]
+        assert proposal is not None
+        assert proposal["pipeline_seconds"] < (
+            report["default"]["pipeline_seconds"]
+        )
+        assert proposal["improvement"] > 0.0
+        assert proposal["work_stealing"]
+        # ... and beats every static split of the grid
+        ranked = rank_splits(snellius_machine(), paper_workload(42), 64)
+        assert proposal["pipeline_seconds"] < ranked[0][0]
+
+    def test_no_proposal_when_default_is_optimal(self):
+        """One locale runs in shared memory whatever the split: every
+        candidate ties with the default, and only a strictly faster one
+        is proposed."""
+        report = recommend_split(snellius_machine(), paper_workload(42), 1)
+        assert report["proposal"] is None
+
+    @pytest.mark.parametrize(
+        "machine, consumers",
+        [
+            # Sec. 6.3's grid of 128 cores, without the default 24
+            (snellius_machine(), {8, 16, 32, 48, 64}),
+            (laptop_machine(cores=8), {1, 3, 4}),  # 2 is the default's
+            (laptop_machine(cores=4), {2}),
+            (laptop_machine(cores=2), set()),  # every fraction rounds to 1:1
+            (laptop_machine(cores=1), set()),
+        ],
+        ids=["snellius-128", "laptop-8", "laptop-4", "laptop-2", "laptop-1"],
+    )
+    def test_rank_splits(self, machine, consumers):
+        """One grid, rounded to whole cores, each split once, fastest
+        first, priced by the scaling model."""
+        workload, cores = paper_workload(42), machine.cores_per_locale
+        ranked = rank_splits(machine, workload, 64)
+        assert {round(f * cores) for _, f in ranked} == consumers
+        assert len(ranked) == len(consumers)
+        assert ranked == sorted(ranked)
+        for seconds, fraction in ranked:
+            model = MatvecScalingModel(
+                machine, workload, consumer_fraction=fraction
+            )
+            assert seconds == model.pipeline_time(64)
+
+
+class TestWorkStealingCalibration:
+    """Satellite: the ``work_stealing=True`` branch of the model's
+    ``pipeline_time`` against traced producer-consumer runs."""
+
+    def test_model_vs_traced_pc_run(self, tmp_path):
+        from repro.distributed.matvec_pc import matvec_producer_consumer
+        from repro.telemetry.analysis import calibrate_traces, main
+
+        compiled, dbasis, _ = build(backend="threads")
+        sim_compiled, sim_dbasis, _ = build(backend="sim")
+        paths = {}
+        for name, basis, comp in (
+            ("sim", sim_dbasis, sim_compiled),
+            ("wall", dbasis, compiled),
+        ):
+            x = DistributedVector.full_random(basis, seed=0)
+            tele = telemetry.Telemetry.enabled(metrics=False)
+            with telemetry.use(tele):
+                matvec_producer_consumer(
+                    comp, basis, x, None, plan=None,
+                    batch_size=64, work_stealing=True,
+                )
+            paths[name] = tmp_path / f"{name}.json"
+            tele.trace.save(paths[name])
+        report = calibrate_traces(paths["sim"], paths["wall"])
+        ratio = report["makespan_ratio"]
+        assert np.isfinite(ratio) and ratio > 0.0
+        assert report["phases"]
+        assert main(
+            ["calibrate", str(paths["sim"]), str(paths["wall"])]
+        ) == 0
+
+    def test_stealing_pipeline_time_strictly_below_static(self):
+        from repro.perfmodel import MatvecScalingModel
+
+        model = MatvecScalingModel(snellius_machine(), paper_workload(42))
+        static = model.pipeline_time(64)
+        stealing = model.pipeline_time(64, work_stealing=True)
+        assert stealing < static

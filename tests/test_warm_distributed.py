@@ -6,8 +6,8 @@ Three contracts:
    locale per plan on every variant, on each backend that runs it, and
    on every path; ``plan=False`` recomputes it, ``invalidate_plan()``
    drops it, and results stay within ``1e-12`` of the serial operator.
-2. **The hand-off unit follows the backend.**  ``DistributedOperator`` and
-   the autotuner hand over whole destination slices on ``threads`` and the
+2. **The hand-off unit follows the backend.**  ``DistributedOperator``
+   hands over whole destination slices on ``threads`` and the
    modelled 4096-element buffer on ``sim`` (whose messages, bytes and
    simulated seconds are pinned here as literals); an explicit
    ``buffer_capacity`` wins on both.
@@ -48,7 +48,6 @@ import repro
 import repro.distributed.operator as operator_module
 import repro.operators.plan as plan_module
 from repro import telemetry
-from repro.autotune import search
 from repro.basis import SymmetricBasis
 from repro.distributed import (
     DistributedOperator,
@@ -268,6 +267,18 @@ class TestHandOffUnit:
                 y.to_serial(serial), y_cut.to_serial(serial), atol=1e-12
             )
 
+    def test_threads_sends_fewer_messages_than_the_signature_default(
+        self, rng
+    ):
+        serial, dbasis, expr = build("threads", n=20, n_locales=2)
+        dop = DistributedOperator(expr, dbasis, method="pc", plan=False)
+        x = DistributedVector.from_serial(
+            dbasis, serial, random_serial(rng, serial)
+        )
+        dop.matvec(x)
+        _, cut = matvec_producer_consumer(dop.compiled, dbasis, x)
+        assert cut.messages > dop.last_report.messages
+
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("resilient", [None, True])
     def test_explicit_capacity_is_honoured(self, backend, resilient, rng):
@@ -309,48 +320,6 @@ class TestHandOffUnit:
             assert report.messages == messages
             assert report.bytes_sent == bytes_sent
             assert report.elapsed == elapsed
-
-
-class TestAutotunerTimesWhatTheOperatorRuns:
-    def test_measure_knobs_reports_the_operators_messages(
-        self, monkeypatch, rng
-    ):
-        serial, dbasis, expr = build("threads", n=20, n_locales=2)
-        dop = DistributedOperator(expr, dbasis, method="pc", plan=False)
-        x = DistributedVector.from_serial(
-            dbasis, serial, random_serial(rng, serial)
-        )
-        dop.matvec(x)
-        reports = []
-
-        def recording(*args, **kwargs):
-            y, report = matvec_producer_consumer(*args, **kwargs)
-            reports.append(report)
-            return y, report
-
-        monkeypatch.setitem(search.IMPLS, "pc", recording)
-        search.measure_knobs(
-            dop.compiled, dbasis, x, search.default_knobs("pc"), samples=2
-        )
-        assert [r.messages for r in reports] == [dop.last_report.messages] * 2
-        # ... which is not what the signature default would have run.
-        _, cut = matvec_producer_consumer(dop.compiled, dbasis, x)
-        assert cut.messages > dop.last_report.messages
-
-    def test_method_kwargs(self):
-        sim = Cluster(2, laptop_machine(cores=2))
-        threads = Cluster(2, laptop_machine(cores=2), backend="threads")
-        knobs = search.default_knobs("pc")
-        assert search.method_kwargs(knobs, "batched", threads) == {
-            "batch_size": 8192
-        }
-        assert search.method_kwargs(knobs, "pc", sim) == {
-            **search.default_knobs("pc"), "buffer_capacity": 4096
-        }
-        assert search.method_kwargs(knobs, "pc", threads) == {
-            **search.default_knobs("pc"),
-            "buffer_capacity": default_buffer_capacity(threads),
-        }
 
 
 class TestPlanHoldsNoInputDependentData:
