@@ -82,11 +82,9 @@ from repro.distributed import (
     locale_of,
 )
 from repro.linalg import (
-    DavidsonResult,
     LanczosResult,
     SpectralFunction,
     ThermalEstimate,
-    davidson,
     expm_krylov,
     ftlm_thermal,
     lanczos,
@@ -159,8 +157,6 @@ __all__ = [
     "ftlm_thermal",
     "SpectralFunction",
     "spectral_function",
-    "DavidsonResult",
-    "davidson",
     "expectation",
     "spin_correlation",
     "symmetrize_expression",

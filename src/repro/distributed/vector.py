@@ -215,13 +215,6 @@ class DistributedVectorSpace(VectorSpace):
         value = self.dot(x, x)
         return float(np.sqrt(np.real(value)))
 
-    def axpy(self, alpha, x: DistributedVector, y: DistributedVector) -> None:
-        """``y += alpha * x`` in place."""
-        t0 = time.perf_counter()
-        for px, py in zip(x.parts, y.parts):
-            py += alpha * px
-        self._charge_stream(2, measured=time.perf_counter() - t0)
-
     def scale(self, alpha, x: DistributedVector) -> None:
         """``x *= alpha`` in place."""
         t0 = time.perf_counter()

@@ -7,6 +7,11 @@ time-evolution propagator, both generic over a *vector space* abstraction
 (which also stores the Krylov basis and projects against it) so they run
 unchanged on NumPy vectors or on the simulated cluster's
 :class:`~repro.distributed.vector.DistributedVector`.
+
+Degenerate levels and other block problems go to SciPy's LOBPCG on the
+operator's ``LinearOperator`` view: ``scipy.sparse.linalg.lobpcg(
+op.as_linear_operator(), X, largest=False)`` with a random ``(dim, k + 2)``
+block ``X`` (a Lanczos run from one vector finds one copy of each level).
 """
 
 from repro.linalg.spaces import NumpyVectorSpace, VectorSpace, as_matvec
@@ -14,7 +19,6 @@ from repro.linalg.lanczos import LanczosResult, lanczos, lanczos_distributed
 from repro.linalg.expm import expm_krylov
 from repro.linalg.ftlm import ThermalEstimate, ftlm_thermal
 from repro.linalg.spectral import SpectralFunction, spectral_function
-from repro.linalg.davidson import DavidsonResult, davidson
 
 __all__ = [
     "VectorSpace",
@@ -28,6 +32,4 @@ __all__ = [
     "ftlm_thermal",
     "SpectralFunction",
     "spectral_function",
-    "DavidsonResult",
-    "davidson",
 ]

@@ -13,6 +13,7 @@ from scipy.linalg import expm as dense_expm
 
 from repro.linalg.lanczos import tridiagonalize
 from repro.linalg.spaces import NumpyVectorSpace, VectorSpace, as_matvec
+from repro.schema import Key, check
 
 __all__ = ["expm_krylov"]
 
@@ -29,8 +30,9 @@ def expm_krylov(
 
     ``H`` must be Hermitian (only Hermitian operators arise here; ``scale``
     carries any imaginary factor).  Iteration stops early when the Krylov
-    residue ``beta`` underflows ``tol``.
+    residue ``beta`` underflows ``tol``, a finite number >= 0.
     """
+    check(tol, Key("tol", float, min=0.0))
     matvec = as_matvec(matvec)
     if space is None:
         space = NumpyVectorSpace()
@@ -38,8 +40,8 @@ def expm_krylov(
     if norm_v == 0.0:
         return space.copy(v)
     # Full reorthogonalization keeps the small basis clean.
-    alphas, betas, block = tridiagonalize(
-        matvec, space, v, norm_v, krylov_dim, breakdown=tol
+    [(alphas, betas, block)] = tridiagonalize(
+        matvec, space, [v], [norm_v], krylov_dim, breakdown=tol
     )
     t = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
     coeffs = dense_expm(scale * t)[:, 0] * norm_v

@@ -25,13 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from repro.linalg.lanczos import BREAKDOWN, lanczos_step, tridiagonalize
-from repro.linalg.spaces import (
-    NumpyVectorSpace,
-    VectorSpace,
-    apply_block,
-    as_matvec,
-)
+from repro.errors import ConfigError
+from repro.linalg.lanczos import tridiagonalize
+from repro.linalg.spaces import NumpyVectorSpace, VectorSpace, as_matvec
 from repro.schema import require_positive
 
 __all__ = ["ThermalEstimate", "ftlm_thermal"]
@@ -60,46 +56,6 @@ def _spectrum(alphas, betas):
     return evals, np.abs(evecs[0, :]) ** 2, float(betas[-1])
 
 
-def _lanczos_spectrum(matvec, v0, krylov_dim: int, space: VectorSpace):
-    """The spectrum of one sequential Lanczos factorization."""
-    coeffs = tridiagonalize(matvec, space, v0, space.norm(v0), krylov_dim)
-    return _spectrum(*coeffs[:2])
-
-
-def _lanczos_spectra_block(matvec, space, v0s, krylov_dim: int):
-    """Lock-step Lanczos: one spectrum per starting vector in ``v0s``.
-
-    Each sample keeps its own Krylov block and runs the one recurrence
-    (:func:`~repro.linalg.lanczos.lanczos_step`), so its spectrum is the
-    sequential one bit for bit.  What is shared is the product: each step
-    makes one block matvec over the samples still running, so the
-    operator's generation/partition/ranking work is paid once per step
-    instead of once per sample.  A sample stops at breakdown.
-    """
-    blocks, coeffs = [], []
-    for v0 in v0s:
-        blocks.append(space.block([v0]))
-        space.scale(1.0 / space.norm(v0), space.row(blocks[-1], 0))
-        coeffs.append(([], []))
-    running = list(range(len(v0s)))
-    for _ in range(krylov_dim):
-        if not running:
-            break
-        last = [space.row(blocks[j], blocks[j].m - 1) for j in running]
-        products = apply_block(matvec, np.stack(last, axis=1)).T.copy()
-        still = []
-        for j, w in zip(running, products):
-            alpha, beta = lanczos_step(space, blocks[j], w)
-            coeffs[j][0].append(alpha)
-            coeffs[j][1].append(beta)
-            if beta > BREAKDOWN:
-                space.scale(1.0 / beta, w)
-                space.push(blocks[j], w)
-                still.append(j)
-        running = still
-    return [_spectrum(alphas, betas) for alphas, betas in coeffs]
-
-
 def ftlm_thermal(
     matvec,
     prototype,
@@ -121,10 +77,11 @@ def ftlm_thermal(
         A vector of the right type/shape used to draw random samples
         (its contents are ignored).
     temperatures:
-        Temperatures (in units of the coupling, ``k_B = 1``); must be > 0.
+        Temperatures (in units of the coupling, ``k_B = 1``); must be > 0
+        (``inf`` is the infinite-temperature limit, ``Z = dim``).
     dim:
-        Hilbert-space dimension; defaults to ``len(prototype)``.  Used for
-        the overall normalization of ``Z``.
+        Hilbert-space dimension, an integer >= 1; defaults to
+        ``len(prototype)``.  Used for the overall normalization of ``Z``.
     block_size:
         How many random samples advance together through block matvecs
         (NumPy vectors only).  Defaults to ``min(n_samples, 8)`` on the
@@ -132,21 +89,21 @@ def ftlm_thermal(
         and the recurrence run on each are the same either way, so the
         estimate does not depend on the blocking.
 
-    A ``krylov_dim``, ``n_samples`` or ``block_size`` that is not an
-    integer >= 1 raises :class:`~repro.errors.ConfigError` before the
-    first product.
+    A ``krylov_dim``, ``n_samples``, ``block_size`` or ``dim`` that is not
+    an integer >= 1, or a temperature that is not > 0, raises
+    :class:`~repro.errors.ConfigError` before the first product.
     """
     matvec = as_matvec(matvec)
     temperatures = np.asarray(temperatures, dtype=np.float64)
     if not np.all(temperatures > 0):
-        raise ValueError(f"temperatures must be > 0, got {temperatures}")
-    require_positive(krylov_dim=krylov_dim, n_samples=n_samples)
+        raise ConfigError(f"temperatures must be > 0, got {temperatures}")
+    if dim is None:
+        dim = prototype.shape[0]
+    require_positive(krylov_dim=krylov_dim, n_samples=n_samples, dim=dim)
     if block_size is not None:
         require_positive(block_size=block_size)
     if space is None:
         space = NumpyVectorSpace()
-    if dim is None:
-        dim = prototype.shape[0]
     if block_size is None:
         numpy_path = isinstance(space, NumpyVectorSpace) and isinstance(
             prototype, np.ndarray
@@ -169,14 +126,11 @@ def ftlm_thermal(
             space.random(prototype, seed=seed + sample + j)
             for j in range(width)
         ]
-        if width > 1:
-            all_spectra.extend(
-                _lanczos_spectra_block(matvec, space, v0s, krylov_dim)
-            )
-        else:
-            all_spectra.append(
-                _lanczos_spectrum(matvec, v0s[0], krylov_dim, space)
-            )
+        norms = [space.norm(v0) for v0 in v0s]
+        all_spectra.extend(
+            _spectrum(alphas, betas) for alphas, betas, _ in
+            tridiagonalize(matvec, space, v0s, norms, krylov_dim)
+        )
         elapsed = time.perf_counter() - t_start
         for j, (evals, _, residual) in enumerate(
             all_spectra[sample:], start=sample

@@ -23,8 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from repro.errors import CheckpointError, ConvergenceError
-from repro.linalg.spaces import NumpyVectorSpace, VectorSpace, as_matvec
+from repro.errors import CheckpointError, ConfigError, ConvergenceError
+from repro.linalg.spaces import (
+    NumpyVectorSpace,
+    VectorSpace,
+    apply_block,
+    as_matvec,
+)
 from repro.resilience.checkpoint import (
     list_checkpoints,
     load_latest_checkpoint,
@@ -53,7 +58,7 @@ class LanczosResult:
     progress: list = field(repr=False, default_factory=list)
 
 
-def _record_iteration(tele, entry: dict, solver: str = "lanczos") -> None:
+def _record_iteration(tele, entry: dict) -> None:
     """Count one iteration in the ambient telemetry.
 
     The result's ``progress`` is the record of residual and Ritz values;
@@ -61,10 +66,10 @@ def _record_iteration(tele, entry: dict, solver: str = "lanczos") -> None:
     current end of the simulated timeline, so Perfetto shows it decaying
     against the pipeline activity below it.
     """
-    tele.metrics.counter(f"{solver}.iterations").inc()
+    tele.metrics.counter("lanczos.iterations").inc()
     if tele.trace.enabled:
         tele.trace.counter(
-            ("solver", solver), "residual", 0.0, entry["residual"]
+            ("solver", "lanczos"), "residual", 0.0, entry["residual"]
         )
 
 
@@ -90,56 +95,53 @@ def lanczos_step(
     return alpha, space.norm(w)
 
 
-def lanczos_steps(
-    matvec,
-    space: VectorSpace,
-    block,
-    n_steps: int,
-    reorthogonalize: bool = True,
-    breakdown: float = BREAKDOWN,
-):
-    """The three-term recurrence every Krylov driver here runs.
-
-    Each step multiplies the last row of ``block``, runs
-    :func:`lanczos_step` on the product and yields ``(alpha, beta, block)``
-    *before* the normalised product becomes the next row: a consumer that
-    stops there pays nothing more, and ``beta <= breakdown`` ends the
-    recurrence.  The checkpoint writer, which needs control between the
-    push and the next product, resumes with ``send(True)`` and gets one
-    more pause right after the push.
-    """
-    v = space.row(block, block.m - 1)
-    for _ in range(n_steps):
-        w = matvec(v)
-        alpha, beta = lanczos_step(space, block, w, reorthogonalize)
-        pause = yield alpha, beta, block
-        if beta <= breakdown:
-            return
-        space.scale(1.0 / beta, w)
-        v = space.push(block, w)
-        if pause:
-            yield
-
-
 def tridiagonalize(
-    matvec, space: VectorSpace, seed, norm, krylov_dim: int, breakdown=BREAKDOWN
+    matvec, space: VectorSpace, seeds, norms, krylov_dim: int,
+    breakdown=BREAKDOWN,
 ):
-    """Tridiagonal projection on the Krylov space of ``seed`` (of norm
-    ``norm``; not modified), by :func:`lanczos_steps` run to the end.
+    """Tridiagonal projections on the Krylov spaces of ``seeds`` (of norms
+    ``norms``; not modified), in lock step.
 
-    Returns ``(alphas, betas, block)``: ``betas[:-1]`` is the off-diagonal,
-    ``betas[-1]`` the truncation residual, ``block`` the Krylov vectors.
+    Each seed keeps its own Krylov block and runs :func:`lanczos_step`, so
+    its coefficients are the one-seed ones bit for bit.  What is shared is
+    the product: each step makes one block matvec over the seeds still
+    running (a plain matvec when one is left, so any vector type works),
+    paying the operator's generation/partition/ranking once per step.  A
+    seed stops at ``beta <= breakdown``.
+
+    Returns one ``(alphas, betas, block)`` per seed: ``betas[:-1]`` is the
+    off-diagonal, ``betas[-1]`` the truncation residual, ``block`` the
+    Krylov vectors.
     """
     require_positive(krylov_dim=krylov_dim)
-    block = space.block([seed])
-    space.scale(1.0 / norm, space.row(block, 0))
-    alphas, betas = [], []
-    for alpha, beta, _ in lanczos_steps(
-        matvec, space, block, krylov_dim, breakdown=breakdown
-    ):
-        alphas.append(alpha)
-        betas.append(float(beta))
-    return np.asarray(alphas), np.asarray(betas), block
+    blocks, coeffs = [], []
+    for seed, norm in zip(seeds, norms):
+        blocks.append(space.block([seed]))
+        space.scale(1.0 / norm, space.row(blocks[-1], 0))
+        coeffs.append(([], []))
+    running = list(range(len(blocks)))
+    for _ in range(krylov_dim):
+        if not running:
+            break
+        last = [space.row(blocks[j], blocks[j].m - 1) for j in running]
+        if len(last) == 1:
+            products = [matvec(last[0])]
+        else:
+            products = apply_block(matvec, np.stack(last, axis=1)).T.copy()
+        still = []
+        for j, w in zip(running, products):
+            alpha, beta = lanczos_step(space, blocks[j], w)
+            coeffs[j][0].append(alpha)
+            coeffs[j][1].append(float(beta))
+            if beta > breakdown:
+                space.scale(1.0 / beta, w)
+                space.push(blocks[j], w)
+                still.append(j)
+        running = still
+    return [
+        (np.asarray(alphas), np.asarray(betas), block)
+        for (alphas, betas), block in zip(coeffs, blocks)
+    ]
 
 
 def lanczos(
@@ -217,8 +219,10 @@ def lanczos(
         clock = lambda: time.perf_counter() - t_start  # noqa: E731
     progress: list = []
     norm0 = space.norm(v0)
-    if norm0 == 0.0:
-        raise ValueError("starting vector must be non-zero")
+    if not 0.0 < norm0 < np.inf:
+        raise ConfigError(
+            f"v0 must be a vector of finite, non-zero norm, got norm {norm0}"
+        )
 
     v = space.copy(v0)
     space.scale(1.0 / norm0, v)
@@ -243,11 +247,11 @@ def lanczos(
             start_iter = state.iteration
 
     block = space.block(vectors)
+    v = space.row(block, block.m - 1)
     n_iter = start_iter
-    steps = lanczos_steps(
-        matvec, space, block, max_iter - start_iter, reorthogonalize
-    )
-    for n_iter, (alpha, beta, _) in enumerate(steps, start_iter + 1):
+    for n_iter in range(start_iter + 1, max_iter + 1):
+        w = matvec(v)
+        alpha, beta = lanczos_step(space, block, w, reorthogonalize)
         alphas.append(alpha)  # the n_iter-th, on n_iter - 1 betas
         if n_iter >= k:
             evals, evecs = eigh_tridiagonal(alphas, betas)
@@ -270,11 +274,12 @@ def lanczos(
             converged = eigenvalues is not None
             break
         betas.append(float(beta))
+        space.scale(1.0 / beta, w)
+        v = space.push(block, w)
         if checkpoint_dir is not None and n_iter % checkpoint_every == 0:
             # Snapshot point invariant: after n_iter completed iterations
             # there are n_iter alphas, n_iter betas, and n_iter+1 basis
             # vectors — exactly the state the resumed loop continues from.
-            steps.send(True)  # push row n_iter, pause before the next product
             write_checkpoint(
                 checkpoint_dir,
                 n_iter,

@@ -81,9 +81,6 @@ class VectorSpace(Protocol):
 
     def norm(self, x) -> float: ...
 
-    def axpy(self, alpha, x, y) -> None:
-        """``y += alpha * x`` in place."""
-
     def scale(self, alpha, x) -> None:
         """``x *= alpha`` in place."""
 
@@ -161,9 +158,6 @@ class NumpyVectorSpace(VectorSpace):
 
     def norm(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(x))
-
-    def axpy(self, alpha, x: np.ndarray, y: np.ndarray) -> None:
-        y += alpha * x
 
     def scale(self, alpha, x: np.ndarray) -> None:
         x *= alpha

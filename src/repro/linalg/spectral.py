@@ -25,6 +25,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from repro.linalg.lanczos import tridiagonalize
 from repro.linalg.spaces import NumpyVectorSpace, VectorSpace, as_matvec
+from repro.schema import Key, check
 
 __all__ = ["SpectralFunction", "spectral_function"]
 
@@ -83,8 +84,9 @@ def spectral_function(
     krylov_dim:
         Lanczos steps; more steps resolve more poles.
     weight_cutoff:
-        Poles with smaller strength are dropped.
+        Poles with smaller strength are dropped; a finite number >= 0.
     """
+    check(weight_cutoff, Key("weight_cutoff", float, min=0.0))
     matvec = as_matvec(matvec)
     if space is None:
         space = NumpyVectorSpace()
@@ -95,7 +97,9 @@ def spectral_function(
         )
     # Full reorthogonalization: spectral weights are first-row components,
     # which ghost states would corrupt.
-    alphas, betas, _ = tridiagonalize(matvec, space, seed, norm, krylov_dim)
+    [(alphas, betas, _)] = tridiagonalize(
+        matvec, space, [seed], [norm], krylov_dim
+    )
     evals, evecs = eigh_tridiagonal(alphas, betas[:-1])
     weights = norm**2 * np.abs(evecs[0, :]) ** 2
     keep = weights > weight_cutoff * max(norm**2, 1.0)

@@ -17,9 +17,8 @@ Three pieces (see ``docs/RESILIENCE.md``):
   retry budgets, checksum toggles, straggler thresholds, and the number
   of matvec restarts.
 - :mod:`repro.resilience.checkpoint` — CRC32-manifested, atomically
-  renamed snapshots of Krylov solver state, used by
-  :func:`repro.linalg.lanczos` / :func:`repro.linalg.davidson` for
-  bit-for-bit identical restarts.
+  renamed snapshots of the Lanczos state, used by
+  :func:`repro.linalg.lanczos` for bit-for-bit identical restarts.
 """
 
 from repro.resilience.checkpoint import (

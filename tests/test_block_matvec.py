@@ -7,7 +7,7 @@ bases, under an active :class:`~repro.operators.plan.MatvecPlan`, and
 across dtype promotion (a plan recorded with a real ``x`` replayed with a
 complex one).  The surrounding machinery is covered too: the linear-time
 counting-sort partition, the ``wire_bytes`` traffic model, cached
-``ProducedChunk.rows`` reuse, and the block adoption in FTLM and Davidson.
+``ProducedChunk.rows`` reuse, and the block adoption in FTLM.
 """
 
 import numpy as np
@@ -25,7 +25,7 @@ from repro.distributed.convert import counting_sort_order
 from repro.distributed.dist_basis import DistributedBasis
 from repro.distributed.matvec_common import wire_bytes
 from repro.errors import DistributionError
-from repro.linalg import davidson, ftlm_thermal, lanczos
+from repro.linalg import ftlm_thermal, lanczos
 from repro.linalg.spaces import apply_block
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
@@ -411,17 +411,6 @@ class TestBlockAdoption:
         np.testing.assert_allclose(
             blocked.specific_heat, sequential.specific_heat, rtol=1e-6,
             atol=1e-10,
-        )
-
-    def test_davidson_rides_block_matvec(self, basis, expr, rng):
-        op = repro.Operator(expr, basis)
-        result = davidson(op, op.diagonal().real, k=2, tol=1e-9, seed=1)
-        assert result.converged
-        reference = lanczos(
-            op, rng.standard_normal(basis.dim), k=2, tol=1e-10
-        )
-        np.testing.assert_allclose(
-            result.eigenvalues, reference.eigenvalues, atol=1e-7
         )
 
     def test_lanczos_single_vector_path_unchanged(self, basis, expr, rng):

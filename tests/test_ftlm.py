@@ -7,7 +7,8 @@ import repro
 from repro.basis import SpinBasis, SymmetricBasis
 from repro.errors import ConfigError
 from repro.linalg import ftlm_thermal
-from repro.linalg.ftlm import _lanczos_spectrum
+from repro.linalg.ftlm import _spectrum
+from repro.linalg.lanczos import tridiagonalize
 from repro.linalg.spaces import NumpyVectorSpace
 from repro.symmetry import chain_symmetries
 
@@ -107,9 +108,11 @@ class TestKrylovSpaceExhausted:
     def test_ritz_values_are_the_spectrum(self, sector, rng, krylov_dim):
         op, evals = sector
         assert op.dim == 35
-        ritz, weights, final_beta = _lanczos_spectrum(
-            op.matvec, rng.standard_normal(op.dim), krylov_dim, NumpyVectorSpace()
+        v0 = rng.standard_normal(op.dim)
+        [(alphas, betas, _)] = tridiagonalize(
+            op.matvec, NumpyVectorSpace(), [v0], [np.linalg.norm(v0)], krylov_dim
         )
+        ritz, weights, final_beta = _spectrum(alphas, betas)
         assert ritz.size <= op.dim
         assert ritz.min() == pytest.approx(evals[0], abs=1e-10)
         assert ritz.max() <= evals[-1] + 1e-10
@@ -157,7 +160,7 @@ class TestInterface:
 
     def test_rejects_nonpositive_temperature(self, small_system):
         basis, op, _ = small_system
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ftlm_thermal(op.matvec, np.zeros(basis.dim), np.array([0.0]))
 
     def test_deterministic_with_seed(self, small_system):

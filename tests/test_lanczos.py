@@ -1,5 +1,7 @@
 """Tests for the Lanczos eigensolver and its distributed variant."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -56,6 +58,46 @@ class TestEigenvalues:
         assert np.allclose(np.sort(res.eigenvalues), [-1.0, 0.5])
 
 
+class TestDegenerateLevels:
+    """The 12-site chain's U(1) sector has an exact 2-fold degeneracy among
+    its lowest five levels (a momentum +-k pair)."""
+
+    @pytest.fixture(scope="class")
+    def chain12(self):
+        op = repro.Operator(
+            repro.heisenberg_chain(12), SpinBasis(12, hamming_weight=6)
+        )
+        return op, np.linalg.eigvalsh(op.to_dense())
+
+    def test_lanczos_misses_degenerate_copy(self, chain12):
+        # Lanczos from one vector returns only one Ritz value per
+        # degenerate pair, so its 5th value is not the true 5th eigenvalue.
+        op, dense_spectrum = chain12
+        res = lanczos(
+            op.matvec,
+            np.random.default_rng(0).standard_normal(op.dim),
+            k=5,
+            tol=1e-10,
+            max_iter=300,
+        )
+        assert res.eigenvalues[4] != pytest.approx(dense_spectrum[4], abs=1e-6)
+
+    def test_lobpcg_resolves_exact_degeneracy(self, chain12):
+        # A block method on the LinearOperator view finds both copies.
+        op, dense_spectrum = chain12
+        assert dense_spectrum[3] == pytest.approx(dense_spectrum[4], abs=1e-10)
+        x = np.random.default_rng(0).standard_normal((op.dim, 7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # lobpcg warns when unconverged
+            evals, _ = spla.lobpcg(
+                op.as_linear_operator(), x, largest=False, tol=1e-8,
+                maxiter=200,
+            )
+        np.testing.assert_allclose(
+            np.sort(evals)[:5], dense_spectrum[:5], rtol=0, atol=1e-10
+        )
+
+
 class TestEigenvectors:
     def test_eigenvector_residual(self, operator, rng):
         res = lanczos(
@@ -109,7 +151,7 @@ class TestRobustness:
         assert gap_dirty < 1.0
 
     def test_zero_start_vector_rejected(self, operator):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             lanczos(operator.matvec, np.zeros(operator.dim), k=1)
 
     def test_convergence_error(self, operator, rng):
@@ -149,20 +191,42 @@ class TestRobustness:
         "driver, argument, value",
         [
             ("lanczos", "k", 0),
+            pytest.param("lanczos", "v0", np.zeros(8), id="lanczos-v0-zero"),
+            pytest.param(
+                "lanczos", "v0", np.r_[1.0, np.nan, np.zeros(6)],
+                id="lanczos-v0-nan",
+            ),
+            pytest.param(
+                "lanczos", "v0", np.r_[np.inf, np.zeros(7)], id="lanczos-v0-inf"
+            ),
             ("ftlm_thermal", "n_samples", 0),
             ("ftlm_thermal", "krylov_dim", 0),
             ("ftlm_thermal", "temperatures", np.nan),
+            ("ftlm_thermal", "temperatures", 0.0),
+            ("ftlm_thermal", "temperatures", -1.0),
+            ("ftlm_thermal", "dim", 0),
+            ("ftlm_thermal", "dim", -5),
+            ("ftlm_thermal", "dim", 2.5),
             ("spectral_function", "krylov_dim", 0),
+            ("spectral_function", "weight_cutoff", -1.0),
+            ("spectral_function", "weight_cutoff", np.nan),
             ("expm_krylov", "krylov_dim", 0),
+            ("expm_krylov", "tol", -1.0),
+            ("expm_krylov", "tol", np.nan),
         ],
     )
     def test_krylov_drivers_reject_what_they_cannot_use(
         self, driver, argument, value
     ):
+        """Before the first product: ``dim`` 0, -5 or 2.5 gave a partition
+        function of 0, -11.7 or 5.8, a negative or NaN ``tol`` or
+        ``weight_cutoff`` ran silently, and a NaN in ``v0`` failed inside
+        SciPy after the first product."""
+        calls = []
         diag = np.linspace(-1.0, 1.0, 8)
-        matvec = lambda v: diag * v  # noqa: E731
-        v0 = np.ones(8)
-        kwargs = {argument: value}
+        matvec = lambda v: calls.append(v) or diag * v  # noqa: E731
+        kwargs = {"v0": np.ones(8), argument: value}
+        v0 = kwargs.pop("v0")  # positional in every driver
         call = {
             "lanczos": lambda: lanczos(matvec, v0, **kwargs),
             "ftlm_thermal": lambda: repro.linalg.ftlm_thermal(
@@ -175,9 +239,9 @@ class TestRobustness:
                 matvec, v0, -0.1, **kwargs
             ),
         }[driver]
-        error = ValueError if argument == "temperatures" else ConfigError
-        with pytest.raises(error, match=rf"^{argument} must be"):
+        with pytest.raises(ConfigError, match=rf"^{argument} must be"):
             call()
+        assert not calls
 
     @pytest.mark.parametrize(
         "argument, value",

@@ -32,7 +32,6 @@ from repro.errors import (
     ConvergenceError,
     FaultError,
 )
-from repro.linalg.davidson import davidson
 from repro.linalg.lanczos import lanczos, lanczos_distributed
 from repro.operators import compile_expression
 from repro.resilience import (
@@ -380,23 +379,6 @@ class TestCheckpointRestart:
         )
         assert resumed.n_iterations == reference.n_iterations
 
-    def test_davidson_resume_bit_identical(self, tmp_path):
-        basis = SpinBasis(12, hamming_weight=6)
-        op = repro.Operator(repro.heisenberg_chain(12), basis)
-        diag = op.diagonal()
-        reference = davidson(op, diag, k=2, seed=5, tol=1e-10)
-
-        killed = _KillSwitch(op, survive=25)
-        with pytest.raises(KeyboardInterrupt):
-            davidson(killed.matvec, diag, k=2, seed=5, tol=1e-10,
-                     checkpoint_dir=tmp_path, checkpoint_every=3)
-        resumed = davidson(op, diag, k=2, seed=5, tol=1e-10,
-                           checkpoint_dir=tmp_path, resume=True)
-        np.testing.assert_array_equal(
-            resumed.eigenvalues, reference.eigenvalues
-        )
-        assert resumed.n_iterations == reference.n_iterations
-
     def test_resume_without_dir_rejected(self):
         basis = SpinBasis(8, hamming_weight=4)
         op = repro.Operator(repro.heisenberg_chain(8), basis)
@@ -631,14 +613,6 @@ class TestTypedErrors:
         with pytest.raises(ConvergenceError) as excinfo:
             lanczos(op, v0, k=1, tol=1e-14, max_iter=5)
         assert excinfo.value.n_iterations == 5
-        assert excinfo.value.last_residual > 0
-
-    def test_davidson_convergence_error_diagnostics(self):
-        basis = SpinBasis(10, hamming_weight=5)
-        op = repro.Operator(repro.heisenberg_chain(10), basis)
-        with pytest.raises(ConvergenceError) as excinfo:
-            davidson(op, op.diagonal(), k=1, tol=1e-14, max_iter=3)
-        assert excinfo.value.n_iterations == 3
         assert excinfo.value.last_residual > 0
 
     def test_fault_error_is_repro_error(self):

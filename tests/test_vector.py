@@ -104,16 +104,6 @@ class TestDistributedVectorSpace:
         space = DistributedVectorSpace(dbasis)
         assert space.norm(dx) == pytest.approx(float(np.linalg.norm(x)))
 
-    def test_axpy(self, setup, rng):
-        serial, dbasis = setup
-        x = rng.standard_normal(serial.dim)
-        y = rng.standard_normal(serial.dim)
-        dx = DistributedVector.from_serial(dbasis, serial, x)
-        dy = DistributedVector.from_serial(dbasis, serial, y)
-        space = DistributedVectorSpace(dbasis)
-        space.axpy(0.5, dx, dy)
-        assert np.allclose(dy.to_serial(serial), y + 0.5 * x)
-
     def test_scale(self, setup, rng):
         serial, dbasis = setup
         x = rng.standard_normal(serial.dim)
