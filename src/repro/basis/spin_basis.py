@@ -84,6 +84,13 @@ class Basis(abc.ABC):
             return members, factors, valid
         return members[valid], factors[valid], valid
 
+    def orbits(self, raw_states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`surviving` without the destination norm in ``factors``:
+        the distributed producers' projection, whose consumer multiplies
+        the norm in at the row it ranks.  A plain basis has no norm, so
+        this is :meth:`surviving`."""
+        return self.surviving(raw_states)
+
     def locate(self, raw_states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`surviving` with the members' indices (:meth:`index`) in
         their place: the serial product's projection, which a basis that

@@ -20,13 +20,16 @@ where :math:`N_r` is the stabilizer character sum returned by
 :meth:`~repro.symmetry.group.SymmetryGroup.state_info`.  The two factors are
 split between the destination part, :math:`\\chi^* \\sqrt{N_{r_c}}`, and
 :attr:`SymmetricBasis.source_scale` (source part, :math:`1/\\sqrt{N_\\alpha}`).
-The destination part comes from one of two places.
-:meth:`SymmetricBasis.project` (``getManyRows``, the distributed
-producers, the dense and sparse export) sums :math:`N_{r_c}` over each
-raw state's stabilizer.  :meth:`SymmetricBasis.locate` (the serial
-product) finds the representative and its row first and reads
-:math:`N_{r_c}` from :attr:`SymmetricBasis.stabilizer_sums` at that row.
-Both give the same factor, bit for bit.
+The destination part comes from one of three places.
+:meth:`SymmetricBasis.project` (``getManyRows``, the dense and sparse
+export) sums :math:`N_{r_c}` over each raw state's stabilizer.
+:meth:`SymmetricBasis.locate` (the serial product) finds the
+representative and its row first and reads :math:`N_{r_c}` from
+:attr:`SymmetricBasis.stabilizer_sums` at that row: the same factor, bit
+for bit.  :meth:`SymmetricBasis.orbits` (the distributed producers)
+returns :math:`\\chi^*` alone, and the locale that owns the row
+multiplies in its stored :math:`\\sqrt{N_{r_c}}` after the input
+amplitude (:attr:`repro.distributed.DistributedBasis.norms`).
 """
 
 from __future__ import annotations
@@ -228,15 +231,24 @@ class SymmetricBasis(Basis):
         rep, phase, stab = self._group.state_info(raw_states)
         return rep, phase * np.sqrt(np.maximum(stab, 0.0)), stab > _STAB_TOL
 
-    def locate(self, raw_states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`Basis.locate` with each destination's :math:`N_r` read
-        from :attr:`stabilizer_sums` at its row, where :meth:`project` sums
-        it over the raw state's stabilizer
-        (:meth:`~repro.symmetry.kernels.GroupKernel.orbit_info`): the same
-        numbers, bit for bit, for fewer kernel passes."""
-        self._require_built()
+    def orbits(self, raw_states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(representatives, phases, valid)`` cut to the ``valid`` raw
+        states, from :meth:`~repro.symmetry.kernels.GroupKernel.orbit_info`
+        (no stabilizer sums): :meth:`project` without :math:`\\sqrt{N_r}`,
+        for a caller that reads the norm at the destination's row.  Needs
+        no built basis."""
         rep, phase, valid = self._group.kernel.orbit_info(raw_states)
         if not np.all(valid):
             rep, phase = rep[valid], phase[valid]
+        return rep, phase, valid
+
+    def locate(self, raw_states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`Basis.locate` with each destination's :math:`N_r` read
+        from :attr:`stabilizer_sums` at its row (:meth:`orbits`, then the
+        ranker), where :meth:`project` sums it over the raw state's
+        stabilizer: the same numbers, bit for bit, for fewer kernel
+        passes."""
+        self._require_built()
+        rep, phase, valid = self.orbits(raw_states)
         rows = self._ranker.rank(rep)
         return rows, phase * np.sqrt(self._stab[rows]), valid

@@ -1,11 +1,13 @@
 """Hash-distributed bases.
 
 Each locale holds the (sorted) slice of basis states that
-``localeIdxOf`` assigns to it, together with the per-state symmetry data
-(stabilizer sums / norm scales) the matrix-vector product needs.  The
-``stateToIndex`` of the paper becomes a lookup in the local slice
-(:class:`~repro.basis.ranking.SortedRanker`: a slot probe, then a binary
-search for what it does not settle).
+``localeIdxOf`` assigns to it, together with the one per-state number the
+matrix-vector product needs from the symmetry: each representative's norm
+:math:`\\sqrt{N_r}`, stored with the basis as in Wietek & Läuchli
+(arXiv:1804.05028).  The ``stateToIndex`` of the paper becomes a lookup in
+the local slice (:class:`~repro.basis.ranking.SortedRanker`: a slot probe,
+then a binary search for what it does not settle), and the consumer that
+ranks a destination reads its norm at that row.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from repro.basis.ranking import SortedRanker
 from repro.basis.spin_basis import Basis
-from repro.basis.symm_basis import sector_sums, source_scales
+from repro.basis.symm_basis import sector_sums
 from repro.distributed.hashing import locale_of
 from repro.errors import DistributionError
 from repro.runtime.cluster import Cluster
@@ -24,6 +26,11 @@ __all__ = ["DistributedBasis"]
 
 class DistributedBasis:
     """A basis whose states are hash-distributed over a cluster.
+
+    With a symmetry group it keeps one float64 per state,
+    :attr:`norms` (:math:`\\sqrt{N_r}`), which the consumer that owns a
+    row multiplies into every element it accumulates there; the
+    producers' source factors :attr:`scales` are derived from it.
 
     Parameters
     ----------
@@ -79,7 +86,7 @@ class DistributedBasis:
         self.parts = parts
         self.rankers = [SortedRanker(p) for p in parts]
         self.counts = np.array([p.size for p in parts], dtype=np.int64)
-        self._scales = None if sums[0] is None else list(map(source_scales, sums))
+        self._norms = None if sums[0] is None else list(map(np.sqrt, sums))
 
     # -- inspection -----------------------------------------------------------
 
@@ -96,8 +103,19 @@ class DistributedBasis:
         return self.cluster.n_locales
 
     @property
+    def norms(self) -> list[np.ndarray] | None:
+        """Per-locale :math:`\\sqrt{N_r}` of ``parts``' states, the one
+        float64 per state the basis keeps (``None`` without a symmetry
+        group): the destination factor the consumer multiplies in at the
+        row it ranks."""
+        return self._norms
+
+    @property
     def scales(self) -> list[np.ndarray] | None:
-        return self._scales
+        """Per-locale source factors :math:`1/\\sqrt{N_r}`, derived from
+        :attr:`norms` on each access (bit-equal to
+        :func:`~repro.basis.symm_basis.source_scales` of the sums)."""
+        return None if self._norms is None else [1.0 / n for n in self._norms]
 
     @property
     def is_real(self) -> bool:

@@ -5,7 +5,8 @@ producer-side kernel — ``getManyRows`` on a chunk of local source states,
 multiplication by the source amplitudes, and the linear-time counting-sort
 partition by destination locale (:func:`~repro.distributed.convert.counting_sort_order`)
 — and the same consumer-side kernel — the local binary search
-(``stateToIndex``) plus the atomic accumulate.  They differ only in how the
+(``stateToIndex``), the destination's norm read at the ranked row, and the
+atomic accumulate.  They differ only in how the
 two sides are scheduled and how data travels, which is exactly the axis the
 paper explores.
 
@@ -34,7 +35,7 @@ from repro.distributed.hashing import locale_of
 from repro.distributed.vector import DistributedVector
 from repro.errors import ConfigError, DistributionError
 from repro.operators.compile import CompiledOperator, result_dtype
-from repro.operators.kernels import get_many_rows
+from repro.operators.kernels import many_rows
 from repro.runtime.clock import CostLedger, SimReport
 from repro.schema import require_positive
 from repro.telemetry.context import current as current_telemetry
@@ -125,21 +126,6 @@ def corrupted_copy(values: np.ndarray) -> np.ndarray:
     return wire
 
 
-def _scaled_gather(
-    amplitudes: np.ndarray, x_local: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """``amplitudes * x_local[rows]`` for single-column or block ``x_local``.
-
-    The fused warm-replay kernel: one gather of the source amplitudes and
-    one broadcast multiply, yielding ``(n,)`` values for a ``(count,)``
-    input and an ``(n, k)`` panel for a ``(count, k)`` block.
-    """
-    gathered = x_local[rows]
-    if gathered.ndim == 2:
-        return amplitudes[:, None] * gathered
-    return amplitudes * gathered
-
-
 @dataclass
 class ProducedChunk:
     """Output of the producer kernel for one chunk of source states.
@@ -182,19 +168,17 @@ class ProducedChunk:
         return self.rows[lo:hi]
 
     def replay(self, start: int, x_local: np.ndarray) -> "ProducedChunk":
-        """A chunk of this record with :attr:`values` for ``x_local``.
+        """A chunk of this record with :attr:`values` ``amplitudes *
+        x_local[start + sources]``: one gather and one broadcast multiply.
 
         Works for any block width: a chunk recorded under a single-column
-        matvec replays against a ``(count, k)`` block (and vice versa), and
-        the result dtype follows NumPy promotion of the cached amplitudes
-        with the new input.
+        matvec replays against a ``(count, k)`` block (an ``(n, k)``
+        panel, and vice versa), and the result dtype follows NumPy
+        promotion of the cached amplitudes with the new input.
         """
-        return replace(
-            self,
-            values=_scaled_gather(
-                self.amplitudes, x_local, start + self.sources
-            ),
-        )
+        gathered = x_local[start + self.sources]
+        amplitudes = self.amplitudes[:, None] if gathered.ndim == 2 else self.amplitudes
+        return replace(self, values=amplitudes * gathered)
 
 
 def produce_chunk(
@@ -208,12 +192,16 @@ def produce_chunk(
 ) -> ProducedChunk:
     """Run ``getManyRows`` on local states ``[start:stop)`` of ``locale``.
 
-    Emits the destination basis states and the contributions
-    ``H[beta, alpha] * x[alpha]`` (the producer multiplies by the source
-    amplitude, as in the paper's listing), already partitioned by
-    destination locale with the linear-time counting-sort scatter.
-    ``x_local`` may carry ``k`` columns; the generation and the partition
-    run once and all ``k`` value columns ride the same layout.
+    Emits the destination basis states (orbit representatives) and the
+    contributions ``coeff * phase * x[alpha] / sqrt(N_alpha)`` (the
+    producer multiplies by the source amplitude, as in the paper's
+    listing), already partitioned by destination locale with the
+    linear-time counting-sort scatter.  The projection is the template's
+    :meth:`~repro.basis.Basis.orbits` (``orbit_info``: no stabilizer
+    sums); the destination's ``sqrt(N_beta)`` is the owner's, multiplied
+    in by :func:`consume` at the row it ranks.  ``x_local`` may carry
+    ``k`` columns; the generation and the partition run once and all
+    ``k`` value columns ride the same layout.
 
     With a ``plan`` (:class:`~repro.operators.plan.MatvecPlan`), the
     x-independent pieces are cached under ``(locale, start)`` on first
@@ -225,11 +213,9 @@ def produce_chunk(
         if cached is not None:
             return cached.replay(start, x_local)
     states = basis.parts[locale][start:stop]
-    scale = (
-        None if basis.scales is None else basis.scales[locale][start:stop]
-    )
-    sources, members, amplitudes = get_many_rows(
-        op, basis.template, states, scale
+    scale = None if basis.norms is None else 1.0 / basis.norms[locale][start:stop]
+    sources, members, amplitudes = many_rows(
+        op, basis.template.orbits, states, scale
     )
     dests = locale_of(members, basis.n_locales)
     order, starts = counting_sort_order(dests, basis.n_locales)
@@ -257,12 +243,15 @@ def consume(
 ) -> None:
     """The consumer kernel: ``stateToIndex`` + atomic accumulate.
 
-    ``rows``, when given, is the chunk's cached search-result slice for this
+    The owner of the rows finishes the matrix elements: each value (from
+    :func:`produce_chunk`, without the destination's norm) is multiplied by
+    ``basis.norms[locale]`` at the row it ranks, then added.  ``rows``,
+    when given, is the chunk's cached search-result slice for this
     destination: filled (and reused on replays) so the binary search runs
     once per chunk per Krylov solve instead of once per matvec.  ``values``
-    may be one column or an ``(n, k)`` panel — the ranked indices are
-    shared and the scatter-add covers all columns at once.  Inside
-    :func:`logged_additions` the addition is logged.
+    may be one column or an ``(n, k)`` panel — the ranked indices and
+    norms are shared and the scatter-add covers all columns at once.
+    Inside :func:`logged_additions` the addition is logged.
     """
     if betas.size == 0:
         return
@@ -273,6 +262,9 @@ def consume(
         rows[:] = idx
     else:
         idx = rows
+    if basis.norms is not None:
+        norms = basis.norms[locale][idx]
+        values = values * (norms[:, None] if values.ndim == 2 else norms)
     np.add.at(y_local, idx, values)
     if (additions := _ADDITIONS.get()) is not None:
         additions.append((locale, rows))

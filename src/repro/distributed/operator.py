@@ -145,8 +145,10 @@ class DistributedOperator(BasisOperator):
     (:meth:`_simulated`) — the report, every metric update and trace call,
     and the matrices built in the order its consumers added into ``y`` —
     so every later product of that width and dtype reports, traces and counts
-    exactly what that simulation did, with the same ``y`` to the last bit
-    on real arithmetic (the paper's Sec. 5.3 accumulation order).  The
+    exactly what that simulation did, with the same ``y`` to 1e-14
+    relative (the paper's Sec. 5.3 accumulation order; each matrix entry
+    carries its row's norm, which the simulation's consumers multiplied in
+    after ``x``).  The
     schedule runs whenever elements must be generated or the plan cannot
     hold the matrices: the recording pass, ``plan=False``, a plan whose
     budget does not admit the matrices, any run under a fault plan.  The
@@ -295,24 +297,28 @@ class DistributedOperator(BasisOperator):
         ``x.parts``, from ``(d, key, span)`` pieces: the elements ``span``
         of the chunk ``key`` (``None``: locale ``d``'s diagonal).  Row ``r``
         holds its elements piece after piece, so ``M_d @ x`` adds them in
-        the order the pieces are given (:func:`csr_in_recorded_order`)."""
+        the order the pieces are given (:func:`csr_in_recorded_order`).
+        A chunk's amplitudes get the norm :func:`consume` multiplies in at
+        row ``r`` (``a * sqrt(N_r)``, where a product adds ``(a * x) *
+        sqrt(N_r)``: the same to rounding), so a replay is the SpMV alone."""
         plan, counts, dim = self.plan, self.basis.counts, self.basis.dim
+        norms = self.basis.norms or [None] * len(counts)
         offsets = np.concatenate([[0], np.cumsum(counts)])
-        views = []  # (d, rows, sources, values, first column): no copies
+        views = []  # (d, rows, sources, values, first column, norms): no copies
         for d, key, span in pieces:
             if key is None:
                 diagonal = np.arange(counts[d])
-                views.append((d, diagonal, diagonal, plan.peek((d, "diag")), offsets[d]))
+                views.append((d, diagonal, diagonal, plan.peek((d, "diag")), offsets[d], None))
             else:
                 r, first = plan.peek(key), offsets[key[0]] + key[1]
-                views.append((d, r.rows[span], r.sources[span], r.amplitudes[span], first))
+                views.append((d, r.rows[span], r.sources[span], r.amplitudes[span], first, norms[d]))
         return [
             csr_in_recorded_order(
                 (int(n), dim), self.dtype,
                 (rows for to, rows, *_ in views if to == d),
-                # A piece's columns are made as the builder places it.
-                ((rows, first + sources, values)
-                 for to, rows, sources, values, first in views if to == d),
+                # A piece's columns and values are made as the builder places it.
+                ((rows, first + sources, values if norm is None else values * norm[rows])
+                 for to, rows, sources, values, first, norm in views if to == d),
             )
             for d, n in enumerate(counts)
         ]
@@ -358,10 +364,9 @@ class DistributedOperator(BasisOperator):
         private :class:`~repro.telemetry.context.Recording`, with its
         additions into ``y`` logged, and :meth:`_fold` the matrices in the
         logged order.  ``(report, recording, matrices)`` goes into the plan
-        if the matrices give that product's ``y`` (to the last bit on real
-        arithmetic, to rounding on complex); else — an addition
-        :meth:`_logged` placed wrongly — the operator keeps simulating.  A
-        replay is one SpMV per locale, the record's
+        if the matrices give that product's ``y`` (to rounding); else — an
+        addition :meth:`_logged` placed wrongly — the operator keeps
+        simulating.  A replay is one SpMV per locale, the record's
         telemetry log written to the ambient telemetry (skipped where that
         is disabled; no ``plan.get``, the recorded ``plan.hits`` are in the
         log) and a copy of its report."""

@@ -90,7 +90,8 @@ def ftlm_thermal(
         estimate does not depend on the blocking.
 
     A ``krylov_dim``, ``n_samples``, ``block_size`` or ``dim`` that is not
-    an integer >= 1, or a temperature that is not > 0, raises
+    an integer >= 1, a ``block_size`` above 1 off the NumPy path (a block
+    stacks NumPy vectors), or a temperature that is not > 0, raises
     :class:`~repro.errors.ConfigError` before the first product.
     """
     matvec = as_matvec(matvec)
@@ -100,15 +101,14 @@ def ftlm_thermal(
     if dim is None:
         dim = prototype.shape[0]
     require_positive(krylov_dim=krylov_dim, n_samples=n_samples, dim=dim)
-    if block_size is not None:
-        require_positive(block_size=block_size)
     if space is None:
         space = NumpyVectorSpace()
+    numpy_path = isinstance(space, NumpyVectorSpace) and isinstance(prototype, np.ndarray)
     if block_size is None:
-        numpy_path = isinstance(space, NumpyVectorSpace) and isinstance(
-            prototype, np.ndarray
-        )
         block_size = min(n_samples, 8) if numpy_path else 1
+    require_positive(block_size=block_size)
+    if block_size > 1 and not numpy_path:
+        raise ConfigError(f"block_size must be 1 off the NumPy path, got {block_size}")
 
     betas = 1.0 / temperatures
     z_sum = np.zeros_like(betas)

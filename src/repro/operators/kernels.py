@@ -1,10 +1,19 @@
 """The ``getManyRows`` kernel: batched matrix rows with symmetry projection.
 
 This composes the raw compiled kernel (which knows nothing about bases)
-with the basis projection (representative / character / norm), yielding
-exactly what the paper's matrix-vector product consumes: for a batch of
-source representatives, the destination *basis members* and the final
-matrix elements.
+with a basis projection, yielding what the paper's matrix-vector product
+consumes: for a batch of source representatives, the destinations and
+their matrix elements.  :func:`many_rows` takes the projection as an
+argument, and the products pass the one that leaves the destination's
+norm :math:`\\sqrt{N_r}` to whoever owns its row: the serial product
+:meth:`~repro.basis.Basis.locate` (rows, with the norm read from the
+basis), the distributed producers :meth:`~repro.basis.Basis.orbits`
+(representatives and phases; the consumer that ranks the row multiplies
+the norm in).  :func:`get_many_rows` projects with
+:meth:`~repro.basis.Basis.project`, which sums each raw state's
+stabilizer for its norm and so finishes the matrix element itself: the
+independent path of the dense and sparse export, the SPINPACK baseline and
+the ladder's per-layer replay.
 
 Everything returned here is independent of the input vector — which is
 what lets :class:`~repro.operators.plan.MatvecPlan` cache the output and
@@ -61,8 +70,10 @@ def many_rows(
     """:func:`get_many_rows` through ``project``, which returns
     ``(destinations, factors, valid)`` with the first two cut to the
     ``valid`` raw states: a basis' :meth:`~repro.basis.Basis.surviving`,
-    or :meth:`~repro.basis.Basis.locate` for destination indices in place
-    of the members (the serial product's)."""
+    :meth:`~repro.basis.Basis.locate` for destination indices in place
+    of the members (the serial product's), or
+    :meth:`~repro.basis.Basis.orbits` for factors without the
+    destination's norm (the distributed producers')."""
     sources, raw_betas, coeffs = op.apply_off_diag(as_states(alphas))
     if sources.size == 0:
         return sources, raw_betas, coeffs

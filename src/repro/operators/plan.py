@@ -13,8 +13,10 @@ triples by the one builder :func:`csr_in_recorded_order`: one ``matrix @
 x`` for the serial operator, one per destination locale for the
 distributed operator (on ``sim`` part of the record of a simulated product
 whose report, telemetry and accumulation order every replay repeats).
-Replays equal the recording pass bit for bit on real arithmetic and to
-1e-14 relative on complex, and are width- and dtype-agnostic: a chunk recorded
+Serial replays equal the recording pass bit for bit on real arithmetic and
+to 1e-14 relative on complex (distributed ones to 1e-14 relative: their
+matrices carry each row's norm, which a product multiplies in after
+``x``), and are width- and dtype-agnostic: a chunk recorded
 under a real single-vector matvec replays against a complex input or a
 ``(dim, k)`` block unchanged (NumPy promotion sets the output dtype), so
 one plan serves an entire mixed single/block Krylov workload.

@@ -3,8 +3,8 @@
 ``state_info`` — representative / character / stabilizer sum for a batch of
 states — is one of the two kernels the paper's matvec spends its time in
 (Sec. 2.1, 5.3), and the one every layer above calls: basis construction,
-the symmetry projection inside ``getManyRows``, the distributed
-enumeration's membership filter.  The straightforward implementation (kept
+the symmetry projection inside ``getManyRows`` (the dense and sparse
+export), the distributed enumeration's membership filter.  The straightforward implementation (kept
 as the tests' oracle, ``tests/reference_kernels.py``) loops
 over all |G| elements re-deriving each permutation's mask decomposition and
 allocating fresh temporaries; this module replaces it with a
@@ -36,8 +36,9 @@ batch-compiled loop that
   build.  Per permutation with a flip companion that is 8 passes over
   words and 2 ``count_nonzero`` over bools;
 - leaves the stabilizer sums out where the caller stores its
-  representatives' norms (:meth:`GroupKernel.orbit_info`, the serial
-  product's projection): the same loop then tests a fixed point only on
+  representatives' norms (:meth:`GroupKernel.orbit_info`, the projection
+  of every product, serial and distributed): the same loop then tests a
+  fixed point only on
   elements whose character is not 1, 6 passes per permutation with a flip
   in a sector whose characters are all 1;
 - reuses one set of scratch buffers per thread across calls — the

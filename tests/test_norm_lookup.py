@@ -4,9 +4,10 @@
 ``GroupKernel.orbit_info`` finds and reads their stabilizer sums from
 ``stabilizer_sums``, where ``project`` sums them over each raw state's
 stabilizer.  The serial product (``plan=False`` and the plan-recording
-pass) goes through the first, ``get_many_rows``, the distributed producers
-and ``to_sparse`` / ``to_dense`` through the second; the two must give the
-same numbers to the last bit.
+pass) goes through the first, ``get_many_rows`` and ``to_sparse`` /
+``to_dense`` through the second; the two must give the same numbers to
+the last bit.  (The distributed producers read the norm at the owner:
+``tests/test_norm_at_owner.py``.)
 """
 
 import numpy as np

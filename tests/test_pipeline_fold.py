@@ -225,12 +225,15 @@ class TestStaleDuplicateNeverPassesForTheNextPayload:
         states = dbasis.parts[1][:3]
         first = (states, np.array([1.0, 2.0, 3.0]), None)
         second = (states, np.array([10.0, 20.0, 30.0]), None)
+        # The consumer multiplies each value by its row's norm.
+        once = first[1] * dbasis.norms[1][:3]
+        twice = once + second[1] * dbasis.norms[1][:3]
         acct = {"generate": 0.0, "stall": 0.0, "search+accum": 0.0}
 
         drive(pipe.deliver(rb, first, acct))
         seq, dt = drive(pipe.accept(rb, acct))
         assert (seq, dt is not None) == (1, True)
-        np.testing.assert_array_equal(y.parts[1][:3], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(y.parts[1][:3], once)
         pipe.release(rb, seq)
         assert rb.acked_seq == 1
 
@@ -239,9 +242,9 @@ class TestStaleDuplicateNeverPassesForTheNextPayload:
         sending = pipe.deliver(rb, second, acct)
         seq, dt = drive(pipe.accept(rb, acct))
         assert (seq, dt) == (1, None)
-        np.testing.assert_array_equal(y.parts[1][:3], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(y.parts[1][:3], once)
 
         drive(sending)
         seq, dt = drive(pipe.accept(rb, acct))
         assert (seq, dt is not None) == (2, True)
-        np.testing.assert_array_equal(y.parts[1][:3], [11.0, 22.0, 33.0])
+        np.testing.assert_array_equal(y.parts[1][:3], twice)

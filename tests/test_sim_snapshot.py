@@ -12,6 +12,7 @@ the product it recorded.
 
 import json
 
+import numpy as np
 import pytest
 
 import repro
@@ -46,7 +47,8 @@ REPLAYED = [
 
 def _products(op, x, count):
     """``count`` products of ``op``, each under fresh telemetry whose trace
-    starts at a nonzero offset: report and ``y``, metric lines, trace."""
+    starts at a nonzero offset: ``(report, metric lines, trace, offset),
+    y``."""
     products = []
     for _ in range(count):
         tele = Telemetry.enabled()
@@ -55,10 +57,13 @@ def _products(op, x, count):
             y = op.matvec(x)
         products.append(
             (
-                sim_snapshot._report_lines(op.last_report, y),
-                sim_snapshot._metric_lines(tele.metrics.snapshot()),
-                tele.trace.to_chrome(),
-                tele.trace.offset,
+                (
+                    sim_snapshot._report_lines(op.last_report),
+                    sim_snapshot._metric_lines(tele.metrics.snapshot()),
+                    tele.trace.to_chrome(),
+                    tele.trace.offset,
+                ),
+                np.concatenate(y.parts),
             )
         )
     return products
@@ -68,10 +73,13 @@ def _products(op, x, count):
 def test_a_replay_is_the_product_it_replays(name, monkeypatch):
     """The first product records, out of sight, a simulation of the second;
     products 2 and 3 replay it.  Each equals product 2 of an operator whose
-    plan cannot hold the matrices, so that simulates: the same report and
-    ``y`` to the last bit, the same metric updates and the same trace
-    events from the same offset — and neither replay ran a schedule or
-    spawned a process."""
+    plan cannot hold the matrices, so that simulates: the same report to
+    the last bit, the same metric updates and the same trace events from
+    the same offset, and ``y`` to 1e-14 relative (the replayed matrix
+    holds each element times its destination norm, the simulated
+    consumer multiplies the norm in after ``x``); the two replays' ``y``
+    to the last bit — and neither replay ran a schedule or spawned a
+    process."""
     method, shape, _, k, protection = name.split("/")
     n_sites, _, batch_size, pipeline_options = sim_snapshot.SHAPES[shape]
     options = dict(batch_size=batch_size)
@@ -103,7 +111,9 @@ def test_a_replay_is_the_product_it_replays(name, monkeypatch):
     simulating = DistributedOperator(
         expression, basis, method=method, plan=budget, **options
     )
-    simulated = _products(simulating, x, 2)[1]
+    simulated, y = _products(simulating, x, 2)[1]
     assert len(scheduled) == 4
-    assert replayed == [simulated, simulated]
+    assert [record for record, _ in replayed] == [simulated, simulated]
+    np.testing.assert_array_equal(replayed[0][1], replayed[1][1])
+    assert np.linalg.norm(replayed[0][1] - y) <= 1e-14 * np.linalg.norm(y)
     assert simulated[1] and len(simulated[2]["traceEvents"]) > 1

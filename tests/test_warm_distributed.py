@@ -19,11 +19,13 @@ Three contracts:
    one CSR matrix per destination (``(d, "matrix")``) and replays on the
    calling thread, whatever the block width or dtype: equal to the
    serial operator and to the recording pass to ``1e-12``, bit-identical
-   from replay to replay, and bit-identical to the recording pass on one
-   locale in real arithmetic.  On ``sim`` the second product simulates
+   from replay to replay, and equal to the recording pass to 1e-14
+   relative on one locale in real arithmetic (the matrix holds each
+   element times its destination norm, a product multiplies the norm in
+   after ``x``).  On ``sim`` the second product simulates
    the schedule once more and every later one replays that product's
-   record (``(operator, columns)``): no schedule runs, ``y`` and the
-   report are the simulated ones to the last bit.  Fault plans and
+   record (``(operator, columns)``): no schedule runs, the report is the
+   simulated one to the last bit and ``y`` to 1e-14.  Fault plans and
    budgets too small for the matrices keep the per-chunk schedule on
    both backends, and ``invalidate_plan()`` drops the record.
 5. **A plan belongs to one kind of operator.**  Attaching an operator with
@@ -343,8 +345,9 @@ class TestPlanHoldsNoInputDependentData:
             assert dop.plan.nbytes == held <= dop.plan.capacity_bytes
             chunks = [e for e in entries if isinstance(e, ProducedChunk)]
             assert chunks and all(chunk.values is None for chunk in chunks)
-        for recorded, replayed in zip(results[0].parts, results[2].parts):
-            np.testing.assert_array_equal(replayed, recorded)
+        # The third product replays the matrices, whose entries carry the
+        # destination norm: equal to the recording pass to rounding.
+        assert_parts_close(results[2], results[0])
 
 
 def matrix_keys(plan):
@@ -372,6 +375,18 @@ def records_only_plan(dop, x):
 def assert_parts_equal(a, b):
     for part_a, part_b in zip(a.parts, b.parts):
         np.testing.assert_array_equal(part_a, part_b)
+
+
+#: A product adds ``(a * x) * sqrt(N_r)`` per element (the consumer
+#: multiplies the norm in at the row it ranks), a replay's matrix holds
+#: ``a * sqrt(N_r)``: the two agree to this relative 2-norm, not bitwise.
+REPLAY_ROUNDING = 1e-14
+
+
+def assert_parts_close(a, b, rtol=REPLAY_ROUNDING):
+    """``a`` equals ``b`` to ``rtol`` relative in the 2-norm over all parts."""
+    diff = np.linalg.norm(np.concatenate(a.parts) - np.concatenate(b.parts))
+    assert diff <= rtol * np.linalg.norm(np.concatenate(b.parts))
 
 
 cached_build = lru_cache(maxsize=None)(
@@ -426,8 +441,8 @@ class TestOneSpmvPerLocale:
         assert_parts_equal(first, second)
         if n_locales == 1 and not complex_sector and not complex_x:
             # The shared-memory pass adds the diagonal, then the chunks in
-            # order.
-            assert_parts_equal(first, recorded)
+            # order; the replay's entries carry the norm (rounding only).
+            assert_parts_close(first, recorded)
 
     def test_budget_for_the_records_but_not_the_matrices(self, rng):
         serial, dbasis, expr = build("threads", n_locales=2)
@@ -500,8 +515,11 @@ class TestOneSpmvPerLocale:
         ref.matvec(dx)
         simulated = ref.matvec(dx)
         assert len(scheduled) == 4
+        # The replays' matrices hold each element times its destination
+        # norm; the simulated consumer multiplies the norm in after x.
         for y, report in zip(ys[1:], reports[1:]):
-            assert_parts_equal(y, simulated)
+            assert_parts_equal(y, ys[1])
+            assert_parts_close(y, simulated)
             assert report is not ref.last_report
             assert report.messages == ref.last_report.messages > 0
             assert report.elapsed == ref.last_report.elapsed
