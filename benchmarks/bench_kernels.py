@@ -133,17 +133,6 @@ def test_state_to_index_throughput(benchmark, group):
     assert np.array_equal(basis.states[idx], queries)
 
 
-def test_combinadic_ranker_throughput(benchmark):
-    # Closed-form U(1) ranking (no table lookups into the state list).
-    from repro.basis import CombinatorialRanker
-
-    ranker = CombinatorialRanker(N_SITES, WEIGHT)
-    rng = np.random.default_rng(0)
-    queries = ranker.unrank(rng.integers(0, ranker.size, size=100_000))
-    idx = benchmark(ranker.rank, queries)
-    assert idx.size == queries.size
-
-
 def test_partition_by_destination_throughput(benchmark, batch):
     dests = locale_of(batch, 32)
     out, counts = benchmark(stable_partition, batch, dests, 32)

@@ -8,11 +8,7 @@ lookup the paper calls ``stateToIndex`` (a slot probe, then the paper's
 binary search for what the probe does not settle).
 """
 
-from repro.basis.ranking import (
-    CombinatorialRanker,
-    SortedRanker,
-    binomial_table,
-)
+from repro.basis.ranking import SortedRanker
 from repro.basis.spin_basis import Basis, SpinBasis
 from repro.basis.symm_basis import SymmetricBasis
 
@@ -21,6 +17,4 @@ __all__ = [
     "SpinBasis",
     "SymmetricBasis",
     "SortedRanker",
-    "CombinatorialRanker",
-    "binomial_table",
 ]

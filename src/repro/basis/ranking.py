@@ -2,16 +2,13 @@
 
 ``stateToIndex`` — mapping a basis state to its position in the basis — is
 the operation the paper singles out as the key difference between
-symmetry-adapted matrix-free products and ordinary CSR/stencil code.  Two
-strategies are provided:
-
-- :class:`SortedRanker` — a sorted array of states behind a table of
-  hashed slots: one probe settles five queries in six, a binary search the
-  rest and every absent state (the serial basis and each locale's slice of
-  the distributed one run it);
-- :class:`CombinatorialRanker` — closed-form combinadic ranking for pure
-  U(1) bases (fixed Hamming weight, no lattice symmetries), useful as a
-  faster alternative and as an independent cross-check.
+symmetry-adapted matrix-free products and ordinary CSR/stencil code.
+:class:`SortedRanker` is the one strategy: a sorted array of states behind
+a table of hashed slots, where one probe settles five queries in six and a
+binary search the rest and every absent state.  Every basis with a
+constraint ranks through it — a U(1) sector, a symmetry-adapted basis and
+each locale's slice of a distributed one; only the full space keeps the
+identity index.
 """
 
 from __future__ import annotations
@@ -21,27 +18,7 @@ import numpy as np
 from repro.bits.ops import as_states
 from repro.errors import BasisError
 
-__all__ = [
-    "SortedRanker",
-    "CombinatorialRanker",
-    "binomial_table",
-]
-
-
-def binomial_table(n: int) -> np.ndarray:
-    """The binomial coefficients as an ``(n+1, n+1)`` ``int64`` table.
-
-    ``table[m, k] == C(m, k)``; entries with ``k > m`` are zero.  ``n`` must
-    be at most 63 so that every entry fits into a signed 64-bit integer
-    (``C(63, 31)`` is the largest needed here, well under ``2**63``).
-    """
-    if not 0 <= n <= 63:
-        raise ValueError(f"n must be in [0, 63], got {n}")
-    table = np.zeros((n + 1, n + 1), dtype=np.int64)
-    table[:, 0] = 1
-    for m in range(1, n + 1):
-        table[m, 1:] = table[m - 1, 1:] + table[m - 1, :-1]
-    return table
+__all__ = ["SortedRanker"]
 
 
 #: 2**64 / golden ratio: the multiplier of the slot hash (Fibonacci
@@ -129,55 +106,3 @@ class SortedRanker:
             idx[missed] = at
             found[missed] = states.take(at) == rest
         return idx.reshape(q.shape), found.reshape(q.shape)
-
-
-class CombinatorialRanker:
-    """Closed-form combinadic ranking of fixed-Hamming-weight states.
-
-    The weight-``w`` states of ``n`` bits, sorted numerically, are the
-    colexicographically ordered ``w``-combinations of bit positions, so the
-    rank of a state with set bits :math:`p_1 < p_2 < \\dots < p_w` is
-    :math:`\\sum_{j=1}^{w} \\binom{p_j}{j}`.
-    """
-
-    def __init__(self, n_sites: int, hamming_weight: int) -> None:
-        if not 0 <= hamming_weight <= n_sites:
-            raise ValueError("hamming_weight must be in [0, n_sites]")
-        if n_sites > 63:
-            raise ValueError("CombinatorialRanker supports at most 63 sites")
-        self._n = n_sites
-        self._w = hamming_weight
-        self._table = binomial_table(n_sites)
-
-    @property
-    def size(self) -> int:
-        return int(self._table[self._n, self._w]) if self._w <= self._n else 0
-
-    def rank(self, queries) -> np.ndarray:
-        q = as_states(queries).astype(np.int64)
-        rank = np.zeros(q.shape, dtype=np.int64)
-        nth_bit = np.zeros(q.shape, dtype=np.int64)
-        for pos in range(self._n):
-            bit = (q >> pos) & 1
-            nth_bit += bit
-            rank += bit * self._table[pos, np.minimum(nth_bit, self._n)]
-        if np.any(nth_bit != self._w):
-            raise BasisError(
-                "query state has wrong Hamming weight for this U(1) sector"
-            )
-        return rank
-
-    def unrank(self, indices) -> np.ndarray:
-        """Inverse of :meth:`rank`: the state at each basis index."""
-        idx = np.asarray(indices, dtype=np.int64).copy()
-        if idx.size and (idx.min() < 0 or idx.max() >= self.size):
-            raise BasisError("basis index out of range")
-        out = np.zeros(idx.shape, dtype=np.uint64)
-        remaining = np.full(idx.shape, self._w, dtype=np.int64)
-        for pos in range(self._n - 1, -1, -1):
-            contrib = self._table[pos, np.minimum(remaining, self._n)]
-            take = (remaining > 0) & (idx >= contrib)
-            out |= np.where(take, np.uint64(1) << np.uint64(pos), np.uint64(0))
-            idx -= np.where(take, contrib, 0)
-            remaining -= take.astype(np.int64)
-        return out

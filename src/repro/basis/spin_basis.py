@@ -4,11 +4,13 @@
 from __future__ import annotations
 
 import abc
+import math
+from functools import cached_property
 
 import numpy as np
 
 from repro.bits.ops import as_states, bit_mask, popcount, states_with_weight
-from repro.basis.ranking import CombinatorialRanker
+from repro.basis.ranking import SortedRanker
 from repro.errors import BasisError
 
 __all__ = ["Basis", "SpinBasis"]
@@ -124,8 +126,12 @@ class SpinBasis(Basis):
     """The full ``2**n`` Hilbert space, or a fixed-magnetization sector.
 
     With ``hamming_weight=None`` the index of a state is the state itself;
-    with a weight constraint, indices are combinadic ranks (closed form, no
-    table lookup), cross-checked against sorted enumeration in the tests.
+    a sector ranks in its sorted states like every other basis (a
+    :class:`~repro.basis.ranking.SortedRanker`, built on the first
+    :meth:`index`).  ``dim`` is ``C(n_sites, hamming_weight)`` without
+    materializing anything; a sector too large to materialize refuses
+    :meth:`index` as it refuses ``states``, with a
+    :class:`~repro.errors.BasisError`.
     """
 
     def __init__(self, n_sites: int, hamming_weight: int | None = None) -> None:
@@ -135,35 +141,31 @@ class SpinBasis(Basis):
             raise ValueError("hamming_weight must be in [0, n_sites]")
         self.n_sites = n_sites
         self.hamming_weight = hamming_weight
-        self._ranker = (
-            None
-            if hamming_weight is None
-            else CombinatorialRanker(n_sites, hamming_weight)
-        )
-        self._states: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
-        if self._ranker is None:
+        if self.hamming_weight is None:
             return 1 << self.n_sites
-        return self._ranker.size
+        return math.comb(self.n_sites, self.hamming_weight)
 
-    @property
+    @cached_property
     def states(self) -> np.ndarray:
-        if self._states is None:
-            if self.dim > _MAX_MATERIALIZED:
-                raise BasisError(
-                    f"refusing to materialize {self.dim} states; "
-                    "use the distributed enumeration instead"
-                )
-            self._states = states_with_weight(self.n_sites, self.hamming_weight)
-        return self._states
+        if self.dim > _MAX_MATERIALIZED:
+            raise BasisError(
+                f"refusing to materialize {self.dim} states; "
+                "use the distributed enumeration instead"
+            )
+        return states_with_weight(self.n_sites, self.hamming_weight)
+
+    @cached_property
+    def _ranker(self) -> SortedRanker:
+        return SortedRanker(self.states)
 
     def index(self, queries) -> np.ndarray:
         q = as_states(queries)
         if q.size and int(q.max()) > bit_mask(self.n_sites):
             raise BasisError("state outside the Hilbert space")
-        if self._ranker is None:
+        if self.hamming_weight is None:
             return q.astype(np.int64)
         return self._ranker.rank(q)
 

@@ -93,9 +93,10 @@ def is_pipeline(method: str) -> bool:
 
 def _check_options(method: str, cluster, options: dict) -> None:
     """Refuse a ``method`` name there is no implementation of, a cost model
-    on a wall-clock ``cluster``, an option ``method`` does not take, or a
-    knob value its row does not admit, where it is given; knob values come
-    back as their row declares them."""
+    on a wall-clock ``cluster``, an option ``method`` does not take, a knob
+    value its row does not admit, or a ``consumer_fraction`` that would not
+    take effect, where it is given; knob values come back as their row
+    declares them."""
     if method not in IMPLS:
         raise ConfigError(
             f"unknown matvec method {method!r}; choose from {sorted(IMPLS)}"
@@ -114,6 +115,17 @@ def _check_options(method: str, cluster, options: dict) -> None:
     for row in MATVEC_ROWS:
         if row.key in options:
             options[row.key] = check(options[row.key], row)
+    counts = ("producers_per_locale", "consumers_per_locale")
+    if "consumer_fraction" in options and (
+        cluster.wall_clock or any(key in options for key in counts)
+    ):
+        # Threads run one producer and one consumer per locale unless
+        # both counts are given; given counts are the split.
+        raise ConfigError(
+            "cluster.matvec.consumer_fraction has no effect on a wall-clock "
+            "cluster or beside explicit worker counts; give "
+            f"{' and '.join(counts)} instead"
+        )
 
 
 class DistributedOperator(BasisOperator):
@@ -144,7 +156,7 @@ class DistributedOperator(BasisOperator):
     schedule once more, out of sight, and keeps a record of it
     (:meth:`_simulated`) — the report, every metric update and trace call,
     and the matrices built in the order its consumers added into ``y`` —
-    so every later product of that width and dtype reports, traces and counts
+    so every later product of that width reports, traces and counts
     exactly what that simulation did, with the same ``y`` to 1e-14
     relative (the paper's Sec. 5.3 accumulation order; each matrix entry
     carries its row's norm, which the simulation's consumers multiplied in
@@ -164,8 +176,11 @@ class DistributedOperator(BasisOperator):
     (:func:`~repro.perfmodel.models.recommend_split` gives the model's
     reading of the split).  An unknown ``method``, an option it does not
     take (every method takes ``batch_size``, the pipeline the other knobs
-    and :data:`PIPELINE_OPTIONS`), or a knob value outside its row, is a
-    :class:`~repro.errors.ConfigError` here, not at the first product.
+    and :data:`PIPELINE_OPTIONS`), a knob value outside its row, or a
+    ``consumer_fraction`` where it would not take effect (on a wall-clock
+    cluster, or beside explicit ``producers_per_locale`` /
+    ``consumers_per_locale``), is a :class:`~repro.errors.ConfigError`
+    here, not at the first product.
 
     ``faults`` (a :class:`~repro.resilience.faults.FaultPlan`) and
     ``resilience`` (a :class:`~repro.resilience.faults.ResilienceConfig`)
@@ -350,10 +365,12 @@ class DistributedOperator(BasisOperator):
 
     def _record_key(self, x: DistributedVector) -> tuple:
         """What a simulated product depends on besides the plan: the
-        method with its options and policy, and ``x``'s width and dtype.
-        Operators sharing a plan share the records of equal keys."""
+        method with its options and policy, and ``x``'s width.  Not its
+        dtype: the matrices are the operator's and the schedule is the
+        same, so a real and a complex operand share one record.  Operators
+        sharing a plan share the records of equal keys."""
         options = tuple(sorted(self.method_options.items()))
-        return ("replay", self.method, options, self.resilience, x.n_columns, x.dtype)
+        return ("replay", self.method, options, self.resilience, x.n_columns)
 
     def _simulated(
         self, x: DistributedVector, y: DistributedVector | None

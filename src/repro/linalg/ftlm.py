@@ -80,8 +80,9 @@ def ftlm_thermal(
         Temperatures (in units of the coupling, ``k_B = 1``); must be > 0
         (``inf`` is the infinite-temperature limit, ``Z = dim``).
     dim:
-        Hilbert-space dimension, an integer >= 1; defaults to
-        ``len(prototype)``.  Used for the overall normalization of ``Z``.
+        Hilbert-space dimension, an integer >= 1; defaults to the
+        prototype's ``dim`` (a distributed vector) or ``shape[0]`` (an
+        array).  Used for the overall normalization of ``Z``.
     block_size:
         How many random samples advance together through block matvecs
         (NumPy vectors only).  Defaults to ``min(n_samples, 8)`` on the
@@ -99,7 +100,7 @@ def ftlm_thermal(
     if not np.all(temperatures > 0):
         raise ConfigError(f"temperatures must be > 0, got {temperatures}")
     if dim is None:
-        dim = prototype.shape[0]
+        dim = prototype.dim if hasattr(prototype, "dim") else prototype.shape[0]
     require_positive(krylov_dim=krylov_dim, n_samples=n_samples, dim=dim)
     if space is None:
         space = NumpyVectorSpace()

@@ -42,7 +42,7 @@ diagonal matrix elements, and the distributed operator keeps what its
 warm products replay: on a wall-clock backend ``(locale, "matrix")``, the
 matrix of everything that lands on ``locale``
 (``DistributedOperator._consolidate``), and on ``sim`` ``("replay",
-method, options, policy, width, dtype)``, the record of a simulated
+method, options, policy, width)``, the record of a simulated
 product with its matrices (``DistributedOperator._simulated``), so one
 plan serves a whole distributed operator.  The keys do not say *whose*
 they are: an operator claims its plan when it attaches

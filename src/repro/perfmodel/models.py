@@ -44,8 +44,16 @@ class MatvecScalingModel:
     (calibrated at ~0.25 against the discrete-event simulation, which
     reproduces the paper's observed 51x-at-64-nodes vs the 63x that a pure
     max() would predict).  With ``work_stealing`` the producer/consumer
-    wall vanishes: all cores drain whatever work exists (the paper's
-    proposed improvement).
+    wall vanishes: all cores drain both pools, ``(t_generate + t_consume)
+    / cores`` (the paper's proposed improvement, at its best).
+
+    The pipeline's stealing moves one way only: a producer whose chunk
+    cursor runs dry joins its locale's consumers, and no consumer ever
+    generates.  So where the producers are the bottleneck, stealing can
+    only shorten the consumers' tail, and the model overprices it.  At
+    the laptop's 1:1 split it prices stealing 43 % faster; the simulated
+    seconds go 0.087391 -> 0.087391 on chain-24 x 4 locales, 0.006148 ->
+    0.005891 on chain-20 x 4 and 0.001045 -> 0.000998 on chain-16 x 2.
     """
 
     machine: MachineModel

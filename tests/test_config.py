@@ -310,6 +310,26 @@ class TestMatvecKnobs:
                     load_simulation(self._with_cluster(matvec=section))
                 )
 
+    def test_consumer_fraction_on_threads_rejected(self, tmp_path, capsys):
+        """The threads pipeline runs one producer and one consumer thread
+        per locale whatever the fraction: the key and the flag used to be
+        echoed and ignored."""
+        from repro.config import main
+
+        threads = self._with_cluster(backend="threads")
+        keyed = json.loads(json.dumps(threads))
+        keyed["cluster"]["matvec"] = {"consumer_fraction": 0.25}
+        for spec, flags in ((keyed, []), (threads, ["--consumer-fraction", "0.25"])):
+            input_path = tmp_path / "input.json"
+            input_path.write_text(json.dumps(spec))
+            with pytest.raises(ConfigError, match=(
+                r"^cluster\.matvec\.consumer_fraction has no effect on a "
+                "wall-clock cluster .* producers_per_locale and "
+                "consumers_per_locale instead$"
+            )):
+                main([str(input_path), *flags])
+        assert capsys.readouterr().out == ""
+
     def test_cli_flags_inject_matvec_section(self, tmp_path, capsys):
         from repro.config import main
 

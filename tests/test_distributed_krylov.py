@@ -13,7 +13,7 @@ from repro.distributed import (
     DistributedVectorSpace,
     enumerate_states,
 )
-from repro.linalg import expm_krylov, spectral_function
+from repro.linalg import expm_krylov, ftlm_thermal, spectral_function
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
 
@@ -59,6 +59,26 @@ class TestDistributedTimeEvolution:
         expm_krylov(dop.matvec, x, scale=-0.1j, krylov_dim=10, space=space)
         assert dop.total_sim_time > before
         assert space.report.elapsed > 0
+
+
+class TestDistributedThermal:
+    def test_dim_defaults_to_the_basis_dimension(self, setup):
+        """A distributed prototype without ``dim`` used to end in
+        ``AttributeError`` (no ``shape``)."""
+        _, _, dbasis, dop = setup
+        temperatures = np.array([0.5, 2.0])
+        given, default = [
+            ftlm_thermal(
+                dop.matvec, DistributedVector.zeros(dbasis), temperatures,
+                krylov_dim=10, n_samples=2, seed=3,
+                space=DistributedVectorSpace(dbasis), **dim,
+            )
+            for dim in ({"dim": dbasis.dim}, {})
+        ]
+        for field in ("energy", "specific_heat", "partition_function"):
+            np.testing.assert_allclose(
+                getattr(default, field), getattr(given, field), rtol=1e-12, atol=0
+            )
 
 
 class TestDistributedSpectralFunction:

@@ -278,6 +278,30 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"cluster.matvec.{key} must be"):
             DistributedOperator(expr, dbasis, method="pc", **knob)
 
+    @pytest.mark.parametrize(
+        "backend, counts",
+        [
+            ("threads", {}),
+            ("threads", dict(producers_per_locale=2, consumers_per_locale=1)),
+            ("sim", dict(producers_per_locale=3, consumers_per_locale=1)),
+        ],
+    )
+    def test_consumer_fraction_without_effect_rejected(self, backend, counts):
+        """Threads run one producer and one consumer per locale unless both
+        counts are given, and given counts are the split: a fraction there
+        used to be accepted and ignored."""
+        group = chain_symmetries(8, momentum=0)
+        cluster = Cluster(2, laptop_machine(cores=4), backend=backend)
+        dbasis, _ = enumerate_states(
+            cluster, SymmetricBasis(group, hamming_weight=4, build=False)
+        )
+        expr = repro.heisenberg_chain(8)
+        with pytest.raises(
+            ConfigError, match="producers_per_locale and consumers_per_locale"
+        ):
+            DistributedOperator(expr, dbasis, consumer_fraction=0.5, **counts)
+        DistributedOperator(expr, dbasis, **counts)
+
     def test_knob_values_kept_as_their_rows_declare(self):
         _, _, dbasis, expr = build(8, 4, None, 2)
         dop = DistributedOperator(

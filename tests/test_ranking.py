@@ -1,37 +1,15 @@
 """Tests for the stateToIndex ranking strategies."""
 
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.basis import CombinatorialRanker, SortedRanker, binomial_table
+from repro.basis import SortedRanker, SpinBasis
 from repro.bits import states_with_weight
 from repro.errors import BasisError
-
-
-class TestBinomialTable:
-    def test_values(self):
-        t = binomial_table(10)
-        assert t[10, 5] == 252
-        assert t[0, 0] == 1
-        assert t[7, 9] == 0
-
-    def test_row_sums_are_powers_of_two(self):
-        t = binomial_table(20)
-        for m in range(21):
-            assert t[m].sum() == 1 << m
-
-    def test_max_width(self):
-        t = binomial_table(63)
-        from math import comb
-
-        assert int(t[63, 31]) == comb(63, 31)
-
-    def test_rejects_too_wide(self):
-        with pytest.raises(ValueError):
-            binomial_table(64)
 
 
 class TestSortedRanker:
@@ -183,47 +161,54 @@ class TestSlotTable:
 
 
 class TestCombinatorialRanker:
+    """A U(1) ``SpinBasis`` ranks its weight-``w`` combinations of sites
+    through a :class:`SortedRanker` over ``states`` (which unranks them):
+    the position ``np.searchsorted`` finds in ``states_with_weight``."""
+
     @pytest.mark.parametrize("n,w", [(4, 2), (8, 3), (12, 6), (10, 0), (10, 10)])
     def test_matches_sorted_enumeration(self, n, w):
         states = states_with_weight(n, w)
-        ranker = CombinatorialRanker(n, w)
-        assert ranker.size == states.size
-        assert np.array_equal(ranker.rank(states), np.arange(states.size))
+        basis = SpinBasis(n, w)
+        assert basis.dim == states.size
+        assert np.array_equal(basis.index(states), np.arange(states.size))
 
-    @given(
-        st.integers(min_value=1, max_value=20),
-        st.integers(min_value=0, max_value=20),
-    )
-    def test_unrank_rank_roundtrip(self, n, w):
-        if w > n:
-            return
-        ranker = CombinatorialRanker(n, w)
-        indices = np.arange(ranker.size, dtype=np.int64)
-        assert np.array_equal(ranker.rank(ranker.unrank(indices)), indices)
-
-    def test_unrank_matches_enumeration(self):
-        n, w = 10, 4
-        ranker = CombinatorialRanker(n, w)
-        assert np.array_equal(
-            ranker.unrank(np.arange(ranker.size)), states_with_weight(n, w)
-        )
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 20).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n), st.integers(0, 2**32 - 1))
+    ))
+    def test_unrank_rank_roundtrip(self, case):
+        n, w, seed = case
+        states = states_with_weight(n, w)
+        basis = SpinBasis(n, w)
+        picks = np.random.default_rng(seed).integers(0, states.size, size=200)
+        for queries in (states, states[picks], states[picks].reshape(-1, 8)):
+            idx = basis.index(queries)
+            assert idx.dtype == np.int64 and idx.shape == queries.shape
+            np.testing.assert_array_equal(idx, np.searchsorted(states, queries))
+            np.testing.assert_array_equal(basis.states[idx], queries)
 
     def test_wrong_weight_raises(self):
-        ranker = CombinatorialRanker(6, 3)
-        with pytest.raises(BasisError):
-            ranker.rank(np.array([0b11], dtype=np.uint64))
+        basis = SpinBasis(6, 3)
+        with pytest.raises(BasisError, match="not found in the basis"):
+            basis.index(np.array([0b111, 0b11], dtype=np.uint64))
 
-    def test_unrank_out_of_range(self):
-        ranker = CombinatorialRanker(6, 3)
-        with pytest.raises(BasisError):
-            ranker.unrank(np.array([ranker.size]))
+    @pytest.mark.parametrize("query", [0b111 << 6, 0b11 | 1 << 6, 2**64 - 1])
+    def test_out_of_range_query_raises(self, query):
+        with pytest.raises(BasisError, match="outside the Hilbert space"):
+            SpinBasis(6, 3).index(np.array([0b111, query], dtype=np.uint64))
+
+    def test_dim_materializes_nothing(self):
+        basis = SpinBasis(40, hamming_weight=20)
+        assert basis.dim == comb(40, 20)
+        assert not {"states", "_ranker"} & vars(basis).keys()
+        # Too large to materialize is too large to rank.
+        with pytest.raises(BasisError, match="refusing to materialize"):
+            basis.index(np.array([2**20 - 1], dtype=np.uint64))
 
     def test_agrees_with_sorted_ranker(self, rng):
         n, w = 16, 8
         states = states_with_weight(n, w)
-        sorted_ranker = SortedRanker(states)
-        comb_ranker = CombinatorialRanker(n, w)
         sample = states[rng.choice(states.size, size=200, replace=False)]
         assert np.array_equal(
-            sorted_ranker.rank(sample), comb_ranker.rank(sample)
+            SpinBasis(n, w).index(sample), np.searchsorted(states, sample)
         )

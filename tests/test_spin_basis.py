@@ -67,7 +67,7 @@ class TestU1Basis:
         )
 
     def test_index_rejects_bits_above_n_sites(self):
-        # The ranker reads only the low bits: 0b110011 would rank as 0b0011.
+        # Bits above n_sites put a state outside the space, whatever its weight.
         basis = SpinBasis(4, hamming_weight=2)
         with pytest.raises(BasisError, match="outside the Hilbert space"):
             basis.index([0b110011])

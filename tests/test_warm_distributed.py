@@ -681,6 +681,33 @@ class TestOneSpmvPerLocale:
             replayed.to_serial(serial), first.to_serial(serial), atol=1e-12
         )
 
+    def test_sim_real_and_complex_operands_share_one_record(self, rng, monkeypatch):
+        """A complex operand replays the record a real one of the same width
+        made — the report and ``y`` of a record made with the complex
+        operand — where it used to simulate twice and keep its own copy of
+        every matrix."""
+        serial, dbasis, expr = build("sim", n_locales=2)
+        dop, own = (DistributedOperator(expr, dbasis, batch_size=16) for _ in "ab")
+        dx, dz = (
+            DistributedVector.from_serial(
+                dbasis, serial, random_serial(rng, serial, complex_x=complex_x)
+            )
+            for complex_x in (False, True)
+        )
+        dop.matvec(dx)
+        own.matvec(dz)
+        scheduled = count_schedules(monkeypatch, "pc")
+        y, reference = dop.matvec(dz), own.matvec(dz)
+        assert not scheduled and y.dtype == np.complex128
+        assert [key for key in dop.plan._entries if key[0] == "replay"] == [
+            dop._record_key(dx)
+        ]
+        assert_parts_equal(y, reference)
+        got, want = dop.last_report, own.last_report
+        assert (got.elapsed, got.messages, got.bytes_sent) == (
+            want.elapsed, want.messages, want.bytes_sent
+        )
+
     def test_callers_output_is_overwritten_and_returned(self, rng):
         serial, dbasis, expr = build("threads", n_locales=2)
         dop = DistributedOperator(expr, dbasis, batch_size=16)
