@@ -24,7 +24,6 @@ instead of ``k`` full element payloads.
 from __future__ import annotations
 
 import zlib
-from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,22 +56,6 @@ BETA_BYTES = 8
 
 #: Wire size of one float64 amplitude (one column's contribution).
 AMPLITUDE_BYTES = 8
-
-#: Where :func:`consume` and :func:`apply_diagonal` log their additions
-#: into ``y``, in order: a list inside :func:`logged_additions`, else
-#: ``None`` (nothing logged).
-_ADDITIONS: ContextVar[list | None] = ContextVar("additions", default=None)
-
-
-def logged_additions(fn, *args):
-    """``(fn(*args), additions)``: the additions into ``y`` the call made,
-    in the order it made them — ``(locale, rows)`` per :func:`consume`
-    (``rows`` its chunk's cached search-result slice) and ``(locale,
-    None)`` per locale's diagonal."""
-    context = copy_context()
-    context.run(_ADDITIONS.set, additions := [])
-    return context.run(fn, *args), additions
-
 
 def wire_bytes(n_elements: int, k: int = 1) -> int:
     """Simulated wire size of ``n_elements`` matrix elements for ``k`` columns.
@@ -251,7 +234,6 @@ def consume(
     once per chunk per Krylov solve instead of once per matvec.  ``values``
     may be one column or an ``(n, k)`` panel — the ranked indices and
     norms are shared and the scatter-add covers all columns at once.
-    Inside :func:`logged_additions` the addition is logged.
     """
     if betas.size == 0:
         return
@@ -266,8 +248,6 @@ def consume(
         norms = basis.norms[locale][idx]
         values = values * (norms[:, None] if values.ndim == 2 else norms)
     np.add.at(y_local, idx, values)
-    if (additions := _ADDITIONS.get()) is not None:
-        additions.append((locale, rows))
 
 
 def apply_diagonal(
@@ -281,10 +261,9 @@ def apply_diagonal(
 
     With a ``plan`` each locale's x-independent ``diagonal_values`` are
     cached under ``(locale, "diag")`` on the first call and reused after,
-    so a warm matvec only pays the multiply-add.  Inside
-    :func:`logged_additions` each locale's addition is logged.
+    so a warm matvec only pays the multiply-add.
     """
-    total, additions = 0, _ADDITIONS.get()
+    total = 0
     for locale in range(basis.n_locales):
         states = basis.parts[locale]
         if states.size == 0:
@@ -300,8 +279,6 @@ def apply_diagonal(
         if x.parts[locale].ndim == 2:
             diag = diag[:, None]
         y.parts[locale] += diag * x.parts[locale]
-        if additions is not None:
-            additions.append((locale, None))
         total += states.size
     return total
 

@@ -21,7 +21,6 @@ from repro.distributed.matvec_common import (
     check_vectors,
     chunk_spans,
     finish_report,
-    logged_additions,
     require_simulator,
 )
 from repro.distributed.matvec_naive import matvec_naive
@@ -123,8 +122,10 @@ def _check_options(method: str, cluster, options: dict) -> None:
         # both counts are given; given counts are the split.
         raise ConfigError(
             "cluster.matvec.consumer_fraction has no effect on a wall-clock "
-            "cluster or beside explicit worker counts; give "
-            f"{' and '.join(counts)} instead"
+            "cluster, which runs one producer and one consumer thread per "
+            "locale, or beside explicit worker counts: drop the key (other "
+            "counts are set from Python only, with DistributedOperator's "
+            f"{' and '.join(counts)} keywords)"
         )
 
 
@@ -147,23 +148,22 @@ class DistributedOperator(BasisOperator):
     Once the plan holds every element, a warm matvec is one SpMV per
     destination locale on both backends, ``y.parts[d] = M_d @
     concat(x.parts)`` on the calling thread — no executor, no worker, no
-    hand-off — and two replays are bit-identical.  What differs is what
-    the product reports.  On a wall-clock backend the second matvec folds
-    the chunks into the matrices (``(locale, "matrix")``,
-    :meth:`_consolidate`) and a replay measures itself
-    (``messages == bytes_sent == 0``).  On ``sim`` the product is the
-    schedule: the matvec that leaves the plan complete runs ``method``'s
-    schedule once more, out of sight, and keeps a record of it
-    (:meth:`_simulated`) — the report, every metric update and trace call,
-    and the matrices built in the order its consumers added into ``y`` —
-    so every later product of that width reports, traces and counts
-    exactly what that simulation did, with the same ``y`` to 1e-14
-    relative (the paper's Sec. 5.3 accumulation order; each matrix entry
+    hand-off — over the same matrices (``(locale, "matrix")``, folded in
+    chunk order by :meth:`_consolidate`), so a warm ``y`` is bitwise the
+    same on both and from replay to replay.  What differs is what the
+    product reports.  On a wall-clock backend the second matvec folds the
+    matrices and a replay measures itself (``messages == bytes_sent ==
+    0``).  On ``sim`` the product is the schedule: the matvec that leaves
+    the plan complete folds the matrices, runs ``method``'s schedule once
+    more, out of sight, and keeps a record of it (:meth:`_simulated`) —
+    the report and every metric update and trace call — so every later
+    product of that width reports, traces and counts exactly what that
+    simulation did, with its ``y`` to 1e-14 relative (each matrix entry
     carries its row's norm, which the simulation's consumers multiplied in
-    after ``x``).  The
-    schedule runs whenever elements must be generated or the plan cannot
-    hold the matrices: the recording pass, ``plan=False``, a plan whose
-    budget does not admit the matrices, any run under a fault plan.  The
+    after ``x``, and the multi-locale pipeline adds in arrival order).
+    The schedule runs whenever elements must be generated or the plan
+    cannot hold the matrices: the recording pass, ``plan=False``, a plan
+    whose budget does not admit the matrices, any run under a fault plan.  The
     naive and batched variants are cost models and run on ``sim`` only
     (:func:`~repro.distributed.matvec_common.require_simulator`): on a
     wall-clock cluster they are a :class:`~repro.errors.ConfigError`
@@ -288,80 +288,54 @@ class DistributedOperator(BasisOperator):
             return None  # an interrupted pass left searches undone
         return keys
 
-    def _logged(self, keys, additions):
-        """The piece (see :meth:`_fold`) of each addition
-        :func:`~repro.distributed.matvec_common.logged_additions` logged: a
-        locale's diagonal, or a view into the search cache of one of the
-        chunks ``keys``, found by its address among the caches."""
-        caches = sorted(
-            (self.plan.peek(key).rows.ctypes.data, key)
-            for key in keys if self.plan.peek(key).rows.size
-        )
-        bases = np.array([base for base, _ in caches])
-        for d, rows in additions:
-            if rows is None:
-                yield d, None, None
-                continue
-            base, key = caches[np.searchsorted(bases, rows.ctypes.data, "right") - 1]
-            lo = (rows.ctypes.data - base) // rows.itemsize
-            yield d, key, slice(lo, lo + rows.size)
-
-    def _fold(self, pieces):
+    def _fold(self, keys):
         """One CSR matrix per destination locale ``d``, of shape
         ``(counts[d], dim)`` over the locale-order concatenation of
-        ``x.parts``, from ``(d, key, span)`` pieces: the elements ``span``
-        of the chunk ``key`` (``None``: locale ``d``'s diagonal).  Row ``r``
-        holds its elements piece after piece, so ``M_d @ x`` adds them in
-        the order the pieces are given (:func:`csr_in_recorded_order`).
-        A chunk's amplitudes get the norm :func:`consume` multiplies in at
-        row ``r`` (``a * sqrt(N_r)``, where a product adds ``(a * x) *
-        sqrt(N_r)``: the same to rounding), so a replay is the SpMV alone."""
+        ``x.parts``, from the diagonals and the chunks ``keys``.  Row ``r``
+        holds the diagonal element, then the off-diagonal ones ordered by
+        (source locale, chunk start, position in the chunk's slice for
+        ``d``) (:func:`csr_in_recorded_order`) — on one locale and in the
+        cost models, the order in which a product adds them.  A chunk's
+        amplitudes get the norm :func:`consume` multiplies in at row ``r``
+        (``a * sqrt(N_r)``, where a product adds ``(a * x) * sqrt(N_r)``:
+        the same to rounding), so a replay is the SpMV alone."""
         plan, counts, dim = self.plan, self.basis.counts, self.basis.dim
         norms = self.basis.norms or [None] * len(counts)
         offsets = np.concatenate([[0], np.cumsum(counts)])
-        views = []  # (d, rows, sources, values, first column, norms): no copies
-        for d, key, span in pieces:
-            if key is None:
-                diagonal = np.arange(counts[d])
-                views.append((d, diagonal, diagonal, plan.peek((d, "diag")), offsets[d], None))
-            else:
-                r, first = plan.peek(key), offsets[key[0]] + key[1]
-                views.append((d, r.rows[span], r.sources[span], r.amplitudes[span], first, norms[d]))
-        return [
-            csr_in_recorded_order(
-                (int(n), dim), self.dtype,
-                (rows for to, rows, *_ in views if to == d),
+        matrices = []
+        for d, n in enumerate(counts):
+            # (rows, sources, values, first column, norms): no copies
+            diagonal = np.arange(n)
+            views = [(diagonal, diagonal, plan.peek((d, "diag")), offsets[d], None)] if n else []
+            for locale, start in keys:
+                r, first = plan.peek((locale, start)), offsets[locale] + start
+                span = slice(r.starts[d], r.starts[d + 1])
+                views.append((r.rows[span], r.sources[span], r.amplitudes[span], first, norms[d]))
+            matrices.append(csr_in_recorded_order(
+                (int(n), dim), self.dtype, (rows for rows, *_ in views),
                 # A piece's columns and values are made as the builder places it.
                 ((rows, first + sources, values if norm is None else values * norm[rows])
-                 for to, rows, sources, values, first, norm in views if to == d),
-            )
-            for d, n in enumerate(counts)
-        ]
+                 for rows, sources, values, first, norm in views),
+            ))
+        return matrices
 
     def _consolidate(self):
-        """On a wall-clock backend: one CSR matrix per destination locale
-        (``(locale, "matrix")``), or ``None`` while elements must still be
-        scheduled (:meth:`_complete`).
-
-        Row ``r`` holds the diagonal element, then the off-diagonal ones
-        ordered by (source locale, chunk start, position in the chunk's
-        slice for ``d``) — on one locale, the order in which the recording
-        pass added them.  The chunk records stay in the plan next to the
-        matrices: ``benchmarks/e2e/layers.py`` replays them.
-        """
-        plan, locales = self.plan, range(self.basis.n_locales)
-        folded = [(d, "matrix") for d in locales]
-        if all(key in plan for key in folded):
-            return [plan.get(key) for key in folded]
-        if (keys := self._complete()) is None:
-            return None
-        pieces = [(d, None, None) for d in locales if (d, "diag") in plan]
-        for key in keys:
-            starts = plan.peek(key).starts
-            pieces += [(d, key, slice(starts[d], starts[d + 1])) for d in locales]
-        for key, matrix in zip(folded, self._fold(pieces)):
-            plan.put(key, matrix)
-        return [plan.get(key) for key in folded]
+        """One CSR matrix per destination locale (``(locale, "matrix")``,
+        folded by :meth:`_fold` on the first call), or ``None`` while
+        elements must still be scheduled (:meth:`_complete`).  The chunk
+        records stay in the plan next to the matrices:
+        ``benchmarks/e2e/layers.py`` replays them.  On ``sim`` the matrices
+        are read without a ``plan.get``: a record's log holds the hits its
+        product counts."""
+        plan = self.plan
+        folded = [(d, "matrix") for d in range(self.basis.n_locales)]
+        if not all(key in plan for key in folded):
+            if (keys := self._complete()) is None:
+                return None
+            for key, matrix in zip(folded, self._fold(keys)):
+                plan.put(key, matrix)
+        read = plan.get if self.basis.cluster.wall_clock else plan.peek
+        return [read(key) for key in folded]
 
     def _record_key(self, x: DistributedVector) -> tuple:
         """What a simulated product depends on besides the plan: the
@@ -375,55 +349,47 @@ class DistributedOperator(BasisOperator):
     def _simulated(
         self, x: DistributedVector, y: DistributedVector | None
     ) -> tuple[DistributedVector, SimReport]:
-        """On ``sim``: replay the record of a product like this one, or run
-        the schedule and, if that left the plan complete
-        (:meth:`_complete`), make one: run the product once more under a
-        private :class:`~repro.telemetry.context.Recording`, with its
-        additions into ``y`` logged, and :meth:`_fold` the matrices in the
-        logged order.  ``(report, recording, matrices)`` goes into the plan
-        if the matrices give that product's ``y`` (to rounding); else — an
-        addition :meth:`_logged` placed wrongly — the operator keeps
-        simulating.  A replay is one SpMV per locale, the record's
-        telemetry log written to the ambient telemetry (skipped where that
-        is disabled; no ``plan.get``, the recorded ``plan.hits`` are in the
-        log) and a copy of its report."""
+        """On ``sim``: replay the record of a product like this one over
+        the matrices (:meth:`_replay`), or run the schedule and, if that
+        left the plan complete, make one: :meth:`_consolidate`, then run
+        the product once more under a private
+        :class:`~repro.telemetry.context.Recording`.  ``(report,
+        recording)`` goes into the plan, after the matrices, if they give
+        that product's ``y`` (to rounding); else the operator keeps
+        simulating."""
         plan, key = self.plan, self._record_key(x)
-        if key not in plan:
-            y, report = self._scheduled(x, y)
-            if (keys := self._complete()) is not None:
-                with use_telemetry(recording := Recording()):
-                    (z, simulated), additions = logged_additions(self._scheduled, x, None)
-                matrices = self._fold(self._logged(keys, additions))
-                if all(map(np.allclose, self._spmv(matrices, x).parts, z.parts)):
-                    plan.put(key, (simulated, recording, matrices))
-            return y, report
-        report, log, matrices = plan.peek(key)
-        y = self._spmv(matrices, x, y)
-        log.replay(tele := current_telemetry())
-        # A copy whose dicts are its own (the ledger is the record's).
-        extras, phases = dict(report.extras), dict(report.phase_elapsed)
-        metrics = tele.metrics.snapshot() if tele.metrics.enabled else None
-        return y, replace(report, extras=extras, phase_elapsed=phases, metrics=metrics)
-
-    def _spmv(self, matrices, x: DistributedVector, y=None) -> DistributedVector:
-        """``y.parts[d] = M_d @ concat(x.parts)`` on the calling thread."""
-        y = check_vectors(self.compiled, self.basis, x, y)
-        columns = np.concatenate(x.parts)
-        for part, matrix in zip(y.parts, matrices):
-            part[...] = matrix @ columns
-        return y
+        if (record := plan.peek(key)) is not None:
+            return self._replay(self._consolidate(), x, y, record)
+        y, report = self._scheduled(x, y)
+        if (matrices := self._consolidate()) is not None:
+            with use_telemetry(recording := Recording()):
+                z, simulated = self._scheduled(x, None)
+            with use_telemetry(None):  # the check reports nothing
+                replayed, _ = self._replay(matrices, x, None)
+            if all(map(np.allclose, replayed.parts, z.parts)):
+                plan.put(key, (simulated, recording))
+        return y, report
 
     def _replay(
-        self, matrices, x: DistributedVector, y: DistributedVector | None
+        self, matrices, x: DistributedVector, y: DistributedVector | None,
+        record=None,
     ) -> tuple[DistributedVector, SimReport]:
         """``y.parts[d] = M_d @ concat(x.parts)``, one SpMV after the other
         on the calling thread (handing one to a worker costs more than it
-        takes, ``docs/BACKENDS.md``).  Nothing is handed over, so the
-        report counts no message; the trace gets one span per locale."""
+        takes, ``docs/BACKENDS.md``).  Without a ``record`` nothing is
+        handed over, so the report counts no message and the trace gets
+        one span per locale.  With a ``sim`` record ``(report,
+        recording)``, the recording's log is written to the ambient
+        telemetry (skipped where that is disabled; the recorded
+        ``plan.hits`` stand in for ``plan.get``) and the report is a copy
+        of the recorded one."""
         wall_start = perf_counter()
-        y, report, metrics, trace = begin_matvec(
-            self.compiled, self.basis, x, y, self.batch_size
-        )
+        if record is None:
+            y, report, metrics, trace = begin_matvec(
+                self.compiled, self.basis, x, y, self.batch_size
+            )
+        else:
+            y, trace = check_vectors(self.compiled, self.basis, x, y), None
         columns = np.concatenate(x.parts)
         for d, matrix in enumerate(matrices):
             since = perf_counter()
@@ -433,6 +399,13 @@ class DistributedOperator(BasisOperator):
                     (f"locale{d}", "worker0"), "matvec", since - wall_start,
                     perf_counter() - since,
                 )
+        if record is not None:
+            report, log = record
+            log.replay(tele := current_telemetry())
+            # A copy whose dicts are its own (the ledger is the record's).
+            extras, phases = dict(report.extras), dict(report.phase_elapsed)
+            metrics = tele.metrics.snapshot() if tele.metrics.enabled else None
+            return y, replace(report, extras=extras, phase_elapsed=phases, metrics=metrics)
         report.elapsed = perf_counter() - wall_start
         report.merge_phase("matvec", report.elapsed)
         if trace is not None:

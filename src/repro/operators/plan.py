@@ -11,8 +11,8 @@ loop to a gather, a multiply, and a scatter-add — and, once an operator
 holds every chunk, to CSR products, each folded from the recorded
 triples by the one builder :func:`csr_in_recorded_order`: one ``matrix @
 x`` for the serial operator, one per destination locale for the
-distributed operator (on ``sim`` part of the record of a simulated product
-whose report, telemetry and accumulation order every replay repeats).
+distributed operator (on ``sim`` beside the record of a simulated product
+whose report and telemetry every replay repeats).
 Serial replays equal the recording pass bit for bit on real arithmetic and
 to 1e-14 relative on complex (distributed ones to 1e-14 relative: their
 matrices carry each row's norm, which a product multiplies in after
@@ -39,12 +39,12 @@ batch's ``(rows, sources, amplitudes)`` triple and ``("matrix",)`` for the
 matrix that replaces them; the distributed matvec variants use ``(locale,
 start)`` for a produced chunk and ``(locale, "diag")`` for a locale's
 diagonal matrix elements, and the distributed operator keeps what its
-warm products replay: on a wall-clock backend ``(locale, "matrix")``, the
-matrix of everything that lands on ``locale``
-(``DistributedOperator._consolidate``), and on ``sim`` ``("replay",
-method, options, policy, width)``, the record of a simulated
-product with its matrices (``DistributedOperator._simulated``), so one
-plan serves a whole distributed operator.  The keys do not say *whose*
+warm products replay: ``(locale, "matrix")``, the matrix of everything
+that lands on ``locale`` (``DistributedOperator._consolidate``, on both
+backends), and on ``sim`` ``("replay", method, options, policy, width)``,
+the report and telemetry log of a simulated product
+(``DistributedOperator._simulated``), so one plan serves a whole
+distributed operator.  The keys do not say *whose*
 they are: an operator claims its plan when it attaches
 (:meth:`MatvecPlan.claim`), and only an operator with the same claim —
 the same primitive tables, basis object and batch size — may share it.
@@ -71,7 +71,7 @@ def _entry_nbytes(entry: object) -> int:
     """Total bytes of the NumPy arrays reachable from a cache entry.
 
     Entries are a bare array, tuples/lists of entries (a serial batch's
-    triple, a replay record with its matrices), or objects holding entries
+    triple, a replay record), or objects holding entries
     as attributes (``ProducedChunk``, a CSR matrix); the rest is free.
     """
     if isinstance(entry, np.ndarray):

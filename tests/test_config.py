@@ -324,8 +324,9 @@ class TestMatvecKnobs:
             input_path.write_text(json.dumps(spec))
             with pytest.raises(ConfigError, match=(
                 r"^cluster\.matvec\.consumer_fraction has no effect on a "
-                "wall-clock cluster .* producers_per_locale and "
-                "consumers_per_locale instead$"
+                "wall-clock cluster, which runs one producer and one consumer "
+                r"thread per locale, .*: drop the key \(.*producers_per_locale "
+                r"and consumers_per_locale keywords\)$"
             )):
                 main([str(input_path), *flags])
         assert capsys.readouterr().out == ""

@@ -452,8 +452,9 @@ class TestPlanCachePolicy:
         cold = make_op(plan=False).matvec(x)
         probe = make_op(plan=True)
         probe.matvec(x)
-        for key in [key for key in probe.plan._entries if key[0] == "replay"]:
-            probe.plan.pop(key)  # on ``sim``: the record the first product made
+        made = [k for k in probe.plan._entries if "replay" in k or "matrix" in k]
+        for key in made:
+            probe.plan.pop(key)  # on ``sim``: the record and matrices it made
         keys, recorded = probe.plan.n_entries, probe.plan.nbytes
         op = make_op(plan=MatvecPlan(capacity_bytes=int(share * recorded)))
         tele = telemetry.Telemetry.enabled(trace=False)

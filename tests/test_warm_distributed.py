@@ -22,12 +22,15 @@ Three contracts:
    from replay to replay, and equal to the recording pass to 1e-14
    relative on one locale in real arithmetic (the matrix holds each
    element times its destination norm, a product multiplies the norm in
-   after ``x``).  On ``sim`` the second product simulates
-   the schedule once more and every later one replays that product's
-   record (``(operator, columns)``): no schedule runs, the report is the
-   simulated one to the last bit and ``y`` to 1e-14.  Fault plans and
-   budgets too small for the matrices keep the per-chunk schedule on
-   both backends, and ``invalidate_plan()`` drops the record.
+   after ``x``).  On ``sim`` the first product folds the same matrices,
+   simulates the schedule once more and keeps that product's record
+   (``(operator, columns)``), and every later one replays it over the
+   matrices: no schedule runs, the report is the simulated one to the
+   last bit, ``y`` is the simulated one to 1e-14 and the wall-clock
+   replay's bit for bit, and every block width shares the one matrix
+   set.  Fault plans and budgets too small for the matrices keep the
+   per-chunk schedule on both backends, and ``invalidate_plan()`` drops
+   the record.
 5. **A plan belongs to one kind of operator.**  Attaching an operator with
    other primitive tables, another basis object or another batch size
    raises ``ConfigError``; an equal one shares.  And ``y`` may not alias
@@ -366,8 +369,8 @@ def count_schedules(monkeypatch, method):
 
 def records_only_plan(dop, x):
     """A fresh plan whose budget admits the chunk records and diagonals of
-    ``dop``'s plan, but not the matrices of its record of ``x`` beside
-    them (``dop``'s plan holds those and nothing else)."""
+    ``dop``'s plan, but not its matrices beside them (``dop``'s plan holds
+    those, the matrices and its record of ``x``, which holds no array)."""
     assert dop._record_key(x) in dop.plan
     return MatvecPlan(capacity_bytes=dop.plan.nbytes - 8)
 
@@ -506,7 +509,8 @@ class TestOneSpmvPerLocale:
             ys.append(dop.matvec(dx))
             reports.append(dop.last_report)
             assert len(scheduled) == 2
-        assert dop._record_key(dx) in dop.plan and not matrix_keys(dop.plan)
+        assert dop._record_key(dx) in dop.plan
+        assert sorted(matrix_keys(dop.plan)) == [(0, "matrix"), (1, "matrix")]
         # A plan that cannot hold the matrices simulates every product.
         ref = DistributedOperator(
             expr, dbasis, method=method, batch_size=16,
@@ -539,11 +543,10 @@ class TestOneSpmvPerLocale:
         dop.matvec(dx)
         fold, peaks = DistributedOperator._fold, []
 
-        def traced(self, pieces):
-            pieces = list(pieces)
+        def traced(self, keys):
             tracemalloc.start()
             try:
-                return fold(self, pieces)
+                return fold(self, keys)
             finally:
                 peaks.append(tracemalloc.get_traced_memory()[1])
                 tracemalloc.stop()
@@ -584,9 +587,9 @@ class TestOneSpmvPerLocale:
             dbasis, serial, random_serial(rng, serial)
         )
         probe.matvec(dx)
-        _, _, held = probe.plan.peek(probe._record_key(dx))
         matrices = sum(
-            m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in held
+            m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+            for m in map(probe.plan.peek, matrix_keys(probe.plan))
         )
         assert matrices > 64
         plan = records_only_plan(probe, dx)
@@ -625,7 +628,7 @@ class TestOneSpmvPerLocale:
         fold = DistributedOperator._fold
         monkeypatch.setattr(
             DistributedOperator, "_fold",
-            lambda self, pieces: [2 * m for m in fold(self, pieces)],
+            lambda self, keys: [2 * m for m in fold(self, keys)],
         )
         scheduled = count_schedules(monkeypatch, "pc")
         expected = repro.Operator(expr, serial, plan=False).matvec(
@@ -707,6 +710,42 @@ class TestOneSpmvPerLocale:
         assert (got.elapsed, got.messages, got.bytes_sent) == (
             want.elapsed, want.messages, want.bytes_sent
         )
+
+    def test_warm_products_agree_across_clocks(self):
+        """Both backends replay the one chunk-order fold: a warm ``y`` is
+        the same to the last bit on ``sim`` and on ``threads``."""
+        warm = []
+        for backend in BACKENDS:
+            serial, dbasis, expr = build(backend, n=16, n_locales=3)
+            dop = DistributedOperator(expr, dbasis)
+            dx = DistributedVector.from_serial(
+                dbasis, serial, random_serial(np.random.default_rng(7), serial)
+            )
+            warm.append([dop.matvec(dx) for _ in range(3)][2])
+        assert_parts_equal(*warm)
+
+    def test_sim_block_widths_share_one_matrix_set(self, rng):
+        """A record holds the report and the telemetry log only: a second
+        block width adds a record, not a second set of matrices."""
+        serial, dbasis, expr = build("sim", n_locales=3)
+        dop = DistributedOperator(expr, dbasis, batch_size=16)
+        single, block = (
+            DistributedVector.from_serial(
+                dbasis, serial, random_serial(rng, serial, k=k)
+            )
+            for k in (1, 3)
+        )
+        dop.matvec(single)
+        before = dop.plan.nbytes
+        dop.matvec(block)
+        records = [key for key in dop.plan._entries if key[0] == "replay"]
+        assert records == [dop._record_key(single), dop._record_key(block)]
+        assert sorted(matrix_keys(dop.plan)) == [(d, "matrix") for d in range(3)]
+        smallest = min(
+            _entry_nbytes(dop.plan.peek(key)) for key in matrix_keys(dop.plan)
+        )
+        added = dop.plan.nbytes - before
+        assert added == _entry_nbytes(dop.plan.peek(records[1])) < smallest
 
     def test_callers_output_is_overwritten_and_returned(self, rng):
         serial, dbasis, expr = build("threads", n_locales=2)
