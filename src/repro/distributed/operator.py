@@ -161,6 +161,8 @@ class DistributedOperator(BasisOperator):
     simulation did, with its ``y`` to 1e-14 relative (each matrix entry
     carries its row's norm, which the simulation's consumers multiplied in
     after ``x``, and the multi-locale pipeline adds in arrival order).
+    The matvec that keeps the record returns the SpMV's ``y`` too, so
+    every product of a complete plan has the same bits.
     The schedule runs whenever elements must be generated or the plan
     cannot hold the matrices: the recording pass, ``plan=False``, a plan
     whose budget does not admit the matrices, any run under a fault plan.  The
@@ -355,8 +357,8 @@ class DistributedOperator(BasisOperator):
         the product once more under a private
         :class:`~repro.telemetry.context.Recording`.  ``(report,
         recording)`` goes into the plan, after the matrices, if they give
-        that product's ``y`` (to rounding); else the operator keeps
-        simulating."""
+        that product's ``y`` (to rounding), and the SpMV's ``y`` is
+        returned; else the operator keeps simulating."""
         plan, key = self.plan, self._record_key(x)
         if (record := plan.peek(key)) is not None:
             return self._replay(self._consolidate(), x, y, record)
@@ -368,6 +370,8 @@ class DistributedOperator(BasisOperator):
                 replayed, _ = self._replay(matrices, x, None)
             if all(map(np.allclose, replayed.parts, z.parts)):
                 plan.put(key, (simulated, recording))
+                for part, spmv in zip(y.parts, replayed.parts):
+                    part[...] = spmv
         return y, report
 
     def _replay(

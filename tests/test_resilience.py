@@ -353,12 +353,6 @@ class TestCheckpointRestart:
         assert list_checkpoints(ckpt)
 
         resumed_op = DistributedOperator(expr, dbasis)
-        # At the checkpoint the uninterrupted run's products were replays
-        # of a complete plan, which add in chunk order; a fresh operator's
-        # first product runs the schedule, whose consumers add in arrival
-        # order.  Completing the plan first makes every resumed product a
-        # replay too.
-        resumed_op.matvec(v0)
         resumed = lanczos(resumed_op.matvec, v0, k=1, tol=1e-11, space=space,
                           checkpoint_dir=ckpt, resume=True)
         np.testing.assert_array_equal(
