@@ -93,7 +93,6 @@ from repro.linalg import (
 )
 from repro.baselines import SpinpackBasis, SpinpackOperator
 from repro import telemetry
-from repro.resilience import FaultPlan, ResilienceConfig
 from repro.telemetry import MetricsRegistry, Telemetry, TraceRecorder
 
 __version__ = "1.0.0"
@@ -103,9 +102,7 @@ __all__ = [
     "SpinBasis",
     "SymmetricBasis",
     "Expression",
-    "FaultPlan",
     "Operator",
-    "ResilienceConfig",
     "compile_expression",
     "heisenberg",
     "heisenberg_chain",

@@ -35,6 +35,7 @@ them) and ``README.md`` its key table (:func:`input_reference`).  See
 
 from __future__ import annotations
 
+import argparse
 import json
 from dataclasses import dataclass, field
 from functools import partial
@@ -49,12 +50,7 @@ from repro.errors import ConfigError
 from repro.operators import hamiltonians
 from repro.operators.expression import Expression, spin_z
 from repro.operators.operator import Operator
-from repro.resilience.faults import (
-    FAULT_ROWS,
-    RESILIENCE_ROWS,
-    FaultPlan,
-    ResilienceConfig,
-)
+from repro.runtime.cluster import WATCHDOG_ROW, Cluster
 from repro.runtime.executor import BACKENDS
 from repro.runtime.machine import laptop_machine, snellius_machine
 from repro.schema import Key, key_table, validate
@@ -149,8 +145,8 @@ _MACHINES = {
     "laptop": (laptop_machine, ("cores",)),
 }
 
-#: Every key of an input file, one row each (the matvec, fault-plan and
-#: resilience rows live beside what they configure).
+#: Every key of an input file, one row each (the matvec and watchdog rows
+#: live beside what they configure).
 ROWS = (
     Key("n_sites", int, required=True, min=1, max=64, help="number of spins"),
     Key("hamiltonian", dict, required=True,
@@ -213,13 +209,7 @@ ROWS = (
     Key("cluster.matvec", dict,
         help="pipeline knobs of Sec. 5.3/6.3, echoed in the result"),
     *MATVEC_ROWS,
-    Key("cluster.faults", dict, flag="--faults", metavar="PATH",
-        help="seeded fault plan injected into the cluster (on the command "
-        "line: a JSON file holding it); the matvec recovery protocol "
-        "activates automatically (docs/RESILIENCE.md)"),
-    *FAULT_ROWS,
-    Key("cluster.resilience", dict, help="recovery policy"),
-    *RESILIENCE_ROWS,
+    WATCHDOG_ROW,
 )
 
 #: Command-line options that are not input-file keys (``path`` = dest).
@@ -303,12 +293,12 @@ def _build_basis(n_sites: int, section: dict) -> Basis:
     return SpinBasis(n_sites, hamming_weight=weight)
 
 
-def _read_json(source, inline: bool = False):
-    """The JSON document in the file ``source`` — or, with ``inline``, in the
-    string itself when it names no file."""
+def _read_json(source):
+    """The JSON document in the file ``source``, or in the string itself
+    when it names no file."""
     try:
         text = str(source)
-        if not inline or Path(text).exists():
+        if Path(text).exists():
             text = Path(text).read_text()
         return json.loads(text)
     except (OSError, ValueError) as exc:
@@ -324,7 +314,7 @@ def load_simulation(source) -> SimulationSpec:
     ``basis``, ``observables``); ``solver`` and ``cluster``, which flags
     and callers may still edit, are checked by :func:`run_simulation`.
     """
-    data = source if isinstance(source, dict) else _read_json(source, True)
+    data = source if isinstance(source, dict) else _read_json(source)
     top = validate(data, ROWS)
     n_sites = top["n_sites"]
     build, _ = _select(top["hamiltonian"], "hamiltonian", "model", _MODELS)
@@ -346,33 +336,21 @@ def _build_distributed(spec: SimulationSpec):
     """The ``cluster`` section -> ``(operator, output)``: the distributed
     operator on the enumerated basis and what the set-up reports."""
     from repro.distributed.enumeration import enumerate_states
-    from repro.runtime.cluster import Cluster
 
     make_machine, options = _select(
         spec.cluster_options, "cluster", "machine", _MACHINES, fill=True
     )
-    faults, resilience, knobs = (
-        options[key] for key in ("faults", "resilience", "matvec")
-    )
+    knobs = options["matvec"]
     if knobs is not None:
         knobs = validate(knobs, ROWS, "cluster.matvec", fill=False)
     cluster = Cluster(
-        options["n_locales"], make_machine(), backend=options["backend"]
+        options["n_locales"], make_machine(), backend=options["backend"],
+        watchdog_timeout=options["watchdog_timeout"],
     )
     dbasis, enum_report = enumerate_states(
         cluster, spec.basis, use_weight_shortcut=True
     )
-    operator = DistributedOperator(
-        spec.expression,
-        dbasis,
-        faults=None if faults is None else FaultPlan.from_config(faults),
-        resilience=(
-            None
-            if resilience is None
-            else ResilienceConfig.from_config(resilience)
-        ),
-        **(knobs or {}),
-    )
+    operator = DistributedOperator(spec.expression, dbasis, **(knobs or {}))
     output = {
         "n_locales": options["n_locales"],
         "simulated_seconds": None,  # the solve's; its place in the output
@@ -411,10 +389,7 @@ def run_simulation(spec: SimulationSpec, seed: int = 0) -> dict:
         result, sim_time = lanczos_distributed(operator, seed=seed, **solve)
         extra["simulated_seconds"] = sim_time
         space = DistributedVectorSpace(operator.basis)
-        observe = partial(
-            DistributedOperator, basis=operator.basis,
-            faults=operator.faults, resilience=operator.resilience,
-        )
+        observe = partial(DistributedOperator, basis=operator.basis)
     else:
         basis = spec.basis
         if isinstance(basis, SymmetricBasis):
@@ -461,8 +436,6 @@ def _merge_flags(spec: SimulationSpec, args) -> None:
         root, *inner = row.section.split(".")
         if root == "cluster" and not spec.distributed:
             raise ConfigError(f"{row.flag} {_NEEDS_CLUSTER}")
-        if row.type is dict:
-            value = _read_json(value)
         target = (
             spec.cluster_options if root == "cluster" else spec.solver_options
         )
@@ -473,13 +446,20 @@ def _merge_flags(spec: SimulationSpec, args) -> None:
         target[row.key] = value
 
 
+class _Parser(argparse.ArgumentParser):
+    """A command line that does not parse (an unknown flag, a value of the
+    wrong type) is a :class:`ConfigError` like any other bad input."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv: list[str] | None = None) -> None:
-    import argparse
     import sys
 
     from repro import telemetry
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         description="Run an exact-diagonalization simulation from a JSON file"
     )
     parser.add_argument("input", help="path to the JSON input file")
@@ -502,7 +482,7 @@ def main(argv: list[str] | None = None) -> None:
     spec = load_simulation(args.input)
     _merge_flags(spec, args)
     if args.resume and not spec.solver_options["checkpoint"].get("dir"):
-        parser.error("--resume requires --checkpoint DIR")
+        raise ConfigError("--resume requires --checkpoint DIR")
 
     if args.trace is None and args.metrics is None:
         print(json.dumps(run_simulation(spec, seed=args.seed), indent=2))

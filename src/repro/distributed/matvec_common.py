@@ -23,7 +23,6 @@ instead of ``k`` full element payloads.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,8 +44,6 @@ __all__ = [
     "consume",
     "apply_diagonal",
     "check_vectors",
-    "payload_checksum",
-    "corrupted_copy",
     "wire_bytes",
     "extra_column_time",
 ]
@@ -81,32 +78,6 @@ def extra_column_time(machine, n_elements: int, k: int) -> float:
     if k <= 1:
         return 0.0
     return machine.compute_time(machine.t_axpy * (k - 1), int(n_elements))
-
-
-def payload_checksum(betas: np.ndarray, values: np.ndarray) -> int:
-    """CRC32 over one transferred amplitude batch (betas then values).
-
-    This is what the resilient protocol stamps on every
-    ``RemoteBuffer`` handoff; the consumer recomputes it over the wire
-    payload and discards (without acknowledging) on mismatch.  ``values``
-    may carry one column or a ``(n, k)`` panel — the checksum covers
-    whatever travels.
-    """
-    crc = zlib.crc32(betas.tobytes())
-    return zlib.crc32(values.tobytes(), crc) & 0xFFFFFFFF
-
-
-def corrupted_copy(values: np.ndarray) -> np.ndarray:
-    """A copy of ``values`` with one bit flipped (wire corruption).
-
-    Used by fault injection: the corrupted copy travels on the wire while
-    the producer keeps the payload as generated for the retransmit.
-    """
-    wire = np.array(values, copy=True)
-    if wire.size:
-        raw = wire.view(np.uint8)
-        raw[0] ^= 0x40
-    return wire
 
 
 @dataclass
@@ -357,18 +328,13 @@ def chunk_spans(count: int, batch_size: int) -> list[tuple[int, int]]:
 
 
 def count_messages(
-    report, metrics, src: int, dst: int, messages: int, nbytes: int,
-    retransmit: bool = False,
+    report, metrics, src: int, dst: int, messages: int, nbytes: int
 ) -> None:
-    """Book ``messages`` transfers ``src -> dst`` of ``nbytes`` in all;
-    retransmissions count on the wire but not as matvec traffic."""
+    """Book ``messages`` transfers ``src -> dst`` of ``nbytes`` in all."""
     report.messages += messages
     report.bytes_sent += nbytes
-    if retransmit:
-        metrics.counter("recovery.retransmits", src=src, dst=dst).inc(messages)
-    else:
-        metrics.counter("matvec.messages", src=src, dst=dst).inc(messages)
-        metrics.counter("matvec.bytes", src=src, dst=dst).inc(nbytes)
+    metrics.counter("matvec.messages", src=src, dst=dst).inc(messages)
+    metrics.counter("matvec.bytes", src=src, dst=dst).inc(nbytes)
 
 
 def begin_matvec(
@@ -418,7 +384,7 @@ class AnalyticMatvec:
     only in what they *charge* for it: each walks :meth:`chunks` and
     accounts every chunk; the cost models hand their modelled finish time
     to :meth:`finish`.  The pipeline on several locales takes the frame
-    only.  The walk takes no faults: recovery is the pipeline's.
+    only.
     """
 
     def __init__(self, op, basis, x, y, batch_size, plan):

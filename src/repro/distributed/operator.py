@@ -30,7 +30,7 @@ from repro.distributed.matvec_pc import (
     matvec_producer_consumer,
 )
 from repro.distributed.vector import DistributedVector
-from repro.errors import ConfigError, FaultError
+from repro.errors import ConfigError
 from repro.operators.expression import Expression
 from repro.operators.operator import BasisOperator
 from repro.operators.plan import (
@@ -38,7 +38,6 @@ from repro.operators.plan import (
     csr_footprint,
     csr_in_recorded_order,
 )
-from repro.resilience.faults import ResilienceConfig
 from repro.runtime.clock import SimReport
 from repro.schema import Key, check
 from repro.telemetry.context import Recording
@@ -165,7 +164,8 @@ class DistributedOperator(BasisOperator):
     every product of a complete plan has the same bits.
     The schedule runs whenever elements must be generated or the plan
     cannot hold the matrices: the recording pass, ``plan=False``, a plan
-    whose budget does not admit the matrices, any run under a fault plan.  The
+    whose budget does not admit the matrices, a pass after one that
+    failed part-way (its records wait for their row searches).  The
     naive and batched variants are cost models and run on ``sim`` only
     (:func:`~repro.distributed.matvec_common.require_simulator`): on a
     wall-clock cluster they are a :class:`~repro.errors.ConfigError`
@@ -183,19 +183,6 @@ class DistributedOperator(BasisOperator):
     cluster, or beside explicit ``producers_per_locale`` /
     ``consumers_per_locale``), is a :class:`~repro.errors.ConfigError`
     here, not at the first product.
-
-    ``faults`` (a :class:`~repro.resilience.faults.FaultPlan`) and
-    ``resilience`` (a :class:`~repro.resilience.faults.ResilienceConfig`)
-    activate the self-healing layer; this is the one way they reach a
-    product, and a fault plan alone runs under the default policy.  Only
-    the pipeline (``method="pc"``) takes them, the naive and batched
-    baselines raise :class:`~repro.errors.ConfigError`.  On a
-    :class:`~repro.errors.FaultError` the pipeline is restarted up to
-    ``resilience.matvec_restarts`` times (``recovery.matvec_restarts``) —
-    crash specs are one-shot, so a restart models the rebooted cluster.
-    After every matvec the per-locale busy ledger is scanned for
-    stragglers (``fault.stragglers_detected``,
-    ``report.extras["stragglers"]``).
     """
 
     def __init__(
@@ -204,19 +191,9 @@ class DistributedOperator(BasisOperator):
         basis: DistributedBasis,
         method: str = "pc",
         plan: bool | MatvecPlan = True,
-        faults=None,
-        resilience=None,
         **method_options,
     ) -> None:
         _check_options(method, basis.cluster, method_options)
-        if resilience is None and faults is not None:
-            resilience = ResilienceConfig()  # a fault plan implies the default policy
-        if resilience is not None and not is_pipeline(method):
-            raise ConfigError(
-                f"matvec method {method!r} takes no fault plan or resilience "
-                "policy; only 'pc' recovers from faults"
-            )
-        self.faults, self.resilience = faults, resilience
         self.method = method
         # One batch size: the one the plan is claimed for, chunked by, and
         # passed to whichever method runs.
@@ -245,14 +222,10 @@ class DistributedOperator(BasisOperator):
         self, x: DistributedVector, y: DistributedVector | None = None
     ) -> DistributedVector:
         """``y = H x``; the timing report lands in :attr:`last_report` and
-        accumulates into :attr:`total_sim_time`.
-
-        Under an active resilience policy, recovers from
-        :class:`~repro.errors.FaultError` by restarting the pipeline up to
-        ``resilience.matvec_restarts`` times; raises the fault when that
-        budget is exhausted.
-        """
-        replays = self.plan is not None and self.faults is None
+        accumulates into :attr:`total_sim_time`.  A product that fails
+        part-way raises the backend's typed error; the records it left
+        stay in the plan, and the next product completes them."""
+        replays = self.plan is not None
         if replays and not self.basis.cluster.wall_clock:
             y, report = self._simulated(x, y)
         elif replays and (matrices := self._consolidate()) is not None:
@@ -341,12 +314,12 @@ class DistributedOperator(BasisOperator):
 
     def _record_key(self, x: DistributedVector) -> tuple:
         """What a simulated product depends on besides the plan: the
-        method with its options and policy, and ``x``'s width.  Not its
+        method with its options, and ``x``'s width.  Not its
         dtype: the matrices are the operator's and the schedule is the
         same, so a real and a complex operand share one record.  Operators
         sharing a plan share the records of equal keys."""
         options = tuple(sorted(self.method_options.items()))
-        return ("replay", self.method, options, self.resilience, x.n_columns)
+        return ("replay", self.method, options, x.n_columns)
 
     def _simulated(
         self, x: DistributedVector, y: DistributedVector | None
@@ -420,59 +393,11 @@ class DistributedOperator(BasisOperator):
     def _scheduled(
         self, x: DistributedVector, y: DistributedVector | None
     ) -> tuple[DistributedVector, SimReport]:
-        """Generate (or replay chunk by chunk) under ``method``'s schedule,
-        healing as :meth:`matvec` describes."""
-        impl = IMPLS[self.method]
-        resilient = self.resilience is not None
-        kwargs = dict(self.method_options)
-        if resilient:
-            kwargs.update(faults=self.faults, resilience=self.resilience)
-        restarts = 0
-        while True:
-            try:
-                y, report = impl(
-                    self.compiled,
-                    self.basis,
-                    x,
-                    y,
-                    plan=self.plan,
-                    **kwargs,
-                )
-                break
-            except FaultError:
-                restarts += 1
-                if not resilient or restarts > self.resilience.matvec_restarts:
-                    raise
-                current_telemetry().metrics.counter(
-                    "recovery.matvec_restarts"
-                ).inc()
-        if resilient:
-            self._detect_stragglers(report)
-        return y, report
-
-    def _detect_stragglers(self, report: SimReport) -> None:
-        """Flag locales whose busy time dwarfs the median (telemetry feed).
-
-        Uses the per-locale cost ledger that every variant already fills —
-        the same numbers the trace analysis reports — so detection costs
-        nothing extra on the hot path.
-        """
-        ledger = report.ledger
-        if ledger is None or ledger.n_locales < 2:
-            return
-        busy = ledger.locale_totals()
-        median = float(np.median(busy))
-        if median <= 0.0:
-            return
-        threshold = self.resilience.straggler_threshold
-        stragglers = np.flatnonzero(busy > threshold * median)
-        if stragglers.size:
-            metrics = current_telemetry().metrics
-            for locale in stragglers:
-                metrics.counter(
-                    "fault.stragglers_detected", locale=int(locale)
-                ).inc()
-            report.extras["stragglers"] = float(stragglers.size)
+        """Generate (or replay chunk by chunk) under ``method``'s schedule."""
+        return IMPLS[self.method](
+            self.compiled, self.basis, x, y, plan=self.plan,
+            **self.method_options,
+        )
 
     def __matmul__(self, x):
         if isinstance(x, DistributedVector):

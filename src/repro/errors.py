@@ -10,7 +10,6 @@ __all__ = [
     "CompilationError",
     "DistributionError",
     "ConvergenceError",
-    "FaultError",
     "DeadlockError",
     "BackendError",
     "CheckpointError",
@@ -26,12 +25,13 @@ class ConfigError(ReproError):
     """Raised for invalid configuration values (input files, knobs, flags).
 
     Covers everything :func:`repro.schema.validate` rejects in an input
-    file or a ``from_config`` mapping (unknown key, wrong type, out of
-    range, missing required key — the message names the dotted path), an
-    unreadable input or ``--faults`` file, a flag that needs a ``cluster``
-    section, out-of-range pipeline knobs passed directly (``batch_size <
-    1``, a ``consumer_fraction`` outside ``(0, 1]``, ``cores < 1`` handed
-    to :func:`~repro.distributed.matvec_pc.split_cores`), and a bad
+    file (unknown key, wrong type, out of range, missing required key —
+    the message names the dotted path), an unreadable input file, a
+    command line ``python -m repro`` cannot parse (an unknown flag among
+    them), a flag that needs a ``cluster`` section, out-of-range pipeline
+    knobs passed directly (``batch_size < 1``, a ``consumer_fraction``
+    outside ``(0, 1]``, ``cores < 1`` handed to
+    :func:`~repro.distributed.matvec_pc.split_cores`), and a bad
     argument of a Krylov solver (a count below 1, a ``tol`` that is
     negative or not finite) before its first product.
     """
@@ -86,51 +86,6 @@ class ConvergenceError(ReproError):
         self.last_residual = last_residual
 
 
-class FaultError(ReproError):
-    """Raised when an injected (or detected) fault defeats the recovery layer.
-
-    The resilient distributed matvec raises this when a retry budget is
-    exhausted (unacknowledged ``RemoteBuffer`` handoffs) or an injected
-    locale crash ends the run (on ``threads`` the moment a worker of the
-    crashed locale would run again); the operator restarts the matvec and
-    re-raises once ``ResilienceConfig.matvec_restarts`` are used up.  A
-    run that raises :class:`FaultError` has failed *loudly*: no silently
-    wrong vectors are ever returned.
-    """
-
-
-class DeadlockError(FaultError, RuntimeError):
-    """Raised when no process can make progress after injected crashes.
-
-    Comes from the simulator watchdog (empty event heap with blocked
-    processes, e.g. after an injected crash killed their peers).  Inherits
-    :class:`RuntimeError` for backwards compatibility with callers that
-    caught the old untyped deadlock error, and :class:`FaultError` because
-    under fault injection a deadlock *is* an unrecovered fault (e.g. every
-    consumer of a queue crashed).
-
-    Attributes
-    ----------
-    blocked:
-        ``[(process_name, waiting_on), ...]`` for every still-blocked
-        process (``waiting_on`` describes the flag/queue/resource).
-    crashed_locales:
-        Sorted list of locales killed by injected crash faults.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        blocked: list[tuple[str, str]] | None = None,
-        crashed_locales: list[int] | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.blocked = blocked if blocked is not None else []
-        self.crashed_locales = (
-            crashed_locales if crashed_locales is not None else []
-        )
-
-
 class BackendError(ReproError):
     """Raised for execution-backend failures and misconfiguration.
 
@@ -157,6 +112,29 @@ class BackendError(ReproError):
     def __init__(self, message: str, locale: int | None = None) -> None:
         super().__init__(message)
         self.locale = locale
+
+
+class DeadlockError(BackendError, RuntimeError):
+    """Raised when no process can make progress.
+
+    Comes from the simulator (an empty event heap with blocked processes):
+    an orphaned wait is a loud, typed failure, never a silently partial
+    result.  A :class:`BackendError` like the threads backend's watchdog
+    verdict, and a :class:`RuntimeError` for callers that caught the old
+    untyped deadlock error.
+
+    Attributes
+    ----------
+    blocked:
+        ``[(process_name, waiting_on), ...]`` for every still-blocked
+        process (``waiting_on`` describes the flag/queue/resource).
+    """
+
+    def __init__(
+        self, message: str, blocked: list[tuple[str, str]] | None = None
+    ) -> None:
+        super().__init__(message)
+        self.blocked = blocked if blocked is not None else []
 
 
 class CheckpointError(ReproError):

@@ -206,8 +206,11 @@ class Operator(BasisOperator):
         if matrix is not None:
             y = matrix @ x
         else:
+            # Rank nothing first: a basis that builds its index on first use
+            # (a U(1) SpinBasis) builds it before this product's arrays exist.
+            self.basis.index(self.basis.states[:0])
             dtype = result_dtype(self.compiled, self.basis, x.dtype)
-            diag = self.diagonal().astype(dtype)
+            diag = self.diagonal().astype(dtype, copy=False)
             y = (diag if x.ndim == 1 else diag[:, None]) * x
             self._generate_and_scatter(x, y)
         if metrics.enabled:

@@ -46,13 +46,6 @@ class CostLedger:
     def max_over_locales(self, phase: str) -> float:
         return float(self._phases[phase].max()) if phase in self._phases else 0.0
 
-    def locale_totals(self) -> np.ndarray:
-        """Busy seconds per locale summed over all phases."""
-        totals = np.zeros(self.n_locales)
-        for values in self._phases.values():
-            totals += values
-        return totals
-
     def table(self) -> str:
         """A human-readable phase table."""
         lines = [f"{'phase':<24} {'total[s]':>12} {'max-locale[s]':>14}"]

@@ -15,9 +15,6 @@ A process yields *commands*:
     backend stamp a span over the work just done);
 ``WaitFlag(flag, value)``
     block until ``flag`` holds ``value`` (resumes immediately if it does);
-    with ``timeout=`` set, the wait resumes with ``True`` when the flag
-    matched or ``False`` when the timeout elapsed first
-    (``ok = yield WaitFlag(f, True, timeout=dt)``);
 ``Pop(queue)``
     block until an item is available; the item is sent back into the
     generator (``item = yield Pop(q)``);
@@ -44,17 +41,6 @@ Observation (optional, nothing on the unobserved path): labelled
 ``idle`` / ``wait:<resource>`` spans on the blocked process's track and
 ``executor.*_wait_seconds`` observations, named queues emit depth
 samples and named resources in-use samples.
-
-Fault injection (``faults=FaultPlan(...)``, see
-:mod:`repro.resilience.faults`): processes spawned with ``locale=`` are
-subject to per-locale straggler slowdowns and crash-at-time-T events
-(the process dies the next time it would run at or after the crash time —
-its pending work is lost, like a node dying mid-computation).  On threads
-that fails the run at once with a typed ``FaultError``; the simulator lets
-the other processes run on and raises ``DeadlockError`` (a ``FaultError``)
-if they then cannot progress.
-Message-level faults (drops, duplicates, delays, corruption) are applied
-by the *protocols* on top, which consult the same plan.
 """
 
 from __future__ import annotations
@@ -65,7 +51,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterator
 
-from repro.errors import BackendError, DeadlockError, FaultError
+from repro.errors import BackendError, DeadlockError
 from repro.telemetry.context import current as _current_telemetry
 from repro.telemetry.profile import ExecutorProfiler
 
@@ -103,10 +89,6 @@ class Timeout:
 class WaitFlag:
     flag: "SimFlag"
     value: bool
-    #: give up after this many seconds of the backend's clock; the wait
-    #: then resumes with ``False`` instead of ``True`` (the retransmit
-    #: timer of the resilient RemoteBuffer protocol)
-    timeout: float | None = None
     #: what the wait is observed as (see :attr:`SimFlag.wait_label`)
     wait_label = property(lambda self: self.flag.wait_label)
 
@@ -130,15 +112,14 @@ class Process:
     ``thread`` on are how a process lives on a thread and only
     ``ThreadExecutor.spawn`` fills them in: its ``thread``; ``park``, the
     lock it sleeps on (held while it runs, released by whoever resumes
-    it); ``parked`` and the ``value`` it is resumed with; ``timer``, the
-    pending ``(delay, waiter)`` of a timed wait; and ``buffer``, its span
-    buffer when tracing.
+    it); ``parked`` and the ``value`` it is resumed with; and ``buffer``,
+    its span buffer when tracing.
     """
 
     __slots__ = (
         "gen", "name", "finished", "track", "block", "block_start",
-        "busy_seconds", "blocked_seconds", "locale", "slowdown", "waiting_on",
-        "thread", "park", "parked", "value", "timer", "buffer",
+        "busy_seconds", "blocked_seconds", "locale", "waiting_on",
+        "thread", "park", "parked", "value", "buffer",
     )
 
     def __init__(
@@ -147,7 +128,6 @@ class Process:
         name: str,
         track: tuple[str, str],
         locale: int | None = None,
-        slowdown: float = 1.0,
     ) -> None:
         self.gen = gen
         self.name = name
@@ -164,25 +144,11 @@ class Process:
         self.blocked_seconds = 0.0
         #: locale this process runs on (None = not locale-bound)
         self.locale = locale
-        #: straggler factor: every Timeout is stretched by this much
-        self.slowdown = slowdown
         #: human-readable wait target while blocked (deadlock report)
         self.waiting_on: str | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Process({self.name!r}, finished={self.finished})"
-
-
-class _Waiter:
-    """One parked flag wait, cancellable by its timeout (and vice
-    versa): whichever of ``flag.set`` / expiry fires first flips ``done``
-    and the loser becomes a no-op."""
-
-    __slots__ = ("process", "done")
-
-    def __init__(self, process: Process) -> None:
-        self.process = process
-        self.done = False
 
 
 class SimFlag:
@@ -198,7 +164,7 @@ class SimFlag:
         self.name = name
         #: (stall-span name, primitive, target name) of a wait on this
         self.wait_label = ("stall", "flag", name or "flag")
-        self._waiters: dict[bool, list[_Waiter]] = {False: [], True: []}
+        self._waiters: dict[bool, list[Process]] = {False: [], True: []}
 
     def set(self, value: bool) -> None:
         """Write the flag and resume the processes waiting for this value."""
@@ -206,15 +172,10 @@ class SimFlag:
         waiters = self._waiters[value]
         if waiters:
             self._waiters[value] = []
-            for waiter in waiters:
-                if waiter.done:
-                    continue
-                waiter.done = True
-                self._ex._resume(waiter.process, True)
+            for process in waiters:
+                self._ex._resume(process, True)
 
-    def _wait(
-        self, process: Process, value: bool, timeout: float | None = None
-    ) -> None:
+    def _wait(self, process: Process, value: bool) -> None:
         if self.value == value:
             self._ex._resume(process, True)
             return
@@ -223,10 +184,7 @@ class SimFlag:
             f"flag {self.name}={value}" if self.name else f"flag={value}",
             self.wait_label,
         )
-        waiter = _Waiter(process)
-        self._waiters[value].append(waiter)
-        if timeout is not None:
-            self._ex._schedule_timer(timeout, waiter)
+        self._waiters[value].append(process)
 
 
 class SimQueue:
@@ -373,18 +331,16 @@ class Executor:
     - ``counter(value)``: an atomic shared counter (``add`` returns the
       new value) — what cross-process counts go through;
     - ``spawn(gen, name, track, locale)``: start a generator process
-      (``locale`` makes it subject to that locale's injected faults);
+      (``locale`` names the locale it works for, in failures and worker
+      metrics);
     - ``call_later(delay, fn)``: fire-and-forget callback after a
       *modelled* latency (delayed on the simulator, inline on threads);
-      ``call_after(delay, fn)``: after a *genuine* delay on every backend
-      (injected message delays);
     - ``run()``: drive everything to completion, returning elapsed
       seconds of this backend's clock; ``now``: the current reading;
     - ``mutex``: a context manager to wrap telemetry/ledger mutations in
       (never held while setting a flag or pushing to a queue);
       ``lock(name)``: a fresh one per shared NumPy accumulation target
-      (``np.add.at``); both are no-ops on the simulator;
-    - ``crashed_locales``: locales whose injected crash has fired.
+      (``np.add.at``); both are no-ops on the simulator.
 
     Class attributes ``name`` ("sim"/"threads") and ``wall_clock``
     (whether timings are wall seconds) let callers label reports without
@@ -398,11 +354,10 @@ class Executor:
 
     A backend is one subclass, registered in
     ``repro.runtime.executor._EXECUTORS``.  It supplies ``spawn``,
-    ``run``, ``now``, ``call_later`` / ``call_after``, ``mutex``,
-    ``lock`` and ``counter`` from the list above, and for the
-    interpreter core ``_resume(process, value)`` (make a process that a
-    primitive just served run again with ``value``),
-    ``_schedule_timer(delay, waiter)`` (expire a timed flag wait),
+    ``run``, ``now``, ``call_later``, ``mutex``, ``lock`` and
+    ``counter`` from the list above, and for the interpreter core
+    ``_resume(process, value)`` (make a process that a primitive just
+    served run again with ``value``),
     ``_span(process, name, start, duration)`` (where a stall span goes)
     and ``_sample`` (where queue-depth / in-use samples go, or ``None``).
     """
@@ -413,18 +368,13 @@ class Executor:
     #: substitutes subclasses that lock the methods protocol code calls.
     _Flag, _Queue, _Resource = SimFlag, SimQueue, SimResource
 
-    def __init__(self, faults, profile, tracing: bool) -> None:
+    def __init__(self, profile, tracing: bool) -> None:
         self.profile = profile
         # The metering profiler (executor.* wait/hold histograms, worker
         # seconds, queue depth gauges) only observes: simulated timings
         # are bit-identical with or without it.
         self._profile = profile if profile.metering else None
         self._observing = tracing or self._profile is not None
-        self._faults = faults
-        self._crashes: dict[int, float] = (
-            faults.take_crashes() if faults is not None else {}
-        )
-        self.crashed_locales: set[int] = set()
         self._processes: list[Process] = []
 
     # -- the protocol surface -------------------------------------------------
@@ -454,7 +404,7 @@ class Executor:
         """Hand a blocking command to its primitive, which resumes
         ``process`` at once or marks it blocked and queues it."""
         if isinstance(command, WaitFlag):
-            command.flag._wait(process, command.value, command.timeout)
+            command.flag._wait(process, command.value)
         elif isinstance(command, Pop):
             command.queue._pop(process)
         elif isinstance(command, Acquire):
@@ -497,29 +447,12 @@ class Executor:
                 process.blocked_seconds,
             )
 
-    def _crash_due(self, process: Process) -> bool:
-        """Whether the crash scheduled for the process's locale has come."""
-        deadline = self._crashes.get(process.locale)
-        return deadline is not None and self.now >= deadline
-
-    def _record_crash(self, locale: int) -> bool:
-        """Note a locale's crash; True the first time it is seen."""
-        if locale in self.crashed_locales:
-            return False
-        self.crashed_locales.add(locale)
-        if self._faults is not None:
-            self._faults.record_crash(locale)
-        return True
-
     @staticmethod
     def _worker_error(exc: BaseException, who: str, locale: int | None):
         """What a run raises for the exception of worker / task ``who``:
         a :class:`~repro.errors.BackendError` naming it and its locale,
         the original chained as ``__cause__``."""
-        if isinstance(exc, (BackendError, FaultError)):
-            # Typed errors pass through unchanged: FaultError in
-            # particular must stay catchable by the operator's restart
-            # loop.
+        if isinstance(exc, BackendError):
             return exc
         if locale is not None:
             who += f" (locale {locale})"
@@ -559,20 +492,19 @@ class Simulator(Executor):
     counter samples directly, stamped with simulated time; the profiler
     (by default one over the ambient metrics registry) carries only the
     metric side.  What is trivial on one thread is trivial here: no-op
-    ``mutex`` / ``lock()``, an unguarded counter.  Faults are injected in simulated time (per-delivery fates from the
-    plan's sequential RNG stream).
+    ``mutex`` / ``lock()``, an unguarded counter.
     """
 
     name = "sim"
     mutex = nullcontext()
 
-    def __init__(self, trace=None, faults=None, profile=None) -> None:
+    def __init__(self, trace=None, profile=None) -> None:
         # Only keep an enabled recorder; every tracing site then guards on
         # a single `is not None` check, so untraced runs stay fast.
         self._trace = trace if trace is not None and trace.enabled else None
         if profile is None:
             profile = ExecutorProfiler(metrics=_current_telemetry().metrics)
-        super().__init__(faults, profile, self._trace is not None)
+        super().__init__(profile, self._trace is not None)
         self._sample = self._trace.counter if self._trace is not None else None
         self.now = 0.0
         self._heap: list[tuple[float, int, Any, Any]] = []
@@ -588,14 +520,8 @@ class Simulator(Executor):
         track: tuple[str, str] | None = None,
         locale: int | None = None,
     ) -> Process:
-        slowdown = (
-            self._faults.slowdown(locale)
-            if self._faults is not None and locale is not None
-            else 1.0
-        )
         process = Process(
-            gen, name, track if track is not None else ("sim", name),
-            locale, slowdown,
+            gen, name, track if track is not None else ("sim", name), locale
         )
         self._active += 1
         self._processes.append(process)
@@ -609,9 +535,6 @@ class Simulator(Executor):
         event = (self.now + max(delay, 0.0), self._sequence, _CALLBACK, fn)
         heapq.heappush(self._heap, event)
 
-    #: A genuine delay is a simulated one here.
-    call_after = call_later
-
     def counter(self, value: float = 0) -> _Counter:
         return _Counter(value)
 
@@ -624,50 +547,15 @@ class Simulator(Executor):
         self._sequence += 1
         heapq.heappush(self._heap, (self.now, self._sequence, process, value))
 
-    def _schedule_timer(self, delay: float, waiter: _Waiter) -> None:
-        """Park a cancellable timeout for a flag wait.
-
-        Timer entries carry ``None`` in the process slot; a cancelled
-        timer (its waiter already resumed by ``flag.set``) is skipped
-        *without* advancing the clock, so unfired retransmit timers never
-        stretch the simulated elapsed time.
-        """
-        self._sequence += 1
-        heapq.heappush(
-            self._heap, (self.now + delay, self._sequence, None, waiter)
-        )
-
     def _span(
         self, process: Process, name: str, start: float, duration: float
     ) -> None:
         if self._trace is not None:
             self._trace.complete(process.track, name, start, duration)
 
-    def _kill(self, process: Process) -> None:
-        """Crash delivery: the process dies where it stands."""
-        process.finished = True
-        self._active -= 1
-        process.gen.close()
-        self._retire(process)
-        locale = process.locale
-        if self._record_crash(locale) and self._trace is not None:
-            self._trace.instant(
-                process.track, f"crash locale {locale}", self.now
-            )
-
     # -- event loop -----------------------------------------------------------
 
     def _step(self, process: Process, value: Any) -> None:
-        if process.finished:
-            # A stale wakeup for a crashed/killed process: drop it.
-            return
-        if (
-            process.locale is not None
-            and self._crashes
-            and self._crash_due(process)
-        ):
-            self._kill(process)
-            return
         if process.block is not None:
             self._observe_wait(process, self.now)
         process.waiting_on = None
@@ -684,7 +572,7 @@ class Simulator(Executor):
                 exc, f"worker {process.name!r}", process.locale
             )
         if isinstance(command, Timeout):
-            delay = max(command.delay, 0.0) * process.slowdown
+            delay = max(command.delay, 0.0)
             if self._trace is not None and command.label is not None:
                 self._trace.complete(
                     process.track,
@@ -705,24 +593,15 @@ class Simulator(Executor):
     def run(self) -> float:
         """Run until no events remain; returns the final simulated time.
 
-        Raises :class:`~repro.errors.DeadlockError` (a ``RuntimeError``
-        subclass) if processes remain blocked with an empty event heap,
-        naming every blocked process and the flag/queue/resource it waits
-        on — an orphaned wait is a loud, typed failure, never a silent
-        partial result.
+        Raises :class:`~repro.errors.DeadlockError` (a ``BackendError``
+        and ``RuntimeError`` subclass) if processes remain blocked with an
+        empty event heap, naming every blocked process and the
+        flag/queue/resource it waits on — an orphaned wait is a loud,
+        typed failure, never a silent partial result.
         """
         try:
             while self._heap:
                 time, _, process, value = heapq.heappop(self._heap)
-                if process is None:
-                    # A flag-wait timeout timer.  Cancelled timers are
-                    # discarded without touching the clock.
-                    if value.done:
-                        continue
-                    self.now = time
-                    value.done = True
-                    self._resume(value.process, False)
-                    continue
                 self.now = time
                 if process is _CALLBACK:
                     value()
@@ -734,11 +613,8 @@ class Simulator(Executor):
             blocked, text = self._blocked_report(
                 p for p in self._processes if not p.finished
             )
-            crashed = sorted(self.crashed_locales)
-            suffix = f" (crashed locales: {crashed})" if crashed else ""
             raise DeadlockError(
-                f"simulation deadlock, no pending events: {text}{suffix}",
+                f"simulation deadlock, no pending events: {text}",
                 blocked=blocked,
-                crashed_locales=crashed,
             )
         return self.now

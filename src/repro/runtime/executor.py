@@ -21,7 +21,7 @@ import threading
 import time
 from typing import Any, Callable, Generator, Iterator
 
-from repro.errors import BackendError, FaultError
+from repro.errors import BackendError
 from repro.runtime.events import (
     Executor,
     Process,
@@ -73,7 +73,7 @@ _CANCEL = object()
 # The primitives' waiter lists are plain Python state, so everything that
 # touches them runs under the executor's one lock: the interpreter takes
 # it around dispatch, these subclasses around the three methods protocol
-# code (and ``call_after`` timers) may call from any thread.
+# code may call from any thread.
 
 
 class _LockedFlag(SimFlag):
@@ -120,14 +120,9 @@ class ThreadExecutor(Executor):
     Failure: a worker that raises becomes a
     :class:`~repro.errors.BackendError` carrying its locale and every
     parked worker is resumed with a cancel value; a watchdog turns "all
-    live workers parked, nobody resumed" into the same typed error.  The
-    ``FaultPlan`` contract applies in wall-clock time: straggler factors
-    stretch each busy span with a matching sleep, and a locale's crash
-    fails the run at once — the first of its workers to run at or past
-    the crash time raises a :class:`~repro.errors.FaultError` naming the
-    locale, and the others are cancelled as after any failure.  The
-    operator's matvec restart is what heals it; a crash never leaves a
-    silent partial result or a hang.
+    live workers parked, nobody resumed" into the same typed error after
+    :attr:`watchdog_seconds` (the cluster's ``watchdog_timeout``, which
+    :func:`get_executor` hands over).
 
     With profiling enabled, *every* blocking command is observed — one
     granted at once too, so an uncontended primitive still reads in its
@@ -144,33 +139,27 @@ class ThreadExecutor(Executor):
     _Flag, _Queue, _Resource = _LockedFlag, _LockedQueue, _LockedResource
 
     #: seconds of "all live workers parked, nobody resumed" before the
-    #: watchdog declares a deadlock (overridden per-instance by
-    #: ``ResilienceConfig.watchdog_timeout`` when a policy is given)
+    #: watchdog declares a deadlock
     watchdog_seconds = 20.0
 
-    def __init__(
-        self, trace=None, profile=None, faults=None, resilience=None
-    ) -> None:
+    def __init__(self, trace=None, profile=None) -> None:
         if profile is None:
             profile = ExecutorProfiler(
                 trace=trace, metrics=_current_telemetry().metrics, wall=True
             )
-        super().__init__(faults, profile, profile.tracing)
+        super().__init__(profile, profile.tracing)
         self._sample = profile.sample if profile.tracing else None
         #: guards every primitive's state, ``parked`` / ``value`` of every
-        #: process, ``_failure``, ``_resumes`` and ``crashed_locales``
+        #: process, ``_failure`` and ``_resumes``
         self._lock = threading.Lock()
         self.mutex = (
             ProfiledLock(threading.RLock(), profile, "mutex")
             if profile.metering
             else threading.RLock()
         )
-        self._failure: BackendError | FaultError | None = None
+        self._failure: BackendError | None = None
         self._resumes = 0  # parked workers resumed (watchdog heartbeat)
         self._t0: float | None = None
-        if resilience is not None:
-            self.watchdog_seconds = float(resilience.watchdog_timeout)
-        self._timers: list[threading.Timer] = []
 
     # -- the protocol surface -----------------------------------------------
 
@@ -198,14 +187,12 @@ class ThreadExecutor(Executor):
         locale: int | None = None,
     ) -> Process:
         process = Process(
-            gen, name, track if track is not None else ("threads", name),
-            locale,
-            self._faults.slowdown(locale) if self._faults is not None else 1.0,
+            gen, name, track if track is not None else ("threads", name), locale
         )
         process.park = threading.Lock()
         process.park.acquire()
         process.parked = False
-        process.value = process.timer = process.buffer = None
+        process.value = process.buffer = None
         if self.profile.tracing:
             process.buffer = self.profile.buffer(process.track)
         self._processes.append(process)
@@ -226,39 +213,17 @@ class ThreadExecutor(Executor):
         # visible, exactly like a same-node atomic.
         fn()
 
-    def call_after(self, delay: float, fn: Callable[[], None]) -> None:
-        """Run ``fn`` after a *genuine* wall-clock delay.
-
-        Unlike :meth:`call_later` (modelled latency, collapses to zero in
-        shared memory), this really postpones the callback — it is how
-        injected message-delay fates take effect on the real backend.  A
-        timer still pending when ``run()`` finishes is cancelled.
-        """
-        if delay <= 0.0:
-            fn()
-            return
-        timer = threading.Timer(delay, fn)
-        timer.daemon = True
-        with self._lock:
-            self._timers.append(timer)
-        timer.start()
-
     # -- what the interpreter core asks of a backend ------------------------
 
     def _resume(self, process: Process, value: Any) -> None:
         # Callers hold self._lock.  A process that is not parked any more
-        # (its timed wait expired, or a failure cancelled it) can still
-        # sit in a waiter list: that wake-up is stale and dropped, as the
-        # simulator drops one for a finished process.
+        # (a failure cancelled it) can still sit in a waiter list: that
+        # wake-up is stale and dropped.
         if process.parked:
             process.parked = False
             process.value = value
             self._resumes += 1
             process.park.release()
-
-    def _schedule_timer(self, delay: float, waiter) -> None:
-        # The waiting worker times its own sleep (see _park).
-        waiter.process.timer = (delay, waiter)
 
     def _span(
         self, process: Process, name: str, start: float, duration: float
@@ -275,19 +240,7 @@ class ThreadExecutor(Executor):
                 raise _Cancelled
             process.parked = True
             self._dispatch(process, command)
-        timer, process.timer = process.timer, None
-        if timer is None:
-            process.park.acquire()
-        elif not process.park.acquire(timeout=max(timer[0], 0.0)):
-            with self._lock:
-                if process.parked:
-                    # Expired first: a later set() finds the waiter done.
-                    process.parked = False
-                    process.value = False
-                    timer[1].done = True
-                else:
-                    # Resumed between the expiry and the lock.
-                    process.park.acquire()
+        process.park.acquire()
         process.waiting_on = None
         if self._observing:
             if process.block is None:
@@ -298,24 +251,9 @@ class ThreadExecutor(Executor):
             raise _Cancelled
         return process.value
 
-    # -- failures and fault injection ---------------------------------------
+    # -- failures -------------------------------------------------------------
 
-    def _crash(self, process: Process) -> None:
-        """``process``'s locale crash time has passed: as on the simulator
-        the process dies where it would run next, and the run fails with
-        it (one crash, one typed error, no stall to wait out)."""
-        with self._lock:
-            self._record_crash(process.locale)
-        self._fail(
-            FaultError(
-                f"locale {process.locale} crashed at t={self.now:.3g} s "
-                f"(injected) under worker {process.name!r}; the run is "
-                "abandoned"
-            )
-        )
-        raise _Cancelled
-
-    def _fail(self, err: BackendError | FaultError) -> None:
+    def _fail(self, err: BackendError) -> None:
         """Record the run's (first) failure and cancel every parked worker."""
         with self._lock:
             if self._failure is None:
@@ -325,7 +263,7 @@ class ThreadExecutor(Executor):
 
     def _drive(self, process: Process) -> None:
         """Thread main: interpret the generator; whatever it raises fails
-        the run (an injected crash has already, see :meth:`_crash`)."""
+        the run."""
         try:
             self._interpret(process)
         except _Cancelled:
@@ -342,13 +280,9 @@ class ThreadExecutor(Executor):
         value: Any = None
         buf = process.buffer
         t0 = self._t0
-        slow = process.slowdown
-        crashes = self._crashes
         last_resume = time.perf_counter()
         try:
             while True:
-                if crashes and self._crash_due(process):
-                    self._crash(process)
                 command = gen.send(value)
                 blocked_at = time.perf_counter()
                 process.busy_seconds += blocked_at - last_resume
@@ -363,14 +297,6 @@ class ThreadExecutor(Executor):
                             blocked_at - last_resume,
                             command.args,
                         )
-                    if slow > 1.0:
-                        # Injected straggler: stretch the real busy span
-                        # by the plan's factor (the wall-clock analogue
-                        # of the simulator stretching the Timeout).
-                        extra = (blocked_at - last_resume) * (slow - 1.0)
-                        if extra > 0.0:
-                            time.sleep(min(extra, 1.0))
-                            process.busy_seconds += extra
                 else:
                     value = self._park(process, command, blocked_at - t0)
                 last_resume = time.perf_counter()
@@ -382,8 +308,7 @@ class ThreadExecutor(Executor):
     def run(self) -> float:
         """Join all workers; returns wall-clock seconds since first spawn.
 
-        Raises the first worker's failure — an injected crash's
-        :class:`~repro.errors.FaultError` among them — or a
+        Raises the first worker's failure, or a
         :class:`~repro.errors.BackendError` when the watchdog finds every
         live worker parked and nobody resumed for
         :attr:`watchdog_seconds`.
@@ -415,10 +340,6 @@ class ThreadExecutor(Executor):
                         f"for {self.watchdog_seconds:.0f}s: {text}"
                     )
                 )
-        with self._lock:
-            timers, self._timers = self._timers, []
-        for timer in timers:
-            timer.cancel()
         elapsed = time.perf_counter() - self._t0
         # All workers have joined: merge the per-thread span buffers and
         # contention metrics *before* propagating any failure, so the
@@ -447,21 +368,11 @@ def executor_class(backend: str) -> type[Executor]:
         ) from None
 
 
-def get_executor(cluster, trace=None, faults=None, resilience=None) -> Executor:
-    """The executor for ``cluster``'s configured backend.
-
-    ``trace`` is an optional :class:`~repro.telemetry.trace.TraceRecorder`;
-    ``faults`` (a :class:`~repro.resilience.faults.FaultPlan`) is
-    supported by both backends — the simulator injects fates in
-    simulated time, the threads backend at its primitives in wall-clock
-    time (a crash fails the run, straggler sleeps, real delivery delays;
-    see ``docs/RESILIENCE.md``).  ``resilience`` (a
-    :class:`~repro.resilience.faults.ResilienceConfig`) sets the threads
-    backend's watchdog timeout.  Both come from the product that runs
-    (:class:`~repro.distributed.operator.DistributedOperator`), never from
-    ``cluster``.
-    """
-    cls = executor_class(cluster.backend)
-    if cls is Simulator:
-        return cls(trace=trace, faults=faults)
-    return cls(trace=trace, faults=faults, resilience=resilience)
+def get_executor(cluster, trace=None) -> Executor:
+    """The executor for ``cluster``'s configured backend, with its
+    watchdog timeout on a wall-clock one; ``trace`` is an optional
+    :class:`~repro.telemetry.trace.TraceRecorder`."""
+    ex = executor_class(cluster.backend)(trace=trace)
+    if ex.wall_clock:
+        ex.watchdog_seconds = cluster.watchdog_timeout
+    return ex

@@ -109,10 +109,6 @@ class MachineModel:
     t_partition: float = 4.0e-9
     #: streaming vector update (axpy / dot), seconds per element
     t_axpy: float = 1.0e-9
-    #: single-core CRC32 throughput, bytes/second (hardware-assisted CRC
-    #: runs at tens of GB/s; charged on each side of a checksummed
-    #: RemoteBuffer handoff when the resilience layer is active)
-    checksum_bandwidth: float = 4.0e10
 
     def __post_init__(self) -> None:
         require_positive(cores_per_locale=self.cores_per_locale)
@@ -126,10 +122,6 @@ class MachineModel:
     def memcpy_time(self, nbytes: float, n_cores: int | None = None) -> float:
         cores = self.cores_per_locale if n_cores is None else max(n_cores, 1)
         return nbytes / (self.memcpy_bandwidth * cores)
-
-    def checksum_time(self, nbytes: float) -> float:
-        """Single-core time to checksum one payload of ``nbytes`` bytes."""
-        return nbytes / self.checksum_bandwidth
 
     def with_cores(self, cores: int) -> "MachineModel":
         return replace(self, cores_per_locale=cores)

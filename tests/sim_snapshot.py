@@ -5,10 +5,11 @@ after and compares everything the run leaves behind.  The grid is the
 distributed matvec over
 
     naive / batched / pc  x  four cluster-and-worker shapes  x  plan on / off
-    x  block width 1 / 3  x  {plain, resilience, drops, corruption, crash}
+    x  block width 1 / 3
 
-where only pc takes the four protections beyond ``plain`` (112 runs, two
-products each, so a plan records and then replays), plus a
+(48 runs, two products each, so a plan records and then replays; their
+names end in ``/plain``, as they did when the grid also ran the pipeline
+under injected faults), plus a
 basis enumeration and a short Lanczos solve per shape, plus the simulated
 runs two benches report that the grid does not cover (:data:`BENCH_NAMES`).
 Per run it hashes the ``repr`` of the report (elapsed, messages, bytes,
@@ -20,12 +21,12 @@ simulated number the benches write.
 
     PYTHONPATH=src python tests/sim_snapshot.py --check    # full grid
     PYTHONPATH=src python tests/sim_snapshot.py --record   # at a named commit
-    PYTHONPATH=src python tests/sim_snapshot.py --dump pc/c16-l4/plan/k3/drops
+    PYTHONPATH=src python tests/sim_snapshot.py --dump pc/c16-l4/plan/k3/plain
 
 ``--record`` rewrites ``tests/data/sim_snapshot.json`` and belongs to the
 commit whose behaviour is the reference (say which in CHANGES.md);
 ``--dump`` prints what a digest was taken of, to diff two checkouts when
-``--check`` names a run.  Tier-1 compares the :data:`TIER1` subset
+``--check`` names a run.  Tier-1 compares the whole grid, about 2 s
 (``tests/test_sim_snapshot.py``).
 """
 
@@ -50,10 +51,8 @@ from repro.distributed import (
     enumerate_states,
     matvec_batched,
 )
-from repro.errors import FaultError
 from repro.linalg.lanczos import lanczos_distributed
 from repro.operators import MatvecPlan, compile_expression
-from repro.resilience import FaultPlan, ResilienceConfig
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
 from repro.telemetry import Telemetry, analyze_trace
@@ -76,28 +75,12 @@ SHAPES = {
     "c12-l1": (12, 1, 64, {}),
 }
 
-#: name -> fresh keyword arguments (crash specs are one-shot and a plan
-#: owns its random stream, so every run builds its own)
-PROTECTIONS = {
-    "plain": lambda: {},
-    "resilience": lambda: dict(resilience=ResilienceConfig()),
-    "drops": lambda: dict(
-        faults=FaultPlan(seed=11, drop=0.05, delay=0.2, max_delay=1e-4)
-    ),
-    "corruption": lambda: dict(
-        faults=FaultPlan(seed=12, duplicate=0.05, corrupt=0.03)
-    ),
-    "crash": lambda: dict(
-        faults=FaultPlan(seed=13, stragglers={1: 2.5}, crashes={2: 1e-5})
-    ),
-}
 
 def _names():
-    for method, shape, plan, k, protection in itertools.product(
-        METHODS, SHAPES, ("plan", "noplan"), (1, 3), PROTECTIONS
+    for method, shape, plan, k in itertools.product(
+        METHODS, SHAPES, ("plan", "noplan"), (1, 3)
     ):
-        if method == "pc" or protection == "plain":
-            yield f"{method}/{shape}/{plan}/k{k}/{protection}"
+        yield f"{method}/{shape}/{plan}/k{k}/plain"
     for shape in SHAPES:
         yield f"enumerate/{shape}"
         yield f"lanczos/{shape}"
@@ -113,14 +96,6 @@ BENCH_NAMES = (
 )
 
 NAMES = tuple(_names())
-
-#: what tier-1 runs: everything on the 12-site shapes (every method, plan,
-#: block width and protection; the BSP timer; the solver) and the pipeline
-#: at full size, with and without work stealing
-TIER1 = tuple(
-    name for name in NAMES
-    if "/c12-" in name or name.startswith(("pc/c16-l4/", "pc/c16-l4-steal/"))
-)
 
 
 @lru_cache(maxsize=None)
@@ -168,26 +143,22 @@ def _metric_lines(snapshot) -> list[str]:
     return lines
 
 
-def _matvec(method, basis, shape, plan, k, protection) -> list[str]:
+def _matvec(method, basis, shape, plan, k) -> list[str]:
     n_sites, _, batch_size, pipeline_options = SHAPES[shape]
     options = dict(batch_size=batch_size)
     if method == "pc":
         options.update(pipeline_options)
     op = DistributedOperator(
         repro.heisenberg_chain(n_sites), basis, method=method,
-        plan=plan == "plan", **options, **PROTECTIONS[protection](),
+        plan=plan == "plan", **options,
     )
     x = DistributedVector.full_random(
         basis, seed=7, columns=None if k == 1 else k
     )
     lines = []
     for _ in range(2):
-        try:
-            y = op.matvec(x)
-        except FaultError as exc:
-            lines.append(f"FaultError {exc}")
-        else:
-            lines += _report_lines(op.last_report, y)
+        y = op.matvec(x)
+        lines += _report_lines(op.last_report, y)
     return lines
 
 
@@ -246,8 +217,8 @@ def run(name: str) -> dict[str, list[str]]:
         elif kind == "block":
             report = _block(basis)
         else:
-            plan, k, protection = rest
-            report = _matvec(kind, basis, shape, plan, int(k[1:]), protection)
+            plan, k, _ = rest
+            report = _matvec(kind, basis, shape, plan, int(k[1:]))
     return {
         "report": report,
         "metrics": _metric_lines(tele.metrics.snapshot()),

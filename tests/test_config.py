@@ -186,68 +186,74 @@ class TestRunning:
 
 
 class TestResilienceKnobs:
-    """Round-trips for the threads-backend watchdog knob
-    (``watchdog_timeout``) through ``ResilienceConfig`` configs, the
-    cluster section, and the CLI."""
+    """The threads-backend watchdog (``cluster.watchdog_timeout``, the
+    one resilience knob an input file has) through the cluster section,
+    the CLI, and :class:`~repro.runtime.Cluster`."""
 
-    def test_resilience_config_round_trip(self):
-        from repro.resilience import ResilienceConfig
+    THREADS_SPEC = {
+        "n_sites": 8,
+        "hamiltonian": {"model": "heisenberg_chain"},
+        "basis": {"hamming_weight": 4},
+        "solver": {"k": 1, "tol": 1e-10},
+        "cluster": {"n_locales": 2, "machine": "laptop", "backend": "threads"},
+    }
 
-        cfg = ResilienceConfig(watchdog_timeout=7.5, matvec_restarts=3)
-        assert cfg.to_config() == {
-            "watchdog_timeout": 7.5,
-            "matvec_restarts": 3,
-        }
-        clone = ResilienceConfig.from_config(cfg.to_config())
-        assert clone.watchdog_timeout == 7.5
-        assert clone.matvec_restarts == 3
-        assert clone.to_config() == cfg.to_config()
+    @staticmethod
+    def watched(monkeypatch):
+        """The watchdog seconds of every executor a run asks for."""
+        from repro.distributed import matvec_pc
 
-    def test_default_knobs_omitted_from_config(self):
-        from repro.resilience import ResilienceConfig
+        seen = []
+        original = matvec_pc.get_executor
 
-        assert ResilienceConfig().to_config() == {}
+        def spy(cluster, **kwargs):
+            ex = original(cluster, **kwargs)
+            seen.append(ex.watchdog_seconds)
+            return ex
+
+        monkeypatch.setattr(matvec_pc, "get_executor", spy)
+        return seen
 
     def test_knob_validation(self):
-        from repro.resilience import ResilienceConfig
+        from repro.runtime import Cluster
 
-        with pytest.raises(ConfigError, match="watchdog_timeout"):
-            ResilienceConfig(watchdog_timeout=0.0)
-        # A crash is healed by a matvec restart only: there is no
-        # per-worker restart budget to set.
-        with pytest.raises(ConfigError, match="max_worker_restarts"):
-            ResilienceConfig.from_config({"max_worker_restarts": 2})
+        assert Cluster(2).watchdog_timeout == 20.0
+        for bad in (0.0, -1.0, "20", float("inf")):
+            with pytest.raises(ConfigError, match="cluster.watchdog_timeout"):
+                Cluster(2, watchdog_timeout=bad)
+        spec = json.loads(json.dumps(self.THREADS_SPEC))
+        spec["cluster"]["watchdog_timeout"] = 0
+        with pytest.raises(ConfigError, match="cluster.watchdog_timeout"):
+            run_simulation(load_simulation(spec))
 
-    def test_cluster_section_reaches_executor(self):
-        """The resilience section of a threads cluster spec reaches the
-        operator, which hands it to the executor's watchdog."""
+    def test_cluster_section_reaches_executor(self, monkeypatch):
+        """``cluster.watchdog_timeout`` reaches the cluster, and from it
+        the executor of every product."""
         from repro.config import _build_distributed
+        from repro.runtime import ThreadExecutor
         from repro.runtime.executor import get_executor
 
-        spec_dict = dict(BASE_SPEC)
-        spec_dict["cluster"] = {
-            "n_locales": 2, "backend": "threads", "machine": "laptop",
-            "resilience": {"watchdog_timeout": 9.0},
-        }
-        operator, _ = _build_distributed(load_simulation(spec_dict))
-        assert operator.faults is None
-        ex = get_executor(operator.basis.cluster, resilience=operator.resilience)
-        assert ex.watchdog_seconds == 9.0
+        spec = json.loads(json.dumps(self.THREADS_SPEC))
+        spec["cluster"]["watchdog_timeout"] = 9.0
+        operator, _ = _build_distributed(load_simulation(spec))
+        ex = get_executor(operator.basis.cluster)
+        assert isinstance(ex, ThreadExecutor) and ex.watchdog_seconds == 9.0
+        seen = self.watched(monkeypatch)
+        assert run_simulation(load_simulation(spec))["converged"]
+        assert seen and set(seen) == {9.0}
 
-    def test_cli_flags_inject_resilience_section(self, tmp_path, capsys):
+    def test_cli_flags_inject_resilience_section(
+        self, tmp_path, capsys, monkeypatch
+    ):
         from repro.config import main
 
         input_path = tmp_path / "input.json"
-        input_path.write_text(json.dumps({
-            "n_sites": 8,
-            "hamiltonian": {"model": "heisenberg_chain"},
-            "basis": {"hamming_weight": 4},
-            "solver": {"k": 1, "tol": 1e-10},
-            "cluster": {"n_locales": 2, "machine": "laptop"},
-        }))
+        input_path.write_text(json.dumps(self.THREADS_SPEC))
+        seen = self.watched(monkeypatch)
         main([str(input_path), "--watchdog-timeout", "30"])
         out = json.loads(capsys.readouterr().out)
         assert out["converged"]
+        assert seen and set(seen) == {30.0}
 
     def test_cli_flags_require_cluster_section(self, tmp_path):
         from repro.config import main
@@ -256,6 +262,53 @@ class TestResilienceKnobs:
         input_path.write_text(json.dumps(BASE_SPEC))
         with pytest.raises(ReproError, match="watchdog-timeout"):
             main([str(input_path), "--watchdog-timeout", "30"])
+
+
+class TestRemovedFaultSurface:
+    """The fault-injection keys and ``--faults`` are gone: an input that
+    still carries one is a ``ConfigError`` naming it, never ignored."""
+
+    @pytest.mark.parametrize(
+        "cluster, named",
+        [
+            ({"faults": {"seed": 3, "drop": 0.02}}, "unknown key cluster.faults"),
+            ({"resilience": {}}, "unknown key cluster.resilience"),
+            (
+                {"resilience": {"watchdog_timeout": 9.0}},
+                "unknown key cluster.resilience",
+            ),
+        ],
+        ids=["faults", "resilience", "resilience.watchdog_timeout"],
+    )
+    def test_input_key_is_rejected(self, cluster, named):
+        spec = _probe(cluster={"n_locales": 2, **cluster})
+        with pytest.raises(ConfigError, match=re.escape(named)) as excinfo:
+            run_simulation(load_simulation(spec))
+        # The message lists the keys there are, the watchdog's among them.
+        assert "watchdog_timeout" in str(excinfo.value)
+
+    def test_faults_flag_is_rejected(self, tmp_path, capsys):
+        from repro.config import main
+
+        input_path = tmp_path / "input.json"
+        input_path.write_text(json.dumps(_probe(cluster={"n_locales": 2})))
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"seed": 3, "drop": 0.02}))
+        with pytest.raises(ConfigError, match="--faults"):
+            main([str(input_path), "--faults", str(plan)])
+        assert capsys.readouterr().out == ""
+        src = str(Path(repro.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", str(input_path), "--faults",
+             str(plan)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("repro: error:")
+        assert done.stderr.count("\n") == 1
+        assert "--faults" in done.stderr
+        assert "Traceback" not in done.stderr and not done.stdout
 
 
 class TestMatvecKnobs:
@@ -494,21 +547,9 @@ class TestTypedRejection:
         with pytest.raises(ConfigError, match=re.escape(path)):
             run_simulation(load_simulation(source))
 
-    def test_from_config_goes_through_the_same_walker(self):
-        from repro.resilience import FaultPlan, ResilienceConfig
-
-        with pytest.raises(ConfigError, match="cluster.resilience.ack_timout"):
-            ResilienceConfig.from_config({"ack_timout": 1.0})
-        with pytest.raises(ConfigError, match="cluster.resilience.backoff"):
-            ResilienceConfig.from_config({"backoff": "2"})
-        with pytest.raises(ConfigError, match="cluster.faults.drop"):
-            FaultPlan.from_config({"drop": 2.0})
-        with pytest.raises(ConfigError, match="cluster.faults.crashes"):
-            FaultPlan.from_config({"crashes": {"first": 0.5}})
-
     def test_process_boundary_prints_one_line_and_exits_2(self, tmp_path):
-        """``python -m repro`` turns every ``ReproError`` — and an
-        unreadable ``--faults`` file — into ``repro: error: ...``."""
+        """``python -m repro`` turns every ``ReproError`` — and a command
+        line it cannot parse — into ``repro: error: ...``."""
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(_probe(bassis={})))
         good = tmp_path / "good.json"
@@ -549,7 +590,7 @@ def test_flags_come_from_the_rows(capsys):
         main(["--help"])
     text = " ".join(capsys.readouterr().out.split())
     flags = [row for row in ROWS if row.flag]
-    assert len(flags) == 8
+    assert len(flags) == 7
     for row in flags:
         assert row.flag in text
     assert text.count("requires a 'cluster' section") == sum(
@@ -578,8 +619,7 @@ FUZZ_CLUSTER = {
     "matvec": {
         "batch_size": 16, "consumer_fraction": 0.5, "work_stealing": False,
     },
-    "faults": {"seed": 1, "max_delay": 1e-4},
-    "resilience": {"max_retries": 3, "ack_timeout": 0.05, "checksums": True},
+    "watchdog_timeout": 20.0,
 }
 
 

@@ -241,6 +241,24 @@ class TestErrorHandling:
         with pytest.raises(TypeError):
             sim.run()
 
+    def test_deadlock_error_names_blocked_processes(self):
+        from repro.errors import BackendError, DeadlockError
+
+        sim = Simulator()
+        flag = sim.flag(False, name="never")
+
+        def stuck():
+            yield WaitFlag(flag, True)
+
+        sim.spawn(stuck(), name="stuck-proc")
+        with pytest.raises(DeadlockError, match="stuck-proc") as excinfo:
+            sim.run()
+        assert isinstance(excinfo.value, BackendError)
+        assert excinfo.value.blocked
+        name, target = excinfo.value.blocked[0]
+        assert name == "stuck-proc"
+        assert "never" in target
+
     def test_call_later(self):
         sim = Simulator()
         fired = []
@@ -289,134 +307,3 @@ class TestCallLater:
         sim.run()
         assert flag.value
         assert sim._processes == []
-
-
-class TestTimedWaits:
-    def test_waitflag_timeout_returns_false(self):
-        sim = Simulator()
-        flag = sim.flag(False)
-        seen = []
-
-        def waiter():
-            ok = yield WaitFlag(flag, True, timeout=2.0)
-            seen.append((ok, sim.now))
-
-        sim.spawn(waiter())
-        sim.run()
-        assert seen == [(False, 2.0)]
-
-    def test_waitflag_resolves_true_before_timeout(self):
-        sim = Simulator()
-        flag = sim.flag(False)
-        seen = []
-
-        def setter():
-            yield Timeout(1.0)
-            flag.set(True)
-
-        def waiter():
-            ok = yield WaitFlag(flag, True, timeout=5.0)
-            seen.append((ok, sim.now))
-
-        sim.spawn(setter())
-        sim.spawn(waiter())
-        elapsed = sim.run()
-        assert seen == [(True, 1.0)]
-        # The cancelled 5-second timer must not advance the clock.
-        assert elapsed == pytest.approx(1.0)
-
-    def test_timed_out_waiter_is_removed(self):
-        sim = Simulator()
-        flag = sim.flag(False)
-        woken = []
-
-        def impatient():
-            ok = yield WaitFlag(flag, True, timeout=1.0)
-            woken.append(("impatient", ok))
-
-        def setter():
-            yield Timeout(2.0)
-            flag.set(True)
-            yield Timeout(0.0)
-
-        sim.spawn(impatient())
-        sim.spawn(setter())
-        sim.run()
-        # The set() after the timeout must not resume the timed-out
-        # process a second time.
-        assert woken == [("impatient", False)]
-
-
-class TestFaultInjection:
-    def test_deadlock_error_names_blocked_processes(self):
-        from repro.errors import DeadlockError
-
-        sim = Simulator()
-        flag = sim.flag(False, name="never")
-
-        def stuck():
-            yield WaitFlag(flag, True)
-
-        sim.spawn(stuck(), name="stuck-proc")
-        with pytest.raises(DeadlockError, match="stuck-proc") as excinfo:
-            sim.run()
-        assert excinfo.value.blocked
-        name, target = excinfo.value.blocked[0]
-        assert name == "stuck-proc"
-        assert "never" in target
-
-    def test_crash_kills_locale_processes(self):
-        from repro.errors import DeadlockError
-        from repro.resilience import FaultPlan
-
-        sim = Simulator(faults=FaultPlan(seed=0, crashes={1: 1.0}))
-        log = []
-
-        def worker(locale):
-            for _ in range(10):
-                yield Timeout(0.4)
-                log.append((locale, sim.now))
-
-        sim.spawn(worker(0), name="w0", locale=0)
-        sim.spawn(worker(1), name="w1", locale=1)
-        sim.run()
-        assert sim.crashed_locales == {1}
-        # Locale 1 stops at its crash deadline; locale 0 finishes.
-        assert max(t for loc, t in log if loc == 1) <= 1.0 + 0.4
-        assert max(t for loc, t in log if loc == 0) == pytest.approx(4.0)
-
-    def test_crash_induced_stall_raises_deadlock_error(self):
-        from repro.errors import DeadlockError, FaultError
-        from repro.resilience import FaultPlan
-
-        sim = Simulator(faults=FaultPlan(seed=0, crashes={0: 0.5}))
-        flag = sim.flag(False, name="handoff")
-
-        def victim():
-            yield Timeout(1.0)
-            flag.set(True)
-
-        def dependent():
-            yield WaitFlag(flag, True)
-
-        sim.spawn(victim(), name="victim", locale=0)
-        sim.spawn(dependent(), name="dependent", locale=1)
-        with pytest.raises(DeadlockError, match="crashed") as excinfo:
-            sim.run()
-        assert isinstance(excinfo.value, FaultError)
-        assert excinfo.value.crashed_locales == [0]
-
-    def test_straggler_slowdown_scales_timeouts(self):
-        from repro.resilience import FaultPlan
-
-        sim = Simulator(faults=FaultPlan(seed=0, stragglers={0: 3.0}))
-        done = []
-
-        def worker(locale):
-            yield Timeout(1.0)
-            done.append((locale, sim.now))
-
-        sim.spawn(worker(0), locale=0)
-        sim.spawn(worker(1), locale=1)
-        sim.run()
-        assert dict(done) == {0: pytest.approx(3.0), 1: pytest.approx(1.0)}

@@ -147,140 +147,6 @@ class TestCostModelsRunOnSimOnly:
             np.testing.assert_array_equal(part, kept)
 
 
-class TestResilienceOnThreads:
-    """The self-healing pipeline on the real backend: exact results,
-    populated fault/recovery metrics, typed escalation."""
-
-    def test_fault_free_resilient_pc_matches_serial(self, rng):
-        from repro.resilience import ResilienceConfig
-
-        serial, serial_op, dbasis, expr = build("threads")
-        x = rng.standard_normal(serial.dim).astype(serial.scalar_dtype)
-        y_ref = serial_op.matvec(x)
-        dx = DistributedVector.from_serial(dbasis, serial, x)
-        dop = DistributedOperator(
-            expr, dbasis, method="pc", batch_size=64,
-            resilience=ResilienceConfig(),
-        )
-        dy = dop.matvec(dx)
-        np.testing.assert_allclose(dy.to_serial(serial), y_ref, atol=1e-12)
-        assert dop.last_report.extras.get("resilient") == 1.0
-
-    def test_seeded_plan_recovers_on_threads(self, rng):
-        """The acceptance scenario: message drops + one worker crash on
-        ``backend="threads"`` recovers to within 1e-10 of the fault-free
-        answer, with fault/recovery metrics populated."""
-        from repro import telemetry
-        from repro.resilience import FaultPlan, ResilienceConfig
-        from repro.telemetry import Telemetry
-
-        serial, serial_op, dbasis, expr = build("threads")
-        x = rng.standard_normal(serial.dim).astype(serial.scalar_dtype)
-        y_ref = serial_op.matvec(x)
-        dx = DistributedVector.from_serial(dbasis, serial, x)
-        plan = FaultPlan(seed=21, drop=0.05, crashes={1: 1e-4})
-        tele = Telemetry.enabled()
-        with telemetry.use(tele):
-            dop = DistributedOperator(
-                expr,
-                dbasis,
-                method="pc",
-                batch_size=64,
-                faults=plan,
-                resilience=ResilienceConfig(matvec_restarts=2),
-            )
-            dy = dop.matvec(dx)
-        np.testing.assert_allclose(dy.to_serial(serial), y_ref, atol=1e-10)
-        snap = tele.metrics.snapshot()
-        assert snap.counter_total("fault.crashes") >= 1
-        assert snap.counter_total("recovery.matvec_restarts") >= 1
-
-    def test_exhausted_budget_is_typed_fault_on_threads(self, rng):
-        from repro.errors import FaultError
-        from repro.resilience import FaultPlan, ResilienceConfig
-
-        serial, _, dbasis, expr = build("threads")
-        dx = DistributedVector.full_random(dbasis, seed=5)
-        dop = DistributedOperator(
-            expr,
-            dbasis,
-            method="pc",
-            batch_size=64,
-            faults=FaultPlan(seed=3, crashes={0: 1e-6}),
-            resilience=ResilienceConfig(matvec_restarts=0),
-        )
-        t0 = time.perf_counter()
-        with pytest.raises(FaultError):
-            dop.matvec(dx)
-        assert time.perf_counter() - t0 < 30.0, "escalation must not hang"
-
-    @pytest.mark.parametrize("locale", [0, 1, 2])
-    def test_crash_heals_by_one_matvec_restart(self, locale, rng):
-        """A crash on any locale fails the pipeline at once; the
-        operator's matvec restart — the one recovery path — heals it,
-        and no worker is restarted in place."""
-        from repro import telemetry
-        from repro.resilience import FaultPlan
-        from repro.telemetry import Telemetry
-
-        serial, serial_op, dbasis, expr = build("threads")
-        x = rng.standard_normal(serial.dim).astype(serial.scalar_dtype)
-        dx = DistributedVector.from_serial(dbasis, serial, x)
-        tele = Telemetry.enabled()
-        with telemetry.use(tele):
-            dop = DistributedOperator(
-                expr, dbasis, method="pc", batch_size=64,
-                faults=FaultPlan(seed=4, crashes={locale: 0.0}),
-            )
-            dy = dop.matvec(dx)
-        np.testing.assert_allclose(
-            dy.to_serial(serial), serial_op.matvec(x), atol=1e-10
-        )
-        snap = tele.metrics.snapshot()
-        assert snap.counters[("fault.crashes", (("locale", locale),))] == 1
-        assert snap.counter_total("recovery.matvec_restarts") == 1
-        assert not any(
-            name.startswith("recovery.") and name != "recovery.matvec_restarts"
-            for name, _ in snap.counters
-        )
-
-    def test_injected_crash_fails_the_run_at_once(self):
-        """The first worker of a crashed locale to run again fails the run
-        with a typed FaultError naming the locale; parked workers are
-        cancelled at once, not after a watchdog window."""
-        from repro.errors import FaultError
-        from repro.resilience import FaultPlan
-        from repro.runtime.events import Pop, WaitFlag
-        from repro.runtime.executor import ThreadExecutor
-
-        ex = ThreadExecutor(faults=FaultPlan(seed=1, crashes={0: 0.0}))
-        ex.watchdog_seconds = 60.0
-        work = ex.queue(name="work")
-        never = ex.flag(False, name="never")
-        seen = ex.counter(0)
-
-        def body():
-            while True:
-                item = yield Pop(work)
-                if item is None:
-                    return
-                seen.add(item)
-
-        def bystander():
-            yield WaitFlag(never, True)
-
-        for item in (1, 2, 3, None):
-            work.push(item)
-        ex.spawn(bystander(), name="bystander", locale=1)
-        t0 = time.perf_counter()
-        ex.spawn(body(), name="worker", locale=0)
-        with pytest.raises(FaultError, match="locale 0 crashed"):
-            ex.run()
-        assert time.perf_counter() - t0 < 5.0, "a crash must not stall"
-        assert seen.get() == 0
-        assert ex.crashed_locales == {0}
-
-
 class TestSimDeterminismAcrossRefactor:
     """The executor refactor must not move a single simulated femtosecond."""
 

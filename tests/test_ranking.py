@@ -205,6 +205,27 @@ class TestCombinatorialRanker:
         with pytest.raises(BasisError, match="refusing to materialize"):
             basis.index(np.array([2**20 - 1], dtype=np.uint64))
 
+    def test_a_product_builds_the_ranker_before_its_first_batch(
+        self, monkeypatch
+    ):
+        """A U(1) sector's slot table is built before the product allocates
+        its diagonal, ``y`` and first batch, so the build's temporaries
+        never stack on them."""
+        import repro
+        import repro.operators.operator as operator_module
+
+        basis = SpinBasis(12, hamming_weight=6)
+        op = repro.Operator(repro.heisenberg_chain(12), basis, plan=False)
+        x = np.random.default_rng(1).standard_normal(basis.dim)
+        built, diagonal = [], op.diagonal
+        monkeypatch.setattr(
+            op, "diagonal",
+            lambda: built.append("_ranker" in vars(basis)) or diagonal(),
+        )
+        y = op.matvec(x)
+        assert built == [True]
+        np.testing.assert_allclose(y, op.to_sparse() @ x, atol=1e-12)
+
     def test_agrees_with_sorted_ranker(self, rng):
         n, w = 16, 8
         states = states_with_weight(n, w)

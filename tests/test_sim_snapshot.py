@@ -1,8 +1,7 @@
 """The sim backend still does, to the last bit, what the recording says.
 
-The subset tier-1 affords; ``python tests/sim_snapshot.py --check`` runs
-the whole grid (see that module for what is recorded and how to diff a
-mismatch).  A warm product replays the record of a simulation the
+The whole grid, as ``python tests/sim_snapshot.py --check`` runs it (see
+that module for what is recorded and how to diff a mismatch).  A warm product replays the record of a simulation the
 product that completed the plan ran out of sight
 (``DistributedOperator._record``): the grid's second products and the
 ``lanczos/*`` runs replay it, and
@@ -31,17 +30,15 @@ def test_recording_covers_the_grid():
 
 
 def test_tier1_subset_equals_the_recording():
-    assert len(sim_snapshot.TIER1) >= 100
-    assert sim_snapshot.mismatches(sim_snapshot.TIER1) == []
+    assert len(sim_snapshot.NAMES) == 60
+    assert sim_snapshot.mismatches() == []
 
 
-#: every method, shape and block width of the tier-1 grid with a plan,
-#: unprotected and (the pipeline) under a bare resilience policy
+#: every method, shape and block width of the grid with a plan
 REPLAYED = [
-    name for name in sim_snapshot.TIER1
+    name for name in sim_snapshot.NAMES
     if name.split("/")[0] in sim_snapshot.METHODS
     and name.split("/")[2] == "plan"
-    and name.split("/")[-1] in ("plain", "resilience")
 ]
 
 
@@ -80,12 +77,11 @@ def test_a_replay_is_the_product_it_replays(name, monkeypatch):
     consumer multiplies the norm in after ``x``); the two replays' ``y``
     to the last bit — and neither replay ran a schedule or spawned a
     process."""
-    method, shape, _, k, protection = name.split("/")
+    method, shape, _, k, _ = name.split("/")
     n_sites, _, batch_size, pipeline_options = sim_snapshot.SHAPES[shape]
     options = dict(batch_size=batch_size)
     if method == "pc":
         options.update(pipeline_options)
-    options.update(sim_snapshot.PROTECTIONS[protection]())
     basis = sim_snapshot._basis(shape)
     expression = repro.heisenberg_chain(n_sites)
     op = DistributedOperator(expression, basis, method=method, **options)

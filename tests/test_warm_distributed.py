@@ -28,9 +28,9 @@ Three contracts:
    matrices: no schedule runs, the report is the simulated one to the
    last bit, ``y`` is the simulated one to 1e-14 and the wall-clock
    replay's bit for bit, and every block width shares the one matrix
-   set.  Fault plans and budgets too small for the matrices keep the
-   per-chunk schedule on both backends, and ``invalidate_plan()`` drops
-   the record.
+   set.  Budgets too small for the matrices keep the per-chunk schedule
+   on both backends, a pass that failed part-way leaves records the next
+   product completes, and ``invalidate_plan()`` drops the record.
 5. **A plan belongs to one kind of operator.**  Attaching an operator with
    other primitive tables, another basis object or another batch size
    raises ``ConfigError``; an equal one shares.  And ``y`` may not alias
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import gc
 import inspect
+import itertools
 import tracemalloc
 import weakref
 from functools import lru_cache
@@ -69,7 +70,6 @@ from repro.distributed.matvec_pc import default_buffer_capacity
 from repro.errors import ConfigError, DistributionError
 from repro.operators.compile import CompiledOperator
 from repro.operators.plan import MatvecPlan, _entry_nbytes
-from repro.resilience import FaultPlan, ResilienceConfig
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
 from repro.telemetry import Telemetry
@@ -151,19 +151,6 @@ class TestDiagonalJoinsThePlan:
         for _ in range(3):
             dop.matvec(dx)
         assert len(diagonal_calls) == 3 * dbasis.n_locales
-
-    def test_resilient_pipeline_caches_it_too(self, rng, diagonal_calls):
-        serial, dbasis, expr = build("sim")
-        dop = DistributedOperator(
-            expr, dbasis, method="pc", resilience=ResilienceConfig()
-        )
-        dx = DistributedVector.from_serial(
-            dbasis, serial, random_serial(rng, serial)
-        )
-        for _ in range(3):
-            dop.matvec(dx)
-        assert dop.last_report.extras["resilient"] == 1.0
-        assert len(diagonal_calls) == dbasis.n_locales
 
     def test_bytes_are_on_the_plans_budget(self, rng):
         serial, dbasis, expr = build("sim")
@@ -285,12 +272,10 @@ class TestHandOffUnit:
         assert cut.messages > dop.last_report.messages
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("resilient", [None, True])
-    def test_explicit_capacity_is_honoured(self, backend, resilient, rng):
+    def test_explicit_capacity_is_honoured(self, backend, rng):
         serial, dbasis, expr = build(backend, n=14)
         dop = DistributedOperator(
-            expr, dbasis, method="pc", buffer_capacity=64, batch_size=64,
-            resilience=ResilienceConfig() if resilient else None,
+            expr, dbasis, method="pc", buffer_capacity=64, batch_size=64
         )
         dop.matvec(
             DistributedVector.from_serial(
@@ -484,18 +469,6 @@ class TestOneSpmvPerLocale:
             dop.invalidate_plan()
             assert dop.plan.n_entries == 0
 
-    def test_a_fault_plan_keeps_the_pipeline(self, rng):
-        serial, dbasis, expr = build("threads", n_locales=2)
-        dop = DistributedOperator(
-            expr, dbasis, batch_size=16, faults=FaultPlan(seed=5)
-        )
-        dx = DistributedVector.from_serial(
-            dbasis, serial, random_serial(rng, serial)
-        )
-        for _ in range(3):
-            dop.matvec(dx)
-            assert dop.last_report.messages > 0 and not matrix_keys(dop.plan)
-
     @pytest.mark.parametrize("method", METHODS)
     def test_sim_replays_what_it_simulated(self, method, rng, monkeypatch):
         serial, dbasis, expr = build("sim", n_locales=2)
@@ -564,19 +537,6 @@ class TestOneSpmvPerLocale:
         run = max(dbasis.counts) + max(piece.max() for piece in pieces)
         assert len(peaks) == 1 and matrices > 0
         assert peaks[0] <= matrices + 16 * 8 * run
-
-    def test_sim_fault_plan_never_replays(self, rng, monkeypatch):
-        serial, dbasis, expr = build("sim", n_locales=2)
-        dop = DistributedOperator(
-            expr, dbasis, batch_size=16, faults=FaultPlan(seed=5)
-        )
-        dx = DistributedVector.from_serial(
-            dbasis, serial, random_serial(rng, serial)
-        )
-        scheduled = count_schedules(monkeypatch, "pc")
-        for _ in range(3):
-            dop.matvec(dx)
-        assert len(scheduled) == 3 and dop._record_key(dx) not in dop.plan
 
     def test_sim_budget_for_the_records_but_not_the_matrices(
         self, rng, monkeypatch
@@ -855,25 +815,66 @@ class TestPlanClaim:
                 op.matvec(dx).to_serial(serial), expected, atol=1e-12
             )
 
-    def test_restart_keeps_the_operators_plan(self, rng):
-        """The crashed pass's partial records stay in the plan; the restart
-        completes it and the next product replays it without restarting."""
-        serial, dbasis, expr = build("sim", n_locales=3)
-        plan = MatvecPlan()
-        dop = DistributedOperator(
-            expr, dbasis, method="pc", plan=plan,
-            faults=FaultPlan(seed=2, crashes={1: 1e-6}),
-        )
-        x = random_serial(rng, serial)
-        dx = DistributedVector.from_serial(dbasis, serial, x)
-        expected = repro.Operator(expr, serial, plan=False).matvec(x)
-        tele = Telemetry.enabled(trace=False)
-        with telemetry.use(tele):
-            first = dop.matvec(dx)  # crashes, restarts, records the plan
-            recorded = plan.n_entries
-            second = dop.matvec(dx)  # crash specs are one-shot: a replay
-        snapshot = tele.metrics.snapshot()
-        assert snapshot.counter_total("recovery.matvec_restarts") == 1
-        assert dop.plan is plan and plan.n_entries == recorded
-        for y in (first, second):
-            np.testing.assert_allclose(y.to_serial(serial), expected, atol=1e-12)
+    def test_restart_keeps_the_operators_plan(self, rng, monkeypatch):
+        """A product whose consumer fails part-way raises the backend's
+        typed error (on one locale, which runs on the calling thread, the
+        consumer's own) and leaves its records in the plan, some with
+        their row searches undone, which ``_complete`` refuses to fold;
+        the next product completes the plan and the one after replays it.
+        On one locale the failure is the last chunk's, so every chunk and
+        the diagonal are recorded and only the undone searches stand
+        between the records and a fold."""
+        from repro.distributed import matvec_common, matvec_pc
+        from repro.errors import BackendError
+
+        for backend, n_locales in (("sim", 3), ("threads", 3), ("sim", 1)):
+            serial, dbasis, expr = build(backend, n_locales=n_locales)
+            plan = MatvecPlan()
+            dop = DistributedOperator(
+                expr, dbasis, method="pc", plan=plan, batch_size=16
+            )
+            x = random_serial(rng, serial)
+            dx = DistributedVector.from_serial(dbasis, serial, x)
+            expected = repro.Operator(expr, serial, plan=False).matvec(x)
+            keys = [
+                (locale, start)
+                for locale, count in enumerate(dbasis.counts)
+                for start in range(0, int(count), 16)
+            ]
+            # One consume per chunk on one locale: fail the last.
+            fail_at = len(keys) - 1 if n_locales == 1 else 0
+            calls = itertools.count()
+
+            def consume(*args, original=matvec_common.consume):
+                if next(calls) == fail_at:
+                    raise RuntimeError("consumer died mid-product")
+                return original(*args)
+
+            monkeypatch.setattr(matvec_common, "consume", consume)
+            monkeypatch.setattr(matvec_pc, "consume", consume)
+            # One locale runs on the calling thread: the error is its own.
+            error = BackendError if n_locales > 1 else RuntimeError
+            with pytest.raises(error, match="consumer died"):
+                dop.matvec(dx)
+            records = [plan.peek(key) for key in keys if key in plan]
+            assert any(r.rows.size and r.rows.min() < 0 for r in records)
+            if n_locales == 1:
+                assert len(records) == len(keys) and (0, "diag") in plan
+            assert dop._complete() is None and not matrix_keys(plan)
+
+            scheduled = count_schedules(monkeypatch, "pc")
+            first = dop.matvec(dx)  # runs the schedule, completes the plan
+            np.testing.assert_allclose(
+                first.to_serial(serial), expected, atol=1e-12
+            )
+            # (sim runs it once more to keep a replay record)
+            runs = 1 if backend == "threads" else 2
+            assert len(scheduled) == runs and dop._complete() == keys
+            second = dop.matvec(dx)  # a replay: no schedule runs
+            assert len(scheduled) == runs and matrix_keys(plan)
+            np.testing.assert_allclose(
+                second.to_serial(serial), expected, atol=1e-12
+            )
+            if backend == "sim":  # the record-keeping product's y is a replay's
+                assert_parts_equal(second, first)
+            monkeypatch.undo()
