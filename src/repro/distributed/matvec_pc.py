@@ -440,7 +440,8 @@ def _shared_memory_matvec(
     run: AnalyticMatvec,
 ) -> tuple[DistributedVector, SimReport]:
     """Single-locale mode: all cores generate and consume (no pipeline),
-    walking the chunks in order.
+    walking the chunks in order.  A kernel that raises fails the product
+    with the same typed error as on 2+ locales, naming ``locale0``.
 
     On a wall-clock backend (``threads``) the report holds the measured
     seconds of this — genuinely serial — execution and keeps the machine
@@ -454,11 +455,14 @@ def _shared_memory_matvec(
     wall_start = time.perf_counter()
     gen_work = 0.0
     search_work = 0.0
-    for _, n_emitted, n_elements, _ in run.chunks(produce_chunk):
-        gen_work += machine.t_generate * n_emitted
-        search_work += (
-            machine.t_search_accum + machine.t_axpy * (k - 1)
-        ) * n_elements
+    try:
+        for _, n_emitted, n_elements, _ in run.chunks(produce_chunk):
+            gen_work += machine.t_generate * n_emitted
+            search_work += (
+                machine.t_search_accum + machine.t_axpy * (k - 1)
+            ) * n_elements
+    except Exception as exc:  # noqa: BLE001 -> BackendError, as on 2+ locales
+        raise Executor._worker_error(exc, "worker 'locale0/worker0'", 0)
     count = int(basis.counts[0])
     cores = machine.cores_per_locale
     diag_work = machine.t_axpy * count * k

@@ -9,6 +9,10 @@ so the same code drives NumPy vectors and simulated-cluster
 :func:`lanczos_distributed`, which also returns the simulated time spent in
 matvecs and reductions).
 
+Each step streams the Krylov block once: the three-term recurrence
+projects the new vector on the last two basis vectors, then one classical
+Gram-Schmidt pass projects it on all of them (:func:`lanczos_step`).
+
 At paper scale one would avoid storing the full Krylov basis (restarting or
 two-pass schemes); storing it is fine at the problem sizes this
 reproduction runs for real, and is called out here so the difference from
@@ -83,13 +87,14 @@ def lanczos_step(
     """One step of the recurrence on ``w``, the product of the last row of
     ``block`` (the orthonormal Krylov vectors so far).
 
-    Projects ``w`` against the block in place — twice over all rows, so
-    that an exhausted space leaves ``beta`` ~ 0, or without
-    ``reorthogonalize`` once over the last two — and returns ``(alpha,
-    beta)``: the diagonal entry and the norm of what is left.
+    Projects ``w`` against the block in place: first over the last two
+    rows (the three-term recurrence, whose last overlap is ``alpha``), then
+    with ``reorthogonalize`` once over all rows, which is the second pass
+    for the two large components and the only one the rest need (they are
+    O(eps ||H||)), so that an exhausted space leaves ``beta`` ~ 0.  Returns
+    ``(alpha, beta)``: the diagonal entry and the norm of what is left.
     """
-    first = 0 if reorthogonalize else max(block.m - 2, 0)
-    alpha = float(np.real(space.project(block, w, first)[-1]))
+    alpha = float(np.real(space.project(block, w, max(block.m - 2, 0))[-1]))
     if reorthogonalize:
         space.project(block, w)
     return alpha, space.norm(w)
@@ -183,10 +188,12 @@ def lanczos(
         ``checkpoint_every`` or ``checkpoint_keep`` raises
         :class:`~repro.errors.ConfigError` before the first product.
     reorthogonalize:
-        Project each new Krylov vector against all previous ones, twice
-        (classical Gram-Schmidt: ``space.project`` over the Krylov block).
-        Without it only the last two are projected out, and "ghost" copies of
-        converged eigenvalues appear — demonstrated in the tests.
+        After the three-term recurrence (a projection on the last two
+        Krylov vectors), project each new Krylov vector once against all
+        previous ones (classical Gram-Schmidt: ``space.project`` over the
+        Krylov block).  Without it only the last two are projected out, and
+        "ghost" copies of converged eigenvalues appear — demonstrated in
+        the tests.
     checkpoint_dir:
         When set, a CRC32-manifested snapshot of the full Krylov state
         (basis vectors via ``space.save_vector``, tridiagonal

@@ -126,8 +126,12 @@ class VectorSpace(Protocol):
         place (one classical Gram-Schmidt pass); returns the overlaps."""
         rows = [a[start : block.m] for a in block.arrays]
         parts = self._parts(w)
-        # <v|w> = conj(<w|v>) conjugates a vector instead of the block.
-        overlaps = np.conj(sum(a @ np.conj(p) for a, p in zip(rows, parts)))
+        # <v|w> = conj(<w|v>) conjugates a vector instead of the block, and
+        # a real vector not at all.
+        overlaps = np.conj(sum(
+            a @ (np.conj(p) if np.iscomplexobj(p) else p)
+            for a, p in zip(rows, parts)
+        ))
         for a, p in zip(rows, parts):
             p -= overlaps @ a
         return overlaps

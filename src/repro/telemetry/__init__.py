@@ -4,7 +4,7 @@ Two sinks, bundled by :class:`~repro.telemetry.context.Telemetry` and made
 ambient through :func:`~repro.telemetry.context.use`:
 
 - :class:`~repro.telemetry.trace.TraceRecorder` — structured span /
-  instant / counter events on the *simulated* clock, exported as Chrome
+  counter events on the *simulated* clock, exported as Chrome
   trace-event JSON (open in Perfetto).  One track per (locale, worker), so
   the paper's Fig. 5 producer-consumer pipeline is directly visible.
 - :class:`~repro.telemetry.metrics.MetricsRegistry` — labelled counters,

@@ -72,7 +72,7 @@ class _TraceLog(TraceRecorder):
         self.calls: list = []
 
 
-for _method in ("complete", "instant", "counter", "advance", "mark_wall"):
+for _method in ("complete", "counter", "advance", "mark_wall"):
     setattr(_TraceLog, _method, lambda self, *a, _m=_method: self.calls.append((_m, a)))
 
 

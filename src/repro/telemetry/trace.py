@@ -1,6 +1,6 @@
 """Structured event tracing on the *simulated* clock.
 
-The :class:`TraceRecorder` captures span, instant, and counter events
+The :class:`TraceRecorder` captures span and counter events
 stamped with simulated seconds and exports them in the Chrome trace-event
 JSON format, so a run of the producer-consumer matvec (Sec. 5.3, Fig. 5 of
 the paper) can be opened directly in Perfetto (https://ui.perfetto.dev) or
@@ -144,27 +144,6 @@ class TraceRecorder:
         (already includes any offset)."""
         self.complete(track, name, abs_start - self.offset, duration, args)
 
-    def instant(
-        self,
-        track: tuple[str, str],
-        name: str,
-        when: float,
-        args: dict | None = None,
-    ) -> None:
-        """A zero-duration marker (phase ``i``, thread scope)."""
-        pid, tid = self._ids(track)
-        event = {
-            "ph": "i",
-            "s": "t",
-            "name": name,
-            "pid": pid,
-            "tid": tid,
-            "ts": self._ts(when),
-        }
-        if args:
-            event["args"] = args
-        self.events.append(event)
-
     def counter(
         self, track: tuple[str, str], name: str, when: float, value: float
     ) -> None:
@@ -228,9 +207,6 @@ class NullTraceRecorder(TraceRecorder):
         pass
 
     def complete_abs(self, track, name, abs_start, duration, args=None) -> None:
-        pass
-
-    def instant(self, track, name, when, args=None) -> None:
         pass
 
     def counter(self, track, name, when, value) -> None:

@@ -464,6 +464,67 @@ class TestKrylovBlock:
             np.testing.assert_array_equal(u, v)
 
 
+class TestStepShape:
+    """One step streams the block once: the three-term recurrence over the
+    last two rows, then (with ``reorthogonalize``) one full pass."""
+
+    @staticmethod
+    def spy(monkeypatch, space) -> list:
+        """``(block.m, start)`` of every ``space.project`` call."""
+        calls, project = [], space.project
+
+        def spied(block, w, start=0):
+            calls.append((block.m, start))
+            return project(block, w, start)
+
+        monkeypatch.setattr(space, "project", spied)
+        return calls
+
+    @pytest.mark.parametrize("reorthogonalize", [True, False])
+    @pytest.mark.parametrize("distributed", [False, True])
+    def test_local_pass_then_one_full_pass(
+        self, monkeypatch, rng, distributed, reorthogonalize
+    ):
+        expr, group = sector(12, 0, real=True)
+        if distributed:
+            dbasis = repro.DistributedBasis.from_template(
+                repro.Cluster(3, repro.laptop_machine(cores=2)),
+                SymmetricBasis(group, hamming_weight=6, build=False),
+            )
+            op = repro.DistributedOperator(expr, dbasis)
+            space = repro.DistributedVectorSpace(dbasis)
+            v0 = repro.DistributedVector.full_random(dbasis, seed=5)
+        else:
+            op = repro.Operator(expr, SymmetricBasis(group, hamming_weight=6))
+            space = repro.linalg.NumpyVectorSpace()
+            v0 = rng.standard_normal(op.dim)
+        calls = self.spy(monkeypatch, space)
+        res = lanczos(
+            op, v0, k=1, tol=1e-10, space=space,
+            reorthogonalize=reorthogonalize, raise_on_no_convergence=False,
+        )
+        expected = []
+        for m in range(1, res.n_iterations + 1):
+            expected.append((m, max(m - 2, 0)))
+            if reorthogonalize:
+                expected.append((m, 0))
+        assert res.n_iterations > 2 and calls == expected
+
+    def test_orthonormal_on_the_ghost_spectrum(self):
+        # Where one full pass on the raw product loses orthogonality
+        # (|V†V - I| ~ 1e-4 after 139 iterations): the local pass removes
+        # the large components first.
+        diag = np.concatenate([[-10.0], np.linspace(0, 1, 399)])
+        v0 = np.random.default_rng(0).standard_normal(400)
+        space = Forwarding(repro.linalg.NumpyVectorSpace())
+        res = lanczos(
+            lambda v: diag * v, v0, k=2, tol=1e-12, max_iter=250, space=space
+        )
+        assert res.n_iterations > 100
+        (block,) = space.blocks
+        assert gram_defect(space, block, res.n_iterations) <= 1e-12
+
+
 class TestComplexSectorRealStart:
     """Both failed before the Krylov block: a real ``v0`` on a complex
     momentum sector."""

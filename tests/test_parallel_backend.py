@@ -115,6 +115,26 @@ class TestWorkerFailurePropagation:
         assert "locale 1" in str(excinfo.value)
         assert excinfo.value.locale == 1
 
+    @pytest.mark.parametrize("backend", ["sim", "threads"])
+    def test_pc_single_locale_failure(self, backend, monkeypatch):
+        """One locale runs the chunks on the calling thread; a kernel that
+        raises there is typed as on 2+ locales, the original chained."""
+        import repro.distributed.matvec_pc as mod
+
+        serial, _, dbasis, expr = build(backend, n_locales=1)
+
+        def exploding(*args):
+            raise RuntimeError("injected kaboom")
+
+        monkeypatch.setattr(mod, "produce_chunk", exploding)
+        dx = DistributedVector.full_random(dbasis, seed=5)
+        dop = DistributedOperator(expr, dbasis, method="pc", batch_size=64)
+        with pytest.raises(BackendError, match="injected kaboom") as excinfo:
+            dop.matvec(dx)
+        assert "locale0" in str(excinfo.value)
+        assert excinfo.value.locale == 0
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+
 
 class TestCostModelsRunOnSimOnly:
     """The naive and batched variants model the paper's first two

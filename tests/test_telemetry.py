@@ -92,12 +92,9 @@ class TestTraceRecorder:
     def test_counter_and_instant_events(self):
         trace = TraceRecorder()
         trace.counter(("queues", "ready0"), "ready0", 2.0, 5)
-        trace.instant(("locale0", "producer0"), "done", 3.0)
-        counter, instant = trace.events
+        (counter,) = trace.events
         assert counter["ph"] == "C"
         assert counter["args"] == {"ready0": 5}
-        assert instant["ph"] == "i"
-        assert instant["ts"] == pytest.approx(3.0 * US)
 
     def test_json_round_trips(self):
         trace = TraceRecorder()
@@ -111,7 +108,6 @@ class TestTraceRecorder:
         trace = NullTraceRecorder()
         assert trace.enabled is False
         trace.complete(("a", "b"), "x", 0.0, 1.0)
-        trace.instant(("a", "b"), "x", 0.0)
         trace.counter(("a", "b"), "x", 0.0, 1)
         trace.advance(5.0)
         assert trace.events == []
