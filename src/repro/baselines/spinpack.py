@@ -201,10 +201,10 @@ class SpinpackOperator(BasisOperator):
 
             # --- exchange phase: one packed Alltoallv -----------------------
             # Indices and values are packed into a single physical exchange
-            # (16 bytes per element); data moves through two uncharged calls
-            # and the packed payload is charged once.
-            recv_betas, _ = self.mpi.alltoallv(send_betas, charge=False)
-            recv_values, _ = self.mpi.alltoallv(send_values, charge=False)
+            # (16 bytes per element); data moves through two calls and the
+            # packed payload is charged once.
+            recv_betas = self.mpi.alltoallv(send_betas)
+            recv_values = self.mpi.alltoallv(send_values)
             packed = np.array(
                 [[wire_bytes(b.size) for b in row] for row in send_betas], float
             )

@@ -43,7 +43,7 @@ __all__ = [
     "produce_chunk",
     "consume",
     "apply_diagonal",
-    "check_vectors",
+    "check_input",
     "wire_bytes",
     "extra_column_time",
 ]
@@ -263,39 +263,11 @@ def diagonal_seconds(basis: DistributedBasis, k: int) -> list[float]:
     ]
 
 
-def check_vectors(
-    op: CompiledOperator, basis: DistributedBasis, x: DistributedVector,
-    y: DistributedVector | None,
-) -> DistributedVector:
-    """``y`` zeroed, or a new zero vector of ``H x``'s
-    :func:`~repro.operators.compile.result_dtype`; a ``y`` that belongs to
-    another basis, overlaps ``x``, has other columns or cannot hold that
-    dtype is a :class:`~repro.errors.DistributionError`."""
-    dtype = result_dtype(op, basis, x.dtype)
+def check_input(basis: DistributedBasis, x: DistributedVector) -> None:
+    """An ``x`` that belongs to another basis is a
+    :class:`~repro.errors.DistributionError`."""
     if x.basis is not basis:
         raise DistributionError("input vector belongs to a different basis")
-    if y is None:
-        y = DistributedVector.zeros(basis, dtype=dtype, columns=x.columns)
-    elif y.basis is not basis:
-        raise DistributionError("output vector belongs to a different basis")
-    elif y is x or any(map(np.may_share_memory, y.parts, x.parts)):
-        # y is zeroed before anything reads x.
-        raise DistributionError(
-            "output vector shares memory with the input vector: a matvec "
-            "cannot run in place"
-        )
-    elif y.columns != x.columns:
-        raise DistributionError(
-            f"output vector has {y.n_columns} column(s), input has "
-            f"{x.n_columns}"
-        )
-    elif not np.can_cast(dtype, y.dtype, casting="same_kind"):
-        raise DistributionError(
-            f"output vector of dtype {y.dtype} cannot hold the {dtype} result"
-        )
-    else:
-        y.fill(0)
-    return y
 
 
 #: Source rows per produced chunk (the ``getManyRows`` batch) when the
@@ -337,23 +309,20 @@ def count_messages(
     metrics.counter("matvec.bytes", src=src, dst=dst).inc(nbytes)
 
 
-def begin_matvec(
-    op: CompiledOperator, basis: DistributedBasis, x: DistributedVector,
-    y: DistributedVector | None, batch_size: int,
-):
-    """What every product does first: validate the knob and the vectors,
-    zero ``y``, open the report, resolve the ambient telemetry.
+def begin_matvec(basis: DistributedBasis, x: DistributedVector, batch_size: int):
+    """What every product does first: validate the knob and ``x``
+    (:func:`check_input`), open the report, resolve the ambient telemetry.
 
-    Returns ``(y, report, metrics, trace)``; ``trace`` is ``None`` unless
+    Returns ``(report, metrics, trace)``; ``trace`` is ``None`` unless
     tracing is on.
     """
     require_positive(batch_size=batch_size)
-    y = check_vectors(op, basis, x, y)
+    check_input(basis, x)
     report = SimReport(ledger=CostLedger(basis.n_locales))
     tele = current_telemetry()
     tele.metrics.gauge("matvec.block_width").set(float(x.n_columns))
     trace = tele.trace if tele.trace.enabled else None
-    return y, report, tele.metrics, trace
+    return report, tele.metrics, trace
 
 
 def finish_report(
@@ -374,8 +343,10 @@ def finish_report(
 
 
 class AnalyticMatvec:
-    """The frame a distributed product opens (:func:`begin_matvec`: ``y``,
-    ``report``, ``metrics``, ``trace``) and the in-order chunk walk.
+    """The frame a distributed product opens (:func:`begin_matvec`:
+    ``report``, ``metrics``, ``trace``; and a new zero ``y`` of ``H x``'s
+    :func:`~repro.operators.compile.result_dtype`) and the in-order chunk
+    walk.
 
     The naive and batched variants (models of the paper's first two
     schedules, ``sim`` only) and the pipeline on one locale move the real
@@ -387,9 +358,10 @@ class AnalyticMatvec:
     only.
     """
 
-    def __init__(self, op, basis, x, y, batch_size, plan):
-        self.y, self.report, self.metrics, self.trace = begin_matvec(
-            op, basis, x, y, batch_size
+    def __init__(self, op, basis, x, batch_size, plan):
+        self.report, self.metrics, self.trace = begin_matvec(basis, x, batch_size)
+        self.y = DistributedVector.zeros(
+            basis, dtype=result_dtype(op, basis, x.dtype), columns=x.columns
         )
         self.op, self.basis, self.x, self.plan = op, basis, x, plan
         self.batch_size = batch_size

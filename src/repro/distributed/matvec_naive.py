@@ -39,7 +39,6 @@ def matvec_naive(
     op: CompiledOperator,
     basis: DistributedBasis,
     x: DistributedVector,
-    y: DistributedVector | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     plan=None,
 ) -> tuple[DistributedVector, SimReport]:
@@ -50,10 +49,12 @@ def matvec_naive(
     ``sim`` only: a wall-clock cluster raises
     :class:`~repro.errors.ConfigError` before any work.  ``plan`` (a
     :class:`~repro.operators.plan.MatvecPlan`) caches each chunk's
-    x-independent data across calls.
+    x-independent data across calls; it serves one compiled operator,
+    basis and batch size, which this function does not check.  Returns a
+    new ``y``.
     """
     require_simulator("naive", basis.cluster)
-    run = AnalyticMatvec(op, basis, x, y, batch_size, plan)
+    run = AnalyticMatvec(op, basis, x, batch_size, plan)
     machine = basis.cluster.machine
     n = basis.n_locales
     k = x.n_columns

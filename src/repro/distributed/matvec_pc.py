@@ -400,7 +400,6 @@ def matvec_producer_consumer(
     op: CompiledOperator,
     basis: DistributedBasis,
     x: DistributedVector,
-    y: DistributedVector | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     consumer_fraction: float = DEFAULT_CONSUMER_FRACTION,
     buffer_capacity: int = SIM_BUFFER_CAPACITY,
@@ -416,7 +415,11 @@ def matvec_producer_consumer(
     values for the Python simulation — what matters for the timing model
     is the *ratio* and the per-core rates, both of which are preserved).
     On the real ``threads`` backend they are literal thread counts
-    (default one producer and one consumer thread per locale).
+    (default one producer and one consumer thread per locale).  ``plan``
+    (a :class:`~repro.operators.plan.MatvecPlan`) caches each chunk's
+    x-independent data across calls; it serves one compiled operator,
+    basis and batch size, which this function does not check.  Returns a
+    new ``y``.
     """
     require_positive(buffer_capacity=buffer_capacity)
     if (producers_per_locale, consumers_per_locale) != (None, None):
@@ -425,7 +428,7 @@ def matvec_producer_consumer(
             producers_per_locale=producers_per_locale,
             consumers_per_locale=consumers_per_locale,
         )
-    run = AnalyticMatvec(op, basis, x, y, batch_size, plan)
+    run = AnalyticMatvec(op, basis, x, batch_size, plan)
     if basis.n_locales == 1:
         return _shared_memory_matvec(run)
     return _Pipeline(

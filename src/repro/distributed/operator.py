@@ -18,7 +18,7 @@ from repro.distributed.matvec_batched import matvec_batched
 from repro.distributed.matvec_common import (
     DEFAULT_BATCH_SIZE,
     begin_matvec,
-    check_vectors,
+    check_input,
     chunk_spans,
     finish_report,
     require_simulator,
@@ -137,12 +137,11 @@ class DistributedOperator(BasisOperator):
     the consumer-side ``stateToIndex`` results — is recorded under
     ``(locale, start)`` on the first matvec, as are each locale's diagonal
     matrix elements under ``(locale, "diag")``, which is what makes
-    repeated Krylov iterations cheap.  Pass a ``MatvecPlan`` instance to
+    repeated Krylov iterations cheap.  Pass a fresh ``MatvecPlan`` to
     control the memory budget, or ``False`` to recompute everything each
-    call.  The plan belongs to operators with these primitive tables, this
-    basis object and this batch size (:meth:`MatvecPlan.claim`): another
-    such operator may share it, any other raises
-    :class:`~repro.errors.ConfigError`.
+    call.  The plan is this operator's alone: one that holds entries or
+    that another operator has attached raises
+    :class:`~repro.errors.ConfigError`.  Every product returns a new ``y``.
 
     Once the plan holds every element, a warm matvec is one SpMV per
     destination locale on both backends, ``y.parts[d] = M_d @
@@ -195,8 +194,8 @@ class DistributedOperator(BasisOperator):
     ) -> None:
         _check_options(method, basis.cluster, method_options)
         self.method = method
-        # One batch size: the one the plan is claimed for, chunked by, and
-        # passed to whichever method runs.
+        # One batch size: the one the plan is chunked by and passed to
+        # whichever method runs.
         self.method_options = {
             "batch_size": DEFAULT_BATCH_SIZE, **method_options
         }
@@ -218,20 +217,19 @@ class DistributedOperator(BasisOperator):
             f"locales={self.basis.n_locales})"
         )
 
-    def matvec(
-        self, x: DistributedVector, y: DistributedVector | None = None
-    ) -> DistributedVector:
-        """``y = H x``; the timing report lands in :attr:`last_report` and
-        accumulates into :attr:`total_sim_time`.  A product that fails
-        part-way raises the backend's typed error; the records it left
-        stay in the plan, and the next product completes them."""
+    def matvec(self, x: DistributedVector) -> DistributedVector:
+        """A new ``y = H x``; the timing report lands in :attr:`last_report`
+        and accumulates into :attr:`total_sim_time`.  An ``x`` of another
+        basis is a :class:`~repro.errors.DistributionError`.  A product
+        that fails part-way raises the backend's typed error; the records
+        it left stay in the plan, and the next product completes them."""
         replays = self.plan is not None
         if replays and not self.basis.cluster.wall_clock:
-            y, report = self._simulated(x, y)
+            y, report = self._simulated(x)
         elif replays and (matrices := self._consolidate()) is not None:
-            y, report = self._replay(matrices, x, y)
+            y, report = self._replay(matrices, x)
         else:
-            y, report = self._scheduled(x, y)
+            y, report = self._scheduled(x)
         self.last_report = report
         self.total_sim_time += report.elapsed
         return y
@@ -313,17 +311,13 @@ class DistributedOperator(BasisOperator):
         return [read(key) for key in folded]
 
     def _record_key(self, x: DistributedVector) -> tuple:
-        """What a simulated product depends on besides the plan: the
-        method with its options, and ``x``'s width.  Not its
+        """What a simulated product depends on besides the operator, whose
+        method and options are fixed for its life: ``x``'s width.  Not its
         dtype: the matrices are the operator's and the schedule is the
-        same, so a real and a complex operand share one record.  Operators
-        sharing a plan share the records of equal keys."""
-        options = tuple(sorted(self.method_options.items()))
-        return ("replay", self.method, options, x.n_columns)
+        same, so a real and a complex operand share one record."""
+        return ("replay", x.n_columns)
 
-    def _simulated(
-        self, x: DistributedVector, y: DistributedVector | None
-    ) -> tuple[DistributedVector, SimReport]:
+    def _simulated(self, x: DistributedVector) -> tuple[DistributedVector, SimReport]:
         """On ``sim``: replay the record of a product like this one over
         the matrices (:meth:`_replay`), or run the schedule and, if that
         left the plan complete, make one: :meth:`_consolidate`, then run
@@ -334,48 +328,46 @@ class DistributedOperator(BasisOperator):
         returned; else the operator keeps simulating."""
         plan, key = self.plan, self._record_key(x)
         if (record := plan.peek(key)) is not None:
-            return self._replay(self._consolidate(), x, y, record)
-        y, report = self._scheduled(x, y)
+            return self._replay(self._consolidate(), x, record)
+        y, report = self._scheduled(x)
         if (matrices := self._consolidate()) is not None:
             with use_telemetry(recording := Recording()):
-                z, simulated = self._scheduled(x, None)
+                z, simulated = self._scheduled(x)
             with use_telemetry(None):  # the check reports nothing
-                replayed, _ = self._replay(matrices, x, None)
+                replayed, _ = self._replay(matrices, x)
             if all(map(np.allclose, replayed.parts, z.parts)):
                 plan.put(key, (simulated, recording))
-                for part, spmv in zip(y.parts, replayed.parts):
-                    part[...] = spmv
+                y = replayed
         return y, report
 
     def _replay(
-        self, matrices, x: DistributedVector, y: DistributedVector | None,
-        record=None,
+        self, matrices, x: DistributedVector, record=None
     ) -> tuple[DistributedVector, SimReport]:
-        """``y.parts[d] = M_d @ concat(x.parts)``, one SpMV after the other
-        on the calling thread (handing one to a worker costs more than it
-        takes, ``docs/BACKENDS.md``).  Without a ``record`` nothing is
-        handed over, so the report counts no message and the trace gets
-        one span per locale.  With a ``sim`` record ``(report,
+        """A new ``y`` of parts ``M_d @ concat(x.parts)``, one SpMV after
+        the other on the calling thread (handing one to a worker costs
+        more than it takes, ``docs/BACKENDS.md``).  Without a ``record``
+        nothing is handed over, so the report counts no message and the
+        trace gets one span per locale.  With a ``sim`` record ``(report,
         recording)``, the recording's log is written to the ambient
         telemetry (skipped where that is disabled; the recorded
         ``plan.hits`` stand in for ``plan.get``) and the report is a copy
         of the recorded one."""
         wall_start = perf_counter()
         if record is None:
-            y, report, metrics, trace = begin_matvec(
-                self.compiled, self.basis, x, y, self.batch_size
-            )
+            report, metrics, trace = begin_matvec(self.basis, x, self.batch_size)
         else:
-            y, trace = check_vectors(self.compiled, self.basis, x, y), None
-        columns = np.concatenate(x.parts)
+            check_input(self.basis, x)
+            trace = None
+        columns, parts = np.concatenate(x.parts), []
         for d, matrix in enumerate(matrices):
             since = perf_counter()
-            y.parts[d][...] = matrix @ columns
+            parts.append(matrix @ columns)
             if trace is not None:
                 trace.complete(
                     (f"locale{d}", "worker0"), "matvec", since - wall_start,
                     perf_counter() - since,
                 )
+        y = DistributedVector(self.basis, parts)
         if record is not None:
             report, log = record
             log.replay(tele := current_telemetry())
@@ -390,13 +382,10 @@ class DistributedOperator(BasisOperator):
             trace.advance(report.elapsed)
         return finish_report(report, x, y, metrics, True)
 
-    def _scheduled(
-        self, x: DistributedVector, y: DistributedVector | None
-    ) -> tuple[DistributedVector, SimReport]:
+    def _scheduled(self, x: DistributedVector) -> tuple[DistributedVector, SimReport]:
         """Generate (or replay chunk by chunk) under ``method``'s schedule."""
         return IMPLS[self.method](
-            self.compiled, self.basis, x, y, plan=self.plan,
-            **self.method_options,
+            self.compiled, self.basis, x, plan=self.plan, **self.method_options
         )
 
     def __matmul__(self, x):

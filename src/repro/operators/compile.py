@@ -16,7 +16,6 @@ batch of basis states (``getManyRows``).
 
 from __future__ import annotations
 
-import hashlib
 from functools import cached_property
 
 import numpy as np
@@ -110,24 +109,6 @@ class CompiledOperator:
             f"CompiledOperator(n_sites={self.n_sites}, "
             f"diag={self.n_diag_primitives}, off={self.n_off_diag_primitives})"
         )
-
-    def feed(self, h) -> None:
-        """Feed ``n_sites`` and the seven primitive tables, byte for byte,
-        into the hash object ``h`` (any change to the expression, couplings
-        included, changes the digest)."""
-        h.update(f"n_sites={self.n_sites!r};".encode())
-        for name in (
-            "diag_masks", "diag_patterns", "diag_coeffs",
-            "off_masks", "off_patterns", "off_flips", "off_coeffs",
-        ):
-            h.update(name.encode() + b"=" + getattr(self, name).tobytes() + b";")
-
-    def digest(self) -> str:
-        """SHA-256 of what :meth:`feed` hashes: two compiled operators act
-        alike exactly when their digests agree."""
-        h = hashlib.sha256()
-        self.feed(h)
-        return h.hexdigest()
 
     # -- kernels ----------------------------------------------------------------
 

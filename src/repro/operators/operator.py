@@ -68,10 +68,11 @@ class BasisOperator:
     ``dtype`` is the operator's scalar type
     (:func:`~repro.operators.compile.result_dtype`), what every product
     promotes with its input's.  ``plan=True`` attaches a fresh
-    :class:`~repro.operators.plan.MatvecPlan`, an instance attaches that
-    one, ``False`` none (anything else is a
-    :class:`~repro.errors.ConfigError`); the operator claims it
-    (:meth:`MatvecPlan.claim`).
+    :class:`~repro.operators.plan.MatvecPlan`, a fresh instance attaches
+    that one (the way to set a budget), ``False`` none.  The operator is
+    its plan's one owner: a plan that holds entries or that another
+    operator has attached, or anything but a bool or a plan, is a
+    :class:`~repro.errors.ConfigError`.
     """
 
     def __init__(
@@ -98,9 +99,17 @@ class BasisOperator:
         self.dtype = result_dtype(self.compiled, sector)
         if not isinstance(plan, (bool, MatvecPlan)):
             raise ConfigError(f"plan must be True, False or a MatvecPlan, got {plan!r}")
+        if isinstance(plan, MatvecPlan) and (plan.attached or plan.n_entries):
+            held = "another operator has attached it" if plan.attached else (
+                f"it already holds {plan.n_entries} entries"
+            )
+            raise ConfigError(
+                f"this MatvecPlan cannot be attached: {held}; give each "
+                "operator its own plan (a capacity_bytes each, to split a budget)"
+            )
         self.plan: MatvecPlan | None = MatvecPlan() if plan is True else plan or None
         if self.plan is not None:
-            self.plan.claim(self.compiled.digest(), basis, self.batch_size)
+            self.plan.attached = True
 
     def invalidate_plan(self) -> None:
         """Drop all cached matvec data (keeps the plan enabled)."""
@@ -134,12 +143,11 @@ class Operator(BasisOperator):
         Cache the iteration-invariant ``(rows, sources, amplitudes)``
         triples produced for each batch and replay them on subsequent
         matvecs (see :class:`~repro.operators.plan.MatvecPlan`).  ``True``
-        builds a plan with the default memory budget; pass a
+        builds a plan with the default memory budget; pass a fresh
         :class:`MatvecPlan` to control the budget, or ``False`` to
-        recompute everything every call.  The plan belongs to operators
-        with these primitive tables, this basis object and this batch
-        size (:meth:`MatvecPlan.claim`): another such operator may share
-        it, any other raises :class:`~repro.errors.ConfigError`.  A replay
+        recompute everything every call.  The plan is this operator's
+        alone: one that holds entries or that another operator has
+        attached raises :class:`~repro.errors.ConfigError`.  A replay
         equals the recording pass bit for bit on real arithmetic, to 1e-14
         relative on complex.
     """

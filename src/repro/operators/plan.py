@@ -41,13 +41,13 @@ start)`` for a produced chunk and ``(locale, "diag")`` for a locale's
 diagonal matrix elements, and the distributed operator keeps what its
 warm products replay: ``(locale, "matrix")``, the matrix of everything
 that lands on ``locale`` (``DistributedOperator._consolidate``, on both
-backends), and on ``sim`` ``("replay", method, options, policy, width)``,
-the report and telemetry log of a simulated product
-(``DistributedOperator._simulated``), so one plan serves a whole
-distributed operator.  The keys do not say *whose*
-they are: an operator claims its plan when it attaches
-(:meth:`MatvecPlan.claim`), and only an operator with the same claim —
-the same primitive tables, basis object and batch size — may share it.
+backends), and on ``sim`` ``("replay", width)``, the report and telemetry
+log of a simulated product (``DistributedOperator._simulated``), so one
+plan serves a whole distributed operator.  The keys do not say whose
+they are, so a plan serves one operator: an operator attaches only a
+plan that is empty and that no other operator has attached
+(:attr:`MatvecPlan.attached`), and any other is a
+:class:`~repro.errors.ConfigError`.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from typing import Hashable
 import numpy as np
 import scipy.sparse as sp
 
-from repro.errors import ConfigError
 from repro.schema import Key, check
 from repro.telemetry.context import current as current_telemetry
 
@@ -185,6 +184,10 @@ class MatvecPlan:
         (:class:`~repro.errors.ConfigError` otherwise).  ``None`` uses
         :func:`repro.perfmodel.capacity.plan_cache_budget`.  An entry that
         does not fit beside the ones held is not cached (a miss each time).
+
+    An operator attaches a fresh plan and owns it from then on
+    (:attr:`attached`).  A plan handed to a bare matvec variant function
+    instead serves whatever calls it is handed to, unchecked.
     """
 
     def __init__(self, capacity_bytes: int | None = None) -> None:
@@ -196,7 +199,8 @@ class MatvecPlan:
         self._entries: dict[Hashable, object] = {}
         self._nbytes_by_key: dict[Hashable, int] = {}
         self._bytes = 0
-        self._claim: tuple | None = None
+        #: Set by the operator that attaches the plan (its only owner).
+        self.attached = False
         # One plan serves every chunk task of a matvec, and on the
         # ``threads`` execution backend those tasks run concurrently; the
         # admission bookkeeping and the hit/miss counts are read-modify-write
@@ -222,28 +226,6 @@ class MatvecPlan:
             f"MatvecPlan(entries={self.n_entries}, "
             f"bytes={self._bytes}/{self.capacity_bytes})"
         )
-
-    def claim(self, tables: str, basis, batch_size) -> None:
-        """Attach an operator: what the keys silently assume about it.
-
-        ``tables`` is the digest of its compiled primitive tables
-        (:meth:`~repro.operators.compile.CompiledOperator.digest`), ``basis``
-        its basis *object*, ``batch_size`` its chunking.  The first
-        operator to attach claims the plan; an operator with an equal
-        claim shares it (every entry means to it what it meant to the
-        first), any other raises :class:`~repro.errors.ConfigError` —
-        replaying a stranger's entries returns wrong amplitudes silently.
-        """
-        with self._lock:
-            held = self._claim = self._claim or (tables, basis, batch_size)
-        if held[0] != tables or held[1] is not basis or held[2] != batch_size:
-            describe = "tables {:.12}, basis {!r}, batch_size {!r}".format
-            raise ConfigError(
-                f"this MatvecPlan holds the entries of an operator with "
-                f"{describe(*held)} and cannot serve one with "
-                f"{describe(tables, basis, batch_size)}: give each its own "
-                f"plan (a capacity_bytes each, to split a budget)"
-            )
 
     # -- cache protocol ------------------------------------------------------
 

@@ -70,25 +70,20 @@ PLAN_CACHE_FRACTION = 1 / 16
 PLAN_CACHE_CEILING_BYTES = 512 * 2**20
 
 
-def plan_cache_budget(
-    node_memory: int = NODE_MEMORY_BYTES,
-    headroom: float = MEMORY_HEADROOM,
-    fraction: float = PLAN_CACHE_FRACTION,
-    ceiling: int = PLAN_CACHE_CEILING_BYTES,
-) -> int:
+def plan_cache_budget() -> int:
     """Byte budget of one :class:`~repro.operators.plan.MatvecPlan`, sized
-    as one node's share.  A ``DistributedOperator`` holds one plan for all
-    its locales, so in-process the whole cluster shares this budget."""
-    return min(int(node_memory * headroom * fraction), ceiling)
+    as one node's share (:data:`PLAN_CACHE_FRACTION` of the usable node
+    memory, at most :data:`PLAN_CACHE_CEILING_BYTES`).  A
+    ``DistributedOperator`` holds one plan for all its locales, so
+    in-process the whole cluster shares this budget."""
+    usable = NODE_MEMORY_BYTES * MEMORY_HEADROOM
+    return min(int(usable * PLAN_CACHE_FRACTION), PLAN_CACHE_CEILING_BYTES)
 
 
-def minimum_locales(
-    workload: ChainWorkload,
-    node_memory: int = NODE_MEMORY_BYTES,
-    headroom: float = MEMORY_HEADROOM,
-) -> int:
-    """Smallest node count whose memory holds the run (power of two)."""
-    budget = node_memory * headroom
+def minimum_locales(workload: ChainWorkload) -> int:
+    """Smallest node count whose usable memory holds the run (power of
+    two)."""
+    budget = NODE_MEMORY_BYTES * MEMORY_HEADROOM
     n = 1
     while bytes_per_locale(workload, n) > budget:
         n *= 2

@@ -135,12 +135,9 @@ class MatvecScalingModel:
             * self.block_width / m.cores_per_locale
         )
 
-    def speedup(self, n_locales: int, baseline_locales: int = 1,
-                work_stealing: bool = False) -> float:
-        """Speedup over the ``baseline_locales`` run (Fig. 8 normalization)."""
-        return self.pipeline_time(baseline_locales, work_stealing) / self.pipeline_time(
-            n_locales, work_stealing
-        )
+    def speedup(self, n_locales: int) -> float:
+        """Speedup over the one-locale run (Fig. 8 normalization)."""
+        return self.pipeline_time(1) / self.pipeline_time(n_locales)
 
 
 #: consumer-core fractions of the Sec. 6.3 ablation grid (8/16/24/32/48/64

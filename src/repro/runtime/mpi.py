@@ -71,38 +71,21 @@ class SimMPI:
         elapsed = rounds * net.latency + 2.0 * nbytes / net.peak_bandwidth
         return total, elapsed
 
-    def alltoallv(
-        self, send: list[list[np.ndarray]], charge: bool = True
-    ) -> tuple[list[list[np.ndarray]], float]:
-        """Exchange ``send[src][dst]`` buffers between all locales.
-
-        Returns ``(recv, elapsed)`` with ``recv[dst][src] = send[src][dst]``
-        (arrays are shared, not copied — the simulation charges the copy
-        cost instead of performing a redundant one).  With ``charge=False``
-        only the data moves and the elapsed time is 0 — used when a caller
-        packs several logical exchanges into one physical one and charges
-        the packed payload itself.
+    def alltoallv(self, send: list[list[np.ndarray]]) -> list[list[np.ndarray]]:
+        """Exchange ``send[src][dst]`` buffers between all locales: returns
+        ``recv`` with ``recv[dst][src] = send[src][dst]`` (arrays are
+        shared, not copied).  Only the data moves; :meth:`exchange_cost`
+        charges the exchange, so a caller that packs several logical
+        exchanges into one physical one charges the packed payload once.
         """
-        if not charge:
-            n = self.cluster.n_locales
-            return (
-                [[send[src][dst] for src in range(n)] for dst in range(n)],
-                0.0,
-            )
         n = self.cluster.n_locales
         if len(send) != n or any(len(row) != n for row in send):
             raise ValueError(f"send must be a {n}x{n} matrix of arrays")
-        recv = [[send[src][dst] for src in range(n)] for dst in range(n)]
-        nbytes = np.zeros((n, n))
-        for src in range(n):
-            for dst in range(n):
-                nbytes[src, dst] = float(send[src][dst].nbytes)
-        return recv, self.exchange_cost(nbytes)
+        return [[send[src][dst] for src in range(n)] for dst in range(n)]
 
     def exchange_cost(self, nbytes: np.ndarray) -> float:
         """Elapsed time of an alltoallv moving ``nbytes[src, dst]`` bytes
-        between each locale pair (used directly by callers that pack
-        several logical payloads into one exchange)."""
+        between each locale pair."""
         n = self.cluster.n_locales
         machine = self.cluster.machine
         net = machine.network

@@ -303,16 +303,6 @@ class TestDistributedBlock:
             DistributedBasis.index_local = original
         assert calls["n"] == 0
 
-    def test_mismatched_output_width_rejected(self, basis, expr, rng):
-        dbasis = make_distributed(3)
-        dop = DistributedOperator(expr, dbasis, method="batched")
-        dx = DistributedVector.from_serial(
-            dbasis, basis, random_block(basis, rng, 3)
-        )
-        y = DistributedVector.zeros(dbasis, columns=2)
-        with pytest.raises(DistributionError):
-            dop.matvec(dx, y)
-
 
 class TestDistributedVectorBlocks:
     def test_serial_roundtrip(self, basis, rng):

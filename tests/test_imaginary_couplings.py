@@ -22,7 +22,7 @@ from repro.distributed import (
     DistributedVector,
     enumerate_states,
 )
-from repro.errors import CompilationError, ConfigError, DistributionError
+from repro.errors import CompilationError, ConfigError
 from repro.linalg.lanczos import lanczos, lanczos_distributed
 from repro.operators.expression import (
     Expression,
@@ -208,18 +208,6 @@ class TestRealInputToAComplexOperator:
                 np.testing.assert_allclose(
                     y.to_serial(serial), oracle @ x, atol=1e-13
                 )
-
-    @pytest.mark.parametrize("method, backend, n_locales", PATHS)
-    def test_a_real_output_vector_is_refused(self, method, backend, n_locales):
-        serial, dbasis = distributed(backend, n_locales)
-        op = DistributedOperator(
-            current_chain(), dbasis, method=method, batch_size=8
-        )
-        dx = DistributedVector.full_random(dbasis, seed=2)
-        for _ in range(3):  # cold, then each kind of replay
-            with pytest.raises(DistributionError, match="cannot hold"):
-                op.matvec(dx, DistributedVector.zeros(dbasis, dtype=np.float64))
-            op.matvec(dx)
 
     @pytest.mark.parametrize("backend", ["sim", "threads"])
     def test_lanczos_distributed_finds_the_dense_ground_state(self, backend):

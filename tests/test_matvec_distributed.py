@@ -159,18 +159,6 @@ class TestProducerConsumerOptions:
         dop.matvec(x)
         assert dop.total_sim_time > t1
 
-    def test_output_vector_reuse(self, args, rng):
-        serial, serial_op, dbasis, expr = args
-        dop = DistributedOperator(expr, dbasis, batch_size=64)
-        x = DistributedVector.full_random(dbasis, seed=1)
-        y = DistributedVector.zeros(dbasis)
-        y.fill(999.0)  # stale data must be cleared
-        out = dop.matvec(x, y)
-        assert out is y
-        ref = dop.matvec(x)
-        for a, b in zip(out.parts, ref.parts):
-            assert np.allclose(a, b)
-
 
 class TestSplitCores:
     def test_paper_split(self):
@@ -329,27 +317,6 @@ class TestValidation:
         dop = DistributedOperator(expr, dbasis, method="pc", **knob)
         with pytest.raises(ConfigError, match="buffer_capacity|_per_locale"):
             dop.matvec(x)
-
-    @pytest.mark.parametrize("method", METHODS)
-    def test_output_that_cannot_hold_the_result_rejected(self, method):
-        from repro.errors import DistributionError
-
-        _, _, dbasis, expr = build(12, 6, None, 2)
-        dop = DistributedOperator(expr, dbasis, method=method)
-        x = DistributedVector.full_random(dbasis, seed=3, dtype=np.complex128)
-        y = DistributedVector.full_random(dbasis, seed=4)
-        before = [part.copy() for part in y.parts]
-        with pytest.raises(DistributionError, match="cannot hold"):
-            dop.matvec(x, y)
-        # ... and up front: y is not half-written.
-        for part, kept in zip(y.parts, before):
-            np.testing.assert_array_equal(part, kept)
-        # A wider output than the result needs is fine.
-        real = DistributedVector.full_random(dbasis, seed=3)
-        wide = DistributedVector.zeros(dbasis, dtype=np.complex128)
-        dop.matvec(real, wide)
-        for got, want in zip(wide.parts, dop.matvec(real).parts):
-            np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_vector_from_wrong_basis_rejected(self):
         from repro.errors import DistributionError

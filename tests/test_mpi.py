@@ -11,6 +11,11 @@ def cluster():
     return Cluster(4, laptop_machine(cores=4))
 
 
+def pair_bytes(send):
+    """``nbytes[src, dst]`` of a ``send[src][dst]`` matrix of arrays."""
+    return np.array([[part.nbytes for part in row] for row in send], float)
+
+
 class TestAlltoallv:
     def test_data_transposed(self, cluster, rng):
         mpi = SimMPI(cluster, ranks_per_locale=1)
@@ -19,24 +24,17 @@ class TestAlltoallv:
             [rng.standard_normal(rng.integers(0, 10)) for _ in range(n)]
             for _ in range(n)
         ]
-        recv, elapsed = mpi.alltoallv(send)
+        recv = mpi.alltoallv(send)
         for src in range(n):
             for dst in range(n):
                 assert np.array_equal(recv[dst][src], send[src][dst])
-        assert elapsed > 0
-
-    def test_charge_false_is_free(self, cluster):
-        mpi = SimMPI(cluster)
-        n = cluster.n_locales
-        send = [[np.zeros(5) for _ in range(n)] for _ in range(n)]
-        _, elapsed = mpi.alltoallv(send, charge=False)
-        assert elapsed == 0.0
+        assert mpi.exchange_cost(pair_bytes(send)) > 0
 
     def test_more_ranks_cost_more_latency(self, cluster):
         n = cluster.n_locales
-        send = [[np.zeros(2) for _ in range(n)] for _ in range(n)]
-        _, t_few = SimMPI(cluster, ranks_per_locale=1).alltoallv(send)
-        _, t_many = SimMPI(cluster, ranks_per_locale=64).alltoallv(send)
+        nbytes = pair_bytes([[np.zeros(2) for _ in range(n)] for _ in range(n)])
+        t_few = SimMPI(cluster, ranks_per_locale=1).exchange_cost(nbytes)
+        t_many = SimMPI(cluster, ranks_per_locale=64).exchange_cost(nbytes)
         assert t_many > 10 * t_few
 
     def test_shape_validation(self, cluster):

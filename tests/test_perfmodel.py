@@ -325,7 +325,7 @@ class TestWorkStealingCalibration:
             tele = telemetry.Telemetry.enabled(metrics=False)
             with telemetry.use(tele):
                 matvec_producer_consumer(
-                    comp, basis, x, None, plan=None,
+                    comp, basis, x, plan=None,
                     batch_size=64, work_stealing=True,
                 )
             paths[name] = tmp_path / f"{name}.json"

@@ -29,7 +29,7 @@ def test_recording_covers_the_grid():
     assert set(recorded) == set(sim_snapshot.NAMES)
 
 
-def test_tier1_subset_equals_the_recording():
+def test_grid_equals_the_recording():
     assert len(sim_snapshot.NAMES) == 60
     assert sim_snapshot.mismatches() == []
 

@@ -24,17 +24,18 @@ Three contracts:
    element times its destination norm, a product multiplies the norm in
    after ``x``).  On ``sim`` the first product folds the same matrices,
    simulates the schedule once more and keeps that product's record
-   (``(operator, columns)``), and every later one replays it over the
+   (``("replay", columns)``), and every later one replays it over the
    matrices: no schedule runs, the report is the simulated one to the
    last bit, ``y`` is the simulated one to 1e-14 and the wall-clock
    replay's bit for bit, and every block width shares the one matrix
    set.  Budgets too small for the matrices keep the per-chunk schedule
    on both backends, a pass that failed part-way leaves records the next
    product completes, and ``invalidate_plan()`` drops the record.
-5. **A plan belongs to one kind of operator.**  Attaching an operator with
-   other primitive tables, another basis object or another batch size
-   raises ``ConfigError``; an equal one shares.  And ``y`` may not alias
-   ``x``.
+5. **A plan belongs to one operator.**  Attaching a plan that another
+   operator has attached, or that a bare variant function filled, raises
+   ``ConfigError``, whatever the tables, basis and batch size.  Every
+   product returns a new ``y``; an ``x`` of another basis is a
+   ``DistributionError`` on every path, and no product writes to ``x``.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from repro.distributed import (
     DistributedOperator,
     DistributedVector,
     enumerate_states,
+    matvec_batched,
     matvec_producer_consumer,
 )
 from repro.distributed.matvec_common import (
@@ -68,7 +70,7 @@ from repro.distributed.matvec_common import (
 )
 from repro.distributed.matvec_pc import default_buffer_capacity
 from repro.errors import ConfigError, DistributionError
-from repro.operators.compile import CompiledOperator
+from repro.operators.compile import CompiledOperator, compile_expression
 from repro.operators.plan import MatvecPlan, _entry_nbytes
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
@@ -615,34 +617,28 @@ class TestOneSpmvPerLocale:
         assert gauge == dop.plan.nbytes == held
         assert dop._record_key(dx) in dop.plan
 
-    def test_sim_equal_operators_share_one_record(self, rng, monkeypatch):
-        """The record belongs to what the schedule depends on, not to the
-        operator that made it: an equal operator replays it, a ``(n, 1)``
-        block replays the plain vector's, and the plan keeps no operator
-        alive."""
+    def test_sim_column_block_shares_the_vectors_record(self, rng, monkeypatch):
+        """The record belongs to the width, not to the operand's shape: a
+        ``(n, 1)`` block replays the plain vector's record, and the plan
+        keeps no operator alive."""
         serial, dbasis, expr = build("sim", n_locales=2)
-        plan = MatvecPlan()
-        dop = DistributedOperator(expr, dbasis, batch_size=16, plan=plan)
+        dop = DistributedOperator(expr, dbasis, batch_size=16)
         dx = DistributedVector.from_serial(
             dbasis, serial, random_serial(rng, serial)
         )
         first = dop.matvec(dx)
-        gone = weakref.ref(dop)
-        del dop
-        gc.collect()
-        assert gone() is None
         scheduled = count_schedules(monkeypatch, "pc")
-        other = DistributedOperator(expr, dbasis, batch_size=16, plan=plan)
-        assert_parts_equal(other.matvec(dx), other.matvec(dx))
         block = DistributedVector(dbasis, [part[:, None] for part in dx.parts])
-        y = other.matvec(block)
-        assert not scheduled and other.last_report.messages > 0
-        replayed = other.matvec(dx)
+        y = dop.matvec(block)
+        assert not scheduled and dop.last_report.messages > 0
+        replayed = dop.matvec(dx)
         for column, part in zip(y.parts, replayed.parts):
             np.testing.assert_array_equal(column[:, 0], part)
-        np.testing.assert_allclose(
-            replayed.to_serial(serial), first.to_serial(serial), atol=1e-12
-        )
+        assert_parts_equal(replayed, first)
+        plan, key, gone = dop.plan, dop._record_key(dx), weakref.ref(dop)
+        del dop
+        gc.collect()
+        assert gone() is None and plan.attached and key in plan
 
     def test_sim_real_and_complex_operands_share_one_record(self, rng, monkeypatch):
         """A complex operand replays the record a real one of the same width
@@ -707,44 +703,37 @@ class TestOneSpmvPerLocale:
         added = dop.plan.nbytes - before
         assert added == _entry_nbytes(dop.plan.peek(records[1])) < smallest
 
-    def test_callers_output_is_overwritten_and_returned(self, rng):
-        serial, dbasis, expr = build("threads", n_locales=2)
-        dop = DistributedOperator(expr, dbasis, batch_size=16)
-        dx = DistributedVector.from_serial(
-            dbasis, serial, random_serial(rng, serial)
-        )
-        results = []
-        for _ in range(3):  # record, fold, replay
-            y = DistributedVector.full_random(dbasis, seed=9)
-            assert dop.matvec(dx, y) is y
-            results.append(y)
-        assert matrix_keys(dop.plan)
-        assert_parts_equal(results[1], results[2])
-        np.testing.assert_allclose(
-            results[2].to_serial(serial), results[0].to_serial(serial),
-            atol=1e-12,
-        )
 
-
-class TestOutputMayNotAliasInput:
+class TestInputBelongsToTheBasis:
     @pytest.mark.parametrize("method, backend", RUNS)
-    def test_in_place_matvec_is_refused(self, backend, method, rng):
-        # check_vectors zeroes y before anything reads x: y = x used to
-        # come back as the zero vector, with x destroyed.
+    def test_other_basis_refused(self, backend, method, rng):
+        """An ``x`` of another basis, equal but not the operator's, is a
+        ``DistributionError`` on the cold product, the wall-clock replay
+        and the ``sim`` record replay; and no product writes to ``x``."""
         serial, dbasis, expr = build(backend, n_locales=2)
+        _, other, _ = build(backend, n_locales=2)
         dop = DistributedOperator(expr, dbasis, method=method)
         x = random_serial(rng, serial)
         dx = DistributedVector.from_serial(dbasis, serial, x)
-        views = DistributedVector(dbasis, [part[:] for part in dx.parts])
-        for _ in range(3):  # while generating and while replaying
-            for y in (dx, views):
-                with pytest.raises(DistributionError, match="shares memory"):
-                    dop.matvec(dx, y)
-            np.testing.assert_array_equal(dx.to_serial(serial), x)
+        foreign = DistributedVector(other, [part.copy() for part in dx.parts])
+        for _ in range(3):  # cold, then each kind of replay
+            with pytest.raises(DistributionError, match="different basis"):
+                dop.matvec(foreign)
             dop.matvec(dx)
+            np.testing.assert_array_equal(dx.to_serial(serial), x)
+        replayed = dop._record_key(dx) if backend == "sim" else (0, "matrix")
+        assert replayed in dop.plan
+
+
+ATTACHED = "another operator has attached it"
 
 
 class TestPlanClaim:
+    """A plan is the one operator's that attached it: a second operator
+    on it raises ``ConfigError`` whatever its tables, basis and batch
+    size, and so does an operator on a plan a bare variant function
+    filled (nothing checks those entries)."""
+
     def test_other_tables_on_a_serial_plan(self, chain12_basis, rng):
         # 2H used to replay its own diagonal over H's off-diagonal batches.
         expr = repro.heisenberg_chain(12)
@@ -752,54 +741,72 @@ class TestPlanClaim:
         op = repro.Operator(expr, chain12_basis, plan=plan)
         x = rng.standard_normal(chain12_basis.dim)
         y = op.matvec(x)
-        with pytest.raises(ConfigError, match="tables .* tables"):
+        with pytest.raises(ConfigError, match=ATTACHED):
             repro.Operator(2.0 * expr, chain12_basis, plan=plan)
-        with pytest.raises(ConfigError, match="batch_size 7"):
+        with pytest.raises(ConfigError, match=ATTACHED):
             repro.Operator(expr, chain12_basis, plan=plan, batch_size=7)
         np.testing.assert_array_equal(op.matvec(x), y)
 
     def test_other_batch_size_on_a_distributed_plan(self, rng):
         # Chunks keyed (locale, 0), (locale, 8), ... of one operator used
-        # to serve as (locale, 0), (locale, 16), ... of the other.
+        # to serve as (locale, 0), (locale, 16), ... of the other.  A
+        # serial operator on the distributed one's plan was refused before.
         serial, dbasis, expr = build("sim", n_locales=2)
         plan = MatvecPlan()
         DistributedOperator(expr, dbasis, batch_size=8, plan=plan)
-        with pytest.raises(ConfigError, match="batch_size 8.*batch_size 16"):
-            DistributedOperator(expr, dbasis, batch_size=16, plan=plan)
         _, other_basis, _ = build("sim", n_locales=2)
-        with pytest.raises(ConfigError, match="basis"):
-            DistributedOperator(expr, other_basis, batch_size=8, plan=plan)
-        with pytest.raises(ConfigError, match="basis"):
+        for basis, batch_size in ((dbasis, 16), (other_basis, 8)):
+            with pytest.raises(ConfigError, match=ATTACHED):
+                DistributedOperator(expr, basis, batch_size=batch_size, plan=plan)
+        with pytest.raises(ConfigError, match=ATTACHED):
             repro.Operator(expr, serial, batch_size=8, plan=plan)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_equal_operators_share(self, backend, rng):
+    def test_an_equal_operator_is_refused(self, backend, rng):
+        """Equal tables, basis object and batch size used to share the plan."""
         serial, dbasis, expr = build(backend, n_locales=2)
-        plan = MatvecPlan()
-        first = DistributedOperator(expr, dbasis, method="pc", plan=plan)
-        second = DistributedOperator(
-            repro.heisenberg_chain(12), dbasis, plan=plan,
-            method="batched" if backend == "sim" else "pc",
+        plan, serial_plan = MatvecPlan(), MatvecPlan()
+        first = DistributedOperator(expr, dbasis, plan=plan)
+        repro.Operator(expr, serial, plan=serial_plan)
+        dx = DistributedVector.from_serial(
+            dbasis, serial, random_serial(rng, serial)
         )
-        x = random_serial(rng, serial)
-        dx = DistributedVector.from_serial(dbasis, serial, x)
-        expected = repro.Operator(expr, serial, plan=False).matvec(x)
-        first.matvec(dx)
-        entries = plan.n_entries
-        y = second.matvec(dx)  # warm from the first one's recording
-        np.testing.assert_allclose(y.to_serial(serial), expected, atol=1e-12)
-        assert plan.n_entries >= entries
+        for _ in range(2):  # empty, then holding the first one's entries
+            with pytest.raises(ConfigError, match=ATTACHED):
+                DistributedOperator(repro.heisenberg_chain(12), dbasis, plan=plan)
+            with pytest.raises(ConfigError, match=ATTACHED):
+                repro.Operator(expr, serial, plan=serial_plan)
+            first.matvec(dx)
 
-        shared = MatvecPlan()
-        ops = [repro.Operator(expr, serial, plan=shared) for _ in range(2)]
-        np.testing.assert_array_equal(ops[0].matvec(x), ops[1].matvec(x))
-        assert ("matrix",) in shared
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_plan_a_bare_function_filled_is_refused(self, backend, rng):
+        """Entries a bare variant function wrote were checked against no
+        one: an operator of 2H on the plan of H's product, or of batch 32
+        on a batch-16 product's, returned wrong amplitudes (off by 3.8 and
+        1.1) and raised nothing."""
+        serial, dbasis, expr = build(backend, n_locales=2)
+        compiled = compile_expression(expr, 12)
+        dx = DistributedVector.from_serial(
+            dbasis, serial, random_serial(rng, serial)
+        )
+        fill = matvec_batched if backend == "sim" else matvec_producer_consumer
+        for matvec, batch_size, expression, options in (
+            (matvec_producer_consumer, 8192, 2.0 * expr, {}),
+            (fill, 16, expr, {"batch_size": 32}),
+        ):
+            plan = MatvecPlan()
+            matvec(compiled, dbasis, dx, batch_size=batch_size, plan=plan)
+            held = f"it already holds {plan.n_entries} entries"
+            with pytest.raises(ConfigError, match=held):
+                DistributedOperator(expression, dbasis, plan=plan, **options)
+            assert not plan.attached
 
     def test_naive_runs_the_batch_it_claims(self, rng):
         # One locale of 9 252 states, more than the default batch of 8 192:
         # a naive pass chunked by another number recorded one 9 252-row
         # chunk under (0, 0), never consolidated, and a pc operator sharing
-        # the plan replayed it as its first 8 192 rows.
+        # the plan replayed it as its first 8 192 rows.  Each operator now
+        # runs on a plan of its own, and the naive one's refuses the pc one.
         serial, dbasis, expr = build(
             "sim", n=20, n_locales=1,
             sector=dict(momentum=0, parity=None, inversion=None),
@@ -808,12 +815,15 @@ class TestPlanClaim:
         x = random_serial(rng, serial)
         dx = DistributedVector.from_serial(dbasis, serial, x)
         expected = repro.Operator(expr, serial, plan=False).matvec(x)
-        plan = MatvecPlan()
+        naive = DistributedOperator(expr, dbasis, method="naive")
+        with pytest.raises(ConfigError, match=ATTACHED):
+            DistributedOperator(expr, dbasis, method="pc", plan=naive.plan)
         for method in ("naive", "pc"):
-            op = DistributedOperator(expr, dbasis, method=method, plan=plan)
+            op = naive if method == "naive" else DistributedOperator(expr, dbasis)
             np.testing.assert_allclose(
                 op.matvec(dx).to_serial(serial), expected, atol=1e-12
             )
+        assert (0, 8192) in naive.plan
 
     def test_restart_keeps_the_operators_plan(self, rng, monkeypatch):
         """A product whose consumer fails part-way raises the backend's
