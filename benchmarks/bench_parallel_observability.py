@@ -15,9 +15,10 @@ chain end to end:
   of the same generating pass (model vs measured, per phase);
 - **hard gate**: with tracing disabled the dormant instrumentation hooks
   cost at most 2% over the fully-instrumented run (a fresh operator's
-  first matvec each time, best-of-N, mirroring ``bench_smoke_pipeline``'s
-  overhead gate — the instrumented run does strictly more work, so
-  "disabled" may never come out slower beyond timer noise).
+  first matvec each time, best-of-N with the two kinds interleaved,
+  mirroring ``bench_smoke_pipeline``'s overhead gate — the instrumented
+  run does strictly more work, so "disabled" may never come out slower
+  beyond timer noise).
 
 The produced artifacts land in ``benchmarks/results/`` so CI can replay
 the ``repro-inspect`` subcommands against them:
@@ -173,7 +174,8 @@ def test_disabled_tracing_overhead_within_two_percent():
     operator each time; the instrumented run records spans and metrics, so
     it does strictly more work than the disabled run — any systematic
     slowdown of the disabled path would mean the dormant hooks themselves
-    regressed.
+    regressed.  The two kinds of run are interleaved, best of ``REPEATS``
+    each.
     """
     fresh_operator, dx = _distributed_setup("threads")
     fresh_operator().matvec(dx)  # first-call costs (imports, caches)
@@ -192,8 +194,13 @@ def test_disabled_tracing_overhead_within_two_percent():
             dop.matvec(dx)
             return time.perf_counter() - start
 
-    t_off = min(timed_off() for _ in range(REPEATS))
-    t_on = min(timed_on() for _ in range(REPEATS))
+    # One run of each per repeat, the order alternating, so that the host's
+    # drift over the test weighs on both sides alike.
+    times = {timed_off: [], timed_on: []}
+    for repeat in range(REPEATS):
+        for timed in (timed_off, timed_on)[:: -1 if repeat % 2 else 1]:
+            times[timed].append(timed())
+    t_off, t_on = min(times[timed_off]), min(times[timed_on])
     assert t_off <= 1.02 * t_on, (
         f"tracing-disabled threads matvec took {t_off:.6f}s vs {t_on:.6f}s "
         f"instrumented — dormant profiling hooks cost more than 2%"

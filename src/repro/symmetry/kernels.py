@@ -11,8 +11,8 @@ allocating fresh temporaries; this module replaces it with a
 batch-compiled loop that
 
 - applies each *distinct permutation* exactly once and derives its
-  spin-flipped companion elements with a single in-place XOR (lattice
-  groups with spin inversion halve their permutation work this way);
+  spin-flipped companion elements from the same word (lattice groups with
+  spin inversion halve their permutation work this way);
 - factors every permutation as ``p = rotate_k ∘ q`` with ``k = p(0)`` and
   ``q(0) = 0``, groups the permutations by their *base* ``q`` at kernel
   build time, runs each non-identity base once per call through its
@@ -20,30 +20,37 @@ batch-compiled loop that
   member of the base by a rotation of that batch — a dihedral chain has
   one such base (the reflection that fixes site 0), an ``nx × ny`` torus
   ``nx - 1`` (the x-shifts);
-- keeps the running representative *and* the element that first reached
-  it in one packed word, ``key = state << idx_bits | tag`` (the tag is the
-  element's index in the character table, ascending in visit order), so an
-  element is folded in with one ``np.minimum`` — no compare, no masked
-  copies — and the phase is one table ``take`` of the tags at the end: the
-  loop never touches a float/complex phase array, and a real-characters
-  sector never materializes complex phases at all;
-- rotates in key space: where ``2 n_sites + idx_bits <= 64`` (every
-  lattice up to 28 sites) out of the base's doubled word ``d = (b | b <<
-  n) << idx_bits`` as ``(d >> (n - k)) & field``, two passes; wider
-  lattices with two shifts, an or and an and; a lattice whose states leave
-  no room for a tag (``n_sites + idx_bits > 64``, 57 sites and up) keeps
-  the compare-and-copy loop, the one remaining branch, chosen at kernel
-  build.  Per permutation with a flip companion that is 8 passes over
-  words and 2 ``count_nonzero`` over bools;
+- works on top-aligned words: a base's state at the top of the word,
+  doubled below itself where ``2 n_sites <= 64`` (``b << (64 - n) | b <<
+  (64 - 2n)``, one multiply), so that the member rotated by ``k`` is
+  ``word << k``, one pass.  What the shift brings in below the top ``n``
+  bits is less significant than every site, so it never changes which
+  state is smallest.  Wider lattices rotate with two shifts and an or;
+- folds an element whose conjugate character has the bytes of the
+  identity's ``1+0j`` in untagged, since its phase reads the same as the
+  input's own: a non-flip into a running ``np.minimum``, a flip into a
+  running ``np.maximum`` (the flipped minimum is the complement of that
+  maximum), one pass each.  Every other element is cut to its state
+  (``& top``, then ``^ top`` if it flips) with its index in the character
+  table in the low bits, ascending in visit order, so one ``np.minimum``
+  keeps the first element that reached the minimum and the phase is one
+  table ``take`` of the tags at the end.  A lattice whose states leave no
+  room for a tag (``n_sites + idx_bits > 64``, 57 sites and up) keeps that
+  index in a second array under a ``less`` mask instead.  A survivor that
+  an untagged and a tagged element both reach goes through the loop again
+  with every element tagged, which keeps the first in visit order;
 - leaves the stabilizer sums out where the caller stores its
   representatives' norms (:meth:`GroupKernel.orbit_info`, the projection
   of every product, serial and distributed): the same loop then tests a
-  fixed point only on
-  elements whose character is not 1, 6 passes per permutation with a flip
-  in a sector whose characters are all 1;
-- reuses one set of scratch buffers per thread across calls — the
-  steady-state loop performs zero allocations beyond the result arrays,
-  and concurrent callers (the ``threads`` backend's producers share one
+  fixed point only on elements whose character is not 1, which leaves 3
+  passes (shift, minimum, maximum) per permutation with a flip in a sector
+  whose characters are all 1, against 6 and 2 ``count_nonzero`` with the
+  sums;
+- walks a batch in strips of ``_STRIP`` states and reuses one set of
+  scratch buffers per thread across calls, so the work arrays stay in
+  cache, the steady-state loop allocates nothing beyond the result arrays
+  (and, where an element is tagged, one strip's survivor mask), and
+  concurrent callers (the ``threads`` backend's producers share one
   kernel) never see each other's work arrays.
 
 Results match the reference element-for-element: representatives exactly,
@@ -79,6 +86,11 @@ STAB_TOL = 1e-6
 _CUT_SHARE = 4
 _CUT_MIN_BATCH = 256
 
+#: :meth:`GroupKernel.state_info` and :meth:`GroupKernel.orbit_info` walk a
+#: batch in strips of this many states, so that their work arrays stay in
+#: cache.
+_STRIP = 1 << 15
+
 
 class GroupKernel:
     """Batch-compiled group action for one symmetry group.
@@ -99,22 +111,22 @@ class GroupKernel:
     ) -> None:
         self.n_sites = n_sites
         self.size = len(permutations)
-        self.is_real = bool(
-            np.all(np.abs(np.imag(characters)) < _REAL_TOL)
-        )
+        self.is_real = bool(np.all(np.abs(np.imag(characters)) < _REAL_TOL))
         self._flip_mask = bit_mask(n_sites)
-        # The packed loop works on ``key = state << idx_bits | tag``: the
-        # tag is the element's ``phase_chars`` index (at most |G|), the
-        # field the state's bits in key space.  A lattice too wide for its
-        # keys (``packed`` false) keeps the compare-and-copy loop.
+        # The orbit loop works on top-aligned words: a state's bits at the
+        # top (``top``), doubled below themselves where that fits, so that a
+        # rotation is one left shift.  A tagged element's word is its state
+        # with its ``phase_chars`` index in the low bits; a lattice too wide
+        # for that (``packed`` false) keeps the index in a second array.
         idx_bits = self.size.bit_length()
         self._packed = n_sites + idx_bits <= 64
-        self._doubled = 2 * n_sites + idx_bits <= 64
-        self._idx_bits = np.uint64(idx_bits)
+        self._doubled = 2 * n_sites <= 64
+        self._lift = np.uint64(64 - n_sites)
+        self._top = np.uint64(int(self._flip_mask) << (64 - n_sites))
+        self._spread = np.uint64(
+            (1 << (64 - n_sites)) + (1 << (64 - 2 * n_sites) if self._doubled else 0)
+        )
         self._tag_mask = np.uint64((1 << idx_bits) - 1)
-        self._field = self._flip_mask << self._idx_bits  # where packed
-        self._n_sites = np.uint64(n_sites)
-        self._has_flips = bool(np.any(flips))
         # Factor each permutation as ``rotate_k ∘ base`` (``k = p(0)``,
         # ``base(0) = 0``) and group the elements by base, then by ``k``
         # (which coalesces equal permutations, flip companions included).
@@ -124,9 +136,8 @@ class GroupKernel:
         for perm, flip, char in zip(permutations, flips, characters):
             k = int(perm.sites[0])
             base = (perm.sites - k) % n_sites
-            cosets.setdefault(base.tobytes(), {}).setdefault(k, []).append(
-                (bool(flip), np.conj(complex(char)))
-            )
+            variant = (bool(flip), np.conj(complex(char)))
+            cosets.setdefault(base.tobytes(), {}).setdefault(k, []).append(variant)
 
         # Variant index 0 is reserved for "never improved" — the identity
         # element's unit character — so the phase lookup table has one
@@ -134,23 +145,26 @@ class GroupKernel:
         phase_chars: list[complex] = [1.0 + 0.0j]
         # (applier or None for the identity base, members); a member is
         # (rotation shift pair or None, its flip variants); a variant is
-        # (flip, conjugate character, mark, unit) with ``mark`` what one
-        # XOR puts on a rotated key: the tag, and for a flip the whole field
-        # too (the bare tag where keys are not packed); ``unit`` whether
-        # the character is 1.
+        # (flip, conjugate character, tag, mark, unit, plain) with ``mark``
+        # what one XOR puts on a cut word: the tag (none where it has no
+        # room), and for a flip ``top`` too; ``unit`` whether the character
+        # is 1 and ``plain`` whether its phase has the bytes of the
+        # identity's ``1+0j`` (a ``1-0j`` has not), so that the element
+        # needs no tag.
         self._bases: list[tuple[object, list]] = []
         # What one call does (telemetry: ``kernel.state_info_strategy
         # {strategy=...}`` adds ``strategy_counts`` per call): ``network``
         # compiled base applications, ``rotation`` permutations derived by
         # rotating a base batch, ``identity`` the input read as it is.
         strategies: list[str] = []
+        # Whether an element other than the identity is tagged: without
+        # one, a call's loop keeps no tags.
+        self._tagged = False
         identity = np.arange(n_sites).tobytes()
         for base, rotations in cosets.items():
             applier = None
             if base != identity:
-                applier = compile_permutation(
-                    np.frombuffer(base, dtype=np.int64)
-                )
+                applier = compile_permutation(np.frombuffer(base, dtype=np.int64))
                 strategies.append("network")
             members = []
             for k, variants in rotations.items():
@@ -158,17 +172,18 @@ class GroupKernel:
                     strategies.append("rotation")
                 elif applier is None:
                     strategies.append("identity")
-                tagged = []
+                marked = []
                 for flip, chi_conj in variants:
                     phase_chars.append(chi_conj)
                     chi = chi_conj.real if self.is_real else chi_conj
-                    mark = np.uint64(len(phase_chars) - 1)
-                    if flip and self._packed:
-                        mark |= self._field
+                    tag = np.uint64(len(phase_chars) - 1)
+                    mark = (tag if self._packed else 0) | (self._top if flip else 0)
                     unit = abs(chi_conj - 1) < _REAL_TOL
-                    tagged.append((flip, chi, mark, unit))
+                    plain = bool(chi == 1 and not np.signbit(np.imag(chi)))
+                    marked.append((flip, chi, tag, mark, unit, plain))
+                    self._tagged |= not plain and (applier is not None or k > 0 or flip)
                 shifts = (np.uint64(k), np.uint64(n_sites - k)) if k else None
-                members.append((shifts, tagged))
+                members.append((shifts, marked))
             self._bases.append((applier, members))
         self.strategy_counts: dict[str, int] = dict(Counter(strategies))
         table = np.asarray(phase_chars, dtype=np.complex128)
@@ -183,10 +198,11 @@ class GroupKernel:
         """This thread's work arrays of those names, cut to ``m`` states:
         ``less`` and ``fixed`` are ``bool``, every other one ``uint64``.
         Each is allocated when first asked for (``state_info`` and
-        ``representatives`` share the three permutation buffers and differ
-        in the rest) and regrown when a batch exceeds it: a matvec's
-        batches differ in length, the longest sizes the arrays once and
-        every call then works in the same, cache-resident, memory."""
+        ``representatives`` share the permutation buffers and differ in
+        the rest) and regrown when a batch exceeds it: ``representatives``
+        takes its batch whole, the orbit loop a strip of at most
+        ``_STRIP`` states, and every call then works in the same,
+        cache-resident, memory."""
         arrays = vars(self._local)
         views = []
         for name in names:
@@ -198,20 +214,6 @@ class GroupKernel:
         return views
 
     # -- the kernels --------------------------------------------------------
-
-    def _rotated(self, base, shifts, y, net, mask) -> np.ndarray:
-        """One member's batch: ``base`` rotated left by the member's
-        amount within the bits of ``mask`` (the lattice's, or the field
-        for keys), into ``y``; ``base`` itself at zero.  ``net`` is
-        scratch, free again on return (the flipped companion goes there)."""
-        if shifts is None:
-            return base
-        kk, nk = shifts
-        np.left_shift(base, kk, out=y)
-        np.right_shift(base, nk, out=net)
-        np.bitwise_or(y, net, out=y)
-        np.bitwise_and(y, mask, out=y)
-        return y
 
     def _observe(self, n_states: int) -> None:
         metrics = current_telemetry().metrics
@@ -242,123 +244,131 @@ class GroupKernel:
         than 1.  So the elements whose character is 1, bar the identity,
         are not tested for a fixed point: ``stab`` then ends at 1 on a
         state that survives and at ``1 - |Stab ∩ ker χ| <= 0`` on one that
-        vanishes.  On a sector whose characters are all 1 that leaves 6
-        passes per permutation with a flip instead of 10.
+        vanishes.  On a sector whose characters are all 1 that leaves 3
+        passes per permutation with a flip, a shift, a ``minimum`` and a
+        ``maximum``, instead of 6 and two ``count_nonzero``.
         """
         rep, phase, stab = self._run(states, units=False)
         return rep, phase, stab > STAB_TOL
 
     def _run(self, states, units: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rep, phase, stab)`` of a batch, in its shape; ``units`` says
-        whether the elements whose character is 1 count towards ``stab``."""
+        whether the elements whose character is 1 count towards ``stab``.
+        The orbit loop takes the batch a strip at a time."""
         states = as_states(states)
         s = states.ravel()
         stab = np.zeros(s.size, dtype=np.float64 if self.is_real else np.complex128)
-        loop = self._packed_loop if self._packed else self._compare_and_copy
-        rep, phase_idx = loop(s, stab, units)
-        phase = self._phase_table.take(phase_idx)
+        rep = np.empty(s.size, dtype=np.uint64)
+        phase = np.empty(s.size, dtype=self._phase_table.dtype)
+        for start in range(0, s.size, _STRIP):
+            strip = slice(start, start + _STRIP)
+            (idx,) = self._buffers(min(_STRIP, s.size - start), "idx")
+            self._packed_loop(s[strip], stab[strip], units, rep[strip], idx)
+            # A tag reads the same through either 64-bit type: no cast pass.
+            self._phase_table.take(idx.view(np.int64), out=phase[strip])
         self._observe(s.size)
         shape = states.shape
         return rep.reshape(shape), phase.reshape(shape), stab.real.reshape(shape)
 
-    def _packed_loop(self, s, stab, units) -> tuple[np.ndarray, np.ndarray]:
-        """``(rep, phase_idx)`` of the flat batch ``s`` and its stabilizer
-        sums added to ``stab`` (without ``units``, the characters of the
-        elements other than 1 and the identity's), on packed keys.
+    def _packed_loop(self, s, stab, units, rep, phase_idx, tag_all=False) -> None:
+        """Write the representatives of the strip ``s`` to ``rep`` and the
+        ``phase_chars`` indices of their phases to ``phase_idx``, and add
+        the stabilizer sums to ``stab`` (without ``units``, the characters
+        of the elements other than 1 and the identity's).  ``tag_all``
+        tags every element and leaves ``stab`` (None) out.
 
-        The running minimum and the first element that reached it are one
-        word, ``state << idx_bits | tag``: tags ascend in visit order and
-        the input itself carries tag 0, so ``np.minimum`` breaks a tie the
-        way a strict ``<`` against the running representative does.  A
-        rotated key has zero tag bits, which makes either variant one XOR
-        with its mark and lets the fixed-point test compare it with the
-        shifted input (or its flipped copy) as it is.  Per variant: xor,
-        minimum, equal and a counted guard; per permutation two passes of
-        rotation, ``(d >> (n - k)) & field``, out of the base's doubled
-        word ``d = (b | b << n) << idx_bits`` where that fits 64 bits, four
-        in key space where it does not.
+        Each member is one word per state, its state at the top, and each
+        element folds into one of three running words: untagged, a
+        non-flip into ``lo`` (``minimum``) and a flip into ``hi``
+        (``maximum``, complemented at the end); tagged, cut to its state
+        with its tag in the low bits, into ``keys`` (``minimum``: tags
+        ascend in visit order and the input itself is index 0, so a tie
+        goes the way a strict ``<`` against the running representative
+        does).  Where the tag has no room, ``keys`` holds the cut state
+        and ``tidx`` the index, both copied under a ``less`` mask.  The
+        fixed-point test compares the cut word with the input's (or its
+        flipped copy) at the top.  Per permutation: one shift where the
+        word is doubled, two shifts and an or where it is not, plus the
+        cut where an element is tagged or tested.  Per variant: one
+        ``minimum`` or ``maximum``, an XOR before it where tagged, and an
+        ``equal`` with a counted guard where tested.
         """
-        m, n, bits, field = s.size, self._n_sites, self._idx_bits, self._field
-        doubled = self._doubled
-        y, net, base_out, shifted, fixed = self._buffers(
-            m, "y", "net", "base", "shifted", "fixed"
-        )
-        np.left_shift(s, bits, out=shifted)
-        if self._has_flips:
-            (flipped,) = self._buffers(m, "flipped")
-            np.bitwise_xor(shifted, field, out=flipped)
-        best = shifted.copy()
+        m, lift, top = s.size, self._lift, self._top
+        names = ("base", "y", "net", "lo", "hi", "keys", "fixed")
+        base_out, y, net, lo, hi, keys, fixed = self._buffers(m, *names)
+        np.multiply(s, self._spread, out=lo)
+        hi.fill(0)
+        keys.fill(~np.uint64(0))
+        if not self._packed:
+            tidx, less = self._buffers(m, "tidx", "less")
+            tidx.fill(0)
+        s_top = None
 
         for applier, members in self._bases:
-            # The base in key space; doubled, ``base | base << n``.
-            if applier is None:
-                base = shifted
-            else:
+            b = s
+            if applier is not None:
                 b = applier.apply(s, out=base_out, scratch=y, scratch2=net)
-                base = np.left_shift(b, bits, out=y if doubled else base_out)
-            if doubled:
-                np.left_shift(base, n, out=base_out)
-                base = np.bitwise_or(base_out, base, out=base_out)
+            base = np.multiply(b, self._spread, out=base_out)
             for shifts, variants in members:
-                if applier is None and shifts is None:
-                    z0 = shifted
-                elif doubled:
-                    np.right_shift(base, shifts[1] if shifts else n, out=y)
-                    z0 = np.bitwise_and(y, field, out=y)
-                else:
-                    z0 = self._rotated(base, shifts, y, net, field)
-                for flip, chi_conj, mark, unit in variants:
-                    if z0 is shifted and not flip:
+                z = base if shifts is None else np.left_shift(base, shifts[0], out=y)
+                if shifts is not None and not self._doubled:
+                    np.bitwise_or(z, np.right_shift(base, shifts[1], out=net), out=z)
+                cut = None
+                for flip, chi, tag, mark, unit, plain in variants:
+                    if applier is None and shifts is None and not flip:
                         # g(s) == s for every state: pure stabilizer credit.
-                        np.add(stab, chi_conj, out=stab)
+                        if stab is not None:
+                            np.add(stab, chi, out=stab)
                         continue
-                    np.bitwise_xor(z0, mark, out=net)
-                    np.minimum(best, net, out=best)
-                    if unit and not units:
+                    untagged = plain and not tag_all
+                    tested = stab is not None and (units or not unit)
+                    if cut is None and (tested or not untagged):
+                        cut = np.bitwise_and(z, top, out=y)
+                    if untagged and flip:
+                        np.maximum(hi, z, out=hi)
+                    elif untagged:
+                        np.minimum(lo, z, out=lo)
+                    elif self._packed:
+                        np.minimum(keys, np.bitwise_xor(cut, mark, out=net), out=keys)
+                    else:
+                        np.less(np.bitwise_xor(cut, mark, out=net), keys, out=less)
+                        if np.count_nonzero(less):
+                            np.copyto(keys, net, where=less)
+                            np.copyto(tidx, tag, where=less)
+                    if not tested:
                         continue
-                    np.equal(z0, flipped if flip else shifted, out=fixed)
+                    if s_top is None:
+                        s_top, f_top = self._buffers(m, "s_top", "f_top")
+                        np.left_shift(s, lift, out=s_top)
+                        np.bitwise_xor(s_top, top, out=f_top)
+                    np.equal(cut, f_top if flip else s_top, out=fixed)
                     # Non-trivial stabilizer elements are rare (most states
                     # sit in full-size orbits), so a counted guard plus a
                     # masked add on the few hits beats a full-width
                     # multiply-accumulate.
                     if np.count_nonzero(fixed):
-                        stab[fixed] += chi_conj
+                        stab[fixed] += chi
 
-        # A tag reads the same through either 64-bit type: no cast pass.
-        phase_idx = np.bitwise_and(best, self._tag_mask, out=y).view(np.int64)
-        return np.right_shift(best, bits, out=best), phase_idx
-
-    def _compare_and_copy(self, s, stab, units) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_packed_loop` for lattices whose states leave no room for
-        a tag (``n_sites + idx_bits > 64``): representative and element
-        index in two arrays, updated under a mask where an element
-        improves."""
-        rep, mask = s.copy(), self._flip_mask
-        phase_idx = np.zeros(s.size, dtype=np.uint16)
-        y, net, base_out, less, fixed = self._buffers(
-            s.size, "y", "net", "base", "less", "fixed"
-        )
-        for applier, members in self._bases:
-            base = s
-            if applier is not None:
-                base = applier.apply(s, out=base_out, scratch=y, scratch2=net)
-            for shifts, variants in members:
-                z0 = self._rotated(base, shifts, y, net, mask)
-                for flip, chi_conj, tag, unit in variants:
-                    if z0 is s and not flip:
-                        np.add(stab, chi_conj, out=stab)
-                        continue
-                    z = np.bitwise_xor(z0, mask, out=net) if flip else z0
-                    np.less(z, rep, out=less)
-                    if np.count_nonzero(less):
-                        np.copyto(rep, z, where=less)
-                        np.copyto(phase_idx, tag, where=less)
-                    if unit and not units:
-                        continue
-                    np.equal(z, s, out=fixed)
-                    if np.count_nonzero(fixed):
-                        stab[fixed] += chi_conj
-        return rep, phase_idx
+        np.minimum(lo, np.invert(hi, out=hi), out=lo)
+        if not (tag_all or self._tagged):
+            np.right_shift(lo, lift, out=rep)
+            phase_idx.fill(0)
+            return
+        state = np.bitwise_and(keys, top, out=net) if self._packed else keys
+        tags = np.bitwise_and(keys, self._tag_mask, out=keys) if self._packed else tidx
+        np.bitwise_and(lo, top, out=lo)
+        np.multiply(tags, np.less(state, lo, out=fixed), out=phase_idx)
+        np.equal(state, lo, out=fixed)
+        np.right_shift(np.minimum(lo, state, out=lo), lift, out=rep)
+        if stab is None:
+            return
+        # A survivor that an untagged and a tagged element both reach: only
+        # the loop with every element tagged knows which came first.
+        ties = np.flatnonzero(fixed & (stab.real > STAB_TOL))
+        if ties.size:
+            again = np.empty(ties.size, dtype=np.uint64)
+            self._packed_loop(s[ties], None, units, again.copy(), again, True)
+            phase_idx[ties] = again
 
     def representatives(self, states) -> tuple[np.ndarray, np.ndarray]:
         """The surviving orbit representatives of a batch.
@@ -382,6 +392,8 @@ class GroupKernel:
         np.greater(s, self._flip_mask, out=dead)
 
         for applier, members in self._bases:
+            if not m:  # every candidate has died
+                break
             # ``None`` stands for ``alive`` itself, which cuts replace.
             base = (
                 None
@@ -389,10 +401,13 @@ class GroupKernel:
                 else applier.apply(alive, out=base_out, scratch=y, scratch2=net)
             )
             for shifts, variants in members:
-                z0 = self._rotated(
-                    alive if base is None else base, shifts, y, net,
-                    self._flip_mask,
-                )
+                if not m:
+                    break
+                z0 = alive if base is None else base
+                if shifts is not None:  # rotated within the lattice's bits
+                    np.left_shift(z0, shifts[0], out=y)
+                    np.bitwise_or(y, np.right_shift(z0, shifts[1], out=net), out=y)
+                    z0 = np.bitwise_and(y, self._flip_mask, out=y)
                 for flip, chi_conj, *_ in variants:
                     if z0 is alive and not flip:
                         np.add(stab, chi_conj, out=stab)

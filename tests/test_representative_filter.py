@@ -174,6 +174,30 @@ class TestAgainstFullGroupLoop:
         np.testing.assert_array_equal(positions, expected)
         np.testing.assert_array_equal(stab, expected_stab)
 
+    @pytest.mark.parametrize("torus", [False, True], ids=["chain", "torus"])
+    def test_batch_that_dies_early(self, torus):
+        """600 states that are not their orbit's minimum die within the
+        first few elements and end the loop there, alone and with three
+        representatives among them: the same ``(positions, stab)`` as one
+        state per call."""
+        group = square_group(4, 4) if torus else chain_symmetries(20, 0, 0, 0)
+        candidates = np.random.default_rng(5).integers(
+            0, 2**group.n_sites, size=20_000, dtype=np.uint64
+        )
+        rep, _, stab = group.state_info(candidates)
+        dying = candidates[rep != candidates][:600]
+        kept = candidates[(rep == candidates) & (stab > STAB_TOL)][:3]
+        mixed = np.insert(dying, [0, 300, 600], kept)
+        for batch in (dying, mixed):
+            positions, sums = group.representatives(batch)
+            singles = [group.representatives(state[None]) for state in batch]
+            alone = [i for i, (at, _) in enumerate(singles) if at.size]
+            np.testing.assert_array_equal(positions, alone)
+            np.testing.assert_array_equal(
+                sums, np.concatenate([np.zeros(0)] + [s for _, s in singles])
+            )
+        assert positions.tolist() == [0, 301, 602]
+
 
 def square_group(nx: int, ny: int) -> SymmetryGroup:
     return SymmetryGroup.from_generators(

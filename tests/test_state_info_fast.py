@@ -279,9 +279,8 @@ class TestStrategyClassification:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # rep + stab + phase (8 B each), the uint16 element index and its
-        # cast inside the closing ``take``: 34 B per state.  Another set of
-        # work arrays would add 26 B per state.
+        # rep + stab + phase, 8 B each: 24 B per state.  Another set of
+        # work arrays would add more than 40 B per state.
         assert peak < 40 * states.size
 
 
@@ -377,12 +376,12 @@ class TestPackedKeys:
 
     @pytest.mark.parametrize(
         "n_sites, doubled, packed",
-        [(28, True, True), (30, False, True), (60, False, False)],
+        [(28, True, True), (33, False, True), (60, False, False)],
         ids=["doubled word", "two shifts in key space", "compare and copy"],
     )
     def test_each_side_of_the_width_boundaries(self, n_sites, doubled, packed):
-        """|G| = 2n here, so ``idx_bits`` is 6, 6 and 7: 62 and 66 bits of
-        doubled word, 36 and 67 of key."""
+        """|G| = 2n here, so ``idx_bits`` is 6, 7 and 7: 56 and 66 bits of
+        doubled word, 40 and 67 of state and tag."""
         group = chain_symmetries(n_sites, 0, 0, None)
         kernel = group.kernel
         assert (kernel._doubled, kernel._packed) == (doubled, packed)
@@ -396,7 +395,8 @@ class TestPackedKeys:
 
     def test_work_arrays_come_with_the_first_state_info_call(self):
         """``representatives`` (basis set-up) allocates its five arrays and
-        not the two that only ``state_info`` reads."""
+        not the ones that only ``state_info`` reads; a lattice with room
+        for its tags allocates no second index array (``tidx``)."""
         group = chain_symmetries(16, 0, 0, 0)
         states = random_states(16, 1000, 3)
         group.representatives(states)
@@ -404,5 +404,89 @@ class TestPackedKeys:
         assert sorted(arrays) == ["base", "fixed", "less", "net", "y"]
         group.state_info(states)
         assert sorted(set(arrays) - {"less"}) == [
-            "base", "fixed", "flipped", "net", "shifted", "y"
+            "base", "f_top", "fixed", "hi", "idx", "keys", "lo", "net", "s_top", "y"
         ]
+
+    def test_a_character_that_is_one_to_rounding_keeps_its_tag(self):
+        """``flip∘T^8`` of chain-16 at k=3, z=1 has the character
+        ``1.0000000000000004-8.44e-16j``: the state it maps to its
+        representative reports that phase, bytes and all, not ``1.0``."""
+        group = chain_symmetries(16, 3, None, 1)
+        state = np.array([0b0000010011111101], dtype=np.uint64)
+        for rep, phase, _ in (group.state_info(state), group.kernel.orbit_info(state)):
+            assert rep[0] == 0b1011111011
+            assert tuple(phase.view(np.uint64)) == (
+                0x3FF0000000000002, 0xBCCE69898CC51702
+            )
+
+    def test_a_conjugate_of_one_minus_zero_is_not_the_identitys(self):
+        """At chain-16 k=3, z=0 the spin flip's conjugate character is
+        ``1-0j``: a representative reports the identity's ``1+0j`` and its
+        flipped copy ``1-0j``, whose imaginary part is ``-0.0``."""
+        group = chain_symmetries(16, 3, None, 0)
+        states = np.arange(1 << 16, dtype=np.uint64)
+        rep, phase, stab = group.state_info(states)
+        reps = states[(rep == states) & (stab > STAB_TOL)]
+        assert reps.size > 1000
+        flipped = reps ^ np.uint64(0xFFFF)
+        assert 0b1111111010000000 in flipped
+        for info in (group.state_info, group.kernel.orbit_info):
+            assert not np.any(np.signbit(info(reps)[1].imag))
+            rep, phase, _ = info(flipped)
+            np.testing.assert_array_equal(rep, reps)
+            assert np.all(phase == 1) and np.all(np.signbit(phase.imag))
+
+    @pytest.mark.parametrize(
+        "group",
+        [
+            chain_symmetries(20, 0, None, None),
+            SymmetryGroup.from_generators(
+                [
+                    rectangle_translation(3, 4, 0, 1),
+                    rectangle_translation(3, 4, 1, 3),
+                    spin_inversion(12, 1),
+                ]
+            ),
+        ],
+        ids=["chain-20 k=0", "3x4 torus momentum (1, 3)"],
+    )
+    def test_two_strips_and_three_states_are_their_pieces(self, group):
+        """65 539 states, two full strips and three more, give the bytes
+        that pieces cut across the strips' edges give one call at a time,
+        from both kernels."""
+        states = random_states(group.n_sites, 65_539, 17)
+        cuts = [1, 5000, 32_767, 32_768, 40_000, 65_536]
+        kernel = group.kernel
+        for info in (kernel.state_info, kernel.orbit_info):
+            whole = info(states)
+            pieces = [info(piece) for piece in np.split(states, cuts)]
+            for got, parts in zip(whole, zip(*pieces)):
+                assert got.tobytes() == np.concatenate(parts).tobytes()
+
+    @pytest.mark.parametrize(
+        "sector",
+        [(7, None, 1), (30, 1, 0), (12, None, 1)],
+        ids=["k=7 z=1", "k=30 p=1 z=0", "k=12 z=1"],
+    )
+    def test_sixty_sites_with_characters_other_than_one(self, sector):
+        """The 60-chain keeps its element index in a second array; its
+        characters are complex at k=7 and k=12 and -1 on half the group at
+        k=30, and periodic states meet elements that tie on them (at k=12
+        an untagged and a tagged one on a survivor)."""
+        group = chain_symmetries(60, *sector)
+        assert not group.kernel._packed
+        # ``width`` set bits repeated every ``period`` sites
+        periods = (2, 3, 4, 5, 6, 10, 12, 15, 20, 30)
+        widths = (1, 1, 2, 2, 1, 3, 5, 4, 7, 11)
+        periodic = np.array(
+            [
+                sum((1 << width) - 1 << start for start in range(0, 60, period))
+                for period, width in zip(periods, widths)
+            ],
+            dtype=np.uint64,
+        )
+        states = np.concatenate(
+            [periodic, rotate_left(periodic, 7, 60), periodic ^ np.uint64(2**60 - 1)]
+        )
+        assert_matches_in_shape(group, states)
+        assert_matches_in_shape(group, random_states(60, 300, 60))
