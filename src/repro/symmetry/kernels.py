@@ -26,19 +26,18 @@ batch-compiled loop that
   ``word << k``, one pass.  What the shift brings in below the top ``n``
   bits is less significant than every site, so it never changes which
   state is smallest.  Wider lattices rotate with two shifts and an or;
-- folds an element whose conjugate character has the bytes of the
-  identity's ``1+0j`` in untagged, since its phase reads the same as the
-  input's own: a non-flip into a running ``np.minimum``, a flip into a
+- folds every element in untagged where every character other than the
+  identity's has the bytes of ``1+0j`` (a phase that reads the same as the
+  input's own): a non-flip into a running ``np.minimum``, a flip into a
   running ``np.maximum`` (the flipped minimum is the complement of that
-  maximum), one pass each.  Every other element is cut to its state
-  (``& top``, then ``^ top`` if it flips) with its index in the character
-  table in the low bits, ascending in visit order, so one ``np.minimum``
-  keeps the first element that reached the minimum and the phase is one
+  maximum), one pass each.  In any other sector every element is cut to
+  its state (``& top``, then ``^ top`` if it flips) with its index in the
+  character table in the low bits, ascending in visit order, so one
+  ``np.minimum`` keeps the first element that reached the minimum, the
+  input itself wins a tie as a strict ``<`` would, and the phase is one
   table ``take`` of the tags at the end.  A lattice whose states leave no
   room for a tag (``n_sites + idx_bits > 64``, 57 sites and up) keeps that
-  index in a second array under a ``less`` mask instead.  A survivor that
-  an untagged and a tagged element both reach goes through the loop again
-  with every element tagged, which keeps the first in visit order;
+  index in a second array under a ``less`` mask instead;
 - leaves the stabilizer sums out where the caller stores its
   representatives' norms (:meth:`GroupKernel.orbit_info`, the projection
   of every product, serial and distributed): the same loop then tests a
@@ -48,9 +47,8 @@ batch-compiled loop that
   sums;
 - walks a batch in strips of ``_STRIP`` states and reuses one set of
   scratch buffers per thread across calls, so the work arrays stay in
-  cache, the steady-state loop allocates nothing beyond the result arrays
-  (and, where an element is tagged, one strip's survivor mask), and
-  concurrent callers (the ``threads`` backend's producers share one
+  cache, the steady-state loop allocates nothing beyond the result arrays,
+  and concurrent callers (the ``threads`` backend's producers share one
   kernel) never see each other's work arrays.
 
 Results match the reference element-for-element: representatives exactly,
@@ -145,20 +143,18 @@ class GroupKernel:
         phase_chars: list[complex] = [1.0 + 0.0j]
         # (applier or None for the identity base, members); a member is
         # (rotation shift pair or None, its flip variants); a variant is
-        # (flip, conjugate character, tag, mark, unit, plain) with ``mark``
-        # what one XOR puts on a cut word: the tag (none where it has no
-        # room), and for a flip ``top`` too; ``unit`` whether the character
-        # is 1 and ``plain`` whether its phase has the bytes of the
-        # identity's ``1+0j`` (a ``1-0j`` has not), so that the element
-        # needs no tag.
+        # (flip, conjugate character, tag, mark, unit) with ``mark`` what
+        # one XOR puts on a cut word: the tag (none where it has no room),
+        # and for a flip ``top`` too; ``unit`` whether the character is 1.
         self._bases: list[tuple[object, list]] = []
         # What one call does (telemetry: ``kernel.state_info_strategy
         # {strategy=...}`` adds ``strategy_counts`` per call): ``network``
         # compiled base applications, ``rotation`` permutations derived by
         # rotating a base batch, ``identity`` the input read as it is.
         strategies: list[str] = []
-        # Whether an element other than the identity is tagged: without
-        # one, a call's loop keeps no tags.
+        # Whether the loop tags every element: unless each one other than
+        # the identity has a phase with the bytes of the identity's
+        # ``1+0j`` (a ``1-0j`` has not), which then needs no tag.
         self._tagged = False
         identity = np.arange(n_sites).tobytes()
         for base, rotations in cosets.items():
@@ -179,8 +175,8 @@ class GroupKernel:
                     tag = np.uint64(len(phase_chars) - 1)
                     mark = (tag if self._packed else 0) | (self._top if flip else 0)
                     unit = abs(chi_conj - 1) < _REAL_TOL
+                    marked.append((flip, chi, tag, mark, unit))
                     plain = bool(chi == 1 and not np.signbit(np.imag(chi)))
-                    marked.append((flip, chi, tag, mark, unit, plain))
                     self._tagged |= not plain and (applier is not None or k > 0 or flip)
                 shifts = (np.uint64(k), np.uint64(n_sites - k)) if k else None
                 members.append((shifts, marked))
@@ -270,36 +266,36 @@ class GroupKernel:
         shape = states.shape
         return rep.reshape(shape), phase.reshape(shape), stab.real.reshape(shape)
 
-    def _packed_loop(self, s, stab, units, rep, phase_idx, tag_all=False) -> None:
+    def _packed_loop(self, s, stab, units, rep, phase_idx) -> None:
         """Write the representatives of the strip ``s`` to ``rep`` and the
         ``phase_chars`` indices of their phases to ``phase_idx``, and add
         the stabilizer sums to ``stab`` (without ``units``, the characters
-        of the elements other than 1 and the identity's).  ``tag_all``
-        tags every element and leaves ``stab`` (None) out.
+        of the elements other than 1 and the identity's).
 
-        Each member is one word per state, its state at the top, and each
-        element folds into one of three running words: untagged, a
-        non-flip into ``lo`` (``minimum``) and a flip into ``hi``
-        (``maximum``, complemented at the end); tagged, cut to its state
-        with its tag in the low bits, into ``keys`` (``minimum``: tags
-        ascend in visit order and the input itself is index 0, so a tie
-        goes the way a strict ``<`` against the running representative
-        does).  Where the tag has no room, ``keys`` holds the cut state
-        and ``tidx`` the index, both copied under a ``less`` mask.  The
-        fixed-point test compares the cut word with the input's (or its
-        flipped copy) at the top.  Per permutation: one shift where the
-        word is doubled, two shifts and an or where it is not, plus the
-        cut where an element is tagged or tested.  Per variant: one
-        ``minimum`` or ``maximum``, an XOR before it where tagged, and an
-        ``equal`` with a counted guard where tested.
+        Each member is one word per state, its state at the top.  Untagged,
+        a non-flip folds into ``lo`` (``minimum``, from the input) and a
+        flip into ``hi`` (``maximum``, complemented at the end).  Tagged,
+        every element is cut to its state with its tag in the low bits and
+        folds into ``keys`` (``minimum``: tags ascend in visit order, and
+        the input, ``lo``, wins a tie, so the phase is the one a strict
+        ``<`` against the running representative keeps).  Where the tag has
+        no room, ``keys`` holds the cut state and ``tidx`` the index, both
+        copied under a ``less`` mask.  The fixed-point test compares the
+        cut word with the input's (or its flipped copy) at the top.  Per
+        permutation: one shift where the word is doubled, two shifts and an
+        or where it is not, plus the cut where the loop tags or tests.  Per
+        variant: one ``minimum`` or ``maximum``, an XOR before it where
+        tagged, and an ``equal`` with a counted guard where tested.
         """
-        m, lift, top = s.size, self._lift, self._top
+        m, lift, top, tagged = s.size, self._lift, self._top, self._tagged
         names = ("base", "y", "net", "lo", "hi", "keys", "fixed")
         base_out, y, net, lo, hi, keys, fixed = self._buffers(m, *names)
         np.multiply(s, self._spread, out=lo)
-        hi.fill(0)
-        keys.fill(~np.uint64(0))
-        if not self._packed:
+        if not tagged:
+            hi.fill(0)
+        else:
+            keys.fill(~np.uint64(0))
+        if tagged and not self._packed:
             tidx, less = self._buffers(m, "tidx", "less")
             tidx.fill(0)
         s_top = None
@@ -314,19 +310,17 @@ class GroupKernel:
                 if shifts is not None and not self._doubled:
                     np.bitwise_or(z, np.right_shift(base, shifts[1], out=net), out=z)
                 cut = None
-                for flip, chi, tag, mark, unit, plain in variants:
+                for flip, chi, tag, mark, unit in variants:
                     if applier is None and shifts is None and not flip:
                         # g(s) == s for every state: pure stabilizer credit.
-                        if stab is not None:
-                            np.add(stab, chi, out=stab)
+                        np.add(stab, chi, out=stab)
                         continue
-                    untagged = plain and not tag_all
-                    tested = stab is not None and (units or not unit)
-                    if cut is None and (tested or not untagged):
+                    tested = units or not unit
+                    if cut is None and (tested or tagged):
                         cut = np.bitwise_and(z, top, out=y)
-                    if untagged and flip:
+                    if not tagged and flip:
                         np.maximum(hi, z, out=hi)
-                    elif untagged:
+                    elif not tagged:
                         np.minimum(lo, z, out=lo)
                     elif self._packed:
                         np.minimum(keys, np.bitwise_xor(cut, mark, out=net), out=keys)
@@ -349,8 +343,8 @@ class GroupKernel:
                     if np.count_nonzero(fixed):
                         stab[fixed] += chi
 
-        np.minimum(lo, np.invert(hi, out=hi), out=lo)
-        if not (tag_all or self._tagged):
+        if not tagged:
+            np.minimum(lo, np.invert(hi, out=hi), out=lo)
             np.right_shift(lo, lift, out=rep)
             phase_idx.fill(0)
             return
@@ -358,17 +352,7 @@ class GroupKernel:
         tags = np.bitwise_and(keys, self._tag_mask, out=keys) if self._packed else tidx
         np.bitwise_and(lo, top, out=lo)
         np.multiply(tags, np.less(state, lo, out=fixed), out=phase_idx)
-        np.equal(state, lo, out=fixed)
         np.right_shift(np.minimum(lo, state, out=lo), lift, out=rep)
-        if stab is None:
-            return
-        # A survivor that an untagged and a tagged element both reach: only
-        # the loop with every element tagged knows which came first.
-        ties = np.flatnonzero(fixed & (stab.real > STAB_TOL))
-        if ties.size:
-            again = np.empty(ties.size, dtype=np.uint64)
-            self._packed_loop(s[ties], None, units, again.copy(), again, True)
-            phase_idx[ties] = again
 
     def representatives(self, states) -> tuple[np.ndarray, np.ndarray]:
         """The surviving orbit representatives of a batch.

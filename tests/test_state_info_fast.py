@@ -472,7 +472,7 @@ class TestPackedKeys:
         """The 60-chain keeps its element index in a second array; its
         characters are complex at k=7 and k=12 and -1 on half the group at
         k=30, and periodic states meet elements that tie on them (at k=12
-        an untagged and a tagged one on a survivor)."""
+        one whose character is 1 and one whose is not, on a survivor)."""
         group = chain_symmetries(60, *sector)
         assert not group.kernel._packed
         # ``width`` set bits repeated every ``period`` sites
