@@ -244,14 +244,16 @@ def test_stabilizer_free_kernel_speedup(group):
 
 
 def test_representative_filter_speedup(group):
-    """Early-exit membership kernel vs the full-group-loop predicate.
+    """Early-exit membership filter vs the full-group-loop predicate.
 
     ``SymmetricBasis.build`` and ``enumerate_states`` used to derive
     membership from ``state_info`` — all ``|G|`` elements on every
-    candidate — where ``representatives`` drops a candidate at the first
-    element that maps it below itself.  Both filter every Sz = 0 candidate
-    in the 65536-state batches those callers use, on the chain group
-    (rotation strategies) and on a torus group (mask/shift networks).
+    candidate.  They now run ``minima``, which drops a candidate at the
+    first element that maps it below itself, on each batch, and then one
+    ``in_sector`` (stabilizer sums) pass over all the minima, which drops
+    those outside the sector.  Both sides filter every Sz = 0 candidate in the
+    65536-state batches those callers use, on the chain group (rotation
+    strategies) and on a torus group (mask/shift networks).
     """
     from repro.symmetry.kernels import STAB_TOL
 
@@ -271,7 +273,8 @@ def test_representative_filter_speedup(group):
         return np.concatenate(kept)
 
     def early_exit(g):
-        return np.concatenate([c[g.representatives(c)[0]] for c in batches])
+        minima = np.concatenate([g.kernel.minima(c) for c in batches])
+        return minima[g.kernel.in_sector(minima)[0]]
 
     rows, lines = {}, []
     for label, g in ((f"chain{N_SITES}", group), (f"square{nx}x{ny}", torus)):
@@ -294,7 +297,7 @@ def test_representative_filter_speedup(group):
         )
     write_result(
         "kernels_representative_filter",
-        "representative filter, state_info predicate -> early exit\n"
+        "representative filter, state_info predicate -> minima + one sums pass\n"
         + "".join(lines),
         data={**rows, "smoke": SMOKE},
     )

@@ -138,15 +138,16 @@ class SymmetricBasis(Basis):
         """
         if self._states is not None:
             return self
-        kept: list[np.ndarray] = []
-        stabs: list[np.ndarray] = []
+        kernel = self._group.kernel
+        kept = [np.empty(0, dtype=np.uint64)]
         for chunk in candidate_batches(self.n_sites, self.hamming_weight):
-            positions, stab = self._group.representatives(chunk)
-            kept.append(chunk[positions])
-            stabs.append(stab)
-        states = np.concatenate(kept) if kept else np.empty(0, dtype=np.uint64)
-        stab = np.concatenate(stabs) if stabs else np.empty(0)
-        self._set_representatives(states, stab)
+            if int(chunk[0]) >= kernel.ceiling:
+                break  # candidates ascend, and no minimum lies at or above it
+            kept.append(kernel.minima(chunk))
+        minima = np.concatenate(kept)
+        # One sums pass over the sector's minima drops those outside it.
+        keep, stab = kernel.in_sector(minima)
+        self._set_representatives(minima[keep], stab)
         return self
 
     def _set_representatives(self, states, stab=None) -> None:

@@ -73,12 +73,13 @@ def enumerate_states(
     # The membership predicate runs once over the whole range, a cache-sized
     # batch at a time; the simulated chunks only slice its result, so each
     # is still charged the full representative check of the paper.
-    # A symmetric template's filter also yields each kept state's stabilizer
-    # sum, which the basis needs for its scales: kept here, not recomputed.
+    # A symmetric template's filter keeps the orbit minima; one stabilizer
+    # sums pass over all of them then drops the states outside the sector
+    # and keeps the sums the basis needs for its scales.
     weight = template.hamming_weight
     group = getattr(template, "group", None)
     weight_passing = np.zeros(n_chunks, dtype=np.int64)
-    kept_batches, stab_batches = [], []
+    kept_batches = []
     for batch in candidate_batches(n_sites, weight if use_weight_shortcut else None):
         if weight is not None and not use_weight_shortcut:
             batch = batch[popcount(batch) == np.uint64(weight)]
@@ -86,10 +87,11 @@ def enumerate_states(
         if group is None:
             kept_batches.append(batch[template.check(batch)])
         else:  # the batch has passed ``check``'s range and weight filters
-            positions, stab = group.representatives(batch)
-            kept_batches.append(batch[positions])
-            stab_batches.append(stab)
+            kept_batches.append(group.kernel.minima(batch))
     kept = np.concatenate(kept_batches)
+    if group is not None:
+        keep, stab = group.kernel.in_sector(kept)
+        kept = kept[keep]
     dests = locale_of(kept, n_locales)
     kept_bounds = np.searchsorted(kept, bounds).tolist()
     spans = [slice(*pair) for pair in zip(kept_bounds[:-1], kept_bounds[1:])]
@@ -129,7 +131,6 @@ def enumerate_states(
     # The puts preserve global order, so a part's sums are ``kept``'s, masked.
     stabilizers = None
     if group is not None:
-        stab = np.concatenate(stab_batches)
         stabilizers = [stab[dests == dest] for dest in range(n_locales)]
     basis = DistributedBasis(cluster, template, parts, stabilizers=stabilizers)
 

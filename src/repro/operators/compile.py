@@ -138,29 +138,31 @@ class CompiledOperator:
         dtype = np.float64 if self.is_real else np.complex128
         sources: list[np.ndarray] = []
         betas: list[np.ndarray] = []
-        coeffs: list[np.ndarray] = []
-        all_coeffs = (
-            self.off_coeffs if dtype == np.complex128 else self.off_coeffs.real
-        )
-        for mask, pattern, flip, coeff in zip(
-            self.off_masks, self.off_patterns, self.off_flips, all_coeffs
+        counts = np.zeros(self.off_coeffs.size, dtype=np.int64)
+        for term, (mask, pattern, flip) in enumerate(
+            zip(self.off_masks, self.off_patterns, self.off_flips)
         ):
             matched = np.nonzero((x & mask) == pattern)[0]
             if matched.size == 0:
                 continue
             sources.append(matched)
             betas.append(x[matched] ^ flip)
-            coeffs.append(np.full(matched.size, coeff, dtype=dtype))
+            counts[term] = matched.size
         if not sources:
             return (
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.uint64),
                 np.empty(0, dtype=dtype),
             )
+        all_coeffs = (
+            self.off_coeffs if dtype == np.complex128 else self.off_coeffs.real
+        )
         return (
-            np.concatenate(sources).astype(np.int64),
+            # ``nonzero`` gives ``intp``: int64 already, so no copy.
+            np.concatenate(sources).astype(np.int64, copy=False),
             np.concatenate(betas),
-            np.concatenate(coeffs),
+            # each term's coefficient once per match, in term order
+            np.repeat(all_coeffs, counts),
         )
 
 

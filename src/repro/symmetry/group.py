@@ -125,24 +125,26 @@ class SymmetryGroup:
         if any(g.n_sites != n for g in generators):
             raise ValueError("all generators must act on the same number of sites")
 
-        # Elements are keyed ``(permutation, flip)``.
+        # Elements are keyed ``(site bytes, flip)``: a product is looked up
+        # by its sites, and only a new element becomes a ``Permutation``.
         identity = Permutation.identity(n)
         elements: dict[tuple, tuple[Permutation, bool, complex]] = {
-            (identity, False): (identity, False, 1.0 + 0.0j)
+            (identity.sites.tobytes(), False): (identity, False, 1.0 + 0.0j)
         }
-        gens = [(g.permutation, g.flip, g.character) for g in generators]
+        gens = [(g.permutation.sites, g.flip, g.character) for g in generators]
         frontier = list(elements.values())
         while frontier:
             new_frontier = []
             for perm, flip, char in frontier:
                 for gp, gf, gc in gens:
                     # apply generator after the current element:
-                    # (gp, gf) o (perm, flip)
-                    nperm, nflip, nchar = gp @ perm, gf ^ flip, gc * char
-                    existing = elements.get((nperm, nflip))
+                    # (gp, gf) o (perm, flip), i.e. ``gp @ perm``
+                    sites, nflip, nchar = gp[perm.sites], gf ^ flip, gc * char
+                    existing = elements.get((sites.tobytes(), nflip))
                     if existing is None:
-                        elements[nperm, nflip] = (nperm, nflip, nchar)
-                        new_frontier.append(elements[nperm, nflip])
+                        element = (Permutation(sites), nflip, nchar)
+                        elements[sites.tobytes(), nflip] = element
+                        new_frontier.append(element)
                     elif abs(existing[2] - nchar) > CHARACTER_TOL:
                         raise InvalidSectorError(
                             "inconsistent characters for the same group element: "
@@ -254,14 +256,18 @@ class SymmetryGroup:
     def representatives(self, states) -> tuple[np.ndarray, np.ndarray]:
         """Positions (in the flattened batch) of the surviving orbit
         representatives — orbit minimum and non-zero stabilizer sum — and
-        their stabilizer sums.  This is the one membership predicate; unlike
-        :meth:`state_info` it stops permuting a state once some element
-        maps it below itself (:meth:`GroupKernel.representatives`)."""
-        return self.kernel.representatives(states)
+        their stabilizer sums: the filter (:meth:`GroupKernel.minima`),
+        then one sums pass (:meth:`GroupKernel.in_sector`) over the
+        states it kept.  A caller with many batches runs the filter on
+        each and the sums once, as
+        :meth:`repro.basis.SymmetricBasis.build` does."""
+        s = as_states(states).ravel()
+        positions = np.flatnonzero(np.isin(s, self.kernel.minima(s)))
+        keep, stab = self.kernel.in_sector(s[positions])
+        return positions[keep], stab
 
     def is_representative(self, states) -> np.ndarray:
         """Boolean mask: which states are surviving orbit representatives."""
         s = as_states(states)
-        mask = np.zeros(s.size, dtype=bool)
-        mask[self.representatives(s)[0]] = True
-        return mask.reshape(s.shape)
+        minima = self.kernel.minima(s)
+        return np.isin(s, minima[self.kernel.in_sector(minima)[0]])

@@ -4,8 +4,9 @@
 states — is one of the two kernels the paper's matvec spends its time in
 (Sec. 2.1, 5.3), and the one every layer above calls: basis construction,
 the symmetry projection inside ``getManyRows`` (the dense and sparse
-export), the distributed enumeration's membership filter.  The straightforward implementation (kept
-as the tests' oracle, ``tests/reference_kernels.py``) loops
+export), the stabilizer sums of the distributed enumeration.  The
+straightforward implementation (kept as the tests' oracle,
+``tests/reference_kernels.py``) loops
 over all |G| elements re-deriving each permutation's mask decomposition and
 allocating fresh temporaries; this module replaces it with a
 batch-compiled loop that
@@ -51,6 +52,15 @@ batch-compiled loop that
   and concurrent callers (the ``threads`` backend's producers share one
   kernel) never see each other's work arrays.
 
+The set-up filter (:meth:`GroupKernel.minima`, the Sec. 5.2 membership
+test of basis construction and of the distributed enumeration) only
+decides whether a candidate is its orbit's minimum, on the same top-aligned
+words: one comparison and one ``logical_or`` per element, no cut, no tag
+and no fixed-point test, and a candidate leaves the batch at the first
+element that maps it below itself.  Its callers take the stabilizer sums
+of the survivors in one :meth:`GroupKernel.in_sector` pass per
+sector, which visits the elements in ``state_info``'s order.
+
 Results match the reference element-for-element: representatives exactly,
 stabilizer sums up to float summation order, and phases on every state
 that survives the sector (see ``tests/test_state_info_fast.py``); states
@@ -79,8 +89,8 @@ _REAL_TOL = 1e-9
 #: sector); a surviving state's sum is ``|Stab(s)| >= 1``.
 STAB_TOL = 1e-6
 
-#: :meth:`GroupKernel.representatives` drops the dead states from its batch
-#: once they are at least ``1/_CUT_SHARE`` of it, down to ``_CUT_MIN_BATCH``.
+#: :meth:`GroupKernel.minima` drops the dead states from its batch once
+#: they are at least ``1/_CUT_SHARE`` of it, down to ``_CUT_MIN_BATCH``.
 _CUT_SHARE = 4
 _CUT_MIN_BATCH = 256
 
@@ -156,6 +166,11 @@ class GroupKernel:
         # the identity has a phase with the bytes of the identity's
         # ``1+0j`` (a ``1-0j`` has not), which then needs no tag.
         self._tagged = False
+        # No state at or above ``ceiling`` is its orbit's minimum: where the
+        # group holds the pure spin flip, a state with its top bit set lies
+        # above its flipped copy.
+        pure_flip = any(f and p.is_identity for p, f in zip(permutations, flips))
+        self.ceiling = 1 << (n_sites - pure_flip)
         identity = np.arange(n_sites).tobytes()
         for base, rotations in cosets.items():
             applier = None
@@ -192,19 +207,18 @@ class GroupKernel:
 
     def _buffers(self, m: int, *names: str) -> list[np.ndarray]:
         """This thread's work arrays of those names, cut to ``m`` states:
-        ``less`` and ``fixed`` are ``bool``, every other one ``uint64``.
-        Each is allocated when first asked for (``state_info`` and
-        ``representatives`` share the permutation buffers and differ in
-        the rest) and regrown when a batch exceeds it: ``representatives``
-        takes its batch whole, the orbit loop a strip of at most
-        ``_STRIP`` states, and every call then works in the same,
-        cache-resident, memory."""
+        ``less``, ``fixed`` and ``dead`` are ``bool``, every other one
+        ``uint64``.  Each is allocated when first asked for (``state_info``
+        and ``minima`` share the permutation buffers and differ in the
+        rest) and regrown when a batch exceeds it: ``minima`` takes its
+        batch whole, the orbit loop a strip of at most ``_STRIP`` states,
+        and every call then works in the same, cache-resident, memory."""
         arrays = vars(self._local)
         views = []
         for name in names:
             array = arrays.get(name)
             if array is None or array.size < m:
-                dtype = bool if name in ("less", "fixed") else np.uint64
+                dtype = bool if name in ("less", "fixed", "dead") else np.uint64
                 array = arrays[name] = np.empty(m, dtype)
             views.append(array[:m])
         return views
@@ -229,6 +243,8 @@ class GroupKernel:
         comes back ``float64`` instead of ``complex128`` when every
         character is real.
         """
+        states = as_states(states)
+        self._observe(states.size)
         return self._run(states, units=True)
 
     def orbit_info(self, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -244,6 +260,8 @@ class GroupKernel:
         passes per permutation with a flip, a shift, a ``minimum`` and a
         ``maximum``, instead of 6 and two ``count_nonzero``.
         """
+        states = as_states(states)
+        self._observe(states.size)
         rep, phase, stab = self._run(states, units=False)
         return rep, phase, stab > STAB_TOL
 
@@ -262,7 +280,6 @@ class GroupKernel:
             self._packed_loop(s[strip], stab[strip], units, rep[strip], idx)
             # A tag reads the same through either 64-bit type: no cast pass.
             self._phase_table.take(idx.view(np.int64), out=phase[strip])
-        self._observe(s.size)
         shape = states.shape
         return rep.reshape(shape), phase.reshape(shape), stab.real.reshape(shape)
 
@@ -354,76 +371,80 @@ class GroupKernel:
         np.multiply(tags, np.less(state, lo, out=fixed), out=phase_idx)
         np.right_shift(np.minimum(lo, state, out=lo), lift, out=rep)
 
-    def representatives(self, states) -> tuple[np.ndarray, np.ndarray]:
-        """The surviving orbit representatives of a batch.
+    def minima(self, states) -> np.ndarray:
+        """The states of the batch, flattened and in its order, that are
+        their orbit's minimum; a state with bits beyond the lattice is
+        nobody's.
 
-        Returns ``(positions, stab)``: the ascending indices into the
-        flattened batch of the states that are their orbit's minimum and
-        have ``stab > STAB_TOL``, and :meth:`state_info`'s ``stab`` for
-        exactly those states.  A state is dropped as soon as one element
-        maps it below itself, so the batch shrinks roughly like ``1/k``
-        over the first ``k`` elements; the survivors meet every element in
-        :meth:`state_info`'s order, which makes their stabilizer sums
-        bit-identical to it.
+        This is the set-up filter: it only decides minimality, and a
+        caller takes the stabilizer sums of what survives in one
+        :meth:`in_sector` pass.  Each candidate keeps its state at
+        the top of a word (``a_top``, zeros below) and that word's
+        complement (``a_not``, ones below); a member is the top-aligned
+        word of :meth:`_packed_loop` and carries junk below the top
+        ``n_sites`` bits, which never decides an order test against these.
+        So a non-flip kills ``s`` with ``z < a_top`` and a flip with ``z >
+        a_not``: one comparison and one ``logical_or`` per variant (the
+        pure flip's is ``s >= ceiling``, taken with the lattice's bound
+        before the loop).  The batch shrinks roughly like ``1/k`` over
+        the first ``k`` elements; a compaction gathers the survivors and
+        a non-identity base, and rebuilds ``a_top``, ``a_not`` and the
+        identity's word from the survivors.
         """
         s = as_states(states).ravel()
-        alive, m = s, s.size
-        names = ("y", "net", "base", "less", "fixed")
-        y, net, base_out, dead, fixed = self._buffers(m, *names)
-        positions = None  # of ``alive`` in ``s``; None until the first cut
-        stab = np.zeros(m, dtype=np.float64 if self.is_real else np.complex128)
-        # A state with bits beyond the lattice is nobody's representative.
-        np.greater(s, self._flip_mask, out=dead)
+        alive, m, spread = s, s.size, self._spread
+        names = ("y", "net", "base", "a_top", "a_not", "dead", "less")
+        y, net, word, a_top, a_not, dead, less = self._buffers(m, *names)
+        # Beyond the lattice, or at the ceiling: the pure flip's own test.
+        np.greater(s, np.uint64(self.ceiling - 1), out=dead)
+        np.left_shift(alive, self._lift, out=a_top)
+        np.invert(a_top, out=a_not)
 
         for applier, members in self._bases:
-            if not m:  # every candidate has died
-                break
-            # ``None`` stands for ``alive`` itself, which cuts replace.
-            base = (
-                None
-                if applier is None
-                else applier.apply(alive, out=base_out, scratch=y, scratch2=net)
-            )
+            b = alive
+            if applier is not None:
+                b = applier.apply(alive, out=word, scratch=y, scratch2=net)
+            base = np.multiply(b, spread, out=word)
             for shifts, variants in members:
-                if not m:
+                if not m:  # every candidate has died
                     break
-                z0 = alive if base is None else base
-                if shifts is not None:  # rotated within the lattice's bits
-                    np.left_shift(z0, shifts[0], out=y)
-                    np.bitwise_or(y, np.right_shift(z0, shifts[1], out=net), out=y)
-                    z0 = np.bitwise_and(y, self._flip_mask, out=y)
-                for flip, chi_conj, *_ in variants:
-                    if z0 is alive and not flip:
-                        np.add(stab, chi_conj, out=stab)
-                        continue
-                    z = (
-                        np.bitwise_xor(z0, self._flip_mask, out=net)
-                        if flip
-                        else z0
-                    )
-                    np.less(z, alive, out=fixed)
-                    np.logical_or(dead, fixed, out=dead)
-                    np.equal(z, alive, out=fixed)
-                    if np.count_nonzero(fixed):
-                        stab[fixed] += chi_conj
-                # Cutting costs about as much as one more element on the
-                # whole batch: worth it once a fair share has died, never on
-                # a batch so small that the NumPy calls themselves are the
-                # cost.
+                z = base if shifts is None else np.left_shift(base, shifts[0], out=y)
+                if shifts is not None and not self._doubled:
+                    np.bitwise_or(z, np.right_shift(base, shifts[1], out=net), out=z)
+                for flip, *_ in variants:
+                    if applier is None and shifts is None:
+                        continue  # the identity, or the pure flip
+                    if flip:
+                        np.greater(z, a_not, out=less)
+                    else:
+                        np.less(z, a_top, out=less)
+                    np.logical_or(dead, less, out=dead)
+                # Cutting costs a few passes over the survivors: worth it
+                # once a fair share has died, never on a batch so small
+                # that the NumPy calls themselves are the cost.
                 if m >= _CUT_MIN_BATCH and _CUT_SHARE * np.count_nonzero(dead) >= m:
-                    keep = ~dead
-                    alive, stab = alive[keep], stab[keep]
-                    if base is not None:
+                    keep = np.logical_not(dead, out=less)
+                    alive = alive[keep]
+                    if applier is not None:
                         base = base[keep]
-                    positions = (
-                        np.flatnonzero(keep) if positions is None else positions[keep]
-                    )
                     m = alive.size
-                    y, net, base_out, dead, fixed = self._buffers(m, *names)
+                    y, net, word, a_top, a_not, dead, less = self._buffers(m, *names)
                     dead.fill(False)
+                    np.left_shift(alive, self._lift, out=a_top)
+                    np.invert(a_top, out=a_not)
+                    if applier is None:
+                        base = np.multiply(alive, spread, out=word)
 
-        stab = stab.real
-        keep = ~dead & (stab > STAB_TOL)
-        positions = np.flatnonzero(keep) if positions is None else positions[keep]
         self._observe(s.size)
-        return positions, stab[keep]
+        return alive[np.logical_not(dead, out=less)]
+
+    def in_sector(self, minima) -> tuple[np.ndarray, np.ndarray]:
+        """``(keep, stab)``: which of these orbit minima lie in the
+        sector, ``stab > STAB_TOL``, and their stabilizer sums.  This is
+        the one pass a caller of :meth:`minima` takes over its survivors;
+        it visits the elements in :meth:`state_info`'s order, so the sums
+        are bit for bit the ones ``state_info`` returns, and it is counted
+        in no telemetry."""
+        stab = self._run(minima, units=True)[2]
+        keep = stab > STAB_TOL
+        return keep, stab[keep]

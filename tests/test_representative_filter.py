@@ -1,10 +1,13 @@
 """The early-exit representative filter against the full group loop.
 
-:meth:`GroupKernel.representatives` drops a candidate at the first element
-that maps it below itself, where ``state_info`` runs all ``|G|``.  These
-tests pin it to the predicate it replaced — ``(rep == s) & (stab > tol)``
-computed from ``state_info_reference`` — on random groups, sectors and
-batches, pin ``SymmetricBasis.build`` bit-for-bit, and pin the batched
+:meth:`GroupKernel.minima` drops a candidate at the first element that
+maps it below itself, where ``state_info`` runs all ``|G|``, and
+:meth:`GroupKernel.in_sector` then takes the stabilizer sums of the
+minima.  These tests pin the two, behind ``SymmetryGroup.representatives``,
+to the predicate they replaced — ``(rep == s) & (stab > tol)`` computed
+from ``state_info_reference`` — on random groups, sectors and batches,
+pin ``SymmetricBasis.build`` (which stops at the flip ceiling)
+bit-for-bit, and pin the batched
 ``enumerate_states`` (parts and every simulated cost) to a per-chunk
 reference enumeration written out below.
 """
@@ -18,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.basis import SpinBasis, SymmetricBasis
 from repro.bits import popcount, states_with_weight
-from repro.bits.ops import as_states
+from repro.bits.ops import as_states, rotate_left
 from repro.distributed import enumerate_states, locale_of
 from repro.distributed.convert import stable_partition
 from repro.errors import InvalidSectorError
@@ -199,14 +202,167 @@ class TestAgainstFullGroupLoop:
         assert positions.tolist() == [0, 301, 602]
 
 
-def square_group(nx: int, ny: int) -> SymmetryGroup:
-    return SymmetryGroup.from_generators(
+def random_states(n: int, size: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, 2**n, size=size, dtype=np.uint64)
+
+
+def square_group_with(nx: int, ny: int, momentum, inversion) -> SymmetryGroup:
+    generators = [
+        rectangle_translation(nx, ny, 0, momentum[0]),
+        rectangle_translation(nx, ny, 1, momentum[1]),
+    ]
+    if inversion is not None:
+        generators.append(spin_inversion(nx * ny, inversion))
+    return SymmetryGroup.from_generators(generators)
+
+
+def periodic_states(n: int, periods, widths) -> np.ndarray:
+    """``width`` set bits repeated every ``period`` sites, and each of
+    those rotated by 7 sites and flipped: states with a non-trivial
+    stabilizer, whose sums vanish in some sectors."""
+    periodic = np.array(
         [
-            rectangle_translation(nx, ny, 0, 0),
-            rectangle_translation(nx, ny, 1, 0),
-            spin_inversion(nx * ny, 0),
-        ]
+            sum((1 << width) - 1 << start for start in range(0, n, period))
+            for period, width in zip(periods, widths)
+        ],
+        dtype=np.uint64,
     )
+    return np.concatenate(
+        [periodic, rotate_left(periodic, 7, n), periodic ^ np.uint64(2**n - 1)]
+    )
+
+
+def reference_minima(group: SymmetryGroup, states) -> np.ndarray:
+    """The states inside the lattice that are their orbit's minimum, in
+    batch order, from ``state_info_reference``."""
+    s = as_states(states).ravel()
+    inside = s <= np.uint64(2**group.n_sites - 1)
+    rep = np.zeros_like(s)
+    rep[inside] = state_info_reference(group, s[inside])[0]
+    return s[inside & (rep == s)]
+
+
+class TestMinima:
+    """``GroupKernel.minima`` decides minimality only; ``in_sector``
+    then drops the minima whose sum vanishes."""
+
+    @pytest.mark.parametrize(
+        "n, sector, periods, widths",
+        [
+            (33, (5, None, 1), (3, 11), (1, 4)),
+            (33, (0, 1, None), (3, 11), (2, 5)),
+            (60, (7, None, 1), (2, 4, 6, 10, 10, 20, 30), (1, 2, 1, 3, 5, 7, 11)),
+            (60, (30, 1, 0), (3, 5, 10, 15, 30), (1, 2, 5, 4, 11)),
+        ],
+        ids=["33 k=5 z=1", "33 k=0 p=1", "60 k=7 z=1", "60 k=30 p=1 z=0"],
+    )
+    def test_wide_lattices_with_periodic_states(self, n, sector, periods, widths):
+        """33 sites rotate with two shifts (no doubled word); 60 sites also
+        keep their tags in a second array in ``state_info``.  Half of the
+        random states are replaced by their minima, so both kinds meet
+        every element; some periodic minima have a sum of 0 and leave
+        between the filter and the sums pass.  Five set sites in every ten
+        of 60 make a minimum that ``flip∘T^5`` fixes with all ones in the
+        word's junk bits: the flip test must stay strict there."""
+        group = chain_symmetries(n, *sector)
+        assert not group.kernel._doubled
+        assert group.kernel._packed == (n == 33)
+        rng = np.random.default_rng(n)
+        states = rng.integers(0, 2**n, size=600, dtype=np.uint64)
+        states[::2] = state_info_reference(group, states[::2])[0]
+        states = np.concatenate([states, periodic_states(n, periods, widths)])
+        minima = group.kernel.minima(states)
+        np.testing.assert_array_equal(minima, reference_minima(group, states))
+        _, _, stab = state_info_reference(group, minima)
+        assert np.any(np.abs(stab) < STAB_TOL), "a minimum outside the sector"
+        assert np.any(stab > STAB_TOL)
+        assert_filter_matches(group, states)
+
+    @pytest.mark.parametrize(
+        "group",
+        [
+            chain_symmetries(16, 3, None, None),
+            chain_symmetries(16, 0, 0, 0),
+            chain_symmetries(33, 2, None, 0),
+            square_group_with(4, 4, (1, 2), 1),
+        ],
+        ids=["chain16 k=3", "chain16 z=0", "chain33 z=0", "torus (1,2) z=1"],
+    )
+    def test_bits_above_the_lattice(self, group):
+        """A state with bits beyond ``n_sites`` is no minimum, even where
+        its lattice part is one and where it is all the batch holds."""
+        n = group.n_sites
+        minima_states = np.unique(
+            state_info_reference(group, random_states(n, 400, 7))[0]
+        )
+        for bit in (n, 63):
+            above = minima_states | (np.uint64(1) << np.uint64(bit))
+            assert group.kernel.minima(above).size == 0
+            mixed = np.stack([minima_states, above], axis=1).ravel()
+            np.testing.assert_array_equal(group.kernel.minima(mixed), minima_states)
+            assert_filter_matches(group, mixed)
+
+    @pytest.mark.parametrize("size", [255, 256, 4096])
+    def test_batch_that_dies_after_one_element(self, size):
+        """Every state with the top bit set dies at the pure spin flip's
+        test (the ceiling, before the first element): the batch is cut to
+        nothing after the first element (at 256 states and up) or carried
+        dead to the end; one minimum among them survives."""
+        group = chain_symmetries(16, 0, 0, 0)
+        rng = np.random.default_rng(size)
+        top_set = rng.integers(2**15, 2**16, size=size, dtype=np.uint64)
+        assert group.kernel.minima(top_set).size == 0
+        assert group.representatives(top_set)[0].size == 0
+        minimum = np.uint64(0b0000000011111111)
+        batch = np.insert(top_set, size // 2, minimum)
+        np.testing.assert_array_equal(group.kernel.minima(batch), [minimum])
+        assert_filter_matches(group, batch)
+        assert group.kernel.minima(np.empty(0, dtype=np.uint64)).size == 0
+
+
+class TestFlipCeiling:
+    """A group that holds the pure spin flip has no minimum at or above
+    ``2**(n-1)``, so ``SymmetricBasis.build`` stops generating there."""
+
+    @pytest.mark.parametrize(
+        "group, weight",
+        [
+            (chain_symmetries(14, 0, 0, 0), 7),
+            (chain_symmetries(14, 7, None, 1), 7),
+            (chain_symmetries(14, 3, None, None), 7),
+            (chain_symmetries(12, 0, 1, None), None),
+            (chain_symmetries(11, 0, None, 1), None),
+            (square_group_with(4, 4, (0, 0), 0), 8),
+            (square_group_with(4, 4, (1, 2), 1), 8),
+            (square_group_with(4, 4, (2, 0), None), 8),
+        ],
+        ids=[
+            "chain14 z=0", "chain14 k=7 z=1", "chain14 k=3", "chain12 p=1 all",
+            "chain11 z=1 all", "torus z=0", "torus (1,2) z=1", "torus (2,0)",
+        ],
+    )
+    def test_basis_equals_the_full_range_filter(self, group, weight, monkeypatch):
+        n = group.n_sites
+        flips = any(
+            flip and perm.is_identity
+            for perm, flip in zip(group.permutations, group.flips)
+        )
+        assert group.kernel.ceiling == 2 ** (n - 1 if flips else n)
+        seen = []
+        minima = group.kernel.minima
+        monkeypatch.setattr(
+            group.kernel, "minima", lambda chunk: seen.append(chunk[0]) or minima(chunk)
+        )
+        basis = SymmetricBasis(group, hamming_weight=weight)
+        assert max(seen) < group.kernel.ceiling
+        candidates = states_with_weight(n, weight)
+        positions, stab = old_predicate(group, candidates)
+        assert basis.states.tobytes() == candidates[positions].tobytes()
+        assert basis.stabilizer_sums.tobytes() == stab.tobytes()
+
+
+def square_group(nx: int, ny: int) -> SymmetryGroup:
+    return square_group_with(nx, ny, (0, 0), 0)
 
 
 class TestBasisBuild:

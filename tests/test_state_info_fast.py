@@ -394,17 +394,18 @@ class TestPackedKeys:
         assert_matches_in_shape(group, weight_two.reshape(3, 100))
 
     def test_work_arrays_come_with_the_first_state_info_call(self):
-        """``representatives`` (basis set-up) allocates its five arrays and
+        """The set-up filter (``minima``) allocates its seven arrays and
         not the ones that only ``state_info`` reads; a lattice with room
         for its tags allocates no second index array (``tidx``)."""
         group = chain_symmetries(16, 0, 0, 0)
         states = random_states(16, 1000, 3)
-        group.representatives(states)
+        group.kernel.minima(states)
         arrays = vars(group.kernel._local)  # this thread's, by name
-        assert sorted(arrays) == ["base", "fixed", "less", "net", "y"]
+        filter_arrays = ["a_not", "a_top", "base", "dead", "less", "net", "y"]
+        assert sorted(arrays) == filter_arrays
         group.state_info(states)
-        assert sorted(set(arrays) - {"less"}) == [
-            "base", "f_top", "fixed", "hi", "idx", "keys", "lo", "net", "s_top", "y"
+        assert sorted(set(arrays) - set(filter_arrays)) == [
+            "f_top", "fixed", "hi", "idx", "keys", "lo", "s_top"
         ]
 
     def test_a_character_that_is_one_to_rounding_keeps_its_tag(self):

@@ -6,9 +6,10 @@ of compiled appliers.  Work arrays keyed by batch shape alone are handed to
 every caller whose batch has that shape; two threads then permute into the
 same buffers and return each other's representatives.  Equal shapes, a
 short switch interval and batches large enough for NumPy to drop the GIL
-make that collision certain where it is possible at all.  The three
-kernel calls share those buffers: ``state_info``, the set-up filter
-``representatives`` and the stabilizer-free ``orbit_info``.
+make that collision certain where it is possible at all.  The kernel
+calls share those buffers: ``state_info``, the stabilizer-free
+``orbit_info``, and the set-up filter ``minima`` with the sums pass
+``in_sector`` after it (both behind ``SymmetryGroup.representatives``).
 """
 
 import sys
@@ -46,7 +47,7 @@ def torus_group(nx: int, ny: int) -> SymmetryGroup:
 )
 @pytest.mark.parametrize("method", ["state_info", "representatives", "orbit_info"])
 def test_equal_shaped_batches_from_many_threads(group, method):
-    call = getattr(group.kernel, method)
+    call = getattr(group if method == "representatives" else group.kernel, method)
     rng = np.random.default_rng(14)
     batches = [
         rng.integers(0, 2**group.n_sites, size=BATCH, dtype=np.uint64)
