@@ -253,7 +253,8 @@ def test_representative_filter_speedup(group):
     ``in_sector`` (stabilizer sums) pass over all the minima, which drops
     those outside the sector.  Both sides filter every Sz = 0 candidate in the
     65536-state batches those callers use, on the chain group (rotation
-    strategies) and on a torus group (mask/shift networks).
+    strategies) and on a torus group (mask/shift networks), timed in turn
+    with the order alternating (:func:`best_of_pair`).
     """
     from repro.symmetry.kernels import STAB_TOL
 
@@ -280,8 +281,9 @@ def test_representative_filter_speedup(group):
     for label, g in ((f"chain{N_SITES}", group), (f"square{nx}x{ny}", torus)):
         kept = early_exit(g)  # also warms the scratch buffers
         np.testing.assert_array_equal(kept, full_loop(g))
-        t_full = best_of(lambda: full_loop(g), repeats=3)
-        t_early = best_of(lambda: early_exit(g), repeats=5)
+        t_full, t_early = best_of_pair(
+            lambda: full_loop(g), lambda: early_exit(g), repeats=5
+        )
         rows[label] = {
             "group_order": len(g),
             "n_candidates": int(candidates.size),

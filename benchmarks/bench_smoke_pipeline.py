@@ -149,8 +149,9 @@ def test_disabled_telemetry_overhead_within_two_percent(chain16_setup):
     writing to the null registry/recorder.  Comparing the disabled path
     against the enabled (metrics) path bounds what those dormant hooks can
     cost: the enabled path does strictly more work, so disabled must never
-    come out slower beyond timer noise.  Warm plan replays only, best-of-N
-    to damp scheduler jitter.
+    come out slower beyond timer noise.  Warm plan replays only, one run
+    of each kind per repeat with the order alternating, best-of-N to damp
+    scheduler jitter.
     """
     serial, dbasis, _ = chain16_setup
     expr = repro.heisenberg_chain(16)
@@ -170,9 +171,13 @@ def test_disabled_telemetry_overhead_within_two_percent(chain16_setup):
             dop.matvec(x)
             return time.perf_counter() - start
 
-    repeats = 7
-    t_off = min(timed_off() for _ in range(repeats))
-    t_on = min(timed_on() for _ in range(repeats))
+    # One run of each per repeat, the order alternating, so that the host's
+    # drift over the test weighs on both sides alike.
+    times = {timed_off: [], timed_on: []}
+    for repeat in range(7):
+        for timed in (timed_off, timed_on)[:: -1 if repeat % 2 else 1]:
+            times[timed].append(timed())
+    t_off, t_on = min(times[timed_off]), min(times[timed_on])
     assert t_off <= 1.02 * t_on, (
         f"disabled-telemetry matvec took {t_off:.6f}s vs {t_on:.6f}s "
         f"instrumented — dormant telemetry hooks cost more than 2%"

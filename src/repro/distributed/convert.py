@@ -18,10 +18,9 @@ fetched runs according to ``masks``.
 
 Both functions move real data (the round trip is exact, as the paper's
 Sec. 6.1 verifies) and account simulated time through a
-:class:`~repro.runtime.clock.BSPTimer`, which also feeds the ambient
-telemetry context (per-locale-pair traffic counters under the
-``convert.block_to_hashed`` / ``convert.hashed_to_block`` prefixes and
-per-phase trace spans — see ``docs/OBSERVABILITY.md``).
+:class:`~repro.runtime.clock.BSPTimer`, which also traces each phase on the
+``convert.block_to_hashed`` / ``convert.hashed_to_block`` tracks, its
+traffic in the span args (see ``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations

@@ -320,23 +320,18 @@ def begin_matvec(basis: DistributedBasis, x: DistributedVector, batch_size: int)
     check_input(basis, x)
     report = SimReport(ledger=CostLedger(basis.n_locales))
     tele = current_telemetry()
-    tele.metrics.gauge("matvec.block_width").set(float(x.n_columns))
     trace = tele.trace if tele.trace.enabled else None
     return report, tele.metrics, trace
 
 
 def finish_report(
-    report: SimReport, x: DistributedVector, y: DistributedVector,
-    metrics, wall_clock: bool,
+    report: SimReport, x: DistributedVector, y: DistributedVector, metrics,
 ) -> tuple[DistributedVector, SimReport]:
     """What every variant does last, once ``report.elapsed`` is final.  A
     zero-column block comes back as the empty ``(count, 0)`` parts."""
     k = x.n_columns
     report.extras["block_width"] = float(k)
     report.extras["seconds_per_column"] = report.elapsed / k if k else 0.0
-    metrics.counter(
-        "wall.seconds" if wall_clock else "sim.seconds", phase="matvec"
-    ).inc(report.elapsed)
     if metrics.enabled:
         report.metrics = metrics.snapshot()
     return y, report
@@ -417,4 +412,4 @@ class AnalyticMatvec:
         if self.trace is not None:
             self.trace.advance(max(model_elapsed, trace_end))
         report.merge_phase("matvec", model_elapsed)
-        return finish_report(report, self.x, self.y, self.metrics, False)
+        return finish_report(report, self.x, self.y, self.metrics)

@@ -207,7 +207,7 @@ class _Pipeline:
         self.stall_total = ex.counter(0.0)
         self.consumer_counts = [ex.counter(sim_cons) for _ in range(n)]
         # Guard the shared scatter-add into y.parts[dest] on threads (no-op
-        # contexts on sim); the name keys the executor.lock_* histograms.
+        # contexts on sim).
         self.consume_locks = [ex.lock(f"consume{d}") for d in range(n)]
         # The cursors hand out chunk indices atomically on both backends.
         self.chunks = [chunk_spans(c, batch_size) for c in basis.counts]
@@ -393,7 +393,7 @@ class _Pipeline:
         report.extras["n_diag"] = float(n_diag)
         report.extras["producers"] = float(self.n_prod)
         report.extras["consumers"] = float(self.n_cons)
-        return finish_report(report, x, y, self.metrics, ex.wall_clock)
+        return finish_report(report, x, y, self.metrics)
 
 
 def matvec_producer_consumer(
@@ -500,4 +500,4 @@ def _shared_memory_matvec(
     report.ledger.add("search+accum", 0, search_work)
     report.extras["producers"] = float(cores)
     report.extras["consumers"] = float(cores)
-    return finish_report(report, run.x, run.y, run.metrics, wall_clock)
+    return finish_report(report, run.x, run.y, run.metrics)

@@ -380,7 +380,7 @@ class DistributedOperator(BasisOperator):
         if trace is not None:
             trace.mark_wall()
             trace.advance(report.elapsed)
-        return finish_report(report, x, y, metrics, True)
+        return finish_report(report, x, y, metrics)
 
     def _scheduled(self, x: DistributedVector) -> tuple[DistributedVector, SimReport]:
         """Generate (or replay chunk by chunk) under ``method``'s schedule."""

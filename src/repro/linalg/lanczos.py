@@ -62,21 +62,6 @@ class LanczosResult:
     progress: list = field(repr=False, default_factory=list)
 
 
-def _record_iteration(tele, entry: dict) -> None:
-    """Count one iteration in the ambient telemetry.
-
-    The result's ``progress`` is the record of residual and Ritz values;
-    when tracing, the residual also lands as a counter sample at the
-    current end of the simulated timeline, so Perfetto shows it decaying
-    against the pipeline activity below it.
-    """
-    tele.metrics.counter("lanczos.iterations").inc()
-    if tele.trace.enabled:
-        tele.trace.counter(
-            ("solver", "lanczos"), "residual", 0.0, entry["residual"]
-        )
-
-
 #: ``beta`` at or below which the Krylov space counts as exhausted.
 BREAKDOWN = 1e-14
 
@@ -220,7 +205,7 @@ def lanczos(
     matvec = as_matvec(matvec)
     if space is None:
         space = NumpyVectorSpace()
-    tele = current_telemetry()
+    trace = current_telemetry().trace
     t_start = time.perf_counter()
     if clock is None:
         clock = lambda: time.perf_counter() - t_start  # noqa: E731
@@ -272,7 +257,13 @@ def lanczos(
                 "elapsed": float(clock()),
             }
             progress.append(entry)
-            _record_iteration(tele, entry)
+            if trace.enabled:
+                # The result's ``progress`` is the record; the trace draws
+                # the residual at the current end of the timeline, so
+                # Perfetto shows it decaying against the pipeline below.
+                trace.counter(
+                    ("solver", "lanczos"), "residual", 0.0, entry["residual"]
+                )
             if np.all(residuals <= tol * max(1.0, float(np.abs(evals).max()))):
                 converged = True
                 break
@@ -380,11 +371,5 @@ def lanczos_distributed(
         ) + space.report.elapsed
 
     kwargs.setdefault("clock", sim_clock)
-    start_reduce = space.report.elapsed
     result = lanczos(matvec, v0, k=k, space=space, **kwargs)
-    sim_time = (operator.total_sim_time - start_matvec) + space.report.elapsed
-    reduce_time = space.report.elapsed - start_reduce
-    current_telemetry().metrics.counter(
-        "sim.seconds", phase="reductions"
-    ).inc(reduce_time)
-    return result, sim_time
+    return result, sim_clock()

@@ -17,7 +17,6 @@ sector, the result dtype and the plan they attach.
 from __future__ import annotations
 
 from itertools import chain
-from time import perf_counter
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -34,7 +33,6 @@ from repro.operators.plan import (
     csr_in_recorded_order,
 )
 from repro.schema import require_positive
-from repro.telemetry.context import current as current_telemetry
 
 __all__ = ["BasisOperator", "Operator"]
 
@@ -207,9 +205,6 @@ class Operator(BasisOperator):
                 f"expected vector of shape ({self.dim},) or block of shape "
                 f"({self.dim}, k)"
             )
-        k = 1 if x.ndim == 1 else int(x.shape[1])
-        metrics = current_telemetry().metrics
-        t0 = perf_counter() if metrics.enabled else 0.0
         matrix = self._consolidate()
         if matrix is not None:
             y = matrix @ x
@@ -221,10 +216,6 @@ class Operator(BasisOperator):
             diag = self.diagonal().astype(dtype, copy=False)
             y = (diag if x.ndim == 1 else diag[:, None]) * x
             self._generate_and_scatter(x, y)
-        if metrics.enabled:
-            metrics.gauge("matvec.block_width").set(float(k))
-            seconds = perf_counter() - t0
-            metrics.histogram("kernel.matvec_seconds").observe(seconds)
         return y
 
     def _consolidate(self):

@@ -124,10 +124,10 @@ class BSPTimer:
     injection/reception port) — and accumulates it into the report.
 
     When a live telemetry bundle is installed (``repro.telemetry.use``),
-    the timer also feeds it: per-locale-pair message/byte counters under
-    the ``name`` prefix, every phase's seconds into ``sim.seconds{phase=
-    name}``, plus one trace span per (locale, phase) laid out sequentially
-    on the global simulated timeline.
+    the timer also traces one span per (locale, phase) on the ``name``
+    track, laid out sequentially on the global simulated timeline and
+    carrying that locale's traffic, and attaches a metrics snapshot to the
+    report.
     """
 
     def __init__(
@@ -156,10 +156,6 @@ class BSPTimer:
         """Record one point-to-point message of ``nbytes`` payload."""
         self.report.messages += 1
         self.report.bytes_sent += int(nbytes)
-        self._metrics.counter(f"{self.name}.messages", src=src, dst=dst).inc()
-        self._metrics.counter(
-            f"{self.name}.bytes", src=src, dst=dst
-        ).inc(int(nbytes))
         if self._trace is not None:
             entry = self._comm.setdefault((src, dst), [0, 0])
             entry[0] += 1
@@ -180,7 +176,6 @@ class BSPTimer:
             self.report.ledger.add(name, locale, float(per_locale[locale]))
         self.report.merge_phase(name, elapsed)
         self.report.elapsed += elapsed
-        self._metrics.counter("sim.seconds", phase=self.name).inc(elapsed)
         if self._trace is not None:
             for locale in range(self.n_locales):
                 busy = float(per_locale[locale])

@@ -36,11 +36,10 @@ share.  Each backend is one class: :class:`Simulator`, the ``sim``
 backend in modelled time, is defined here, the ``threads`` backend in
 :mod:`repro.runtime.executor`.
 
-Observation (optional, nothing on the unobserved path): labelled
-``Timeout`` commands become busy spans, blocking waits become ``stall`` /
-``idle`` / ``wait:<resource>`` spans on the blocked process's track and
-``executor.*_wait_seconds`` observations, named queues emit depth
-samples and named resources in-use samples.
+Tracing (optional, nothing on the untraced path): labelled ``Timeout``
+commands become busy spans, blocking waits become ``stall`` / ``idle`` /
+``wait:<resource>`` spans on the blocked process's track, named queues
+emit depth samples and named resources in-use samples.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterator
 
 from repro.errors import BackendError, DeadlockError
-from repro.telemetry.context import current as _current_telemetry
-from repro.telemetry.profile import ExecutorProfiler
 
 __all__ = [
     "Executor",
@@ -89,7 +86,7 @@ class Timeout:
 class WaitFlag:
     flag: "SimFlag"
     value: bool
-    #: what the wait is observed as (see :attr:`SimFlag.wait_label`)
+    #: the span a traced wait is recorded as (see :attr:`SimFlag.wait_label`)
     wait_label = property(lambda self: self.flag.wait_label)
 
 
@@ -113,13 +110,13 @@ class Process:
     ``ThreadExecutor.spawn`` fills them in: its ``thread``; ``park``, the
     lock it sleeps on (held while it runs, released by whoever resumes
     it); ``parked`` and the ``value`` it is resumed with; and ``buffer``,
-    its span buffer when tracing.
+    its spans ``(name, start, duration, args)`` in the order it recorded
+    them when tracing (one writer, so no lock; ``run()`` merges them).
     """
 
     __slots__ = (
         "gen", "name", "finished", "track", "block", "block_start",
-        "busy_seconds", "blocked_seconds", "locale", "waiting_on",
-        "thread", "park", "parked", "value", "buffer",
+        "locale", "waiting_on", "thread", "park", "parked", "value", "buffer",
     )
 
     def __init__(
@@ -134,14 +131,10 @@ class Process:
         self.finished = False
         #: (process_label, thread_label) naming this process's trace track
         self.track = track
-        #: while blocked and observed: the wait's ``wait_label`` and when
-        #: it started
-        self.block: tuple[str, str, str] | None = None
+        #: while blocked and traced: the wait's span name and when it
+        #: started
+        self.block: str | None = None
         self.block_start = 0.0
-        #: accumulated Timeout seconds / blocking-wait seconds (observed
-        #: as executor.worker_{busy,blocked}_seconds when it retires)
-        self.busy_seconds = 0.0
-        self.blocked_seconds = 0.0
         #: locale this process runs on (None = not locale-bound)
         self.locale = locale
         #: human-readable wait target while blocked (deadlock report)
@@ -162,8 +155,8 @@ class SimFlag:
         self._ex = ex
         self.value = value
         self.name = name
-        #: (stall-span name, primitive, target name) of a wait on this
-        self.wait_label = ("stall", "flag", name or "flag")
+        #: the span a traced wait on this flag is recorded as
+        self.wait_label = "stall"
         self._waiters: dict[bool, list[Process]] = {False: [], True: []}
 
     def set(self, value: bool) -> None:
@@ -202,21 +195,17 @@ class SimQueue:
         self._items: deque = deque()
         self._waiters: deque[Process] = deque()
         self.name = name
-        self.wait_label = ("idle", "queue", name or "queue")
+        self.wait_label = "idle"
 
     def __len__(self) -> int:
         return len(self._items)
 
     def _sample_depth(self) -> None:
-        if self.name is None:
-            return
         ex = self._ex
-        if ex._sample is not None:
+        if ex._sample is not None and self.name is not None:
             ex._sample(
                 ("queues", self.name), self.name, ex.now, len(self._items)
             )
-        if ex._profile is not None:
-            ex._profile.queue_depth(self.name, len(self._items))
 
     def push(self, item: Any) -> None:
         if self._waiters:
@@ -242,26 +231,17 @@ class SimResource:
     """A unit resource with FIFO waiters (a NIC port).
 
     A named resource on a tracing executor emits an in-use sample (0 or
-    1) at every acquire/release transition.  On a metering one the grant
-    time feeds ``executor.resource_hold_seconds``.
+    1) at every acquire/release transition.
     """
 
-    __slots__ = (
-        "_ex", "in_use", "_waiters", "name", "wait_label", "_granted",
-    )
+    __slots__ = ("_ex", "in_use", "_waiters", "name", "wait_label")
 
     def __init__(self, ex: "Executor", name: str | None = None) -> None:
         self._ex = ex
         self.in_use = 0
         self._waiters: deque[Process] = deque()
         self.name = name
-        self.wait_label = (
-            "wait:" + (name if name is not None else "resource"),
-            "resource",
-            name or "resource",
-        )
-        #: when the current holder was granted the resource
-        self._granted = 0.0
+        self.wait_label = "wait:" + (name if name is not None else "resource")
 
     def _sample_in_use(self) -> None:
         ex = self._ex
@@ -274,7 +254,6 @@ class SimResource:
         ex = self._ex
         if not self.in_use:
             self.in_use = 1
-            self._granted = ex.now
             ex._resume(process, None)
             self._sample_in_use()
         else:
@@ -287,12 +266,8 @@ class SimResource:
 
     def release(self) -> None:
         ex = self._ex
-        if ex._profile is not None:
-            _, primitive, target = self.wait_label
-            ex._profile.hold(primitive, target, ex.now - self._granted)
         if self._waiters:
-            # Direct hand-off: the next holder's grant starts now.
-            self._granted = ex.now
+            # Direct hand-off: the unit never goes free.
             ex._resume(self._waiters.popleft(), None)
         else:
             self.in_use = 0
@@ -331,8 +306,7 @@ class Executor:
     - ``counter(value)``: an atomic shared counter (``add`` returns the
       new value) — what cross-process counts go through;
     - ``spawn(gen, name, track, locale)``: start a generator process
-      (``locale`` names the locale it works for, in failures and worker
-      metrics);
+      (``locale`` names the locale it works for, in failures);
     - ``call_later(delay, fn)``: fire-and-forget callback after a
       *modelled* latency (delayed on the simulator, inline on threads);
     - ``run()``: drive everything to completion, returning elapsed
@@ -346,11 +320,8 @@ class Executor:
     (whether timings are wall seconds) let callers label reports without
     isinstance checks.
 
-    Every executor carries an
-    :class:`~repro.telemetry.profile.ExecutorProfiler` (``self.profile``)
-    and both backends feed it the *same* span and metric vocabulary —
-    the simulator with modelled durations, the threads backend with
-    measured ones.
+    Both backends trace the *same* span vocabulary — the simulator with
+    modelled durations, the threads backend with measured ones.
 
     A backend is one subclass, registered in
     ``repro.runtime.executor._EXECUTORS``.  It supplies ``spawn``,
@@ -368,13 +339,8 @@ class Executor:
     #: substitutes subclasses that lock the methods protocol code calls.
     _Flag, _Queue, _Resource = SimFlag, SimQueue, SimResource
 
-    def __init__(self, profile, tracing: bool) -> None:
-        self.profile = profile
-        # The metering profiler (executor.* wait/hold histograms, worker
-        # seconds, queue depth gauges) only observes: simulated timings
-        # are bit-identical with or without it.
-        self._profile = profile if profile.metering else None
-        self._observing = tracing or self._profile is not None
+    def __init__(self, tracing: bool) -> None:
+        self._tracing = tracing
         self._processes: list[Process] = []
 
     # -- the protocol surface -------------------------------------------------
@@ -387,16 +353,6 @@ class Executor:
 
     def resource(self, name: str | None = None) -> SimResource:
         return self._Resource(self, name)
-
-    def _finish(self) -> None:
-        """Merge buffered profiling data into the trace/metrics sinks.
-
-        Idempotent; a no-op when profiling is disabled.  ``run()`` calls
-        it on both backends, also when the run failed or deadlocked (the
-        partial figures are the post-mortem evidence).
-        """
-        if self.profile.enabled:
-            self.profile.flush()
 
     # -- the interpreter core -------------------------------------------------
 
@@ -415,37 +371,21 @@ class Executor:
                 "Timeout, WaitFlag, Pop, or Acquire"
             )
 
-    def _mark_blocked(
-        self, process: Process, detail: str, label: tuple[str, str, str]
-    ) -> None:
+    def _mark_blocked(self, process: Process, detail: str, label: str) -> None:
         """Remember that a process just blocked: what it waits on for the
-        deadlock report and, when observed, which wait started when."""
+        deadlock report and, when tracing, which wait started when."""
         process.waiting_on = detail
-        if self._observing:
+        if self._tracing:
             process.block = label
             process.block_start = self.now
 
     def _observe_wait(self, process: Process, now: float) -> None:
-        """A marked process resumes: emit its stall span (zero-length ones
-        are dropped to keep traces small) and its wait observation."""
-        span, primitive, target = process.block
-        process.block = None
+        """A marked process resumes: emit its wait span (zero-length ones
+        are dropped to keep traces small)."""
         waited = now - process.block_start
         if waited > 0.0:
-            self._span(process, span, process.block_start, waited)
-        if self._profile is not None:
-            process.blocked_seconds += waited
-            self._profile.wait(primitive, target, waited)
-
-    def _retire(self, process: Process) -> None:
-        """Book a finished worker's lifetime busy/blocked seconds."""
-        if self._profile is not None:
-            self._profile.worker(
-                process.name,
-                process.locale,
-                process.busy_seconds,
-                process.blocked_seconds,
-            )
+            self._span(process, process.block, process.block_start, waited)
+        process.block = None
 
     @staticmethod
     def _worker_error(exc: BaseException, who: str, locale: int | None):
@@ -489,22 +429,19 @@ class Simulator(Executor):
     Commands advance a simulated clock, so timings are a pure function of
     the machine model.  ``trace`` (a
     :class:`~repro.telemetry.trace.TraceRecorder`) receives spans and
-    counter samples directly, stamped with simulated time; the profiler
-    (by default one over the ambient metrics registry) carries only the
-    metric side.  What is trivial on one thread is trivial here: no-op
-    ``mutex`` / ``lock()``, an unguarded counter.
+    counter samples directly, stamped with simulated time.  What is
+    trivial on one thread is trivial here: no-op ``mutex`` / ``lock()``,
+    an unguarded counter.
     """
 
     name = "sim"
     mutex = nullcontext()
 
-    def __init__(self, trace=None, profile=None) -> None:
+    def __init__(self, trace=None) -> None:
         # Only keep an enabled recorder; every tracing site then guards on
         # a single `is not None` check, so untraced runs stay fast.
         self._trace = trace if trace is not None and trace.enabled else None
-        if profile is None:
-            profile = ExecutorProfiler(metrics=_current_telemetry().metrics)
-        super().__init__(profile, self._trace is not None)
+        super().__init__(self._trace is not None)
         self._sample = self._trace.counter if self._trace is not None else None
         self.now = 0.0
         self._heap: list[tuple[float, int, Any, Any]] = []
@@ -539,8 +476,7 @@ class Simulator(Executor):
         return _Counter(value)
 
     def lock(self, name: str | None = None):
-        # Locks cannot contend on one thread; the executor.lock_* metric
-        # families are threads-only by design.
+        # Locks cannot contend on one thread.
         return self.mutex
 
     def _resume(self, process: Process, value: Any) -> None:
@@ -564,8 +500,6 @@ class Simulator(Executor):
         except StopIteration:
             process.finished = True
             self._active -= 1
-            if self._profile is not None:
-                self._retire(process)
             return
         except Exception as exc:
             raise self._worker_error(
@@ -581,8 +515,6 @@ class Simulator(Executor):
                     delay,
                     command.args,
                 )
-            if self._profile is not None:
-                process.busy_seconds += delay
             self._sequence += 1
             heapq.heappush(
                 self._heap, (self.now + delay, self._sequence, process, None)
@@ -599,16 +531,13 @@ class Simulator(Executor):
         flag/queue/resource it waits on — an orphaned wait is a loud,
         typed failure, never a silent partial result.
         """
-        try:
-            while self._heap:
-                time, _, process, value = heapq.heappop(self._heap)
-                self.now = time
-                if process is _CALLBACK:
-                    value()
-                else:
-                    self._step(process, value)
-        finally:
-            self._finish()
+        while self._heap:
+            time, _, process, value = heapq.heappop(self._heap)
+            self.now = time
+            if process is _CALLBACK:
+                value()
+            else:
+                self._step(process, value)
         if self._active:
             blocked, text = self._blocked_report(
                 p for p in self._processes if not p.finished

@@ -32,8 +32,6 @@ from repro.runtime.events import (
     Timeout,
     _Counter,
 )
-from repro.telemetry.context import current as _current_telemetry
-from repro.telemetry.profile import ExecutorProfiler, ProfiledLock
 
 __all__ = [
     "BACKENDS",
@@ -124,14 +122,12 @@ class ThreadExecutor(Executor):
     :attr:`watchdog_seconds` (the cluster's ``watchdog_timeout``, which
     :func:`get_executor` hands over).
 
-    With profiling enabled, *every* blocking command is observed — one
-    granted at once too, so an uncontended primitive still reads in its
-    wait histogram (the simulator observes only real blocks: an
-    immediate grant takes no simulated time).  Workers write spans into
-    bounded per-thread buffers
-    (:class:`~repro.telemetry.profile.SpanBuffer`, no shared lock on the
-    hot path), merged by ``run()`` after the threads join, on success
-    *and* on failure.
+    With tracing on, *every* blocking command becomes a wait span — one
+    granted at once too, which measures the dispatch (the simulator traces
+    only real blocks: an immediate grant takes no simulated time).  Each
+    worker appends its spans to its own ``Process.buffer`` (one writer, no
+    shared lock on the hot path); ``run()`` merges them into the trace,
+    track by track, after the threads join, on success *and* on failure.
     """
 
     name = "threads"
@@ -142,21 +138,20 @@ class ThreadExecutor(Executor):
     #: watchdog declares a deadlock
     watchdog_seconds = 20.0
 
-    def __init__(self, trace=None, profile=None) -> None:
-        if profile is None:
-            profile = ExecutorProfiler(
-                trace=trace, metrics=_current_telemetry().metrics, wall=True
-            )
-        super().__init__(profile, profile.tracing)
-        self._sample = profile.sample if profile.tracing else None
-        #: guards every primitive's state, ``parked`` / ``value`` of every
-        #: process, ``_failure`` and ``_resumes``
-        self._lock = threading.Lock()
-        self.mutex = (
-            ProfiledLock(threading.RLock(), profile, "mutex")
-            if profile.metering
-            else threading.RLock()
+    def __init__(self, trace=None) -> None:
+        self._trace = trace if trace is not None and trace.enabled else None
+        super().__init__(self._trace is not None)
+        #: queue-depth / in-use samples ``(track, name, when, value)``,
+        #: appended under ``_lock`` and merged by ``run()``
+        self._samples: list[tuple] = []
+        self._sample = (
+            (lambda *sample: self._samples.append(sample))
+            if self._tracing else None
         )
+        #: guards every primitive's state, ``parked`` / ``value`` of every
+        #: process, ``_failure``, ``_resumes`` and ``_samples``
+        self._lock = threading.Lock()
+        self.mutex = threading.RLock()
         self._failure: BackendError | None = None
         self._resumes = 0  # parked workers resumed (watchdog heartbeat)
         self._t0: float | None = None
@@ -167,10 +162,6 @@ class ThreadExecutor(Executor):
         return _LockedCounter(value)
 
     def lock(self, name: str | None = None):
-        if self._profile is not None:
-            return ProfiledLock(
-                threading.Lock(), self.profile, name or "lock"
-            )
         return threading.Lock()
 
     @property
@@ -192,9 +183,8 @@ class ThreadExecutor(Executor):
         process.park = threading.Lock()
         process.park.acquire()
         process.parked = False
-        process.value = process.buffer = None
-        if self.profile.tracing:
-            process.buffer = self.profile.buffer(process.track)
+        process.value = None
+        process.buffer = [] if self._tracing else None
         self._processes.append(process)
         if self._t0 is None:
             self._t0 = time.perf_counter()
@@ -228,13 +218,12 @@ class ThreadExecutor(Executor):
     def _span(
         self, process: Process, name: str, start: float, duration: float
     ) -> None:
-        if process.buffer is not None:
-            process.buffer.span(name, start, duration)
+        process.buffer.append((name, start, duration, None))
 
     def _park(self, process: Process, command: Any, blocked_at: float) -> Any:
         """Execute one blocking command on the calling worker's thread:
-        dispatch it, sleep until resumed, observe the wait, and return
-        the value to send into the generator."""
+        dispatch it, sleep until resumed, trace the wait, and return the
+        value to send into the generator."""
         with self._lock:
             if self._failure is not None:
                 raise _Cancelled
@@ -242,7 +231,7 @@ class ThreadExecutor(Executor):
             self._dispatch(process, command)
         process.park.acquire()
         process.waiting_on = None
-        if self._observing:
+        if self._tracing:
             if process.block is None:
                 process.block = command.wait_label
                 process.block_start = blocked_at
@@ -285,25 +274,22 @@ class ThreadExecutor(Executor):
             while True:
                 command = gen.send(value)
                 blocked_at = time.perf_counter()
-                process.busy_seconds += blocked_at - last_resume
                 if isinstance(command, Timeout):
                     value = None
                     # Charge-after-work: the span covers the real work
                     # done since the last yield; nothing sleeps.
                     if buf is not None and command.label is not None:
-                        buf.span(
+                        buf.append((
                             command.label,
                             last_resume - t0,
                             blocked_at - last_resume,
                             command.args,
-                        )
+                        ))
                 else:
                     value = self._park(process, command, blocked_at - t0)
                 last_resume = time.perf_counter()
         except StopIteration:
             pass
-        finally:
-            self._retire(process)
 
     def run(self) -> float:
         """Join all workers; returns wall-clock seconds since first spawn.
@@ -341,13 +327,26 @@ class ThreadExecutor(Executor):
                     )
                 )
         elapsed = time.perf_counter() - self._t0
-        # All workers have joined: merge the per-thread span buffers and
-        # contention metrics *before* propagating any failure, so the
-        # partial trace of a failed or deadlocked run stays inspectable.
-        self._finish()
+        # All workers have joined: merge their spans *before* propagating
+        # any failure, so the partial trace of a failed or deadlocked run
+        # stays inspectable.
+        if self._trace is not None:
+            self._merge_trace()
         if self._failure is not None:
             raise self._failure
         return elapsed
+
+    def _merge_trace(self) -> None:
+        """Write every process's spans, in the order it recorded them (so
+        each track stays monotone), then the counter samples, to the
+        trace, labelled wall clock."""
+        trace = self._trace
+        trace.mark_wall()
+        for process in self._processes:
+            for span in process.buffer:
+                trace.complete(process.track, *span)
+        for sample in self._samples:
+            trace.counter(*sample)
 
 
 #: Backend name -> executor class: the one table ``Cluster(backend=...)``,

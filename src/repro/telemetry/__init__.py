@@ -8,8 +8,8 @@ ambient through :func:`~repro.telemetry.context.use`:
   trace-event JSON (open in Perfetto).  One track per (locale, worker), so
   the paper's Fig. 5 producer-consumer pipeline is directly visible.
 - :class:`~repro.telemetry.metrics.MetricsRegistry` — labelled counters,
-  gauges, and histograms (bytes on the wire per locale pair, batch-size
-  and stall-duration distributions, Lanczos residuals, ...), frozen into
+  gauges, and histograms (bytes on the wire per locale pair, plan-cache
+  hits and footprint, kernel strategy counts), frozen into
   :class:`~repro.telemetry.metrics.MetricsSnapshot` objects that render as
   text tables or JSON.
 
@@ -17,18 +17,16 @@ Both have no-op implementations, installed by default, so disabled
 telemetry costs approximately nothing.  See ``docs/OBSERVABILITY.md`` for
 the trace schema and the metric-name catalogue.
 
+The real ``threads`` backend records into the same trace on the wall
+clock (``clock: wall``): each worker keeps its own span list, merged
+after the threads join.
+
 Post-mortem analysis lives in :mod:`repro.telemetry.analysis`
 (:func:`analyze_trace`, the ``repro-inspect`` CLI): per-locale span
-accounting, pipeline overlap efficiency, load-imbalance index, critical
-path, and the locale×locale communication matrix — on both clock
-domains, plus ``repro-inspect calibrate`` for model-vs-measured ratios.
-
-:mod:`repro.telemetry.profile` extends the same sinks to the real
-``threads`` backend: bounded per-thread :class:`SpanBuffer` objects feed
-wall-clock traces (``clock: wall``), and the
-:class:`ExecutorProfiler` / :class:`ProfiledLock` pair exports executor
-contention metrics (lock/flag/queue/resource wait-and-hold histograms,
-queue depth gauges, per-worker busy/blocked seconds).
+accounting, pipeline overlap efficiency, stall fraction, load-imbalance
+index, critical path, and the locale×locale communication matrix — on
+both clock domains, plus ``repro-inspect calibrate`` for
+model-vs-measured ratios.
 """
 
 from repro.telemetry.context import (
@@ -46,11 +44,6 @@ from repro.telemetry.metrics import (
     MetricsSnapshot,
     NullMetricsRegistry,
 )
-from repro.telemetry.profile import (
-    ExecutorProfiler,
-    ProfiledLock,
-    SpanBuffer,
-)
 from repro.telemetry.trace import NullTraceRecorder, TraceRecorder
 
 __all__ = [
@@ -67,13 +60,9 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "ExecutorProfiler",
-    "SpanBuffer",
-    "ProfiledLock",
     "TraceAnalysis",
     "analyze_trace",
     "calibrate_traces",
-    "communication_matrix_from_metrics",
     "load_spans",
 ]
 
@@ -81,7 +70,6 @@ _ANALYSIS_EXPORTS = {
     "TraceAnalysis",
     "analyze_trace",
     "calibrate_traces",
-    "communication_matrix_from_metrics",
     "load_spans",
 }
 

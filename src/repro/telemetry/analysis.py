@@ -29,22 +29,20 @@ Use it as a library (:func:`analyze_trace`) or from the command line::
 
     python -m repro.telemetry.analysis trace.json
     python -m repro.telemetry.analysis trace.json --metrics metrics.json --json
-    python -m repro.telemetry.analysis diff before.json after.json
     python -m repro.telemetry.analysis calibrate sim_trace.json wall_trace.json
 
 (also installed as the ``repro-inspect`` console script; ``repro-inspect
 COMMAND --help`` says what each sub-command of the ``_COMMANDS`` table
 reports).  Each sub-command computes one JSON payload: ``--json`` prints
 it as it is, and :func:`report_text` prints the same keys for a reader.
-``diff`` compares two runs by hand; the exact regression gates are the sim
-snapshot (simulated numbers) and the ``benchmarks/e2e`` ladder (wall
-time).
+The exact regression gates are the sim snapshot (simulated numbers) and
+the ``benchmarks/e2e`` ladder (wall time).
 
 Every report works on both clock domains — the simulator's simulated
 seconds and the threads backend's measured wall seconds — and labels
-which one it read (``clock: sim|wall``).  ``diff`` refuses to compare
-traces from different domains; the deliberate cross-domain comparison is
-``calibrate`` (the table the performance model is tuned against).
+which one it read (``clock: sim|wall``).  The deliberate cross-domain
+comparison is ``calibrate`` (the table the performance model is tuned
+against).
 """
 
 from __future__ import annotations
@@ -66,7 +64,6 @@ __all__ = [
     "TraceFormatError",
     "analyze_trace",
     "load_spans",
-    "communication_matrix_from_metrics",
     "calibrate_traces",
     "report_text",
     "main",
@@ -347,34 +344,6 @@ def _harvest_comm(spans: list[Span]) -> dict[tuple[int, int], list[float]]:
     return comm
 
 
-def communication_matrix_from_metrics(
-    snapshot, prefix: str | None = None
-) -> dict[tuple[int, int], list[float]]:
-    """(src, dst) -> [bytes, msgs] from ``*.bytes`` / ``*.messages``
-    counter families of a :class:`~repro.telemetry.metrics.MetricsSnapshot`
-    (optionally restricted to one ``prefix`` such as ``"matvec"``)."""
-    comm: dict[tuple[int, int], list[float]] = {}
-    for (name, labels), value in snapshot.counters.items():
-        label_map = dict(labels)
-        if "src" not in label_map or "dst" not in label_map:
-            continue
-        family, _, kind = name.rpartition(".")
-        if prefix is not None and family != prefix:
-            continue
-        if kind not in ("bytes", "messages"):
-            continue
-        try:
-            key = (int(label_map["src"]), int(label_map["dst"]))
-        except ValueError as exc:
-            raise TraceFormatError(
-                f"counter {name!r}: src/dst labels must be locale numbers, "
-                f"got {label_map!r}"
-            ) from exc
-        entry = comm.setdefault(key, [0.0, 0.0])
-        entry[0 if kind == "bytes" else 1] += value
-    return comm
-
-
 # -- the analysis -----------------------------------------------------------
 
 
@@ -462,7 +431,7 @@ class TraceAnalysis:
         }
 
     def scalars(self) -> dict[str, float]:
-        """The headline figures (used by ``diff`` and the bench harness)."""
+        """The headline figures (``calibrate`` puts both runs' side by side)."""
         return {
             "makespan_seconds": self.makespan,
             "overlap_efficiency": self.overlap_efficiency,
@@ -474,7 +443,7 @@ class TraceAnalysis:
         }
 
 
-def _flat(snapshot, prefixes: tuple[str, ...] = ("",)) -> dict[str, float]:
+def _flat(snapshot, prefixes: tuple[str, ...]) -> dict[str, float]:
     """Counters and gauges whose name starts with one of ``prefixes``,
     rendered flat: ``name{label=value,...}`` -> value."""
     out: dict[str, float] = {}
@@ -489,10 +458,9 @@ def analyze_trace(source, metrics=None) -> TraceAnalysis:
 
     ``metrics`` may be a :class:`~repro.telemetry.metrics.MetricsSnapshot`,
     a live :class:`~repro.telemetry.metrics.MetricsRegistry`, or a path to
-    a snapshot JSON file; when given, the plan-cache and kernel-strategy
-    counters are folded into the report and any ``*.bytes`` / ``*.messages``
-    counter families complement the span-harvested communication matrix
-    (span args win where both exist — they need no heuristics).
+    a snapshot JSON file; when given, its plan-cache and kernel-strategy
+    counters are folded into the report.  The communication matrix comes
+    from the spans alone: every span that moves data carries its traffic.
     """
     chrome = _load_chrome(source)
     clock = str(chrome.get("clock", "sim"))
@@ -552,13 +520,9 @@ def analyze_trace(source, metrics=None) -> TraceAnalysis:
     busy_spans = [s for s in locale_spans if s.category in ("compute", "send")]
     chain = _critical_path(busy_spans)
 
-    comm = _harvest_comm(spans)
     counters: dict[str, float] = {}
     if metrics is not None:
-        snapshot = _as_snapshot(metrics)
-        counters = _flat(snapshot, ("plan.", "kernel."))
-        if not comm:
-            comm = communication_matrix_from_metrics(snapshot)
+        counters = _flat(_as_snapshot(metrics), ("plan.", "kernel."))
 
     return TraceAnalysis(
         makespan=makespan,
@@ -571,7 +535,7 @@ def analyze_trace(source, metrics=None) -> TraceAnalysis:
         stall_fraction=stall_fraction,
         imbalance_index=imbalance,
         critical_path=chain,
-        comm=comm,
+        comm=_harvest_comm(spans),
         counters=counters,
         clock=clock,
         phases=phases,
@@ -583,11 +547,7 @@ def _as_snapshot(metrics):
         return metrics
     if hasattr(metrics, "snapshot"):  # a live registry
         return metrics.snapshot()
-    if isinstance(metrics, dict):
-        return MetricsSnapshot.from_json(metrics)
     return MetricsSnapshot.from_json(_read_json(metrics))
-
-
 
 
 # -- model-vs-measured calibration -------------------------------------------
@@ -657,39 +617,6 @@ def calibrate_traces(model_source, measured_source) -> dict:
 # -- CLI --------------------------------------------------------------------
 
 
-def _changed(left: dict, right: dict) -> list[dict]:
-    """One ``{metric, a, b, delta, ratio}`` row per key whose value differs
-    between ``left`` and ``right`` (a missing key reads 0); ``ratio`` is
-    None when ``a`` is 0 (strict JSON has no Infinity)."""
-    rows = []
-    for key in sorted(left.keys() | right.keys()):
-        old, new = left.get(key, 0.0), right.get(key, 0.0)
-        if old != new:
-            rows.append({"metric": key, "a": old, "b": new,
-                         "delta": new - old, "ratio": new / old if old else None})
-    return rows
-
-
-def _run_diff(args) -> dict:
-    """Two metrics snapshots compare series by series, two traces their
-    headline scalars; traces from different clock domains are refused."""
-    docs = [_read_json(args.a), _read_json(args.b)]
-    if all(
-        isinstance(d, dict) and "traceEvents" not in d
-        and {"counters", "gauges", "histograms"} & d.keys() for d in docs
-    ):
-        return {"changed": _changed(*(_flat(_as_snapshot(d)) for d in docs))}
-    a, b = analyze_trace(args.a), analyze_trace(args.b)
-    if a.clock != b.clock:
-        raise TraceFormatError(
-            f"cannot diff traces from different clock domains: a is "
-            f"{_clock_label(a.clock)}, b is {_clock_label(b.clock)} — use "
-            "'repro-inspect calibrate MODEL MEASURED' to compare a "
-            "simulated run against a wall-clock one"
-        )
-    return {"clock": a.clock, "changed": _changed(a.scalars(), b.scalars())}
-
-
 def _cell(value) -> str:
     if value is None:
         return "-"
@@ -740,17 +667,9 @@ def report_text(payload: dict, indent: str = "") -> str:
 _COMMANDS = {
     "": (
         "Analyze a repro telemetry trace: overlap efficiency, stalls, load "
-        "imbalance, critical path, communication matrix. Use 'repro-inspect "
-        "diff A B' to compare two traces or two metrics snapshots.",
+        "imbalance, critical path, communication matrix.",
         (("trace", "path to a Chrome trace-event JSON file"),),
         lambda args: analyze_trace(args.trace, metrics=args.metrics).to_json(),
-    ),
-    "diff": (
-        "Compare two traces or two metrics snapshots: one row per headline "
-        "scalar or series whose value differs",
-        (("a", "baseline trace/metrics JSON"),
-         ("b", "candidate trace/metrics JSON")),
-        _run_diff,
     ),
     "calibrate": (
         "Align a simulated (model) trace with a wall-clock (measured) trace "
@@ -782,8 +701,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.add_argument(
             "--metrics",
             metavar="PATH",
-            help="metrics snapshot JSON to fold in (plan/kernel counters, "
-            "fallback communication matrix)",
+            help="metrics snapshot JSON to fold in (plan/kernel counters)",
         )
     args = parser.parse_args(argv[1:] if command else argv)
     try:

@@ -26,14 +26,13 @@ calls the no-op methods directly.
 (``clock == "sim"``).  When the real-parallel ``threads`` backend merges
 its wall-clock spans, it calls :meth:`mark_wall` and the exported trace
 carries a top-level ``"clock": "wall"`` key (ignored by Perfetto, read by
-``repro-inspect`` so reports label their domain and ``diff`` refuses to
-compare across domains).
+``repro-inspect`` so reports label their domain and ``calibrate`` checks
+which trace is the model and which the measurement).
 
 **Thread safety.**  The recorder itself is single-writer; concurrent
-producers (the threads backend's workers) never touch it directly.  They
-append to bounded per-thread :class:`~repro.telemetry.profile.SpanBuffer`
-objects instead, which the executor merges here — in per-track monotone
-order — after the workers have joined.
+producers (the threads backend's workers) never touch it directly.  Each
+appends to its own span list instead, which the executor merges here —
+in per-track monotone order — after the workers have joined.
 """
 
 from __future__ import annotations

@@ -155,12 +155,21 @@ class TestSerialBlock:
         )
 
     def test_block_width_telemetry(self, basis, expr, rng):
-        op = repro.Operator(expr, basis)
-        tele = telemetry.Telemetry.enabled(trace=False)
-        with telemetry.use(tele):
-            op.matvec(random_block(basis, rng, 5))
-        assert tele.metrics.gauge("matvec.block_width").value == 5.0
-        assert tele.metrics.histogram("kernel.matvec_seconds").count == 1
+        """A block of any width is one pass of the kernels: the first
+        product of a 5-column block counts the same kernel states and plan
+        misses as that of a single column."""
+        counts = []
+        for width in (5, 1):
+            tele = telemetry.Telemetry.enabled(trace=False)
+            with telemetry.use(tele):
+                repro.Operator(expr, basis).matvec(random_block(basis, rng, width))
+            snapshot = tele.metrics.snapshot()
+            counts.append({
+                name: snapshot.counter_total(name)
+                for name in ("kernel.state_info_states", "plan.misses")
+            })
+        assert counts[0] == counts[1]
+        assert all(counts[0].values()), counts
 
 
 class TestDistributedBlock:

@@ -167,18 +167,16 @@ class TestBSPTimer:
             timer.add_message(1, 0, 2048)
             timer.add_compute(0, 0.5)
             elapsed = timer.end_phase("scatter")
-        snapshot = timer.report.metrics
-        assert snapshot is not None
-        assert snapshot.counter_total("convert.bytes") == pytest.approx(3072)
-        assert snapshot.counter_total("convert.messages") == pytest.approx(2)
-        assert snapshot.counter_total("convert.bytes") == pytest.approx(
-            timer.report.bytes_sent
-        )
+        assert timer.report.metrics is not None
         # One trace span per busy locale, and the global timeline advanced
         # by the phase's elapsed time.
         assert tele.trace.offset == pytest.approx(elapsed)
         spans = [e for e in tele.trace.events if e["ph"] == "X"]
         assert spans and all(e["name"] == "scatter" for e in spans)
+        # The spans carry each locale's outgoing traffic: the report's count.
+        comm = [entry for e in spans for entry in e["args"]["comm"]]
+        assert sorted(comm) == [[0, 1, 1024, 1], [1, 0, 2048, 1]]
+        assert timer.report.bytes_sent == 3072 and timer.report.messages == 2
 
     def test_without_telemetry_report_has_no_snapshot(self):
         machine = laptop_machine(cores=4)

@@ -220,18 +220,10 @@ class TestConformance:
         """A worker that raises while others are parked on a flag, a
         queue and a resource: a typed error naming its locale, promptly,
         with what was traced so far flushed."""
-        from repro.telemetry import MetricsRegistry, TraceRecorder
-        from repro.telemetry.profile import ExecutorProfiler
+        from repro.telemetry import TraceRecorder
 
         trace = TraceRecorder()
-        if ex.wall_clock:
-            ex = ThreadExecutor(
-                profile=ExecutorProfiler(
-                    trace=trace, metrics=MetricsRegistry(), wall=True
-                )
-            )
-        else:
-            ex = Simulator(trace=trace)
+        ex = type(ex)(trace=trace)
         never = ex.flag(False, name="never")
         empty = ex.queue(name="empty")
         port = ex.resource(name="port")
@@ -392,28 +384,16 @@ class TestBackendSelection:
 
 
 class TestProfilingConformance:
-    """Both backends emit the same span and metric *names* per primitive.
+    """Both backends trace the same span *names* per primitive.
 
-    The simulator observes modelled durations, the threads backend
+    The simulator records modelled durations, the threads backend
     measured ones; what must match is the vocabulary — span names on the
-    locale tracks and ``executor.*`` metric families — so the analysis
-    layer and ``repro-inspect calibrate`` can align the two.  The real
-    sleeps below only matter on the threads backend (they force the
-    waiter to genuinely block); on the simulator the same blocking comes
-    from the modelled ``Timeout`` delays.
+    locale tracks — so the analysis layer and ``repro-inspect calibrate``
+    can align the two.  The real sleeps below only matter on the threads
+    backend (they force the waiter to genuinely block); on the simulator
+    the same blocking comes from the modelled ``Timeout`` delays.
     """
 
-    #: metric families both backends must produce for this protocol
-    COMMON_FAMILIES = {
-        "executor.flag_wait_seconds",
-        "executor.queue_wait_seconds",
-        "executor.resource_wait_seconds",
-        "executor.resource_hold_seconds",
-        "executor.queue_depth",
-        "executor.queue_depth_max",
-        "executor.worker_busy_seconds",
-        "executor.worker_blocked_seconds",
-    }
     #: span names both backends must stamp on the locale tracks
     SPAN_NAMES = {
         "produce", "arm", "hold", "consume", "stall", "idle", "wait:port",
@@ -463,41 +443,15 @@ class TestProfilingConformance:
         assert count.get() == 7
 
     def _run(self, backend):
-        from repro.telemetry import MetricsRegistry, TraceRecorder
-        from repro.telemetry.profile import ExecutorProfiler
+        from repro.telemetry import TraceRecorder
 
         trace = TraceRecorder()
-        metrics = MetricsRegistry()
-        if backend == "sim":
-            profile = ExecutorProfiler(trace=None, metrics=metrics)
-            ex = Simulator(trace=trace, profile=profile)
-        else:
-            profile = ExecutorProfiler(trace=trace, metrics=metrics, wall=True)
-            ex = ThreadExecutor(profile=profile)
-        self._drive(ex)
-        return trace, metrics
-
-    def test_same_metric_families_on_both_backends(self):
-        results = {b: self._run(b) for b in ("sim", "threads")}
-        families = {}
-        for backend, (_, metrics) in results.items():
-            snap = metrics.snapshot()
-            families[backend] = {
-                name
-                for source in (snap.counters, snap.gauges, snap.histograms)
-                for (name, _) in source
-                if name.startswith("executor.")
-            }
-        for backend in ("sim", "threads"):
-            missing = self.COMMON_FAMILIES - families[backend]
-            assert not missing, f"{backend} backend missing {missing}"
-        # Lock families are threads-only by construction: the simulator's
-        # single-threaded lock() is a no-op context that cannot contend.
-        assert "executor.lock_wait_seconds" not in families["sim"]
+        self._drive(executor_class(backend)(trace=trace))
+        return trace
 
     def test_same_span_names_on_both_backends(self):
         for backend in ("sim", "threads"):
-            trace, _ = self._run(backend)
+            trace = self._run(backend)
             names = {
                 event["name"]
                 for event in trace.to_chrome()["traceEvents"]
@@ -507,56 +461,16 @@ class TestProfilingConformance:
             assert not missing, f"{backend} backend missing spans {missing}"
 
     def test_clock_domain_marks_the_backend(self):
-        sim_trace, _ = self._run("sim")
-        wall_trace, _ = self._run("threads")
+        sim_trace = self._run("sim")
+        wall_trace = self._run("threads")
         assert sim_trace.to_chrome()["clock"] == "sim"
         assert wall_trace.to_chrome()["clock"] == "wall"
 
-    def test_lock_contention_measured_on_threads(self):
-        from repro.telemetry import MetricsRegistry
-        from repro.telemetry.profile import ExecutorProfiler
-
-        metrics = MetricsRegistry()
-        ex = ThreadExecutor(
-            profile=ExecutorProfiler(metrics=metrics, wall=True)
-        )
-        lock = ex.lock("accum")
-
-        def bumper():
-            with lock:
-                time.sleep(0.005)
-            yield Timeout(1e-6)
-
-        for i in range(3):
-            ex.spawn(bumper(), name=f"bump{i}")
-        ex.run()
-        snap = ex.profile.metrics.snapshot()
-        waits = {
-            labels: stats
-            for (name, labels), stats in snap.histograms.items()
-            if name == "executor.lock_wait_seconds"
-        }
-        holds = {
-            labels: stats
-            for (name, labels), stats in snap.histograms.items()
-            if name == "executor.lock_hold_seconds"
-        }
-        assert (("lock", "accum"),) in waits
-        assert (("lock", "accum"),) in holds
-        hold = holds[(("lock", "accum"),)]
-        assert hold["count"] == 3
-        assert hold["sum"] >= 3 * 0.004
-
     def test_partial_trace_flushed_on_worker_failure(self):
-        from repro.telemetry import MetricsRegistry, TraceRecorder
-        from repro.telemetry.profile import ExecutorProfiler
+        from repro.telemetry import TraceRecorder
 
         trace = TraceRecorder()
-        ex = ThreadExecutor(
-            profile=ExecutorProfiler(
-                trace=trace, metrics=MetricsRegistry(), wall=True
-            )
-        )
+        ex = ThreadExecutor(trace=trace)
 
         def worker():
             yield Timeout(1e-3, label="before-crash")
@@ -574,15 +488,10 @@ class TestProfilingConformance:
         assert trace.to_chrome()["clock"] == "wall"
 
     def test_partial_trace_flushed_on_watchdog_deadlock(self):
-        from repro.telemetry import MetricsRegistry, TraceRecorder
-        from repro.telemetry.profile import ExecutorProfiler
+        from repro.telemetry import TraceRecorder
 
         trace = TraceRecorder()
-        ex = ThreadExecutor(
-            profile=ExecutorProfiler(
-                trace=trace, metrics=MetricsRegistry(), wall=True
-            )
-        )
+        ex = ThreadExecutor(trace=trace)
         ex.watchdog_seconds = 0.3
         flag = ex.flag(False, name="never")
 

@@ -6,7 +6,8 @@ two-locale pipeline, a skewed busy-time distribution, a critical path
 through a known DAG — and then on real traced matvec runs: the
 producer-consumer pipeline must report strictly better overlap than the
 naive per-element variant on the same input, the communication matrix
-must match the simulation report's byte counts, and the global trace
+must match the report's byte and message counts (matvecs and the
+bulk-synchronous enumeration and conversions alike), and the global trace
 offset must stay monotone across warm plan-cached replays (the
 regression the ``advance`` guard protects against).
 """
@@ -30,19 +31,17 @@ import repro
 from repro import telemetry
 from repro.basis import SymmetricBasis
 from repro.distributed import (
+    BlockArray,
     DistributedOperator,
     DistributedVector,
+    block_to_hashed,
     enumerate_states,
+    hashed_to_block,
+    locale_of,
 )
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
-from repro.telemetry import (
-    MetricsRegistry,
-    Telemetry,
-    TraceRecorder,
-    analyze_trace,
-    communication_matrix_from_metrics,
-)
+from repro.telemetry import Telemetry, TraceRecorder, analyze_trace
 from repro.telemetry.analysis import load_spans, main as inspect_main, report_text
 
 
@@ -183,25 +182,6 @@ class TestCommunicationMatrix:
         assert analysis.comm[(0, 1)] == [64.0, 2.0]
         assert analysis.comm[(0, 0)] == [8.0, 1.0]
 
-    def test_from_metrics_snapshot(self):
-        metrics = MetricsRegistry()
-        metrics.counter("matvec.bytes", src=0, dst=1).inc(128)
-        metrics.counter("matvec.messages", src=0, dst=1).inc(4)
-        metrics.counter("matvec.bytes", src=1, dst=0).inc(32)
-        metrics.counter("other.things").inc(7)
-        comm = communication_matrix_from_metrics(metrics.snapshot())
-        assert comm[(0, 1)] == [128.0, 4.0]
-        assert comm[(1, 0)] == [32.0, 0.0]
-
-    def test_metrics_fill_in_when_trace_has_no_args(self):
-        trace = TraceRecorder()
-        _span(trace, 0, "worker0", "generate", 0.0, 1.0)
-        metrics = MetricsRegistry()
-        metrics.counter("matvec.bytes", src=0, dst=1).inc(64)
-        analysis = analyze_trace(trace, metrics=metrics)
-        assert analysis.comm[(0, 1)][0] == 64.0
-
-
 @pytest.fixture(scope="module")
 def small_distributed():
     group = chain_symmetries(12, momentum=0, parity=0, inversion=0)
@@ -228,6 +208,33 @@ def _traced_matvec(dbasis, method, repeats=1):
     return tele, dop
 
 
+#: the bulk-synchronous algorithms, whose phase spans carry ``comm`` lists
+BSP_RUNS = ("enumerate_states", "block_to_hashed", "hashed_to_block")
+
+
+def _traced_bsp(kind):
+    """One traced run of a bulk-synchronous algorithm on three locales:
+    ``(telemetry, its report)``."""
+    cluster = Cluster(3, laptop_machine(cores=4))
+    data = np.random.default_rng(0).permutation(500).astype(np.int64)
+    masks = BlockArray.from_global(cluster, locale_of(data.astype(np.uint64), 3))
+    array = BlockArray.from_global(cluster, data)
+    parts, _ = block_to_hashed(array, masks)
+    template = SymmetricBasis(
+        chain_symmetries(12, momentum=0, parity=0, inversion=0),
+        hamming_weight=6, build=False,
+    )
+    runs = {
+        "enumerate_states": lambda: enumerate_states(cluster, template),
+        "block_to_hashed": lambda: block_to_hashed(array, masks),
+        "hashed_to_block": lambda: hashed_to_block(parts, masks),
+    }
+    tele = Telemetry.enabled()
+    with telemetry.use(tele):
+        _, report = runs[kind]()
+    return tele, report
+
+
 class TestRealTraces:
     def test_pc_overlap_strictly_above_naive(self, small_distributed):
         analyses = {}
@@ -243,17 +250,19 @@ class TestRealTraces:
         # the naive variant is strictly serialized per locale
         assert analyses["naive"].overlap_efficiency == pytest.approx(0.0)
 
-    @pytest.mark.parametrize("method", ["naive", "batched", "pc"])
+    @pytest.mark.parametrize("method", ["naive", "batched", "pc", *BSP_RUNS])
     def test_comm_matrix_matches_report_totals(self, small_distributed, method):
-        tele, dop = _traced_matvec(small_distributed, method)
+        """The trace alone carries every byte and message the report
+        counts, for the matvec variants and the BSP algorithms alike."""
+        if method in BSP_RUNS:
+            tele, report = _traced_bsp(method)
+        else:
+            tele, dop = _traced_matvec(small_distributed, method)
+            report = dop.last_report
         analysis = analyze_trace(tele.trace)
-        report = dop.last_report
-        assert sum(e[0] for e in analysis.comm.values()) == pytest.approx(
-            report.bytes_sent
-        )
-        assert sum(e[1] for e in analysis.comm.values()) == pytest.approx(
-            report.messages
-        )
+        assert report.messages > 0
+        assert sum(e[0] for e in analysis.comm.values()) == report.bytes_sent
+        assert sum(e[1] for e in analysis.comm.values()) == report.messages
 
     @pytest.mark.parametrize("method", ["naive", "batched", "pc"])
     def test_plan_counters_reach_the_report(self, small_distributed, method):
@@ -327,22 +336,6 @@ class TestInspectCLI:
         assert 0.0 < report["overlap_efficiency"] <= 1.0
         assert len(report["communication"]["bytes"]) == 3
 
-    def test_diff_traces(self, trace_path, small_distributed, capsys, tmp_path):
-        path, _ = trace_path
-        tele, _ = _traced_matvec(small_distributed, "naive")
-        other = tmp_path / "naive.json"
-        tele.trace.save(other)
-        assert inspect_main(["diff", str(other), str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "overlap_efficiency" in out
-
-    def test_diff_metrics(self, trace_path, capsys):
-        _, metrics_path = trace_path
-        assert (
-            inspect_main(["diff", str(metrics_path), str(metrics_path)]) == 0
-        )
-        assert "(none)" in capsys.readouterr().out
-
 
 class TestGracefulFailures:
     """``repro-inspect`` on broken inputs: clear message, exit code 2."""
@@ -363,11 +356,11 @@ class TestGracefulFailures:
         assert err.startswith("repro-inspect: error:")
         assert str(path) in err
 
-    @pytest.mark.parametrize("command", [[], "diff", "calibrate"])
+    @pytest.mark.parametrize("command", [[], "calibrate"])
     def test_all_commands_fail_cleanly(self, command, tmp_path, capsys):
         path = tmp_path / "trunc.json"
         path.write_text('{"traceEvents": [')
-        if command in ("diff", "calibrate"):
+        if command == "calibrate":
             argv = [command, str(path), str(path)]
         else:
             argv = command + [str(path)]
@@ -400,7 +393,7 @@ class TestGracefulFailures:
 
 
 class TestClockDomains:
-    """Every report names its clock; diff refuses to mix clocks."""
+    """Every report names its clock."""
 
     def _save(self, tmp_path, name, wall):
         trace = TraceRecorder()
@@ -444,21 +437,6 @@ class TestClockDomains:
             )
         )
         assert analyze_trace(str(path)).clock == "sim"
-
-    def test_diff_same_clock_is_allowed(self, tmp_path, capsys):
-        a = self._save(tmp_path, "a.json", wall=True)
-        b = self._save(tmp_path, "b.json", wall=True)
-        assert inspect_main(["diff", a, b]) == 0
-
-    def test_diff_cross_clock_refused_with_exit_2(self, tmp_path, capsys):
-        sim = self._save(tmp_path, "sim.json", wall=False)
-        wall = self._save(tmp_path, "wall.json", wall=True)
-        assert inspect_main(["diff", sim, wall]) == 2
-        err = capsys.readouterr().err
-        assert "repro-inspect: error:" in err
-        assert "clock domain" in err
-        assert "calibrate" in err
-
 
 
 # -- the trace/metrics file boundary ------------------------------------------
@@ -505,14 +483,12 @@ def recorded(tmp_path_factory):
 
 
 def _commands(folder, trace="trace.json", metrics="metrics.json"):
-    """The three sub-commands (``diff`` and ``calibrate`` in both of their
-    forms / orders) over the named trace and metrics files."""
+    """The two sub-commands (``calibrate`` in both of its orders) over the
+    named trace and metrics files."""
     trace, metrics = folder / trace, folder / metrics
     good, wall = folder / "trace.json", folder / "wall.json"
     return [
         [trace, "--metrics", metrics],
-        ["diff", trace, good],
-        ["diff", metrics, folder / "metrics.json"],
         ["calibrate", trace, wall],
         ["calibrate", good, trace],
     ]
@@ -533,8 +509,6 @@ def _assert_every_command_rejects(recorded, name, fields, mention):
         json.dumps({**docs["trace"], "traceEvents": events})
     )
     for argv in _commands(folder, trace="bad_trace.json"):
-        if argv[1] == folder / "metrics.json":
-            continue  # the metrics diff reads no trace
         _assert_one_line_error(*_inspect(argv), f"trace event {index}", mention)
 
 
@@ -542,23 +516,14 @@ def _assert_every_command_rejects(recorded, name, fields, mention):
     "argv",
     [
         ["trace.json", "--metrics", "metrics.json"],
-        ["diff", "trace.json", "slower.json"],
-        ["diff", "metrics.json", "metrics.json"],
         ["calibrate", "trace.json", "wall.json"],
     ],
-    ids=["bare", "diff-traces", "diff-metrics", "calibrate"],
+    ids=["bare", "calibrate"],
 )
 def test_text_names_every_json_key(recorded, argv, capsys):
     """``--json`` prints a JSON document, and the text form of the same
     report has a line for each of its top-level keys."""
-    folder, docs = recorded
-    slower = [
-        {**e, "dur": 2 * e["dur"]} if e["ph"] == "X" else e
-        for e in docs["trace"]["traceEvents"]
-    ]
-    (folder / "slower.json").write_text(
-        json.dumps({**docs["trace"], "traceEvents": slower})
-    )
+    folder, _ = recorded
     argv = [str(folder / a) if a.endswith(".json") else a for a in argv]
     assert inspect_main(argv + ["--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -585,20 +550,8 @@ class TestMalformedFields:
     def test_metrics_rows(self, recorded, metrics, mention):
         folder, _ = recorded
         (folder / "bad_metrics.json").write_text(json.dumps(metrics))
-        bare, _, diff, *_ = _commands(folder, metrics="bad_metrics.json")
+        bare, *_ = _commands(folder, metrics="bad_metrics.json")
         _assert_one_line_error(*_inspect(bare), mention)
-        if isinstance(metrics, dict):  # a list does not look like metrics
-            _assert_one_line_error(*_inspect(diff), mention)
-
-    def test_traffic_label_that_is_no_locale(self, recorded):
-        """Read only when the trace itself carries no traffic."""
-        folder, _ = recorded
-        (folder / "empty_trace.json").write_text('{"traceEvents": []}')
-        row = {"name": "matvec.bytes", "value": 1,
-               "labels": {"src": "a", "dst": 0}}
-        (folder / "bad_metrics.json").write_text(json.dumps({"counters": [row]}))
-        bare, *_ = _commands(folder, "empty_trace.json", "bad_metrics.json")
-        _assert_one_line_error(*_inspect(bare), "matvec.bytes", "locale")
 
     @pytest.mark.parametrize(
         "fields, mention",
