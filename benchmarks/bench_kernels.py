@@ -282,7 +282,7 @@ def test_representative_filter_speedup(group):
         kept = early_exit(g)  # also warms the scratch buffers
         np.testing.assert_array_equal(kept, full_loop(g))
         t_full, t_early = best_of_pair(
-            lambda: full_loop(g), lambda: early_exit(g), repeats=5
+            lambda: full_loop(g), lambda: early_exit(g), repeats=11
         )
         rows[label] = {
             "group_order": len(g),

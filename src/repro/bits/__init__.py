@@ -10,13 +10,9 @@ from repro.bits.ops import (
     BITS_DTYPE,
     as_states,
     bit_mask,
-    get_bit,
-    set_bit,
-    clear_bit,
     popcount,
     parity,
     rotate_left,
-    rotate_right,
     reverse_bits,
     flip_all,
     candidate_batches,
@@ -34,13 +30,9 @@ __all__ = [
     "BITS_DTYPE",
     "as_states",
     "bit_mask",
-    "get_bit",
-    "set_bit",
-    "clear_bit",
     "popcount",
     "parity",
     "rotate_left",
-    "rotate_right",
     "reverse_bits",
     "flip_all",
     "candidate_batches",

@@ -15,13 +15,9 @@ __all__ = [
     "BITS_DTYPE",
     "as_states",
     "bit_mask",
-    "get_bit",
-    "set_bit",
-    "clear_bit",
     "popcount",
     "parity",
     "rotate_left",
-    "rotate_right",
     "reverse_bits",
     "flip_all",
     "candidate_batches",
@@ -29,7 +25,6 @@ __all__ = [
 ]
 
 BITS_DTYPE = np.uint64
-_ONE = np.uint64(1)
 _U64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
@@ -71,24 +66,6 @@ def bit_mask(n: int) -> np.uint64:
     return np.uint64((1 << n) - 1)
 
 
-def get_bit(x, i: int) -> np.ndarray:
-    """Bit ``i`` of each state, as ``uint64`` zeros and ones."""
-    x = as_states(x)
-    return (x >> np.uint64(i)) & _ONE
-
-
-def set_bit(x, i: int) -> np.ndarray:
-    """Each state with bit ``i`` set."""
-    x = as_states(x)
-    return x | (_ONE << np.uint64(i))
-
-
-def clear_bit(x, i: int) -> np.ndarray:
-    """Each state with bit ``i`` cleared."""
-    x = as_states(x)
-    return x & ~(_ONE << np.uint64(i))
-
-
 def popcount(x) -> np.ndarray:
     """Number of set bits (the Hamming weight / number of up spins)."""
     return np.bitwise_count(as_states(x))
@@ -99,12 +76,6 @@ def parity(x) -> np.ndarray:
     return popcount(x) & np.uint64(1)
 
 
-def _check_rotation(k: int, n: int) -> tuple[int, np.uint64]:
-    if not 1 <= n <= 64:
-        raise ValueError(f"word width must be in [1, 64], got {n}")
-    return k % n, bit_mask(n)
-
-
 def rotate_left(x, k: int, n: int) -> np.ndarray:
     """Rotate the low ``n`` bits of each state left by ``k`` positions.
 
@@ -112,19 +83,14 @@ def rotate_left(x, k: int, n: int) -> np.ndarray:
     A left rotation by 1 moves bit ``i`` to bit ``i+1`` — i.e. it implements
     translation by one site on a periodic chain.
     """
-    x = as_states(x)
-    k, mask = _check_rotation(k, n)
+    if not 1 <= n <= 64:
+        raise ValueError(f"word width must be in [1, 64], got {n}")
+    x, k, mask = as_states(x), k % n, bit_mask(n)
     if k == 0:
         return x & mask
     kk = np.uint64(k)
     nk = np.uint64(n - k)
     return ((x << kk) | (x >> nk)) & mask
-
-
-def rotate_right(x, k: int, n: int) -> np.ndarray:
-    """Rotate the low ``n`` bits of each state right by ``k`` positions."""
-    k, _ = _check_rotation(k, n)
-    return rotate_left(x, n - k if k else 0, n)
 
 
 # 256-entry byte-reversal table used by :func:`reverse_bits`.

@@ -220,7 +220,7 @@ _CLI_ROWS = (
         help="write a Perfetto-compatible Chrome trace-event JSON of the "
         "simulated run to PATH"),
     Key("metrics", str, flag="--metrics", metavar="PATH",
-        help="write the metrics snapshot (counters/gauges/histograms) as "
+        help="write the metrics snapshot (counters and gauges) as "
         "JSON to PATH; the text table goes to stderr"),
 )
 _NEEDS_CLUSTER = "requires a 'cluster' section in the input file"

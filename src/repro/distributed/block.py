@@ -114,17 +114,6 @@ class BlockArray:
     def row_bytes(self) -> int:
         return self.dtype.itemsize * self.row_width
 
-    def local_range(self, locale: int) -> tuple[int, int]:
-        """Global index range ``[start, stop)`` owned by ``locale``."""
-        return int(self.boundaries[locale]), int(self.boundaries[locale + 1])
-
-    def locale_of_index(self, global_index: int) -> int:
-        if not 0 <= global_index < self.global_length:
-            raise DistributionError(f"index {global_index} out of range")
-        return int(
-            np.searchsorted(self.boundaries, global_index, side="right") - 1
-        )
-
     def to_global(self) -> np.ndarray:
         """Gather the full array (for tests and I/O at small scale)."""
         return (

@@ -33,11 +33,7 @@ from repro.distributed.vector import DistributedVector
 from repro.errors import ConfigError
 from repro.operators.expression import Expression
 from repro.operators.operator import BasisOperator
-from repro.operators.plan import (
-    MatvecPlan,
-    csr_footprint,
-    csr_in_recorded_order,
-)
+from repro.operators.plan import csr_footprint, csr_in_recorded_order
 from repro.runtime.clock import SimReport
 from repro.schema import Key, check
 from repro.telemetry.context import Recording
@@ -137,10 +133,9 @@ class DistributedOperator(BasisOperator):
     the consumer-side ``stateToIndex`` results — is recorded under
     ``(locale, start)`` on the first matvec, as are each locale's diagonal
     matrix elements under ``(locale, "diag")``, which is what makes
-    repeated Krylov iterations cheap.  Pass a fresh ``MatvecPlan`` to
-    control the memory budget, or ``False`` to recompute everything each
-    call.  The plan is this operator's alone: one that holds entries or
-    that another operator has attached raises
+    repeated Krylov iterations cheap.  The plan is this operator's own,
+    its budget a share of the host's available memory; ``False``
+    recomputes everything each call, and anything but a bool raises
     :class:`~repro.errors.ConfigError`.  Every product returns a new ``y``.
 
     Once the plan holds every element, a warm matvec is one SpMV per
@@ -189,7 +184,7 @@ class DistributedOperator(BasisOperator):
         expression: Expression,
         basis: DistributedBasis,
         method: str = "pc",
-        plan: bool | MatvecPlan = True,
+        plan: bool = True,
         **method_options,
     ) -> None:
         _check_options(method, basis.cluster, method_options)

@@ -258,17 +258,6 @@ class Expression:
             out[conj_term] = out.get(conj_term, 0.0) + np.conj(coeff)
         return Expression(out)
 
-    def translated(self, offset: int, n_sites: int) -> "Expression":
-        """The expression shifted by ``offset`` sites around a periodic
-        lattice of ``n_sites`` sites."""
-        out: dict[Term, complex] = {}
-        for term, coeff in self._terms.items():
-            moved = tuple(
-                sorted(((site + offset) % n_sites, op) for site, op in term)
-            )
-            out[moved] = out.get(moved, 0.0) + coeff
-        return Expression(out)
-
     # -- dense reference (for validation) ------------------------------------
 
     def site_matrices(self, term: Term) -> dict[int, np.ndarray]:

@@ -11,7 +11,7 @@ elements with ``getManyRows``, and scatter-add into the destination vector.
 
 :class:`BasisOperator` is what the serial, the distributed and the SpinPack
 operators decide the same way: the compile-and-check against the basis
-sector, the result dtype and the plan they attach.
+sector, the result dtype and the plan they own.
 """
 
 from __future__ import annotations
@@ -27,11 +27,7 @@ from repro.operators.compile import compile_expression, result_dtype
 from repro.operators.expression import Expression
 from repro.operators.kernels import many_rows
 from repro.operators.matrix import operator_to_dense, operator_to_sparse
-from repro.operators.plan import (
-    MatvecPlan,
-    csr_footprint,
-    csr_in_recorded_order,
-)
+from repro.operators.plan import MatvecPlan, csr_footprint, csr_in_recorded_order
 from repro.schema import require_positive
 
 __all__ = ["BasisOperator", "Operator"]
@@ -65,17 +61,15 @@ class BasisOperator:
     cache, ``max(256, (1 << 17) // compiled.max_entries_per_row)``.
     ``dtype`` is the operator's scalar type
     (:func:`~repro.operators.compile.result_dtype`), what every product
-    promotes with its input's.  ``plan=True`` attaches a fresh
-    :class:`~repro.operators.plan.MatvecPlan`, a fresh instance attaches
-    that one (the way to set a budget), ``False`` none.  The operator is
-    its plan's one owner: a plan that holds entries or that another
-    operator has attached, or anything but a bool or a plan, is a
+    promotes with its input's.  ``plan=True`` makes the operator its own
+    :class:`~repro.operators.plan.MatvecPlan`, sized from the host's
+    memory, ``False`` none; anything else (a ``MatvecPlan`` too) is a
     :class:`~repro.errors.ConfigError`.
     """
 
     def __init__(
         self, expression: Expression, basis, sector: Basis,
-        batch_size: int | None, plan: bool | MatvecPlan,
+        batch_size: int | None, plan: bool,
     ) -> None:
         self.basis = basis
         self.compiled = compile_expression(expression, sector.n_sites)
@@ -95,19 +89,9 @@ class BasisOperator:
         require_positive(batch_size=batch_size)
         self.batch_size = int(batch_size)
         self.dtype = result_dtype(self.compiled, sector)
-        if not isinstance(plan, (bool, MatvecPlan)):
-            raise ConfigError(f"plan must be True, False or a MatvecPlan, got {plan!r}")
-        if isinstance(plan, MatvecPlan) and (plan.attached or plan.n_entries):
-            held = "another operator has attached it" if plan.attached else (
-                f"it already holds {plan.n_entries} entries"
-            )
-            raise ConfigError(
-                f"this MatvecPlan cannot be attached: {held}; give each "
-                "operator its own plan (a capacity_bytes each, to split a budget)"
-            )
-        self.plan: MatvecPlan | None = MatvecPlan() if plan is True else plan or None
-        if self.plan is not None:
-            self.plan.attached = True
+        if not isinstance(plan, bool):
+            raise ConfigError(f"plan must be True or False, got {plan!r}")
+        self.plan: MatvecPlan | None = MatvecPlan() if plan else None
 
     def invalidate_plan(self) -> None:
         """Drop all cached matvec data (keeps the plan enabled)."""
@@ -141,13 +125,11 @@ class Operator(BasisOperator):
         Cache the iteration-invariant ``(rows, sources, amplitudes)``
         triples produced for each batch and replay them on subsequent
         matvecs (see :class:`~repro.operators.plan.MatvecPlan`).  ``True``
-        builds a plan with the default memory budget; pass a fresh
-        :class:`MatvecPlan` to control the budget, or ``False`` to
-        recompute everything every call.  The plan is this operator's
-        alone: one that holds entries or that another operator has
-        attached raises :class:`~repro.errors.ConfigError`.  A replay
-        equals the recording pass bit for bit on real arithmetic, to 1e-14
-        relative on complex.
+        gives the operator a plan of its own, its budget a share of the
+        host's available memory; ``False`` recomputes everything every
+        call; anything else raises :class:`~repro.errors.ConfigError`.  A
+        replay equals the recording pass bit for bit on real arithmetic,
+        to 1e-14 relative on complex.
     """
 
     def __init__(
@@ -155,7 +137,7 @@ class Operator(BasisOperator):
         expression: Expression,
         basis: Basis,
         batch_size: int | None = None,
-        plan: bool | MatvecPlan = True,
+        plan: bool = True,
     ) -> None:
         super().__init__(expression, basis, basis, batch_size, plan)
         self._diagonal: np.ndarray | None = None

@@ -22,9 +22,10 @@ under a real single-vector matvec replays against a complex input or a
 one plan serves an entire mixed single/block Krylov workload.
 
 The cache is memory-bounded: entries are accounted in bytes and admitted
-while they fit the budget (by default
-:func:`repro.perfmodel.capacity.plan_cache_budget`); an entry that does not
-fit is turned away and the ones already held stay.  Every matvec visits
+while they fit the budget, :data:`PLAN_MEMORY_SHARE` of the host's
+available memory (:func:`available_memory`) read once when the plan is
+made; an entry that does not fit is turned away and the ones already held
+stay.  Every matvec visits
 its chunks in the same order, so evicting the least recently used entry
 would throw out exactly the one needed next and a plan smaller than its
 operator would never hit; admission keeps the first K chunks that fit and
@@ -44,10 +45,8 @@ that lands on ``locale`` (``DistributedOperator._consolidate``, on both
 backends), and on ``sim`` ``("replay", width)``, the report and telemetry
 log of a simulated product (``DistributedOperator._simulated``), so one
 plan serves a whole distributed operator.  The keys do not say whose
-they are, so a plan serves one operator: an operator attaches only a
-plan that is empty and that no other operator has attached
-(:attr:`MatvecPlan.attached`), and any other is a
-:class:`~repro.errors.ConfigError`.
+they are, so a plan serves one operator, the one that made it
+(``plan=True``).
 """
 
 from __future__ import annotations
@@ -58,12 +57,41 @@ from typing import Hashable
 import numpy as np
 import scipy.sparse as sp
 
-from repro.schema import Key, check
 from repro.telemetry.context import current as current_telemetry
 
-__all__ = ["MatvecPlan", "csr_footprint", "csr_in_recorded_order"]
+__all__ = ["MatvecPlan", "available_memory", "csr_footprint", "csr_in_recorded_order"]
 
-_CAPACITY = Key("capacity_bytes", int, min=0)
+#: Share of the host's available memory one plan may hold.  A fold keeps
+#: the records and the matrix it builds from them together for a moment,
+#: up to twice the share, and the Krylov block grows in the rest: at least
+#: half of what was available while a fold runs, three quarters once the
+#: matrix stands alone.  A chain-32 sector (dim 4.7 M) then holds its
+#: ~1.25 GB of records, and after them its 962 MiB matrix, on a host with
+#: 5 GB or more available once the basis is built; its 62 Krylov rows
+#: take 2.3 GB of the rest.
+PLAN_MEMORY_SHARE = 1 / 4
+
+
+def available_memory() -> int:
+    """Bytes the host can still hand out without swapping: Linux's
+    ``MemAvailable`` (``/proc/meminfo``), or 0 on a host that does not
+    report it, where every plan's budget is 0 and holds nothing (each
+    product then recomputes, as ``plan=False`` does, rather than claim
+    memory nobody measured).
+
+    ``MemAvailable`` rather than ``os.sysconf("SC_AVPHYS_PAGES")``: that
+    counts free pages only, so page cache the kernel would drop on demand
+    (on a host that has read a few GB of files, most of its memory) reads
+    as taken.
+    """
+    try:
+        with open("/proc/meminfo") as meminfo:
+            for line in meminfo:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return 0
 
 
 def _entry_nbytes(entry: object) -> int:
@@ -177,30 +205,18 @@ def csr_in_recorded_order(shape, dtype, row_arrays, triples):
 class MatvecPlan:
     """A byte-budgeted cache of iteration-invariant matvec data.
 
-    Parameters
-    ----------
-    capacity_bytes:
-        Maximum total size of cached entries, an integer >= 0
-        (:class:`~repro.errors.ConfigError` otherwise).  ``None`` uses
-        :func:`repro.perfmodel.capacity.plan_cache_budget`.  An entry that
-        does not fit beside the ones held is not cached (a miss each time).
-
-    An operator attaches a fresh plan and owns it from then on
-    (:attr:`attached`).  A plan handed to a bare matvec variant function
-    instead serves whatever calls it is handed to, unchecked.
+    Its budget, :attr:`capacity_bytes`, is :data:`PLAN_MEMORY_SHARE` of
+    :func:`available_memory` when the plan is made, never read again.  An
+    entry that does not fit beside the ones held is not cached (a miss
+    each time).  A plan handed to a bare matvec variant function serves
+    whatever calls it is handed to.
     """
 
-    def __init__(self, capacity_bytes: int | None = None) -> None:
-        if capacity_bytes is None:
-            from repro.perfmodel.capacity import plan_cache_budget
-
-            capacity_bytes = plan_cache_budget()
-        self.capacity_bytes = check(capacity_bytes, _CAPACITY)
+    def __init__(self) -> None:
+        self.capacity_bytes = int(available_memory() * PLAN_MEMORY_SHARE)
         self._entries: dict[Hashable, object] = {}
         self._nbytes_by_key: dict[Hashable, int] = {}
         self._bytes = 0
-        #: Set by the operator that attaches the plan (its only owner).
-        self.attached = False
         # One plan serves every chunk task of a matvec, and on the
         # ``threads`` execution backend those tasks run concurrently; the
         # admission bookkeeping and the hit/miss counts are read-modify-write

@@ -5,7 +5,10 @@ The paper's introduction frames the whole problem as memory pressure: a
 state-sized vectors, and one node holds 256 GiB.  This module answers the
 operational questions — minimum node count, memory per locale, simulated
 time per matvec / per Lanczos run — for any chain size, using the same
-workload and machine models as the evaluation benchmarks.
+workload and machine models as the evaluation benchmarks.  The node it
+models is the paper's, for Table 2 and :func:`minimum_locales`; the
+matvec plan's budget is measured on the host running it instead
+(:mod:`repro.operators.plan`).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from repro.perfmodel.models import MatvecScalingModel
 from repro.perfmodel.workloads import ChainWorkload, paper_workload
 from repro.runtime.machine import MachineModel, snellius_machine
 
-__all__ = ["CapacityPlan", "plan_capacity", "plan_cache_budget"]
+__all__ = ["CapacityPlan", "plan_capacity"]
 
 #: Memory per Snellius "thin" node (16 x 16 GiB DDR4), bytes.
 NODE_MEMORY_BYTES = 256 * 2**30
@@ -39,10 +42,6 @@ class CapacityPlan:
     matvec_seconds: float
     lanczos_seconds: float
 
-    @property
-    def memory_utilization(self) -> float:
-        return self.bytes_per_locale / NODE_MEMORY_BYTES
-
 
 def bytes_per_locale(workload: ChainWorkload, n_locales: int) -> int:
     """Resident bytes per locale for a Lanczos ground-state run."""
@@ -56,28 +55,6 @@ def bytes_per_locale(workload: ChainWorkload, n_locales: int) -> int:
 #: With this value the planner reproduces the paper's observed minimum
 #: node counts exactly (42 spins on 1 node, 44 on 4, 46 on 16).
 MEMORY_HEADROOM = 0.5
-
-
-#: Fraction of the *usable* node memory (after :data:`MEMORY_HEADROOM`) that
-#: the matvec plan cache may claim.  The dominant residents are the basis
-#: states and the Krylov vectors; the plan trades a bounded slice of the
-#: remainder for skipping ``getManyRows`` + ``stateToIndex`` on every
-#: Lanczos iteration after the first.
-PLAN_CACHE_FRACTION = 1 / 16
-
-#: Absolute ceiling on the plan cache so in-process reproduction runs (which
-#: do not own a 256 GiB node) stay laptop-friendly.
-PLAN_CACHE_CEILING_BYTES = 512 * 2**20
-
-
-def plan_cache_budget() -> int:
-    """Byte budget of one :class:`~repro.operators.plan.MatvecPlan`, sized
-    as one node's share (:data:`PLAN_CACHE_FRACTION` of the usable node
-    memory, at most :data:`PLAN_CACHE_CEILING_BYTES`).  A
-    ``DistributedOperator`` holds one plan for all its locales, so
-    in-process the whole cluster shares this budget."""
-    usable = NODE_MEMORY_BYTES * MEMORY_HEADROOM
-    return min(int(usable * PLAN_CACHE_FRACTION), PLAN_CACHE_CEILING_BYTES)
 
 
 def minimum_locales(workload: ChainWorkload) -> int:

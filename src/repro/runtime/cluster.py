@@ -76,10 +76,6 @@ class Cluster:
         (modelled seconds otherwise)."""
         return executor_class(self.backend).wall_clock
 
-    @property
-    def total_cores(self) -> int:
-        return self.n_locales * self.machine.cores_per_locale
-
     def __len__(self) -> int:
         return self.n_locales
 

@@ -22,7 +22,7 @@ scaling saturates); absolute times are indicative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.schema import require_positive
 
@@ -122,9 +122,6 @@ class MachineModel:
     def memcpy_time(self, nbytes: float, n_cores: int | None = None) -> float:
         cores = self.cores_per_locale if n_cores is None else max(n_cores, 1)
         return nbytes / (self.memcpy_bandwidth * cores)
-
-    def with_cores(self, cores: int) -> "MachineModel":
-        return replace(self, cores_per_locale=cores)
 
 
 def snellius_machine() -> MachineModel:

@@ -7,9 +7,9 @@ ambient through :func:`~repro.telemetry.context.use`:
   counter events on the *simulated* clock, exported as Chrome
   trace-event JSON (open in Perfetto).  One track per (locale, worker), so
   the paper's Fig. 5 producer-consumer pipeline is directly visible.
-- :class:`~repro.telemetry.metrics.MetricsRegistry` — labelled counters,
-  gauges, and histograms (bytes on the wire per locale pair, plan-cache
-  hits and footprint, kernel strategy counts), frozen into
+- :class:`~repro.telemetry.metrics.MetricsRegistry` — labelled counters
+  and gauges (bytes on the wire per locale pair, plan-cache hits and
+  footprint, kernel strategy counts), frozen into
   :class:`~repro.telemetry.metrics.MetricsSnapshot` objects that render as
   text tables or JSON.
 
@@ -39,7 +39,6 @@ from repro.telemetry.context import (
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     MetricsSnapshot,
     NullMetricsRegistry,
@@ -59,7 +58,6 @@ __all__ = [
     "MetricsSnapshot",
     "Counter",
     "Gauge",
-    "Histogram",
     "TraceAnalysis",
     "analyze_trace",
     "calibrate_traces",

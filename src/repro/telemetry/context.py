@@ -60,7 +60,7 @@ class _MetricsLog(MetricsRegistry):
         def logged(method):
             return lambda value=1.0: self.log.append((factory, key, method, value))
 
-        return SimpleNamespace(**{m: logged(m) for m in ("inc", "set", "observe")})
+        return SimpleNamespace(**{m: logged(m) for m in ("inc", "set")})
 
 
 class _TraceLog(TraceRecorder):

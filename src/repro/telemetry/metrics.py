@@ -1,4 +1,4 @@
-"""A labelled metrics registry: counters, gauges, and histograms.
+"""A labelled metrics registry: counters and gauges.
 
 Instrumented code asks the registry for an instrument by name plus labels
 (``metrics.counter("matvec.bytes", src=0, dst=3).inc(nbytes)``); the
@@ -24,7 +24,6 @@ from repro.errors import TraceFormatError
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NullMetricsRegistry",
     "MetricsSnapshot",
@@ -58,31 +57,6 @@ class Gauge:
         self.value = float(value)
 
 
-class Histogram:
-    """A streaming distribution summary (count/sum/min/max/mean)."""
-
-    __slots__ = ("count", "total", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
 class _NullCounter(Counter):
     __slots__ = ()
 
@@ -97,16 +71,8 @@ class _NullGauge(Gauge):
         pass
 
 
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
 _NULL_COUNTER = _NullCounter()
 _NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
 
 
 def _label_key(labels: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
@@ -121,7 +87,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: dict[tuple[str, LabelKey], Counter] = {}
         self._gauges: dict[tuple[str, LabelKey], Gauge] = {}
-        self._histograms: dict[tuple[str, LabelKey], Histogram] = {}
         # Guards instrument creation only: on the threads execution
         # backend, concurrent first lookups of the same (name, labels)
         # must intern exactly one instrument (a lost write would fork a
@@ -146,11 +111,6 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels) -> Gauge:
         return self._intern(self._gauges, (name, _label_key(labels)), Gauge)
 
-    def histogram(self, name: str, **labels) -> Histogram:
-        return self._intern(
-            self._histograms, (name, _label_key(labels)), Histogram
-        )
-
     def counter_total(self, name: str) -> float:
         """Sum of one counter family over all label combinations."""
         return sum(
@@ -164,19 +124,6 @@ class MetricsRegistry:
                 key: c.value for key, c in sorted(self._counters.items())
             },
             gauges={key: g.value for key, g in sorted(self._gauges.items())},
-            histograms={
-                # Empty histograms carry min=inf/max=-inf internally;
-                # serialize those as None so the JSON stays strict (no
-                # bare Infinity tokens).
-                key: {
-                    "count": h.count,
-                    "sum": h.total,
-                    "min": h.min if h.count else None,
-                    "max": h.max if h.count else None,
-                    "mean": h.mean,
-                }
-                for key, h in sorted(self._histograms.items())
-            },
         )
 
 
@@ -191,9 +138,6 @@ class NullMetricsRegistry(MetricsRegistry):
     def gauge(self, name: str, **labels) -> Gauge:
         return _NULL_GAUGE
 
-    def histogram(self, name: str, **labels) -> Histogram:
-        return _NULL_HISTOGRAM
-
 
 def series_name(name: str, labels: LabelKey) -> str:
     """``name{label=value,...}``, or the bare name of an unlabelled series."""
@@ -206,12 +150,11 @@ class MetricsSnapshot:
     """A frozen view of a :class:`MetricsRegistry`.
 
     Keys are ``(name, ((label, value), ...))`` pairs; values are plain
-    floats (counters/gauges) or stat dicts (histograms).
+    floats.
     """
 
     counters: dict = field(default_factory=dict)
     gauges: dict = field(default_factory=dict)
-    histograms: dict = field(default_factory=dict)
 
     def counter_total(self, name: str) -> float:
         return sum(v for (n, _), v in self.counters.items() if n == name)
@@ -226,21 +169,6 @@ class MetricsSnapshot:
                 lines.append(f"{kind:<44} {'value':>14}")
             for (name, labels), value in series.items():
                 lines.append(f"{series_name(name, labels):<44} {value:>14{fmt}}")
-        if self.histograms:
-            lines.append(
-                f"{'histogram':<32} {'count':>8} {'mean':>12} "
-                f"{'min':>12} {'max':>12}"
-            )
-            for (name, labels), stats in self.histograms.items():
-                label = series_name(name, labels)
-                lo = stats["min"] if stats["min"] is not None else "-"
-                hi = stats["max"] if stats["max"] is not None else "-"
-                lo = f"{lo:.4g}" if isinstance(lo, (int, float)) else str(lo)
-                hi = f"{hi:.4g}" if isinstance(hi, (int, float)) else str(hi)
-                lines.append(
-                    f"{label:<32} {stats['count']:>8} {stats['mean']:>12.4g} "
-                    f"{lo:>12} {hi:>12}"
-                )
         return "\n".join(lines) if lines else "(no metrics recorded)"
 
     def to_json(self) -> dict:
@@ -252,11 +180,7 @@ class MetricsSnapshot:
                 for (name, labels), value in mapping.items()
             ]
 
-        return {
-            "counters": rows(self.counters),
-            "gauges": rows(self.gauges),
-            "histograms": rows(self.histograms),
-        }
+        return {"counters": rows(self.counters), "gauges": rows(self.gauges)}
 
     @classmethod
     def from_json(cls, data) -> "MetricsSnapshot":
@@ -264,11 +188,11 @@ class MetricsSnapshot:
 
         ``data`` usually comes from a file, so it is checked here, once: a
         row that is not ``{"name": str, "labels": {str: scalar}, "value":
-        number or stats}`` raises :class:`~repro.errors.TraceFormatError`
+        number}`` raises :class:`~repro.errors.TraceFormatError`
         naming the row and the field.
         """
 
-        def rows_of(kind, value_types):
+        def rows_of(kind):
             rows = data.get(kind, []) if isinstance(data, dict) else None
             if not isinstance(rows, list):
                 raise TraceFormatError(f"metrics {kind!r} is not a list of rows")
@@ -278,7 +202,7 @@ class MetricsSnapshot:
                 labels = row.get("labels")
                 for key, ok in (
                     ("name", isinstance(row.get("name"), str)),
-                    ("value", isinstance(row.get("value"), value_types)),
+                    ("value", isinstance(row.get("value"), (int, float))),
                     ("labels", isinstance(labels, dict) and all(
                         isinstance(v, (str, int, float)) for v in labels.values()
                     )),
@@ -292,7 +216,5 @@ class MetricsSnapshot:
             return out
 
         return cls(
-            counters=rows_of("counters", (int, float)),
-            gauges=rows_of("gauges", (int, float)),
-            histograms=rows_of("histograms", dict),
+            counters=rows_of("counters"), gauges=rows_of("gauges"),
         )

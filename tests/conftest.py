@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 import repro
+import repro.operators.plan as plan_module
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
 
@@ -34,6 +37,25 @@ def chain12_basis() -> repro.SymmetricBasis:
 @pytest.fixture
 def chain12_operator(chain12_basis) -> repro.Operator:
     return repro.Operator(repro.heisenberg_chain(12), chain12_basis)
+
+
+@contextmanager
+def _plan_budget(nbytes: int):
+    """Plans made inside get a budget of exactly ``nbytes``: the host
+    memory reader they are sized by returns ``nbytes / PLAN_MEMORY_SHARE``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            plan_module, "available_memory",
+            lambda: round(nbytes / plan_module.PLAN_MEMORY_SHARE),
+        )
+        yield
+
+
+@pytest.fixture(scope="session")
+def plan_budget():
+    """``with plan_budget(nbytes):`` sets the budget of the plans made inside
+    (session-scoped, so hypothesis tests take it too)."""
+    return _plan_budget
 
 
 def random_state_batch(

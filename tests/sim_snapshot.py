@@ -137,7 +137,7 @@ def _report_lines(report, result=None) -> list[str]:
 
 def _metric_lines(snapshot) -> list[str]:
     lines = []
-    for kind in ("counters", "gauges", "histograms"):
+    for kind in ("counters", "gauges"):
         for (name, labels), value in getattr(snapshot, kind).items():
             lines.append(f"{kind} {name} {labels!r} {value!r}")
     return lines

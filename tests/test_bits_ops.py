@@ -9,16 +9,12 @@ from hypothesis import given, strategies as st
 from repro.bits import (
     as_states,
     bit_mask,
-    clear_bit,
     candidate_batches,
     flip_all,
-    get_bit,
     parity,
     popcount,
     reverse_bits,
     rotate_left,
-    rotate_right,
-    set_bit,
     states_with_weight,
 )
 
@@ -65,21 +61,6 @@ class TestBitMask:
             bit_mask(n)
 
 
-class TestSingleBits:
-    def test_get_bit(self):
-        x = np.array([0b1010], dtype=np.uint64)
-        assert int(get_bit(x, 1)[0]) == 1
-        assert int(get_bit(x, 0)[0]) == 0
-
-    def test_set_clear_roundtrip(self):
-        x = np.array([0b1010], dtype=np.uint64)
-        assert int(clear_bit(set_bit(x, 0), 0)[0]) == 0b1010
-
-    def test_set_is_idempotent(self):
-        x = np.array([0b1], dtype=np.uint64)
-        assert np.array_equal(set_bit(x, 0), x)
-
-
 class TestPopcount:
     def test_known_values(self):
         values = np.array([0, 1, 3, 0xFF, (1 << 64) - 1], dtype=np.uint64)
@@ -98,7 +79,7 @@ class TestRotations:
     @given(states_st, width_st, st.integers(min_value=0, max_value=200))
     def test_left_right_inverse(self, x, n, k):
         x = np.uint64(x) & bit_mask(n)
-        assert rotate_right(rotate_left(x, k, n), k, n) == x
+        assert rotate_left(rotate_left(x, k, n), n - k, n) == x
 
     @given(states_st, width_st)
     def test_full_rotation_is_identity(self, x, n):

@@ -43,19 +43,10 @@ class TestBlockArray:
 
     def test_local_range(self, cluster):
         arr = BlockArray.from_global(cluster, np.arange(10.0))
-        assert arr.local_range(0) == (0, 4)
-        assert arr.local_range(1) == (4, 7)
-        assert arr.local_range(2) == (7, 10)
-
-    def test_locale_of_index(self, cluster):
-        arr = BlockArray.from_global(cluster, np.arange(10.0))
-        owners = [arr.locale_of_index(i) for i in range(10)]
-        assert owners == [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]
-
-    def test_locale_of_index_out_of_range(self, cluster):
-        arr = BlockArray.from_global(cluster, np.arange(10.0))
-        with pytest.raises(DistributionError):
-            arr.locale_of_index(10)
+        assert arr.boundaries.tolist() == [0, 4, 7, 10]
+        assert [block.tolist() for block in arr.blocks] == [
+            [0, 1, 2, 3], [4, 5, 6], [7, 8, 9]
+        ]
 
     def test_empty_constructor(self, cluster):
         arr = BlockArray.empty(cluster, 10, np.float64)

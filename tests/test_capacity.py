@@ -36,7 +36,7 @@ class TestPlan:
     def test_default_plan_fits(self):
         plan = plan_capacity(44)
         assert plan.fits
-        assert plan.memory_utilization <= MEMORY_HEADROOM + 1e-9
+        assert plan.bytes_per_locale / NODE_MEMORY_BYTES <= MEMORY_HEADROOM + 1e-9
 
     def test_explicit_node_count(self):
         plan = plan_capacity(44, n_locales=64)

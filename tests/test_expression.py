@@ -83,12 +83,6 @@ class TestMultiSite:
         assert expr.sites == {1, 2, 4}
         assert expr.min_sites == 5
 
-    def test_translated(self):
-        expr = sigma_plus(0) * sigma_minus(1)
-        moved = expr.translated(3, 4)
-        assert moved.sites == {3, 0}
-        assert np.allclose(dense(moved, 4), dense(sigma_plus(3) * sigma_minus(0), 4))
-
 
 class TestAlgebraLaws:
     def test_addition_collects_terms(self):

@@ -32,7 +32,6 @@ from repro.operators.expression import (
 )
 from repro.operators.matrix import expression_to_dense
 from repro.operators.operator import MATRIX_KEY
-from repro.operators.plan import MatvecPlan
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import SymmetryGroup, translation
 
@@ -117,7 +116,7 @@ class TestRealCharacterSector:
         for _ in range(3):
             np.testing.assert_allclose(op.matvec(x), oracle @ x, atol=1e-14)
 
-    def test_batch_replay_without_consolidation(self, k0_basis):
+    def test_batch_replay_without_consolidation(self, k0_basis, plan_budget):
         expression = current_chain()
         oracle = projected_dense(expression, k0_basis)
         probe = repro.Operator(expression, k0_basis, batch_size=7)
@@ -125,11 +124,11 @@ class TestRealCharacterSector:
         probe.matvec(x)
         # Room for the batches and not for the matrix (diagonal and row
         # pointers on top of them): they stay and are replayed.
-        plan = MatvecPlan(capacity_bytes=probe.plan.nbytes)
-        op = repro.Operator(expression, k0_basis, batch_size=7, plan=plan)
+        with plan_budget(probe.plan.nbytes):
+            op = repro.Operator(expression, k0_basis, batch_size=7)
         for _ in range(3):
             np.testing.assert_allclose(op.matvec(x), oracle @ x, atol=1e-14)
-        assert MATRIX_KEY not in plan and plan.n_entries == 2
+        assert MATRIX_KEY not in op.plan and op.plan.n_entries == 2
 
     def test_lanczos_finds_the_oracle_ground_state(self, k0_basis):
         expression = current_chain()

@@ -64,10 +64,6 @@ class TestMachineModel:
         m = MachineModel()
         assert m.compute_time(1e-6, 100, n_cores=1) == pytest.approx(1e-4)
 
-    def test_with_cores(self):
-        m = MachineModel().with_cores(16)
-        assert m.cores_per_locale == 16
-
     def test_snellius_defaults(self):
         m = snellius_machine()
         assert m.cores_per_locale == 128
@@ -83,7 +79,7 @@ class TestMachineModel:
         [
             lambda: MachineModel(cores_per_locale=0),
             lambda: laptop_machine(cores=0),
-            lambda: MachineModel().with_cores(-1),
+            lambda: MachineModel(cores_per_locale=-1),
         ],
     )
     def test_rejects_fewer_than_one_core(self, make):

@@ -8,6 +8,8 @@ bit-for-bit reproducible with the plan on, off, and after invalidation,
 for the serial operator and all three distributed variants.
 """
 
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -104,13 +106,6 @@ class TestSerialPlan:
         with telemetry.use(tele):
             lanczos(op, rng.standard_normal(basis.dim), k=1, tol=1e-10)
         assert tele.metrics.counter_total("plan.hits") > 0
-
-    def test_shared_plan_instance(self, basis, expr, rng):
-        plan = MatvecPlan()
-        op = repro.Operator(expr, basis, plan=plan)
-        assert op.plan is plan
-        op.matvec(random_vector(basis, rng))
-        assert plan.n_entries > 0
 
 
 class TestSerialBatchRule:
@@ -257,22 +252,20 @@ class TestConsolidatedReplay:
             np.testing.assert_array_equal(op.matvec(block[:, j]), recorded[:, j])
 
     def test_budget_too_small_for_all_batches_never_consolidates(
-        self, sector, rng
+        self, sector, rng, plan_budget
     ):
         expr, basis = sector
         full = repro.Operator(expr, basis, batch_size=7)
         x = rng.standard_normal(full.dim)
         recorded = full.matvec(x)
-        budget = full.plan.nbytes - 1
-        op = repro.Operator(
-            expr, basis, batch_size=7, plan=MatvecPlan(capacity_bytes=budget)
-        )
+        with plan_budget(full.plan.nbytes - 1):
+            op = repro.Operator(expr, basis, batch_size=7)
         for _ in range(3):
             np.testing.assert_array_equal(op.matvec(x), recorded)
             assert ("matrix",) not in op.plan
             assert 0 < op.plan.n_entries < len(self.batch_keys(op))
 
-    def test_room_for_the_batches_but_not_for_the_matrix(self, rng):
+    def test_room_for_the_batches_but_not_for_the_matrix(self, rng, plan_budget):
         # One bond on 12 sites: 0.27 off-diagonal elements per row, so the
         # matrix (a diagonal element and a row pointer for every row) is
         # larger than the batches.  The batches have to stay and replay.
@@ -286,9 +279,8 @@ class TestConsolidatedReplay:
         nnz = budget // 16
         assert 0 < nnz < 4 * probe.dim
         assert 12 * (nnz + probe.dim) + 4 * (probe.dim + 1) > budget
-        op = repro.Operator(
-            expr, basis, batch_size=100, plan=MatvecPlan(capacity_bytes=budget)
-        )
+        with plan_budget(budget):
+            op = repro.Operator(expr, basis, batch_size=100)
         keys = self.batch_keys(op)
         tele = telemetry.Telemetry.enabled(trace=False)
         with telemetry.use(tele):
@@ -306,15 +298,15 @@ class TestConsolidatedReplay:
             (budget + 1, False),
             (12 * (nnz + op.dim) + 4 * (op.dim + 1), True),
         ]:
-            op = repro.Operator(
-                expr, basis, batch_size=100, plan=MatvecPlan(capacity_bytes=capacity)
-            )
+            with plan_budget(capacity):
+                op = repro.Operator(expr, basis, batch_size=100)
             for _ in range(3):
                 np.testing.assert_array_equal(op.matvec(x), recorded)
             assert (("matrix",) in op.plan) == consolidated
 
-    def test_pop_keeps_the_bytes_gauge_current(self):
-        plan = MatvecPlan(capacity_bytes=1000)
+    def test_pop_keeps_the_bytes_gauge_current(self, plan_budget):
+        with plan_budget(1000):
+            plan = MatvecPlan()
         tele = telemetry.Telemetry.enabled(trace=False)
         with telemetry.use(tele):
             plan.put(("a",), np.zeros(10))
@@ -435,8 +427,9 @@ class TestOneBuilder:
 
 
 class TestPlanCachePolicy:
-    def test_lru_eviction_under_tiny_budget(self, basis, expr, rng):
-        op = repro.Operator(expr, basis, plan=MatvecPlan(capacity_bytes=1))
+    def test_lru_eviction_under_tiny_budget(self, basis, expr, rng, plan_budget):
+        with plan_budget(1):
+            op = repro.Operator(expr, basis)
         x = random_vector(basis, rng)
         y_first = op.matvec(x)
         # Every batch is turned away, yet results stay correct.
@@ -444,7 +437,7 @@ class TestPlanCachePolicy:
         assert op.plan.nbytes <= 1
 
     @staticmethod
-    def partial(make_op, x, share, warm=5):
+    def partial(make_op, x, share, plan_budget, warm=5):
         """A plan of ``share`` of the recording's bytes: what it admits on
         the first matvec it keeps, and each warm matvec hits exactly that.
         (Evicting the least recently used entry threw out, on a cyclic
@@ -456,7 +449,8 @@ class TestPlanCachePolicy:
         for key in made:
             probe.plan.pop(key)  # on ``sim``: the record and matrices it made
         keys, recorded = probe.plan.n_entries, probe.plan.nbytes
-        op = make_op(plan=MatvecPlan(capacity_bytes=int(share * recorded)))
+        with plan_budget(int(share * recorded)):
+            op = make_op(plan=True)
         tele = telemetry.Telemetry.enabled(trace=False)
         with telemetry.use(tele):
             results = [op.matvec(x) for _ in range(1 + warm)]
@@ -469,20 +463,20 @@ class TestPlanCachePolicy:
         return cold, results
 
     @pytest.mark.parametrize("share", [0.9, 0.5, 0.25])
-    def test_partial_budget_admits_and_hits_serial(self, share, rng):
+    def test_partial_budget_admits_and_hits_serial(self, share, rng, plan_budget):
         # chain-20: dim 2518, ten batches of 256
         basis = SymmetricBasis(chain_symmetries(20, 0, 0, 0), hamming_weight=10)
         expr = repro.heisenberg_chain(20)
         x = rng.standard_normal(basis.dim)
         cold, results = self.partial(
             lambda plan: repro.Operator(expr, basis, batch_size=256, plan=plan),
-            x, share,
+            x, share, plan_budget,
         )
         for y in results:
             np.testing.assert_array_equal(y, cold)
 
     @pytest.mark.parametrize("share", [0.9, 0.5])
-    def test_partial_budget_admits_and_hits_pc_on_sim(self, share):
+    def test_partial_budget_admits_and_hits_pc_on_sim(self, share, plan_budget):
         group = chain_symmetries(16, momentum=0, parity=0, inversion=0)
         template = SymmetricBasis(group, hamming_weight=8, build=False)
         cluster = Cluster(4, laptop_machine(cores=4))
@@ -493,48 +487,85 @@ class TestPlanCachePolicy:
             lambda plan: DistributedOperator(
                 expr, dbasis, method="pc", batch_size=16, plan=plan
             ),
-            x, share,
+            x, share, plan_budget,
         )
         for y in results:
             for part, cold_part in zip(y.parts, cold.parts):
                 np.testing.assert_array_equal(part, cold_part)
 
-    def test_oversized_entry_rejected(self):
-        plan = MatvecPlan(capacity_bytes=8)
+    def test_oversized_entry_rejected(self, plan_budget):
+        with plan_budget(8):
+            plan = MatvecPlan()
         plan.put("big", (np.zeros(100),))
         assert "big" not in plan
         assert plan.n_entries == 0
 
     def test_default_budget_positive(self):
-        from repro.perfmodel.capacity import plan_cache_budget
-
-        assert MatvecPlan().capacity_bytes == plan_cache_budget()
-        assert plan_cache_budget() > 0
+        if os.path.exists("/proc/meminfo"):
+            assert plan_module.available_memory() > 0
+            assert MatvecPlan().capacity_bytes > 0
 
     @pytest.mark.parametrize(
         "arguments",
-        [
-            {"capacity_bytes": float("nan")},
-            {"capacity_bytes": "10"},
-            {"capacity_bytes": -1},
-            {"capacity_bytes": 2.5},
-            {"capacity_bytes": True},
-            {"plan": 1},
-            {"plan": "yes"},
-            {"plan": None},
-        ],
-        ids=repr,
+        [{"plan": 1}, {"plan": "yes"}, {"plan": None}, {"plan": MatvecPlan}],
+        ids=["{'plan': 1}", "{'plan': 'yes'}", "{'plan': None}", "{'plan': MatvecPlan()}"],
     )
     def test_typed_arguments(self, basis, expr, arguments):
-        """A plan argument of the wrong type or range is a ConfigError (a
-        NaN budget was a raw ValueError, ``"10"`` and ``-1`` were accepted,
-        ``plan=1`` an AttributeError from ``claim``)."""
-        with pytest.raises(ConfigError, match=next(iter(arguments))):
-            if "plan" in arguments:
-                repro.Operator(expr, basis, **arguments)
-            else:
-                MatvecPlan(**arguments)
-        assert MatvecPlan(capacity_bytes=np.int64(0)).capacity_bytes == 0
+        """A plan argument that is not a bool is a ConfigError (``plan=1``
+        was an AttributeError from ``claim``); a ``MatvecPlan`` is one
+        too, serial or distributed: an operator makes its own."""
+        if arguments["plan"] is MatvecPlan:
+            arguments = {"plan": MatvecPlan()}
+            dbasis, _ = enumerate_states(
+                Cluster(2, laptop_machine(cores=2)),
+                SymmetricBasis(basis.group, hamming_weight=6, build=False),
+            )
+            with pytest.raises(ConfigError, match="plan must be True or False"):
+                DistributedOperator(expr, dbasis, **arguments)
+        with pytest.raises(ConfigError, match="plan must be True or False"):
+            repro.Operator(expr, basis, **arguments)
+
+
+class TestMeasuredBudget:
+    """A plan's budget is :data:`PLAN_MEMORY_SHARE` of the host's available
+    memory, read once when the plan is made.  (A budget below the records
+    keeps a partial plan: ``TestPlanCachePolicy``'s partial-budget tests.)"""
+
+    def test_read_at_creation_only(self, basis, expr, rng, monkeypatch):
+        """A budget above the records: one reading, at creation; the
+        recording product and the folding one read nothing, and the plan
+        ends as one matrix."""
+        readings = []
+        monkeypatch.setattr(
+            plan_module, "available_memory", lambda: readings.append(1) or 2**32
+        )
+        op = repro.Operator(expr, basis)
+        assert readings == [1]
+        assert op.plan.capacity_bytes == int(2**32 * plan_module.PLAN_MEMORY_SHARE)
+        x = random_vector(basis, rng)
+        recorded = op.matvec(x)
+        assert op.plan.n_entries == -(-op.dim // op.batch_size)
+        np.testing.assert_array_equal(op.matvec(x), recorded)
+        assert readings == [1] and op.plan.n_entries == 1 and ("matrix",) in op.plan
+
+    def test_a_host_that_reports_no_memory_plans_nothing(
+        self, basis, expr, rng, monkeypatch
+    ):
+        """Without ``/proc/meminfo`` the reading is 0: the plan's budget is
+        0, it holds nothing and every product equals ``plan=False``."""
+
+        def no_meminfo(*args, **kwargs):
+            raise FileNotFoundError("/proc/meminfo")
+
+        monkeypatch.setattr(plan_module, "open", no_meminfo, raising=False)
+        assert plan_module.available_memory() == 0
+        op = repro.Operator(expr, basis)
+        assert op.plan.capacity_bytes == 0
+        x = random_vector(basis, rng)
+        cold = repro.Operator(expr, basis, plan=False).matvec(x)
+        for _ in range(3):
+            np.testing.assert_array_equal(op.matvec(x), cold)
+        assert op.plan.n_entries == 0
 
 
 class TestDistributedPlan:

@@ -20,7 +20,6 @@ import repro
 from repro.basis import SymmetricBasis
 from repro.basis.symm_basis import sector_sums, source_scales
 from repro.distributed import DistributedOperator, DistributedVector, enumerate_states
-from repro.operators import MatvecPlan
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry.kernels import GroupKernel
 
@@ -79,7 +78,9 @@ def test_a_distributed_product_never_sums_a_stabilizer(method, backend, plan, mo
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_every_product_is_the_serial_product(run, sector, n_locales, k, batch_size, seed):
+def test_every_product_is_the_serial_product(
+    run, sector, n_locales, k, batch_size, seed, plan_budget
+):
     """Plan off, the recording pass, a warm replay and a plan whose budget
     holds only some chunks: each ``y`` equals the serial ``Operator``'s to
     1e-13, for one column and for a block of three."""
@@ -99,8 +100,9 @@ def test_every_product_is_the_serial_product(run, sector, n_locales, k, batch_si
     options = dict(method=method, batch_size=batch_size)
     check(DistributedOperator(expression, dbasis, plan=False, **options), 1)
     planned = check(DistributedOperator(expression, dbasis, **options), 3)
-    partial = MatvecPlan(capacity_bytes=planned.plan.nbytes // 3)
-    check(DistributedOperator(expression, dbasis, plan=partial, **options), 2)
+    with plan_budget(planned.plan.nbytes // 3):
+        partial = DistributedOperator(expression, dbasis, **options)
+    check(partial, 2)
 
 
 @pytest.mark.parametrize("sector", SECTORS)

@@ -19,7 +19,6 @@ import repro.distributed.operator as operator_module
 import sim_snapshot
 from repro import telemetry
 from repro.distributed import DistributedOperator, DistributedVector
-from repro.operators.plan import MatvecPlan
 from repro.runtime.events import Simulator
 from repro.telemetry import Telemetry
 
@@ -67,7 +66,7 @@ def _products(op, x, count):
 
 
 @pytest.mark.parametrize("name", REPLAYED)
-def test_a_replay_is_the_product_it_replays(name, monkeypatch):
+def test_a_replay_is_the_product_it_replays(name, monkeypatch, plan_budget):
     """The first product records, out of sight, a simulation of the second;
     products 2 and 3 replay it.  Each equals product 2 of an operator whose
     plan cannot hold the matrices, so that simulates: the same report to
@@ -103,10 +102,8 @@ def test_a_replay_is_the_product_it_replays(name, monkeypatch):
     replayed = _products(op, x, 2)
     assert counts[0] == 2 and (len(scheduled), len(spawned)) == counts
 
-    budget = MatvecPlan(capacity_bytes=op.plan.nbytes - 8)  # no matrices
-    simulating = DistributedOperator(
-        expression, basis, method=method, plan=budget, **options
-    )
+    with plan_budget(op.plan.nbytes - 8):  # no matrices
+        simulating = DistributedOperator(expression, basis, method=method, **options)
     simulated, y = _products(simulating, x, 2)[1]
     assert len(scheduled) == 4
     assert [record for record, _ in replayed] == [simulated, simulated]

@@ -132,17 +132,6 @@ class TestMetricsRegistry:
         assert reg.counter_total("messages") == pytest.approx(1)
         assert reg.counter_total("missing") == 0.0
 
-    def test_histogram_statistics(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("sizes")
-        for v in (4.0, 1.0, 7.0):
-            h.observe(v)
-        assert h.count == 3
-        assert h.total == pytest.approx(12.0)
-        assert h.min == 1.0
-        assert h.max == 7.0
-        assert h.mean == pytest.approx(4.0)
-
     def test_gauge_last_write_wins(self):
         reg = MetricsRegistry()
         g = reg.gauge("imbalance")
@@ -162,11 +151,9 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         reg.counter("matvec.bytes", src=0, dst=1).inc(512)
         reg.gauge("imbalance").set(1.25)
-        reg.histogram("chunk").observe(8.0)
         table = reg.snapshot().table()
         assert "matvec.bytes{dst=1,src=0}" in table
         assert "imbalance" in table
-        assert "chunk" in table
 
     def test_empty_snapshot_table(self):
         assert MetricsRegistry().snapshot().table() == "(no metrics recorded)"
@@ -175,7 +162,6 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         reg.counter("bytes", src=0, dst=1).inc(100)
         reg.gauge("residual").set(1e-9)
-        reg.histogram("stall", locale=2).observe(0.5)
         snap = reg.snapshot()
         restored = MetricsSnapshot.from_json(
             json.loads(json.dumps(snap.to_json()))
@@ -189,49 +175,10 @@ class TestMetricsRegistry:
         assert c is reg.counter("other")
         c.inc(100)
         reg.gauge("g").set(5.0)
-        reg.histogram("h").observe(1.0)
         assert c.value == 0.0
         assert reg.gauge("g").value == 0.0
-        assert reg.histogram("h").count == 0
         snap = reg.snapshot()
         assert snap.counters == {} and snap.gauges == {}
-
-
-class TestStrictSnapshotJson:
-    """Snapshot JSON must never contain Infinity (moved here from
-    ``test_openmetrics.py`` when the exporter went)."""
-
-    def _strict_loads(self, text: str):
-        def reject(token):
-            raise AssertionError(f"non-strict JSON token: {token}")
-
-        return json.loads(text, parse_constant=reject)
-
-    def test_empty_histogram_snapshot_is_strict_json(self):
-        reg = MetricsRegistry()
-        reg.histogram("never.observed")
-        reg.counter("events").inc()
-        data = self._strict_loads(json.dumps(reg.snapshot().to_json()))
-        restored = MetricsSnapshot.from_json(data)
-        hist = next(iter(restored.histograms.values()))
-        assert hist["count"] == 0
-        assert hist["min"] is None and hist["max"] is None
-
-    def test_populated_histogram_roundtrips(self):
-        reg = MetricsRegistry()
-        reg.histogram("batch.size").observe(32)
-        reg.histogram("batch.size").observe(64)
-        data = self._strict_loads(json.dumps(reg.snapshot().to_json()))
-        restored = MetricsSnapshot.from_json(data)
-        hist = next(iter(restored.histograms.values()))
-        assert hist["min"] == 32 and hist["max"] == 64
-
-    def test_empty_histogram_table_renders(self):
-        reg = MetricsRegistry()
-        reg.histogram("never.observed")
-        table = reg.snapshot().table()
-        assert "never.observed" in table
-        assert "inf" not in table
 
 
 class TestTelemetryContext:
@@ -524,12 +471,12 @@ class TestCommandLine:
 
 def test_catalogue_lists_exactly_the_emitted_families():
     """``docs/OBSERVABILITY.md`` "Metric catalogue" names every family some
-    ``counter(`` / ``gauge(`` / ``histogram(`` call in ``src/`` emits, and
+    ``counter(`` / ``gauge(`` call in ``src/`` emits, and
     no other, each in a row whose last ("read by") cell names a reader."""
     import re
 
     root = Path(__file__).parents[1]
-    call = re.compile(r'\.(?:counter|gauge|histogram)\(\s*f?"([^"]+)"')
+    call = re.compile(r'\.(?:counter|gauge)\(\s*f?"([^"]+)"')
     emitted = {
         literal
         for path in (root / "src").rglob("*.py")

@@ -590,8 +590,8 @@ class TestMalformedFields:
 
         assert issubclass(TraceFormatError, (ReproError,))
         assert issubclass(TraceFormatError, ValueError)
-        with pytest.raises(TraceFormatError, match=r"histograms\[0\]"):
-            telemetry.MetricsSnapshot.from_json({"histograms": [3]})
+        with pytest.raises(TraceFormatError, match=r"gauges\[0\]"):
+            telemetry.MetricsSnapshot.from_json({"gauges": [3]})
 
 
 def _paths(node, prefix=()):

@@ -31,9 +31,7 @@ Three contracts:
    set.  Budgets too small for the matrices keep the per-chunk schedule
    on both backends, a pass that failed part-way leaves records the next
    product completes, and ``invalidate_plan()`` drops the record.
-5. **A plan belongs to one operator.**  Attaching a plan that another
-   operator has attached, or that a bare variant function filled, raises
-   ``ConfigError``, whatever the tables, basis and batch size.  Every
+5. **A plan belongs to one operator,** the one that made it.  Every
    product returns a new ``y``; an ``x`` of another basis is a
    ``DistributionError`` on every path, and no product writes to ``x``.
 """
@@ -60,7 +58,6 @@ from repro.distributed import (
     DistributedOperator,
     DistributedVector,
     enumerate_states,
-    matvec_batched,
     matvec_producer_consumer,
 )
 from repro.distributed.matvec_common import (
@@ -69,8 +66,8 @@ from repro.distributed.matvec_common import (
     produce_chunk,
 )
 from repro.distributed.matvec_pc import default_buffer_capacity
-from repro.errors import ConfigError, DistributionError
-from repro.operators.compile import CompiledOperator, compile_expression
+from repro.errors import DistributionError
+from repro.operators.compile import CompiledOperator
 from repro.operators.plan import MatvecPlan, _entry_nbytes
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
@@ -354,12 +351,12 @@ def count_schedules(monkeypatch, method):
     return calls
 
 
-def records_only_plan(dop, x):
-    """A fresh plan whose budget admits the chunk records and diagonals of
-    ``dop``'s plan, but not its matrices beside them (``dop``'s plan holds
-    those, the matrices and its record of ``x``, which holds no array)."""
+def records_only_budget(dop, x):
+    """A budget that admits the chunk records and diagonals of ``dop``'s
+    plan, but not its matrices beside them (``dop``'s plan holds those,
+    the matrices and its record of ``x``, which holds no array)."""
     assert dop._record_key(x) in dop.plan
-    return MatvecPlan(capacity_bytes=dop.plan.nbytes - 8)
+    return dop.plan.nbytes - 8
 
 
 def assert_parts_equal(a, b):
@@ -434,7 +431,7 @@ class TestOneSpmvPerLocale:
             # order; the replay's entries carry the norm (rounding only).
             assert_parts_close(first, recorded)
 
-    def test_budget_for_the_records_but_not_the_matrices(self, rng):
+    def test_budget_for_the_records_but_not_the_matrices(self, rng, plan_budget):
         serial, dbasis, expr = build("threads", n_locales=2)
         probe = DistributedOperator(expr, dbasis, batch_size=16)
         dx = DistributedVector.from_serial(
@@ -446,8 +443,9 @@ class TestOneSpmvPerLocale:
         matrices = probe.plan.nbytes - records
         assert matrix_keys(probe.plan) and matrices > 64
 
-        plan = MatvecPlan(capacity_bytes=records + matrices - 8)
-        dop = DistributedOperator(expr, dbasis, batch_size=16, plan=plan)
+        with plan_budget(records + matrices - 8):
+            dop = DistributedOperator(expr, dbasis, batch_size=16)
+        plan = dop.plan
         expected = repro.Operator(expr, serial, plan=False).matvec(
             dx.to_serial(serial)
         )
@@ -472,7 +470,7 @@ class TestOneSpmvPerLocale:
             assert dop.plan.n_entries == 0
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_sim_replays_what_it_simulated(self, method, rng, monkeypatch):
+    def test_sim_replays_what_it_simulated(self, method, rng, monkeypatch, plan_budget):
         serial, dbasis, expr = build("sim", n_locales=2)
         dx = DistributedVector.from_serial(
             dbasis, serial, random_serial(rng, serial)
@@ -487,10 +485,8 @@ class TestOneSpmvPerLocale:
         assert dop._record_key(dx) in dop.plan
         assert sorted(matrix_keys(dop.plan)) == [(0, "matrix"), (1, "matrix")]
         # A plan that cannot hold the matrices simulates every product.
-        ref = DistributedOperator(
-            expr, dbasis, method=method, batch_size=16,
-            plan=records_only_plan(dop, dx),
-        )
+        with plan_budget(records_only_budget(dop, dx)):
+            ref = DistributedOperator(expr, dbasis, method=method, batch_size=16)
         ref.matvec(dx)
         simulated = ref.matvec(dx)
         assert len(scheduled) == 4
@@ -541,7 +537,7 @@ class TestOneSpmvPerLocale:
         assert peaks[0] <= matrices + 16 * 8 * run
 
     def test_sim_budget_for_the_records_but_not_the_matrices(
-        self, rng, monkeypatch
+        self, rng, monkeypatch, plan_budget
     ):
         serial, dbasis, expr = build("sim", n_locales=2)
         probe = DistributedOperator(expr, dbasis, batch_size=16)
@@ -554,10 +550,10 @@ class TestOneSpmvPerLocale:
             for m in map(probe.plan.peek, matrix_keys(probe.plan))
         )
         assert matrices > 64
-        plan = records_only_plan(probe, dx)
         records = probe.plan.nbytes - matrices
-
-        dop = DistributedOperator(expr, dbasis, batch_size=16, plan=plan)
+        with plan_budget(records_only_budget(probe, dx)):
+            dop = DistributedOperator(expr, dbasis, batch_size=16)
+        plan = dop.plan
         scheduled = count_schedules(monkeypatch, "pc")
         for _ in range(3):
             dop.matvec(dx)
@@ -638,7 +634,7 @@ class TestOneSpmvPerLocale:
         plan, key, gone = dop.plan, dop._record_key(dx), weakref.ref(dop)
         del dop
         gc.collect()
-        assert gone() is None and plan.attached and key in plan
+        assert gone() is None and key in plan
 
     def test_sim_real_and_complex_operands_share_one_record(self, rng, monkeypatch):
         """A complex operand replays the record a real one of the same width
@@ -725,88 +721,16 @@ class TestInputBelongsToTheBasis:
         assert replayed in dop.plan
 
 
-ATTACHED = "another operator has attached it"
-
-
 class TestPlanClaim:
-    """A plan is the one operator's that attached it: a second operator
-    on it raises ``ConfigError`` whatever its tables, basis and batch
-    size, and so does an operator on a plan a bare variant function
-    filled (nothing checks those entries)."""
-
-    def test_other_tables_on_a_serial_plan(self, chain12_basis, rng):
-        # 2H used to replay its own diagonal over H's off-diagonal batches.
-        expr = repro.heisenberg_chain(12)
-        plan = MatvecPlan()
-        op = repro.Operator(expr, chain12_basis, plan=plan)
-        x = rng.standard_normal(chain12_basis.dim)
-        y = op.matvec(x)
-        with pytest.raises(ConfigError, match=ATTACHED):
-            repro.Operator(2.0 * expr, chain12_basis, plan=plan)
-        with pytest.raises(ConfigError, match=ATTACHED):
-            repro.Operator(expr, chain12_basis, plan=plan, batch_size=7)
-        np.testing.assert_array_equal(op.matvec(x), y)
-
-    def test_other_batch_size_on_a_distributed_plan(self, rng):
-        # Chunks keyed (locale, 0), (locale, 8), ... of one operator used
-        # to serve as (locale, 0), (locale, 16), ... of the other.  A
-        # serial operator on the distributed one's plan was refused before.
-        serial, dbasis, expr = build("sim", n_locales=2)
-        plan = MatvecPlan()
-        DistributedOperator(expr, dbasis, batch_size=8, plan=plan)
-        _, other_basis, _ = build("sim", n_locales=2)
-        for basis, batch_size in ((dbasis, 16), (other_basis, 8)):
-            with pytest.raises(ConfigError, match=ATTACHED):
-                DistributedOperator(expr, basis, batch_size=batch_size, plan=plan)
-        with pytest.raises(ConfigError, match=ATTACHED):
-            repro.Operator(expr, serial, batch_size=8, plan=plan)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_an_equal_operator_is_refused(self, backend, rng):
-        """Equal tables, basis object and batch size used to share the plan."""
-        serial, dbasis, expr = build(backend, n_locales=2)
-        plan, serial_plan = MatvecPlan(), MatvecPlan()
-        first = DistributedOperator(expr, dbasis, plan=plan)
-        repro.Operator(expr, serial, plan=serial_plan)
-        dx = DistributedVector.from_serial(
-            dbasis, serial, random_serial(rng, serial)
-        )
-        for _ in range(2):  # empty, then holding the first one's entries
-            with pytest.raises(ConfigError, match=ATTACHED):
-                DistributedOperator(repro.heisenberg_chain(12), dbasis, plan=plan)
-            with pytest.raises(ConfigError, match=ATTACHED):
-                repro.Operator(expr, serial, plan=serial_plan)
-            first.matvec(dx)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_a_plan_a_bare_function_filled_is_refused(self, backend, rng):
-        """Entries a bare variant function wrote were checked against no
-        one: an operator of 2H on the plan of H's product, or of batch 32
-        on a batch-16 product's, returned wrong amplitudes (off by 3.8 and
-        1.1) and raised nothing."""
-        serial, dbasis, expr = build(backend, n_locales=2)
-        compiled = compile_expression(expr, 12)
-        dx = DistributedVector.from_serial(
-            dbasis, serial, random_serial(rng, serial)
-        )
-        fill = matvec_batched if backend == "sim" else matvec_producer_consumer
-        for matvec, batch_size, expression, options in (
-            (matvec_producer_consumer, 8192, 2.0 * expr, {}),
-            (fill, 16, expr, {"batch_size": 32}),
-        ):
-            plan = MatvecPlan()
-            matvec(compiled, dbasis, dx, batch_size=batch_size, plan=plan)
-            held = f"it already holds {plan.n_entries} entries"
-            with pytest.raises(ConfigError, match=held):
-                DistributedOperator(expression, dbasis, plan=plan, **options)
-            assert not plan.attached
+    """A plan is the one operator's that made it: its records are keyed by
+    that operator's basis and batch size, and survive a failed product."""
 
     def test_naive_runs_the_batch_it_claims(self, rng):
         # One locale of 9 252 states, more than the default batch of 8 192:
         # a naive pass chunked by another number recorded one 9 252-row
         # chunk under (0, 0), never consolidated, and a pc operator sharing
         # the plan replayed it as its first 8 192 rows.  Each operator now
-        # runs on a plan of its own, and the naive one's refuses the pc one.
+        # runs on a plan of its own.
         serial, dbasis, expr = build(
             "sim", n=20, n_locales=1,
             sector=dict(momentum=0, parity=None, inversion=None),
@@ -816,8 +740,6 @@ class TestPlanClaim:
         dx = DistributedVector.from_serial(dbasis, serial, x)
         expected = repro.Operator(expr, serial, plan=False).matvec(x)
         naive = DistributedOperator(expr, dbasis, method="naive")
-        with pytest.raises(ConfigError, match=ATTACHED):
-            DistributedOperator(expr, dbasis, method="pc", plan=naive.plan)
         for method in ("naive", "pc"):
             op = naive if method == "naive" else DistributedOperator(expr, dbasis)
             np.testing.assert_allclose(
@@ -839,10 +761,8 @@ class TestPlanClaim:
 
         for backend, n_locales in (("sim", 3), ("threads", 3), ("sim", 1)):
             serial, dbasis, expr = build(backend, n_locales=n_locales)
-            plan = MatvecPlan()
-            dop = DistributedOperator(
-                expr, dbasis, method="pc", plan=plan, batch_size=16
-            )
+            dop = DistributedOperator(expr, dbasis, method="pc", batch_size=16)
+            plan = dop.plan
             x = random_serial(rng, serial)
             dx = DistributedVector.from_serial(dbasis, serial, x)
             expected = repro.Operator(expr, serial, plan=False).matvec(x)
