@@ -14,10 +14,10 @@ chain end to end:
   of the same generating pass (model vs measured, per phase);
 - **hard gate**: with tracing disabled the dormant instrumentation hooks
   cost at most 2% over the fully-instrumented run (a fresh operator's
-  first matvec each time, best-of-N with the two kinds interleaved,
-  mirroring ``bench_smoke_pipeline``'s overhead gate — the instrumented
-  run does strictly more work, so "disabled" may never come out slower
-  beyond timer noise).
+  first matvec each time, the two kinds run in alternating pairs and the
+  median of the per-pair ratios gated — the instrumented run does
+  strictly more work, so "disabled" may never come out slower beyond
+  timer noise).
 
 The produced artifacts land in ``benchmarks/results/`` so CI can replay
 the ``repro-inspect`` subcommands against them:
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 
 import numpy as np
@@ -147,8 +148,11 @@ def test_disabled_tracing_overhead_within_two_percent():
     operator each time; the instrumented run records spans and metrics, so
     it does strictly more work than the disabled run — any systematic
     slowdown of the disabled path would mean the dormant hooks themselves
-    regressed.  The two kinds of run are interleaved, best of ``REPEATS``
-    each.
+    regressed.  The two kinds of run form ``REPEATS`` pairs, and the gate
+    is the median of the per-pair ratios: a pair shares the host's state
+    of the moment, and the median does not rest on one rare fast run the
+    way a minimum does (on 4 workers over 2 vCPUs a minimum sits far below
+    the typical run).
     """
     fresh_operator, dx = _distributed_setup("threads")
     fresh_operator().matvec(dx)  # first-call costs (imports, caches)
@@ -167,16 +171,18 @@ def test_disabled_tracing_overhead_within_two_percent():
             dop.matvec(dx)
             return time.perf_counter() - start
 
-    # One run of each per repeat, the order alternating, so that the host's
+    # One run of each per pair, the order alternating, so that the host's
     # drift over the test weighs on both sides alike.
-    times = {timed_off: [], timed_on: []}
+    ratios = []
     for repeat in range(REPEATS):
-        for timed in (timed_off, timed_on)[:: -1 if repeat % 2 else 1]:
-            times[timed].append(timed())
-    t_off, t_on = min(times[timed_off]), min(times[timed_on])
-    assert t_off <= 1.02 * t_on, (
-        f"tracing-disabled threads matvec took {t_off:.6f}s vs {t_on:.6f}s "
-        f"instrumented — dormant tracing hooks cost more than 2%"
+        order = (timed_off, timed_on)[:: -1 if repeat % 2 else 1]
+        pair = {timed: timed() for timed in order}
+        ratios.append(pair[timed_off] / pair[timed_on])
+    ratio = statistics.median(ratios)
+    assert ratio <= 1.02, (
+        f"tracing-disabled threads matvec took {ratio:.4f}x the instrumented "
+        f"one (median of {REPEATS} pairs) — dormant tracing hooks cost more "
+        f"than 2%"
     )
 
 

@@ -74,7 +74,7 @@ def verify_our_features() -> dict[str, bool]:
     features["symmetries"] = repro.SymmetricBasis(group, hamming_weight=4).dim > 0
     # Distributed-memory parallelism: simulated-cluster operator runs.
     cluster = repro.Cluster(2, repro.laptop_machine(cores=2))
-    dbasis = repro.DistributedBasis.from_template(
+    dbasis, _ = repro.enumerate_states(
         cluster, repro.SpinBasis(8, hamming_weight=4)
     )
     dop = repro.DistributedOperator(repro.heisenberg_chain(8), dbasis)

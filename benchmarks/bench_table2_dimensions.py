@@ -16,17 +16,8 @@ from repro.symmetry.burnside import PAPER_TABLE2
 from conftest import write_result
 
 
-def compute_table2():
-    return {
-        n: chain_sector_dimension(
-            n, hamming_weight=n // 2, momentum=0, parity=0, inversion=0
-        )
-        for n in (40, 42, 44, 46, 48)
-    }
-
-
 def test_table2_dimensions(benchmark):
-    dims = benchmark(compute_table2)
+    dims = benchmark(repro.paper_table2)
     assert dims == PAPER_TABLE2  # exact match, all five sizes
     lines = [f"{'System':<10} {'Matrix dimension':>18} {'paper':>16} {'match':>6}"]
     for n, dim in dims.items():

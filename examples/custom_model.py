@@ -63,7 +63,7 @@ def main() -> None:
 
     # The same expression drives the distributed operator unchanged.
     cluster = repro.Cluster(3, repro.laptop_machine(cores=4))
-    dbasis = repro.DistributedBasis.from_template(
+    dbasis, _ = repro.enumerate_states(
         cluster, SpinBasis(N_SITES, hamming_weight=N_SITES // 2)
     )
     dop = repro.DistributedOperator(model, dbasis, batch_size=128)

@@ -19,7 +19,9 @@ representative :math:`r_c = h_c \\cdot s_c`,
 where :math:`N_r` is the stabilizer character sum returned by
 :meth:`~repro.symmetry.group.SymmetryGroup.state_info`.  The two factors are
 split between the destination part, :math:`\\chi^* \\sqrt{N_{r_c}}`, and
-:attr:`SymmetricBasis.source_scale` (source part, :math:`1/\\sqrt{N_\\alpha}`).
+:attr:`SymmetricBasis.source_scale` (source part, :math:`1/\\sqrt{N_\\alpha}`,
+derived from the stored sums on each access, as the distributed basis
+derives its ``scales``).
 The destination part comes from one of three places.
 :meth:`SymmetricBasis.project` (``getManyRows``, the dense and sparse
 export) sums :math:`N_{r_c}` over each raw state's stabilizer.
@@ -123,7 +125,6 @@ class SymmetricBasis(Basis):
         self._states: np.ndarray | None = None
         self._ranker: SortedRanker | None = None
         self._stab: np.ndarray | None = None
-        self._inv_sqrt_stab: np.ndarray | None = None
         if build:
             self.build()
 
@@ -157,7 +158,6 @@ class SymmetricBasis(Basis):
         self._stab = sector_sums(self, states, stab)
         self._states = states
         self._ranker = SortedRanker(states)
-        self._inv_sqrt_stab = source_scales(self._stab)
 
     @classmethod
     def from_representatives(
@@ -211,8 +211,10 @@ class SymmetricBasis(Basis):
 
     @property
     def source_scale(self) -> np.ndarray:
+        """:func:`source_scales` of :attr:`stabilizer_sums`, derived on each
+        access (one pass over the basis; a product reads it once)."""
         self._require_built()
-        return self._inv_sqrt_stab
+        return source_scales(self._stab)
 
     def index(self, queries) -> np.ndarray:
         self._require_built()

@@ -50,7 +50,7 @@ from repro.errors import ConfigError
 from repro.operators import hamiltonians
 from repro.operators.expression import Expression, spin_z
 from repro.operators.operator import Operator
-from repro.runtime.cluster import WATCHDOG_ROW, Cluster
+from repro.runtime.cluster import Cluster
 from repro.runtime.executor import BACKENDS
 from repro.runtime.machine import laptop_machine, snellius_machine
 from repro.schema import Key, key_table, validate
@@ -145,8 +145,8 @@ _MACHINES = {
     "laptop": (laptop_machine, ("cores",)),
 }
 
-#: Every key of an input file, one row each (the matvec and watchdog rows
-#: live beside what they configure).
+#: Every key of an input file, one row each (the matvec rows live beside
+#: what they configure).
 ROWS = (
     Key("n_sites", int, required=True, min=1, max=64, help="number of spins"),
     Key("hamiltonian", dict, required=True,
@@ -209,7 +209,6 @@ ROWS = (
     Key("cluster.matvec", dict,
         help="pipeline knobs of Sec. 5.3/6.3, echoed in the result"),
     *MATVEC_ROWS,
-    WATCHDOG_ROW,
 )
 
 #: Command-line options that are not input-file keys (``path`` = dest).
@@ -344,8 +343,7 @@ def _build_distributed(spec: SimulationSpec):
     if knobs is not None:
         knobs = validate(knobs, ROWS, "cluster.matvec", fill=False)
     cluster = Cluster(
-        options["n_locales"], make_machine(), backend=options["backend"],
-        watchdog_timeout=options["watchdog_timeout"],
+        options["n_locales"], make_machine(), backend=options["backend"]
     )
     dbasis, enum_report = enumerate_states(
         cluster, spec.basis, use_weight_shortcut=True
@@ -389,19 +387,16 @@ def run_simulation(spec: SimulationSpec, seed: int = 0) -> dict:
         result, sim_time = lanczos_distributed(operator, seed=seed, **solve)
         extra["simulated_seconds"] = sim_time
         space = DistributedVectorSpace(operator.basis)
-        observe = partial(DistributedOperator, basis=operator.basis)
+        observe = partial(DistributedOperator, basis=operator.basis, plan=False)
     else:
         basis = spec.basis
         if isinstance(basis, SymmetricBasis):
             basis.build()
         operator, extra = Operator(spec.expression, basis), {}
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(basis.dim).astype(operator.dtype)
-        if operator.dtype == np.complex128:
-            v0 = v0 + 1j * rng.standard_normal(basis.dim)
-        result = lanczos(operator.matvec, v0, **solve)
         space = NumpyVectorSpace()
-        observe = partial(Operator, basis=basis)
+        v0 = space.random(np.empty(basis.dim, operator.dtype), seed)
+        result = lanczos(operator.matvec, v0, **solve)
+        observe = partial(Operator, basis=basis, plan=False)
 
     output = {
         "eigenvalues": result.eigenvalues.tolist(),
@@ -411,7 +406,8 @@ def run_simulation(spec: SimulationSpec, seed: int = 0) -> dict:
         **extra,
     }
     if spec.observables:
-        # <A> = <g|A g> / <g|g>, A symmetrized into the sector first.
+        # <A> = <g|A g> / <g|g>, A symmetrized into the sector first; one
+        # product each, so no operator records a plan.
         ground = result.eigenvectors[0]
         norm_sq = np.real(space.dot(ground, ground))
         group = getattr(spec.basis, "group", None)

@@ -114,24 +114,26 @@ def _alloc_rows(count: int, like: np.ndarray) -> np.ndarray:
 
 
 def _transfer_plan(
-    masks: BlockArray, chunks_per_locale: int, timer: BSPTimer
+    masks: BlockArray, timer: BSPTimer
 ) -> tuple[list[int], list[tuple[int, int]], np.ndarray, np.ndarray]:
     """Steps (a)-(c), shared by both directions (Fig. 3 is Fig. 2 reversed).
 
-    Returns ``(chunk_owner, chunk_slices, counts, offsets)``: per chunk, in
-    global order, its locale and local ``(start, stop)``; ``counts[c, l]``
+    Each locale's block is cut into one chunk per core.  Returns
+    ``(chunk_owner, chunk_slices, counts, offsets)``: per chunk, in global
+    order, its locale and local ``(start, stop)``; ``counts[c, l]``
     elements of chunk ``c`` live on (go to / come from) locale ``l``, at
     ``offsets[c, l]`` in that locale's hashed part.
     """
     n = masks.cluster.n_locales
     machine = masks.cluster.machine
+    chunks = machine.cores_per_locale
     # (a)+(b) per-chunk histograms of the destination masks.
     chunk_owner: list[int] = []
     chunk_slices: list[tuple[int, int]] = []  # local (start, stop) per chunk
     counts_rows: list[np.ndarray] = []
     for locale in range(n):
         local_masks = masks.blocks[locale]
-        splits = _chunk_splits(local_masks.size, chunks_per_locale)
+        splits = _chunk_splits(local_masks.size, chunks)
         for c in range(splits.size - 1):
             lo, hi = int(splits[c]), int(splits[c + 1])
             counts_rows.append(
@@ -158,15 +160,13 @@ def _transfer_plan(
     for src in range(n):
         for dst in range(n):
             if src != dst:
-                timer.add_message(src, dst, 8 * chunks_per_locale)
+                timer.add_message(src, dst, 8 * chunks)
     timer.end_phase("offsets")
     return chunk_owner, chunk_slices, counts, offsets
 
 
 def block_to_hashed(
-    array: BlockArray,
-    masks: BlockArray,
-    chunks_per_locale: int | None = None,
+    array: BlockArray, masks: BlockArray
 ) -> tuple[list[np.ndarray], SimReport]:
     """Convert a block-distributed array to the hashed distribution.
 
@@ -180,14 +180,9 @@ def block_to_hashed(
     if masks.cluster is not cluster or masks.global_length != array.global_length:
         raise DistributionError("array and masks must share cluster and length")
     _check_masks(masks, n)
-    machine = cluster.machine
-    if chunks_per_locale is None:
-        chunks_per_locale = machine.cores_per_locale
-    timer = BSPTimer(machine, n, name="convert.block_to_hashed")
+    timer = BSPTimer(cluster.machine, n, name="convert.block_to_hashed")
 
-    chunk_owner, chunk_slices, counts, offsets = _transfer_plan(
-        masks, chunks_per_locale, timer
-    )
+    chunk_owner, chunk_slices, counts, offsets = _transfer_plan(masks, timer)
     totals = counts.sum(axis=0) if counts.size else np.zeros(n, dtype=np.int64)
     parts = [
         _alloc_rows(int(totals[dest]), array.blocks[0]) for dest in range(n)
@@ -233,9 +228,7 @@ def put_chunks(timer: BSPTimer, parts, offsets, chunks, row_bytes) -> list[int]:
 
 
 def hashed_to_block(
-    parts: list[np.ndarray],
-    masks: BlockArray,
-    chunks_per_locale: int | None = None,
+    parts: list[np.ndarray], masks: BlockArray
 ) -> tuple[BlockArray, SimReport]:
     """Convert hashed-distribution parts back to a block-distributed array.
 
@@ -253,14 +246,10 @@ def hashed_to_block(
             "parts and masks disagree on the number of elements"
         )
     machine = cluster.machine
-    if chunks_per_locale is None:
-        chunks_per_locale = machine.cores_per_locale
     timer = BSPTimer(machine, n, name="convert.hashed_to_block")
     prototype = parts[0] if parts else np.empty(0)
 
-    chunk_owner, chunk_slices, counts, offsets = _transfer_plan(
-        masks, chunks_per_locale, timer
-    )
+    chunk_owner, chunk_slices, counts, offsets = _transfer_plan(masks, timer)
 
     # (c)+(d) independent remote gets, then the local order-restoring merge.
     blocks = [

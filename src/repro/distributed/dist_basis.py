@@ -158,20 +158,3 @@ class DistributedBasis:
             else np.empty(0, dtype=np.uint64)
         )
         return np.sort(merged)
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_template(
-        cls, cluster: Cluster, template: Basis, **kwargs
-    ) -> "DistributedBasis":
-        """Enumerate the basis on the cluster (Fig. 4 of the paper).
-
-        Convenience wrapper around
-        :func:`repro.distributed.enumeration.enumerate_states`, discarding
-        the timing report.
-        """
-        from repro.distributed.enumeration import enumerate_states
-
-        basis, _ = enumerate_states(cluster, template, **kwargs)
-        return basis

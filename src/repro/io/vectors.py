@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import io
 import json
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,12 @@ from repro.distributed.dist_basis import DistributedBasis
 from repro.distributed.hashing import locale_of
 from repro.distributed.vector import DistributedVector
 from repro.errors import CheckpointError, DistributionError
-from repro.resilience.checkpoint import atomic_write, check_fields
+from repro.resilience.checkpoint import (
+    atomic_write,
+    check_fields,
+    crc_entry,
+    read_verified,
+)
 from repro.runtime.cluster import Cluster
 
 __all__ = [
@@ -56,8 +60,7 @@ def _save_chunk(path: Path, array: np.ndarray) -> dict:
     atomic_write(path, data)
     return {
         "file": path.name,
-        "crc32": zlib.crc32(data) & 0xFFFFFFFF,
-        "nbytes": len(data),
+        **crc_entry(data),
         "dtype": str(array.dtype),
         "length": int(array.shape[0]),
     }
@@ -65,21 +68,9 @@ def _save_chunk(path: Path, array: np.ndarray) -> dict:
 
 def _load_chunk(path: Path, entry: dict) -> np.ndarray:
     """Load one chunk, verifying it against its manifest entry."""
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError as exc:
-        raise CheckpointError(f"missing chunk file {path}") from exc
-    if len(data) != entry["nbytes"]:
-        raise CheckpointError(
-            f"chunk {path} is {len(data)} bytes, manifest says "
-            f"{entry['nbytes']} (truncated or overwritten?)"
-        )
-    crc = zlib.crc32(data) & 0xFFFFFFFF
-    if crc != entry["crc32"]:
-        raise CheckpointError(
-            f"chunk {path} failed its CRC32 check "
-            f"(got {crc:#010x}, manifest says {entry['crc32']:#010x})"
-        )
+    data = read_verified(
+        path, {"crc32": entry["crc32"], "nbytes": entry["nbytes"]}
+    )
     array = np.load(io.BytesIO(data))
     if str(array.dtype) != entry["dtype"]:
         raise CheckpointError(

@@ -352,10 +352,11 @@ def lanczos_distributed(
             iteration += 1
             t0 = trace.offset
             w = operator.matvec(v)
-            trace.complete_abs(
+            # ``t0`` is global time; ``complete`` adds the (advanced) offset.
+            trace.complete(
                 ("solver", "lanczos"),
                 f"matvec #{iteration}",
-                t0,
+                t0 - trace.offset,
                 trace.offset - t0,
             )
             return w

@@ -25,9 +25,11 @@ from scipy.linalg import eigh_tridiagonal
 
 from repro.linalg.lanczos import tridiagonalize
 from repro.linalg.spaces import NumpyVectorSpace, VectorSpace, as_matvec
-from repro.schema import Key, check
 
 __all__ = ["SpectralFunction", "spectral_function"]
+
+#: Poles weaker than this share of ``max(|A|0>|^2, 1)`` are dropped.
+WEIGHT_CUTOFF = 1e-12
 
 
 @dataclass
@@ -56,10 +58,6 @@ class SpectralFunction:
         )
         return lorentz @ self.weights
 
-    def moment(self, order: int) -> float:
-        """Frequency moments ``sum_i w_i * pole_i**order``."""
-        return float((self.weights * self.poles**order).sum())
-
 
 def spectral_function(
     matvec,
@@ -67,7 +65,6 @@ def spectral_function(
     ground_energy: float | None = None,
     krylov_dim: int = 150,
     space: VectorSpace | None = None,
-    weight_cutoff: float = 1e-12,
 ) -> SpectralFunction:
     """Spectral function of ``H`` seeded by the (unnormalized) vector
     ``A|0>``.
@@ -83,10 +80,10 @@ def spectral_function(
         ``E_n - ground_energy``.
     krylov_dim:
         Lanczos steps; more steps resolve more poles.
-    weight_cutoff:
-        Poles with smaller strength are dropped; a finite number >= 0.
+
+    Poles weaker than :data:`WEIGHT_CUTOFF` of the seed's squared norm
+    (or of 1, whichever is larger) are dropped.
     """
-    check(weight_cutoff, Key("weight_cutoff", float, min=0.0))
     matvec = as_matvec(matvec)
     if space is None:
         space = NumpyVectorSpace()
@@ -102,7 +99,7 @@ def spectral_function(
     )
     evals, evecs = eigh_tridiagonal(alphas, betas[:-1])
     weights = norm**2 * np.abs(evecs[0, :]) ** 2
-    keep = weights > weight_cutoff * max(norm**2, 1.0)
+    keep = weights > WEIGHT_CUTOFF * max(norm**2, 1.0)
     poles = evals[keep]
     if ground_energy is not None:
         poles = poles - ground_energy

@@ -156,10 +156,6 @@ class Expression:
         return (max(sites) + 1) if sites else 1
 
     @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
     def is_real(self) -> bool:
         """True when all canonical coefficients are real.
 

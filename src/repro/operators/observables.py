@@ -93,8 +93,8 @@ def expectation(
     group = getattr(basis, "group", None)
     if group is not None and group.size > 1:
         observable = symmetrize_expression(observable, group)
-    op = Operator(observable, basis)
-    return op.expectation(state)
+    # One product: a plan would be recorded for nothing.
+    return Operator(observable, basis, plan=False).expectation(state)
 
 
 def spin_correlation(

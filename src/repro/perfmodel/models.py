@@ -357,14 +357,9 @@ class ConversionScalingModel:
     machine: MachineModel
     workload: ChainWorkload
     element_bytes: int = 8
-    chunks_per_locale: int | None = None
 
     def message_bytes(self, n_locales: int) -> float:
-        chunks = (
-            self.machine.cores_per_locale
-            if self.chunks_per_locale is None
-            else self.chunks_per_locale
-        )
+        chunks = self.machine.cores_per_locale
         chunk_elements = self.workload.dimension / (n_locales * chunks)
         return chunk_elements / n_locales * self.element_bytes
 

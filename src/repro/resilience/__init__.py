@@ -6,7 +6,6 @@ uses for bit-for-bit identical restarts.
 """
 
 from repro.resilience.checkpoint import (
-    latest_checkpoint,
     list_checkpoints,
     load_checkpoint,
     load_latest_checkpoint,
@@ -17,6 +16,5 @@ __all__ = [
     "write_checkpoint",
     "load_checkpoint",
     "load_latest_checkpoint",
-    "latest_checkpoint",
     "list_checkpoints",
 ]

@@ -54,11 +54,12 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 __all__ = [
     "atomic_write",
     "check_fields",
+    "crc_entry",
+    "read_verified",
     "CheckpointState",
     "write_checkpoint",
     "load_checkpoint",
     "load_latest_checkpoint",
-    "latest_checkpoint",
     "list_checkpoints",
 ]
 
@@ -114,9 +115,27 @@ def check_fields(record, fields: dict, where: str) -> None:
             raise CheckpointError(f"{where} has no valid {kind.__name__} {key!r}")
 
 
-def _crc_entry(path: Path) -> dict:
-    data = path.read_bytes()
+def crc_entry(data: bytes) -> dict:
+    """The manifest entry ``{crc32, nbytes}`` of a file's bytes."""
     return {"crc32": zlib.crc32(data) & 0xFFFFFFFF, "nbytes": len(data)}
+
+
+def read_verified(path: Path, expected) -> bytes:
+    """The bytes of ``path``, after checking them against their manifest
+    entry ``expected`` (``{crc32, nbytes}``): a missing file, a different
+    size or checksum, or an entry of any other shape is a
+    :class:`CheckpointError`."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError as exc:
+        raise CheckpointError(f"missing file {path}") from exc
+    found = crc_entry(data)
+    if found != expected:
+        raise CheckpointError(
+            f"{path} failed its CRC32 check: manifest says {expected}, "
+            f"file has {found} (truncated or overwritten?)"
+        )
+    return data
 
 
 def _checkpoint_files(root: Path) -> list[Path]:
@@ -179,7 +198,7 @@ def write_checkpoint(
         for index, vector in enumerate(vectors):
             space.save_vector(tmp, f"v{index:04d}", vector)
         files = {
-            str(path.relative_to(tmp)): _crc_entry(path)
+            str(path.relative_to(tmp)): crc_entry(path.read_bytes())
             for path in _checkpoint_files(tmp)
         }
         manifest = {
@@ -214,12 +233,6 @@ def list_checkpoints(directory) -> list[Path]:
     )
 
 
-def latest_checkpoint(directory) -> Path | None:
-    """The newest finished checkpoint, or ``None``."""
-    found = list_checkpoints(directory)
-    return found[-1] if found else None
-
-
 def load_checkpoint(path, *, space=None, like=None) -> CheckpointState:
     """Load and verify one checkpoint directory.
 
@@ -252,12 +265,7 @@ def load_checkpoint(path, *, space=None, like=None) -> CheckpointState:
         if missing:
             raise CheckpointError(f"checkpoint {path} is missing {missing}")
         for rel, expected in sorted(files.items()):
-            entry = _crc_entry(path / rel)
-            if entry != expected:
-                raise CheckpointError(
-                    f"checkpoint file {path / rel} failed integrity check: "
-                    f"manifest says {expected}, file has {entry}"
-                )
+            read_verified(path / rel, expected)
         # The manifest decides what must exist: probing the filesystem
         # instead would let a checkpoint pruned mid-load read back as
         # one with no arrays rather than as CheckpointError.

@@ -6,18 +6,8 @@ from dataclasses import dataclass
 
 from repro.runtime.executor import executor_class
 from repro.runtime.machine import MachineModel, snellius_machine
-from repro.schema import Key, check
 
-__all__ = ["Cluster", "Locale", "WATCHDOG_ROW"]
-
-#: The threads backend's stall watchdog, as the ``cluster`` input section,
-#: its flag and :class:`Cluster` read it.
-WATCHDOG_ROW = Key(
-    "cluster.watchdog_timeout", float, 20.0, above=0,
-    flag="--watchdog-timeout", metavar="SECONDS",
-    help="threads-backend stall watchdog: escalate a typed error when "
-    "every live worker has been blocked this long",
-)
+__all__ = ["Cluster", "Locale"]
 
 
 @dataclass(frozen=True)
@@ -43,10 +33,6 @@ class Cluster:
     ``docs/BACKENDS.md``): ``"sim"`` (default) is the discrete-event
     simulator with modelled timings; ``"threads"`` runs each locale as a
     real worker thread and reports wall-clock timings.
-    ``watchdog_timeout`` is how many wall seconds the threads backend
-    waits with every live worker blocked before it fails the run with a
-    typed :class:`~repro.errors.BackendError` (:data:`WATCHDOG_ROW`; the
-    simulator detects a deadlock at once).
     """
 
     def __init__(
@@ -54,12 +40,10 @@ class Cluster:
         n_locales: int,
         machine: MachineModel | None = None,
         backend: str = "sim",
-        watchdog_timeout: float = WATCHDOG_ROW.default,
     ) -> None:
         if n_locales < 1:
             raise ValueError(f"need at least one locale, got {n_locales}")
         executor_class(backend)  # raises BackendError for an unknown name
-        self.watchdog_timeout = check(watchdog_timeout, WATCHDOG_ROW)
         self.machine = machine if machine is not None else snellius_machine()
         self.locales = [
             Locale(i, self.machine.cores_per_locale) for i in range(n_locales)

@@ -119,8 +119,8 @@ class ThreadExecutor(Executor):
     :class:`~repro.errors.BackendError` carrying its locale and every
     parked worker is resumed with a cancel value; a watchdog turns "all
     live workers parked, nobody resumed" into the same typed error after
-    :attr:`watchdog_seconds` (the cluster's ``watchdog_timeout``, which
-    :func:`get_executor` hands over).
+    :attr:`watchdog_seconds`.  That state is a deadlock whatever the
+    window, so the constant only sets how soon it is reported.
 
     With tracing on, *every* blocking command becomes a wait span — one
     granted at once too, which measures the dispatch (the simulator traces
@@ -368,10 +368,6 @@ def executor_class(backend: str) -> type[Executor]:
 
 
 def get_executor(cluster, trace=None) -> Executor:
-    """The executor for ``cluster``'s configured backend, with its
-    watchdog timeout on a wall-clock one; ``trace`` is an optional
-    :class:`~repro.telemetry.trace.TraceRecorder`."""
-    ex = executor_class(cluster.backend)(trace=trace)
-    if ex.wall_clock:
-        ex.watchdog_seconds = cluster.watchdog_timeout
-    return ex
+    """The executor for ``cluster``'s configured backend; ``trace`` is an
+    optional :class:`~repro.telemetry.trace.TraceRecorder`."""
+    return executor_class(cluster.backend)(trace=trace)

@@ -113,11 +113,9 @@ class MachineModel:
     def __post_init__(self) -> None:
         require_positive(cores_per_locale=self.cores_per_locale)
 
-    def compute_time(self, seconds_per_element: float, n_elements: float,
-                     n_cores: int | None = None) -> float:
-        """Elapsed time for ``n_elements`` of work divided over cores."""
-        cores = self.cores_per_locale if n_cores is None else max(n_cores, 1)
-        return seconds_per_element * n_elements / cores
+    def compute_time(self, seconds_per_element: float, n_elements: float) -> float:
+        """Elapsed time for ``n_elements`` of work divided over the cores."""
+        return seconds_per_element * n_elements / self.cores_per_locale
 
     def memcpy_time(self, nbytes: float, n_cores: int | None = None) -> float:
         cores = self.cores_per_locale if n_cores is None else max(n_cores, 1)

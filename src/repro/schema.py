@@ -3,8 +3,7 @@
 Every key an input file may carry is one :class:`Key` row — dotted path,
 type, default, range or choices and, where a command-line flag sets it, the
 flag with its help text.  The rows live beside what they configure
-(:data:`repro.config.ROWS`, :data:`repro.distributed.operator.MATVEC_ROWS`,
-:data:`repro.runtime.cluster.WATCHDOG_ROW`);
+(:data:`repro.config.ROWS`, :data:`repro.distributed.operator.MATVEC_ROWS`);
 :func:`validate` checks one section of input against them, and
 ``python -m repro`` generates its flags and :func:`key_table` the
 documentation from the same rows.

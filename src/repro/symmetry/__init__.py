@@ -27,7 +27,6 @@ from repro.symmetry.symmetries import (
 )
 from repro.symmetry.burnside import (
     sector_dimension,
-    u1_dimension,
     chain_sector_dimension,
     paper_table2,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "chain_symmetries",
     "rectangle_translation",
     "sector_dimension",
-    "u1_dimension",
     "chain_sector_dimension",
     "paper_table2",
 ]

@@ -35,7 +35,6 @@ from repro.symmetry.group import SymmetryGroup
 from repro.symmetry.symmetries import chain_symmetries
 
 __all__ = [
-    "u1_dimension",
     "fixed_states_count",
     "sector_dimension",
     "chain_sector_dimension",
@@ -68,11 +67,6 @@ PAPER_TABLE2: dict[int, int] = {
     46: 44_748_176_653,
     48: 167_959_144_032,
 }
-
-
-def u1_dimension(n_sites: int, hamming_weight: int) -> int:
-    """Dimension of the fixed-magnetization (U(1)) sector: ``C(n, w)``."""
-    return comb(n_sites, hamming_weight)
 
 
 def _weight_polynomial(cycle_lengths: tuple[int, ...], max_weight: int) -> list[int]:

@@ -105,11 +105,6 @@ class Permutation:
         # bit i -> other[i] -> self[other[i]]
         return Permutation(self._perm[other._perm])
 
-    def inverse(self) -> "Permutation":
-        inv = np.empty_like(self._perm)
-        inv[self._perm] = np.arange(self.n_sites)
-        return Permutation(inv)
-
     @property
     def is_identity(self) -> bool:
         return self._rotation_amount == 0

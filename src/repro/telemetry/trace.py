@@ -16,7 +16,9 @@ Timestamps handed to the recorder are *relative* simulated seconds; the
 recorder adds its running :attr:`offset` so that successive simulations
 (each of which restarts its own :class:`~repro.runtime.events.Simulator`
 at ``t = 0``) lay out sequentially on one global timeline.  Callers that
-complete a simulated phase advance the offset with :meth:`advance`.
+complete a simulated phase advance the offset with :meth:`advance`; one
+that timed a span on the global timeline passes its start less the
+offset.
 
 A :class:`NullTraceRecorder` (``enabled = False``) makes disabled tracing
 cost approximately nothing: instrumented code guards on ``enabled`` or
@@ -131,18 +133,6 @@ class TraceRecorder:
             event["args"] = args
         self.events.append(event)
 
-    def complete_abs(
-        self,
-        track: tuple[str, str],
-        name: str,
-        abs_start: float,
-        duration: float,
-        args: dict | None = None,
-    ) -> None:
-        """Like :meth:`complete` but ``abs_start`` is global-timeline time
-        (already includes any offset)."""
-        self.complete(track, name, abs_start - self.offset, duration, args)
-
     def counter(
         self, track: tuple[str, str], name: str, when: float, value: float
     ) -> None:
@@ -203,9 +193,6 @@ class NullTraceRecorder(TraceRecorder):
         pass
 
     def complete(self, track, name, start, duration, args=None) -> None:
-        pass
-
-    def complete_abs(self, track, name, abs_start, duration, args=None) -> None:
         pass
 
     def counter(self, track, name, when, value) -> None:

@@ -1,5 +1,7 @@
 """Tests for exact sector-dimension counting — including the paper's Table 2."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from repro.symmetry import (
     chain_symmetries,
     paper_table2,
     sector_dimension,
-    u1_dimension,
 )
 from repro.symmetry.burnside import PAPER_TABLE2, fixed_states_count
 
@@ -82,7 +83,7 @@ class TestAgainstBruteForce:
             chain_sector_dimension(n, w, momentum=k, parity=None, inversion=None)
             for k in range(n)
         )
-        assert total == u1_dimension(n, w)
+        assert total == comb(n, w)
 
     def test_parity_sectors_partition_translation_sector(self):
         n, w = 8, 4
@@ -111,17 +112,13 @@ class TestPaperTable2:
     def test_reduction_factor_close_to_group_order(self):
         # Symmetries reduce the U(1) dimension by roughly |G| = 4n.
         n = 40
-        full = u1_dimension(n, n // 2)
+        full = comb(n, n // 2)
         reduced = PAPER_TABLE2[n]
         assert full / reduced == pytest.approx(4 * n, rel=0.01)
 
 
 class TestU1Dimension:
-    def test_binomials(self):
-        assert u1_dimension(40, 20) == 137_846_528_820
-        assert u1_dimension(4, 2) == 6
-
     def test_matches_enumeration(self):
         from repro.bits import states_with_weight
 
-        assert u1_dimension(12, 5) == states_with_weight(12, 5).size
+        assert comb(12, 5) == states_with_weight(12, 5).size

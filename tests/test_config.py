@@ -185,88 +185,10 @@ class TestRunning:
         assert result["converged"]
 
 
-class TestResilienceKnobs:
-    """The threads-backend watchdog (``cluster.watchdog_timeout``, the
-    one resilience knob an input file has) through the cluster section,
-    the CLI, and :class:`~repro.runtime.Cluster`."""
-
-    THREADS_SPEC = {
-        "n_sites": 8,
-        "hamiltonian": {"model": "heisenberg_chain"},
-        "basis": {"hamming_weight": 4},
-        "solver": {"k": 1, "tol": 1e-10},
-        "cluster": {"n_locales": 2, "machine": "laptop", "backend": "threads"},
-    }
-
-    @staticmethod
-    def watched(monkeypatch):
-        """The watchdog seconds of every executor a run asks for."""
-        from repro.distributed import matvec_pc
-
-        seen = []
-        original = matvec_pc.get_executor
-
-        def spy(cluster, **kwargs):
-            ex = original(cluster, **kwargs)
-            seen.append(ex.watchdog_seconds)
-            return ex
-
-        monkeypatch.setattr(matvec_pc, "get_executor", spy)
-        return seen
-
-    def test_knob_validation(self):
-        from repro.runtime import Cluster
-
-        assert Cluster(2).watchdog_timeout == 20.0
-        for bad in (0.0, -1.0, "20", float("inf")):
-            with pytest.raises(ConfigError, match="cluster.watchdog_timeout"):
-                Cluster(2, watchdog_timeout=bad)
-        spec = json.loads(json.dumps(self.THREADS_SPEC))
-        spec["cluster"]["watchdog_timeout"] = 0
-        with pytest.raises(ConfigError, match="cluster.watchdog_timeout"):
-            run_simulation(load_simulation(spec))
-
-    def test_cluster_section_reaches_executor(self, monkeypatch):
-        """``cluster.watchdog_timeout`` reaches the cluster, and from it
-        the executor of every product."""
-        from repro.config import _build_distributed
-        from repro.runtime import ThreadExecutor
-        from repro.runtime.executor import get_executor
-
-        spec = json.loads(json.dumps(self.THREADS_SPEC))
-        spec["cluster"]["watchdog_timeout"] = 9.0
-        operator, _ = _build_distributed(load_simulation(spec))
-        ex = get_executor(operator.basis.cluster)
-        assert isinstance(ex, ThreadExecutor) and ex.watchdog_seconds == 9.0
-        seen = self.watched(monkeypatch)
-        assert run_simulation(load_simulation(spec))["converged"]
-        assert seen and set(seen) == {9.0}
-
-    def test_cli_flags_inject_resilience_section(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        from repro.config import main
-
-        input_path = tmp_path / "input.json"
-        input_path.write_text(json.dumps(self.THREADS_SPEC))
-        seen = self.watched(monkeypatch)
-        main([str(input_path), "--watchdog-timeout", "30"])
-        out = json.loads(capsys.readouterr().out)
-        assert out["converged"]
-        assert seen and set(seen) == {30.0}
-
-    def test_cli_flags_require_cluster_section(self, tmp_path):
-        from repro.config import main
-
-        input_path = tmp_path / "input.json"
-        input_path.write_text(json.dumps(BASE_SPEC))
-        with pytest.raises(ReproError, match="watchdog-timeout"):
-            main([str(input_path), "--watchdog-timeout", "30"])
-
-
 class TestRemovedFaultSurface:
-    """The fault-injection keys and ``--faults`` are gone: an input that
-    still carries one is a ``ConfigError`` naming it, never ignored."""
+    """The fault-injection keys, the watchdog knob, ``--faults`` and
+    ``--watchdog-timeout`` are gone: an input that still carries one is a
+    ``ConfigError`` naming it, never ignored."""
 
     @pytest.mark.parametrize(
         "cluster, named",
@@ -277,15 +199,17 @@ class TestRemovedFaultSurface:
                 {"resilience": {"watchdog_timeout": 9.0}},
                 "unknown key cluster.resilience",
             ),
+            ({"watchdog_timeout": 9.0}, "unknown key cluster.watchdog_timeout"),
         ],
-        ids=["faults", "resilience", "resilience.watchdog_timeout"],
+        ids=["faults", "resilience", "resilience.watchdog_timeout",
+             "watchdog_timeout"],
     )
     def test_input_key_is_rejected(self, cluster, named):
         spec = _probe(cluster={"n_locales": 2, **cluster})
         with pytest.raises(ConfigError, match=re.escape(named)) as excinfo:
             run_simulation(load_simulation(spec))
-        # The message lists the keys there are, the watchdog's among them.
-        assert "watchdog_timeout" in str(excinfo.value)
+        # The message lists the keys there are.
+        assert "backend" in str(excinfo.value)
 
     def test_faults_flag_is_rejected(self, tmp_path, capsys):
         from repro.config import main
@@ -294,21 +218,21 @@ class TestRemovedFaultSurface:
         input_path.write_text(json.dumps(_probe(cluster={"n_locales": 2})))
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({"seed": 3, "drop": 0.02}))
-        with pytest.raises(ConfigError, match="--faults"):
-            main([str(input_path), "--faults", str(plan)])
-        assert capsys.readouterr().out == ""
         src = str(Path(repro.__file__).parents[1])
-        done = subprocess.run(
-            [sys.executable, "-m", "repro", str(input_path), "--faults",
-             str(plan)],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert done.returncode == 2
-        assert done.stderr.startswith("repro: error:")
-        assert done.stderr.count("\n") == 1
-        assert "--faults" in done.stderr
-        assert "Traceback" not in done.stderr and not done.stdout
+        for flag, value in (("--faults", str(plan)), ("--watchdog-timeout", "5")):
+            with pytest.raises(ConfigError, match=flag):
+                main([str(input_path), flag, value])
+            assert capsys.readouterr().out == ""
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", str(input_path), flag, value],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            assert done.returncode == 2
+            assert done.stderr.startswith("repro: error:")
+            assert done.stderr.count("\n") == 1
+            assert flag in done.stderr
+            assert "Traceback" not in done.stderr and not done.stdout
 
 
 class TestMatvecKnobs:
@@ -428,6 +352,16 @@ class TestMatvecKnobs:
                 main([str(input_path)] + flags)
 
 
+def _always_planned(base):
+    """``base`` with ``plan=True`` whatever its caller passes."""
+
+    class Planned(base):
+        def __init__(self, *args, plan=True, **kwargs):
+            super().__init__(*args, plan=True, **kwargs)
+
+    return Planned
+
+
 class TestObservables:
     SPEC = {
         "n_sites": 12,
@@ -466,6 +400,53 @@ class TestObservables:
             assert distributed["observables"][name] == pytest.approx(
                 value, abs=1e-7
             )
+
+    @pytest.mark.parametrize("distributed", [False, True])
+    def test_observables_are_evaluated_without_a_plan(
+        self, monkeypatch, distributed
+    ):
+        """Each observable is one product, so its operator records no
+        plan: the only plan of a run is the solver's, and the values are
+        the planned path's to 1e-12."""
+        import repro.config as config
+        from repro.operators import plan as plan_module
+
+        spec = json.loads(json.dumps(self.SPEC))
+        if distributed:
+            spec["cluster"] = {"n_locales": 3, "machine": "laptop", "cores": 4}
+        reads = []
+        reader = plan_module.available_memory
+        monkeypatch.setattr(
+            plan_module, "available_memory",
+            lambda: reads.append(1) or reader(),
+        )
+        unplanned = run_simulation(load_simulation(spec))
+        assert len(reads) == 1  # the solver operator's plan
+        # The planned path: every operator the run makes gets a plan.
+        for name in ("Operator", "DistributedOperator"):
+            monkeypatch.setattr(config, name, _always_planned(getattr(config, name)))
+        planned = run_simulation(load_simulation(spec))
+        assert len(reads) == 2 + len(spec["observables"])
+        assert planned["eigenvalues"] == unplanned["eigenvalues"]
+        for name, value in planned["observables"].items():
+            assert unplanned["observables"][name] == pytest.approx(
+                value, abs=1e-12
+            )
+
+    def test_expectation_records_no_plan(self, monkeypatch):
+        from repro.operators import plan as plan_module
+        from repro.operators.observables import expectation
+
+        basis = SpinBasis(8, hamming_weight=4)
+        state = np.random.default_rng(0).standard_normal(basis.dim)
+        planned = repro.Operator(repro.heisenberg_chain(8), basis)
+        expected = planned.expectation(state)
+        monkeypatch.setattr(
+            plan_module, "available_memory",
+            lambda: pytest.fail("an expectation value made a plan"),
+        )
+        value = expectation(repro.heisenberg_chain(8), basis, state)
+        assert value == pytest.approx(expected, abs=1e-12)
 
     def test_magnetization_observable(self):
         spec = {
@@ -590,7 +571,7 @@ def test_flags_come_from_the_rows(capsys):
         main(["--help"])
     text = " ".join(capsys.readouterr().out.split())
     flags = [row for row in ROWS if row.flag]
-    assert len(flags) == 7
+    assert len(flags) == 6
     for row in flags:
         assert row.flag in text
     assert text.count("requires a 'cluster' section") == sum(
@@ -619,7 +600,6 @@ FUZZ_CLUSTER = {
     "matvec": {
         "batch_size": 16, "consumer_fraction": 0.5, "work_stealing": False,
     },
-    "watchdog_timeout": 20.0,
 }
 
 

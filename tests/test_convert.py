@@ -10,8 +10,10 @@ from repro.errors import DistributionError
 from repro.runtime import Cluster, laptop_machine
 
 
-def make_cluster(n):
-    return Cluster(n, laptop_machine(cores=2))
+def make_cluster(n, cores=2):
+    """``n`` locales of ``cores`` cores: a conversion cuts each locale's
+    block into one chunk per core."""
+    return Cluster(n, laptop_machine(cores=cores))
 
 
 class TestStablePartition:
@@ -45,12 +47,12 @@ class TestBlockToHashed:
     @pytest.mark.parametrize("n_locales", [1, 2, 3, 5])
     @pytest.mark.parametrize("length", [0, 1, 7, 100, 1000])
     def test_partition_complete_and_ordered(self, n_locales, length, rng):
-        cluster = make_cluster(n_locales)
+        cluster = make_cluster(n_locales, cores=3)
         data = rng.permutation(length).astype(np.int64)
         masks_np = locale_of(np.abs(data).astype(np.uint64), n_locales)
         arr = BlockArray.from_global(cluster, data)
         masks = BlockArray.from_global(cluster, masks_np)
-        parts, report = block_to_hashed(arr, masks, chunks_per_locale=3)
+        parts, report = block_to_hashed(arr, masks)
         # every element lands on its masked locale, in original order
         for dest in range(n_locales):
             expected = data[masks_np == dest]
@@ -64,7 +66,7 @@ class TestBlockToHashed:
             cluster, np.array([0, 1, 0, 1, 0, 1], dtype=np.int64)
         )
         arr = BlockArray.from_global(cluster, data)
-        parts, _ = block_to_hashed(arr, masks, chunks_per_locale=2)
+        parts, _ = block_to_hashed(arr, masks)
         assert parts[0].tolist() == [5, 5, 5]
         assert parts[1].tolist() == [5, 5, 5]
 
@@ -89,7 +91,7 @@ class TestBlockToHashed:
             cluster, rng.integers(0, 3, size=90).astype(np.int64)
         )
         arr = BlockArray.from_global(cluster, data)
-        _, report = block_to_hashed(arr, masks, chunks_per_locale=2)
+        _, report = block_to_hashed(arr, masks)
         assert report.messages > 0
         assert report.bytes_sent >= 90 * 8
         assert report.elapsed > 0
@@ -106,15 +108,19 @@ class TestRoundTrip:
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_is_exact(self, n_locales, length, seed, chunks):
         """The paper's Sec. 6.1 verification: block -> hashed -> block is
-        the identity, bit for bit."""
+        the identity, bit for bit, also when the two directions cut the
+        blocks into different chunks (``chunks`` and ``chunks + 1`` cores)."""
         rng = np.random.default_rng(seed)
-        cluster = make_cluster(n_locales)
+        there, back_again = make_cluster(n_locales, chunks), make_cluster(
+            n_locales, chunks + 1
+        )
         data = rng.standard_normal(length)
         masks_np = rng.integers(0, n_locales, size=length).astype(np.int64)
-        arr = BlockArray.from_global(cluster, data)
-        masks = BlockArray.from_global(cluster, masks_np)
-        parts, _ = block_to_hashed(arr, masks, chunks_per_locale=chunks)
-        back, _ = hashed_to_block(parts, masks, chunks_per_locale=chunks + 1)
+        arr = BlockArray.from_global(there, data)
+        parts, _ = block_to_hashed(arr, BlockArray.from_global(there, masks_np))
+        back, _ = hashed_to_block(
+            parts, BlockArray.from_global(back_again, masks_np)
+        )
         assert np.array_equal(back.to_global(), data)
 
     def test_roundtrip_uint64(self, rng):
@@ -130,15 +136,16 @@ class TestRoundTrip:
     def test_roundtrip_2d(self, rng):
         # The paper's implementation handles 2-D arrays (blocks of Krylov
         # vectors); rows travel together, order is preserved per row.
-        cluster = make_cluster(3)
+        cluster = make_cluster(3, cores=4)
         data = rng.standard_normal((120, 5))
         masks_np = rng.integers(0, 3, size=120).astype(np.int64)
         arr = BlockArray.from_global(cluster, data)
         masks = BlockArray.from_global(cluster, masks_np)
-        parts, _ = block_to_hashed(arr, masks, chunks_per_locale=4)
+        parts, _ = block_to_hashed(arr, masks)
         for dest in range(3):
             assert np.array_equal(parts[dest], data[masks_np == dest])
-        back, _ = hashed_to_block(parts, masks, chunks_per_locale=2)
+        masks = BlockArray.from_global(make_cluster(3), masks_np)
+        back, _ = hashed_to_block(parts, masks)
         assert np.array_equal(back.to_global(), data)
 
     def test_2d_message_bytes_scale_with_width(self, rng):
@@ -147,8 +154,8 @@ class TestRoundTrip:
         masks = BlockArray.from_global(cluster, masks_np)
         narrow = BlockArray.from_global(cluster, rng.standard_normal((60, 1)))
         wide = BlockArray.from_global(cluster, rng.standard_normal((60, 8)))
-        _, r1 = block_to_hashed(narrow, masks, chunks_per_locale=2)
-        _, r8 = block_to_hashed(wide, masks, chunks_per_locale=2)
+        _, r1 = block_to_hashed(narrow, masks)
+        _, r8 = block_to_hashed(wide, masks)
         assert r8.bytes_sent > 4 * r1.bytes_sent
 
     def test_hashed_to_block_validation(self):

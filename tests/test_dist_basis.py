@@ -107,7 +107,7 @@ class TestDistributedBasis:
         group = chain_symmetries(12, momentum=0, parity=0, inversion=0)
         cluster = make_cluster(3)
         template = SymmetricBasis(group, hamming_weight=6, build=False)
-        return DistributedBasis.from_template(cluster, template, chunks_per_core=3)
+        return enumerate_states(cluster, template, chunks_per_core=3)[0]
 
     def test_index_local_roundtrip(self, dbasis):
         for locale, part in enumerate(dbasis.parts):

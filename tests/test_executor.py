@@ -368,14 +368,10 @@ class TestBackendSelection:
         with pytest.raises(BackendError, match="mpi"):
             Cluster(2, laptop_machine(), backend="mpi")
 
-    def test_watchdog_timeout_comes_from_the_cluster(self):
-        cluster = Cluster(
-            2, laptop_machine(), backend="threads", watchdog_timeout=7.5
-        )
-        ex = get_executor(cluster)
+    def test_watchdog_window_is_the_class_constant(self):
+        ex = get_executor(Cluster(2, laptop_machine(), backend="threads"))
         assert isinstance(ex, ThreadExecutor)
-        assert ex.watchdog_seconds == 7.5
-        assert get_executor(Cluster(2, backend="threads")).watchdog_seconds == 20.0
+        assert ex.watchdog_seconds == ThreadExecutor.watchdog_seconds == 20.0
 
     def test_backends_tuple_is_the_contract(self):
         assert BACKENDS == ("sim", "threads")

@@ -60,10 +60,6 @@ class TestMachineModel:
         m = MachineModel(cores_per_locale=64)
         assert m.compute_time(1e-6, 6400) == pytest.approx(1e-4)
 
-    def test_compute_time_explicit_cores(self):
-        m = MachineModel()
-        assert m.compute_time(1e-6, 100, n_cores=1) == pytest.approx(1e-4)
-
     def test_snellius_defaults(self):
         m = snellius_machine()
         assert m.cores_per_locale == 128

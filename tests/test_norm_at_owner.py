@@ -114,3 +114,12 @@ def test_scales_are_the_source_scales_of_the_sums(sector):
         sums = sector_sums(dbasis.template, part)
         assert norms.tobytes() == np.sqrt(sums).tobytes()
         assert scales.tobytes() == source_scales(sums).tobytes()
+
+
+@pytest.mark.parametrize("sector", SECTORS)
+def test_serial_source_scale_is_one_over_root_of_the_sums(sector):
+    """The serial basis derives ``source_scale`` from its stabilizer sums
+    on each access, bit for bit ``1/sqrt(N_r)``."""
+    serial, _, _ = bases(sector, "sim", 3)
+    expected = 1 / np.sqrt(serial.stabilizer_sums)
+    assert serial.source_scale.tobytes() == expected.tobytes()

@@ -41,12 +41,6 @@ class TestConstruction:
 
 class TestGroupStructure:
     @given(perm_st)
-    def test_inverse(self, sites):
-        p = Permutation(sites)
-        assert (p @ p.inverse()).is_identity
-        assert (p.inverse() @ p).is_identity
-
-    @given(perm_st)
     def test_order(self, sites):
         p = Permutation(sites)
         q = Permutation.identity(p.n_sites)

@@ -28,7 +28,6 @@ from repro.errors import (
 )
 from repro.linalg.lanczos import lanczos, lanczos_distributed
 from repro.resilience import (
-    latest_checkpoint,
     list_checkpoints,
     load_checkpoint,
     load_latest_checkpoint,
@@ -146,7 +145,7 @@ class TestCheckpointRestart:
         with telemetry.use(tele):
             write_checkpoint(tmp_path, 1, arrays={"x": np.arange(4.0)})
             write_checkpoint(tmp_path, 2, arrays={"x": np.arange(4.0) * 2})
-            newest = latest_checkpoint(tmp_path)
+            newest = list_checkpoints(tmp_path)[-1]
             blob = (newest / "state.npz").read_bytes()
             (newest / "state.npz").write_bytes(
                 blob[:-4] + bytes(4 * [0x55])
@@ -175,7 +174,7 @@ class TestCheckpointRestart:
         with telemetry.use(tele):
             write_checkpoint(tmp_path, 1, arrays={"x": np.arange(4.0)})
             write_checkpoint(tmp_path, 2, arrays={"x": np.arange(4.0) * 2})
-            path = latest_checkpoint(tmp_path) / "manifest.json"
+            path = list_checkpoints(tmp_path)[-1] / "manifest.json"
             path.write_text(json.dumps(malformed(json.loads(path.read_text()))))
             with pytest.raises(CheckpointError, match="manifest"):
                 load_checkpoint(path.parent)
@@ -187,14 +186,14 @@ class TestCheckpointRestart:
 
     def test_all_corrupt_raises(self, tmp_path):
         write_checkpoint(tmp_path, 1, arrays={"x": np.arange(4.0)})
-        newest = latest_checkpoint(tmp_path)
+        newest = list_checkpoints(tmp_path)[-1]
         (newest / "manifest.json").write_text("{ not json")
         with pytest.raises(CheckpointError, match="no loadable checkpoint"):
             load_latest_checkpoint(tmp_path)
 
     def test_missing_file_detected(self, tmp_path):
         write_checkpoint(tmp_path, 3, arrays={"x": np.arange(4.0)})
-        newest = latest_checkpoint(tmp_path)
+        newest = list_checkpoints(tmp_path)[-1]
         (newest / "state.npz").unlink()
         with pytest.raises(CheckpointError, match="no loadable checkpoint"):
             load_latest_checkpoint(tmp_path)
@@ -331,7 +330,7 @@ class TestConcurrentCheckpointWriters:
 
         write_checkpoint(tmp_path, 1, arrays={"x": np.arange(4.0)})
         write_checkpoint(tmp_path, 2, arrays={"x": np.arange(4.0) * 2})
-        newest = latest_checkpoint(tmp_path)
+        newest = list_checkpoints(tmp_path)[-1]
         # Keep the manifest but remove a payload mid-"load": the CRC pass
         # hits FileNotFoundError, which must surface as CheckpointError.
         (newest / "state.npz").unlink()

@@ -55,10 +55,12 @@ class TestTraceRecorder:
         trace.complete(("a", "b"), "second", 0.0, 1.0)
         assert trace.events[1]["ts"] == pytest.approx(10.0 * US)
 
-    def test_complete_abs_ignores_offset(self):
+    def test_global_start_less_offset_lands_at_global_time(self):
+        """How the Lanczos solver places a span it timed on the global
+        timeline: it passes the global start less the offset."""
         trace = TraceRecorder()
         trace.advance(5.0)
-        trace.complete_abs(("a", "b"), "span", 7.0, 1.0)
+        trace.complete(("a", "b"), "span", 7.0 - trace.offset, 1.0)
         assert trace.events[0]["ts"] == pytest.approx(7.0 * US)
 
     def test_tracks_map_to_pid_tid_metadata(self):
