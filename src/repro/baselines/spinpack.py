@@ -14,7 +14,7 @@ sublattice-coding algorithm of Wietek & Läuchli):
 - there is **no overlap** between communication and computation — each
   phase waits for the previous one, which is the structural property the
   paper's producer-consumer pipeline removes;
-- the compute kernels are a factor ``kernel_slowdown`` slower than
+- the compute kernels are a factor :data:`KERNEL_SLOWDOWN` slower than
   lattice-symmetries' (the paper measures LS to be 2x faster on a single
   node).
 
@@ -33,7 +33,7 @@ from repro.basis.symm_basis import sector_sums, source_scales
 from repro.bits.ops import as_states
 from repro.distributed.block import BlockArray, block_boundaries
 from repro.distributed.convert import counting_sort_order
-from repro.distributed.matvec_common import wire_bytes
+from repro.distributed.matvec_common import DEFAULT_BATCH_SIZE, wire_bytes
 from repro.operators.compile import result_dtype
 from repro.operators.expression import Expression
 from repro.operators.kernels import get_many_rows
@@ -43,6 +43,10 @@ from repro.runtime.cluster import Cluster
 from repro.runtime.mpi import SimMPI
 
 __all__ = ["SpinpackBasis", "SpinpackOperator"]
+
+#: How much slower SPINPACK's compute kernels are than lattice-symmetries'
+#: (the paper's single-node measurement).
+KERNEL_SLOWDOWN = 2.0
 
 
 class SpinpackBasis:
@@ -116,12 +120,10 @@ class SpinpackOperator(BasisOperator):
         self,
         expression: Expression,
         basis: SpinpackBasis,
-        kernel_slowdown: float = 2.0,
-        batch_size: int = 1 << 13,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         ranks_per_locale: int | None = None,
     ) -> None:
         super().__init__(expression, basis, basis.template, batch_size, False)
-        self.kernel_slowdown = float(kernel_slowdown)
         self.mpi = SimMPI(basis.cluster, ranks_per_locale=ranks_per_locale)
         self.total_sim_time = 0.0
         self.last_report: SimReport | None = None
@@ -149,7 +151,7 @@ class SpinpackOperator(BasisOperator):
             diag = self.compiled.diagonal_values(states)
             y.blocks[locale] += diag * x.blocks[locale]
             cost = machine.compute_time(
-                machine.t_axpy * self.kernel_slowdown, states.size
+                machine.t_axpy * KERNEL_SLOWDOWN, states.size
             )
             ledger.add("diagonal", locale, cost)
             diag_elapsed = max(diag_elapsed, cost)
@@ -190,7 +192,7 @@ class SpinpackOperator(BasisOperator):
                     send_betas[locale][dest] = members[lo:hi]
                     send_values[locale][dest] = values[lo:hi]
                 cost = machine.compute_time(
-                    machine.t_generate * self.kernel_slowdown, sources.size
+                    machine.t_generate * KERNEL_SLOWDOWN, sources.size
                 ) + machine.compute_time(
                     machine.t_partition + machine.t_hash, members.size
                 )
@@ -226,7 +228,7 @@ class SpinpackOperator(BasisOperator):
                     local_idx = basis.rankers[locale].rank(incoming_b)
                     np.add.at(y.blocks[locale], local_idx, incoming_v)
                 cost = machine.compute_time(
-                    machine.t_search_accum * self.kernel_slowdown,
+                    machine.t_search_accum * KERNEL_SLOWDOWN,
                     incoming_b.size,
                 )
                 ledger.add("accumulate", locale, cost)

@@ -47,20 +47,13 @@ class Basis(abc.ABC):
     def index(self, queries) -> np.ndarray:
         """Map basis states to indices (the paper's ``stateToIndex``)."""
 
-    @abc.abstractmethod
-    def check(self, candidates) -> np.ndarray:
-        """Membership mask over arbitrary candidate states.
-
-        This is the filter predicate of the paper's distributed states
-        enumeration (Sec. 5.2): a candidate belongs to the basis iff it
-        satisfies the U(1) constraint and is a surviving orbit
-        representative.
-        """
-
     def in_space(self, candidates) -> np.ndarray:
-        """:meth:`check`'s cheap part: which candidates lie within the
-        ``n_sites`` and, with a weight constraint, have that Hamming
-        weight."""
+        """Which candidates lie within the ``n_sites`` and, with a weight
+        constraint, have that Hamming weight: the whole membership test of
+        a plain basis.  A symmetric one adds the group's, the set-up
+        filter :meth:`~repro.symmetry.kernels.GroupKernel.minima` and one
+        :meth:`~repro.symmetry.kernels.GroupKernel.in_sector` pass over
+        its survivors (the paper's Sec. 5.2 predicate)."""
         c = as_states(candidates)
         mask = c <= bit_mask(self.n_sites)
         if self.hamming_weight is not None:
@@ -169,10 +162,7 @@ class SpinBasis(Basis):
             return q.astype(np.int64)
         return self._ranker.rank(q)
 
-    def check(self, candidates) -> np.ndarray:
-        return self.in_space(candidates)
-
     def project(self, raw_states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raw = as_states(raw_states)
         factors = np.ones(raw.shape, dtype=np.float64)
-        return raw, factors, self.check(raw)
+        return raw, factors, self.in_space(raw)

@@ -105,9 +105,9 @@ class SymmetricBasis(Basis):
         (``n/2``); an incompatible combination yields an empty basis.
     build:
         Build the representative list eagerly (default).  With
-        ``build=False`` the basis can still :meth:`check` candidates — the
-        mode used by the distributed enumeration, which assembles the state
-        list itself.
+        ``build=False`` the basis describes the sector without listing it
+        (its group, weight and projection) — the mode used by the
+        distributed enumeration, which assembles the state list itself.
     """
 
     def __init__(
@@ -219,16 +219,6 @@ class SymmetricBasis(Basis):
     def index(self, queries) -> np.ndarray:
         self._require_built()
         return self._ranker.rank(queries)
-
-    def check(self, candidates) -> np.ndarray:
-        c = as_states(candidates)
-        mask = self.in_space(c)
-        if not np.any(mask):
-            return mask
-        # Only run the group loop on states passing the cheap filters.
-        out = np.zeros(c.shape, dtype=bool)
-        out[mask] = self._group.is_representative(c[mask])
-        return out
 
     def project(self, raw_states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rep, phase, stab = self._group.state_info(raw_states)

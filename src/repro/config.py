@@ -365,10 +365,9 @@ def run_simulation(spec: SimulationSpec, seed: int = 0) -> dict:
     Returns a JSON-serializable result dictionary (eigenvalues, dimension,
     iteration count, and — for distributed runs — simulated time).
     """
-    from repro.distributed.vector import DistributedVectorSpace
     from repro.linalg.lanczos import lanczos, lanczos_distributed
     from repro.linalg.spaces import NumpyVectorSpace
-    from repro.operators.observables import symmetrize_expression
+    from repro.operators.observables import expectation
 
     solver = validate(spec.solver_options, ROWS, "solver")
     solve = {
@@ -386,17 +385,13 @@ def run_simulation(spec: SimulationSpec, seed: int = 0) -> dict:
         operator, extra = _build_distributed(spec)
         result, sim_time = lanczos_distributed(operator, seed=seed, **solve)
         extra["simulated_seconds"] = sim_time
-        space = DistributedVectorSpace(operator.basis)
-        observe = partial(DistributedOperator, basis=operator.basis, plan=False)
     else:
         basis = spec.basis
         if isinstance(basis, SymmetricBasis):
             basis.build()
         operator, extra = Operator(spec.expression, basis), {}
-        space = NumpyVectorSpace()
-        v0 = space.random(np.empty(basis.dim, operator.dtype), seed)
+        v0 = NumpyVectorSpace().random(np.empty(basis.dim, operator.dtype), seed)
         result = lanczos(operator.matvec, v0, **solve)
-        observe = partial(Operator, basis=basis, plan=False)
 
     output = {
         "eigenvalues": result.eigenvalues.tolist(),
@@ -406,20 +401,11 @@ def run_simulation(spec: SimulationSpec, seed: int = 0) -> dict:
         **extra,
     }
     if spec.observables:
-        # <A> = <g|A g> / <g|g>, A symmetrized into the sector first; one
-        # product each, so no operator records a plan.
         ground = result.eigenvectors[0]
-        norm_sq = np.real(space.dot(ground, ground))
-        group = getattr(spec.basis, "group", None)
-        output["observables"] = {}
-        for entry in spec.observables:
-            expr = entry["expression"]
-            if group is not None and group.size > 1:
-                expr = symmetrize_expression(expr, group)
-            image = observe(expr).matvec(ground)
-            output["observables"][entry["name"]] = float(
-                np.real(space.dot(ground, image)) / norm_sq
-            )
+        output["observables"] = {
+            entry["name"]: expectation(entry["expression"], operator.basis, ground)
+            for entry in spec.observables
+        }
     return output
 
 

@@ -3,12 +3,15 @@
 The iteration space ``0 .. 2**n - 1`` is split into many chunks which are
 dealt to locales *cyclically* — the surviving representatives are highly
 non-uniform across the raw range, so a block deal would be badly imbalanced
-(ablated in ``benchmarks/bench_ablations.py``).  Each chunk is filtered with
-the basis membership predicate, destination locales are computed with the
-mixing hash, and the kept states are pushed to their owners with the same
-histogram / offsets / remote-put plan as the block-to-hashed conversion
-(Fig. 2 (b)-(e)), which preserves global order — so every locale's slice
-comes out sorted and binary-searchable.
+(ablated in ``benchmarks/bench_ablations.py``).  Each chunk is filtered by
+weight and, with a symmetry group, by the set-up filter
+(:meth:`~repro.symmetry.kernels.GroupKernel.minima`, then one
+:meth:`~repro.symmetry.kernels.GroupKernel.in_sector` pass over all the
+survivors); destination locales are computed with the mixing hash, and
+the kept states are pushed to their owners with the same histogram /
+offsets / remote-put plan as the block-to-hashed conversion (Fig. 2
+(b)-(e)), which preserves global order — so every locale's slice comes
+out sorted and binary-searchable.
 """
 
 from __future__ import annotations
@@ -70,12 +73,14 @@ def enumerate_states(
     )
 
     # --- filter phase: cyclic deal of chunks to locales -------------------
-    # The membership predicate runs once over the whole range, a cache-sized
+    # The membership test runs once over the whole range, a cache-sized
     # batch at a time; the simulated chunks only slice its result, so each
-    # is still charged the full representative check of the paper.
-    # A symmetric template's filter keeps the orbit minima; one stabilizer
-    # sums pass over all of them then drops the states outside the sector
-    # and keeps the sums the basis needs for its scales.
+    # is still charged the full representative check of the paper.  The
+    # weight stream or the popcount filter is a plain template's whole test
+    # (every candidate lies below 2**n_sites).  A symmetric template's
+    # filter keeps the orbit minima; one stabilizer sums pass over all of
+    # them then drops the states outside the sector and keeps the sums the
+    # basis needs for its scales.
     weight = template.hamming_weight
     group = getattr(template, "group", None)
     weight_passing = np.zeros(n_chunks, dtype=np.int64)
@@ -84,10 +89,7 @@ def enumerate_states(
         if weight is not None and not use_weight_shortcut:
             batch = batch[popcount(batch) == np.uint64(weight)]
         weight_passing += np.diff(np.searchsorted(batch, bounds))
-        if group is None:
-            kept_batches.append(batch[template.check(batch)])
-        else:  # the batch has passed ``check``'s range and weight filters
-            kept_batches.append(group.kernel.minima(batch))
+        kept_batches.append(batch if group is None else group.kernel.minima(batch))
     kept = np.concatenate(kept_batches)
     if group is not None:
         keep, stab = group.kernel.in_sector(kept)

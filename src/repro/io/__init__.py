@@ -10,7 +10,6 @@ stored one ``.npy`` file per locale plus a JSON manifest.
 
 from repro.io.vectors import (
     load_basis_states,
-    load_block_array,
     load_distributed_vector,
     save_basis_states,
     save_block_array,
@@ -19,7 +18,6 @@ from repro.io.vectors import (
 
 __all__ = [
     "save_block_array",
-    "load_block_array",
     "save_distributed_vector",
     "load_distributed_vector",
     "save_basis_states",

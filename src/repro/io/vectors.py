@@ -37,7 +37,6 @@ from repro.runtime.cluster import Cluster
 
 __all__ = [
     "save_block_array",
-    "load_block_array",
     "save_distributed_vector",
     "load_distributed_vector",
     "save_basis_states",
@@ -140,17 +139,6 @@ def save_block_array(directory, array: BlockArray, name: str = "vector") -> Path
     path = directory / f"{name}.{_MANIFEST}"
     atomic_write(path, json.dumps(manifest, indent=2).encode())
     return path
-
-
-def load_block_array(directory, cluster: Cluster, name: str = "vector") -> BlockArray:
-    directory = Path(directory)
-    manifest = _read_manifest(directory, name)
-    if manifest["n_locales"] != cluster.n_locales:
-        raise DistributionError(
-            f"file was written from {manifest['n_locales']} locales, "
-            f"cluster has {cluster.n_locales}"
-        )
-    return BlockArray(cluster, _load_chunks(directory, manifest))
 
 
 def _basis_masks(basis: DistributedBasis) -> tuple[np.ndarray, BlockArray]:

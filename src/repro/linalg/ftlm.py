@@ -65,14 +65,14 @@ def ftlm_thermal(
     seed: int = 0,
     space: VectorSpace | None = None,
     dim: int | None = None,
-    block_size: int | None = None,
 ) -> ThermalEstimate:
     """Estimate ``<H>``, specific heat, and ``Z`` on a temperature grid.
 
     Parameters
     ----------
     matvec:
-        The Hamiltonian's matrix-vector product.
+        The Hamiltonian's matrix-vector product, or an operator with a
+        ``matvec`` method.
     prototype:
         A vector of the right type/shape used to draw random samples
         (its contents are ignored).
@@ -83,18 +83,19 @@ def ftlm_thermal(
         Hilbert-space dimension, an integer >= 1; defaults to the
         prototype's ``dim`` (a distributed vector) or ``shape[0]`` (an
         array).  Used for the overall normalization of ``Z``.
-    block_size:
-        How many random samples advance together through block matvecs
-        (NumPy vectors only).  Defaults to ``min(n_samples, 8)`` on the
-        NumPy path and 1 (sequential) elsewhere.  The random vectors drawn
-        and the recurrence run on each are the same either way, so the
-        estimate does not depend on the blocking.
 
-    A ``krylov_dim``, ``n_samples``, ``block_size`` or ``dim`` that is not
-    an integer >= 1, a ``block_size`` above 1 off the NumPy path (a block
-    stacks NumPy vectors), or a temperature that is not > 0, raises
+    On the NumPy path ``min(n_samples, 8)`` samples advance together
+    through block products, unless the operator holds a plan: a replayed
+    plan gains nothing from a block, so its samples run one at a time, as
+    they do off the NumPy path (a block stacks NumPy vectors).  The random
+    vectors drawn and the recurrence run on each are the same either way,
+    so the estimate does not depend on the width.
+
+    A ``krylov_dim``, ``n_samples`` or ``dim`` that is not an integer >= 1,
+    or a temperature that is not > 0, raises
     :class:`~repro.errors.ConfigError` before the first product.
     """
+    planned = getattr(matvec, "plan", None) is not None
     matvec = as_matvec(matvec)
     temperatures = np.asarray(temperatures, dtype=np.float64)
     if not np.all(temperatures > 0):
@@ -105,11 +106,7 @@ def ftlm_thermal(
     if space is None:
         space = NumpyVectorSpace()
     numpy_path = isinstance(space, NumpyVectorSpace) and isinstance(prototype, np.ndarray)
-    if block_size is None:
-        block_size = min(n_samples, 8) if numpy_path else 1
-    require_positive(block_size=block_size)
-    if block_size > 1 and not numpy_path:
-        raise ConfigError(f"block_size must be 1 off the NumPy path, got {block_size}")
+    block_size = min(n_samples, 8) if numpy_path and not planned else 1
 
     betas = 1.0 / temperatures
     z_sum = np.zeros_like(betas)

@@ -13,7 +13,10 @@ sector (:math:`P|\\psi\\rangle = |\\psi\\rangle`),
 because :math:`P U_g = \\chi(g) P` for every group element.  The
 symmetrized operator :math:`\\bar O` *does* commute with the group, so it
 compiles into the sector like any Hamiltonian.  This module provides the
-symmetrization and convenience helpers for correlation functions.
+symmetrization, :func:`expectation` — the one evaluation of
+:math:`\\langle\\psi| O |\\psi\\rangle` for serial and distributed states,
+which the input-file runner's ``observables`` call too — and a helper for
+correlation functions.
 """
 
 from __future__ import annotations
@@ -82,19 +85,34 @@ def symmetrize_expression(
     return total * (1.0 / group.size)
 
 
-def expectation(
-    observable: Expression, basis: Basis, state: np.ndarray
-) -> complex:
-    """``<state| O |state> / <state|state>`` in any basis.
+def expectation(observable: Expression, basis, state) -> float:
+    """``Re <state| O |state> / <state|state>`` in any basis, serial or
+    distributed.
 
-    For a :class:`~repro.basis.SymmetricBasis` the observable is
-    symmetrized automatically; plain bases evaluate it as-is.
+    The observable is symmetrized in the sector's group (a plain basis
+    evaluates it as-is), applied in one product of an operator without a
+    plan (a plan would be recorded for nothing), and the real parts of
+    the two inner products are taken in the basis's vector space: NumPy
+    arrays for a :class:`~repro.basis.Basis`,
+    :class:`~repro.distributed.DistributedVector` for a
+    :class:`~repro.distributed.DistributedBasis`.
     """
-    group = getattr(basis, "group", None)
+    # Imported here: ``repro.distributed`` imports this package.
+    from repro.distributed.dist_basis import DistributedBasis
+    from repro.distributed.operator import DistributedOperator
+    from repro.distributed.vector import DistributedVectorSpace
+    from repro.linalg.spaces import NumpyVectorSpace
+
+    group = getattr(getattr(basis, "template", basis), "group", None)
     if group is not None and group.size > 1:
         observable = symmetrize_expression(observable, group)
-    # One product: a plan would be recorded for nothing.
-    return Operator(observable, basis, plan=False).expectation(state)
+    if isinstance(basis, DistributedBasis):
+        operator = DistributedOperator(observable, basis, plan=False)
+        space = DistributedVectorSpace(basis)
+    else:
+        operator, space = Operator(observable, basis, plan=False), NumpyVectorSpace()
+    image = operator.matvec(state)
+    return float(np.real(space.dot(state, image)) / np.real(space.dot(state, state)))
 
 
 def spin_correlation(

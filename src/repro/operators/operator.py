@@ -265,11 +265,6 @@ class Operator(BasisOperator):
             return self.matvec(x)
         return NotImplemented
 
-    def expectation(self, x: np.ndarray) -> complex:
-        """``<x|H|x> / <x|x>``."""
-        x = np.asarray(x)
-        return np.vdot(x, self.matvec(x)) / np.vdot(x, x)
-
     # -- export ---------------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:

@@ -56,6 +56,9 @@ def bytes_per_locale(workload: ChainWorkload, n_locales: int) -> int:
 #: node counts exactly (42 spins on 1 node, 44 on 4, 46 on 16).
 MEMORY_HEADROOM = 0.5
 
+#: Matrix-vector products of a typical ground-state Lanczos run.
+LANCZOS_ITERATIONS = 200
+
 
 def minimum_locales(workload: ChainWorkload) -> int:
     """Smallest node count whose usable memory holds the run (power of
@@ -71,13 +74,13 @@ def plan_capacity(
     n_sites: int,
     n_locales: int | None = None,
     machine: MachineModel | None = None,
-    lanczos_iterations: int = 200,
 ) -> CapacityPlan:
     """Plan a ground-state run for a closed chain of ``n_sites`` spins.
 
     With ``n_locales=None`` the smallest feasible power-of-two node count
     is chosen.  ``lanczos_seconds`` covers the matvecs of a typical
-    ground-state run (the reductions are negligible next to them).
+    ground-state run, :data:`LANCZOS_ITERATIONS` of them (the reductions
+    are negligible next to them).
     """
     workload = paper_workload(n_sites)
     machine = machine if machine is not None else snellius_machine()
@@ -92,5 +95,5 @@ def plan_capacity(
         bytes_per_locale=per_locale,
         fits=per_locale <= NODE_MEMORY_BYTES,
         matvec_seconds=matvec_seconds,
-        lanczos_seconds=matvec_seconds * lanczos_iterations,
+        lanczos_seconds=matvec_seconds * LANCZOS_ITERATIONS,
     )

@@ -72,13 +72,6 @@ class Symmetry:
     def character(self) -> complex:
         return complex(np.exp(-2j * np.pi * (self.sector % self.order) / self.order))
 
-    def __call__(self, states) -> np.ndarray:
-        """Apply the generator to a batch of basis states."""
-        out = self.permutation(states)
-        if self.flip:
-            out = flip_all(out, self.n_sites)
-        return out
-
 
 class SymmetryGroup:
     """The closure of a set of :class:`Symmetry` generators.
@@ -252,22 +245,3 @@ class SymmetryGroup:
             beyond = s.flat[np.argmax(s.ravel() > top)]
             raise BasisError(f"state {beyond} has bits beyond n_sites={self.n_sites}")
         return self.kernel.state_info(s)
-
-    def representatives(self, states) -> tuple[np.ndarray, np.ndarray]:
-        """Positions (in the flattened batch) of the surviving orbit
-        representatives — orbit minimum and non-zero stabilizer sum — and
-        their stabilizer sums: the filter (:meth:`GroupKernel.minima`),
-        then one sums pass (:meth:`GroupKernel.in_sector`) over the
-        states it kept.  A caller with many batches runs the filter on
-        each and the sums once, as
-        :meth:`repro.basis.SymmetricBasis.build` does."""
-        s = as_states(states).ravel()
-        positions = np.flatnonzero(np.isin(s, self.kernel.minima(s)))
-        keep, stab = self.kernel.in_sector(s[positions])
-        return positions[keep], stab
-
-    def is_representative(self, states) -> np.ndarray:
-        """Boolean mask: which states are surviving orbit representatives."""
-        s = as_states(states)
-        minima = self.kernel.minima(s)
-        return np.isin(s, minima[self.kernel.in_sector(minima)[0]])

@@ -7,7 +7,7 @@ from math import lcm
 
 import numpy as np
 
-from repro.bits.ops import BITS_DTYPE, reverse_bits, rotate_left
+from repro.bits.ops import BITS_DTYPE
 from repro.bits.permutations import compile_permutation
 
 __all__ = ["Permutation"]
@@ -20,12 +20,12 @@ class Permutation:
     state moves bit ``i`` to bit ``perm[i]``.  Instances are immutable and
     hashable so they can key group-closure dictionaries.
 
-    The fast-path classification (pure rotation / pure reversal) is detected
-    eagerly at construction, and the generic case is compiled once into a
-    mask/shift network or byte-gather table (see
-    :mod:`repro.bits.permutations`) — per-call work never re-derives either,
-    which is what keeps the ``state_info`` and basis-construction chunk
-    loops allocation-free.
+    Whether it is a pure rotation or a rotated reversal is detected eagerly
+    at construction (:attr:`rotation_amount`,
+    :attr:`reversed_rotation_amount`).  The action on states is compiled
+    once into a mask/shift network or byte-gather table (:attr:`network`,
+    see :mod:`repro.bits.permutations`), which calling the permutation
+    applies; per-call work never re-derives it.
     """
 
     __slots__ = (
@@ -46,9 +46,8 @@ class Permutation:
             raise ValueError(f"not a permutation of range({n}): {arr.tolist()}")
         arr.setflags(write=False)
         self._perm = arr
-        # Eager fast-path detection: both checks are O(n) and every consumer
-        # (group closure, basis build loops, the fused state_info kernel)
-        # needs them, so deriving them per call would dominate small batches.
+        # Eager detection: both checks are O(n); ``is_identity`` (the group
+        # kernel's pure-flip test) reads the first.
         k = int(arr[0])
         self._rotation_amount = (
             k if np.array_equal(arr, (np.arange(n) + k) % n) else None
@@ -156,11 +155,6 @@ class Permutation:
         return compile_permutation(self._perm)
 
     def __call__(self, states) -> np.ndarray:
-        """Apply the permutation to a batch of basis states (vectorized)."""
-        n = self.n_sites
-        k = self._rotation_amount
-        if k is not None:
-            return rotate_left(states, k, n)
-        if self._reversed_rotation_amount == 0:
-            return reverse_bits(states, n)
+        """Apply the permutation to a batch of basis states through
+        :attr:`network`."""
         return self.network.apply(np.asarray(states, dtype=BITS_DTYPE))

@@ -394,16 +394,16 @@ class TestApplyBlock:
 
 class TestBlockAdoption:
     def test_ftlm_blocked_matches_sequential(self, basis, expr):
-        op = repro.Operator(expr, basis)
+        """An operator without a plan runs its samples in blocks, one with
+        a plan one at a time: the same estimate."""
         temperatures = np.array([0.5, 1.0, 2.0])
-        sequential = ftlm_thermal(
-            op, np.zeros(basis.dim), temperatures,
-            krylov_dim=20, n_samples=6, seed=3, block_size=1,
-        )
-        blocked = ftlm_thermal(
-            op, np.zeros(basis.dim), temperatures,
-            krylov_dim=20, n_samples=6, seed=3, block_size=4,
-        )
+        sequential, blocked = [
+            ftlm_thermal(
+                repro.Operator(expr, basis, plan=plan), np.zeros(basis.dim),
+                temperatures, krylov_dim=20, n_samples=6, seed=3,
+            )
+            for plan in (True, False)
+        ]
         np.testing.assert_allclose(
             blocked.energy, sequential.energy, rtol=1e-8
         )

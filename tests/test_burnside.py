@@ -23,7 +23,8 @@ def brute_force_dimension(group: SymmetryGroup, hamming_weight):
         from repro.bits import popcount
 
         states = states[popcount(states) == np.uint64(hamming_weight)]
-    return int(group.is_representative(states).sum())
+    keep, _ = group.kernel.in_sector(group.kernel.minima(states))
+    return int(keep.sum())
 
 
 class TestFixedStatesCount:

@@ -54,13 +54,6 @@ class TestPlan:
             bytes_per_locale(w, 4) / 2, rel=0.01
         )
 
-    def test_lanczos_time_scales_with_iterations(self):
-        short = plan_capacity(42, n_locales=4, lanczos_iterations=10)
-        long = plan_capacity(42, n_locales=4, lanczos_iterations=100)
-        assert long.lanczos_seconds == pytest.approx(
-            10 * short.lanczos_seconds
-        )
-
     def test_more_nodes_faster_matvec(self):
         slow = plan_capacity(44, n_locales=4)
         fast = plan_capacity(44, n_locales=64)

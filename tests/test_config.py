@@ -409,6 +409,8 @@ class TestObservables:
         plan: the only plan of a run is the solver's, and the values are
         the planned path's to 1e-12."""
         import repro.config as config
+        import repro.distributed.operator as distributed
+        import repro.operators.observables as observables
         from repro.operators import plan as plan_module
 
         spec = json.loads(json.dumps(self.SPEC))
@@ -423,8 +425,11 @@ class TestObservables:
         unplanned = run_simulation(load_simulation(spec))
         assert len(reads) == 1  # the solver operator's plan
         # The planned path: every operator the run makes gets a plan.
-        for name in ("Operator", "DistributedOperator"):
-            monkeypatch.setattr(config, name, _always_planned(getattr(config, name)))
+        for module, name in (
+            (config, "Operator"), (config, "DistributedOperator"),
+            (observables, "Operator"), (distributed, "DistributedOperator"),
+        ):
+            monkeypatch.setattr(module, name, _always_planned(getattr(module, name)))
         planned = run_simulation(load_simulation(spec))
         assert len(reads) == 2 + len(spec["observables"])
         assert planned["eigenvalues"] == unplanned["eigenvalues"]
@@ -440,7 +445,7 @@ class TestObservables:
         basis = SpinBasis(8, hamming_weight=4)
         state = np.random.default_rng(0).standard_normal(basis.dim)
         planned = repro.Operator(repro.heisenberg_chain(8), basis)
-        expected = planned.expectation(state)
+        expected = np.vdot(state, planned.matvec(state)) / np.vdot(state, state)
         monkeypatch.setattr(
             plan_module, "available_memory",
             lambda: pytest.fail("an expectation value made a plan"),

@@ -1,5 +1,7 @@
 """Tests for the finite-temperature Lanczos method."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -123,12 +125,12 @@ class TestKrylovSpaceExhausted:
     def test_thermal_energy_independent_of_krylov_dim(self, sector, krylov_dim):
         op, evals = sector
         temperatures = np.array([0.2, 1.0])
-        kwargs = dict(n_samples=10, seed=0, block_size=1)
+        kwargs = dict(n_samples=10, seed=0)  # one at a time: ``op`` has a plan
         full = ftlm_thermal(
-            op.matvec, np.zeros(op.dim), temperatures, krylov_dim=op.dim, **kwargs
+            op, np.zeros(op.dim), temperatures, krylov_dim=op.dim, **kwargs
         )
         est = ftlm_thermal(
-            op.matvec, np.zeros(op.dim), temperatures, krylov_dim=krylov_dim, **kwargs
+            op, np.zeros(op.dim), temperatures, krylov_dim=krylov_dim, **kwargs
         )
         assert np.all(np.isfinite(est.partition_function))
         assert est.energy == pytest.approx(full.energy, abs=1e-9)
@@ -138,19 +140,12 @@ class TestKrylovSpaceExhausted:
 class TestInterface:
     @pytest.mark.parametrize(
         "argument, value",
-        [
-            ("block_size", 0),
-            ("block_size", -3),
-            ("block_size", 2.5),
-            ("n_samples", 2.5),
-            ("krylov_dim", 2.5),
-        ],
+        [("n_samples", 2.5), ("krylov_dim", 2.5)],
     )
     def test_rejects_a_bad_count_before_the_first_product(
         self, argument, value
     ):
-        """``block_size`` 0 or -3 ran as 1, ``n_samples=2.5`` raised
-        ``TypeError``."""
+        """``n_samples=2.5`` raised ``TypeError``."""
         calls = []
         diag = np.linspace(-1.0, 1.0, 8)
         matvec = lambda v: calls.append(v) or diag * v  # noqa: E731
@@ -192,14 +187,17 @@ class TestInterface:
 def test_ftlm_blocked_matches_sequential(n, krylov_dim):
     """Lock-step samples run the one recurrence, so blocking is invisible:
     the same bits as one sample at a time, breakdown included (chain-12's
-    sector has dimension 35 < 60)."""
+    sector has dimension 35 < 60).  The operator has no plan, so its
+    samples go in one block of 7; the same products behind an object that
+    holds a plan go one at a time."""
     basis = SymmetricBasis(chain_symmetries(n, 0), hamming_weight=n // 2)
-    op = repro.Operator(repro.heisenberg_chain(n), basis)
+    op = repro.Operator(repro.heisenberg_chain(n), basis, plan=False)
     temperatures = np.array([0.1, 0.5, 2.0])
     kwargs = dict(krylov_dim=krylov_dim, n_samples=7, seed=4)
+    one_at_a_time = SimpleNamespace(matvec=op.matvec, plan=True)
     sequential, blocked = [
-        ftlm_thermal(op, np.zeros(op.dim), temperatures, block_size=b, **kwargs)
-        for b in (1, 3)
+        ftlm_thermal(matvec, np.zeros(op.dim), temperatures, **kwargs)
+        for matvec in (one_at_a_time, op)
     ]
     np.testing.assert_array_equal(blocked.energy, sequential.energy)
     np.testing.assert_array_equal(
@@ -208,3 +206,17 @@ def test_ftlm_blocked_matches_sequential(n, krylov_dim):
     np.testing.assert_array_equal(
         blocked.partition_function, sequential.partition_function
     )
+
+
+@pytest.mark.parametrize("plan", [True, False])
+def test_block_width_follows_the_plan(plan):
+    """On NumPy vectors an operator with a plan gets single-vector
+    products (a replayed plan is faster one vector at a time), one
+    without gets blocks of ``min(n_samples, 8)`` samples."""
+    basis = SymmetricBasis(chain_symmetries(12, 0), hamming_weight=6)
+    op = repro.Operator(repro.heisenberg_chain(12), basis, plan=plan)
+    widths = []
+    product = op.matvec
+    op.matvec = lambda x: widths.append(1 if x.ndim == 1 else x.shape[1]) or product(x)
+    ftlm_thermal(op, np.zeros(op.dim), [1.0], krylov_dim=10, n_samples=12, seed=0)
+    assert set(widths) == ({1} if plan else {8, 4})

@@ -207,9 +207,6 @@ class TestRobustness:
             ("ftlm_thermal", "dim", 0),
             ("ftlm_thermal", "dim", -5),
             ("ftlm_thermal", "dim", 2.5),
-            pytest.param(
-                "ftlm_thermal", "block_size", 2, id="ftlm_thermal-block-distributed"
-            ),
             ("spectral_function", "krylov_dim", 0),
             ("expm_krylov", "krylov_dim", 0),
             ("expm_krylov", "tol", -1.0),
@@ -222,19 +219,11 @@ class TestRobustness:
         """Before the first product: ``dim`` 0, -5 or 2.5 gave a partition
         function of 0, -11.7 or 5.8, a negative or NaN ``tol`` ran
         silently, and a NaN in ``v0`` failed inside
-        SciPy after the first product; a ``block_size`` above 1 on
-        distributed vectors ended in NumPy's ``AxisError``."""
+        SciPy after the first product."""
         calls = []
         diag = np.linspace(-1.0, 1.0, 8)
         matvec = lambda v: calls.append(v) or diag * v  # noqa: E731
         kwargs = {"v0": np.ones(8), argument: value}
-        if argument == "block_size":  # only NumPy vectors stack into a block
-            cluster = repro.Cluster(2, repro.laptop_machine(cores=2))
-            basis, _ = repro.enumerate_states(cluster, SpinBasis(8, hamming_weight=4))
-            kwargs.update(
-                v0=repro.DistributedVector.zeros(basis), dim=basis.dim,
-                space=repro.DistributedVectorSpace(basis),
-            )
         v0 = kwargs.pop("v0")  # positional in every driver
         call = {
             "lanczos": lambda: lanczos(matvec, v0, **kwargs),

@@ -144,7 +144,9 @@ class TestInterfaces:
     def test_expectation_of_eigenvector(self, chain12_operator):
         h = chain12_operator.to_dense()
         evals, evecs = np.linalg.eigh(h)
-        val = chain12_operator.expectation(evecs[:, 0])
+        val = repro.expectation(
+            repro.heisenberg_chain(12), chain12_operator.basis, evecs[:, 0]
+        )
         assert val == pytest.approx(evals[0])
 
     def test_linear_operator_eigsh(self, chain12_operator):

@@ -3,8 +3,7 @@
 :meth:`GroupKernel.minima` drops a candidate at the first element that
 maps it below itself, where ``state_info`` runs all ``|G|``, and
 :meth:`GroupKernel.in_sector` then takes the stabilizer sums of the
-minima.  These tests pin the two, behind ``SymmetryGroup.representatives``,
-to the predicate they replaced — ``(rep == s) & (stab > tol)`` computed
+minima.  These tests pin the two, run in that order, to the predicate they replaced — ``(rep == s) & (stab > tol)`` computed
 from ``state_info_reference`` — on random groups, sectors and batches,
 pin ``SymmetricBasis.build`` (which stops at the flip ceiling)
 bit-for-bit, and pin the batched
@@ -45,8 +44,19 @@ def old_predicate(group: SymmetryGroup, states, info=None):
     return np.flatnonzero(mask), stab[mask]
 
 
+def representatives(group: SymmetryGroup, states):
+    """``(positions, stab)`` of the surviving representatives in the
+    flattened batch: the filter, then the sums pass over what it kept
+    (both in batch order, so the minima are the batch at their
+    positions)."""
+    s = as_states(states).ravel()
+    minima = group.kernel.minima(s)
+    keep, stab = group.kernel.in_sector(minima)
+    return np.flatnonzero(np.isin(s, minima))[keep], stab
+
+
 def assert_filter_matches(group: SymmetryGroup, states) -> None:
-    positions, stab = group.representatives(states)
+    positions, stab = representatives(group, states)
     assert positions.dtype.kind == "i" and stab.dtype == np.float64
     ref_positions, ref_stab = old_predicate(
         group, states, partial(state_info_reference, group)
@@ -58,11 +68,6 @@ def assert_filter_matches(group: SymmetryGroup, states) -> None:
     # the group's ``state_info`` refuses the ``above_mask`` states)
     fused_stab = group.kernel.state_info(np.ravel(states))[2]
     np.testing.assert_array_equal(stab, fused_stab[positions])
-    mask = np.zeros(np.size(states), dtype=bool)
-    mask[positions] = True
-    np.testing.assert_array_equal(
-        group.is_representative(states), mask.reshape(np.shape(states))
-    )
 
 
 #: (size, seed, layout) of a batch; :func:`realise` makes the states
@@ -148,7 +153,7 @@ class TestAgainstFullGroupLoop:
         # odd-inversion sector every state that equals its own flip image
         group = chain_symmetries(8, 4, None, 1)
         states = np.arange(256, dtype=np.uint64)
-        positions, _ = group.representatives(states)
+        positions, _ = representatives(group, states)
         minima = state_info_reference(group, states)[0]
         assert positions.size < np.count_nonzero(minima == states)
         assert_filter_matches(group, states)
@@ -159,7 +164,7 @@ class TestAgainstFullGroupLoop:
         states = states_with_weight(20, 10)
         for momentum, rest in ((0, (0, 0)), (3, (None, None))):
             group = chain_symmetries(20, momentum, *rest)
-            positions, stab = group.representatives(states)
+            positions, stab = representatives(group, states)
             expected, expected_stab = old_predicate(group, states)
             np.testing.assert_array_equal(positions, expected)
             np.testing.assert_array_equal(stab, expected_stab)
@@ -171,7 +176,7 @@ class TestAgainstFullGroupLoop:
         group = square_group(4, 4)
         assert group.kernel.strategy_counts["network"] == 3
         states = states_with_weight(16, 8)
-        positions, stab = group.representatives(states)
+        positions, stab = representatives(group, states)
         expected, expected_stab = old_predicate(group, states)
         assert 0 < positions.size < states.size // 8
         np.testing.assert_array_equal(positions, expected)
@@ -192,8 +197,8 @@ class TestAgainstFullGroupLoop:
         kept = candidates[(rep == candidates) & (stab > STAB_TOL)][:3]
         mixed = np.insert(dying, [0, 300, 600], kept)
         for batch in (dying, mixed):
-            positions, sums = group.representatives(batch)
-            singles = [group.representatives(state[None]) for state in batch]
+            positions, sums = representatives(group, batch)
+            singles = [representatives(group, state[None]) for state in batch]
             alone = [i for i, (at, _) in enumerate(singles) if at.size]
             np.testing.assert_array_equal(positions, alone)
             np.testing.assert_array_equal(
@@ -312,7 +317,7 @@ class TestMinima:
         rng = np.random.default_rng(size)
         top_set = rng.integers(2**15, 2**16, size=size, dtype=np.uint64)
         assert group.kernel.minima(top_set).size == 0
-        assert group.representatives(top_set)[0].size == 0
+        assert representatives(group, top_set)[0].size == 0
         minimum = np.uint64(0b0000000011111111)
         batch = np.insert(top_set, size // 2, minimum)
         np.testing.assert_array_equal(group.kernel.minima(batch), [minimum])
@@ -385,15 +390,22 @@ class TestBasisBuild:
         assert basis.stabilizer_sums.tobytes() == stab.tobytes()
 
     def test_check_keeps_shape_and_cheap_filters(self):
+        """``in_space`` keeps the batch's shape and drops what lies past
+        the lattice or off the weight; the filter and the sums pass over
+        what it kept are the basis."""
         group = chain_symmetries(10, 0, 0, 0)
         basis = SymmetricBasis(group, hamming_weight=5)
         grid = np.arange(2048, dtype=np.uint64).reshape(32, 64)  # past 2**10
-        mask = basis.check(grid)
+        mask = basis.in_space(grid)
         assert mask.shape == grid.shape
-        np.testing.assert_array_equal(grid[mask], basis.states)
-        assert basis.check(np.uint64(basis.states[3])).shape == ()
-        assert basis.check(np.uint64(basis.states[3]))
-        assert not basis.check(np.empty(0, dtype=np.uint64)).size
+        np.testing.assert_array_equal(grid[mask], states_with_weight(10, 5))
+        positions, stab = representatives(group, grid[mask])
+        np.testing.assert_array_equal(grid[mask][positions], basis.states)
+        np.testing.assert_array_equal(stab, basis.stabilizer_sums)
+        assert basis.in_space(np.uint64(basis.states[3])).shape == ()
+        assert basis.in_space(np.uint64(basis.states[3]))
+        assert not basis.in_space(np.empty(0, dtype=np.uint64)).size
+        assert group.kernel.minima(np.empty(0, dtype=np.uint64)).size == 0
 
 
 # -- enumerate_states against a chunk-by-chunk enumeration --------------------

@@ -21,7 +21,7 @@ class TestFullBasis:
 
     def test_check_in_range(self):
         basis = SpinBasis(4)
-        mask = basis.check(np.array([0, 15, 16, 100], dtype=np.uint64))
+        mask = basis.in_space(np.array([0, 15, 16, 100], dtype=np.uint64))
         assert mask.tolist() == [True, True, False, False]
 
     def test_index_out_of_range(self):
@@ -75,7 +75,7 @@ class TestU1Basis:
     def test_check_filters_weight(self):
         basis = SpinBasis(6, hamming_weight=2)
         cand = np.array([0b000011, 0b000111, 0b100001, 0b111111], dtype=np.uint64)
-        assert basis.check(cand).tolist() == [True, False, True, False]
+        assert basis.in_space(cand).tolist() == [True, False, True, False]
 
     def test_extreme_weights(self):
         assert SpinBasis(8, hamming_weight=0).dim == 1

@@ -9,11 +9,12 @@ short switch interval and batches large enough for NumPy to drop the GIL
 make that collision certain where it is possible at all.  The kernel
 calls share those buffers: ``state_info``, the stabilizer-free
 ``orbit_info``, and the set-up filter ``minima`` with the sums pass
-``in_sector`` after it (both behind ``SymmetryGroup.representatives``).
+``in_sector`` after it (``representatives`` below).
 """
 
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,6 +29,14 @@ from repro.symmetry import (
 N_THREADS = 4
 N_CALLS = 8
 BATCH = 50_000
+
+
+def representatives(kernel, batch):
+    """The surviving representatives of a batch and their sums: the
+    set-up filter, then the sums pass over its minima."""
+    minima = kernel.minima(batch)
+    keep, stab = kernel.in_sector(minima)
+    return minima[keep], stab
 
 
 def torus_group(nx: int, ny: int) -> SymmetryGroup:
@@ -47,7 +56,11 @@ def torus_group(nx: int, ny: int) -> SymmetryGroup:
 )
 @pytest.mark.parametrize("method", ["state_info", "representatives", "orbit_info"])
 def test_equal_shaped_batches_from_many_threads(group, method):
-    call = getattr(group if method == "representatives" else group.kernel, method)
+    call = (
+        partial(representatives, group.kernel)
+        if method == "representatives"
+        else getattr(group.kernel, method)
+    )
     rng = np.random.default_rng(14)
     batches = [
         rng.integers(0, 2**group.n_sites, size=BATCH, dtype=np.uint64)

@@ -77,9 +77,14 @@ class TestRepresentatives:
         )
 
     def test_check_agrees_with_membership(self, basis):
-        candidates = np.arange(1 << 10, dtype=np.uint64)
-        mask = basis.check(candidates)
-        assert np.array_equal(candidates[mask], basis.states)
+        """The range and weight filters, then the group's set-up filter
+        and its sums pass, keep exactly the basis."""
+        candidates = np.arange(1 << 11, dtype=np.uint64)  # past 2**10
+        kernel = basis.group.kernel
+        minima = kernel.minima(candidates[basis.in_space(candidates)])
+        keep, stab = kernel.in_sector(minima)
+        assert np.array_equal(minima[keep], basis.states)
+        assert np.array_equal(stab, basis.stabilizer_sums)
 
     def test_stabilizer_sums_positive_integers(self, basis):
         stab = basis.stabilizer_sums
@@ -140,7 +145,7 @@ class TestConstruction:
     def test_unbuilt_basis_can_check_and_project(self):
         group = chain_symmetries(8, momentum=0, parity=0, inversion=0)
         basis = SymmetricBasis(group, hamming_weight=4, build=False)
-        assert basis.check(np.array([0b00001111], dtype=np.uint64)).shape == (1,)
+        assert basis.in_space(np.array([0b00001111], dtype=np.uint64)).shape == (1,)
         basis.project(np.array([0b00001111], dtype=np.uint64))
 
     def test_from_representatives(self):

@@ -14,12 +14,12 @@ from repro.symmetry import (
 
 class TestChainFactories:
     def test_translation_action(self):
-        t = translation(6)
+        t = translation(6).permutation
         assert int(t(np.uint64(0b000001))) == 0b000010
 
     def test_translation_composed_n_times_is_identity(self):
         n = 7
-        t = translation(n)
+        t = translation(n).permutation
         state = np.uint64(0b0110001)
         out = state
         for _ in range(n):
@@ -27,17 +27,20 @@ class TestChainFactories:
         assert int(out) == int(state)
 
     def test_reflection_action(self):
-        r = reflection(6)
+        r = reflection(6).permutation
         assert int(r(np.uint64(0b000011))) == 0b110000
 
     def test_reflection_involution(self):
-        r = reflection(9)
+        r = reflection(9).permutation
         state = np.uint64(0b101100110)
         assert int(r(r(state))) == int(state)
 
     def test_spin_inversion_action(self):
         x = spin_inversion(5)
-        assert int(x(np.uint64(0b00000))) == 0b11111
+        assert x.flip and x.permutation.is_identity
+        group = SymmetryGroup.from_generators([x])
+        flip = int(np.flatnonzero(group.flips)[0])
+        assert int(group.apply_element(flip, np.uint64(0b00000))) == 0b11111
 
     def test_translation_and_reflection_generate_dihedral(self):
         n = 6
@@ -64,10 +67,10 @@ class TestRectangleTranslation:
 
     def test_moves_correct_site(self):
         nx, ny = 4, 2
-        tx = rectangle_translation(nx, ny, axis=0)
+        tx = rectangle_translation(nx, ny, axis=0).permutation
         # site (0,0) = bit 0 moves to site (1,0) = bit 1
         assert int(tx(np.uint64(1))) == 0b10
-        ty = rectangle_translation(nx, ny, axis=1)
+        ty = rectangle_translation(nx, ny, axis=1).permutation
         # site (0,0) moves to site (0,1) = bit nx
         assert int(ty(np.uint64(1))) == 1 << nx
 
