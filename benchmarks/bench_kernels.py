@@ -511,9 +511,10 @@ def test_radix_partition_vs_argsort(batch):
 def test_plan_replay_speedup(group):
     """Warm (plan-replay) matvec vs cold, and the plan hit-rate.
 
-    The hit and miss counts are the hard CI gate, exactly: one miss per
-    batch on the recording pass; the first warm matvec reads every batch
-    once to fold them into one matrix, the next three read the matrix.
+    The hit and miss counts are the hard CI gate, exactly: one lookup of
+    the matrix per product, which the recording pass and the first warm
+    matvec (it folds the batches into the matrix) miss and the next three
+    hit.
     """
     basis = SymmetricBasis(group, hamming_weight=WEIGHT)
     assert basis.dim == DIMS[f"chain{N_SITES}"]
@@ -525,9 +526,9 @@ def test_plan_replay_speedup(group):
         t0 = perf_counter()
         y_cold = op.matvec(x)
         t_cold = perf_counter() - t0
-        misses = tele.metrics.counter_total("plan.misses")
         t_warm = best_of(lambda: op.matvec(x), repeats=3)
         y_warm = op.matvec(x)
+    misses = tele.metrics.counter_total("plan.misses")
     hits = tele.metrics.counter_total("plan.hits")
     hit_rate = hits / max(hits + misses, 1)
     np.testing.assert_allclose(y_warm, y_cold, rtol=1e-12)
@@ -552,6 +553,5 @@ def test_plan_replay_speedup(group):
             "smoke": SMOKE,
         },
     )
-    n_batches = -(-basis.dim // op.batch_size)
-    assert (misses, hits) == (n_batches, n_batches + 3), (misses, hits)
+    assert (misses, hits) == (2, 3), (misses, hits)
     assert speedup >= (1.0 if SMOKE else 2.0)

@@ -9,9 +9,7 @@ stored one ``.npy`` file per locale plus a JSON manifest.
 """
 
 from repro.io.vectors import (
-    load_basis_states,
     load_distributed_vector,
-    save_basis_states,
     save_block_array,
     save_distributed_vector,
 )
@@ -20,6 +18,4 @@ __all__ = [
     "save_block_array",
     "save_distributed_vector",
     "load_distributed_vector",
-    "save_basis_states",
-    "load_basis_states",
 ]

@@ -33,14 +33,11 @@ from repro.resilience.checkpoint import (
     crc_entry,
     read_verified,
 )
-from repro.runtime.cluster import Cluster
 
 __all__ = [
     "save_block_array",
     "save_distributed_vector",
     "load_distributed_vector",
-    "save_basis_states",
-    "load_basis_states",
 ]
 
 _MANIFEST = "manifest.json"
@@ -141,13 +138,11 @@ def save_block_array(directory, array: BlockArray, name: str = "vector") -> Path
     return path
 
 
-def _basis_masks(basis: DistributedBasis) -> tuple[np.ndarray, BlockArray]:
-    """Sorted global states and their block-distributed destination masks."""
+def _basis_masks(basis: DistributedBasis) -> BlockArray:
+    """The destination locales of the basis' sorted global states, in the
+    block distribution."""
     states = basis.global_states()
-    masks = BlockArray.from_global(
-        basis.cluster, locale_of(states, basis.n_locales)
-    )
-    return states, masks
+    return BlockArray.from_global(basis.cluster, locale_of(states, basis.n_locales))
 
 
 def save_distributed_vector(
@@ -159,52 +154,9 @@ def save_distributed_vector(
     files written from different locale counts are interchangeable.
     """
     basis = vector.basis
-    _, masks = _basis_masks(basis)
+    masks = _basis_masks(basis)
     block, _ = hashed_to_block(vector.parts, masks)
     return save_block_array(directory, block, name=name)
-
-
-def save_basis_states(
-    directory, basis: DistributedBasis, name: str = "basis"
-) -> Path:
-    """Persist an enumerated basis (the representative list).
-
-    Enumeration scans the full ``2**n`` range, so production workflows save
-    the result and reload it for subsequent runs; the file stores the
-    globally sorted states through the block distribution, so it is
-    locale-count independent.
-    """
-    states, masks = _basis_masks(basis)
-    block = BlockArray.from_global(basis.cluster, states)
-    # Sanity: the hashed parts reassemble into exactly these states.
-    rebuilt, _ = hashed_to_block(basis.parts, masks)
-    if not all(
-        np.array_equal(a, b) for a, b in zip(rebuilt.blocks, block.blocks)
-    ):
-        raise DistributionError("basis parts are inconsistent; not saving")
-    return save_block_array(directory, block, name=name)
-
-
-def load_basis_states(
-    directory, cluster: Cluster, template, name: str = "basis"
-) -> DistributedBasis:
-    """Rebuild a :class:`DistributedBasis` from a saved representative list.
-
-    ``template`` is the physics description (the same object passed to
-    :func:`~repro.distributed.enumeration.enumerate_states`); the target
-    cluster may differ from the writer's.  The states are checked against
-    it (:class:`~repro.distributed.DistributedBasis`): a list saved under
-    another sector raises :class:`~repro.errors.BasisError`.
-    """
-    directory = Path(directory)
-    manifest = _read_manifest(directory, name)
-    states = np.concatenate(_load_chunks(directory, manifest))
-    block = BlockArray.from_global(cluster, states)
-    masks = BlockArray.from_global(
-        cluster, locale_of(states, cluster.n_locales)
-    )
-    parts, _ = block_to_hashed(block, masks)
-    return DistributedBasis(cluster, template, parts)
 
 
 def load_distributed_vector(
@@ -226,6 +178,6 @@ def load_distributed_vector(
     block = BlockArray.from_global(
         basis.cluster, np.concatenate(_load_chunks(directory, manifest))
     )
-    _, masks = _basis_masks(basis)
+    masks = _basis_masks(basis)
     parts, _ = block_to_hashed(block, masks)
     return DistributedVector(basis, parts)

@@ -85,9 +85,10 @@ def ftlm_thermal(
         array).  Used for the overall normalization of ``Z``.
 
     On the NumPy path ``min(n_samples, 8)`` samples advance together
-    through block products, unless the operator holds a plan: a replayed
-    plan gains nothing from a block, so its samples run one at a time, as
-    they do off the NumPy path (a block stacks NumPy vectors).  The random
+    through block products, unless the operator holds a plan with a
+    budget (``capacity_bytes > 0``): a replayed plan gains nothing from a
+    block, so its samples run one at a time, as they do off the NumPy path
+    (a block stacks NumPy vectors).  The random
     vectors drawn and the recurrence run on each are the same either way,
     so the estimate does not depend on the width.
 
@@ -95,7 +96,7 @@ def ftlm_thermal(
     or a temperature that is not > 0, raises
     :class:`~repro.errors.ConfigError` before the first product.
     """
-    planned = getattr(matvec, "plan", None) is not None
+    planned = getattr(getattr(matvec, "plan", None), "capacity_bytes", 0) > 0
     matvec = as_matvec(matvec)
     temperatures = np.asarray(temperatures, dtype=np.float64)
     if not np.all(temperatures > 0):

@@ -32,9 +32,10 @@ from repro.schema import require_positive
 
 __all__ = ["BasisOperator", "Operator"]
 
-#: Plan key of the consolidated matrix.  A batch is keyed ``(start,)`` and
-#: held as the ``(rows, sources, amplitudes)`` triple that ``getManyRows``
-#: and ``stateToIndex`` give it, ``sources`` as absolute basis positions.
+#: Plan key of ``(matrix, covered)``, what the products after the fold
+#: replay; until the fold a recorded batch is keyed ``(start,)`` and held as
+#: the ``(rows, sources, amplitudes)`` triple that ``getManyRows`` and
+#: ``stateToIndex`` give it, ``sources`` as absolute basis positions.
 MATRIX_KEY = ("matrix",)
 
 #: The default batch holds as many sources as can generate at most this many
@@ -119,17 +120,21 @@ class Operator(BasisOperator):
         the second-level cache: ``max(256, (1 << 17) //
         compiled.max_entries_per_row)`` — 2 674 sources on a 24-site
         Heisenberg chain, 1 351 on the 4x6 torus, ~34 k raw states either
-        way.  The plan holds one entry per batch.  Anything but an integer
-        >= 1 raises :class:`~repro.errors.ConfigError`.
+        way.  The recording product offers the plan one entry per batch.
+        Anything but an integer >= 1 raises
+        :class:`~repro.errors.ConfigError`.
     plan:
-        Cache the iteration-invariant ``(rows, sources, amplitudes)``
-        triples produced for each batch and replay them on subsequent
-        matvecs (see :class:`~repro.operators.plan.MatvecPlan`).  ``True``
-        gives the operator a plan of its own, its budget a share of the
-        host's available memory; ``False`` recomputes everything every
-        call; anything else raises :class:`~repro.errors.ConfigError`.  A
-        replay equals the recording pass bit for bit on real arithmetic,
-        to 1e-14 relative on complex.
+        Record the iteration-invariant ``(rows, sources, amplitudes)``
+        triples of the first product's batches and fold the leading ones
+        that the budget admits into one CSR matrix on the next (see
+        :meth:`matvec` and :class:`~repro.operators.plan.MatvecPlan`);
+        every product after is ``matrix @ x`` plus the batches past it.
+        ``True`` gives the operator a plan of its own, its budget a share
+        of the host's available memory; ``False`` recomputes everything
+        every call; anything else raises
+        :class:`~repro.errors.ConfigError`.  Every product equals the
+        recording pass bit for bit on real arithmetic, to 1e-14 relative
+        on complex.
     """
 
     def __init__(
@@ -169,11 +174,17 @@ class Operator(BasisOperator):
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Serial ``y = H x``, or ``Y = H X`` for a ``(dim, k)`` block.
 
-        With a :attr:`plan`, the first call over each batch caches the
-        ``(rows, sources, amplitudes)`` triple — the output of
-        ``getManyRows`` plus the ``stateToIndex`` searches — and the next
-        call folds the batches into one CSR matrix (:meth:`_consolidate`):
-        every later product, single vector or block, is ``matrix @ x``.
+        One path: ``y = matrix @ x`` over what the :attr:`plan` holds as a
+        matrix (``diag * x`` when it holds none; one plan lookup), then
+        ``getManyRows`` and a scatter-add for the batches of sources past
+        it.  The first product offers each batch's ``(rows, sources,
+        amplitudes)`` triple — the output of ``getManyRows`` plus the
+        ``stateToIndex`` searches — to the plan until the budget turns one
+        away; the next folds what the budget admits into one CSR matrix
+        (:meth:`_consolidate`) and, if that took every batch held, offers
+        the batches past the matrix in turn, for the product after it to
+        fold on.  The plan so ends as the whole matrix whenever the budget
+        holds it, else as a leading run of the batches, or nothing.
 
         A block input computes all ``k`` columns in one pass, so generation
         and ranking happen once per batch for the whole block.  A plan
@@ -187,7 +198,14 @@ class Operator(BasisOperator):
                 f"expected vector of shape ({self.dim},) or block of shape "
                 f"({self.dim}, k)"
             )
-        matrix = self._consolidate()
+        plan = self.plan
+        held = None if plan is None else plan.get(MATRIX_KEY)
+        # The first product records; a later one that finds records folds
+        # them and, if its fold took every one, records on past the matrix.
+        recording = plan if held is None else None
+        if plan is not None and plan.n_entries > (held is not None):
+            held, recording = self._consolidate(held)
+        matrix, covered = held or (None, 0)
         if matrix is not None:
             y = matrix @ x
         else:
@@ -197,66 +215,101 @@ class Operator(BasisOperator):
             dtype = result_dtype(self.compiled, self.basis, x.dtype)
             diag = self.diagonal().astype(dtype, copy=False)
             y = (diag if x.ndim == 1 else diag[:, None]) * x
-            self._generate_and_scatter(x, y)
+        if covered < self.dim:
+            self._generate_and_scatter(x, y, covered, recording)
         return y
 
-    def _consolidate(self):
-        """The operator as one CSR matrix, once the plan holds every batch (so
-        never during the recording pass) and if its budget admits it, else ``None``.
+    def _consolidate(self, held):
+        """Fold the recorded batches onto the ``(matrix, covered)`` the plan
+        ``held`` (onto the diagonal if none) as far as the budget admits,
+        drop the rest, and hold the result (:data:`MATRIX_KEY`): ``covered``
+        is the first source the matrix does not cover, the matrix ``None``
+        (and ``covered`` 0) until a batch fits.  Returns it, and the plan
+        if the fold took every batch (to record the ones past it), else
+        ``None``.
 
         Row ``r`` holds the diagonal element, then the off-diagonal ones in the
         order the batches recorded them, columns unsorted and duplicates kept:
         SciPy's ``csr_matvec`` adds a row's entries in stored order starting
-        from zero, which is ``diag * x`` followed by the batches' ``np.add.at``.
-        The matrix takes the batches' place in the plan (:data:`MATRIX_KEY`).
+        from zero, which is ``diag * x`` followed by the batches' ``np.add.at``;
+        the batches past ``covered`` then add as the recording pass did.
         """
         plan = self.plan
-        if plan is None:
-            return None
-        if MATRIX_KEY in plan:
-            return plan.get(MATRIX_KEY)
-        keys = [(start,) for start in range(0, self.dim, self.batch_size)]
-        if not keys or not all(key in plan for key in keys):
-            return None
-        nnz = self.dim + sum(plan.peek(key)[0].size for key in keys)
-        if csr_footprint(self.shape, nnz, self.dtype)[1] > plan.capacity_bytes:
-            return None  # the plan would turn it away: keep the batches
-        # Each batch leaves the plan as the builder takes it: above
-        # ``RUN_ELEMENTS`` run by run, so the batches and the matrix are
-        # never whole in memory together.
-        positions = np.arange(self.dim)
-        matrix = csr_in_recorded_order(
-            self.shape, self.dtype,
-            chain([positions], (plan.get(key)[0] for key in keys)),
-            chain([(positions, positions, self.diagonal())], map(plan.pop, keys)),
+        matrix, covered = held or (None, 0)
+        starts = range(covered, self.dim, self.batch_size)
+        keys = [(start,) for start in starts[: plan.n_entries - (held is not None)]]
+        nnz = (self.dim if matrix is None else matrix.nnz) + np.cumsum(
+            [plan.peek(key)[0].size for key in keys]
         )
-        plan.put(MATRIX_KEY, matrix)
-        return matrix
+        folded = sum(
+            csr_footprint(self.shape, n, self.dtype)[1] <= plan.capacity_bytes
+            for n in nnz
+        )
+        recording = plan if folded == len(keys) else None
+        for key in keys[folded:]:
+            plan.pop(key)
+        del keys[folded:]
+        if keys:
+            plan.pop(MATRIX_KEY)
+            # Each batch leaves the plan as the builder takes it: above
+            # ``RUN_ELEMENTS`` run by run, so the batches and the matrix are
+            # never whole in memory together.
+            matrix = csr_in_recorded_order(
+                self.shape, self.dtype,
+                chain(
+                    (rows for rows, _, _ in self._triples(matrix)),
+                    (plan.peek(key)[0] for key in keys),
+                ),
+                chain(self._triples(matrix), map(plan.pop, keys)),
+            )
+            covered = min(covered + len(keys) * self.batch_size, self.dim)
+        held = matrix, covered
+        plan.put(MATRIX_KEY, held)
+        return held, recording
 
-    def _generate_and_scatter(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Add the off-diagonal part of ``H x`` to ``y``, batch by batch."""
+    def _triples(self, matrix):
+        """The elements of a folded ``matrix`` (the diagonal if ``None``) as
+        ``(rows, columns, data)`` triples in row order, a batch's worth of
+        rows at a time: what the builder takes to fold it again."""
+        if matrix is None:
+            positions = np.arange(self.dim)
+            yield positions, positions, self.diagonal()
+            return
+        indptr = matrix.indptr
+        for start in range(0, self.dim, self.batch_size):
+            counts = np.diff(indptr[start : start + self.batch_size + 1])
+            cut = slice(indptr[start], indptr[start + counts.size])
+            rows = np.repeat(np.arange(start, start + counts.size), counts)
+            yield rows, matrix.indices[cut], matrix.data[cut]
+
+    def _generate_and_scatter(
+        self, x: np.ndarray, y: np.ndarray, covered: int,
+        recording: MatvecPlan | None,
+    ) -> None:
+        """Add the off-diagonal elements of ``H x`` from the sources
+        ``covered`` on to ``y``, batch by batch.  A ``recording`` plan is
+        offered each batch's triple until it turns one away, so the batches
+        it holds are a leading run."""
         states = self.basis.states
         scale = self.basis.source_scale
         columns, out = np.atleast_2d(x.T).T, np.atleast_2d(y.T).T
-        for start in range(0, states.size, self.batch_size):
-            entry = None if self.plan is None else self.plan.get((start,))
-            if entry is None:
-                cut = slice(start, start + self.batch_size)
-                sources, rows, amplitudes = many_rows(
-                    self.compiled, self.basis.locate, states[cut],
-                    None if scale is None else scale[cut],
-                )
-                entry = rows, start + sources, amplitudes
-                if self.plan is not None:
-                    # Empty batches are cached too (replay then skips the
-                    # whole getManyRows call), all with 32-bit positions where
-                    # the basis allows: a third off the plan, and the matrix's.
-                    narrow = np.int32 if self.dim < 2**31 else np.int64
-                    kept = (part.astype(narrow) for part in entry[:2])
-                    self.plan.put((start,), (*kept, amplitudes))
-            rows, sources, amplitudes = entry
+        offer = recording is not None
+        for start in range(covered, states.size, self.batch_size):
+            cut = slice(start, start + self.batch_size)
+            sources, rows, amplitudes = many_rows(
+                self.compiled, self.basis.locate, states[cut],
+                None if scale is None else scale[cut],
+            )
+            sources = start + sources
+            if offer:
+                # Empty batches are held too, all with 32-bit positions where
+                # the basis allows: a third off the plan, and the matrix's.
+                narrow = np.int32 if self.dim < 2**31 else np.int64
+                kept = (part.astype(narrow) for part in (rows, sources))
+                recording.put((start,), (*kept, amplitudes))
+                offer = (start,) in recording
             # Column by column: a block adds its elements in the order a
-            # single vector does (and the consolidated matrix will).
+            # single vector does (and the folded matrix will).
             for j, column in enumerate(columns.T):
                 np.add.at(out[:, j], rows, amplitudes * column[sources])
 

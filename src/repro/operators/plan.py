@@ -6,13 +6,15 @@ operator and basis; only the input vector changes.  Everything
 destination states, the matrix-element amplitudes, the symmetry projection,
 and the ``stateToIndex`` binary searches — is therefore iteration-invariant.
 :class:`MatvecPlan` caches those triples the first time a chunk is
-processed and replays them on every subsequent matvec, reducing the hot
-loop to a gather, a multiply, and a scatter-add — and, once an operator
-holds every chunk, to CSR products, each folded from the recorded
-triples by the one builder :func:`csr_in_recorded_order`: one ``matrix @
-x`` for the serial operator, one per destination locale for the
-distributed operator (on ``sim`` beside the record of a simulated product
-whose report and telemetry every replay repeats).
+processed.  The serial operator folds the leading batches its budget
+admits into one CSR matrix with the one builder
+:func:`csr_in_recorded_order`, so each later product is one ``matrix @
+x`` and ``getManyRows`` for the batches past it.  The distributed
+operator replays each chunk it holds as a gather, a multiply and a
+scatter-add, and once it holds every chunk folds them with the same
+builder into one CSR product per destination locale (on ``sim`` beside
+the record of a simulated product whose report and telemetry every
+replay repeats).
 Serial replays equal the recording pass bit for bit on real arithmetic and
 to 1e-14 relative on complex (distributed ones to 1e-14 relative: their
 matrices carry each row's norm, which a product multiplies in after
@@ -25,21 +27,26 @@ The cache is memory-bounded: entries are accounted in bytes and admitted
 while they fit the budget, :data:`PLAN_MEMORY_SHARE` of the host's
 available memory (:func:`available_memory`) read once when the plan is
 made; an entry that does not fit is turned away and the ones already held
-stay.  Every matvec visits
-its chunks in the same order, so evicting the least recently used entry
-would throw out exactly the one needed next and a plan smaller than its
-operator would never hit; admission keeps the first K chunks that fit and
-replays those K on every matvec, so large bases degrade gracefully to
-partial caching instead of exhausting memory.  Hits, misses and turned-away
-entries are reported through the ambient :mod:`repro.telemetry` registry
-as ``plan.hits`` / ``plan.misses`` / ``plan.rejected`` counters and the
+stay.  Every matvec visits its chunks in the same order, so evicting the
+least recently used entry would throw out exactly the one needed next and
+a plan smaller than its operator would never hit; admission keeps the
+first K chunks that fit, which the distributed operator replays on every
+matvec and the serial one folds (it stops offering at the first batch
+refused, so its K are a leading run), so large bases degrade gracefully
+to partial caching instead of exhausting memory.  Hits, misses and turned-away entries are
+reported through the ambient :mod:`repro.telemetry` registry as
+``plan.hits`` / ``plan.misses`` / ``plan.rejected`` counters and the
 ``plan.bytes`` gauge.
 
-Keys are caller-chosen tuples: the serial operator uses ``(start,)`` for a
-batch's ``(rows, sources, amplitudes)`` triple and ``("matrix",)`` for the
-matrix that replaces them; the distributed matvec variants use ``(locale,
-start)`` for a produced chunk and ``(locale, "diag")`` for a locale's
-diagonal matrix elements, and the distributed operator keeps what its
+Keys are caller-chosen tuples: the serial operator records a batch's
+``(rows, sources, amplitudes)`` triple under ``(start,)`` on its first
+product and from its second on holds one entry, ``("matrix",)``: the
+matrix folded from the leading batches and ``covered``, the first source
+it does not cover (``(None, 0)`` when not one batch fit), which each
+product looks up once (``Operator._consolidate``); the distributed
+matvec variants use ``(locale, start)`` for a produced chunk and
+``(locale, "diag")`` for a locale's diagonal matrix elements, and the
+distributed operator keeps what its
 warm products replay: ``(locale, "matrix")``, the matrix of everything
 that lands on ``locale`` (``DistributedOperator._consolidate``, on both
 backends), and on ``sim`` ``("replay", width)``, the report and telemetry
@@ -121,7 +128,7 @@ def csr_footprint(shape: tuple[int, int], nnz: int, dtype) -> tuple[np.dtype, in
 
 #: Triples of fewer elements than this (about 12 MB of 64-bit triples),
 #: or than the matrix's rows, are joined whole into one run of
-#: :func:`csr_in_recorded_order`: no sizing pass, no placing scatter.
+#: :func:`csr_in_recorded_order`: no placing scatter.
 RUN_ELEMENTS = 2**19
 
 
@@ -169,24 +176,22 @@ def csr_in_recorded_order(shape, dtype, row_arrays, triples):
     size the rows) and ``triples`` the same triples again (read through
     once, to place them): both may be generators, so a caller can hand
     chunks over — or drop them — one at a time and the chunks and the
-    matrix are never whole in memory together.  Fewer than
+    matrix are never whole in memory together.  The rows are sized, and
+    the triples placed, in runs of consecutive ones joined until a run
+    holds at least ``shape[0]`` elements (:func:`_runs`): a run, not each
+    small triple, pays SciPy's fixed cost and the pass over every row, and
+    one run is all that is ever copied at a time.  Fewer than
     ``max(shape[0],`` :data:`RUN_ELEMENTS` ``)`` elements in all are
-    joined into one run, whose CSR is the matrix.  More are sized, then
-    placed, in runs of consecutive triples joined until a run holds at
-    least ``shape[0]`` elements (:func:`_runs`): a run, not each small
-    triple, pays SciPy's fixed cost and the pass over every row, and one
-    run is all that is ever copied at a time.
+    placed as one run, whose CSR is the matrix.
     """
     n_rows = shape[0]
-    row_arrays = list(row_arrays)  # the triples' own arrays, uncopied
-    if 0 < sum(map(len, row_arrays)) < max(n_rows, RUN_ELEMENTS):
-        return _csr(shape, dtype, list(triples))
     lengths = sum(
         (np.bincount(np.concatenate(run), minlength=n_rows)
          for run in _runs(row_arrays, n_rows)),
         np.zeros(n_rows, dtype=np.int64),
     )
-    del row_arrays
+    if 0 < lengths.sum() < max(n_rows, RUN_ELEMENTS):
+        return _csr(shape, dtype, list(triples))
     indptr = np.concatenate([[0], np.cumsum(lengths)])
     nnz = int(indptr[-1])
     index, _ = csr_footprint(shape, nnz, dtype)

@@ -189,12 +189,14 @@ def test_ftlm_blocked_matches_sequential(n, krylov_dim):
     the same bits as one sample at a time, breakdown included (chain-12's
     sector has dimension 35 < 60).  The operator has no plan, so its
     samples go in one block of 7; the same products behind an object that
-    holds a plan go one at a time."""
+    holds a plan with a budget go one at a time."""
     basis = SymmetricBasis(chain_symmetries(n, 0), hamming_weight=n // 2)
     op = repro.Operator(repro.heisenberg_chain(n), basis, plan=False)
     temperatures = np.array([0.1, 0.5, 2.0])
     kwargs = dict(krylov_dim=krylov_dim, n_samples=7, seed=4)
-    one_at_a_time = SimpleNamespace(matvec=op.matvec, plan=True)
+    one_at_a_time = SimpleNamespace(
+        matvec=op.matvec, plan=SimpleNamespace(capacity_bytes=1)
+    )
     sequential, blocked = [
         ftlm_thermal(matvec, np.zeros(op.dim), temperatures, **kwargs)
         for matvec in (one_at_a_time, op)
@@ -220,3 +222,28 @@ def test_block_width_follows_the_plan(plan):
     op.matvec = lambda x: widths.append(1 if x.ndim == 1 else x.shape[1]) or product(x)
     ftlm_thermal(op, np.zeros(op.dim), [1.0], krylov_dim=10, n_samples=12, seed=0)
     assert set(widths) == ({1} if plan else {8, 4})
+
+
+def test_a_plan_without_a_budget_gets_blocks(plan_budget):
+    """A plan whose budget is 0 holds nothing and regenerates every
+    product, as ``plan=False`` does: its samples go in blocks too, with the
+    same bits as the unplanned run."""
+    basis = SymmetricBasis(chain_symmetries(12, 0), hamming_weight=6)
+    expression = repro.heisenberg_chain(12)
+    with plan_budget(0):
+        planned = repro.Operator(expression, basis)
+    assert planned.plan.capacity_bytes == 0
+    widths = []
+    product = planned.matvec
+    planned.matvec = lambda x: widths.append(1 if x.ndim == 1 else x.shape[1]) or product(x)
+    temperatures = np.array([0.1, 0.5, 2.0])
+    kwargs = dict(krylov_dim=10, n_samples=12, seed=0)
+    zero_budget, unplanned = [
+        ftlm_thermal(op, np.zeros(basis.dim), temperatures, **kwargs)
+        for op in (planned, repro.Operator(expression, basis, plan=False))
+    ]
+    assert set(widths) == {8, 4}
+    np.testing.assert_array_equal(zero_budget.energy, unplanned.energy)
+    np.testing.assert_array_equal(
+        zero_budget.specific_heat, unplanned.specific_heat
+    )

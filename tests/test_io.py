@@ -12,7 +12,7 @@ from repro.distributed import (
     DistributedVector,
     enumerate_states,
 )
-from repro.errors import BasisError, CheckpointError, DistributionError
+from repro.errors import CheckpointError, DistributionError
 from repro.io import (
     load_distributed_vector,
     save_block_array,
@@ -176,77 +176,3 @@ class TestManifestValidation:
         self._edit(path, key, value)
         with pytest.raises(CheckpointError, match="manifest"):
             load_distributed_vector(path.parent, dbasis, name="v")
-
-
-class TestBasisStatesIO:
-    def test_roundtrip_across_cluster_sizes(self, tmp_path):
-        from repro.io import load_basis_states, save_basis_states
-
-        group = chain_symmetries(12, momentum=0, parity=0, inversion=0)
-        template = SymmetricBasis(group, hamming_weight=6, build=False)
-        writer = Cluster(3, laptop_machine(cores=2))
-        dbasis3, _ = enumerate_states(writer, template)
-        save_basis_states(tmp_path, dbasis3, name="b")
-
-        reader = Cluster(5, laptop_machine(cores=2))
-        dbasis5 = load_basis_states(tmp_path, reader, template, name="b")
-        assert dbasis5.n_locales == 5
-        assert np.array_equal(
-            dbasis5.global_states(), dbasis3.global_states()
-        )
-
-    def test_loaded_basis_supports_matvec(self, tmp_path, rng):
-        from repro.distributed import DistributedVector
-        from repro.io import load_basis_states, save_basis_states
-
-        group = chain_symmetries(12, momentum=0, parity=0, inversion=0)
-        serial = SymmetricBasis(group, hamming_weight=6)
-        template = SymmetricBasis(group, hamming_weight=6, build=False)
-        writer = Cluster(2, laptop_machine(cores=2))
-        dbasis, _ = enumerate_states(writer, template)
-        save_basis_states(tmp_path, dbasis, name="b")
-
-        reader = Cluster(4, laptop_machine(cores=2))
-        loaded = load_basis_states(tmp_path, reader, template, name="b")
-        dop = repro.DistributedOperator(repro.heisenberg_chain(12), loaded)
-        x = rng.standard_normal(serial.dim)
-        dx = DistributedVector.from_serial(loaded, serial, x)
-        ref = repro.Operator(repro.heisenberg_chain(12), serial).matvec(x)
-        assert np.allclose(dop.matvec(dx).to_serial(serial), ref)
-
-    @pytest.mark.parametrize(
-        "template",
-        [
-            SymmetricBasis(
-                chain_symmetries(12, momentum=0, parity=0, inversion=None),
-                hamming_weight=5,
-                build=False,
-            ),
-            SpinBasis(12, hamming_weight=5),
-        ],
-        ids=["symmetric", "plain"],
-    )
-    def test_rejects_states_of_another_sector(self, tmp_path, template):
-        """Weight-6 states loaded under a weight-5 template used to make a
-        basis of the wrong dimension, and a solver on it a wrong energy."""
-        from repro.io import load_basis_states, save_basis_states
-
-        group = chain_symmetries(12, momentum=0, parity=0, inversion=0)
-        cluster = Cluster(3, laptop_machine(cores=2))
-        dbasis, _ = enumerate_states(
-            cluster, SymmetricBasis(group, hamming_weight=6, build=False)
-        )
-        save_basis_states(tmp_path, dbasis, name="b")
-        with pytest.raises(BasisError, match="hamming_weight=5"):
-            load_basis_states(tmp_path, cluster, template, name="b")
-
-    def test_plain_basis_roundtrip(self, tmp_path):
-        from repro.io import load_basis_states, save_basis_states
-
-        template = SpinBasis(10, hamming_weight=5)
-        writer = Cluster(4, laptop_machine(cores=2))
-        dbasis, _ = enumerate_states(writer, template)
-        save_basis_states(tmp_path, dbasis)
-        loaded = load_basis_states(tmp_path, writer, template)
-        for a, b in zip(loaded.parts, dbasis.parts):
-            assert np.array_equal(a, b)

@@ -26,8 +26,10 @@ from repro.distributed import (
 )
 from repro.errors import ConfigError
 from repro.linalg import as_matvec, lanczos
+import repro.operators.operator as operator_module
 from repro.operators import MatvecPlan
-from repro.operators.plan import csr_in_recorded_order
+from repro.operators.kernels import many_rows
+from repro.operators.plan import csr_footprint, csr_in_recorded_order
 from repro.runtime import Cluster, laptop_machine
 from repro.symmetry import chain_symmetries
 
@@ -63,16 +65,19 @@ class TestSerialPlan:
         assert planned.plan.n_entries > 0
 
     def test_plan_populated_and_replayed(self, basis, expr, rng):
+        """One plan lookup per product, of the matrix: the recording
+        product and the folding one miss it, every later one hits."""
         op = repro.Operator(expr, basis)
         tele = telemetry.Telemetry.enabled(trace=False)
         with telemetry.use(tele):
             x = random_vector(basis, rng)
             op.matvec(x)
-            misses = tele.metrics.counter_total("plan.misses")
-            op.matvec(x)
-        assert misses > 0
-        assert tele.metrics.counter_total("plan.hits") == misses
-        assert tele.metrics.counter_total("plan.misses") == misses
+            assert op.plan.n_entries == -(-op.dim // op.batch_size)
+            for _ in range(3):
+                op.matvec(x)
+        assert op.plan.n_entries == 1
+        assert tele.metrics.counter_total("plan.misses") == 2
+        assert tele.metrics.counter_total("plan.hits") == 2
 
     def test_invalidation_recomputes_identically(self, basis, expr, rng):
         op = repro.Operator(expr, basis)
@@ -186,9 +191,10 @@ class TestSerialBatchRule:
 
 
 class TestConsolidatedReplay:
-    """The first replay that finds every batch in the plan folds them into
-    one CSR matrix in recorded order: bit-for-bit the recording pass on
-    real arithmetic, 1e-14 relative on complex."""
+    """The product after the recording folds the diagonal and the leading
+    batches the budget admits into one CSR matrix in recorded order and
+    generates the rest: bit-for-bit the recording pass on real arithmetic,
+    1e-14 relative on complex."""
 
     @pytest.fixture(scope="class")
     def sector(self):
@@ -214,7 +220,7 @@ class TestConsolidatedReplay:
         x = rng.standard_normal(op.dim)
         recorded = op.matvec(x)
         keys = self.batch_keys(op)
-        chunks = [op.plan.get(key) for key in keys]
+        chunks = [op.plan.peek(key) for key in keys]
         assert op.plan.n_entries == len(keys) == -(-op.dim // op.batch_size)
         if batch_size == 1:
             assert any(chunk[0].size == 0 for chunk in chunks)
@@ -231,7 +237,8 @@ class TestConsolidatedReplay:
         np.testing.assert_array_equal(cold.matvec(x), recorded)
         # the matrix is accounted at its real size: duplicates kept, the
         # diagonal in, 12 B per element plus the row pointers
-        matrix = op.plan.get(("matrix",))
+        matrix, covered = op.plan.peek(("matrix",))
+        assert covered == op.dim
         assert matrix.nnz == op.dim + len(pairs)
         assert op.plan.nbytes == 12 * matrix.nnz + 4 * (op.dim + 1)
         op.invalidate_plan()
@@ -254,21 +261,48 @@ class TestConsolidatedReplay:
     def test_budget_too_small_for_all_batches_never_consolidates(
         self, sector, rng, plan_budget
     ):
+        """A byte short of the whole matrix: the plan ends as a matrix of a
+        leading run of the batches, and the products generate the rest."""
         expr, basis = sector
         full = repro.Operator(expr, basis, batch_size=7)
         x = rng.standard_normal(full.dim)
         recorded = full.matvec(x)
+        full.matvec(x)
         with plan_budget(full.plan.nbytes - 1):
             op = repro.Operator(expr, basis, batch_size=7)
-        for _ in range(3):
+        for _ in range(4):
             np.testing.assert_array_equal(op.matvec(x), recorded)
-            assert ("matrix",) not in op.plan
-            assert 0 < op.plan.n_entries < len(self.batch_keys(op))
+        _, covered = op.plan.peek(("matrix",))
+        assert op.plan.n_entries == 1 and 0 < covered < op.dim
+
+    def test_records_past_the_budget_fold_in_steps(self, sector, rng, plan_budget):
+        """A byte short of the records but room for the matrix: the fold
+        takes every batch the recording held, the product records on past
+        the matrix, and the next folds those onto it: the plan ends as the
+        whole matrix, every product the recording's bits."""
+        expr, basis = sector
+        full = repro.Operator(expr, basis, batch_size=7)
+        x = rng.standard_normal(full.dim)
+        recorded = full.matvec(x)
+        records = full.plan.nbytes
+        full.matvec(x)
+        matrix = full.plan.nbytes
+        assert matrix < records
+        with plan_budget(records - 1):
+            op = repro.Operator(expr, basis, batch_size=7)
+        covered = []
+        for _ in range(4):
+            np.testing.assert_array_equal(op.matvec(x), recorded)
+            covered.append((op.plan.peek(("matrix",)) or (None, 0))[1])
+        assert covered[0] == 0 and 0 < covered[1] < op.dim
+        assert covered[2:] == [op.dim, op.dim]
+        assert op.plan.n_entries == 1 and op.plan.nbytes == matrix
 
     def test_room_for_the_batches_but_not_for_the_matrix(self, rng, plan_budget):
         # One bond on 12 sites: 0.27 off-diagonal elements per row, so the
         # matrix (a diagonal element and a row pointer for every row) is
-        # larger than the batches.  The batches have to stay and replay.
+        # larger than the batches.  The fold drops them: the plan holds
+        # nothing and every product generates every batch.
         basis = SpinBasis(12, hamming_weight=6)
         expr = repro.spin_plus(0) * repro.spin_minus(1)
         expr = expr + repro.spin_minus(0) * repro.spin_plus(1)
@@ -281,28 +315,29 @@ class TestConsolidatedReplay:
         assert 12 * (nnz + probe.dim) + 4 * (probe.dim + 1) > budget
         with plan_budget(budget):
             op = repro.Operator(expr, basis, batch_size=100)
-        keys = self.batch_keys(op)
         tele = telemetry.Telemetry.enabled(trace=False)
         with telemetry.use(tele):
-            for _ in range(4):
+            np.testing.assert_array_equal(op.matvec(x), recorded)
+            assert op.plan.n_entries == len(self.batch_keys(op))
+            assert op.plan.nbytes == budget
+            for _ in range(3):
                 np.testing.assert_array_equal(op.matvec(x), recorded)
-                assert ("matrix",) not in op.plan
-                assert op.plan.n_entries == len(keys)
-                assert op.plan.nbytes == budget
-        # one recording pass, three per-batch replays, nothing turned away
-        assert tele.metrics.counter_total("plan.misses") == len(keys)
-        assert tele.metrics.counter_total("plan.hits") == 3 * len(keys)
+                assert op.plan.peek(("matrix",)) == (None, 0)
+                assert op.plan.n_entries == 1 and op.plan.nbytes == 0
+        # one matrix lookup per product, nothing turned away
+        assert tele.metrics.counter_total("plan.misses") == 2
+        assert tele.metrics.counter_total("plan.hits") == 2
         assert tele.metrics.counter_total("plan.rejected") == 0
         # one more byte of room is not enough either; room for the matrix is
-        for capacity, consolidated in [
-            (budget + 1, False),
-            (12 * (nnz + op.dim) + 4 * (op.dim + 1), True),
+        for capacity, covered in [
+            (budget + 1, 0),
+            (12 * (nnz + op.dim) + 4 * (op.dim + 1), op.dim),
         ]:
             with plan_budget(capacity):
                 op = repro.Operator(expr, basis, batch_size=100)
             for _ in range(3):
                 np.testing.assert_array_equal(op.matvec(x), recorded)
-            assert (("matrix",) in op.plan) == consolidated
+            assert op.plan.peek(("matrix",))[1] == covered
 
     def test_pop_keeps_the_bytes_gauge_current(self, plan_budget):
         with plan_budget(1000):
@@ -361,6 +396,109 @@ class TestConsolidatedReplay:
             assert np.abs(replayed - recorded).max() <= (
                 1e-14 * np.abs(recorded).max()
             )
+
+
+class TestOnePath:
+    """Every serial product is ``y = matrix @ x`` over what the plan holds,
+    then ``getManyRows`` and ``np.add.at`` for the batches from
+    ``covered`` on: whatever the fold took (no batch, one, some or all of
+    them), every product equals ``plan=False``."""
+
+    BATCH = 16
+
+    @pytest.fixture(scope="class", params=["real", "complex"])
+    def sector(self, request):
+        momentum = 0 if request.param == "real" else 3
+        basis = SymmetricBasis(
+            chain_symmetries(14, momentum, None, None), hamming_weight=7
+        )
+        return repro.heisenberg_chain(14), basis
+
+    @staticmethod
+    def assert_equal(y, expected):
+        if np.isrealobj(expected):
+            np.testing.assert_array_equal(y, expected)
+        else:
+            assert np.abs(y - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def budget_folding(self, expr, basis, folded):
+        """A budget whose fold takes the first ``folded`` batches (all of
+        them for ``None``), with the batch sizes of a full recording."""
+        probe = repro.Operator(expr, basis, batch_size=self.BATCH)
+        probe.matvec(random_vector(basis, np.random.default_rng(0)))
+        sizes = [probe.plan.peek((start,))[0].size for start in range(0, basis.dim, self.BATCH)]
+        if folded is None:
+            return 2**40, sizes
+
+        def footprint(k):
+            return csr_footprint(probe.shape, basis.dim + sum(sizes[:k]), probe.dtype)[1]
+
+        return (footprint(1) - 1 if folded == 0 else footprint(folded)), sizes
+
+    @pytest.mark.parametrize("folded", [0, 1, "some", None], ids=["0", "1", "some", "all"])
+    def test_every_product_is_the_unplanned_one(self, sector, folded, rng, plan_budget):
+        expr, basis = sector
+        n_batches = -(-basis.dim // self.BATCH)
+        folded = n_batches // 3 if folded == "some" else folded
+        budget, sizes = self.budget_folding(expr, basis, folded)
+        with plan_budget(budget):
+            op = repro.Operator(expr, basis, batch_size=self.BATCH)
+        cold = repro.Operator(expr, basis, batch_size=self.BATCH, plan=False)
+        vector, block = random_vector(basis, rng), random_vector(basis, rng)
+        block = np.stack([np.roll(block, j) for j in range(8)], axis=1)
+        # record, fold, then two warm products: a vector, a block, ...
+        for x in (vector, block, vector, block):
+            self.assert_equal(op.matvec(x), cold.matvec(x))
+        matrix, covered = op.plan.peek(("matrix",))
+        assert op.plan.n_entries == 1
+        if folded is None:
+            assert covered == basis.dim and matrix.nnz == basis.dim + sum(sizes)
+        elif folded == 0:
+            assert (matrix, covered) == (None, 0)
+        else:
+            assert covered == folded * self.BATCH
+            assert matrix.nnz == basis.dim + sum(sizes[:folded])
+        # a warm product generates the batches from ``covered`` on, no more
+        tele = telemetry.Telemetry.enabled(trace=False)
+        with telemetry.use(tele):
+            y = op.matvec(vector)
+        self.assert_equal(y, cold.matvec(vector))
+        tail = telemetry.Telemetry.enabled(trace=False)
+        with telemetry.use(tail):
+            for start in range(covered, basis.dim, self.BATCH):
+                cut = slice(start, start + self.BATCH)
+                many_rows(op.compiled, basis.locate, basis.states[cut], basis.source_scale[cut])
+        states = tele.metrics.counter_total("kernel.state_info_states")
+        assert states == tail.metrics.counter_total("kernel.state_info_states")
+        assert (states == 0) == (covered == basis.dim)
+
+    def test_a_recording_that_raises_leaves_a_leading_run(
+        self, sector, rng, monkeypatch
+    ):
+        """A recording product that fails part-way leaves the batches it
+        recorded, a leading run: the next product folds them and records
+        on, and the plan ends whole."""
+        expr, basis = sector
+        op = repro.Operator(expr, basis, batch_size=self.BATCH)
+        cold = repro.Operator(expr, basis, batch_size=self.BATCH, plan=False)
+        x = random_vector(basis, rng)
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("kernel failed")
+            return many_rows(*args)
+
+        monkeypatch.setattr(operator_module, "many_rows", failing)
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            op.matvec(x)
+        assert list(op.plan._entries) == [(0,), (self.BATCH,)]
+        monkeypatch.undo()
+        for _ in range(3):  # fold and record on, fold, replay
+            self.assert_equal(op.matvec(x), cold.matvec(x))
+        assert op.plan.n_entries == 1
+        assert op.plan.peek(("matrix",))[1] == basis.dim
 
 
 class TestOneBuilder:
@@ -464,14 +602,43 @@ class TestPlanCachePolicy:
 
     @pytest.mark.parametrize("share", [0.9, 0.5, 0.25])
     def test_partial_budget_admits_and_hits_serial(self, share, rng, plan_budget):
+        """A plan of ``share`` of the recording's bytes holds a leading run
+        of the batches, the later products fold what the budget admits
+        into the matrix, and each warm product hits it (one lookup) and
+        generates the rest."""
         # chain-20: dim 2518, ten batches of 256
         basis = SymmetricBasis(chain_symmetries(20, 0, 0, 0), hamming_weight=10)
         expr = repro.heisenberg_chain(20)
         x = rng.standard_normal(basis.dim)
-        cold, results = self.partial(
-            lambda plan: repro.Operator(expr, basis, batch_size=256, plan=plan),
-            x, share, plan_budget,
-        )
+
+        def make(plan):
+            return repro.Operator(expr, basis, batch_size=256, plan=plan)
+
+        cold = make(False).matvec(x)
+        probe = make(True)
+        probe.matvec(x)
+        keys, recorded = probe.plan.n_entries, probe.plan.nbytes
+        sizes = [probe.plan.peek((start,))[0].size for start in range(0, probe.dim, 256)]
+        probe.matvec(x)
+        whole = probe.plan.nbytes
+        with plan_budget(int(share * recorded)):
+            op = make(True)
+        tele = telemetry.Telemetry.enabled(trace=False)
+        with telemetry.use(tele):
+            results = [op.matvec(x)]
+            held = list(op.plan._entries)
+            results += [op.matvec(x) for _ in range(5)]
+        assert 0 < len(held) < keys
+        assert held == [(start,) for start in range(0, 256 * len(held), 256)]
+        matrix, covered = op.plan.peek(("matrix",))
+        assert op.plan.n_entries == 1 and op.plan.nbytes <= share * recorded
+        assert matrix.nnz == op.dim + sum(sizes[: -(-covered // 256)])
+        # the whole matrix once the budget holds it, else a leading run
+        assert (covered == op.dim) == (whole <= share * recorded)
+        assert 0 < covered
+        metrics = tele.metrics
+        assert metrics.counter_total("plan.misses") == 2
+        assert metrics.counter_total("plan.hits") == 4
         for y in results:
             np.testing.assert_array_equal(y, cold)
 
