@@ -240,6 +240,12 @@ class DistributedVectorSpace(VectorSpace):
         self._charge_reduce(overlaps.size)
         return overlaps
 
+    def axpy(self, alpha, x: DistributedVector, y: DistributedVector) -> None:
+        """Charges the streaming update."""
+        t0 = time.perf_counter()
+        super().axpy(alpha, x, y)
+        self._charge_stream(2, measured=time.perf_counter() - t0)
+
     # -- vector factory methods (complete the VectorSpace protocol, so the
     # -- Krylov solvers drive distributed vectors directly) -----------------
 

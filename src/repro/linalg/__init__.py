@@ -2,11 +2,14 @@
 
 Exact diagonalization reduces to repeated matrix-vector products inside a
 Krylov method (the paper cites Lanczos/Arnoldi, FTLM, PRIMME); this package
-provides a Lanczos eigensolver with full reorthogonalization and a Krylov
-time-evolution propagator, both generic over a *vector space* abstraction
-(which also stores the Krylov basis and projects against it) so they run
+provides a Lanczos eigensolver, FTLM, spectral functions and a Krylov
+time-evolution propagator, all generic over a *vector space* abstraction
+(which also stores Krylov vectors and projects against them) so they run
 unchanged on NumPy vectors or on the simulated cluster's
-:class:`~repro.distributed.vector.DistributedVector`.
+:class:`~repro.distributed.vector.DistributedVector`.  A lone ground state
+(``lanczos(..., k=1)``) holds three vectors and recomputes its eigenvector
+in a second pass; ``k > 1`` and the fixed-length Krylov methods keep the
+whole Krylov block and reorthogonalize against it.
 
 Degenerate levels and other block problems go to SciPy's LOBPCG on the
 operator's ``LinearOperator`` view: ``scipy.sparse.linalg.lobpcg(

@@ -19,8 +19,7 @@ eigenvectors.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -43,10 +42,6 @@ class ThermalEstimate:
     partition_function: np.ndarray
     n_samples: int
     krylov_dim: int
-    #: Per-sample progress series: dicts with ``sample``, ``residual``
-    #: (the factorization's final off-diagonal — the Lanczos truncation
-    #: residual), ``ritz_min``, ``ritz_max``, ``elapsed`` seconds.
-    progress: list = field(repr=False, default_factory=list)
 
 
 def _spectrum(alphas, betas):
@@ -113,36 +108,19 @@ def ftlm_thermal(
     z_sum = np.zeros_like(betas)
     e_sum = np.zeros_like(betas)
     e2_sum = np.zeros_like(betas)
-    # Shift by the lowest Ritz value across samples to keep exponentials
-    # finite at low temperature.
-    t_start = time.perf_counter()
-    progress: list = []
     all_spectra = []
-    sample = 0
-    while sample < n_samples:
-        width = min(block_size, n_samples - sample)
+    for first in range(0, n_samples, block_size):
         v0s = [
-            space.random(prototype, seed=seed + sample + j)
-            for j in range(width)
+            space.random(prototype, seed=seed + j)
+            for j in range(first, min(first + block_size, n_samples))
         ]
         norms = [space.norm(v0) for v0 in v0s]
         all_spectra.extend(
             _spectrum(alphas, betas) for alphas, betas, _ in
             tridiagonalize(matvec, space, v0s, norms, krylov_dim)
         )
-        elapsed = time.perf_counter() - t_start
-        for j, (evals, _, residual) in enumerate(
-            all_spectra[sample:], start=sample
-        ):
-            entry = {
-                "sample": j,
-                "residual": residual,
-                "ritz_min": float(evals[0]),
-                "ritz_max": float(evals[-1]),
-                "elapsed": elapsed,
-            }
-            progress.append(entry)
-        sample += width
+    # Shift by the lowest Ritz value across samples to keep exponentials
+    # finite at low temperature.
     e_min = min(spec[0].min() for spec in all_spectra)
     for evals, weights, _ in all_spectra:
         boltz = np.exp(-np.outer(betas, evals - e_min))  # (T, i)
@@ -161,5 +139,4 @@ def ftlm_thermal(
         partition_function=partition,
         n_samples=n_samples,
         krylov_dim=krylov_dim,
-        progress=progress,
     )

@@ -1,26 +1,29 @@
-"""Lanczos eigensolver with full reorthogonalization.
+"""Lanczos eigensolver.
 
-The standard workhorse of exact diagonalization: builds an orthonormal
-Krylov basis ``V`` and the tridiagonal projection ``T`` of the (Hermitian)
-operator, diagonalizes ``T``, and monitors Ritz-residual convergence.  The
+The standard workhorse of exact diagonalization: builds the Krylov vectors
+and the tridiagonal projection ``T`` of the (Hermitian) operator,
+diagonalizes ``T``, and monitors Ritz-residual convergence.  The
 implementation is generic over a :class:`~repro.linalg.spaces.VectorSpace`,
 so the same code drives NumPy vectors and simulated-cluster
 :class:`~repro.distributed.vector.DistributedVector` objects (the latter via
 :func:`lanczos_distributed`, which also returns the simulated time spent in
 matvecs and reductions).
 
-Each step streams the Krylov block once: the three-term recurrence
-projects the new vector on the last two basis vectors, then one classical
-Gram-Schmidt pass projects it on all of them (:func:`lanczos_step`).
-
-At paper scale one would avoid storing the full Krylov basis (restarting or
-two-pass schemes); storing it is fine at the problem sizes this
-reproduction runs for real, and is called out here so the difference from
-the production code is explicit.
+A lone ground state (``k = 1``) is the production two-pass scheme: the
+three-term recurrence projects each product on the last two Krylov vectors
+only, so the solver holds the normalised start vector and a window of two
+rows, whatever the iteration count.  Its eigenvector is a second pass that
+reruns the recurrence from the start vector and adds up ``s_j v_j``; it
+runs only when asked for.  Without reorthogonalization "ghost" copies of a
+Ritz value appear only after it has converged, and a lone ground state
+stops there.  For ``k > 1`` a ghost of the lowest level would pose as the
+next one, so each step keeps the whole Krylov block and streams it once
+more: one classical Gram-Schmidt pass over all rows (:func:`lanczos_step`).
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -134,6 +137,25 @@ def tridiagonalize(
     ]
 
 
+def second_pass(matvec, space: VectorSpace, window, start, betas, coeffs):
+    """``sum_j coeffs[j] v_j``, normalised, over the Krylov vectors ``v_j``
+    that the recurrence without reorthogonalization made from ``start``
+    (of norm 1), whose norms before scaling were ``betas``: the recurrence
+    rerun in the first pass's ``window``, each new row added in as it is
+    made (the same bits as the first pass when products are repeatable).
+    """
+    window.m = 0  # its rows keep the first pass's dtype, complex or not
+    space.push(window, start)
+    x = space.combine(window, coeffs[:1])
+    for j in range(1, len(coeffs)):
+        w = matvec(space.row(window, window.m - 1))
+        space.project(window, w, max(window.m - 2, 0))
+        space.scale(1.0 / betas[j - 1], w)
+        space.axpy(coeffs[j], space.push(window, w), x)
+    space.scale(1.0 / space.norm(x), x)
+    return x
+
+
 def lanczos(
     matvec,
     v0,
@@ -142,7 +164,6 @@ def lanczos(
     tol: float = 1e-10,
     space: VectorSpace | None = None,
     compute_eigenvectors: bool = False,
-    reorthogonalize: bool = True,
     raise_on_no_convergence: bool = True,
     checkpoint_dir=None,
     checkpoint_every: int = 10,
@@ -163,34 +184,39 @@ def lanczos(
         Starting vector (not modified); should have a component along the
         sought eigenvectors — a random vector is the usual choice.
     k:
-        Number of lowest eigenvalues to converge.
+        Number of lowest eigenvalues to converge.  At ``k = 1`` the solver
+        holds three vectors (the start vector and the last two Krylov
+        vectors); above it the whole orthonormal Krylov block, against
+        which each new vector is projected once more (classical
+        Gram-Schmidt) so that no ghost of a converged level appears.
     max_iter:
         Iteration budget, an integer >= 1.
     tol:
         Convergence threshold on the Ritz residual estimate
         ``|beta_m * s_last|`` for each of the ``k`` lowest Ritz pairs, a
-        finite number >= 0.  A bad ``k``, ``max_iter``, ``tol``,
+        finite number >= 0; at ``k = 1`` one below machine epsilon counts
+        as epsilon, since the recurrence gains nothing past rounding and
+        ghosts follow.  A bad ``k``, ``max_iter``, ``tol``,
         ``checkpoint_every`` or ``checkpoint_keep`` raises
         :class:`~repro.errors.ConfigError` before the first product.
-    reorthogonalize:
-        After the three-term recurrence (a projection on the last two
-        Krylov vectors), project each new Krylov vector once against all
-        previous ones (classical Gram-Schmidt: ``space.project`` over the
-        Krylov block).  Without it only the last two are projected out, and
-        "ghost" copies of converged eigenvalues appear — demonstrated in
-        the tests.
+    compute_eigenvectors:
+        Return the Ritz vectors of the ``k`` lowest Ritz values, of norm
+        1.  At ``k = 1`` this is the second pass: ``n_iterations - 1``
+        more products.
     checkpoint_dir:
-        When set, a CRC32-manifested snapshot of the full Krylov state
-        (basis vectors via ``space.save_vector``, tridiagonal
-        coefficients) is written atomically every ``checkpoint_every``
-        completed iterations, and the newest ``checkpoint_keep`` are kept
-        (see :mod:`repro.resilience.checkpoint`).
+        When set, a CRC32-manifested snapshot of the Krylov state (the
+        vectors the solver holds, via ``space.save_vector``, and the
+        tridiagonal coefficients) is written atomically every
+        ``checkpoint_every`` completed iterations, and the newest
+        ``checkpoint_keep`` are kept (see
+        :mod:`repro.resilience.checkpoint`).
     resume:
         Restart from the newest loadable checkpoint under
         ``checkpoint_dir`` instead of from ``v0``.  Because the snapshot
         captures the exact ``float64`` state, the resumed run continues
         bit-for-bit identically to the uninterrupted one.  An empty
-        checkpoint directory falls back to a cold start.
+        checkpoint directory falls back to a cold start; a checkpoint of
+        another ``k`` raises :class:`~repro.errors.CheckpointError`.
     clock:
         Optional zero-argument callable returning elapsed seconds for the
         per-iteration progress series (``result.progress``); defaults to
@@ -202,6 +228,8 @@ def lanczos(
         checkpoint_every=checkpoint_every, checkpoint_keep=checkpoint_keep,
     )
     check(tol, Key("tol", float, min=0.0))
+    if k == 1:  # past rounding the bare recurrence only makes ghosts
+        tol = max(tol, np.finfo(float).eps)
     matvec = as_matvec(matvec)
     if space is None:
         space = NumpyVectorSpace()
@@ -216,9 +244,9 @@ def lanczos(
             f"v0 must be a vector of finite, non-zero norm, got norm {norm0}"
         )
 
-    v = space.copy(v0)
-    space.scale(1.0 / norm0, v)
-    vectors = [v]
+    start = space.copy(v0)
+    space.scale(1.0 / norm0, start)
+    rows = [start]
     alphas: list[float] = []
     betas: list[float] = []
     eigenvalues = None
@@ -233,17 +261,27 @@ def lanczos(
             state = load_latest_checkpoint(
                 checkpoint_dir, space=space, like=v0
             )
+            # The start vector and a window of two, or the whole block.
+            held = len(state.vectors)
+            needed = 3 if k == 1 else state.iteration + 1
+            if state.meta.get("k") != k or held != needed:
+                raise CheckpointError(
+                    f"checkpoint {state.path} holds k={state.meta.get('k')} "
+                    f"and {held} vectors; this call has k={k} and needs "
+                    f"{needed}"
+                )
             alphas = [float(a) for a in state.arrays["alphas"]]
             betas = [float(b) for b in state.arrays["betas"]]
-            vectors = state.vectors
+            start = state.vectors[0]
+            rows = state.vectors[1:] if k == 1 else state.vectors
             start_iter = state.iteration
 
-    block = space.block(vectors)
+    block = space.block(rows, window=2 if k == 1 else None)
     v = space.row(block, block.m - 1)
     n_iter = start_iter
     for n_iter in range(start_iter + 1, max_iter + 1):
         w = matvec(v)
-        alpha, beta = lanczos_step(space, block, w, reorthogonalize)
+        alpha, beta = lanczos_step(space, block, w, reorthogonalize=k > 1)
         alphas.append(alpha)  # the n_iter-th, on n_iter - 1 betas
         if n_iter >= k:
             evals, evecs = eigh_tridiagonal(alphas, betas)
@@ -276,8 +314,10 @@ def lanczos(
         v = space.push(block, w)
         if checkpoint_dir is not None and n_iter % checkpoint_every == 0:
             # Snapshot point invariant: after n_iter completed iterations
-            # there are n_iter alphas, n_iter betas, and n_iter+1 basis
-            # vectors — exactly the state the resumed loop continues from.
+            # there are n_iter alphas, n_iter betas, and the block's rows
+            # (n_iter + 1, or the window's last two after the start vector)
+            # — exactly the state the resumed loop continues from.
+            rows = [space.row(block, j) for j in range(block.m)]
             write_checkpoint(
                 checkpoint_dir,
                 n_iter,
@@ -286,7 +326,7 @@ def lanczos(
                     "betas": np.asarray(betas),
                 },
                 meta={"solver": "lanczos", "k": k, "tol": tol},
-                vectors=[space.row(block, j) for j in range(n_iter + 1)],
+                vectors=[start, *rows] if k == 1 else rows,
                 space=space,
                 keep=checkpoint_keep,
             )
@@ -305,7 +345,10 @@ def lanczos(
         )
 
     eigenvectors = None
-    if compute_eigenvectors:  # evecs: the last iteration's, of the same T
+    if compute_eigenvectors and k == 1:
+        x = second_pass(matvec, space, block, start, betas, evecs[:, 0])
+        eigenvectors = [x]
+    elif compute_eigenvectors:  # evecs: the last iteration's, of the same T
         eigenvectors = [space.combine(block, evecs[:, j]) for j in range(k)]
     return LanczosResult(
         eigenvalues=np.asarray(eigenvalues),
@@ -341,28 +384,24 @@ def lanczos_distributed(
     start_matvec = operator.total_sim_time
 
     trace = current_telemetry().trace
+    matvec = operator.matvec
     if trace.enabled:
         # Wrap each matvec in a solver-level span on the global simulated
         # timeline (the matvec implementations advance ``trace.offset`` by
         # their elapsed time, so the span brackets exactly their tracks).
-        iteration = 0
+        iterations = itertools.count(1)
 
         def matvec(v):
-            nonlocal iteration
-            iteration += 1
             t0 = trace.offset
             w = operator.matvec(v)
             # ``t0`` is global time; ``complete`` adds the (advanced) offset.
             trace.complete(
                 ("solver", "lanczos"),
-                f"matvec #{iteration}",
+                f"matvec #{next(iterations)}",
                 t0 - trace.offset,
                 trace.offset - t0,
             )
             return w
-
-    else:
-        matvec = operator.matvec
 
     def sim_clock():
         # Simulated seconds spent so far in matvecs plus reductions —

@@ -91,24 +91,30 @@ class VectorSpace(Protocol):
     # A block keeps vectors as the leading ``m`` rows of one row-major 2-D
     # array per part of a vector (``self._parts(x)``: one for a NumPy vector,
     # one per locale for a distributed one; ``self._vector`` is the inverse).
-    # Spaces subclass the protocol to inherit these five methods.
+    # Spaces subclass the protocol to inherit these six methods.
 
-    def block(self, vectors):
-        """Growable storage holding copies of ``vectors`` as rows 0, 1, ..."""
-        block = SimpleNamespace(arrays=[], m=0)
+    def block(self, vectors, window: int | None = None):
+        """Storage holding copies of ``vectors`` as rows 0, 1, ...: it
+        grows, or with ``window`` keeps the last ``window`` rows only."""
+        block = SimpleNamespace(arrays=[], m=0, window=window)
         for x in vectors:
             self.push(block, x)
         return block
 
     def push(self, block, x):
         """Copy ``x`` into the next row and return that row; the arrays
-        double when they are full and turn complex when ``x`` is."""
+        double when they are full (a full window drops its first row
+        instead) and turn complex when ``x`` is."""
         parts = self._parts(x)
         old = block.arrays or [np.empty((0, p.size), p.dtype) for p in parts]
         rows, full = len(old[0]), block.m == len(old[0])
+        if full and rows and block.window:
+            for a in old:
+                a[:-1] = a[1:]
+            block.m, full = rows - 1, False
         dtype = np.promote_types(old[0].dtype, parts[0].dtype)
         if full or dtype != old[0].dtype:
-            rows = max(BLOCK_ROWS, 2 * rows) if full else rows
+            rows = (block.window or max(BLOCK_ROWS, 2 * rows)) if full else rows
             block.arrays = [np.empty((rows, a.shape[1]), dtype) for a in old]
             for new, a in zip(block.arrays, old):
                 new[: block.m] = a[: block.m]
@@ -135,6 +141,11 @@ class VectorSpace(Protocol):
         for a, p in zip(rows, parts):
             p -= overlaps @ a
         return overlaps
+
+    def axpy(self, alpha, x, y) -> None:
+        """``y += alpha * x`` in place."""
+        for px, py in zip(self._parts(x), self._parts(y)):
+            py += alpha * px
 
     def combine(self, block, coeffs):
         """``sum_j coeffs[j] * row j`` as a new vector."""

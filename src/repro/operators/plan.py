@@ -74,8 +74,9 @@ __all__ = ["MatvecPlan", "available_memory", "csr_footprint", "csr_in_recorded_o
 #: half of what was available while a fold runs, three quarters once the
 #: matrix stands alone.  A chain-32 sector (dim 4.7 M) then holds its
 #: ~1.25 GB of records, and after them its 962 MiB matrix, on a host with
-#: 5 GB or more available once the basis is built; its 62 Krylov rows
-#: take 2.3 GB of the rest.
+#: 5 GB or more available once the basis is built; a k = 1 solve then
+#: holds three vectors (113 MB), where 62 rows of a k > 1 Krylov block
+#: would take 2.3 GB of the rest.
 PLAN_MEMORY_SHARE = 1 / 4
 
 

@@ -1,15 +1,18 @@
 """Tests for the Lanczos eigensolver and its distributed variant."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigvalsh_tridiagonal
 
 import repro
 from repro.basis import SpinBasis, SymmetricBasis
 from repro.errors import ConfigError, ConvergenceError
 from repro.linalg import lanczos, lanczos_distributed
+from repro.linalg.lanczos import lanczos_step
 from repro.symmetry import chain_symmetries
 
 
@@ -124,31 +127,32 @@ class TestEigenvectors:
 
 
 class TestRobustness:
-    def test_ghost_eigenvalues_without_reorthogonalization(self, rng):
-        # Without reorthogonalization, converged Ritz values reappear as
-        # spurious duplicates ("ghosts") once orthogonality degrades; the
-        # reorthogonalized run keeps the second eigenvalue distinct.
-        rng_local = np.random.default_rng(0)
+    def test_ghosts_at_k1_and_none_at_k2(self):
+        # The bare recurrence (k = 1's) loses orthogonality once -10 has
+        # converged, and its T then holds a spurious duplicate (a "ghost")
+        # that would pose as the second level; a k = 1 solve stops at
+        # convergence, before it, and k = 2 projects on the whole block.
         diag = np.concatenate([[-10.0], np.linspace(0, 1, 399)])
         matvec = lambda v: diag * v  # noqa: E731
-        v0 = rng_local.standard_normal(400)
-        clean = lanczos(
-            matvec, v0, k=2, tol=1e-12, max_iter=250, reorthogonalize=True
-        )
-        dirty = lanczos(
-            matvec,
-            v0,
-            k=2,
-            tol=1e-12,
-            max_iter=250,
-            reorthogonalize=False,
-            raise_on_no_convergence=False,
-        )
-        gap_clean = clean.eigenvalues[1] - clean.eigenvalues[0]
-        gap_dirty = dirty.eigenvalues[1] - dirty.eigenvalues[0]
-        # the dirty run collapses the gap (ghost copy of -10 appears)
-        assert gap_clean > 5.0
-        assert gap_dirty < 1.0
+        v0 = np.random.default_rng(0).standard_normal(400)
+        space = repro.linalg.NumpyVectorSpace()
+        block = space.block([v0 / np.linalg.norm(v0)], window=2)
+        alphas, betas = [], []
+        for _ in range(40):
+            w = matvec(space.row(block, block.m - 1))
+            alpha, beta = lanczos_step(space, block, w, reorthogonalize=False)
+            alphas.append(alpha)
+            betas.append(beta)
+            space.scale(1.0 / beta, w)
+            space.push(block, w)
+        ritz = eigvalsh_tridiagonal(alphas, betas[:-1])
+        assert np.sum(np.abs(ritz + 10.0) < 1e-8) >= 2
+        lone = lanczos(matvec, v0, k=1, tol=0.0, max_iter=250)
+        ritz = eigvalsh_tridiagonal(lone.alphas, lone.betas)  # n - 1 betas
+        assert lone.converged and np.sum(np.abs(ritz + 10.0) < 1e-8) == 1
+        assert lone.eigenvalues[0] == pytest.approx(-10.0, abs=1e-12)
+        clean = lanczos(matvec, v0, k=2, tol=1e-12, max_iter=250)
+        assert clean.eigenvalues[1] - clean.eigenvalues[0] > 5.0
 
     def test_zero_start_vector_rejected(self, operator):
         with pytest.raises(ConfigError):
@@ -402,7 +406,7 @@ class TestKrylovBlock:
         # A real start vector: on the complex sector the block turns
         # complex with the first matvec result.
         v0 = repro.DistributedVector.full_random(dbasis, seed=5, dtype=float)
-        res = lanczos(dop, v0, k=1, tol=1e-11, space=space)
+        res = lanczos(dop, v0, k=2, tol=1e-11, space=space)
         assert res.converged
         (block,) = space.blocks
         assert len(block.arrays) == n_locales
@@ -451,51 +455,96 @@ class TestKrylovBlock:
             np.testing.assert_array_equal(u, v)
 
 
-class TestStepShape:
-    """One step streams the block once: the three-term recurrence over the
-    last two rows, then (with ``reorthogonalize``) one full pass."""
+def spy(monkeypatch, space) -> tuple[list, list]:
+    """``(block.m, start)`` of every ``space.project`` call, and the
+    ``(block.m, allocated rows)`` after every ``space.push``."""
+    projects, pushes = [], []
+    project, push = space.project, space.push
 
-    @staticmethod
-    def spy(monkeypatch, space) -> list:
-        """``(block.m, start)`` of every ``space.project`` call."""
-        calls, project = [], space.project
+    def spied_project(block, w, start=0):
+        projects.append((block.m, start))
+        return project(block, w, start)
 
-        def spied(block, w, start=0):
-            calls.append((block.m, start))
-            return project(block, w, start)
+    def spied_push(block, x):
+        row = push(block, x)
+        pushes.append((block.m, len(block.arrays[0])))
+        return row
 
-        monkeypatch.setattr(space, "project", spied)
-        return calls
+    monkeypatch.setattr(space, "project", spied_project)
+    monkeypatch.setattr(space, "push", spied_push)
+    return projects, pushes
 
-    @pytest.mark.parametrize("reorthogonalize", [True, False])
-    @pytest.mark.parametrize("distributed", [False, True])
-    def test_local_pass_then_one_full_pass(
-        self, monkeypatch, rng, distributed, reorthogonalize
-    ):
-        expr, group = sector(12, 0, real=True)
-        if distributed:
-            dbasis, _ = repro.enumerate_states(
-                repro.Cluster(3, repro.laptop_machine(cores=2)),
-                SymmetricBasis(group, hamming_weight=6, build=False),
-            )
-            op = repro.DistributedOperator(expr, dbasis)
-            space = repro.DistributedVectorSpace(dbasis)
-            v0 = repro.DistributedVector.full_random(dbasis, seed=5)
-        else:
-            op = repro.Operator(expr, SymmetricBasis(group, hamming_weight=6))
-            space = repro.linalg.NumpyVectorSpace()
-            v0 = rng.standard_normal(op.dim)
-        calls = self.spy(monkeypatch, space)
-        res = lanczos(
-            op, v0, k=1, tol=1e-10, space=space,
-            reorthogonalize=reorthogonalize, raise_on_no_convergence=False,
+
+def chain12(distributed: bool, backend: str = "sim"):
+    """(operator, space, v0) of the real chain-12 sector."""
+    expr, group = sector(12, 0, real=True)
+    if not distributed:
+        op = repro.Operator(expr, SymmetricBasis(group, hamming_weight=6))
+        v0 = np.random.default_rng(5).standard_normal(op.dim)
+        return op, repro.linalg.NumpyVectorSpace(), v0
+    dbasis, _ = repro.enumerate_states(
+        repro.Cluster(3, repro.laptop_machine(cores=2), backend=backend),
+        SymmetricBasis(group, hamming_weight=6, build=False),
+    )
+    return (
+        repro.DistributedOperator(expr, dbasis),
+        repro.DistributedVectorSpace(dbasis),
+        repro.DistributedVector.full_random(dbasis, seed=5),
+    )
+
+
+def even_spectrum(distributed: bool):
+    """(matvec, space, v0) of ``diag(linspace(0, 1, 3432))``, on NumPy
+    vectors or a three-locale basis: its lowest residual stays above
+    rounding for 250 iterations, where 400 points converge by the 167th."""
+    if not distributed:
+        diag = np.linspace(0, 1, 3432)
+        v0 = np.random.default_rng(0).standard_normal(3432)
+        return (lambda v: diag * v), repro.linalg.NumpyVectorSpace(), v0
+    dbasis, _ = repro.enumerate_states(
+        repro.Cluster(3, repro.laptop_machine(cores=2)),
+        SpinBasis(14, hamming_weight=7),
+    )
+    diag = np.linspace(0, 1, dbasis.dim)
+    parts = np.split(diag, np.cumsum(dbasis.counts)[:-1])
+
+    def matvec(v):
+        return repro.DistributedVector(
+            dbasis, [d * p for d, p in zip(parts, v.parts)]
         )
+
+    v0 = repro.DistributedVector.full_random(dbasis, seed=0)
+    return matvec, repro.DistributedVectorSpace(dbasis), v0
+
+
+class TestStepShape:
+    """k = 1 runs the three-term recurrence in a window of two rows; k > 1
+    streams the block once more: the local pass, then one full pass."""
+
+    @pytest.mark.parametrize("distributed", [False, True])
+    def test_k2_local_pass_then_one_full_pass(self, monkeypatch, distributed):
+        op, space, v0 = chain12(distributed)
+        projects, _ = spy(monkeypatch, space)
+        res = lanczos(op, v0, k=2, tol=1e-10, space=space)
         expected = []
         for m in range(1, res.n_iterations + 1):
-            expected.append((m, max(m - 2, 0)))
-            if reorthogonalize:
-                expected.append((m, 0))
-        assert res.n_iterations > 2 and calls == expected
+            expected += [(m, max(m - 2, 0)), (m, 0)]
+        assert res.n_iterations > 2 and projects == expected
+
+    @pytest.mark.parametrize("distributed", [False, True])
+    def test_k1_holds_two_rows_whatever_the_iteration_count(
+        self, monkeypatch, distributed
+    ):
+        matvec, space, v0 = even_spectrum(distributed)
+        projects, pushes = spy(monkeypatch, space)
+        res = lanczos(
+            matvec, v0, k=1, tol=0.0, max_iter=250, space=space,
+            raise_on_no_convergence=False,
+        )
+        assert res.n_iterations == 250 and not res.converged
+        # The start vector, then one row per iteration.
+        assert len(pushes) == 251 and max(pushes) == (2, 2)
+        assert projects == [(1, 0)] + [(2, 0)] * 249
 
     def test_orthonormal_on_the_ghost_spectrum(self):
         # Where one full pass on the raw product loses orthogonality
@@ -510,6 +559,96 @@ class TestStepShape:
         assert res.n_iterations > 100
         (block,) = space.blocks
         assert gram_defect(space, block, res.n_iterations) <= 1e-12
+
+
+class TestSecondPass:
+    """At k = 1 the eigenvector is the recurrence rerun from the start
+    vector, its Krylov vectors added up with the Ritz vector's weights."""
+
+    @staticmethod
+    def check(op, space, res) -> None:
+        (vector,) = res.eigenvectors
+        energy = res.eigenvalues[0]
+        residual = op.matvec(vector)
+        space.axpy(-energy, vector, residual)
+        assert space.norm(residual) <= 1e-8 * abs(energy)
+        assert space.norm(vector) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "distributed, backend",
+        [(False, None), (True, "sim"), (True, "threads")],
+    )
+    def test_real_sector(self, distributed, backend):
+        op, space, v0 = chain12(distributed, backend)
+        res = lanczos(
+            op, v0, k=1, tol=1e-10, space=space, compute_eigenvectors=True
+        )
+        self.check(op, space, res)
+
+    def test_complex_momentum_sector(self, rng):
+        expr, group = sector(12, 2, real=False)
+        op = repro.Operator(expr, SymmetricBasis(group, hamming_weight=6))
+        assert op.dtype == np.complex128
+        v0 = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+        space = repro.linalg.NumpyVectorSpace()
+        res = lanczos(
+            op, v0, k=1, tol=1e-10, space=space, compute_eigenvectors=True
+        )
+        self.check(op, space, res)
+
+    def test_complex_sector_from_a_real_start_vector(self):
+        # The window turns complex with the first product, on each locale.
+        expr, group = sector(12, 2, real=False)
+        dbasis, _ = repro.enumerate_states(
+            repro.Cluster(3, repro.laptop_machine(cores=2)),
+            SymmetricBasis(group, hamming_weight=6, build=False),
+        )
+        op = repro.DistributedOperator(expr, dbasis)
+        space = repro.DistributedVectorSpace(dbasis)
+        v0 = repro.DistributedVector.full_random(dbasis, seed=5, dtype=float)
+        res = lanczos(
+            op, v0, k=1, tol=1e-10, space=space, compute_eigenvectors=True
+        )
+        assert res.converged
+        assert all(np.iscomplexobj(p) for p in res.eigenvectors[0].parts)
+        self.check(op, space, res)
+
+    def test_ghost_spectrum_at_zero_tolerance(self):
+        diag = np.concatenate([[-10.0], np.linspace(0, 1, 399)])
+        op = SimpleNamespace(matvec=lambda v: diag * v)
+        v0 = np.random.default_rng(0).standard_normal(400)
+        res = lanczos(op, v0, k=1, tol=0.0, compute_eigenvectors=True)
+        assert res.converged
+        self.check(op, repro.linalg.NumpyVectorSpace(), res)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n, momentum, up", [(10, 5, 4), (12, 3, 6)])
+    def test_small_sector_at_zero_tolerance(self, n, momentum, up, seed):
+        # A Krylov space smaller than max_iter: the bare recurrence does
+        # not break down there, so the solve ends on its residual reaching
+        # rounding (the first sector's start vectors span 13 of 20 states).
+        group = chain_symmetries(n, momentum, None, None)
+        op = repro.Operator(
+            repro.heisenberg_chain(n), SymmetricBasis(group, hamming_weight=up)
+        )
+        assert op.dim < 100
+        v0 = np.random.default_rng(seed).standard_normal(op.dim)
+        res = lanczos(op, v0, k=1, tol=0.0, compute_eigenvectors=True)
+        assert res.converged and res.n_iterations <= op.dim
+        self.check(op, repro.linalg.NumpyVectorSpace(), res)
+        dense = np.linalg.eigvalsh(op.to_sparse().toarray())[0]
+        assert res.eigenvalues[0] == pytest.approx(dense, abs=1e-12)
+
+    def test_rerun_is_the_first_pass(self):
+        # The second pass repeats the first pass's products bit for bit.
+        op, space, v0 = chain12(distributed=False)
+        seen = []
+        matvec = lambda v: seen.append(v.copy()) or op.matvec(v)  # noqa: E731
+        res = lanczos(matvec, v0, k=1, tol=1e-10, compute_eigenvectors=True)
+        first, second = seen[: res.n_iterations], seen[res.n_iterations :]
+        assert len(second) == res.n_iterations - 1
+        for u, v in zip(first, second):
+            np.testing.assert_array_equal(u, v)
 
 
 class TestComplexSectorRealStart:

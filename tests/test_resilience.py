@@ -115,6 +115,68 @@ class TestCheckpointRestart:
         )
         assert resumed.n_iterations == reference.n_iterations
 
+    def test_k1_checkpoint_holds_three_vectors(self, tmp_path):
+        basis = SpinBasis(12, hamming_weight=6)
+        op = repro.Operator(repro.heisenberg_chain(12), basis)
+        v0 = np.random.default_rng(0).standard_normal(basis.dim)
+        res = lanczos(op, v0, k=1, tol=1e-12, checkpoint_dir=tmp_path,
+                      checkpoint_every=5, checkpoint_keep=10)
+        paths = list_checkpoints(tmp_path)
+        assert len(paths) == res.n_iterations // 5 >= 3
+        space = repro.linalg.NumpyVectorSpace()
+        for path in paths:
+            assert len(load_checkpoint(path, space=space).vectors) == 3
+
+    @pytest.mark.parametrize(
+        "written, resumed, match",
+        [
+            (1, 2, "holds k=1 and 3 vectors; this call has k=2 and needs 11"),
+            (2, 1, "holds k=2 and 11 vectors; this call has k=1 and needs 3"),
+        ],
+    )
+    def test_resume_into_another_k_rejected(
+        self, tmp_path, written, resumed, match
+    ):
+        basis = SpinBasis(10, hamming_weight=5)
+        op = repro.Operator(repro.heisenberg_chain(10), basis)
+        v0 = np.random.default_rng(0).standard_normal(basis.dim)
+        lanczos(op, v0, k=written, max_iter=10, checkpoint_dir=tmp_path,
+                checkpoint_every=10, raise_on_no_convergence=False)
+        with pytest.raises(CheckpointError, match=match):
+            lanczos(op, v0, k=resumed, checkpoint_dir=tmp_path, resume=True)
+
+    def test_resume_rejects_a_vector_count_that_does_not_fit(self, tmp_path):
+        basis = SpinBasis(8, hamming_weight=4)
+        space = repro.linalg.NumpyVectorSpace()
+        write_checkpoint(
+            tmp_path, 4, arrays={"alphas": np.zeros(4), "betas": np.ones(4)},
+            meta={"solver": "lanczos", "k": 1, "tol": 1e-10},
+            vectors=[np.ones(basis.dim)] * 5, space=space,
+        )
+        op = repro.Operator(repro.heisenberg_chain(8), basis)
+        with pytest.raises(CheckpointError, match="5 vectors.*needs 3"):
+            lanczos(op, np.ones(basis.dim), k=1, checkpoint_dir=tmp_path,
+                    resume=True)
+
+    def test_second_pass_starts_from_the_checkpoint(self, tmp_path):
+        """The resumed eigenvector is the uninterrupted one bit for bit,
+        whatever ``v0`` the resuming call passes."""
+        basis = SpinBasis(12, hamming_weight=6)
+        op = repro.Operator(repro.heisenberg_chain(12), basis)
+        v0 = np.random.default_rng(0).standard_normal(basis.dim)
+        reference = lanczos(op, v0, k=1, tol=1e-12, compute_eigenvectors=True)
+        killed = _KillSwitch(op, survive=20)
+        with pytest.raises(KeyboardInterrupt):
+            lanczos(killed.matvec, v0, k=1, tol=1e-12,
+                    checkpoint_dir=tmp_path, checkpoint_every=5)
+        resumed = lanczos(op, np.ones(basis.dim), k=1, tol=1e-12,
+                          checkpoint_dir=tmp_path, resume=True,
+                          compute_eigenvectors=True)
+        assert resumed.n_iterations == reference.n_iterations
+        np.testing.assert_array_equal(
+            resumed.eigenvectors[0], reference.eigenvectors[0]
+        )
+
     def test_resume_without_dir_rejected(self):
         basis = SpinBasis(8, hamming_weight=4)
         op = repro.Operator(repro.heisenberg_chain(8), basis)
