@@ -16,8 +16,6 @@ sector, the result dtype and the plan they own.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 import scipy.sparse.linalg as spla
 
@@ -27,15 +25,13 @@ from repro.operators.compile import compile_expression, result_dtype
 from repro.operators.expression import Expression
 from repro.operators.kernels import many_rows
 from repro.operators.matrix import operator_to_dense, operator_to_sparse
-from repro.operators.plan import MatvecPlan, csr_footprint, csr_in_recorded_order
+from repro.operators.plan import MatvecPlan, _csr, csr_footprint
 from repro.schema import require_positive
 
 __all__ = ["BasisOperator", "Operator"]
 
-#: Plan key of ``(matrix, covered)``, what the products after the fold
-#: replay; until the fold a recorded batch is keyed ``(start,)`` and held as
-#: the ``(rows, sources, amplitudes)`` triple that ``getManyRows`` and
-#: ``stateToIndex`` give it, ``sources`` as absolute basis positions.
+#: Plan key of ``(matrix, covered)``, the one entry a serial plan holds from
+#: the second product on.
 MATRIX_KEY = ("matrix",)
 
 #: The default batch holds as many sources as can generate at most this many
@@ -120,21 +116,20 @@ class Operator(BasisOperator):
         the second-level cache: ``max(256, (1 << 17) //
         compiled.max_entries_per_row)`` — 2 674 sources on a 24-site
         Heisenberg chain, 1 351 on the 4x6 torus, ~34 k raw states either
-        way.  The recording product offers the plan one entry per batch.
-        Anything but an integer >= 1 raises
+        way.  Anything but an integer >= 1 raises
         :class:`~repro.errors.ConfigError`.
     plan:
-        Record the iteration-invariant ``(rows, sources, amplitudes)``
-        triples of the first product's batches and fold the leading ones
-        that the budget admits into one CSR matrix on the next (see
-        :meth:`matvec` and :class:`~repro.operators.plan.MatvecPlan`);
-        every product after is ``matrix @ x`` plus the batches past it.
-        ``True`` gives the operator a plan of its own, its budget a share
-        of the host's available memory; ``False`` recomputes everything
-        every call; anything else raises
-        :class:`~repro.errors.ConfigError`.  Every product equals the
-        recording pass bit for bit on real arithmetic, to 1e-14 relative
-        on complex.
+        Record the diagonal and the iteration-invariant ``(rows, sources,
+        amplitudes)`` of the first product's leading batches whose CSR
+        matrix fits the budget, and fold that record once, on the next
+        product, into the plan's one entry (see :meth:`matvec` and
+        :class:`~repro.operators.plan.MatvecPlan`); every product after is
+        ``matrix @ x`` plus the batches past it.  ``True`` gives the
+        operator a plan of its own, its budget a share of the host's
+        available memory; ``False`` recomputes everything every call;
+        anything else raises :class:`~repro.errors.ConfigError`.  Every
+        product equals the recording pass bit for bit on real arithmetic,
+        to 1e-14 relative on complex.
     """
 
     def __init__(
@@ -146,6 +141,7 @@ class Operator(BasisOperator):
     ) -> None:
         super().__init__(expression, basis, basis, batch_size, plan)
         self._diagonal: np.ndarray | None = None
+        self._record: tuple | None = None
 
     # -- inspection -----------------------------------------------------------
 
@@ -162,8 +158,18 @@ class Operator(BasisOperator):
 
     # -- matrix-free product ----------------------------------------------------
 
+    def invalidate_plan(self) -> None:
+        super().invalidate_plan()
+        self._record = None
+
     def diagonal(self) -> np.ndarray:
-        """The matrix diagonal (cached)."""
+        """The matrix diagonal: the first element of each row of the plan's
+        matrix once it holds one (the operator keeps no copy then), else
+        computed once and cached."""
+        held = None if self.plan is None else self.plan.peek(MATRIX_KEY)
+        matrix, _ = held or (None, 0)
+        if matrix is not None:
+            return matrix.data[matrix.indptr[:-1]]
         if self._diagonal is None:
             states = self.basis.states
             self._diagonal = self.compiled.diagonal_values(states).astype(
@@ -177,14 +183,14 @@ class Operator(BasisOperator):
         One path: ``y = matrix @ x`` over what the :attr:`plan` holds as a
         matrix (``diag * x`` when it holds none; one plan lookup), then
         ``getManyRows`` and a scatter-add for the batches of sources past
-        it.  The first product offers each batch's ``(rows, sources,
-        amplitudes)`` triple — the output of ``getManyRows`` plus the
-        ``stateToIndex`` searches — to the plan until the budget turns one
-        away; the next folds what the budget admits into one CSR matrix
-        (:meth:`_consolidate`) and, if that took every batch held, offers
-        the batches past the matrix in turn, for the product after it to
-        fold on.  The plan so ends as the whole matrix whenever the budget
-        holds it, else as a leading run of the batches, or nothing.
+        it.  The first product writes one record: the diagonal, then each
+        batch's ``(rows, sources, amplitudes)`` — the output of
+        ``getManyRows`` plus the ``stateToIndex`` searches — in turn, until
+        the CSR matrix of the record would outgrow the plan's budget.  The
+        next product folds it once (:meth:`_fold`) into the plan's one
+        entry, ``(matrix, covered)``: the whole matrix whenever the budget
+        holds it, else the diagonal and a leading run of the batches, or
+        ``(None, 0)`` when not one batch fits.
 
         A block input computes all ``k`` columns in one pass, so generation
         and ranking happen once per batch for the whole block.  A plan
@@ -198,13 +204,11 @@ class Operator(BasisOperator):
                 f"expected vector of shape ({self.dim},) or block of shape "
                 f"({self.dim}, k)"
             )
-        plan = self.plan
-        held = None if plan is None else plan.get(MATRIX_KEY)
-        # The first product records; a later one that finds records folds
-        # them and, if its fold took every one, records on past the matrix.
-        recording = plan if held is None else None
-        if plan is not None and plan.n_entries > (held is not None):
-            held, recording = self._consolidate(held)
+        # ``None`` while a plan holds nothing: the product records, and the
+        # next folds the record.
+        held = (None, 0) if self.plan is None else self.plan.get(MATRIX_KEY)
+        if held is None and self._record is not None:
+            held = self._fold()
         matrix, covered = held or (None, 0)
         if matrix is not None:
             y = matrix @ x
@@ -216,84 +220,54 @@ class Operator(BasisOperator):
             diag = self.diagonal().astype(dtype, copy=False)
             y = (diag if x.ndim == 1 else diag[:, None]) * x
         if covered < self.dim:
-            self._generate_and_scatter(x, y, covered, recording)
+            self._generate_and_scatter(x, y, covered, held is None)
         return y
 
-    def _consolidate(self, held):
-        """Fold the recorded batches onto the ``(matrix, covered)`` the plan
-        ``held`` (onto the diagonal if none) as far as the budget admits,
-        drop the rest, and hold the result (:data:`MATRIX_KEY`): ``covered``
-        is the first source the matrix does not cover, the matrix ``None``
-        (and ``covered`` 0) until a batch fits.  Returns it, and the plan
-        if the fold took every batch (to record the ones past it), else
-        ``None``.
+    def _fold(self):
+        """Hold the record as the plan's one entry, ``(matrix, covered)``,
+        and drop it.  ``covered`` is the first source the record does not
+        cover; the matrix is ``None`` (and the diagonal stays on the
+        operator) while it covers none.
 
-        Row ``r`` holds the diagonal element, then the off-diagonal ones in the
-        order the batches recorded them, columns unsorted and duplicates kept:
-        SciPy's ``csr_matvec`` adds a row's entries in stored order starting
-        from zero, which is ``diag * x`` followed by the batches' ``np.add.at``;
-        the batches past ``covered`` then add as the recording pass did.
+        Row ``r`` holds the diagonal element, then the off-diagonal ones in
+        the order the batches recorded them, columns unsorted and duplicates
+        kept: SciPy's ``csr_matvec`` adds a row's entries in stored order
+        starting from zero, which is ``diag * x`` followed by the batches'
+        ``np.add.at``; the batches past ``covered`` then add as the
+        recording pass did.
         """
-        plan = self.plan
-        matrix, covered = held or (None, 0)
-        starts = range(covered, self.dim, self.batch_size)
-        keys = [(start,) for start in starts[: plan.n_entries - (held is not None)]]
-        nnz = (self.dim if matrix is None else matrix.nnz) + np.cumsum(
-            [plan.peek(key)[0].size for key in keys]
-        )
-        folded = sum(
-            csr_footprint(self.shape, n, self.dtype)[1] <= plan.capacity_bytes
-            for n in nnz
-        )
-        recording = plan if folded == len(keys) else None
-        for key in keys[folded:]:
-            plan.pop(key)
-        del keys[folded:]
-        if keys:
-            plan.pop(MATRIX_KEY)
-            # Each batch leaves the plan as the builder takes it: above
-            # ``RUN_ELEMENTS`` run by run, so the batches and the matrix are
-            # never whole in memory together.
-            matrix = csr_in_recorded_order(
-                self.shape, self.dtype,
-                chain(
-                    (rows for rows, _, _ in self._triples(matrix)),
-                    (plan.peek(key)[0] for key in keys),
-                ),
-                chain(self._triples(matrix), map(plan.pop, keys)),
-            )
-            covered = min(covered + len(keys) * self.batch_size, self.dim)
-        held = matrix, covered
-        plan.put(MATRIX_KEY, held)
-        return held, recording
-
-    def _triples(self, matrix):
-        """The elements of a folded ``matrix`` (the diagonal if ``None``) as
-        ``(rows, columns, data)`` triples in row order, a batch's worth of
-        rows at a time: what the builder takes to fold it again."""
-        if matrix is None:
-            positions = np.arange(self.dim)
-            yield positions, positions, self.diagonal()
-            return
-        indptr = matrix.indptr
-        for start in range(0, self.dim, self.batch_size):
-            counts = np.diff(indptr[start : start + self.batch_size + 1])
-            cut = slice(indptr[start], indptr[start + counts.size])
-            rows = np.repeat(np.arange(start, start + counts.size), counts)
-            yield rows, matrix.indices[cut], matrix.data[cut]
+        *triple, covered = self._record
+        self._record = matrix = None
+        if covered:
+            matrix = _csr(self.shape, self.dtype, [triple])
+            self._diagonal = None
+        self.plan.put(MATRIX_KEY, (matrix, covered))
+        return matrix, covered
 
     def _generate_and_scatter(
-        self, x: np.ndarray, y: np.ndarray, covered: int,
-        recording: MatvecPlan | None,
+        self, x: np.ndarray, y: np.ndarray, covered: int, record: bool
     ) -> None:
         """Add the off-diagonal elements of ``H x`` from the sources
-        ``covered`` on to ``y``, batch by batch.  A ``recording`` plan is
-        offered each batch's triple until it turns one away, so the batches
-        it holds are a leading run."""
+        ``covered`` on to ``y``, batch by batch.  With ``record``, keep the
+        diagonal and then each batch's triple, with 32-bit positions where
+        the basis allows, in three arrays sized for every element (pages
+        never written cost no memory), until the first batch whose CSR
+        matrix would not fit the plan's budget; the record is kept only
+        once every batch has been added."""
         states = self.basis.states
         scale = self.basis.source_scale
         columns, out = np.atleast_2d(x.T).T, np.atleast_2d(y.T).T
-        offer = recording is not None
+        size = reached = self.dim
+        if record:
+            narrow = np.int32 if self.dim < 2**31 else np.int64
+            bound = min(
+                self.dim * self.compiled.max_entries_per_row,
+                self.dim + self.plan.capacity_bytes // np.dtype(self.dtype).itemsize,
+            )
+            kept = [np.empty(bound, dtype) for dtype in (narrow, narrow, self.dtype)]
+            kept[0][:size] = kept[1][:size] = np.arange(size)
+            kept[2][:size] = self.diagonal()
+            reached = 0
         for start in range(covered, states.size, self.batch_size):
             cut = slice(start, start + self.batch_size)
             sources, rows, amplitudes = many_rows(
@@ -301,17 +275,21 @@ class Operator(BasisOperator):
                 None if scale is None else scale[cut],
             )
             sources = start + sources
-            if offer:
-                # Empty batches are held too, all with 32-bit positions where
-                # the basis allows: a third off the plan, and the matrix's.
-                narrow = np.int32 if self.dim < 2**31 else np.int64
-                kept = (part.astype(narrow) for part in (rows, sources))
-                recording.put((start,), (*kept, amplitudes))
-                offer = (start,) in recording
+            end = size + rows.size
+            # Record while every batch before this one is in the record
+            # (when not recording, ``reached`` stays ``dim``).
+            if reached == start and csr_footprint(
+                self.shape, end, self.dtype
+            )[1] <= self.plan.capacity_bytes:
+                for part, values in zip(kept, (rows, sources, amplitudes)):
+                    part[size:end] = values
+                size, reached = end, min(cut.stop, self.dim)
             # Column by column: a block adds its elements in the order a
             # single vector does (and the folded matrix will).
             for j, column in enumerate(columns.T):
                 np.add.at(out[:, j], rows, amplitudes * column[sources])
+        if record:
+            self._record = (*(part[:size] for part in kept), reached)
 
     def __matmul__(self, x):
         if isinstance(x, np.ndarray):

@@ -5,16 +5,17 @@ operator and basis; only the input vector changes.  Everything
 ``getManyRows`` produces for a chunk of source states — the coupled
 destination states, the matrix-element amplitudes, the symmetry projection,
 and the ``stateToIndex`` binary searches — is therefore iteration-invariant.
-:class:`MatvecPlan` caches those triples the first time a chunk is
-processed.  The serial operator folds the leading batches its budget
-admits into one CSR matrix with the one builder
-:func:`csr_in_recorded_order`, so each later product is one ``matrix @
-x`` and ``getManyRows`` for the batches past it.  The distributed
-operator replays each chunk it holds as a gather, a multiply and a
-scatter-add, and once it holds every chunk folds them with the same
-builder into one CSR product per destination locale (on ``sim`` beside
-the record of a simulated product whose report and telemetry every
-replay repeats).
+:class:`MatvecPlan` caches them.  The serial operator's first product
+writes one record, the diagonal and then the leading batches whose CSR
+matrix fits the budget, and its second folds that record once
+(:func:`_csr`) into the plan's one entry, so each later product is one
+``matrix @ x`` and ``getManyRows`` for the batches past it.  The
+distributed operator caches each chunk as it is processed, replays each
+chunk it holds as a gather, a multiply and a scatter-add, and once it
+holds every chunk folds them with the builder
+:func:`csr_in_recorded_order` into one CSR product per destination locale
+(on ``sim`` beside the record of a simulated product whose report and
+telemetry every replay repeats).
 Serial replays equal the recording pass bit for bit on real arithmetic and
 to 1e-14 relative on complex (distributed ones to 1e-14 relative: their
 matrices carry each row's norm, which a product multiplies in after
@@ -31,19 +32,17 @@ stay.  Every matvec visits its chunks in the same order, so evicting the
 least recently used entry would throw out exactly the one needed next and
 a plan smaller than its operator would never hit; admission keeps the
 first K chunks that fit, which the distributed operator replays on every
-matvec and the serial one folds (it stops offering at the first batch
-refused, so its K are a leading run), so large bases degrade gracefully
-to partial caching instead of exhausting memory.  Hits, misses and turned-away entries are
+matvec (the serial record likewise stops at the first batch whose matrix
+would not fit, so its K are a leading run), so large bases degrade
+gracefully to partial caching instead of exhausting memory.  Hits, misses and turned-away entries are
 reported through the ambient :mod:`repro.telemetry` registry as
 ``plan.hits`` / ``plan.misses`` / ``plan.rejected`` counters and the
 ``plan.bytes`` gauge.
 
-Keys are caller-chosen tuples: the serial operator records a batch's
-``(rows, sources, amplitudes)`` triple under ``(start,)`` on its first
-product and from its second on holds one entry, ``("matrix",)``: the
-matrix folded from the leading batches and ``covered``, the first source
-it does not cover (``(None, 0)`` when not one batch fit), which each
-product looks up once (``Operator._consolidate``); the distributed
+Keys are caller-chosen tuples: the serial operator holds one entry from
+its second product on, ``("matrix",)``: the matrix folded from its record
+and ``covered``, the first source it does not cover (``(None, 0)`` when
+not one batch fit), which each product looks up once; the distributed
 matvec variants use ``(locale, start)`` for a produced chunk and
 ``(locale, "diag")`` for a locale's diagonal matrix elements, and the
 distributed operator keeps what its
@@ -68,15 +67,17 @@ from repro.telemetry.context import current as current_telemetry
 
 __all__ = ["MatvecPlan", "available_memory", "csr_footprint", "csr_in_recorded_order"]
 
-#: Share of the host's available memory one plan may hold.  A fold keeps
-#: the records and the matrix it builds from them together for a moment,
-#: up to twice the share, and the Krylov block grows in the rest: at least
-#: half of what was available while a fold runs, three quarters once the
-#: matrix stands alone.  A chain-32 sector (dim 4.7 M) then holds its
-#: ~1.25 GB of records, and after them its 962 MiB matrix, on a host with
-#: 5 GB or more available once the basis is built; a k = 1 solve then
-#: holds three vectors (113 MB), where 62 rows of a k > 1 Krylov block
-#: would take 2.3 GB of the rest.
+#: Share of the host's available memory one plan may hold.  The serial
+#: record is checked against it by the size of the matrix it will fold
+#: into (12 B per element and 4 B per row), not by its own 16 B per
+#: element, so for the one product it lives it may exceed the share by up
+#: to a third; the fold then holds it and the matrix together for a
+#: moment, up to 7/3 of the share, and the Krylov block grows in the
+#: rest.  A chain-32 sector (dim 4.7 M) then holds its ~1.3 GB record,
+#: and after it its 962 MiB matrix, on a host with 5 GB or more available
+#: once the basis is built; a k = 1 solve then holds three vectors
+#: (113 MB), where 62 rows of a k > 1 Krylov block would take 2.3 GB of
+#: the rest.
 PLAN_MEMORY_SHARE = 1 / 4
 
 
@@ -105,8 +106,8 @@ def available_memory() -> int:
 def _entry_nbytes(entry: object) -> int:
     """Total bytes of the NumPy arrays reachable from a cache entry.
 
-    Entries are a bare array, tuples/lists of entries (a serial batch's
-    triple, a replay record), or objects holding entries
+    Entries are a bare array, tuples/lists of entries (the serial
+    ``(matrix, covered)``, a replay record), or objects holding entries
     as attributes (``ProducedChunk``, a CSR matrix); the rest is free.
     """
     if isinstance(entry, np.ndarray):

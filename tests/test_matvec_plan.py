@@ -1,11 +1,13 @@
 """Tests for the Krylov-iteration-invariant matvec plan cache.
 
-A :class:`~repro.operators.plan.MatvecPlan` memoizes the symmetry-resolved
-``(sources, rows, amplitudes)`` triples of each matvec batch, so repeated
-products (every Krylov iteration after the first) skip ``get_many_rows``
-and ``stateToIndex`` entirely.  Caching must be *invisible*: results are
-bit-for-bit reproducible with the plan on, off, and after invalidation,
-for the serial operator and all three distributed variants.
+A :class:`~repro.operators.plan.MatvecPlan` holds the symmetry-resolved
+matrix elements a product generates (the serial operator as one CSR matrix
+folded once from its first product's record, the distributed one per
+chunk), so repeated products (every Krylov iteration after the first) skip
+``get_many_rows`` and ``stateToIndex`` for what it holds.  Caching must be
+*invisible*: results are bit-for-bit reproducible with the plan on, off,
+and after invalidation, for the serial operator and all three distributed
+variants.
 """
 
 import os
@@ -45,6 +47,31 @@ def expr():
     return repro.heisenberg_chain(12)
 
 
+def batch_sizes(op):
+    """The number of off-diagonal elements each of ``op``'s batches emits."""
+    basis, scale = op.basis, op.basis.source_scale
+    return [
+        many_rows(
+            op.compiled, basis.locate, basis.states[start : start + op.batch_size],
+            None if scale is None else scale[start : start + op.batch_size],
+        )[0].size
+        for start in range(0, op.dim, op.batch_size)
+    ]
+
+
+def record_nbytes(op):
+    return sum(part.nbytes for part in op._record[:3])
+
+
+def counting_folds(monkeypatch):
+    """Count the CSR matrices the serial operator builds from here on."""
+    calls, build = [], operator_module._csr
+    monkeypatch.setattr(
+        operator_module, "_csr", lambda *args: calls.append(1) or build(*args)
+    )
+    return calls
+
+
 def random_vector(basis, rng):
     x = rng.standard_normal(basis.dim).astype(basis.scalar_dtype)
     if basis.scalar_dtype == np.complex128:
@@ -72,7 +99,7 @@ class TestSerialPlan:
         with telemetry.use(tele):
             x = random_vector(basis, rng)
             op.matvec(x)
-            assert op.plan.n_entries == -(-op.dim // op.batch_size)
+            assert op.plan.n_entries == 0 and op._record[-1] == op.dim
             for _ in range(3):
                 op.matvec(x)
         assert op.plan.n_entries == 1
@@ -112,10 +139,33 @@ class TestSerialPlan:
             lanczos(op, rng.standard_normal(basis.dim), k=1, tol=1e-10)
         assert tele.metrics.counter_total("plan.hits") > 0
 
+    @pytest.mark.parametrize("momentum", [0, 3], ids=["real", "complex"])
+    def test_the_fold_leaves_one_diagonal(self, momentum, rng):
+        """Once the plan's matrix holds the diagonal, the operator keeps no
+        ``dim``-long copy of it, and ``diagonal()`` reads the same values
+        from the matrix (each row's first element: duplicates landing on
+        the diagonal are not summed in)."""
+        basis = SymmetricBasis(chain_symmetries(10, momentum, None, None))
+        expr = repro.heisenberg_chain(10)
+        op = repro.Operator(expr, basis, batch_size=7)
+        expected = repro.Operator(expr, basis, plan=False).diagonal()
+        x = random_vector(basis, rng)
+        op.matvec(x)
+        np.testing.assert_array_equal(op.diagonal(), expected)
+        op.matvec(x)
+        _, covered = op.plan.peek(("matrix",))
+        assert covered == op.dim and op._diagonal is None
+        assert not [
+            name for name, value in vars(op).items()
+            if isinstance(value, np.ndarray) and value.shape[0] == op.dim
+        ]
+        np.testing.assert_array_equal(op.diagonal(), expected)
+        assert op.diagonal().dtype == expected.dtype
+
 
 class TestSerialBatchRule:
     """``Operator(batch_size=None)`` sizes the batch from the operator's
-    row density; the plan holds one entry per batch."""
+    row density; the record covers every batch."""
 
     @pytest.fixture(scope="class")
     def wide_basis(self):
@@ -171,13 +221,15 @@ class TestSerialBatchRule:
             error = np.abs(op.matvec(x) - expected).max()
             assert error <= 1e-12 * np.abs(expected).max()
 
-    def test_one_entry_per_batch_and_bitwise_replay(
+    def test_one_record_of_every_batch_and_bitwise_replay(
         self, wide_basis, wide_expr, rng
     ):
         op = repro.Operator(wide_expr, wide_basis)
         x = rng.standard_normal(op.dim)
         y_recorded = op.matvec(x)
-        assert op.plan.n_entries == -(-op.dim // op.batch_size) == 3
+        assert -(-op.dim // op.batch_size) == 3
+        assert op._record[0].size == op.dim + sum(batch_sizes(op))
+        assert op._record[-1] == op.dim and op.plan.n_entries == 0
         np.testing.assert_array_equal(op.matvec(x), y_recorded)
         cold = repro.Operator(wide_expr, wide_basis, plan=False)
         np.testing.assert_array_equal(cold.matvec(x), y_recorded)
@@ -191,10 +243,10 @@ class TestSerialBatchRule:
 
 
 class TestConsolidatedReplay:
-    """The product after the recording folds the diagonal and the leading
-    batches the budget admits into one CSR matrix in recorded order and
-    generates the rest: bit-for-bit the recording pass on real arithmetic,
-    1e-14 relative on complex."""
+    """The product after the recording folds its record (the diagonal and
+    the leading batches whose matrix the budget admits) into one CSR matrix
+    in recorded order and generates the rest: bit-for-bit the recording
+    pass on real arithmetic, 1e-14 relative on complex."""
 
     @pytest.fixture(scope="class")
     def sector(self):
@@ -206,10 +258,6 @@ class TestConsolidatedReplay:
         )
         return repro.heisenberg_chain(10), basis
 
-    @staticmethod
-    def batch_keys(op):
-        return [(start,) for start in range(0, op.dim, op.batch_size)]
-
     @pytest.mark.parametrize("batch_size", [1, 7, None, 78])
     def test_replay_is_the_recording_pass_bit_for_bit(
         self, sector, rng, batch_size
@@ -219,19 +267,19 @@ class TestConsolidatedReplay:
         cold = repro.Operator(expr, basis, batch_size=batch_size, plan=False)
         x = rng.standard_normal(op.dim)
         recorded = op.matvec(x)
-        keys = self.batch_keys(op)
-        chunks = [op.plan.peek(key) for key in keys]
-        assert op.plan.n_entries == len(keys) == -(-op.dim // op.batch_size)
+        rows, sources, _, covered = op._record
+        assert op.plan.n_entries == 0 and covered == op.dim
+        # the diagonal, then every batch, empty ones too
+        np.testing.assert_array_equal(rows[: op.dim], np.arange(op.dim))
+        np.testing.assert_array_equal(sources[: op.dim], np.arange(op.dim))
         if batch_size == 1:
-            assert any(chunk[0].size == 0 for chunk in chunks)
-        pairs = [
-            pair
-            for chunk in chunks
-            for pair in zip(chunk[0].tolist(), chunk[1].tolist())
-        ]
+            assert 0 in batch_sizes(op)
+        pairs = list(zip(rows[op.dim :].tolist(), sources[op.dim :].tolist()))
+        assert len(pairs) == sum(batch_sizes(op))
         assert len(set(pairs)) < len(pairs)
-        assert op.plan.nbytes == 16 * len(pairs)  # 32-bit positions
-        for _ in range(2):  # the consolidating replay, then a plain one
+        # 32-bit positions
+        assert record_nbytes(op) == 16 * (op.dim + len(pairs))
+        for _ in range(2):  # the folding replay, then a plain one
             np.testing.assert_array_equal(op.matvec(x), recorded)
             assert op.plan.n_entries == 1
         np.testing.assert_array_equal(cold.matvec(x), recorded)
@@ -242,10 +290,9 @@ class TestConsolidatedReplay:
         assert matrix.nnz == op.dim + len(pairs)
         assert op.plan.nbytes == 12 * matrix.nnz + 4 * (op.dim + 1)
         op.invalidate_plan()
-        assert op.plan.n_entries == 0
+        assert op.plan.n_entries == 0 and op._record is None
         np.testing.assert_array_equal(op.matvec(x), recorded)
-        assert all(key in op.plan for key in keys)
-        assert op.plan.n_entries == len(keys)
+        assert op.plan.n_entries == 0 and op._record[-1] == op.dim
 
     def test_block_passes_agree_bit_for_bit(self, sector, rng):
         expr, basis = sector
@@ -275,41 +322,46 @@ class TestConsolidatedReplay:
         _, covered = op.plan.peek(("matrix",))
         assert op.plan.n_entries == 1 and 0 < covered < op.dim
 
-    def test_records_past_the_budget_fold_in_steps(self, sector, rng, plan_budget):
-        """A byte short of the records but room for the matrix: the fold
-        takes every batch the recording held, the product records on past
-        the matrix, and the next folds those onto it: the plan ends as the
-        whole matrix, every product the recording's bits."""
+    def test_a_budget_short_of_the_records_builds_the_matrix_once(
+        self, sector, rng, plan_budget, monkeypatch
+    ):
+        """A byte short of the record (16 B per element) but room for the
+        matrix (12 B per element and 4 B per row): the record takes every
+        batch, the next product folds it, and that one build is the last;
+        no later product changes the plan's ``(matrix, covered)``."""
         expr, basis = sector
         full = repro.Operator(expr, basis, batch_size=7)
         x = rng.standard_normal(full.dim)
         recorded = full.matvec(x)
-        records = full.plan.nbytes
+        records = record_nbytes(full)
         full.matvec(x)
         matrix = full.plan.nbytes
         assert matrix < records
         with plan_budget(records - 1):
             op = repro.Operator(expr, basis, batch_size=7)
-        covered = []
-        for _ in range(4):
+        builds = counting_folds(monkeypatch)
+        held = []
+        for _ in range(5):
             np.testing.assert_array_equal(op.matvec(x), recorded)
-            covered.append((op.plan.peek(("matrix",)) or (None, 0))[1])
-        assert covered[0] == 0 and 0 < covered[1] < op.dim
-        assert covered[2:] == [op.dim, op.dim]
+            held.append(op.plan.peek(("matrix",)))
+        assert held[0] is None and len(builds) == 1
+        assert all(entry is held[1] for entry in held[2:])
+        assert held[1][1] == op.dim
         assert op.plan.n_entries == 1 and op.plan.nbytes == matrix
 
     def test_room_for_the_batches_but_not_for_the_matrix(self, rng, plan_budget):
         # One bond on 12 sites: 0.27 off-diagonal elements per row, so the
         # matrix (a diagonal element and a row pointer for every row) is
-        # larger than the batches.  The fold drops them: the plan holds
-        # nothing and every product generates every batch.
+        # larger than the batches' 16 B per element.  The record covers no
+        # batch: the plan holds no matrix and every product generates every
+        # batch.
         basis = SpinBasis(12, hamming_weight=6)
         expr = repro.spin_plus(0) * repro.spin_minus(1)
         expr = expr + repro.spin_minus(0) * repro.spin_plus(1)
         probe = repro.Operator(expr, basis, batch_size=100)
         x = rng.standard_normal(probe.dim)
         recorded = probe.matvec(x)
-        budget = probe.plan.nbytes
+        budget = record_nbytes(probe) - 16 * probe.dim
         nnz = budget // 16
         assert 0 < nnz < 4 * probe.dim
         assert 12 * (nnz + probe.dim) + 4 * (probe.dim + 1) > budget
@@ -318,8 +370,7 @@ class TestConsolidatedReplay:
         tele = telemetry.Telemetry.enabled(trace=False)
         with telemetry.use(tele):
             np.testing.assert_array_equal(op.matvec(x), recorded)
-            assert op.plan.n_entries == len(self.batch_keys(op))
-            assert op.plan.nbytes == budget
+            assert op.plan.n_entries == 0 and op._record[-1] == 0
             for _ in range(3):
                 np.testing.assert_array_equal(op.matvec(x), recorded)
                 assert op.plan.peek(("matrix",)) == (None, 0)
@@ -425,8 +476,7 @@ class TestOnePath:
         """A budget whose fold takes the first ``folded`` batches (all of
         them for ``None``), with the batch sizes of a full recording."""
         probe = repro.Operator(expr, basis, batch_size=self.BATCH)
-        probe.matvec(random_vector(basis, np.random.default_rng(0)))
-        sizes = [probe.plan.peek((start,))[0].size for start in range(0, basis.dim, self.BATCH)]
+        sizes = batch_sizes(probe)
         if folded is None:
             return 2**40, sizes
 
@@ -436,7 +486,9 @@ class TestOnePath:
         return (footprint(1) - 1 if folded == 0 else footprint(folded)), sizes
 
     @pytest.mark.parametrize("folded", [0, 1, "some", None], ids=["0", "1", "some", "all"])
-    def test_every_product_is_the_unplanned_one(self, sector, folded, rng, plan_budget):
+    def test_every_product_is_the_unplanned_one(
+        self, sector, folded, rng, plan_budget, monkeypatch
+    ):
         expr, basis = sector
         n_batches = -(-basis.dim // self.BATCH)
         folded = n_batches // 3 if folded == "some" else folded
@@ -446,11 +498,13 @@ class TestOnePath:
         cold = repro.Operator(expr, basis, batch_size=self.BATCH, plan=False)
         vector, block = random_vector(basis, rng), random_vector(basis, rng)
         block = np.stack([np.roll(block, j) for j in range(8)], axis=1)
+        builds = counting_folds(monkeypatch)
         # record, fold, then two warm products: a vector, a block, ...
         for x in (vector, block, vector, block):
             self.assert_equal(op.matvec(x), cold.matvec(x))
         matrix, covered = op.plan.peek(("matrix",))
-        assert op.plan.n_entries == 1
+        assert op.plan.n_entries == 1 and op._record is None
+        assert len(builds) == (folded != 0)
         if folded is None:
             assert covered == basis.dim and matrix.nnz == basis.dim + sum(sizes)
         elif folded == 0:
@@ -472,12 +526,12 @@ class TestOnePath:
         assert states == tail.metrics.counter_total("kernel.state_info_states")
         assert (states == 0) == (covered == basis.dim)
 
-    def test_a_recording_that_raises_leaves_a_leading_run(
+    def test_a_recording_that_raises_leaves_no_record(
         self, sector, rng, monkeypatch
     ):
-        """A recording product that fails part-way leaves the batches it
-        recorded, a leading run: the next product folds them and records
-        on, and the plan ends whole."""
+        """A recording product that fails part-way leaves no record: the
+        next product records afresh, the one after folds, and the plan ends
+        whole."""
         expr, basis = sector
         op = repro.Operator(expr, basis, batch_size=self.BATCH)
         cold = repro.Operator(expr, basis, batch_size=self.BATCH, plan=False)
@@ -493,9 +547,11 @@ class TestOnePath:
         monkeypatch.setattr(operator_module, "many_rows", failing)
         with pytest.raises(RuntimeError, match="kernel failed"):
             op.matvec(x)
-        assert list(op.plan._entries) == [(0,), (self.BATCH,)]
+        assert op._record is None and op.plan.n_entries == 0
         monkeypatch.undo()
-        for _ in range(3):  # fold and record on, fold, replay
+        self.assert_equal(op.matvec(x), cold.matvec(x))
+        assert op._record[-1] == basis.dim and op.plan.n_entries == 0
+        for _ in range(2):  # fold, replay
             self.assert_equal(op.matvec(x), cold.matvec(x))
         assert op.plan.n_entries == 1
         assert op.plan.peek(("matrix",))[1] == basis.dim
@@ -602,10 +658,10 @@ class TestPlanCachePolicy:
 
     @pytest.mark.parametrize("share", [0.9, 0.5, 0.25])
     def test_partial_budget_admits_and_hits_serial(self, share, rng, plan_budget):
-        """A plan of ``share`` of the recording's bytes holds a leading run
-        of the batches, the later products fold what the budget admits
-        into the matrix, and each warm product hits it (one lookup) and
-        generates the rest."""
+        """A plan of ``share`` of the off-diagonal record's bytes: the
+        record holds the diagonal and a leading run of the batches, the
+        next product folds it into the matrix, and each warm product hits
+        it (one lookup) and generates the rest."""
         # chain-20: dim 2518, ten batches of 256
         basis = SymmetricBasis(chain_symmetries(20, 0, 0, 0), hamming_weight=10)
         expr = repro.heisenberg_chain(20)
@@ -617,8 +673,8 @@ class TestPlanCachePolicy:
         cold = make(False).matvec(x)
         probe = make(True)
         probe.matvec(x)
-        keys, recorded = probe.plan.n_entries, probe.plan.nbytes
-        sizes = [probe.plan.peek((start,))[0].size for start in range(0, probe.dim, 256)]
+        sizes = batch_sizes(probe)
+        recorded = 16 * sum(sizes)
         probe.matvec(x)
         whole = probe.plan.nbytes
         with plan_budget(int(share * recorded)):
@@ -626,16 +682,15 @@ class TestPlanCachePolicy:
         tele = telemetry.Telemetry.enabled(trace=False)
         with telemetry.use(tele):
             results = [op.matvec(x)]
-            held = list(op.plan._entries)
+            reached = op._record[-1]
             results += [op.matvec(x) for _ in range(5)]
-        assert 0 < len(held) < keys
-        assert held == [(start,) for start in range(0, 256 * len(held), 256)]
         matrix, covered = op.plan.peek(("matrix",))
+        assert covered == reached and 0 < covered
+        assert covered == op.dim or covered % 256 == 0
         assert op.plan.n_entries == 1 and op.plan.nbytes <= share * recorded
         assert matrix.nnz == op.dim + sum(sizes[: -(-covered // 256)])
         # the whole matrix once the budget holds it, else a leading run
         assert (covered == op.dim) == (whole <= share * recorded)
-        assert 0 < covered
         metrics = tele.metrics
         assert metrics.counter_total("plan.misses") == 2
         assert metrics.counter_total("plan.hits") == 4
@@ -695,7 +750,7 @@ class TestPlanCachePolicy:
 
 class TestMeasuredBudget:
     """A plan's budget is :data:`PLAN_MEMORY_SHARE` of the host's available
-    memory, read once when the plan is made.  (A budget below the records
+    memory, read once when the plan is made.  (A budget below the matrix
     keeps a partial plan: ``TestPlanCachePolicy``'s partial-budget tests.)"""
 
     def test_read_at_creation_only(self, basis, expr, rng, monkeypatch):
@@ -711,7 +766,7 @@ class TestMeasuredBudget:
         assert op.plan.capacity_bytes == int(2**32 * plan_module.PLAN_MEMORY_SHARE)
         x = random_vector(basis, rng)
         recorded = op.matvec(x)
-        assert op.plan.n_entries == -(-op.dim // op.batch_size)
+        assert op.plan.n_entries == 0 and op._record[-1] == op.dim
         np.testing.assert_array_equal(op.matvec(x), recorded)
         assert readings == [1] and op.plan.n_entries == 1 and ("matrix",) in op.plan
 
@@ -719,7 +774,8 @@ class TestMeasuredBudget:
         self, basis, expr, rng, monkeypatch
     ):
         """Without ``/proc/meminfo`` the reading is 0: the plan's budget is
-        0, it holds nothing and every product equals ``plan=False``."""
+        0, its one entry holds no matrix and no byte, and every product
+        equals ``plan=False``."""
 
         def no_meminfo(*args, **kwargs):
             raise FileNotFoundError("/proc/meminfo")
@@ -732,7 +788,8 @@ class TestMeasuredBudget:
         cold = repro.Operator(expr, basis, plan=False).matvec(x)
         for _ in range(3):
             np.testing.assert_array_equal(op.matvec(x), cold)
-        assert op.plan.n_entries == 0
+        assert op.plan.n_entries == 1 and op.plan.nbytes == 0
+        assert op.plan.peek(("matrix",)) == (None, 0)
 
 
 class TestDistributedPlan:
